@@ -12,6 +12,7 @@ use crate::cancel::CancelToken;
 use altx_pager::AddressSpace;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The signature of an alternative's body: compute on a private COW fork
@@ -20,9 +21,22 @@ use std::time::Duration;
 pub type AltFn<R> = dyn Fn(&mut AddressSpace, &CancelToken) -> Option<R> + Send + Sync;
 
 /// One named alternative.
+///
+/// Name and body are reference-counted, so a clone is two counter
+/// bumps: [`ThreadedEngine`](crate::engine::ThreadedEngine) hands
+/// clones to whichever racer thread claims the alternative.
 pub struct BlockAlternative<R> {
-    name: String,
-    body: Box<AltFn<R>>,
+    name: Arc<str>,
+    body: Arc<AltFn<R>>,
+}
+
+impl<R> Clone for BlockAlternative<R> {
+    fn clone(&self) -> Self {
+        BlockAlternative {
+            name: Arc::clone(&self.name),
+            body: Arc::clone(&self.body),
+        }
+    }
 }
 
 impl<R> BlockAlternative<R> {
@@ -103,8 +117,8 @@ impl<R> AltBlock<R> {
         F: Fn(&mut AddressSpace, &CancelToken) -> Option<R> + Send + Sync + 'static,
     {
         self.alternatives.push(BlockAlternative {
-            name: name.into(),
-            body: Box::new(body),
+            name: Arc::from(Into::<String>::into(name)),
+            body: Arc::new(body),
         });
         self
     }
@@ -153,8 +167,9 @@ pub struct BlockResult<R> {
     pub panics: usize,
     /// How many alternatives never ran their body because the race was
     /// already decided when their turn came — a queued alternative under
-    /// bounded parallelism, or a hedged alternative whose
-    /// [`LaunchPlan`](crate::engine::LaunchPlan) offset had not elapsed.
+    /// bounded parallelism, a hedged alternative whose
+    /// [`LaunchPlan`](crate::engine::LaunchPlan) offset had not elapsed,
+    /// or a sibling the decision reached before any thread had claimed it.
     /// Suppression changes cost, never which value is selected.
     pub suppressed: usize,
 }

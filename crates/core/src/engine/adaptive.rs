@@ -90,7 +90,7 @@ impl AdaptiveEngine {
 }
 
 impl Engine for AdaptiveEngine {
-    fn execute<R: Send>(
+    fn execute<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,

@@ -11,10 +11,11 @@
 //! | [`AdaptiveEngine`] | Scheme A | statistically fastest first, learned online |
 //! | [`RandomEngine`] | Scheme B | arbitrary single selection |
 //! | [`SelectorEngine`] | §4.2 case 2 synthetic computation | domain-partitioning prediction |
-//! | [`ThreadedEngine`] | Scheme C (real concurrency) | race on OS threads, fastest first |
+//! | [`ThreadedEngine`] | Scheme C (real concurrency) | race on the caller plus parked racer threads, fastest first |
 //! | [`sim`] | Scheme C (calibrated) | race on the simulated kernel |
 
 mod adaptive;
+mod crew;
 mod ordered;
 mod plan;
 mod random;
@@ -23,6 +24,7 @@ pub mod sim;
 mod threaded;
 
 pub use adaptive::AdaptiveEngine;
+pub use crew::CrewStats;
 pub use ordered::OrderedEngine;
 pub use plan::LaunchPlan;
 pub use random::RandomEngine;
@@ -32,6 +34,15 @@ pub use threaded::ThreadedEngine;
 use crate::block::{AltBlock, BlockResult};
 use altx_pager::AddressSpace;
 
+/// Counters of the process-wide race crew [`ThreadedEngine`] races on:
+/// racer threads alive, racer threads ever spawned, and alternatives
+/// eliminated while still waiting to be claimed. Process-wide, so two
+/// daemons in one process report the same numbers. Takes one
+/// uncontended lock; meant for a stats page, not a hot path.
+pub fn crew_stats() -> CrewStats {
+    crew::crew().stats()
+}
+
 /// An execution strategy for [`AltBlock`]s.
 ///
 /// Implementations must guarantee: at most one alternative's workspace
@@ -39,6 +50,9 @@ use altx_pager::AddressSpace;
 /// value (if any) was produced by exactly that alternative.
 pub trait Engine {
     /// Executes `block` against `workspace`.
-    fn execute<R: Send>(&self, block: &AltBlock<R>, workspace: &mut AddressSpace)
-        -> BlockResult<R>;
+    fn execute<R: Send + 'static>(
+        &self,
+        block: &AltBlock<R>,
+        workspace: &mut AddressSpace,
+    ) -> BlockResult<R>;
 }

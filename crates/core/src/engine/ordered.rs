@@ -24,7 +24,7 @@ impl OrderedEngine {
 }
 
 impl Engine for OrderedEngine {
-    fn execute<R: Send>(
+    fn execute<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,

@@ -39,7 +39,7 @@ impl Default for RandomEngine {
 }
 
 impl Engine for RandomEngine {
-    fn execute<R: Send>(
+    fn execute<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,

@@ -70,7 +70,7 @@ impl std::fmt::Debug for SelectorEngine {
 }
 
 impl Engine for SelectorEngine {
-    fn execute<R: Send>(
+    fn execute<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,

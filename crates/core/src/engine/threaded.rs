@@ -1,73 +1,244 @@
 //! Scheme C on real OS threads: fastest-first racing.
 
-use crate::block::{AltBlock, BlockResult};
+use crate::block::{AltBlock, BlockAlternative, BlockResult};
 use crate::cancel::CancelToken;
+use crate::engine::crew::{crew, Job};
 use crate::engine::{Engine, LaunchPlan};
 use crate::faults;
-use crate::sync::Semaphore;
 use altx_pager::AddressSpace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-/// Slice length for the cancellable launch-offset wait: hedged
-/// alternatives poll their token at this granularity while holding back,
-/// so a decided race suppresses them within ~a slice.
-const LAUNCH_WAIT_SLICE: Duration = Duration::from_micros(200);
-
-/// Waits until `offset` has elapsed or the race is decided. Returns
-/// `true` when the alternative should launch, `false` when it was
-/// suppressed. A zero offset never touches the clock — the immediate
-/// path is exactly the pre-plan behaviour.
-fn wait_for_launch(token: &CancelToken, offset: Duration) -> bool {
-    if offset.is_zero() {
-        return true;
-    }
-    let due = Instant::now() + offset;
-    loop {
-        if token.is_cancelled() {
-            return false;
-        }
-        let now = Instant::now();
-        if now >= due {
-            return true;
-        }
-        std::thread::sleep((due - now).min(LAUNCH_WAIT_SLICE));
-    }
-}
-
-/// Races every alternative on its own OS thread over a private COW fork
-/// of the workspace; the first `Some` result wins, the losers are
-/// cancelled (cooperatively) and their forks discarded.
+/// Races the alternatives concurrently, each over a private COW fork of
+/// the workspace; the first `Some` result wins, the losers are cancelled
+/// (cooperatively) and their forks discarded.
 ///
 /// This is the paper's Scheme C with real concurrency: execution time
-/// approaches `τ(C_best) + τ(overhead)`, where the overhead here is
-/// thread spawn + page-map fork + selection.
+/// approaches `τ(C_best) + τ(overhead)`. The paper pays `alt_spawn` per
+/// block; this engine does not pay a thread per alternative. The calling
+/// thread runs the plan's first immediate alternative **inline**, after
+/// handing every sibling to the process-wide race crew — parked racer
+/// threads that are reused from race to race, grow on demand and retire
+/// when idle. So the overhead here is one shared race record, a page-map
+/// fork per body that actually starts, and a wake-up per sibling; a
+/// sibling the decision reaches while it is still waiting to be claimed
+/// is eliminated where it waits and costs neither a fork nor a thread.
 ///
 /// Losing alternatives are *asked* to stop via the [`CancelToken`]; the
-/// engine still joins every thread before returning (Rust threads cannot
-/// be killed), so bodies that never poll the token delay the return
-/// without affecting which result is selected.
+/// engine still waits for every body that started before returning (Rust
+/// threads cannot be killed), so bodies that never poll the token delay
+/// the return without affecting which result is selected.
+///
+/// Progress never depends on the crew: once its inline body returns, the
+/// caller itself claims whatever is still waiting — due alternatives at
+/// once, hedged ones at their release time — so a race started from
+/// inside an alternative body, or while every racer is busy, completes
+/// all the same.
 ///
 /// [`with_max_threads`](ThreadedEngine::with_max_threads) bounds the
 /// degree of real concurrency — the paper's *virtual concurrency* case
-/// (§4.2) where alternatives share hardware: excess alternatives queue
-/// and start as slots free up (in declaration order, so the bound also
-/// biases toward earlier alternatives, like a recovery block's
-/// reliability ordering).
+/// (§4.2) where alternatives share hardware.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadedEngine {
     max_threads: Option<usize>,
 }
 
+/// Where one alternative stands in its race. `Pending` is the only state
+/// anyone may claim from, and every transition happens under the race's
+/// lock, so an alternative is started at most once and a suppressed one
+/// never.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    Pending,
+    Running,
+    Done,
+    Suppressed,
+}
+
+/// What a thread looking for work in a race should do next.
+enum Next {
+    /// Alternative `i` is now `Running` and the claimer must run it.
+    Run(usize),
+    /// Nothing is due; the earliest hedged alternative is released then.
+    At(Instant),
+    /// Nothing to claim: none pending, or the bound on running bodies is
+    /// reached.
+    Idle,
+}
+
+struct RaceState<R> {
+    claims: Vec<Claim>,
+    pending: usize,
+    running: usize,
+    panics: usize,
+    /// The at-most-once winner slot: index, value, and the fork its
+    /// body wrote to.
+    winner: Option<(usize, R, AddressSpace)>,
+}
+
+impl<R> RaceState<R> {
+    /// Eliminates every alternative nobody has claimed yet.
+    fn suppress_pending(&mut self) {
+        for claim in &mut self.claims {
+            if *claim == Claim::Pending {
+                *claim = Claim::Suppressed;
+            }
+        }
+        self.pending = 0;
+    }
+}
+
+/// One race, shared between its caller and the racers that help it.
+struct Race<R> {
+    alts: Vec<BlockAlternative<R>>,
+    /// Per alternative: when it may start (`None`: at race start).
+    releases: Vec<Option<Instant>>,
+    /// The workspace as the race found it; every body runs on its own
+    /// fork of this.
+    base: AddressSpace,
+    token: CancelToken,
+    /// At most this many bodies `Running` at once.
+    max_running: usize,
+    state: Mutex<RaceState<R>>,
+    /// Where the caller waits; signalled whenever a racer's body
+    /// finishes (which is also when a decision can fall).
+    changed: Condvar,
+}
+
+impl<R: Send + 'static> Race<R> {
+    /// Only counter and state updates happen under this lock — never an
+    /// alternative body or a destructor of `R` — so a poisoned guard
+    /// still protects a consistent state.
+    fn lock(&self) -> MutexGuard<'_, RaceState<R>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the next alternative in declaration order that is pending
+    /// and due, if the bound allows another running body. A cancelled
+    /// token — the race is decided, the caller gave up, or the deadline
+    /// passed — eliminates everything still pending instead.
+    fn claim_next(&self, state: &mut RaceState<R>) -> Next {
+        if state.pending == 0 {
+            return Next::Idle;
+        }
+        if self.token.is_cancelled() {
+            state.suppress_pending();
+            return Next::Idle;
+        }
+        if state.running >= self.max_running {
+            return Next::Idle;
+        }
+        let mut now = None;
+        let mut earliest: Option<Instant> = None;
+        for (i, release) in self.releases.iter().enumerate() {
+            if state.claims[i] != Claim::Pending {
+                continue;
+            }
+            match *release {
+                Some(at) if at > *now.get_or_insert_with(Instant::now) => {
+                    earliest = Some(earliest.map_or(at, |e| e.min(at)));
+                }
+                _ => {
+                    state.claims[i] = Claim::Running;
+                    state.pending -= 1;
+                    state.running += 1;
+                    return Next::Run(i);
+                }
+            }
+        }
+        earliest.map_or(Next::Idle, Next::At)
+    }
+
+    /// Runs alternative `i`, which the calling thread has claimed, on a
+    /// fresh fork, and records the outcome. `on_crew` says the thread is
+    /// a racer, which tells the crew while it is inside the body.
+    fn run_claimed(&self, i: usize, on_crew: bool) {
+        if on_crew {
+            crew().enter();
+        }
+        let alt = &self.alts[i];
+        let mut fork = self.base.cow_fork();
+        // Containment: a panicking body — or an injected panic — is a
+        // failed guard, not a dead racer (and, inline, not a dead
+        // caller). The fault site sits inside the contained region for
+        // exactly that reason.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if faults::enabled()
+                && faults::inject(&format!("engine.alt.{}", alt.name()), Some(&self.token))
+                    == faults::Verdict::Fail
+            {
+                return None; // injected guard failure
+            }
+            alt.run(&mut fork, &self.token)
+        }));
+        if on_crew {
+            crew().leave();
+        }
+        let (value, panicked) = match outcome {
+            Ok(value) => (value, false),
+            Err(_) => (None, true),
+        };
+
+        let mut state = self.lock();
+        state.panics += usize::from(panicked);
+        let late = match value {
+            Some(value) if state.winner.is_none() => {
+                state.winner = Some((i, value, fork));
+                // Sibling elimination at the source: the first success to
+                // reach the slot decides the race, and it cancels and
+                // reclaims *before* its own claim is released below — a
+                // thread that finds room to claim again can only find the
+                // race already decided.
+                self.token.cancel();
+                state.suppress_pending();
+                None
+            }
+            // A success that lost to an earlier one; dropped off the lock.
+            late => late,
+        };
+        state.claims[i] = Claim::Done;
+        state.running -= 1;
+        drop(state);
+        // Only the race's caller ever waits on `changed`, and this is
+        // not it.
+        if on_crew {
+            self.changed.notify_one();
+        }
+        drop(late);
+    }
+}
+
+impl<R: Send + 'static> Job for Race<R> {
+    fn help(&self) {
+        loop {
+            let next = self.claim_next(&mut self.lock());
+            match next {
+                Next::Run(i) => self.run_claimed(i, true),
+                // Hedged alternatives have tickets of their own.
+                Next::At(_) | Next::Idle => return,
+            }
+        }
+    }
+}
+
 impl ThreadedEngine {
-    /// Creates the engine with unbounded parallelism (one thread per
-    /// alternative).
+    /// Creates the engine with unbounded parallelism (every alternative
+    /// that is due may run at once).
     pub fn new() -> Self {
         ThreadedEngine { max_threads: None }
     }
 
     /// Bounds concurrent alternatives to `n` at a time.
+    ///
+    /// Alternatives are then started **in declaration order**: whenever
+    /// fewer than `n` bodies are running, the next one to start is the
+    /// first in the block that has not started yet, and once the race is
+    /// decided none of the rest starts at all (they count as
+    /// [`suppressed`](BlockResult::suppressed)). So the bound also biases
+    /// toward earlier alternatives, like a recovery block's reliability
+    /// ordering; with `n == 1` the race degenerates to trying the
+    /// alternatives one by one, in order, on the calling thread.
     ///
     /// # Panics
     ///
@@ -92,7 +263,7 @@ impl ThreadedEngine {
     /// any alternative succeeds — the block fails; the caller can
     /// distinguish a blown budget via
     /// [`CancelToken::deadline_expired`].
-    pub fn execute_with_token<R: Send>(
+    pub fn execute_with_token<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,
@@ -102,14 +273,17 @@ impl ThreadedEngine {
     }
 
     /// Races `block` under a caller-supplied [`LaunchPlan`]: alternative
-    /// `i` launches `plan.offset(i)` after race start, or not at all if
+    /// `i` is released `plan.offset(i)` after race start, or not at all if
     /// the race is decided first (it counts as *suppressed* in the
     /// result). An all-zeros plan is byte-for-byte
     /// [`execute_with_token`](ThreadedEngine::execute_with_token): the
     /// plan changes only *when* bodies start, never how the winner is
     /// selected, how siblings are eliminated, or how panics are
     /// contained.
-    pub fn execute_planned<R: Send>(
+    ///
+    /// Nobody sleeps on a hedged alternative's behalf: its release time
+    /// sits on the crew's queue, and the decision takes it off again.
+    pub fn execute_planned<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,
@@ -117,142 +291,125 @@ impl ThreadedEngine {
         plan: &LaunchPlan,
     ) -> BlockResult<R> {
         let start = Instant::now();
-        if block.is_empty() {
-            return BlockResult {
-                value: None,
-                winner: None,
-                winner_name: None,
-                wall: start.elapsed(),
-                attempts: 0,
+        let n = block.len();
+        let race = Arc::new(Race {
+            alts: block.alternatives().to_vec(),
+            releases: (0..n)
+                .map(|i| plan.offset(i))
+                .map(|offset| (!offset.is_zero()).then(|| start + offset))
+                .collect(),
+            base: workspace.cow_fork(),
+            token: token.clone(),
+            max_running: self.max_threads.unwrap_or(n),
+            state: Mutex::new(RaceState {
+                claims: vec![Claim::Pending; n],
+                pending: n,
+                running: 0,
                 panics: 0,
-                suppressed: 0,
-            };
-        }
-
-        // std mpsc: many racing senders, one selecting receiver.
-        let (tx, rx) = mpsc::channel::<(usize, Option<R>, AddressSpace)>();
-        let slots = self.max_threads.unwrap_or(block.len()).min(block.len());
-        // Admission tickets: threads block on the semaphore until a slot
-        // frees; the winner's cancellation drains queued starters fast
-        // (they check the token before doing any work).
-        let semaphore = Semaphore::new(slots);
-        let panics = AtomicUsize::new(0);
-        let suppressed = AtomicUsize::new(0);
-
-        let winner_slot = std::thread::scope(|scope| {
-            for (i, alt) in block.alternatives().iter().enumerate() {
-                let mut fork = workspace.cow_fork();
-                let tx = tx.clone();
-                let token = token.clone();
-                let offset = plan.offset(i);
-                let semaphore = &semaphore;
-                let panics = &panics;
-                let suppressed = &suppressed;
-                scope.spawn(move || {
-                    // Hold back per the launch plan; a race decided during
-                    // the hold-back suppresses this alternative entirely.
-                    if !wait_for_launch(&token, offset) {
-                        suppressed.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send((i, None, fork));
-                        return;
-                    }
-                    // Wait for an execution slot (bounded concurrency).
-                    semaphore.acquire();
-                    let value = if token.is_cancelled() {
-                        // Race already decided: never start.
-                        suppressed.fetch_add(1, Ordering::Relaxed);
-                        None
-                    } else {
-                        // Containment: a panicking body — or an
-                        // injected panic — is a failed guard, not a
-                        // dead racing thread (a scoped thread's panic
-                        // would otherwise re-raise at scope exit and
-                        // kill the whole race). The fault site sits
-                        // inside the contained region for exactly that
-                        // reason.
-                        use std::panic::{catch_unwind, AssertUnwindSafe};
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if faults::enabled()
-                                && faults::inject(
-                                    &format!("engine.alt.{}", alt.name()),
-                                    Some(&token),
-                                ) == faults::Verdict::Fail
-                            {
-                                return None; // injected guard failure
-                            }
-                            alt.run(&mut fork, &token)
-                        }));
-                        match outcome {
-                            Ok(v) => v,
-                            Err(_) => {
-                                panics.fetch_add(1, Ordering::Relaxed);
-                                None
-                            }
-                        }
-                    };
-                    // Sibling elimination at the source: any success
-                    // decides the race (selection among multiple
-                    // successes is still arrival order at the receiver),
-                    // and cancelling *before* the permit is released
-                    // guarantees a queued alternative acquiring this
-                    // slot sees the decision — not a window where the
-                    // slot is free but the token not yet cancelled.
-                    if value.is_some() {
-                        token.cancel();
-                    }
-                    semaphore.release();
-                    // A closed channel just means the race is over.
-                    let _ = tx.send((i, value, fork));
-                });
-            }
-            drop(tx);
-
-            // Fastest first: take the first success by arrival order; keep
-            // draining so every thread can finish sending.
-            let mut winner: Option<(usize, R, AddressSpace)> = None;
-            for (i, value, fork) in rx.iter() {
-                if let Some(v) = value {
-                    if winner.is_none() {
-                        // Sibling elimination: ask the losers to stop.
-                        token.cancel();
-                        winner = Some((i, v, fork));
-                    }
-                }
-            }
-            winner
+                winner: None,
+            }),
+            changed: Condvar::new(),
         });
 
-        let panics = panics.load(Ordering::Relaxed);
-        let suppressed = suppressed.load(Ordering::Relaxed);
-        match winner_slot {
+        // The caller claims first — under an ordinary plan that is the
+        // favourite, which it will run inline — and then hands the crew
+        // one ticket per sibling, so the siblings are on their way
+        // *before* the inline body starts. Immediate tickets stop at the
+        // bound: a racer beyond it could only find the bound reached.
+        let mut state = race.lock();
+        let first = race.claim_next(&mut state);
+        let mut room = race.max_running - state.running;
+        let mut tickets = Vec::new();
+        for (claim, release) in state.claims.iter().zip(&race.releases) {
+            if *claim != Claim::Pending {
+                continue;
+            }
+            if release.is_none() {
+                if room == 0 {
+                    continue;
+                }
+                room -= 1;
+            }
+            tickets.push(*release);
+        }
+        drop(state);
+        let job = (!tickets.is_empty()).then(|| {
+            let job: Arc<dyn Job> = race.clone();
+            crew().dispatch(&job, &tickets);
+            job
+        });
+        if let Next::Run(i) = first {
+            race.run_claimed(i, false);
+        }
+
+        // From here on the caller works the race like any racer, except
+        // that it also waits: for a release time, for room under the
+        // bound, and at the end for every body that did start.
+        let mut state = race.lock();
+        loop {
+            match race.claim_next(&mut state) {
+                Next::Run(i) => {
+                    drop(state);
+                    race.run_claimed(i, false);
+                    state = race.lock();
+                }
+                Next::At(release) => {
+                    // A deadline cancels the token without signalling.
+                    let until = token.deadline().map_or(release, |d| d.min(release));
+                    state = race
+                        .changed
+                        .wait_timeout(state, until.saturating_duration_since(Instant::now()))
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+                // Nothing pending and nothing running: the race is over.
+                Next::Idle if state.running == 0 => break,
+                Next::Idle => {
+                    state = race
+                        .changed
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+        let winner = state.winner.take();
+        let panics = state.panics;
+        let suppressed = state
+            .claims
+            .iter()
+            .filter(|claim| **claim == Claim::Suppressed)
+            .count();
+        drop(state);
+        if let Some(job) = &job {
+            // Tickets nobody picked up, a hedge's release time among them.
+            crew().purge(job);
+        }
+        if suppressed > 0 {
+            crew().count_reclaimed(suppressed);
+        }
+
+        let (value, winner) = match winner {
             Some((i, value, fork)) => {
                 // alt_wait absorption: the winner's page map becomes ours.
                 workspace.absorb(fork);
-                BlockResult {
-                    value: Some(value),
-                    winner: Some(i),
-                    winner_name: Some(block.alternatives()[i].name().to_string()),
-                    wall: start.elapsed(),
-                    attempts: block.len(),
-                    panics,
-                    suppressed,
-                }
+                (Some(value), Some(i))
             }
-            None => BlockResult {
-                value: None,
-                winner: None,
-                winner_name: None,
-                wall: start.elapsed(),
-                attempts: block.len(),
-                panics,
-                suppressed,
-            },
+            None => (None, None),
+        };
+        BlockResult {
+            value,
+            winner,
+            winner_name: winner.map(|i| block.alternatives()[i].name().to_string()),
+            wall: start.elapsed(),
+            attempts: n,
+            panics,
+            suppressed,
         }
     }
 }
 
 impl Engine for ThreadedEngine {
-    fn execute<R: Send>(
+    fn execute<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
         workspace: &mut AddressSpace,
@@ -411,6 +568,30 @@ mod tests {
     }
 
     #[test]
+    fn bound_of_one_tries_alternatives_in_declaration_order() {
+        use std::sync::Mutex;
+        // Every guard fails, so every body runs; with one slot they run
+        // one at a time, and the order they start in is the order they
+        // were declared in.
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let mut block: AltBlock<usize> = AltBlock::new();
+        for i in 0..6usize {
+            let order = order.clone();
+            block = block.alternative(format!("alt{i}"), move |_w, _t| {
+                order.lock().expect("no panic under it").push(i);
+                None
+            });
+        }
+        let r = ThreadedEngine::with_max_threads(1).execute(&block, &mut ws());
+        assert!(!r.succeeded());
+        assert_eq!(r.suppressed, 0);
+        assert_eq!(
+            *order.lock().expect("no panic under it"),
+            vec![0, 1, 2, 3, 4, 5]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         ThreadedEngine::with_max_threads(0);
@@ -494,6 +675,51 @@ mod tests {
             start.elapsed() >= Duration::from_millis(20),
             "the hedge respected its launch offset"
         );
+    }
+
+    #[test]
+    fn deadline_reclaims_a_hedge_nobody_is_running_for() {
+        // The favourite fails at once, so the caller is left waiting for
+        // the hedge's release time — and must give up at the deadline,
+        // which nobody signals, not sleep the offset out.
+        let block: AltBlock<u8> = AltBlock::new()
+            .alternative("favourite-fails", |_w, _t| None)
+            .alternative("hedge", |_w, _t| Some(1));
+        let plan = LaunchPlan::from_offsets(vec![Duration::ZERO, Duration::from_millis(400)]);
+        let token = CancelToken::with_deadline(Duration::from_millis(20));
+        let r = ThreadedEngine::new().execute_planned(&block, &mut ws(), &token, &plan);
+        assert!(!r.succeeded());
+        assert!(token.deadline_expired());
+        assert_eq!(r.suppressed, 1, "the hedge never started");
+        assert!(r.wall < Duration::from_millis(300), "wall {:?}", r.wall);
+    }
+
+    #[test]
+    fn race_started_inside_a_body_completes_on_busy_racers() {
+        use std::sync::Barrier;
+        // Three outer bodies meet at a barrier, so all three are running
+        // at once — the caller and two racers, none of them free — and
+        // only then does each start an inner race whose first alternative
+        // fails. The inner callers make their own progress: nothing here
+        // waits for a racer to come free.
+        let barrier = Arc::new(Barrier::new(3));
+        let mut block: AltBlock<usize> = AltBlock::new();
+        for i in 0..3usize {
+            let barrier = barrier.clone();
+            block = block.alternative(format!("outer{i}"), move |w, _t| {
+                barrier.wait();
+                let inner: AltBlock<usize> = AltBlock::new()
+                    .alternative("inner-fails", |_w, _t| None)
+                    .alternative("inner-ok", move |_w, _t| Some(10 + i));
+                // Not under the outer token: an outer decision must not
+                // pre-empt the inner result this test looks at.
+                ThreadedEngine::new().execute(&inner, w).value
+            });
+        }
+        let r = ThreadedEngine::new().execute(&block, &mut ws());
+        let winner = r.winner.expect("some outer alternative succeeded");
+        assert_eq!(r.value, Some(10 + winner));
+        assert_eq!(r.suppressed, 0, "all three outer bodies ran");
     }
 
     #[test]

@@ -1,65 +1,21 @@
-//! Small std-only synchronization primitives shared by the engines and
-//! the serving layer.
+//! A small std-only synchronization primitive for the serving layer.
 //!
-//! The standard library has no counting semaphore or bounded MPMC queue;
-//! rather than pull in a dependency for two well-understood structures,
-//! they live here on `Mutex` + `Condvar`. Both are deliberately boring:
-//! correctness and drainability (for graceful shutdown) over raw speed.
+//! The standard library has no bounded MPMC queue; rather than pull in a
+//! dependency for one well-understood structure, it lives here on
+//! `Mutex` + `Condvar`. It is deliberately boring: correctness and
+//! drainability (for graceful shutdown) over raw speed.
 //!
-//! Both primitives **recover from lock poisoning** rather than
-//! propagating it: their invariants are re-established before every
-//! unlock (a push/pop/count update completes or doesn't happen), so a
-//! panic elsewhere on a thread that once held the lock cannot leave the
-//! state half-mutated. Propagating the poison would instead let one
-//! contained panic anywhere in the process wedge shutdown paths — the
-//! serving layer's drain guarantee depends on `close`/`pop` never
-//! panicking.
+//! The queue **recovers from lock poisoning** rather than propagating
+//! it: its invariants are re-established before every unlock (a push or
+//! pop completes or doesn't happen), so a panic elsewhere on a thread
+//! that once held the lock cannot leave the state half-mutated.
+//! Propagating the poison would instead let one contained panic anywhere
+//! in the process wedge shutdown paths — the serving layer's drain
+//! guarantee depends on `close`/`pop` never panicking.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
-
-/// A counting semaphore: [`acquire`](Semaphore::acquire) blocks while the
-/// count is zero.
-///
-/// Used by [`ThreadedEngine`](crate::engine::ThreadedEngine) to bound the
-/// number of concurrently racing alternatives (the paper's *virtual
-/// concurrency* case, §4.2).
-#[derive(Debug)]
-pub struct Semaphore {
-    count: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Semaphore {
-    /// Creates a semaphore with `permits` initial permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            count: Mutex::new(permits),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a permit is available, then takes it.
-    pub fn acquire(&self) {
-        let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        while *count == 0 {
-            count = self
-                .available
-                .wait(count)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        *count -= 1;
-    }
-
-    /// Returns one permit.
-    pub fn release(&self) {
-        let mut count = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        *count += 1;
-        drop(count);
-        self.available.notify_one();
-    }
-}
 
 /// Why a [`BoundedQueue`] operation did not deliver an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,31 +162,6 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let sem = Arc::new(Semaphore::new(2));
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let (sem, live, peak) = (sem.clone(), live.clone(), peak.clone());
-                std::thread::spawn(move || {
-                    sem.acquire();
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(5));
-                    live.fetch_sub(1, Ordering::SeqCst);
-                    sem.release();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("joins");
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2, "no more than 2 at once");
-    }
 
     #[test]
     fn queue_rejects_when_full() {

@@ -1,0 +1,138 @@
+//! The race crew as the process sees it: thread counts and the crew's
+//! own counters. Both are process-wide, so these tests live in a binary
+//! of their own and take turns.
+
+use altx::engine::{crew_stats, Engine, LaunchPlan, ThreadedEngine};
+use altx::{AddressSpace, AltBlock, CancelToken, PageSize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn ws() -> AddressSpace {
+    AddressSpace::zeroed(4096, PageSize::K4)
+}
+
+/// OS threads of this process named `altx-racer`, from `/proc/self/task`;
+/// `None` where there is no procfs. Not `Threads:` of
+/// `/proc/self/status`: the test harness starts and ends threads of its
+/// own while a test runs.
+fn os_racers() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let racers = tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "altx-racer")
+        .count();
+    Some(racers)
+}
+
+/// The `trivial` workload's shape: two alternatives that answer at once.
+fn trivial(arg: u64) -> AltBlock<u64> {
+    AltBlock::new()
+        .alternative("instant-a", move |_w, _t| Some(arg))
+        .alternative("instant-b", move |_w, _t| Some(arg))
+}
+
+/// Polls until no racer is alive; panics if one still is at `deadline`.
+fn wait_for_empty_crew(deadline: Instant) {
+    while crew_stats().live > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "racers still alive: {:?}",
+            crew_stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_warm_crew_serves_a_thousand_races_without_a_new_thread() {
+    let _turn = serial();
+    let engine = ThreadedEngine::new();
+    assert_eq!(engine.execute(&trivial(0), &mut ws()).value, Some(0));
+    let warm = crew_stats();
+    assert!(warm.live >= 1, "the warm-up race left a racer");
+    // A thread names itself once it first runs; until then the kernel's
+    // list below would show one racer fewer than there is.
+    let named_by = Instant::now() + Duration::from_secs(2);
+    while os_racers().is_some_and(|racers| racers != warm.live) {
+        assert!(
+            Instant::now() < named_by,
+            "racers the OS sees: {:?}",
+            os_racers()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for arg in 1..=1_000u64 {
+        let r = engine.execute(&trivial(arg), &mut ws());
+        assert_eq!(r.value, Some(arg));
+        let name = r.winner_name.expect("a winner has a name");
+        assert!(name == "instant-a" || name == "instant-b", "{name}");
+    }
+    let after = crew_stats();
+    assert_eq!(
+        after.spawned, warm.spawned,
+        "no racer spawned after warm-up"
+    );
+    assert_eq!(after.live, warm.live, "and none retired");
+    if let Some(racers) = os_racers() {
+        assert_eq!(racers, after.live, "racer threads the OS sees");
+    }
+}
+
+#[test]
+fn a_hedged_sibling_is_reclaimed_where_it_waits() {
+    let _turn = serial();
+    // Longer than the crew's idle timeout, so a racer that slept the
+    // offset out would still be alive when the check below gives up.
+    let offset = Duration::from_secs(3);
+    let ran = Arc::new(AtomicUsize::new(0));
+    let seen = ran.clone();
+    let block: AltBlock<u8> = AltBlock::new()
+        .alternative("favourite", |_w, _t| Some(0))
+        .alternative("hedge", move |_w, _t| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Some(1)
+        });
+    let plan = LaunchPlan::from_offsets(vec![Duration::ZERO, offset]);
+    let reclaimed = crew_stats().reclaimed;
+    let start = Instant::now();
+    let r = ThreadedEngine::new().execute_planned(&block, &mut ws(), &CancelToken::new(), &plan);
+    assert_eq!(r.winner, Some(0));
+    assert_eq!(r.suppressed, 1, "the hedge was eliminated, not run");
+    assert!(r.wall < Duration::from_millis(20), "wall {:?}", r.wall);
+    assert_eq!(crew_stats().reclaimed, reclaimed + 1);
+    // Nobody is left sleeping towards the hedge's release time: the
+    // racer that was watching it retires on the ordinary idle timeout.
+    wait_for_empty_crew(start + offset / 2);
+    assert_eq!(ran.load(Ordering::SeqCst), 0, "hedge body never ran");
+}
+
+#[test]
+fn racers_retire_when_idle() {
+    let _turn = serial();
+    // Three bodies that must overlap: the caller and two racers.
+    let barrier = Arc::new(Barrier::new(3));
+    let mut block: AltBlock<usize> = AltBlock::new();
+    for i in 0..3usize {
+        let barrier = barrier.clone();
+        block = block.alternative(format!("alt{i}"), move |_w, _t| {
+            barrier.wait();
+            Some(i)
+        });
+    }
+    let r = ThreadedEngine::new().execute(&block, &mut ws());
+    assert!(r.succeeded());
+    assert!(crew_stats().live >= 2, "{:?}", crew_stats());
+    wait_for_empty_crew(Instant::now() + Duration::from_secs(3));
+    // `live` falls just before the thread exits; give the OS a moment.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while let Some(left) = os_racers().filter(|&left| left > 0) {
+        assert!(Instant::now() < deadline, "{left} racer threads left");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}

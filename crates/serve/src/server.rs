@@ -18,13 +18,20 @@
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread. The daemon runs
 //! O(workers + 1) OS threads (the reactor, the pool, its supervisor)
-//! regardless of how many clients are connected.
+//! regardless of how many clients are connected, plus at most one
+//! racer per sibling alternative running at that moment: a worker runs
+//! its race's favourite itself and the engine's process-wide race crew
+//! runs the siblings on parked threads it reuses from race to race and
+//! retires when they have been idle for half a second. Under `--pin` a
+//! racer inherits the affinity of the worker whose race first needed
+//! it, as the per-race threads used to.
 //!
 //! Shutdown (local call or the `SHUTDOWN` opcode) stops admissions and
 //! new reads, lets every in-flight race finish and flush its reply,
 //! reclaims each connection as it drains, and only then joins the pool:
 //! no request that was admitted goes unanswered, and no daemon thread
-//! outlives the drain.
+//! outlives the drain (the crew's racers are the process's, not the
+//! daemon's; idle ones are gone half a second later).
 
 use crate::commit::CommitLedger;
 use crate::frame::{Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};

@@ -695,6 +695,15 @@ impl Telemetry {
             "  launches suppressed {}\n",
             s.launches_suppressed
         ));
+        // The race crew is the process's, not this daemon's: read where
+        // it lives, when the page is asked for.
+        let crew = altx::engine::crew_stats();
+        out.push_str(&format!("  racers live         {}\n", crew.live));
+        out.push_str(&format!("  racers spawned      {}\n", crew.spawned));
+        out.push_str(&format!(
+            "  alternatives reclaimed in queue {}\n",
+            crew.reclaimed
+        ));
         out.push_str(&format!("  remote dispatched   {}\n", s.remote_dispatched));
         out.push_str(&format!("  remote results      {}\n", s.remote_results));
         out.push_str(&format!("  remote wins         {}\n", s.remote_wins));
@@ -955,11 +964,30 @@ impl Telemetry {
             "ELIMINATE frames sent to cancel shipped siblings",
             s.eliminations,
         );
+        let crew = altx::engine::crew_stats();
+        counter(
+            &mut out,
+            "altxd_racers_spawned_total",
+            "Racer threads the process-wide race crew has spawned",
+            crew.spawned,
+        );
+        counter(
+            &mut out,
+            "altxd_alternatives_reclaimed_total",
+            "Alternatives eliminated while still waiting to be claimed",
+            crew.reclaimed,
+        );
         let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
             out.push_str(&format!(
                 "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
             ));
         };
+        gauge(
+            &mut out,
+            "altxd_racers_live",
+            "Racer threads of the race crew alive right now",
+            crew.live as u64,
+        );
         gauge(
             &mut out,
             "altxd_conns_open",
@@ -1156,6 +1184,28 @@ mod tests {
         let page = t.render_stats();
         assert!(page.contains("requests coalesced  3"), "{page}");
         assert!(page.contains("launches suppressed 4"), "{page}");
+    }
+
+    #[test]
+    fn crew_counters_render_on_both_pages() {
+        let t = Telemetry::new();
+        let page = t.render_stats();
+        for label in [
+            "  racers live         ",
+            "  racers spawned      ",
+            "  alternatives reclaimed in queue ",
+        ] {
+            let line = page.lines().find(|l| l.starts_with(label));
+            let value = line.map(|l| l[label.len()..].parse::<u64>());
+            assert!(matches!(value, Some(Ok(_))), "{label:?} in {page}");
+        }
+        let text = t.render_prometheus();
+        assert!(text.contains("# TYPE altxd_racers_live gauge"), "{text}");
+        assert!(text.contains("altxd_racers_spawned_total "), "{text}");
+        assert!(
+            text.contains("altxd_alternatives_reclaimed_total "),
+            "{text}"
+        );
     }
 
     #[test]

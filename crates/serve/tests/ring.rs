@@ -13,7 +13,7 @@
 //! [`Telemetry`]: altx_serve::telemetry::Telemetry
 
 use altx_serve::frame::{Request, Response};
-use altx_serve::{start, Client, ServerConfig, ServerHandle};
+use altx_serve::{start, workload, Client, ServerConfig, ServerHandle};
 use std::time::Duration;
 
 fn ring_server(ring_slots: usize, ring_slot_bytes: usize) -> ServerHandle {
@@ -213,6 +213,7 @@ fn disabled_ring_serves_identically_with_zero_counters() {
 
     let mut a = Client::connect(with_ring.local_addr()).expect("connect ringed");
     let mut b = Client::connect(without.local_addr()).expect("connect ringless");
+    let alt_names = workload::spec("trivial").expect("in the catalog").alt_names;
     for arg in 0..16u64 {
         let (ra, rb) = (
             a.run("trivial", arg, 0).expect("ringed reply"),
@@ -232,7 +233,12 @@ fn disabled_ring_serves_identically_with_zero_counters() {
                 },
             ) => {
                 assert_eq!(va, vb, "same value either way");
-                assert_eq!(wa, wb, "same winner either way");
+                // Which of two instant alternatives wins is the race's
+                // to decide, ring or no ring; that *one of them* did is
+                // the contract.
+                for winner in [&wa, &wb] {
+                    assert!(alt_names.contains(&winner.as_str()), "winner {winner}");
+                }
             }
             (ra, rb) => panic!("expected Ok/Ok, got {ra:?} / {rb:?}"),
         }
