@@ -55,7 +55,6 @@ pub mod macros;
 pub mod pad;
 pub mod perf;
 pub mod stats;
-pub mod sync;
 
 pub use block::{AltBlock, BlockResult};
 pub use cancel::CancelToken;

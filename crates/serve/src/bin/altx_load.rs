@@ -38,7 +38,7 @@
 //! in-flight clients: when it exceeds `--clients`, the surplus is held
 //! open *idle* for the whole run — exercising the daemon's reactor,
 //! which must serve them for file descriptors, not threads. The
-//! server-reported `conns open` gauge is fetched while the idles are
+//! server-reported open-connections gauge is fetched while the idles are
 //! held and echoed for smoke tests. `--retries` enables the client's
 //! retry policy (N attempts per call with backoff); `--hedge-ms` arms a
 //! hedged second attempt after that many milliseconds.
@@ -49,21 +49,21 @@
 //! (`elapsed / N`), so clients issuing in the same window send the
 //! identical `(workload, arg, deadline)` key and the daemon can batch
 //! them into one race. Start the daemon with the same
-//! `--batch-window-us` to see `requests coalesced` climb.
+//! `--batch-window-us` to see `server_requests_coalesced` climb.
 //!
 //! `--peers a,b,c` names the other nodes of an `altxd` cluster: after
 //! the run their STATS pages are scraped too and the cluster counters
-//! (`remote_dispatched`, `remote_wins`, `peer_reconnects`) are summed
-//! across every node still answering — a killed peer is skipped, not
-//! fatal.
+//! (the `Report::Cluster` rows of `altx_serve::telemetry::METRICS`) are
+//! summed across every node still answering — a killed peer is skipped,
+//! not fatal.
 //!
 //! Prints a summary table and writes a JSON report — throughput,
 //! goodput, deadline-miss rate, p50/p90/p99/p99.9/max latency, reply
 //! mix, per-workload tallies, per-alternative win counts, client
-//! resilience counters, and the daemon's post-run scheduler and
-//! reply-ring counters (`server_*` fields, parsed from its STATS
-//! page, including `sheds at admission`, `deadline misses`, and
-//! `steals`) — to `--out` (default `BENCH_serve_throughput.json`).
+//! resilience counters, and the daemon's post-run counters (one
+//! `server_<key>` field per `Report::Server` row of the daemon's metric
+//! table, scraped from its STATS page by that row's label) — to `--out`
+//! (default `BENCH_serve_throughput.json`).
 //!
 //! `--hist-diff BASELINE.json` compares the run just measured against
 //! a previous report: after the summary a per-percentile delta table
@@ -74,6 +74,7 @@
 
 use altx_serve::client::{ClientConfig, RetryPolicy};
 use altx_serve::frame::{Request, Response};
+use altx_serve::telemetry::{scrape, Metric, MetricDef, Report, METRICS};
 use altx_serve::Client;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -418,59 +419,15 @@ fn pipelined_loop(
     Ok(report)
 }
 
-/// Reads a labelled counter line (e.g. `requests coalesced  12`) off
-/// the daemon's STATS page: the label words must lead the line and the
-/// next word must parse as the value.
-fn counter_from_stats(stats: &str, label: &[&str]) -> Option<u64> {
-    stats.lines().find_map(|l| {
-        let mut words = l.split_whitespace();
-        label
-            .iter()
-            .all(|w| words.next() == Some(w))
-            .then(|| words.next()?.parse().ok())
-            .flatten()
-    })
-}
-
-/// The daemon's race-scheduler counters, scraped after the run.
-#[derive(Default)]
-struct ServerCounters {
-    batches_formed: u64,
-    requests_coalesced: u64,
-    hedges_launched: u64,
-    hedge_wins: u64,
-    launches_suppressed: u64,
-    remote_dispatched: u64,
-    remote_wins: u64,
-    peer_reconnects: u64,
-    ring_hits: u64,
-    ring_spills: u64,
-    sheds_at_admission: u64,
-    deadline_misses: u64,
-    steals: u64,
-    drain_scavenges: u64,
-    pinned_shards: u64,
-}
-
-fn scrape_server_counters(stats: &str) -> ServerCounters {
-    let get = |label: &[&str]| counter_from_stats(stats, label).unwrap_or(0);
-    ServerCounters {
-        batches_formed: get(&["batches", "formed"]),
-        requests_coalesced: get(&["requests", "coalesced"]),
-        hedges_launched: get(&["hedges", "launched"]),
-        hedge_wins: get(&["hedge", "wins"]),
-        launches_suppressed: get(&["launches", "suppressed"]),
-        remote_dispatched: get(&["remote", "dispatched"]),
-        remote_wins: get(&["remote", "wins"]),
-        peer_reconnects: get(&["peer", "reconnects"]),
-        ring_hits: get(&["ring", "hits"]),
-        ring_spills: get(&["ring", "spills"]),
-        sheds_at_admission: get(&["sheds", "at", "admission"]),
-        deadline_misses: get(&["deadline", "misses"]),
-        steals: get(&["steals"]),
-        drain_scavenges: get(&["drain", "scavenges"]),
-        pinned_shards: get(&["pinned", "shards"]),
-    }
+/// The daemon counters this tool reports — the rows of the daemon's own
+/// metric table marked for it — each with the value scraped off `stats`
+/// (zero when the page lacks the line).
+fn reported_counters(stats: &str) -> Vec<(&'static MetricDef, u64)> {
+    METRICS
+        .iter()
+        .filter(|def| def.report != Report::No)
+        .map(|def| (def, scrape(stats, def.metric).unwrap_or(0)))
+        .collect()
 }
 
 /// Fetches one daemon's STATS page.
@@ -593,7 +550,7 @@ fn main() {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let seen = match probe.stats_page() {
-                Ok(stats) => counter_from_stats(&stats, &["conns", "open"]).unwrap_or(0),
+                Ok(stats) => scrape(&stats, Metric::ConnsOpen).unwrap_or(0),
                 Err(e) => {
                     eprintln!("altx-load: probing conns_open: {e}");
                     std::process::exit(1);
@@ -692,23 +649,21 @@ fn main() {
     // The daemon is still up: scrape its scheduler counters so the
     // report shows what the server did with this load (batching and
     // hedging live server-side; client counters can't see them).
-    let mut server = match fetch_stats(&args.addr) {
-        Ok(stats) => scrape_server_counters(&stats),
-        Err(e) => {
-            eprintln!("altx-load: scraping server counters: {e} (reporting zeros)");
-            ServerCounters::default()
-        }
-    };
+    let mut server = reported_counters(&fetch_stats(&args.addr).unwrap_or_else(|e| {
+        eprintln!("altx-load: scraping server counters: {e} (reporting zeros)");
+        String::new()
+    }));
     // With --peers the cluster counters are summed across every node
     // still answering — a SIGKILLed peer is skipped, not fatal: the
     // survivors' counters are exactly what the smoke asserts on.
     for peer in &args.peers {
         match fetch_stats(peer) {
             Ok(stats) => {
-                let c = scrape_server_counters(&stats);
-                server.remote_dispatched += c.remote_dispatched;
-                server.remote_wins += c.remote_wins;
-                server.peer_reconnects += c.peer_reconnects;
+                for (def, total) in &mut server {
+                    if def.report == Report::Cluster {
+                        *total += scrape(&stats, def.metric).unwrap_or(0);
+                    }
+                }
             }
             Err(e) => eprintln!("altx-load: peer {peer} unreachable ({e}); skipping"),
         }
@@ -795,37 +750,15 @@ fn main() {
             merged.retries, merged.hedges, merged.reconnects, merged.abandoned
         );
     }
-    println!(
-        "  server sched        batches {}  coalesced {}  hedges {}  hedge wins {}  suppressed {}",
-        server.batches_formed,
-        server.requests_coalesced,
-        server.hedges_launched,
-        server.hedge_wins,
-        server.launches_suppressed
-    );
-    println!(
-        "  server ring         hits {}  spills {}",
-        server.ring_hits, server.ring_spills
-    );
-    if server.sheds_at_admission + server.deadline_misses + server.steals + server.drain_scavenges
-        > 0
-    {
-        println!(
-            "  server deadline     sheds at admission {}  deadline misses {}  steals {}  drain scavenges {}",
-            server.sheds_at_admission, server.deadline_misses, server.steals, server.drain_scavenges
-        );
-    }
-    if server.pinned_shards > 0 {
-        println!(
-            "  server placement    pinned shards {}",
-            server.pinned_shards
-        );
-    }
-    if !args.peers.is_empty() {
-        println!(
-            "  cluster             remote dispatched {}  remote wins {}  peer reconnects {}",
-            server.remote_dispatched, server.remote_wins, server.peer_reconnects
-        );
+    // Counters that never moved stay off the console; the JSON has them all.
+    for (def, v) in server.iter().filter(|(_, v)| *v > 0) {
+        match def.report {
+            Report::Server => println!("  server {:<19} {v}", def.label),
+            Report::Cluster if !args.peers.is_empty() => {
+                println!("  cluster {:<19} {v}", def.label)
+            }
+            _ => {}
+        }
     }
     for (name, n) in &merged.wins {
         println!("  wins[{name}]  {n}");
@@ -856,6 +789,15 @@ fn main() {
             json_us(percentile(&t.latencies_us, 0.999)),
         ));
     }
+    // One field per reported daemon counter: `server_<key>` for the
+    // target's own, bare `<key>` for the cluster sums.
+    let server_json: String = server
+        .iter()
+        .map(|(def, v)| match def.report {
+            Report::Cluster => format!("\"{}\": {v},\n  ", def.key),
+            _ => format!("\"server_{}\": {v},\n  ", def.key),
+        })
+        .collect();
     let json = format!(
         "{{\n  \"workload\": \"{}\",\n  \"clients\": {},\n  \"threads\": {},\n  \
          \"connections\": {},\n  \
@@ -865,15 +807,7 @@ fn main() {
          \"deadline_misses\": {},\n  \"deadline_miss_rate\": {:.4},\n  \
          \"client_retries\": {},\n  \"client_hedges\": {},\n  \"client_reconnects\": {},\n  \
          \"client_abandoned\": {},\n  \
-         \"server_batches_formed\": {},\n  \"server_requests_coalesced\": {},\n  \
-         \"server_hedges_launched\": {},\n  \"server_hedge_wins\": {},\n  \
-         \"server_launches_suppressed\": {},\n  \
-         \"server_ring_hits\": {},\n  \"server_ring_spills\": {},\n  \
-         \"server_sheds_at_admission\": {},\n  \"server_deadline_misses\": {},\n  \
-         \"server_steals\": {},\n  \"server_drain_scavenges\": {},\n  \
-         \"server_pinned_shards\": {},\n  \
-         \"remote_dispatched\": {},\n  \"remote_wins\": {},\n  \
-         \"peer_reconnects\": {},\n  \
+         {}\
          \"throughput_rps\": {:.1},\n  \"goodput_rps\": {:.1},\n  \
          \"p50_us\": {},\n  \"p90_us\": {},\n  \
          \"p99_us\": {},\n  \
@@ -898,21 +832,7 @@ fn main() {
         merged.hedges,
         merged.reconnects,
         merged.abandoned,
-        server.batches_formed,
-        server.requests_coalesced,
-        server.hedges_launched,
-        server.hedge_wins,
-        server.launches_suppressed,
-        server.ring_hits,
-        server.ring_spills,
-        server.sheds_at_admission,
-        server.deadline_misses,
-        server.steals,
-        server.drain_scavenges,
-        server.pinned_shards,
-        server.remote_dispatched,
-        server.remote_wins,
-        server.peer_reconnects,
+        server_json,
         throughput,
         goodput,
         json_us(p50),

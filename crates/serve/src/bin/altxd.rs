@@ -25,8 +25,8 @@
 //!
 //! `--ring-slots N` / `--ring-slot-bytes N` size the per-shard reply
 //! ring — the fixed buffers winning replies are encoded straight into
-//! (one copy to the kernel, no steady-state allocation). `--ring-slots
-//! 0` disables the ring, reproducing the old allocate-per-reply path.
+//! (one copy to the kernel, no steady-state allocation); at least one
+//! slot.
 //!
 //! `--peer HOST:PORT` (repeatable) joins a cluster: the daemon keeps an
 //! outbound link to each named peer, ships non-favourite alternatives
@@ -129,7 +129,10 @@ fn parse_args() -> Result<Args, String> {
             "--ring-slots" => {
                 args.ring_slots = value("--ring-slots")?
                     .parse()
-                    .map_err(|e| format!("--ring-slots: {e}"))?
+                    .map_err(|e| format!("--ring-slots: {e}"))?;
+                if args.ring_slots == 0 {
+                    return Err("--ring-slots: the minimum is 1".to_owned());
+                }
             }
             "--ring-slot-bytes" => {
                 args.ring_slot_bytes = value("--ring-slot-bytes")?
@@ -252,14 +255,10 @@ fn main() {
         args.shards,
         if args.shards == 1 { "" } else { "s" }
     );
-    if args.ring_slots > 0 {
-        println!(
-            "reply ring: {} slots x {} B per shard (spills fall back to the pool)",
-            args.ring_slots, args.ring_slot_bytes
-        );
-    } else {
-        println!("reply ring: disabled (allocate-per-reply path)");
-    }
+    println!(
+        "reply ring: {} slots x {} B per shard (spills fall back to the pool)",
+        args.ring_slots, args.ring_slot_bytes
+    );
     if !args.batch_window.is_zero() {
         println!("batching: window {:?}", args.batch_window);
     }

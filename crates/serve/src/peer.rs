@@ -62,7 +62,7 @@ use crate::frame::{FrameDecoder, Request, Response};
 use crate::placement::Placement;
 use crate::reactor::{poll_fds, wake_pair, DaemonCtl, PollFd, POLLIN, POLLOUT};
 use crate::remote::{InflightRemote, RemoteRaces};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Metric, Telemetry};
 use altx::faults::{self, NetFault};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -885,7 +885,7 @@ impl PeerNet {
                 // A pre-reconnect reply outlived its connection; pairing
                 // it with a post-reconnect request would corrupt the
                 // FIFO correlation.
-                self.telemetry.on_peer_stale_reply();
+                self.telemetry.add(Metric::PeerStaleReplies, 1);
                 continue;
             }
             if let (Some(stat), Some(sent_at)) = (&stat, sent_at) {

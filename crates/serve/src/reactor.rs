@@ -62,10 +62,9 @@ use crate::peer::{PeerPlane, SendTag};
 use crate::pool::{JobMeta, WorkerPool};
 use crate::ring::{EncodedReply, ReplyRing};
 use crate::sched::{render_catalog, Admission, HedgePolicy, Lanes};
-use crate::server::{run_race, run_remote_alt, run_subrace};
-use crate::telemetry::{ShardStats, Telemetry};
+use crate::server::{deadline_token, run_race, run_remote_alt, run_subrace};
+use crate::telemetry::{Metric, ShardStats, Telemetry};
 use crate::workload;
-use altx::CancelToken;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -532,7 +531,7 @@ impl Reactor {
         // Both steps are best-effort and no-ops when unpinned.
         if let Some(cpus) = self.pin_cpus.take() {
             if crate::pin::pin_current_thread(&format!("reactor-{}", self.shard_idx), &cpus) {
-                self.telemetry.on_shard_pinned();
+                self.telemetry.add(Metric::PinnedShards, 1);
             }
             self.ring.first_touch();
             self.bufs.warm();
@@ -713,7 +712,7 @@ impl Reactor {
         }
         let now = Instant::now();
         for ready in self.batcher.take_due(now, flush_all) {
-            self.telemetry.on_batch_formed();
+            self.telemetry.add(Metric::BatchesFormed, 1);
             self.submit_race(ready.waiters, ready.key);
         }
     }
@@ -925,13 +924,13 @@ impl Reactor {
                 candidate,
             }) => {
                 let (granted, holder) = self.plane.ledger.vote(&origin, race_id, &candidate);
-                self.telemetry.on_commit_vote();
+                self.telemetry.add(Metric::CommitVotes, 1);
                 self.fulfill(id, seq, &Response::Vote { granted, holder });
                 true
             }
             Ok(Request::Eliminate { race_id, origin }) => {
                 let n = self.plane.inflight.eliminate(&origin, race_id);
-                self.telemetry.on_elimination();
+                self.telemetry.add(Metric::Eliminations, 1);
                 self.fulfill(
                     id,
                     seq,
@@ -996,11 +995,7 @@ impl Reactor {
             self.fulfill(id, seq, &Response::Overloaded);
             return;
         };
-        let token = if deadline_ms > 0 {
-            CancelToken::with_deadline(Duration::from_millis(u64::from(deadline_ms)))
-        } else {
-            CancelToken::new()
-        };
+        let token = deadline_token(deadline_ms);
         // Registered before submission so an ELIMINATE racing ahead of
         // the worker pickup still lands on the token.
         self.plane
@@ -1048,7 +1043,7 @@ impl Reactor {
         let meta = self.job_meta(widx, deadline_ms);
         match self.pool.try_submit_notify_at(job, notify, meta) {
             Ok(()) => {
-                self.telemetry.on_remote_exec();
+                self.telemetry.add(Metric::RemoteExecs, 1);
                 self.fulfill(
                     id,
                     seq,
@@ -1059,7 +1054,7 @@ impl Reactor {
             }
             Err(_) => {
                 self.plane.inflight.complete(&origin, race_id, alt_idx);
-                self.telemetry.on_shed();
+                self.telemetry.add(Metric::Shed, 1);
                 self.fulfill(id, seq, &Response::Overloaded);
             }
         }
@@ -1085,7 +1080,7 @@ impl Reactor {
         };
         if self.batcher.enabled() {
             if self.batcher.offer(key, (id, seq), Instant::now()) == Offered::Coalesced {
-                self.telemetry.on_requests_coalesced(1);
+                self.telemetry.add(Metric::RequestsCoalesced, 1);
             }
             return;
         }
@@ -1111,7 +1106,7 @@ impl Reactor {
             self.pool.workers(),
         ) {
             for (conn_id, seq) in waiters {
-                self.telemetry.on_shed_admission();
+                self.telemetry.add(Metric::ShedsAtAdmission, 1);
                 self.fulfill(conn_id, seq, &Response::Overloaded);
             }
             return;
@@ -1161,13 +1156,13 @@ impl Reactor {
         let meta = self.job_meta(key.widx, key.deadline_ms);
         match self.pool.try_submit_notify_at(job, notify, meta) {
             Ok(()) => {
-                self.telemetry.on_accepted();
+                self.telemetry.add(Metric::Accepted, 1);
                 self.groups.insert(group, waiters);
             }
             Err(_) => {
                 // Shed: every waiter gets its own Overloaded reply.
                 for (conn_id, seq) in waiters {
-                    self.telemetry.on_shed();
+                    self.telemetry.add(Metric::Shed, 1);
                     self.fulfill(conn_id, seq, &Response::Overloaded);
                 }
             }
@@ -1220,11 +1215,7 @@ impl Reactor {
     ) {
         let group = self.next_group;
         self.next_group += 1;
-        let token = if key.deadline_ms > 0 {
-            CancelToken::with_deadline(Duration::from_millis(u64::from(key.deadline_ms)))
-        } else {
-            CancelToken::new()
-        };
+        let token = deadline_token(key.deadline_ms);
         let remotes: Vec<(u32, String)> = assign
             .iter()
             .enumerate()
@@ -1287,11 +1278,11 @@ impl Reactor {
         let meta = self.job_meta(key.widx, key.deadline_ms);
         match self.pool.try_submit_notify_at(job, notify, meta) {
             Ok(()) => {
-                self.telemetry.on_accepted();
+                self.telemetry.add(Metric::Accepted, 1);
                 self.groups.insert(group, waiters);
                 let spec = &workload::CATALOG[key.widx];
                 for (alt_idx, peer) in remotes {
-                    self.telemetry.on_remote_dispatched();
+                    self.telemetry.add(Metric::RemoteDispatched, 1);
                     if let Some(stat) = self.plane.handle.stats().by_addr(&peer) {
                         stat.note_dispatched();
                     }
@@ -1312,7 +1303,7 @@ impl Reactor {
             Err(_) => {
                 self.plane.races.abort(race_id);
                 for (conn_id, seq) in waiters {
-                    self.telemetry.on_shed();
+                    self.telemetry.add(Metric::Shed, 1);
                     self.fulfill(conn_id, seq, &Response::Overloaded);
                 }
             }

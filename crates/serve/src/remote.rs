@@ -34,7 +34,7 @@ use crate::peer::{PeerHandle, SendTag};
 use crate::pool::WorkerPool;
 use crate::reactor::ReactorShared;
 use crate::sched::HedgePolicy;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Metric, Telemetry};
 use altx::CancelToken;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -358,7 +358,7 @@ impl RemoteRaces {
             };
             slot.pending = false;
             let peer = slot.peer.clone();
-            self.telemetry.on_remote_result();
+            self.telemetry.add(Metric::RemoteResults, 1);
             match status {
                 ALT_OK => {
                     if race.candidate.is_none() {
@@ -372,8 +372,8 @@ impl RemoteRaces {
                     }
                 }
                 ALT_DEADLINE => race.deadline_seen = true,
-                ALT_FAILED => self.telemetry.on_remote_failed(),
-                _ => self.telemetry.on_remote_failed(),
+                ALT_FAILED => self.telemetry.add(Metric::RemoteFailed, 1),
+                _ => self.telemetry.add(Metric::RemoteFailed, 1),
             }
             if self.resolve(race_id, race, &mut actions) {
                 races.remove(&race_id);
@@ -448,7 +448,7 @@ impl RemoteRaces {
                 return;
             };
             slot.pending = false;
-            self.telemetry.on_remote_failed();
+            self.telemetry.add(Metric::RemoteFailed, 1);
             if self.resolve(race_id, race, &mut actions) {
                 races.remove(&race_id);
             }
@@ -504,7 +504,7 @@ impl RemoteRaces {
                 {
                     slot.pending = false;
                     touched = true;
-                    self.telemetry.on_remote_failed();
+                    self.telemetry.add(Metric::RemoteFailed, 1);
                 }
                 if touched && self.resolve(race_id, race, &mut actions) {
                     races.remove(&race_id);
@@ -545,8 +545,8 @@ impl RemoteRaces {
                     .filter(|r| r.pending && !r.redispatched && r.deadline <= now)
                 {
                     slot.redispatched = true;
-                    self.telemetry.on_remote_redispatched();
-                    self.telemetry.on_elimination();
+                    self.telemetry.add(Metric::RemoteRedispatched, 1);
+                    self.telemetry.add(Metric::Eliminations, 1);
                     actions.push(Action::SendEliminate {
                         peer: slot.peer.clone(),
                         race_id,
@@ -586,7 +586,7 @@ impl RemoteRaces {
                 race.local_pending = false;
                 for slot in race.remotes.iter_mut().filter(|r| r.pending) {
                     slot.pending = false;
-                    self.telemetry.on_remote_failed();
+                    self.telemetry.add(Metric::RemoteFailed, 1);
                 }
                 if race.deadline_ms > 0 {
                     race.deadline_seen = true;
@@ -679,7 +679,7 @@ impl RemoteRaces {
         let cand = race.candidate.as_ref().expect("caller checked");
         let cand_id = format!("{}/alt{}", self.advertise, cand.alt_idx);
         let (granted, _) = self.ledger.vote(&self.advertise, race_id, &cand_id);
-        self.telemetry.on_commit_vote();
+        self.telemetry.add(Metric::CommitVotes, 1);
         race.tally = Some(VoteTally::new(1 + race.voters.len(), granted));
         for v in race.voters.iter_mut() {
             v.state = VoteState::Asked;
@@ -697,13 +697,13 @@ impl RemoteRaces {
         let cand = race.candidate.take().expect("caller checked");
         let total_us = race.started.elapsed().as_micros() as u64;
         if degraded {
-            self.telemetry.on_commit_degraded();
+            self.telemetry.add(Metric::CommitsDegraded, 1);
         }
         self.telemetry.on_completed(total_us);
         self.sched
             .record_win(race.widx, cand.alt_idx as usize, cand.exec_latency_us);
         if let Some(peer) = &cand.peer {
-            self.telemetry.on_remote_win();
+            self.telemetry.add(Metric::RemoteWins, 1);
             actions.push(Action::NoteWin { peer: peer.clone() });
         }
         // Local siblings — and any redispatched legs, which share the
@@ -721,7 +721,7 @@ impl RemoteRaces {
         peers.sort();
         peers.dedup();
         for peer in peers {
-            self.telemetry.on_elimination();
+            self.telemetry.add(Metric::Eliminations, 1);
             actions.push(Action::SendEliminate { peer, race_id });
         }
         actions.push(Action::Post {
@@ -997,8 +997,8 @@ mod tests {
         // Single-voter tally (self only) commits on the self-grant; the
         // race is gone and the still-pending remote was eliminated.
         assert_eq!(races.len(), 0);
-        assert_eq!(races.telemetry.snapshot().completed, 1);
-        assert_eq!(races.telemetry.snapshot().eliminations, 1);
+        assert_eq!(races.telemetry.snapshot()[Metric::Completed], 1);
+        assert_eq!(races.telemetry.snapshot()[Metric::Eliminations], 1);
         assert_eq!(races.ledger.votes_granted(), 1);
     }
 
@@ -1025,9 +1025,9 @@ mod tests {
         races.on_remote_result(id, 2, ALT_OK, 99, 1_000);
         assert_eq!(races.len(), 0);
         let s = races.telemetry.snapshot();
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.remote_wins, 1);
-        assert_eq!(s.remote_results, 1);
+        assert_eq!(s[Metric::Completed], 1);
+        assert_eq!(s[Metric::RemoteWins], 1);
+        assert_eq!(s[Metric::RemoteResults], 1);
     }
 
     #[test]
@@ -1049,8 +1049,8 @@ mod tests {
         races.on_remote_result(id, 2, ALT_DEADLINE, 0, 50_000);
         assert_eq!(races.len(), 0);
         let s = races.telemetry.snapshot();
-        assert_eq!(s.deadline_exceeded, 1, "deadline flavour wins");
-        assert_eq!(s.completed, 0);
+        assert_eq!(s[Metric::DeadlineExceeded], 1, "deadline flavour wins");
+        assert_eq!(s[Metric::Completed], 0);
     }
 
     #[test]
@@ -1074,10 +1074,10 @@ mod tests {
         );
         races.on_peer_down("dead:1");
         assert_eq!(races.len(), 1, "the survivor's alternative still races");
-        assert_eq!(races.telemetry.snapshot().remote_failed, 1);
+        assert_eq!(races.telemetry.snapshot()[Metric::RemoteFailed], 1);
         races.on_remote_result(id, 2, ALT_OK, 5, 100);
         assert_eq!(races.len(), 0);
-        assert_eq!(races.telemetry.snapshot().remote_wins, 1);
+        assert_eq!(races.telemetry.snapshot()[Metric::RemoteWins], 1);
     }
 
     #[test]
@@ -1101,8 +1101,8 @@ mod tests {
         races.on_vote(id, "v2:2", false);
         assert_eq!(races.len(), 0, "second denial makes majority unreachable");
         let s = races.telemetry.snapshot();
-        assert_eq!(s.commits_degraded, 1);
-        assert_eq!(s.completed, 1, "the client is answered regardless");
+        assert_eq!(s[Metric::CommitsDegraded], 1);
+        assert_eq!(s[Metric::Completed], 1, "the client is answered regardless");
     }
 
     #[test]
@@ -1122,8 +1122,8 @@ mod tests {
         races.on_vote(id, "v1:1", true);
         assert_eq!(races.len(), 0, "2 of 3 grants commit");
         let s = races.telemetry.snapshot();
-        assert_eq!(s.commits_degraded, 0);
-        assert_eq!(s.completed, 1);
+        assert_eq!(s[Metric::CommitsDegraded], 0);
+        assert_eq!(s[Metric::Completed], 1);
     }
 
     #[test]
@@ -1168,7 +1168,11 @@ mod tests {
         assert_eq!(races.len(), 0);
         assert!(token.is_cancelled(), "expiry cancels the local subrace");
         let s = races.telemetry.snapshot();
-        assert_eq!(s.deadline_exceeded, 1, "deadline race expires as deadline");
+        assert_eq!(
+            s[Metric::DeadlineExceeded],
+            1,
+            "deadline race expires as deadline"
+        );
         let _ = id;
     }
 
@@ -1190,8 +1194,8 @@ mod tests {
         races.shutdown_flush();
         assert_eq!(races.len(), 0);
         let s = races.telemetry.snapshot();
-        assert_eq!(s.commits_degraded, 1);
-        assert_eq!(s.completed, 1);
+        assert_eq!(s[Metric::CommitsDegraded], 1);
+        assert_eq!(s[Metric::Completed], 1);
     }
 
     #[test]
@@ -1221,19 +1225,23 @@ mod tests {
         assert_eq!(races.len(), 1, "only the shipped leg can still answer");
         // The leg deadline (20ms floor; no RTT sample) passes silently.
         races.sweep(Instant::now() + Duration::from_millis(50));
-        assert_eq!(races.telemetry.snapshot().remote_redispatched, 1);
+        assert_eq!(races.telemetry.snapshot()[Metric::RemoteRedispatched], 1);
         let deadline = Instant::now() + Duration::from_secs(5);
         while races.len() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(races.len(), 0, "the local redo answers the race");
         let s = races.telemetry.snapshot();
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.remote_wins, 0, "a local redo is not a remote win");
-        assert_eq!(s.eliminations, 1, "the stalled peer was told to stop");
+        assert_eq!(s[Metric::Completed], 1);
+        assert_eq!(s[Metric::RemoteWins], 0, "a local redo is not a remote win");
+        assert_eq!(
+            s[Metric::Eliminations],
+            1,
+            "the stalled peer was told to stop"
+        );
         // A late genuine result for the already-decided race is a no-op.
         races.on_remote_result(id, 1, ALT_OK, 9, 100);
-        assert_eq!(races.telemetry.snapshot().completed, 1);
+        assert_eq!(races.telemetry.snapshot()[Metric::Completed], 1);
         pool.shutdown();
     }
 
@@ -1260,7 +1268,7 @@ mod tests {
         // redispatch onto, so the leg keeps waiting.
         races.sweep(Instant::now() + Duration::from_millis(200));
         assert_eq!(races.len(), 1);
-        assert_eq!(races.telemetry.snapshot().remote_redispatched, 0);
+        assert_eq!(races.telemetry.snapshot()[Metric::RemoteRedispatched], 0);
     }
 
     #[test]

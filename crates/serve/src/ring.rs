@@ -28,8 +28,7 @@
 //! heap `Vec` — on the reactor thread that `Vec` comes from the
 //! shard's `BufPool`, elsewhere it is freshly allocated. Spills are
 //! counted but never fail: the ring is an optimization with a
-//! correctness-preserving fallback, and `--ring-slots 0` disables it
-//! entirely, reproducing the old allocate-per-reply behaviour.
+//! correctness-preserving fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,56 +66,44 @@ struct RingCore {
 }
 
 /// Handle to one shard's reply ring. Clones share the same slot
-/// population; a disabled ring (`slots == 0`) never reserves and
-/// never counts, so the spill path *is* the old data plane.
+/// population.
 #[derive(Debug, Clone)]
 pub struct ReplyRing {
-    core: Option<Arc<RingCore>>,
+    core: Arc<RingCore>,
 }
 
 impl ReplyRing {
-    /// A ring of `slots` buffers of `slot_bytes` capacity each.
-    /// `slots == 0` builds a disabled ring.
+    /// A ring of `slots` buffers of `slot_bytes` capacity each, clamped
+    /// to at least one slot of at least 64 bytes.
     pub fn new(slots: usize, slot_bytes: usize) -> Self {
-        if slots == 0 {
-            return ReplyRing { core: None };
-        }
         let slot_bytes = slot_bytes.max(64);
-        let free = (0..slots).map(|_| Vec::with_capacity(slot_bytes)).collect();
+        let free = (0..slots.max(1))
+            .map(|_| Vec::with_capacity(slot_bytes))
+            .collect();
         ReplyRing {
-            core: Some(Arc::new(RingCore {
+            core: Arc::new(RingCore {
                 free: Mutex::new(free),
                 slot_bytes,
                 stats: Arc::new(RingStats::default()),
-            })),
+            }),
         }
     }
 
-    /// Whether this ring ever hands out slots.
-    pub fn enabled(&self) -> bool {
-        self.core.is_some()
-    }
-
-    /// The shared counters (present even when disabled, for uniform
-    /// telemetry wiring; a disabled ring just never moves them).
+    /// The shared counters.
     pub fn stats(&self) -> Arc<RingStats> {
-        match &self.core {
-            Some(core) => Arc::clone(&core.stats),
-            None => Arc::new(RingStats::default()),
-        }
+        Arc::clone(&self.core.stats)
     }
 
     /// Reserves a slot able to hold a whole `frame_len`-byte frame.
-    /// `None` means spill: the frame is oversize for the slot
-    /// geometry, every slot is in flight, or the ring is disabled.
-    /// Only an enabled ring counts the outcome.
+    /// `None` means spill: the frame is oversize for the slot geometry
+    /// or every slot is in flight. Either way the outcome is counted.
     pub fn try_reserve(&self, frame_len: usize) -> Option<RingSlot> {
-        let core = self.core.as_ref()?;
-        if frame_len > core.slot_bytes {
-            core.stats.spills.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let buf = core.free.lock().expect("ring freelist poisoned").pop();
+        let core = &self.core;
+        let buf = if frame_len > core.slot_bytes {
+            None
+        } else {
+            core.free.lock().expect("ring freelist poisoned").pop()
+        };
         match buf {
             Some(buf) => {
                 core.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -140,22 +127,18 @@ impl ReplyRing {
     /// its reactor thread right after pinning, so the ring's memory
     /// lands local to the shard's cores instead of wherever the main
     /// thread happened to run during startup. Counts nothing and leaves
-    /// every slot empty; a no-op on a disabled ring.
+    /// every slot empty.
     pub fn first_touch(&self) {
-        let Some(core) = &self.core else { return };
-        let mut free = core.free.lock().expect("ring freelist poisoned");
+        let mut free = self.core.free.lock().expect("ring freelist poisoned");
         for buf in free.iter_mut() {
-            buf.resize(core.slot_bytes, 0);
+            buf.resize(self.core.slot_bytes, 0);
             buf.clear();
         }
     }
 
     /// Idle slots right now (test / debug aid).
     pub fn idle_slots(&self) -> usize {
-        match &self.core {
-            Some(core) => core.free.lock().expect("ring freelist poisoned").len(),
-            None => 0,
-        }
+        self.core.free.lock().expect("ring freelist poisoned").len()
     }
 }
 
@@ -332,18 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_ring_always_heaps_and_never_counts() {
-        let ring = ReplyRing::new(0, 1024);
-        assert!(!ring.enabled());
-        let resp = ok_resp("alpha");
-        let reply = EncodedReply::encode(&resp, &ring);
-        assert!(matches!(reply, EncodedReply::Heap(_)));
-        assert_frame(&reply, &resp);
-        assert_eq!(ring.stats().hits(), 0);
-        assert_eq!(ring.stats().spills(), 0);
-    }
-
-    #[test]
     fn over_max_frame_reply_is_substituted() {
         let ring = ReplyRing::new(2, 256);
         let resp = Response::Text {
@@ -374,13 +345,24 @@ mod tests {
 
     #[test]
     fn reactor_side_spill_draws_from_pool() {
-        let ring = ReplyRing::new(0, 0);
+        let ring = ReplyRing::new(1, 64);
         let mut pool = BufPool::new(4);
         pool.put(Vec::with_capacity(512));
-        let resp = ok_resp("gamma");
+        let resp = Response::Text {
+            body: "z".repeat(256),
+        };
         let reply = EncodedReply::encode_with(&resp, &ring, &mut pool);
+        assert!(matches!(reply, EncodedReply::Heap(_)), "oversize → spill");
         assert_eq!(pool.held(), 0, "spill drew the pooled buffer");
         reply.recycle(&mut pool);
         assert_eq!(pool.held(), 1, "recycle returned it");
+    }
+
+    #[test]
+    fn zero_slots_clamps_to_one() {
+        let ring = ReplyRing::new(0, 0);
+        assert_eq!(ring.idle_slots(), 1);
+        let reply = EncodedReply::encode(&ok_resp("delta"), &ring);
+        assert!(matches!(reply, EncodedReply::Ring(_)));
     }
 }

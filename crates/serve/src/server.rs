@@ -17,14 +17,16 @@
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread. The daemon runs
-//! O(workers + 1) OS threads (the reactor, the pool, its supervisor)
-//! regardless of how many clients are connected, plus at most one
-//! racer per sibling alternative running at that moment: a worker runs
-//! its race's favourite itself and the engine's process-wide race crew
-//! runs the siblings on parked threads it reuses from race to race and
-//! retires when they have been idle for half a second. Under `--pin` a
-//! racer inherits the affinity of the worker whose race first needed
-//! it, as the per-race threads used to.
+//! O(workers + shards) OS threads (one reactor per shard, the pool, its
+//! supervisor, the always-on `altxd-peernet` thread, and the acceptor
+//! when the reuseport bind falls back) regardless of how many clients
+//! are connected, plus at most one racer per sibling alternative
+//! running at that moment: a worker runs its race's favourite itself
+//! and the engine's process-wide race crew runs the siblings on parked
+//! threads it reuses from race to race and retires when they have been
+//! idle for half a second. Under `--pin` a racer inherits the affinity
+//! of the worker whose race first needed it, as the per-race threads
+//! used to.
 //!
 //! Shutdown (local call or the `SHUTDOWN` opcode) stops admissions and
 //! new reads, lets every in-flight race finish and flush its reply,
@@ -41,10 +43,10 @@ use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING, DEFAULT_SPIN};
 use crate::reactor::{bind_reuseport, run_acceptor, wake_pair, DaemonCtl, Reactor};
 use crate::remote::{InflightRemote, RemoteRaces};
 use crate::sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Metric, Telemetry};
 use crate::workload;
 use altx::engine::{LaunchPlan, ThreadedEngine};
-use altx::CancelToken;
+use altx::{BlockResult, CancelToken};
 use altx_pager::{AddressSpace, PageSize};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -72,9 +74,9 @@ pub struct ServerConfig {
     /// `SO_REUSEPORT` listener (falling back to an acceptor thread
     /// dealing sockets round-robin where the option is unavailable).
     pub shards: usize,
-    /// Reply-ring slots per shard. Each shard pre-allocates this many
-    /// fixed buffers that winning replies encode straight into; `0`
-    /// disables the ring and reproduces the allocate-per-reply path.
+    /// Reply-ring slots per shard (at least 1). Each shard
+    /// pre-allocates this many fixed buffers that winning replies
+    /// encode straight into.
     pub ring_slots: usize,
     /// Capacity of one reply-ring slot, bytes (whole wire frame:
     /// 4-byte prefix + body). Replies that don't fit spill to the heap.
@@ -406,14 +408,82 @@ fn bind_shard_listeners(addrs: &[SocketAddr], n_shards: usize) -> io::Result<Vec
     Ok(listeners)
 }
 
-/// Executes the race for one admitted request (worker context).
-///
-/// The scheduler is consulted for a [`LaunchPlan`](altx::engine::LaunchPlan)
-/// — launch-all unless hedging is enabled and the workload's history is
-/// warm — and the outcome feeds back: the winner's latency and win count
-/// update the interned statistics the *next* plan reads, and the hedge
-/// counters (`hedges_launched`, `hedge_wins`, `launches_suppressed`)
-/// account for what the plan actually saved or spent.
+/// The cancel token a request's wire deadline implies. `deadline_ms ==
+/// 0` is best-effort end to end: no cancel deadline here, no EDF
+/// deadline in the run queue, and the admission gate waves it through —
+/// the one documented meaning of zero.
+pub(crate) fn deadline_token(deadline_ms: u32) -> CancelToken {
+    if deadline_ms > 0 {
+        CancelToken::with_deadline(Duration::from_millis(u64::from(deadline_ms)))
+    } else {
+        CancelToken::new()
+    }
+}
+
+/// How many alternatives catalog workload `widx` races (zero if unknown).
+fn alternatives(widx: usize) -> usize {
+    workload::CATALOG
+        .get(widx)
+        .map_or(0, |spec| spec.alternatives())
+}
+
+/// The race core all three entry points share: build the block —
+/// `stubs` marks the alternatives whose bodies are not constructed,
+/// because the scheduler pruned them or another node runs them — race
+/// it on a [`ThreadedEngine`] over a fresh workspace under `plan` and
+/// `token`, time it, and count contained panics. Returns the result and
+/// its latency in µs; `None` means the workload could not be built.
+fn race(
+    telemetry: &Telemetry,
+    widx: usize,
+    arg: u64,
+    token: &CancelToken,
+    plan: &LaunchPlan,
+    stubs: Option<&[bool]>,
+) -> Option<(BlockResult<u64>, u64)> {
+    let spec = workload::CATALOG.get(widx)?;
+    let block = workload::build_pruned(spec.name, arg, stubs)?;
+    let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
+    let start = Instant::now();
+    let result = ThreadedEngine::new().execute_planned(&block, &mut workspace, token, plan);
+    let latency_us = start.elapsed().as_micros() as u64;
+    telemetry.add(Metric::AltPanics, result.panics as u64);
+    Some((result, latency_us))
+}
+
+/// Counts what a scheduler-planned race saved and spent: a pruned stub
+/// that never launched is suppressed like any other unlaunched hedge.
+fn count_hedges(telemetry: &Telemetry, plan: &LaunchPlan, result: &BlockResult<u64>) {
+    telemetry.on_launches_suppressed(result.suppressed as u64);
+    // Hedges that launched = those the plan held back minus those the
+    // decision suppressed (saturating: under bounded engines a t=0
+    // alternative can be suppressed too, but not here).
+    telemetry.add(
+        Metric::HedgesLaunched,
+        plan.staggered().saturating_sub(result.suppressed) as u64,
+    );
+}
+
+/// The reply a finished race owes its client.
+fn reply_for(result: BlockResult<u64>, latency_us: u64, token: &CancelToken) -> Response {
+    match (result.winner, result.value) {
+        (Some(w), Some(value)) => Response::Ok {
+            winner: w as u32,
+            winner_name: result.winner_name.unwrap_or_else(|| format!("alt{w}")),
+            latency_us,
+            value,
+        },
+        _ if token.deadline_expired() => Response::DeadlineExceeded { latency_us },
+        _ => Response::Error {
+            message: "no alternative succeeded".to_owned(),
+        },
+    }
+}
+
+/// Executes the race for one admitted request (worker context) and
+/// records its outcome: the winner's latency and win count update the
+/// interned statistics the *next* plan reads, and the completed /
+/// deadline / error counters account for the reply.
 pub(crate) fn run_race(
     telemetry: &Telemetry,
     sched: &HedgePolicy,
@@ -421,91 +491,48 @@ pub(crate) fn run_race(
     deadline_ms: u32,
     arg: u64,
 ) -> Response {
-    let spec = match workload::CATALOG.get(widx) {
-        Some(spec) => spec,
-        None => {
-            telemetry.on_error();
-            return Response::UnknownWorkload;
-        }
+    let token = deadline_token(deadline_ms);
+    // A pruned body is never constructed; if the favourite answers
+    // inside its envelope the stub never launches either.
+    let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
+    let Some((result, latency_us)) = race(telemetry, widx, arg, &token, &plan, prune.as_deref())
+    else {
+        telemetry.on_error();
+        return Response::UnknownWorkload;
     };
-    // Plan before building: an alternative the scheduler prunes (near-
-    // zero win rate over a warm history) is replaced by a stub at
-    // construction — its real body is never built, and if the favourite
-    // answers inside its envelope the stub never launches either,
-    // feeding the ordinary `launches_suppressed` accounting below.
-    let (plan, prune) = sched.plan_pruned(widx, spec.alternatives());
-    let block = match workload::build_pruned(spec.name, arg, prune.as_deref()) {
-        Some(b) => b,
-        None => {
-            telemetry.on_error();
-            return Response::UnknownWorkload;
-        }
-    };
-    // `deadline_ms == 0` is best-effort end to end: no cancel deadline
-    // here, no EDF deadline in the run queue, and the admission gate
-    // waves it through — the one documented meaning of zero.
-    let token = if deadline_ms > 0 {
-        CancelToken::with_deadline(Duration::from_millis(u64::from(deadline_ms)))
-    } else {
-        CancelToken::new()
-    };
-    let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
-    let start = Instant::now();
-    let result = ThreadedEngine::new().execute_planned(&block, &mut workspace, &token, &plan);
-    let latency_us = start.elapsed().as_micros() as u64;
+    count_hedges(telemetry, &plan, &result);
     // Every outcome feeds the service-time table the admission gate
     // reads — timeouts included, or infeasibility could never be proven.
     sched.record_service(widx, latency_us);
     if deadline_ms > 0 && latency_us > u64::from(deadline_ms) * 1000 {
-        telemetry.on_deadline_miss();
+        telemetry.add(Metric::DeadlineMisses, 1);
     }
-    telemetry.on_alt_panics(result.panics as u64);
-    telemetry.on_launches_suppressed(result.suppressed as u64);
-    // Hedges that launched = those the plan held back minus those the
-    // decision suppressed (saturating: under bounded engines a t=0
-    // alternative can be suppressed too, but not here).
-    telemetry.on_hedges_launched(plan.staggered().saturating_sub(result.suppressed) as u64);
-
-    match (result.winner, result.value) {
-        (Some(w), Some(value)) => {
-            let winner_name = result
-                .winner_name
-                .clone()
-                .unwrap_or_else(|| format!("alt{w}"));
+    let reply = reply_for(result, latency_us, &token);
+    match &reply {
+        Response::Ok { winner, .. } => {
+            let w = *winner as usize;
             telemetry.on_completed(latency_us);
             sched.record_win(widx, w, latency_us);
             if !plan.offset(w).is_zero() {
-                telemetry.on_hedge_win();
-            }
-            Response::Ok {
-                winner: w as u32,
-                winner_name,
-                latency_us,
-                value,
+                telemetry.add(Metric::HedgeWins, 1);
             }
         }
-        _ if token.deadline_expired() => {
-            telemetry.on_deadline_exceeded();
-            Response::DeadlineExceeded { latency_us }
-        }
-        _ => {
-            telemetry.on_error();
-            Response::Error {
-                message: "no alternative succeeded".to_owned(),
-            }
-        }
+        Response::DeadlineExceeded { .. } => telemetry.on_deadline_exceeded(),
+        _ => telemetry.on_error(),
     }
+    reply
 }
 
 /// Executes the *local leg* of a distributed race: every alternative
-/// the placement policy did not ship, raced under the shared cancel
-/// token so a remote commit eliminates it mid-flight.
+/// the placement policy did not ship (`skip`; it never ships the
+/// favourite, so at least one real body always stays local), raced
+/// under the shared cancel token so a remote commit eliminates it
+/// mid-flight.
 ///
-/// Unlike [`run_race`] this records only engine-level costs (panics,
-/// suppressions, hedge launches). Race-outcome accounting — completed,
-/// win, deadline, error — belongs to the remote-race registry, which
-/// sees local and remote legs together and records each outcome exactly
-/// once at commit or failure.
+/// Unlike [`run_race`] this records only engine-level costs.
+/// Race-outcome accounting — completed, win, deadline, error — belongs
+/// to the remote-race registry, which sees local and remote legs
+/// together and records each outcome exactly once at commit or failure.
 pub(crate) fn run_subrace(
     telemetry: &Telemetry,
     sched: &HedgePolicy,
@@ -514,52 +541,20 @@ pub(crate) fn run_subrace(
     token: &CancelToken,
     skip: &[bool],
 ) -> Response {
-    let spec = match workload::CATALOG.get(widx) {
-        Some(spec) => spec,
-        None => return Response::UnknownWorkload,
-    };
-    let n = spec.alternatives();
+    let n = alternatives(widx);
     let (plan, prune) = sched.plan_pruned(widx, n);
     // Shipped alternatives become local stubs exactly like scheduler-
-    // pruned ones; the placement policy never ships the favourite, so
-    // at least one real body always stays local.
-    let merged: Vec<bool> = (0..n)
-        .map(|i| {
-            skip.get(i).copied().unwrap_or(false)
-                || prune
-                    .as_deref()
-                    .is_some_and(|p| p.get(i).copied().unwrap_or(false))
-        })
+    // pruned ones.
+    let set = |mask: &[bool], i| mask.get(i).copied().unwrap_or(false);
+    let stubs: Vec<bool> = (0..n)
+        .map(|i| set(skip, i) || prune.as_deref().is_some_and(|p| set(p, i)))
         .collect();
-    let block = match workload::build_pruned(spec.name, arg, Some(&merged)) {
-        Some(b) => b,
-        None => return Response::UnknownWorkload,
-    };
-    let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
-    let start = Instant::now();
-    let result = ThreadedEngine::new().execute_planned(&block, &mut workspace, token, &plan);
-    let latency_us = start.elapsed().as_micros() as u64;
-    telemetry.on_alt_panics(result.panics as u64);
-    telemetry.on_launches_suppressed(result.suppressed as u64);
-    telemetry.on_hedges_launched(plan.staggered().saturating_sub(result.suppressed) as u64);
-
-    match (result.winner, result.value) {
-        (Some(w), Some(value)) => {
-            let winner_name = result
-                .winner_name
-                .clone()
-                .unwrap_or_else(|| format!("alt{w}"));
-            Response::Ok {
-                winner: w as u32,
-                winner_name,
-                latency_us,
-                value,
-            }
+    match race(telemetry, widx, arg, token, &plan, Some(&stubs)) {
+        Some((result, latency_us)) => {
+            count_hedges(telemetry, &plan, &result);
+            reply_for(result, latency_us, token)
         }
-        _ if token.deadline_expired() => Response::DeadlineExceeded { latency_us },
-        _ => Response::Error {
-            message: "no alternative succeeded".to_owned(),
-        },
+        None => Response::UnknownWorkload,
     }
 }
 
@@ -575,28 +570,17 @@ pub(crate) fn run_remote_alt(
     arg: u64,
     token: &CancelToken,
 ) -> (u8, u64, u64) {
-    let Some(spec) = workload::CATALOG.get(widx) else {
-        return (ALT_FAILED, 0, 0);
-    };
-    let n = spec.alternatives();
     let alt = alt_idx as usize;
+    let n = alternatives(widx);
     if alt >= n {
         return (ALT_FAILED, 0, 0);
     }
-    let prune: Vec<bool> = (0..n).map(|i| i != alt).collect();
-    let Some(block) = workload::build_pruned(spec.name, arg, Some(&prune)) else {
+    let siblings: Vec<bool> = (0..n).map(|i| i != alt).collect();
+    let plan = LaunchPlan::immediate(n);
+    let Some((result, latency_us)) = race(telemetry, widx, arg, token, &plan, Some(&siblings))
+    else {
         return (ALT_FAILED, 0, 0);
     };
-    let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
-    let start = Instant::now();
-    let result = ThreadedEngine::new().execute_planned(
-        &block,
-        &mut workspace,
-        token,
-        &LaunchPlan::immediate(n),
-    );
-    let latency_us = start.elapsed().as_micros() as u64;
-    telemetry.on_alt_panics(result.panics as u64);
     match (result.winner, result.value) {
         (Some(w), Some(value)) if w == alt => (ALT_OK, value, latency_us),
         _ if token.deadline_expired() => (ALT_DEADLINE, 0, latency_us),

@@ -33,6 +33,7 @@
 use altx::faults::{self, FaultPlan};
 use altx_serve::client::{ClientConfig, RetryPolicy};
 use altx_serve::frame::Response;
+use altx_serve::telemetry::Metric;
 use altx_serve::{start, Client, ServerConfig};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -156,7 +157,7 @@ fn chaos_soak_every_request_is_answered() {
         // and documents itself as zero once no plan is present.
         let snap = telemetry.snapshot();
         assert!(
-            snap.faults_injected > 0,
+            snap[Metric::FaultsInjected] > 0,
             "telemetry missed the injected faults (seed {seed:#x})"
         );
         answered
@@ -167,17 +168,17 @@ fn chaos_soak_every_request_is_answered() {
         "every request must be answered (seed {seed:#x})"
     );
     assert!(
-        telemetry.snapshot().worker_respawns > 0,
+        telemetry.snapshot()[Metric::WorkerRespawns] > 0,
         "no worker was killed+respawned — the pool.worker site never fired \
          or the supervisor is dead (seed {seed:#x})"
     );
     assert!(
-        telemetry.snapshot().requests_coalesced > 0,
+        telemetry.snapshot()[Metric::RequestsCoalesced] > 0,
         "8 clients replaying the same request sequence inside a 2 ms window \
          never coalesced — the batching path went untested (seed {seed:#x})"
     );
     assert!(
-        telemetry.snapshot().ring_hits > 0,
+        telemetry.snapshot()[Metric::RingHits] > 0,
         "no reply was encoded into a ring slot — the zero-copy data plane \
          went untested under chaos (seed {seed:#x})"
     );

@@ -27,6 +27,7 @@
 use altx::faults::{self, FaultConfig, FaultPlan};
 use altx_serve::client::ClientConfig;
 use altx_serve::server::{start, ServerConfig, ServerHandle};
+use altx_serve::telemetry::Metric;
 use altx_serve::{Client, PeerConfig};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -150,7 +151,9 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     let b_addr = b.local_addr().to_string();
     let c_addr = c.local_addr().to_string();
     let a = origin(vec![b_addr.clone(), c_addr.clone()]);
-    wait_for(&a, seed, "links to both executors", |s| s.peers_up == 2);
+    wait_for(&a, seed, "links to both executors", |s| {
+        s[Metric::PeersUp] == 2
+    });
 
     // The client-daemon connection carries no chaos sites: a lost or
     // doubled reply here is the cluster's fault, not the test rig's.
@@ -236,7 +239,7 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     // counter is still settling.
     let t2 = Instant::now();
     let deadline = Instant::now() + Duration::from_secs(15);
-    while a.telemetry().snapshot().remote_redispatched == 0 {
+    while a.telemetry().snapshot()[Metric::RemoteRedispatched] == 0 {
         assert!(
             Instant::now() < deadline,
             "no remote leg was ever redispatched locally (seed {seed:#x})"
@@ -293,15 +296,15 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     // The lifecycle and recovery machinery all actually fired.
     let snap = a.telemetry().snapshot();
     assert!(
-        snap.peer_quarantines >= 1,
+        snap[Metric::PeerQuarantines] >= 1,
         "quarantine counter lost the episode (seed {seed:#x})"
     );
     assert!(
-        snap.remote_redispatched >= 1,
+        snap[Metric::RemoteRedispatched] >= 1,
         "redispatch counter lost the recoveries (seed {seed:#x})"
     );
     assert!(
-        snap.remote_dispatched > 0 && snap.completed > 0,
+        snap[Metric::RemoteDispatched] > 0 && snap[Metric::Completed] > 0,
         "the soak never actually raced (seed {seed:#x})"
     );
 

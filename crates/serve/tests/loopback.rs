@@ -9,6 +9,7 @@ use altx::engine::OrderedEngine;
 use altx::Engine;
 use altx_pager::{AddressSpace, PageSize};
 use altx_serve::frame::Response;
+use altx_serve::telemetry::Metric;
 use altx_serve::{start, Client, ServerConfig};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -170,8 +171,8 @@ fn overload_sheds_with_explicit_reply() {
 
     // Telemetry saw the sheds.
     let snap = server.telemetry().snapshot();
-    assert_eq!(snap.shed, shed as u64);
-    assert_eq!(snap.completed, ok as u64);
+    assert_eq!(snap[Metric::Shed], shed as u64);
+    assert_eq!(snap[Metric::Completed], ok as u64);
     server.shutdown();
 }
 
@@ -185,7 +186,7 @@ fn unknown_workload_refused() {
         client.run("no-such-workload", 1, 0).expect("reply"),
         Response::UnknownWorkload
     ));
-    assert_eq!(server.telemetry().snapshot().accepted, 0);
+    assert_eq!(server.telemetry().snapshot()[Metric::Accepted], 0);
     server.shutdown();
 }
 

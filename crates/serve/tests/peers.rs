@@ -10,6 +10,7 @@
 
 use altx_serve::frame::{read_frame, write_frame, Request, Response};
 use altx_serve::server::{start, ServerConfig, ServerHandle};
+use altx_serve::telemetry::Metric;
 use altx_serve::{Client, PeerConfig};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
@@ -62,7 +63,7 @@ fn remote_alternatives_win_races_across_the_mesh() {
     let _guard = serial();
     let a = node(Vec::new(), 16);
     let b = node(vec![a.local_addr().to_string()], 1);
-    wait_for(&b, "B's link to A to come up", |s| s.peers_up == 1);
+    wait_for(&b, "B's link to A to come up", |s| s[Metric::PeersUp] == 1);
 
     let mut client = Client::connect(b.local_addr()).expect("connect B");
     let mut ok = 0u64;
@@ -76,22 +77,28 @@ fn remote_alternatives_win_races_across_the_mesh() {
     assert!(ok > 0, "no race completed");
 
     let sb = b.telemetry().snapshot();
-    assert!(sb.remote_dispatched > 0, "B never shipped an alternative");
-    assert!(sb.remote_results > 0, "no remote result ever came home");
     assert!(
-        sb.remote_wins > 0,
+        sb[Metric::RemoteDispatched] > 0,
+        "B never shipped an alternative"
+    );
+    assert!(
+        sb[Metric::RemoteResults] > 0,
+        "no remote result ever came home"
+    );
+    assert!(
+        sb[Metric::RemoteWins] > 0,
         "200 heavy-tailed races and the remote leg never won once \
          (dispatched {}, results {})",
-        sb.remote_dispatched,
-        sb.remote_results
+        sb[Metric::RemoteDispatched],
+        sb[Metric::RemoteResults]
     );
     let sa = a.telemetry().snapshot();
     assert!(
-        sa.remote_execs > 0,
+        sa[Metric::RemoteExecs] > 0,
         "A never executed a shipped alternative"
     );
     assert!(
-        sa.commit_votes > 0,
+        sa[Metric::CommitVotes] > 0,
         "B committed winners without ever asking A for a vote"
     );
 
@@ -111,7 +118,7 @@ fn remote_losses_never_block_or_double_answer() {
     let _guard = serial();
     let a = node(Vec::new(), 16);
     let b = node(vec![a.local_addr().to_string()], 1);
-    wait_for(&b, "B's link to A to come up", |s| s.peers_up == 1);
+    wait_for(&b, "B's link to A to come up", |s| s[Metric::PeersUp] == 1);
 
     let mut client = Client::connect(b.local_addr()).expect("connect B");
     // Warm both nodes first: engine thread spawn, the result link A
@@ -129,8 +136,8 @@ fn remote_losses_never_block_or_double_answer() {
         }
     }
     let sb = b.telemetry().snapshot();
-    let dispatched = sb.remote_dispatched - before.remote_dispatched;
-    let wins = sb.remote_wins - before.remote_wins;
+    let dispatched = sb[Metric::RemoteDispatched] - before[Metric::RemoteDispatched];
+    let wins = sb[Metric::RemoteWins] - before[Metric::RemoteWins];
     assert!(dispatched > 0, "exploration never shipped");
     // Once warm, an instant local favourite beats a network round trip
     // essentially always; stray scheduler preemptions are tolerated
@@ -185,7 +192,9 @@ fn peer_death_mid_race_degrades_and_answers_exactly_once() {
     });
 
     let origin = node(vec![fake_addr.to_string()], 1);
-    wait_for(&origin, "link to the fake peer", |s| s.peers_up == 1);
+    wait_for(&origin, "link to the fake peer", |s| {
+        s[Metric::PeersUp] == 1
+    });
 
     let mut client = Client::connect(origin.local_addr()).expect("connect origin");
     // One race with the doomed peer in it. The local leg always has
@@ -198,17 +207,21 @@ fn peer_death_mid_race_degrades_and_answers_exactly_once() {
     // The orphan is converted, the commit is degraded (1 of 2 voters),
     // and nothing about it reaches the client twice.
     wait_for(&origin, "degraded commit accounting", |s| {
-        s.commits_degraded >= 1
+        s[Metric::CommitsDegraded] >= 1
     });
     let s = origin.telemetry().snapshot();
     assert!(
-        s.remote_dispatched >= 1,
+        s[Metric::RemoteDispatched] >= 1,
         "the alternative was never shipped"
     );
-    assert_eq!(s.remote_wins, 0, "the fake peer never reported a result");
+    assert_eq!(
+        s[Metric::RemoteWins],
+        0,
+        "the fake peer never reported a result"
+    );
 
     // The peer is now down; later races run purely locally and answer.
-    wait_for(&origin, "link death detection", |s| s.peers_up == 0);
+    wait_for(&origin, "link death detection", |s| s[Metric::PeersUp] == 0);
     for arg in 0..20u64 {
         match client
             .run("trivial", arg, 0)
@@ -283,7 +296,9 @@ fn duplicated_alt_result_never_double_answers() {
     });
 
     let origin = node(vec![fake_addr.to_string()], 1);
-    wait_for(&origin, "link to the fake peer", |s| s.peers_up == 1);
+    wait_for(&origin, "link to the fake peer", |s| {
+        s[Metric::PeersUp] == 1
+    });
 
     let mut client = Client::connect(origin.local_addr()).expect("connect origin");
     match client.run("lognormal", 3, 0).expect("exactly one reply") {
@@ -294,9 +309,9 @@ fn duplicated_alt_result_never_double_answers() {
     // most one copy was ever counted against the race.
     let s = origin.telemetry().snapshot();
     assert!(
-        s.remote_results <= 1,
+        s[Metric::RemoteResults] <= 1,
         "duplicate ALT_RESULT was double-counted: {}",
-        s.remote_results
+        s[Metric::RemoteResults]
     );
     // The client connection is still in sync — no stray reply exists.
     for arg in 0..20u64 {

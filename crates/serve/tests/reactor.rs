@@ -6,6 +6,7 @@
 //! suite does.
 
 use altx_serve::frame::{Request, Response};
+use altx_serve::telemetry::Metric;
 use altx_serve::{start, Client, ServerConfig};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -128,7 +129,7 @@ fn idle_connections_cost_no_threads() {
     // The reactor learns about each connection on its next poll pass.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let open = telemetry.snapshot().conns_open;
+        let open = telemetry.snapshot()[Metric::ConnsOpen];
         if open >= (IDLE + 1) as u64 {
             break;
         }
@@ -182,7 +183,7 @@ fn closed_connections_are_reclaimed_without_new_arrivals() {
             Response::Ok { .. }
         ));
     }
-    assert!(telemetry.snapshot().conns_open >= BURST as u64);
+    assert!(telemetry.snapshot()[Metric::ConnsOpen] >= BURST as u64);
 
     // Drop every client. No new connection will arrive; the reactor
     // must still reclaim all per-connection state.
@@ -190,14 +191,14 @@ fn closed_connections_are_reclaimed_without_new_arrivals() {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let snap = telemetry.snapshot();
-        if snap.conns_open == 0 && snap.conns_active == 0 {
+        if snap[Metric::ConnsOpen] == 0 && snap[Metric::ConnsActive] == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "connection state leaked: conns_open={} conns_active={}",
-            snap.conns_open,
-            snap.conns_active
+            snap[Metric::ConnsOpen],
+            snap[Metric::ConnsActive]
         );
         std::thread::sleep(Duration::from_millis(20));
     }

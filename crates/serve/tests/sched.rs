@@ -9,9 +9,10 @@
 //! many replies land — each waiter gets exactly one.
 
 use altx::engine::{LaunchPlan, ThreadedEngine};
-use altx::CancelToken;
+use altx::{BlockResult, CancelToken};
 use altx_pager::{AddressSpace, PageSize};
 use altx_serve::frame::{Request, Response};
+use altx_serve::telemetry::Metric;
 use altx_serve::workload;
 use altx_serve::{start, Client, HedgeConfig, HedgePolicy, ServerConfig, ServerHandle};
 use std::collections::BTreeSet;
@@ -50,24 +51,52 @@ fn lognormal_draws(arg: u64) -> BTreeSet<u64> {
 /// The all-zeros plan must be byte-for-byte the old launch-all path:
 /// same winner, same value, same success/failure shape as
 /// `execute_with_token` on the same seeded block.
+///
+/// Which draw wins a race is timing, so the comparison is made where
+/// timing leaves no choice. The blocks raced are the first four whose
+/// shortest draw leads the runner-up by `CLEAR_LEAD_MS`, and a race
+/// counts only if it was over before the runner-up's sleep could have
+/// elapsed: a sleep never undershoots, so such a race launched the
+/// shortest draw on time and nothing else can have won it. A longer one
+/// sat through a stall of the box — every sleeper wakes at once and any
+/// of them wins — says nothing about the plan, and is run again. A plan
+/// that held the shortest draw back would never finish on time.
 #[test]
 fn all_zeros_plan_is_execute_with_token() {
-    for arg in [1u64, 7, 42, 1_000_003] {
+    const CLEAR_LEAD_MS: u64 = 10;
+    let clear_leads = (1u64..).filter_map(|arg| {
+        let draws: Vec<u64> = lognormal_draws(arg).into_iter().collect();
+        // A set of three: no two alternatives share a (rounded) draw.
+        (draws.len() == 3 && draws[1] - draws[0] >= CLEAR_LEAD_MS)
+            .then(|| (arg, draws[0], draws[1]))
+    });
+    for (arg, shortest, runner_up) in clear_leads.take(4) {
         let block = workload::build("lognormal", arg).expect("catalog workload");
-        let token = CancelToken::new();
-        let planned = ThreadedEngine::new().execute_planned(
-            &block,
-            &mut ws(),
-            &token,
-            &LaunchPlan::immediate(block.len()),
-        );
-        let token = CancelToken::new();
-        let unplanned = ThreadedEngine::new().execute_with_token(&block, &mut ws(), &token);
+        // Draws are rounded up, so the runner-up sleeps longer than this.
+        let on_time = Duration::from_millis(runner_up - 1);
+        let race_on_time = |race: &dyn Fn() -> BlockResult<u64>| {
+            (0..20)
+                .map(|_| race())
+                .find(|result| result.wall < on_time)
+                .unwrap_or_else(|| panic!("arg {arg}: no race in 20 was over in {on_time:?}"))
+        };
+        let planned = race_on_time(&|| {
+            ThreadedEngine::new().execute_planned(
+                &block,
+                &mut ws(),
+                &CancelToken::new(),
+                &LaunchPlan::immediate(block.len()),
+            )
+        });
+        let unplanned = race_on_time(&|| {
+            ThreadedEngine::new().execute_with_token(&block, &mut ws(), &CancelToken::new())
+        });
         assert_eq!(planned.succeeded(), unplanned.succeeded(), "arg {arg}");
         // The lognormal draws are seeded by `arg`, so both runs race the
         // same sleeps and the shortest draw wins both times.
         assert_eq!(planned.value, unplanned.value, "arg {arg}");
         assert_eq!(planned.winner, unplanned.winner, "arg {arg}");
+        assert_eq!(planned.value, Some(shortest), "arg {arg}");
     }
 }
 
@@ -145,7 +174,7 @@ fn hedging_suppresses_launches_on_lognormal() {
             }
         }
         let snap = server.telemetry().snapshot();
-        (snap.launches_suppressed, snap.hedge_wins)
+        (snap[Metric::LaunchesSuppressed], snap[Metric::HedgeWins])
     };
 
     let launch_all = local_server(ServerConfig::default());
@@ -174,11 +203,11 @@ fn hedging_suppresses_launches_on_lognormal() {
          (suppressed {suppressed_hedged} vs {suppressed_all})"
     );
     assert!(
-        snap.hedges_launched < snap.accepted * 2,
+        snap[Metric::HedgesLaunched] < snap[Metric::Accepted] * 2,
         "most hedges must be suppressed, not launched \
          ({} launched over {} races)",
-        snap.hedges_launched,
-        snap.accepted
+        snap[Metric::HedgesLaunched],
+        snap[Metric::Accepted]
     );
     // With a heavy-tailed favourite, some races are won by a hedge that
     // out-ran a straggling favourite. 160 seeded requests make this
@@ -220,15 +249,15 @@ fn identical_pipelined_requests_coalesce() {
 
     let snap = server.telemetry().snapshot();
     assert!(
-        snap.requests_coalesced > 0,
+        snap[Metric::RequestsCoalesced] > 0,
         "an identical pipelined burst must coalesce (got {} coalesced, \
          {} batches)",
-        snap.requests_coalesced,
-        snap.batches_formed
+        snap[Metric::RequestsCoalesced],
+        snap[Metric::BatchesFormed]
     );
-    assert!(snap.batches_formed > 0);
+    assert!(snap[Metric::BatchesFormed] > 0);
     assert!(
-        snap.batches_formed + snap.requests_coalesced >= BURST as u64,
+        snap[Metric::BatchesFormed] + snap[Metric::RequestsCoalesced] >= BURST as u64,
         "every request is either a batch opener or coalesced"
     );
     server.shutdown();
@@ -265,7 +294,7 @@ fn coalesced_waiters_across_connections_all_get_replies() {
     let snap = server.telemetry().snapshot();
     server.shutdown();
     assert!(
-        snap.requests_coalesced > 0,
+        snap[Metric::RequestsCoalesced] > 0,
         "lock-stepped connections never coalesced"
     );
 }

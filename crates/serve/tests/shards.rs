@@ -9,6 +9,7 @@
 //! reactor suite does.
 
 use altx_serve::frame::{Request, Response};
+use altx_serve::telemetry::Metric;
 use altx_serve::{start, Client, ServerConfig};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -42,7 +43,7 @@ fn run_req(workload: &str, arg: u64, deadline_ms: u32) -> Request {
 fn await_conns_open(telemetry: &altx_serve::telemetry::Telemetry, want: u64) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let open = telemetry.snapshot().conns_open;
+        let open = telemetry.snapshot()[Metric::ConnsOpen];
         if open >= want {
             return;
         }
@@ -92,7 +93,7 @@ fn connections_spread_across_all_shards() {
         "{CONNS} connections must reach all {SHARDS} shards, got {per:?}"
     );
     assert_eq!(
-        telemetry.snapshot().conns_open,
+        telemetry.snapshot()[Metric::ConnsOpen],
         per.iter().sum::<u64>(),
         "the global gauge is the sum of the shard gauges"
     );
@@ -153,7 +154,7 @@ fn shutdown_opcode_drains_every_shard() {
     let mut busy = Client::connect(addr).expect("connect busy");
     busy.send(&run_req("sleep", 150, 0)).expect("send sleep");
     let deadline = Instant::now() + Duration::from_secs(5);
-    while telemetry.snapshot().accepted == 0 {
+    while telemetry.snapshot()[Metric::Accepted] == 0 {
         assert!(Instant::now() < deadline, "sleep race never admitted");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -220,7 +221,7 @@ fn shard_telemetry_surfaces_in_stats_and_prometheus() {
     // primed: decode and reply buffers recycle instead of allocating.
     let snap = server.telemetry().snapshot();
     assert!(
-        snap.pool_recycled > 0,
+        snap[Metric::PoolRecycled] > 0,
         "steady traffic must recycle buffers, got {snap:?}"
     );
     server.shutdown();

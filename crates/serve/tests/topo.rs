@@ -14,6 +14,7 @@
 
 use altx_serve::pool::{JobMeta, PoolConfig, WorkerPool};
 use altx_serve::server::{start, ServerConfig};
+use altx_serve::telemetry::Metric;
 use altx_serve::topo::{plan_shards, CpuTopology};
 use altx_serve::{pin, Lanes};
 use std::fs;
@@ -285,7 +286,7 @@ fn pin_on_server_starts_serves_and_counts_placement() {
     );
     let snap = telemetry.snapshot();
     assert!(
-        snap.pinned_shards <= 2,
+        snap[Metric::PinnedShards] <= 2,
         "pinned shard gauge never exceeds the shard count"
     );
 }

@@ -59,8 +59,11 @@ cargo test -q -p altx-serve --test topo
 echo "==> sharded reactor suite (reuseport spread, drain, per-shard telemetry)"
 cargo test -q -p altx-serve --test shards
 
-echo "==> reply-ring suite (exhaustion, wraparound, fan-out, disabled path)"
+echo "==> reply-ring suite (exhaustion, wraparound, oversize spill, fan-out)"
 cargo test -q -p altx-serve --test ring
+
+echo "==> telemetry golden pages (STATS byte-for-byte, Prometheus line set)"
+cargo test -q -p altx-serve --test telemetry_golden
 
 echo "==> buffer pool suite (leak/cap properties + >90% steady-state hit rate)"
 cargo test -q -p altx-serve --test bufpool
@@ -90,6 +93,17 @@ sleep 0.3
     --addr "$SMOKE_ADDR" --workload trivial:50,sleep:25 --clients 8 --threads 1 \
     --duration 6 --out "$SMOKE_OUT" --hist-diff "$BASELINE"
 wait "$ALTXD_PID"
+
+# Every top-level key the committed baseline has must be in the fresh
+# report: altx-load emits its server_* / cluster fields by walking the
+# daemon's metric table, and a field dropped there would otherwise only
+# show up as an empty grep several stages on.
+for key in $(grep -o '^  "[a-z0-9_]*":' "$BASELINE"); do
+    grep -q "^  $key" "$SMOKE_OUT" || {
+        echo "bench gate: fresh report lacks top-level key $key of $BASELINE" >&2
+        exit 1
+    }
+done
 
 # Extract "throughput_rps": N.N with no JSON tooling (offline CI).
 rps() {
