@@ -39,6 +39,11 @@ pub use race::{
 pub use replication::{ReplicatedAlternate, ReplicatedRace, ReplicatedRaceReport};
 pub use rfork::{RemoteForkBreakdown, RemoteForkModel};
 
+/// The majority 0–1 semaphore's voter rule and proposer tally, passed on
+/// so that `altx-serve` commits a real cluster's races with the code
+/// [`DistributedRace`] synchronizes its simulated ones with.
+pub use altx_consensus::{Tally, TallyState, VoteSlot};
+
 /// Identifier of a cluster node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);

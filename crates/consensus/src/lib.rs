@@ -15,12 +15,19 @@
 //!   simulates candidates racing for votes across a lossy network with
 //!   crashing voters, and experiment E10 sweeps the
 //!   performance-vs-reliability tradeoff the paper calls out.
+//!
+//! Both stand on [`vote`] — [`VoteSlot`], the voter rule, and [`Tally`],
+//! the proposer's count — and so does the serving daemon's wire-backed
+//! semaphore (`altx_serve::commit`), through `altx-cluster`'s re-export:
+//! the workspace has one implementation of each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod majority;
 pub mod semaphore;
+pub mod vote;
 
 pub use majority::{CandidateSpec, ConsensusConfig, ConsensusReport, ConsensusSim, FaultPlan};
 pub use semaphore::{ClaimResult, SyncPoint};
+pub use vote::{Tally, TallyState, VoteSlot};

@@ -11,6 +11,7 @@
 //! multiple-node synchronization is the price paid for increased
 //! robustness").
 
+use crate::vote::{Tally, TallyState, VoteSlot};
 use altx_des::{EventQueue, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -172,8 +173,10 @@ enum Event {
 #[derive(Debug)]
 struct CandidateState {
     spec: CandidateSpec,
-    grants: Vec<bool>,
-    denials: Vec<bool>,
+    /// Which voters' answers have arrived (a retried request can be
+    /// answered twice; only the first answer is a vote).
+    answered: Vec<bool>,
+    tally: Tally,
     rounds_used: u32,
     outcome: CandidateOutcome,
 }
@@ -217,10 +220,9 @@ impl ConsensusSim {
     /// Runs the race to quiescence.
     pub fn run(&self) -> ConsensusReport {
         let n = self.cfg.n_voters;
-        let majority = n / 2 + 1;
         let mut rng = SimRng::seed_from_u64(self.cfg.seed);
         let mut queue: EventQueue<Event> = EventQueue::new();
-        let mut votes: Vec<Option<u64>> = vec![None; n];
+        let mut votes: Vec<VoteSlot<u64>> = vec![VoteSlot::new(); n];
         let mut candidates: BTreeMap<u64, CandidateState> = BTreeMap::new();
         let mut sent = 0u64;
         let mut dropped = 0u64;
@@ -230,8 +232,8 @@ impl ConsensusSim {
                 spec.id,
                 CandidateState {
                     spec: spec.clone(),
-                    grants: vec![false; n],
-                    denials: vec![false; n],
+                    answered: vec![false; n],
+                    tally: Tally::new(n, false),
                     rounds_used: 0,
                     outcome: CandidateOutcome::Undecided,
                 },
@@ -260,9 +262,7 @@ impl ConsensusSim {
                     }
                     state.rounds_used = round + 1;
                     // (Re-)request every voter that hasn't answered.
-                    let pending: Vec<usize> = (0..n)
-                        .filter(|&v| !state.grants[v] && !state.denials[v])
-                        .collect();
+                    let pending: Vec<usize> = (0..n).filter(|&v| !state.answered[v]).collect();
                     let retry = state.spec.retry_interval;
                     for voter in pending {
                         sent += 1;
@@ -287,15 +287,7 @@ impl ConsensusSim {
                             continue;
                         }
                     }
-                    // Exclusive, unrevocable vote: grant to the first
-                    // requester, re-grant only to the same holder.
-                    let granted = match votes[voter] {
-                        None => {
-                            votes[voter] = Some(candidate);
-                            true
-                        }
-                        Some(holder) => holder == candidate,
-                    };
+                    let granted = votes[voter].request(&candidate);
                     sent += 1;
                     if rng.chance(self.cfg.faults.drop_probability) {
                         dropped += 1;
@@ -319,23 +311,27 @@ impl ConsensusSim {
                     if !matches!(state.outcome, CandidateOutcome::Undecided) {
                         continue;
                     }
-                    if granted {
-                        state.grants[voter] = true;
-                    } else {
-                        state.denials[voter] = true;
+                    if !std::mem::replace(&mut state.answered[voter], true) {
+                        if granted {
+                            state.tally.grant();
+                        } else {
+                            state.tally.deny();
+                        }
                     }
-                    let grants = state.grants.iter().filter(|&&g| g).count();
-                    let denials = state.denials.iter().filter(|&&d| d).count();
-                    if grants >= majority {
-                        state.outcome = CandidateOutcome::Won {
-                            at: now,
-                            rounds: state.rounds_used,
-                        };
-                        debug_assert!(winner.is_none(), "two majority winners are impossible");
-                        winner = Some((candidate, now));
-                    } else if n - denials < majority {
+                    match state.tally.state() {
+                        TallyState::Committed => {
+                            state.outcome = CandidateOutcome::Won {
+                                at: now,
+                                rounds: state.rounds_used,
+                            };
+                            debug_assert!(winner.is_none(), "two majority winners are impossible");
+                            winner = Some((candidate, now));
+                        }
                         // Majority is arithmetically out of reach.
-                        state.outcome = CandidateOutcome::GaveUp { at: now };
+                        TallyState::Unreachable => {
+                            state.outcome = CandidateOutcome::GaveUp { at: now };
+                        }
+                        TallyState::Undecided => {}
                     }
                 }
             }

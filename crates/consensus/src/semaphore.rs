@@ -1,5 +1,6 @@
 //! The local at-most-once synchronization point.
 
+use crate::vote::VoteSlot;
 use std::fmt;
 
 /// Result of a synchronization claim.
@@ -17,7 +18,8 @@ pub enum ClaimResult {
 }
 
 /// A one-shot synchronization point: the first claim wins, every later
-/// claim is refused, forever.
+/// claim is refused, forever — a single [`VoteSlot`] over candidate
+/// numbers, plus a count of the claims it turned away.
 ///
 /// # Example
 ///
@@ -31,7 +33,7 @@ pub enum ClaimResult {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SyncPoint {
-    winner: Option<u64>,
+    slot: VoteSlot<u64>,
     refused: u64,
 }
 
@@ -47,27 +49,22 @@ impl SyncPoint {
     /// returns [`ClaimResult::Won`] again (a retransmitted claim must not
     /// be treated as a second synchronization).
     pub fn try_claim(&mut self, candidate: u64) -> ClaimResult {
-        match self.winner {
-            None => {
-                self.winner = Some(candidate);
-                ClaimResult::Won
-            }
-            Some(w) if w == candidate => ClaimResult::Won,
-            Some(w) => {
-                self.refused += 1;
-                ClaimResult::TooLate { winner: w }
-            }
+        if self.slot.request(&candidate) {
+            return ClaimResult::Won;
         }
+        self.refused += 1;
+        let winner = *self.slot.holder().expect("a refusing slot is held");
+        ClaimResult::TooLate { winner }
     }
 
     /// The winning candidate, if any claim has been made.
     pub fn winner(&self) -> Option<u64> {
-        self.winner
+        self.slot.holder().copied()
     }
 
     /// True iff no claim has succeeded yet.
     pub fn is_open(&self) -> bool {
-        self.winner.is_none()
+        self.slot.holder().is_none()
     }
 
     /// Number of refused (too-late) claims.
@@ -78,7 +75,7 @@ impl SyncPoint {
 
 impl fmt::Display for SyncPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.winner {
+        match self.winner() {
             Some(w) => write!(f, "claimed by candidate {w} ({} refused)", self.refused),
             None => write!(f, "open"),
         }

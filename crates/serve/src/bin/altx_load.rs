@@ -289,14 +289,7 @@ fn client_loop(
     let mut arg = seed;
     let mut which = seed as usize;
     while !stop.load(Ordering::Relaxed) {
-        arg = if batch_window_us > 0 {
-            // Shared-clock arg: every client in the same window sends
-            // the same key, so the daemon's batcher can coalesce them.
-            epoch.elapsed().as_micros() as u64 / batch_window_us
-        } else {
-            arg.wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407)
-        };
+        arg = next_arg(arg, epoch, batch_window_us);
         let widx = which % specs.len();
         which = which.wrapping_add(1);
         let spec = &specs[widx];
@@ -319,6 +312,19 @@ fn client_loop(
     report.reconnects = stats.reconnects();
     report.abandoned = stats.abandoned();
     Ok(report)
+}
+
+/// The argument after `arg`: with a batch window, the window's number
+/// on the shared clock — every client in the same window sends the same
+/// key, so the daemon's batcher can coalesce them — and otherwise the
+/// next step of the client's own LCG.
+fn next_arg(arg: u64, epoch: Instant, batch_window_us: u64) -> u64 {
+    (epoch.elapsed().as_micros() as u64)
+        .checked_div(batch_window_us)
+        .unwrap_or_else(|| {
+            arg.wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407)
+        })
 }
 
 /// Folds one reply into the tallies; fatal replies become `Err`.
@@ -381,12 +387,7 @@ fn pipelined_loop(
         begins.clear();
         sent_widx.clear();
         for (client, arg, which) in &mut conns {
-            *arg = if batch_window_us > 0 {
-                epoch.elapsed().as_micros() as u64 / batch_window_us
-            } else {
-                arg.wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407)
-            };
+            *arg = next_arg(*arg, epoch, batch_window_us);
             let widx = *which % specs.len();
             *which = which.wrapping_add(1);
             let spec = &specs[widx];

@@ -229,7 +229,7 @@ fn main() {
         workers: args.workers,
         queue_depth: args.queue_depth,
         batch_window: args.batch_window,
-        hedge: args.hedge.clone(),
+        hedge: args.hedge,
         shards: args.shards,
         ring_slots: args.ring_slots,
         ring_slot_bytes: args.ring_slot_bytes,

@@ -7,25 +7,26 @@
 //! votes, and because two candidates cannot both assemble a majority of
 //! exclusive grants, at most one winner ever commits — even when nodes
 //! crash or messages are lost mid-race. `altx-consensus` proves the
-//! rule out under a simulated clock; this module is the same voter rule
-//! carried by real frames (`COMMIT_VOTE` / `VOTE`, see
-//! [`crate::frame`]).
-//!
-//! Two halves:
+//! rule out under a simulated clock, and this module is the same voter
+//! rule carried by real frames (`COMMIT_VOTE` / `VOTE`, see
+//! [`crate::frame`]) — literally: a vote is decided by
+//! `altx_consensus::VoteSlot` and a round by `altx_consensus::Tally`,
+//! the types `ConsensusSim` and `SyncPoint` are built on, reached
+//! through `altx-cluster`'s re-export.
 //!
 //! * [`CommitLedger`] — the **voter** side every peered daemon runs:
-//!   one grant slot per `(origin, race_id)`, granted to the first
-//!   candidate that asks and re-granted only to that same holder.
-//! * [`VoteTally`] — the **proposer** side the race origin runs: counts
-//!   grants and denials against the majority threshold of the voter set
-//!   frozen when the race started, and reports when the round is
-//!   decided — or when enough voters died that a majority can never
-//!   assemble and the origin must degrade.
+//!   one `VoteSlot<String>` per `(origin, race_id)`.
+//! * [`VoteTally`] — the **proposer** side the race origin runs: `Tally`
+//!   under its wire-side name, over the voter set frozen when the race
+//!   started. `Unreachable` is where the origin must degrade.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use altx_cluster::VoteSlot;
+pub use altx_cluster::{Tally as VoteTally, TallyState};
 
 /// One node's vote slots, keyed by `(origin address, race id)` so
 /// concurrent races from different origins can never collide even if
@@ -39,7 +40,7 @@ pub struct CommitLedger {
 
 #[derive(Debug)]
 struct Grant {
-    holder: String,
+    slot: VoteSlot<String>,
     at: Instant,
 }
 
@@ -58,19 +59,20 @@ impl CommitLedger {
     /// majority of grants imply at most one committed winner.
     pub fn vote(&self, origin: &str, race_id: u64, candidate: &str) -> (bool, String) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = slots
+        let grant = slots
             .entry((origin.to_owned(), race_id))
             .or_insert_with(|| Grant {
-                holder: candidate.to_owned(),
+                slot: VoteSlot::new(),
                 at: Instant::now(),
             });
-        let granted = slot.holder == candidate;
+        let granted = grant.slot.request(candidate);
         if granted {
             self.granted.fetch_add(1, Ordering::Relaxed);
         } else {
             self.denied.fetch_add(1, Ordering::Relaxed);
         }
-        (granted, slot.holder.clone())
+        let holder = grant.slot.holder().expect("held once asked");
+        (granted, holder.clone())
     }
 
     /// Votes granted (including idempotent re-grants).
@@ -118,82 +120,6 @@ impl CommitLedger {
     /// True when no grant slot is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// The proposer's view of one commit round: grants collected against
-/// the majority threshold of a voter set that was frozen when the race
-/// was created (self plus every peer that was up). Freezing the set is
-/// what keeps the threshold meaningful when a voter dies mid-round —
-/// the dead peer's vote simply converts to a denial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VoteTally {
-    voters: usize,
-    granted: usize,
-    denied: usize,
-}
-
-/// Where a commit round stands after the latest vote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TallyState {
-    /// Votes are still outstanding and both outcomes remain possible.
-    Undecided,
-    /// A majority of the frozen voter set granted: the candidate is
-    /// committed, at most once cluster-wide.
-    Committed,
-    /// Enough voters denied (or died) that a majority can never
-    /// assemble. The origin must degrade: the paper's answer is to
-    /// block, the serving layer's is to answer anyway and record it.
-    Unreachable,
-}
-
-impl VoteTally {
-    /// A tally over `voters` total voters (self included), with the
-    /// proposer's own self-grant already counted when `self_granted`.
-    pub fn new(voters: usize, self_granted: bool) -> Self {
-        VoteTally {
-            voters: voters.max(1),
-            granted: usize::from(self_granted),
-            denied: 0,
-        }
-    }
-
-    /// Majority threshold: `n/2 + 1` of the frozen voter set.
-    pub fn majority(&self) -> usize {
-        self.voters / 2 + 1
-    }
-
-    /// Records one granted vote.
-    pub fn grant(&mut self) {
-        self.granted += 1;
-    }
-
-    /// Records one denial — an explicit `granted: false` reply, or a
-    /// voter that died before answering (same effect: that vote can no
-    /// longer contribute to a majority).
-    pub fn deny(&mut self) {
-        self.denied += 1;
-    }
-
-    /// Votes neither granted nor denied yet.
-    pub fn pending(&self) -> usize {
-        self.voters.saturating_sub(self.granted + self.denied)
-    }
-
-    /// Votes granted so far.
-    pub fn granted(&self) -> usize {
-        self.granted
-    }
-
-    /// Where the round stands.
-    pub fn state(&self) -> TallyState {
-        if self.granted >= self.majority() {
-            TallyState::Committed
-        } else if self.granted + self.pending() < self.majority() {
-            TallyState::Unreachable
-        } else {
-            TallyState::Undecided
-        }
     }
 }
 
@@ -278,48 +204,5 @@ mod tests {
         assert_eq!(ledger.len(), 2, "young slots survive");
         ledger.sweep(Duration::ZERO);
         assert!(ledger.is_empty(), "expired slots are reclaimed");
-    }
-
-    #[test]
-    fn tally_commits_on_majority() {
-        // Three voters (self + two peers), self-grant counted.
-        let mut t = VoteTally::new(3, true);
-        assert_eq!(t.majority(), 2);
-        assert_eq!(t.state(), TallyState::Undecided);
-        t.grant();
-        assert_eq!(t.state(), TallyState::Committed);
-    }
-
-    #[test]
-    fn tally_unreachable_when_majority_cannot_assemble() {
-        // Three voters; both peers die before voting.
-        let mut t = VoteTally::new(3, true);
-        t.deny();
-        assert_eq!(
-            t.state(),
-            TallyState::Undecided,
-            "one peer could still grant"
-        );
-        t.deny();
-        assert_eq!(t.state(), TallyState::Unreachable);
-    }
-
-    #[test]
-    fn single_voter_tally_self_commits() {
-        // No peers up: the voter set is just the origin.
-        let t = VoteTally::new(1, true);
-        assert_eq!(t.state(), TallyState::Committed);
-    }
-
-    #[test]
-    fn two_voter_tally_needs_both() {
-        let mut t = VoteTally::new(2, true);
-        assert_eq!(t.majority(), 2);
-        assert_eq!(t.state(), TallyState::Undecided);
-        let mut dead_peer = t;
-        dead_peer.deny();
-        assert_eq!(dead_peer.state(), TallyState::Unreachable);
-        t.grant();
-        assert_eq!(t.state(), TallyState::Committed);
     }
 }

@@ -22,7 +22,7 @@
 //! * A link that dies with requests in flight fails every pending tag
 //!   the same way, then tells the remote-race registry the peer is down
 //!   so alternatives already *acked* by that peer convert to failed
-//!   guards too ([`crate::remote::RemoteRaces::on_peer_down`]).
+//!   guards too ([`crate::remote::RaceTable::peer_down`]).
 //! * Reconnection is automatic with doubling backoff (50 ms → 2 s);
 //!   every successful re-dial after a first connect counts in the
 //!   per-peer `reconnects` counter the load generator scrapes.
@@ -57,11 +57,10 @@
 //! per seed. With no plan installed the shim is one relaxed atomic
 //! load per frame.
 
-use crate::commit::CommitLedger;
 use crate::frame::{FrameDecoder, Request, Response};
 use crate::placement::Placement;
-use crate::reactor::{poll_fds, wake_pair, DaemonCtl, PollFd, POLLIN, POLLOUT};
-use crate::remote::{InflightRemote, RemoteRaces};
+use crate::reactor::{poll_fds, wake_pair, DaemonCtl, PollFd, WakeRx, WakeTx, POLLIN, POLLOUT};
+use crate::remote::{Event, InflightRemote, RaceTable, RemoteRaces};
 use crate::telemetry::{Metric, Telemetry};
 use altx::faults::{self, NetFault};
 use std::collections::{HashMap, VecDeque};
@@ -148,6 +147,22 @@ impl PeerHealth {
             1 => PeerHealth::Suspect,
             2 => PeerHealth::Quarantined,
             _ => PeerHealth::Up,
+        }
+    }
+
+    /// This state after `silent` without a reply, against the suspicion
+    /// threshold `suspect` (zero disables ageing): `Quarantined` from
+    /// twice the threshold on, `Suspect` from the threshold on for a
+    /// peer that was `Up`. Ageing never readmits — only a reply does.
+    pub fn aged(self, silent: Duration, suspect: Duration) -> PeerHealth {
+        if suspect.is_zero() {
+            self
+        } else if silent >= suspect * 2 {
+            PeerHealth::Quarantined
+        } else if silent >= suspect && self == PeerHealth::Up {
+            PeerHealth::Suspect
+        } else {
+            self
         }
     }
 
@@ -247,6 +262,7 @@ impl PeerStat {
         )
     }
 
+    /// Sets the health state, counting an *entry* into quarantine.
     fn set_health(&self, h: PeerHealth) {
         let prev = self.health.swap(h as u8, Ordering::Relaxed);
         if h == PeerHealth::Quarantined && prev != PeerHealth::Quarantined as u8 {
@@ -434,11 +450,23 @@ struct Cmd {
 /// tickle the wake pipe. Sends never block and never touch a socket.
 pub(crate) struct PeerHandle {
     cmds: Mutex<Vec<Cmd>>,
-    wake_tx: TcpStream,
+    wake_tx: WakeTx,
     stats: Arc<PeerStatsTable>,
 }
 
 impl PeerHandle {
+    /// The handle, plus the wake pipe's read end for the peer thread
+    /// ([`PeerNet::new`]) that will serve it.
+    pub(crate) fn new(stats: Arc<PeerStatsTable>) -> io::Result<(Arc<Self>, WakeRx)> {
+        let (wake_tx, wake_rx) = wake_pair()?;
+        let handle = PeerHandle {
+            cmds: Mutex::new(Vec::new()),
+            wake_tx,
+            stats,
+        };
+        Ok((Arc::new(handle), wake_rx))
+    }
+
     /// Queues one frame for `addr` and wakes the peer thread. If the
     /// link is down the thread fails the tag fast — the caller finds
     /// out through the registry, never by blocking here.
@@ -451,36 +479,32 @@ impl PeerHandle {
                 req,
                 tag,
             });
-        let _ = (&self.wake_tx).write(&[1]);
+        self.wake();
+    }
+
+    /// Rouses the peer thread (to a new command, or to the daemon
+    /// draining).
+    pub(crate) fn wake(&self) {
+        self.wake_tx.wake();
     }
 
     /// The shared per-peer counter table.
     pub(crate) fn stats(&self) -> &Arc<PeerStatsTable> {
         &self.stats
     }
-
-    /// A clone of the wake pipe's write end so the shutdown latch can
-    /// rouse the peer thread.
-    pub(crate) fn clone_waker(&self) -> io::Result<TcpStream> {
-        self.wake_tx.try_clone()
-    }
 }
 
 /// Everything the reactor shards need to speak to the peer plane,
 /// bundled so `Reactor::new` grows one argument, not six.
 pub(crate) struct PeerPlane {
-    /// Outbound send handle.
-    pub(crate) handle: Arc<PeerHandle>,
-    /// Origin-side distributed race registry.
+    /// Origin-side distributed race registry — and through it the
+    /// outbound send handle, the voter-side commit ledger and this
+    /// node's advertised identity.
     pub(crate) races: Arc<RemoteRaces>,
-    /// Voter-side commit ledger.
-    pub(crate) ledger: Arc<CommitLedger>,
     /// Executor-side in-flight remote alternatives (for `ELIMINATE`).
-    pub(crate) inflight: Arc<InflightRemote>,
+    pub(crate) inflight: InflightRemote,
     /// Local-vs-remote placement policy.
     pub(crate) placement: Placement,
-    /// This node's advertised peer identity.
-    pub(crate) advertise: String,
 }
 
 /// One outbound link's connection state.
@@ -523,6 +547,15 @@ struct Link {
 }
 
 impl Link {
+    /// Parks a fire-and-forget frame for the next dial, dropping the
+    /// oldest beyond [`MAX_QUEUED`].
+    fn park(&mut self, req: Request, tag: SendTag) {
+        self.queue.push_back((req, tag));
+        if self.queue.len() > MAX_QUEUED {
+            self.queue.pop_front();
+        }
+    }
+
     fn new(configured: bool, stat: Option<Arc<PeerStat>>) -> Self {
         Link {
             configured,
@@ -541,17 +574,12 @@ impl Link {
 
 /// The peer thread: owns every outbound link.
 pub(crate) struct PeerNet {
-    wake_rx: TcpStream,
-    handle: Arc<PeerHandle>,
+    wake_rx: WakeRx,
     races: Arc<RemoteRaces>,
-    ledger: Arc<CommitLedger>,
     ctl: Arc<DaemonCtl>,
     telemetry: Arc<Telemetry>,
     links: HashMap<String, Link>,
     last_sweep: Instant,
-    /// This node's advertised identity, for rebuilding `ELIMINATE` /
-    /// `RECONCILE` frames on replay.
-    advertise: String,
     /// Heartbeat cadence on configured links (zero disables).
     heartbeat: Duration,
     /// Silence threshold for suspicion; quarantine at twice this.
@@ -559,44 +587,33 @@ pub(crate) struct PeerNet {
 }
 
 impl PeerNet {
-    /// Builds the peer thread's state plus the handle everyone else
-    /// uses. The caller spawns [`PeerNet::run`] on its own thread.
+    /// Builds the peer thread's state around the registry (whose
+    /// [`PeerHandle`] it serves) and the read end of that handle's wake
+    /// pipe. The caller spawns [`PeerNet::run`] on its own thread.
     pub(crate) fn new(
-        stats: Arc<PeerStatsTable>,
+        wake_rx: WakeRx,
         races: Arc<RemoteRaces>,
-        ledger: Arc<CommitLedger>,
         ctl: Arc<DaemonCtl>,
         telemetry: Arc<Telemetry>,
-        advertise: String,
         config: &PeerConfig,
-    ) -> io::Result<(Self, Arc<PeerHandle>)> {
-        let (wake_tx, wake_rx) = wake_pair()?;
-        let handle = Arc::new(PeerHandle {
-            cmds: Mutex::new(Vec::new()),
-            wake_tx,
-            stats: Arc::clone(&stats),
-        });
-        let links = stats
+    ) -> Self {
+        let links = races
+            .peers
+            .stats
             .peers()
             .iter()
             .map(|p| (p.addr().to_owned(), Link::new(true, Some(Arc::clone(p)))))
             .collect();
-        Ok((
-            PeerNet {
-                wake_rx,
-                handle: Arc::clone(&handle),
-                races,
-                ledger,
-                ctl,
-                telemetry,
-                links,
-                last_sweep: Instant::now(),
-                advertise,
-                heartbeat: Duration::from_millis(config.heartbeat_ms),
-                suspect: Duration::from_millis(config.suspect_ms),
-            },
-            handle,
-        ))
+        PeerNet {
+            wake_rx,
+            races,
+            ctl,
+            telemetry,
+            links,
+            last_sweep: Instant::now(),
+            heartbeat: Duration::from_millis(config.heartbeat_ms),
+            suspect: Duration::from_millis(config.suspect_ms),
+        }
     }
 
     /// The peer event loop. Exits when the daemon drains, after
@@ -604,7 +621,7 @@ impl PeerNet {
     pub(crate) fn run(mut self) {
         loop {
             if self.ctl.draining() {
-                self.races.shutdown_flush();
+                self.races.drive(RaceTable::flush);
                 // Best effort: push any ELIMINATE/result frames the
                 // flush queued, then leave.
                 self.drain_cmds();
@@ -625,8 +642,7 @@ impl PeerNet {
                 continue;
             }
             if fds[0].revents != 0 {
-                let mut sink = [0u8; 256];
-                while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+                self.wake_rx.drain();
             }
             for (slot, addr) in addrs.iter().enumerate() {
                 let revents = fds[slot + 1].revents;
@@ -671,8 +687,8 @@ impl PeerNet {
         }
         let connected = connect(addr);
         let reconcile = Request::Reconcile {
-            watermark: self.races.reconcile_watermark(),
-            origin: self.advertise.clone(),
+            watermark: self.races.table().reconcile_watermark(),
+            origin: self.races.advertise.clone(),
         };
         let heartbeat = self.heartbeat;
         let link = self.links.get_mut(addr).expect("link exists");
@@ -739,7 +755,8 @@ impl PeerNet {
     fn drain_cmds(&mut self) {
         let cmds = std::mem::take(
             &mut *self
-                .handle
+                .races
+                .peers
                 .cmds
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner),
@@ -748,7 +765,7 @@ impl PeerNet {
             if !self.links.contains_key(&cmd.addr) {
                 // Dial-on-demand: an origin outside the configured set
                 // (results/votes go back to whoever asked).
-                let stat = self.handle.stats.by_addr(&cmd.addr).cloned();
+                let stat = self.races.peers.stats.by_addr(&cmd.addr).cloned();
                 self.links.insert(cmd.addr.clone(), Link::new(false, stat));
                 self.dial(&cmd.addr);
             }
@@ -760,25 +777,14 @@ impl PeerNet {
                     flush = true;
                 }
                 LinkState::Down => match cmd.tag {
-                    SendTag::Fire | SendTag::Eliminate { .. } => {
-                        link.queue.push_back((cmd.req, cmd.tag));
-                        if link.queue.len() > MAX_QUEUED {
-                            link.queue.pop_front();
-                        }
-                    }
+                    SendTag::Fire | SendTag::Eliminate { .. } => link.park(cmd.req, cmd.tag),
                     // Fail fast: a down peer cannot run the alternative
                     // or grant the vote, and the race must not wait for
-                    // the redial to find that out.
-                    SendTag::ExecAlt { race_id, alt_idx } => {
-                        self.races.on_remote_refused(race_id, alt_idx);
-                    }
-                    SendTag::Vote { race_id } => {
-                        self.races.on_vote(race_id, &cmd.addr, false);
-                    }
-                    // Heartbeats are minted by the peer thread on up
-                    // links only; one racing a link death is just
-                    // dropped — the next dial primes a fresh one.
-                    SendTag::Heartbeat => {}
+                    // the redial to find that out. (Heartbeats are
+                    // minted by the peer thread on up links only; one
+                    // racing a link death is just dropped — the next
+                    // dial primes a fresh one.)
+                    tag => self.never_answered(&cmd.addr, tag),
                 },
             }
             if flush {
@@ -898,6 +904,25 @@ impl PeerNet {
         }
     }
 
+    /// The request behind `tag` will never get the answer it was sent
+    /// for — the link was down, died first, or replied with something
+    /// else: a shipped alternative converts to a refusal, a vote to a
+    /// denial, and nobody waits on the other tags.
+    fn never_answered(&self, addr: &str, tag: SendTag) {
+        match tag {
+            SendTag::ExecAlt { race_id, alt_idx } => {
+                self.races.step(race_id, Event::LegRefused { alt_idx });
+            }
+            SendTag::Vote { race_id } => self.vote(race_id, addr, false),
+            SendTag::Fire | SendTag::Eliminate { .. } | SendTag::Heartbeat => {}
+        }
+    }
+
+    fn vote(&self, race_id: u64, voter: &str, granted: bool) {
+        let voter = voter.to_owned();
+        self.races.step(race_id, Event::Vote { voter, granted });
+    }
+
     fn dispatch_reply(
         &self,
         addr: &str,
@@ -905,29 +930,24 @@ impl PeerNet {
         tag: SendTag,
         resp: Response,
     ) {
-        match tag {
-            SendTag::ExecAlt { race_id, alt_idx } => match resp {
-                // The executor acks admission with a Text frame; any
-                // other reply (Overloaded, Error from an older build)
-                // means the alternative is not running there.
-                Response::Text { .. } => {}
-                _ => self.races.on_remote_refused(race_id, alt_idx),
-            },
-            SendTag::Vote { race_id } => match resp {
-                Response::Vote { granted, .. } => self.races.on_vote(race_id, addr, granted),
-                _ => self.races.on_vote(race_id, addr, false),
-            },
-            SendTag::Heartbeat => {
-                // The PEER_STATS reply ends with the executor's load
-                // line; older builds without one just leave the load
-                // figures at their last value.
-                if let (Some(stat), Response::Text { body }) = (stat, &resp) {
-                    if let Some((queued, busy, workers)) = parse_load_line(body) {
-                        stat.set_load(queued, busy, workers);
-                    }
+        match (tag, resp) {
+            // The executor acks admission with a Text frame; any other
+            // reply (Overloaded, Error from an older build) means the
+            // alternative is not running there.
+            (SendTag::ExecAlt { .. }, Response::Text { .. }) => {}
+            (SendTag::Vote { race_id }, Response::Vote { granted, .. }) => {
+                self.vote(race_id, addr, granted);
+            }
+            // The PEER_STATS reply ends with the executor's load line;
+            // older builds without one just leave the load figures at
+            // their last value.
+            (SendTag::Heartbeat, Response::Text { body }) => {
+                if let (Some(stat), Some((queued, busy, workers))) = (stat, parse_load_line(&body))
+                {
+                    stat.set_load(queued, busy, workers);
                 }
             }
-            SendTag::Fire | SendTag::Eliminate { .. } => {}
+            (tag, _) => self.never_answered(addr, tag),
         }
     }
 
@@ -982,35 +1002,17 @@ impl PeerNet {
         }
         link.backoff = BACKOFF_INITIAL;
         link.next_dial = Instant::now() + BACKOFF_INITIAL;
-        let mut fails = Vec::new();
+        for (tag, _, _) in &pending {
+            if let SendTag::Eliminate { race_id } = *tag {
+                // Rebuilt for replay under this node's identity.
+                let origin = self.races.advertise.clone();
+                link.park(Request::Eliminate { race_id, origin }, *tag);
+            }
+        }
         for (tag, _, _) in pending {
-            match tag {
-                SendTag::Eliminate { race_id } => {
-                    link.queue.push_back((
-                        Request::Eliminate {
-                            race_id,
-                            origin: self.advertise.clone(),
-                        },
-                        SendTag::Eliminate { race_id },
-                    ));
-                    if link.queue.len() > MAX_QUEUED {
-                        link.queue.pop_front();
-                    }
-                }
-                SendTag::Fire | SendTag::Heartbeat => {}
-                tag => fails.push(tag),
-            }
+            self.never_answered(addr, tag);
         }
-        for tag in fails {
-            match tag {
-                SendTag::ExecAlt { race_id, alt_idx } => {
-                    self.races.on_remote_refused(race_id, alt_idx);
-                }
-                SendTag::Vote { race_id } => self.races.on_vote(race_id, addr, false),
-                _ => {}
-            }
-        }
-        self.races.on_peer_down(addr);
+        self.races.drive(|table, now| table.peer_down(addr, now));
     }
 
     /// The health lifecycle tick: queue heartbeats that are due and age
@@ -1041,19 +1043,11 @@ impl PeerNet {
                 );
                 flush.push(addr.clone());
             }
-            if suspect.is_zero() {
-                continue;
-            }
-            let silent = now.duration_since(link.last_heard);
             if let Some(stat) = &link.stat {
                 let health = stat.health();
-                if silent >= suspect * 2 {
-                    if health != PeerHealth::Quarantined {
-                        // set_health counts the quarantine transition.
-                        stat.set_health(PeerHealth::Quarantined);
-                    }
-                } else if silent >= suspect && health == PeerHealth::Up {
-                    stat.set_health(PeerHealth::Suspect);
+                let aged = health.aged(now.duration_since(link.last_heard), suspect);
+                if aged != health {
+                    stat.set_health(aged);
                 }
             }
         }
@@ -1064,9 +1058,9 @@ impl PeerNet {
 
     /// Expires overdue races and (periodically) old ledger slots.
     fn sweep(&mut self, now: Instant) {
-        self.races.sweep(now);
+        self.races.drive(|table, _| table.expire(now));
         if now.duration_since(self.last_sweep) >= SWEEP_EVERY {
-            self.ledger.sweep(LEDGER_TTL);
+            self.races.ledger.sweep(LEDGER_TTL);
             self.last_sweep = now;
         }
     }
@@ -1092,7 +1086,7 @@ impl PeerNet {
     /// Sleep no longer than the earliest due redial, race expiry, or
     /// heartbeat.
     fn poll_timeout_ms(&self, now: Instant) -> i32 {
-        let mut deadline: Option<Instant> = self.races.next_expiry();
+        let mut deadline: Option<Instant> = self.races.table().next_expiry();
         let fold = |d: Instant, deadline: &mut Option<Instant>| {
             *deadline = Some(deadline.map_or(d, |cur| cur.min(d)));
         };
@@ -1271,6 +1265,36 @@ mod tests {
         stat.set_health(PeerHealth::Quarantined);
         assert_eq!(stat.quarantines(), 2, "each distinct entry counts");
         assert_eq!(table.total_quarantines(), 2);
+    }
+
+    #[test]
+    fn health_ages_at_the_thresholds_and_never_readmits() {
+        use PeerHealth::{Quarantined, Suspect, Up};
+        let ms = Duration::from_millis;
+        let suspect = ms(100);
+        #[rustfmt::skip]
+        let table = [
+            // from,        silent,   threshold, to
+            (Up,          ms(0),    suspect,   Up),
+            (Up,          ms(99),   suspect,   Up),
+            (Up,          ms(100),  suspect,   Suspect),     // silent == suspect
+            (Up,          ms(199),  suspect,   Suspect),
+            (Up,          ms(200),  suspect,   Quarantined), // silent == 2·suspect
+            (Suspect,     ms(0),    suspect,   Suspect),     // only a reply readmits
+            (Suspect,     ms(100),  suspect,   Suspect),
+            (Suspect,     ms(200),  suspect,   Quarantined),
+            (Quarantined, ms(0),    suspect,   Quarantined),
+            (Quarantined, ms(500),  suspect,   Quarantined),
+            (Up,          ms(500),  ms(0),     Up),          // suspect == 0: no ageing
+            (Suspect,     ms(500),  ms(0),     Suspect),
+        ];
+        for (from, silent, threshold, to) in table {
+            assert_eq!(
+                from.aged(silent, threshold),
+                to,
+                "{from:?} silent {silent:?} against {threshold:?}"
+            );
+        }
     }
 
     #[test]

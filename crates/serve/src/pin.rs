@@ -131,9 +131,18 @@ pub fn pin_current_thread(label: &str, cpus: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// `affinity_syscalls` is one process-wide counter: the test that
+    /// asserts it stands still must not overlap the ones that move it.
+    fn serial() -> MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn empty_set_is_refused_without_a_syscall() {
+        let _guard = serial();
         let before = affinity_syscalls();
         assert!(set_current_affinity(&[]).is_err());
         // Ids past MAX_CPUS are dropped before the mask is built, so an
@@ -145,6 +154,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn get_set_roundtrip_on_own_mask() {
+        let _guard = serial();
         let mine = current_affinity().expect("getaffinity works on Linux");
         assert!(!mine.is_empty());
         // Re-pinning to the exact current mask is always permitted.
@@ -157,6 +167,7 @@ mod tests {
     fn invalid_cpu_fails_softly() {
         // A mask of only (almost certainly) nonexistent CPUs draws
         // EINVAL; pin_current_thread must absorb it and keep going.
+        let _guard = serial();
         let before = current_affinity().expect("getaffinity works");
         assert!(!pin_current_thread("test-thread", &[MAX_CPUS - 1]));
         assert_eq!(

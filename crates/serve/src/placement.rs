@@ -24,6 +24,7 @@
 
 use crate::peer::PeerLoad;
 use crate::sched::CatalogStats;
+use crate::workload;
 use altx_cluster::{NetworkModel, RemoteForkModel};
 use altx_des::SimDuration;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,18 +91,18 @@ impl Placement {
     pub(crate) fn assign(
         &self,
         widx: usize,
-        n_alts: usize,
         frame_bytes: u64,
         up_peers: &[PeerLoad],
         queued: usize,
         workers: usize,
         catalog: &CatalogStats,
     ) -> Option<Vec<Option<String>>> {
+        let n_alts = workload::CATALOG.get(widx)?.alternatives();
         if up_peers.is_empty() || n_alts < 2 {
             return None;
         }
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
-        let explore = self.explore_every > 0 && tick % self.explore_every == 0;
+        let explore = self.explore_every > 0 && tick.is_multiple_of(self.explore_every);
 
         let table = catalog.table(widx);
         let favourite = table.as_ref().and_then(|t| t.favourite()).unwrap_or(0);
@@ -133,7 +134,7 @@ impl Placement {
         let mut out: Vec<Option<String>> = vec![None; n_alts];
         let mut shipped = 0usize;
         let mut peer_rr = tick as usize;
-        for alt in 0..n_alts {
+        for (alt, placed) in out.iter_mut().enumerate() {
             if alt == favourite {
                 continue; // the likely winner stays local
             }
@@ -148,7 +149,7 @@ impl Placement {
             let model_says_ship = overhead + remote_wait_us(peer) < local_wait_us;
             let force = explore && shipped == 0;
             if model_says_ship || force {
-                out[alt] = Some(peer.addr.clone());
+                *placed = Some(peer.addr.clone());
                 shipped += 1;
                 peer_rr += 1;
             }
@@ -160,6 +161,10 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Catalog indices: three alternatives, and one.
+    const LOGNORMAL: usize = 1;
+    const SLEEP: usize = 3;
 
     fn peers(n: usize) -> Vec<PeerLoad> {
         (0..n)
@@ -177,8 +182,8 @@ mod tests {
     fn no_peers_or_single_alt_stays_local() {
         let p = Placement::new(1);
         let catalog = CatalogStats::new();
-        assert!(p.assign(0, 3, 64, &[], 0, 4, &catalog).is_none());
-        assert!(p.assign(0, 1, 64, &peers(2), 0, 4, &catalog).is_none());
+        assert!(p.assign(LOGNORMAL, 64, &[], 0, 4, &catalog).is_none());
+        assert!(p.assign(SLEEP, 64, &peers(2), 0, 4, &catalog).is_none());
     }
 
     #[test]
@@ -186,7 +191,7 @@ mod tests {
         let p = Placement::new(1); // every race explores
         let catalog = CatalogStats::new();
         let assign = p
-            .assign(0, 3, 64, &peers(2), 0, 4, &catalog)
+            .assign(LOGNORMAL, 64, &peers(2), 0, 4, &catalog)
             .expect("exploration must ship");
         assert_eq!(assign.len(), 3);
         assert_eq!(assign.iter().flatten().count(), 1, "{assign:?}");
@@ -197,7 +202,7 @@ mod tests {
     fn idle_pool_without_exploration_stays_local() {
         let p = Placement::new(0); // exploration off
         let catalog = CatalogStats::new();
-        assert!(p.assign(0, 3, 64, &peers(2), 0, 4, &catalog).is_none());
+        assert!(p.assign(LOGNORMAL, 64, &peers(2), 0, 4, &catalog).is_none());
     }
 
     #[test]
@@ -207,7 +212,7 @@ mod tests {
         // 64 queued races behind 2 workers at ~1ms each: local wait
         // ~32ms dwarfs a 200µs rtt, so the model ships both siblings.
         let assign = p
-            .assign(0, 3, 64, &peers(2), 64, 2, &catalog)
+            .assign(LOGNORMAL, 64, &peers(2), 64, 2, &catalog)
             .expect("saturated pool must ship");
         assert_eq!(assign.iter().flatten().count(), 2, "{assign:?}");
     }
@@ -226,11 +231,13 @@ mod tests {
             peer.busy = 1;
         }
         assert!(
-            p.assign(0, 3, 64, &swamped, 64, 2, &catalog).is_none(),
+            p.assign(LOGNORMAL, 64, &swamped, 64, 2, &catalog).is_none(),
             "peers busier than the local pool must not be shipped to"
         );
         // Idle peers with the same rtt still win that trade.
-        assert!(p.assign(0, 3, 64, &peers(2), 64, 2, &catalog).is_some());
+        assert!(p
+            .assign(LOGNORMAL, 64, &peers(2), 64, 2, &catalog)
+            .is_some());
     }
 
     #[test]

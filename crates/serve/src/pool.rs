@@ -116,7 +116,7 @@ pub enum SubmitError {
 /// Scheduling metadata attached to a submission. The default is a
 /// best-effort job in the highest lane on group 0 — what every legacy
 /// call site gets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct JobMeta {
     /// Absolute deadline. `None` means best-effort (wire
     /// `deadline_ms == 0`): the job sorts after every deadlined job and
@@ -127,16 +127,6 @@ pub struct JobMeta {
     /// Preferred worker group — the submitting shard. Wrapped modulo the
     /// configured group count.
     pub group: usize,
-}
-
-impl Default for JobMeta {
-    fn default() -> Self {
-        JobMeta {
-            deadline: None,
-            lane: 0,
-            group: 0,
-        }
-    }
 }
 
 impl JobMeta {
@@ -485,6 +475,30 @@ impl WorkerPool {
                 Err(e)
             }
         }
+    }
+
+    /// Runs `work` on the pool under `meta` and hands its outcome to
+    /// `done` — [`WorkerPool::try_submit_notify_at`] for callers that
+    /// want a value back. `done` runs exactly once for an admitted
+    /// submission: with `Some(outcome)` after `work` returned, with
+    /// `None` when the pool dropped the job unrun or `work` panicked
+    /// (callers that answer a panic differently from a loss contain it
+    /// inside `work`). A refused submission runs neither.
+    pub(crate) fn try_submit_work_at<T: Send + 'static>(
+        &self,
+        meta: JobMeta,
+        work: impl FnOnce() -> T + Send + 'static,
+        done: impl FnOnce(Option<T>) + Send + 'static,
+    ) -> Result<(), SubmitError> {
+        let slot = Arc::new(Mutex::new(None));
+        let filled = Arc::clone(&slot);
+        let job = Box::new(move || {
+            let outcome = work();
+            *filled.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        });
+        let notify =
+            Box::new(move || done(slot.lock().unwrap_or_else(PoisonError::into_inner).take()));
+        self.try_submit_notify_at(job, notify, meta)
     }
 
     /// Jobs currently queued (not yet picked up by a worker), across

@@ -58,8 +58,9 @@ use crate::batch::{BatchKey, Batcher, Offered, Waiter};
 use crate::bufpool::BufPool;
 use crate::conn::{Conn, ReplyFrame};
 use crate::frame::{FrameError, Request, Response, ALT_FAILED};
-use crate::peer::{PeerPlane, SendTag};
+use crate::peer::{PeerHandle, PeerPlane, SendTag};
 use crate::pool::{JobMeta, WorkerPool};
+use crate::remote::{Event, RaceSpec};
 use crate::ring::{EncodedReply, ReplyRing};
 use crate::sched::{render_catalog, Admission, HedgePolicy, Lanes};
 use crate::server::{deadline_token, run_race, run_remote_alt, run_subrace};
@@ -283,7 +284,7 @@ pub(crate) struct ReactorShared {
     /// Accepted sockets awaiting adoption by this shard (sharded mode
     /// only; the acceptor pushes, the shard drains each loop turn).
     inbox: Mutex<Vec<TcpStream>>,
-    wake_tx: TcpStream,
+    wake_tx: WakeTx,
     /// The shard's reply ring; `post` encodes into it from whatever
     /// thread finished the race.
     ring: ReplyRing,
@@ -301,7 +302,7 @@ impl ReactorShared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(Completion { group, reply });
-        self.wake();
+        self.wake_tx.wake();
     }
 
     /// Hands an accepted socket to this shard and wakes it.
@@ -310,14 +311,7 @@ impl ReactorShared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(stream);
-        self.wake();
-    }
-
-    /// Writes one byte to the self-pipe. `WouldBlock` means wake bytes
-    /// are already pending, so the reactor is waking anyway; every
-    /// other error means the reactor is gone and waking is moot.
-    fn wake(&self) {
-        let _ = (&self.wake_tx).write(&[1]);
+        self.wake_tx.wake();
     }
 }
 
@@ -334,19 +328,19 @@ pub(crate) struct DaemonCtl {
     /// latch can wake them all.
     shards: OnceLock<Vec<Arc<ReactorShared>>>,
     /// The acceptor's wake pipe (sharded mode only).
-    acceptor_wake: OnceLock<TcpStream>,
-    /// The peer-network thread's wake pipe, so it drains too.
-    peer_wake: OnceLock<TcpStream>,
+    acceptor_wake: OnceLock<WakeTx>,
+    /// The peer-network thread's handle, so it drains too.
+    peers: Arc<PeerHandle>,
 }
 
 impl DaemonCtl {
-    pub(crate) fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize, peers: Arc<PeerHandle>) -> Self {
         DaemonCtl {
             shutdown: AtomicBool::new(false),
             live_shards: AtomicUsize::new(shards),
             shards: OnceLock::new(),
             acceptor_wake: OnceLock::new(),
-            peer_wake: OnceLock::new(),
+            peers,
         }
     }
 
@@ -356,29 +350,25 @@ impl DaemonCtl {
     }
 
     /// Wires the acceptor's wake pipe in (once, sharded mode only).
-    pub(crate) fn wire_acceptor(&self, wake_tx: TcpStream) {
+    pub(crate) fn wire_acceptor(&self, wake_tx: WakeTx) {
         let _ = self.acceptor_wake.set(wake_tx);
-    }
-
-    /// Wires the peer-network thread's wake pipe in (once, at startup).
-    pub(crate) fn wire_peer_wake(&self, wake_tx: TcpStream) {
-        let _ = self.peer_wake.set(wake_tx);
     }
 
     /// Flags shutdown and wakes the acceptor, the peer thread, and
     /// every shard so they notice promptly.
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(mut tx) = self.acceptor_wake.get() {
-            let _ = tx.write(&[1]);
+        let shards = self.shards.get().into_iter().flatten().map(|s| &s.wake_tx);
+        for tx in shards.chain(self.acceptor_wake.get()) {
+            tx.wake();
         }
-        if let Some(mut tx) = self.peer_wake.get() {
-            let _ = tx.write(&[1]);
-        }
-        if let Some(shards) = self.shards.get() {
-            for shard in shards {
-                shard.wake();
-            }
+        self.peers.wake();
+    }
+
+    /// Posts a finished race's reply to the shard owning its waiters.
+    pub(crate) fn post(&self, shard: usize, group: u64, response: Response) {
+        if let Some(s) = self.shards.get().and_then(|shards| shards.get(shard)) {
+            s.post(group, response);
         }
     }
 
@@ -394,10 +384,46 @@ impl DaemonCtl {
     }
 }
 
-/// A connected loopback socket pair: the reactor polls `rx`, everyone
+/// The write end of a [`wake_pair`]: anyone rouses the polling thread.
+pub(crate) struct WakeTx(TcpStream);
+
+impl WakeTx {
+    /// Writes one byte to the self-pipe. `WouldBlock` means wake bytes
+    /// are already pending, so the poller is waking anyway; every other
+    /// error means the poller is gone and waking is moot.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.0).write(&[1]);
+    }
+}
+
+/// The read end of a [`wake_pair`]: polled for `POLLIN` by its owner.
+pub(crate) struct WakeRx(TcpStream);
+
+impl WakeRx {
+    /// Empties the self-pipe, however many wake bytes piled up.
+    pub(crate) fn drain(&mut self) {
+        let mut sink = [0u8; 256];
+        loop {
+            match self.0.read(&mut sink) {
+                Ok(0) => break, // every tx gone: shutdown is near
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // WouldBlock: drained
+            }
+        }
+    }
+}
+
+impl AsRawFd for WakeRx {
+    fn as_raw_fd(&self) -> std::os::fd::RawFd {
+        self.0.as_raw_fd()
+    }
+}
+
+/// A connected loopback socket pair: the owner polls `rx`, everyone
 /// else writes `tx`. This is the classic self-pipe trick built from
 /// std-only parts (no `pipe(2)` binding needed).
-pub(crate) fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
+pub(crate) fn wake_pair() -> io::Result<(WakeTx, WakeRx)> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;
     let tx = TcpStream::connect(addr)?;
@@ -413,7 +439,7 @@ pub(crate) fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
     tx.set_nonblocking(true)?;
     tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
-    Ok((tx, rx))
+    Ok((WakeTx(tx), WakeRx(rx)))
 }
 
 /// How long `poll` may sleep with nothing to do. Wakeups (completions,
@@ -429,7 +455,7 @@ pub(crate) struct Reactor {
     /// a per-shard reuseport listener); `None` when an acceptor thread
     /// feeds the shard's inbox (reuseport-less fallback).
     listener: Option<TcpListener>,
-    wake_rx: TcpStream,
+    wake_rx: WakeRx,
     shared: Arc<ReactorShared>,
     ctl: Arc<DaemonCtl>,
     pool: Arc<WorkerPool>,
@@ -569,7 +595,11 @@ impl Reactor {
             }
 
             if fds[0].revents != 0 {
-                self.drain_wake();
+                // One wakeup event is counted per drain, not per byte —
+                // the gauge tracks how often the reactor was roused,
+                // not how many completions arrived.
+                self.stats.on_wakeup();
+                self.wake_rx.drain();
             }
             // Connection readiness is handled *first*, against the
             // exact snapshot poll reported. POLLOUT interest is
@@ -621,32 +651,18 @@ impl Reactor {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner),
         );
-        for stream in streams {
-            if draining {
-                continue;
-            }
-            if let Ok(conn) = Conn::new(stream) {
-                let id = self.next_conn;
-                self.next_conn += 1;
-                self.conns.insert(id, conn);
-                self.stats.on_conn_open();
-            }
+        if !draining {
+            streams.into_iter().for_each(|stream| self.adopt(stream));
         }
     }
 
-    /// Empties the self-pipe. One wakeup event is counted per drain,
-    /// not per byte — the gauge tracks how often the reactor was
-    /// roused, not how many completions arrived.
-    fn drain_wake(&mut self) {
-        self.stats.on_wakeup();
-        let mut sink = [0u8; 256];
-        loop {
-            match self.wake_rx.read(&mut sink) {
-                Ok(0) => break, // wake tx gone: shutdown is near
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock: drained
-            }
+    /// Takes a fresh socket into the poll set (dropping it if its
+    /// options cannot be set).
+    fn adopt(&mut self, stream: TcpStream) {
+        if let Ok(conn) = Conn::new(stream) {
+            self.conns.insert(self.next_conn, conn);
+            self.next_conn += 1;
+            self.stats.on_conn_open();
         }
     }
 
@@ -720,20 +736,12 @@ impl Reactor {
     /// Accepts until this shard's own listener would block (the lone
     /// listener in single-shard mode, a reuseport sibling otherwise).
     fn accept_ready(&mut self) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
         loop {
+            let Some(listener) = &self.listener else {
+                return;
+            };
             match listener.accept() {
-                Ok((stream, _peer)) => match Conn::new(stream) {
-                    Ok(conn) => {
-                        let id = self.next_conn;
-                        self.next_conn += 1;
-                        self.conns.insert(id, conn);
-                        self.stats.on_conn_open();
-                    }
-                    Err(_) => continue, // setsockopt failed: drop it
-                },
+                Ok((stream, _peer)) => self.adopt(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // transient accept failure; retry next loop
@@ -835,34 +843,19 @@ impl Reactor {
                 false
             }
             Ok(Request::Stats) => {
-                let reply = Response::Text {
-                    body: self.telemetry.render_stats(),
-                };
-                self.fulfill(id, seq, &reply);
+                self.fulfill_text(id, seq, self.telemetry.render_stats());
                 true
             }
             Ok(Request::Prometheus) => {
-                let reply = Response::Text {
-                    body: self.telemetry.render_prometheus(),
-                };
-                self.fulfill(id, seq, &reply);
+                self.fulfill_text(id, seq, self.telemetry.render_prometheus());
                 true
             }
             Ok(Request::Catalog) => {
-                let reply = Response::Text {
-                    body: render_catalog(&self.sched),
-                };
-                self.fulfill(id, seq, &reply);
+                self.fulfill_text(id, seq, render_catalog(&self.sched));
                 true
             }
             Ok(Request::Shutdown) => {
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Text {
-                        body: "draining\n".to_owned(),
-                    },
-                );
+                self.fulfill_text(id, seq, "draining\n");
                 // Daemon-wide: every shard and the acceptor must drain,
                 // not just the shard this frame happened to land on.
                 self.ctl.request_shutdown();
@@ -906,16 +899,17 @@ impl Reactor {
                 // An executor reporting back on a race this node
                 // originated. Ack first-class so the executor's link
                 // gets its RTT sample either way.
-                self.plane
-                    .races
-                    .on_remote_result(race_id, alt_idx, status, value, latency_us);
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Text {
-                        body: "ok\n".to_owned(),
+                self.plane.races.step(
+                    race_id,
+                    Event::LegResult {
+                        alt_idx,
+                        status,
+                        value,
+                        latency_us,
+                        redo: false,
                     },
                 );
+                self.fulfill_text(id, seq, "ok\n");
                 true
             }
             Ok(Request::CommitVote {
@@ -923,7 +917,7 @@ impl Reactor {
                 origin,
                 candidate,
             }) => {
-                let (granted, holder) = self.plane.ledger.vote(&origin, race_id, &candidate);
+                let (granted, holder) = self.plane.races.ledger.vote(&origin, race_id, &candidate);
                 self.telemetry.add(Metric::CommitVotes, 1);
                 self.fulfill(id, seq, &Response::Vote { granted, holder });
                 true
@@ -931,13 +925,7 @@ impl Reactor {
             Ok(Request::Eliminate { race_id, origin }) => {
                 let n = self.plane.inflight.eliminate(&origin, race_id);
                 self.telemetry.add(Metric::Eliminations, 1);
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Text {
-                        body: format!("eliminated {n}\n"),
-                    },
-                );
+                self.fulfill_text(id, seq, format!("eliminated {n}\n"));
                 true
             }
             Ok(Request::Reconcile { watermark, origin }) => {
@@ -945,28 +933,22 @@ impl Reactor {
                 // races below the watermark are all decided — kill any
                 // zombie executions and release their vote slots.
                 let n = self.plane.inflight.eliminate_below(&origin, watermark);
-                let slots = self.plane.ledger.reconcile(&origin, watermark);
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Text {
-                        body: format!("reconciled {n} cancelled {slots} slots\n"),
-                    },
-                );
+                let slots = self.plane.races.ledger.reconcile(&origin, watermark);
+                self.fulfill_text(id, seq, format!("reconciled {n} cancelled {slots} slots\n"));
                 true
             }
             Ok(Request::PeerStats) => {
                 // The stats page doubles as the heartbeat reply: the
                 // trailing machine-parsable line advertises this node's
                 // load so origins can place around busy peers.
-                let mut body = self.plane.handle.stats().render();
+                let mut body = self.plane.races.peers.stats().render();
                 body.push_str(&format!(
                     "load queued {} busy {} workers {}\n",
                     self.pool.queued(),
                     self.pool.busy(),
                     self.pool.workers()
                 ));
-                self.fulfill(id, seq, &Response::Text { body });
+                self.fulfill_text(id, seq, body);
                 true
             }
         }
@@ -1001,33 +983,25 @@ impl Reactor {
         self.plane
             .inflight
             .register(&origin, race_id, alt_idx, token.clone());
-        let slot: Arc<Mutex<Option<(u8, u64, u64)>>> = Arc::new(Mutex::new(None));
-        let job = {
-            let slot = Arc::clone(&slot);
+        let work = {
             let telemetry = Arc::clone(&self.telemetry);
-            let token = token.clone();
-            Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
+            move || {
+                catch_unwind(AssertUnwindSafe(|| {
                     run_remote_alt(&telemetry, widx, alt_idx, arg, &token)
                 }))
-                .unwrap_or((ALT_FAILED, 0, 0));
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-            })
+                .unwrap_or((ALT_FAILED, 0, 0))
+            }
         };
-        let notify = {
+        let done = {
             let plane = Arc::clone(&self.plane);
             let origin = origin.clone();
-            Box::new(move || {
-                // An empty slot means the pool dropped the job unrun —
+            move |outcome: Option<(u8, u64, u64)>| {
+                // No outcome means the pool dropped the job unrun —
                 // report a failed guard rather than leave the origin to
                 // time the alternative out.
-                let (status, value, latency_us) = slot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .unwrap_or((ALT_FAILED, 0, 0));
+                let (status, value, latency_us) = outcome.unwrap_or((ALT_FAILED, 0, 0));
                 plane.inflight.complete(&origin, race_id, alt_idx);
-                plane.handle.send(
+                plane.races.peers.send(
                     &origin,
                     Request::AltResult {
                         race_id,
@@ -1038,19 +1012,13 @@ impl Reactor {
                     },
                     SendTag::Fire,
                 );
-            })
+            }
         };
         let meta = self.job_meta(widx, deadline_ms);
-        match self.pool.try_submit_notify_at(job, notify, meta) {
+        match self.pool.try_submit_work_at(meta, work, done) {
             Ok(()) => {
                 self.telemetry.add(Metric::RemoteExecs, 1);
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Text {
-                        body: "ok\n".to_owned(),
-                    },
-                );
+                self.fulfill_text(id, seq, "ok\n");
             }
             Err(_) => {
                 self.plane.inflight.complete(&origin, race_id, alt_idx);
@@ -1105,10 +1073,7 @@ impl Reactor {
             self.pool.queued(),
             self.pool.workers(),
         ) {
-            for (conn_id, seq) in waiters {
-                self.telemetry.add(Metric::ShedsAtAdmission, 1);
-                self.fulfill(conn_id, seq, &Response::Overloaded);
-            }
+            self.shed(waiters, Metric::ShedsAtAdmission);
             return;
         }
         if let Some(assign) = self.plan_remote(&key) {
@@ -1117,55 +1082,33 @@ impl Reactor {
         }
         let group = self.next_group;
         self.next_group += 1;
-        let slot: Arc<Mutex<Option<Response>>> = Arc::new(Mutex::new(None));
-        let job = {
-            let slot = Arc::clone(&slot);
+        let work = {
             let telemetry = Arc::clone(&self.telemetry);
             let sched = Arc::clone(&self.sched);
-            Box::new(move || {
-                // Contained so a crash becomes an explicit error reply;
-                // the pool's own catch_unwind is the backstop.
-                let reply = catch_unwind(AssertUnwindSafe(|| {
+            move || {
+                contained(&telemetry, || {
                     run_race(&telemetry, &sched, key.widx, key.deadline_ms, key.arg)
-                }))
-                .unwrap_or_else(|_| {
-                    telemetry.on_error();
-                    Response::Error {
-                        message: "internal error: race panicked".to_owned(),
-                    }
-                });
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(reply);
-            })
+                })
+            }
         };
-        let notify = {
-            let shared = Arc::clone(&self.shared);
-            Box::new(move || {
-                // An empty slot means the pool dropped the job unrun
-                // (injected `Fail` fault, worker killed mid-job) —
-                // answer rather than strand the waiters.
-                let reply = slot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .unwrap_or(Response::Error {
-                        message: "worker lost".to_owned(),
-                    });
-                shared.post(group, reply);
-            })
-        };
+        let shared = Arc::clone(&self.shared);
+        let done = move |reply| shared.post(group, or_worker_lost(reply));
         let meta = self.job_meta(key.widx, key.deadline_ms);
-        match self.pool.try_submit_notify_at(job, notify, meta) {
+        match self.pool.try_submit_work_at(meta, work, done) {
             Ok(()) => {
                 self.telemetry.add(Metric::Accepted, 1);
                 self.groups.insert(group, waiters);
             }
-            Err(_) => {
-                // Shed: every waiter gets its own Overloaded reply.
-                for (conn_id, seq) in waiters {
-                    self.telemetry.add(Metric::Shed, 1);
-                    self.fulfill(conn_id, seq, &Response::Overloaded);
-                }
-            }
+            Err(_) => self.shed(waiters, Metric::Shed),
+        }
+    }
+
+    /// Sheds a race that will not run: every waiter gets its own
+    /// `Overloaded` reply, counted under `metric`.
+    fn shed(&mut self, waiters: Vec<Waiter>, metric: Metric) {
+        for (conn_id, seq) in waiters {
+            self.telemetry.add(metric, 1);
+            self.fulfill(conn_id, seq, &Response::Overloaded);
         }
     }
 
@@ -1183,16 +1126,15 @@ impl Reactor {
     /// race stays entirely local and pays nothing for the peer plane.
     fn plan_remote(&self, key: &BatchKey) -> Option<Vec<Option<String>>> {
         let spec = workload::CATALOG.get(key.widx)?;
-        let up = self.plane.handle.stats().up_peers();
+        let up = self.plane.races.peers.stats().up_peers();
         if up.is_empty() {
             return None;
         }
         // What actually crosses the wire per shipped alternative: the
         // EXEC_ALT frame (fixed header + workload + origin strings).
-        let frame_bytes = (33 + spec.name.len() + self.plane.advertise.len()) as u64;
+        let frame_bytes = (33 + spec.name.len() + self.plane.races.advertise.len()) as u64;
         self.plane.placement.assign(
             key.widx,
-            spec.alternatives(),
             frame_bytes,
             &up,
             self.pool.queued(),
@@ -1225,68 +1167,48 @@ impl Reactor {
         // currently up. A voter dying mid-race counts as a denial.
         let voters: Vec<String> = self
             .plane
-            .handle
+            .races
+            .peers
             .stats()
             .up_peers()
             .into_iter()
             .map(|p| p.addr)
             .collect();
-        let race_id = self.plane.races.create(
-            self.shard_idx,
+        let spec = RaceSpec {
+            shard: self.shard_idx,
             group,
-            key.widx,
-            key.arg,
-            key.deadline_ms,
-            token.clone(),
-            remotes.clone(),
-            voters,
-        );
+            widx: key.widx,
+            arg: key.arg,
+            deadline_ms: key.deadline_ms,
+            local_cancel: token.clone(),
+        };
+        let race_id = self.plane.races.create(spec, remotes.clone(), voters);
         let skip: Vec<bool> = assign.iter().map(Option::is_some).collect();
-        let slot: Arc<Mutex<Option<Response>>> = Arc::new(Mutex::new(None));
-        let job = {
-            let slot = Arc::clone(&slot);
+        let work = {
             let telemetry = Arc::clone(&self.telemetry);
             let sched = Arc::clone(&self.sched);
-            Box::new(move || {
-                let reply = catch_unwind(AssertUnwindSafe(|| {
+            move || {
+                contained(&telemetry, || {
                     run_subrace(&telemetry, &sched, key.widx, key.arg, &token, &skip)
-                }))
-                .unwrap_or_else(|_| {
-                    telemetry.on_error();
-                    Response::Error {
-                        message: "internal error: race panicked".to_owned(),
-                    }
-                });
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(reply);
-            })
+                })
+            }
         };
         // The local outcome feeds the registry, not the reply group:
         // the registry answers the group once, at commit or failure.
-        let notify = {
-            let races = Arc::clone(&self.plane.races);
-            Box::new(move || {
-                let reply = slot
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take()
-                    .unwrap_or(Response::Error {
-                        message: "worker lost".to_owned(),
-                    });
-                races.on_local_done(race_id, reply);
-            })
-        };
+        let races = Arc::clone(&self.plane.races);
+        let done = move |reply| races.step(race_id, Event::LocalDone(or_worker_lost(reply)));
         let meta = self.job_meta(key.widx, key.deadline_ms);
-        match self.pool.try_submit_notify_at(job, notify, meta) {
+        match self.pool.try_submit_work_at(meta, work, done) {
             Ok(()) => {
                 self.telemetry.add(Metric::Accepted, 1);
                 self.groups.insert(group, waiters);
                 let spec = &workload::CATALOG[key.widx];
                 for (alt_idx, peer) in remotes {
                     self.telemetry.add(Metric::RemoteDispatched, 1);
-                    if let Some(stat) = self.plane.handle.stats().by_addr(&peer) {
+                    if let Some(stat) = self.plane.races.peers.stats().by_addr(&peer) {
                         stat.note_dispatched();
                     }
-                    self.plane.handle.send(
+                    self.plane.races.peers.send(
                         &peer,
                         Request::ExecAlt {
                             race_id,
@@ -1294,18 +1216,15 @@ impl Reactor {
                             deadline_ms: key.deadline_ms,
                             arg: key.arg,
                             workload: spec.name.to_owned(),
-                            origin: self.plane.advertise.clone(),
+                            origin: self.plane.races.advertise.clone(),
                         },
                         SendTag::ExecAlt { race_id, alt_idx },
                     );
                 }
             }
             Err(_) => {
-                self.plane.races.abort(race_id);
-                for (conn_id, seq) in waiters {
-                    self.telemetry.add(Metric::Shed, 1);
-                    self.fulfill(conn_id, seq, &Response::Overloaded);
-                }
+                self.plane.races.table().abort(race_id);
+                self.shed(waiters, Metric::Shed);
             }
         }
     }
@@ -1321,6 +1240,11 @@ impl Reactor {
             conn.fulfill(seq, ReplyFrame::Own(reply));
             self.flush(id, false);
         }
+    }
+
+    /// [`Reactor::fulfill`] with a `Text` reply.
+    fn fulfill_text(&mut self, id: u64, seq: u64, body: impl Into<String>) {
+        self.fulfill(id, seq, &Response::Text { body: body.into() });
     }
 
     /// Queues one last reply, stops reading, and lets the drain logic
@@ -1380,6 +1304,26 @@ impl Reactor {
     }
 }
 
+/// Runs a race body contained, so a crash becomes an explicit error
+/// reply; the pool's own `catch_unwind` is the backstop.
+fn contained(telemetry: &Telemetry, race: impl FnOnce() -> Response) -> Response {
+    catch_unwind(AssertUnwindSafe(race)).unwrap_or_else(|_| {
+        telemetry.on_error();
+        Response::Error {
+            message: "internal error: race panicked".to_owned(),
+        }
+    })
+}
+
+/// The reply a race job owes its waiters: its own, or — when the pool
+/// dropped the job unrun (injected `Fail` fault, worker killed mid-job,
+/// shutdown sweep) — an answer rather than stranded waiters.
+fn or_worker_lost(reply: Option<Response>) -> Response {
+    reply.unwrap_or(Response::Error {
+        message: "worker lost".to_owned(),
+    })
+}
+
 /// The acceptor loop — the **fallback** front door for sharded mode on
 /// platforms without `SO_REUSEPORT` (per-shard listeners are the
 /// primary path): polls the listener plus its own wake pipe, accepts
@@ -1390,7 +1334,7 @@ impl Reactor {
 /// no locks beyond the one push into the chosen shard's inbox.
 pub(crate) fn run_acceptor(
     listener: TcpListener,
-    mut wake_rx: TcpStream,
+    mut wake_rx: WakeRx,
     ctl: Arc<DaemonCtl>,
     shards: Vec<Arc<ReactorShared>>,
 ) {
@@ -1405,8 +1349,7 @@ pub(crate) fn run_acceptor(
             continue;
         }
         if fds[0].revents != 0 {
-            let mut sink = [0u8; 64];
-            while matches!(wake_rx.read(&mut sink), Ok(n) if n > 0) {}
+            wake_rx.drain();
         }
         if fds[1].revents & POLLIN == 0 {
             continue;

@@ -217,7 +217,7 @@ impl HedgePolicy {
         // first request is always a full race.
         let tick = self.ticks[widx].fetch_add(1, Ordering::Relaxed);
         let explore_every = self.config.explore_every.max(2);
-        if tick % explore_every == 0 {
+        if tick.is_multiple_of(explore_every) {
             return (LaunchPlan::immediate(n_alts), None);
         }
         let total_wins = table.total_wins();

@@ -35,9 +35,8 @@
 //! outlives the drain (the crew's racers are the process's, not the
 //! daemon's; idle ones are gone half a second later).
 
-use crate::commit::CommitLedger;
 use crate::frame::{Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};
-use crate::peer::{PeerConfig, PeerNet, PeerPlane, PeerStatsTable};
+use crate::peer::{PeerConfig, PeerHandle, PeerNet, PeerPlane, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING, DEFAULT_SPIN};
 use crate::reactor::{bind_reuseport, run_acceptor, wake_pair, DaemonCtl, Reactor};
@@ -275,7 +274,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         Arc::clone(sched.catalog()),
     ));
     let lanes = Arc::new(config.lanes.clone());
-    let ctl = Arc::new(DaemonCtl::new(n_shards));
 
     // The peer plane exists even with no peers configured: this node
     // may still be asked to *execute* shipped alternatives, and the
@@ -289,33 +287,27 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         .unwrap_or_else(|| addr.to_string());
     let peer_stats = Arc::new(PeerStatsTable::new(&config.peer.peers));
     telemetry.attach_peers(Arc::clone(&peer_stats));
-    let ledger = Arc::new(CommitLedger::new());
+    let (peer_handle, peer_wake_rx) = PeerHandle::new(Arc::clone(&peer_stats))?;
+    let ctl = Arc::new(DaemonCtl::new(n_shards, Arc::clone(&peer_handle)));
     let races = Arc::new(RemoteRaces::new(
         Arc::clone(&telemetry),
         Arc::clone(&sched),
-        Arc::clone(&ledger),
-        advertise.clone(),
+        Arc::clone(&pool),
+        peer_handle,
+        Arc::clone(&ctl),
+        advertise,
     ));
-    let (peernet, peer_handle) = PeerNet::new(
-        Arc::clone(&peer_stats),
+    let peernet = PeerNet::new(
+        peer_wake_rx,
         Arc::clone(&races),
-        Arc::clone(&ledger),
         Arc::clone(&ctl),
         Arc::clone(&telemetry),
-        advertise.clone(),
         &config.peer,
-    )?;
-    ctl.wire_peer_wake(peer_handle.clone_waker()?);
-    races.wire_peers(Arc::clone(&peer_handle));
-    races.wire_pool(Arc::clone(&pool));
-    races.wire_self(&races);
+    );
     let plane = Arc::new(PeerPlane {
-        handle: peer_handle,
         races: Arc::clone(&races),
-        ledger,
-        inflight: Arc::new(InflightRemote::new()),
+        inflight: InflightRemote::default(),
         placement: Placement::new(config.peer.explore_every),
-        advertise,
     });
 
     // Each reactor takes its own listener (single-shard or reuseport)
@@ -345,7 +337,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         shard_stats.push(stats);
     }
     ctl.wire_shards(shareds.clone());
-    races.wire_shards(shareds.clone());
     telemetry.attach_shards(shard_stats);
 
     let mut threads = Vec::with_capacity(n_shards + 2);

@@ -11,7 +11,7 @@
 use altx_serve::frame::{read_frame, write_frame, Request, Response};
 use altx_serve::server::{start, ServerConfig, ServerHandle};
 use altx_serve::telemetry::Metric;
-use altx_serve::{Client, PeerConfig};
+use altx_serve::{workload, Client, PeerConfig};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -69,7 +69,18 @@ fn remote_alternatives_win_races_across_the_mesh() {
     let mut ok = 0u64;
     for arg in 0..200u64 {
         match client.run("lognormal", arg, 0).expect("reply") {
-            Response::Ok { .. } => ok += 1,
+            // Transparency: a winner answers under the catalog's name
+            // for the alternative, on whichever node it ran — the
+            // remote wins asserted below are among these replies.
+            Response::Ok {
+                winner,
+                winner_name,
+                ..
+            } => {
+                let spec = workload::spec("lognormal").expect("catalog entry");
+                assert_eq!(winner_name, spec.alt_names[winner as usize]);
+                ok += 1;
+            }
             Response::Overloaded => {}
             other => panic!("unexpected reply: {other:?}"),
         }

@@ -19,6 +19,28 @@ cargo test -q --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo clippy -D warnings (cluster crates: serve, consensus, cluster)"
+cargo clippy --offline -p altx-serve -p altx-consensus -p altx-cluster -- -D warnings
+
+# The race registry's core is a pure step(event, now) -> actions
+# machine, so the interleaving is a seed: 2 500 seeded schedules of
+# everything that can happen to a distributed race, judged by the
+# actions alone. A failure prints the altx_check seed that replays it.
+echo "==> race-registry schedule property (2500 seeded interleavings, virtual time)"
+cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_admissible_reply
+
+# E10 runs on the same VoteSlot/Tally the daemon commits with; its
+# committed output pins the simulator's behaviour byte for byte.
+echo "==> exp_consensus vs the committed E10 block of experiments_output.txt"
+cargo build --release -q -p altx-bench --bin exp_consensus
+diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
+            found && /^=====/ { exit }
+            found' experiments_output.txt | sed '$d') \
+    <(./target/release/exp_consensus) || {
+    echo "exp_consensus no longer prints the committed E10 block" >&2
+    exit 1
+}
+
 # The engine's claim protocol and the two suites that used to assert a
 # particular winner of a nondeterministic race: gated as "0 failures in
 # N", because a concurrency bug that fires one run in ten passes a
