@@ -16,8 +16,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The signature of an alternative's body: compute on a private COW fork
-/// of the workspace, poll the token, return `Some(result)` iff the guard
-/// is satisfied.
+/// of the workspace, honour the token — poll
+/// [`checkpoint`](CancelToken::checkpoint) while computing, block in
+/// [`sleep`](CancelToken::sleep) when waiting, so elimination wakes the
+/// body — and return `Some(result)` iff the guard is satisfied.
 pub type AltFn<R> = dyn Fn(&mut AddressSpace, &CancelToken) -> Option<R> + Send + Sync;
 
 /// One named alternative.

@@ -2,25 +2,56 @@
 //!
 //! Sibling elimination (§3.2.1) for real threads: Rust cannot safely kill
 //! a thread, so losing alternatives are *asked* to stop via a shared
-//! [`CancelToken`] that well-behaved bodies poll. The token is cheap
-//! enough to check inside inner loops.
+//! [`CancelToken`]. A body finds out in one of two ways, depending on
+//! what it is doing. A body that **computes** polls:
+//! [`CancelToken::checkpoint`] is one atomic load (plus a clock read if
+//! the token has a deadline), cheap enough for inner loops. A body that
+//! **waits** — for a timer, a back-off, a modelled service time — blocks
+//! in [`CancelToken::sleep`], and [`CancelToken::cancel`] wakes it: the
+//! elimination is a signal delivered to the sleeper, not a flag it has
+//! to come back and look at.
 //!
 //! A token may additionally carry a **deadline** — the real-time analogue
 //! of the paper's `alt_wait(timeout)`: once the deadline passes, every
 //! observer of the token sees it as cancelled, so a race whose budget is
 //! blown converts into an explicit failure instead of a late answer.
+//! Nobody signals a deadline; a sleeper simply never waits past it.
 //! [`CancelToken::deadline_expired`] distinguishes "lost the race" from
 //! "ran out of time", which `altx-serve` maps to its `DeadlineExceeded`
 //! reply.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// What the clones of one token share.
+#[derive(Debug, Default)]
+struct Shared {
+    flag: AtomicBool,
+    /// How many threads are blocked in [`CancelToken::sleep`]. A sleeper
+    /// checks `flag` and starts waiting under this lock, and `cancel`
+    /// takes it after setting `flag`, so a canceller either finds the
+    /// sleeper counted or the sleeper finds the flag set — and with
+    /// nobody counted, `cancel` has nobody to notify and skips the
+    /// syscall that `notify_all` is.
+    sleepers: Mutex<usize>,
+    wake: Condvar,
+}
+
+impl Shared {
+    /// Only the counter is updated under this lock, so a poisoned guard
+    /// still protects a consistent value.
+    fn sleepers(&self) -> MutexGuard<'_, usize> {
+        self.sleepers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// A shared cancellation flag, optionally with a deadline. Cloning
 /// shares the underlying flag (and deadline).
 ///
 /// # Example
+///
+/// A body that computes polls the token:
 ///
 /// ```
 /// use altx::CancelToken;
@@ -32,9 +63,27 @@ use std::time::{Duration, Instant};
 /// assert!(observer.is_cancelled());
 /// assert_eq!(observer.checkpoint(), None);
 /// ```
+///
+/// A body that waits blocks on the token, and is woken by the
+/// cancellation instead of sleeping its time out:
+///
+/// ```
+/// use altx::CancelToken;
+/// use std::time::{Duration, Instant};
+///
+/// let token = CancelToken::new();
+/// assert!(token.sleep(Duration::from_millis(1)), "nobody cancelled: the full time elapsed");
+///
+/// let loser = token.clone();
+/// let start = Instant::now();
+/// let body = std::thread::spawn(move || loser.sleep(Duration::from_secs(60)));
+/// token.cancel();
+/// assert!(!body.join().unwrap(), "cancelled: the wait was cut short");
+/// assert!(start.elapsed() < Duration::from_secs(30));
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    flag: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     deadline: Option<Instant>,
 }
 
@@ -47,16 +96,13 @@ impl CancelToken {
     /// Creates a token that auto-cancels once `budget` has elapsed
     /// (measured from now).
     pub fn with_deadline(budget: Duration) -> Self {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: Some(Instant::now() + budget),
-        }
+        CancelToken::with_deadline_at(Instant::now() + budget)
     }
 
     /// Creates a token that auto-cancels at `deadline`.
     pub fn with_deadline_at(deadline: Instant) -> Self {
         CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
+            shared: Arc::default(),
             deadline: Some(deadline),
         }
     }
@@ -73,9 +119,18 @@ impl CancelToken {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Requests cancellation (idempotent).
+    /// Requests cancellation (idempotent) and wakes every thread blocked
+    /// in [`sleep`](Self::sleep) on this token or a clone of it.
+    ///
+    /// With nobody sleeping this is one store and one uncontended lock:
+    /// no syscall.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
+        self.shared.flag.store(true, Ordering::Release);
+        let sleeping = *self.shared.sleepers();
+        // Notified off the lock: a woken sleeper's first act is to take it.
+        if sleeping > 0 {
+            self.shared.wake.notify_all();
+        }
     }
 
     /// True iff the deadline (if any) has passed.
@@ -89,13 +144,51 @@ impl CancelToken {
 
     /// True iff cancellation was requested or the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire) || self.deadline_expired()
+        self.shared.flag.load(Ordering::Acquire) || self.deadline_expired()
     }
 
     /// `Some(())` while running, `None` once cancelled — lets bodies bail
     /// out of loops with `token.checkpoint()?`.
     pub fn checkpoint(&self) -> Option<()> {
         (!self.is_cancelled()).then_some(())
+    }
+
+    /// Blocks the calling thread for `total`, or until the token is
+    /// cancelled or its deadline passes, whichever comes first. Returns
+    /// `true` iff the whole time elapsed with the token still live;
+    /// `false` means the wait was cut short (or never started) and the
+    /// alternative should fail instead of pretending it finished.
+    ///
+    /// This is how a body *waits*: [`cancel`](Self::cancel) wakes it, so
+    /// an eliminated sleeper returns when the race is decided, not at the
+    /// end of a polling interval.
+    pub fn sleep(&self, total: Duration) -> bool {
+        let mut now = Instant::now();
+        // A time too far off to represent is waited for like "forever".
+        let end = now.checked_add(total);
+        let wake_at = [end, self.deadline].into_iter().flatten().min();
+        let mut sleepers = self.shared.sleepers();
+        *sleepers += 1;
+        let elapsed = loop {
+            // Re-checked after every wake-up, so a spurious one only
+            // goes round again.
+            if self.shared.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| now >= d) {
+                break false;
+            }
+            if end.is_some_and(|end| now >= end) {
+                break true;
+            }
+            let timeout = wake_at.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+            sleepers = self
+                .shared
+                .wake
+                .wait_timeout(sleepers, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            now = Instant::now();
+        };
+        *sleepers -= 1;
+        elapsed
     }
 }
 
@@ -214,5 +307,139 @@ mod tests {
             assert_eq!(t.remaining(), Some(Duration::ZERO));
         }
         assert!(t.deadline_expired());
+    }
+
+    /// How long after a `cancel()` a sleeper may still be asleep before a
+    /// test calls the wake-up lost. Generous: it only has to tell a
+    /// scheduling hiccup from sleeping the remaining seconds out.
+    const WOKEN_WITHIN: Duration = Duration::from_millis(100);
+
+    /// Blocks until `n` threads are waiting in `sleep` on `token`.
+    fn until_asleep(token: &CancelToken, n: usize) {
+        while *token.shared.sleepers() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn sleep_runs_its_full_time_when_nobody_cancels() {
+        let t = CancelToken::new();
+        let start = Instant::now();
+        assert!(t.sleep(Duration::from_millis(20)));
+        assert!(start.elapsed() >= Duration::from_millis(20));
+        assert!(!t.is_cancelled(), "sleeping does not cancel");
+        assert_eq!(*t.shared.sleepers(), 0, "the sleeper signed off");
+    }
+
+    #[test]
+    fn sleep_returns_at_once_when_there_is_nothing_to_wait_for() {
+        let long = Duration::from_secs(10);
+        let start = Instant::now();
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        assert!(!cancelled.sleep(long), "pre-cancelled");
+        assert!(!cancelled.sleep(Duration::ZERO), "cancelled beats elapsed");
+        assert!(
+            !CancelToken::with_deadline_at(Instant::now()).sleep(long),
+            "past deadline"
+        );
+        assert!(
+            CancelToken::new().sleep(Duration::ZERO),
+            "zero time on a live token has elapsed"
+        );
+        assert!(
+            CancelToken::with_deadline(long).sleep(Duration::ZERO),
+            "a deadline still ahead does not fail a zero wait"
+        );
+        assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn cancel_wakes_every_sleeper() {
+        let t = CancelToken::new();
+        let sleepers: Vec<_> = (0..4)
+            .map(|_| {
+                let t = t.clone();
+                std::thread::spawn(move || (t.sleep(Duration::from_secs(10)), Instant::now()))
+            })
+            .collect();
+        until_asleep(&t, 4);
+        let cancelled_at = Instant::now();
+        t.cancel();
+        for s in sleepers {
+            let (elapsed, woke_at) = s.join().expect("sleeper joins");
+            assert!(!elapsed, "a cancelled wait reports it was cut short");
+            let late = woke_at.saturating_duration_since(cancelled_at);
+            assert!(late < WOKEN_WITHIN, "woke {late:?} after the cancel");
+        }
+        assert_eq!(*t.shared.sleepers(), 0);
+    }
+
+    #[test]
+    fn sleeper_leaves_at_the_deadline_not_at_its_own_end() {
+        let t = CancelToken::with_deadline(Duration::from_millis(20));
+        let start = Instant::now();
+        assert!(!t.sleep(Duration::from_secs(10)));
+        let took = start.elapsed();
+        assert!(took >= Duration::from_millis(20), "left early: {took:?}");
+        assert!(took < Duration::from_millis(20) + WOKEN_WITHIN, "{took:?}");
+        assert!(t.deadline_expired());
+    }
+
+    #[test]
+    fn unrepresentable_wait_is_still_cut_short() {
+        let t = CancelToken::new();
+        let u = t.clone();
+        let sleeper = std::thread::spawn(move || u.sleep(Duration::MAX));
+        until_asleep(&t, 1);
+        t.cancel();
+        assert!(!sleeper.join().expect("sleeper joins"));
+    }
+
+    /// The wake-up is the contract: whatever the order and spacing of a
+    /// sleeper going to sleep and a canceller cancelling, no sleeper
+    /// outlives the cancel. A lost wake-up shows as a sleeper that sat its
+    /// whole time out, and the failing schedule is the seed printed.
+    #[test]
+    fn no_schedule_loses_the_wake_up() {
+        use std::sync::Barrier;
+        altx_check::check("no_schedule_loses_the_wake_up", 600, |rng| {
+            let sleepers = rng.usize_in(1, 4);
+            let gap = Duration::from_micros(rng.u64_below(301));
+            let sleeper_first = rng.bool();
+            let spin = |d: Duration| {
+                let until = Instant::now() + d;
+                while Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+            };
+            let token = CancelToken::new();
+            let go = Barrier::new(sleepers + 1);
+            std::thread::scope(|scope| {
+                let woken: Vec<_> = (0..sleepers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            go.wait();
+                            if !sleeper_first {
+                                spin(gap);
+                            }
+                            (token.sleep(Duration::from_secs(2)), Instant::now())
+                        })
+                    })
+                    .collect();
+                go.wait();
+                if sleeper_first {
+                    spin(gap);
+                }
+                let cancelled_at = Instant::now();
+                token.cancel();
+                for w in woken {
+                    let (elapsed, woke_at) = w.join().expect("sleeper joins");
+                    assert!(!elapsed, "slept 2 s through a cancel");
+                    let late = woke_at.saturating_duration_since(cancelled_at);
+                    assert!(late < WOKEN_WITHIN, "outlived the cancel by {late:?}");
+                }
+            });
+        });
     }
 }

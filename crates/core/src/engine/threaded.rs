@@ -25,10 +25,15 @@ use std::time::Instant;
 /// sibling the decision reaches while it is still waiting to be claimed
 /// is eliminated where it waits and costs neither a fork nor a thread.
 ///
-/// Losing alternatives are *asked* to stop via the [`CancelToken`]; the
-/// engine still waits for every body that started before returning (Rust
-/// threads cannot be killed), so bodies that never poll the token delay
-/// the return without affecting which result is selected.
+/// Losing alternatives are eliminated through the [`CancelToken`]: the
+/// first success cancels it, which wakes every body blocked in
+/// [`CancelToken::sleep`] and is seen by every body that polls
+/// [`CancelToken::checkpoint`] while it computes. The engine still waits
+/// for every body that started before returning (Rust threads cannot be
+/// killed), so a body that waits costs the race a wake-up, while a body
+/// that computes without polling — or blocks somewhere the token cannot
+/// reach — delays the return, without affecting which result is
+/// selected.
 ///
 /// Progress never depends on the crew: once its inline body returns, the
 /// caller itself claims whatever is still waiting — due alternatives at
@@ -186,12 +191,18 @@ impl<R: Send + 'static> Race<R> {
             Some(value) if state.winner.is_none() => {
                 state.winner = Some((i, value, fork));
                 // Sibling elimination at the source: the first success to
-                // reach the slot decides the race, and it cancels and
-                // reclaims *before* its own claim is released below — a
+                // reach the slot decides the race, and it reclaims and
+                // cancels *before* its own claim is released below — a
                 // thread that finds room to claim again can only find the
-                // race already decided.
-                self.token.cancel();
+                // race already decided, and the caller cannot see the
+                // race over with the token still live.
                 state.suppress_pending();
+                // The cancel wakes the losers that are waiting on the
+                // token, and what each of them does next is take this
+                // lock to record its outcome: signal them off it.
+                drop(state);
+                self.token.cancel();
+                state = self.lock();
                 None
             }
             // A success that lost to an earlier one; dropped off the lock.
@@ -428,15 +439,9 @@ mod tests {
         AddressSpace::zeroed(256, PageSize::new(16))
     }
 
-    /// A body that sleeps in small, cancellable steps.
+    /// A body that waits on its token, so elimination wakes it.
     fn sleepy(total_ms: u64) -> impl Fn(&CancelToken) -> Option<()> {
-        move |token: &CancelToken| {
-            for _ in 0..total_ms {
-                token.checkpoint()?;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Some(())
-        }
+        move |token: &CancelToken| token.sleep(Duration::from_millis(total_ms)).then_some(())
     }
 
     #[test]
@@ -452,6 +457,37 @@ mod tests {
         assert_eq!(r.attempts, 2);
         // Cooperative cancellation means we return long before 200 ms.
         assert!(r.wall < Duration::from_millis(150), "wall {:?}", r.wall);
+    }
+
+    #[test]
+    fn elimination_wakes_a_waiting_loser() {
+        use std::sync::Barrier;
+        // The loser would wait ten seconds; the decision, not a timer,
+        // is what ends its wait — and the engine, which waits for every
+        // body that started, returns right behind it. The barrier makes
+        // sure the loser did start.
+        let slow = sleepy(10_000);
+        let fast = sleepy(1);
+        let both = Arc::new(Barrier::new(2));
+        let started = both.clone();
+        let block: AltBlock<&'static str> = AltBlock::new()
+            .alternative("fast", move |_w, t| {
+                both.wait();
+                fast(t).map(|_| "fast")
+            })
+            .alternative("slow", move |_w, t| {
+                started.wait();
+                slow(t).map(|_| "slow")
+            });
+        let token = CancelToken::new();
+        let r = ThreadedEngine::new().execute_with_token(&block, &mut ws(), &token);
+        assert_eq!(r.value, Some("fast"));
+        assert_eq!(r.winner, Some(0));
+        assert!(r.wall < Duration::from_millis(100), "wall {:?}", r.wall);
+        assert_eq!(r.suppressed, 0, "both bodies started");
+        assert_eq!(r.panics, 0);
+        assert!(token.is_cancelled(), "the decision cancelled the token");
+        assert!(!token.deadline_expired());
     }
 
     #[test]

@@ -567,9 +567,10 @@ impl Drop for InstallGuard {
 ///
 /// With no plan installed this is one relaxed atomic load. Otherwise:
 /// `Panic` faults panic right here (the caller's containment layer must
-/// absorb it), `Delay` sleeps and continues, `Cancel` cancels `token`
-/// (if one was passed) and continues, and `Fail` is returned as
-/// [`Verdict::Fail`] for the caller to act on.
+/// absorb it), `Delay` sleeps — on `token` if one was passed, so a
+/// cancellation or the deadline cuts the delay short — and continues,
+/// `Cancel` cancels `token` (if one was passed) and continues, and
+/// `Fail` is returned as [`Verdict::Fail`] for the caller to act on.
 #[inline]
 pub fn inject(site: &str, token: Option<&CancelToken>) -> Verdict {
     if !enabled() {
@@ -606,7 +607,14 @@ fn inject_slow(site: &str, token: Option<&CancelToken>) -> Verdict {
         None => Verdict::Continue,
         Some(Fault::Panic) => panic!("altx-faults: injected panic at {site}"),
         Some(Fault::Delay(d)) => {
-            std::thread::sleep(d);
+            // A stall, not a verdict: with a token the stalled site is
+            // still woken by the decision or the deadline it runs under.
+            match token {
+                Some(t) => {
+                    t.sleep(d);
+                }
+                None => std::thread::sleep(d),
+            }
             Verdict::Continue
         }
         Some(Fault::Cancel) => {

@@ -277,14 +277,11 @@ mod tests {
 
     #[test]
     fn concurrent_is_fastest_first_among_acceptable() {
-        // Two acceptable alternates; the slow one sleeps cancellably.
+        // Two acceptable alternates; the slow one waits on the token, so
+        // the fast one's acceptance wakes it.
         let block: RecoveryBlock<&'static str> = RecoveryBlock::new(|_r, _ws| true)
             .alternate("slow", |_w, t| {
-                for _ in 0..200 {
-                    t.checkpoint()?;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Some("slow")
+                t.sleep(Duration::from_millis(200)).then_some("slow")
             })
             .alternate("fast", |_w, _t| Some("fast"));
         let out = block.run_concurrent(&mut ws());

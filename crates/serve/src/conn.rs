@@ -114,8 +114,11 @@ impl Conn {
         })
     }
 
-    /// Reads until the socket would block (or EOF), returning every
+    /// Reads until the socket is drained (or EOF), returning every
     /// complete frame that became available in pool-recycled buffers.
+    /// A short read is a drained socket: the poll is level-triggered, so
+    /// bytes that land after it — or the EOF behind them — are reported
+    /// again, and asking once more now could only answer `WouldBlock`.
     /// `Err` means the transport itself failed and the connection is
     /// unsalvageable.
     pub(crate) fn on_readable(&mut self, pool: &mut BufPool) -> io::Result<ReadOutcome> {
@@ -126,7 +129,12 @@ impl Conn {
                     self.read_closed = true;
                     break;
                 }
-                Ok(n) => self.decoder.extend(&buf[..n]),
+                Ok(n) => {
+                    self.decoder.extend(&buf[..n]);
+                    if n < buf.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),

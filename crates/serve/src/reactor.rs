@@ -400,13 +400,15 @@ impl WakeTx {
 pub(crate) struct WakeRx(TcpStream);
 
 impl WakeRx {
-    /// Empties the self-pipe, however many wake bytes piled up.
+    /// Empties the self-pipe, however many wake bytes piled up. A short
+    /// read emptied it; a byte written after that is polled again.
     pub(crate) fn drain(&mut self) {
         let mut sink = [0u8; 256];
         loop {
             match self.0.read(&mut sink) {
-                Ok(0) => break, // every tx gone: shutdown is near
-                Ok(_) => continue,
+                Ok(n) if n == sink.len() => continue,
+                // Drained — or 0: every tx gone, shutdown is near.
+                Ok(_) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // WouldBlock: drained
             }

@@ -4,16 +4,18 @@
 //! mutually exclusive ways of producing one `u64`. The request's `arg`
 //! parameterizes the block (problem size or RNG seed), so repeated
 //! requests explore the workload's latency distribution rather than one
-//! fixed point. Sleep-based workloads poll their [`CancelToken`] every
-//! 200 µs, so losing siblings and deadline-expired races stop promptly —
-//! the serving-layer analogue of the paper's elimination signal.
+//! fixed point. Sleep-based workloads wait on their [`CancelToken`]
+//! ([`CancelToken::sleep`]): the decision wakes a losing sibling and a
+//! deadline ends the wait of everyone in the race, when it happens — the
+//! serving-layer analogue of the paper's elimination signal. The `prolog`
+//! bodies compute, and only look at the token before they start.
 
 use altx::{AltBlock, CancelToken};
 use altx_bench::TimeDistribution;
 use altx_des::SimRng;
 use altx_prolog::{KnowledgeBase, Solver};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A catalog entry: what a workload is and which alternatives race.
 #[derive(Debug, Clone, Copy)]
@@ -132,24 +134,6 @@ fn wanted(skip: Option<&[bool]>, i: usize) -> bool {
     !skip.is_some_and(|s| s.get(i).copied().unwrap_or(false))
 }
 
-/// Sleeps for `total`, polling the token; `false` means we were
-/// cancelled (race already decided, or deadline blown) and the
-/// alternative should fail instead of pretending it finished.
-fn cancellable_sleep(total: Duration, token: &CancelToken) -> bool {
-    const SLICE: Duration = Duration::from_micros(200);
-    let end = Instant::now() + total;
-    loop {
-        if token.is_cancelled() {
-            return false;
-        }
-        let now = Instant::now();
-        if now >= end {
-            return true;
-        }
-        std::thread::sleep(SLICE.min(end - now));
-    }
-}
-
 /// Two alternatives that answer immediately. The race is decided by
 /// scheduler timing alone; the value is `arg` either way, mirroring the
 /// paper's requirement that alternatives be observably interchangeable.
@@ -178,7 +162,7 @@ fn sampled(arg: u64, n: usize, dist: TimeDistribution, skip: Option<&[bool]>) ->
         let ms = dist.sample(&mut rng).as_millis_f64();
         block = if wanted(skip, i) {
             block.alternative(format!("draw-{i}"), move |ws, token: &CancelToken| {
-                if !cancellable_sleep(Duration::from_secs_f64(ms / 1_000.0), token) {
+                if !token.sleep(Duration::from_secs_f64(ms / 1_000.0)) {
                     return None;
                 }
                 ws.write(0, &[i as u8 + 1]);
@@ -196,7 +180,7 @@ fn sampled(arg: u64, n: usize, dist: TimeDistribution, skip: Option<&[bool]>) ->
 /// back `DeadlineExceeded`, never a value.
 fn sleep_block(arg: u64) -> AltBlock<u64> {
     AltBlock::new().alternative("sleeper", move |_ws, token: &CancelToken| {
-        cancellable_sleep(Duration::from_millis(arg), token).then_some(arg)
+        token.sleep(Duration::from_millis(arg)).then_some(arg)
     })
 }
 
@@ -273,6 +257,7 @@ mod tests {
     use altx::engine::ThreadedEngine;
     use altx::Engine;
     use altx_pager::{AddressSpace, PageSize};
+    use std::time::Instant;
 
     fn ws() -> AddressSpace {
         AddressSpace::zeroed(4096, PageSize::K4)

@@ -100,10 +100,11 @@ fn deadline_exceeded_is_prompt_and_recoverable() {
     let begin = Instant::now();
     match client.run("sleep", 10_000, 50).expect("reply") {
         Response::DeadlineExceeded { latency_us } => {
-            // The race returned close to the 50 ms budget, not the 10 s
-            // sleep; generous bound for loaded CI hosts.
+            // The race returned at the 50 ms budget, not after the 10 s
+            // sleep: the sleeper leaves at the deadline. The bound has
+            // room for a loaded CI host, none for a slept-out body.
             assert!(
-                begin.elapsed() < Duration::from_secs(2),
+                begin.elapsed() < Duration::from_millis(500),
                 "deadline reply took {:?}",
                 begin.elapsed()
             );

@@ -19,8 +19,8 @@ cargo test -q --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -D warnings (cluster crates: serve, consensus, cluster)"
-cargo clippy --offline -p altx-serve -p altx-consensus -p altx-cluster -- -D warnings
+echo "==> cargo clippy -D warnings (core and cluster crates: altx, serve, consensus, cluster)"
+cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster -- -D warnings
 
 # The race registry's core is a pure step(event, now) -> actions
 # machine, so the interleaving is a seed: 2 500 seeded schedules of
@@ -28,6 +28,13 @@ cargo clippy --offline -p altx-serve -p altx-consensus -p altx-cluster -- -D war
 # actions alone. A failure prints the altx_check seed that replays it.
 echo "==> race-registry schedule property (2500 seeded interleavings, virtual time)"
 cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_admissible_reply
+
+# Elimination is a wake-up: whatever the order and spacing of a body
+# going to sleep on its token and the decision cancelling it, the
+# sleeper must not outlive the cancel. 600 seeded orderings on real
+# threads; a lost wake-up prints the altx_check seed of its schedule.
+echo "==> elimination wake-up property (600 seeded sleeper/canceller orderings)"
+cargo test -q -p altx --lib cancel::tests::no_schedule_loses_the_wake_up
 
 # E10 runs on the same VoteSlot/Tally the daemon commits with; its
 # committed output pins the simulator's behaviour byte for byte.
@@ -47,10 +54,11 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 # single run nine times in ten.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the race engine, crew, ring and sched suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, ring and sched suites"
 for i in $(seq 1 "$REPEATS"); do
     {
-        cargo test -q -p altx engine::threaded &&
+        cargo test -q -p altx cancel:: &&
+            cargo test -q -p altx engine::threaded &&
             cargo test -q -p altx --test race_crew &&
             cargo test -q -p altx-serve --test ring --test sched
     } >"$REPEAT_LOG" 2>&1 || {
