@@ -23,9 +23,10 @@
 //!   and per-alternative win rates, served over the same socket as a
 //!   stats page or Prometheus text format.
 //!
-//! Binaries: `altxd` (the daemon) and `altx-load` (a closed-loop load
-//! generator emitting `BENCH_serve_throughput.json`). See the README's
-//! "Serving" section for the wire protocol and a transcript.
+//! Binaries: `altxd` (the daemon) and `altx-load` (an operator's
+//! closed-loop smoke load that prints a summary; the benchmark is
+//! `benchmark/run.sh`). See the README's "Serving" section for the
+//! wire protocol and a transcript.
 //!
 //! The front end is a poll-based **reactor** (`reactor.rs`): one event
 //! loop thread multiplexes every connection over non-blocking sockets,

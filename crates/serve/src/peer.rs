@@ -25,16 +25,20 @@
 //!   guards too ([`crate::remote::RaceTable::peer_down`]).
 //! * Reconnection is automatic with doubling backoff (50 ms → 2 s);
 //!   every successful re-dial after a first connect counts in the
-//!   per-peer `reconnects` counter the load generator scrapes.
+//!   per-peer `reconnects` counter.
 //! * A link that is *up but silent* — the one-way partition TCP keeps
 //!   alive — is caught by the health lifecycle: the thread heartbeats
 //!   every configured link with a `PEER_STATS` frame, and a peer whose
 //!   replies stop ages Up → Suspect → Quarantined
 //!   ([`PeerHealth`]). Placement and voter freezing both read
 //!   [`PeerStatsTable::up_peers`], which only lists healthy peers, so
-//!   a quarantined peer stops receiving alternatives without its TCP
-//!   link being torn down. Heartbeats keep flowing as probes; the
-//!   first reply readmits the peer to Up.
+//!   a Suspect peer stops receiving alternatives without its TCP link
+//!   being torn down. Heartbeats keep flowing as probes; the first
+//!   reply readmits the peer to Up. A link silent long enough to
+//!   quarantine is reset and redialled — the silence may be the
+//!   stream's, not the peer's (a decoder that lost sync answers
+//!   nothing, ever) — once per quarantine span while it stays silent;
+//!   the redial alone readmits nobody.
 //! * On re-dial after a failure the link replays the `ELIMINATE`s that
 //!   were still unacknowledged when it died and sends a `RECONCILE`
 //!   watermark, so a healed peer kills zombie executions instead of
@@ -136,8 +140,8 @@ pub enum PeerHealth {
     /// Silent past the suspicion threshold: no new work is shipped,
     /// but nothing is torn down — a reply restores `Up`.
     Suspect = 1,
-    /// Silent past twice the threshold. Heartbeats keep flowing as
-    /// readmission probes; the first reply restores `Up`.
+    /// Silent past twice the threshold. The link is reset so probes
+    /// flow on a clean stream; the first reply restores `Up`.
     Quarantined = 2,
 }
 
@@ -1015,16 +1019,24 @@ impl PeerNet {
         self.races.drive(|table, now| table.peer_down(addr, now));
     }
 
-    /// The health lifecycle tick: queue heartbeats that are due and age
-    /// silent peers Up → Suspect → Quarantined. Quarantine is entered
-    /// after two silence thresholds; readmission happens in
-    /// `read_link` the moment any reply arrives.
+    /// The health lifecycle tick: queue heartbeats that are due, age
+    /// silent peers Up → Suspect → Quarantined, and reset a link that
+    /// has been up and silent for the whole quarantine span. The reset
+    /// is what makes quarantine an episode: a stream the peer's decoder
+    /// lost sync on (a cut frame whose leftover bytes parse as a legal
+    /// length leaves it waiting inside that length) carries heartbeats
+    /// forever and answers none, so only a fresh connection can bring
+    /// the reply that readmits. The redial itself readmits nobody —
+    /// that still happens in `read_link`, the moment any reply arrives
+    /// — and its silence clock starts over, so a peer that stays silent
+    /// is redialled once per quarantine span, not once per tick.
     fn health_tick(&mut self, now: Instant) {
         if self.heartbeat.is_zero() {
             return;
         }
         let suspect = self.suspect;
         let mut flush: Vec<String> = Vec::new();
+        let mut reset: Vec<String> = Vec::new();
         for (addr, link) in &mut self.links {
             if !link.configured {
                 continue;
@@ -1032,7 +1044,18 @@ impl PeerNet {
             let LinkState::Up(up) = &mut link.state else {
                 continue;
             };
-            if now.duration_since(link.last_hb) >= self.heartbeat {
+            let silent = now.duration_since(link.last_heard);
+            if let Some(stat) = &link.stat {
+                let health = stat.health();
+                let aged = health.aged(silent, suspect);
+                if aged != health {
+                    stat.set_health(aged);
+                }
+            }
+            // The silence that quarantines a healthy peer.
+            if PeerHealth::Up.aged(silent, suspect) == PeerHealth::Quarantined {
+                reset.push(addr.clone());
+            } else if now.duration_since(link.last_hb) >= self.heartbeat {
                 link.last_hb = now;
                 push_frame(
                     up,
@@ -1043,16 +1066,12 @@ impl PeerNet {
                 );
                 flush.push(addr.clone());
             }
-            if let Some(stat) = &link.stat {
-                let health = stat.health();
-                let aged = health.aged(now.duration_since(link.last_heard), suspect);
-                if aged != health {
-                    stat.set_health(aged);
-                }
-            }
         }
         for addr in flush {
             self.flush_link(&addr);
+        }
+        for addr in reset {
+            self.link_down(&addr);
         }
     }
 
@@ -1141,7 +1160,10 @@ fn encode_onto(out: &mut Vec<u8>, req: &Request) {
 ///   the receiver answers both, and the protocol layer must shrug off
 ///   the second reply.
 /// * **truncate** — the frame's tail is cut, desynchronizing the
-///   stream; the receiver closes it and the link dies into redial.
+///   stream. A receiver that finds a malformed body closes it and the
+///   link dies into redial; one whose leftover bytes parse as a legal
+///   length waits inside it and answers nothing, which the health
+///   tick's silent-link reset turns into the same redial.
 fn push_frame(up: &mut UpLink, gen: u64, addr: &str, req: &Request, tag: SendTag) {
     if faults::enabled() {
         match faults::inject_net(&format!("peer.link.{addr}.send")) {

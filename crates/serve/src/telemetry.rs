@@ -4,10 +4,10 @@
 //!
 //! Every scalar metric is declared once, as a row of [`METRICS`]: its
 //! key, STATS label, Prometheus name, kind, help text and where its
-//! value lives. [`Telemetry::snapshot`], [`Telemetry::render_stats`],
-//! [`Telemetry::render_prometheus`] and `altx-load`'s scrape are loops
-//! over that table, so adding a counter is one row plus one
-//! [`Telemetry::add`] call where the event happens.
+//! value lives. [`Telemetry::snapshot`], [`Telemetry::render_stats`]
+//! and [`Telemetry::render_prometheus`] are loops over that table, so
+//! adding a counter is one row plus one [`Telemetry::add`] call where
+//! the event happens.
 //!
 //! Everything on the request path is an atomic increment. Win tallies
 //! live in the scheduler's interned [`CatalogStats`] — indexed atomics
@@ -218,17 +218,6 @@ impl Kind {
     }
 }
 
-/// Whether `altx-load` copies a metric into its JSON report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Report {
-    /// Not reported.
-    No,
-    /// The target daemon's value, as `server_<key>`.
-    Server,
-    /// Summed over the target and every `--peers` node, as `<key>`.
-    Cluster,
-}
-
 /// Where a metric's value is read from when a snapshot is taken.
 #[derive(Clone, Copy)]
 enum Source {
@@ -254,8 +243,7 @@ use Source::{Crew, Faults, Own, Peers, Pool, ShardCount, ShardSum};
 pub struct MetricDef {
     /// The metric this row declares.
     pub metric: Metric,
-    /// Machine name: the `altx-load` JSON field suffix and the name a
-    /// [`Snapshot`] prints under.
+    /// Machine name: the name a [`Snapshot`] prints under.
     pub key: &'static str,
     /// Label that leads the metric's STATS line; scrapers find it by this.
     pub label: &'static str,
@@ -263,8 +251,6 @@ pub struct MetricDef {
     pub prometheus: Option<&'static str>,
     /// Counter or gauge.
     pub kind: Kind,
-    /// Whether and how `altx-load` reports it.
-    pub report: Report,
     /// One-line description (the Prometheus `# HELP` text).
     pub help: &'static str,
     source: Source,
@@ -273,7 +259,7 @@ pub struct MetricDef {
 /// Declares [`Metric`] and [`METRICS`] from one list, so a metric cannot
 /// have a variant without a row or a row without a variant.
 macro_rules! metrics {
-    ($($variant:ident, $key:literal, $label:literal, $prometheus:expr, $kind:ident, $report:ident, $source:expr,
+    ($($variant:ident, $key:literal, $label:literal, $prometheus:expr, $kind:ident, $source:expr,
         $help:literal;)*) => {
         /// Every scalar metric the daemon reports, in STATS-page order.
         /// `Metric as usize` indexes [`METRICS`], a [`Snapshot`] and
@@ -283,8 +269,8 @@ macro_rules! metrics {
             $(#[doc = $help] $variant,)*
         }
 
-        /// The metric table: STATS, Prometheus, [`Snapshot`] and
-        /// `altx-load`'s scrape are all loops over these rows.
+        /// The metric table: STATS, Prometheus and [`Snapshot`] are all
+        /// loops over these rows.
         pub const METRICS: &[MetricDef] = &[
             $(MetricDef {
                 metric: Metric::$variant,
@@ -292,7 +278,6 @@ macro_rules! metrics {
                 label: $label,
                 prometheus: $prometheus,
                 kind: Kind::$kind,
-                report: Report::$report,
                 help: $help,
                 source: $source,
             },)*
@@ -301,97 +286,97 @@ macro_rules! metrics {
 }
 
 metrics! {
-    Accepted, "accepted", "accepted", Some("altxd_requests_accepted_total"), Counter, No, Own,
+    Accepted, "accepted", "accepted", Some("altxd_requests_accepted_total"), Counter, Own,
         "Requests admitted to the run queue";
-    Completed, "completed", "completed", Some("altxd_requests_completed_total"), Counter, No, Own,
+    Completed, "completed", "completed", Some("altxd_requests_completed_total"), Counter, Own,
         "Races completed with a winner";
-    Shed, "shed", "shed (overloaded)", Some("altxd_requests_shed_total"), Counter, No, Own,
+    Shed, "shed", "shed (overloaded)", Some("altxd_requests_shed_total"), Counter, Own,
         "Requests shed by admission control";
-    ShedsAtAdmission, "sheds_at_admission", "sheds at admission", Some("altxd_sheds_at_admission_total"), Counter, Server, Own,
+    ShedsAtAdmission, "sheds_at_admission", "sheds at admission", Some("altxd_sheds_at_admission_total"), Counter, Own,
         "Requests shed by the feasibility gate on arrival";
-    DeadlineExceeded, "deadline_exceeded", "deadline exceeded", Some("altxd_requests_deadline_exceeded_total"), Counter, No, Own,
+    DeadlineExceeded, "deadline_exceeded", "deadline exceeded", Some("altxd_requests_deadline_exceeded_total"), Counter, Own,
         "Races that blew their deadline";
-    DeadlineMisses, "deadline_misses", "deadline misses", Some("altxd_deadline_misses_total"), Counter, Server, Own,
+    DeadlineMisses, "deadline_misses", "deadline misses", Some("altxd_deadline_misses_total"), Counter, Own,
         "Races served with a winner but after their deadline";
-    Steals, "steals", "steals", Some("altxd_steals_total"), Counter, Server, Pool(PoolStats::steals),
+    Steals, "steals", "steals", Some("altxd_steals_total"), Counter, Pool(PoolStats::steals),
         "Jobs a dry worker took from a sibling group's run queue under load";
-    DrainScavenges, "drain_scavenges", "drain scavenges", Some("altxd_drain_scavenges_total"), Counter, Server, Pool(PoolStats::drain_scavenges),
+    DrainScavenges, "drain_scavenges", "drain scavenges", Some("altxd_drain_scavenges_total"), Counter, Pool(PoolStats::drain_scavenges),
         "Jobs scavenged from sibling groups while draining a closed pool";
     // Each shard thread adds one when its own pin took, so this counts
     // pins that happened, not pins that were asked for.
-    PinnedShards, "pinned_shards", "pinned shards", Some("altxd_pinned_shards"), Gauge, Server, Own,
+    PinnedShards, "pinned_shards", "pinned shards", Some("altxd_pinned_shards"), Gauge, Own,
         "Reactor shards pinned to their planned core sets";
-    Errors, "errors", "errors", Some("altxd_requests_error_total"), Counter, No, Own,
+    Errors, "errors", "errors", Some("altxd_requests_error_total"), Counter, Own,
         "Error replies";
-    AltPanics, "alt_panics", "alt panics", Some("altxd_alt_panics_total"), Counter, No, Own,
+    AltPanics, "alt_panics", "alt panics", Some("altxd_alt_panics_total"), Counter, Own,
         "Alternative bodies that panicked and were contained";
-    JobsPanicked, "jobs_panicked", "jobs panicked", Some("altxd_jobs_panicked_total"), Counter, No, Pool(PoolStats::jobs_panicked),
+    JobsPanicked, "jobs_panicked", "jobs panicked", Some("altxd_jobs_panicked_total"), Counter, Pool(PoolStats::jobs_panicked),
         "Pool jobs that panicked and were contained";
-    WorkerRespawns, "worker_respawns", "worker respawns", Some("altxd_worker_respawns_total"), Counter, No, Pool(PoolStats::worker_respawns),
+    WorkerRespawns, "worker_respawns", "worker respawns", Some("altxd_worker_respawns_total"), Counter, Pool(PoolStats::worker_respawns),
         "Dead pool workers replaced by the supervisor";
-    FaultsInjected, "faults_injected", "faults injected", Some("altxd_faults_injected_total"), Counter, No, Faults,
+    FaultsInjected, "faults_injected", "faults injected", Some("altxd_faults_injected_total"), Counter, Faults,
         "Faults injected by the active fault plan";
-    ConnsOpen, "conns_open", "conns open", Some("altxd_conns_open"), Gauge, No, ShardSum(ShardStats::conns_open),
+    ConnsOpen, "conns_open", "conns open", Some("altxd_conns_open"), Gauge, ShardSum(ShardStats::conns_open),
         "Connections currently open on the reactor";
-    ConnsActive, "conns_active", "conns active", Some("altxd_conns_active"), Gauge, No, ShardSum(ShardStats::conns_active),
+    ConnsActive, "conns_active", "conns active", Some("altxd_conns_active"), Gauge, ShardSum(ShardStats::conns_active),
         "Connections with a request in flight";
-    Wakeups, "wakeups", "reactor wakeups", Some("altxd_reactor_wakeups_total"), Counter, No, ShardSum(ShardStats::wakeups),
+    Wakeups, "wakeups", "reactor wakeups", Some("altxd_reactor_wakeups_total"), Counter, ShardSum(ShardStats::wakeups),
         "Reactor self-pipe wakeups from completion posts";
-    Shards, "shards", "shards", Some("altxd_shards"), Gauge, No, ShardCount,
+    Shards, "shards", "shards", Some("altxd_shards"), Gauge, ShardCount,
         "Reactor shards serving the front end";
-    PoolRecycled, "pool_recycled", "pool recycled", Some("altxd_bufpool_recycled_total"), Counter, No, ShardSum(|s| s.buf.recycled()),
+    PoolRecycled, "pool_recycled", "pool recycled", Some("altxd_bufpool_recycled_total"), Counter, ShardSum(|s| s.buf.recycled()),
         "Frame buffers served from a shard free list";
-    PoolMisses, "pool_misses", "pool misses", Some("altxd_bufpool_misses_total"), Counter, No, ShardSum(|s| s.buf.misses()),
+    PoolMisses, "pool_misses", "pool misses", Some("altxd_bufpool_misses_total"), Counter, ShardSum(|s| s.buf.misses()),
         "Frame-buffer requests that had to allocate";
-    RingHits, "ring_hits", "ring hits", Some("altxd_ring_hits_total"), Counter, Server, ShardSum(|s| s.ring.hits()),
+    RingHits, "ring_hits", "ring hits", Some("altxd_ring_hits_total"), Counter, ShardSum(|s| s.ring.hits()),
         "Replies encoded straight into a reply-ring slot";
-    RingSpills, "ring_spills", "ring spills", Some("altxd_ring_spills_total"), Counter, Server, ShardSum(|s| s.ring.spills()),
+    RingSpills, "ring_spills", "ring spills", Some("altxd_ring_spills_total"), Counter, ShardSum(|s| s.ring.spills()),
         "Replies that spilled past the ring to a heap buffer";
-    PolloutSpurious, "pollout_spurious", "pollout spurious", Some("altxd_reactor_pollout_spurious_total"), Counter, No, ShardSum(ShardStats::pollout_spurious),
+    PolloutSpurious, "pollout_spurious", "pollout spurious", Some("altxd_reactor_pollout_spurious_total"), Counter, ShardSum(ShardStats::pollout_spurious),
         "POLLOUT events that found no pending output";
-    BatchesFormed, "batches_formed", "batches formed", Some("altxd_batches_formed_total"), Counter, Server, Own,
+    BatchesFormed, "batches_formed", "batches formed", Some("altxd_batches_formed_total"), Counter, Own,
         "Coalesced request batches submitted as one race";
-    RequestsCoalesced, "requests_coalesced", "requests coalesced", Some("altxd_requests_coalesced_total"), Counter, Server, Own,
+    RequestsCoalesced, "requests_coalesced", "requests coalesced", Some("altxd_requests_coalesced_total"), Counter, Own,
         "Requests that joined an already-open batch";
-    HedgesLaunched, "hedges_launched", "hedges launched", Some("altxd_hedges_launched_total"), Counter, Server, Own,
+    HedgesLaunched, "hedges_launched", "hedges launched", Some("altxd_hedges_launched_total"), Counter, Own,
         "Hedged alternatives whose launch offset elapsed";
-    HedgeWins, "hedge_wins", "hedge wins", Some("altxd_hedge_wins_total"), Counter, Server, Own,
+    HedgeWins, "hedge_wins", "hedge wins", Some("altxd_hedge_wins_total"), Counter, Own,
         "Races won by a hedge-launched alternative";
-    LaunchesSuppressed, "launches_suppressed", "launches suppressed", Some("altxd_launches_suppressed_total"), Counter, Server, Own,
+    LaunchesSuppressed, "launches_suppressed", "launches suppressed", Some("altxd_launches_suppressed_total"), Counter, Own,
         "Alternative bodies suppressed by an early race decision";
-    RacersLive, "racers_live", "racers live", Some("altxd_racers_live"), Gauge, No, Crew(|c| c.live as u64),
+    RacersLive, "racers_live", "racers live", Some("altxd_racers_live"), Gauge, Crew(|c| c.live as u64),
         "Racer threads of the race crew alive right now";
-    RacersSpawned, "racers_spawned", "racers spawned", Some("altxd_racers_spawned_total"), Counter, No, Crew(|c| c.spawned),
+    RacersSpawned, "racers_spawned", "racers spawned", Some("altxd_racers_spawned_total"), Counter, Crew(|c| c.spawned),
         "Racer threads the process-wide race crew has spawned";
-    AlternativesReclaimed, "alternatives_reclaimed", "alternatives reclaimed in queue", Some("altxd_alternatives_reclaimed_total"), Counter, No, Crew(|c| c.reclaimed),
+    AlternativesReclaimed, "alternatives_reclaimed", "alternatives reclaimed in queue", Some("altxd_alternatives_reclaimed_total"), Counter, Crew(|c| c.reclaimed),
         "Alternatives eliminated while still waiting to be claimed";
-    RemoteDispatched, "remote_dispatched", "remote dispatched", Some("altxd_remote_dispatched_total"), Counter, Cluster, Own,
+    RemoteDispatched, "remote_dispatched", "remote dispatched", Some("altxd_remote_dispatched_total"), Counter, Own,
         "Alternatives shipped to peer nodes";
-    RemoteResults, "remote_results", "remote results", Some("altxd_remote_results_total"), Counter, No, Own,
+    RemoteResults, "remote_results", "remote results", Some("altxd_remote_results_total"), Counter, Own,
         "Result frames received back from executors";
-    RemoteWins, "remote_wins", "remote wins", Some("altxd_remote_wins_total"), Counter, Cluster, Own,
+    RemoteWins, "remote_wins", "remote wins", Some("altxd_remote_wins_total"), Counter, Own,
         "Races committed to a peer-executed alternative";
-    RemoteFailed, "remote_failed", "remote failed", Some("altxd_remote_failed_total"), Counter, No, Own,
+    RemoteFailed, "remote_failed", "remote failed", Some("altxd_remote_failed_total"), Counter, Own,
         "Shipped alternatives converted to failed guards";
-    RemoteRedispatched, "remote_redispatched", "remote redispatched", Some("altxd_remote_redispatched_total"), Counter, No, Own,
+    RemoteRedispatched, "remote_redispatched", "remote redispatched", Some("altxd_remote_redispatched_total"), Counter, Own,
         "Remote legs redispatched locally after a blown leg deadline";
-    PeerStaleReplies, "peer_stale_replies", "peer stale replies", Some("altxd_peer_stale_replies_total"), Counter, No, Own,
+    PeerStaleReplies, "peer_stale_replies", "peer stale replies", Some("altxd_peer_stale_replies_total"), Counter, Own,
         "Stale pre-reconnect replies dropped by the generation check";
-    PeerQuarantines, "peer_quarantines", "peer quarantines", Some("altxd_peer_quarantines_total"), Counter, No, Peers(PeerStatsTable::total_quarantines),
+    PeerQuarantines, "peer_quarantines", "peer quarantines", Some("altxd_peer_quarantines_total"), Counter, Peers(PeerStatsTable::total_quarantines),
         "Transitions into the Quarantined peer state";
-    RemoteExecs, "remote_execs", "remote execs", Some("altxd_remote_execs_total"), Counter, No, Own,
+    RemoteExecs, "remote_execs", "remote execs", Some("altxd_remote_execs_total"), Counter, Own,
         "EXEC_ALT requests admitted as an executor";
-    CommitVotes, "commit_votes", "commit votes", Some("altxd_commit_votes_total"), Counter, No, Own,
+    CommitVotes, "commit_votes", "commit votes", Some("altxd_commit_votes_total"), Counter, Own,
         "Commit-semaphore votes handled by the ledger";
-    CommitsDegraded, "commits_degraded", "commits degraded", Some("altxd_commits_degraded_total"), Counter, No, Own,
+    CommitsDegraded, "commits_degraded", "commits degraded", Some("altxd_commits_degraded_total"), Counter, Own,
         "Commits answered without an assembled majority";
-    Eliminations, "eliminations", "eliminations sent", Some("altxd_eliminations_total"), Counter, No, Own,
+    Eliminations, "eliminations", "eliminations sent", Some("altxd_eliminations_total"), Counter, Own,
         "ELIMINATE frames sent to cancel shipped siblings";
     // Prometheus carries these two per peer (`altxd_peer_up`,
     // `altxd_peer_reconnects_total`), so the sums stay off that page.
-    PeersUp, "peers_up", "peers up", None, Gauge, No, Peers(PeerStatsTable::peers_up),
+    PeersUp, "peers_up", "peers up", None, Gauge, Peers(PeerStatsTable::peers_up),
         "Peer links currently up";
-    PeerReconnects, "peer_reconnects", "peer reconnects", None, Counter, Cluster, Peers(PeerStatsTable::total_reconnects),
+    PeerReconnects, "peer_reconnects", "peer reconnects", None, Counter, Peers(PeerStatsTable::total_reconnects),
         "Successful peer re-dials after the first connect";
 }
 
@@ -834,7 +819,7 @@ mod tests {
                 );
             }
             // A label that prefixes another would make `scrape` (and the
-            // benchmark's and ci.sh's scrapers) ambiguous.
+            // benchmark's scraper) ambiguous.
             for other in METRICS {
                 assert!(
                     !other.label.starts_with(&format!("{} ", def.label)),

@@ -12,6 +12,7 @@ use altx::engine::{LaunchPlan, ThreadedEngine};
 use altx::{BlockResult, CancelToken};
 use altx_pager::{AddressSpace, PageSize};
 use altx_serve::frame::{Request, Response};
+use altx_serve::sched::ADMISSION_MIN_SAMPLES;
 use altx_serve::telemetry::Metric;
 use altx_serve::workload;
 use altx_serve::{start, Client, HedgeConfig, HedgePolicy, ServerConfig, ServerHandle};
@@ -297,6 +298,55 @@ fn coalesced_waiters_across_connections_all_get_replies() {
         snap[Metric::RequestsCoalesced] > 0,
         "lock-stepped connections never coalesced"
     );
+}
+
+/// Admission through the daemon: a provably infeasible request is shed
+/// at the door, not timed out in the queue. `sleep` parks for `arg` ms,
+/// far past a 25 ms deadline, so every admitted request times out and
+/// feeds the service-time table a sample above the deadline. One
+/// connection, one request at a time: the table is cold for exactly
+/// `ADMISSION_MIN_SAMPLES` requests — each admitted, each a timeout —
+/// and from the next request on the estimate alone exceeds the deadline
+/// (the queue is empty, so nothing else enters the verdict), nothing is
+/// admitted, and so no new sample can ever change that.
+#[test]
+fn admission_sheds_infeasible_requests_at_the_door() {
+    const SHED: u64 = 24;
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        admission: true,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut run = || client.run("sleep", 10_000, 25).expect("exactly one reply");
+
+    for n in 0..ADMISSION_MIN_SAMPLES {
+        match run() {
+            Response::DeadlineExceeded { .. } => {}
+            other => panic!("cold request {n}: unexpected {other:?}"),
+        }
+    }
+    let warm = server.telemetry().snapshot();
+    assert_eq!(warm[Metric::DeadlineExceeded], ADMISSION_MIN_SAMPLES);
+    assert_eq!(warm[Metric::ShedsAtAdmission], 0);
+
+    for n in 0..SHED {
+        match run() {
+            Response::Overloaded => {}
+            other => panic!("request {n} past the warm-up: unexpected {other:?}"),
+        }
+    }
+    let snap = server.telemetry().snapshot();
+    server.shutdown();
+    assert_eq!(snap[Metric::ShedsAtAdmission], SHED);
+    assert_eq!(
+        snap[Metric::DeadlineExceeded],
+        ADMISSION_MIN_SAMPLES,
+        "a shed request must not also time out in the queue"
+    );
+    assert_eq!(snap[Metric::Accepted], ADMISSION_MIN_SAMPLES);
 }
 
 /// The CATALOG control frame lists every workload and, once the
