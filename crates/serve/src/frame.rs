@@ -53,7 +53,7 @@
 //! and keeps the connection — version skew fails loudly per request,
 //! not by dropping the link.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on a frame body, in bytes. Large enough for any stats
 /// dump, small enough that a hostile length prefix cannot OOM the
@@ -125,11 +125,26 @@ pub fn frame_header(body_len: usize) -> io::Result<[u8; 4]> {
     Ok((body_len as u32).to_be_bytes())
 }
 
-/// Writes one frame (length prefix + body) to a streaming writer.
+/// Writes one frame (length prefix + body) to a streaming writer —
+/// prefix and body in **one** vectored write wherever the writer takes
+/// it whole, so on a `TCP_NODELAY` socket a frame is one segment and
+/// the reader is woken once, with all of it (a prefix written by itself
+/// is a segment by itself: the peer wakes, reads four bytes and goes
+/// back to sleep). Short writes resume where they stopped; a writer
+/// without vectored support degrades to its `write`.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     let header = frame_header(body.len())?;
-    w.write_all(&header)?;
-    w.write_all(body)?;
+    let mut sent = 0;
+    while sent < header.len() + body.len() {
+        let head = &header[sent.min(header.len())..];
+        let rest = &body[sent.saturating_sub(header.len())..];
+        match w.write_vectored(&[IoSlice::new(head), IoSlice::new(rest)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 

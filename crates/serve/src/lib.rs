@@ -31,9 +31,10 @@
 //! The front end is a poll-based **reactor** (`reactor.rs`): one event
 //! loop thread multiplexes every connection over non-blocking sockets,
 //! so idle connections cost a file descriptor rather than a thread, and
-//! pipelined requests on one connection are answered in order. Workers
-//! hand finished races back through a completion queue and a self-pipe
-//! wakeup instead of a per-request blocking channel. The reply path is
+//! pipelined requests on one connection are answered in order. The
+//! worker that finishes a race writes its reply to the socket itself,
+//! under the connection's write-half lock; the reactor is roused only
+//! for output the socket would not take. The reply path is
 //! zero-copy ([`ring`]): the winner encodes its whole wire frame once
 //! into a fixed shard-local ring slot and the socket write reads
 //! straight from it, with oversize or ring-exhausted replies spilling

@@ -10,8 +10,8 @@
 //! a mini-reactor that polls every link plus a self-pipe, exactly the
 //! shape of the front-end shards but pointed outward. Reactor shards
 //! and pool workers never touch a peer socket — they push a [`Cmd`]
-//! onto the [`PeerHandle`] and write one wake byte, the same
-//! completion-queue discipline the shards already use inbound.
+//! onto the [`PeerHandle`] and write one wake byte: a command queue
+//! and a self-pipe, drained by the one thread that owns the sockets.
 //!
 //! Failure model (the part the paper hand-waves and a server cannot):
 //!

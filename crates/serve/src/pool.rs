@@ -32,12 +32,12 @@
 //!   selection a local pop would make, so a steal never inverts
 //!   priority.
 //!
-//! On the way back, the completion notifier is where the zero-copy
-//! reply path starts: the worker thread encodes the winning `Response`
-//! once into a shard-local ring slot (`ring.rs`) and the notification
-//! that rides the reactor's self-pipe carries that slot *handle* — the
-//! reactor writes to the socket straight from it, never re-encoding or
-//! copying the reply.
+//! On the way back, the completion notifier is the whole reply path:
+//! the worker thread encodes the winning `Response` once into a
+//! shard-local ring slot (`ring.rs`), locks the connection's write half
+//! (`conn.rs`) and writes to the socket straight from the slot — never
+//! re-encoding or copying the reply, and never handing it to another
+//! thread.
 //!
 //! Failure story (this is the layer the chaos soak beats on):
 //!
@@ -446,9 +446,9 @@ impl WorkerPool {
     /// the `Err` return is the caller's signal.
     ///
     /// This is the reactor's bridge out of blocking-channel land: the
-    /// notifier posts the finished response to the reactor's completion
-    /// queue and tickles its self-pipe, so no thread ever parks in
-    /// `recv()` waiting for a race to finish.
+    /// notifier delivers the finished response to its connection from
+    /// the worker itself, so no thread ever parks in `recv()` waiting
+    /// for a race to finish.
     pub fn try_submit_notify_at(
         &self,
         job: Job,

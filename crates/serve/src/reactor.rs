@@ -16,12 +16,13 @@
 //! the thread that will serve it — accept → poll-set registration
 //! never crosses threads. From that moment the connection belongs to
 //! exactly one shard — its poll set, frame decoding, batch windows,
-//! buffer pool, reply ring, and ordered reply slots all live on that
-//! shard's thread, and a finished race is routed back through *that
-//! shard's* wake pipe. Nothing on the request path crosses a shard
-//! boundary, so there is no lock to contend on: the only shared
-//! mutable state is each shard's completion queue and inbox, touched
-//! once per race. On platforms without `SO_REUSEPORT` the old topology
+//! buffer pool, reply ring, and reply-group table are that shard's, and
+//! a finished race is answered through *that shard's* table. Nothing on
+//! the request path crosses a shard boundary; the only shared mutable
+//! state is each shard's reply-group table and a connection's write
+//! half (`conn.rs`), each touched once per race under a lock held for
+//! a map operation or one socket write. On platforms without
+//! `SO_REUSEPORT` the old topology
 //! survives as a fallback: one acceptor thread polls a single listener
 //! and hands sockets round-robin to the shards' adoption inboxes. With
 //! one shard (the default) there is no acceptor and no reuseport —
@@ -34,29 +35,43 @@
 //!   the socket calls needed for an `SO_REUSEPORT` bind — std already
 //!   links libc, so this adds no dependency; it is the only unsafe
 //!   code in the crate and is confined to this module.
+//! * **Direct delivery** ([`ReactorShared::post`]): the thread that
+//!   decides a race — a pool worker, or the remote registry's caller —
+//!   encodes the reply **once** into a ring slot (`ring.rs`), takes the
+//!   race's reply group out of the shard's table, and for each waiter
+//!   locks the connection's write half, fills the request's reply slot
+//!   and writes to the socket right there. No completion queue, no
+//!   second thread, and no reply byte copied between encode and the
+//!   kernel. The group is registered *before* the job is submitted (a
+//!   worker can finish first) and no two locks are ever held at once.
 //! * **Wake channel**: a loopback socket pair acting as a self-pipe,
-//!   one per shard. Workers finish a race, encode the reply **once**
-//!   into a ring slot (`ring.rs`), push the slot handle onto the
-//!   owning shard's completion queue, and write one byte to its wake
-//!   socket; `poll` returns, the shard drains the queue, and the
-//!   socket write reads straight out of the slot. No thread ever
-//!   blocks waiting for a specific race, and no reply byte is copied
-//!   between encode and the kernel.
+//!   one per shard. It is off the request path: a delivery rouses the
+//!   reactor only when it left it something to do — output the socket
+//!   would not take (`POLLOUT` must be registered), a failed write, a
+//!   connection that just became closable — or while the shard drains;
+//!   the acceptor fallback and the shutdown latch use it too. The byte
+//!   is written after every lock is dropped, and the wake fd is
+//!   level-triggered, so a reactor that had already computed its poll
+//!   set returns at once and looks again.
 //! * **[`DaemonCtl`]**: the one deliberately global piece — the
 //!   shutdown latch. A `SHUTDOWN` opcode lands on *some* shard but must
 //!   drain all of them plus the acceptor, so the latch fans a wake out
 //!   to everyone, and the last shard to finish draining closes the
 //!   worker pool.
 //! * **Drain ordering** (shutdown): (1) stop accepting and stop
-//!   reading new requests, (2) keep polling so in-flight completions
-//!   still arrive and flush, (3) close each connection the moment its
-//!   last owed reply is written, (4) when the last shard has no
-//!   connections left, close the queue and join the pool. No admitted
-//!   request goes unanswered.
+//!   reading new requests, (2) keep polling while in-flight races
+//!   deliver their replies, (3) close each connection once its last
+//!   owed reply is written, (4) when the last shard has no connections
+//!   left, close the queue and join the pool. No admitted request goes
+//!   unanswered. Step (3) is a handshake: the reactor publishes
+//!   `draining` *then* looks at each write half under its lock; a
+//!   poster delivers under that lock *then* reads the flag — so either
+//!   the poster sees it and rouses the reactor, or its delivery came
+//!   before the look and the reactor saw a drained connection.
 
-use crate::batch::{BatchKey, Batcher, Offered, Waiter};
+use crate::batch::{BatchKey, Batcher, Offered};
 use crate::bufpool::BufPool;
-use crate::conn::{Conn, ReplyFrame};
+use crate::conn::{Conn, ReplyFrame, ReplySlot, WriteHalf};
 use crate::frame::{FrameError, Request, Response, ALT_FAILED};
 use crate::peer::{PeerHandle, PeerPlane, SendTag};
 use crate::pool::{JobMeta, WorkerPool};
@@ -267,20 +282,15 @@ mod sys {
     }
 }
 
-/// A finished race routed back to its reply group — the set of waiters
-/// (one per direct request, many per coalesced batch) whose reply slots
-/// it fans out to. The reply is already encoded: the posting thread
-/// (usually a pool worker) wrote the whole wire frame into a ring slot
-/// (or a heap spill) and this carries the handle, not bytes to copy.
-struct Completion {
-    group: u64,
-    reply: EncodedReply,
-}
-
-/// State shared between one reactor shard's thread, pool workers
-/// (through completion notifiers), and — when sharded — the acceptor.
+/// State shared between one reactor shard's thread, the threads that
+/// finish its races (pool workers through completion notifiers, the
+/// remote-race registry), and — when sharded — the acceptor.
 pub(crate) struct ReactorShared {
-    completions: Mutex<Vec<Completion>>,
+    /// In-flight reply groups: group id → the reply slots (one per
+    /// direct request, many per coalesced batch) owed the one reply.
+    /// The reactor registers a group before it submits the race; the
+    /// thread that finishes the race takes it.
+    groups: Mutex<HashMap<u64, Vec<ReplySlot>>>,
     /// Accepted sockets awaiting adoption by this shard (sharded mode
     /// only; the acceptor pushes, the shard drains each loop turn).
     inbox: Mutex<Vec<TcpStream>>,
@@ -288,21 +298,55 @@ pub(crate) struct ReactorShared {
     /// The shard's reply ring; `post` encodes into it from whatever
     /// thread finished the race.
     ring: ReplyRing,
+    /// The shard is draining: every delivery rouses the reactor, which
+    /// is waiting to close connections as they empty. Stored by the
+    /// reactor before it looks at its write halves, loaded by a poster
+    /// after it delivered (see the module docs' drain handshake).
+    draining: AtomicBool,
 }
 
 impl ReactorShared {
-    /// Encodes the response into this shard's reply ring (spilling to a
-    /// fresh heap buffer when the ring can't take it), queues the
-    /// completion, and wakes the shard that owns the waiters.
-    /// `pub(crate)` because the remote-race registry posts the final
-    /// response of a distributed race back to the owning shard.
+    /// Answers a finished race, on the calling thread: encodes the
+    /// response once into this shard's reply ring (spilling to a fresh
+    /// heap buffer when the ring can't take it), takes the race's reply
+    /// group, and delivers the frame to every waiter's connection —
+    /// each waiter owns a distinct reply slot and the group is consumed
+    /// here, so each is answered exactly once. A lone waiter — the
+    /// overwhelmingly common case — takes the frame by move; a
+    /// coalesced batch shares **one** encoding across its N waiters,
+    /// each socket reading the same ring slot, reclaimed when the last
+    /// one finishes. A group already taken (shed at submit) or a waiter
+    /// whose connection is gone drops the frame, which reclaims the
+    /// slot. `pub(crate)` because the remote-race registry posts the
+    /// final response of a distributed race through here too.
     pub(crate) fn post(&self, group: u64, response: Response) {
         let reply = EncodedReply::encode(&response, &self.ring);
-        self.completions
+        let Some(waiters) = self.take_group(group) else {
+            return;
+        };
+        // Lock order: the table lock is already released, each write
+        // half is locked alone, and the wake byte follows the last.
+        let mut rouse = false;
+        if let [(half, seq)] = &waiters[..] {
+            rouse = half.deliver(*seq, ReplyFrame::Own(reply), None);
+        } else {
+            let shared = Arc::new(reply);
+            for (half, seq) in &waiters {
+                rouse |= half.deliver(*seq, ReplyFrame::Shared(Arc::clone(&shared)), None);
+            }
+        }
+        if rouse || self.draining.load(Ordering::SeqCst) {
+            self.wake_tx.wake();
+        }
+    }
+
+    /// Takes a group's waiters: the poster's claim on answering them,
+    /// or the reactor's when the submission was refused.
+    fn take_group(&self, group: u64) -> Option<Vec<ReplySlot>> {
+        self.groups
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(Completion { group, reply });
-        self.wake_tx.wake();
+            .remove(&group)
     }
 
     /// Hands an accepted socket to this shard and wakes it.
@@ -365,7 +409,7 @@ impl DaemonCtl {
         self.peers.wake();
     }
 
-    /// Posts a finished race's reply to the shard owning its waiters.
+    /// Answers a finished race through the shard owning its waiters.
     pub(crate) fn post(&self, shard: usize, group: u64, response: Response) {
         if let Some(s) = self.shards.get().and_then(|shards| shards.get(shard)) {
             s.post(group, response);
@@ -444,8 +488,9 @@ pub(crate) fn wake_pair() -> io::Result<(WakeTx, WakeRx)> {
     Ok((WakeTx(tx), WakeRx(rx)))
 }
 
-/// How long `poll` may sleep with nothing to do. Wakeups (completions,
-/// shutdown requests) interrupt it; the timeout is only a backstop.
+/// How long `poll` may sleep with nothing to do. Wakeups (leftover
+/// output, shutdown requests) interrupt it; the timeout is only a
+/// backstop.
 const POLL_BACKSTOP_MS: i32 = 250;
 
 /// One event-loop shard: owns its listener (its own `SO_REUSEPORT`
@@ -472,8 +517,7 @@ pub(crate) struct Reactor {
     batcher: Batcher,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    /// In-flight reply groups: group id → waiters owed the one reply.
-    groups: HashMap<u64, Vec<Waiter>>,
+    /// The next reply-group id (the table itself is in `shared`).
     next_group: u64,
     /// This shard's index — distributed races record it so the remote
     /// registry can post the final response back to the right shard.
@@ -513,10 +557,11 @@ impl Reactor {
         let (wake_tx, wake_rx) = wake_pair()?;
         let ring = ReplyRing::new(ring_slots, ring_slot_bytes);
         let shared = Arc::new(ReactorShared {
-            completions: Mutex::new(Vec::new()),
+            groups: Mutex::new(HashMap::new()),
             inbox: Mutex::new(Vec::new()),
             wake_tx,
             ring: ring.clone(),
+            draining: AtomicBool::new(false),
         });
         let bufs = BufPool::default();
         let stats = Arc::new(ShardStats::new(bufs.stats(), ring.stats()));
@@ -535,7 +580,6 @@ impl Reactor {
                 batcher: Batcher::new(batch_window),
                 conns: HashMap::new(),
                 next_conn: 0,
-                groups: HashMap::new(),
                 next_group: 0,
                 shard_idx,
                 plane,
@@ -564,16 +608,29 @@ impl Reactor {
             self.ring.first_touch();
             self.bufs.warm();
         }
+        // The poll set and its connection ids, rebuilt in place each turn.
+        let mut fds: Vec<PollFd> = Vec::new();
+        let mut ids: Vec<u64> = Vec::new();
         loop {
             let draining = self.ctl.draining();
-            self.adopt_inbox(draining);
-            if draining && self.conns.is_empty() {
-                break;
+            if draining {
+                // Published before any write half is looked at: the
+                // poster's half of the drain handshake reads it after
+                // delivering under that half's lock.
+                self.shared.draining.store(true, Ordering::SeqCst);
             }
+            self.adopt_inbox(draining);
 
             // Poll set: wake channel first, this shard's own listener
-            // second (only while accepting), then every connection.
-            let mut fds = Vec::with_capacity(2 + self.conns.len());
+            // second (only while accepting), then every connection —
+            // one look at each write half per turn gives its poll
+            // interest or says it is done, and a done connection is
+            // reclaimed here, before the poll, never parked until some
+            // future accept. POLLOUT interest is re-derived from the
+            // unflushed output every turn, so a write that drained
+            // since (on whichever thread) is deregistered immediately.
+            fds.clear();
+            ids.clear();
             fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
             let listener_at = match &self.listener {
                 Some(listener) if !draining => {
@@ -582,13 +639,21 @@ impl Reactor {
                 }
                 _ => None,
             };
-            let mut ids = Vec::with_capacity(self.conns.len());
-            for (&id, conn) in &self.conns {
-                fds.push(PollFd::new(
-                    conn.stream().as_raw_fd(),
-                    conn.poll_events(draining),
-                ));
-                ids.push(id);
+            let conn_fds_start = fds.len();
+            self.conns
+                .retain(|&id, conn| match conn.write_half().interest(draining) {
+                    Some(events) => {
+                        fds.push(PollFd::new(conn.stream().as_raw_fd(), events));
+                        ids.push(id);
+                        true
+                    }
+                    None => {
+                        self.stats.on_conn_close();
+                        false
+                    }
+                });
+            if draining && self.conns.is_empty() {
+                break;
             }
 
             match poll_fds(&mut fds, self.poll_timeout_ms()) {
@@ -598,30 +663,20 @@ impl Reactor {
 
             if fds[0].revents != 0 {
                 // One wakeup event is counted per drain, not per byte —
-                // the gauge tracks how often the reactor was roused,
-                // not how many completions arrived.
+                // the counter tracks how often the reactor was roused,
+                // not how many deliveries asked for it.
                 self.stats.on_wakeup();
                 self.wake_rx.drain();
             }
-            // Connection readiness is handled *first*, against the
-            // exact snapshot poll reported. POLLOUT interest is
-            // re-derived from `has_output()` every round, so a write
-            // that drains here is deregistered immediately — routing
-            // completions first used to flush the pending write out
-            // from under its own POLLOUT event, turning the event into
-            // a spurious one (now counted instead of silently eaten).
-            let conn_fds_start = if listener_at.is_some() { 2 } else { 1 };
+            // Connection readiness, against the exact snapshot poll
+            // reported.
             for (slot, &id) in ids.iter().enumerate() {
                 let revents = fds[conn_fds_start + slot].revents;
                 if revents != 0 {
-                    self.handle_conn_event(id, revents, draining);
+                    self.handle_conn_event(id, revents);
                 }
             }
 
-            // Completions are routed every iteration regardless of the
-            // wake flag — the queue is cheap to check and a byte lost to
-            // a full self-pipe must not strand a reply.
-            self.route_completions(draining);
             // Batch windows expire on the same clock; at drain every
             // open window flushes immediately so no waiter is parked
             // behind a window that outlives the listener.
@@ -632,11 +687,7 @@ impl Reactor {
                     self.accept_ready();
                 }
             }
-
-            self.reap(draining);
-            self.publish_gauges();
         }
-        self.stats.set_conns_active(0);
         if self.ctl.shard_exited() {
             self.pool.shutdown();
         }
@@ -661,49 +712,10 @@ impl Reactor {
     /// Takes a fresh socket into the poll set (dropping it if its
     /// options cannot be set).
     fn adopt(&mut self, stream: TcpStream) {
-        if let Ok(conn) = Conn::new(stream) {
+        if let Ok(conn) = Conn::new(stream, Arc::clone(&self.stats)) {
             self.conns.insert(self.next_conn, conn);
             self.next_conn += 1;
             self.stats.on_conn_open();
-        }
-    }
-
-    /// Routes queued completions into their reply groups, fanning each
-    /// already-encoded reply out to every waiter exactly once (each
-    /// waiter owns a distinct reply slot; the group is consumed on
-    /// arrival). A lone waiter — the overwhelmingly common case —
-    /// takes the frame by move; a coalesced batch shares **one**
-    /// encoding across its N waiters, each socket reading the same
-    /// ring slot, reclaimed when the last one finishes. Waiters whose
-    /// connections were already reclaimed are skipped — the peer that
-    /// asked is gone, and dropping the frame reclaims the slot.
-    fn route_completions(&mut self, draining: bool) {
-        let batch = std::mem::take(
-            &mut *self
-                .shared
-                .completions
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for c in batch {
-            let Some(waiters) = self.groups.remove(&c.group) else {
-                continue; // already answered (e.g. shed at submit)
-            };
-            if waiters.len() == 1 {
-                let (conn_id, seq) = waiters[0];
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.fulfill(seq, ReplyFrame::Own(c.reply));
-                    self.flush(conn_id, draining);
-                }
-                continue;
-            }
-            let shared = Arc::new(c.reply);
-            for (conn_id, seq) in waiters {
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.fulfill(seq, ReplyFrame::Shared(Arc::clone(&shared)));
-                    self.flush(conn_id, draining);
-                }
-            }
         }
     }
 
@@ -731,7 +743,14 @@ impl Reactor {
         let now = Instant::now();
         for ready in self.batcher.take_due(now, flush_all) {
             self.telemetry.add(Metric::BatchesFormed, 1);
-            self.submit_race(ready.waiters, ready.key);
+            // Waiters whose connections were reclaimed during the
+            // window are skipped — the peer that asked is gone.
+            let waiters = ready
+                .waiters
+                .iter()
+                .filter_map(|&(id, seq)| Some((self.write_half(id)?, seq)))
+                .collect();
+            self.submit_race(waiters, ready.key);
         }
     }
 
@@ -752,12 +771,12 @@ impl Reactor {
     }
 
     /// Dispatches poll readiness for one connection.
-    fn handle_conn_event(&mut self, id: u64, revents: i16, draining: bool) {
+    fn handle_conn_event(&mut self, id: u64, revents: i16) {
         if revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
             // The peer is gone in both directions: no reply can be
             // delivered, so the state is reclaimed eagerly. In-flight
-            // races keep running; their completions are dropped on
-            // arrival.
+            // races keep running; their deliveries find the write half
+            // closed and drop.
             self.close(id);
             return;
         }
@@ -794,15 +813,14 @@ impl Reactor {
         }
         if revents & POLLOUT != 0 {
             // A POLLOUT event for a connection with nothing left to
-            // write means the pending write drained through some other
-            // path after interest was registered — exactly the churn
-            // the handle-connections-first loop order minimizes. The
-            // counter exists to prove the fix holds: it should stay at
-            // (or near) zero under load.
-            if self.conns.get(&id).is_some_and(|c| !c.has_output()) {
-                self.stats.on_pollout_spurious();
+            // write means a delivery on another thread drained the
+            // queue after interest was registered. Counted, to show it
+            // stays at (or near) zero under load.
+            if let Some(conn) = self.conns.get(&id) {
+                if !conn.write_half().on_writable(&mut self.bufs) {
+                    self.stats.on_pollout_spurious();
+                }
             }
-            self.flush(id, draining);
         }
     }
 
@@ -810,8 +828,8 @@ impl Reactor {
     /// connection must stop consuming input (malformed request or
     /// shutdown).
     fn handle_frame(&mut self, id: u64, body: &[u8]) -> bool {
-        let seq = match self.conns.get_mut(&id) {
-            Some(conn) => conn.begin_request(),
+        let seq = match self.conns.get(&id) {
+            Some(conn) => conn.write_half().begin_request(),
             None => return false,
         };
         match Request::decode(body) {
@@ -839,8 +857,8 @@ impl Reactor {
                         message: e.to_string(),
                     },
                 );
-                if let Some(conn) = self.conns.get_mut(&id) {
-                    conn.close_read();
+                if let Some(conn) = self.conns.get(&id) {
+                    conn.write_half().close_read();
                 }
                 false
             }
@@ -1034,8 +1052,8 @@ impl Reactor {
     /// reactor. With batching off the request races directly (a reply
     /// group of one); with batching on it opens or joins a window and
     /// races when the window expires. Refused submissions are answered
-    /// `Overloaded` in line; admitted ones come back through the
-    /// completion queue.
+    /// `Overloaded` in line; admitted ones are answered by whichever
+    /// thread finishes the race ([`ReactorShared::post`]).
     fn submit_run(&mut self, id: u64, seq: u64, workload: String, deadline_ms: u32, arg: u64) {
         // Reject unknown names before spending a queue slot.
         let Some(widx) = workload::index_of(&workload) else {
@@ -1054,7 +1072,9 @@ impl Reactor {
             }
             return;
         }
-        self.submit_race(vec![(id, seq)], key);
+        if let Some(half) = self.write_half(id) {
+            self.submit_race(vec![(half, seq)], key);
+        }
     }
 
     /// Submits one race on behalf of `waiters` (one waiter when direct,
@@ -1063,7 +1083,7 @@ impl Reactor {
     /// and fault outcomes, which take the same path. When the placement
     /// policy elects to ship alternatives to peers the race goes
     /// through the distributed path instead.
-    fn submit_race(&mut self, waiters: Vec<Waiter>, key: BatchKey) {
+    fn submit_race(&mut self, waiters: Vec<ReplySlot>, key: BatchKey) {
         // Feasibility admission, before the race spends a queue slot or
         // a wire frame: when the deadline is provably unmeetable from
         // the workload's p99 service time plus the current queue wait,
@@ -1082,8 +1102,7 @@ impl Reactor {
             self.submit_race_distributed(waiters, key, assign);
             return;
         }
-        let group = self.next_group;
-        self.next_group += 1;
+        let group = self.open_group(waiters);
         let work = {
             let telemetry = Arc::clone(&self.telemetry);
             let sched = Arc::clone(&self.sched);
@@ -1097,20 +1116,40 @@ impl Reactor {
         let done = move |reply| shared.post(group, or_worker_lost(reply));
         let meta = self.job_meta(key.widx, key.deadline_ms);
         match self.pool.try_submit_work_at(meta, work, done) {
-            Ok(()) => {
-                self.telemetry.add(Metric::Accepted, 1);
-                self.groups.insert(group, waiters);
-            }
-            Err(_) => self.shed(waiters, Metric::Shed),
+            Ok(()) => self.telemetry.add(Metric::Accepted, 1),
+            Err(_) => self.shed_group(group),
+        }
+    }
+
+    /// Registers `waiters` as a new reply group — *before* the race is
+    /// submitted, because a worker can finish it (and come looking for
+    /// the group) before the reactor's next statement.
+    fn open_group(&mut self, waiters: Vec<ReplySlot>) -> u64 {
+        let group = self.next_group;
+        self.next_group += 1;
+        self.shared
+            .groups
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(group, waiters);
+        group
+    }
+
+    /// The pool refused the race registered as `group`: its `done` was
+    /// dropped unrun, so nobody else will come for the group — take it
+    /// back and shed its waiters.
+    fn shed_group(&mut self, group: u64) {
+        if let Some(waiters) = self.shared.take_group(group) {
+            self.shed(waiters, Metric::Shed);
         }
     }
 
     /// Sheds a race that will not run: every waiter gets its own
     /// `Overloaded` reply, counted under `metric`.
-    fn shed(&mut self, waiters: Vec<Waiter>, metric: Metric) {
-        for (conn_id, seq) in waiters {
+    fn shed(&mut self, waiters: Vec<ReplySlot>, metric: Metric) {
+        for (half, seq) in waiters {
             self.telemetry.add(metric, 1);
-            self.fulfill(conn_id, seq, &Response::Overloaded);
+            self.reply(&half, seq, &Response::Overloaded);
         }
     }
 
@@ -1153,12 +1192,11 @@ impl Reactor {
     /// path, never directly by the worker.
     fn submit_race_distributed(
         &mut self,
-        waiters: Vec<Waiter>,
+        waiters: Vec<ReplySlot>,
         key: BatchKey,
         assign: Vec<Option<String>>,
     ) {
-        let group = self.next_group;
-        self.next_group += 1;
+        let group = self.open_group(waiters);
         let token = deadline_token(key.deadline_ms);
         let remotes: Vec<(u32, String)> = assign
             .iter()
@@ -1203,7 +1241,6 @@ impl Reactor {
         match self.pool.try_submit_work_at(meta, work, done) {
             Ok(()) => {
                 self.telemetry.add(Metric::Accepted, 1);
-                self.groups.insert(group, waiters);
                 let spec = &workload::CATALOG[key.widx];
                 for (alt_idx, peer) in remotes {
                     self.telemetry.add(Metric::RemoteDispatched, 1);
@@ -1226,21 +1263,26 @@ impl Reactor {
             }
             Err(_) => {
                 self.plane.races.table().abort(race_id);
-                self.shed(waiters, Metric::Shed);
+                self.shed_group(group);
             }
         }
     }
 
     /// Encodes a reactor-side reply (ring slot preferred, pool-backed
-    /// spill otherwise), fills its reply slot, and opportunistically
-    /// flushes — the common case (reply fits the socket buffer)
-    /// completes without another poll round-trip.
+    /// spill otherwise) and delivers it through the connection's write
+    /// half like any other — the common case (reply fits the socket
+    /// buffer) completes without another poll round-trip, and whatever
+    /// the delivery leaves (output, a failed socket, a connection now
+    /// closable) the next turn's look at the half picks up.
+    fn reply(&mut self, half: &WriteHalf, seq: u64, response: &Response) {
+        let reply = EncodedReply::encode_with(response, &self.ring, &mut self.bufs);
+        half.deliver(seq, ReplyFrame::Own(reply), Some(&mut self.bufs));
+    }
+
+    /// [`Reactor::reply`] to connection `id`, if it is still there.
     fn fulfill(&mut self, id: u64, seq: u64, response: &Response) {
-        if self.conns.contains_key(&id) {
-            let reply = EncodedReply::encode_with(response, &self.ring, &mut self.bufs);
-            let conn = self.conns.get_mut(&id).expect("checked above");
-            conn.fulfill(seq, ReplyFrame::Own(reply));
-            self.flush(id, false);
+        if let Some(half) = self.write_half(id) {
+            self.reply(&half, seq, response);
         }
     }
 
@@ -1252,57 +1294,27 @@ impl Reactor {
     /// Queues one last reply, stops reading, and lets the drain logic
     /// close the connection once the reply is out.
     fn reply_and_close_read(&mut self, id: u64, response: &Response) {
-        let seq = match self.conns.get_mut(&id) {
-            Some(conn) => {
-                let seq = conn.begin_request();
-                conn.close_read();
-                seq
-            }
-            None => return,
-        };
-        self.fulfill(id, seq, response);
-    }
-
-    /// Writes as much queued output as the socket accepts, straight
-    /// from each frame's ring slot or spill buffer (retired into the
-    /// pool as they complete); a failed write reclaims the connection.
-    fn flush(&mut self, id: u64, _draining: bool) {
-        let dead = match self.conns.get_mut(&id) {
-            Some(conn) => conn.has_output() && conn.on_writable(&mut self.bufs).is_err(),
-            None => false,
-        };
-        if dead {
-            self.close(id);
+        if let Some(half) = self.write_half(id) {
+            let seq = half.begin_request();
+            half.close_read();
+            self.reply(&half, seq, response);
         }
     }
 
-    /// Reclaims every connection that has served its purpose. This runs
-    /// on *every* loop iteration — a closed connection's state is gone
-    /// before the next poll, never parked until some future accept.
-    fn reap(&mut self, draining: bool) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.should_close(draining))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in done {
-            self.close(id);
-        }
+    /// Connection `id`'s write half, if the connection is still open.
+    fn write_half(&self, id: u64) -> Option<Arc<WriteHalf>> {
+        self.conns
+            .get(&id)
+            .map(|conn| Arc::clone(conn.write_half()))
     }
 
-    /// Drops one connection's state and updates the gauge.
+    /// Drops one connection's state, closing its write half so that
+    /// races still in flight for it deliver to nobody.
     fn close(&mut self, id: u64) {
-        if self.conns.remove(&id).is_some() {
+        if let Some(conn) = self.conns.remove(&id) {
+            conn.write_half().close();
             self.stats.on_conn_close();
         }
-    }
-
-    /// Publishes the shard's `conns_active` gauge (connections with at
-    /// least one request awaiting its reply).
-    fn publish_gauges(&self) {
-        let active = self.conns.values().filter(|c| c.in_flight() > 0).count();
-        self.stats.set_conns_active(active as u64);
     }
 }
 

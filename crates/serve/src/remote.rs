@@ -20,13 +20,13 @@
 //!   alone.
 //! * [`RemoteRaces`] is the **shell**: it owns the table's mutex and
 //!   executes the actions. Every entry point is lock, step, unlock,
-//!   act. Actions touch other locks (a shard's completion queue, the
-//!   peer handle's command queue, the pool) so they never run under the
-//!   table lock.
+//!   act. Actions touch other locks (a shard's reply-group table and
+//!   a connection's write half, the peer handle's command queue, the
+//!   pool) so they never run under the table lock.
 //!
-//! The final [`Response`] is posted to the owning reactor shard's
-//! completion queue exactly once, whichever of the many event orderings
-//! happens. The origin is a voter like any other: its own vote is asked
+//! The final [`Response`] is posted through the owning reactor shard
+//! (`DaemonCtl::post`) exactly once, whichever of the many event
+//! orderings happens. The origin is a voter like any other: its own vote is asked
 //! for with the same `SendVote` action as a peer's, which the shell
 //! answers from this node's [`CommitLedger`] instead of the wire.
 //!
@@ -661,7 +661,7 @@ impl DistRace {
 /// peer thread. Owns the [`RaceTable`]'s lock and executes its actions.
 pub(crate) struct RemoteRaces {
     table: Mutex<RaceTable>,
-    /// The way back to every shard's completion queue.
+    /// The way back to every shard's waiting connections.
     ctl: Arc<DaemonCtl>,
     /// Outbound send handle.
     pub(crate) peers: Arc<PeerHandle>,

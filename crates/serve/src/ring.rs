@@ -5,10 +5,11 @@
 //! into the connection's write buffer, and the kernel copied it onto
 //! the wire. A [`ReplyRing`] collapses the first two: the winner
 //! encodes its whole frame (4-byte length prefix *and* body, via
-//! [`frame::append_frame`]) directly into a reserved [`RingSlot`], the
-//! completion pipe carries the slot handle to the reactor, and the
-//! reactor's socket write reads straight out of the slot. One copy
-//! (kernel), zero steady-state allocation.
+//! [`frame::append_frame`]) directly into a reserved [`RingSlot`],
+//! queues the slot handle on the connection's write half, and the
+//! socket write — made by that same thread, or by the reactor for what
+//! the socket would not take at once — reads straight out of the slot.
+//! One copy (kernel), zero steady-state allocation.
 //!
 //! ## Shape
 //!
@@ -18,16 +19,19 @@
 //! crate is `#![deny(unsafe_code)]`, so slots move by ownership
 //! transfer (a `Mutex<Vec<_>>` freelist, uncontended in steady state)
 //! and reclamation is the [`RingSlot`] destructor — a slot can be
-//! dropped anywhere (reactor after the socket write, a dead
-//! connection's queue, a lost race) and it always returns home.
+//! dropped anywhere (after the socket write, on whichever thread made
+//! it; in a dead connection's queue; by a delivery that found its
+//! connection closed) and it always returns home.
 //!
 //! ## Spill path
 //!
 //! Replies that don't fit a slot (oversize, e.g. a STATS page) or
 //! arrive while every slot is in flight (exhaustion) spill to a plain
 //! heap `Vec` — on the reactor thread that `Vec` comes from the
-//! shard's `BufPool`, elsewhere it is freshly allocated. Spills are
-//! counted but never fail: the ring is an optimization with a
+//! shard's `BufPool` and goes back to it, elsewhere it is freshly
+//! allocated and, if a thread other than the reactor finishes writing
+//! it, dropped (the pool is the reactor's alone). Spills are counted
+//! but never fail: the ring is an optimization with a
 //! correctness-preserving fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,8 +148,8 @@ impl ReplyRing {
 
 /// One reserved ring slot. Dropping it — from anywhere, on any thread
 /// — returns the buffer to its ring's freelist, so reclamation rides
-/// ordinary ownership: the reactor drops the slot when the socket
-/// write completes, and every error path reclaims for free.
+/// ordinary ownership: whoever completes the socket write drops the
+/// slot, and every error path reclaims for free.
 #[derive(Debug)]
 pub struct RingSlot {
     buf: Vec<u8>,
@@ -174,8 +178,8 @@ impl Drop for RingSlot {
 
 /// A fully encoded reply frame (length prefix + body), ready for the
 /// socket, backed by either a ring slot or a spilled heap buffer.
-/// `Send`, so a worker thread encodes it and the completion pipe
-/// carries it to the reactor unchanged.
+/// `Send`, so the thread that finishes a race encodes it and any
+/// thread may end up writing it.
 #[derive(Debug)]
 pub enum EncodedReply {
     /// Zero-copy path: the frame lives in a ring slot.

@@ -9,11 +9,14 @@
 //! door, not timeouts deep in the building. If admitted, a worker races
 //! the workload's alternatives on a [`ThreadedEngine`] under a
 //! [`CancelToken`] carrying the request's deadline — the serving
-//! analogue of the paper's `alt_wait(timeout)` — and posts the reply
-//! back to the reactor through a completion queue and a self-pipe
-//! wakeup. Replies are released per connection in request order, so
+//! analogue of the paper's `alt_wait(timeout)` — and that same worker
+//! writes the reply: it encodes it into the shard's reply ring, locks
+//! the connection's write half and flushes to the socket, rousing the
+//! reactor only for what the socket would not take. Replies are
+//! released per connection in request order under that lock, so
 //! pipelined requests on one socket come back in the order they were
-//! sent even when a later race finishes first.
+//! sent even when a later race finishes first, whichever threads
+//! deliver them.
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread. The daemon runs

@@ -116,17 +116,20 @@ impl LatencyHistogram {
     }
 }
 
-/// Counters owned by one reactor shard. The shard is the only writer
-/// (single-threaded event loop), so every update is an uncontended
-/// relaxed store; readers are snapshot renders on *some* shard's
-/// thread, which only need eventual consistency.
+/// Counters owned by one reactor shard. The shard's event loop writes
+/// them — except `conns_active`, which moves on whichever thread takes
+/// a connection between idle and in flight (a delivering worker, under
+/// that connection's write-half lock) — so every update is a relaxed,
+/// all but uncontended atomic; readers are snapshot renders on *some*
+/// shard's thread, which only need eventual consistency.
 #[derive(Debug)]
 pub struct ShardStats {
     /// Connections currently owned by this shard (gauge).
     conns_open: AtomicU64,
     /// Connections with at least one request in flight (gauge).
     conns_active: AtomicU64,
-    /// Self-pipe wakeups of this shard's event loop (counter).
+    /// Times this shard's event loop had to be roused through its wake
+    /// channel (counter).
     wakeups: AtomicU64,
     /// POLLOUT events that arrived for a connection with nothing left
     /// to write — write-interest churn the reactor's loop order is
@@ -168,7 +171,17 @@ impl ShardStats {
         self.conns_active.store(n, Ordering::Relaxed);
     }
 
-    /// Counts a self-pipe wakeup of this shard.
+    /// Counts a connection going from no request in flight to one.
+    pub fn on_conn_active(&self) {
+        self.conns_active.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a connection whose last owed reply was just released.
+    pub fn on_conn_idle(&self) {
+        self.conns_active.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Counts one rousing of this shard through its wake channel.
     pub fn on_wakeup(&self) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
     }
@@ -321,7 +334,7 @@ metrics! {
     ConnsActive, "conns_active", "conns active", Some("altxd_conns_active"), Gauge, ShardSum(ShardStats::conns_active),
         "Connections with a request in flight";
     Wakeups, "wakeups", "reactor wakeups", Some("altxd_reactor_wakeups_total"), Counter, ShardSum(ShardStats::wakeups),
-        "Reactor self-pipe wakeups from completion posts";
+        "Times a reactor had to be roused through its wake channel (about 0 per request in steady state)";
     Shards, "shards", "shards", Some("altxd_shards"), Gauge, ShardCount,
         "Reactor shards serving the front end";
     PoolRecycled, "pool_recycled", "pool recycled", Some("altxd_bufpool_recycled_total"), Counter, ShardSum(|s| s.buf.recycled()),

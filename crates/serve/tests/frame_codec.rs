@@ -179,6 +179,108 @@ fn write_frame_rejects_oversized_bodies() {
     assert_eq!(wire.len(), 4 + MAX_FRAME);
 }
 
+/// A writer shaped like a socket: `write_vectored` takes every slice it
+/// is offered in one call (as `writev(2)` does), up to `limit` bytes per
+/// call, and every call is counted. `interrupt_every` makes each n-th
+/// call fail with `Interrupted` first, as a signal would.
+struct SocketLike {
+    wire: Vec<u8>,
+    calls: usize,
+    limit: usize,
+    interrupt_every: usize,
+}
+
+impl SocketLike {
+    fn new(limit: usize, interrupt_every: usize) -> Self {
+        SocketLike {
+            wire: Vec::new(),
+            calls: 0,
+            limit,
+            interrupt_every,
+        }
+    }
+}
+
+impl std::io::Write for SocketLike {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[std::io::IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.interrupt_every > 0 && self.calls.is_multiple_of(self.interrupt_every) {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let before = self.wire.len();
+        for buf in bufs {
+            let room = self.limit - (self.wire.len() - before);
+            self.wire.extend_from_slice(&buf[..buf.len().min(room)]);
+        }
+        Ok(self.wire.len() - before)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A writer with no vectored support that takes one byte per call.
+struct ByteAtATime(Vec<u8>);
+
+impl std::io::Write for ByteAtATime {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.extend_from_slice(&buf[..buf.len().min(1)]);
+        Ok(buf.len().min(1))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A frame is one write call — prefix and body together — whenever the
+/// writer takes it whole: on a `TCP_NODELAY` socket that is one segment,
+/// and the reader wakes once with a complete frame.
+#[test]
+fn a_frame_that_fits_is_one_write_call() {
+    check("a_frame_that_fits_is_one_write_call", 128, |rng| {
+        let body = rng.bytes(0, 300);
+        let mut socket = SocketLike::new(usize::MAX, 0);
+        write_frame(&mut socket, &body).expect("socket-like write");
+        assert_eq!(socket.calls, 1, "prefix and body must share a write call");
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).expect("vec write");
+        assert_eq!(socket.wire, wire);
+        assert_eq!(&wire[..4], &(body.len() as u32).to_be_bytes());
+        assert_eq!(&wire[4..], &body[..]);
+    });
+}
+
+/// Short writes — mid-prefix, mid-body, one byte at a time, interrupted
+/// by signals — resume where they stopped and put the identical bytes
+/// on the wire; a writer that stops taking bytes is an error, not a
+/// spin.
+#[test]
+fn short_and_interrupted_writes_produce_the_identical_bytes() {
+    check("short_and_interrupted_writes", 128, |rng| {
+        let body = rng.bytes(0, 300);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).expect("vec write");
+
+        let mut socket = SocketLike::new(rng.usize_in(1, 9), *rng.pick(&[0, 2, 3]));
+        write_frame(&mut socket, &body).expect("short writes resume");
+        assert_eq!(socket.wire, wire);
+
+        let mut bytewise = ByteAtATime(Vec::new());
+        write_frame(&mut bytewise, &body).expect("one byte per call");
+        assert_eq!(bytewise.0, wire);
+    });
+
+    let mut stuck = SocketLike::new(0, 0);
+    let err = write_frame(&mut stuck, b"body").expect_err("a writer that takes nothing");
+    assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+}
+
 /// A wire image of several frames, for the incremental decoder tests.
 fn arb_wire(rng: &mut CaseRng) -> (Vec<Vec<u8>>, Vec<u8>) {
     let bodies: Vec<Vec<u8>> = (0..rng.usize_in(1, 6)).map(|_| rng.bytes(0, 120)).collect();

@@ -1,13 +1,17 @@
 //! Reactor front-end tests: pipelining order, idle-connection cost,
-//! and eager reclamation of closed connections.
+//! eager reclamation of closed connections, and the delivery path —
+//! replies written by the thread that finished the race, with the
+//! reactor taking over only what a socket would not accept.
 //!
 //! These run a real daemon in-process and assert on process-wide state
 //! (thread counts), so the tests serialize on a mutex like the loopback
 //! suite does.
 
-use altx_serve::frame::{Request, Response};
+use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response};
 use altx_serve::telemetry::Metric;
-use altx_serve::{start, Client, ServerConfig};
+use altx_serve::{start, Client, ServerConfig, Telemetry};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -46,6 +50,59 @@ fn run_req(workload: &str, arg: u64, deadline_ms: u32) -> Request {
         deadline_ms,
         arg,
     }
+}
+
+/// A raw connection whose reads give up after ten seconds.
+fn raw_conn(server: &altx_serve::ServerHandle) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream
+}
+
+/// Writes every request in one go, before any reply is read.
+fn pipeline(stream: &mut TcpStream, requests: impl IntoIterator<Item = Request>) {
+    let mut wire = Vec::new();
+    for request in requests {
+        write_frame(&mut wire, &request.encode()).expect("vec write");
+    }
+    stream.write_all(&wire).expect("send pipeline");
+}
+
+fn next_reply(stream: &mut TcpStream) -> Response {
+    let body = read_frame(stream).expect("read").expect("a reply frame");
+    Response::decode(&body).expect("decode")
+}
+
+/// Nothing more is readable on `stream`: a frame nobody asked for would
+/// be a second reply to some request.
+fn assert_no_stray_frame(stream: &mut TcpStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("timeout");
+    match read_frame(stream) {
+        Err(FrameError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("expected silence after the last reply, got {other:?}"),
+    }
+}
+
+/// Polls the daemon's counters until `done` holds.
+fn await_snapshot(telemetry: &Telemetry, what: &str, done: impl Fn(&Telemetry) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(telemetry) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Open file descriptors of this process, from /proc (0 when unavailable).
+fn fd_count() -> usize {
+    std::fs::read_dir("/proc/self/fd").map_or(0, |dir| dir.count())
 }
 
 /// Pipelined requests on one connection are answered in request order:
@@ -232,9 +289,6 @@ fn conn_gauges_surface_in_stats_and_prometheus() {
 /// for earlier pipelined requests, and then the connection closes.
 #[test]
 fn protocol_error_replies_in_order_then_closes() {
-    use altx_serve::frame::{read_frame, write_frame};
-    use std::io::Write;
-
     let _guard = serial();
     let server = local_server(2, 16);
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -278,9 +332,6 @@ fn protocol_error_replies_in_order_then_closes() {
 /// requests on the same connection still work.
 #[test]
 fn unknown_opcode_replies_error_and_keeps_connection() {
-    use altx_serve::frame::{read_frame, write_frame};
-    use std::io::Write;
-
     let _guard = serial();
     let server = local_server(2, 16);
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -310,5 +361,261 @@ fn unknown_opcode_replies_error_and_keeps_connection() {
         Response::Ok { value, .. } => assert_eq!(value, 5),
         other => panic!("expected Ok after unknown opcode, got {other:?}"),
     }
+    server.shutdown();
+}
+
+/// Replies are written by the workers that finish the races, and the
+/// connection's order holds whichever of them delivers: a sleeper sent
+/// first answers first, the N trivial races pipelined behind it (run on
+/// the other workers, delivered while it still sleeps) follow in
+/// request order, one reply each. Neither they nor N more requests
+/// sent one at a time rouse the reactor: every reply fits the socket,
+/// so no delivery leaves it anything to do.
+#[test]
+fn worker_delivered_pipeline_keeps_order_without_rousing_the_reactor() {
+    const N: u64 = 200;
+    let _guard = serial();
+    let server = local_server(3, 256);
+    let telemetry = server.telemetry();
+    let mut stream = raw_conn(&server);
+    pipeline(&mut stream, [run_req("trivial", 0, 0)]);
+    assert!(matches!(
+        next_reply(&mut stream),
+        Response::Ok { value: 0, .. }
+    ));
+    let roused_before = telemetry.snapshot()[Metric::Wakeups];
+
+    let trivials = (1..=N).map(|arg| run_req("trivial", arg, 0));
+    pipeline(
+        &mut stream,
+        std::iter::once(run_req("sleep", 60, 0)).chain(trivials),
+    );
+    for expect in std::iter::once(60).chain(1..=N) {
+        match next_reply(&mut stream) {
+            Response::Ok { value, .. } => assert_eq!(value, expect, "reply order"),
+            other => panic!("expected Ok({expect}), got {other:?}"),
+        }
+    }
+    // One at a time, too: each reply is its own delivery, with the
+    // reactor asleep in `poll` when it happens.
+    for arg in 1..=N {
+        pipeline(&mut stream, [run_req("trivial", arg, 0)]);
+        match next_reply(&mut stream) {
+            Response::Ok { value, .. } => assert_eq!(value, arg),
+            other => panic!("expected Ok({arg}), got {other:?}"),
+        }
+    }
+    assert_no_stray_frame(&mut stream);
+
+    let snap = telemetry.snapshot();
+    assert_eq!(snap[Metric::Completed], 2 * N + 2);
+    let roused = snap[Metric::Wakeups] - roused_before;
+    assert!(
+        roused <= 4,
+        "{roused} reactor wakeups for {} replies: a delivery that leaves the reactor \
+         nothing to do must not rouse it",
+        2 * N + 1
+    );
+    server.shutdown();
+}
+
+/// A client that pipelines more reply bytes than the socket will hold,
+/// without reading: the daemon's writes reach `WouldBlock`, the workers
+/// that finish the races queued behind find output left over and rouse
+/// the reactor, and once the client reads, the reactor's `POLLOUT`
+/// turns push out every queued frame — each reply intact, in order.
+#[test]
+fn blocked_socket_is_taken_over_by_the_reactor_and_every_reply_arrives() {
+    const PAGES: usize = 4000;
+    const RUNS: u64 = 32;
+    let _guard = serial();
+    let server = local_server(2, 64);
+    let telemetry = server.telemetry();
+    let mut stream = raw_conn(&server);
+    let roused_before = telemetry.snapshot()[Metric::Wakeups];
+
+    let pages = std::iter::repeat_with(|| Request::Stats).take(PAGES);
+    let runs = (1..=RUNS).map(|arg| run_req("trivial", arg, 0));
+    pipeline(&mut stream, pages.chain(runs));
+
+    // Every race has finished and been delivered — into a connection
+    // whose socket took its last byte long ago.
+    await_snapshot(&telemetry, "the pipelined races", |t| {
+        t.snapshot()[Metric::Completed] == RUNS
+    });
+    await_snapshot(&telemetry, "a delivery that left output behind", |t| {
+        t.snapshot()[Metric::Wakeups] > roused_before
+    });
+
+    for page in 0..PAGES {
+        match next_reply(&mut stream) {
+            Response::Text { body } => assert!(body.contains("altxd stats"), "page {page}: {body}"),
+            other => panic!("page {page}: expected the stats text, got {other:?}"),
+        }
+    }
+    for expect in 1..=RUNS {
+        match next_reply(&mut stream) {
+            Response::Ok { value, .. } => assert_eq!(value, expect, "reply order"),
+            other => panic!("expected Ok({expect}), got {other:?}"),
+        }
+    }
+    assert_no_stray_frame(&mut stream);
+    server.shutdown();
+}
+
+/// A client that hangs up with a race in flight costs nothing once the
+/// race ends: the late delivery finds a connection that is closing (a
+/// plain close: the reply is written at a peer that is gone) or already
+/// reclaimed (a reset: the write half was closed under the race, which
+/// kept the fd alive — and its number unavailable for reuse — until it
+/// let go), and afterwards the fd is closed and the ring slot is back.
+#[test]
+fn hangup_with_a_race_in_flight_leaks_no_fd_and_no_ring_slot() {
+    let _guard = serial();
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        queue_depth: 16,
+        // One slot: a leaked slot would make every later reply spill.
+        ring_slots: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let telemetry = server.telemetry();
+    let idle = |t: &Telemetry| t.snapshot()[Metric::ConnsOpen] == 0;
+    // Before the first connection: the daemon's own fds, nothing else.
+    let baseline = fd_count();
+
+    for reset in [false, true] {
+        let before = telemetry.snapshot();
+        let mut stream = raw_conn(&server);
+        if reset {
+            // A reply left unread turns the close into an RST: the
+            // daemon sees POLLERR|POLLHUP and reclaims the connection
+            // at once, with the race still running.
+            pipeline(&mut stream, [Request::Catalog]);
+            stream.peek(&mut [0u8; 1]).expect("the catalog reply");
+        }
+        pipeline(&mut stream, [run_req("sleep", 200, 0)]);
+        await_snapshot(&telemetry, "the sleeper to be admitted", |t| {
+            t.snapshot()[Metric::Accepted] == before[Metric::Accepted] + 1
+        });
+        drop(stream);
+
+        if reset {
+            await_snapshot(&telemetry, "the reset connection to be reclaimed", idle);
+            let held = fd_count();
+            if baseline > 0 && telemetry.snapshot()[Metric::Completed] == before[Metric::Completed]
+            {
+                assert_eq!(
+                    held,
+                    baseline + 1,
+                    "the race in flight keeps the socket's fd from being reused"
+                );
+            }
+        }
+        await_snapshot(&telemetry, "the sleeper to finish", |t| {
+            t.snapshot()[Metric::Completed] == before[Metric::Completed] + 1
+        });
+        await_snapshot(&telemetry, "the connection and its fd to go", |t| {
+            idle(t) && (baseline == 0 || fd_count() == baseline)
+        });
+    }
+
+    let hits_before = telemetry.snapshot()[Metric::RingHits];
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    assert!(matches!(
+        client.run("trivial", 9, 0).expect("reply"),
+        Response::Ok { value: 9, .. }
+    ));
+    assert_eq!(
+        telemetry.snapshot()[Metric::RingHits],
+        hits_before + 1,
+        "the ring's only slot came back from both hang-ups"
+    );
+    server.shutdown();
+}
+
+/// Shutdown with pipelines in flight on several connections: every
+/// request already read is answered, in order, by whichever worker
+/// finishes it, and each connection closes behind its last reply.
+#[test]
+fn shutdown_answers_every_pipelined_request_then_closes() {
+    let _guard = serial();
+    let server = local_server(3, 64);
+    let telemetry = server.telemetry();
+    let mut conns: Vec<TcpStream> = (0..3).map(|_| raw_conn(&server)).collect();
+    for stream in &mut conns {
+        let trivials = (1..=8).map(|arg| run_req("trivial", arg, 0));
+        pipeline(
+            stream,
+            std::iter::once(run_req("sleep", 150, 0)).chain(trivials),
+        );
+    }
+    await_snapshot(&telemetry, "every request to be admitted", |t| {
+        t.snapshot()[Metric::Accepted] == 27
+    });
+    let roused_before = telemetry.snapshot()[Metric::Wakeups];
+
+    let stopper = std::thread::spawn(move || server.shutdown());
+    for stream in &mut conns {
+        for expect in std::iter::once(150).chain(1..=8) {
+            match next_reply(stream) {
+                Response::Ok { value, .. } => assert_eq!(value, expect, "reply order"),
+                other => panic!("expected Ok({expect}), got {other:?}"),
+            }
+        }
+        assert!(
+            matches!(read_frame(stream), Ok(None)),
+            "the connection closes behind its last reply"
+        );
+    }
+    stopper.join().expect("shutdown returns");
+    // The shutdown latch roused the reactor once, a hundred
+    // milliseconds before the sleepers finished; every later rousing is
+    // a poster that delivered into a draining shard and said so — the
+    // reactor closes connections as they empty, not a poll backstop
+    // later.
+    assert!(
+        telemetry.snapshot()[Metric::Wakeups] >= roused_before + 2,
+        "no delivery roused the draining reactor"
+    );
+}
+
+/// A submission the pool refuses leaves nothing behind: its reply group
+/// is taken back (the waiters are shed, once each), so when the shed
+/// clients hang up, their sockets close — a group left in the table
+/// would hold every write half it names, and with it the fd, forever.
+#[test]
+fn refused_submissions_hold_no_connection() {
+    let _guard = serial();
+    let server = local_server(1, 1);
+    let addr = server.local_addr();
+    let telemetry = server.telemetry();
+    // Before the first connection: the daemon's own fds, nothing else.
+    let baseline = fd_count();
+
+    let clients: Vec<_> = (0..8)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect");
+                c.run("sleep", 100, 0).expect("every request is answered")
+            })
+        })
+        .collect();
+    let replies: Vec<Response> = clients
+        .into_iter()
+        .map(|h| h.join().expect("joins"))
+        .collect();
+    let shed = replies
+        .iter()
+        .filter(|r| matches!(r, Response::Overloaded))
+        .count();
+    assert!(shed >= 1, "a depth-1 queue must refuse some of {replies:?}");
+    assert_eq!(telemetry.snapshot()[Metric::Shed], shed as u64);
+
+    await_snapshot(&telemetry, "every connection and its fd to go", |t| {
+        t.snapshot()[Metric::ConnsOpen] == 0 && (baseline == 0 || fd_count() == baseline)
+    });
     server.shutdown();
 }

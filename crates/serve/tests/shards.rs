@@ -227,6 +227,57 @@ fn shard_telemetry_surfaces_in_stats_and_prometheus() {
     server.shutdown();
 }
 
+/// `conns active` moves when a connection's last owed reply is released,
+/// on whichever thread releases it — not when the owning reactor next
+/// turns, which with no wake per reply may be a poll backstop away. A
+/// burst finishes on shard A; a STATS page fetched through shard B
+/// straight afterwards reads shard A idle, and the one active
+/// connection on the page is the scraper's own, on B.
+#[test]
+fn conns_active_is_current_on_a_shard_nobody_rouses() {
+    let _guard = serial();
+    let server = sharded_server(2);
+    let addr = server.local_addr();
+    let telemetry = server.telemetry();
+
+    let mut on_a = Client::connect(addr).expect("connect");
+    await_conns_open(&telemetry, 1);
+    let open_on = |shard: usize| telemetry.per_shard()[shard].conns_open();
+    let shard_a = (0..2).find(|&i| open_on(i) == 1).expect("one shard has it");
+    let shard_b = 1 - shard_a;
+    // The kernel hash picks the shard: connect until one lands on B.
+    let mut others = Vec::new();
+    while open_on(shard_b) == 0 {
+        assert!(others.len() < 64, "64 connections all hashed to one shard");
+        others.push(Client::connect(addr).expect("connect"));
+        await_conns_open(&telemetry, 1 + others.len() as u64);
+    }
+    let mut on_b = others.pop().expect("the last one landed on B");
+
+    on_a.send(&run_req("sleep", 40, 0)).expect("send sleep");
+    for arg in 1..=16u64 {
+        on_a.send(&run_req("trivial", arg, 0))
+            .expect("send trivial");
+    }
+    for expect in std::iter::once(40).chain(1..=16) {
+        match on_a.recv().expect("burst reply") {
+            Response::Ok { value, .. } => assert_eq!(value, expect, "reply order"),
+            other => panic!("expected Ok({expect}), got {other:?}"),
+        }
+    }
+
+    let stats = on_b.stats_page().expect("stats through shard B");
+    let shard_line = |shard: usize| {
+        let prefix = format!("shard {shard}: ");
+        let line = stats.lines().find(|l| l.trim_start().starts_with(&prefix));
+        line.unwrap_or_else(|| panic!("no line for shard {shard}: {stats}"))
+    };
+    assert!(shard_line(shard_a).contains(" active 0 "), "{stats}");
+    assert!(shard_line(shard_b).contains(" active 1 "), "{stats}");
+    assert!(stats.contains("conns active        1"), "{stats}");
+    server.shutdown();
+}
+
 /// `--shards N` still costs O(shards + workers) threads: a thousand
 /// idle connections on a 4-shard daemon leave the process thread count
 /// flat.

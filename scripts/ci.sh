@@ -52,19 +52,23 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
     exit 1
 }
 
-# The engine's claim protocol and the two suites that used to assert a
-# particular winner of a nondeterministic race: gated as "0 failures in
+# The engine's claim protocol, the two suites that used to assert a
+# particular winner of a nondeterministic race, and the reply path —
+# replies are written by whichever worker finishes the race, under the
+# connection's write-half lock (its seeded delivery-schedule property,
+# and the live reactor and loopback suites): gated as "0 failures in
 # N", because a concurrency bug that fires one run in ten passes a
 # single run nine times in ten.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, ring and sched suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, ring, sched, reactor and loopback suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
             cargo test -q -p altx engine::threaded &&
             cargo test -q -p altx --test race_crew &&
-            cargo test -q -p altx-serve --test ring --test sched
+            cargo test -q -p altx-serve --lib conn:: &&
+            cargo test -q -p altx-serve --test ring --test sched --test reactor --test loopback
     } >"$REPEAT_LOG" 2>&1 || {
         cat "$REPEAT_LOG" >&2
         rm -f "$REPEAT_LOG"
