@@ -58,7 +58,7 @@
 //! NUMA-aware core set, first-touching the shard's reply ring and
 //! buffer pool from those cores so the memory lands node-local.
 //! `--spin-us N` sets how long an idle stealing worker busy-waits for
-//! new work before parking on its group doorbell (0 parks immediately).
+//! new work before parking on its group's condvar (0 parks immediately).
 
 use altx_serve::server::{
     available_workers, start, ServerConfig, DEFAULT_RING_SLOTS, DEFAULT_RING_SLOT_BYTES,
@@ -113,7 +113,10 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => {
                 args.workers = value("--workers")?
                     .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
+                    .map_err(|e| format!("--workers: {e}"))?;
+                if args.workers == 0 {
+                    return Err("--workers: the minimum is 1".to_owned());
+                }
             }
             "--queue" => {
                 args.queue_depth = value("--queue")?
@@ -279,7 +282,12 @@ fn main() {
         println!("admission control: on (shed provably unmeetable deadlines)");
     }
     if args.steal {
-        println!("work stealing: on ({} worker groups)", args.shards);
+        // The pool deals its workers round-robin, so it cannot have more
+        // groups than workers.
+        println!(
+            "work stealing: on ({} worker groups)",
+            args.shards.min(args.workers)
+        );
     }
     if args.pin {
         println!(

@@ -1,65 +1,50 @@
 //! Deadline-aware worker pool: per-group EDF run queues, priority lanes
 //! with starvation aging, work stealing, load shedding, panic
-//! containment, and a supervisor that respawns dead workers.
+//! containment, and workers that restart themselves.
 //!
-//! Connections never execute races themselves: they enqueue a job and
-//! wait for its reply. Capacity is bounded across all queues, and
-//! `try_submit` refuses — it never blocks — when the pool is full, which
-//! is the daemon's overload backstop: a full pool means queueing deeper
-//! would only convert overload into latency. Shutdown closes the queues;
-//! workers drain every admitted job before exiting, so accepted requests
-//! are always answered.
+//! Connections never execute races themselves: they enqueue a job, and
+//! its completion notifier answers them from the worker thread, straight
+//! out of a reply-ring slot (`ring.rs`, `conn.rs`). Capacity is bounded
+//! across all queues and `try_submit` refuses — it never blocks — when
+//! the pool is full: queueing deeper would only turn overload into
+//! latency. Shutdown closes the queues; workers drain every admitted job
+//! before exiting, so accepted requests are always answered.
 //!
-//! Scheduling (all of it off by default — the default configuration is
-//! one group, one lane, no stealing, which is byte-for-byte the old FIFO
-//! channel):
+//! The run queue is a **monitor**: one `RunQueues` value — every
+//! group's lane heaps, who is asleep, how much is queued, whether the
+//! pool is closed — behind one `Mutex`, with one `Condvar` per group. A
+//! submitter locks, pushes, learns from the returned `Wake` which
+//! groups have a sleeper that may run the entry, unlocks, and notifies
+//! those. A worker locks and asks `RunQueues::next`: run this, spin,
+//! park, or exit — and is counted asleep before the lock is released,
+//! so "is there work a parked worker may run?" is asked and answered
+//! under the lock that parks it. `RunQueues` reads no clock, takes no
+//! lock and starts no thread; its rules are checked on virtual time
+//! (`tests::any_schedule_runs_every_admitted_entry_once`).
 //!
-//! * **EDF order** — each run queue is a binary heap on the job's
-//!   *absolute* deadline. A job whose wire deadline was `0` carries no
-//!   deadline ([`JobMeta::deadline`] = `None`) and sorts after every
-//!   deadlined job: best-effort work runs in the slack. Ties (and the
-//!   all-best-effort case) fall back to submission order, so with no
-//!   deadlines in play the heap degrades to exactly the old FIFO.
-//! * **Priority lanes** — each group holds one heap per lane; a pop
-//!   serves the highest-priority non-empty lane. Starvation aging keeps
-//!   strict priority from being absolute: once any entry in a lower
-//!   lane has waited longer than the aging threshold, that lane is
-//!   served next even though a higher lane has work.
-//! * **Worker groups + stealing** — workers are pinned round-robin to
-//!   groups (one per shard when stealing is on) and pop their own
-//!   group's queue first. With stealing enabled, a worker whose group
-//!   runs dry takes the victim group's *best* entry — same lane-then-EDF
-//!   selection a local pop would make, so a steal never inverts
-//!   priority.
+//! Scheduling — the default of one group, one lane and no stealing
+//! behaves exactly as a bounded FIFO channel: each queue is an EDF heap
+//! (see `Entry`); each group has one heap per priority lane, served
+//! strictly unless a lower lane has aged (`RunQueues::take_best`);
+//! workers are dealt round-robin to groups (one per shard when stealing
+//! is on) and pop their own group first. With stealing on, a worker
+//! whose group is dry takes a sibling group's *best* entry and, finding
+//! none, spins off the lock and looks again under it before it parks.
 //!
-//! On the way back, the completion notifier is the whole reply path:
-//! the worker thread encodes the winning `Response` once into a
-//! shard-local ring slot (`ring.rs`), locks the connection's write half
-//! (`conn.rs`) and writes to the socket straight from the slot — never
-//! re-encoding or copying the reply, and never handing it to another
-//! thread.
-//!
-//! Failure story (this is the layer the chaos soak beats on):
-//!
-//! * every job runs inside `catch_unwind` — a panicking job is counted
-//!   ([`PoolStats::jobs_panicked`]) and the worker keeps consuming;
-//! * a **supervisor** thread watches for workers that died anyway (a
-//!   fault-injected kill at the `pool.worker` site, or a panic that
-//!   somehow escaped containment) and respawns them — and it keeps
-//!   doing so through shutdown until the queues are empty, so a drain
-//!   can never stall on a dead worker set
-//!   ([`PoolStats::worker_respawns`]);
-//! * `shutdown` recovers poisoned locks instead of propagating them,
-//!   and after the workers are joined it sweeps every lane of every
-//!   group: a queued-but-never-run job is dropped there, which fires
-//!   its completion notifier through the exactly-once "worker lost"
-//!   path instead of vanishing silently.
+//! Failure story (the chaos soak beats on it): every job runs inside
+//! `catch_unwind` ([`PoolStats::jobs_panicked`]); a worker that unwinds
+//! anyway — the `pool.worker` fault site — catches itself at the top of
+//! its thread and starts its loop again, name and CPU pin intact
+//! ([`PoolStats::worker_respawns`]); and an admitted entry fires its
+//! notifier when it is dropped, however that happens: after the job
+//! ran, while its panic unwinds, unrun under an injected `Fail`, or in
+//! the sweep `shutdown` makes once the workers are joined.
 
 use altx::faults;
 use altx::CachePadded;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -74,32 +59,18 @@ pub type Notify = Box<dyn FnOnce() + Send + 'static>;
 /// past a busier high-priority lane.
 pub const DEFAULT_LANE_AGING: Duration = Duration::from_millis(25);
 
-/// How often a worker draining a *closed* pool re-scans sibling groups.
-/// Only the shutdown drain polls: entries can be transiently in flight
-/// (popped but not yet subtracted from `queued`) with no future push to
-/// ring the doorbell, so the drain path keeps a timeout. The steady
-/// state idle path is notify-driven — see [`pop`]'s doorbell protocol.
-const STEAL_POLL: Duration = Duration::from_millis(1);
-
 /// Default busy-wait budget before an idle stealing worker parks on its
 /// condvar. ~20 µs covers the common "next request is already on the
 /// wire" gap without burning a core through a real lull.
 pub const DEFAULT_SPIN: Duration = Duration::from_micros(20);
 
-/// Fires its notifier exactly once — when dropped, whether that drop
-/// happens after the job returned, while a panic unwinds through it,
-/// or because the pool discarded the job unrun.
-struct NotifyOnDrop {
-    armed: Arc<AtomicBool>,
-    notify: Option<Notify>,
-}
+/// Fires its notifier exactly once — when dropped.
+struct NotifyOnDrop(Option<Notify>);
 
 impl Drop for NotifyOnDrop {
     fn drop(&mut self) {
-        if self.armed.load(Ordering::SeqCst) {
-            if let Some(f) = self.notify.take() {
-                f();
-            }
+        if let Some(notify) = self.0.take() {
+            notify();
         }
     }
 }
@@ -143,9 +114,7 @@ impl JobMeta {
     }
 }
 
-/// Pool shape. [`PoolConfig::fifo`] is the default everything-off
-/// configuration: one group, one lane, no stealing — the classic
-/// bounded FIFO channel.
+/// Pool shape; [`PoolConfig::fifo`] is the everything-off default.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads.
@@ -165,9 +134,8 @@ pub struct PoolConfig {
     /// Busy-wait budget before an idle stealing worker parks.
     /// `Duration::ZERO` parks immediately.
     pub spin: Duration,
-    /// CPU sets to pin each group's workers to (`pin_cores[group]`);
-    /// the supervisor pins to the union. `None` — the default — makes
-    /// no affinity syscalls at all.
+    /// CPU sets to pin each group's workers to (`pin_cores[group]`).
+    /// `None` — the default — makes no affinity syscalls at all.
     pub pin_cores: Option<Vec<Vec<usize>>>,
 }
 
@@ -189,7 +157,7 @@ impl PoolConfig {
 
 /// Failure counters the pool maintains; shared with telemetry. Every
 /// cell is cache-line padded: `busy` is bumped twice per job by every
-/// worker and `steals`/`lane_depth` are bumped from multiple groups, so
+/// worker and `steals`/`lane_depth` are written from multiple groups, so
 /// without padding the counters would ping one shared line between
 /// cores on the hottest path in the daemon.
 #[derive(Debug, Default)]
@@ -217,7 +185,7 @@ impl PoolStats {
         self.jobs_panicked.load(Ordering::Relaxed)
     }
 
-    /// Workers found dead by the supervisor and replaced.
+    /// Times a worker unwound out of its loop and started it again.
     pub fn worker_respawns(&self) -> u64 {
         self.worker_respawns.load(Ordering::Relaxed)
     }
@@ -230,17 +198,14 @@ impl PoolStats {
     }
 
     /// Jobs a dry worker took from a sibling group's queue while the
-    /// pool was **open** — cross-group stealing under load. Scavenges
-    /// made while draining a closed pool are counted separately
-    /// ([`PoolStats::drain_scavenges`]), so this number answers "did
-    /// stealing rebalance live traffic?" without shutdown noise.
+    /// pool was **open**: "did stealing rebalance live traffic?" without
+    /// shutdown noise, which is [`PoolStats::drain_scavenges`].
     pub fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// Jobs taken from a sibling group while draining a *closed* pool
-    /// (shutdown scavenging, which ignores the steal flag so orphaned
-    /// queues still empty).
+    /// Jobs taken from a sibling group while draining a *closed* pool,
+    /// which ignores the steal flag so that orphaned queues still empty.
     pub fn drain_scavenges(&self) -> u64 {
         self.drain_scavenges.load(Ordering::Relaxed)
     }
@@ -254,28 +219,28 @@ impl PoolStats {
     }
 }
 
-/// One queued job: the EDF heap entry. Max-heap semantics — the entry
+/// One admitted job: the EDF heap entry. Max-heap semantics — the entry
 /// that should run *first* compares greatest: earlier deadline beats
 /// later, any deadline beats best-effort, and ties break to the lower
 /// submission sequence so equal-deadline (and all-best-effort) work
 /// stays FIFO.
+///
+/// An entry exists only once its submission is admitted, and dropping
+/// it — run or not — is what notifies: a refusal has none to drop.
 struct Entry {
     deadline: Option<Instant>,
     seq: u64,
     enqueued: Instant,
     job: Job,
+    notify: NotifyOnDrop,
 }
 
 impl Entry {
-    fn key_cmp(&self, other: &Entry) -> std::cmp::Ordering {
-        use std::cmp::Ordering::*;
-        match (self.deadline, other.deadline) {
-            (Some(a), Some(b)) => b.cmp(&a), // earlier deadline → greater
-            (Some(_), None) => Greater,      // deadlined beats best-effort
-            (None, Some(_)) => Less,
-            (None, None) => Equal,
-        }
-        .then_with(|| other.seq.cmp(&self.seq)) // lower seq → greater (FIFO)
+    /// Runs the job, then notifies — while the job's panic unwinds, too.
+    fn run(self) {
+        let Entry { job, notify, .. } = self;
+        job();
+        drop(notify);
     }
 }
 
@@ -292,81 +257,254 @@ impl PartialOrd for Entry {
 }
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key_cmp(other)
-    }
-}
-
-/// One worker group: a heap per lane behind one lock, the condvar its
-/// pinned workers park on, and the group's half of the steal doorbell.
-/// Groups are stored `CachePadded` so one group's queue head and
-/// `parked` count never share a line with its neighbour's.
-struct Group {
-    lanes: Mutex<Vec<BinaryHeap<Entry>>>,
-    available: Condvar,
-    /// Workers of this group currently parked in [`pop`]'s condvar
-    /// wait. Pushers elsewhere read it to decide whether a cross-group
-    /// doorbell notify is needed; see the protocol notes in [`pop`].
-    parked: AtomicUsize,
-}
-
-impl Group {
-    fn new(lanes: usize) -> Self {
-        Group {
-            lanes: Mutex::new((0..lanes).map(|_| BinaryHeap::new()).collect()),
-            available: Condvar::new(),
-            parked: AtomicUsize::new(0),
+        use std::cmp::Ordering::*;
+        match (self.deadline, other.deadline) {
+            (Some(a), Some(b)) => b.cmp(&a), // earlier deadline → greater
+            (Some(_), None) => Greater,      // deadlined beats best-effort
+            (None, Some(_)) => Less,
+            (None, None) => Equal,
         }
+        .then_with(|| other.seq.cmp(&self.seq)) // lower seq → greater (FIFO)
     }
 }
 
-/// State shared between the pool handle, its workers, and the
-/// supervisor.
-struct Shared {
-    groups: Vec<CachePadded<Group>>,
-    /// Total queued jobs across every group and lane, bounded by
-    /// `capacity`. Reserved before the enqueue so the shed decision is
-    /// race-free across groups. Padded: every push and pop in every
-    /// group hits it.
-    queued: CachePadded<AtomicUsize>,
+/// The groups whose condvar a submitter notifies once it has unlocked:
+/// each with a sleeper that may run the entry it pushed. Usually empty.
+type Wake = Vec<usize>;
+
+/// Where a worker's next entry came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Own,
+    /// A sibling group, the pool open: a steal.
+    Stolen,
+    /// A sibling group, the pool closed: the drain crosses groups
+    /// whether or not stealing is on.
+    Scavenged,
+}
+
+/// What [`RunQueues::next`] tells a worker to do.
+enum Next {
+    Run {
+        entry: Entry,
+        from: Source,
+    },
+    /// Nothing to run, but this worker steals, so work for it can appear
+    /// in any group: spend the spin budget off the lock, then look again.
+    Spin,
+    /// Nothing to run: sleep on the group's condvar. Already counted.
+    Park,
+    /// The pool is closed and every heap is empty.
+    Exit,
+}
+
+/// A submission [`RunQueues::push`] refused, handed back whole so that
+/// its closures are dropped — uncalled — after the lock, not under it.
+type Refused = (SubmitError, Job, Option<Notify>);
+
+/// The pool's scheduling state as a plain value: what is queued where,
+/// who is asleep, and every rule that follows from the two — admission,
+/// EDF / lane / aging order, stealing, whom to wake, when to exit. The
+/// caller holds the lock and supplies the time.
+struct RunQueues {
+    /// `lanes[group][lane]`.
+    lanes: Vec<Vec<BinaryHeap<Entry>>>,
+    /// Entries queued per lane, summed across groups — what the
+    /// lane-depth gauges show, and in total what `capacity` bounds.
+    depth: Vec<usize>,
+    /// Workers per group asleep on the group's condvar.
+    parked: Vec<usize>,
     capacity: usize,
     steal: bool,
     lane_aging: Duration,
-    /// Cross-group work doorbell: bumped by every push while stealing
-    /// is on. An idle worker records it before scanning siblings and
-    /// refuses to park if it moved — the push/park SeqCst handshake in
-    /// [`pop`] makes a lost wakeup impossible.
-    steal_epoch: CachePadded<AtomicU64>,
-    /// Busy-wait budget before an idle stealing worker parks.
+    seq: u64,
+    closed: bool,
+}
+
+impl RunQueues {
+    fn new(config: &PoolConfig) -> Self {
+        let groups = config.groups.clamp(1, config.workers);
+        let lanes = config.lanes.max(1);
+        let heaps = |_| (0..lanes).map(|_| BinaryHeap::new()).collect();
+        RunQueues {
+            lanes: (0..groups).map(heaps).collect(),
+            depth: vec![0; lanes],
+            parked: vec![0; groups],
+            capacity: config.queue_depth,
+            steal: config.steal,
+            lane_aging: config.lane_aging,
+            seq: 0,
+            closed: false,
+        }
+    }
+
+    /// Entries queued across every group and lane.
+    fn queued(&self) -> usize {
+        self.depth.iter().sum()
+    }
+
+    /// Admits `job` under `meta`, or refuses it and changes nothing.
+    fn push(
+        &mut self,
+        meta: JobMeta,
+        job: Job,
+        notify: Option<Notify>,
+        now: Instant,
+    ) -> Result<Wake, Refused> {
+        if self.closed {
+            return Err((SubmitError::ShuttingDown, job, notify));
+        }
+        if self.queued() >= self.capacity {
+            return Err((SubmitError::Overloaded, job, notify));
+        }
+        let n = self.lanes.len();
+        let group = meta.group % n;
+        let lane = meta.lane.min(self.depth.len() - 1);
+        self.lanes[group][lane].push(Entry {
+            deadline: meta.deadline,
+            seq: self.seq,
+            enqueued: now,
+            job,
+            notify: NotifyOnDrop(notify),
+        });
+        self.seq += 1;
+        self.depth[lane] += 1;
+        let may_run = |g: &usize| self.parked[*g] > 0 && (*g == group || self.steal);
+        Ok((0..n).filter(may_run).collect())
+    }
+
+    /// Takes the entry one group's lanes would run next: from the
+    /// highest priority non-empty lane, unless starvation aging promotes
+    /// a lower lane that has an entry waiting past the threshold. Within
+    /// the chosen lane, EDF order (the heap's max = earliest deadline,
+    /// best-effort last, FIFO among equals).
+    fn take_best(&mut self, group: usize, now: Instant) -> Option<Entry> {
+        let aging = self.lane_aging;
+        let lanes = &mut self.lanes[group];
+        let strict = lanes.iter().position(|l| !l.is_empty())?;
+        let mut pick = strict;
+        if !aging.is_zero() {
+            for (i, lane) in lanes.iter().enumerate().skip(strict + 1) {
+                if lane.iter().any(|e| now.duration_since(e.enqueued) >= aging) {
+                    pick = i;
+                    break;
+                }
+            }
+        }
+        let entry = lanes[pick].pop()?;
+        self.depth[pick] -= 1;
+        Some(entry)
+    }
+
+    /// One look for a worker of `group`: the best entry of the first
+    /// group that has one, round-robin from its own and — unless stealing
+    /// is on or the pool closed — no further; failing that, `Exit` on a
+    /// closed pool. On an open one a stealing worker with siblings that
+    /// has not `spun` since it last slept or ran is told to `Spin`; any
+    /// other is counted asleep here, before the lock is released — so
+    /// every later push names its group in the [`Wake`] — and told to
+    /// `Park`.
+    fn next(&mut self, group: usize, now: Instant, spun: bool) -> Next {
+        let n = self.lanes.len();
+        let reach = if self.steal || self.closed { n } else { 1 };
+        for i in 0..reach {
+            if let Some(entry) = self.take_best((group + i) % n, now) {
+                let from = match (i, self.closed) {
+                    (0, _) => Source::Own,
+                    (_, false) => Source::Stolen,
+                    (_, true) => Source::Scavenged,
+                };
+                return Next::Run { entry, from };
+            }
+        }
+        if self.closed {
+            return Next::Exit;
+        }
+        if self.steal && n > 1 && !spun {
+            return Next::Spin;
+        }
+        self.parked[group] += 1;
+        Next::Park
+    }
+
+    /// A worker of `group` told to `Park` is awake again, notified or not.
+    fn unpark(&mut self, group: usize) {
+        self.parked[group] -= 1;
+    }
+
+    /// Refuses every later push; from here `next` crosses groups and
+    /// answers `Exit` instead of `Park`.
+    fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Empties every heap, handing the entries to the caller to drop.
+    fn drain(&mut self) -> Vec<Entry> {
+        self.depth.fill(0);
+        let heaps = self.lanes.iter_mut().flatten();
+        heaps.flat_map(|heap| heap.drain()).collect()
+    }
+}
+
+/// State shared between the pool handle and its workers.
+struct Shared {
+    /// The monitor's lock: the only one that guards queue state.
+    queues: Mutex<RunQueues>,
+    /// `available[group]` is where the group's idle workers sleep.
+    available: Vec<Condvar>,
+    /// `RunQueues::queued`, copied out for [`WorkerPool::queued`] and the
+    /// spin, which must not take the lock. A statistic that publishes
+    /// nothing else, hence `Relaxed`; padded for the spinners' polling.
+    queued: CachePadded<AtomicUsize>,
+    /// Busy-wait budget of a worker told to [`Next::Spin`].
     spin: Duration,
     /// Per-group CPU pin sets; `None` = never touch affinity.
     pin_cores: Option<Vec<Vec<usize>>>,
-    seq: AtomicU64,
-    closed: AtomicBool,
-    workers: Mutex<Vec<WorkerSlot>>,
     stats: Arc<PoolStats>,
-    shutting_down: AtomicBool,
 }
 
-struct WorkerSlot {
-    group: usize,
-    handle: JoinHandle<()>,
+impl Shared {
+    /// No job, notifier or destructor of either runs under this lock, so
+    /// a poisoned guard still protects consistent queues.
+    fn lock(&self) -> MutexGuard<'_, RunQueues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Copies out the counts that are read without the lock. Called with
+    /// it held, after every change: a reader may see a count a moment
+    /// old, never one the queues did not have.
+    fn publish(&self, queues: &RunQueues) {
+        self.queued.store(queues.queued(), Ordering::Relaxed);
+        for (gauge, &depth) in self.stats.lane_depth.iter().zip(&queues.depth) {
+            gauge.store(depth as u64, Ordering::Relaxed);
+        }
+    }
+
+    fn submit(&self, job: Job, notify: Option<Notify>, meta: JobMeta) -> Result<(), SubmitError> {
+        let now = Instant::now();
+        let mut queues = self.lock();
+        let pushed = queues.push(meta, job, notify, now);
+        self.publish(&queues);
+        drop(queues);
+        let wake = pushed.map_err(|(why, _job, _notify)| why)?;
+        for group in wake {
+            self.available[group].notify_one();
+        }
+        Ok(())
+    }
 }
 
-/// A fixed set of worker threads consuming bounded per-group run
-/// queues, kept at strength by a supervisor.
+/// A fixed set of worker threads over bounded per-group run queues.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
     n_workers: usize,
 }
 
-/// How often the supervisor sweeps for dead workers.
-const SUPERVISE_EVERY: Duration = Duration::from_millis(5);
-
 impl WorkerPool {
     /// Spawns `workers` threads over a single FIFO-equivalent run queue
-    /// of depth `queue_depth`, plus the supervisor. This is the legacy
-    /// shape; see [`WorkerPool::with_config`] for groups/lanes/stealing.
+    /// of depth `queue_depth`. This is the legacy shape; see
+    /// [`WorkerPool::with_config`] for groups/lanes/stealing.
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         WorkerPool::with_config(PoolConfig::fifo(workers, queue_depth))
     }
@@ -376,45 +514,22 @@ impl WorkerPool {
     /// `config.lanes` EDF heaps.
     pub fn with_config(config: PoolConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
-        let n_groups = config.groups.clamp(1, config.workers);
-        let n_lanes = config.lanes.max(1);
+        let queues = RunQueues::new(&config);
+        let (n_groups, n_lanes) = (queues.parked.len(), queues.depth.len());
         let shared = Arc::new(Shared {
-            groups: (0..n_groups)
-                .map(|_| CachePadded::new(Group::new(n_lanes)))
-                .collect(),
+            queues: Mutex::new(queues),
+            available: (0..n_groups).map(|_| Condvar::new()).collect(),
             queued: CachePadded::new(AtomicUsize::new(0)),
-            capacity: config.queue_depth,
-            steal: config.steal,
-            lane_aging: config.lane_aging,
-            steal_epoch: CachePadded::new(AtomicU64::new(0)),
             spin: config.spin,
             pin_cores: config.pin_cores,
-            seq: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            workers: Mutex::new(Vec::with_capacity(config.workers)),
             stats: Arc::new(PoolStats::with_lanes(n_lanes)),
-            shutting_down: AtomicBool::new(false),
         });
-        {
-            let mut slots = lock_workers(&shared);
-            for i in 0..config.workers {
-                let group = i % n_groups;
-                slots.push(WorkerSlot {
-                    group,
-                    handle: spawn_worker(&shared, group, &format!("altxd-worker-g{group}-{i}")),
-                });
-            }
-        }
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("altxd-supervisor".to_owned())
-                .spawn(move || supervise(&shared))
-                .expect("spawn supervisor")
-        };
+        let workers = (0..config.workers)
+            .map(|i| spawn_worker(&shared, i % n_groups, i))
+            .collect();
         WorkerPool {
             shared,
-            supervisor: Mutex::new(Some(supervisor)),
+            workers: Mutex::new(workers),
             n_workers: config.workers,
         }
     }
@@ -428,7 +543,7 @@ impl WorkerPool {
     /// Enqueues a job under `meta`'s deadline/lane/group without
     /// blocking; refuses when full or closed.
     pub fn try_submit_at(&self, job: Job, meta: JobMeta) -> Result<(), SubmitError> {
-        push(&self.shared, job, meta).map_err(|(_, e)| e)
+        self.shared.submit(job, None, meta)
     }
 
     /// Enqueues a best-effort job with a completion notifier; see
@@ -441,40 +556,16 @@ impl WorkerPool {
     /// deadline/lane/group. The pool guarantees `notify` runs **exactly
     /// once** for an admitted job — after the job returns, while its
     /// panic unwinds, or when the pool drops the job unrun (an injected
-    /// `Fail` fault, a worker killed mid-queue, or the shutdown sweep of
-    /// a queue no worker drained). A refused submission never notifies:
-    /// the `Err` return is the caller's signal.
-    ///
-    /// This is the reactor's bridge out of blocking-channel land: the
-    /// notifier delivers the finished response to its connection from
-    /// the worker itself, so no thread ever parks in `recv()` waiting
-    /// for a race to finish.
+    /// `Fail` fault, or the shutdown sweep of a queue no worker
+    /// drained). A refused submission never notifies: the `Err` return
+    /// is the caller's signal.
     pub fn try_submit_notify_at(
         &self,
         job: Job,
         notify: Notify,
         meta: JobMeta,
     ) -> Result<(), SubmitError> {
-        let armed = Arc::new(AtomicBool::new(true));
-        let guard = NotifyOnDrop {
-            armed: Arc::clone(&armed),
-            notify: Some(notify),
-        };
-        let wrapped: Job = Box::new(move || {
-            job();
-            drop(guard); // unwind-safe: a panicking job still notifies
-        });
-        match push(&self.shared, wrapped, meta) {
-            Ok(()) => Ok(()),
-            Err((wrapped, e)) => {
-                // Disarm *before* dropping the refused wrapper, or its
-                // guard would report a loss for a job that was never
-                // admitted.
-                armed.store(false, Ordering::SeqCst);
-                drop(wrapped);
-                Err(e)
-            }
-        }
+        self.shared.submit(job, Some(notify), meta)
     }
 
     /// Runs `work` on the pool under `meta` and hands its outcome to
@@ -504,7 +595,7 @@ impl WorkerPool {
     /// Jobs currently queued (not yet picked up by a worker), across
     /// every group and lane.
     pub fn queued(&self) -> usize {
-        self.shared.queued.load(Ordering::SeqCst)
+        self.shared.queued.load(Ordering::Relaxed)
     }
 
     /// Workers executing a job right now.
@@ -519,7 +610,7 @@ impl WorkerPool {
 
     /// Worker groups the pool was configured with.
     pub fn groups(&self) -> usize {
-        self.shared.groups.len()
+        self.shared.available.len()
     }
 
     /// Priority lanes per group.
@@ -534,417 +625,124 @@ impl WorkerPool {
     }
 
     /// Closes the queues and joins every worker after the jobs already
-    /// admitted drain, then joins the supervisor. Idempotent: later
-    /// calls find no workers left. Never panics — poisoned locks and
-    /// workers that died of a contained-but-escaped panic are both
-    /// recovered, so shutdown always drains. Any job still queued after
-    /// the workers are gone (every worker of a group lost at once) is
-    /// swept here: dropping it unrun fires its notifier through the
-    /// exactly-once "worker lost" path, so no admitted request is ever
-    /// silently forgotten.
+    /// admitted drain. Idempotent: later calls find no workers left.
+    /// Never panics — a poisoned lock is recovered and a worker restarts
+    /// itself rather than die. Should a worker thread be lost all the
+    /// same, what is still queued once the rest are joined is swept
+    /// here: an entry dropped unrun still fires its notifier.
     pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        close(&self.shared);
-        // The supervisor keeps respawning through the drain (it exits
-        // once the queues are empty), so a dead worker set can never
-        // strand queued jobs.
-        let supervisor = self
-            .supervisor
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(s) = supervisor {
-            let _ = s.join();
+        self.shared.lock().close();
+        for sleepers in &self.shared.available {
+            sleepers.notify_all();
         }
-        let slots: Vec<_> = lock_workers(&self.shared).drain(..).collect();
-        for w in slots {
-            // A worker killed by an injected fault panicked; that must
-            // not abort the drain of its siblings.
-            let _ = w.handle.join();
+        let workers =
+            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
+        for worker in workers {
+            let _ = worker.join();
         }
-        sweep_leftovers(&self.shared);
+        let mut queues = self.shared.lock();
+        let leftovers = queues.drain();
+        self.shared.publish(&queues);
+        drop(queues);
+        drop(leftovers); // off the lock: each drop may run a notifier
     }
 }
 
-/// Marks the queues closed. Cycling every group lock after the store
-/// gives pushers a happens-before edge: once a push observes the lock a
-/// closer held, it observes `closed` too.
-fn close(shared: &Shared) {
-    shared.closed.store(true, Ordering::SeqCst);
-    for group in &shared.groups {
-        drop(lock_lanes(group));
-        group.available.notify_all();
-    }
-}
-
-/// Drops every job still queued anywhere. Each dropped wrapper fires
-/// its `NotifyOnDrop` guard — the "worker lost" completion.
-fn sweep_leftovers(shared: &Shared) {
-    for group in &shared.groups {
-        let mut lanes = lock_lanes(group);
-        for (lane_idx, lane) in lanes.iter_mut().enumerate() {
-            while let Some(entry) = lane.pop() {
-                shared.queued.fetch_sub(1, Ordering::SeqCst);
-                if let Some(depth) = shared.stats.lane_depth.get(lane_idx) {
-                    depth.fetch_sub(1, Ordering::Relaxed);
+/// Blocking pop for a worker of `group`: `None` only when the pool is
+/// closed and every queue is drained.
+fn pop(shared: &Shared, group: usize) -> Option<Entry> {
+    let mut spun = false;
+    let mut queues = shared.lock();
+    loop {
+        match queues.next(group, Instant::now(), spun) {
+            Next::Run { entry, from } => {
+                shared.publish(&queues);
+                drop(queues);
+                let counter = match from {
+                    Source::Own => return Some(entry),
+                    Source::Stolen => &shared.stats.steals,
+                    Source::Scavenged => &shared.stats.drain_scavenges,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                return Some(entry);
+            }
+            Next::Exit => return None,
+            Next::Spin => {
+                // Busy-wait, off the lock, for work to appear anywhere in
+                // the pool. However it ends, the next look is locked.
+                drop(queues);
+                let start = Instant::now();
+                while shared.queued.load(Ordering::Relaxed) == 0 && start.elapsed() < shared.spin {
+                    std::hint::spin_loop();
                 }
-                drop(entry.job);
+                queues = shared.lock();
+                spun = true;
+            }
+            Next::Park => {
+                queues = shared.available[group]
+                    .wait(queues)
+                    .unwrap_or_else(PoisonError::into_inner);
+                queues.unpark(group);
+                spun = false;
             }
         }
     }
 }
 
-fn push(shared: &Shared, job: Job, meta: JobMeta) -> Result<(), (Job, SubmitError)> {
-    if shared.closed.load(Ordering::SeqCst) {
-        return Err((job, SubmitError::ShuttingDown));
-    }
-    // Reserve capacity before touching any lock: the bound is global
-    // across groups and the shed decision must be race-free.
-    let mut cur = shared.queued.load(Ordering::SeqCst);
-    loop {
-        if cur >= shared.capacity {
-            return Err((job, SubmitError::Overloaded));
-        }
-        match shared
-            .queued
-            .compare_exchange_weak(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-        {
-            Ok(_) => break,
-            Err(seen) => cur = seen,
-        }
-    }
-    let g = meta.group % shared.groups.len();
-    let group = &shared.groups[g];
-    let lane_idx;
-    {
-        let mut lanes = lock_lanes(group);
-        // Re-check under the lock `close` cycles: after a close no new
-        // job may land in a queue the workers might already have left.
-        if shared.closed.load(Ordering::SeqCst) {
-            shared.queued.fetch_sub(1, Ordering::SeqCst);
-            return Err((job, SubmitError::ShuttingDown));
-        }
-        lane_idx = meta.lane.min(lanes.len() - 1);
-        lanes[lane_idx].push(Entry {
-            deadline: meta.deadline,
-            seq: shared.seq.fetch_add(1, Ordering::SeqCst),
-            enqueued: Instant::now(),
-            job,
-        });
-    }
-    if let Some(depth) = shared.stats.lane_depth.get(lane_idx) {
-        depth.fetch_add(1, Ordering::Relaxed);
-    }
-    group.available.notify_one();
-    ring_doorbell(shared, g);
-    Ok(())
-}
-
-/// The push half of the steal doorbell: after a job lands in group `g`,
-/// wake parked workers in sibling groups that could steal it. The
-/// `SeqCst` bump-then-read here pairs with the parker's `SeqCst`
-/// increment-then-read in [`pop`] (a store-buffer / Dekker handshake):
-/// in the single total order either this push's epoch bump precedes the
-/// parker's epoch read (the parker sees it and rescans instead of
-/// parking) or the parker's `parked` increment precedes this read (we
-/// see it and notify). The lock cycle before the notify orders it after
-/// the parker's `wait` began, so the signal cannot fire into the gap
-/// between "decided to park" and "parked".
-///
-/// Hot-path cost when nobody is parked: one `fetch_add` plus one padded
-/// load per sibling — no locks.
-fn ring_doorbell(shared: &Shared, g: usize) {
-    let n = shared.groups.len();
-    if !shared.steal || n <= 1 {
-        return;
-    }
-    shared.steal_epoch.fetch_add(1, Ordering::SeqCst);
-    for i in 1..n {
-        let sibling = &shared.groups[(g + i) % n];
-        if sibling.parked.load(Ordering::SeqCst) > 0 {
-            drop(lock_lanes(sibling));
-            sibling.available.notify_one();
-        }
-    }
-}
-
-/// Picks the next entry to run from one group's lanes: the highest
-/// priority non-empty lane, unless starvation aging promotes a lower
-/// lane that has an entry waiting past the threshold. Within the chosen
-/// lane, EDF order (the heap's max = earliest deadline, best-effort
-/// last, FIFO among equals).
-fn select(
-    lanes: &mut [BinaryHeap<Entry>],
-    now: Instant,
-    aging: Duration,
-) -> Option<(usize, Entry)> {
-    let strict = lanes.iter().position(|l| !l.is_empty())?;
-    let mut pick = strict;
-    if !aging.is_zero() {
-        for (i, lane) in lanes.iter().enumerate().skip(strict + 1) {
-            if lane.iter().any(|e| now.duration_since(e.enqueued) >= aging) {
-                pick = i;
-                break;
-            }
-        }
-    }
-    let entry = lanes[pick].pop()?;
-    Some((pick, entry))
-}
-
-fn take_accounted(shared: &Shared, picked: (usize, Entry)) -> Entry {
-    let (lane_idx, entry) = picked;
-    shared.queued.fetch_sub(1, Ordering::SeqCst);
-    if let Some(depth) = shared.stats.lane_depth.get(lane_idx) {
-        depth.fetch_sub(1, Ordering::Relaxed);
-    }
-    entry
-}
-
-/// Scans sibling groups (round-robin from `g + 1`) for work, applying
-/// the same lane-then-EDF selection a local pop would.
-fn steal_from(shared: &Shared, g: usize) -> Option<Entry> {
-    let n = shared.groups.len();
-    for i in 1..n {
-        let victim = &shared.groups[(g + i) % n];
-        let mut lanes = lock_lanes(victim);
-        if let Some(picked) = select(&mut lanes, Instant::now(), shared.lane_aging) {
-            drop(lanes);
-            return Some(take_accounted(shared, picked));
-        }
-    }
-    None
-}
-
-/// Bounded busy-wait for work to appear anywhere in the pool. Returns
-/// `true` as soon as `queued` goes nonzero (the caller re-locks and
-/// re-scans), `false` when the budget expires without work. Lock-free:
-/// the spinner watches the one padded global the push path always
-/// bumps.
-fn spin_for_work(shared: &Shared) -> bool {
-    if shared.spin.is_zero() {
-        return false;
-    }
-    let start = Instant::now();
-    loop {
-        if shared.queued.load(Ordering::Relaxed) > 0 {
-            return true;
-        }
-        if start.elapsed() >= shared.spin {
-            return false;
-        }
-        std::hint::spin_loop();
-    }
-}
-
-/// Blocking pop for a worker pinned to group `g`. Returns `None` only
-/// when the pool is closed and every queue it can reach is drained.
-/// While draining a closed pool, workers steal across groups regardless
-/// of the steal flag, so a group whose own workers died still empties.
-///
-/// The idle path is **spin-then-park**, notify-driven in steady state:
-///
-/// 1. note the doorbell epoch (under the group lock), scan the sibling
-///    groups for a steal;
-/// 2. on a dry scan, busy-wait up to the configured spin budget on the
-///    global queue count — a job that arrives within the budget is
-///    picked up without a syscall;
-/// 3. park on the group condvar with `parked` incremented **under the
-///    lock** and only if the epoch has not moved since step 1. The
-///    pusher's bump-then-read ([`ring_doorbell`]) against this
-///    increment-then-read means a push that lands mid-scan either
-///    flips the epoch (we rescan) or sees us parked (it notifies) —
-///    there is no interleaving that strands a job behind a parked
-///    worker, so the park needs no timeout.
-///
-/// Only the *closed-pool drain* still polls ([`STEAL_POLL`]): with no
-/// future pushes to ring the doorbell, `queued > 0` can be transiently
-/// stale while the last entries are mid-pop, and a timeout is the
-/// simple way to re-check without a shutdown-only signalling scheme.
-fn pop(shared: &Shared, g: usize) -> Option<Job> {
-    let group = &shared.groups[g];
-    let mut guard = lock_lanes(group);
-    loop {
-        if let Some(picked) = select(&mut guard, Instant::now(), shared.lane_aging) {
-            drop(guard);
-            return Some(take_accounted(shared, picked).job);
-        }
-        let closed = shared.closed.load(Ordering::SeqCst);
-        let scavenge = (shared.steal || closed) && shared.groups.len() > 1;
-        if !scavenge {
-            if closed {
-                return None; // single reachable queue, empty: drained
-            }
-            guard = group
-                .available
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-            continue;
-        }
-        // Doorbell epoch *before* leaving the lock: any push from here
-        // on either post-dates this read (and will see us parked) or
-        // moves the epoch (and we will refuse to park).
-        let epoch = shared.steal_epoch.load(Ordering::SeqCst);
-        drop(guard);
-        if let Some(entry) = steal_from(shared, g) {
-            // Classify by the *latest* close state: a close() that
-            // raced in mid-scan makes this a drain scavenge, not a
-            // load-balancing steal.
-            if shared.closed.load(Ordering::SeqCst) {
-                shared.stats.drain_scavenges.fetch_add(1, Ordering::Relaxed);
-            } else {
-                shared.stats.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(entry.job);
-        }
-        if closed {
-            if shared.queued.load(Ordering::SeqCst) == 0 {
-                return None;
-            }
-            guard = lock_lanes(group);
-            let (g2, _) = group
-                .available
-                .wait_timeout(guard, STEAL_POLL)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g2;
-            continue;
-        }
-        if spin_for_work(shared) {
-            guard = lock_lanes(group);
-            continue;
-        }
-        guard = lock_lanes(group);
-        if shared.closed.load(Ordering::SeqCst) {
-            continue; // close() raced the spin; take the drain path
-        }
-        group.parked.fetch_add(1, Ordering::SeqCst);
-        if shared.steal_epoch.load(Ordering::SeqCst) != epoch {
-            // A push landed somewhere since the scan — rescan, don't
-            // park on a doorbell that already rang.
-            group.parked.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        guard = group
-            .available
-            .wait(guard)
-            .unwrap_or_else(PoisonError::into_inner);
-        group.parked.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn lock_lanes(group: &Group) -> MutexGuard<'_, Vec<BinaryHeap<Entry>>> {
-    group.lanes.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_workers(shared: &Shared) -> MutexGuard<'_, Vec<WorkerSlot>> {
-    shared
-        .workers
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
-fn spawn_worker(shared: &Arc<Shared>, group: usize, name: &str) -> JoinHandle<()> {
+fn spawn_worker(shared: &Arc<Shared>, group: usize, index: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
-        .name(name.to_owned())
-        .spawn(move || worker_loop(&shared, group))
+        .name(format!("altxd-worker-g{group}-{index}"))
+        .spawn(move || {
+            // Pin before consuming anything, so that the jobs this worker
+            // runs (and the memory they first-touch) land on the group's
+            // cores from the first pop. A refusal logs and runs unpinned.
+            if let Some(cpus) = shared.pin_cores.as_ref().and_then(|sets| sets.get(group)) {
+                crate::pin::pin_current_thread(&format!("worker-g{group}"), cpus);
+            }
+            // A worker heals itself. Whatever unwinds out of the loop —
+            // it holds no entry and no lock when it does — the same
+            // thread starts the loop again; it returns only once the
+            // pool is closed and drained.
+            while catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, group))).is_err() {
+                shared.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
+            }
+        })
         .expect("spawn worker")
 }
 
 fn worker_loop(shared: &Shared, group: usize) {
-    // Pin before consuming anything: the jobs this worker runs (and the
-    // memory they first-touch) should land on the group's cores from
-    // the very first pop. Best-effort — a refusal logs and the worker
-    // runs unpinned.
-    if let Some(sets) = &shared.pin_cores {
-        if let Some(cpus) = sets.get(group) {
-            crate::pin::pin_current_thread(&format!("worker-g{group}"), cpus);
-        }
-    }
     loop {
         // Fault site `pool.worker`: an injected panic here is *not*
-        // contained — it kills this thread, which is the supervisor's
-        // cue. Sits before the pop so no admitted job is lost with the
-        // worker.
+        // contained by `run_job` — it unwinds the whole loop. Sits
+        // before the pop so no admitted job is lost with it.
         if faults::enabled() {
             let _ = faults::inject("pool.worker", None);
         }
         match pop(shared, group) {
-            Some(job) => run_job(job, shared),
+            Some(entry) => run_job(entry, shared),
             None => break, // closed and drained
         }
     }
 }
 
-fn run_job(job: Job, shared: &Shared) {
+fn run_job(entry: Entry, shared: &Shared) {
     shared.stats.busy.fetch_add(1, Ordering::Relaxed);
     // Fault site `pool.job` sits inside the contained region: an
     // injected panic is indistinguishable from the job itself crashing,
-    // and `Fail` drops the job unrun (the submitter's reply channel
-    // closes, which the server answers rather than awaits forever).
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    // and `Fail` drops the entry unrun (its notifier fires with no
+    // outcome, which the server answers rather than awaits forever).
+    let outcome = catch_unwind(AssertUnwindSafe(move || {
         if faults::enabled() && faults::inject("pool.job", None) == faults::Verdict::Fail {
             return;
         }
-        job();
+        entry.run();
     }));
     // The gauge decrement sits outside the contained region, so a
     // panicking job never leaves a phantom busy worker behind.
     shared.stats.busy.fetch_sub(1, Ordering::Relaxed);
     if outcome.is_err() {
         shared.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Sweeps the worker set, replacing dead threads. Keeps sweeping
-/// through shutdown until the queues are empty: a drain must never
-/// stall because the last worker of a group died.
-fn supervise(shared: &Arc<Shared>) {
-    // The supervisor is cold; pin it to the union of the pool's cores
-    // so it never preempts a foreign shard's hot thread.
-    if let Some(sets) = &shared.pin_cores {
-        let mut union: Vec<usize> = sets.iter().flatten().copied().collect();
-        union.sort_unstable();
-        union.dedup();
-        if !union.is_empty() {
-            crate::pin::pin_current_thread("supervisor", &union);
-        }
-    }
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) && shared.queued.load(Ordering::SeqCst) == 0
-        {
-            break;
-        }
-        std::thread::sleep(SUPERVISE_EVERY);
-        let mut slots = lock_workers(shared);
-        for slot in slots.iter_mut() {
-            if shared.shutting_down.load(Ordering::SeqCst)
-                && shared.queued.load(Ordering::SeqCst) == 0
-            {
-                break;
-            }
-            if !slot.handle.is_finished() {
-                continue;
-            }
-            // Replace first, then examine the corpse: only a panicked
-            // worker counts as a respawn. (A worker that exited cleanly
-            // means the queue just closed and drained; its replacement
-            // will see the same and exit — shutdown joins it like any
-            // other.)
-            let gen = shared.stats.worker_respawns.load(Ordering::Relaxed);
-            let group = slot.group;
-            let fresh = spawn_worker(shared, group, &format!("altxd-worker-r{gen}"));
-            let dead = std::mem::replace(
-                slot,
-                WorkerSlot {
-                    group,
-                    handle: fresh,
-                },
-            );
-            if dead.handle.join().is_err() {
-                shared.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 }
 
@@ -963,6 +761,7 @@ impl std::fmt::Debug for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use altx_check::{check, CaseRng};
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
@@ -1152,6 +951,7 @@ mod tests {
             seq,
             enqueued: now,
             job: Box::new(|| {}),
+            notify: NotifyOnDrop(None),
         };
         let mut heap = BinaryHeap::new();
         heap.push(mk(None, 0)); // best-effort, submitted first
@@ -1196,5 +996,355 @@ mod tests {
         block_tx.send(()).expect("worker waiting");
         pool.shutdown();
         assert_eq!(pool.stats().lane_depths(), vec![0, 0]);
+    }
+
+    /// A worker of the schedule property, standing where `pop` can stand
+    /// between two holds of the lock.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Worker {
+        /// About to look.
+        Awake,
+        /// Told to spin: the lock is released, and its next look may
+        /// park it.
+        Spun,
+        /// Counted asleep; `notified` once a `Wake`, or the close, has
+        /// reached it.
+        Asleep {
+            notified: bool,
+        },
+        Exited,
+    }
+
+    /// What the property remembers of one admitted entry; `seq` is its
+    /// index.
+    struct Admitted {
+        group: usize,
+        lane: usize,
+        deadline: Option<Instant>,
+        enqueued: Instant,
+        queued: bool,
+        ran: Arc<AtomicUsize>,
+        notified: Option<Arc<AtomicUsize>>,
+    }
+
+    /// One seeded schedule: the queues under test beside a model that
+    /// knows nothing of heaps.
+    struct Schedule {
+        queues: RunQueues,
+        groups: usize,
+        lanes: usize,
+        capacity: usize,
+        steal: bool,
+        aging: Duration,
+        /// `workers[i]` belongs to group `i % groups`, as `with_config`
+        /// deals them.
+        workers: Vec<Worker>,
+        admitted: Vec<Admitted>,
+        closed: bool,
+        epoch: Instant,
+        now: Instant,
+    }
+
+    impl Schedule {
+        fn queued_in(
+            &self,
+            group: usize,
+            lane: usize,
+        ) -> impl Iterator<Item = (usize, &Admitted)> + '_ {
+            let here = move |a: &Admitted| a.queued && a.group == group && a.lane == lane;
+            self.admitted
+                .iter()
+                .enumerate()
+                .filter(move |(_, a)| here(a))
+        }
+
+        /// May a worker of `group` run an entry queued in `home`?
+        fn allowed(&self, group: usize, home: usize) -> bool {
+            group == home || self.steal || self.closed
+        }
+
+        /// The entry a worker of `group` must be handed now, worked out
+        /// from the rules: own group first, then — stealing or closed —
+        /// the siblings round-robin; strict lane priority unless a lower
+        /// lane holds an entry older than the aging threshold; in the
+        /// lane, earliest deadline, best-effort last, FIFO among equals.
+        fn expected(&self, group: usize) -> Option<(usize, Source)> {
+            let sources = (0..self.groups).map(|i| (group + i) % self.groups);
+            sources
+                .filter(|&home| self.allowed(group, home))
+                .find_map(|home| {
+                    let strict =
+                        (0..self.lanes).find(|&l| self.queued_in(home, l).next().is_some())?;
+                    let old = |a: &Admitted| self.now.duration_since(a.enqueued) >= self.aging;
+                    let aged = (strict + 1..self.lanes).find(|&l| {
+                        !self.aging.is_zero() && self.queued_in(home, l).any(|(_, a)| old(a))
+                    });
+                    let (seq, _) = self
+                        .queued_in(home, aged.unwrap_or(strict))
+                        .min_by_key(|&(seq, a)| (a.deadline.is_none(), a.deadline, seq))?;
+                    let from = match (home == group, self.closed) {
+                        (true, _) => Source::Own,
+                        (false, false) => Source::Stolen,
+                        (false, true) => Source::Scavenged,
+                    };
+                    Some((seq, from))
+                })
+        }
+
+        /// `notify_one` on `group`'s condvar: one sleeper not yet
+        /// notified, if there is one, is.
+        fn notify_one(&mut self, group: usize) {
+            let groups = self.groups;
+            let sleeper =
+                self.workers.iter_mut().enumerate().find(|(i, w)| {
+                    i % groups == group && **w == Worker::Asleep { notified: false }
+                });
+            if let Some((_, w)) = sleeper {
+                *w = Worker::Asleep { notified: true };
+            }
+        }
+
+        fn push(&mut self, rng: &mut CaseRng) {
+            // Out-of-range groups wrap, out-of-range lanes clamp, and a
+            // few coarse deadlines (some already past) make ties common.
+            let meta = JobMeta {
+                deadline: rng
+                    .option(0.6, |r| Duration::from_millis(20 * r.u64_below(5)))
+                    .map(|d| self.epoch + d),
+                lane: rng.usize_in(0, self.lanes + 1),
+                group: rng.usize_in(0, 2 * self.groups),
+            };
+            let ran = Arc::new(AtomicUsize::new(0));
+            let notified = rng.bool().then(|| Arc::new(AtomicUsize::new(0)));
+            let job: Job = {
+                let ran = Arc::clone(&ran);
+                Box::new(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                })
+            };
+            let notify = notified.clone().map(|n| -> Notify {
+                Box::new(move || {
+                    n.fetch_add(1, Ordering::SeqCst);
+                })
+            });
+            let before = (self.heap_sizes(), self.queues.seq);
+            let refusal = if self.closed {
+                Some(SubmitError::ShuttingDown)
+            } else if self.admitted.iter().filter(|a| a.queued).count() >= self.capacity {
+                Some(SubmitError::Overloaded)
+            } else {
+                None
+            };
+            match self.queues.push(meta, job, notify, self.now) {
+                Err((why, job, notify)) => {
+                    assert_eq!(Some(why), refusal);
+                    assert_eq!(before, (self.heap_sizes(), self.queues.seq));
+                    drop((job, notify));
+                    let calls = ran.load(Ordering::SeqCst)
+                        + notified.map_or(0, |n| n.load(Ordering::SeqCst));
+                    assert_eq!(calls, 0, "a refusal runs nothing and notifies nobody");
+                }
+                Ok(wake) => {
+                    assert_eq!(refusal, None, "admitted a push that had to be refused");
+                    let home = meta.group % self.groups;
+                    self.admitted.push(Admitted {
+                        group: home,
+                        lane: meta.lane.min(self.lanes - 1),
+                        deadline: meta.deadline,
+                        enqueued: self.now,
+                        queued: true,
+                        ran,
+                        notified,
+                    });
+                    // No lost wake-up, no wasted one: the wake names
+                    // exactly the groups with a sleeper allowed to run
+                    // the entry.
+                    let want: Vec<usize> = (0..self.groups)
+                        .filter(|&g| self.allowed(g, home) && self.queues.parked[g] > 0)
+                        .collect();
+                    assert_eq!(wake, want, "wake set after a push to group {home}");
+                    for group in wake {
+                        self.notify_one(group);
+                    }
+                }
+            }
+        }
+
+        /// Worker `w` takes the lock once and does what `pop` does with
+        /// one hold of it.
+        fn step(&mut self, w: usize, rng: &mut CaseRng) {
+            let group = w % self.groups;
+            match self.workers[w] {
+                Worker::Exited => return,
+                // A sleeper gets up when notified — or, now and then,
+                // for no reason at all.
+                Worker::Asleep { notified } if !notified && !rng.chance(0.1) => return,
+                Worker::Asleep { .. } => self.queues.unpark(group),
+                Worker::Awake | Worker::Spun => {}
+            }
+            let spun = self.workers[w] == Worker::Spun;
+            let expected = self.expected(group);
+            self.workers[w] = match self.queues.next(group, self.now, spun) {
+                Next::Run { entry, from } => {
+                    assert_eq!(Some((entry.seq as usize, from)), expected);
+                    self.take(entry, rng.bool());
+                    Worker::Awake
+                }
+                idle @ (Next::Spin | Next::Park) => {
+                    assert!(expected.is_none() && !self.closed, "idle beside work");
+                    // Only a worker that can steal spins, and only once
+                    // per idle spell.
+                    let spins = self.steal && self.groups > 1 && !spun;
+                    assert_eq!(matches!(idle, Next::Spin), spins);
+                    if spins {
+                        Worker::Spun
+                    } else {
+                        Worker::Asleep { notified: false }
+                    }
+                }
+                Next::Exit => {
+                    assert!(self.closed, "exit from an open pool");
+                    assert!(self.admitted.iter().all(|a| !a.queued), "exit beside work");
+                    Worker::Exited
+                }
+            };
+        }
+
+        /// An entry has come out of the queues: for the first time, and
+        /// however it is dropped — run, or unrun as an injected `Fail`
+        /// and the shutdown sweep drop it — it notifies exactly once.
+        fn take(&mut self, entry: Entry, run: bool) {
+            let a = &mut self.admitted[entry.seq as usize];
+            assert!(a.queued, "entry {} came out twice", entry.seq);
+            a.queued = false;
+            if run {
+                entry.run();
+            } else {
+                drop(entry);
+            }
+            assert_eq!(a.ran.load(Ordering::SeqCst), usize::from(run));
+            if let Some(n) = &a.notified {
+                assert_eq!(n.load(Ordering::SeqCst), 1);
+            }
+        }
+
+        fn close(&mut self) {
+            self.queues.close();
+            self.closed = true;
+            for w in &mut self.workers {
+                if matches!(w, Worker::Asleep { .. }) {
+                    *w = Worker::Asleep { notified: true }; // notify_all
+                }
+            }
+        }
+
+        fn heap_sizes(&self) -> Vec<Vec<usize>> {
+            let sizes =
+                |group: &Vec<BinaryHeap<Entry>>| group.iter().map(BinaryHeap::len).collect();
+            self.queues.lanes.iter().map(sizes).collect()
+        }
+
+        /// What must hold between any two holds of the lock.
+        fn check_invariants(&self) {
+            let sizes = self.heap_sizes();
+            for (g, group) in sizes.iter().enumerate() {
+                for (l, &size) in group.iter().enumerate() {
+                    assert_eq!(size, self.queued_in(g, l).count(), "heap {g}/{l}");
+                }
+                let asleep = |(i, w): (usize, &Worker)| {
+                    i % self.groups == g && matches!(w, Worker::Asleep { .. })
+                };
+                let sleepers = self.workers.iter().enumerate().filter(|&w| asleep(w));
+                assert_eq!(self.queues.parked[g], sleepers.count(), "parked[{g}]");
+            }
+            // The lane-depth gauges are published from `depth`.
+            for (l, &depth) in self.queues.depth.iter().enumerate() {
+                assert_eq!(depth, sizes.iter().map(|group| group[l]).sum::<usize>());
+            }
+            assert!(self.queues.queued() <= self.capacity);
+            // No queued entry is left to sleepers nobody has woken: in
+            // every group allowed to run it, some worker is up (possibly
+            // busy) or has been notified.
+            for a in self.admitted.iter().filter(|a| a.queued) {
+                for g in (0..self.groups).filter(|&g| self.allowed(g, a.group)) {
+                    let will_look = |(i, w): (usize, &Worker)| {
+                        i % self.groups == g
+                            && !matches!(w, Worker::Asleep { notified: false } | Worker::Exited)
+                    };
+                    assert!(
+                        self.workers.iter().enumerate().any(will_look),
+                        "an entry of group {} waits while group {g} sleeps unwoken: {:?}",
+                        a.group,
+                        self.workers
+                    );
+                }
+            }
+        }
+    }
+
+    /// The run queues' whole contract, over 2 500 seeded schedules of
+    /// everything submitters, workers, the clock and `shutdown` can do
+    /// to them — no thread, no real time: capacity holds and a refusal
+    /// changes nothing; every admitted entry comes out exactly once, in
+    /// EDF / lane / aging order, to a worker allowed to run it; a push
+    /// wakes every group with a sleeper that could run it; a worker
+    /// exits only from a closed, empty pool; the gauges match the heaps.
+    #[test]
+    fn any_schedule_runs_every_admitted_entry_once() {
+        let epoch = Instant::now();
+        check("run_queues_schedules", 2_500, |rng| {
+            let groups = rng.usize_in(1, 4);
+            let lanes = rng.usize_in(1, 4);
+            let capacity = rng.usize_in(0, 8);
+            let steal = rng.bool();
+            let aging = Duration::from_millis(*rng.pick(&[0, 5, 25]));
+            let workers = rng.usize_in(groups, 2 * groups + 1);
+            let mut s = Schedule {
+                queues: RunQueues::new(&PoolConfig {
+                    groups,
+                    lanes,
+                    steal,
+                    lane_aging: aging,
+                    ..PoolConfig::fifo(workers, capacity)
+                }),
+                groups,
+                lanes,
+                capacity,
+                steal,
+                aging,
+                workers: vec![Worker::Awake; workers],
+                admitted: Vec::new(),
+                closed: false,
+                epoch,
+                now: epoch,
+            };
+            let steps = rng.usize_in(10, 90);
+            let close_at = rng.usize_in(0, 2 * steps);
+            for step in 0..steps {
+                s.now += Duration::from_micros(rng.u64_below(6_000));
+                if step == close_at {
+                    s.close();
+                } else if rng.chance(0.4) {
+                    s.push(rng);
+                } else {
+                    s.step(rng.usize_in(0, s.workers.len()), rng);
+                }
+                s.check_invariants();
+            }
+            // `shutdown`: close, let the workers drain until the last has
+            // exited — or lose them all and sweep what they left.
+            s.close();
+            if rng.chance(0.7) {
+                while s.workers.iter().any(|w| *w != Worker::Exited) {
+                    s.step(rng.usize_in(0, s.workers.len()), rng);
+                    s.check_invariants();
+                }
+            }
+            for entry in s.queues.drain() {
+                s.take(entry, false);
+            }
+            s.check_invariants();
+            assert!(s.admitted.iter().all(|a| !a.queued));
+        });
     }
 }

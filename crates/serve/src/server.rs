@@ -20,9 +20,9 @@
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread. The daemon runs
-//! O(workers + shards) OS threads (one reactor per shard, the pool, its
-//! supervisor, the always-on `altxd-peernet` thread, and the acceptor
-//! when the reuseport bind falls back) regardless of how many clients
+//! O(workers + shards) OS threads (one reactor per shard, the pool, the
+//! always-on `altxd-peernet` thread, and the acceptor when the
+//! reuseport bind falls back) regardless of how many clients
 //! are connected, plus at most one racer per sibling alternative
 //! running at that moment: a worker runs its race's favourite itself
 //! and the engine's process-wide race crew runs the siblings on parked
@@ -107,7 +107,7 @@ pub struct ServerConfig {
     /// affinity syscalls, byte-for-byte the unpinned behaviour.
     pub pin: bool,
     /// Busy-wait budget before an idle stealing worker parks on its
-    /// group doorbell. `Duration::ZERO` parks immediately.
+    /// group's condvar. `Duration::ZERO` parks immediately.
     pub spin: Duration,
 }
 

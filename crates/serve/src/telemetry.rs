@@ -326,7 +326,7 @@ metrics! {
     JobsPanicked, "jobs_panicked", "jobs panicked", Some("altxd_jobs_panicked_total"), Counter, Pool(PoolStats::jobs_panicked),
         "Pool jobs that panicked and were contained";
     WorkerRespawns, "worker_respawns", "worker respawns", Some("altxd_worker_respawns_total"), Counter, Pool(PoolStats::worker_respawns),
-        "Dead pool workers replaced by the supervisor";
+        "Times a pool worker unwound out of its loop and restarted it";
     FaultsInjected, "faults_injected", "faults injected", Some("altxd_faults_injected_total"), Counter, Faults,
         "Faults injected by the active fault plan";
     ConnsOpen, "conns_open", "conns open", Some("altxd_conns_open"), Gauge, ShardSum(ShardStats::conns_open),

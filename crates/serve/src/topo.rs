@@ -139,8 +139,8 @@ pub struct PlacementPlan {
 }
 
 impl PlacementPlan {
-    /// Every CPU the plan uses, ascending, deduplicated — the
-    /// supervisor and other whole-daemon threads pin to this union.
+    /// Every CPU the plan uses, ascending, deduplicated — the one
+    /// worker group of a pool that does not steal pins to this union.
     pub fn union(&self) -> Vec<usize> {
         let mut all: Vec<usize> = self.shards.iter().flatten().copied().collect();
         all.sort_unstable();

@@ -9,9 +9,10 @@
 //!   hangs, no request is silently dropped;
 //! * **containment** — injected panics become per-alternative failures
 //!   or error replies, never a dead daemon;
-//! * **self-healing** — workers killed at the `pool.worker` site are
-//!   respawned, so capacity is restored and the daemon still serves
-//!   cleanly after the plan is cleared;
+//! * **self-healing** — workers killed at the `pool.worker` site come
+//!   back as themselves (same thread name, so same group tag), so
+//!   capacity is restored and the daemon still serves cleanly after the
+//!   plan is cleared;
 //! * **resilience accounting** — the injected faults, respawns, and
 //!   client retries all show up in telemetry, proving the machinery
 //!   actually fired rather than the soak passing vacuously.
@@ -49,6 +50,18 @@ fn serial() -> MutexGuard<'static, ()> {
 const DEFAULT_SEED: u64 = 0x00C0_FFEE;
 const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 40;
+const WORKERS: usize = 4;
+
+/// The names of this process's pool worker threads, as the kernel has
+/// them (`comm` keeps 15 bytes: `altxd-worker-g` and the group's first
+/// digit). `None` where there is no `/proc`.
+fn worker_thread_names() -> Option<Vec<String>> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names = tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim_end().to_owned());
+    Some(names.filter(|n| n.starts_with("altxd-worker")).collect())
+}
 
 fn seed_from_env() -> u64 {
     match std::env::var("ALTX_CHAOS_SEED") {
@@ -86,7 +99,7 @@ fn chaos_soak_every_request_is_answered() {
     let seed = seed_from_env();
     let server = start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        workers: 4,
+        workers: WORKERS,
         queue_depth: 32,
         // Wide enough that the clients' identical request streams
         // actually coalesce; the soak asserts they did.
@@ -170,8 +183,19 @@ fn chaos_soak_every_request_is_answered() {
     assert!(
         telemetry.snapshot()[Metric::WorkerRespawns] > 0,
         "no worker was killed+respawned — the pool.worker site never fired \
-         or the supervisor is dead (seed {seed:#x})"
+         (seed {seed:#x})"
     );
+    // A killed worker comes back as itself: the pool is at strength, and
+    // every worker still carries the group tag — stealing is off, so one
+    // group — that `--pin`'s log line and the steal tests key on.
+    if let Some(names) = worker_thread_names() {
+        assert_eq!(
+            names,
+            vec!["altxd-worker-g0"; WORKERS],
+            "the pool's threads after {} respawns (seed {seed:#x})",
+            telemetry.snapshot()[Metric::WorkerRespawns]
+        );
+    }
     assert!(
         telemetry.snapshot()[Metric::RequestsCoalesced] > 0,
         "8 clients replaying the same request sequence inside a 2 ms window \

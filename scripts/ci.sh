@@ -33,6 +33,14 @@ cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster -
 echo "==> race-registry schedule property (2500 seeded interleavings, virtual time)"
 cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_admissible_reply
 
+# The worker pool's run queue is a pure value too — admission, EDF /
+# lane / aging order, stealing, whom a push wakes, when a worker may
+# park or exit — so its interleavings are seeds as well: 2 500 schedules
+# of pushes, looks, spins, parks, spurious wake-ups, a close and a
+# drain, checked against a model that knows nothing of heaps.
+echo "==> run-queue schedule property (2500 seeded schedules, virtual time, no threads)"
+cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_entry_once
+
 # Elimination is a wake-up: whatever the order and spacing of a body
 # going to sleep on its token and the decision cancelling it, the
 # sleeper must not outlive the cancel. 600 seeded orderings on real
@@ -53,22 +61,25 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 }
 
 # The engine's claim protocol, the two suites that used to assert a
-# particular winner of a nondeterministic race, and the reply path —
+# particular winner of a nondeterministic race, the reply path —
 # replies are written by whichever worker finishes the race, under the
 # connection's write-half lock (its seeded delivery-schedule property,
-# and the live reactor and loopback suites): gated as "0 failures in
-# N", because a concurrency bug that fires one run in ten passes a
-# single run nine times in ten.
+# and the live reactor and loopback suites) — and the worker pool on
+# real threads (its unit tests, EDF / steal / aging order, the drain
+# racing submitters): gated as "0 failures in N", because a concurrency
+# bug that fires one run in ten passes a single run nine times in ten.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, ring, sched, reactor and loopback suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, pool, ring, sched, edf, pool_drain, reactor and loopback suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
             cargo test -q -p altx engine::threaded &&
             cargo test -q -p altx --test race_crew &&
             cargo test -q -p altx-serve --lib conn:: &&
-            cargo test -q -p altx-serve --test ring --test sched --test reactor --test loopback
+            cargo test -q -p altx-serve --lib pool:: &&
+            cargo test -q -p altx-serve --test ring --test sched --test edf --test pool_drain \
+                --test reactor --test loopback
     } >"$REPEAT_LOG" 2>&1 || {
         cat "$REPEAT_LOG" >&2
         rm -f "$REPEAT_LOG"
@@ -92,8 +103,9 @@ for workload in overhead race cpu burst; do
 done
 
 # The benchmark starts altxd with three flags; this keeps a caller for
-# the parser of all the others, and for its refusal of an unknown one.
-echo "==> altxd flag smoke: every flag of the --help line, then an unknown one"
+# the parser of all the others, and for its refusal of an unknown one
+# and of a pool with no workers.
+echo "==> altxd flag smoke: every flag of the --help line, then an unknown one and --workers 0"
 ALTXD=./target/release/altxd
 FLAGS=(--addr 127.0.0.1:0 --workers 2 --queue 32 --shards 2 --ring-slots 64
     --ring-slot-bytes 512 --duration 1 --batch-window-us 500 --hedge
@@ -114,11 +126,14 @@ done
     echo "flag smoke: altxd with every flag set did not start, serve a second and drain" >&2
     exit 1
 }
-status=0
-"$ALTXD" --no-such-flag >/dev/null 2>&1 || status=$?
-[ "$status" -eq 2 ] || {
-    echo "flag smoke: altxd --no-such-flag exited $status, want 2" >&2
-    exit 1
-}
+for bad in '--no-such-flag' '--workers 0'; do
+    read -r -a argv <<<"$bad"
+    status=0
+    "$ALTXD" "${argv[@]}" >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 2 ] || {
+        echo "flag smoke: altxd $bad exited $status, want 2" >&2
+        exit 1
+    }
+done
 
 echo "==> CI gate passed"
