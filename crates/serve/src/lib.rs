@@ -54,6 +54,7 @@ pub mod client;
 pub mod commit;
 mod conn;
 pub mod frame;
+pub(crate) mod link;
 pub mod peer;
 pub mod pin;
 pub(crate) mod placement;

@@ -6,12 +6,25 @@
 //! over it, and measures the link (round-trip EWMA, liveness) so the
 //! placement model works from observations instead of guesses.
 //!
-//! All outbound traffic runs on **one dedicated thread** ([`PeerNet`]):
-//! a mini-reactor that polls every link plus a self-pipe, exactly the
-//! shape of the front-end shards but pointed outward. Reactor shards
-//! and pool workers never touch a peer socket — they push a [`Cmd`]
-//! onto the [`PeerHandle`] and write one wake byte: a command queue
-//! and a self-pipe, drained by the one thread that owns the sockets.
+//! All outbound traffic runs on **one dedicated thread**, split the way
+//! the race registry and the run queue are: a pure **core** and a
+//! **shell** that owns the sockets.
+//!
+//! * [`crate::link::LinkTable`] is the core — a plain value holding
+//!   everything about a link that is not a socket, behind
+//!   `step(event, now) -> Vec<Action>` and `next_deadline()`. Every
+//!   rule of the failure model below is decided there, once, and
+//!   checked there on virtual time over seeded schedules.
+//! * [`PeerNet`] is the shell — the thread itself: `poll`, `connect`,
+//!   `read` into a [`FrameDecoder`], out-buffers and `write`, the chaos
+//!   shim's draw at the two wire sites, and doing what the core's
+//!   actions say (mirror a stat into [`PeerStat`], feed a race, dial,
+//!   write, close). It decides nothing about a link.
+//!
+//! Reactor shards and pool workers never touch a peer socket — they
+//! push a [`Cmd`] onto the [`PeerHandle`] and write one wake byte: a
+//! command queue and a self-pipe, drained by the one thread that owns
+//! the sockets.
 //!
 //! Failure model (the part the paper hand-waves and a server cannot):
 //!
@@ -23,9 +36,13 @@
 //!   the same way, then tells the remote-race registry the peer is down
 //!   so alternatives already *acked* by that peer convert to failed
 //!   guards too ([`crate::remote::RaceTable::peer_down`]).
-//! * Reconnection is automatic with doubling backoff (50 ms → 2 s);
-//!   every successful re-dial after a first connect counts in the
-//!   per-peer `reconnects` counter.
+//! * Reconnection of a configured link is automatic with doubling
+//!   backoff (50 ms → 2 s); every successful re-dial after a first
+//!   connect counts in the per-peer `reconnects` counter. A *dynamic*
+//!   link — dialled on demand to carry a result home to an origin
+//!   outside the peer list — is never redialled and parks nothing: if
+//!   its dial fails or its stream dies, its frames fail with it and it
+//!   is forgotten, so a result for an origin that is gone is dropped.
 //! * A link that is *up but silent* — the one-way partition TCP keeps
 //!   alive — is caught by the health lifecycle: the thread heartbeats
 //!   every configured link with a `PEER_STATS` frame, and a peer whose
@@ -47,12 +64,10 @@
 //! Replies on a link are correlated to requests by order — the framed
 //! protocol answers every request exactly once, in order, so a FIFO of
 //! [`SendTag`]s per link is a complete correlation table, and the
-//! request→reply time of *any* tag is an rtt sample for the EWMA.
-//! Every pending entry is additionally stamped with the link's
-//! *reconnect generation*; a reply whose stamp does not match the
-//! live generation is stale pre-reconnect traffic and is dropped
-//! (counted as `peer_stale_replies`) rather than matched to a
-//! post-reconnect request.
+//! request→reply time of *any* tag is an rtt sample for the EWMA. The
+//! FIFO is part of the link's *up* state: it is created by the dial
+//! and dropped with the stream, so a reply can only ever be matched to
+//! a request of the connection it arrived on.
 //!
 //! All link I/O runs through the seeded network chaos shim
 //! (`altx::faults` sites `peer.link.<addr>.send` / `.recv`): with a
@@ -62,12 +77,12 @@
 //! load per frame.
 
 use crate::frame::{FrameDecoder, Request, Response};
+use crate::link::{Action, Event, LinkTable, Stat};
 use crate::placement::Placement;
 use crate::reactor::{poll_fds, wake_pair, DaemonCtl, PollFd, WakeRx, WakeTx, POLLIN, POLLOUT};
-use crate::remote::{Event, InflightRemote, RaceTable, RemoteRaces};
-use crate::telemetry::{Metric, Telemetry};
+use crate::remote::{InflightRemote, RaceTable, RemoteRaces};
 use altx::faults::{self, NetFault};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -109,10 +124,6 @@ impl Default for PeerConfig {
     }
 }
 
-/// First re-dial delay after a link failure.
-const BACKOFF_INITIAL: Duration = Duration::from_millis(50);
-/// Backoff ceiling.
-const BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Dial timeout: a peer that cannot complete a TCP handshake in this
 /// budget is down for placement purposes.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
@@ -121,9 +132,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 const LEDGER_TTL: Duration = Duration::from_secs(300);
 /// How often the ledger sweep runs.
 const SWEEP_EVERY: Duration = Duration::from_secs(5);
-/// Queued fire-and-forget frames kept per down link before the oldest
-/// are dropped.
-const MAX_QUEUED: usize = 256;
 /// Idle poll backstop for the peer thread.
 const PEER_BACKSTOP_MS: i32 = 250;
 
@@ -264,6 +272,19 @@ impl PeerStat {
             self.load_busy.load(Ordering::Relaxed),
             self.load_workers.load(Ordering::Relaxed),
         )
+    }
+
+    /// Mirrors one effect the link core reported into the counters.
+    fn apply(&self, stat: Stat) {
+        match stat {
+            Stat::Up(up) => self.up.store(up, Ordering::Relaxed),
+            Stat::Health(health) => self.set_health(health),
+            Stat::Reconnected => {
+                self.reconnects.fetch_add(1, Ordering::Relaxed);
+            }
+            Stat::Rtt(sample_us) => self.observe_rtt(sample_us),
+            Stat::Load(queued, busy, workers) => self.set_load(queued, busy, workers),
+        }
     }
 
     /// Sets the health state, counting an *entry* into quarantine.
@@ -414,7 +435,7 @@ pub struct PeerLoad {
 /// What an outbound frame was *for* — pushed onto the link's FIFO when
 /// the frame is sent, popped when its in-order reply arrives, failed
 /// when the link dies first.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SendTag {
     /// An `EXEC_ALT` whose ack decides admitted-vs-refused.
     ExecAlt {
@@ -444,10 +465,13 @@ pub(crate) enum SendTag {
     Heartbeat,
 }
 
-struct Cmd {
-    addr: String,
-    req: Request,
-    tag: SendTag,
+/// One frame somebody wants on a link: what [`PeerHandle::send`]
+/// queues, and what the link core offers back for the wire.
+#[derive(Debug, Clone)]
+pub(crate) struct Cmd {
+    pub(crate) addr: String,
+    pub(crate) req: Request,
+    pub(crate) tag: SendTag,
 }
 
 /// The handle everyone but the peer thread holds: queue a command,
@@ -486,6 +510,11 @@ impl PeerHandle {
         self.wake();
     }
 
+    /// Everything queued since the last call, for the peer thread.
+    fn take(&self) -> Vec<Cmd> {
+        std::mem::take(&mut *self.cmds.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// Rouses the peer thread (to a new command, or to the daemon
     /// draining).
     pub(crate) fn wake(&self) {
@@ -511,83 +540,24 @@ pub(crate) struct PeerPlane {
     pub(crate) placement: Placement,
 }
 
-/// One outbound link's connection state.
-enum LinkState {
-    Down,
-    Up(UpLink),
-}
-
-struct UpLink {
+/// One open outbound stream: all the shell knows about a link.
+struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
+    /// Bytes the socket has not taken yet.
     out: Vec<u8>,
-    out_at: usize,
-    /// In-order correlation FIFO: one entry per sent frame, popped by
-    /// its reply; the `Instant` is the rtt sample's start and the
-    /// `u64` is the link's reconnect generation at send time — a reply
-    /// whose entry carries a stale generation is dropped, never
-    /// matched to a post-reconnect request.
-    pending: VecDeque<(SendTag, Instant, u64)>,
 }
 
-struct Link {
-    /// Configured links persist and redial forever; dynamic links
-    /// (dialed on demand, e.g. to send a result back to an origin that
-    /// is not in our peer list) are dropped once idle and down.
-    configured: bool,
-    stat: Option<Arc<PeerStat>>,
-    state: LinkState,
-    /// Fire-and-forget frames parked while the link is down.
-    queue: VecDeque<(Request, SendTag)>,
-    backoff: Duration,
-    next_dial: Instant,
-    ever_up: bool,
-    /// Reconnect generation: bumped on every successful dial.
-    generation: u64,
-    /// Last time a reply (any reply) arrived on this link.
-    last_heard: Instant,
-    /// Last time a heartbeat was queued on this link.
-    last_hb: Instant,
-}
-
-impl Link {
-    /// Parks a fire-and-forget frame for the next dial, dropping the
-    /// oldest beyond [`MAX_QUEUED`].
-    fn park(&mut self, req: Request, tag: SendTag) {
-        self.queue.push_back((req, tag));
-        if self.queue.len() > MAX_QUEUED {
-            self.queue.pop_front();
-        }
-    }
-
-    fn new(configured: bool, stat: Option<Arc<PeerStat>>) -> Self {
-        Link {
-            configured,
-            stat,
-            state: LinkState::Down,
-            queue: VecDeque::new(),
-            backoff: BACKOFF_INITIAL,
-            next_dial: Instant::now(),
-            ever_up: false,
-            generation: 0,
-            last_heard: Instant::now(),
-            last_hb: Instant::now(),
-        }
-    }
-}
-
-/// The peer thread: owns every outbound link.
+/// The peer thread: owns every outbound socket, and the link core that
+/// says what to do with them.
 pub(crate) struct PeerNet {
     wake_rx: WakeRx,
     races: Arc<RemoteRaces>,
     ctl: Arc<DaemonCtl>,
-    telemetry: Arc<Telemetry>,
-    links: HashMap<String, Link>,
+    table: LinkTable,
+    /// One entry per link the core counts up.
+    conns: HashMap<String, Conn>,
     last_sweep: Instant,
-    /// Heartbeat cadence on configured links (zero disables).
-    heartbeat: Duration,
-    /// Silence threshold for suspicion; quarantine at twice this.
-    suspect: Duration,
 }
 
 impl PeerNet {
@@ -598,25 +568,16 @@ impl PeerNet {
         wake_rx: WakeRx,
         races: Arc<RemoteRaces>,
         ctl: Arc<DaemonCtl>,
-        telemetry: Arc<Telemetry>,
         config: &PeerConfig,
     ) -> Self {
-        let links = races
-            .peers
-            .stats
-            .peers()
-            .iter()
-            .map(|p| (p.addr().to_owned(), Link::new(true, Some(Arc::clone(p)))))
-            .collect();
+        let table = LinkTable::new(races.advertise.clone(), config, Instant::now());
         PeerNet {
             wake_rx,
             races,
             ctl,
-            telemetry,
-            links,
+            table,
+            conns: HashMap::new(),
             last_sweep: Instant::now(),
-            heartbeat: Duration::from_millis(config.heartbeat_ms),
-            suspect: Duration::from_millis(config.suspect_ms),
         }
     }
 
@@ -629,20 +590,14 @@ impl PeerNet {
                 // Best effort: push any ELIMINATE/result frames the
                 // flush queued, then leave.
                 self.drain_cmds();
-                for addr in self.link_addrs() {
-                    self.flush_link(&addr);
-                }
                 break;
             }
-            let now = Instant::now();
-            self.dial_due(now);
+            self.feed(Event::Tick);
             self.drain_cmds();
-            self.health_tick(now);
-            self.sweep(now);
+            self.sweep(Instant::now());
 
             let (mut fds, addrs) = self.poll_set();
-            let timeout = self.poll_timeout_ms(Instant::now());
-            if poll_fds(&mut fds, timeout).is_err() {
+            if poll_fds(&mut fds, self.poll_timeout_ms()).is_err() {
                 continue;
             }
             if fds[0].revents != 0 {
@@ -650,9 +605,6 @@ impl PeerNet {
             }
             for (slot, addr) in addrs.iter().enumerate() {
                 let revents = fds[slot + 1].revents;
-                if revents == 0 {
-                    continue;
-                }
                 if revents & POLLIN != 0 {
                     self.read_link(addr);
                 }
@@ -660,418 +612,113 @@ impl PeerNet {
                     self.flush_link(addr);
                 }
             }
-            // Dynamic links that went down with nothing left to send
-            // are garbage; configured links persist for redial.
-            self.links.retain(|_, l| {
-                l.configured || !matches!(l.state, LinkState::Down) || !l.queue.is_empty()
-            });
         }
     }
 
-    fn link_addrs(&self) -> Vec<String> {
-        self.links.keys().cloned().collect()
-    }
-
-    /// Re-dials every down link whose backoff expired.
-    fn dial_due(&mut self, now: Instant) {
-        let due: Vec<String> = self
-            .links
-            .iter()
-            .filter(|(_, l)| matches!(l.state, LinkState::Down) && l.next_dial <= now)
-            .map(|(a, _)| a.clone())
-            .collect();
-        for addr in due {
-            self.dial(&addr);
-        }
-    }
-
-    fn dial(&mut self, addr: &str) {
-        if !self.links.contains_key(addr) {
-            return;
-        }
-        let connected = connect(addr);
-        let reconcile = Request::Reconcile {
-            watermark: self.races.table().reconcile_watermark(),
-            origin: self.races.advertise.clone(),
-        };
-        let heartbeat = self.heartbeat;
-        let link = self.links.get_mut(addr).expect("link exists");
-        match connected {
-            Ok(stream) => {
-                let reconnected = link.ever_up;
-                if reconnected {
-                    if let Some(stat) = &link.stat {
-                        stat.reconnects.fetch_add(1, Ordering::Relaxed);
+    /// The one way anything happens to a link: step the core, then do
+    /// what it says, in order. `Dial` is a question — the answer goes
+    /// straight back in as the next event.
+    fn feed(&mut self, event: Event) {
+        for action in self.table.step(event, Instant::now()) {
+            match action {
+                Action::Dial(addr) => {
+                    if let Ok(conn) = connect(&addr) {
+                        self.conns.insert(addr.clone(), conn);
                     }
-                }
-                link.ever_up = true;
-                link.backoff = BACKOFF_INITIAL;
-                link.generation += 1;
-                let now = Instant::now();
-                link.last_heard = now;
-                link.last_hb = now;
-                if let Some(stat) = &link.stat {
-                    stat.up.store(true, Ordering::Relaxed);
-                }
-                let mut up = UpLink {
-                    stream,
-                    decoder: FrameDecoder::new(),
-                    out: Vec::new(),
-                    out_at: 0,
-                    pending: VecDeque::new(),
-                };
-                if reconnected && link.configured {
-                    // Partition-heal reconciliation: tell the peer
-                    // which of our races are long decided, so it kills
-                    // zombies the replayed ELIMINATEs don't name.
-                    push_frame(&mut up, link.generation, addr, &reconcile, SendTag::Fire);
-                }
-                // Frames parked while down — including ELIMINATEs that
-                // were unacknowledged when the link died — go out next.
-                let queued = std::mem::take(&mut link.queue);
-                for (req, tag) in queued {
-                    push_frame(&mut up, link.generation, addr, &req, tag);
-                }
-                if link.configured && !heartbeat.is_zero() {
-                    // Prime the health lifecycle (and the rtt EWMA, and
-                    // the load figures) without waiting one cadence.
-                    push_frame(
-                        &mut up,
-                        link.generation,
+                    let connected = self.conns.contains_key(&addr);
+                    let watermark = self.races.table().reconcile_watermark();
+                    self.feed(Event::Dialed {
                         addr,
-                        &Request::PeerStats,
-                        SendTag::Heartbeat,
-                    );
+                        connected,
+                        watermark,
+                    });
                 }
-                link.state = LinkState::Up(up);
-                let addr = addr.to_owned();
-                self.flush_link(&addr);
-            }
-            Err(_) => {
-                link.next_dial = Instant::now() + link.backoff;
-                link.backoff = (link.backoff * 2).min(BACKOFF_MAX);
+                Action::Frame(cmd) => self.offer(cmd),
+                Action::Write(addr, bytes) => {
+                    if let Some(conn) = self.conns.get_mut(&addr) {
+                        conn.out.extend_from_slice(&bytes);
+                    }
+                    self.flush_link(&addr);
+                }
+                Action::Race(race_id, event) => self.races.step(race_id, event),
+                Action::Down(addr) => {
+                    self.conns.remove(&addr);
+                    self.races.drive(|table, now| table.peer_down(&addr, now));
+                }
+                Action::Stat(addr, stat) => {
+                    if let Some(row) = self.races.peers.stats.by_addr(&addr) {
+                        row.apply(stat);
+                    }
+                }
             }
         }
     }
 
-    /// Moves queued commands onto their links: encoded onto an up
-    /// link's buffer, failed fast or parked on a down one.
+    /// One frame for the core — a queued command, or a frame of the
+    /// core's own — with the `peer.link.<addr>.send` chaos site's draw
+    /// for it. The site sits on the stream, so there is no draw where
+    /// no stream is open.
+    fn offer(&mut self, cmd: Cmd) {
+        let open = self.conns.contains_key(&cmd.addr);
+        let fault = open.then(|| wire_fault(&cmd.addr, "send")).flatten();
+        self.feed(Event::Send(cmd, fault));
+    }
+
+    /// Hands every queued command to the core.
     fn drain_cmds(&mut self) {
-        let cmds = std::mem::take(
-            &mut *self
-                .races
-                .peers
-                .cmds
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for cmd in cmds {
-            if !self.links.contains_key(&cmd.addr) {
-                // Dial-on-demand: an origin outside the configured set
-                // (results/votes go back to whoever asked).
-                let stat = self.races.peers.stats.by_addr(&cmd.addr).cloned();
-                self.links.insert(cmd.addr.clone(), Link::new(false, stat));
-                self.dial(&cmd.addr);
-            }
-            let link = self.links.get_mut(&cmd.addr).expect("link exists");
-            let mut flush = false;
-            match &mut link.state {
-                LinkState::Up(up) => {
-                    push_frame(up, link.generation, &cmd.addr, &cmd.req, cmd.tag);
-                    flush = true;
-                }
-                LinkState::Down => match cmd.tag {
-                    SendTag::Fire | SendTag::Eliminate { .. } => link.park(cmd.req, cmd.tag),
-                    // Fail fast: a down peer cannot run the alternative
-                    // or grant the vote, and the race must not wait for
-                    // the redial to find that out. (Heartbeats are
-                    // minted by the peer thread on up links only; one
-                    // racing a link death is just dropped — the next
-                    // dial primes a fresh one.)
-                    tag => self.never_answered(&cmd.addr, tag),
-                },
-            }
-            if flush {
-                self.flush_link(&cmd.addr);
-            }
+        for cmd in self.races.peers.take() {
+            self.offer(cmd);
         }
     }
 
-    /// Reads everything the link has, dispatching each in-order reply
-    /// against its pending tag. Every decoded frame passes the
-    /// `peer.link.<addr>.recv` chaos site first: a dropped (or
-    /// partitioned) reply consumes its tag silently — exactly what a
-    /// reply lost on the wire looks like — a duplicated one dispatches
-    /// twice to prove the protocol layer idempotent, and a truncated
-    /// one kills the link like any desynchronized stream.
+    /// Reads everything the link has: each whole frame goes to the
+    /// core as one reply, with the `peer.link.<addr>.recv` chaos site's
+    /// draw for it; the end of the stream goes to it as a close.
     fn read_link(&mut self, addr: &str) {
-        let Some(link) = self.links.get_mut(addr) else {
-            return;
-        };
-        let LinkState::Up(up) = &mut link.state else {
-            return;
-        };
-        let recv_site = faults::enabled().then(|| format!("peer.link.{addr}.recv"));
         let mut buf = [0u8; 8192];
-        let mut dead = false;
-        let mut dispatches: Vec<(SendTag, Response, Option<Instant>, u64)> = Vec::new();
         loop {
-            match up.stream.read(&mut buf) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    up.decoder.extend(&buf[..n]);
-                    loop {
-                        match up.decoder.next_frame() {
-                            Ok(Some(body)) => {
-                                let fault = recv_site.as_deref().and_then(faults::inject_net);
-                                match fault {
-                                    Some(NetFault::Truncate) => {
-                                        // A reply cut short desyncs the
-                                        // stream; the link is done.
-                                        dead = true;
-                                        break;
-                                    }
-                                    Some(NetFault::Drop) | Some(NetFault::Partition) => {
-                                        let _ = up.pending.pop_front();
-                                        continue;
-                                    }
-                                    Some(NetFault::Delay(d)) => std::thread::sleep(d),
-                                    Some(NetFault::Duplicate) | None => {}
-                                }
-                                match (Response::decode(&body), up.pending.pop_front()) {
-                                    (Ok(resp), Some((tag, sent_at, gen))) => {
-                                        if matches!(fault, Some(NetFault::Duplicate)) {
-                                            // Second delivery: no tag of
-                                            // its own, no rtt sample.
-                                            dispatches.push((tag, resp.clone(), None, gen));
-                                        }
-                                        dispatches.push((tag, resp, Some(sent_at), gen));
-                                    }
-                                    _ => {
-                                        // Undecodable reply or a reply we
-                                        // never asked for: the stream is
-                                        // not trustworthy.
-                                        dead = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                dead = true;
-                                break;
-                            }
-                        }
-                    }
-                    if dead {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        let stat = link.stat.clone();
-        let live_gen = link.generation;
-        if !dispatches.is_empty() {
-            link.last_heard = Instant::now();
-            if let Some(stat) = &stat {
-                // Any reply is proof of life: a Suspect or Quarantined
-                // peer that answers a probe is readmitted.
-                if stat.health() != PeerHealth::Up {
-                    stat.set_health(PeerHealth::Up);
-                }
-            }
-        }
-        for (tag, resp, sent_at, gen) in dispatches {
-            if gen != live_gen {
-                // A pre-reconnect reply outlived its connection; pairing
-                // it with a post-reconnect request would corrupt the
-                // FIFO correlation.
-                self.telemetry.add(Metric::PeerStaleReplies, 1);
-                continue;
-            }
-            if let (Some(stat), Some(sent_at)) = (&stat, sent_at) {
-                stat.observe_rtt(sent_at.elapsed().as_micros().max(1) as u64);
-            }
-            self.dispatch_reply(addr, stat.as_ref(), tag, resp);
-        }
-        if dead {
-            self.link_down(addr);
-        }
-    }
-
-    /// The request behind `tag` will never get the answer it was sent
-    /// for — the link was down, died first, or replied with something
-    /// else: a shipped alternative converts to a refusal, a vote to a
-    /// denial, and nobody waits on the other tags.
-    fn never_answered(&self, addr: &str, tag: SendTag) {
-        match tag {
-            SendTag::ExecAlt { race_id, alt_idx } => {
-                self.races.step(race_id, Event::LegRefused { alt_idx });
-            }
-            SendTag::Vote { race_id } => self.vote(race_id, addr, false),
-            SendTag::Fire | SendTag::Eliminate { .. } | SendTag::Heartbeat => {}
-        }
-    }
-
-    fn vote(&self, race_id: u64, voter: &str, granted: bool) {
-        let voter = voter.to_owned();
-        self.races.step(race_id, Event::Vote { voter, granted });
-    }
-
-    fn dispatch_reply(
-        &self,
-        addr: &str,
-        stat: Option<&Arc<PeerStat>>,
-        tag: SendTag,
-        resp: Response,
-    ) {
-        match (tag, resp) {
-            // The executor acks admission with a Text frame; any other
-            // reply (Overloaded, Error from an older build) means the
-            // alternative is not running there.
-            (SendTag::ExecAlt { .. }, Response::Text { .. }) => {}
-            (SendTag::Vote { race_id }, Response::Vote { granted, .. }) => {
-                self.vote(race_id, addr, granted);
-            }
-            // The PEER_STATS reply ends with the executor's load line;
-            // older builds without one just leave the load figures at
-            // their last value.
-            (SendTag::Heartbeat, Response::Text { body }) => {
-                if let (Some(stat), Some((queued, busy, workers))) = (stat, parse_load_line(&body))
-                {
-                    stat.set_load(queued, busy, workers);
-                }
-            }
-            (tag, _) => self.never_answered(addr, tag),
-        }
-    }
-
-    /// Writes as much buffered output as the socket takes.
-    fn flush_link(&mut self, addr: &str) {
-        let Some(link) = self.links.get_mut(addr) else {
-            return;
-        };
-        let LinkState::Up(up) = &mut link.state else {
-            return;
-        };
-        let mut dead = false;
-        while up.out_at < up.out.len() {
-            match up.stream.write(&up.out[up.out_at..]) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => up.out_at += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if up.out_at == up.out.len() {
-            up.out.clear();
-            up.out_at = 0;
-        }
-        if dead {
-            self.link_down(addr);
-        }
-    }
-
-    /// A link died: fail every pending tag, mark the peer down, and
-    /// convert its acked-but-unfinished alternatives to failed guards.
-    /// Unacknowledged `ELIMINATE`s are re-parked for replay on the next
-    /// dial — the race outcome no longer needs them, but the peer must
-    /// still learn it or it keeps racing a ghost.
-    fn link_down(&mut self, addr: &str) {
-        let Some(link) = self.links.get_mut(addr) else {
-            return;
-        };
-        let pending = match std::mem::replace(&mut link.state, LinkState::Down) {
-            LinkState::Up(up) => up.pending,
-            LinkState::Down => VecDeque::new(),
-        };
-        if let Some(stat) = &link.stat {
-            stat.up.store(false, Ordering::Relaxed);
-        }
-        link.backoff = BACKOFF_INITIAL;
-        link.next_dial = Instant::now() + BACKOFF_INITIAL;
-        for (tag, _, _) in &pending {
-            if let SendTag::Eliminate { race_id } = *tag {
-                // Rebuilt for replay under this node's identity.
-                let origin = self.races.advertise.clone();
-                link.park(Request::Eliminate { race_id, origin }, *tag);
-            }
-        }
-        for (tag, _, _) in pending {
-            self.never_answered(addr, tag);
-        }
-        self.races.drive(|table, now| table.peer_down(addr, now));
-    }
-
-    /// The health lifecycle tick: queue heartbeats that are due, age
-    /// silent peers Up → Suspect → Quarantined, and reset a link that
-    /// has been up and silent for the whole quarantine span. The reset
-    /// is what makes quarantine an episode: a stream the peer's decoder
-    /// lost sync on (a cut frame whose leftover bytes parse as a legal
-    /// length leaves it waiting inside that length) carries heartbeats
-    /// forever and answers none, so only a fresh connection can bring
-    /// the reply that readmits. The redial itself readmits nobody —
-    /// that still happens in `read_link`, the moment any reply arrives
-    /// — and its silence clock starts over, so a peer that stays silent
-    /// is redialled once per quarantine span, not once per tick.
-    fn health_tick(&mut self, now: Instant) {
-        if self.heartbeat.is_zero() {
-            return;
-        }
-        let suspect = self.suspect;
-        let mut flush: Vec<String> = Vec::new();
-        let mut reset: Vec<String> = Vec::new();
-        for (addr, link) in &mut self.links {
-            if !link.configured {
-                continue;
-            }
-            let LinkState::Up(up) = &mut link.state else {
-                continue;
+            // Gone once the core has closed the link.
+            let Some(conn) = self.conns.get_mut(addr) else {
+                return;
             };
-            let silent = now.duration_since(link.last_heard);
-            if let Some(stat) = &link.stat {
-                let health = stat.health();
-                let aged = health.aged(silent, suspect);
-                if aged != health {
-                    stat.set_health(aged);
+            match conn.decoder.next_frame() {
+                Ok(Some(body)) => {
+                    let fault = wire_fault(addr, "recv");
+                    self.feed(Event::Reply {
+                        addr: addr.to_owned(),
+                        resp: Response::decode(&body).ok(),
+                        fault,
+                    });
+                    continue;
                 }
+                Ok(None) => {}
+                Err(_) => return self.feed(Event::Closed(addr.to_owned())),
             }
-            // The silence that quarantines a healthy peer.
-            if PeerHealth::Up.aged(silent, suspect) == PeerHealth::Quarantined {
-                reset.push(addr.clone());
-            } else if now.duration_since(link.last_hb) >= self.heartbeat {
-                link.last_hb = now;
-                push_frame(
-                    up,
-                    link.generation,
-                    addr,
-                    &Request::PeerStats,
-                    SendTag::Heartbeat,
-                );
-                flush.push(addr.clone());
+            match conn.stream.read(&mut buf) {
+                Ok(0) => return self.feed(Event::Closed(addr.to_owned())),
+                Ok(n) => conn.decoder.extend(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return self.feed(Event::Closed(addr.to_owned())),
             }
         }
-        for addr in flush {
-            self.flush_link(&addr);
-        }
-        for addr in reset {
-            self.link_down(&addr);
+    }
+
+    /// Writes as much buffered output as the socket takes; a socket
+    /// that takes no more goes to the core as a close.
+    fn flush_link(&mut self, addr: &str) {
+        let Some(conn) = self.conns.get_mut(addr) else {
+            return;
+        };
+        while !conn.out.is_empty() {
+            match conn.stream.write(&conn.out) {
+                Ok(n) if n > 0 => {
+                    conn.out.drain(..n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => return self.feed(Event::Closed(addr.to_owned())),
+            }
         }
     }
 
@@ -1084,53 +731,36 @@ impl PeerNet {
         }
     }
 
-    /// Poll set: the wake pipe first, then one entry per *up* link.
+    /// Poll set: the wake pipe first, then one entry per open stream.
     fn poll_set(&self) -> (Vec<PollFd>, Vec<String>) {
-        let mut fds = Vec::with_capacity(1 + self.links.len());
-        let mut addrs = Vec::with_capacity(self.links.len());
+        let mut fds = Vec::with_capacity(1 + self.conns.len());
+        let mut addrs = Vec::with_capacity(self.conns.len());
         fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
-        for (addr, link) in &self.links {
-            if let LinkState::Up(up) = &link.state {
-                let mut events = POLLIN;
-                if up.out_at < up.out.len() {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd::new(up.stream.as_raw_fd(), events));
-                addrs.push(addr.clone());
+        for (addr, conn) in &self.conns {
+            let mut events = POLLIN;
+            if !conn.out.is_empty() {
+                events |= POLLOUT;
             }
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            addrs.push(addr.clone());
         }
         (fds, addrs)
     }
 
-    /// Sleep no longer than the earliest due redial, race expiry, or
-    /// heartbeat.
-    fn poll_timeout_ms(&self, now: Instant) -> i32 {
-        let mut deadline: Option<Instant> = self.races.table().next_expiry();
-        let fold = |d: Instant, deadline: &mut Option<Instant>| {
-            *deadline = Some(deadline.map_or(d, |cur| cur.min(d)));
-        };
-        for link in self.links.values() {
-            if matches!(link.state, LinkState::Down) && (link.configured || !link.queue.is_empty())
-            {
-                fold(link.next_dial, &mut deadline);
-            }
-            if link.configured
-                && !self.heartbeat.is_zero()
-                && matches!(link.state, LinkState::Up(_))
-            {
-                fold(link.last_hb + self.heartbeat, &mut deadline);
-            }
-        }
-        match deadline {
+    /// Sleep no longer than the link core's next deadline or the next
+    /// race expiry.
+    fn poll_timeout_ms(&self) -> i32 {
+        let deadlines = [self.table.next_deadline(), self.races.table().next_expiry()];
+        match deadlines.into_iter().flatten().min() {
             None => PEER_BACKSTOP_MS,
-            Some(d) => (d.saturating_duration_since(now).as_millis() as i32)
+            Some(d) => (d.saturating_duration_since(Instant::now()).as_millis() as i32)
                 .saturating_add(1)
                 .clamp(1, PEER_BACKSTOP_MS),
         }
     }
 }
 
-fn connect(addr: &str) -> io::Result<TcpStream> {
+fn connect(addr: &str) -> io::Result<Conn> {
     let sockaddr = addr
         .to_socket_addrs()?
         .next()
@@ -1138,59 +768,31 @@ fn connect(addr: &str) -> io::Result<TcpStream> {
     let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)?;
     stream.set_nonblocking(true)?;
     stream.set_nodelay(true)?;
-    Ok(stream)
+    Ok(Conn {
+        stream,
+        decoder: FrameDecoder::new(),
+        out: Vec::new(),
+    })
 }
 
-/// Appends one framed request (length prefix + body) to `out`.
-fn encode_onto(out: &mut Vec<u8>, req: &Request) {
-    let body = req.encode();
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&body);
-}
-
-/// Encodes one outbound frame onto an up link, keeping the correlation
-/// FIFO aligned, with the `peer.link.<addr>.send` chaos site applied
-/// first:
-///
-/// * **drop / partition** — the frame never reaches the buffer and its
-///   tag is never pushed (no request ⇒ no reply ⇒ FIFO stays aligned);
-///   a race leg lost this way is recovered by its per-leg deadline.
-/// * **delay** — the peer thread stalls briefly, modeling a slow wire.
-/// * **duplicate** — the frame is encoded twice with two tag entries;
-///   the receiver answers both, and the protocol layer must shrug off
-///   the second reply.
-/// * **truncate** — the frame's tail is cut, desynchronizing the
-///   stream. A receiver that finds a malformed body closes it and the
-///   link dies into redial; one whose leftover bytes parse as a legal
-///   length waits inside it and answers nothing, which the health
-///   tick's silent-link reset turns into the same redial.
-fn push_frame(up: &mut UpLink, gen: u64, addr: &str, req: &Request, tag: SendTag) {
-    if faults::enabled() {
-        match faults::inject_net(&format!("peer.link.{addr}.send")) {
-            Some(NetFault::Drop) | Some(NetFault::Partition) => return,
-            Some(NetFault::Delay(d)) => std::thread::sleep(d),
-            Some(NetFault::Duplicate) => {
-                encode_onto(&mut up.out, req);
-                up.pending.push_back((tag, Instant::now(), gen));
-            }
-            Some(NetFault::Truncate) => {
-                let start = up.out.len();
-                encode_onto(&mut up.out, req);
-                let cut = ((up.out.len() - start) / 2).max(1);
-                up.out.truncate(up.out.len() - cut);
-                up.pending.push_back((tag, Instant::now(), gen));
-                return;
-            }
-            None => {}
-        }
+/// The chaos shim's draw for one frame at `peer.link.<addr>.<site>`
+/// (`send` or `recv`). A delay is served here — the peer thread stalls
+/// briefly, modeling a slow wire — and everything else is the link
+/// core's to apply.
+fn wire_fault(addr: &str, site: &str) -> Option<NetFault> {
+    if !faults::enabled() {
+        return None;
     }
-    encode_onto(&mut up.out, req);
-    up.pending.push_back((tag, Instant::now(), gen));
+    let fault = faults::inject_net(&format!("peer.link.{addr}.{site}"));
+    if let Some(NetFault::Delay(d)) = fault {
+        std::thread::sleep(d);
+    }
+    fault
 }
 
 /// Extracts `(queued, busy, workers)` from the `load queued N busy N
 /// workers N` line the executor appends to its `PEER_STATS` reply.
-fn parse_load_line(body: &str) -> Option<(u64, u64, u64)> {
+pub(crate) fn parse_load_line(body: &str) -> Option<(u64, u64, u64)> {
     for line in body.lines() {
         let Some(rest) = line.trim().strip_prefix("load ") else {
             continue;

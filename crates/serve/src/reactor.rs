@@ -44,7 +44,7 @@
 //!   second thread, and no reply byte copied between encode and the
 //!   kernel. The group is registered *before* the job is submitted (a
 //!   worker can finish first) and no two locks are ever held at once.
-//! * **Wake channel**: a loopback socket pair acting as a self-pipe,
+//! * **Wake channel**: a Unix socket pair acting as a self-pipe,
 //!   one per shard. It is off the request path: a delivery rouses the
 //!   reactor only when it left it something to do — output the socket
 //!   would not take (`POLLOUT` must be registered), a failed write, a
@@ -85,6 +85,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -429,7 +430,7 @@ impl DaemonCtl {
 }
 
 /// The write end of a [`wake_pair`]: anyone rouses the polling thread.
-pub(crate) struct WakeTx(TcpStream);
+pub(crate) struct WakeTx(UnixStream);
 
 impl WakeTx {
     /// Writes one byte to the self-pipe. `WouldBlock` means wake bytes
@@ -441,7 +442,7 @@ impl WakeTx {
 }
 
 /// The read end of a [`wake_pair`]: polled for `POLLIN` by its owner.
-pub(crate) struct WakeRx(TcpStream);
+pub(crate) struct WakeRx(UnixStream);
 
 impl WakeRx {
     /// Empties the self-pipe, however many wake bytes piled up. A short
@@ -466,24 +467,12 @@ impl AsRawFd for WakeRx {
     }
 }
 
-/// A connected loopback socket pair: the owner polls `rx`, everyone
-/// else writes `tx`. This is the classic self-pipe trick built from
-/// std-only parts (no `pipe(2)` binding needed).
+/// A connected socket pair: the owner polls `rx`, everyone else writes
+/// `tx`. This is the classic self-pipe trick from std-only parts (no
+/// `pipe(2)` binding needed).
 pub(crate) fn wake_pair() -> io::Result<(WakeTx, WakeRx)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let local = tx.local_addr()?;
-    // Accept until we see our own connect — a stray peer racing onto
-    // the ephemeral port must not become the wake channel.
-    let rx = loop {
-        let (stream, peer) = listener.accept()?;
-        if peer == local {
-            break stream;
-        }
-    };
+    let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
     Ok((WakeTx(tx), WakeRx(rx)))
 }

@@ -304,7 +304,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         peer_wake_rx,
         Arc::clone(&races),
         Arc::clone(&ctl),
-        Arc::clone(&telemetry),
         &config.peer,
     );
     let plane = Arc::new(PeerPlane {

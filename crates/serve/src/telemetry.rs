@@ -373,8 +373,6 @@ metrics! {
         "Shipped alternatives converted to failed guards";
     RemoteRedispatched, "remote_redispatched", "remote redispatched", Some("altxd_remote_redispatched_total"), Counter, Own,
         "Remote legs redispatched locally after a blown leg deadline";
-    PeerStaleReplies, "peer_stale_replies", "peer stale replies", Some("altxd_peer_stale_replies_total"), Counter, Own,
-        "Stale pre-reconnect replies dropped by the generation check";
     PeerQuarantines, "peer_quarantines", "peer quarantines", Some("altxd_peer_quarantines_total"), Counter, Peers(PeerStatsTable::total_quarantines),
         "Transitions into the Quarantined peer state";
     RemoteExecs, "remote_execs", "remote execs", Some("altxd_remote_execs_total"), Counter, Own,

@@ -446,3 +446,57 @@ fn duplicated_alt_result_never_double_answers() {
     origin.shutdown();
     fake.join().expect("fake peer thread");
 }
+
+/// An origin that is gone gets nothing, ever. The executor runs a leg
+/// shipped by an address nobody listens on; its `ALT_RESULT` has
+/// nowhere to go and must be dropped with the failed dial — not parked
+/// and redialled until something binds that port and is handed the
+/// result of a race it never started (a restarted origin numbers its
+/// races from 1 again and matches a result by race and alternative
+/// alone). The window is longer than the longest redial backoff.
+#[test]
+fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
+    let _guard = serial();
+    let executor = node(Vec::new(), 16);
+
+    // A port that refuses: bound once so it is ours to name, closed
+    // before anyone dials it.
+    let origin = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+    let origin_addr = origin.local_addr().expect("reserved addr");
+    drop(origin);
+
+    let mut conn = TcpStream::connect(executor.local_addr()).expect("connect executor");
+    let leg = Request::ExecAlt {
+        race_id: 7,
+        alt_idx: 0,
+        deadline_ms: 0,
+        arg: 1,
+        workload: "trivial".to_owned(),
+        origin: origin_addr.to_string(),
+    };
+    write_frame(&mut conn, &leg.encode()).expect("ship the leg");
+    let ack = read_frame(&mut conn)
+        .expect("ack")
+        .expect("ack, not a close");
+    assert!(
+        matches!(Response::decode(&ack), Ok(Response::Text { .. })),
+        "the leg was not admitted"
+    );
+    wait_for(&executor, "the leg to run", |s| s[Metric::RemoteExecs] >= 1);
+    // The result's dial (50 ms at most) has failed by now.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let origin = TcpListener::bind(origin_addr).expect("bind the origin's port");
+    origin.set_nonblocking(true).expect("nonblocking accept");
+    let until = Instant::now() + Duration::from_millis(2_500);
+    while Instant::now() < until {
+        match origin.accept() {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Ok((_, from)) => panic!("the executor redialled a dead origin (from {from})"),
+            Err(e) => panic!("accept: {e}"),
+        }
+    }
+    executor.shutdown();
+}

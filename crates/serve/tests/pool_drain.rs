@@ -45,7 +45,7 @@ fn admitted_jobs_all_run_before_shutdown_returns() {
                     let mut admitted = 0u64;
                     let mut admitted_panickers = 0u64;
                     for j in 0..jobs_per_submitter {
-                        let crashes = (s + j) as u64 % panic_one_in == 0;
+                        let crashes = ((s + j) as u64).is_multiple_of(panic_one_in);
                         let ran = Arc::clone(&ran);
                         let submitted = pool.try_submit(Box::new(move || {
                             ran.fetch_add(1, Ordering::SeqCst);

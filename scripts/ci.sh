@@ -23,8 +23,10 @@ cargo test -q --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy -D warnings (core and cluster crates: altx, serve, consensus, cluster)"
-cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster -- -D warnings
+# --all-targets: the seeded properties live in `mod tests` beside the
+# cores they check, and are linted with them.
+echo "==> cargo clippy --all-targets -D warnings (core and cluster crates: altx, serve, consensus, cluster)"
+cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster --all-targets -- -D warnings
 
 # The race registry's core is a pure step(event, now) -> actions
 # machine, so the interleaving is a seed: 2 500 seeded schedules of
@@ -40,6 +42,16 @@ cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_
 # drain, checked against a model that knows nothing of heaps.
 echo "==> run-queue schedule property (2500 seeded schedules, virtual time, no threads)"
 cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_entry_once
+
+# The peer link is a pure value as well — dial, backoff, the in-order
+# correlation FIFO, park and replay, heartbeat, health and the
+# silent-link reset, all behind step(event, now) -> actions — so the
+# wire's interleavings are seeds too: 2 500 schedules of commands, dial
+# outcomes, replies, hang-ups, ticks and send- and recv-side faults
+# against model peers running the real frame decoder. A failure prints
+# the altx_check seed that replays it.
+echo "==> peer-link schedule property (2500 seeded schedules, virtual time, no sockets)"
+cargo test -q -p altx-serve --lib link::tests::any_schedule_keeps_every_link_rule
 
 # Elimination is a wake-up: whatever the order and spacing of a body
 # going to sleep on its token and the decision cancelling it, the
@@ -66,11 +78,12 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 # connection's write-half lock (its seeded delivery-schedule property,
 # and the live reactor and loopback suites) — and the worker pool on
 # real threads (its unit tests, EDF / steal / aging order, the drain
-# racing submitters): gated as "0 failures in N", because a concurrency
-# bug that fires one run in ten passes a single run nine times in ten.
+# racing submitters) — and the link core's unit tests with them: gated
+# as "0 failures in N", because a concurrency bug that fires one run in
+# ten passes a single run nine times in ten.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, pool, ring, sched, edf, pool_drain, reactor and loopback suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, pool, link core, ring, sched, edf, pool_drain, reactor and loopback suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
@@ -78,6 +91,7 @@ for i in $(seq 1 "$REPEATS"); do
             cargo test -q -p altx --test race_crew &&
             cargo test -q -p altx-serve --lib conn:: &&
             cargo test -q -p altx-serve --lib pool:: &&
+            cargo test -q -p altx-serve --lib link:: &&
             cargo test -q -p altx-serve --test ring --test sched --test edf --test pool_drain \
                 --test reactor --test loopback
     } >"$REPEAT_LOG" 2>&1 || {
