@@ -222,11 +222,8 @@ impl AltStatsTable {
     /// for picking a hedge delay. Returns `None` with no observations.
     pub fn quantile_us(&self, i: usize, q: f64) -> Option<u64> {
         let slot = self.slot(i)?;
-        let counts: Vec<u64> = slot
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts: [u64; BUCKETS] =
+            std::array::from_fn(|k| slot.buckets[k].load(Ordering::Relaxed));
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return None;

@@ -898,10 +898,16 @@ mod tests {
     fn refused_submission_never_notifies() {
         let pool = WorkerPool::new(1, 1);
         let (block_tx, block_rx) = mpsc::channel::<()>();
+        let (running_tx, running_rx) = mpsc::channel::<()>();
         pool.try_submit(Box::new(move || {
+            running_tx.send(()).ok();
             block_rx.recv().ok();
         }))
         .expect("occupies the worker");
+        // The blocker is off the queue and on the worker before the
+        // fill: a fill that stopped with it still queued would leave a
+        // slot free once the worker took it.
+        running_rx.recv().expect("worker picked the blocker up");
         // Fill the depth-1 queue, then overflow it with a notifier.
         while pool.try_submit(Box::new(|| {})).is_ok() {}
         let fired = Arc::new(AtomicUsize::new(0));

@@ -37,13 +37,31 @@
 //!   code in the crate and is confined to this module.
 //! * **Direct delivery** ([`ReactorShared::post`]): the thread that
 //!   decides a race — a pool worker, or the remote registry's caller —
-//!   encodes the reply **once** into a ring slot (`ring.rs`), takes the
-//!   race's reply group out of the shard's table, and for each waiter
+//!   takes the race's reply group out of the shard's table, encodes the
+//!   reply **once** into a ring slot (`ring.rs`), and for each waiter
 //!   locks the connection's write half, fills the request's reply slot
 //!   and writes to the socket right there. No completion queue, no
 //!   second thread, and no reply byte copied between encode and the
 //!   kernel. The group is registered *before* the job is submitted (a
 //!   worker can finish first) and no two locks are ever held at once.
+//! * **Run on the shard** ([`Reactor::submit_race`]): a race whose
+//!   workload has been measured short enough that the hand-off to a
+//!   worker would be a visible share of it
+//!   (`CatalogStats::runs_on_shard` — one flag, republished with every
+//!   service sample by the rule in `sched.rs`) never leaves this
+//!   thread: after the admission gate and the placement policy have had
+//!   their say, the reactor races it in place — favourite inline,
+//!   siblings on the crew, deadline token and containment as on a
+//!   worker — and delivers the reply through the waiters' write halves
+//!   as the finishing worker would have ([`ReactorShared::deliver`]).
+//!   No reply group, no boxed job, no queue push, no condvar wake; and
+//!   once a workload is on the shard its requests no longer wait for a
+//!   worker held inside somebody else's race. A workload whose bodies
+//!   block (`WorkloadSpec::blocks`: `sleep`, `lognormal`, `bimodal`)
+//!   never qualifies, whatever it measured — this thread must not
+//!   sleep in a body. Everything else is queued as before. Reply
+//!   order needs nothing new: the write half's sequence numbers park a
+//!   shard-run reply behind an earlier queued one.
 //! * **Wake channel**: a Unix socket pair acting as a self-pipe,
 //!   one per shard. It is off the request path: a delivery rouses the
 //!   reactor only when it left it something to do — output the socket
@@ -307,38 +325,44 @@ pub(crate) struct ReactorShared {
 }
 
 impl ReactorShared {
-    /// Answers a finished race, on the calling thread: encodes the
-    /// response once into this shard's reply ring (spilling to a fresh
-    /// heap buffer when the ring can't take it), takes the race's reply
-    /// group, and delivers the frame to every waiter's connection —
-    /// each waiter owns a distinct reply slot and the group is consumed
-    /// here, so each is answered exactly once. A lone waiter — the
-    /// overwhelmingly common case — takes the frame by move; a
-    /// coalesced batch shares **one** encoding across its N waiters,
-    /// each socket reading the same ring slot, reclaimed when the last
-    /// one finishes. A group already taken (shed at submit) or a waiter
-    /// whose connection is gone drops the frame, which reclaims the
-    /// slot. `pub(crate)` because the remote-race registry posts the
-    /// final response of a distributed race through here too.
+    /// Answers a finished race, on the calling thread: takes the race's
+    /// reply group and delivers the one reply to its waiters
+    /// ([`ReactorShared::deliver`]) — the group is consumed here, so each
+    /// waiter is answered exactly once. A group already taken (shed at
+    /// submit) is nobody's to answer. `pub(crate)` because the
+    /// remote-race registry posts the final response of a distributed
+    /// race through here too.
     pub(crate) fn post(&self, group: u64, response: Response) {
-        let reply = EncodedReply::encode(&response, &self.ring);
         let Some(waiters) = self.take_group(group) else {
             return;
         };
         // Lock order: the table lock is already released, each write
         // half is locked alone, and the wake byte follows the last.
-        let mut rouse = false;
-        if let [(half, seq)] = &waiters[..] {
-            rouse = half.deliver(*seq, ReplyFrame::Own(reply), None);
-        } else {
-            let shared = Arc::new(reply);
-            for (half, seq) in &waiters {
-                rouse |= half.deliver(*seq, ReplyFrame::Shared(Arc::clone(&shared)), None);
-            }
-        }
-        if rouse || self.draining.load(Ordering::SeqCst) {
+        if self.deliver(&waiters, &response) || self.draining.load(Ordering::SeqCst) {
             self.wake_tx.wake();
         }
+    }
+
+    /// Encodes `response` once into this shard's reply ring (spilling
+    /// to a fresh heap buffer when the ring can't take it) and delivers
+    /// the frame to every waiter's connection, each of which owns a
+    /// distinct reply slot. A lone waiter — the overwhelmingly common
+    /// case — takes the frame by move; a coalesced batch shares **one**
+    /// encoding across its N waiters, each socket reading the same ring
+    /// slot, reclaimed when the last one finishes. A waiter whose
+    /// connection is gone drops the frame, which reclaims the slot.
+    /// Returns whether a delivery left the reactor something to do.
+    fn deliver(&self, waiters: &[ReplySlot], response: &Response) -> bool {
+        let reply = EncodedReply::encode(response, &self.ring);
+        if let [(half, seq)] = waiters {
+            return half.deliver(*seq, ReplyFrame::Own(reply), None);
+        }
+        let shared = Arc::new(reply);
+        let mut rouse = false;
+        for (half, seq) in waiters {
+            rouse |= half.deliver(*seq, ReplyFrame::Shared(Arc::clone(&shared)), None);
+        }
+        rouse
     }
 
     /// Takes a group's waiters: the poster's claim on answering them,
@@ -1068,10 +1092,11 @@ impl Reactor {
 
     /// Submits one race on behalf of `waiters` (one waiter when direct,
     /// many when coalesced). The single response fans out to every
-    /// waiter exactly once via the reply group — including worker-lost
-    /// and fault outcomes, which take the same path. When the placement
-    /// policy elects to ship alternatives to peers the race goes
-    /// through the distributed path instead.
+    /// waiter exactly once — through the reply group when a worker runs
+    /// the race, including worker-lost and fault outcomes, and straight
+    /// from here when the workload is short enough to race on this
+    /// thread. When the placement policy elects to ship alternatives to
+    /// peers the race goes through the distributed path instead.
     fn submit_race(&mut self, waiters: Vec<ReplySlot>, key: BatchKey) {
         // Feasibility admission, before the race spends a queue slot or
         // a wire frame: when the deadline is provably unmeetable from
@@ -1089,6 +1114,29 @@ impl Reactor {
         }
         if let Some(assign) = self.plan_remote(&key) {
             self.submit_race_distributed(waiters, key, assign);
+            return;
+        }
+        // Shard or queue: a workload measured short (the rule is in
+        // `sched.rs`) is raced right here, and the reply delivered the
+        // way a finishing worker delivers one (`ReactorShared::deliver`:
+        // one ring slot, a heap spill when the ring is full, shared by
+        // a coalesced batch) — no reply group (no other thread will
+        // come looking), no boxed job, no wake-up. What the delivery
+        // leaves behind, the next turn's look at each write half picks
+        // up.
+        if self.sched.catalog().runs_on_shard(key.widx) {
+            self.telemetry.add(Metric::Accepted, 1);
+            self.telemetry.add(Metric::RacesOnShard, 1);
+            let reply = contained(&self.telemetry, || {
+                run_race(
+                    &self.telemetry,
+                    &self.sched,
+                    key.widx,
+                    key.deadline_ms,
+                    key.arg,
+                )
+            });
+            self.shared.deliver(&waiters, &reply);
             return;
         }
         let group = self.open_group(waiters);

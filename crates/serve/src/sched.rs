@@ -26,7 +26,7 @@ use crate::workload::{self, WorkloadSpec};
 use altx::engine::LaunchPlan;
 use altx::stats::AltStatsTable;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,7 +72,28 @@ pub struct CatalogStats {
     /// this sees timeouts, which is exactly what makes an infeasible
     /// workload provably infeasible.
     service: Vec<AltStatsTable>,
+    /// Per-workload verdict of [`CatalogStats::short_enough_for_shard`],
+    /// recomputed where a service sample is recorded so the request
+    /// path reads one flag instead of a quantile.
+    on_shard: Vec<AtomicBool>,
 }
+
+/// The longest service time — p99 bucket bound and recent mean alike —
+/// a workload may show and still be raced on the reactor thread that
+/// decoded it ([`CatalogStats::runs_on_shard`]). Handing a race to a
+/// worker costs ≈ 3 µs (`pool.job_ns`) and a race at this bound holds
+/// every other connection of the shard for that long at worst. The
+/// value is the power of two no measured workload sits near: a p99
+/// against a bound changes its mind with every slow sample while about
+/// 1 % of a workload's races cross the bound, so the bound belongs
+/// where every workload's share is far from 1 %. Alone, `trivial` has
+/// no race past 16 µs; under sparse open-loop arrivals beside
+/// `bimodal`, where other threads' wake-ups land inside the race,
+/// 1.5–3 % of its races pass 32 µs (a bound there flipped the verdict
+/// every hundred samples), 0.1–1 % pass 64 µs, 0.01–0.4 % pass 128 µs.
+/// `prolog` — usually 4–30 µs, with 3 % of its races past 128 µs — is
+/// what the p99 clause is there to keep out, and stays out.
+pub const SHARD_MAX_SERVICE_US: u64 = 128;
 
 impl CatalogStats {
     /// One pre-sized table per catalog workload.
@@ -86,6 +107,10 @@ impl CatalogStats {
                 .iter()
                 .map(|_| AltStatsTable::with_len(1))
                 .collect(),
+            on_shard: workload::CATALOG
+                .iter()
+                .map(|_| AtomicBool::new(false))
+                .collect(),
         }
     }
 
@@ -94,11 +119,63 @@ impl CatalogStats {
         self.tables.get(widx)
     }
 
-    /// Records one race's end-to-end service time, whatever its outcome.
+    /// Records one race's end-to-end service time, whatever its outcome,
+    /// and republishes the workload's shard-or-queue verdict when it
+    /// changed — the flags share a cache line every reactor reads, so
+    /// the steady state writes nothing. Two recorders can publish out of
+    /// order; the flag is then a sample stale until the next one is
+    /// recorded, which a statistic can afford.
     pub fn record_service(&self, widx: usize, latency_us: u64) {
-        if let Some(t) = self.service.get(widx) {
+        if let (Some(t), Some(flag)) = (self.service.get(widx), self.on_shard.get(widx)) {
             t.record_win(0, latency_us);
+            let verdict = self.short_enough_for_shard(widx);
+            if flag.load(Ordering::Relaxed) != verdict {
+                flag.store(verdict, Ordering::Relaxed);
+            }
         }
+    }
+
+    /// The shard-or-queue rule, a pure function of the catalog entry and
+    /// the service table: a workload is raced on the shard thread while
+    ///
+    /// ```text
+    /// ¬ blocks
+    ///   ∧ samples ≥ ADMISSION_MIN_SAMPLES
+    ///   ∧ mean_service_us ≤ SHARD_MAX_SERVICE_US
+    ///   ∧ p99_service_us  ≤ SHARD_MAX_SERVICE_US
+    /// ```
+    ///
+    /// A body that waits on its token ([`WorkloadSpec::blocks`]) never
+    /// qualifies: how long `sleep N` parks its thread is the client's
+    /// `N`, and sixteen `sleep 0` say nothing about the next one. For
+    /// the rest, cold is "queue", as cold is "admit" for the gate:
+    /// shortness must be measured, never presumed. The p99 (bucket upper
+    /// bound) keeps out a workload that is usually short; the recent
+    /// mean (an EWMA) takes out one whose arguments turn slow after a
+    /// handful of samples, where the p99 alone would wait for 1 % of its
+    /// history.
+    fn short_enough_for_shard(&self, widx: usize) -> bool {
+        let bound = SHARD_MAX_SERVICE_US;
+        workload::CATALOG.get(widx).is_some_and(|w| !w.blocks)
+            && self.service_samples(widx) >= ADMISSION_MIN_SAMPLES
+            && self
+                .service_mean_us(widx)
+                .is_some_and(|m| m <= bound as f64)
+            && self
+                .service_quantile_us(widx, 0.99)
+                .is_some_and(|p| p <= bound)
+    }
+
+    /// Where the next race of workload `widx` runs: `true` on the
+    /// reactor thread that decoded it — its bodies never block and it
+    /// has at least [`ADMISSION_MIN_SAMPLES`] service samples whose p99
+    /// and recent mean are both within [`SHARD_MAX_SERVICE_US`] —
+    /// `false` through the run queue. One relaxed load of the verdict
+    /// [`CatalogStats::record_service`] last published.
+    pub fn runs_on_shard(&self, widx: usize) -> bool {
+        self.on_shard
+            .get(widx)
+            .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Service-time samples recorded for workload `widx`.
@@ -452,6 +529,19 @@ fn render_entry(out: &mut String, w: &WorkloadSpec, widx: usize, policy: &HedgeP
         };
         let _ = writeln!(out, "    alt {aidx} {alt}  wins {wins}{rate}{marker}");
     }
+    let stats = policy.catalog();
+    let place = if stats.runs_on_shard(widx) {
+        "shard"
+    } else {
+        "queue"
+    };
+    let _ = writeln!(
+        out,
+        "    runs on: {place} (service p99 ≤ {} µs, mean {:.1} µs, {} samples)",
+        stats.service_quantile_us(widx, 0.99).unwrap_or(0),
+        stats.service_mean_us(widx).unwrap_or(0.0),
+        stats.service_samples(widx)
+    );
 }
 
 #[cfg(test)]
@@ -632,6 +722,164 @@ mod tests {
         for _ in 0..3 {
             assert!(!gate.admit(widx, 3, 0, 4));
             assert!(gate.admit(widx, 5, 0, 4));
+        }
+    }
+
+    /// Cold is "queue"; the sample floor at the bound is "shard"; the
+    /// published flag is the rule's verdict as of the last record.
+    #[test]
+    fn shard_verdict_is_deterministic_from_pinned_stats() {
+        let stats = CatalogStats::new();
+        let widx = workload::index_of("trivial").unwrap();
+        assert!(!stats.runs_on_shard(widx), "cold is queue");
+        // The longest sample whose histogram bucket ends at the bound.
+        let longest = SHARD_MAX_SERVICE_US - 1;
+        for n in 1..ADMISSION_MIN_SAMPLES {
+            stats.record_service(widx, longest);
+            assert!(!stats.runs_on_shard(widx), "{n} samples is still cold");
+        }
+        stats.record_service(widx, longest);
+        assert!(stats.runs_on_shard(widx), "the floor, all under the bound");
+        for _ in 0..3 {
+            assert!(stats.short_enough_for_shard(widx));
+            assert!(stats.runs_on_shard(widx));
+        }
+        let other = lognormal_idx();
+        assert!(!stats.runs_on_shard(other), "verdicts are per workload");
+        assert!(
+            !stats.runs_on_shard(workload::CATALOG.len()),
+            "no such index"
+        );
+    }
+
+    /// The regime change: a warm short workload whose arguments turn
+    /// slow is back on the queue within four samples at twice the bound
+    /// — by the recent mean, 1 000 fast samples deep, where the p99
+    /// alone would want ten slow ones — and at once on a sample the
+    /// size of `sleep 1`. Once slow samples are 1 % of its history the
+    /// p99 keeps it there however fast the mean has become again.
+    #[test]
+    fn slow_samples_send_a_warm_workload_back_to_the_queue() {
+        let warm = || {
+            let stats = CatalogStats::new();
+            for _ in 0..1_000 {
+                stats.record_service(0, 5);
+            }
+            assert!(stats.runs_on_shard(0));
+            stats
+        };
+        let stats = warm();
+        let left_after = (1..=4)
+            .find(|_| {
+                stats.record_service(0, 2 * SHARD_MAX_SERVICE_US);
+                !stats.runs_on_shard(0)
+            })
+            .expect("still on the shard after 4 samples at twice the bound");
+        assert!(left_after >= 2, "one sample at twice the bound is noise");
+
+        let stats = warm();
+        stats.record_service(0, 1_000);
+        assert!(
+            !stats.runs_on_shard(0),
+            "one millisecond on the shard is enough"
+        );
+        for _ in 0..10 {
+            stats.record_service(0, 1_000);
+        }
+        for _ in 0..50 {
+            stats.record_service(0, 5);
+        }
+        assert!(
+            stats.service_mean_us(0).unwrap() < 6.0,
+            "the mean recovered"
+        );
+        assert!(!stats.runs_on_shard(0), "the p99 remembers");
+    }
+
+    /// A body that waits on its token never qualifies, whatever it has
+    /// measured: sixteen `sleep 0` (or 2 000) say nothing about the
+    /// `sleep N` behind them, whose length is the client's to choose.
+    /// The same samples put `trivial` on the shard.
+    #[test]
+    fn a_blocking_body_never_runs_on_the_shard_however_short_it_measures() {
+        let stats = CatalogStats::new();
+        let blocking = ["sleep", "lognormal", "bimodal"];
+        for w in workload::CATALOG {
+            assert_eq!(w.blocks, blocking.contains(&w.name), "{}", w.name);
+        }
+        for widx in blocking.map(|w| workload::index_of(w).unwrap()) {
+            for _ in 0..2_000 {
+                stats.record_service(widx, 1);
+                assert!(!stats.runs_on_shard(widx));
+                assert!(!stats.short_enough_for_shard(widx), "the flag is the rule");
+            }
+        }
+        let trivial = workload::index_of("trivial").unwrap();
+        for _ in 0..ADMISSION_MIN_SAMPLES {
+            stats.record_service(trivial, 1);
+        }
+        assert!(stats.runs_on_shard(trivial));
+    }
+
+    /// A computing body is measured: at a millisecond a race (`prolog`
+    /// reads half of one) it never qualifies, however many samples.
+    #[test]
+    fn a_millisecond_body_never_runs_on_the_shard() {
+        let stats = CatalogStats::new();
+        let widx = workload::index_of("prolog").unwrap();
+        for _ in 0..4 * ADMISSION_MIN_SAMPLES {
+            stats.record_service(widx, 1_000);
+            assert!(!stats.runs_on_shard(widx));
+            assert!(!stats.short_enough_for_shard(widx), "the flag is the rule");
+        }
+    }
+
+    /// The bound sits where neither measured shape is near the p99
+    /// clause's 1 %. `trivial` under `burst` — a 60 ns body with other
+    /// threads' wake-ups inside 3 % of its races (25 in a thousand past
+    /// 32 µs, 4 past 64, 1 past 128) — stays on the shard from the
+    /// sample floor on, every sample; a bound at 32 µs had it change
+    /// sides with every slow one. `prolog` under `cpu` — 8 µs, but 3 %
+    /// of its races past 128 µs — is off it once that share has shown
+    /// (the first thousand here), every sample.
+    #[test]
+    fn the_bound_is_far_from_both_measured_shapes() {
+        let stats = CatalogStats::new();
+        let trivial = workload::index_of("trivial").unwrap();
+        let prolog = workload::index_of("prolog").unwrap();
+        for n in 0..20_000u64 {
+            let (preempted, usually_short) = match n % 1_000 {
+                999 => (200, 400),
+                995..=998 => (100, 400),
+                970..=994 => (40, 400),
+                _ => (8, 8),
+            };
+            stats.record_service(trivial, preempted);
+            stats.record_service(prolog, usually_short);
+            if n + 1 >= ADMISSION_MIN_SAMPLES {
+                assert!(stats.runs_on_shard(trivial), "sample {n}");
+            }
+            if n >= 1_000 {
+                assert!(!stats.runs_on_shard(prolog), "sample {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn catalog_rendering_says_where_each_workload_runs() {
+        let policy = HedgePolicy::new(HedgeConfig::default());
+        let trivial = workload::index_of("trivial").unwrap();
+        for _ in 0..ADMISSION_MIN_SAMPLES {
+            policy.record_service(trivial, 12);
+        }
+        policy.record_service(lognormal_idx(), 3_000);
+        let text = render_catalog(&policy);
+        for line in [
+            "    runs on: shard (service p99 ≤ 16 µs, mean 12.0 µs, 16 samples)",
+            "    runs on: queue (service p99 ≤ 4096 µs, mean 3000.0 µs, 1 samples)",
+            "    runs on: queue (service p99 ≤ 0 µs, mean 0.0 µs, 0 samples)",
+        ] {
+            assert!(text.lines().any(|l| l == line), "{line:?} not in\n{text}");
         }
     }
 

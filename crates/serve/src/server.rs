@@ -18,6 +18,21 @@
 //! sent even when a later race finishes first, whichever threads
 //! deliver them.
 //!
+//! A short race never leaves the reactor. Once a workload whose bodies
+//! never block has
+//! [`ADMISSION_MIN_SAMPLES`](crate::sched::ADMISSION_MIN_SAMPLES)
+//! service samples and both their p99 and their recent mean are within
+//! [`SHARD_MAX_SERVICE_US`](crate::sched::SHARD_MAX_SERVICE_US) — short
+//! enough that the hand-off to a worker would be a visible share of
+//! the request — the reactor thread that decoded the request races it
+//! in place and writes the reply: no queue push and no wake-up. The
+//! rule is measured per workload, not configured; anything slower,
+//! colder or turning slow is queued as described above, and so is
+//! every workload whose bodies wait on their token
+//! ([`WorkloadSpec::blocks`](crate::workload::WorkloadSpec::blocks)),
+//! whatever it measured — a reactor thread asleep in a body serves
+//! nobody.
+//!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread. The daemon runs
 //! O(workers + shards) OS threads (one reactor per shard, the pool, the
@@ -29,7 +44,9 @@
 //! threads it reuses from race to race and retires when they have been
 //! idle for half a second. Under `--pin` a racer inherits the affinity
 //! of the worker whose race first needed it, as the per-race threads
-//! used to.
+//! used to. Racing short workloads on the reactor adds no thread: the
+//! model is still O(workers + shards), and the favourite of such a race
+//! runs inline on the shard's thread, its siblings on the same crew.
 //!
 //! Shutdown (local call or the `SHUTDOWN` opcode) stops admissions and
 //! new reads, lets every in-flight race finish and flush its reply,

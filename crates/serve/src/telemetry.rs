@@ -300,7 +300,9 @@ macro_rules! metrics {
 
 metrics! {
     Accepted, "accepted", "accepted", Some("altxd_requests_accepted_total"), Counter, Own,
-        "Requests admitted to the run queue";
+        "Requests admitted to a race (queued or run on the shard)";
+    RacesOnShard, "races_on_shard", "races on shard", Some("altxd_races_on_shard_total"), Counter, Own,
+        "Accepted races run on the reactor thread that decoded them, not queued";
     Completed, "completed", "completed", Some("altxd_requests_completed_total"), Counter, Own,
         "Races completed with a winner";
     Shed, "shed", "shed (overloaded)", Some("altxd_requests_shed_total"), Counter, Own,
@@ -575,6 +577,15 @@ impl Telemetry {
             .get()
             .and_then(|n| n.get(i).cloned())
             .unwrap_or_else(|| format!("lane{i}"))
+    }
+
+    /// The attached scheduler statistics (`None` before
+    /// [`Telemetry::attach_catalog`]). For the crate's own tests, which
+    /// pin a workload's service times through this so where it runs is
+    /// stated, not hoped for; not part of the API.
+    #[doc(hidden)]
+    pub fn catalog(&self) -> Option<&Arc<CatalogStats>> {
+        self.catalog.get()
     }
 
     /// The attached per-shard counters (empty before

@@ -29,6 +29,12 @@ pub struct WorkloadSpec {
     /// `(workload index, alternative index)` with no string keys on the
     /// hot path.
     pub alt_names: &'static [&'static str],
+    /// Whether a body waits on its token ([`CancelToken::sleep`]) for a
+    /// time the request's `arg` decides. How long such a race holds its
+    /// thread is the client's choice, not something past races measure,
+    /// so the scheduler never runs one on a reactor thread however short
+    /// it has measured (`CatalogStats::runs_on_shard`).
+    pub blocks: bool,
 }
 
 impl WorkloadSpec {
@@ -49,26 +55,31 @@ pub const CATALOG: &[WorkloadSpec] = &[
         name: "trivial",
         description: "two instant alternatives; measures pure service overhead",
         alt_names: &["instant-a", "instant-b"],
+        blocks: false,
     },
     WorkloadSpec {
         name: "lognormal",
         description: "three heavy-tailed (lognormal) alternatives; racing wins",
         alt_names: &["draw-0", "draw-1", "draw-2"],
+        blocks: true,
     },
     WorkloadSpec {
         name: "bimodal",
         description: "two usually-fast/sometimes-slow alternatives",
         alt_names: &["draw-0", "draw-1"],
+        blocks: true,
     },
     WorkloadSpec {
         name: "sleep",
         description: "one alternative sleeping arg milliseconds; deadline fodder",
         alt_names: &["sleeper"],
+        blocks: true,
     },
     WorkloadSpec {
         name: "prolog",
         description: "or-parallel countdown query raced against a reordered program",
         alt_names: &["clause-order-as-written", "clause-order-reversed"],
+        blocks: false,
     },
 ];
 

@@ -1,15 +1,18 @@
 //! Reactor front-end tests: pipelining order, idle-connection cost,
-//! eager reclamation of closed connections, and the delivery path —
+//! eager reclamation of closed connections, the delivery path —
 //! replies written by the thread that finished the race, with the
-//! reactor taking over only what a socket would not accept.
+//! reactor taking over only what a socket would not accept — and the
+//! shard path: a workload measured short is raced by the reactor
+//! thread, a longer one never is.
 //!
 //! These run a real daemon in-process and assert on process-wide state
 //! (thread counts), so the tests serialize on a mutex like the loopback
 //! suite does.
 
 use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response};
-use altx_serve::telemetry::Metric;
-use altx_serve::{start, Client, ServerConfig, Telemetry};
+use altx_serve::sched::{ADMISSION_MIN_SAMPLES, SHARD_MAX_SERVICE_US};
+use altx_serve::telemetry::{scrape, Metric};
+use altx_serve::{start, workload, Client, ServerConfig, Telemetry};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
@@ -617,5 +620,344 @@ fn refused_submissions_hold_no_connection() {
     await_snapshot(&telemetry, "every connection and its fd to go", |t| {
         t.snapshot()[Metric::ConnsOpen] == 0 && (baseline == 0 || fd_count() == baseline)
     });
+    server.shutdown();
+}
+
+/// Pins `trivial`'s service times short, so its next race runs on the
+/// shard: pinned rather than measured, because a debug build's trivial
+/// race is not reliably under the bound. 2 000 samples, so the p99
+/// shrugs off any slow race a test then runs and the mean is the pinned
+/// value whatever came before. Call it with no `trivial` race in flight
+/// (nothing else records a sample): the verdict then stands until the
+/// next one is recorded. Returns `races on shard` as it stands.
+fn pin_trivial_short(telemetry: &Telemetry) -> u64 {
+    let stats = telemetry.catalog().expect("attached at start");
+    let trivial = workload::index_of("trivial").expect("in the catalog");
+    for _ in 0..2_000 {
+        stats.record_service(trivial, 5);
+    }
+    assert!(stats.runs_on_shard(trivial));
+    telemetry.snapshot()[Metric::RacesOnShard]
+}
+
+/// Service samples `trivial` has on record.
+fn trivial_samples(telemetry: &Telemetry) -> u64 {
+    let trivial = workload::index_of("trivial").expect("in the catalog");
+    let stats = telemetry.catalog().expect("attached at start");
+    stats.service_samples(trivial)
+}
+
+/// Waits until `trivial` has `samples` on record: the race the test
+/// sent has been measured, and none is in flight.
+fn await_trivial_samples(telemetry: &Telemetry, samples: u64) {
+    await_snapshot(telemetry, "the trivial race to be recorded", |t| {
+        trivial_samples(t) == samples
+    });
+}
+
+/// `stream` has nothing to read right now.
+fn assert_nothing_readable(stream: &TcpStream, why: &str) {
+    stream.set_nonblocking(true).expect("nonblocking");
+    let peeked = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(false).expect("blocking");
+    match peeked {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("{why}: {other:?}"),
+    }
+}
+
+/// A short request does not wait for a held worker: with the only
+/// worker inside `sleep 400` for connection A, a `trivial` measured
+/// short is raced by the reactor thread and answered on connection B
+/// while A still waits. Through the queue B's race could only run
+/// after A's.
+#[test]
+fn a_short_request_does_not_wait_for_a_held_worker() {
+    let _guard = serial();
+    let server = local_server(1, 16);
+    let telemetry = server.telemetry();
+    let on_shard = pin_trivial_short(&telemetry);
+
+    let mut a = raw_conn(&server);
+    pipeline(&mut a, [run_req("sleep", 400, 0)]);
+    await_snapshot(&telemetry, "the sleep to be submitted", |t| {
+        t.snapshot()[Metric::Accepted] == 1
+    });
+
+    let mut b = raw_conn(&server);
+    pipeline(&mut b, [run_req("trivial", 7, 0)]);
+    assert!(matches!(next_reply(&mut b), Response::Ok { value: 7, .. }));
+    assert_nothing_readable(&a, "the sleep was answered before the trivial behind it");
+    assert!(matches!(
+        next_reply(&mut a),
+        Response::Ok { value: 400, .. }
+    ));
+    let snap = telemetry.snapshot();
+    assert_eq!(snap[Metric::RacesOnShard], on_shard + 1);
+    assert_eq!(snap[Metric::Accepted], 2, "a shard run is an accepted race");
+    server.shutdown();
+}
+
+/// Order on one connection: two shard-run replies pipelined behind a
+/// queued race wait in their reply slots for it, and the three come
+/// back in request order, one each.
+#[test]
+fn shard_run_replies_keep_their_place_behind_a_queued_race() {
+    let _guard = serial();
+    let server = local_server(2, 16);
+    let telemetry = server.telemetry();
+    let on_shard = pin_trivial_short(&telemetry);
+    let samples = trivial_samples(&telemetry);
+    let mut stream = raw_conn(&server);
+
+    pipeline(
+        &mut stream,
+        [run_req("sleep", 50, 0), run_req("trivial", 1, 0)],
+    );
+    // The second goes out once the first is on record and the verdict
+    // is pinned again: its place must not hang on what the first took.
+    await_trivial_samples(&telemetry, samples + 1);
+    pin_trivial_short(&telemetry);
+    pipeline(&mut stream, [run_req("trivial", 2, 0)]);
+    for expect in [50, 1, 2] {
+        match next_reply(&mut stream) {
+            Response::Ok { value, .. } => assert_eq!(value, expect, "reply order"),
+            other => panic!("expected Ok({expect}), got {other:?}"),
+        }
+    }
+    assert_no_stray_frame(&mut stream);
+    assert_eq!(telemetry.snapshot()[Metric::RacesOnShard], on_shard + 2);
+    server.shutdown();
+}
+
+/// A slow workload never holds the shard: `sleep 2` has all the
+/// samples the rule asks for and every one goes to the queue, so a
+/// STATS sent on a second connection while a `sleep` is in flight is
+/// rendered with that connection still waiting — the page counts both.
+#[test]
+fn a_slow_workload_never_runs_on_the_shard() {
+    let _guard = serial();
+    let server = local_server(2, 16);
+    let telemetry = server.telemetry();
+    let mut a = raw_conn(&server);
+    for _ in 0..32 {
+        pipeline(&mut a, [run_req("sleep", 2, 0)]);
+        assert!(matches!(next_reply(&mut a), Response::Ok { value: 2, .. }));
+    }
+    assert_eq!(telemetry.snapshot()[Metric::RacesOnShard], 0);
+
+    pipeline(&mut a, [run_req("sleep", 300, 0)]);
+    await_snapshot(&telemetry, "the sleep to be submitted", |t| {
+        t.snapshot()[Metric::Accepted] == 33
+    });
+    let mut b = raw_conn(&server);
+    pipeline(&mut b, [Request::Stats]);
+    match next_reply(&mut b) {
+        Response::Text { body } => {
+            assert_eq!(scrape(&body, Metric::ConnsActive), Some(2), "{body}");
+            assert_eq!(scrape(&body, Metric::RacesOnShard), Some(0), "{body}");
+        }
+        other => panic!("expected the stats page, got {other:?}"),
+    }
+    assert!(matches!(
+        next_reply(&mut a),
+        Response::Ok { value: 300, .. }
+    ));
+    server.shutdown();
+}
+
+/// A body that blocks never holds the shard, however short it has
+/// measured: `sleep 0` returns at once, so sixteen of them — and 2 000
+/// pinned samples of 5 µs on top, which is what puts `trivial` on the
+/// shard — read far under the bound, and the `sleep 300` behind them
+/// still goes to a worker: a STATS on a second connection is answered
+/// while it sleeps. Raced on the reactor thread, the sleep would have
+/// been that thread's, and the page could only follow it.
+#[test]
+fn a_sleep_measured_short_still_never_holds_the_shard() {
+    let _guard = serial();
+    let server = local_server(2, 16);
+    let telemetry = server.telemetry();
+    let mut a = raw_conn(&server);
+    for _ in 0..ADMISSION_MIN_SAMPLES {
+        pipeline(&mut a, [run_req("sleep", 0, 0)]);
+        assert!(matches!(next_reply(&mut a), Response::Ok { value: 0, .. }));
+    }
+    let stats = telemetry.catalog().expect("attached at start");
+    let sleep = workload::index_of("sleep").expect("in the catalog");
+    for _ in 0..2_000 {
+        stats.record_service(sleep, 5);
+    }
+    assert!(stats.service_quantile_us(sleep, 0.99) <= Some(SHARD_MAX_SERVICE_US));
+    assert!(!stats.runs_on_shard(sleep));
+
+    pipeline(&mut a, [run_req("sleep", 300, 0)]);
+    await_snapshot(&telemetry, "the sleep to be submitted", |t| {
+        t.snapshot()[Metric::Accepted] == ADMISSION_MIN_SAMPLES + 1
+    });
+    let mut b = raw_conn(&server);
+    pipeline(&mut b, [Request::Stats]);
+    match next_reply(&mut b) {
+        Response::Text { body } => {
+            assert_eq!(scrape(&body, Metric::RacesOnShard), Some(0), "{body}");
+        }
+        other => panic!("expected the stats page, got {other:?}"),
+    }
+    assert_nothing_readable(&a, "the sleep was answered before the page behind it");
+    assert!(matches!(
+        next_reply(&mut a),
+        Response::Ok { value: 300, .. }
+    ));
+    assert_eq!(telemetry.snapshot()[Metric::RacesOnShard], 0);
+    server.shutdown();
+}
+
+/// Record → flag → path, with nothing pinned: after 64 real `trivial`
+/// races the published flag is the rule applied to what `run_race`
+/// recorded, CATALOG prints that side, and the next race runs there —
+/// `races on shard` rises by one exactly when the flag said shard.
+/// Which side that is depends on the build (an optimised `trivial`
+/// measures under the bound, an unoptimised one may not), so the test
+/// asserts the agreement, not the side. One closed-loop connection:
+/// every race is on record before its reply is written, so nothing
+/// moves between the reads.
+#[test]
+fn measured_samples_set_the_flag_and_the_flag_picks_the_path() {
+    let _guard = serial();
+    let server = local_server(2, 16);
+    let telemetry = server.telemetry();
+    let mut stream = raw_conn(&server);
+    for n in 0..64 {
+        pipeline(&mut stream, [run_req("trivial", n, 0)]);
+        assert!(matches!(next_reply(&mut stream), Response::Ok { .. }));
+    }
+    let stats = telemetry.catalog().expect("attached at start");
+    let trivial = workload::index_of("trivial").expect("in the catalog");
+    assert_eq!(stats.service_samples(trivial), 64);
+    let p99 = stats.service_quantile_us(trivial, 0.99).expect("samples");
+    let mean = stats.service_mean_us(trivial).expect("samples");
+    let on_shard = stats.runs_on_shard(trivial);
+    assert_eq!(
+        on_shard,
+        p99 <= SHARD_MAX_SERVICE_US && mean <= SHARD_MAX_SERVICE_US as f64,
+        "the flag is not the rule: p99 ≤ {p99} µs, mean {mean:.1} µs"
+    );
+
+    pipeline(&mut stream, [Request::Catalog]);
+    let place = if on_shard { "shard" } else { "queue" };
+    match next_reply(&mut stream) {
+        Response::Text { body } => assert!(
+            body.contains(&format!("runs on: {place} (service p99 ≤ {p99} µs")),
+            "{place} not in\n{body}"
+        ),
+        other => panic!("expected the catalog page, got {other:?}"),
+    }
+
+    let before = telemetry.snapshot();
+    pipeline(&mut stream, [run_req("trivial", 7, 0)]);
+    assert!(matches!(
+        next_reply(&mut stream),
+        Response::Ok { value: 7, .. }
+    ));
+    let after = telemetry.snapshot();
+    assert_eq!(
+        after[Metric::RacesOnShard] - before[Metric::RacesOnShard],
+        u64::from(on_shard)
+    );
+    assert_eq!(after[Metric::Accepted], 65, "either way it is accepted");
+    assert!(
+        after[Metric::RacesOnShard] <= 65 - ADMISSION_MIN_SAMPLES,
+        "the cold ones were queued"
+    );
+    server.shutdown();
+}
+
+/// A coalesced batch of a short `trivial` is one race on the shard and
+/// one encoding: every waiter is answered once, in order.
+#[test]
+fn a_coalesced_batch_on_the_shard_answers_every_waiter_once() {
+    const BURST: u64 = 16;
+    let _guard = serial();
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        batch_window: Duration::from_millis(5),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let telemetry = server.telemetry();
+    let on_shard = pin_trivial_short(&telemetry);
+    let mut stream = raw_conn(&server);
+
+    pipeline(&mut stream, (0..BURST).map(|_| run_req("trivial", 77, 0)));
+    for n in 0..BURST {
+        match next_reply(&mut stream) {
+            Response::Ok { value, .. } => assert_eq!(value, 77, "reply {n}"),
+            other => panic!("reply {n}: unexpected {other:?}"),
+        }
+    }
+    assert_no_stray_frame(&mut stream);
+    let snap = telemetry.snapshot();
+    assert!(
+        snap[Metric::RequestsCoalesced] > 0,
+        "an identical pipelined burst must coalesce"
+    );
+    assert_eq!(
+        snap[Metric::Accepted] + snap[Metric::RequestsCoalesced],
+        BURST,
+        "every request opened a race or joined one"
+    );
+    // The first batch for certain; a second window's, if the burst
+    // straddled two, by what the first race measured.
+    assert!(snap[Metric::RacesOnShard] > on_shard);
+    server.shutdown();
+}
+
+/// A race that fails on the shard is contained like one on a worker:
+/// with every `engine.alt.*` site of a short `trivial` panicking, the
+/// request is answered with an error, the reactor thread survives, and
+/// the next request on the same connection is raced there and answered.
+#[test]
+fn a_panicking_race_on_the_shard_is_answered_and_the_reactor_survives() {
+    use altx::faults::{self, FaultConfig, FaultPlan};
+    let _guard = serial();
+    let server = local_server(2, 16);
+    let telemetry = server.telemetry();
+    let on_shard = pin_trivial_short(&telemetry);
+    let samples = trivial_samples(&telemetry);
+    let mut stream = raw_conn(&server);
+
+    {
+        // Only a shard-run request is sent under the plan: the parked
+        // workers visit no fault site.
+        let _chaos = faults::install_guarded(FaultPlan::new(FaultConfig {
+            p_panic: 1.0,
+            ..FaultConfig::quiet(7)
+        }));
+        pipeline(&mut stream, [run_req("trivial", 1, 0)]);
+        match next_reply(&mut stream) {
+            // Both bodies panicked inside the engine's own containment;
+            // a panic outside it is the reactor's `contained` to name.
+            Response::Error { message } => assert!(
+                message == "no alternative succeeded" || message == "internal error: race panicked",
+                "{message}"
+            ),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+    // Unwinding is slow: pin the verdict again before the next one.
+    await_trivial_samples(&telemetry, samples + 1);
+    pin_trivial_short(&telemetry);
+    pipeline(&mut stream, [run_req("trivial", 2, 0)]);
+    assert!(matches!(
+        next_reply(&mut stream),
+        Response::Ok { value: 2, .. }
+    ));
+    let snap = telemetry.snapshot();
+    assert_eq!(snap[Metric::RacesOnShard], on_shard + 2);
+    assert!(
+        snap[Metric::AltPanics] >= 1,
+        "the injected panics were counted"
+    );
     server.shutdown();
 }
