@@ -39,6 +39,7 @@
 //! this reason).
 
 use crate::cancel::CancelToken;
+use altx_des::splitmix64;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -323,7 +324,7 @@ impl FaultPlan {
             *n += 1;
             seq
         };
-        let raw = splitmix(self.cfg.seed ^ fnv1a(site) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let raw = splitmix64(self.cfg.seed ^ fnv1a(site) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let u = uniform(raw);
         if self.cfg.total() <= 0.0 {
             return None;
@@ -338,7 +339,7 @@ impl FaultPlan {
             Fault::Panic
         } else if hits(self.cfg.p_delay) {
             // A second draw picks the delay length, still deterministic.
-            let frac = uniform(splitmix(raw ^ 0xD31A));
+            let frac = uniform(splitmix64(raw ^ 0xD31A));
             Fault::Delay(self.cfg.max_delay.mul_f64(frac))
         } else if hits(self.cfg.p_cancel) {
             Fault::Cancel
@@ -399,7 +400,7 @@ impl FaultPlan {
         };
         // Salted so the wire stream never mirrors a process stream that
         // happens to share a site name.
-        let raw = splitmix(
+        let raw = splitmix64(
             self.cfg.seed
                 ^ fnv1a(site)
                 ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -415,7 +416,7 @@ impl FaultPlan {
         let fault = if hits(net.p_drop) {
             NetFault::Drop
         } else if hits(net.p_delay) {
-            let frac = uniform(splitmix(raw ^ 0xD31A));
+            let frac = uniform(splitmix64(raw ^ 0xD31A));
             NetFault::Delay(net.max_delay.mul_f64(frac))
         } else if hits(net.p_duplicate) {
             NetFault::Duplicate
@@ -485,13 +486,6 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 fn uniform(raw: u64) -> f64 {

@@ -42,6 +42,6 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use rng::SimRng;
+pub use rng::{splitmix64, SimRng};
 pub use stats::Summary;
 pub use time::{SimDuration, SimTime};

@@ -29,12 +29,24 @@ impl SplitMix64 {
 
     /// Returns the next 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
     }
+}
+
+/// SplitMix64's increment: 2⁶⁴ / φ, rounded to odd.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step as a function: the value a generator in state
+/// `x` returns next. A stateless 64-bit mixer for callers that derive a
+/// draw from a seed and a counter (the fault plan's per-site draws, the
+/// client's retry jitter) instead of carrying a generator around.
+pub const fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The simulation RNG: xoshiro256\*\* seeded via SplitMix64.

@@ -32,20 +32,17 @@ pub(crate) struct BatchKey {
     pub arg: u64,
 }
 
-/// One connection's claim on a batched reply.
-pub(crate) type Waiter = (u64, u64); // (conn id, reply seq)
-
 #[derive(Debug)]
-struct OpenBatch {
-    waiters: Vec<Waiter>,
+struct OpenBatch<W> {
+    waiters: Vec<W>,
     due: Instant,
 }
 
 /// A batch whose window has closed: ready to race.
 #[derive(Debug)]
-pub(crate) struct ReadyBatch {
+pub(crate) struct ReadyBatch<W> {
     pub key: BatchKey,
-    pub waiters: Vec<Waiter>,
+    pub waiters: Vec<W>,
 }
 
 /// Outcome of offering a request to the batcher.
@@ -58,14 +55,16 @@ pub(crate) enum Offered {
 }
 
 /// See module docs. A zero window disables coalescing entirely; callers
-/// should bypass the batcher in that case (`enabled()` tells them).
+/// should bypass the batcher in that case (`enabled()` tells them). `W`
+/// is one request's claim on the batched reply — the reactor parks the
+/// reply slot itself, so a flushed batch is ready to race as it stands.
 #[derive(Debug)]
-pub(crate) struct Batcher {
+pub(crate) struct Batcher<W> {
     window: Duration,
-    open: HashMap<BatchKey, OpenBatch>,
+    open: HashMap<BatchKey, OpenBatch<W>>,
 }
 
-impl Batcher {
+impl<W> Batcher<W> {
     pub(crate) fn new(window: Duration) -> Self {
         Batcher {
             window,
@@ -80,7 +79,7 @@ impl Batcher {
 
     /// Offers one request. The waiter is parked either way; the return
     /// value says whether it opened a batch or coalesced into one.
-    pub(crate) fn offer(&mut self, key: BatchKey, waiter: Waiter, now: Instant) -> Offered {
+    pub(crate) fn offer(&mut self, key: BatchKey, waiter: W, now: Instant) -> Offered {
         match self.open.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 e.get_mut().waiters.push(waiter);
@@ -105,7 +104,7 @@ impl Batcher {
     /// Removes and returns every batch whose window has expired (or all
     /// of them when `flush_all` — used at drain so no waiter is left
     /// parked behind a window that outlives the listener).
-    pub(crate) fn take_due(&mut self, now: Instant, flush_all: bool) -> Vec<ReadyBatch> {
+    pub(crate) fn take_due(&mut self, now: Instant, flush_all: bool) -> Vec<ReadyBatch<W>> {
         let keys: Vec<BatchKey> = self
             .open
             .iter()
@@ -211,7 +210,7 @@ mod tests {
 
     #[test]
     fn zero_window_reports_disabled() {
-        assert!(!Batcher::new(Duration::ZERO).enabled());
-        assert!(Batcher::new(Duration::from_micros(1)).enabled());
+        assert!(!Batcher::<()>::new(Duration::ZERO).enabled());
+        assert!(Batcher::<()>::new(Duration::from_micros(1)).enabled());
     }
 }

@@ -18,10 +18,9 @@
 //! are held back until its observed p95 has passed.
 //!
 //! `--shards N` runs N independent reactor event loops, each accepting
-//! on its own `SO_REUSEPORT` listener (an acceptor thread dealing
-//! connections round-robin remains as the fallback where the socket
-//! option is unavailable); the default of 1 keeps the classic
-//! single-reactor front end.
+//! on its own `SO_REUSEPORT` listener (where that bind fails the daemon
+//! does not start, and says which option asked for it); the default of
+//! 1 keeps the classic single-reactor front end.
 //!
 //! `--ring-slots N` / `--ring-slot-bytes N` size the per-shard reply
 //! ring — the fixed buffers winning replies are encoded straight into

@@ -22,6 +22,7 @@
 //! the attempt's socket timeouts.
 
 use crate::frame::{read_frame, write_frame, FrameError, Request, Response};
+use altx_des::splitmix64;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,7 +157,7 @@ impl Client {
         let (budget_left, jitter) = config
             .retry
             .as_ref()
-            .map_or((0, 0), |r| (r.budget, splitmix(r.jitter_seed)));
+            .map_or((0, 0), |r| (r.budget, splitmix64(r.jitter_seed)));
         Ok(Client {
             stream: Some(stream),
             addrs,
@@ -343,7 +344,7 @@ impl Client {
         let capped = exp.min(policy.max_backoff);
         // Jitter in [0, capped/2): de-synchronizes clients retrying
         // after a shared overload event.
-        self.jitter = splitmix(self.jitter);
+        self.jitter = splitmix64(self.jitter);
         let jitter_us = if capped.is_zero() {
             0
         } else {
@@ -481,12 +482,4 @@ fn open_stream(addrs: &[SocketAddr], config: &ClientConfig) -> io::Result<TcpStr
 fn unexpected(resp: Response) -> FrameError {
     let _ = resp;
     FrameError::Malformed("unexpected response kind")
-}
-
-/// SplitMix64 step, the same generator the fault plan uses.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }

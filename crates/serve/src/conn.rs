@@ -180,7 +180,8 @@ impl Conn {
 }
 
 /// Where one reply is owed: a connection's write half and the request's
-/// sequence number on it.
+/// sequence number on it. A handle any thread can deliver through; a
+/// race in flight carries one per request waiting on it.
 pub(crate) type ReplySlot = (Arc<WriteHalf>, u64);
 
 /// The write half of one client connection: the socket and the ordered
@@ -311,9 +312,12 @@ impl WriteState {
     /// Fills the reply slot for `seq` with an already-encoded frame,
     /// releases every reply that is now deliverable in order, and
     /// writes as much as `w` accepts, on the calling thread. Unknown or
-    /// already-filled seqs are ignored (a refused-then-completed race
-    /// can double-report), and a closed half ignores everything; the
-    /// orphaned frame just drops, which reclaims its ring slot.
+    /// already-filled seqs are ignored — this is what makes "answered
+    /// once" a property of the slot rather than of its holders: the
+    /// reactor sheds a refused race from its own copy of the slots
+    /// without asking who else has one — and a closed half ignores
+    /// everything; the orphaned frame just drops, which reclaims its
+    /// ring slot.
     ///
     /// Returns whether the reactor has something to do for this
     /// connection: output is left over (`POLLOUT` must be registered),

@@ -78,9 +78,8 @@
 
 use crate::frame::{FrameDecoder, Request, Response};
 use crate::link::{Action, Event, LinkTable, Stat};
-use crate::placement::Placement;
 use crate::reactor::{poll_fds, wake_pair, DaemonCtl, PollFd, WakeRx, WakeTx, POLLIN, POLLOUT};
-use crate::remote::{InflightRemote, RaceTable, RemoteRaces};
+use crate::remote::{RaceTable, RemoteRaces};
 use altx::faults::{self, NetFault};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -527,19 +526,6 @@ impl PeerHandle {
     }
 }
 
-/// Everything the reactor shards need to speak to the peer plane,
-/// bundled so `Reactor::new` grows one argument, not six.
-pub(crate) struct PeerPlane {
-    /// Origin-side distributed race registry — and through it the
-    /// outbound send handle, the voter-side commit ledger and this
-    /// node's advertised identity.
-    pub(crate) races: Arc<RemoteRaces>,
-    /// Executor-side in-flight remote alternatives (for `ELIMINATE`).
-    pub(crate) inflight: InflightRemote,
-    /// Local-vs-remote placement policy.
-    pub(crate) placement: Placement,
-}
-
 /// One open outbound stream: all the shell knows about a link.
 struct Conn {
     stream: TcpStream,
@@ -626,7 +612,7 @@ impl PeerNet {
                         self.conns.insert(addr.clone(), conn);
                     }
                     let connected = self.conns.contains_key(&addr);
-                    let watermark = self.races.table().reconcile_watermark();
+                    let watermark = self.races.lock().table.reconcile_watermark();
                     self.feed(Event::Dialed {
                         addr,
                         connected,
@@ -750,7 +736,8 @@ impl PeerNet {
     /// Sleep no longer than the link core's next deadline or the next
     /// race expiry.
     fn poll_timeout_ms(&self) -> i32 {
-        let deadlines = [self.table.next_deadline(), self.races.table().next_expiry()];
+        let next_expiry = self.races.lock().table.next_expiry();
+        let deadlines = [self.table.next_deadline(), next_expiry];
         match deadlines.into_iter().flatten().min() {
             None => PEER_BACKSTOP_MS,
             Some(d) => (d.saturating_duration_since(Instant::now()).as_millis() as i32)

@@ -16,18 +16,14 @@
 //! the thread that will serve it — accept → poll-set registration
 //! never crosses threads. From that moment the connection belongs to
 //! exactly one shard — its poll set, frame decoding, batch windows,
-//! buffer pool, reply ring, and reply-group table are that shard's, and
-//! a finished race is answered through *that shard's* table. Nothing on
-//! the request path crosses a shard boundary; the only shared mutable
-//! state is each shard's reply-group table and a connection's write
-//! half (`conn.rs`), each touched once per race under a lock held for
-//! a map operation or one socket write. On platforms without
-//! `SO_REUSEPORT` the old topology
-//! survives as a fallback: one acceptor thread polls a single listener
-//! and hands sockets round-robin to the shards' adoption inboxes. With
-//! one shard (the default) there is no acceptor and no reuseport —
-//! the lone reactor owns the lone listener directly, exactly the
-//! pre-sharding topology.
+//! buffer pool and reply ring are that shard's. Nothing on the request
+//! path crosses a shard boundary, and the only shared mutable state on
+//! it is a connection's write half (`conn.rs`), locked once per reply
+//! for one slot fill and one socket write. There is no acceptor thread
+//! and no fallback topology: where a per-shard bind fails, `start`
+//! fails. With one shard (the default) there is no reuseport either —
+//! the lone reactor owns the lone listener, exactly the pre-sharding
+//! topology.
 //!
 //! The moving parts:
 //!
@@ -35,15 +31,25 @@
 //!   the socket calls needed for an `SO_REUSEPORT` bind — std already
 //!   links libc, so this adds no dependency; it is the only unsafe
 //!   code in the crate and is confined to this module.
-//! * **Direct delivery** ([`ReactorShared::post`]): the thread that
-//!   decides a race — a pool worker, or the remote registry's caller —
-//!   takes the race's reply group out of the shard's table, encodes the
+//! * **A race carries its reply slots** ([`Flight`]): a race in flight
+//!   is one value — its key, the reply slots it owes (one per direct
+//!   request, many per coalesced batch) and its shard's delivery handle
+//!   ([`ReactorShared`]: ring, wake channel, `draining`) — built when
+//!   the request leaves the decoder and *moved* to whoever decides the
+//!   race: this thread, a pool job's completion closure, or the
+//!   distributed-race shell (`remote.rs`), which keeps it beside its
+//!   table under `race_id`. Nothing is registered anywhere, so nothing
+//!   is looked up: the decider already holds the way home.
+//! * **Direct delivery** ([`ReactorShared::answer`]): the one way a
+//!   race's reply reaches a connection. The deciding thread encodes the
 //!   reply **once** into a ring slot (`ring.rs`), and for each waiter
 //!   locks the connection's write half, fills the request's reply slot
 //!   and writes to the socket right there. No completion queue, no
-//!   second thread, and no reply byte copied between encode and the
-//!   kernel. The group is registered *before* the job is submitted (a
-//!   worker can finish first) and no two locks are ever held at once.
+//!   second thread, no reply byte copied between encode and the kernel,
+//!   and no two locks ever held at once. "Each request answered once"
+//!   is the write half's rule — a slot is filled only while empty — so
+//!   a refused submission is shed from the reactor's own copy of the
+//!   slots without asking who else holds one.
 //! * **Run on the shard** ([`Reactor::submit_race`]): a race whose
 //!   workload has been measured short enough that the hand-off to a
 //!   worker would be a visible share of it
@@ -52,51 +58,48 @@
 //!   thread: after the admission gate and the placement policy have had
 //!   their say, the reactor races it in place — favourite inline,
 //!   siblings on the crew, deadline token and containment as on a
-//!   worker — and delivers the reply through the waiters' write halves
-//!   as the finishing worker would have ([`ReactorShared::deliver`]).
-//!   No reply group, no boxed job, no queue push, no condvar wake; and
-//!   once a workload is on the shard its requests no longer wait for a
-//!   worker held inside somebody else's race. A workload whose bodies
-//!   block (`WorkloadSpec::blocks`: `sleep`, `lognormal`, `bimodal`)
-//!   never qualifies, whatever it measured — this thread must not
-//!   sleep in a body. Everything else is queued as before. Reply
-//!   order needs nothing new: the write half's sequence numbers park a
-//!   shard-run reply behind an earlier queued one.
+//!   worker — and answers its own flight. No boxed job, no queue push,
+//!   no condvar wake; and once a workload is on the shard its requests
+//!   no longer wait for a worker held inside somebody else's race. A
+//!   workload whose bodies block (`WorkloadSpec::blocks`: `sleep`,
+//!   `lognormal`, `bimodal`) never qualifies, whatever it measured —
+//!   this thread must not sleep in a body. Everything else is queued.
+//!   Reply order needs nothing new: the write half's sequence numbers
+//!   park a shard-run reply behind an earlier queued one.
 //! * **Wake channel**: a Unix socket pair acting as a self-pipe,
-//!   one per shard. It is off the request path: a delivery rouses the
+//!   one per shard. It is off the request path: an answer rouses the
 //!   reactor only when it left it something to do — output the socket
 //!   would not take (`POLLOUT` must be registered), a failed write, a
 //!   connection that just became closable — or while the shard drains;
-//!   the acceptor fallback and the shutdown latch use it too. The byte
-//!   is written after every lock is dropped, and the wake fd is
-//!   level-triggered, so a reactor that had already computed its poll
-//!   set returns at once and looks again.
+//!   the shutdown latch uses it too. The byte is written after every
+//!   lock is dropped, and the wake fd is level-triggered, so a reactor
+//!   that had already computed its poll set returns at once and looks
+//!   again.
 //! * **[`DaemonCtl`]**: the one deliberately global piece — the
 //!   shutdown latch. A `SHUTDOWN` opcode lands on *some* shard but must
-//!   drain all of them plus the acceptor, so the latch fans a wake out
-//!   to everyone, and the last shard to finish draining closes the
-//!   worker pool.
+//!   drain all of them, so the latch fans a wake out to everyone, and
+//!   the last shard to finish draining closes the worker pool.
 //! * **Drain ordering** (shutdown): (1) stop accepting and stop
 //!   reading new requests, (2) keep polling while in-flight races
 //!   deliver their replies, (3) close each connection once its last
 //!   owed reply is written, (4) when the last shard has no connections
 //!   left, close the queue and join the pool. No admitted request goes
 //!   unanswered. Step (3) is a handshake: the reactor publishes
-//!   `draining` *then* looks at each write half under its lock; a
-//!   poster delivers under that lock *then* reads the flag — so either
-//!   the poster sees it and rouses the reactor, or its delivery came
+//!   `draining` *then* looks at each write half under its lock; an
+//!   answer delivers under that lock *then* reads the flag — so either
+//!   it sees the flag and rouses the reactor, or its delivery came
 //!   before the look and the reactor saw a drained connection.
 
 use crate::batch::{BatchKey, Batcher, Offered};
 use crate::bufpool::BufPool;
 use crate::conn::{Conn, ReplyFrame, ReplySlot, WriteHalf};
-use crate::frame::{FrameError, Request, Response, ALT_FAILED};
-use crate::peer::{PeerHandle, PeerPlane, SendTag};
-use crate::pool::{JobMeta, WorkerPool};
+use crate::frame::{FrameError, Request, Response};
+use crate::peer::{PeerHandle, SendTag};
+use crate::pool::JobMeta;
 use crate::remote::{Event, RaceSpec};
 use crate::ring::{EncodedReply, ReplyRing};
-use crate::sched::{render_catalog, Admission, HedgePolicy, Lanes};
-use crate::server::{deadline_token, run_race, run_remote_alt, run_subrace};
+use crate::sched::render_catalog;
+use crate::server::{alt_job, deadline_token, run_race, run_subrace, Daemon, ServerConfig};
 use crate::telemetry::{Metric, ShardStats, Telemetry};
 use crate::workload;
 use std::collections::HashMap;
@@ -106,8 +109,8 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 pub(crate) use sys::{bind_reuseport, poll_fds, PollFd, POLLIN, POLLOUT};
 use sys::{POLLERR, POLLHUP, POLLNVAL};
@@ -290,8 +293,8 @@ mod sys {
     #[cfg(target_os = "linux")]
     pub use reuseport::bind_reuseport;
 
-    /// Non-Linux fallback: report the option as unsupported so the
-    /// server keeps the acceptor-thread topology instead.
+    /// Non-Linux: report the option as unsupported, so `--shards N > 1`
+    /// fails at start with this error instead of binding.
     #[cfg(not(target_os = "linux"))]
     pub fn bind_reuseport(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
         Err(io::Error::new(
@@ -301,86 +304,82 @@ mod sys {
     }
 }
 
-/// State shared between one reactor shard's thread, the threads that
-/// finish its races (pool workers through completion notifiers, the
-/// remote-race registry), and — when sharded — the acceptor.
+/// One shard's delivery handle: what a thread that decides one of the
+/// shard's races needs to write the reply — the reply ring it encodes
+/// into, the wake channel, and the drain flag. Every [`Flight`] of the
+/// shard holds it; it holds no lock and no table.
 pub(crate) struct ReactorShared {
-    /// In-flight reply groups: group id → the reply slots (one per
-    /// direct request, many per coalesced batch) owed the one reply.
-    /// The reactor registers a group before it submits the race; the
-    /// thread that finishes the race takes it.
-    groups: Mutex<HashMap<u64, Vec<ReplySlot>>>,
-    /// Accepted sockets awaiting adoption by this shard (sharded mode
-    /// only; the acceptor pushes, the shard drains each loop turn).
-    inbox: Mutex<Vec<TcpStream>>,
     wake_tx: WakeTx,
-    /// The shard's reply ring; `post` encodes into it from whatever
-    /// thread finished the race.
     ring: ReplyRing,
-    /// The shard is draining: every delivery rouses the reactor, which
-    /// is waiting to close connections as they empty. Stored by the
-    /// reactor before it looks at its write halves, loaded by a poster
-    /// after it delivered (see the module docs' drain handshake).
+    /// The shard is draining: every answer rouses the reactor, which is
+    /// waiting to close connections as they empty. Stored by the reactor
+    /// before it looks at its write halves, loaded by an answer after it
+    /// delivered (see the module docs' drain handshake).
     draining: AtomicBool,
 }
 
 impl ReactorShared {
-    /// Answers a finished race, on the calling thread: takes the race's
-    /// reply group and delivers the one reply to its waiters
-    /// ([`ReactorShared::deliver`]) — the group is consumed here, so each
-    /// waiter is answered exactly once. A group already taken (shed at
-    /// submit) is nobody's to answer. `pub(crate)` because the
-    /// remote-race registry posts the final response of a distributed
-    /// race through here too.
-    pub(crate) fn post(&self, group: u64, response: Response) {
-        let Some(waiters) = self.take_group(group) else {
-            return;
+    /// A shard's handle over a fresh ring, and the read end of its wake
+    /// channel for the reactor that will poll it.
+    pub(crate) fn new(
+        ring_slots: usize,
+        ring_slot_bytes: usize,
+    ) -> io::Result<(Arc<Self>, WakeRx)> {
+        let (wake_tx, wake_rx) = wake_pair()?;
+        let shared = ReactorShared {
+            wake_tx,
+            ring: ReplyRing::new(ring_slots, ring_slot_bytes),
+            draining: AtomicBool::new(false),
         };
-        // Lock order: the table lock is already released, each write
-        // half is locked alone, and the wake byte follows the last.
-        if self.deliver(&waiters, &response) || self.draining.load(Ordering::SeqCst) {
+        Ok((Arc::new(shared), wake_rx))
+    }
+
+    /// The only way a race's reply reaches a connection, on whichever
+    /// thread calls it: encodes `response` once into this shard's reply
+    /// ring (spilling to a fresh heap buffer when the ring can't take
+    /// it) and delivers the frame to every waiter's connection, each of
+    /// which owns a distinct reply slot. A lone waiter — the
+    /// overwhelmingly common case — takes the frame by move; a coalesced
+    /// batch shares **one** encoding across its N waiters, each socket
+    /// reading the same ring slot, reclaimed when the last one finishes.
+    /// A waiter whose connection is gone, or whose slot somebody filled
+    /// first, drops the frame, which reclaims the slot. The reactor is
+    /// roused — after the last write half is unlocked — only if a
+    /// delivery left it something to do or the shard is draining.
+    pub(crate) fn answer(&self, waiters: &[ReplySlot], response: &Response) {
+        let reply = EncodedReply::encode(response, &self.ring);
+        let rouse = if let [(half, seq)] = waiters {
+            half.deliver(*seq, ReplyFrame::Own(reply), None)
+        } else {
+            let shared = Arc::new(reply);
+            waiters.iter().fold(false, |rouse, (half, seq)| {
+                rouse | half.deliver(*seq, ReplyFrame::Shared(Arc::clone(&shared)), None)
+            })
+        };
+        if rouse || self.draining.load(Ordering::SeqCst) {
             self.wake_tx.wake();
         }
     }
+}
 
-    /// Encodes `response` once into this shard's reply ring (spilling
-    /// to a fresh heap buffer when the ring can't take it) and delivers
-    /// the frame to every waiter's connection, each of which owns a
-    /// distinct reply slot. A lone waiter — the overwhelmingly common
-    /// case — takes the frame by move; a coalesced batch shares **one**
-    /// encoding across its N waiters, each socket reading the same ring
-    /// slot, reclaimed when the last one finishes. A waiter whose
-    /// connection is gone drops the frame, which reclaims the slot.
-    /// Returns whether a delivery left the reactor something to do.
-    fn deliver(&self, waiters: &[ReplySlot], response: &Response) -> bool {
-        let reply = EncodedReply::encode(response, &self.ring);
-        if let [(half, seq)] = waiters {
-            return half.deliver(*seq, ReplyFrame::Own(reply), None);
-        }
-        let shared = Arc::new(reply);
-        let mut rouse = false;
-        for (half, seq) in waiters {
-            rouse |= half.deliver(*seq, ReplyFrame::Shared(Arc::clone(&shared)), None);
-        }
-        rouse
-    }
+/// A race in flight: what was asked, who is owed the one reply, and the
+/// way home. Built by the reactor when a request (or a coalesced batch)
+/// leaves the decoder, then *moved* to whoever decides the race — the
+/// reactor itself for a shard run, the pool job's completion closure,
+/// the distributed-race shell — so answering it needs no table and no
+/// look-up, and consumes it.
+pub(crate) struct Flight {
+    pub(crate) key: BatchKey,
+    /// One slot per request sharing this race's reply.
+    pub(crate) waiters: Vec<ReplySlot>,
+    /// The delivery handle of the shard that owns the waiters.
+    pub(crate) home: Arc<ReactorShared>,
+}
 
-    /// Takes a group's waiters: the poster's claim on answering them,
-    /// or the reactor's when the submission was refused.
-    fn take_group(&self, group: u64) -> Option<Vec<ReplySlot>> {
-        self.groups
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&group)
-    }
-
-    /// Hands an accepted socket to this shard and wakes it.
-    fn adopt(&self, stream: TcpStream) {
-        self.inbox
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(stream);
-        self.wake_tx.wake();
+impl Flight {
+    /// Delivers the race's one reply to every waiter.
+    pub(crate) fn answer(self, response: &Response) {
+        self.home.answer(&self.waiters, response);
     }
 }
 
@@ -393,11 +392,9 @@ pub(crate) struct DaemonCtl {
     /// Shards still running their event loop; the last one out shuts
     /// the worker pool down.
     live_shards: AtomicUsize,
-    /// Every shard's shared state, wired once after construction so the
-    /// latch can wake them all.
+    /// Every shard's delivery handle, wired once after construction so
+    /// the latch can wake them all.
     shards: OnceLock<Vec<Arc<ReactorShared>>>,
-    /// The acceptor's wake pipe (sharded mode only).
-    acceptor_wake: OnceLock<WakeTx>,
     /// The peer-network thread's handle, so it drains too.
     peers: Arc<PeerHandle>,
 }
@@ -408,37 +405,23 @@ impl DaemonCtl {
             shutdown: AtomicBool::new(false),
             live_shards: AtomicUsize::new(shards),
             shards: OnceLock::new(),
-            acceptor_wake: OnceLock::new(),
             peers,
         }
     }
 
-    /// Wires every shard's shared state in (once, at startup).
+    /// Wires every shard's delivery handle in (once, at startup).
     pub(crate) fn wire_shards(&self, shards: Vec<Arc<ReactorShared>>) {
         let _ = self.shards.set(shards);
     }
 
-    /// Wires the acceptor's wake pipe in (once, sharded mode only).
-    pub(crate) fn wire_acceptor(&self, wake_tx: WakeTx) {
-        let _ = self.acceptor_wake.set(wake_tx);
-    }
-
-    /// Flags shutdown and wakes the acceptor, the peer thread, and
-    /// every shard so they notice promptly.
+    /// Flags shutdown and wakes the peer thread and every shard so they
+    /// notice promptly.
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let shards = self.shards.get().into_iter().flatten().map(|s| &s.wake_tx);
-        for tx in shards.chain(self.acceptor_wake.get()) {
-            tx.wake();
+        for shard in self.shards.get().into_iter().flatten() {
+            shard.wake_tx.wake();
         }
         self.peers.wake();
-    }
-
-    /// Answers a finished race through the shard owning its waiters.
-    pub(crate) fn post(&self, shard: usize, group: u64, response: Response) {
-        if let Some(s) = self.shards.get().and_then(|shards| shards.get(shard)) {
-            s.post(group, response);
-        }
     }
 
     /// The daemon is draining: no new connections, no new requests.
@@ -508,41 +491,25 @@ const POLL_BACKSTOP_MS: i32 = 250;
 
 /// One event-loop shard: owns its listener (its own `SO_REUSEPORT`
 /// bind when sharded, the lone listener in single-shard mode), its
-/// wake receiver, its buffer pool, its reply ring, and every
-/// connection it has adopted.
+/// wake receiver, its buffer pool, and every connection it accepted.
 pub(crate) struct Reactor {
-    /// `Some` when this shard accepts directly (single-shard mode, or
-    /// a per-shard reuseport listener); `None` when an acceptor thread
-    /// feeds the shard's inbox (reuseport-less fallback).
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     wake_rx: WakeRx,
+    /// This shard's delivery handle — and through it the reply ring,
+    /// which the reactor's own inline replies draw from too, spilling
+    /// to `bufs` instead of allocating.
     shared: Arc<ReactorShared>,
-    ctl: Arc<DaemonCtl>,
-    pool: Arc<WorkerPool>,
-    telemetry: Arc<Telemetry>,
+    /// Everything daemon-wide: pool, telemetry, scheduler, admission
+    /// gate, lanes, control plane, and the peer plane.
+    daemon: Arc<Daemon>,
     stats: Arc<ShardStats>,
     bufs: BufPool,
-    /// The shard's reply ring (same population `ReactorShared::post`
-    /// encodes into); the reactor's own inline replies draw from it
-    /// too, spilling to `bufs` instead of allocating.
-    ring: ReplyRing,
-    sched: Arc<HedgePolicy>,
-    batcher: Batcher,
+    /// Open coalescing windows; a parked waiter is the reply slot itself.
+    batcher: Batcher<ReplySlot>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    /// The next reply-group id (the table itself is in `shared`).
-    next_group: u64,
-    /// This shard's index — distributed races record it so the remote
-    /// registry can post the final response back to the right shard.
+    /// This shard's index: its worker group and its thread's name.
     shard_idx: usize,
-    /// The peer plane: membership, remote-race registry, commit ledger,
-    /// executor-side inflight table, and the placement policy.
-    plane: Arc<PeerPlane>,
-    /// Feasibility gate consulted before a deadlined request spends a
-    /// queue slot; disabled gates admit everything.
-    admission: Arc<Admission>,
-    /// Workload → priority-lane mapping for run-queue submissions.
-    lanes: Arc<Lanes>,
     /// CPU set this shard is placed on (`--pin`); `None` = unpinned.
     /// The reactor thread pins itself at the top of [`Reactor::run`]
     /// and then first-touches the shard's ring and buffer memory so the
@@ -551,58 +518,33 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    #[allow(clippy::too_many_arguments)]
+    /// Shard `shard_idx` over its own `listener`, sized by `config`.
+    /// Also returns the delivery handle (for the shutdown latch) and
+    /// the shard's counters (for telemetry).
     pub(crate) fn new(
-        listener: Option<TcpListener>,
-        pool: Arc<WorkerPool>,
-        telemetry: Arc<Telemetry>,
-        sched: Arc<HedgePolicy>,
-        batch_window: Duration,
-        ctl: Arc<DaemonCtl>,
+        listener: TcpListener,
+        daemon: Arc<Daemon>,
         shard_idx: usize,
-        plane: Arc<PeerPlane>,
-        ring_slots: usize,
-        ring_slot_bytes: usize,
-        admission: Arc<Admission>,
-        lanes: Arc<Lanes>,
+        config: &ServerConfig,
         pin_cpus: Option<Vec<usize>>,
     ) -> io::Result<(Self, Arc<ReactorShared>, Arc<ShardStats>)> {
-        let (wake_tx, wake_rx) = wake_pair()?;
-        let ring = ReplyRing::new(ring_slots, ring_slot_bytes);
-        let shared = Arc::new(ReactorShared {
-            groups: Mutex::new(HashMap::new()),
-            inbox: Mutex::new(Vec::new()),
-            wake_tx,
-            ring: ring.clone(),
-            draining: AtomicBool::new(false),
-        });
+        let (shared, wake_rx) = ReactorShared::new(config.ring_slots, config.ring_slot_bytes)?;
         let bufs = BufPool::default();
-        let stats = Arc::new(ShardStats::new(bufs.stats(), ring.stats()));
-        Ok((
-            Reactor {
-                listener,
-                wake_rx,
-                shared: Arc::clone(&shared),
-                ctl,
-                pool,
-                telemetry,
-                stats: Arc::clone(&stats),
-                bufs,
-                ring,
-                sched,
-                batcher: Batcher::new(batch_window),
-                conns: HashMap::new(),
-                next_conn: 0,
-                next_group: 0,
-                shard_idx,
-                plane,
-                admission,
-                lanes,
-                pin_cpus,
-            },
-            shared,
-            stats,
-        ))
+        let stats = Arc::new(ShardStats::new(bufs.stats(), shared.ring.stats()));
+        let reactor = Reactor {
+            listener,
+            wake_rx,
+            shared: Arc::clone(&shared),
+            daemon,
+            stats: Arc::clone(&stats),
+            bufs,
+            batcher: Batcher::new(config.batch_window),
+            conns: HashMap::new(),
+            next_conn: 0,
+            shard_idx,
+            pin_cpus,
+        };
+        Ok((reactor, shared, stats))
     }
 
     /// Runs until shutdown is requested *and* every connection has
@@ -616,23 +558,22 @@ impl Reactor {
         // Both steps are best-effort and no-ops when unpinned.
         if let Some(cpus) = self.pin_cpus.take() {
             if crate::pin::pin_current_thread(&format!("reactor-{}", self.shard_idx), &cpus) {
-                self.telemetry.add(Metric::PinnedShards, 1);
+                self.daemon.telemetry.add(Metric::PinnedShards, 1);
             }
-            self.ring.first_touch();
+            self.shared.ring.first_touch();
             self.bufs.warm();
         }
         // The poll set and its connection ids, rebuilt in place each turn.
         let mut fds: Vec<PollFd> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
         loop {
-            let draining = self.ctl.draining();
+            let draining = self.daemon.ctl.draining();
             if draining {
                 // Published before any write half is looked at: the
-                // poster's half of the drain handshake reads it after
-                // delivering under that half's lock.
+                // answering thread's half of the drain handshake reads
+                // it after delivering under that half's lock.
                 self.shared.draining.store(true, Ordering::SeqCst);
             }
-            self.adopt_inbox(draining);
 
             // Poll set: wake channel first, this shard's own listener
             // second (only while accepting), then every connection —
@@ -645,13 +586,9 @@ impl Reactor {
             fds.clear();
             ids.clear();
             fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
-            let listener_at = match &self.listener {
-                Some(listener) if !draining => {
-                    fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                    Some(fds.len() - 1)
-                }
-                _ => None,
-            };
+            if !draining {
+                fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+            }
             let conn_fds_start = fds.len();
             self.conns
                 .retain(|&id, conn| match conn.write_half().interest(draining) {
@@ -695,30 +632,12 @@ impl Reactor {
             // behind a window that outlives the listener.
             self.flush_batches(draining);
 
-            if let Some(i) = listener_at {
-                if fds[i].revents & POLLIN != 0 {
-                    self.accept_ready();
-                }
+            if !draining && fds[1].revents & POLLIN != 0 {
+                self.accept_ready();
             }
         }
-        if self.ctl.shard_exited() {
-            self.pool.shutdown();
-        }
-    }
-
-    /// Adopts sockets the acceptor handed this shard. During drain they
-    /// are dropped instead — the daemon stopped serving between accept
-    /// and adoption, and closing is kinder than a reply-less park.
-    fn adopt_inbox(&mut self, draining: bool) {
-        let streams = std::mem::take(
-            &mut *self
-                .shared
-                .inbox
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        if !draining {
-            streams.into_iter().for_each(|stream| self.adopt(stream));
+        if self.daemon.ctl.shard_exited() {
+            self.daemon.pool.shutdown();
         }
     }
 
@@ -748,22 +667,16 @@ impl Reactor {
     }
 
     /// Submits every batch whose window has expired (all of them at
-    /// drain) as single races.
+    /// drain) as single races. A waiter whose connection was reclaimed
+    /// during the window stays in the batch: its slot is on a closed
+    /// write half, and the delivery to it drops.
     fn flush_batches(&mut self, flush_all: bool) {
         if self.batcher.is_empty() {
             return;
         }
-        let now = Instant::now();
-        for ready in self.batcher.take_due(now, flush_all) {
-            self.telemetry.add(Metric::BatchesFormed, 1);
-            // Waiters whose connections were reclaimed during the
-            // window are skipped — the peer that asked is gone.
-            let waiters = ready
-                .waiters
-                .iter()
-                .filter_map(|&(id, seq)| Some((self.write_half(id)?, seq)))
-                .collect();
-            self.submit_race(waiters, ready.key);
+        for ready in self.batcher.take_due(Instant::now(), flush_all) {
+            self.daemon.telemetry.add(Metric::BatchesFormed, 1);
+            self.submit_race(ready.waiters, ready.key);
         }
     }
 
@@ -771,10 +684,7 @@ impl Reactor {
     /// listener in single-shard mode, a reuseport sibling otherwise).
     fn accept_ready(&mut self) {
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _peer)) => self.adopt(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -783,8 +693,13 @@ impl Reactor {
         }
     }
 
-    /// Dispatches poll readiness for one connection.
+    /// Dispatches poll readiness for one connection. The one look-up by
+    /// connection id: everything below is handed the write half.
     fn handle_conn_event(&mut self, id: u64, revents: i16) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let half = Arc::clone(conn.write_half());
         if revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
             // The peer is gone in both directions: no reply can be
             // delivered, so the state is reclaimed eagerly. In-flight
@@ -794,114 +709,74 @@ impl Reactor {
             return;
         }
         if revents & POLLIN != 0 {
-            let outcome = match self.conns.get_mut(&id) {
-                Some(conn) => conn.on_readable(&mut self.bufs),
-                None => return,
+            let Ok(read) = conn.on_readable(&mut self.bufs) else {
+                self.close(id);
+                return;
             };
-            match outcome {
-                Ok(read) => {
-                    let mut alive = true;
-                    for body in read.frames {
-                        if alive {
-                            // Protocol error: later frames are garbage.
-                            alive = self.handle_frame(id, &body);
-                        }
-                        self.bufs.put(body);
-                    }
-                    if let Some(e) = read.error {
-                        self.telemetry.on_error();
-                        self.reply_and_close_read(
-                            id,
-                            &Response::Error {
-                                message: e.to_string(),
-                            },
-                        );
-                    }
+            let mut alive = true;
+            for body in read.frames {
+                if alive {
+                    // Protocol error: later frames are garbage.
+                    alive = self.handle_frame(&half, &body);
                 }
-                Err(_) => {
-                    self.close(id);
-                    return;
-                }
+                self.bufs.put(body);
+            }
+            if let Some(e) = read.error {
+                // One last reply; the read half already stopped reading
+                // and the drain logic closes the connection behind it.
+                self.daemon.telemetry.on_error();
+                let message = e.to_string();
+                self.reply(&half, half.begin_request(), &Response::Error { message });
             }
         }
-        if revents & POLLOUT != 0 {
-            // A POLLOUT event for a connection with nothing left to
-            // write means a delivery on another thread drained the
-            // queue after interest was registered. Counted, to show it
-            // stays at (or near) zero under load.
-            if let Some(conn) = self.conns.get(&id) {
-                if !conn.write_half().on_writable(&mut self.bufs) {
-                    self.stats.on_pollout_spurious();
-                }
-            }
+        // A POLLOUT event for a connection with nothing left to write
+        // means a delivery on another thread drained the queue after
+        // interest was registered. Counted, to show it stays at (or
+        // near) zero under load.
+        if revents & POLLOUT != 0 && !half.on_writable(&mut self.bufs) {
+            self.stats.on_pollout_spurious();
         }
     }
 
-    /// Decodes and executes one request frame. Returns `false` when the
-    /// connection must stop consuming input (malformed request or
-    /// shutdown).
-    fn handle_frame(&mut self, id: u64, body: &[u8]) -> bool {
-        let seq = match self.conns.get(&id) {
-            Some(conn) => conn.write_half().begin_request(),
-            None => return false,
-        };
+    /// Decodes and executes one request frame of the connection whose
+    /// write half is `half`. Returns `false` when the connection must
+    /// stop consuming input (malformed request or shutdown).
+    fn handle_frame(&mut self, half: &Arc<WriteHalf>, body: &[u8]) -> bool {
+        let seq = half.begin_request();
         match Request::decode(body) {
             // An unknown opcode arrives in a well-formed frame: the
             // stream is still in sync, so answer with a protocol ERROR
             // and keep serving — old clients against new daemons (and
             // vice versa) degrade per-request, not per-connection.
             Err(FrameError::UnknownOpcode(op)) => {
-                self.telemetry.on_error();
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Error {
-                        message: format!("unknown request opcode 0x{op:02x}"),
-                    },
-                );
-                true
+                self.daemon.telemetry.on_error();
+                let message = format!("unknown request opcode 0x{op:02x}");
+                self.reply(half, seq, &Response::Error { message });
             }
             Err(e) => {
-                self.telemetry.on_error();
-                self.fulfill(
-                    id,
-                    seq,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                );
-                if let Some(conn) = self.conns.get(&id) {
-                    conn.write_half().close_read();
-                }
-                false
+                self.daemon.telemetry.on_error();
+                let message = e.to_string();
+                self.reply(half, seq, &Response::Error { message });
+                half.close_read();
+                return false;
             }
-            Ok(Request::Stats) => {
-                self.fulfill_text(id, seq, self.telemetry.render_stats());
-                true
-            }
+            Ok(Request::Stats) => self.reply_text(half, seq, self.daemon.telemetry.render_stats()),
             Ok(Request::Prometheus) => {
-                self.fulfill_text(id, seq, self.telemetry.render_prometheus());
-                true
+                self.reply_text(half, seq, self.daemon.telemetry.render_prometheus())
             }
-            Ok(Request::Catalog) => {
-                self.fulfill_text(id, seq, render_catalog(&self.sched));
-                true
-            }
+            Ok(Request::Catalog) => self.reply_text(half, seq, render_catalog(&self.daemon.sched)),
             Ok(Request::Shutdown) => {
-                self.fulfill_text(id, seq, "draining\n");
-                // Daemon-wide: every shard and the acceptor must drain,
-                // not just the shard this frame happened to land on.
-                self.ctl.request_shutdown();
-                false
+                self.reply_text(half, seq, "draining\n");
+                // Daemon-wide: every shard must drain, not just the
+                // one this frame happened to land on.
+                self.daemon.ctl.request_shutdown();
+                return false;
             }
             Ok(Request::Run {
                 workload,
                 deadline_ms,
                 arg,
-            }) => {
-                self.submit_run(id, seq, workload, deadline_ms, arg);
-                true
-            }
+            }) => self.submit_run(half, seq, &workload, deadline_ms, arg),
             Ok(Request::ExecAlt {
                 race_id,
                 alt_idx,
@@ -909,19 +784,16 @@ impl Reactor {
                 arg,
                 workload,
                 origin,
-            }) => {
-                self.exec_alt(
-                    id,
-                    seq,
-                    race_id,
-                    alt_idx,
-                    deadline_ms,
-                    arg,
-                    workload,
-                    origin,
-                );
-                true
-            }
+            }) => self.exec_alt(
+                half,
+                seq,
+                race_id,
+                alt_idx,
+                deadline_ms,
+                arg,
+                &workload,
+                origin,
+            ),
             Ok(Request::AltResult {
                 race_id,
                 alt_idx,
@@ -932,59 +804,57 @@ impl Reactor {
                 // An executor reporting back on a race this node
                 // originated. Ack first-class so the executor's link
                 // gets its RTT sample either way.
-                self.plane.races.step(
-                    race_id,
-                    Event::LegResult {
-                        alt_idx,
-                        status,
-                        value,
-                        latency_us,
-                        redo: false,
-                    },
-                );
-                self.fulfill_text(id, seq, "ok\n");
-                true
+                let event = Event::LegResult {
+                    alt_idx,
+                    status,
+                    value,
+                    latency_us,
+                    redo: false,
+                };
+                self.daemon.races.step(race_id, event);
+                self.reply_text(half, seq, "ok\n");
             }
             Ok(Request::CommitVote {
                 race_id,
                 origin,
                 candidate,
             }) => {
-                let (granted, holder) = self.plane.races.ledger.vote(&origin, race_id, &candidate);
-                self.telemetry.add(Metric::CommitVotes, 1);
-                self.fulfill(id, seq, &Response::Vote { granted, holder });
-                true
+                let (granted, holder) = self.daemon.races.ledger.vote(&origin, race_id, &candidate);
+                self.daemon.telemetry.add(Metric::CommitVotes, 1);
+                self.reply(half, seq, &Response::Vote { granted, holder });
             }
             Ok(Request::Eliminate { race_id, origin }) => {
-                let n = self.plane.inflight.eliminate(&origin, race_id);
-                self.telemetry.add(Metric::Eliminations, 1);
-                self.fulfill_text(id, seq, format!("eliminated {n}\n"));
-                true
+                let n = self.daemon.inflight.eliminate(&origin, race_id);
+                self.daemon.telemetry.add(Metric::Eliminations, 1);
+                self.reply_text(half, seq, format!("eliminated {n}\n"));
             }
             Ok(Request::Reconcile { watermark, origin }) => {
                 // Partition-heal resync: the reconnecting origin's
                 // races below the watermark are all decided — kill any
                 // zombie executions and release their vote slots.
-                let n = self.plane.inflight.eliminate_below(&origin, watermark);
-                let slots = self.plane.races.ledger.reconcile(&origin, watermark);
-                self.fulfill_text(id, seq, format!("reconciled {n} cancelled {slots} slots\n"));
-                true
+                let n = self.daemon.inflight.eliminate_below(&origin, watermark);
+                let slots = self.daemon.races.ledger.reconcile(&origin, watermark);
+                self.reply_text(
+                    half,
+                    seq,
+                    format!("reconciled {n} cancelled {slots} slots\n"),
+                );
             }
             Ok(Request::PeerStats) => {
                 // The stats page doubles as the heartbeat reply: the
                 // trailing machine-parsable line advertises this node's
                 // load so origins can place around busy peers.
-                let mut body = self.plane.races.peers.stats().render();
+                let mut body = self.daemon.races.peers.stats().render();
                 body.push_str(&format!(
                     "load queued {} busy {} workers {}\n",
-                    self.pool.queued(),
-                    self.pool.busy(),
-                    self.pool.workers()
+                    self.daemon.pool.queued(),
+                    self.daemon.pool.busy(),
+                    self.daemon.pool.workers()
                 ));
-                self.fulfill_text(id, seq, body);
-                true
+                self.reply_text(half, seq, body);
             }
         }
+        true
     }
 
     /// Executor side of a shipped alternative: admission-control it
@@ -996,82 +866,76 @@ impl Reactor {
     #[allow(clippy::too_many_arguments)]
     fn exec_alt(
         &mut self,
-        id: u64,
+        half: &WriteHalf,
         seq: u64,
         race_id: u64,
         alt_idx: u32,
         deadline_ms: u32,
         arg: u64,
-        workload: String,
+        workload: &str,
         origin: String,
     ) {
-        let Some(widx) = workload::index_of(&workload) else {
-            self.telemetry.on_error();
-            self.fulfill(id, seq, &Response::Overloaded);
+        let Some(widx) = workload::index_of(workload) else {
+            self.daemon.telemetry.on_error();
+            self.reply(half, seq, &Response::Overloaded);
             return;
         };
+        let daemon = &self.daemon;
         let token = deadline_token(deadline_ms);
         // Registered before submission so an ELIMINATE racing ahead of
         // the worker pickup still lands on the token.
-        self.plane
+        daemon
             .inflight
             .register(&origin, race_id, alt_idx, token.clone());
-        let work = {
-            let telemetry = Arc::clone(&self.telemetry);
-            move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    run_remote_alt(&telemetry, widx, alt_idx, arg, &token)
-                }))
-                .unwrap_or((ALT_FAILED, 0, 0))
-            }
-        };
-        let done = {
-            let plane = Arc::clone(&self.plane);
+        let report = {
+            let daemon = Arc::clone(daemon);
             let origin = origin.clone();
-            move |outcome: Option<(u8, u64, u64)>| {
-                // No outcome means the pool dropped the job unrun —
-                // report a failed guard rather than leave the origin to
-                // time the alternative out.
-                let (status, value, latency_us) = outcome.unwrap_or((ALT_FAILED, 0, 0));
-                plane.inflight.complete(&origin, race_id, alt_idx);
-                plane.races.peers.send(
-                    &origin,
-                    Request::AltResult {
-                        race_id,
-                        alt_idx,
-                        status,
-                        value,
-                        latency_us,
-                    },
-                    SendTag::Fire,
-                );
+            move |(status, value, latency_us)| {
+                daemon.inflight.complete(&origin, race_id, alt_idx);
+                let result = Request::AltResult {
+                    race_id,
+                    alt_idx,
+                    status,
+                    value,
+                    latency_us,
+                };
+                daemon.races.peers.send(&origin, result, SendTag::Fire);
             }
         };
+        let telemetry = Arc::clone(&daemon.telemetry);
+        let (work, done) = alt_job(telemetry, widx, alt_idx, arg, token, report);
         let meta = self.job_meta(widx, deadline_ms);
-        match self.pool.try_submit_work_at(meta, work, done) {
+        match daemon.pool.try_submit_work_at(meta, work, done) {
             Ok(()) => {
-                self.telemetry.add(Metric::RemoteExecs, 1);
-                self.fulfill_text(id, seq, "ok\n");
+                daemon.telemetry.add(Metric::RemoteExecs, 1);
+                self.reply_text(half, seq, "ok\n");
             }
             Err(_) => {
-                self.plane.inflight.complete(&origin, race_id, alt_idx);
-                self.telemetry.add(Metric::Shed, 1);
-                self.fulfill(id, seq, &Response::Overloaded);
+                daemon.inflight.complete(&origin, race_id, alt_idx);
+                daemon.telemetry.add(Metric::Shed, 1);
+                self.reply(half, seq, &Response::Overloaded);
             }
         }
     }
 
     /// Admission-controls one RUN request without ever blocking the
-    /// reactor. With batching off the request races directly (a reply
-    /// group of one); with batching on it opens or joins a window and
-    /// races when the window expires. Refused submissions are answered
-    /// `Overloaded` in line; admitted ones are answered by whichever
-    /// thread finishes the race ([`ReactorShared::post`]).
-    fn submit_run(&mut self, id: u64, seq: u64, workload: String, deadline_ms: u32, arg: u64) {
+    /// reactor. With batching off the request races directly (one
+    /// waiter); with batching on its reply slot opens or joins a window
+    /// and races when the window expires. Refused submissions are
+    /// answered `Overloaded` in line; admitted ones are answered by
+    /// whichever thread decides the race ([`Flight::answer`]).
+    fn submit_run(
+        &mut self,
+        half: &Arc<WriteHalf>,
+        seq: u64,
+        workload: &str,
+        deadline_ms: u32,
+        arg: u64,
+    ) {
         // Reject unknown names before spending a queue slot.
-        let Some(widx) = workload::index_of(&workload) else {
-            self.telemetry.on_error();
-            self.fulfill(id, seq, &Response::UnknownWorkload);
+        let Some(widx) = workload::index_of(workload) else {
+            self.daemon.telemetry.on_error();
+            self.reply(half, seq, &Response::UnknownWorkload);
             return;
         };
         let key = BatchKey {
@@ -1079,115 +943,88 @@ impl Reactor {
             deadline_ms,
             arg,
         };
-        if self.batcher.enabled() {
-            if self.batcher.offer(key, (id, seq), Instant::now()) == Offered::Coalesced {
-                self.telemetry.add(Metric::RequestsCoalesced, 1);
-            }
-            return;
-        }
-        if let Some(half) = self.write_half(id) {
-            self.submit_race(vec![(half, seq)], key);
+        let waiter = (Arc::clone(half), seq);
+        if !self.batcher.enabled() {
+            self.submit_race(vec![waiter], key);
+        } else if self.batcher.offer(key, waiter, Instant::now()) == Offered::Coalesced {
+            self.daemon.telemetry.add(Metric::RequestsCoalesced, 1);
         }
     }
 
     /// Submits one race on behalf of `waiters` (one waiter when direct,
     /// many when coalesced). The single response fans out to every
-    /// waiter exactly once — through the reply group when a worker runs
-    /// the race, including worker-lost and fault outcomes, and straight
-    /// from here when the workload is short enough to race on this
-    /// thread. When the placement policy elects to ship alternatives to
-    /// peers the race goes through the distributed path instead.
-    fn submit_race(&mut self, waiters: Vec<ReplySlot>, key: BatchKey) {
+    /// waiter exactly once — worker-lost and fault outcomes included —
+    /// from whichever thread ends up holding the race's [`Flight`]: a
+    /// worker, this one when the workload is short enough to race here,
+    /// or the distributed-race shell when the placement policy elects to
+    /// ship alternatives to peers.
+    fn submit_race(&self, waiters: Vec<ReplySlot>, key: BatchKey) {
+        let daemon = &self.daemon;
         // Feasibility admission, before the race spends a queue slot or
         // a wire frame: when the deadline is provably unmeetable from
         // the workload's p99 service time plus the current queue wait,
         // shed now instead of burning a worker just to time out.
         // Best-effort requests (deadline 0) always pass.
-        if !self.admission.admit(
-            key.widx,
-            key.deadline_ms,
-            self.pool.queued(),
-            self.pool.workers(),
-        ) {
-            self.shed(waiters, Metric::ShedsAtAdmission);
+        let (queued, workers) = (daemon.pool.queued(), daemon.pool.workers());
+        if !daemon
+            .admission
+            .admit(key.widx, key.deadline_ms, queued, workers)
+        {
+            self.shed(&waiters, Metric::ShedsAtAdmission);
             return;
         }
+        let flight = Flight {
+            key,
+            waiters,
+            home: Arc::clone(&self.shared),
+        };
         if let Some(assign) = self.plan_remote(&key) {
-            self.submit_race_distributed(waiters, key, assign);
+            self.submit_race_distributed(flight, assign);
             return;
         }
-        // Shard or queue: a workload measured short (the rule is in
-        // `sched.rs`) is raced right here, and the reply delivered the
-        // way a finishing worker delivers one (`ReactorShared::deliver`:
-        // one ring slot, a heap spill when the ring is full, shared by
-        // a coalesced batch) — no reply group (no other thread will
-        // come looking), no boxed job, no wake-up. What the delivery
-        // leaves behind, the next turn's look at each write half picks
-        // up.
-        if self.sched.catalog().runs_on_shard(key.widx) {
-            self.telemetry.add(Metric::Accepted, 1);
-            self.telemetry.add(Metric::RacesOnShard, 1);
-            let reply = contained(&self.telemetry, || {
+        let race = move |daemon: &Daemon| {
+            contained(&daemon.telemetry, || {
                 run_race(
-                    &self.telemetry,
-                    &self.sched,
+                    &daemon.telemetry,
+                    &daemon.sched,
                     key.widx,
                     key.deadline_ms,
                     key.arg,
                 )
-            });
-            self.shared.deliver(&waiters, &reply);
+            })
+        };
+        // Shard or queue: a workload measured short (the rule is in
+        // `sched.rs`) is raced right here and its flight answered the
+        // way a finishing worker answers one — no boxed job, no
+        // wake-up. What the delivery leaves behind, the next turn's
+        // look at each write half picks up.
+        if daemon.sched.catalog().runs_on_shard(key.widx) {
+            daemon.telemetry.add(Metric::Accepted, 1);
+            daemon.telemetry.add(Metric::RacesOnShard, 1);
+            flight.answer(&race(daemon));
             return;
         }
-        let group = self.open_group(waiters);
+        // The flight moves into the completion; should the pool refuse
+        // the job, that closure is dropped unrun and the waiters are
+        // shed from this copy of their slots.
+        let spare = flight.waiters.clone();
         let work = {
-            let telemetry = Arc::clone(&self.telemetry);
-            let sched = Arc::clone(&self.sched);
-            move || {
-                contained(&telemetry, || {
-                    run_race(&telemetry, &sched, key.widx, key.deadline_ms, key.arg)
-                })
-            }
+            let daemon = Arc::clone(daemon);
+            move || race(&daemon)
         };
-        let shared = Arc::clone(&self.shared);
-        let done = move |reply| shared.post(group, or_worker_lost(reply));
+        let done = move |reply| flight.answer(&or_worker_lost(reply));
         let meta = self.job_meta(key.widx, key.deadline_ms);
-        match self.pool.try_submit_work_at(meta, work, done) {
-            Ok(()) => self.telemetry.add(Metric::Accepted, 1),
-            Err(_) => self.shed_group(group),
+        match daemon.pool.try_submit_work_at(meta, work, done) {
+            Ok(()) => daemon.telemetry.add(Metric::Accepted, 1),
+            Err(_) => self.shed(&spare, Metric::Shed),
         }
     }
 
-    /// Registers `waiters` as a new reply group — *before* the race is
-    /// submitted, because a worker can finish it (and come looking for
-    /// the group) before the reactor's next statement.
-    fn open_group(&mut self, waiters: Vec<ReplySlot>) -> u64 {
-        let group = self.next_group;
-        self.next_group += 1;
-        self.shared
-            .groups
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(group, waiters);
-        group
-    }
-
-    /// The pool refused the race registered as `group`: its `done` was
-    /// dropped unrun, so nobody else will come for the group — take it
-    /// back and shed its waiters.
-    fn shed_group(&mut self, group: u64) {
-        if let Some(waiters) = self.shared.take_group(group) {
-            self.shed(waiters, Metric::Shed);
-        }
-    }
-
-    /// Sheds a race that will not run: every waiter gets its own
-    /// `Overloaded` reply, counted under `metric`.
-    fn shed(&mut self, waiters: Vec<ReplySlot>, metric: Metric) {
-        for (half, seq) in waiters {
-            self.telemetry.add(metric, 1);
-            self.reply(&half, seq, &Response::Overloaded);
-        }
+    /// Sheds a race that will not run: every waiter gets `Overloaded`,
+    /// counted under `metric`.
+    fn shed(&self, waiters: &[ReplySlot], metric: Metric) {
+        self.daemon.telemetry.add(metric, waiters.len() as u64);
+        self.shared.answer(waiters, &Response::Overloaded);
     }
 
     /// Run-queue scheduling metadata for one submission from this
@@ -1195,7 +1032,7 @@ impl Reactor {
     /// wire said 0), the workload's configured priority lane, and this
     /// shard's worker group.
     fn job_meta(&self, widx: usize, deadline_ms: u32) -> JobMeta {
-        JobMeta::for_request(deadline_ms, self.lanes.lane_of(widx), self.shard_idx)
+        JobMeta::for_request(deadline_ms, self.daemon.lanes.lane_of(widx), self.shard_idx)
     }
 
     /// Asks the placement policy whether any of this race's
@@ -1203,37 +1040,35 @@ impl Reactor {
     /// common answer, and the only one when no peer is up — means the
     /// race stays entirely local and pays nothing for the peer plane.
     fn plan_remote(&self, key: &BatchKey) -> Option<Vec<Option<String>>> {
+        let daemon = &self.daemon;
         let spec = workload::CATALOG.get(key.widx)?;
-        let up = self.plane.races.peers.stats().up_peers();
+        let up = daemon.races.peers.stats().up_peers();
         if up.is_empty() {
             return None;
         }
         // What actually crosses the wire per shipped alternative: the
         // EXEC_ALT frame (fixed header + workload + origin strings).
-        let frame_bytes = (33 + spec.name.len() + self.plane.races.advertise.len()) as u64;
-        self.plane.placement.assign(
+        let frame_bytes = (33 + spec.name.len() + daemon.races.advertise.len()) as u64;
+        daemon.placement.assign(
             key.widx,
             frame_bytes,
             &up,
-            self.pool.queued(),
-            self.pool.workers(),
-            self.sched.catalog(),
+            daemon.pool.queued(),
+            daemon.pool.workers(),
+            daemon.sched.catalog(),
         )
     }
 
-    /// The distributed submit path: register the race with the remote
+    /// The distributed submit path: hand the flight to the remote
     /// registry *first* (an instant local finish must find it), then
     /// submit the local subrace — every alternative not shipped — and
-    /// finally fire one EXEC_ALT per shipped alternative. The reply
-    /// group is answered exactly once by the registry's commit/fail
-    /// path, never directly by the worker.
-    fn submit_race_distributed(
-        &mut self,
-        waiters: Vec<ReplySlot>,
-        key: BatchKey,
-        assign: Vec<Option<String>>,
-    ) {
-        let group = self.open_group(waiters);
+    /// finally fire one EXEC_ALT per shipped alternative. The flight is
+    /// answered exactly once by the registry's commit/fail path, never
+    /// directly by the worker; if the pool refuses the subrace the
+    /// registry hands it back and its waiters are shed.
+    fn submit_race_distributed(&self, flight: Flight, assign: Vec<Option<String>>) {
+        let daemon = &self.daemon;
+        let key = flight.key;
         let token = deadline_token(key.deadline_ms);
         let remotes: Vec<(u32, String)> = assign
             .iter()
@@ -1242,66 +1077,61 @@ impl Reactor {
             .collect();
         // Voters are frozen at race creation: this node plus every peer
         // currently up. A voter dying mid-race counts as a denial.
-        let voters: Vec<String> = self
-            .plane
-            .races
-            .peers
-            .stats()
-            .up_peers()
-            .into_iter()
-            .map(|p| p.addr)
-            .collect();
+        let up = daemon.races.peers.stats().up_peers();
+        let voters: Vec<String> = up.into_iter().map(|p| p.addr).collect();
         let spec = RaceSpec {
-            shard: self.shard_idx,
-            group,
             widx: key.widx,
             arg: key.arg,
             deadline_ms: key.deadline_ms,
             local_cancel: token.clone(),
         };
-        let race_id = self.plane.races.create(spec, remotes.clone(), voters);
+        let race_id = daemon.races.create(spec, flight, remotes.clone(), voters);
         let skip: Vec<bool> = assign.iter().map(Option::is_some).collect();
         let work = {
-            let telemetry = Arc::clone(&self.telemetry);
-            let sched = Arc::clone(&self.sched);
+            let daemon = Arc::clone(daemon);
             move || {
-                contained(&telemetry, || {
-                    run_subrace(&telemetry, &sched, key.widx, key.arg, &token, &skip)
+                contained(&daemon.telemetry, || {
+                    run_subrace(
+                        &daemon.telemetry,
+                        &daemon.sched,
+                        key.widx,
+                        key.arg,
+                        &token,
+                        &skip,
+                    )
                 })
             }
         };
-        // The local outcome feeds the registry, not the reply group:
-        // the registry answers the group once, at commit or failure.
-        let races = Arc::clone(&self.plane.races);
+        // The local outcome feeds the registry, which answers the
+        // flight once, at commit or failure.
+        let races = Arc::clone(&daemon.races);
         let done = move |reply| races.step(race_id, Event::LocalDone(or_worker_lost(reply)));
         let meta = self.job_meta(key.widx, key.deadline_ms);
-        match self.pool.try_submit_work_at(meta, work, done) {
-            Ok(()) => {
-                self.telemetry.add(Metric::Accepted, 1);
-                let spec = &workload::CATALOG[key.widx];
-                for (alt_idx, peer) in remotes {
-                    self.telemetry.add(Metric::RemoteDispatched, 1);
-                    if let Some(stat) = self.plane.races.peers.stats().by_addr(&peer) {
-                        stat.note_dispatched();
-                    }
-                    self.plane.races.peers.send(
-                        &peer,
-                        Request::ExecAlt {
-                            race_id,
-                            alt_idx,
-                            deadline_ms: key.deadline_ms,
-                            arg: key.arg,
-                            workload: spec.name.to_owned(),
-                            origin: self.plane.races.advertise.clone(),
-                        },
-                        SendTag::ExecAlt { race_id, alt_idx },
-                    );
-                }
+        if daemon.pool.try_submit_work_at(meta, work, done).is_err() {
+            if let Some(flight) = daemon.races.abort(race_id) {
+                self.shed(&flight.waiters, Metric::Shed);
             }
-            Err(_) => {
-                self.plane.races.table().abort(race_id);
-                self.shed_group(group);
+            return;
+        }
+        daemon.telemetry.add(Metric::Accepted, 1);
+        let spec = &workload::CATALOG[key.widx];
+        for (alt_idx, peer) in remotes {
+            daemon.telemetry.add(Metric::RemoteDispatched, 1);
+            if let Some(stat) = daemon.races.peers.stats().by_addr(&peer) {
+                stat.note_dispatched();
             }
+            let exec = Request::ExecAlt {
+                race_id,
+                alt_idx,
+                deadline_ms: key.deadline_ms,
+                arg: key.arg,
+                workload: spec.name.to_owned(),
+                origin: daemon.races.advertise.clone(),
+            };
+            daemon
+                .races
+                .peers
+                .send(&peer, exec, SendTag::ExecAlt { race_id, alt_idx });
         }
     }
 
@@ -1312,37 +1142,13 @@ impl Reactor {
     /// the delivery leaves (output, a failed socket, a connection now
     /// closable) the next turn's look at the half picks up.
     fn reply(&mut self, half: &WriteHalf, seq: u64, response: &Response) {
-        let reply = EncodedReply::encode_with(response, &self.ring, &mut self.bufs);
+        let reply = EncodedReply::encode_with(response, &self.shared.ring, &mut self.bufs);
         half.deliver(seq, ReplyFrame::Own(reply), Some(&mut self.bufs));
     }
 
-    /// [`Reactor::reply`] to connection `id`, if it is still there.
-    fn fulfill(&mut self, id: u64, seq: u64, response: &Response) {
-        if let Some(half) = self.write_half(id) {
-            self.reply(&half, seq, response);
-        }
-    }
-
-    /// [`Reactor::fulfill`] with a `Text` reply.
-    fn fulfill_text(&mut self, id: u64, seq: u64, body: impl Into<String>) {
-        self.fulfill(id, seq, &Response::Text { body: body.into() });
-    }
-
-    /// Queues one last reply, stops reading, and lets the drain logic
-    /// close the connection once the reply is out.
-    fn reply_and_close_read(&mut self, id: u64, response: &Response) {
-        if let Some(half) = self.write_half(id) {
-            let seq = half.begin_request();
-            half.close_read();
-            self.reply(&half, seq, response);
-        }
-    }
-
-    /// Connection `id`'s write half, if the connection is still open.
-    fn write_half(&self, id: u64) -> Option<Arc<WriteHalf>> {
-        self.conns
-            .get(&id)
-            .map(|conn| Arc::clone(conn.write_half()))
+    /// [`Reactor::reply`] with a `Text` reply.
+    fn reply_text(&mut self, half: &WriteHalf, seq: u64, body: impl Into<String>) {
+        self.reply(half, seq, &Response::Text { body: body.into() });
     }
 
     /// Drops one connection's state, closing its write half so that
@@ -1375,46 +1181,217 @@ fn or_worker_lost(reply: Option<Response>) -> Response {
     })
 }
 
-/// The acceptor loop — the **fallback** front door for sharded mode on
-/// platforms without `SO_REUSEPORT` (per-shard listeners are the
-/// primary path): polls the listener plus its own wake pipe, accepts
-/// until the listener would block, and hands each socket round-robin
-/// to the next shard's inbox. Round-robin is fair enough here because
-/// connections are long-lived and statistically similar under the
-/// daemon's workloads; the counter is local, so the accept path takes
-/// no locks beyond the one push into the chosen shard's inbox.
-pub(crate) fn run_acceptor(
-    listener: TcpListener,
-    mut wake_rx: WakeRx,
-    ctl: Arc<DaemonCtl>,
-    shards: Vec<Arc<ReactorShared>>,
-) {
-    debug_assert!(!shards.is_empty());
-    let mut next = 0usize;
-    while !ctl.draining() {
-        let mut fds = [
-            PollFd::new(wake_rx.as_raw_fd(), POLLIN),
-            PollFd::new(listener.as_raw_fd(), POLLIN),
-        ];
-        if poll_fds(&mut fds, POLL_BACKSTOP_MS).is_err() {
-            continue;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use altx_check::check;
+    use std::time::Duration;
+
+    const SLOTS: usize = 4;
+    const PAIRS: usize = 3;
+
+    /// One thing one thread does, to a flight or to a connection.
+    enum Move {
+        /// The decider answers the flight with the race's own reply.
+        Answer(Flight),
+        /// The pool dropped the job unrun: its completion hears `None`.
+        Lose(Flight),
+        /// The reactor sheds from its own copy of a flight's slots.
+        Shed(Vec<ReplySlot>),
+        /// The reactor reclaims connection `c`.
+        Close(usize),
+    }
+
+    /// The reply flight number `flight`'s race would give (a flight's
+    /// number rides in its key's `arg`).
+    fn own_reply(flight: usize) -> Response {
+        Response::Ok {
+            winner: 0,
+            winner_name: "alt0".to_owned(),
+            latency_us: 7,
+            value: flight as u64,
         }
-        if fds[0].revents != 0 {
-            wake_rx.drain();
-        }
-        if fds[1].revents & POLLIN == 0 {
-            continue;
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    shards[next % shards.len()].adopt(stream);
-                    next += 1;
+    }
+
+    fn answer_own(flight: Flight) {
+        let reply = own_reply(flight.key.arg as usize);
+        flight.answer(&reply);
+    }
+
+    /// The race-in-flight contract, on real threads and real sockets:
+    /// whichever threads answer a flight, lose it, shed its waiters from
+    /// the reactor's copy of the slots (instead of a completion dropped
+    /// unrun, or racing one that did run) and reclaim connections, in
+    /// whatever order — every request of an open connection gets exactly
+    /// one frame, one of the replies its race could have had, in request
+    /// order; a reclaimed connection gets a prefix of that and nothing
+    /// once it is closed; the reactor is roused exactly when the shard
+    /// drains; and every ring slot comes home.
+    #[test]
+    fn any_order_of_answer_shed_loss_and_close_fills_each_slot_once() {
+        // A few long-lived loopback pairs; each case puts fresh write
+        // halves over them, so 2 500 cases cost no port and no TIME_WAIT.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let pairs: Vec<(TcpStream, TcpStream)> = (0..PAIRS)
+            .map(|_| {
+                let addr = listener.local_addr().expect("addr");
+                let client = TcpStream::connect(addr).expect("connect");
+                let timeout = Some(Duration::from_secs(10));
+                client.set_read_timeout(timeout).expect("timeout");
+                (listener.accept().expect("accept").0, client)
+            })
+            .collect();
+
+        check("flight_schedules", 2_500, |rng| {
+            let (home, mut wake_rx) = ReactorShared::new(SLOTS, 64).expect("wake pair");
+            let stats = Arc::new(ShardStats::new(
+                BufPool::default().stats(),
+                home.ring.stats(),
+            ));
+            let draining = rng.chance(0.2);
+            home.draining.store(draining, Ordering::SeqCst);
+            let n_conns = rng.usize_in(1, PAIRS + 1);
+            let halves: Vec<Arc<WriteHalf>> = (0..n_conns)
+                .map(|c| {
+                    let stream = pairs[c].0.try_clone().expect("dup");
+                    let conn = Conn::new(stream, Arc::clone(&stats)).expect("conn");
+                    Arc::clone(conn.write_half())
+                })
+                .collect();
+
+            // Requests, each on some connection, each joining a flight
+            // (a coalesced batch) or opening one of its own.
+            let mut owed: Vec<Vec<usize>> = vec![Vec::new(); n_conns];
+            let mut waiters: Vec<Vec<ReplySlot>> = Vec::new();
+            for _ in 0..rng.usize_in(1, 11) {
+                let c = rng.usize_in(0, n_conns);
+                if waiters.is_empty() || rng.chance(0.7) {
+                    waiters.push(Vec::new());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient accept failure; retry next loop
+                let flight = rng.usize_in(0, waiters.len());
+                waiters[flight].push((Arc::clone(&halves[c]), halves[c].begin_request()));
+                owed[c].push(flight);
             }
-        }
+
+            // Each flight's fate, and with it the replies a waiter of
+            // it may see.
+            let mut moves = Vec::new();
+            let mut held = Vec::new();
+            let mut admissible: Vec<Vec<Response>> = Vec::new();
+            for (f, waiters) in waiters.into_iter().enumerate() {
+                let spare = waiters.clone();
+                let flight = Flight {
+                    key: BatchKey {
+                        widx: 0,
+                        deadline_ms: 0,
+                        arg: f as u64,
+                    },
+                    waiters,
+                    home: Arc::clone(&home),
+                };
+                admissible.push(match rng.usize_in(0, 5) {
+                    0 => {
+                        moves.push(Move::Answer(flight));
+                        vec![own_reply(f)]
+                    }
+                    1 => {
+                        moves.push(Move::Lose(flight));
+                        vec![or_worker_lost(None)]
+                    }
+                    2 => {
+                        // Refused: the completion, and the flight in
+                        // it, is dropped without ever running.
+                        drop(flight);
+                        moves.push(Move::Shed(spare));
+                        vec![Response::Overloaded]
+                    }
+                    3 => {
+                        // Never in the daemon, and still once each: a
+                        // shed racing the completion it gave up on.
+                        moves.push(Move::Answer(flight));
+                        moves.push(Move::Shed(spare));
+                        vec![own_reply(f), Response::Overloaded]
+                    }
+                    _ => {
+                        held.push(flight);
+                        vec![own_reply(f)]
+                    }
+                });
+            }
+            let closed: Vec<bool> = (0..n_conns).map(|_| rng.chance(0.25)).collect();
+            moves.extend((0..n_conns).filter(|&c| closed[c]).map(Move::Close));
+
+            // Dealt in seeded order to two or three threads.
+            let mut hands: Vec<Vec<Move>> = (0..rng.usize_in(2, 4)).map(|_| Vec::new()).collect();
+            while !moves.is_empty() {
+                let mv = moves.swap_remove(rng.usize_in(0, moves.len()));
+                let hand = rng.usize_in(0, hands.len());
+                hands[hand].push(mv);
+            }
+            std::thread::scope(|scope| {
+                for hand in hands {
+                    let (halves, home) = (&halves, &home);
+                    scope.spawn(move || {
+                        for mv in hand {
+                            match mv {
+                                Move::Answer(flight) => answer_own(flight),
+                                Move::Lose(flight) => flight.answer(&or_worker_lost(None)),
+                                Move::Shed(spare) => home.answer(&spare, &Response::Overloaded),
+                                Move::Close(c) => halves[c].close(),
+                            }
+                        }
+                    });
+                }
+            });
+            // Every close has happened: a flight answered now must not
+            // reach a reclaimed connection.
+            let held_back: Vec<usize> = held.iter().map(|f| f.key.arg as usize).collect();
+            held.into_iter().for_each(answer_own);
+
+            let end = Response::Text {
+                body: "end of case".to_owned(),
+            };
+            for c in 0..n_conns {
+                // Behind everything the case wrote on this socket.
+                write_frame(&mut &pairs[c].0, &end.encode()).expect("sentinel");
+                let mut client = &pairs[c].1;
+                let mut seen = Vec::new();
+                loop {
+                    let body = read_frame(&mut client).expect("read").expect("a frame");
+                    match Response::decode(&body).expect("decode") {
+                        reply if reply == end => break,
+                        reply => seen.push(reply),
+                    }
+                }
+                assert!(seen.len() <= owed[c].len(), "conn {c}: a second reply");
+                for (seq, reply) in seen.iter().enumerate() {
+                    let flight = owed[c][seq];
+                    assert!(
+                        admissible[flight].contains(reply),
+                        "conn {c} seq {seq} (flight {flight}): {reply:?}"
+                    );
+                }
+                if closed[c] {
+                    // In order, so nothing at or past the first request
+                    // whose flight was answered after the close.
+                    let late = owed[c].iter().position(|f| held_back.contains(f));
+                    assert!(
+                        seen.len() <= late.unwrap_or(owed[c].len()),
+                        "conn {c}: written after close"
+                    );
+                } else {
+                    assert_eq!(seen.len(), owed[c].len(), "conn {c}: a request unanswered");
+                }
+            }
+            let mut fd = [PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
+            let roused = poll_fds(&mut fd, 0).expect("poll") == 1;
+            assert_eq!(roused, draining, "roused iff the shard drains");
+            wake_rx.drain();
+
+            halves.iter().for_each(|half| half.close());
+            assert_eq!(stats.conns_active(), 0, "a closed connection is not active");
+            assert_eq!(home.ring.idle_slots(), SLOTS, "every slot back in the ring");
+        });
     }
 }

@@ -19,14 +19,18 @@
 //!   soak would need weeks to stumble on — and judge it by its actions
 //!   alone.
 //! * [`RemoteRaces`] is the **shell**: it owns the table's mutex and
-//!   executes the actions. Every entry point is lock, step, unlock,
-//!   act. Actions touch other locks (a shard's reply-group table and
-//!   a connection's write half, the peer handle's command queue, the
+//!   executes the actions. Beside the table, under the same mutex and
+//!   keyed by the same `race_id`, it keeps each open race's
+//!   [`Flight`] — the reply slots the race owes and the way to them —
+//!   which the core never sees: the core deals in ids. Every entry
+//!   point is lock, step, unlock, act. Actions touch other locks (a
+//!   connection's write half, the peer handle's command queue, the
 //!   pool) so they never run under the table lock.
 //!
-//! The final [`Response`] is posted through the owning reactor shard
-//! (`DaemonCtl::post`) exactly once, whichever of the many event
-//! orderings happens. The origin is a voter like any other: its own vote is asked
+//! The final [`Response`] is posted exactly once, whichever of the many
+//! event orderings happens: the core emits one `Post { race_id, .. }`
+//! per race and the shell answers the flight it takes out for that id.
+//! The origin is a voter like any other: its own vote is asked
 //! for with the same `SendVote` action as a peer's, which the shell
 //! answers from this node's [`CommitLedger`] instead of the wire.
 //!
@@ -43,16 +47,16 @@
 //!   client even when TCP never reports the loss.
 
 use crate::commit::{CommitLedger, TallyState, VoteTally};
-use crate::frame::{Request, Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};
+use crate::frame::{Request, Response, ALT_DEADLINE, ALT_OK};
 use crate::peer::{PeerHandle, SendTag};
 use crate::pool::{JobMeta, WorkerPool};
-use crate::reactor::DaemonCtl;
+use crate::reactor::Flight;
 use crate::sched::HedgePolicy;
+use crate::server::alt_job;
 use crate::telemetry::{Metric, Telemetry};
 use crate::workload;
 use altx::CancelToken;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -73,9 +77,6 @@ const LEG_DEADLINE_PCT: u32 = 75;
 
 /// The request a distributed race answers — see [`RaceTable::create`].
 pub(crate) struct RaceSpec {
-    /// Reactor shard owning the waiters, and their reply group there.
-    pub(crate) shard: usize,
-    pub(crate) group: u64,
     /// Catalog index of the workload.
     pub(crate) widx: usize,
     /// The client argument — kept so an expired leg can be re-run
@@ -117,15 +118,11 @@ pub(crate) enum Event {
 /// table unlocks.
 #[derive(Debug)]
 pub(crate) enum Action {
-    /// Answer the race's reply group. Exactly one per race, always the
+    /// Answer the race's waiters. Exactly one per race, always the
     /// last action of the step that decided it. The shell derives the
     /// reply's own counter (completed / deadline exceeded / error) from
     /// its flavour.
-    Post {
-        shard: usize,
-        group: u64,
-        response: Response,
-    },
+    Post { race_id: u64, response: Response },
     /// Ask `peer` (possibly this node itself) for its vote.
     SendVote {
         peer: String,
@@ -296,7 +293,7 @@ impl RaceTable {
     }
 
     /// Removes a race whose local subrace was *refused* by the pool —
-    /// nothing ran, nothing was sent, the waiters were answered inline.
+    /// nothing ran, nothing was sent, the waiters are shed inline.
     pub(crate) fn abort(&mut self, race_id: u64) {
         self.races.remove(&race_id);
     }
@@ -624,8 +621,7 @@ impl DistRace {
         actions.push(Action::Cancel(self.spec.local_cancel.clone()));
         self.eliminate_pending(actions);
         actions.push(Action::Post {
-            shard: self.spec.shard,
-            group: self.spec.group,
+            race_id: self.id,
             response: Response::Ok {
                 winner: cand.alt_idx,
                 winner_name: workload::CATALOG[self.spec.widx].alt_names[cand.alt_idx as usize]
@@ -649,20 +645,26 @@ impl DistRace {
             }
         };
         actions.push(Action::Post {
-            shard: self.spec.shard,
-            group: self.spec.group,
+            race_id: self.id,
             response,
         });
     }
+}
+
+/// What the shell's one lock protects: the core, and beside it the way
+/// home of every race the core has open.
+pub(crate) struct OpenRaces {
+    pub(crate) table: RaceTable,
+    /// `race_id` → the race's waiters, from `create` until the core's
+    /// `Post` for that id (or `abort`) takes them out.
+    flights: HashMap<u64, Flight>,
 }
 
 /// The origin-side registry's shell: one per daemon, shared by every
 /// reactor shard, the worker pool (through subrace notifiers), and the
 /// peer thread. Owns the [`RaceTable`]'s lock and executes its actions.
 pub(crate) struct RemoteRaces {
-    table: Mutex<RaceTable>,
-    /// The way back to every shard's waiting connections.
-    ctl: Arc<DaemonCtl>,
+    open: Mutex<OpenRaces>,
     /// Outbound send handle.
     pub(crate) peers: Arc<PeerHandle>,
     /// Local pool for redispatched legs.
@@ -682,12 +684,13 @@ impl RemoteRaces {
         sched: Arc<HedgePolicy>,
         pool: Arc<WorkerPool>,
         peers: Arc<PeerHandle>,
-        ctl: Arc<DaemonCtl>,
         advertise: String,
     ) -> Self {
         RemoteRaces {
-            table: Mutex::new(RaceTable::new(advertise.clone())),
-            ctl,
+            open: Mutex::new(OpenRaces {
+                table: RaceTable::new(advertise.clone()),
+                flights: HashMap::new(),
+            }),
             peers,
             pool,
             ledger: CommitLedger::new(),
@@ -697,22 +700,38 @@ impl RemoteRaces {
         }
     }
 
-    /// Registers a new distributed race; see [`RaceTable::create`].
+    /// Registers a new distributed race (see [`RaceTable::create`]) and
+    /// takes charge of its `flight`, in one lock hold: whoever decides
+    /// the race finds its waiters.
     pub(crate) fn create(
         &self,
         spec: RaceSpec,
+        flight: Flight,
         remotes: Vec<(u32, String)>,
         voters: Vec<String>,
     ) -> u64 {
         let stats = self.peers.stats();
         let rtt_us = |peer: &str| stats.by_addr(peer).map_or(0, |s| s.rtt_ewma_us());
-        self.table()
-            .create(spec, remotes, voters, rtt_us, Instant::now())
+        let mut open = self.lock();
+        let id = open
+            .table
+            .create(spec, remotes, voters, rtt_us, Instant::now());
+        open.flights.insert(id, flight);
+        id
     }
 
-    /// The table, locked — for its queries, and for `abort`.
-    pub(crate) fn table(&self) -> MutexGuard<'_, RaceTable> {
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Forgets a race whose local subrace the pool refused (see
+    /// [`RaceTable::abort`]) and hands its flight back to be shed —
+    /// unless a drain-time flush answered it first.
+    pub(crate) fn abort(&self, race_id: u64) -> Option<Flight> {
+        let mut open = self.lock();
+        open.table.abort(race_id);
+        open.flights.remove(&race_id)
+    }
+
+    /// The table and the flights, locked.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, OpenRaces> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The one way anything happens to a race: lock the table, let
@@ -721,7 +740,7 @@ impl RemoteRaces {
         self: &Arc<Self>,
         turn: impl FnOnce(&mut RaceTable, Instant) -> Vec<Action>,
     ) {
-        let actions = turn(&mut self.table(), Instant::now());
+        let actions = turn(&mut self.lock().table, Instant::now());
         self.act(actions);
     }
 
@@ -735,17 +754,16 @@ impl RemoteRaces {
     fn act(self: &Arc<Self>, actions: Vec<Action>) {
         for action in actions {
             match action {
-                Action::Post {
-                    shard,
-                    group,
-                    response,
-                } => {
+                Action::Post { race_id, response } => {
                     match &response {
                         Response::Ok { latency_us, .. } => self.telemetry.on_completed(*latency_us),
                         Response::DeadlineExceeded { .. } => self.telemetry.on_deadline_exceeded(),
                         _ => self.telemetry.on_error(),
                     }
-                    self.ctl.post(shard, group, response);
+                    let flight = self.lock().flights.remove(&race_id);
+                    if let Some(flight) = flight {
+                        flight.answer(&response);
+                    }
                 }
                 Action::SendVote {
                     peer: voter,
@@ -819,27 +837,19 @@ impl RemoteRaces {
         arg: u64,
         token: CancelToken,
     ) {
-        let telemetry = Arc::clone(&self.telemetry);
-        let work = move || {
-            catch_unwind(AssertUnwindSafe(|| {
-                crate::server::run_remote_alt(&telemetry, widx, alt_idx, arg, &token)
-            }))
-            .unwrap_or((ALT_FAILED, 0, 0))
-        };
         let me = Arc::clone(self);
-        let done = move |outcome: Option<(u8, u64, u64)>| {
-            let (status, value, latency_us) = outcome.unwrap_or((ALT_FAILED, 0, 0));
-            me.step(
-                race_id,
-                Event::LegResult {
-                    alt_idx,
-                    status,
-                    value,
-                    latency_us,
-                    redo: true,
-                },
-            );
+        let report = move |(status, value, latency_us)| {
+            let event = Event::LegResult {
+                alt_idx,
+                status,
+                value,
+                latency_us,
+                redo: true,
+            };
+            me.step(race_id, event);
         };
+        let telemetry = Arc::clone(&self.telemetry);
+        let (work, done) = alt_job(telemetry, widx, alt_idx, arg, token, report);
         if self
             .pool
             .try_submit_work_at(JobMeta::default(), work, done)
@@ -931,7 +941,10 @@ impl InflightRemote {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchKey;
+    use crate::frame::ALT_FAILED;
     use crate::peer::PeerStatsTable;
+    use crate::reactor::ReactorShared;
     use crate::sched::HedgeConfig;
     use altx_check::{check, CaseRng};
     use altx_cluster::VoteSlot;
@@ -970,8 +983,6 @@ mod tests {
             voters: &[&str],
         ) -> u64 {
             let spec = RaceSpec {
-                shard: 3,
-                group: 7,
                 widx: WIDX,
                 arg: 0,
                 deadline_ms,
@@ -1040,18 +1051,11 @@ mod tests {
             self.seen.iter().filter(hit).count()
         }
 
-        /// Every reply posted so far — each to the race's own shard and
-        /// reply group.
+        /// Every reply posted so far.
         fn posts(&self) -> Vec<&Response> {
             let mut posts = Vec::new();
             for action in &self.seen {
-                if let Action::Post {
-                    shard,
-                    group,
-                    response,
-                } = action
-                {
-                    assert_eq!((*shard, *group), (3, 7), "posted to the wrong waiters");
+                if let Action::Post { response, .. } = action {
                     posts.push(response);
                 }
             }
@@ -1320,8 +1324,7 @@ mod tests {
             Arc::new(Telemetry::new()),
             Arc::new(HedgePolicy::new(HedgeConfig::default())),
             Arc::clone(&pool),
-            Arc::clone(&peers),
-            Arc::new(DaemonCtl::new(1, peers)),
+            peers,
             ORIGIN.to_owned(),
         );
         (Arc::new(races), pool)
@@ -1329,8 +1332,6 @@ mod tests {
 
     fn spec(widx: usize, arg: u64) -> RaceSpec {
         RaceSpec {
-            shard: 0,
-            group: 1,
             widx,
             arg,
             deadline_ms: 0,
@@ -1338,12 +1339,29 @@ mod tests {
         }
     }
 
+    /// A flight nobody waits on: the shell's counters are what these
+    /// tests read.
+    fn flight(widx: usize, arg: u64) -> Flight {
+        let (home, _wake_rx) = ReactorShared::new(1, 64).expect("wake pair");
+        Flight {
+            key: BatchKey {
+                widx,
+                deadline_ms: 0,
+                arg,
+            },
+            waiters: Vec::new(),
+            home,
+        }
+    }
+
     #[test]
     fn shell_casts_the_origins_vote_and_counts_what_the_core_decided() {
         let (races, pool) = shell();
-        let id = races.create(spec(WIDX, 0), vec![(1, "peer:1".into())], vec![]);
+        let remotes = vec![(1, "peer:1".into())];
+        let id = races.create(spec(WIDX, 0), flight(WIDX, 0), remotes, vec![]);
         races.step(id, Event::LocalDone(ok(0, 42)));
-        assert_eq!(races.table().len(), 0);
+        assert_eq!(races.lock().table.len(), 0);
+        assert!(races.lock().flights.is_empty(), "the post took the flight");
         let s = races.telemetry.snapshot();
         assert_eq!(s[Metric::Completed], 1);
         assert_eq!(s[Metric::Eliminations], 1);
@@ -1357,10 +1375,11 @@ mod tests {
         let (races, pool) = shell();
         // widx 0 is "trivial": both alternatives succeed instantly, so
         // the local redo of alt 1 must win the race.
-        let id = races.create(spec(0, 7), vec![(1, "stalled:1".into())], vec![]);
+        let remotes = vec![(1, "stalled:1".into())];
+        let id = races.create(spec(0, 7), flight(0, 7), remotes, vec![]);
         races.step(id, Event::LocalDone(guards_failed()));
         assert_eq!(
-            races.table().len(),
+            races.lock().table.len(),
             1,
             "only the shipped leg can still answer"
         );
@@ -1368,10 +1387,14 @@ mod tests {
         races.drive(|table, now| table.expire(now + Duration::from_millis(50)));
         assert_eq!(races.telemetry.snapshot()[Metric::RemoteRedispatched], 1);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while races.table().len() > 0 && Instant::now() < deadline {
+        while races.lock().table.len() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(races.table().len(), 0, "the local redo answers the race");
+        assert_eq!(
+            races.lock().table.len(),
+            0,
+            "the local redo answers the race"
+        );
         let s = races.telemetry.snapshot();
         assert_eq!(s[Metric::Completed], 1);
         assert_eq!(s[Metric::RemoteWins], 0, "a local redo is not a remote win");
@@ -1643,12 +1666,8 @@ mod tests {
                 Action::Cancel(_) => self.cancelled = true,
                 Action::Count(Metric::CommitsDegraded) => self.degraded += 1,
                 Action::Count(_) => {}
-                Action::Post {
-                    shard,
-                    group,
-                    response,
-                } => {
-                    assert_eq!((shard, group), (3, 7));
+                Action::Post { race_id, response } => {
+                    assert_eq!(race_id, self.id);
                     // A race that fails on its own has nothing left to
                     // cancel; every other decision leaves losers running.
                     let losers = by_clock || matches!(response, Response::Ok { .. });
@@ -1796,8 +1815,6 @@ mod tests {
             let now = Instant::now();
             let mut table = RaceTable::new(ORIGIN.to_owned());
             let spec = RaceSpec {
-                shard: 3,
-                group: 7,
                 widx,
                 arg: 0,
                 deadline_ms,

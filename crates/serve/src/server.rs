@@ -3,20 +3,21 @@
 //!
 //! Flow of one request: the reactor (one thread, `poll(2)` over every
 //! socket — see [`crate::reactor`]) feeds inbound bytes through an
-//! incremental frame decoder and tries to enqueue each decoded `RUN` on
-//! the [`WorkerPool`]. If the bounded queue refuses, the request is
+//! incremental frame decoder, wraps each decoded `RUN` with the reply
+//! slot it owes into a race in flight, and tries to enqueue it on the
+//! [`WorkerPool`]. If the bounded queue refuses, the request is
 //! shed with an immediate `Overloaded` reply — admission control at the
 //! door, not timeouts deep in the building. If admitted, a worker races
 //! the workload's alternatives on a [`ThreadedEngine`] under a
 //! [`CancelToken`] carrying the request's deadline — the serving
 //! analogue of the paper's `alt_wait(timeout)` — and that same worker
-//! writes the reply: it encodes it into the shard's reply ring, locks
-//! the connection's write half and flushes to the socket, rousing the
-//! reactor only for what the socket would not take. Replies are
-//! released per connection in request order under that lock, so
-//! pipelined requests on one socket come back in the order they were
-//! sent even when a later race finishes first, whichever threads
-//! deliver them.
+//! writes the reply through the slots the race carried with it: it
+//! encodes it into the shard's reply ring, locks the connection's write
+//! half and flushes to the socket, rousing the reactor only for what
+//! the socket would not take. Replies are released per connection in
+//! request order under that lock, so pipelined requests on one socket
+//! come back in the order they were sent even when a later race
+//! finishes first, whichever threads deliver them.
 //!
 //! A short race never leaves the reactor. Once a workload whose bodies
 //! never block has
@@ -35,9 +36,8 @@
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread. The daemon runs
-//! O(workers + shards) OS threads (one reactor per shard, the pool, the
-//! always-on `altxd-peernet` thread, and the acceptor when the
-//! reuseport bind falls back) regardless of how many clients
+//! O(workers + shards) OS threads (one reactor per shard, the pool and
+//! the always-on `altxd-peernet` thread) regardless of how many clients
 //! are connected, plus at most one racer per sibling alternative
 //! running at that moment: a worker runs its race's favourite itself
 //! and the engine's process-wide race crew runs the siblings on parked
@@ -56,10 +56,10 @@
 //! daemon's; idle ones are gone half a second later).
 
 use crate::frame::{Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};
-use crate::peer::{PeerConfig, PeerHandle, PeerNet, PeerPlane, PeerStatsTable};
+use crate::peer::{PeerConfig, PeerHandle, PeerNet, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING, DEFAULT_SPIN};
-use crate::reactor::{bind_reuseport, run_acceptor, wake_pair, DaemonCtl, Reactor};
+use crate::reactor::{bind_reuseport, DaemonCtl, Reactor};
 use crate::remote::{InflightRemote, RemoteRaces};
 use crate::sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
 use crate::telemetry::{Metric, Telemetry};
@@ -69,6 +69,7 @@ use altx::{BlockResult, CancelToken};
 use altx_pager::{AddressSpace, PageSize};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,8 +91,7 @@ pub struct ServerConfig {
     /// Reactor shards. `1` (the default) runs the classic single
     /// reactor that owns the listener itself; `N > 1` runs N
     /// independent event loops, each accepting on its own
-    /// `SO_REUSEPORT` listener (falling back to an acceptor thread
-    /// dealing sockets round-robin where the option is unavailable).
+    /// `SO_REUSEPORT` listener; [`start`] fails where that bind does.
     pub shards: usize,
     /// Reply-ring slots per shard (at least 1). Each shard
     /// pre-allocates this many fixed buffers that winning replies
@@ -171,10 +171,32 @@ pub fn available_workers() -> usize {
 /// [`ServerHandle::shutdown`] or send the `SHUTDOWN` opcode.
 pub struct ServerHandle {
     addr: SocketAddr,
-    ctl: Arc<DaemonCtl>,
-    /// The acceptor (when sharded) followed by every shard thread.
+    daemon: Arc<Daemon>,
+    /// The peer thread followed by every shard thread.
     threads: Vec<JoinHandle<()>>,
-    telemetry: Arc<Telemetry>,
+}
+
+/// Everything daemon-wide, behind the one `Arc` every reactor shard and
+/// every queued race holds: the worker pool, the counters, the race
+/// scheduler, the admission gate, the lane map, the control plane, and
+/// the peer plane (origin-side race registry — and through it the
+/// outbound send handle, the commit ledger and this node's advertised
+/// identity —, executor-side in-flight table, placement policy).
+pub(crate) struct Daemon {
+    pub(crate) pool: Arc<WorkerPool>,
+    pub(crate) telemetry: Arc<Telemetry>,
+    pub(crate) sched: Arc<HedgePolicy>,
+    /// Feasibility gate consulted before a deadlined request spends a
+    /// queue slot; disabled gates admit everything.
+    pub(crate) admission: Admission,
+    /// Workload → priority-lane mapping for run-queue submissions.
+    pub(crate) lanes: Lanes,
+    pub(crate) ctl: Arc<DaemonCtl>,
+    pub(crate) races: Arc<RemoteRaces>,
+    /// Executor-side in-flight remote alternatives (for `ELIMINATE`).
+    pub(crate) inflight: InflightRemote,
+    /// Local-vs-remote placement policy.
+    pub(crate) placement: Placement,
 }
 
 impl ServerHandle {
@@ -185,13 +207,13 @@ impl ServerHandle {
 
     /// Shared telemetry, live while the daemon runs.
     pub fn telemetry(&self) -> Arc<Telemetry> {
-        Arc::clone(&self.telemetry)
+        Arc::clone(&self.daemon.telemetry)
     }
 
     /// Requests shutdown and blocks until the daemon has drained every
     /// in-flight race and joined every thread.
     pub fn shutdown(mut self) {
-        self.ctl.request_shutdown();
+        self.daemon.ctl.request_shutdown();
         for h in self.threads.drain(..) {
             h.join().expect("front-end thread exits cleanly");
         }
@@ -214,32 +236,21 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     // Front-door topology. Single shard: one classic listener, owned
     // by the lone reactor. Sharded: one SO_REUSEPORT listener *per
     // shard*, so every accept lands on the thread that will serve the
-    // connection and the kernel's hash does the balancing. Where the
-    // platform can't do that (or the bind fails), fall back to one
-    // listener plus the acceptor thread dealing round-robin.
-    let mut own_listeners: Vec<Option<TcpListener>>;
-    let mut acceptor_listener = None;
-    let addr;
-    if n_shards == 1 {
+    // connection and the kernel's hash does the balancing — or no
+    // daemon: there is no second topology to fall back to.
+    let listeners = if n_shards == 1 {
         let listener = TcpListener::bind(&addrs[..])?;
         listener.set_nonblocking(true)?;
-        addr = listener.local_addr()?;
-        own_listeners = vec![Some(listener)];
+        vec![listener]
     } else {
-        match bind_shard_listeners(&addrs, n_shards) {
-            Ok(listeners) => {
-                addr = listeners[0].local_addr()?;
-                own_listeners = listeners.into_iter().map(Some).collect();
-            }
-            Err(_) => {
-                let listener = TcpListener::bind(&addrs[..])?;
-                listener.set_nonblocking(true)?;
-                addr = listener.local_addr()?;
-                own_listeners = (0..n_shards).map(|_| None).collect();
-                acceptor_listener = Some(listener);
-            }
-        }
-    }
+        bind_shard_listeners(&addrs, n_shards).map_err(|e| {
+            let why = format!(
+                "--shards {n_shards}: cannot bind one SO_REUSEPORT listener per shard: {e}"
+            );
+            io::Error::new(e.kind(), why)
+        })?
+    };
+    let addr = listeners[0].local_addr()?;
 
     let telemetry = Arc::new(Telemetry::new());
 
@@ -289,11 +300,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     telemetry.attach_lane_names(config.lanes.names().to_vec());
     let sched = Arc::new(HedgePolicy::new(config.hedge));
     telemetry.attach_catalog(Arc::clone(sched.catalog()));
-    let admission = Arc::new(Admission::new(
-        config.admission,
-        Arc::clone(sched.catalog()),
-    ));
-    let lanes = Arc::new(config.lanes.clone());
+    let admission = Admission::new(config.admission, Arc::clone(sched.catalog()));
 
     // The peer plane exists even with no peers configured: this node
     // may still be asked to *execute* shipped alternatives, and the
@@ -314,7 +321,6 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         Arc::clone(&sched),
         Arc::clone(&pool),
         peer_handle,
-        Arc::clone(&ctl),
         advertise,
     ));
     let peernet = PeerNet::new(
@@ -323,59 +329,41 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         Arc::clone(&ctl),
         &config.peer,
     );
-    let plane = Arc::new(PeerPlane {
-        races: Arc::clone(&races),
+    let daemon = Arc::new(Daemon {
+        pool,
+        telemetry,
+        sched,
+        admission,
+        lanes: config.lanes.clone(),
+        ctl,
+        races,
         inflight: InflightRemote::default(),
         placement: Placement::new(config.peer.explore_every),
     });
 
-    // Each reactor takes its own listener (single-shard or reuseport)
-    // and accepts directly; in the acceptor fallback they get `None`
-    // and adopt from their inboxes instead.
-    let mut reactors = Vec::with_capacity(n_shards);
+    // Each reactor takes its own listener (the lone one, or its
+    // reuseport sibling) and accepts directly.
     let mut shareds = Vec::with_capacity(n_shards);
     let mut shard_stats = Vec::with_capacity(n_shards);
-    for (i, own_listener) in own_listeners.iter_mut().enumerate() {
-        let (reactor, shared, stats) = Reactor::new(
-            own_listener.take(),
-            Arc::clone(&pool),
-            Arc::clone(&telemetry),
-            Arc::clone(&sched),
-            config.batch_window,
-            Arc::clone(&ctl),
-            i,
-            Arc::clone(&plane),
-            config.ring_slots,
-            config.ring_slot_bytes,
-            Arc::clone(&admission),
-            Arc::clone(&lanes),
-            placement.as_ref().and_then(|p| p.shards.get(i).cloned()),
-        )?;
+    let mut reactors = Vec::with_capacity(n_shards);
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let pin_cpus = placement.as_ref().and_then(|p| p.shards.get(i).cloned());
+        let (reactor, shared, stats) =
+            Reactor::new(listener, Arc::clone(&daemon), i, &config, pin_cpus)?;
         reactors.push(reactor);
         shareds.push(shared);
         shard_stats.push(stats);
     }
-    ctl.wire_shards(shareds.clone());
-    telemetry.attach_shards(shard_stats);
+    daemon.ctl.wire_shards(shareds);
+    daemon.telemetry.attach_shards(shard_stats);
 
-    let mut threads = Vec::with_capacity(n_shards + 2);
+    let mut threads = Vec::with_capacity(n_shards + 1);
     threads.push(
         std::thread::Builder::new()
             .name("altxd-peernet".to_owned())
             .spawn(move || peernet.run())
             .expect("spawn peer thread"),
     );
-    if let Some(listener) = acceptor_listener {
-        let (wake_tx, wake_rx) = wake_pair()?;
-        ctl.wire_acceptor(wake_tx);
-        let acceptor_ctl = Arc::clone(&ctl);
-        threads.push(
-            std::thread::Builder::new()
-                .name("altxd-acceptor".to_owned())
-                .spawn(move || run_acceptor(listener, wake_rx, acceptor_ctl, shareds))
-                .expect("spawn acceptor"),
-        );
-    }
     for (i, reactor) in reactors.into_iter().enumerate() {
         threads.push(
             std::thread::Builder::new()
@@ -387,9 +375,8 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
 
     Ok(ServerHandle {
         addr,
-        ctl,
+        daemon,
         threads,
-        telemetry,
     })
 }
 
@@ -573,7 +560,7 @@ pub(crate) fn run_subrace(
 /// alone — every sibling is a stub — under a token the origin's
 /// `ELIMINATE` can cancel. Returns `(status, value, latency_us)` for
 /// the `ALT_RESULT` frame.
-pub(crate) fn run_remote_alt(
+fn run_remote_alt(
     telemetry: &Telemetry,
     widx: usize,
     alt_idx: u32,
@@ -596,4 +583,34 @@ pub(crate) fn run_remote_alt(
         _ if token.deadline_expired() => (ALT_DEADLINE, 0, latency_us),
         _ => (ALT_FAILED, 0, latency_us),
     }
+}
+
+/// What one alternative run alone reports: `(status, value, µs)`.
+pub(crate) type AltOutcome = (u8, u64, u64);
+
+/// The pool job "run alternative `alt_idx` of workload `widx` alone,
+/// then `report` how it went" — an executor's `EXEC_ALT`, and the
+/// origin's local redo of a leg that blew its deadline. Returns the
+/// `work` / `done` pair for `WorkerPool::try_submit_work_at`: the
+/// alternative runs under `token` with a panic contained, and `report`
+/// runs exactly once for an admitted job — with `ALT_FAILED` when the
+/// body panicked or the pool dropped the job unrun, so whoever waits on
+/// the alternative hears a failed guard rather than nothing.
+pub(crate) fn alt_job(
+    telemetry: Arc<Telemetry>,
+    widx: usize,
+    alt_idx: u32,
+    arg: u64,
+    token: CancelToken,
+    report: impl FnOnce(AltOutcome) + Send + 'static,
+) -> (
+    impl FnOnce() -> AltOutcome + Send + 'static,
+    impl FnOnce(Option<AltOutcome>) + Send + 'static,
+) {
+    const LOST: AltOutcome = (ALT_FAILED, 0, 0);
+    let work = move || {
+        let run = || run_remote_alt(&telemetry, widx, alt_idx, arg, &token);
+        catch_unwind(AssertUnwindSafe(run)).unwrap_or(LOST)
+    };
+    (work, move |outcome| report(outcome.unwrap_or(LOST)))
 }

@@ -104,9 +104,9 @@ fn chaos_soak_every_request_is_answered() {
         // Wide enough that the clients' identical request streams
         // actually coalesce; the soak asserts they did.
         batch_window: Duration::from_millis(2),
-        // Chaos with per-shard reactors in play (reuseport listeners,
-        // or the fallback acceptor): faults, drains, and reply routing
-        // must hold across shard boundaries.
+        // Chaos with per-shard reactors in play (reuseport listeners):
+        // faults, drains, and reply delivery must hold across shard
+        // boundaries.
         shards: 4,
         // Explicit ring sizing: the soak must exercise the zero-copy
         // reply path, and the assertion below proves replies actually

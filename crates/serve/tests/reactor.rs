@@ -12,7 +12,7 @@
 use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response};
 use altx_serve::sched::{ADMISSION_MIN_SAMPLES, SHARD_MAX_SERVICE_US};
 use altx_serve::telemetry::{scrape, Metric};
-use altx_serve::{start, workload, Client, ServerConfig, Telemetry};
+use altx_serve::{start, workload, Client, PeerConfig, ServerConfig, Telemetry};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
@@ -585,10 +585,11 @@ fn shutdown_answers_every_pipelined_request_then_closes() {
     );
 }
 
-/// A submission the pool refuses leaves nothing behind: its reply group
-/// is taken back (the waiters are shed, once each), so when the shed
-/// clients hang up, their sockets close — a group left in the table
-/// would hold every write half it names, and with it the fd, forever.
+/// A submission the pool refuses leaves nothing behind: the completion
+/// that carried the race's reply slots is dropped and the waiters are
+/// shed, once each, from the reactor's copy, so when the shed clients
+/// hang up, their sockets close — a slot kept anywhere would hold the
+/// write half it names, and with it the fd, forever.
 #[test]
 fn refused_submissions_hold_no_connection() {
     let _guard = serial();
@@ -621,6 +622,117 @@ fn refused_submissions_hold_no_connection() {
         t.snapshot()[Metric::ConnsOpen] == 0 && (baseline == 0 || fd_count() == baseline)
     });
     server.shutdown();
+}
+
+/// A one-worker daemon with a 5 ms batch window whose worker is inside
+/// `sleep 400` and whose depth-1 queue holds `sleep 401`: the next
+/// submission is refused. Returns the connection owed the two sleepers'
+/// replies.
+fn saturated(config: ServerConfig) -> (altx_serve::ServerHandle, TcpStream) {
+    let peers = config.peer.peers.len() as u64;
+    let server = start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        queue_depth: 1,
+        batch_window: Duration::from_millis(5),
+        ..config
+    })
+    .expect("bind ephemeral port");
+    let telemetry = server.telemetry();
+    await_snapshot(&telemetry, "every configured peer to be up", |t| {
+        t.snapshot()[Metric::PeersUp] == peers
+    });
+    let mut sleepers = raw_conn(&server);
+    pipeline(&mut sleepers, [run_req("sleep", 400, 0)]);
+    await_snapshot(&telemetry, "the worker to take the first sleeper", |t| {
+        let snap = t.snapshot();
+        snap[Metric::Accepted] == 1 && snap.lane_depths.iter().sum::<u64>() == 0
+    });
+    pipeline(&mut sleepers, [run_req("sleep", 401, 0)]);
+    await_snapshot(&telemetry, "the second sleeper to be queued", |t| {
+        t.snapshot()[Metric::Accepted] == 2
+    });
+    (server, sleepers)
+}
+
+/// Eight identical requests pipelined at a saturated daemon coalesce
+/// into one race the pool refuses: each of the eight waiters is shed
+/// exactly once with `Overloaded`, nothing is accepted, and the races
+/// already admitted are still answered. Returns the daemon for the
+/// caller's own look.
+fn refused_batch_sheds_every_waiter_once(
+    config: ServerConfig,
+    workload: &str,
+) -> (altx_serve::ServerHandle, TcpStream) {
+    const BURST: u64 = 8;
+    let (server, mut sleepers) = saturated(config);
+    let telemetry = server.telemetry();
+    let mut stream = raw_conn(&server);
+    pipeline(&mut stream, (0..BURST).map(|_| run_req(workload, 77, 0)));
+    for n in 0..BURST {
+        let reply = next_reply(&mut stream);
+        assert!(
+            matches!(reply, Response::Overloaded),
+            "reply {n}: {reply:?}"
+        );
+    }
+    assert_no_stray_frame(&mut stream);
+    let snap = telemetry.snapshot();
+    assert_eq!(snap[Metric::Shed], BURST, "one shed per waiter");
+    assert!(snap[Metric::RequestsCoalesced] > 0, "the burst coalesced");
+    assert_eq!(snap[Metric::Accepted], 2, "only the two sleepers");
+    for expect in [400, 401] {
+        match next_reply(&mut sleepers) {
+            Response::Ok { value, .. } => assert_eq!(value, expect),
+            other => panic!("expected Ok({expect}), got {other:?}"),
+        }
+    }
+    (server, stream)
+}
+
+/// A full run queue sheds a coalesced batch: the pool refuses the one
+/// race, the completion holding the batch's reply slots is dropped
+/// unrun, and the reactor sheds every waiter from its own copy.
+#[test]
+fn a_full_run_queue_sheds_every_waiter_of_a_coalesced_batch_once() {
+    let _guard = serial();
+    let (server, _stream) = refused_batch_sheds_every_waiter_once(ServerConfig::default(), "sleep");
+    server.shutdown();
+}
+
+/// The same refusal on the distributed path: with a peer up and
+/// `explore_every = 1` every `lognormal` race ships an alternative, so
+/// the batch's reply slots are handed to the remote-race registry before
+/// the local subrace is submitted; the pool refuses it, the registry
+/// hands the slots back, and every waiter is shed once — nothing was
+/// dispatched. Once the worker is free the same request does ship.
+#[test]
+fn an_aborted_distributed_submission_sheds_every_waiter_once() {
+    let _guard = serial();
+    let executor = local_server(2, 16);
+    let config = ServerConfig {
+        peer: PeerConfig {
+            peers: vec![executor.local_addr().to_string()],
+            explore_every: 1,
+            ..PeerConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let (server, mut stream) = refused_batch_sheds_every_waiter_once(config, "lognormal");
+    let telemetry = server.telemetry();
+    assert_eq!(telemetry.snapshot()[Metric::RemoteDispatched], 0);
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    pipeline(&mut stream, [run_req("lognormal", 77, 0)]);
+    assert!(matches!(next_reply(&mut stream), Response::Ok { .. }));
+    assert!(
+        telemetry.snapshot()[Metric::RemoteDispatched] >= 1,
+        "a lognormal race at this daemon takes the distributed path"
+    );
+    server.shutdown();
+    executor.shutdown();
 }
 
 /// Pins `trivial`'s service times short, so its next race runs on the

@@ -1,7 +1,6 @@
 //! Sharded front-end tests: connection distribution across the
-//! per-shard `SO_REUSEPORT` listeners (kernel-hashed, with the
-//! round-robin acceptor as fallback), per-connection pipeline order
-//! under sharding, cross-shard shutdown drain, and the per-shard
+//! per-shard `SO_REUSEPORT` listeners (kernel-hashed), per-connection
+//! pipeline order under sharding, cross-shard shutdown drain, and the per-shard
 //! telemetry surfacing.
 //!
 //! These run a real daemon in-process and some assert on process-wide
@@ -58,8 +57,7 @@ fn await_conns_open(telemetry: &altx_serve::telemetry::Telemetry, want: u64) {
 /// Connections spread across every shard. With per-shard `SO_REUSEPORT`
 /// listeners the kernel hashes each new 4-tuple to a listener, so the
 /// split is statistical, not exact — 64 connections against 4 shards
-/// leave each shard non-empty with overwhelming probability (and the
-/// round-robin acceptor fallback trivially satisfies the same bound).
+/// leave each shard non-empty with overwhelming probability.
 /// The per-shard gauges must still sum to the global gauge existing
 /// STATS consumers scrape.
 #[test]
@@ -136,9 +134,8 @@ fn pipeline_order_preserved_per_connection_under_sharding() {
 }
 
 /// The SHUTDOWN opcode lands on *one* shard but must drain the whole
-/// daemon: every other shard (and the acceptor, when the fallback is
-/// in play) exits, in-flight races on other shards still flush their
-/// replies, and `wait()` returns.
+/// daemon: every other shard exits, in-flight races on other shards
+/// still flush their replies, and `wait()` returns.
 #[test]
 fn shutdown_opcode_drains_every_shard() {
     let _guard = serial();
@@ -167,7 +164,7 @@ fn shutdown_opcode_drains_every_shard() {
         Response::Ok { value, .. } => assert_eq!(value, 150),
         other => panic!("expected the parked race's Ok, got {other:?}"),
     }
-    // All four shard threads and the acceptor join.
+    // All four shard threads join.
     server.wait();
 }
 
