@@ -43,8 +43,10 @@
 //! between accept and service.
 
 // `deny` rather than `forbid`: the crate's two `#[allow(unsafe_code)]`
-// corners are the reactor's `sys` module (the `poll(2)` binding) and
-// `pin::sys` (the `sched_{set,get}affinity(2)` binding).
+// corners are the reactor's `sys` module (the `ppoll(2)` binding, the
+// `SO_REUSEPORT` bind, and `prctl(PR_{SET,GET}_TIMERSLACK)`) and
+// `pin::sys` (the `sched_{set,get}affinity(2)` binding). `scripts/ci.sh`
+// fails if the keyword appears in a third file — this one included.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -72,6 +74,8 @@ pub use client::Client;
 pub use commit::{CommitLedger, TallyState, VoteTally};
 pub use frame::{Request, Response, MAX_FRAME};
 pub use peer::PeerConfig;
+#[doc(hidden)]
+pub use reactor::timer_slack_ns;
 pub use sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use telemetry::Telemetry;

@@ -78,7 +78,10 @@
 
 use crate::frame::{FrameDecoder, Request, Response};
 use crate::link::{Action, Event, LinkTable, Stat};
-use crate::reactor::{poll_fds, wake_pair, DaemonCtl, PollFd, WakeRx, WakeTx, POLLIN, POLLOUT};
+use crate::reactor::{
+    poll_fds, poll_timeout, tighten_timer_slack, wake_pair, DaemonCtl, PollFd, WakeRx, WakeTx,
+    POLLIN, POLLOUT,
+};
 use crate::remote::{RaceTable, RemoteRaces};
 use altx::faults::{self, NetFault};
 use std::collections::HashMap;
@@ -132,7 +135,7 @@ const LEDGER_TTL: Duration = Duration::from_secs(300);
 /// How often the ledger sweep runs.
 const SWEEP_EVERY: Duration = Duration::from_secs(5);
 /// Idle poll backstop for the peer thread.
-const PEER_BACKSTOP_MS: i32 = 250;
+const PEER_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// A configured peer's health state. TCP liveness (`up`) and health
 /// are orthogonal: a one-way partition leaves the socket connected
@@ -570,6 +573,9 @@ impl PeerNet {
     /// The peer event loop. Exits when the daemon drains, after
     /// flushing every open distributed race so no client is stranded.
     pub(crate) fn run(mut self) {
+        // Race expiries, leg deadlines, heartbeats and redials are all
+        // poll timeouts of this thread.
+        tighten_timer_slack();
         loop {
             if self.ctl.draining() {
                 self.races.drive(RaceTable::flush);
@@ -583,7 +589,7 @@ impl PeerNet {
             self.sweep(Instant::now());
 
             let (mut fds, addrs) = self.poll_set();
-            if poll_fds(&mut fds, self.poll_timeout_ms()).is_err() {
+            if poll_fds(&mut fds, self.poll_timeout()).is_err() {
                 continue;
             }
             if fds[0].revents != 0 {
@@ -734,16 +740,16 @@ impl PeerNet {
     }
 
     /// Sleep no longer than the link core's next deadline or the next
-    /// race expiry.
-    fn poll_timeout_ms(&self) -> i32 {
+    /// race expiry. Both are consumed by the top of the loop once they
+    /// are due (`Tick`, `sweep`), so a zero timeout is one more turn,
+    /// not a spin.
+    fn poll_timeout(&self) -> Duration {
         let next_expiry = self.races.lock().table.next_expiry();
-        let deadlines = [self.table.next_deadline(), next_expiry];
-        match deadlines.into_iter().flatten().min() {
-            None => PEER_BACKSTOP_MS,
-            Some(d) => (d.saturating_duration_since(Instant::now()).as_millis() as i32)
-                .saturating_add(1)
-                .clamp(1, PEER_BACKSTOP_MS),
-        }
+        let next = [self.table.next_deadline(), next_expiry]
+            .into_iter()
+            .flatten()
+            .min();
+        poll_timeout(next, PEER_BACKSTOP, Instant::now())
     }
 }
 

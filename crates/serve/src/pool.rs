@@ -694,6 +694,9 @@ fn spawn_worker(shared: &Arc<Shared>, group: usize, index: usize) -> JoinHandle<
     std::thread::Builder::new()
         .name(format!("altxd-worker-g{group}-{index}"))
         .spawn(move || {
+            // Jobs wait on clocks (bodies, deadlines, hedge releases),
+            // and so do the racers this thread will spawn.
+            crate::reactor::tighten_timer_slack();
             // Pin before consuming anything, so that the jobs this worker
             // runs (and the memory they first-touch) land on the group's
             // cores from the first pop. A refusal logs and runs unpinned.

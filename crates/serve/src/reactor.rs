@@ -27,10 +27,18 @@
 //!
 //! The moving parts:
 //!
-//! * **sys**: a minimal FFI binding to the C library's `poll(2)` plus
-//!   the socket calls needed for an `SO_REUSEPORT` bind — std already
-//!   links libc, so this adds no dependency; it is the only unsafe
+//! * **sys**: a minimal FFI binding to the C library's `ppoll(2)`, the
+//!   socket calls needed for an `SO_REUSEPORT` bind, and the `prctl(2)`
+//!   that drops a daemon thread's timer slack — std already links libc,
+//!   so this adds no dependency; with `pin::sys` it is the only unsafe
 //!   code in the crate and is confined to this module.
+//! * **Clocks**: every thread the daemon starts — this one, the pool's
+//!   workers, the peer thread — sets its own timer slack to 1 ns before
+//!   anything else ([`tighten_timer_slack`]), and the poll timeout is a
+//!   `Duration` handed to `ppoll` ([`poll_timeout`]), so a wait on a
+//!   clock — a batch window here, a body's sleep or a deadline on a
+//!   worker or a racer it spawned — ends when it says rather than the
+//!   kernel's default 50 µs, or `poll(2)`'s next millisecond, later.
 //! * **A race carries its reply slots** ([`Flight`]): a race in flight
 //!   is one value — its key, the reply slots it owes (one per direct
 //!   request, many per coalesced batch) and its shard's delivery handle
@@ -110,21 +118,27 @@ use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-pub(crate) use sys::{bind_reuseport, poll_fds, PollFd, POLLIN, POLLOUT};
+pub use sys::timer_slack_ns;
+pub(crate) use sys::{
+    bind_reuseport, poll_fds, poll_timeout, tighten_timer_slack, PollFd, POLLIN, POLLOUT,
+};
 use sys::{POLLERR, POLLHUP, POLLNVAL};
 
-/// The one unsafe corner: calling the C library's `poll(2)` and the
+/// This file's unsafe corner: calling the C library's `ppoll(2)`, the
 /// handful of socket calls needed for an `SO_REUSEPORT` bind (std's
-/// `TcpListener` cannot set the option before binding). std links libc
-/// on every supported platform, so the extern declarations name
-/// symbols that are already in the process — no new dependency, no raw
-/// syscall numbers.
+/// `TcpListener` cannot set the option before binding) and the
+/// `prctl(2)` pair that sets and reads a thread's timer slack. std
+/// links libc on every supported platform, so the extern declarations
+/// name symbols that are already in the process — no new dependency, no
+/// raw syscall numbers.
 #[allow(unsafe_code)]
 mod sys {
+    use std::ffi::{c_int, c_ulong};
     use std::io;
     use std::os::fd::RawFd;
+    use std::time::{Duration, Instant};
 
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
@@ -151,18 +165,11 @@ mod sys {
         }
     }
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32;
-    }
-
-    /// Blocks until an fd is ready or `timeout_ms` elapses, retrying
+    /// Blocks until an fd is ready or `timeout` elapses, retrying
     /// EINTR. Returns how many entries have non-zero `revents`.
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
+    pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         loop {
-            // SAFETY: `fds` is a valid, exclusively borrowed slice of
-            // repr(C) pollfd records for the duration of the call, and
-            // its length is passed as nfds.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
+            let rc = wait(fds, timeout);
             if rc >= 0 {
                 return Ok(rc as usize);
             }
@@ -171,6 +178,122 @@ mod sys {
                 return Err(err);
             }
         }
+    }
+
+    /// One `ppoll(2)`: `poll(2)` with a `timespec` for a timeout, so a
+    /// 200 µs batch window is a 200 µs wait and not the next whole
+    /// millisecond.
+    #[cfg(target_os = "linux")]
+    fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
+        use std::ffi::{c_long, c_void};
+
+        /// `struct timespec` as the symbol `ppoll` takes it: `time_t`
+        /// and `long` are both the C `long` there.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+
+        extern "C" {
+            fn ppoll(
+                fds: *mut PollFd,
+                nfds: c_ulong,
+                timeout: *const Timespec,
+                sigmask: *const c_void,
+            ) -> c_int;
+        }
+
+        let timeout = Timespec {
+            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        };
+        // SAFETY: `fds` is a valid, exclusively borrowed slice of
+        // repr(C) pollfd records for the duration of the call, and its
+        // length is passed as nfds; `timeout` is a live repr(C) local
+        // the call only reads; a null sigmask leaves the signal mask
+        // alone.
+        unsafe {
+            ppoll(
+                fds.as_mut_ptr(),
+                fds.len() as c_ulong,
+                &timeout,
+                std::ptr::null(),
+            )
+        }
+    }
+
+    /// Off Linux: one `poll(2)`, the timeout rounded *up* to its
+    /// millisecond so a wait never ends before it was due.
+    #[cfg(not(target_os = "linux"))]
+    fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        }
+
+        let timeout_ms =
+            c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+        // SAFETY: `fds` is a valid, exclusively borrowed slice of
+        // repr(C) pollfd records for the duration of the call, and its
+        // length is passed as nfds.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) }
+    }
+
+    /// How long a poll loop may sleep: until `next`, the earliest
+    /// instant its owner has something to do on a clock, and never past
+    /// `backstop`. Nothing due means the backstop; something already due
+    /// means not at all.
+    pub fn poll_timeout(next: Option<Instant>, backstop: Duration, now: Instant) -> Duration {
+        next.map_or(backstop, |due| {
+            due.saturating_duration_since(now).min(backstop)
+        })
+    }
+
+    #[cfg(target_os = "linux")]
+    mod slack {
+        use std::ffi::{c_int, c_ulong};
+
+        const PR_SET_TIMERSLACK: c_int = 29;
+        const PR_GET_TIMERSLACK: c_int = 30;
+        const ONE_NS: c_ulong = 1;
+
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
+        }
+
+        /// Sets the *calling thread's* timer slack to 1 ns, the least
+        /// the kernel takes. Every timed wait of the thread — futex,
+        /// `ppoll`, `nanosleep` — then ends when its clock says, not up
+        /// to the default 50 µs later, and threads it spawns from here
+        /// on inherit the setting. Advisory, like a refused affinity
+        /// call: a kernel that says no leaves the thread as it was.
+        pub fn tighten_timer_slack() {
+            // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and
+            // touches only the calling thread's own scheduling state.
+            let _ = unsafe { prctl(PR_SET_TIMERSLACK, ONE_NS) };
+        }
+
+        /// The calling thread's timer slack in nanoseconds (`None` if
+        /// the kernel will not say).
+        pub fn timer_slack_ns() -> Option<u64> {
+            // SAFETY: PR_GET_TIMERSLACK takes no further argument and
+            // returns the calling thread's value as the result.
+            let rc = unsafe { prctl(PR_GET_TIMERSLACK) };
+            u64::try_from(rc).ok()
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    pub use slack::{tighten_timer_slack, timer_slack_ns};
+
+    /// Non-Linux: there is no slack to drop and none to read.
+    #[cfg(not(target_os = "linux"))]
+    pub fn tighten_timer_slack() {}
+
+    /// Non-Linux: there is no slack to drop and none to read.
+    #[cfg(not(target_os = "linux"))]
+    pub fn timer_slack_ns() -> Option<u64> {
+        None
     }
 
     #[cfg(target_os = "linux")]
@@ -487,7 +610,7 @@ pub(crate) fn wake_pair() -> io::Result<(WakeTx, WakeRx)> {
 /// How long `poll` may sleep with nothing to do. Wakeups (leftover
 /// output, shutdown requests) interrupt it; the timeout is only a
 /// backstop.
-const POLL_BACKSTOP_MS: i32 = 250;
+const POLL_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// One event-loop shard: owns its listener (its own `SO_REUSEPORT`
 /// bind when sharded, the lone listener in single-shard mode), its
@@ -550,6 +673,9 @@ impl Reactor {
     /// Runs until shutdown is requested *and* every connection has
     /// drained; the last shard out closes the queue and joins the pool.
     pub(crate) fn run(mut self) {
+        // A batch window is a wait on a clock, and so are the hedge
+        // releases of a race run here and on the racers it spawns.
+        tighten_timer_slack();
         // Placement first, memory second: pin this thread to the
         // shard's core set, *then* touch the ring slots and warm the
         // buffer pool from it. First-touch allocation makes those pages
@@ -606,7 +732,8 @@ impl Reactor {
                 break;
             }
 
-            match poll_fds(&mut fds, self.poll_timeout_ms()) {
+            let timeout = poll_timeout(self.batcher.next_due(), POLL_BACKSTOP, Instant::now());
+            match poll_fds(&mut fds, timeout) {
                 Ok(_) => {}
                 Err(_) => continue, // EINTR is retried inside; anything else: re-loop
             }
@@ -648,21 +775,6 @@ impl Reactor {
             self.conns.insert(self.next_conn, conn);
             self.next_conn += 1;
             self.stats.on_conn_open();
-        }
-    }
-
-    /// Poll timeout: the backstop, shortened so the reactor wakes in
-    /// time for the earliest open batch window (ceil to a millisecond —
-    /// `poll(2)`'s resolution — so a sub-ms window still expires).
-    fn poll_timeout_ms(&self) -> i32 {
-        match self.batcher.next_due() {
-            None => POLL_BACKSTOP_MS,
-            Some(due) => {
-                let remaining = due.saturating_duration_since(Instant::now());
-                (remaining.as_millis() as i32)
-                    .saturating_add(1)
-                    .min(POLL_BACKSTOP_MS)
-            }
         }
     }
 
@@ -881,7 +993,7 @@ impl Reactor {
             return;
         };
         let daemon = &self.daemon;
-        let token = deadline_token(deadline_ms);
+        let token = deadline_token(Instant::now(), deadline_ms);
         // Registered before submission so an ELIMINATE racing ahead of
         // the worker pickup still lands on the token.
         daemon
@@ -1069,7 +1181,7 @@ impl Reactor {
     fn submit_race_distributed(&self, flight: Flight, assign: Vec<Option<String>>) {
         let daemon = &self.daemon;
         let key = flight.key;
-        let token = deadline_token(key.deadline_ms);
+        let token = deadline_token(Instant::now(), key.deadline_ms);
         let remotes: Vec<(u32, String)> = assign
             .iter()
             .enumerate()
@@ -1186,7 +1298,6 @@ mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
     use altx_check::check;
-    use std::time::Duration;
 
     const SLOTS: usize = 4;
     const PAIRS: usize = 3;
@@ -1212,6 +1323,25 @@ mod tests {
             latency_us: 7,
             value: flight as u64,
         }
+    }
+
+    /// The poll timeout is the time to the next due instant, to the
+    /// nanosecond: no millisecond rounding, never past the backstop,
+    /// never negative.
+    #[test]
+    fn poll_timeout_is_the_time_to_the_next_deadline() {
+        let now = Instant::now();
+        let us = Duration::from_micros;
+        let ahead = poll_timeout(Some(now + us(200)), POLL_BACKSTOP, now);
+        assert_eq!(ahead, us(200), "a 200 µs window is a 200 µs wait");
+        assert_eq!(poll_timeout(None, POLL_BACKSTOP, now), POLL_BACKSTOP);
+        let far = Some(now + 4 * POLL_BACKSTOP);
+        assert_eq!(poll_timeout(far, POLL_BACKSTOP, now), POLL_BACKSTOP);
+        let past = Some(now);
+        assert_eq!(
+            poll_timeout(past, POLL_BACKSTOP, now + us(5)),
+            Duration::ZERO
+        );
     }
 
     fn answer_own(flight: Flight) {
@@ -1385,7 +1515,7 @@ mod tests {
                 }
             }
             let mut fd = [PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
-            let roused = poll_fds(&mut fd, 0).expect("poll") == 1;
+            let roused = poll_fds(&mut fd, Duration::ZERO).expect("poll") == 1;
             assert_eq!(roused, draining, "roused iff the shard drains");
             wake_rx.drain();
 

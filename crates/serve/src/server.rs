@@ -229,7 +229,40 @@ impl ServerHandle {
 }
 
 /// Binds and starts the daemon, returning once it is accepting.
+///
+/// The threads it starts — the peer thread, one reactor per shard, the
+/// pool's workers — each drop their own timer slack to 1 ns first thing
+/// (see [`crate::reactor`], *Clocks*); the calling thread is left as it
+/// was.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
+    let (addr, daemon, peernet, reactors) = assemble(config)?;
+    let mut threads = Vec::with_capacity(reactors.len() + 1);
+    threads.push(
+        std::thread::Builder::new()
+            .name("altxd-peernet".to_owned())
+            .spawn(move || peernet.run())
+            .expect("spawn peer thread"),
+    );
+    for (i, reactor) in reactors.into_iter().enumerate() {
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("altxd-reactor-{i}"))
+                .spawn(move || reactor.run())
+                .expect("spawn reactor"),
+        );
+    }
+    Ok(ServerHandle {
+        addr,
+        daemon,
+        threads,
+    })
+}
+
+/// Everything [`start`] builds before it starts a front-end thread: the
+/// bound address, the daemon-wide state (its pool already running), and
+/// the peer loop and the shard loops, each ready to be `run` on a
+/// thread of its own.
+fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNet, Vec<Reactor>)> {
     let addrs: Vec<SocketAddr> = config.addr.to_socket_addrs()?.collect();
     let n_shards = config.shards.max(1);
 
@@ -357,27 +390,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     daemon.ctl.wire_shards(shareds);
     daemon.telemetry.attach_shards(shard_stats);
 
-    let mut threads = Vec::with_capacity(n_shards + 1);
-    threads.push(
-        std::thread::Builder::new()
-            .name("altxd-peernet".to_owned())
-            .spawn(move || peernet.run())
-            .expect("spawn peer thread"),
-    );
-    for (i, reactor) in reactors.into_iter().enumerate() {
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("altxd-reactor-{i}"))
-                .spawn(move || reactor.run())
-                .expect("spawn reactor"),
-        );
-    }
-
-    Ok(ServerHandle {
-        addr,
-        daemon,
-        threads,
-    })
+    Ok((addr, daemon, peernet, reactors))
 }
 
 /// Binds one `SO_REUSEPORT` listener per shard on the same address.
@@ -405,13 +418,13 @@ fn bind_shard_listeners(addrs: &[SocketAddr], n_shards: usize) -> io::Result<Vec
     Ok(listeners)
 }
 
-/// The cancel token a request's wire deadline implies. `deadline_ms ==
-/// 0` is best-effort end to end: no cancel deadline here, no EDF
-/// deadline in the run queue, and the admission gate waves it through —
-/// the one documented meaning of zero.
-pub(crate) fn deadline_token(deadline_ms: u32) -> CancelToken {
+/// The cancel token a request's wire deadline implies, the budget
+/// counted from `start`. `deadline_ms == 0` is best-effort end to end:
+/// no cancel deadline here, no EDF deadline in the run queue, and the
+/// admission gate waves it through — the one documented meaning of zero.
+pub(crate) fn deadline_token(start: Instant, deadline_ms: u32) -> CancelToken {
     if deadline_ms > 0 {
-        CancelToken::with_deadline(Duration::from_millis(u64::from(deadline_ms)))
+        CancelToken::with_deadline_at(start + Duration::from_millis(u64::from(deadline_ms)))
     } else {
         CancelToken::new()
     }
@@ -428,12 +441,14 @@ fn alternatives(widx: usize) -> usize {
 /// `stubs` marks the alternatives whose bodies are not constructed,
 /// because the scheduler pruned them or another node runs them — race
 /// it on a [`ThreadedEngine`] over a fresh workspace under `plan` and
-/// `token`, time it, and count contained panics. Returns the result and
-/// its latency in µs; `None` means the workload could not be built.
+/// `token`, time it from `start`, and count contained panics. Returns
+/// the result and its latency in µs; `None` means the workload could
+/// not be built.
 fn race(
     telemetry: &Telemetry,
     widx: usize,
     arg: u64,
+    start: Instant,
     token: &CancelToken,
     plan: &LaunchPlan,
     stubs: Option<&[bool]>,
@@ -441,7 +456,6 @@ fn race(
     let spec = workload::CATALOG.get(widx)?;
     let block = workload::build_pruned(spec.name, arg, stubs)?;
     let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
-    let start = Instant::now();
     let result = ThreadedEngine::new().execute_planned(&block, &mut workspace, token, plan);
     let latency_us = start.elapsed().as_micros() as u64;
     telemetry.add(Metric::AltPanics, result.panics as u64);
@@ -488,12 +502,16 @@ pub(crate) fn run_race(
     deadline_ms: u32,
     arg: u64,
 ) -> Response {
-    let token = deadline_token(deadline_ms);
+    // One instant per request: the deadline and the reported latency
+    // are read off the same clock start, so a `DeadlineExceeded` reply
+    // never reports less than the deadline it exceeded.
+    let start = Instant::now();
+    let token = deadline_token(start, deadline_ms);
     // A pruned body is never constructed; if the favourite answers
     // inside its envelope the stub never launches either.
     let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
-    let Some((result, latency_us)) = race(telemetry, widx, arg, &token, &plan, prune.as_deref())
-    else {
+    let stubs = prune.as_deref();
+    let Some((result, latency_us)) = race(telemetry, widx, arg, start, &token, &plan, stubs) else {
         telemetry.on_error();
         return Response::UnknownWorkload;
     };
@@ -546,7 +564,8 @@ pub(crate) fn run_subrace(
     let stubs: Vec<bool> = (0..n)
         .map(|i| set(skip, i) || prune.as_deref().is_some_and(|p| set(p, i)))
         .collect();
-    match race(telemetry, widx, arg, token, &plan, Some(&stubs)) {
+    let start = Instant::now();
+    match race(telemetry, widx, arg, start, token, &plan, Some(&stubs)) {
         Some((result, latency_us)) => {
             count_hedges(telemetry, &plan, &result);
             reply_for(result, latency_us, token)
@@ -574,7 +593,9 @@ fn run_remote_alt(
     }
     let siblings: Vec<bool> = (0..n).map(|i| i != alt).collect();
     let plan = LaunchPlan::immediate(n);
-    let Some((result, latency_us)) = race(telemetry, widx, arg, token, &plan, Some(&siblings))
+    let start = Instant::now();
+    let Some((result, latency_us)) =
+        race(telemetry, widx, arg, start, token, &plan, Some(&siblings))
     else {
         return (ALT_FAILED, 0, 0);
     };
@@ -613,4 +634,42 @@ pub(crate) fn alt_job(
         catch_unwind(AssertUnwindSafe(run)).unwrap_or(LOST)
     };
     (work, move |outcome| report(outcome.unwrap_or(LOST)))
+}
+
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::*;
+    use crate::reactor::timer_slack_ns;
+
+    /// Runs `body` on a thread of its own and reads that thread's timer
+    /// slack before and after.
+    fn slack_around(body: impl FnOnce() + Send + 'static) -> (Option<u64>, Option<u64>) {
+        let probe = move || {
+            let before = timer_slack_ns();
+            body();
+            (before, timer_slack_ns())
+        };
+        std::thread::spawn(probe).join().expect("the loop returns")
+    }
+
+    /// The reactor and the peer thread tighten themselves: whatever
+    /// thread runs a shard or the peer loop has a 1 ns timer slack from
+    /// then on, and the thread that built them does not. (The pool's
+    /// workers and the racers they spawn: `tests/timer_slack.rs`.)
+    #[test]
+    fn a_shard_run_and_the_peer_loop_tighten_the_thread_they_run_on() {
+        let mine = timer_slack_ns();
+        assert!(mine.is_some_and(|ns| ns > 1), "the default, not {mine:?}");
+        let (_, daemon, peernet, mut reactors) =
+            assemble(ServerConfig::default()).expect("assemble");
+        // Draining before the first look: each loop sets itself up,
+        // finds nothing to wait for and returns — the last shard out
+        // joins the pool.
+        daemon.ctl.request_shutdown();
+        assert_eq!(slack_around(move || peernet.run()), (mine, Some(1)));
+        let reactor = reactors.pop().expect("one shard");
+        assert_eq!(slack_around(move || reactor.run()), (mine, Some(1)));
+        assert_eq!(timer_slack_ns(), mine, "the building thread keeps its own");
+    }
 }

@@ -108,10 +108,15 @@ fn deadline_exceeded_is_prompt_and_recoverable() {
                 "deadline reply took {:?}",
                 begin.elapsed()
             );
+            // The deadline and the reported latency run from one
+            // instant (`run_race`), so the reply that says the budget
+            // ran out never reports less than the budget — nor more
+            // than the client waited.
             assert!(
                 latency_us >= 50_000,
                 "cannot beat its own deadline: {latency_us}"
             );
+            assert!(u128::from(latency_us) <= begin.elapsed().as_micros());
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }

@@ -28,6 +28,17 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -D warnings (core and cluster crates: altx, serve, consensus, cluster)"
 cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster --all-targets -- -D warnings
 
+# `unsafe` lives in two corners of one crate — the reactor's `sys`
+# module (ppoll, the SO_REUSEPORT bind, the timer-slack prctl) and
+# `pin::sys` (sched_{set,get}affinity) — and every other crate forbids
+# it. A binding that lands anywhere else fails here, with the list.
+echo "==> unsafe audit: the word appears under crates/*/src in reactor.rs and pin.rs only"
+UNSAFE_FILES=$(grep -rlw unsafe crates/*/src | sort | xargs)
+[ "$UNSAFE_FILES" = "crates/serve/src/pin.rs crates/serve/src/reactor.rs" ] || {
+    echo "unsafe audit: files containing \`unsafe\`: $UNSAFE_FILES" >&2
+    exit 1
+}
+
 # The race registry's core is a pure step(event, now) -> actions
 # machine, so the interleaving is a seed: 2 500 seeded schedules of
 # everything that can happen to a distributed race, judged by the
@@ -93,7 +104,7 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 # ten passes a single run nine times in ten.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor and loopback suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
@@ -104,7 +115,7 @@ for i in $(seq 1 "$REPEATS"); do
             cargo test -q -p altx-serve --lib pool:: &&
             cargo test -q -p altx-serve --lib link:: &&
             cargo test -q -p altx-serve --test ring --test sched --test edf --test pool_drain \
-                --test reactor --test loopback
+                --test reactor --test loopback --test timer_slack
     } >"$REPEAT_LOG" 2>&1 || {
         cat "$REPEAT_LOG" >&2
         rm -f "$REPEAT_LOG"
