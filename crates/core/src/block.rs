@@ -159,6 +159,13 @@ pub struct BlockResult<R> {
     pub winner: Option<usize>,
     /// Name of the winning alternative.
     pub winner_name: Option<String>,
+    /// How long the winning body itself ran — the paper's τ(C_best) for
+    /// this block, without the fork, the wake-up or the context switch
+    /// that got a thread to it, which `wall` includes. Measured by
+    /// [`ThreadedEngine`](crate::engine::ThreadedEngine); `None` when the
+    /// block failed and from the sequential engines, whose `wall` is that
+    /// time to within a fork.
+    pub winner_body: Option<Duration>,
     /// Real wall-clock time the execution took.
     pub wall: Duration,
     /// How many alternative bodies were started.
@@ -248,6 +255,7 @@ mod tests {
             value: Some(5),
             winner: Some(0),
             winner_name: Some("x".into()),
+            winner_body: None,
             wall: Duration::ZERO,
             attempts: 1,
             panics: 0,
@@ -259,6 +267,7 @@ mod tests {
             value: None,
             winner: None,
             winner_name: None,
+            winner_body: None,
             wall: Duration::ZERO,
             attempts: 2,
             panics: 1,
@@ -274,6 +283,7 @@ mod tests {
             value: None,
             winner: None,
             winner_name: None,
+            winner_body: None,
             wall: Duration::ZERO,
             attempts: 0,
             panics: 0,

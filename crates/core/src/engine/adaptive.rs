@@ -101,6 +101,7 @@ impl Engine for AdaptiveEngine {
                 value: None,
                 winner: None,
                 winner_name: None,
+                winner_body: None,
                 wall: start.elapsed(),
                 attempts: 0,
                 panics: 0,
@@ -130,6 +131,7 @@ impl Engine for AdaptiveEngine {
                         value: Some(v),
                         winner: Some(i),
                         winner_name: Some(alt.name().to_string()),
+                        winner_body: None,
                         wall: start.elapsed(),
                         attempts,
                         panics,
@@ -143,6 +145,7 @@ impl Engine for AdaptiveEngine {
             value: None,
             winner: None,
             winner_name: None,
+            winner_body: None,
             wall: start.elapsed(),
             attempts,
             panics,

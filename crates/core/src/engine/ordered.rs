@@ -49,6 +49,7 @@ impl Engine for OrderedEngine {
                     value: Some(value),
                     winner: Some(i),
                     winner_name: Some(alt.name().to_string()),
+                    winner_body: None,
                     wall: start.elapsed(),
                     attempts,
                     panics,
@@ -61,6 +62,7 @@ impl Engine for OrderedEngine {
             value: None,
             winner: None,
             winner_name: None,
+            winner_body: None,
             wall: start.elapsed(),
             attempts,
             panics,

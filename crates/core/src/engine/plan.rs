@@ -9,6 +9,13 @@
 //! sole ownership of the mutual-exclusion semantics. An alternative whose
 //! offset has not elapsed when the race is decided is *suppressed*: its
 //! body never runs, which changes cost, never selection semantics.
+//!
+//! A plan may also name a *lead* ([`LaunchPlan::favourite_first`]): the
+//! one alternative the calling thread runs before anyone else is asked
+//! to. Any one alternative is an admissible outcome, and the order the
+//! alternatives are launched in is a parameter of the semantics, not
+//! part of it — so when statistics say the favourite is done before a
+//! sibling's thread could even be woken, nobody is woken to lose.
 
 use std::time::Duration;
 
@@ -20,6 +27,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LaunchPlan {
     offsets: Vec<Duration>,
+    /// The alternative the caller runs alone first, if any.
+    lead: Option<usize>,
 }
 
 impl LaunchPlan {
@@ -29,12 +38,42 @@ impl LaunchPlan {
     pub fn immediate(n: usize) -> Self {
         LaunchPlan {
             offsets: vec![Duration::ZERO; n],
+            lead: None,
         }
     }
 
     /// A plan from explicit per-alternative offsets.
     pub fn from_offsets(offsets: Vec<Duration>) -> Self {
-        LaunchPlan { offsets }
+        LaunchPlan {
+            offsets,
+            lead: None,
+        }
+    }
+
+    /// The calling thread claims alternative `lead` — not the first in
+    /// declaration order — and runs it inline **before any sibling is
+    /// handed to another thread**. If it decides the race, the siblings
+    /// are suppressed where they stand: nobody was woken for them. If it
+    /// comes back undecided (failed guard, contained panic), the
+    /// remaining alternatives are claimed and dispatched from that
+    /// instant exactly as [`LaunchPlan::immediate`] would have at t=0, so
+    /// a lead that fails costs the race its own running time and no
+    /// alternative. A `lead` outside `0..n` is no lead at all.
+    ///
+    /// Worth it when the lead's body is shorter than a thread wake-up: a
+    /// sibling that cannot arrive before the favourite is done cannot
+    /// lower the race's time, only raise its overhead.
+    pub fn favourite_first(n: usize, lead: usize) -> Self {
+        LaunchPlan {
+            offsets: vec![Duration::ZERO; n],
+            lead: (lead < n).then_some(lead),
+        }
+    }
+
+    /// The alternative the caller runs alone first (see
+    /// [`LaunchPlan::favourite_first`]); `None` for every other plan.
+    pub fn lead(&self) -> Option<usize> {
+        self.lead
     }
 
     /// Start offset for alternative `i` (zero when out of range).
@@ -52,9 +91,10 @@ impl LaunchPlan {
         self.offsets.is_empty()
     }
 
-    /// True when every covered alternative launches at t=0.
+    /// True when every covered alternative launches at t=0: no offset
+    /// and no lead.
     pub fn is_immediate(&self) -> bool {
-        self.offsets.iter().all(|o| o.is_zero())
+        self.lead.is_none() && self.offsets.iter().all(|o| o.is_zero())
     }
 
     /// Number of alternatives held back (non-zero offset) — the hedges.
@@ -83,5 +123,21 @@ mod tests {
         assert_eq!(p.offset(7), Duration::ZERO);
         assert!(!p.is_immediate());
         assert_eq!(p.staggered(), 1);
+    }
+
+    #[test]
+    fn a_lead_is_not_an_immediate_plan_and_holds_nobody_back() {
+        let p = LaunchPlan::favourite_first(3, 1);
+        assert_eq!(p.lead(), Some(1));
+        assert!(!p.is_immediate(), "the siblings wait for the lead");
+        assert_eq!(p.staggered(), 0, "nobody is hedged");
+        assert_eq!(p.offset(2), Duration::ZERO);
+        assert_ne!(p, LaunchPlan::immediate(3));
+        assert_eq!(LaunchPlan::immediate(3).lead(), None);
+        assert_eq!(
+            LaunchPlan::favourite_first(2, 2),
+            LaunchPlan::immediate(2),
+            "a lead out of range is no lead"
+        );
     }
 }

@@ -50,6 +50,7 @@ impl Engine for RandomEngine {
                 value: None,
                 winner: None,
                 winner_name: None,
+                winner_body: None,
                 wall: start.elapsed(),
                 attempts: 0,
                 panics: 0,
@@ -73,6 +74,7 @@ impl Engine for RandomEngine {
             value,
             winner,
             winner_name,
+            winner_body: None,
             wall: start.elapsed(),
             attempts: 1,
             panics: usize::from(panicked),

@@ -81,6 +81,7 @@ impl Engine for SelectorEngine {
                 value: None,
                 winner: None,
                 winner_name: None,
+                winner_body: None,
                 wall: start.elapsed(),
                 attempts: 0,
                 panics: 0,
@@ -107,6 +108,7 @@ impl Engine for SelectorEngine {
             value,
             winner,
             winner_name,
+            winner_body: None,
             wall: start.elapsed(),
             attempts: 1,
             panics: usize::from(panicked),

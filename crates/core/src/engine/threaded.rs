@@ -8,7 +8,7 @@ use crate::faults;
 use altx_pager::AddressSpace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Races the alternatives concurrently, each over a private COW fork of
 /// the workspace; the first `Some` result wins, the losers are cancelled
@@ -17,13 +17,18 @@ use std::time::Instant;
 /// This is the paper's Scheme C with real concurrency: execution time
 /// approaches `τ(C_best) + τ(overhead)`. The paper pays `alt_spawn` per
 /// block; this engine does not pay a thread per alternative. The calling
-/// thread runs the plan's first immediate alternative **inline**, after
-/// handing every sibling to the process-wide race crew — parked racer
-/// threads that are reused from race to race, grow on demand and retire
-/// when idle. So the overhead here is one shared race record, a page-map
-/// fork per body that actually starts, and a wake-up per sibling; a
-/// sibling the decision reaches while it is still waiting to be claimed
-/// is eliminated where it waits and costs neither a fork nor a thread.
+/// thread always runs one alternative **inline**. Under a plan with a
+/// [lead](LaunchPlan::favourite_first) that is the lead, alone and
+/// before anything else happens: if it decides the race nobody was
+/// woken at all. Otherwise — and whenever a lead comes back undecided —
+/// it is the first pending alternative in declaration order that is
+/// due, run after every sibling has been handed to the process-wide
+/// race crew — parked racer threads that are reused from race to race,
+/// grow on demand and retire when idle. So the overhead here is one
+/// shared race record, a page-map fork per body that actually starts,
+/// and a wake-up per sibling dispatched; a sibling the decision reaches
+/// while it is still waiting to be claimed is eliminated where it waits
+/// and costs neither a fork nor a thread.
 ///
 /// Losing alternatives are eliminated through the [`CancelToken`]: the
 /// first success cancels it, which wakes every body blocked in
@@ -77,9 +82,9 @@ struct RaceState<R> {
     pending: usize,
     running: usize,
     panics: usize,
-    /// The at-most-once winner slot: index, value, and the fork its
-    /// body wrote to.
-    winner: Option<(usize, R, AddressSpace)>,
+    /// The at-most-once winner slot: index, value, the fork its body
+    /// wrote to, and how long the body itself ran.
+    winner: Option<(usize, R, AddressSpace, Duration)>,
 }
 
 impl<R> RaceState<R> {
@@ -155,6 +160,58 @@ impl<R: Send + 'static> Race<R> {
         earliest.map_or(Next::Idle, Next::At)
     }
 
+    /// Claims alternative `lead` ahead of declaration order: the opening
+    /// move of a [favourite-first](LaunchPlan::favourite_first) plan,
+    /// made while everything is still pending. A cancelled token
+    /// eliminates the whole race instead, as in
+    /// [`claim_next`](Race::claim_next).
+    fn claim_lead(&self, state: &mut RaceState<R>, lead: usize) -> Next {
+        if self.token.is_cancelled() {
+            state.suppress_pending();
+            return Next::Idle;
+        }
+        state.claims[lead] = Claim::Running;
+        state.pending -= 1;
+        state.running += 1;
+        Next::Run(lead)
+    }
+
+    /// Launches whatever is still pending, the way a race opens: the
+    /// caller claims first — under an ordinary plan that is the
+    /// favourite, which it will run inline — and then hands the crew one
+    /// ticket per sibling, so the siblings are on their way *before* the
+    /// inline body starts. Immediate tickets stop at the bound: a racer
+    /// beyond it could only find the bound reached. Returns the crew's
+    /// handle on the race when any ticket went out.
+    fn launch(self: &Arc<Self>) -> Option<Arc<dyn Job>> {
+        let mut state = self.lock();
+        let first = self.claim_next(&mut state);
+        let mut room = self.max_running - state.running;
+        let mut tickets = Vec::new();
+        for (claim, release) in state.claims.iter().zip(&self.releases) {
+            if *claim != Claim::Pending {
+                continue;
+            }
+            if release.is_none() {
+                if room == 0 {
+                    continue;
+                }
+                room -= 1;
+            }
+            tickets.push(*release);
+        }
+        drop(state);
+        let job = (!tickets.is_empty()).then(|| {
+            let job: Arc<dyn Job> = self.clone();
+            crew().dispatch(&job, &tickets);
+            job
+        });
+        if let Next::Run(i) = first {
+            self.run_claimed(i, false);
+        }
+        job
+    }
+
     /// Runs alternative `i`, which the calling thread has claimed, on a
     /// fresh fork, and records the outcome. `on_crew` says the thread is
     /// a racer, which tells the crew while it is inside the body.
@@ -173,23 +230,27 @@ impl<R: Send + 'static> Race<R> {
                 && faults::inject(&format!("engine.alt.{}", alt.name()), Some(&self.token))
                     == faults::Verdict::Fail
             {
-                return None; // injected guard failure
+                return (None, Duration::ZERO); // injected guard failure
             }
-            alt.run(&mut fork, &self.token)
+            // The body alone: a wake-up, a fork or a switch on the way
+            // here is the race's overhead, not this alternative's time.
+            let began = Instant::now();
+            let value = alt.run(&mut fork, &self.token);
+            (value, began.elapsed())
         }));
         if on_crew {
             crew().leave();
         }
-        let (value, panicked) = match outcome {
-            Ok(value) => (value, false),
-            Err(_) => (None, true),
+        let (value, body, panicked) = match outcome {
+            Ok((value, body)) => (value, body, false),
+            Err(_) => (None, Duration::ZERO, true),
         };
 
         let mut state = self.lock();
         state.panics += usize::from(panicked);
         let late = match value {
             Some(value) if state.winner.is_none() => {
-                state.winner = Some((i, value, fork));
+                state.winner = Some((i, value, fork, body));
                 // Sibling elimination at the source: the first success to
                 // reach the slot decides the race, and it reclaims and
                 // cancels *before* its own claim is released below — a
@@ -294,6 +355,10 @@ impl ThreadedEngine {
     ///
     /// Nobody sleeps on a hedged alternative's behalf: its release time
     /// sits on the crew's queue, and the decision takes it off again.
+    /// Nobody is woken on a [lead](LaunchPlan::favourite_first)'s behalf
+    /// either: the caller runs it before a single ticket exists, and a
+    /// lead that decides the race leaves its siblings suppressed where
+    /// they stand — no dispatch, no wake-up, nothing to purge.
     pub fn execute_planned<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
@@ -322,36 +387,17 @@ impl ThreadedEngine {
             changed: Condvar::new(),
         });
 
-        // The caller claims first — under an ordinary plan that is the
-        // favourite, which it will run inline — and then hands the crew
-        // one ticket per sibling, so the siblings are on their way
-        // *before* the inline body starts. Immediate tickets stop at the
-        // bound: a racer beyond it could only find the bound reached.
-        let mut state = race.lock();
-        let first = race.claim_next(&mut state);
-        let mut room = race.max_running - state.running;
-        let mut tickets = Vec::new();
-        for (claim, release) in state.claims.iter().zip(&race.releases) {
-            if *claim != Claim::Pending {
-                continue;
+        // A lead runs alone, ahead of everything: only if it comes back
+        // undecided does the race open, from that instant, the way an
+        // immediate plan opens at t = 0. If it decided, `launch` finds
+        // nothing pending and hands out nothing.
+        if let Some(lead) = plan.lead().filter(|&lead| lead < n) {
+            let claimed = race.claim_lead(&mut race.lock(), lead);
+            if let Next::Run(i) = claimed {
+                race.run_claimed(i, false);
             }
-            if release.is_none() {
-                if room == 0 {
-                    continue;
-                }
-                room -= 1;
-            }
-            tickets.push(*release);
         }
-        drop(state);
-        let job = (!tickets.is_empty()).then(|| {
-            let job: Arc<dyn Job> = race.clone();
-            crew().dispatch(&job, &tickets);
-            job
-        });
-        if let Next::Run(i) = first {
-            race.run_claimed(i, false);
-        }
+        let job = race.launch();
 
         // From here on the caller works the race like any racer, except
         // that it also waits: for a release time, for room under the
@@ -399,18 +445,19 @@ impl ThreadedEngine {
             crew().count_reclaimed(suppressed);
         }
 
-        let (value, winner) = match winner {
-            Some((i, value, fork)) => {
+        let (value, winner, winner_body) = match winner {
+            Some((i, value, fork, body)) => {
                 // alt_wait absorption: the winner's page map becomes ours.
                 workspace.absorb(fork);
-                (Some(value), Some(i))
+                (Some(value), Some(i), Some(body))
             }
-            None => (None, None),
+            None => (None, None, None),
         };
         BlockResult {
             value,
             winner,
             winner_name: winner.map(|i| block.alternatives()[i].name().to_string()),
+            winner_body,
             wall: start.elapsed(),
             attempts: n,
             panics,
@@ -433,7 +480,6 @@ impl Engine for ThreadedEngine {
 mod tests {
     use super::*;
     use altx_pager::PageSize;
-    use std::time::Duration;
 
     fn ws() -> AddressSpace {
         AddressSpace::zeroed(256, PageSize::new(16))
@@ -728,6 +774,50 @@ mod tests {
         assert!(token.deadline_expired());
         assert_eq!(r.suppressed, 1, "the hedge never started");
         assert!(r.wall < Duration::from_millis(300), "wall {:?}", r.wall);
+    }
+
+    #[test]
+    fn a_lead_runs_before_anyone_else_and_alone_if_it_decides() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Not the first in declaration order, and it wins: the siblings'
+        // bodies never run and the winner's own running time is reported.
+        let started = Arc::new(AtomicUsize::new(0));
+        let mut block: AltBlock<usize> = AltBlock::new();
+        for i in 0..4usize {
+            let started = started.clone();
+            block = block.alternative(format!("alt{i}"), move |w, _t| {
+                started.fetch_add(1, Ordering::SeqCst);
+                w.write(0, &[i as u8 + 1]);
+                Some(i)
+            });
+        }
+        let mut workspace = ws();
+        let r = ThreadedEngine::new().execute_planned(
+            &block,
+            &mut workspace,
+            &CancelToken::new(),
+            &LaunchPlan::favourite_first(4, 2),
+        );
+        assert_eq!(r.value, Some(2));
+        assert_eq!(r.winner_name.as_deref(), Some("alt2"));
+        assert_eq!(r.suppressed, 3);
+        assert_eq!(started.load(Ordering::SeqCst), 1, "only the lead ran");
+        assert_eq!(workspace.read_vec(0, 1), vec![3], "and its write is ours");
+        assert!(r.winner_body.is_some_and(|body| body <= r.wall));
+    }
+
+    #[test]
+    fn a_cancelled_token_starts_no_lead() {
+        let block: AltBlock<u8> = AltBlock::new()
+            .alternative("sibling", |_w, _t| Some(0))
+            .alternative("lead", |_w, _t| Some(1));
+        let token = CancelToken::new();
+        token.cancel();
+        let plan = LaunchPlan::favourite_first(2, 1);
+        let r = ThreadedEngine::new().execute_planned(&block, &mut ws(), &token, &plan);
+        assert!(!r.succeeded());
+        assert_eq!(r.suppressed, 2, "neither body started");
+        assert_eq!(r.winner_body, None);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //!
 //! The table is lock-cheap by design: every slot is a bundle of atomics,
 //! and the only lock is an `RwLock` around the slot vector that is taken
-//! in read mode on the record path (uncontended unless the table is
-//! growing). `AdaptiveEngine` and the serving layer's `HedgePolicy` both
-//! sit on top of this type.
+//! in read mode, once, on the record path (uncontended unless the table
+//! is growing). `AdaptiveEngine` and the serving layer's `HedgePolicy`
+//! both sit on top of this type.
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// Smoothing factor for the latency EWMA. High enough to adapt within a
 /// few tens of observations, low enough not to chase single outliers.
@@ -73,6 +73,23 @@ impl AltStat {
             }
         }
     }
+
+    /// One completed run: its latency, and whether it failed or won.
+    fn record(&self, latency_us: u64, failed: bool, won: bool) {
+        self.observe_latency(latency_us);
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        if failed {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+        }
+        if won {
+            self.wins.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn ewma_us(&self) -> Option<f64> {
+        (self.runs.load(Ordering::Relaxed) > 0)
+            .then(|| f64::from_bits(self.ewma_us_bits.load(Ordering::Relaxed)))
+    }
 }
 
 /// A point-in-time copy of one alternative's statistics.
@@ -91,7 +108,7 @@ pub struct AltStatSnapshot {
 /// Growable table of per-alternative statistics. See module docs.
 #[derive(Debug, Default)]
 pub struct AltStatsTable {
-    slots: RwLock<Vec<Arc<CachePadded<AltStat>>>>,
+    slots: RwLock<Vec<CachePadded<AltStat>>>,
 }
 
 impl AltStatsTable {
@@ -117,7 +134,7 @@ impl AltStatsTable {
         }
         if let Ok(mut slots) = self.slots.write() {
             while slots.len() < n {
-                slots.push(Arc::new(CachePadded::new(AltStat::default())));
+                slots.push(CachePadded::new(AltStat::default()));
             }
         }
     }
@@ -132,88 +149,98 @@ impl AltStatsTable {
         self.len() == 0
     }
 
-    fn slot(&self, i: usize) -> Option<Arc<CachePadded<AltStat>>> {
-        self.slots.read().ok().and_then(|s| s.get(i).cloned())
+    /// Runs `f` on slot `i` under one read guard; `None` out of range.
+    fn with_slot<T>(&self, i: usize, f: impl FnOnce(&AltStat) -> T) -> Option<T> {
+        let slots = self.slots.read().ok()?;
+        slots.get(i).map(|slot| f(slot))
+    }
+
+    /// Runs `f` on every slot, in index order, under one read guard.
+    fn with_slots<T>(&self, f: impl FnOnce(&[CachePadded<AltStat>]) -> T) -> Option<T> {
+        self.slots.read().ok().map(|slots| f(&slots))
+    }
+
+    /// The record path: the slot is resolved once, under one read guard;
+    /// only an index past the end takes the write lock, to grow.
+    fn record(&self, i: usize, latency_us: u64, failed: bool, won: bool) {
+        let record = |slot: &AltStat| slot.record(latency_us, failed, won);
+        if self.with_slot(i, record).is_none() {
+            self.ensure(i + 1);
+            self.with_slot(i, record);
+        }
     }
 
     /// Record one completed run of alternative `i`: latency is folded into
     /// the EWMA and histogram, `failed` bumps the failure count (a failed
     /// guard or a contained panic — the run happened either way).
     pub fn record_run(&self, i: usize, latency_us: u64, failed: bool) {
-        self.ensure(i + 1);
-        if let Some(slot) = self.slot(i) {
-            slot.observe_latency(latency_us);
-            slot.runs.fetch_add(1, Ordering::Relaxed);
-            if failed {
-                slot.failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.record(i, latency_us, failed, false);
     }
 
     /// Record that alternative `i` won a race in `latency_us`. Implies a
     /// successful run.
     pub fn record_win(&self, i: usize, latency_us: u64) {
-        self.record_run(i, latency_us, false);
-        if let Some(slot) = self.slot(i) {
-            slot.wins.fetch_add(1, Ordering::Relaxed);
-        }
+        self.record(i, latency_us, false, true);
     }
 
     /// Completed runs recorded for alternative `i` (0 when out of range).
     pub fn runs(&self, i: usize) -> u64 {
-        self.slot(i).map_or(0, |s| s.runs.load(Ordering::Relaxed))
+        self.with_slot(i, |s| s.runs.load(Ordering::Relaxed))
+            .unwrap_or(0)
     }
 
     /// Race wins recorded for alternative `i` (0 when out of range).
     pub fn wins(&self, i: usize) -> u64 {
-        self.slot(i).map_or(0, |s| s.wins.load(Ordering::Relaxed))
+        self.with_slot(i, |s| s.wins.load(Ordering::Relaxed))
+            .unwrap_or(0)
     }
 
     /// Failed runs recorded for alternative `i` (0 when out of range).
     pub fn failures(&self, i: usize) -> u64 {
-        self.slot(i)
-            .map_or(0, |s| s.failures.load(Ordering::Relaxed))
+        self.with_slot(i, |s| s.failures.load(Ordering::Relaxed))
+            .unwrap_or(0)
     }
 
     /// EWMA latency of alternative `i` in microseconds, or `None` if it
     /// has never been observed.
     pub fn ewma_us(&self, i: usize) -> Option<f64> {
-        let slot = self.slot(i)?;
-        if slot.runs.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        Some(f64::from_bits(slot.ewma_us_bits.load(Ordering::Relaxed)))
+        self.with_slot(i, AltStat::ewma_us).flatten()
     }
 
     /// Sum of wins across all alternatives.
     pub fn total_wins(&self) -> u64 {
-        (0..self.len()).map(|i| self.wins(i)).sum()
+        self.with_slots(|slots| slots.iter().map(|s| s.wins.load(Ordering::Relaxed)).sum())
+            .unwrap_or(0)
     }
 
     /// Sum of recorded runs across all alternatives.
     pub fn total_runs(&self) -> u64 {
-        (0..self.len()).map(|i| self.runs(i)).sum()
+        self.with_slots(|slots| slots.iter().map(|s| s.runs.load(Ordering::Relaxed)).sum())
+            .unwrap_or(0)
     }
 
     /// The alternative with the most wins, or `None` if nothing has won
     /// yet. Ties break toward the lower EWMA latency.
     pub fn favourite(&self) -> Option<usize> {
-        let mut best: Option<(usize, u64, f64)> = None;
-        for i in 0..self.len() {
-            let wins = self.wins(i);
-            if wins == 0 {
-                continue;
+        self.with_slots(|slots| {
+            let mut best: Option<(usize, u64, f64)> = None;
+            for (i, slot) in slots.iter().enumerate() {
+                let wins = slot.wins.load(Ordering::Relaxed);
+                if wins == 0 {
+                    continue;
+                }
+                let ewma = slot.ewma_us().unwrap_or(f64::INFINITY);
+                let better = match best {
+                    None => true,
+                    Some((_, bw, be)) => wins > bw || (wins == bw && ewma < be),
+                };
+                if better {
+                    best = Some((i, wins, ewma));
+                }
             }
-            let ewma = self.ewma_us(i).unwrap_or(f64::INFINITY);
-            let better = match best {
-                None => true,
-                Some((_, bw, be)) => wins > bw || (wins == bw && ewma < be),
-            };
-            if better {
-                best = Some((i, wins, ewma));
-            }
-        }
-        best.map(|(i, _, _)| i)
+            best.map(|(i, _, _)| i)
+        })
+        .flatten()
     }
 
     /// Approximate latency quantile (`0.0..=1.0`) for alternative `i`, in
@@ -221,9 +248,9 @@ impl AltStatsTable {
     /// answers are within a factor of two of the true quantile — plenty
     /// for picking a hedge delay. Returns `None` with no observations.
     pub fn quantile_us(&self, i: usize, q: f64) -> Option<u64> {
-        let slot = self.slot(i)?;
-        let counts: [u64; BUCKETS] =
-            std::array::from_fn(|k| slot.buckets[k].load(Ordering::Relaxed));
+        let counts: [u64; BUCKETS] = self.with_slot(i, |slot| {
+            std::array::from_fn(|k| slot.buckets[k].load(Ordering::Relaxed))
+        })?;
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return None;

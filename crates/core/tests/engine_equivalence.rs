@@ -8,8 +8,10 @@
 //! (winner, value, workspace) triple that some sequential execution could
 //! have produced — and nothing else.
 
-use altx::engine::{Engine, OrderedEngine, RandomEngine, SelectorEngine, ThreadedEngine};
-use altx::{AddressSpace, AltBlock, PageSize};
+use altx::engine::{
+    Engine, LaunchPlan, OrderedEngine, RandomEngine, SelectorEngine, ThreadedEngine,
+};
+use altx::{AddressSpace, AltBlock, CancelToken, PageSize};
 use altx_check::{check, CaseRng};
 
 /// A generated alternative: may fail; on success writes `stamp` at
@@ -105,6 +107,33 @@ fn threaded_is_admissible() {
         let result = ThreadedEngine::new().execute(&build_block(&alts), &mut workspace);
         assert_admissible(&alts, &result, &workspace);
         assert_eq!(result.succeeded(), alts.iter().any(|a| a.succeeds));
+    });
+}
+
+/// ThreadedEngine under a favourite-first plan: whichever alternative
+/// leads, the outcome is admissible and the block succeeds iff some
+/// alternative can — a lead that fails its guard costs the race no
+/// alternative. A lead whose guard holds *is* the outcome, and no
+/// sibling was ever started.
+#[test]
+fn favourite_first_is_admissible_for_any_lead() {
+    check("favourite_first_is_admissible_for_any_lead", 64, |rng| {
+        let alts = rng.vec(1, 6, arb_alt);
+        let lead = rng.usize_in(0, alts.len());
+        let plan = LaunchPlan::favourite_first(alts.len(), lead);
+        let mut workspace = ws();
+        let result = ThreadedEngine::new().execute_planned(
+            &build_block(&alts),
+            &mut workspace,
+            &CancelToken::new(),
+            &plan,
+        );
+        assert_admissible(&alts, &result, &workspace);
+        assert_eq!(result.succeeded(), alts.iter().any(|a| a.succeeds));
+        if alts[lead].succeeds {
+            assert_eq!(result.winner, Some(lead), "the lead decided alone");
+            assert_eq!(result.suppressed, alts.len() - 1);
+        }
     });
 }
 

@@ -136,3 +136,65 @@ fn racers_retire_when_idle() {
         std::thread::sleep(Duration::from_millis(10));
     }
 }
+
+#[test]
+fn a_lead_that_decides_the_race_calls_on_no_racer() {
+    let _turn = serial();
+    // Whatever ran before, start from no racers at all: a racer there
+    // is to wake would hide a dispatch that should not have happened.
+    wait_for_empty_crew(Instant::now() + Duration::from_secs(3));
+    let before = crew_stats();
+    let engine = ThreadedEngine::new();
+    for arg in 0..1_000u64 {
+        let lead = (arg % 2) as usize;
+        let plan = LaunchPlan::favourite_first(2, lead);
+        let r = engine.execute_planned(&trivial(arg), &mut ws(), &CancelToken::new(), &plan);
+        assert_eq!(r.value, Some(arg));
+        assert_eq!(r.winner, Some(lead), "the lead ran first and decided");
+        assert_eq!(r.suppressed, 1, "its sibling was never started");
+        assert!(r.winner_body.is_some(), "the winner's body was timed");
+    }
+    let after = crew_stats();
+    assert_eq!(after.spawned, before.spawned, "nobody was woken to lose");
+    assert_eq!(after.live, 0);
+    assert_eq!(after.reclaimed, before.reclaimed + 1_000);
+}
+
+#[test]
+fn a_lead_that_comes_back_undecided_costs_the_race_no_alternative() {
+    let _turn = serial();
+    let ran = Arc::new(AtomicUsize::new(0));
+    let block = |lead_panics: bool| -> AltBlock<u8> {
+        let (a, c) = (ran.clone(), ran.clone());
+        AltBlock::new()
+            .alternative("sibling-a", move |_w, _t| {
+                a.fetch_add(1, Ordering::SeqCst);
+                Some(0)
+            })
+            .alternative("lead", move |_w, _t| {
+                assert!(!lead_panics, "the lead crashes");
+                None
+            })
+            .alternative("sibling-c", move |_w, _t| {
+                c.fetch_add(1, Ordering::SeqCst);
+                Some(2)
+            })
+    };
+    let plan = LaunchPlan::favourite_first(3, 1);
+    for lead_panics in [false, true] {
+        ran.store(0, Ordering::SeqCst);
+        let r = ThreadedEngine::new().execute_planned(
+            &block(lead_panics),
+            &mut ws(),
+            &CancelToken::new(),
+            &plan,
+        );
+        let winner = r.winner.expect("a sibling won");
+        assert!(winner == 0 || winner == 2, "{winner}");
+        assert_eq!(r.value, Some(winner as u8));
+        assert_eq!(r.panics, usize::from(lead_panics), "contained, and counted");
+        // The race opened for the siblings only once the lead was back:
+        // each either ran or was reached by the other's decision first.
+        assert_eq!(r.suppressed + ran.load(Ordering::SeqCst), 2);
+    }
+}

@@ -12,10 +12,20 @@
 //! winner selection, sibling elimination, and panic containment are
 //! untouched.
 //!
+//! With hedging on or off, one more schedule is chosen by measurement
+//! alone: a workload whose favourite's *own body* has measured shorter
+//! than a racer wake-up ([`RACER_WAKE_US`]) is raced *favourite first*
+//! ([`LaunchPlan::favourite_first`]) — the thread that has the request
+//! runs the favourite before any sibling is handed to another thread, and
+//! calls the crew only if it comes back undecided. A sibling that cannot
+//! even be woken before the favourite is done cannot lower the race's
+//! time, only raise its overhead; any one alternative is an admissible
+//! outcome, so which is tried first is the scheduler's to choose.
+//!
 //! A mandatory exploration floor keeps the statistics live: every
-//! `explore_every`-th request per workload races launch-all regardless of
-//! history, so a regime change (the favourite going slow) is observed and
-//! the policy adapts.
+//! `explore_every`-th request per workload races launch-all, in
+//! declaration order, regardless of history, so a regime change (the
+//! favourite going slow) is observed and the policy adapts.
 //!
 //! [`CatalogStats`] is the shared, interned statistics store: one
 //! [`AltStatsTable`] per catalog workload, indexed `(workload index,
@@ -30,15 +40,21 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Knobs for the hedging policy. Defaults keep hedging *off*: every race
-/// is launch-all, byte-for-byte the pre-scheduler behaviour.
+/// Knobs for the hedging policy. Defaults keep hedging *off*: no
+/// alternative is ever held back by a timer. What a race of a warm
+/// workload is then is decided by measurement, not by a knob: launch-all
+/// in declaration order, or — when the favourite's body has measured
+/// under [`RACER_WAKE_US`] — favourite first
+/// ([`HedgePolicy::plan_pruned`]). `min_samples` and `explore_every`
+/// govern that choice too.
 #[derive(Debug, Clone, Copy)]
 pub struct HedgeConfig {
-    /// Master switch; when false every plan is immediate.
+    /// Master switch for *hedging*; when false no plan carries an offset.
     pub enabled: bool,
     /// Wins a workload must accumulate before its favourite is trusted.
     pub min_samples: u64,
-    /// Every n-th request races launch-all (the exploration floor).
+    /// Every n-th request races launch-all in declaration order (the
+    /// exploration floor), hedging on or off.
     /// Clamped to at least 2 — exploration can never be disabled.
     pub explore_every: u64,
     /// Lower clamp on the hedge delay (guards against a p95 so small the
@@ -91,9 +107,27 @@ pub struct CatalogStats {
 /// `bimodal`, where other threads' wake-ups land inside the race,
 /// 1.5–3 % of its races pass 32 µs (a bound there flipped the verdict
 /// every hundred samples), 0.1–1 % pass 64 µs, 0.01–0.4 % pass 128 µs.
-/// `prolog` — usually 4–30 µs, with 3 % of its races past 128 µs — is
-/// what the p99 clause is there to keep out, and stays out.
+/// `prolog` raced launch-all in declaration order — usually 4–30 µs,
+/// with 3 % of its races (the ones whose caller got its dead-end clause
+/// order started before the woken racer decided) past 128 µs — is what
+/// the p99 clause is there to keep out. Raced favourite first
+/// ([`RACER_WAKE_US`]) seven times in eight it starts no dead end on
+/// those, its service p99 reads ≤ 64 µs, and this same rule lets it in.
 pub const SHARD_MAX_SERVICE_US: u64 = 128;
+
+/// The longest the favourite's *body* — p99 bucket bound and recent mean
+/// alike — may have measured for a race to be run favourite first
+/// ([`HedgePolicy::plan_pruned`]). It is what waking a parked thread
+/// costs on this class of box: the benchmark's `pool.wake_us` reads
+/// 3–9 µs, so a sibling dispatched at t = 0 cannot *start* sooner, and a
+/// favourite that is done by then has decided the race before the
+/// sibling could have entered it. Not a knob: a body over it races
+/// exactly as before. The statistic is the winner's own running time
+/// (`BlockResult::winner_body`), not the race's latency — the wake-up and
+/// the switches this rule removes are *in* the latency, so a bound on it
+/// would never engage (`prolog`'s favourite under launch-all: p50 / p95
+/// / p99 buckets 8 / 32 / 64 µs as race latency, 1 / 2 / 4 µs as body).
+pub const RACER_WAKE_US: u64 = 8;
 
 impl CatalogStats {
     /// One pre-sized table per catalog workload.
@@ -263,11 +297,51 @@ impl HedgePolicy {
     }
 
     /// Builds the launch plan for one request of catalog workload `widx`
-    /// with `n_alts` alternatives. Immediate (launch-all) when hedging is
-    /// disabled, history is thin, this is an exploration tick, or there
-    /// is no favourite yet.
+    /// with `n_alts` alternatives. Immediate (launch-all, declaration
+    /// order) when history is thin, this is an exploration tick, or there
+    /// is no favourite yet; favourite first when the favourite's body is
+    /// shorter than a wake-up; hedged when hedging is on.
     pub fn plan(&self, widx: usize, n_alts: usize) -> LaunchPlan {
         self.plan_pruned(widx, n_alts).0
+    }
+
+    /// The favourite-first rule, a pure function of the catalog entry,
+    /// the win table and `min_samples`: the alternative a race of
+    /// workload `widx` should lead with, if
+    ///
+    /// ```text
+    /// ¬ blocks
+    ///   ∧ total_wins ≥ min_samples
+    ///   ∧ ewma_body_us(favourite) ≤ RACER_WAKE_US
+    ///   ∧ p99_body_us(favourite)  ≤ RACER_WAKE_US
+    /// ```
+    ///
+    /// — the shape of [`CatalogStats::short_enough_for_shard`], for the
+    /// same reasons. A body that waits on its token never leads alone:
+    /// how long it waits is the request's `arg`, which past races do not
+    /// measure. Cold is "race": shortness must be measured. The p99
+    /// (bucket upper bound) keeps out a favourite that is only usually
+    /// short; the recent mean takes out one that has turned slow within
+    /// a handful of samples. The exploration tick is
+    /// [`plan_pruned`](HedgePolicy::plan_pruned)'s to apply: this is what
+    /// the CATALOG page prints.
+    pub fn lead_for(&self, widx: usize) -> Option<usize> {
+        let table = self.catalog.table(widx)?;
+        if workload::CATALOG.get(widx)?.blocks {
+            return None;
+        }
+        let (fav, _) = self.trusted_favourite(table)?;
+        body_under_a_wake(table, fav).then_some(fav)
+    }
+
+    /// The favourite of a table with `min_samples` wins on record, and
+    /// that win total: what both schedules start from.
+    fn trusted_favourite(&self, table: &AltStatsTable) -> Option<(usize, u64)> {
+        let total_wins = table.total_wins();
+        (total_wins >= self.config.min_samples)
+            .then(|| table.favourite())
+            .flatten()
+            .map(|fav| (fav, total_wins))
     }
 
     /// Like [`HedgePolicy::plan`], but additionally says which
@@ -283,27 +357,42 @@ impl HedgePolicy {
     /// hedge. Exploration ticks always return `None` — every body is
     /// built and raced, so a pruned alternative that comes back to life
     /// is still observed and its win rate recovers.
+    ///
+    /// Hedging on or off, a warm workload whose favourite
+    /// [leads](HedgePolicy::lead_for) gets
+    /// [`LaunchPlan::favourite_first`] and no mask (the siblings must be
+    /// real if the lead fails its guard). Everything else with hedging
+    /// off — cold, an exploration tick, a blocking body, a favourite over
+    /// the bound — is [`LaunchPlan::immediate`], the race it always was.
     pub fn plan_pruned(&self, widx: usize, n_alts: usize) -> (LaunchPlan, Option<Vec<bool>>) {
-        if !self.config.enabled || n_alts <= 1 {
-            return (LaunchPlan::immediate(n_alts), None);
-        }
-        let Some(table) = self.catalog.table(widx) else {
-            return (LaunchPlan::immediate(n_alts), None);
+        let race_all = || (LaunchPlan::immediate(n_alts), None);
+        let (Some(table), Some(spec)) = (self.catalog.table(widx), workload::CATALOG.get(widx))
+        else {
+            return race_all();
         };
+        // Neither schedule can apply: not even the tick is spent.
+        if n_alts <= 1 || (!self.config.enabled && spec.blocks) {
+            return race_all();
+        }
         // The exploration floor fires on tick 0 too, so a cold workload's
-        // first request is always a full race.
+        // first request is always a full race. It keeps declaration
+        // order: on one CPU the woken racer gets in ahead of the caller's
+        // body, so "favourite inline, siblings dispatched first" would
+        // run the siblings — the dead ends — first.
         let tick = self.ticks[widx].fetch_add(1, Ordering::Relaxed);
         let explore_every = self.config.explore_every.max(2);
         if tick.is_multiple_of(explore_every) {
-            return (LaunchPlan::immediate(n_alts), None);
+            return race_all();
         }
-        let total_wins = table.total_wins();
-        if total_wins < self.config.min_samples {
-            return (LaunchPlan::immediate(n_alts), None);
-        }
-        let Some(fav) = table.favourite() else {
-            return (LaunchPlan::immediate(n_alts), None);
+        let Some((fav, total_wins)) = self.trusted_favourite(table) else {
+            return race_all();
         };
+        if !spec.blocks && body_under_a_wake(table, fav) {
+            return (LaunchPlan::favourite_first(n_alts, fav), None);
+        }
+        if !self.config.enabled {
+            return race_all();
+        }
         let p95 = table.quantile_us(fav, 0.95).unwrap_or(0);
         let delay = Duration::from_micros(p95).clamp(self.config.min_delay, self.config.max_delay);
         let offsets = (0..n_alts)
@@ -318,8 +407,10 @@ impl HedgePolicy {
         (LaunchPlan::from_offsets(offsets), prune)
     }
 
-    /// Records a race outcome: the winner's latency feeds the EWMA,
-    /// histogram, and win count the next plan reads.
+    /// Records a race outcome: the winner's own running time
+    /// (`BlockResult::winner_body` — the paper's τ(C_best), not the
+    /// race's latency) feeds the EWMA, histogram, and win count the next
+    /// plan reads.
     pub fn record_win(&self, widx: usize, alt_idx: usize, latency_us: u64) {
         if let Some(table) = self.catalog.table(widx) {
             table.record_win(alt_idx, latency_us);
@@ -331,6 +422,15 @@ impl HedgePolicy {
     pub fn record_service(&self, widx: usize, latency_us: u64) {
         self.catalog.record_service(widx, latency_us);
     }
+}
+
+/// The two measured clauses of [`HedgePolicy::lead_for`]: alternative
+/// `fav`'s body — recent mean first, it is the cheaper read — is within
+/// [`RACER_WAKE_US`].
+fn body_under_a_wake(table: &AltStatsTable, fav: usize) -> bool {
+    let bound = RACER_WAKE_US;
+    table.ewma_us(fav).is_some_and(|mean| mean <= bound as f64)
+        && table.quantile_us(fav, 0.99).is_some_and(|p99| p99 <= bound)
 }
 
 /// Feasibility-based admission: shed a deadlined request on arrival
@@ -542,6 +642,17 @@ fn render_entry(out: &mut String, w: &WorkloadSpec, widx: usize, policy: &HedgeP
         stats.service_mean_us(widx).unwrap_or(0.0),
         stats.service_samples(widx)
     );
+    match (table, policy.lead_for(widx)) {
+        (Some(t), Some(lead)) => {
+            let _ = writeln!(
+                out,
+                "    plan: favourite-first (alt {lead}, body p99 ≤ {} µs, mean {:.1} µs)",
+                t.quantile_us(lead, 0.99).unwrap_or(0),
+                t.ewma_us(lead).unwrap_or(0.0),
+            );
+        }
+        _ => out.push_str("    plan: race\n"),
+    }
 }
 
 #[cfg(test)]
@@ -863,6 +974,186 @@ mod tests {
                 assert!(!stats.runs_on_shard(prolog), "sample {n}");
             }
         }
+    }
+
+    fn prolog_idx() -> usize {
+        workload::index_of("prolog").expect("catalog has prolog")
+    }
+
+    /// The shipped policy (hedging off) with `wins` races of `prolog`
+    /// won by its witness-first order in `body_us` each.
+    fn shipped_with_prolog_wins(wins: u64, body_us: u64) -> HedgePolicy {
+        let policy = HedgePolicy::new(HedgeConfig::default());
+        for _ in 0..wins {
+            policy.record_win(prolog_idx(), 1, body_us);
+        }
+        policy
+    }
+
+    /// The plans of ticks 1, 2, 3 … 7: the ones the exploration floor
+    /// leaves to the rule.
+    fn plans_between_explorations(policy: &HedgePolicy, widx: usize, n: usize) -> Vec<LaunchPlan> {
+        let every = policy.config().explore_every;
+        let plans: Vec<_> = (0..every).map(|_| policy.plan(widx, n)).collect();
+        assert_eq!(plans[0], LaunchPlan::immediate(n), "a tick of the floor");
+        plans[1..].to_vec()
+    }
+
+    /// Cold is "race": until `min_samples` wins are on record every plan
+    /// is the immediate, declaration-order one — the same value, not
+    /// merely an equivalent — and from then on every tick that is not
+    /// the floor's leads with the favourite.
+    #[test]
+    fn favourite_first_is_measured_never_presumed() {
+        let policy = HedgePolicy::new(HedgeConfig::default());
+        let widx = prolog_idx();
+        let min_samples = policy.config().min_samples;
+        for wins in 0..min_samples {
+            assert_eq!(policy.lead_for(widx), None, "{wins} wins is cold");
+            assert_eq!(policy.plan(widx, 2), LaunchPlan::immediate(2));
+            policy.record_win(widx, 1, 2);
+        }
+        assert_eq!(policy.lead_for(widx), Some(1));
+        // Ticks 0, 8, 16 … stay launch-all in declaration order, so the
+        // win statistics stay live; the seven between lead.
+        let policy = shipped_with_prolog_wins(min_samples, 2);
+        for tick in 0..32u64 {
+            let (plan, prune) = policy.plan_pruned(widx, 2);
+            assert_eq!(
+                prune, None,
+                "tick {tick}: a failed lead needs real siblings"
+            );
+            if tick % 8 == 0 {
+                assert_eq!(plan, LaunchPlan::immediate(2), "tick {tick} explores");
+            } else {
+                assert_eq!(plan, LaunchPlan::favourite_first(2, 1), "tick {tick}");
+            }
+        }
+    }
+
+    /// A body that waits on its token never leads alone, however short
+    /// it has measured: how long it waits is the request's `arg`. With
+    /// hedging off its plans are today's immediate ones, every tick;
+    /// with hedging on it is hedged, never led.
+    #[test]
+    fn a_blocking_body_never_leads_however_short_it_measures() {
+        for enabled in [false, true] {
+            let policy = HedgePolicy::new(HedgeConfig {
+                enabled,
+                ..HedgeConfig::default()
+            });
+            for w in workload::CATALOG.iter().filter(|w| w.blocks) {
+                let widx = workload::index_of(w.name).unwrap();
+                let n = w.alternatives();
+                for _ in 0..2_000 {
+                    policy.record_win(widx, 0, 1);
+                }
+                assert_eq!(policy.lead_for(widx), None, "{}", w.name);
+                for _ in 0..16 {
+                    let plan = policy.plan(widx, n);
+                    assert_eq!(plan.lead(), None, "{}", w.name);
+                    assert!(enabled || plan == LaunchPlan::immediate(n), "{}", w.name);
+                }
+            }
+        }
+        // The same samples lead `trivial`, whose bodies cannot wait.
+        let policy = HedgePolicy::new(HedgeConfig::default());
+        let trivial = workload::index_of("trivial").unwrap();
+        for _ in 0..2_000 {
+            policy.record_win(trivial, 0, 1);
+        }
+        assert_eq!(policy.lead_for(trivial), Some(0));
+    }
+
+    /// A favourite that is only usually short does not lead: 2 % of its
+    /// bodies past the bound put the p99 bucket over it, and the plan is
+    /// the immediate one however low the recent mean reads.
+    #[test]
+    fn a_body_p99_over_the_bound_races_as_before() {
+        let policy = HedgePolicy::new(HedgeConfig::default());
+        let widx = prolog_idx();
+        for n in 0..1_000u64 {
+            let body_us = if n % 50 == 0 { 4 * RACER_WAKE_US } else { 2 };
+            policy.record_win(widx, 1, body_us);
+        }
+        for _ in 0..20 {
+            policy.record_win(widx, 1, 2);
+        }
+        let table = policy.catalog().table(widx).unwrap();
+        assert!(table.ewma_us(1).unwrap() < 3.0, "the mean is short");
+        assert!(table.quantile_us(1, 0.99).unwrap() > RACER_WAKE_US);
+        assert_eq!(policy.lead_for(widx), None);
+        for plan in plans_between_explorations(&policy, widx, 2) {
+            assert_eq!(plan, LaunchPlan::immediate(2));
+        }
+    }
+
+    /// The regime change: a favourite a thousand short samples deep that
+    /// turns slow is over the bound by its recent mean within ten
+    /// samples — where the p99 alone would wait for 1 % of its history —
+    /// and the plan goes back to the immediate race.
+    #[test]
+    fn a_favourite_that_turns_slow_stops_leading_within_ten_samples() {
+        let policy = shipped_with_prolog_wins(1_000, 2);
+        let widx = prolog_idx();
+        assert_eq!(policy.lead_for(widx), Some(1));
+        let left_after = (1..=10)
+            .find(|_| {
+                policy.record_win(widx, 1, 2 * RACER_WAKE_US);
+                policy.lead_for(widx).is_none()
+            })
+            .expect("still leading after ten samples at twice the bound");
+        assert!(left_after >= 2, "one sample at twice the bound is noise");
+        let table = policy.catalog().table(widx).unwrap();
+        assert!(
+            table.quantile_us(1, 0.99).unwrap() <= RACER_WAKE_US,
+            "it was the mean: the p99 has not seen 1 % yet"
+        );
+        for plan in plans_between_explorations(&policy, widx, 2) {
+            assert_eq!(plan, LaunchPlan::immediate(2));
+        }
+    }
+
+    /// Why the statistic is the winner's body and not the race: `prolog`'s
+    /// favourite under launch-all reads 8 / 32 / 64 µs (p50 / p95 / p99
+    /// buckets) as race latency — the racer's wake-up and two switches
+    /// are in it — and 1 / 2 / 4 µs as body time. Fed the first, a
+    /// wake-cost bound never engages and the wake-up it would remove
+    /// keeps it from engaging; fed the second it does.
+    #[test]
+    fn the_rule_reads_the_body_not_the_race_latency() {
+        let widx = prolog_idx();
+        let as_race_latency = HedgePolicy::new(HedgeConfig::default());
+        let as_body = HedgePolicy::new(HedgeConfig::default());
+        for n in 0..1_000u64 {
+            let (race_us, body_us) = match n % 100 {
+                98..=99 => (50, 3),
+                94..=97 => (20, 2),
+                50..=93 => (12, 1),
+                _ => (6, 1),
+            };
+            as_race_latency.record_win(widx, 1, race_us);
+            as_body.record_win(widx, 1, body_us);
+        }
+        let p99 = |p: &HedgePolicy| p.catalog().table(widx).unwrap().quantile_us(1, 0.99);
+        assert_eq!(p99(&as_race_latency), Some(64));
+        assert_eq!(p99(&as_body), Some(4));
+        assert_eq!(as_race_latency.lead_for(widx), None);
+        assert_eq!(as_body.lead_for(widx), Some(1));
+    }
+
+    #[test]
+    fn catalog_rendering_says_which_schedule_each_workload_is_on() {
+        let policy = shipped_with_prolog_wins(64, 2);
+        for _ in 0..64 {
+            policy.record_win(lognormal_idx(), 0, 2);
+        }
+        let text = render_catalog(&policy);
+        let plans: Vec<&str> = text.lines().filter(|l| l.contains("plan: ")).collect();
+        assert_eq!(plans.len(), workload::CATALOG.len(), "{text}");
+        let led = "    plan: favourite-first (alt 1, body p99 ≤ 4 µs, mean 2.0 µs)";
+        assert_eq!(plans[prolog_idx()], led, "{text}");
+        assert_eq!(plans[lognormal_idx()], "    plan: race", "{text}");
     }
 
     #[test]

@@ -463,9 +463,14 @@ fn race(
 }
 
 /// Counts what a scheduler-planned race saved and spent: a pruned stub
-/// that never launched is suppressed like any other unlaunched hedge.
+/// that never launched is suppressed like any other unlaunched hedge,
+/// and so is the sibling of a lead that decided alone.
 fn count_hedges(telemetry: &Telemetry, plan: &LaunchPlan, result: &BlockResult<u64>) {
     telemetry.on_launches_suppressed(result.suppressed as u64);
+    telemetry.add(
+        Metric::RacesFavouriteFirst,
+        u64::from(plan.lead().is_some()),
+    );
     // Hedges that launched = those the plan held back minus those the
     // decision suppressed (saturating: under bounded engines a t=0
     // alternative can be suppressed too, but not here).
@@ -522,12 +527,18 @@ pub(crate) fn run_race(
     if deadline_ms > 0 && latency_us > u64::from(deadline_ms) * 1000 {
         telemetry.add(Metric::DeadlineMisses, 1);
     }
+    // The win table is fed the winner's own running time, τ(best): the
+    // race's latency has the wake-up and the switches in it, which are
+    // what the favourite-first rule weighs the body against.
+    let body_us = result
+        .winner_body
+        .map_or(latency_us, |body| body.as_micros() as u64);
     let reply = reply_for(result, latency_us, &token);
     match &reply {
         Response::Ok { winner, .. } => {
             let w = *winner as usize;
             telemetry.on_completed(latency_us);
-            sched.record_win(widx, w, latency_us);
+            sched.record_win(widx, w, body_us);
             if !plan.offset(w).is_zero() {
                 telemetry.add(Metric::HedgeWins, 1);
             }

@@ -359,6 +359,8 @@ metrics! {
         "Races won by a hedge-launched alternative";
     LaunchesSuppressed, "launches_suppressed", "launches suppressed", Some("altxd_launches_suppressed_total"), Counter, Own,
         "Alternative bodies suppressed by an early race decision";
+    RacesFavouriteFirst, "races_favourite_first", "races favourite-first", Some("altxd_races_favourite_first_total"), Counter, Own,
+        "Races whose caller ran the measured favourite alone before calling on any sibling";
     RacersLive, "racers_live", "racers live", Some("altxd_racers_live"), Gauge, Crew(|c| c.live as u64),
         "Racer threads of the race crew alive right now";
     RacersSpawned, "racers_spawned", "racers spawned", Some("altxd_racers_spawned_total"), Counter, Crew(|c| c.spawned),

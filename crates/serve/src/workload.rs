@@ -8,7 +8,9 @@
 //! ([`CancelToken::sleep`]): the decision wakes a losing sibling and a
 //! deadline ends the wait of everyone in the race, when it happens — the
 //! serving-layer analogue of the paper's elimination signal. The `prolog`
-//! bodies compute, and only look at the token before they start.
+//! bodies compute, and hand the token to their solver, which polls it
+//! every 64 steps: an eliminated clause order stops within a poll of the
+//! decision instead of running its search to exhaustion.
 
 use altx::{AltBlock, CancelToken};
 use altx_bench::TimeDistribution;
@@ -223,43 +225,39 @@ fn prolog_kb() -> &'static (KnowledgeBase, KnowledgeBase) {
 }
 
 /// Races the same query under two clause orders; the winner is whichever
-/// strategy proves `q/1` first. The solver itself is not interruptible,
-/// so the query size is bounded to keep losers short-lived. A skipped
+/// strategy proves `q/1` first. Each solver polls the race's token
+/// ([`Solver::cancel`], every 64 steps), so the loser stops within a
+/// poll of the decision and a deadline ends both; a search cut short
+/// proves nothing and fails its guard. The query size is bounded all the
+/// same, so a body nobody eliminates is short-lived too. A skipped
 /// alternative's query string is never even formatted.
 fn prolog(arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
     let depth = 50 + arg % 450;
+    let (slow_first, fast_first) = prolog_kb();
+    let orders = [
+        ("clause-order-as-written", slow_first),
+        ("clause-order-reversed", fast_first),
+    ];
     let mut block = AltBlock::new();
-    block = if wanted(skip, 0) {
-        let query = format!("q({depth})");
-        block.alternative(
-            "clause-order-as-written",
-            move |_ws, token: &CancelToken| {
+    for (i, (name, kb)) in orders.into_iter().enumerate() {
+        block = if wanted(skip, i) {
+            let query = format!("q({depth})");
+            block.alternative(name, move |_ws, token: &CancelToken| {
+                // Usually the race is decided before the loser's body
+                // starts: do not parse a query nobody will ask.
                 if token.is_cancelled() {
                     return None;
                 }
-                let (slow_first, _) = prolog_kb();
-                let mut solver = Solver::new(slow_first);
+                let mut solver = Solver::new(kb);
+                solver.cancel = Some(token.clone());
                 let sols = solver.solve_str(&query, 1).ok()?;
                 (!sols.is_empty()).then(|| solver.steps())
-            },
-        )
-    } else {
-        block.alternative("clause-order-as-written", |_ws, _t| None)
-    };
-    if wanted(skip, 1) {
-        let query = format!("q({depth})");
-        block.alternative("clause-order-reversed", move |_ws, token: &CancelToken| {
-            if token.is_cancelled() {
-                return None;
-            }
-            let (_, fast_first) = prolog_kb();
-            let mut solver = Solver::new(fast_first);
-            let sols = solver.solve_str(&query, 1).ok()?;
-            (!sols.is_empty()).then(|| solver.steps())
-        })
-    } else {
-        block.alternative("clause-order-reversed", |_ws, _t| None)
+            })
+        } else {
+            block.alternative(name, |_ws, _t| None)
+        };
     }
+    block
 }
 
 #[cfg(test)]
@@ -315,6 +313,74 @@ mod tests {
     fn prolog_finds_the_witness() {
         let r = ThreadedEngine::new().execute(&build("prolog", 3).unwrap(), &mut ws());
         assert!(r.succeeded());
+    }
+
+    /// Runs `body` while another thread — released together with it
+    /// and spinning `after` first, so the body is well under way —
+    /// cancels `token`.
+    fn cancelled_after<T>(token: &CancelToken, after: Duration, body: impl FnOnce() -> T) -> T {
+        let both = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                both.wait();
+                let released = Instant::now();
+                while released.elapsed() < after {
+                    std::hint::spin_loop();
+                }
+                token.cancel();
+            });
+            both.wait();
+            body()
+        })
+    }
+
+    /// An eliminated computation stops: the dead-end clause order, run
+    /// alone and cancelled from another thread while it searches, gives
+    /// up within a poll of the cancel instead of running to exhaustion.
+    /// Whether a given cancel lands mid-search is the scheduler's, so
+    /// each attempt asserts what must hold wherever it landed and the
+    /// test asks that some attempt out of many was cut mid-search.
+    #[test]
+    fn an_eliminated_dead_end_stops_before_it_is_exhausted() {
+        let arg = 449; // depth 499: the longest dead end a request can ask for
+        let (dead_end_kb, _) = prolog_kb();
+        let mut alone = Solver::new(dead_end_kb);
+        assert_eq!(alone.solve_str("q(499)", 1).unwrap().len(), 1);
+        let full = alone.steps();
+        let dead_end = build("prolog", arg).unwrap().alternatives()[0].clone();
+        assert_eq!(
+            dead_end.run(&mut ws(), &CancelToken::new()),
+            Some(full),
+            "uncancelled, the body is that search to its end"
+        );
+
+        let after = Duration::from_micros(20);
+        let cut_mid_search = (0..500).any(|_| {
+            let token = CancelToken::new();
+            let mut solver = Solver::new(dead_end_kb);
+            solver.cancel = Some(token.clone());
+            let sols = cancelled_after(&token, after, || solver.solve_str("q(499)", 1).unwrap());
+            if sols.is_empty() {
+                assert!(solver.truncated() && solver.steps() < full);
+            } else {
+                assert_eq!(solver.steps(), full, "the cancel came too late to matter");
+            }
+            sols.is_empty() && solver.steps() > 0
+        });
+        assert!(
+            cut_mid_search,
+            "no cancel in 500 stopped a search under way"
+        );
+
+        // The workload's body hands its solver the race's token: at the
+        // parent of this change it looked once, before it started.
+        let stopped = (0..500).any(|_| {
+            let token = CancelToken::new();
+            let answer = cancelled_after(&token, after, || dead_end.run(&mut ws(), &token));
+            assert!(answer.is_none() || answer == Some(full), "{answer:?}");
+            answer.is_none()
+        });
+        assert!(stopped, "the body ran to its end under 500 cancels");
     }
 
     #[test]

@@ -12,10 +12,10 @@
 use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response};
 use altx_serve::sched::{ADMISSION_MIN_SAMPLES, SHARD_MAX_SERVICE_US};
 use altx_serve::telemetry::{scrape, Metric};
-use altx_serve::{start, workload, Client, PeerConfig, ServerConfig, Telemetry};
+use altx_serve::{start, workload, Client, HedgePolicy, PeerConfig, ServerConfig, Telemetry};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -1113,5 +1113,123 @@ fn a_sub_millisecond_batch_window_closes_in_under_a_millisecond() {
     assert!(best < Duration::from_millis(1), "best of 50: {best:?}");
     let snap = server.telemetry().snapshot();
     assert_eq!(snap[Metric::BatchesFormed], 50, "each a batch of its own");
+    server.shutdown();
+}
+
+/// Pins `workload`'s win table — alternative `fav` the favourite, its
+/// body 2 µs — and its service table — 5 µs a race — 20 000 samples
+/// deep: stated, not hoped for, as in [`pin_trivial_short`]. That deep,
+/// no p99 clause moves with what a test then races (a debug build's
+/// witness-first proof reads p99 ≤ 32 µs from a racer on the other
+/// CPU); the recent-mean clauses stay live, and are the measurement's.
+fn pin_short_and_led(telemetry: &Telemetry, workload: &str, fav: usize) {
+    let stats = telemetry.catalog().expect("attached at start");
+    let widx = workload::index_of(workload).expect("in the catalog");
+    let wins = stats.table(widx).expect("interned");
+    for _ in 0..20_000 {
+        wins.record_win(fav, 2);
+        stats.record_service(widx, 5);
+    }
+}
+
+/// One closed-loop request whose reply must be `Ok` and name its
+/// winner as the catalog does.
+fn ok_and_named_right(stream: &mut TcpStream, spec: &workload::WorkloadSpec, arg: u64) {
+    pipeline(stream, [run_req(spec.name, arg, 0)]);
+    match next_reply(stream) {
+        Response::Ok {
+            winner,
+            winner_name,
+            ..
+        } => assert_eq!(
+            spec.alt_names.get(winner as usize),
+            Some(&winner_name.as_str()),
+            "{} arg {arg}: winner {winner}",
+            spec.name
+        ),
+        other => panic!("{} arg {arg}: expected Ok, got {other:?}", spec.name),
+    }
+}
+
+/// Nobody is woken to lose, end to end: a daemon whose `prolog`
+/// favourite has measured under a wake-up runs that clause order first,
+/// on the thread that has the request — except on ticks 0, 8, 16 …,
+/// which explore in declaration order — and every led race suppresses
+/// the dead end it never started. With no dead end started the service
+/// time is short, and the unchanged shard rule races `prolog` on the
+/// reactor thread. Every reply is `Ok` and named as the catalog names
+/// it. `lognormal`, pinned just as short, never gets the plan: its
+/// bodies wait.
+///
+/// How many races lead is the recent means' to say (an optimised build
+/// leads all 700 of 800 that are not the floor's and runs all 800 on
+/// the shard; an unoptimised one's witness-first proof hovers around
+/// the bound), so the counts are asserted against the rule itself: one
+/// closed-loop connection, every race on record before its reply is
+/// written, so a policy over the daemon's own statistics says before
+/// each request what the daemon is about to do. The pins — repeated
+/// every hundred requests — make sure some races lead in any build.
+#[test]
+fn a_measured_favourite_runs_first_and_prolog_reaches_the_shard() {
+    const REQUESTS: u64 = 800;
+    let _guard = serial();
+    let server = local_server(2, 16);
+    let telemetry = server.telemetry();
+    let stats = telemetry.catalog().expect("attached at start");
+    let rule = HedgePolicy::with_catalog(ServerConfig::default().hedge, Arc::clone(stats));
+    let prolog = workload::spec("prolog").expect("in the catalog");
+    let widx = workload::index_of("prolog").expect("in the catalog");
+    let mut stream = raw_conn(&server);
+    let (mut led, mut on_shard) = (0, 0);
+    for tick in 0..REQUESTS {
+        if tick % 100 == 1 {
+            pin_short_and_led(&telemetry, "prolog", 1);
+        }
+        let leads = tick % 8 != 0 && rule.lead_for(widx) == Some(1);
+        assert!(leads || tick % 100 != 1, "pinned, and not the floor's");
+        led += u64::from(leads);
+        on_shard += u64::from(stats.runs_on_shard(widx));
+        ok_and_named_right(&mut stream, prolog, tick);
+    }
+    // A queued race is counted accepted after the push, which its
+    // reply can overtake.
+    await_snapshot(&telemetry, "the last race to be counted", |t| {
+        t.snapshot()[Metric::Accepted] == REQUESTS
+    });
+    let snap = telemetry.snapshot();
+    assert_eq!(snap[Metric::Completed], REQUESTS);
+    assert_eq!(
+        snap[Metric::RacesFavouriteFirst],
+        led,
+        "the plan is the rule"
+    );
+    assert_eq!(snap[Metric::RacesOnShard], on_shard, "the path is the flag");
+    assert!(led >= REQUESTS / 100 && on_shard >= REQUESTS / 100);
+    assert!(
+        snap[Metric::LaunchesSuppressed] >= led,
+        "a lead that decides suppresses its sibling: {} < {led}",
+        snap[Metric::LaunchesSuppressed]
+    );
+
+    pin_short_and_led(&telemetry, "lognormal", 0);
+    let lognormal = workload::spec("lognormal").expect("in the catalog");
+    for arg in 0..16 {
+        ok_and_named_right(&mut stream, lognormal, arg);
+    }
+    assert_eq!(telemetry.snapshot()[Metric::RacesFavouriteFirst], led);
+    pin_short_and_led(&telemetry, "prolog", 1);
+    pipeline(&mut stream, [Request::Catalog]);
+    match next_reply(&mut stream) {
+        Response::Text { body } => {
+            let plan_of = |name: &str| {
+                let entry = body.split(&format!("\n  {name}  — ")).nth(1).expect(name);
+                entry.lines().find(|l| l.contains("plan: ")).expect(name)
+            };
+            assert_eq!(plan_of("lognormal"), "    plan: race", "{body}");
+            let led = "    plan: favourite-first (alt 1, body p99 ≤ 4 µs, mean 2.0 µs)";
+            assert_eq!(plan_of("prolog"), led, "{body}");
+        }
+        other => panic!("expected the catalog page, got {other:?}"),
+    }
     server.shutdown();
 }

@@ -101,10 +101,15 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 # real threads (its unit tests, EDF / steal / aging order, the drain
 # racing submitters) — and the link core's unit tests with them: gated
 # as "0 failures in N", because a concurrency bug that fires one run in
-# ten passes a single run nine times in ten.
+# ten passes a single run nine times in ten. The favourite-first tests
+# ride in the same binaries and assert counts, never a wall-clock bound:
+# `--test race_crew` (a thousand lead-decided races on an empty crew
+# spawn no racer; a lead that fails or panics costs no alternative) and
+# `--test reactor` (`races favourite-first` and `races on shard` equal
+# what the rule said before each request).
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window with it), loopback and timer_slack suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew (lead-decided races with it), write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window and the favourite-first path with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
