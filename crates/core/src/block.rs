@@ -113,13 +113,15 @@ impl<R> AltBlock<R> {
         }
     }
 
-    /// Adds an alternative (builder style).
-    pub fn alternative<F>(mut self, name: impl Into<String>, body: F) -> Self
+    /// Adds an alternative (builder style). The name is kept as an
+    /// `Arc<str>`: a `&str` or a `String` is copied into one allocation,
+    /// an `Arc<str>` the caller already holds is taken as it is.
+    pub fn alternative<F>(mut self, name: impl Into<Arc<str>>, body: F) -> Self
     where
         F: Fn(&mut AddressSpace, &CancelToken) -> Option<R> + Send + Sync + 'static,
     {
         self.alternatives.push(BlockAlternative {
-            name: Arc::from(Into::<String>::into(name)),
+            name: name.into(),
             body: Arc::new(body),
         });
         self

@@ -20,6 +20,7 @@
 //! "ran out of time", which `altx-serve` maps to its `DeadlineExceeded`
 //! reply.
 
+use crate::wake;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -155,40 +156,68 @@ impl CancelToken {
 
     /// Blocks the calling thread for `total`, or until the token is
     /// cancelled or its deadline passes, whichever comes first. Returns
-    /// `true` iff the whole time elapsed with the token still live;
-    /// `false` means the wait was cut short (or never started) and the
-    /// alternative should fail instead of pretending it finished.
+    /// `true` iff the whole time elapsed with the token still live —
+    /// never before `start + total` — and `false` when the wait was cut
+    /// short (or never started): the alternative should fail instead of
+    /// pretending it finished.
     ///
     /// This is how a body *waits*: [`cancel`](Self::cancel) wakes it, so
     /// an eliminated sleeper returns when the race is decided, not at the
     /// end of a polling interval.
+    ///
+    /// It is also how a body wakes *on time*. A thread woken by a timer
+    /// runs some tens of microseconds after the timer fired, so the wait
+    /// asks the kernel for its end less the process's measured
+    /// [lead](crate::wake) and covers what is left awake: off the lock
+    /// `cancel` takes and no longer counted as a sleeper — a canceller
+    /// never waits behind it — reading the clock, the cancel flag and the
+    /// deadline each turn and yielding the CPU between turns. In a
+    /// process whose timed waits have taught it nothing yet the lead is
+    /// zero and this is a plain timed wait.
     pub fn sleep(&self, total: Duration) -> bool {
         let mut now = Instant::now();
         // A time too far off to represent is waited for like "forever".
         let end = now.checked_add(total);
         let wake_at = [end, self.deadline].into_iter().flatten().min();
+        let flagged = || self.shared.flag.load(Ordering::Acquire);
+        let cut_short = |now: Instant| flagged() || self.deadline.is_some_and(|d| now >= d);
         let mut sleepers = self.shared.sleepers();
         *sleepers += 1;
-        let elapsed = loop {
+        // `Err(at)`: close enough to `at` that the rest is covered awake.
+        let asleep = loop {
             // Re-checked after every wake-up, so a spurious one only
             // goes round again.
-            if self.shared.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|d| now >= d) {
-                break false;
+            if cut_short(now) {
+                break Ok(false);
             }
             if end.is_some_and(|end| now >= end) {
-                break true;
+                break Ok(true);
             }
-            let timeout = wake_at.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
-            sleepers = self
-                .shared
-                .wake
-                .wait_timeout(sleepers, timeout)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-            now = Instant::now();
+            match wake_at {
+                Some(at) if wake::in_tail(at, now) => break Err(at),
+                Some(at) => {
+                    let (guard, woke) = wake::park(&self.shared.wake, sleepers, at, now);
+                    sleepers = guard;
+                    now = woke.unwrap_or_else(Instant::now);
+                }
+                None => {
+                    sleepers = self
+                        .shared
+                        .wake
+                        .wait(sleepers)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    now = Instant::now();
+                }
+            }
         };
         *sleepers -= 1;
-        elapsed
+        drop(sleepers);
+        asleep.unwrap_or_else(|at| {
+            // `at` is the end or the deadline, whichever is first: once
+            // it has come, not cut short means the whole time elapsed.
+            let now = wake::finish_awake(at, |_| !flagged());
+            !cut_short(now)
+        })
     }
 }
 
@@ -314,7 +343,9 @@ mod tests {
     /// scheduling hiccup from sleeping the remaining seconds out.
     const WOKEN_WITHIN: Duration = Duration::from_millis(100);
 
-    /// Blocks until `n` threads are waiting in `sleep` on `token`.
+    /// Blocks until `n` threads are waiting in `sleep` on `token`. A
+    /// sleeper that stays awake is not counted, so the caller holds the
+    /// lead at zero ([`wake::forced`]) against the tests that force one.
     fn until_asleep(token: &CancelToken, n: usize) {
         while *token.shared.sleepers() < n {
             std::thread::yield_now();
@@ -356,6 +387,7 @@ mod tests {
 
     #[test]
     fn cancel_wakes_every_sleeper() {
+        let _cold = wake::forced(Duration::ZERO);
         let t = CancelToken::new();
         let sleepers: Vec<_> = (0..4)
             .map(|_| {
@@ -388,12 +420,85 @@ mod tests {
 
     #[test]
     fn unrepresentable_wait_is_still_cut_short() {
+        let _cold = wake::forced(Duration::ZERO);
         let t = CancelToken::new();
         let u = t.clone();
         let sleeper = std::thread::spawn(move || u.sleep(Duration::MAX));
         until_asleep(&t, 1);
         t.cancel();
         assert!(!sleeper.join().expect("sleeper joins"));
+    }
+
+    /// Under the largest lead the estimate can reach every wait below
+    /// is led — parked short of its end, or never parked at all — and
+    /// still none returns `true` early.
+    #[test]
+    fn a_led_sleep_never_returns_true_before_its_time() {
+        let _lead = wake::forced(wake::LEAD_CAP);
+        let mut rng = altx_check::CaseRng::from_seed(0x51EE9);
+        let t = CancelToken::new();
+        for _ in 0..2_000 {
+            let total = Duration::from_nanos(rng.u64_below(1_500_001));
+            let start = Instant::now();
+            assert!(t.sleep(total), "nobody cancelled");
+            let took = start.elapsed();
+            assert!(took >= total, "asked {total:?}, back after {took:?}");
+        }
+        assert_eq!(*t.shared.sleepers(), 0, "every sleeper signed off");
+    }
+
+    /// The awake tail holds nothing a canceller needs. The lead is held
+    /// far past any real one, so a sleeper with a minute to go spends all
+    /// of it in the tail; a wait that missed the cancel would sit the
+    /// minute out and report it elapsed.
+    #[test]
+    fn a_cancel_during_the_awake_tail_ends_it_and_waits_for_nobody() {
+        let _lead = wake::forced(Duration::from_secs(3_600));
+        let minute = Duration::from_secs(60);
+        let in_the_tail = |t: &CancelToken| {
+            let finished_awake = wake::wake_stats().finished_awake;
+            let sleeper = t.clone();
+            let handle = std::thread::spawn(move || sleeper.sleep(minute));
+            // In the tail the sleeper has signed on, off again, and been
+            // counted awake; before it, one of the three is missing.
+            let settled = Instant::now() + Duration::from_millis(1);
+            while Instant::now() < settled
+                || *t.shared.sleepers() > 0
+                || wake::wake_stats().finished_awake == finished_awake
+            {
+                std::thread::yield_now();
+            }
+            handle
+        };
+
+        // `cancel()` takes the sleepers' lock while the sleeper spins.
+        let t = CancelToken::new();
+        let sleeper = in_the_tail(&t);
+        t.cancel();
+        assert!(!sleeper.join().expect("sleeper joins"), "cut short");
+
+        // And the sleeper needs no lock to see the flag: it leaves while
+        // this thread holds the one there is.
+        let t = CancelToken::new();
+        let sleeper = in_the_tail(&t);
+        let held = t.shared.sleepers();
+        t.shared.flag.store(true, Ordering::Release);
+        assert!(!sleeper.join().expect("sleeper joins"));
+        assert_eq!(*held, 0, "it had signed off before it stayed awake");
+    }
+
+    #[test]
+    fn a_led_sleeper_leaves_at_the_deadline_and_not_before() {
+        let _lead = wake::forced(wake::LEAD_CAP);
+        for budget in [50, 150, 700].map(Duration::from_micros) {
+            let start = Instant::now();
+            let t = CancelToken::with_deadline_at(start + budget);
+            assert!(!t.sleep(Duration::from_secs(10)), "the deadline is first");
+            let took = start.elapsed();
+            assert!(took >= budget, "budget {budget:?}, back after {took:?}");
+            assert!(t.deadline_expired());
+            assert!(!t.shared.flag.load(Ordering::Acquire), "nobody cancelled");
+        }
     }
 
     /// The wake-up is the contract: whatever the order and spacing of a

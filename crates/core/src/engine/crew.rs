@@ -21,6 +21,7 @@
 //! slow to wake, or whose racers are all inside other bodies, costs
 //! concurrency and never progress.
 
+use crate::wake;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -227,25 +228,50 @@ impl Crew {
                 continue;
             }
             let next_release = state.tickets.iter().filter_map(|t| t.release).min();
-            let until = match next_release {
+            // What to wait for, and whether it is a hedge's release — a
+            // time some race is waiting on, which is led — or only this
+            // racer's retirement, which nobody is.
+            let (until, release) = match next_release {
                 // Past retirement but a hedge is still queued: stay as
                 // its watcher.
-                Some(release) if now >= retire_at => release,
-                Some(release) => release.min(retire_at),
+                Some(release) if now >= retire_at => (release, true),
+                Some(release) => (release.min(retire_at), release <= retire_at),
                 None if now >= retire_at => {
                     state.live -= 1;
                     return;
                 }
-                None => retire_at,
+                None => (retire_at, false),
             };
+            if release && wake::in_tail(until, now) {
+                // Too close to sleep towards. Awake, off the lock and not
+                // parked, this racer is what a dispatch counts as free:
+                // it looks at the queue every turn, so a ticket that
+                // falls due — or the decision taking the hedge's away —
+                // ends the watch at once.
+                drop(state);
+                wake::finish_awake(until, |now| {
+                    let state = self.lock();
+                    !state.tickets.iter().any(|t| t.due(now))
+                        && state.tickets.iter().any(|t| t.release == Some(until))
+                });
+                called = false;
+                state = self.lock();
+                continue;
+            }
             state.parked += 1;
-            let (guard, wait) = self
-                .wake
-                .wait_timeout(state, until.saturating_duration_since(now))
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
+            let timed_out;
+            (state, timed_out) = if release {
+                let (guard, woke) = wake::park(&self.wake, state, until, now);
+                (guard, woke.is_some())
+            } else {
+                let (guard, wait) = self
+                    .wake
+                    .wait_timeout(state, until.saturating_duration_since(now))
+                    .unwrap_or_else(PoisonError::into_inner);
+                (guard, wait.timed_out())
+            };
             state.parked -= 1;
-            called = !wait.timed_out();
+            called = !timed_out;
         }
     }
 }

@@ -5,6 +5,7 @@ use crate::cancel::CancelToken;
 use crate::engine::crew::{crew, Job};
 use crate::engine::{Engine, LaunchPlan};
 use crate::faults;
+use crate::wake;
 use altx_pager::AddressSpace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -45,6 +46,15 @@ use std::time::{Duration, Instant};
 /// once, hedged ones at their release time — so a race started from
 /// inside an alternative body, or while every racer is busy, completes
 /// all the same.
+///
+/// Every wait on a clock in a race — a body's [`CancelToken::sleep`], the
+/// caller's wait for a hedge's release, the crew's release watcher — is
+/// a [led](crate::wake) wait: it asks the kernel early by what this
+/// process's timer wake-ups have measured late and covers the remainder
+/// awake, off its lock. That moves *when* a waiter is running again,
+/// never what it may do then: no alternative is claimed before its
+/// release instant, and a body's sleep never reports its time elapsed
+/// early.
 ///
 /// [`with_max_threads`](ThreadedEngine::with_max_threads) bounds the
 /// degree of real concurrency — the paper's *virtual concurrency* case
@@ -355,6 +365,8 @@ impl ThreadedEngine {
     ///
     /// Nobody sleeps on a hedged alternative's behalf: its release time
     /// sits on the crew's queue, and the decision takes it off again.
+    /// Whoever watches that time — the caller, a parked racer — is back
+    /// on a CPU when it comes, not a wake-up later ([`crate::wake`]).
     /// Nobody is woken on a [lead](LaunchPlan::favourite_first)'s behalf
     /// either: the caller runs it before a single ticket exists, and a
     /// lead that decides the race leaves its siblings suppressed where
@@ -413,11 +425,19 @@ impl ThreadedEngine {
                 Next::At(release) => {
                     // A deadline cancels the token without signalling.
                     let until = token.deadline().map_or(release, |d| d.min(release));
-                    state = race
-                        .changed
-                        .wait_timeout(state, until.saturating_duration_since(Instant::now()))
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
+                    let now = Instant::now();
+                    if wake::in_tail(until, now) {
+                        // Too close to sleep towards: the rest is covered
+                        // awake and off the race's lock, so a hedge fires
+                        // when its plan says. A decision cancels the
+                        // token; `claim_next` reads the clock itself and
+                        // claims nothing before its release.
+                        drop(state);
+                        wake::finish_awake(until, |_| !token.is_cancelled());
+                        state = race.lock();
+                    } else {
+                        state = wake::park(&race.changed, state, until, now).0;
+                    }
                 }
                 // Nothing pending and nothing running: the race is over.
                 Next::Idle if state.running == 0 => break,

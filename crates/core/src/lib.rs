@@ -22,6 +22,9 @@
 //!   - [`engine::sim`] — the same race on the deterministic simulated
 //!     kernel (`altx-kernel`) with 1989-calibrated costs, for the paper's
 //!     quantitative experiments.
+//! * [`wake`] — how the race's timed waits end on time: they ask the
+//!   kernel early by the measured lateness of this process's own timer
+//!   wake-ups and cover the last microseconds awake.
 //! * [`perf`] — the §4.2 analytic model: performance improvement
 //!   `PI = τ(C_mean) / (τ(C_best) + τ(overhead))`, the worked table, the
 //!   win condition, and the dispersion analysis.
@@ -55,11 +58,13 @@ pub mod macros;
 pub mod pad;
 pub mod perf;
 pub mod stats;
+pub mod wake;
 
 pub use block::{AltBlock, BlockResult};
 pub use cancel::CancelToken;
 pub use engine::Engine;
 pub use pad::CachePadded;
+pub use wake::{wake_stats, WakeStats};
 
 // Re-export the substrate types that appear in this crate's public API.
 pub use altx_pager::{AddressSpace, MachineProfile, PageSize};

@@ -3,7 +3,8 @@
 //! of their own and take turns.
 
 use altx::engine::{crew_stats, Engine, LaunchPlan, ThreadedEngine};
-use altx::{AddressSpace, AltBlock, CancelToken, PageSize};
+use altx::wake::{force_lead, LEAD_CAP};
+use altx::{wake_stats, AddressSpace, AltBlock, CancelToken, PageSize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -197,4 +198,99 @@ fn a_lead_that_comes_back_undecided_costs_the_race_no_alternative() {
         // each either ran or was reached by the other's decision first.
         assert_eq!(r.suppressed + ran.load(Ordering::SeqCst), 2);
     }
+}
+
+/// Holds the process's timed-wait lead at `to` until dropped.
+fn forced_lead(to: Duration) -> impl Drop {
+    struct Forced;
+    impl Drop for Forced {
+        fn drop(&mut self) {
+            force_lead(None);
+        }
+    }
+    force_lead(Some(to));
+    Forced
+}
+
+#[test]
+fn a_led_release_wait_never_starts_a_hedge_before_its_release() {
+    let _turn = serial();
+    // The favourite fails at once, so the race waits for the hedge's
+    // release: the caller on its own condvar, a racer as the crew's
+    // watcher. At the cap both park short of a 300 µs release and cover
+    // the rest awake; under a lead longer than the offset neither parks
+    // at all. Whichever of them claims the hedge, its body — which
+    // stamps its own start — must not be running before `start + offset`.
+    let offset = Duration::from_micros(300);
+    let plan = LaunchPlan::from_offsets(vec![Duration::ZERO, offset]);
+    let finished_awake = wake_stats().finished_awake;
+    for lead in [LEAD_CAP, 4 * offset] {
+        let _lead = forced_lead(lead);
+        for round in 0..300 {
+            let block: AltBlock<Instant> = AltBlock::new()
+                .alternative("favourite-fails", |_w, _t| None)
+                .alternative("hedge", |_w, _t| Some(Instant::now()));
+            // Read before the engine reads its own: the release is no
+            // earlier than this plus the offset.
+            let start = Instant::now();
+            let r = ThreadedEngine::new().execute_planned(
+                &block,
+                &mut ws(),
+                &CancelToken::new(),
+                &plan,
+            );
+            assert_eq!(r.winner, Some(1), "round {round}: the hedge fired and won");
+            let began = r.value.expect("the hedge's own stamp");
+            let after = began.saturating_duration_since(start);
+            assert!(after >= offset, "round {round}: hedge running {after:?} in");
+        }
+    }
+    assert!(
+        wake_stats().finished_awake > finished_awake,
+        "six hundred releases and none was waited for awake"
+    );
+}
+
+#[test]
+fn under_a_lead_the_decision_still_takes_an_unreleased_ticket_off_the_queue() {
+    let _turn = serial();
+    // As `a_hedged_sibling_is_reclaimed_where_it_waits`, with the lead
+    // held so far out that the watcher spends the whole offset awake: it
+    // looks at the queue every turn, finds the hedge's ticket purged and
+    // goes back to parking — and retires on the ordinary idle timeout.
+    let offset = Duration::from_secs(3);
+    let _lead = forced_lead(2 * offset);
+    let ran = Arc::new(AtomicUsize::new(0));
+    let seen = ran.clone();
+    let block: AltBlock<u8> = AltBlock::new()
+        .alternative("favourite", |_w, t| {
+            t.sleep(Duration::from_millis(5)).then_some(0)
+        })
+        .alternative("hedge", move |_w, _t| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Some(1)
+        });
+    let plan = LaunchPlan::from_offsets(vec![Duration::ZERO, offset]);
+    let reclaimed = crew_stats().reclaimed;
+    let start = Instant::now();
+    let r = ThreadedEngine::new().execute_planned(&block, &mut ws(), &CancelToken::new(), &plan);
+    assert_eq!(r.winner, Some(0));
+    assert_eq!(r.suppressed, 1, "the hedge was eliminated, not run");
+    assert_eq!(crew_stats().reclaimed, reclaimed + 1);
+    wait_for_empty_crew(start + offset / 2);
+    assert_eq!(ran.load(Ordering::SeqCst), 0, "hedge body never ran");
+}
+
+#[test]
+fn a_process_learns_its_lead_from_its_own_timed_waits() {
+    let _turn = serial();
+    force_lead(None);
+    assert_eq!(wake_stats().lead, Duration::ZERO, "cold: no lead");
+    let token = CancelToken::new();
+    for _ in 0..50 {
+        assert!(token.sleep(Duration::from_micros(500)));
+    }
+    // Every one of those waits ended at least a little late.
+    let lead = wake_stats().lead;
+    assert!(lead > Duration::ZERO && lead <= LEAD_CAP, "{lead:?}");
 }

@@ -5,7 +5,8 @@
 //! the two: once a workload has enough history, the historical favourite
 //! launches at t=0 and every other alternative is *hedged* — held back by
 //! a [`LaunchPlan`] offset derived from the favourite's observed p95
-//! latency. If the favourite answers within its usual envelope the
+//! latency (a lower quantile until forty wins are on record, so that two
+//! samples always lie beyond it). If the favourite answers within its usual envelope the
 //! siblings are suppressed (their bodies never run); if it straggles or
 //! fails, the hedges fire and the race proceeds exactly as before.
 //! Suppression changes cost, never which value is selected: the engine's
@@ -393,8 +394,9 @@ impl HedgePolicy {
         if !self.config.enabled {
             return race_all();
         }
-        let p95 = table.quantile_us(fav, 0.95).unwrap_or(0);
-        let delay = Duration::from_micros(p95).clamp(self.config.min_delay, self.config.max_delay);
+        let quantile = hedge_delay_quantile(table.wins(fav));
+        let delay = Duration::from_micros(table.quantile_us(fav, quantile).unwrap_or(0))
+            .clamp(self.config.min_delay, self.config.max_delay);
         let offsets = (0..n_alts)
             .map(|i| if i == fav { Duration::ZERO } else { delay })
             .collect();
@@ -422,6 +424,17 @@ impl HedgePolicy {
     pub fn record_service(&self, widx: usize, latency_us: u64) {
         self.catalog.record_service(widx, latency_us);
     }
+}
+
+/// Which quantile of the favourite's body times the hedge delay reads,
+/// given how many of them there are: `min(0.95, 1 − 2 / wins)` — p80 at
+/// 10 wins, p90 at 20, p95 from 40 on. At least two samples always lie
+/// beyond it, so one stall cannot choose the delay: the p95 *bucket* of
+/// ten samples is their maximum, and one early 10 ms stall used to park
+/// the delay at 25–50 ms for as long as it took forty faster wins to
+/// outvote it.
+fn hedge_delay_quantile(wins: u64) -> f64 {
+    (1.0 - 2.0 / wins.max(1) as f64).min(0.95)
 }
 
 /// The two measured clauses of [`HedgePolicy::lead_for`]: alternative
@@ -749,6 +762,48 @@ mod tests {
         let _ = policy.plan(widx, 3);
         let plan = policy.plan(widx, 3);
         assert_eq!(plan.offset(1), Duration::from_millis(10));
+    }
+
+    #[test]
+    fn one_stall_cannot_own_the_hedge_delay() {
+        let mut config = hedging_on();
+        config.min_delay = Duration::from_micros(1);
+        config.max_delay = Duration::from_secs(1);
+        let widx = lognormal_idx();
+        let delay = |policy: &HedgePolicy| {
+            let _ = policy.plan(widx, 3); // the exploration tick
+            policy.plan(widx, 3).offset(1)
+        };
+        // Ten 1 ms wins and one 30 ms stall: the delay is the 1 ms
+        // bucket's bound, where the p95 of eleven samples is the stall.
+        let policy = HedgePolicy::new(config);
+        (0..10).for_each(|_| policy.record_win(widx, 0, 1_000));
+        policy.record_win(widx, 0, 30_000);
+        assert_eq!(delay(&policy), Duration::from_micros(1_024));
+        let table = policy.catalog().table(widx).unwrap();
+        assert_eq!(
+            table.quantile_us(0, 0.95),
+            Some(32_768),
+            "what it read before"
+        );
+
+        // Two samples always lie beyond the quantile, whatever the count.
+        for wins in 3..200u64 {
+            let rank = (hedge_delay_quantile(wins) * wins as f64).ceil() as u64;
+            assert!(rank + 2 <= wins, "{wins} wins: rank {rank}");
+        }
+
+        // From forty samples on it is exactly the p95 it always was: 5 %
+        // of a deep history at 30 ms put the delay there, 4 % do not.
+        for (stalls, wins) in [(3u64, 60u64), (2, 60), (10, 200), (9, 200)] {
+            let policy = HedgePolicy::new(config);
+            (stalls..wins).for_each(|_| policy.record_win(widx, 0, 1_000));
+            (0..stalls).for_each(|_| policy.record_win(widx, 0, 30_000));
+            let table = policy.catalog().table(widx).unwrap();
+            let p95 = table.quantile_us(0, 0.95).unwrap();
+            assert_eq!(p95 == 32_768, stalls * 20 > wins, "{stalls} of {wins}");
+            assert_eq!(delay(&policy), Duration::from_micros(p95));
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::ring::RingStats;
 use crate::sched::CatalogStats;
 use altx::engine::CrewStats;
 use altx::CachePadded;
+use altx::WakeStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -246,10 +247,12 @@ enum Source {
     Peers(fn(&PeerStatsTable) -> u64),
     /// The process-wide race crew, read once per snapshot.
     Crew(fn(&CrewStats) -> u64),
+    /// The process-wide timed-wait lead ([`altx::wake_stats`]), likewise.
+    Wake(fn(&WakeStats) -> u64),
     /// The process-wide fault plan's injection count.
     Faults,
 }
-use Source::{Crew, Faults, Own, Peers, Pool, ShardCount, ShardSum};
+use Source::{Crew, Faults, Own, Peers, Pool, ShardCount, ShardSum, Wake};
 
 /// One row of [`METRICS`]: everything the daemon knows about one
 /// scalar metric.
@@ -367,6 +370,10 @@ metrics! {
         "Racer threads the process-wide race crew has spawned";
     AlternativesReclaimed, "alternatives_reclaimed", "alternatives reclaimed in queue", Some("altxd_alternatives_reclaimed_total"), Counter, Crew(|c| c.reclaimed),
         "Alternatives eliminated while still waiting to be claimed";
+    TimedWaitLeadUs, "timed_wait_lead_us", "timed-wait lead us", Some("altxd_timed_wait_lead_us"), Gauge, Wake(|w| w.lead.as_micros() as u64),
+        "How much earlier than its end a timed wait of the race path asks to be woken: the measured lower quartile of this process's timer wake-up lateness";
+    TimedWaitsFinishedAwake, "timed_waits_finished_awake", "timed waits finished awake", Some("altxd_timed_waits_finished_awake_total"), Counter, Wake(|w| w.finished_awake),
+        "Timed waits of the race path whose last stretch was covered awake instead of slept";
     RemoteDispatched, "remote_dispatched", "remote dispatched", Some("altxd_remote_dispatched_total"), Counter, Own,
         "Alternatives shipped to peer nodes";
     RemoteResults, "remote_results", "remote results", Some("altxd_remote_results_total"), Counter, Own,
@@ -598,7 +605,7 @@ impl Telemetry {
     }
 
     /// Reads one metric from wherever its row says it lives.
-    fn read(&self, def: &MetricDef, crew: &CrewStats) -> u64 {
+    fn read(&self, def: &MetricDef, crew: &CrewStats, wake: &WakeStats) -> u64 {
         match def.source {
             Own => self.cells[def.metric as usize].load(Ordering::Relaxed),
             Pool(f) => self.pool.get().map_or(0, |p| f(p)),
@@ -606,15 +613,16 @@ impl Telemetry {
             ShardCount => self.per_shard().len() as u64,
             Peers(f) => self.peers.get().map_or(0, |p| f(p)),
             Crew(f) => f(crew),
+            Wake(f) => f(wake),
             Faults => altx::faults::injected_total(),
         }
     }
 
     /// Copies the counters out.
     pub fn snapshot(&self) -> Snapshot {
-        let crew = altx::engine::crew_stats();
+        let (crew, wake) = (altx::engine::crew_stats(), altx::wake_stats());
         Snapshot {
-            values: std::array::from_fn(|i| self.read(&METRICS[i], &crew)),
+            values: std::array::from_fn(|i| self.read(&METRICS[i], &crew, &wake)),
             lane_depths: self.pool.get().map_or_else(Vec::new, |p| p.lane_depths()),
             mean_us: self.latency.mean_us(),
             p50_us: self.latency.quantile_us(0.50),

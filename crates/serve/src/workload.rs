@@ -114,11 +114,15 @@ pub fn build(name: &str, arg: u64) -> Option<AltBlock<u64>> {
 /// entries, so the surviving alternatives replay exactly the values
 /// they would see in an unpruned build of the same `arg`.
 pub fn build_pruned(name: &str, arg: u64, skip: Option<&[bool]>) -> Option<AltBlock<u64>> {
+    // The alternatives are named from the catalog entry: the names the
+    // scheduler and telemetry index by are the ones the block carries,
+    // and nothing is formatted per request.
+    let names = spec(name)?.alt_names;
     match name {
-        "trivial" => Some(trivial(arg, skip)),
+        "trivial" => Some(trivial(names, arg, skip)),
         "lognormal" => Some(sampled(
+            names,
             arg,
-            3,
             TimeDistribution::LogNormal {
                 median_ms: 3.0,
                 sigma: 1.0,
@@ -126,8 +130,8 @@ pub fn build_pruned(name: &str, arg: u64, skip: Option<&[bool]>) -> Option<AltBl
             skip,
         )),
         "bimodal" => Some(sampled(
+            names,
             arg,
-            2,
             TimeDistribution::Bimodal {
                 fast_ms: 1.0,
                 slow_ms: 20.0,
@@ -135,8 +139,8 @@ pub fn build_pruned(name: &str, arg: u64, skip: Option<&[bool]>) -> Option<AltBl
             },
             skip,
         )),
-        "sleep" => Some(sleep_block(arg)),
-        "prolog" => Some(prolog(arg, skip)),
+        "sleep" => Some(sleep_block(names, arg)),
+        "prolog" => Some(prolog(names, arg, skip)),
         _ => None,
     }
 }
@@ -150,9 +154,9 @@ fn wanted(skip: Option<&[bool]>, i: usize) -> bool {
 /// Two alternatives that answer immediately. The race is decided by
 /// scheduler timing alone; the value is `arg` either way, mirroring the
 /// paper's requirement that alternatives be observably interchangeable.
-fn trivial(arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
+fn trivial(names: &[&'static str], arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
     let mut block = AltBlock::new();
-    for (i, name) in ["instant-a", "instant-b"].into_iter().enumerate() {
+    for (i, &name) in names.iter().enumerate() {
         block = if wanted(skip, i) {
             block.alternative(name, move |_ws, _t| Some(arg))
         } else {
@@ -162,19 +166,24 @@ fn trivial(arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
     block
 }
 
-/// `n` alternatives each sleeping a time drawn from `dist` (seeded by
+/// One alternative per name, each sleeping a time drawn from `dist` (seeded by
 /// `arg`, so the same request replays the same race). Each stamps its
 /// index into the workspace before succeeding — losing writes must
 /// never survive, and the engine's COW containment guarantees it.
-fn sampled(arg: u64, n: usize, dist: TimeDistribution, skip: Option<&[bool]>) -> AltBlock<u64> {
+fn sampled(
+    names: &[&'static str],
+    arg: u64,
+    dist: TimeDistribution,
+    skip: Option<&[bool]>,
+) -> AltBlock<u64> {
     let mut rng = SimRng::seed_from_u64(arg.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA17B);
     let mut block = AltBlock::new();
-    for i in 0..n {
+    for (i, &name) in names.iter().enumerate() {
         // Drawn even for skipped alternatives: the per-arg stream must
         // stay aligned so the kept alternatives replay their usual times.
         let ms = dist.sample(&mut rng).as_millis_f64();
         block = if wanted(skip, i) {
-            block.alternative(format!("draw-{i}"), move |ws, token: &CancelToken| {
+            block.alternative(name, move |ws, token: &CancelToken| {
                 if !token.sleep(Duration::from_secs_f64(ms / 1_000.0)) {
                     return None;
                 }
@@ -182,7 +191,7 @@ fn sampled(arg: u64, n: usize, dist: TimeDistribution, skip: Option<&[bool]>) ->
                 Some(ms.ceil() as u64)
             })
         } else {
-            block.alternative(format!("draw-{i}"), |_ws, _t| None)
+            block.alternative(name, |_ws, _t| None)
         };
     }
     block
@@ -191,8 +200,8 @@ fn sampled(arg: u64, n: usize, dist: TimeDistribution, skip: Option<&[bool]>) ->
 /// One alternative sleeping exactly `arg` milliseconds — the simplest
 /// way to exercise deadlines: a deadline shorter than `arg` must come
 /// back `DeadlineExceeded`, never a value.
-fn sleep_block(arg: u64) -> AltBlock<u64> {
-    AltBlock::new().alternative("sleeper", move |_ws, token: &CancelToken| {
+fn sleep_block(names: &[&'static str], arg: u64) -> AltBlock<u64> {
+    AltBlock::new().alternative(names[0], move |_ws, token: &CancelToken| {
         token.sleep(Duration::from_millis(arg)).then_some(arg)
     })
 }
@@ -231,15 +240,11 @@ fn prolog_kb() -> &'static (KnowledgeBase, KnowledgeBase) {
 /// proves nothing and fails its guard. The query size is bounded all the
 /// same, so a body nobody eliminates is short-lived too. A skipped
 /// alternative's query string is never even formatted.
-fn prolog(arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
+fn prolog(names: &[&'static str], arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
     let depth = 50 + arg % 450;
     let (slow_first, fast_first) = prolog_kb();
-    let orders = [
-        ("clause-order-as-written", slow_first),
-        ("clause-order-reversed", fast_first),
-    ];
     let mut block = AltBlock::new();
-    for (i, (name, kb)) in orders.into_iter().enumerate() {
+    for (i, (&name, kb)) in names.iter().zip([slow_first, fast_first]).enumerate() {
         block = if wanted(skip, i) {
             let query = format!("q({depth})");
             block.alternative(name, move |_ws, token: &CancelToken| {

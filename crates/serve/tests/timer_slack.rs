@@ -1,7 +1,9 @@
 //! Who has the tight timer slack: the daemon's own threads and the
 //! racers they spawn read 1 ns, the thread that started the daemon keeps
-//! what it had. No wall-clock assertion here — what the slack is worth
-//! is `benchmark/run.sh --workload race`'s to show.
+//! what it had; and what those threads' timed waits then teach the
+//! process — its timed-wait lead — is on the daemon's gauge. No
+//! wall-clock assertion here — what the slack and the lead are worth is
+//! `benchmark/run.sh --workload race`'s to show.
 //!
 //! A binary of its own, with one test: the race crew is process-wide,
 //! and a racer parked by a race started from a *test* thread would carry
@@ -11,6 +13,7 @@
 use altx::engine::{crew_stats, Engine, ThreadedEngine};
 use altx::{AddressSpace, AltBlock, PageSize};
 use altx_serve::pool::WorkerPool;
+use altx_serve::telemetry::Metric;
 use altx_serve::{start, timer_slack_ns, Client, Response, ServerConfig};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
@@ -63,6 +66,18 @@ fn daemon_threads_and_their_racers_are_tight_and_the_caller_is_not() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let reply = client.run("lognormal", 7, 0).expect("run");
     assert!(matches!(reply, Response::Ok { .. }), "{reply:?}");
+
+    // Its timed waits teach the process what waking costs: every winner
+    // of these races slept its draw out and came back a little late, so
+    // the lead has left zero — and it never passes the cap.
+    for arg in 0..100 {
+        let reply = client.run("lognormal", arg, 0).expect("run");
+        assert!(matches!(reply, Response::Ok { .. }), "{reply:?}");
+    }
+    let lead_us = server.telemetry().snapshot()[Metric::TimedWaitLeadUs];
+    let cap_us = altx::wake::LEAD_CAP.as_micros() as u64;
+    assert!((1..=cap_us).contains(&lead_us), "lead {lead_us} µs");
+    assert_eq!(lead_us, altx::wake_stats().lead.as_micros() as u64);
     server.shutdown();
     assert_eq!(timer_slack_ns(), mine, "and so does shutdown()");
 }

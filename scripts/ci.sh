@@ -106,13 +106,21 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 # `--test race_crew` (a thousand lead-decided races on an empty crew
 # spawn no racer; a lead that fails or panics costs no alternative) and
 # `--test reactor` (`races favourite-first` and `races on shard` equal
-# what the rule said before each request).
+# what the rule said before each request). So do the led-wait tests:
+# `cancel::` (under a forced lead no `sleep` returns `true` before its
+# time, a cancel during the awake tail ends it while the canceller holds
+# the lock, a deadline is never left early), `wake::` (the estimator as
+# a value; a timed-out park against a notified one) and `--test
+# race_crew` (no hedged body starts before its release under a forced
+# lead; the decision still takes the unreleased ticket off the queue) —
+# order and lower bounds only, never an upper wall-clock bound.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token, race engine, crew (lead-decided races with it), write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window and the favourite-first path with it), loopback and timer_slack suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window and the favourite-first path with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
+            cargo test -q -p altx wake:: &&
             cargo test -q -p altx engine::threaded &&
             cargo test -q -p altx --test race_crew &&
             cargo test -q -p altx-serve --lib conn:: &&
