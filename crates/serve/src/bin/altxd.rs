@@ -23,9 +23,12 @@
 //! 1 keeps the classic single-reactor front end.
 //!
 //! `--ring-slots N` / `--ring-slot-bytes N` size the per-shard reply
-//! ring — the fixed buffers winning replies are encoded straight into
-//! (one copy to the kernel, no steady-state allocation); at least one
-//! slot.
+//! ring — up to N fixed buffers winning replies are encoded straight
+//! into, each made the first time a reply needs one (one copy to the
+//! kernel, no steady-state allocation); at least one slot.
+//!
+//! Without `--workers` the daemon asks the host for its CPU count and
+//! runs that many workers (at least 2); given, nothing is asked.
 //!
 //! `--peer HOST:PORT` (repeatable) joins a cluster: the daemon keeps an
 //! outbound link to each named peer, ships non-favourite alternatives
@@ -68,7 +71,9 @@ use std::time::Duration;
 
 struct Args {
     addr: String,
-    workers: usize,
+    /// `None` until `--workers` is given: the CPU count is only asked
+    /// for when nobody said how many.
+    workers: Option<usize>,
     queue_depth: usize,
     shards: usize,
     ring_slots: usize,
@@ -88,7 +93,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7171".to_owned(),
-        workers: available_workers(),
+        workers: None,
         queue_depth: 64,
         shards: 1,
         ring_slots: DEFAULT_RING_SLOTS,
@@ -110,12 +115,13 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--workers" => {
-                args.workers = value("--workers")?
+                let workers = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-                if args.workers == 0 {
+                if workers == 0 {
                     return Err("--workers: the minimum is 1".to_owned());
                 }
+                args.workers = Some(workers);
             }
             "--queue" => {
                 args.queue_depth = value("--queue")?
@@ -226,9 +232,10 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let workers = args.workers.unwrap_or_else(available_workers);
     let handle = match start(ServerConfig {
         addr: args.addr,
-        workers: args.workers,
+        workers,
         queue_depth: args.queue_depth,
         batch_window: args.batch_window,
         hedge: args.hedge,
@@ -252,13 +259,13 @@ fn main() {
     println!(
         "altxd listening on {} ({} workers, queue depth {}, {} shard{})",
         handle.local_addr(),
-        args.workers,
+        workers,
         args.queue_depth,
         args.shards,
         if args.shards == 1 { "" } else { "s" }
     );
     println!(
-        "reply ring: {} slots x {} B per shard (spills fall back to the pool)",
+        "reply ring: up to {} slots x {} B per shard, each made on first use (spills fall back to the pool)",
         args.ring_slots, args.ring_slot_bytes
     );
     if !args.batch_window.is_zero() {
@@ -285,7 +292,7 @@ fn main() {
         // groups than workers.
         println!(
             "work stealing: on ({} worker groups)",
-            args.shards.min(args.workers)
+            args.shards.min(workers)
         );
     }
     if args.pin {

@@ -13,21 +13,26 @@
 //!
 //! ## Shape
 //!
-//! A ring is a fixed population of `slots` buffers, each retaining
-//! `slot_bytes` of capacity, recycled through a freelist. "Ring" here
-//! is the population discipline, not a lock-free index scheme: the
-//! crate is `#![deny(unsafe_code)]`, so slots move by ownership
-//! transfer (a `Mutex<Vec<_>>` freelist, uncontended in steady state)
-//! and reclamation is the [`RingSlot`] destructor — a slot can be
-//! dropped anywhere (after the socket write, on whichever thread made
-//! it; in a dead connection's queue; by a delivery that found its
-//! connection closed) and it always returns home.
+//! A ring is a population of up to `slots` buffers, each retaining
+//! `slot_bytes` of capacity, recycled through a freelist. A buffer is
+//! made the first time a reservation finds the freelist empty while
+//! fewer than `slots` exist, so a fresh ring holds none and a closed
+//! loop that never has more than k replies in flight makes k — after
+//! that, steady state allocates nothing ([`RingStats::made`] says how
+//! many exist). "Ring" here is the population discipline, not a
+//! lock-free index scheme: the crate is `#![deny(unsafe_code)]`, so
+//! slots move by ownership transfer (a `Mutex<Vec<_>>` freelist,
+//! uncontended in steady state) and reclamation is the [`RingSlot`]
+//! destructor — a slot can be dropped anywhere (after the socket write,
+//! on whichever thread made it; in a dead connection's queue; by a
+//! delivery that found its connection closed) and it always returns
+//! home.
 //!
 //! ## Spill path
 //!
 //! Replies that don't fit a slot (oversize, e.g. a STATS page) or
-//! arrive while every slot is in flight (exhaustion) spill to a plain
-//! heap `Vec` — on the reactor thread that `Vec` comes from the
+//! arrive while all `slots` slots are in flight (exhaustion) spill to a
+//! plain heap `Vec` — on the reactor thread that `Vec` comes from the
 //! shard's `BufPool` and goes back to it, elsewhere it is freshly
 //! allocated and, if a thread other than the reactor finishes writing
 //! it, dropped (the pool is the reactor's alone). Spills are counted
@@ -35,16 +40,19 @@
 //! correctness-preserving fallback.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::bufpool::BufPool;
 use crate::frame::{self, Response, MAX_FRAME};
 
-/// Monotonic counters for one shard's ring, shared with telemetry.
+/// One shard's ring counters and its slot gauge, shared with telemetry.
 #[derive(Debug, Default)]
 pub struct RingStats {
     hits: AtomicU64,
     spills: AtomicU64,
+    /// Written only under the ring's freelist lock, so it is exact
+    /// there; readers elsewhere see it relaxed.
+    made: AtomicU64,
 }
 
 impl RingStats {
@@ -54,9 +62,16 @@ impl RingStats {
     }
 
     /// Replies that fell back to a heap buffer — oversize for the
-    /// slot geometry, or every slot was in flight.
+    /// slot geometry, or all `slots` slots were in flight.
     pub fn spills(&self) -> u64 {
         self.spills.load(Ordering::Relaxed)
+    }
+
+    /// Slot buffers that exist right now, idle or in flight: the peak
+    /// number of replies the ring has held at once (a gauge, at most
+    /// `slots`; it does not grow with the request count).
+    pub fn made(&self) -> u64 {
+        self.made.load(Ordering::Relaxed)
     }
 }
 
@@ -65,8 +80,31 @@ struct RingCore {
     /// Freelist of idle slot buffers; each retains `slot_bytes` of
     /// capacity across recycles so steady state never allocates.
     free: Mutex<Vec<Vec<u8>>>,
+    /// The bound on buffers made: `free.len()` plus those in flight.
+    slots: usize,
     slot_bytes: usize,
     stats: Arc<RingStats>,
+}
+
+impl RingCore {
+    fn free(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.free.lock().expect("ring freelist poisoned")
+    }
+
+    /// An idle buffer, or a new one while fewer than `slots` exist;
+    /// `None` when every one of them is in flight.
+    fn take(&self) -> Option<Vec<u8>> {
+        let mut free = self.free();
+        if let Some(buf) = free.pop() {
+            return Some(buf);
+        }
+        if self.stats.made() >= self.slots as u64 {
+            return None;
+        }
+        self.stats.made.fetch_add(1, Ordering::Relaxed);
+        drop(free);
+        Some(Vec::with_capacity(self.slot_bytes))
+    }
 }
 
 /// Handle to one shard's reply ring. Clones share the same slot
@@ -77,17 +115,15 @@ pub struct ReplyRing {
 }
 
 impl ReplyRing {
-    /// A ring of `slots` buffers of `slot_bytes` capacity each, clamped
-    /// to at least one slot of at least 64 bytes.
+    /// A ring of up to `slots` buffers of `slot_bytes` capacity each,
+    /// clamped to at least one slot of at least 64 bytes. Allocates no
+    /// buffer: each is made on first use.
     pub fn new(slots: usize, slot_bytes: usize) -> Self {
-        let slot_bytes = slot_bytes.max(64);
-        let free = (0..slots.max(1))
-            .map(|_| Vec::with_capacity(slot_bytes))
-            .collect();
         ReplyRing {
             core: Arc::new(RingCore {
-                free: Mutex::new(free),
-                slot_bytes,
+                free: Mutex::new(Vec::new()),
+                slots: slots.max(1),
+                slot_bytes: slot_bytes.max(64),
                 stats: Arc::new(RingStats::default()),
             }),
         }
@@ -100,13 +136,14 @@ impl ReplyRing {
 
     /// Reserves a slot able to hold a whole `frame_len`-byte frame.
     /// `None` means spill: the frame is oversize for the slot geometry
-    /// or every slot is in flight. Either way the outcome is counted.
+    /// or all `slots` slots are in flight. Either way the outcome is
+    /// counted.
     pub fn try_reserve(&self, frame_len: usize) -> Option<RingSlot> {
         let core = &self.core;
         let buf = if frame_len > core.slot_bytes {
             None
         } else {
-            core.free.lock().expect("ring freelist poisoned").pop()
+            core.take()
         };
         match buf {
             Some(buf) => {
@@ -123,26 +160,32 @@ impl ReplyRing {
         }
     }
 
-    /// Touches every idle slot's full capacity from the calling thread.
+    /// Makes every slot not yet made and touches every idle slot's full
+    /// capacity from the calling thread.
     ///
-    /// `ReplyRing::new` reserves capacity but the pages only become
-    /// resident when first written — and they become resident on the
-    /// NUMA node of the *writing* core. A pinned shard calls this from
-    /// its reactor thread right after pinning, so the ring's memory
-    /// lands local to the shard's cores instead of wherever the main
-    /// thread happened to run during startup. Counts nothing and leaves
-    /// every slot empty.
+    /// A buffer's pages only become resident when first written — and
+    /// they become resident on the NUMA node of the *writing* core. A
+    /// pinned shard calls this from its reactor thread right after
+    /// pinning, so the ring's memory lands local to the shard's cores
+    /// instead of wherever the first reply happened to be encoded.
+    /// Counts no hit or spill and leaves every slot empty.
     pub fn first_touch(&self) {
-        let mut free = self.core.free.lock().expect("ring freelist poisoned");
+        let core = &self.core;
+        let mut free = core.free();
+        let unmade = core.slots.saturating_sub(core.stats.made() as usize);
+        free.extend((0..unmade).map(|_| Vec::with_capacity(core.slot_bytes)));
+        core.stats.made.fetch_add(unmade as u64, Ordering::Relaxed);
         for buf in free.iter_mut() {
-            buf.resize(self.core.slot_bytes, 0);
+            buf.resize(core.slot_bytes, 0);
             buf.clear();
         }
     }
 
-    /// Idle slots right now (test / debug aid).
+    /// Slots a reservation could take right now: the idle ones plus
+    /// those not yet made (test / debug aid).
     pub fn idle_slots(&self) -> usize {
-        self.core.free.lock().expect("ring freelist poisoned").len()
+        let free = self.core.free();
+        free.len() + self.core.slots - self.core.stats.made() as usize
     }
 }
 
@@ -165,14 +208,17 @@ impl RingSlot {
 impl Drop for RingSlot {
     fn drop(&mut self) {
         let mut buf = std::mem::take(&mut self.buf);
-        // A slot that somehow outgrew its geometry is retired and
-        // replaced, keeping the population's capacity invariant.
-        if buf.capacity() > self.core.slot_bytes {
-            buf = Vec::with_capacity(self.core.slot_bytes);
-        }
         buf.clear();
-        let mut free = self.core.free.lock().expect("ring freelist poisoned");
-        free.push(buf);
+        let mut free = self.core.free();
+        // A slot that somehow outgrew its geometry gives its place back
+        // (the next reservation that needs one makes it afresh), keeping
+        // the population's capacity invariant without allocating here;
+        // it is freed after the lock is released.
+        if buf.capacity() > self.core.slot_bytes {
+            self.core.stats.made.fetch_sub(1, Ordering::Relaxed);
+        } else {
+            free.push(buf);
+        }
     }
 }
 
@@ -368,5 +414,93 @@ mod tests {
         assert_eq!(ring.idle_slots(), 1);
         let reply = EncodedReply::encode(&ok_resp("delta"), &ring);
         assert!(matches!(reply, EncodedReply::Ring(_)));
+    }
+
+    fn reserve(ring: &ReplyRing) -> RingSlot {
+        ring.try_reserve(64).expect("a slot")
+    }
+
+    #[test]
+    fn a_fresh_ring_holds_no_buffer() {
+        let ring = ReplyRing::new(256, 1024);
+        assert_eq!(ring.stats().made(), 0);
+        assert!(ring.core.free().is_empty());
+        assert_eq!(ring.idle_slots(), 256, "an unmade slot counts as idle");
+    }
+
+    #[test]
+    fn k_overlapping_reservations_make_exactly_k_buffers() {
+        let ring = ReplyRing::new(16, 256);
+        let mut peak = 0;
+        for k in [1, 3, 5, 2] {
+            let _held: Vec<RingSlot> = (0..k).map(|_| reserve(&ring)).collect();
+            peak = peak.max(k);
+            assert_eq!(ring.stats().made(), peak as u64, "{k} held at once");
+            assert_eq!(ring.idle_slots(), 16 - k);
+        }
+        assert_eq!(ring.stats().hits(), 1 + 3 + 5 + 2);
+        assert_eq!(ring.idle_slots(), 16);
+    }
+
+    #[test]
+    fn the_reservation_past_the_bound_spills_and_is_counted() {
+        let ring = ReplyRing::new(4, 256);
+        let held: Vec<RingSlot> = (0..4).map(|_| reserve(&ring)).collect();
+        assert!(ring.try_reserve(64).is_none(), "slot 5 of 4 spills");
+        assert_eq!(ring.stats().spills(), 1);
+        assert_eq!(ring.stats().hits(), 4);
+        assert_eq!(ring.stats().made(), 4, "a spill makes no slot");
+        assert_eq!(ring.idle_slots(), 0);
+        drop(held);
+        assert_eq!(ring.idle_slots(), 4);
+    }
+
+    #[test]
+    fn a_recycled_slot_is_reused_and_made_does_not_grow() {
+        let ring = ReplyRing::new(256, 1024);
+        let first = reserve(&ring).buf.as_ptr();
+        for _ in 0..1_000 {
+            let slot = reserve(&ring);
+            assert_eq!(slot.buf.as_ptr(), first, "the same buffer came back");
+        }
+        assert_eq!(ring.stats().made(), 1);
+        assert_eq!(ring.stats().hits(), 1_001);
+        assert_eq!(ring.stats().spills(), 0);
+    }
+
+    #[test]
+    fn first_touch_makes_and_touches_every_slot() {
+        let ring = ReplyRing::new(8, 512);
+        let held = reserve(&ring);
+        ring.first_touch();
+        assert_eq!(ring.stats().made(), 8, "the seven unmade ones are made");
+        {
+            let free = ring.core.free();
+            assert_eq!(free.len(), 7);
+            assert!(free.iter().all(|b| b.is_empty() && b.capacity() == 512));
+        }
+        assert_eq!(ring.stats().hits(), 1, "first-touch counts no hit");
+        drop(held);
+        assert_eq!(ring.idle_slots(), 8);
+        ring.first_touch();
+        assert_eq!(ring.stats().made(), 8, "a second first-touch makes none");
+    }
+
+    #[test]
+    fn an_outgrown_slot_gives_its_place_back() {
+        let ring = ReplyRing::new(2, 64);
+        let mut slot = reserve(&ring);
+        slot.buf.extend_from_slice(&[0; 200]);
+        assert!(slot.buf.capacity() > 64);
+        drop(slot);
+        assert_eq!(ring.stats().made(), 0, "its place is free again");
+        assert!(
+            ring.core.free().is_empty(),
+            "nothing allocated in its stead"
+        );
+        assert_eq!(ring.idle_slots(), 2);
+        let again = reserve(&ring);
+        assert_eq!(again.buf.capacity(), 64, "the next one is made afresh");
+        assert_eq!(ring.stats().made(), 1);
     }
 }

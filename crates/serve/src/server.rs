@@ -93,9 +93,10 @@ pub struct ServerConfig {
     /// independent event loops, each accepting on its own
     /// `SO_REUSEPORT` listener; [`start`] fails where that bind does.
     pub shards: usize,
-    /// Reply-ring slots per shard (at least 1). Each shard
-    /// pre-allocates this many fixed buffers that winning replies
-    /// encode straight into.
+    /// Reply-ring slots per shard (at least 1): a bound, not an
+    /// allocation. Each shard makes up to this many fixed buffers that
+    /// winning replies encode straight into, each the first time a reply
+    /// finds no idle one.
     pub ring_slots: usize,
     /// Capacity of one reply-ring slot, bytes (whole wire frame:
     /// 4-byte prefix + body). Replies that don't fit spill to the heap.
@@ -150,9 +151,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Default reply-ring slots per shard: deep enough that slots are only
-/// exhausted when more replies are mid-write than a shard ever has in
-/// flight at once, at 256 KiB resident per shard with default slots.
+/// Default bound on reply-ring slots per shard: deep enough that slots
+/// are only exhausted when more replies are mid-write than a shard ever
+/// has in flight at once. Slots are made on first use, so a shard holds
+/// only as many as it has had replies in flight at once — at most
+/// 256 KiB with default slots.
 pub const DEFAULT_RING_SLOTS: usize = 256;
 
 /// Default slot capacity: every fixed-size reply (OK, deadline, vote,

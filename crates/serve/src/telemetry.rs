@@ -138,7 +138,7 @@ pub struct ShardStats {
     pollout_spurious: AtomicU64,
     /// The shard's buffer-pool hit/miss counters.
     buf: Arc<BufPoolStats>,
-    /// The shard's reply-ring hit/spill counters.
+    /// The shard's reply-ring hit/spill counters and slot gauge.
     ring: Arc<RingStats>,
 }
 
@@ -350,6 +350,8 @@ metrics! {
         "Replies encoded straight into a reply-ring slot";
     RingSpills, "ring_spills", "ring spills", Some("altxd_ring_spills_total"), Counter, ShardSum(|s| s.ring.spills()),
         "Replies that spilled past the ring to a heap buffer";
+    RingSlotsMade, "ring_slots_made", "ring slots made", Some("altxd_ring_slots_made"), Gauge, ShardSum(|s| s.ring.made()),
+        "Reply-ring slot buffers in existence: each is made on first use, so this is the peak of replies in flight at once (at most --ring-slots per shard)";
     PolloutSpurious, "pollout_spurious", "pollout spurious", Some("altxd_reactor_pollout_spurious_total"), Counter, ShardSum(ShardStats::pollout_spurious),
         "POLLOUT events that found no pending output";
     BatchesFormed, "batches_formed", "batches formed", Some("altxd_batches_formed_total"), Counter, Own,

@@ -13,6 +13,29 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release (tier-1) + workspace bins"
 cargo build --release
 cargo build --release --workspace
+ALTXD=./target/release/altxd
+
+# The workspace links its Linux/glibc executables as static PIEs
+# (.cargo/config.toml): no dynamic loader before `main`, ASLR, full
+# RELRO and a non-executable stack kept. An exported RUSTFLAGS replaces
+# the config's flags rather than adding to them, so a dynamic altxd is a
+# build that quietly lost its start-up time: it fails here, by property.
+echo "==> the release altxd is one static PIE (no INTERP, type DYN, BIND_NOW, GNU_RELRO, stack not executable)"
+ELF_HEADERS=$(readelf -hlW "$ALTXD")
+ELF_DYNAMIC=$(readelf -dW "$ALTXD")
+MISSING=()
+grep -qE '^ +INTERP ' <<<"$ELF_HEADERS" && MISSING+=("no INTERP program header (it names a dynamic loader)")
+grep -qE '^ +Type: +DYN ' <<<"$ELF_HEADERS" || MISSING+=("ELF type DYN (position-independent)")
+grep -qE '\(FLAGS\) .*BIND_NOW|\(FLAGS_1\) .*NOW' <<<"$ELF_DYNAMIC" || MISSING+=("BIND_NOW")
+grep -qE '^ +GNU_RELRO ' <<<"$ELF_HEADERS" || MISSING+=("GNU_RELRO")
+[ "$(awk '$1 == "GNU_STACK" { print $7 }' <<<"$ELF_HEADERS")" = "RW" ] ||
+    MISSING+=("a GNU_STACK header without the execute flag")
+[ ${#MISSING[@]} -eq 0 ] || {
+    echo "static PIE check: $ALTXD lacks:" >&2
+    printf '  - %s\n' "${MISSING[@]}" >&2
+    echo "(is RUSTFLAGS exported? it replaces the flags of .cargo/config.toml)" >&2
+    exit 1
+}
 
 echo "==> cargo test -q (tier-1: root package)"
 cargo test -q
@@ -155,7 +178,6 @@ done
 # the parser of all the others, and for its refusal of an unknown one
 # and of a pool with no workers.
 echo "==> altxd flag smoke: every flag of the --help line, then an unknown one and --workers 0"
-ALTXD=./target/release/altxd
 FLAGS=(--addr 127.0.0.1:0 --workers 2 --queue 32 --shards 2 --ring-slots 64
     --ring-slot-bytes 512 --duration 1 --batch-window-us 500 --hedge
     --hedge-min-samples 8 --hedge-explore-every 4 --peer 127.0.0.1:1
@@ -186,14 +208,15 @@ for bad in '--no-such-flag' '--workers 0'; do
 done
 
 # Not gates: the two sizes ROADMAP aim 2 tracks, printed by the one
-# command every CHANGES.md entry quotes them from. Non-test lines stop
-# at a file's first `#[cfg(test)]` — the in-file property suites are
-# meant to grow.
+# command every CHANGES.md entry quotes them from, and the size of the
+# executable a fresh daemon execs. Non-test lines stop at a file's
+# first `#[cfg(test)]` — the in-file property suites are meant to grow.
 NON_TEST_LINES=$(find crates/serve/src -name '*.rs' -exec awk 'FNR == 1 { skip = 0 }
     /^#\[cfg\(test\)\]/ { skip = 1 }
     !skip { n++ }
     END { print n }' {} +)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
-echo "==> size: crates/serve/src $NON_TEST_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help"
+ALTXD_BYTES=$(stat -c %s "$ALTXD")
+echo "==> size: crates/serve/src $NON_TEST_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes"
 
 echo "==> CI gate passed"
