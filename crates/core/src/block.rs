@@ -165,8 +165,9 @@ pub struct BlockResult<R> {
     /// this block, without the fork, the wake-up or the context switch
     /// that got a thread to it, which `wall` includes. Measured by
     /// [`ThreadedEngine`](crate::engine::ThreadedEngine); `None` when the
-    /// block failed and from the sequential engines, whose `wall` is that
-    /// time to within a fork.
+    /// block failed and from the sequential
+    /// [`OrderedEngine`](crate::engine::OrderedEngine), whose `wall` is
+    /// that time to within a fork.
     pub winner_body: Option<Duration>,
     /// Real wall-clock time the execution took.
     pub wall: Duration,
@@ -178,10 +179,13 @@ pub struct BlockResult<R> {
     pub panics: usize,
     /// How many alternatives never ran their body because the race was
     /// already decided when their turn came — a queued alternative under
-    /// bounded parallelism, a hedged alternative whose
-    /// [`LaunchPlan`](crate::engine::LaunchPlan) offset had not elapsed,
-    /// or a sibling the decision reached before any thread had claimed it.
-    /// Suppression changes cost, never which value is selected.
+    /// a plan's [width](crate::engine::LaunchPlan::with_width), a hedged
+    /// alternative whose [`LaunchPlan`](crate::engine::LaunchPlan) offset
+    /// had not elapsed, or a sibling the decision reached before any
+    /// thread had claimed it. Suppression changes cost, never which value
+    /// is selected. An alternative the plan
+    /// [excludes](crate::engine::LaunchPlan::only) was never in the race
+    /// and is not counted here, nor in `attempts`.
     pub suppressed: usize,
 }
 

@@ -3,32 +3,29 @@
 //! All engines present the same observable contract (§4.3): the result is
 //! *one* alternative's value and *one* alternative's workspace mutations —
 //! indistinguishable from a nondeterministic sequential selection. They
-//! differ only in execution time:
+//! differ only in execution time. There is one engine that runs blocks,
+//! [`ThreadedEngine`]; §4.2's selection schemes are the [`LaunchPlan`]s
+//! it is given, not engines of their own:
 //!
-//! | Engine | Paper analogue | Strategy |
-//! |---|---|---|
-//! | [`OrderedEngine`] | recovery-block sequencing | first listed success, rollback between tries |
-//! | [`AdaptiveEngine`] | Scheme A | statistically fastest first, learned online |
-//! | [`RandomEngine`] | Scheme B | arbitrary single selection |
-//! | [`SelectorEngine`] | §4.2 case 2 synthetic computation | domain-partitioning prediction |
-//! | [`ThreadedEngine`] | Scheme C (real concurrency) | race on the caller plus parked racer threads, fastest first |
-//! | [`sim`] | Scheme C (calibrated) | race on the simulated kernel |
+//! | Paper analogue | How to run it |
+//! |---|---|
+//! | Scheme C: race everything, fastest first | [`LaunchPlan::immediate`] (what [`Engine::execute`] runs) |
+//! | Scheme A: the statistically fastest first | [`LaunchPlan::favourite_first`] with [`AltStatsTable::favourite`](crate::stats::AltStatsTable::favourite) |
+//! | Scheme B: one arbitrary alternative | [`LaunchPlan::only`] with a random pick |
+//! | §4.2 case 2 synthetic computation | [`LaunchPlan::only`] with a selector's pick |
+//! | virtual concurrency: alternatives share the hardware | [`LaunchPlan::with_width`] |
+//! | recovery-block sequencing (the test oracle) | [`OrderedEngine`]: first listed success, rollback between tries |
+//! | Scheme C, calibrated | [`sim`]: the race on the simulated kernel |
 
-mod adaptive;
 mod crew;
 mod ordered;
 mod plan;
-mod random;
-mod selector;
 pub mod sim;
 mod threaded;
 
-pub use adaptive::AdaptiveEngine;
 pub use crew::CrewStats;
 pub use ordered::OrderedEngine;
 pub use plan::LaunchPlan;
-pub use random::RandomEngine;
-pub use selector::SelectorEngine;
 pub use threaded::ThreadedEngine;
 
 use crate::block::{AltBlock, BlockResult};

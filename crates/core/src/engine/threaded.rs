@@ -56,24 +56,24 @@ use std::time::{Duration, Instant};
 /// release instant, and a body's sleep never reports its time elapsed
 /// early.
 ///
-/// [`with_max_threads`](ThreadedEngine::with_max_threads) bounds the
-/// degree of real concurrency — the paper's *virtual concurrency* case
-/// (§4.2) where alternatives share hardware.
+/// Which alternatives may run at all, and how many at once, is the
+/// plan's to say too ([`LaunchPlan::only`], [`LaunchPlan::with_width`]):
+/// §4.2's selection schemes are plans for this one engine.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadedEngine {
-    max_threads: Option<usize>,
-}
+pub struct ThreadedEngine;
 
 /// Where one alternative stands in its race. `Pending` is the only state
 /// anyone may claim from, and every transition happens under the race's
-/// lock, so an alternative is started at most once and a suppressed one
-/// never.
+/// lock, so an alternative is started at most once, a suppressed one
+/// never, and an excluded one — left out by the plan — is never even
+/// pending.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Claim {
     Pending,
     Running,
     Done,
     Suppressed,
+    Excluded,
 }
 
 /// What a thread looking for work in a race should do next.
@@ -305,31 +305,10 @@ impl<R: Send + 'static> Job for Race<R> {
 }
 
 impl ThreadedEngine {
-    /// Creates the engine with unbounded parallelism (every alternative
-    /// that is due may run at once).
+    /// Creates the engine. How many bodies may run at once is the plan's
+    /// to bound ([`LaunchPlan::with_width`]).
     pub fn new() -> Self {
-        ThreadedEngine { max_threads: None }
-    }
-
-    /// Bounds concurrent alternatives to `n` at a time.
-    ///
-    /// Alternatives are then started **in declaration order**: whenever
-    /// fewer than `n` bodies are running, the next one to start is the
-    /// first in the block that has not started yet, and once the race is
-    /// decided none of the rest starts at all (they count as
-    /// [`suppressed`](BlockResult::suppressed)). So the bound also biases
-    /// toward earlier alternatives, like a recovery block's reliability
-    /// ordering; with `n == 1` the race degenerates to trying the
-    /// alternatives one by one, in order, on the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn with_max_threads(n: usize) -> Self {
-        assert!(n > 0, "need at least one thread");
-        ThreadedEngine {
-            max_threads: Some(n),
-        }
+        ThreadedEngine
     }
 
     /// Races `block` under a caller-supplied [`CancelToken`].
@@ -357,11 +336,13 @@ impl ThreadedEngine {
     /// Races `block` under a caller-supplied [`LaunchPlan`]: alternative
     /// `i` is released `plan.offset(i)` after race start, or not at all if
     /// the race is decided first (it counts as *suppressed* in the
-    /// result). An all-zeros plan is byte-for-byte
+    /// result), or never if the plan excludes it (it counts as neither
+    /// an attempt nor suppressed). At most `plan.width()` bodies run at
+    /// once. An all-zeros plan is byte-for-byte
     /// [`execute_with_token`](ThreadedEngine::execute_with_token): the
-    /// plan changes only *when* bodies start, never how the winner is
-    /// selected, how siblings are eliminated, or how panics are
-    /// contained.
+    /// plan changes only *which* bodies start and *when*, never how the
+    /// winner is selected among those that do, how siblings are
+    /// eliminated, or how panics are contained.
     ///
     /// Nobody sleeps on a hedged alternative's behalf: its release time
     /// sits on the crew's queue, and the decision takes it off again.
@@ -380,6 +361,16 @@ impl ThreadedEngine {
     ) -> BlockResult<R> {
         let start = Instant::now();
         let n = block.len();
+        let claims: Vec<Claim> = (0..n)
+            .map(|i| {
+                if plan.is_excluded(i) {
+                    Claim::Excluded
+                } else {
+                    Claim::Pending
+                }
+            })
+            .collect();
+        let pending = claims.iter().filter(|c| **c == Claim::Pending).count();
         let race = Arc::new(Race {
             alts: block.alternatives().to_vec(),
             releases: (0..n)
@@ -388,10 +379,10 @@ impl ThreadedEngine {
                 .collect(),
             base: workspace.cow_fork(),
             token: token.clone(),
-            max_running: self.max_threads.unwrap_or(n),
+            max_running: plan.width().unwrap_or(n),
             state: Mutex::new(RaceState {
-                claims: vec![Claim::Pending; n],
-                pending: n,
+                claims,
+                pending,
                 running: 0,
                 panics: 0,
                 winner: None,
@@ -402,7 +393,8 @@ impl ThreadedEngine {
         // A lead runs alone, ahead of everything: only if it comes back
         // undecided does the race open, from that instant, the way an
         // immediate plan opens at t = 0. If it decided, `launch` finds
-        // nothing pending and hands out nothing.
+        // nothing pending and hands out nothing — nor does it under
+        // `LaunchPlan::only`, whose siblings are all excluded.
         if let Some(lead) = plan.lead().filter(|&lead| lead < n) {
             let claimed = race.claim_lead(&mut race.lock(), lead);
             if let Next::Run(i) = claimed {
@@ -451,11 +443,8 @@ impl ThreadedEngine {
         }
         let winner = state.winner.take();
         let panics = state.panics;
-        let suppressed = state
-            .claims
-            .iter()
-            .filter(|claim| **claim == Claim::Suppressed)
-            .count();
+        let count = |of: Claim| state.claims.iter().filter(|c| **c == of).count();
+        let (attempts, suppressed) = (count(Claim::Done), count(Claim::Suppressed));
         drop(state);
         if let Some(job) = &job {
             // Tickets nobody picked up, a hedge's release time among them.
@@ -479,7 +468,7 @@ impl ThreadedEngine {
             winner_name: winner.map(|i| block.alternatives()[i].name().to_string()),
             winner_body,
             wall: start.elapsed(),
-            attempts: n,
+            attempts,
             panics,
             suppressed,
         }
@@ -503,6 +492,12 @@ mod tests {
 
     fn ws() -> AddressSpace {
         AddressSpace::zeroed(256, PageSize::new(16))
+    }
+
+    /// Races `block` launch-all with at most `width` bodies at once.
+    fn run_at_width<R: Send + 'static>(block: &AltBlock<R>, width: usize) -> BlockResult<R> {
+        let plan = LaunchPlan::immediate(block.len()).with_width(width);
+        ThreadedEngine::new().execute_planned(block, &mut ws(), &CancelToken::new(), &plan)
     }
 
     /// A body that waits on its token, so elimination wakes it.
@@ -639,9 +634,9 @@ mod tests {
             let body = sleepy(if i == 5 { 1 } else { 30 });
             block = block.alternative(format!("alt{i}"), move |_w, t| body(t).map(|_| i));
         }
-        let r = ThreadedEngine::with_max_threads(2).execute(&block, &mut ws());
+        let r = run_at_width(&block, 2);
         assert!(r.succeeded());
-        assert_eq!(r.attempts, 8);
+        assert_eq!(r.attempts + r.suppressed, 8);
     }
 
     #[test]
@@ -660,7 +655,7 @@ mod tests {
                 Some(i)
             });
         }
-        let r = ThreadedEngine::with_max_threads(1).execute(&block, &mut ws());
+        let r = run_at_width(&block, 1);
         assert_eq!(r.value, Some(0));
         assert_eq!(
             started.load(Ordering::SeqCst),
@@ -684,19 +679,14 @@ mod tests {
                 None
             });
         }
-        let r = ThreadedEngine::with_max_threads(1).execute(&block, &mut ws());
+        let r = run_at_width(&block, 1);
         assert!(!r.succeeded());
         assert_eq!(r.suppressed, 0);
+        assert_eq!(r.attempts, 6);
         assert_eq!(
             *order.lock().expect("no panic under it"),
             vec![0, 1, 2, 3, 4, 5]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_rejected() {
-        ThreadedEngine::with_max_threads(0);
     }
 
     #[test]
@@ -837,7 +827,58 @@ mod tests {
         let r = ThreadedEngine::new().execute_planned(&block, &mut ws(), &token, &plan);
         assert!(!r.succeeded());
         assert_eq!(r.suppressed, 2, "neither body started");
+        assert_eq!(r.attempts, 0);
         assert_eq!(r.winner_body, None);
+    }
+
+    #[test]
+    fn a_lead_that_decides_reports_one_attempt() {
+        let block: AltBlock<u8> = AltBlock::new()
+            .alternative("sibling", |_w, _t| Some(0))
+            .alternative("lead", |_w, _t| Some(1));
+        let plan = LaunchPlan::favourite_first(2, 1);
+        let r =
+            ThreadedEngine::new().execute_planned(&block, &mut ws(), &CancelToken::new(), &plan);
+        assert_eq!(r.winner, Some(1));
+        assert_eq!(r.attempts, 1, "one body ran");
+        assert_eq!(r.suppressed, 1);
+    }
+
+    #[test]
+    fn only_runs_its_pick_and_no_sibling_substitutes() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Every sibling would succeed; the pick writes and fails. The
+        // block fails with the pick's write discarded, and nothing else
+        // ran: the siblings were excluded, not suppressed.
+        let ran = Arc::new(AtomicUsize::new(0));
+        let mut block: AltBlock<usize> = AltBlock::new();
+        for i in 0..4usize {
+            let ran = ran.clone();
+            block = block.alternative(format!("alt{i}"), move |w, _t| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                w.write(0, &[0xEE]);
+                (i != 2).then_some(i)
+            });
+        }
+        let only = |pick: usize, workspace: &mut AddressSpace| {
+            let plan = LaunchPlan::only(4, pick);
+            ThreadedEngine::new().execute_planned(&block, workspace, &CancelToken::new(), &plan)
+        };
+        let mut workspace = ws();
+        let r = only(2, &mut workspace);
+        assert!(!r.succeeded());
+        assert_eq!((r.attempts, r.suppressed), (1, 0));
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(workspace.read_vec(0, 1), vec![0], "the failed fork is gone");
+        assert_eq!(
+            only(1, &mut ws()).value,
+            Some(1),
+            "a pick that holds is the outcome"
+        );
+        let r = only(4, &mut ws());
+        assert!(!r.succeeded(), "a pick out of range runs nothing");
+        assert_eq!((r.attempts, r.suppressed), (0, 0));
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
     }
 
     #[test]

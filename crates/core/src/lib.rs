@@ -11,16 +11,19 @@
 //!
 //! * [`AltBlock`] — the `ALTBEGIN … END` construct (Figure 1): a list of
 //!   guarded alternatives over a copy-on-write [`AddressSpace`] workspace.
-//! * [`engine`] — interchangeable execution strategies with identical
-//!   observable semantics:
+//! * [`engine`] — execution strategies with identical observable
+//!   semantics:
+//!   - [`engine::ThreadedEngine`] — the one engine that runs blocks:
+//!     real OS threads racing on COW forks of the workspace, under a
+//!     [`engine::LaunchPlan`] that is the §4.2 selection scheme —
+//!     *Scheme C* races everything fastest first, *Scheme A* leads with
+//!     the statistical favourite, *Scheme B* and the case-2 synthetic
+//!     computation run one picked alternative alone;
 //!   - [`engine::OrderedEngine`] — sequential, first listed alternative
-//!     that succeeds (recovery-block style, with rollback);
-//!   - [`engine::RandomEngine`] — the paper's *Scheme B* baseline:
-//!     arbitrary selection of a single alternative;
-//!   - [`engine::ThreadedEngine`] — *Scheme C*: real OS threads racing on
-//!     COW forks of the workspace, fastest first;
-//!   - [`engine::sim`] — the same race on the deterministic simulated
-//!     kernel (`altx-kernel`) with 1989-calibrated costs, for the paper's
+//!     that succeeds (recovery-block style, with rollback): the oracle the
+//!     race is tested against;
+//!   - [`engine::sim`] — the race on the deterministic simulated kernel
+//!     (`altx-kernel`) with 1989-calibrated costs, for the paper's
 //!     quantitative experiments.
 //! * [`wake`] — how the race's timed waits end on time: they ask the
 //!   kernel early by the measured lateness of this process's own timer

@@ -1,16 +1,18 @@
 //! Shared per-alternative statistics.
 //!
 //! `AltStatsTable` is the online record behind Scheme A (§4.2): for every
-//! alternative of a block it tracks how often it ran, how often it won a
-//! race, how often it failed its guard, an EWMA of its observed latency,
-//! and a coarse latency histogram good enough to answer quantile queries
-//! (the hedging policy wants "the favourite's p95").
+//! alternative of a block it tracks how often it won a race, an EWMA of
+//! its winning latency, and a coarse latency histogram good enough to
+//! answer quantile queries (the hedging policy wants "the favourite's
+//! p95"). Scheme A itself is a plan, not a table: race
+//! [`LaunchPlan::favourite_first`](crate::engine::LaunchPlan::favourite_first)
+//! with [`AltStatsTable::favourite`] as the lead, the way the serving
+//! layer's `HedgePolicy` does.
 //!
 //! The table is lock-cheap by design: every slot is a bundle of atomics,
 //! and the only lock is an `RwLock` around the slot vector that is taken
 //! in read mode, once, on the record path (uncontended unless the table
-//! is growing). `AdaptiveEngine` and the serving layer's `HedgePolicy`
-//! both sit on top of this type.
+//! is growing).
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,9 +42,7 @@ fn bucket_of(us: u64) -> usize {
 /// over one line.
 #[derive(Debug, Default)]
 struct AltStat {
-    runs: AtomicU64,
     wins: AtomicU64,
-    failures: AtomicU64,
     /// EWMA of observed latency in microseconds, stored as `f64` bits.
     /// Zero means "no observation yet" (a true 0.0 EWMA is indistinguishable
     /// from unset, which is fine: both mean "treat as instant").
@@ -57,7 +57,7 @@ impl AltStat {
         let mut cur = self.ewma_us_bits.load(Ordering::Relaxed);
         loop {
             let prev = f64::from_bits(cur);
-            let next = if self.runs.load(Ordering::Relaxed) == 0 {
+            let next = if self.wins.load(Ordering::Relaxed) == 0 {
                 sample
             } else {
                 prev + EWMA_ALPHA * (sample - prev)
@@ -74,35 +74,16 @@ impl AltStat {
         }
     }
 
-    /// One completed run: its latency, and whether it failed or won.
-    fn record(&self, latency_us: u64, failed: bool, won: bool) {
+    /// One win: its latency, then the count the first-sample check reads.
+    fn record_win(&self, latency_us: u64) {
         self.observe_latency(latency_us);
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        if failed {
-            self.failures.fetch_add(1, Ordering::Relaxed);
-        }
-        if won {
-            self.wins.fetch_add(1, Ordering::Relaxed);
-        }
+        self.wins.fetch_add(1, Ordering::Relaxed);
     }
 
     fn ewma_us(&self) -> Option<f64> {
-        (self.runs.load(Ordering::Relaxed) > 0)
+        (self.wins.load(Ordering::Relaxed) > 0)
             .then(|| f64::from_bits(self.ewma_us_bits.load(Ordering::Relaxed)))
     }
-}
-
-/// A point-in-time copy of one alternative's statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AltStatSnapshot {
-    /// Completed runs (wins, losses, and failures alike).
-    pub runs: u64,
-    /// Races this alternative won.
-    pub wins: u64,
-    /// Runs that failed their guard (or panicked, contained).
-    pub failures: u64,
-    /// EWMA latency in microseconds; `None` until the first observation.
-    pub ewma_us: Option<f64>,
 }
 
 /// Growable table of per-alternative statistics. See module docs.
@@ -160,33 +141,16 @@ impl AltStatsTable {
         self.slots.read().ok().map(|slots| f(&slots))
     }
 
-    /// The record path: the slot is resolved once, under one read guard;
-    /// only an index past the end takes the write lock, to grow.
-    fn record(&self, i: usize, latency_us: u64, failed: bool, won: bool) {
-        let record = |slot: &AltStat| slot.record(latency_us, failed, won);
+    /// Record that alternative `i` won a race in `latency_us`: the
+    /// latency is folded into the EWMA and histogram. The slot is
+    /// resolved once, under one read guard; only an index past the end
+    /// takes the write lock, to grow.
+    pub fn record_win(&self, i: usize, latency_us: u64) {
+        let record = |slot: &AltStat| slot.record_win(latency_us);
         if self.with_slot(i, record).is_none() {
             self.ensure(i + 1);
             self.with_slot(i, record);
         }
-    }
-
-    /// Record one completed run of alternative `i`: latency is folded into
-    /// the EWMA and histogram, `failed` bumps the failure count (a failed
-    /// guard or a contained panic — the run happened either way).
-    pub fn record_run(&self, i: usize, latency_us: u64, failed: bool) {
-        self.record(i, latency_us, failed, false);
-    }
-
-    /// Record that alternative `i` won a race in `latency_us`. Implies a
-    /// successful run.
-    pub fn record_win(&self, i: usize, latency_us: u64) {
-        self.record(i, latency_us, false, true);
-    }
-
-    /// Completed runs recorded for alternative `i` (0 when out of range).
-    pub fn runs(&self, i: usize) -> u64 {
-        self.with_slot(i, |s| s.runs.load(Ordering::Relaxed))
-            .unwrap_or(0)
     }
 
     /// Race wins recorded for alternative `i` (0 when out of range).
@@ -195,14 +159,8 @@ impl AltStatsTable {
             .unwrap_or(0)
     }
 
-    /// Failed runs recorded for alternative `i` (0 when out of range).
-    pub fn failures(&self, i: usize) -> u64 {
-        self.with_slot(i, |s| s.failures.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// EWMA latency of alternative `i` in microseconds, or `None` if it
-    /// has never been observed.
+    /// EWMA winning latency of alternative `i` in microseconds, or `None`
+    /// if it has never won.
     pub fn ewma_us(&self, i: usize) -> Option<f64> {
         self.with_slot(i, AltStat::ewma_us).flatten()
     }
@@ -210,12 +168,6 @@ impl AltStatsTable {
     /// Sum of wins across all alternatives.
     pub fn total_wins(&self) -> u64 {
         self.with_slots(|slots| slots.iter().map(|s| s.wins.load(Ordering::Relaxed)).sum())
-            .unwrap_or(0)
-    }
-
-    /// Sum of recorded runs across all alternatives.
-    pub fn total_runs(&self) -> u64 {
-        self.with_slots(|slots| slots.iter().map(|s| s.runs.load(Ordering::Relaxed)).sum())
             .unwrap_or(0)
     }
 
@@ -266,16 +218,6 @@ impl AltStatsTable {
         }
         Some(1u64 << (BUCKETS - 1))
     }
-
-    /// Point-in-time copy of alternative `i`'s statistics.
-    pub fn snapshot(&self, i: usize) -> AltStatSnapshot {
-        AltStatSnapshot {
-            runs: self.runs(i),
-            wins: self.wins(i),
-            failures: self.failures(i),
-            ewma_us: self.ewma_us(i),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -286,7 +228,6 @@ mod tests {
     fn empty_table_answers_zeroes() {
         let t = AltStatsTable::new();
         assert_eq!(t.len(), 0);
-        assert_eq!(t.runs(3), 0);
         assert_eq!(t.wins(3), 0);
         assert_eq!(t.ewma_us(3), None);
         assert_eq!(t.quantile_us(3, 0.95), None);
@@ -294,13 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn record_run_grows_and_counts() {
+    fn record_win_grows_and_counts() {
         let t = AltStatsTable::new();
-        t.record_run(2, 100, false);
-        t.record_run(2, 300, true);
+        t.record_win(2, 100);
+        t.record_win(2, 300);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.runs(2), 2);
-        assert_eq!(t.failures(2), 1);
+        assert_eq!(t.wins(2), 2);
+        assert_eq!(t.ewma_us(1), None, "a grown slot has never won");
         let ewma = t.ewma_us(2).expect("observed");
         assert!(ewma > 100.0 && ewma < 300.0, "ewma {ewma} between samples");
     }
@@ -323,10 +264,10 @@ mod tests {
         let t = AltStatsTable::with_len(1);
         // 95 fast observations, 5 slow ones an order of magnitude out.
         for _ in 0..95 {
-            t.record_run(0, 1_000, false);
+            t.record_win(0, 1_000);
         }
         for _ in 0..5 {
-            t.record_run(0, 60_000, false);
+            t.record_win(0, 60_000);
         }
         let p50 = t.quantile_us(0, 0.50).expect("observed");
         let p99 = t.quantile_us(0, 0.99).expect("observed");
@@ -338,10 +279,10 @@ mod tests {
     fn ewma_converges_toward_recent_samples() {
         let t = AltStatsTable::with_len(1);
         for _ in 0..50 {
-            t.record_run(0, 10_000, false);
+            t.record_win(0, 10_000);
         }
         for _ in 0..50 {
-            t.record_run(0, 1_000, false);
+            t.record_win(0, 1_000);
         }
         let ewma = t.ewma_us(0).expect("observed");
         assert!(ewma < 2_000.0, "ewma {ewma} tracked the recent regime");
@@ -367,14 +308,13 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..1_000 {
                         t.record_win(0, 100);
-                        t.record_run(1, 200, true);
+                        t.record_win(1, 200);
                     }
                 });
             }
         });
         assert_eq!(t.wins(0), 4_000);
-        assert_eq!(t.runs(0), 4_000);
-        assert_eq!(t.runs(1), 4_000);
-        assert_eq!(t.failures(1), 4_000);
+        assert_eq!(t.wins(1), 4_000);
+        assert_eq!(t.total_wins(), 8_000);
     }
 }

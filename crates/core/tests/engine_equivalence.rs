@@ -4,15 +4,15 @@
 //! "To an observer, the concurrent execution of the Cᵢ must look like
 //! Scheme B … that we have followed a single thread of computation,
 //! chosen arbitrarily." These properties generate random blocks and
-//! check every engine returns an *admissible* outcome — a
+//! check that the ordered engine, and the racing engine under every kind
+//! of launch plan (every §4.2 scheme), return an *admissible* outcome — a
 //! (winner, value, workspace) triple that some sequential execution could
 //! have produced — and nothing else.
 
-use altx::engine::{
-    Engine, LaunchPlan, OrderedEngine, RandomEngine, SelectorEngine, ThreadedEngine,
-};
+use altx::engine::{Engine, LaunchPlan, OrderedEngine, ThreadedEngine};
 use altx::{AddressSpace, AltBlock, CancelToken, PageSize};
 use altx_check::{check, CaseRng};
+use std::time::Duration;
 
 /// A generated alternative: may fail; on success writes `stamp` at
 /// `addr` and returns its index.
@@ -137,32 +137,77 @@ fn favourite_first_is_admissible_for_any_lead() {
     });
 }
 
-/// RandomEngine (Scheme B): admissible, and fails exactly when its
-/// arbitrary pick fails — never substitutes another alternative.
+/// ThreadedEngine under an `only` plan — Scheme B's random pick and
+/// §4.2 case 2's selector alike: admissible, run alone, and the block
+/// fails exactly when the pick fails — no sibling ever substitutes.
 #[test]
-fn random_is_admissible() {
-    check("random_is_admissible", 64, |rng| {
+fn only_is_admissible_for_any_pick() {
+    check("only_is_admissible_for_any_pick", 64, |rng| {
         let alts = rng.vec(1, 6, arb_alt);
-        let seed = rng.u64();
+        let pick = rng.usize_in(0, alts.len());
         let mut workspace = ws();
-        let result = RandomEngine::seeded(seed).execute(&build_block(&alts), &mut workspace);
+        let result = ThreadedEngine::new().execute_planned(
+            &build_block(&alts),
+            &mut workspace,
+            &CancelToken::new(),
+            &LaunchPlan::only(alts.len(), pick),
+        );
         assert_admissible(&alts, &result, &workspace);
-        assert_eq!(result.attempts, 1);
+        assert_eq!(result.succeeded(), alts[pick].succeeds);
+        assert_eq!(result.attempts, 1, "the pick ran alone");
+        assert_eq!(result.suppressed, 0, "its siblings were never in the race");
+        if let Some(winner) = result.winner {
+            assert_eq!(winner, pick, "no sibling substitutes");
+        }
     });
 }
 
-/// SelectorEngine (§4.2 case 2): admissible for any selector.
+/// ThreadedEngine under any plan kind — launch-all, favourite first,
+/// hedged, `only`, or some alternatives excluded — at any width in
+/// `1..=n`: admissible, succeeds iff some alternative the plan lets run
+/// can, and every alternative is accounted for exactly once: started,
+/// suppressed, or excluded.
 #[test]
-fn selector_is_admissible() {
-    check("selector_is_admissible", 64, |rng| {
+fn any_plan_at_any_width_is_admissible() {
+    check("any_plan_at_any_width_is_admissible", 64, |rng| {
         let alts = rng.vec(1, 6, arb_alt);
-        let pick = rng.usize_in(0, 8);
+        let n = alts.len();
+        let plan = match rng.usize_in(0, 5) {
+            0 => LaunchPlan::immediate(n),
+            1 => LaunchPlan::favourite_first(n, rng.usize_in(0, n)),
+            2 => LaunchPlan::from_offsets(
+                (0..n)
+                    .map(|_| Duration::from_micros(rng.u64_below(2) * 500))
+                    .collect(),
+            ),
+            3 => LaunchPlan::only(n, rng.usize_in(0, n)),
+            _ => LaunchPlan::favourite_first(n, rng.usize_in(0, n))
+                .excluding(&(0..n).map(|_| rng.bool()).collect::<Vec<_>>()),
+        };
+        let plan = plan.with_width(rng.usize_in(1, n + 1));
         let mut workspace = ws();
-        let engine = SelectorEngine::new(move |_| pick);
-        let result = engine.execute(&build_block(&alts), &mut workspace);
+        let result = ThreadedEngine::new().execute_planned(
+            &build_block(&alts),
+            &mut workspace,
+            &CancelToken::new(),
+            &plan,
+        );
         assert_admissible(&alts, &result, &workspace);
-        let chosen = pick.min(alts.len() - 1);
-        assert_eq!(result.succeeded(), alts[chosen].succeeds);
+        let runnable = |i: usize| !plan.is_excluded(i);
+        assert_eq!(
+            result.succeeded(),
+            (0..n).any(|i| runnable(i) && alts[i].succeeds),
+            "{plan:?}"
+        );
+        if let Some(winner) = result.winner {
+            assert!(runnable(winner), "an excluded alternative won: {plan:?}");
+        }
+        let excluded = (0..n).filter(|&i| !runnable(i)).count();
+        assert_eq!(
+            result.attempts + result.suppressed + excluded,
+            n,
+            "{plan:?}"
+        );
     });
 }
 

@@ -162,6 +162,29 @@ fn a_lead_that_decides_the_race_calls_on_no_racer() {
 }
 
 #[test]
+fn an_only_race_whose_pick_fails_calls_on_no_racer() {
+    let _turn = serial();
+    wait_for_empty_crew(Instant::now() + Duration::from_secs(3));
+    let before = crew_stats();
+    let engine = ThreadedEngine::new();
+    // Both siblings would succeed; neither is in the race.
+    let block: AltBlock<u64> = AltBlock::new()
+        .alternative("ok-a", |_w, _t| Some(0))
+        .alternative("fails", |_w, _t| None)
+        .alternative("ok-c", |_w, _t| Some(2));
+    for _ in 0..1_000 {
+        let plan = LaunchPlan::only(3, 1);
+        let r = engine.execute_planned(&block, &mut ws(), &CancelToken::new(), &plan);
+        assert!(!r.succeeded(), "no sibling substitutes for the pick");
+        assert_eq!((r.attempts, r.suppressed), (1, 0));
+    }
+    let after = crew_stats();
+    assert_eq!(after.spawned, before.spawned, "nobody was woken");
+    assert_eq!(after.live, 0);
+    assert_eq!(after.reclaimed, before.reclaimed, "nothing was dispatched");
+}
+
+#[test]
 fn a_lead_that_comes_back_undecided_costs_the_race_no_alternative() {
     let _turn = serial();
     let ran = Arc::new(AtomicUsize::new(0));

@@ -442,9 +442,10 @@ fn alternatives(widx: usize) -> usize {
 
 /// The race core all three entry points share: build the block —
 /// `stubs` marks the alternatives whose bodies are not constructed,
-/// because the scheduler pruned them or another node runs them — race
-/// it on a [`ThreadedEngine`] over a fresh workspace under `plan` and
-/// `token`, time it from `start`, and count contained panics. Returns
+/// because the scheduler pruned them — race it on a [`ThreadedEngine`]
+/// over a fresh workspace under `plan` (which leaves out whatever
+/// another node runs) and `token`, time it from `start`, and count
+/// contained panics. Returns
 /// the result and its latency in µs; `None` means the workload could
 /// not be built.
 fn race(
@@ -467,7 +468,8 @@ fn race(
 
 /// Counts what a scheduler-planned race saved and spent: a pruned stub
 /// that never launched is suppressed like any other unlaunched hedge,
-/// and so is the sibling of a lead that decided alone.
+/// and so is the sibling of a lead that decided alone. An alternative
+/// the plan excludes (shipped to another node) is neither.
 fn count_hedges(telemetry: &Telemetry, plan: &LaunchPlan, result: &BlockResult<u64>) {
     telemetry.on_launches_suppressed(result.suppressed as u64);
     telemetry.add(
@@ -475,8 +477,9 @@ fn count_hedges(telemetry: &Telemetry, plan: &LaunchPlan, result: &BlockResult<u
         u64::from(plan.lead().is_some()),
     );
     // Hedges that launched = those the plan held back minus those the
-    // decision suppressed (saturating: under bounded engines a t=0
-    // alternative can be suppressed too, but not here).
+    // decision suppressed (saturating: a t=0 sibling the decision
+    // reaches first is suppressed too — a lead's, or one queued under a
+    // plan's width).
     telemetry.add(
         Metric::HedgesLaunched,
         plan.staggered().saturating_sub(result.suppressed) as u64,
@@ -570,16 +573,11 @@ pub(crate) fn run_subrace(
     token: &CancelToken,
     skip: &[bool],
 ) -> Response {
-    let n = alternatives(widx);
-    let (plan, prune) = sched.plan_pruned(widx, n);
-    // Shipped alternatives become local stubs exactly like scheduler-
-    // pruned ones.
-    let set = |mask: &[bool], i| mask.get(i).copied().unwrap_or(false);
-    let stubs: Vec<bool> = (0..n)
-        .map(|i| set(skip, i) || prune.as_deref().is_some_and(|p| set(p, i)))
-        .collect();
+    let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
+    // Shipped alternatives are not in this leg's race at all.
+    let plan = plan.excluding(skip);
     let start = Instant::now();
-    match race(telemetry, widx, arg, start, token, &plan, Some(&stubs)) {
+    match race(telemetry, widx, arg, start, token, &plan, prune.as_deref()) {
         Some((result, latency_us)) => {
             count_hedges(telemetry, &plan, &result);
             reply_for(result, latency_us, token)
@@ -590,9 +588,9 @@ pub(crate) fn run_subrace(
 
 /// Executes one shipped alternative on behalf of a remote origin
 /// (worker context on the *executor* node): the named alternative runs
-/// alone — every sibling is a stub — under a token the origin's
-/// `ELIMINATE` can cancel. Returns `(status, value, latency_us)` for
-/// the `ALT_RESULT` frame.
+/// alone on this thread — every sibling is excluded, so no racer is
+/// called — under a token the origin's `ELIMINATE` can cancel. Returns
+/// `(status, value, latency_us)` for the `ALT_RESULT` frame.
 fn run_remote_alt(
     telemetry: &Telemetry,
     widx: usize,
@@ -605,12 +603,9 @@ fn run_remote_alt(
     if alt >= n {
         return (ALT_FAILED, 0, 0);
     }
-    let siblings: Vec<bool> = (0..n).map(|i| i != alt).collect();
-    let plan = LaunchPlan::immediate(n);
+    let plan = LaunchPlan::only(n, alt);
     let start = Instant::now();
-    let Some((result, latency_us)) =
-        race(telemetry, widx, arg, start, token, &plan, Some(&siblings))
-    else {
+    let Some((result, latency_us)) = race(telemetry, widx, arg, start, token, &plan, None) else {
         return (ALT_FAILED, 0, 0);
     };
     match (result.winner, result.value) {

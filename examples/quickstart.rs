@@ -10,14 +10,16 @@
 //! ```
 //!
 //! Three methods compute the sum 1 + 2 + … + n. One is wrong (its guard
-//! rejects it), two are right with very different costs. Each engine
-//! selects at most one alternative; the observable semantics are
-//! identical, only the execution time differs.
+//! rejects it), two are right with very different costs. Each way of
+//! running the block — the recovery-block order, Scheme B's random pick,
+//! Scheme C's race — selects at most one alternative; the observable
+//! semantics are identical, only the execution time differs.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use altx::engine::{OrderedEngine, RandomEngine, ThreadedEngine};
-use altx::{AddressSpace, AltBlock, Engine, PageSize};
+use altx::engine::{LaunchPlan, OrderedEngine, ThreadedEngine};
+use altx::{AddressSpace, AltBlock, CancelToken, Engine, PageSize};
+use altx_des::SimRng;
 
 const N: u64 = 1_000_000;
 
@@ -57,26 +59,43 @@ fn main() {
         r.attempts,
         r.wall
     );
+    assert_eq!(r.value, Some(expected));
+    assert_eq!(r.winner_name.as_deref(), Some("summing-loop"));
 
-    // Scheme B: arbitrary single selection (may pick the buggy one and
-    // fail — run it a few times to see).
-    let engine = RandomEngine::seeded(42);
+    // Scheme B: arbitrary single selection — a plan that runs one
+    // randomly picked alternative alone (it may pick the buggy one and
+    // fail; seed 42 picks each method once).
+    let mut rng = SimRng::seed_from_u64(42);
+    let mut picks = Vec::new();
     for trial in 0..3 {
+        let pick = rng.index(3);
+        picks.push(pick);
         let mut ws = AddressSpace::zeroed(4096, PageSize::K4);
-        let r = engine.execute(&build_block(), &mut ws);
+        let plan = LaunchPlan::only(3, pick);
+        let r = ThreadedEngine::new().execute_planned(
+            &build_block(),
+            &mut ws,
+            &CancelToken::new(),
+            &plan,
+        );
         println!(
             "random #{trial} : {:>9?}  winner = {:<14} ({:?})",
             r.value,
             r.winner_name.as_deref().unwrap_or("FAIL"),
             r.wall
         );
+        // Committed to its pick: the buggy loop fails, never replaced.
+        assert_eq!(r.attempts, 1);
+        assert_eq!(r.winner, (pick != 0).then_some(pick));
+        assert_eq!(r.value, (pick != 0).then_some(expected));
     }
+    assert_eq!(picks, [0, 1, 2], "seed 42's picks");
 
     // Scheme C: race them all, fastest first.
     let mut ws = AddressSpace::zeroed(4096, PageSize::K4);
     let r = ThreadedEngine::new().execute(&build_block(), &mut ws);
     println!(
-        "threaded  : {:>9?}  winner = {:<14} ({} raced, {:?})",
+        "threaded  : {:>9?}  winner = {:<14} ({} started, {:?})",
         r.value,
         r.winner_name.as_deref().unwrap_or("-"),
         r.attempts,
@@ -84,5 +103,6 @@ fn main() {
     );
 
     assert_eq!(r.value, Some(expected));
+    assert_ne!(r.winner_name.as_deref(), Some("buggy-loop"));
     println!("\nall engines agree on the observable result: {expected}");
 }

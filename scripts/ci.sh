@@ -103,6 +103,12 @@ cargo test -q -p altx-serve --lib reactor::tests::any_order_of_answer_shed_loss_
 echo "==> elimination wake-up property (600 seeded sleeper/canceller orderings)"
 cargo test -q -p altx --lib cancel::tests::no_schedule_loses_the_wake_up
 
+# The quickstart runs one block in order, as Scheme B's seeded random
+# picks (a plan that runs one alternative alone) and as Scheme C's race,
+# and asserts that all of them agree on the observable result.
+echo "==> quickstart example: the ordered engine and the racing engine's plans agree"
+cargo run --release -q --example quickstart >/dev/null
+
 # E10 runs on the same VoteSlot/Tally the daemon commits with; its
 # committed output pins the simulator's behaviour byte for byte.
 echo "==> exp_consensus vs the committed E10 block of experiments_output.txt"
@@ -136,16 +142,20 @@ diff <(awk '/^  exp_consensus$/ { found = 1; getline; next }
 # a value; a timed-out park against a notified one) and `--test
 # race_crew` (no hedged body starts before its release under a forced
 # lead; the decision still takes the unreleased ticket off the queue) —
-# order and lower bounds only, never an upper wall-clock bound.
+# order and lower bounds only, never an upper wall-clock bound. So does
+# `--test engine_equivalence`: every §4.2 scheme is a launch plan of the
+# one racing engine, and random blocks under every plan kind at every
+# width must stay admissible, whatever the thread timing.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window and the favourite-first path with it), loopback and timer_slack suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window and the favourite-first path with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
             cargo test -q -p altx wake:: &&
             cargo test -q -p altx engine::threaded &&
             cargo test -q -p altx --test race_crew &&
+            cargo test -q -p altx --test engine_equivalence &&
             cargo test -q -p altx-serve --lib conn:: &&
             cargo test -q -p altx-serve --lib reactor:: &&
             cargo test -q -p altx-serve --lib pool:: &&
@@ -207,16 +217,20 @@ for bad in '--no-such-flag' '--workers 0'; do
     }
 done
 
-# Not gates: the two sizes ROADMAP aim 2 tracks, printed by the one
-# command every CHANGES.md entry quotes them from, and the size of the
+# Not gates: the sizes ROADMAP aim 2 tracks, printed by the one command
+# every CHANGES.md entry quotes them from, and the size of the
 # executable a fresh daemon execs. Non-test lines stop at a file's
 # first `#[cfg(test)]` — the in-file property suites are meant to grow.
-NON_TEST_LINES=$(find crates/serve/src -name '*.rs' -exec awk 'FNR == 1 { skip = 0 }
-    /^#\[cfg\(test\)\]/ { skip = 1 }
-    !skip { n++ }
-    END { print n }' {} +)
+non_test_lines() {
+    find "$1" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 }
+        /^#\[cfg\(test\)\]/ { skip = 1 }
+        !skip { n++ }
+        END { print n }' {} +
+}
+SERVE_LINES=$(non_test_lines crates/serve/src)
+CORE_LINES=$(non_test_lines crates/core/src)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
-echo "==> size: crates/serve/src $NON_TEST_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes"
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes"
 
 echo "==> CI gate passed"

@@ -3,8 +3,9 @@
 //! equivalence claims of §4.3: every execution strategy must be
 //! observationally a nondeterministic sequential selection.
 
-use altx::engine::{OrderedEngine, RandomEngine, ThreadedEngine};
-use altx::{AddressSpace, AltBlock, Engine, PageSize};
+use altx::engine::{LaunchPlan, OrderedEngine, ThreadedEngine};
+use altx::{AddressSpace, AltBlock, CancelToken, Engine, PageSize};
+use altx_des::SimRng;
 use altx_prolog::{profile_branches, solve_first_parallel, KnowledgeBase, Solver};
 use altx_recovery::RecoveryBlock;
 
@@ -24,7 +25,7 @@ fn mixed_block() -> AltBlock<usize> {
 #[test]
 fn every_engine_returns_an_admissible_outcome() {
     // Admissible: value is Some(i) where i ∈ {1, 3} and winner == i, or
-    // (for RandomEngine only) failure when it picked a failing branch.
+    // (for a random pick only) failure when it picked a failing branch.
     let admissible = |winner: Option<usize>, value: Option<usize>| match (winner, value) {
         (Some(w), Some(v)) => w == v && (v == 1 || v == 3),
         (None, None) => true,
@@ -39,11 +40,18 @@ fn every_engine_returns_an_admissible_outcome() {
     assert!(admissible(r.winner, r.value));
     assert!(r.succeeded(), "threaded always finds an existing success");
 
-    let engine = RandomEngine::seeded(7);
+    // Scheme B: one alternative drawn at random, run alone.
+    let mut rng = SimRng::seed_from_u64(7);
     let mut successes = 0;
     let mut failures = 0;
     for _ in 0..200 {
-        let r = engine.execute(&mixed_block(), &mut ws());
+        let plan = LaunchPlan::only(4, rng.index(4));
+        let r = ThreadedEngine::new().execute_planned(
+            &mixed_block(),
+            &mut ws(),
+            &CancelToken::new(),
+            &plan,
+        );
         assert!(admissible(r.winner, r.value));
         if r.succeeded() {
             successes += 1;
