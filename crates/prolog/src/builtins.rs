@@ -26,9 +26,14 @@ impl std::error::Error for EvalError {}
 /// Returns [`EvalError`] for unbound variables, non-numeric atoms,
 /// unknown operators, or division by zero.
 pub fn eval_arith(bindings: &Bindings, term: &Term) -> Result<i64, EvalError> {
-    let t = bindings.walk(term).clone();
+    eval_at(bindings, term, 0)
+}
+
+/// [`eval_arith`] for a term of a clause renamed by `offset`.
+fn eval_at(bindings: &Bindings, term: &Term, offset: usize) -> Result<i64, EvalError> {
+    let (t, offset) = bindings.walk_at(term, offset);
     match t {
-        Term::Int(n) => Ok(n),
+        Term::Int(n) => Ok(*n),
         Term::Var(_) => Err(EvalError {
             message: "unbound variable in arithmetic expression".into(),
         }),
@@ -36,9 +41,9 @@ pub fn eval_arith(bindings: &Bindings, term: &Term) -> Result<i64, EvalError> {
             message: format!("atom '{a}' is not a number"),
         }),
         Term::Compound { functor, args } if args.len() == 2 => {
-            let lhs = eval_arith(bindings, &args[0])?;
-            let rhs = eval_arith(bindings, &args[1])?;
-            match &*functor {
+            let lhs = eval_at(bindings, &args[0], offset)?;
+            let rhs = eval_at(bindings, &args[1], offset)?;
+            match &**functor {
                 "+" => Ok(lhs.wrapping_add(rhs)),
                 "-" => Ok(lhs.wrapping_sub(rhs)),
                 "*" => Ok(lhs.wrapping_mul(rhs)),
@@ -87,6 +92,11 @@ pub fn is_builtin(name: &str, arity: usize) -> bool {
 /// unsatisfiable), matching how a query-level error surfaces in this
 /// engine.
 pub fn call_builtin(bindings: &mut Bindings, goal: &Term) -> Option<bool> {
+    call_builtin_at(bindings, goal, 0)
+}
+
+/// [`call_builtin`] for a goal of a clause body renamed by `offset`.
+pub(crate) fn call_builtin_at(bindings: &mut Bindings, goal: &Term, offset: usize) -> Option<bool> {
     let (name, arity) = goal.functor_arity()?;
     if arity == 0 {
         return match name {
@@ -103,20 +113,20 @@ pub fn call_builtin(bindings: &mut Bindings, goal: &Term) -> Option<bool> {
     };
     let (a, b) = (&args[0], &args[1]);
     match name {
-        "=" => Some(bindings.unify(a, b)),
+        "=" => Some(bindings.unify_at(a, offset, b, offset)),
         "\\=" => {
             // Negation of unifiability; must not leave bindings behind.
             let mark = bindings.mark();
-            let unified = bindings.unify(a, b);
+            let unified = bindings.unify_at(a, offset, b, offset);
             bindings.undo_to(mark);
             Some(!unified)
         }
-        "is" => match eval_arith(bindings, b) {
-            Ok(value) => Some(bindings.unify(a, &Term::Int(value))),
+        "is" => match eval_at(bindings, b, offset) {
+            Ok(value) => Some(bindings.unify_at(a, offset, &Term::Int(value), 0)),
             Err(_) => Some(false),
         },
         "<" | "=<" | ">" | ">=" | "=:=" | "=\\=" => {
-            match (eval_arith(bindings, a), eval_arith(bindings, b)) {
+            match (eval_at(bindings, a, offset), eval_at(bindings, b, offset)) {
                 (Ok(x), Ok(y)) => Some(match name {
                     "<" => x < y,
                     "=<" => x <= y,

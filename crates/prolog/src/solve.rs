@@ -5,13 +5,46 @@
 //! measured against. The solver counts *steps* (clause resolution
 //! attempts + built-in calls), which is the work metric the cost model
 //! feeds to the performance analysis.
+//!
+//! # What a step allocates
+//!
+//! A clause is renamed without being copied: resolving with it takes
+//! `nvars` fresh slots in [`Bindings`] and reads its variable `v` as slot
+//! `v + base`. Unification and arithmetic read walked terms where they
+//! are; the one term copied is a term bound into a slot. A clause with a
+//! body adds one shared node to the goal list (the body, its renaming and
+//! its cut barrier); a fact adds none. A clause whose head fails to unify
+//! gives its fresh slots back at once.
+//!
+//! # What a choice point holds
+//!
+//! A goal keeps a choice point only while clauses remain to try after
+//! the one it resolved with. The choice point holds the goal's place in
+//! the goal list, its clause list (borrowed from the knowledge base
+//! unless the solver has dynamic clauses) and the next clause to try, the
+//! trail mark and the slot count. Backtracking undoes the trail to the
+//! mark and truncates the slots to the count.
+//!
+//! # How `max_depth` counts
+//!
+//! [`Solver::max_depth`] bounds *frames*: one per resolved user goal not
+//! yet backtracked over or cut away, whether or not the goal kept a
+//! choice point. A choice point records its frame's height and the search
+//! counts the frames above the last one, so a deterministic frame is
+//! counted without being stored. Solutions, steps and the point where
+//! `max_steps` or `max_depth` cuts a search are those of a stack that
+//! kept one choice point per resolved goal until backtracking exhausted
+//! it; only the names of unbound variables in a solution (`_G…`) may
+//! differ, since slots are reused.
 
-use crate::builtins::call_builtin;
+use crate::builtins::call_builtin_at;
 use crate::parser::{parse_program, parse_query, ParseError, RawClause, RawQuery};
 use crate::term::Term;
-use crate::unify::Bindings;
+use crate::unify::{Bindings, TrailMark};
 use altx::CancelToken;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A stored clause.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +61,9 @@ pub struct Clause {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KnowledgeBase {
     clauses: Vec<Clause>,
-    index: HashMap<(String, usize), Vec<usize>>,
+    /// Name → the clause indices of each arity defined under it, so a
+    /// lookup by `&str` builds no key.
+    index: HashMap<String, Vec<(usize, Vec<usize>)>>,
 }
 
 impl KnowledgeBase {
@@ -57,10 +92,11 @@ impl KnowledgeBase {
             .functor_arity()
             .expect("parser guarantees clause heads");
         let idx = self.clauses.len();
-        self.index
-            .entry((name.to_string(), arity))
-            .or_default()
-            .push(idx);
+        let arities = self.index.entry(name.to_string()).or_default();
+        match arities.iter_mut().find(|(a, _)| *a == arity) {
+            Some((_, clauses)) => clauses.push(idx),
+            None => arities.push((arity, vec![idx])),
+        }
         self.clauses.push(Clause {
             head: raw.head,
             body: raw.body,
@@ -71,9 +107,9 @@ impl KnowledgeBase {
     /// Clause indices matching `name/arity`, in source order.
     pub fn matching(&self, name: &str, arity: usize) -> &[usize] {
         self.index
-            .get(&(name.to_string(), arity))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .get(name)
+            .and_then(|arities| arities.iter().find(|(a, _)| *a == arity))
+            .map_or(&[], |(_, clauses)| clauses)
     }
 
     /// The clause at `idx`.
@@ -125,7 +161,8 @@ pub struct Solver<'kb> {
     kb: &'kb KnowledgeBase,
     /// Hard cap on resolution steps per query (guards infinite loops).
     pub max_steps: u64,
-    /// Hard cap on recursion depth.
+    /// Hard cap on recursion depth: frames on the search stack, one per
+    /// resolved user goal (see the module docs).
     pub max_depth: usize,
     /// Cooperative cancellation (polled every few steps); used by the
     /// OR-parallel engine for sibling elimination.
@@ -162,9 +199,14 @@ impl<'kb> Solver<'kb> {
 
     /// Clause indices matching `name/arity` in search order: asserta
     /// clauses (newest first), then KB clauses, then assertz clauses in
-    /// assertion order. Indices are stable across later assertions.
-    fn matching_all(&self, name: &str, arity: usize) -> Vec<usize> {
-        let base = self.kb.len();
+    /// assertion order. Indices are stable across later assertions. With
+    /// no dynamic clauses this is the knowledge base's own list.
+    fn matching_all(&self, name: &str, arity: usize) -> Cow<'kb, [usize]> {
+        let kb: &'kb KnowledgeBase = self.kb;
+        if self.local.is_empty() {
+            return Cow::Borrowed(kb.matching(name, arity));
+        }
+        let base = kb.len();
         let mut front = Vec::new();
         let mut back = Vec::new();
         for (i, slot) in self.local.iter().enumerate() {
@@ -180,9 +222,9 @@ impl<'kb> Solver<'kb> {
         }
         front.reverse(); // newest asserta first
         let mut out = front;
-        out.extend_from_slice(self.kb.matching(name, arity));
+        out.extend_from_slice(kb.matching(name, arity));
         out.extend(back);
-        out
+        Cow::Owned(out)
     }
 
     /// The clause at a combined index (KB or local).
@@ -270,22 +312,27 @@ impl<'kb> Solver<'kb> {
         if limit == 0 {
             return Vec::new();
         }
-        let mut bindings = Bindings::new();
-        bindings.ensure(query.nvars);
-
-        let mut goals: GoalList = None;
-        for g in query.goals.iter().rev() {
-            goals = push_goal(goals, g.clone());
-        }
-
+        let mut search = Search {
+            bindings: Bindings::new(),
+            cps: Vec::new(),
+            depth: 0,
+        };
+        search.bindings.ensure(query.nvars);
+        // A bare `!` at query level cuts everything (barrier 0).
+        let mut goals = Cont::at(
+            Rc::new(Body {
+                goals: Goals::Written(&query.goals),
+                offset: 0,
+                barrier: 0,
+                then: Cont::DONE,
+            }),
+            0,
+        );
         let mut out = Vec::new();
-        let mut cps: Vec<ChoicePoint> = Vec::new();
         let mut restrict_pending = restrict;
-        // Built-in failures/successes also need trail isolation between
-        // sibling branches; choice points carry the marks.
-        'outer: loop {
+        loop {
             // Limits and cancellation.
-            if self.steps >= self.max_steps || cps.len() >= self.max_depth {
+            if self.steps >= self.max_steps || search.depth >= self.max_depth {
                 self.truncated = true;
                 return out;
             }
@@ -298,259 +345,262 @@ impl<'kb> Solver<'kb> {
                 }
             }
 
-            let Some(node) = goals.clone() else {
+            let outcome = if goals.body.is_none() {
                 // All goals satisfied: record a solution.
                 out.push(Solution {
                     bindings: query
                         .var_names
                         .iter()
-                        .map(|(name, &v)| (name.clone(), bindings.resolve(&Term::Var(v))))
+                        .map(|(name, &v)| (name.clone(), search.bindings.resolve(&Term::Var(v))))
                         .collect(),
                 });
                 if out.len() >= limit {
                     return out;
                 }
-                match self.backtrack(&mut bindings, &mut cps) {
-                    Some(next) => {
-                        goals = next;
-                        continue 'outer;
-                    }
-                    None => return out,
-                }
+                // Backtrack into the next one.
+                Outcome::Fail
+            } else {
+                self.steps += 1;
+                self.prove(&mut search, goals, &mut restrict_pending)
             };
-            let goal = node.goal.clone();
-            let rest = node.rest.clone();
-            self.steps += 1;
-
-            // Cut: commit to the bindings and clause choices made so far
-            // by discarding choice points above the cut barrier. A bare
-            // `!` at query level cuts everything (barrier 0); `!` inside
-            // a clause body was translated to `$cut`(barrier) when the
-            // body was expanded.
-            if let Some(barrier) = cut_barrier(&goal) {
-                cps.truncate(barrier.min(cps.len()));
-                goals = rest;
-                continue 'outer;
-            }
-
-            // Meta-predicates.
-            if let Term::Compound { functor, args } = &goal {
-                match (&**functor, args.len()) {
-                    // Negation as failure: `\+ G` succeeds iff a
-                    // sub-proof of G (on a snapshot of the bindings)
-                    // fails. No bindings escape.
-                    ("\\+", 1) => {
-                        let succeeded = self.prove_subgoal(&bindings, &args[0]);
-                        if self.steps >= self.max_steps {
-                            self.truncated = true;
-                            return out;
-                        }
-                        if !succeeded {
-                            goals = rest;
-                            continue 'outer;
-                        }
-                        match self.backtrack(&mut bindings, &mut cps) {
-                            Some(next) => {
-                                goals = next;
-                                continue 'outer;
-                            }
-                            None => return out,
-                        }
-                    }
-                    // call/1: the walked argument becomes the goal. A cut
-                    // inside the called goal is local to it (the sub-goal
-                    // re-enters the loop as a plain goal; `!` reaching
-                    // here bare would cut to the query root, so we wrap
-                    // it to a no-op-cut at the current stack height).
-                    ("call", 1) => {
-                        let target = bindings.resolve(&args[0]);
-                        match target {
-                            Term::Var(_) | Term::Int(_) => {
-                                // Uncallable: fail.
-                                match self.backtrack(&mut bindings, &mut cps) {
-                                    Some(next) => {
-                                        goals = next;
-                                        continue 'outer;
-                                    }
-                                    None => return out,
-                                }
-                            }
-                            t => {
-                                let t = install_cut_barrier(t, cps.len());
-                                goals = push_goal(rest, t);
-                                continue 'outer;
-                            }
-                        }
-                    }
-                    // assertz/asserta: add a fact to this solver's local
-                    // database (facts only — rule terms are not
-                    // constructible in argument position). Assertions are
-                    // NOT undone on backtracking, per standard Prolog.
-                    ("assertz", 1) | ("asserta", 1) => {
-                        let resolved = bindings.resolve(&args[0]);
-                        match Solver::term_to_fact(&resolved) {
-                            Some(clause) => {
-                                // asserta semantics (clause-first) only
-                                // affect ordering among *dynamic*
-                                // clauses; KB clauses always precede.
-                                let front =
-                                    goal.functor_arity().is_some_and(|(n, _)| n == "asserta");
-                                self.local.push(Some((clause, front)));
-                                goals = rest;
-                                continue 'outer;
-                            }
-                            None => match self.backtrack(&mut bindings, &mut cps) {
-                                Some(next) => {
-                                    goals = next;
-                                    continue 'outer;
-                                }
-                                None => return out,
-                            },
-                        }
-                    }
-                    // retract/1: remove the first *dynamic* clause whose
-                    // head unifies (the shared KB is immutable; dynamic
-                    // state lives in the solver copy).
-                    ("retract", 1) => {
-                        let mut removed = false;
-                        let mark = bindings.mark();
-                        for slot in self.local.iter_mut() {
-                            if let Some((c, _)) = slot {
-                                let base = bindings.fresh(c.nvars);
-                                let head = c.head.shift_vars(base);
-                                if bindings.unify(&args[0], &head) {
-                                    *slot = None;
-                                    removed = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if removed {
-                            goals = rest;
-                            continue 'outer;
-                        }
-                        bindings.undo_to(mark);
-                        match self.backtrack(&mut bindings, &mut cps) {
-                            Some(next) => {
-                                goals = next;
-                                continue 'outer;
-                            }
-                            None => return out,
-                        }
-                    }
-                    // findall/3: collect every solution of Goal's
-                    // Template into a list; deterministic from the outer
-                    // search's perspective, never binds Goal's variables.
-                    ("findall", 3) => {
-                        let collected = self.findall(&bindings, &args[0], &args[1]);
-                        if self.steps >= self.max_steps {
-                            self.truncated = true;
-                            return out;
-                        }
-                        let list = Term::list(collected);
-                        if bindings.unify(&args[2], &list) {
-                            goals = rest;
-                            continue 'outer;
-                        }
-                        match self.backtrack(&mut bindings, &mut cps) {
-                            Some(next) => {
-                                goals = next;
-                                continue 'outer;
-                            }
-                            None => return out,
-                        }
-                    }
-                    _ => {}
-                }
-            }
-
-            // Built-ins are deterministic: no choice point, but a failed
-            // built-in triggers backtracking.
-            if let Some(result) = call_builtin(&mut bindings, &goal) {
-                if result {
-                    goals = rest;
-                    continue 'outer;
-                }
-                match self.backtrack(&mut bindings, &mut cps) {
-                    Some(next) => {
-                        goals = next;
-                        continue 'outer;
-                    }
+            goals = match outcome {
+                Outcome::Next(next) => next,
+                Outcome::Fail => match self.backtrack(&mut search) {
+                    Some(next) => next,
                     None => return out,
-                }
-            }
-
-            // User goal: open a choice point over the matching clauses.
-            let matches: Vec<usize> = match goal.functor_arity() {
-                Some((name, arity)) => match restrict_pending.take() {
-                    Some(k) => self
-                        .matching_all(name, arity)
-                        .get(k)
-                        .copied()
-                        .into_iter()
-                        .collect(),
-                    None => self.matching_all(name, arity),
                 },
-                // Unsatisfiable goal (integer or unbound variable).
-                None => Vec::new(),
+                Outcome::Stop => return out,
             };
-            cps.push(ChoicePoint {
-                goal,
-                rest,
-                matches,
-                next: 0,
-                mark: bindings.mark(),
-            });
-            match self.backtrack(&mut bindings, &mut cps) {
-                Some(next) => {
-                    goals = next;
+        }
+    }
+
+    /// Proves the first goal of `at`: a cut, a meta-predicate, a
+    /// built-in, or a user goal resolved with its clauses as a new frame.
+    fn prove<'a>(
+        &mut self,
+        search: &mut Search<'a>,
+        at: Cont<'a>,
+        restrict: &mut Option<usize>,
+    ) -> Outcome<'a>
+    where
+        'kb: 'a,
+    {
+        let body = Rc::clone(at.body.as_ref().expect("a goal is left"));
+        let (goal, offset) = (body.goal(at.next), body.offset);
+
+        // Cut: commit to the bindings and clause choices made since the
+        // frame this body was expanded from.
+        if matches!(goal, Term::Atom(a) if &**a == "!") {
+            search.cut(body.barrier);
+            return Outcome::Next(at.after());
+        }
+
+        // Meta-predicates.
+        if let Term::Compound { functor, args } = goal {
+            match (&**functor, args.len()) {
+                // Negation as failure: `\+ G` succeeds iff a sub-proof of
+                // G (on a snapshot of the bindings) fails. No bindings
+                // escape.
+                ("\\+", 1) => {
+                    let proved = self.prove_subgoal(&search.bindings, &args[0], offset);
+                    if self.steps >= self.max_steps {
+                        self.truncated = true;
+                        return Outcome::Stop;
+                    }
+                    return if proved {
+                        Outcome::Fail
+                    } else {
+                        Outcome::Next(at.after())
+                    };
                 }
-                None => return out,
+                // call/1: the walked argument becomes the goal. A cut
+                // inside the called goal is local to it: it cuts back to
+                // the frames present when call/1 ran.
+                ("call", 1) => {
+                    return match search.bindings.resolve_at(&args[0], offset) {
+                        // Uncallable: fail.
+                        Term::Var(_) | Term::Int(_) => Outcome::Fail,
+                        target => Outcome::Next(Cont::at(
+                            Rc::new(Body {
+                                goals: Goals::Called(target),
+                                offset: 0,
+                                barrier: search.depth,
+                                then: at.after(),
+                            }),
+                            0,
+                        )),
+                    };
+                }
+                // assertz/asserta: add a fact to this solver's local
+                // database (facts only — rule terms are not constructible
+                // in argument position). Assertions are NOT undone on
+                // backtracking, per standard Prolog. asserta semantics
+                // (clause-first) only affect ordering among *dynamic*
+                // clauses; KB clauses always precede.
+                ("assertz", 1) | ("asserta", 1) => {
+                    let resolved = search.bindings.resolve_at(&args[0], offset);
+                    return match Solver::term_to_fact(&resolved) {
+                        Some(clause) => {
+                            self.local.push(Some((clause, &**functor == "asserta")));
+                            Outcome::Next(at.after())
+                        }
+                        None => Outcome::Fail,
+                    };
+                }
+                // retract/1: remove the first *dynamic* clause whose head
+                // unifies (the shared KB is immutable; dynamic state lives
+                // in the solver copy).
+                ("retract", 1) => {
+                    let bindings = &mut search.bindings;
+                    let slots = bindings.len();
+                    for slot in self.local.iter_mut() {
+                        if let Some((c, _)) = slot {
+                            let base = bindings.fresh(c.nvars);
+                            if bindings.unify_at(&args[0], offset, &c.head, base) {
+                                *slot = None;
+                                return Outcome::Next(at.after());
+                            }
+                            bindings.truncate(slots);
+                        }
+                    }
+                    return Outcome::Fail;
+                }
+                // findall/3: collect every solution of Goal's Template
+                // into a list; deterministic from the outer search's
+                // perspective, never binds Goal's variables.
+                ("findall", 3) => {
+                    let collected = self.findall(&search.bindings, &args[0], &args[1], offset);
+                    if self.steps >= self.max_steps {
+                        self.truncated = true;
+                        return Outcome::Stop;
+                    }
+                    let list = Term::list(collected);
+                    return if search.bindings.unify_at(&args[2], offset, &list, 0) {
+                        Outcome::Next(at.after())
+                    } else {
+                        Outcome::Fail
+                    };
+                }
+                _ => {}
             }
+        }
+
+        // Built-ins are deterministic: no frame, and a failed built-in
+        // triggers backtracking.
+        if let Some(proved) = call_builtin_at(&mut search.bindings, goal, offset) {
+            return if proved {
+                Outcome::Next(at.after())
+            } else {
+                Outcome::Fail
+            };
+        }
+
+        // User goal: resolve it with the matching clauses as the next
+        // frame. An integer or unbound variable goal matches none.
+        let Some((name, arity)) = goal.functor_arity() else {
+            return Outcome::Fail;
+        };
+        let clauses = self.matching_all(name, arity);
+        let (next, end) = match restrict.take() {
+            Some(k) => (k.min(clauses.len()), k.saturating_add(1).min(clauses.len())),
+            None => (0, clauses.len()),
+        };
+        let height = search.depth;
+        self.resolve(search, at, clauses, next, end, height)
+    }
+
+    /// Resolves the goal at `at` with `clauses[next..end]`, in order, as
+    /// the frame at `height`, and keeps a choice point for the clauses
+    /// left, if any.
+    fn resolve<'a>(
+        &mut self,
+        search: &mut Search<'a>,
+        at: Cont<'a>,
+        clauses: Cow<'a, [usize]>,
+        mut next: usize,
+        end: usize,
+        height: usize,
+    ) -> Outcome<'a>
+    where
+        'kb: 'a,
+    {
+        let body = Rc::clone(at.body.as_ref().expect("a goal is left"));
+        let (goal, offset) = (body.goal(at.next), body.offset);
+        let bindings = &mut search.bindings;
+        let (mark, slots) = (bindings.mark(), bindings.len());
+        while next < end {
+            let idx = clauses[next];
+            next += 1;
+            self.steps += 1;
+            if self.steps >= self.max_steps {
+                self.truncated = true;
+                return Outcome::Stop;
+            }
+            let clause = self.clause_at(idx);
+            let base = bindings.fresh(clause.nvars);
+            if bindings.unify_at(goal, offset, &clause.head, base) {
+                let then = at.after();
+                if next < end {
+                    search.cps.push(ChoicePoint {
+                        height,
+                        at,
+                        clauses,
+                        next,
+                        end,
+                        mark,
+                        slots,
+                    });
+                }
+                search.depth = height + 1;
+                return Outcome::Next(self.expand(idx, base, height, then));
+            }
+            // Head mismatch: `unify` rolled its bindings back, and nothing
+            // refers to the renamed clause's slots.
+            bindings.truncate(slots);
+        }
+        Outcome::Fail
+    }
+
+    /// The goals after resolving with clause `idx` renamed by `base` as
+    /// the frame at `barrier`: its body, if it has one, then `then`.
+    fn expand<'a>(&self, idx: usize, base: usize, barrier: usize, then: Cont<'a>) -> Cont<'a>
+    where
+        'kb: 'a,
+    {
+        let kb: &'kb KnowledgeBase = self.kb;
+        // Dynamic clauses are facts: only a knowledge-base clause has a
+        // body.
+        match kb.clauses.get(idx) {
+            Some(clause) if !clause.body.is_empty() => Cont::at(
+                Rc::new(Body {
+                    goals: Goals::Written(&clause.body),
+                    offset: base,
+                    barrier,
+                    then,
+                }),
+                0,
+            ),
+            _ => then,
         }
     }
 
     /// Resumes at the most recent choice point with clauses left to try.
     /// Returns the new goal list, or `None` when the search space is
-    /// exhausted.
-    fn backtrack(
-        &mut self,
-        bindings: &mut Bindings,
-        cps: &mut Vec<ChoicePoint>,
-    ) -> Option<GoalList> {
-        loop {
-            // The cut barrier for clauses expanded from the topmost
-            // choice point: everything above (and including) it is
-            // discarded when a `!` in the body executes.
-            let barrier = cps.len().checked_sub(1);
-            let cp = cps.last_mut()?;
-            let barrier = barrier.expect("non-empty");
-            bindings.undo_to(cp.mark);
-            while cp.next < cp.matches.len() {
-                let clause_idx = cp.matches[cp.next];
-                cp.next += 1;
-                self.steps += 1;
-                if self.steps >= self.max_steps {
-                    self.truncated = true;
-                    return None;
-                }
-                let clause = self.clause_at(clause_idx);
-                let base = bindings.fresh(clause.nvars);
-                let head = clause.head.shift_vars(base);
-                let body: Vec<Term> = clause.body.iter().map(|g| g.shift_vars(base)).collect();
-                if bindings.unify(&cp.goal, &head) {
-                    let mut next = cp.rest.clone();
-                    for g in body.into_iter().rev() {
-                        next = push_goal(next, install_cut_barrier(g, barrier));
-                    }
-                    return Some(next);
-                }
-                // Head mismatch: bindings from the failed unify were
-                // already rolled back by `unify`; fresh vars linger but
-                // are unreachable.
+    /// exhausted or the step budget ran out.
+    fn backtrack<'a>(&mut self, search: &mut Search<'a>) -> Option<Cont<'a>>
+    where
+        'kb: 'a,
+    {
+        while let Some(cp) = search.cps.pop() {
+            search.bindings.undo_to(cp.mark);
+            search.bindings.truncate(cp.slots);
+            match self.resolve(search, cp.at, cp.clauses, cp.next, cp.end, cp.height) {
+                Outcome::Next(goals) => return Some(goals),
+                Outcome::Fail => {}
+                Outcome::Stop => return None,
             }
-            cps.pop();
         }
+        None
     }
 
     /// Convenience: the first solution and the steps it took.
@@ -562,11 +612,11 @@ impl<'kb> Solver<'kb> {
 }
 
 impl<'kb> Solver<'kb> {
-    /// Proves `goal` once against a snapshot of `bindings`, charging the
-    /// work to this solver's step budget. Used by negation-as-failure;
-    /// no bindings escape the sub-proof.
-    fn prove_subgoal(&mut self, bindings: &Bindings, goal: &Term) -> bool {
-        let resolved = bindings.resolve(goal);
+    /// Proves `goal` (renamed by `offset`) once against a snapshot of
+    /// `bindings`, charging the work to this solver's step budget. Used
+    /// by negation-as-failure; no bindings escape the sub-proof.
+    fn prove_subgoal(&mut self, bindings: &Bindings, goal: &Term, offset: usize) -> bool {
+        let resolved = bindings.resolve_at(goal, offset);
         let nvars = resolved.max_var().map(|v| v + 1).unwrap_or(0);
         let sub_query = RawQuery {
             goals: vec![resolved],
@@ -588,9 +638,16 @@ impl<'kb> Solver<'kb> {
 
     /// Enumerates every solution of `goal` in a sub-proof, returning the
     /// resolved instances of `template` — findall/3's collection step.
-    fn findall(&mut self, bindings: &Bindings, template: &Term, goal: &Term) -> Vec<Term> {
-        let resolved_goal = bindings.resolve(goal);
-        let resolved_template = bindings.resolve(template);
+    /// Both terms are renamed by `offset`.
+    fn findall(
+        &mut self,
+        bindings: &Bindings,
+        template: &Term,
+        goal: &Term,
+        offset: usize,
+    ) -> Vec<Term> {
+        let resolved_goal = bindings.resolve_at(goal, offset);
+        let resolved_template = bindings.resolve_at(template, offset);
         // Rename so the sub-query's variable ids are self-contained:
         // both terms already share `bindings`' id space, which is fine —
         // the sub-solver just needs enough slots.
@@ -633,53 +690,116 @@ impl<'kb> Solver<'kb> {
     }
 }
 
-/// Recognizes a cut goal: a bare `!` cuts to the query root; a
-/// `$cut(barrier)` (installed at clause expansion) cuts to its barrier.
-fn cut_barrier(goal: &Term) -> Option<usize> {
-    match goal {
-        Term::Atom(a) if &**a == "!" => Some(0),
-        Term::Compound { functor, args } if &**functor == "$cut" && args.len() == 1 => {
-            match args[0] {
-                Term::Int(b) if b >= 0 => Some(b as usize),
-                _ => None,
-            }
+/// What proving a goal, or retrying a choice point, came to.
+enum Outcome<'a> {
+    /// Proved: these goals are next.
+    Next(Cont<'a>),
+    /// Failed: backtrack.
+    Fail,
+    /// The step budget ran out (`truncated` is set).
+    Stop,
+}
+
+/// The search state of one query.
+struct Search<'a> {
+    bindings: Bindings,
+    /// Choice points, by increasing height.
+    cps: Vec<ChoicePoint<'a>>,
+    /// Frames on the stack: one per resolved user goal not yet
+    /// backtracked over or cut away — what `max_depth` bounds.
+    depth: usize,
+}
+
+impl Search<'_> {
+    /// Discards the frames from `barrier` up, choice points included.
+    fn cut(&mut self, barrier: usize) {
+        while self.cps.last().is_some_and(|cp| cp.height >= barrier) {
+            self.cps.pop();
         }
-        _ => None,
+        self.depth = self.depth.min(barrier);
     }
 }
 
-/// Rewrites bare `!` atoms in an expanded clause body into
-/// `$cut(barrier)` markers. Does not descend into argument positions:
-/// cut is transparent only at the body's goal level (a `!` inside, e.g.,
-/// a `\+` argument is handled by the sub-proof's own query-level rule).
-fn install_cut_barrier(goal: Term, barrier: usize) -> Term {
-    match &goal {
-        Term::Atom(a) if &**a == "!" => Term::compound("$cut", vec![Term::Int(barrier as i64)]),
-        _ => goal,
-    }
-}
-
-/// Persistent (structurally shared) goal list: choice points capture it
-/// by pointer, making backtracking O(1) in goal-stack size.
-type GoalList = Option<std::rc::Rc<GoalNode>>;
-
-#[derive(Debug)]
-struct GoalNode {
-    goal: Term,
-    rest: GoalList,
-}
-
-fn push_goal(rest: GoalList, goal: Term) -> GoalList {
-    Some(std::rc::Rc::new(GoalNode { goal, rest }))
-}
-
-#[derive(Debug)]
-struct ChoicePoint {
-    goal: Term,
-    rest: GoalList,
-    matches: Vec<usize>,
+/// The goals left to prove: goal `next` of `body` and the ones after it,
+/// then `body.then`. Persistent (structurally shared): choice points
+/// capture it by pointer, making backtracking O(1) in goal-list size.
+#[derive(Clone)]
+struct Cont<'a> {
+    body: Option<Rc<Body<'a>>>,
     next: usize,
-    mark: crate::unify::TrailMark,
+}
+
+impl<'a> Cont<'a> {
+    /// No goals left.
+    const DONE: Cont<'a> = Cont {
+        body: None,
+        next: 0,
+    };
+
+    /// Goal `next` of `body` on; past its last goal, what follows it.
+    fn at(body: Rc<Body<'a>>, next: usize) -> Self {
+        if next < body.len() {
+            Cont {
+                body: Some(body),
+                next,
+            }
+        } else {
+            body.then.clone()
+        }
+    }
+
+    /// The goals after the first.
+    fn after(&self) -> Self {
+        let body = self.body.as_ref().expect("a goal is left");
+        Cont::at(Rc::clone(body), self.next + 1)
+    }
+}
+
+/// A conjunction to prove under one renaming: a clause body, the query,
+/// or a called term.
+struct Body<'a> {
+    goals: Goals<'a>,
+    /// The renaming: variable `v` of these goals is slot `v + offset`.
+    offset: usize,
+    /// The frame height a `!` among these goals cuts back to.
+    barrier: usize,
+    then: Cont<'a>,
+}
+
+enum Goals<'a> {
+    /// Goals as written in a clause body or the query.
+    Written(&'a [Term]),
+    /// The term call/1 was given, resolved.
+    Called(Term),
+}
+
+impl Body<'_> {
+    fn len(&self) -> usize {
+        match &self.goals {
+            Goals::Written(goals) => goals.len(),
+            Goals::Called(_) => 1,
+        }
+    }
+
+    fn goal(&self, i: usize) -> &Term {
+        match &self.goals {
+            Goals::Written(goals) => &goals[i],
+            Goals::Called(goal) => goal,
+        }
+    }
+}
+
+/// A frame the search can return to: `clauses[next..end]` remain for the
+/// goal at `at`.
+struct ChoicePoint<'a> {
+    /// Frames below this one when it was pushed.
+    height: usize,
+    at: Cont<'a>,
+    clauses: Cow<'a, [usize]>,
+    next: usize,
+    end: usize,
+    mark: TrailMark,
+    slots: usize,
 }
 
 #[cfg(test)]

@@ -6,8 +6,15 @@
 //! predicates to become true."
 
 use crate::term::{Term, VarId};
+use std::sync::OnceLock;
 
 /// A growable variable store with a trail for cheap backtracking.
+///
+/// The solver renames a clause without copying it: the clause's variable
+/// `v` is read as slot `v + offset`, where `offset` is the first of the
+/// fresh slots the renaming took (the crate-internal `*_at` methods take
+/// that offset beside the term). Only a term that gets bound is copied
+/// into its slot.
 ///
 /// # Example
 ///
@@ -21,7 +28,12 @@ use crate::term::{Term, VarId};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bindings {
-    slots: Vec<Option<Term>>,
+    /// A slot is set once, by a binding, and emptied only by
+    /// [`undo_to`](Self::undo_to), which takes `&mut self`: a term read
+    /// out of one slot stays where it is while unification binds others,
+    /// so unification walks bound terms in place instead of cloning them.
+    /// `OnceLock` rather than `OnceCell` keeps `Bindings` `Sync`.
+    slots: Vec<OnceLock<Term>>,
     trail: Vec<VarId>,
     /// Unification attempts performed (the work metric behind the
     /// OR-parallel cost model).
@@ -32,6 +44,12 @@ pub struct Bindings {
     /// [`resolve`](Self::resolve) cannot materialize.
     pub occurs_check: bool,
 }
+
+// A `&Bindings` may be shared across threads: that is public API.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Bindings>();
+};
 
 impl Default for Bindings {
     fn default() -> Self {
@@ -57,7 +75,7 @@ impl Bindings {
     /// Ensures slots exist for variables `0..n`.
     pub fn ensure(&mut self, n: usize) {
         if self.slots.len() < n {
-            self.slots.resize(n, None);
+            self.slots.resize_with(n, OnceLock::new);
         }
     }
 
@@ -74,8 +92,15 @@ impl Bindings {
     /// Allocates `count` fresh variables, returning the first new id.
     pub fn fresh(&mut self, count: usize) -> usize {
         let base = self.slots.len();
-        self.slots.resize(base + count, None);
+        self.slots.resize_with(base + count, OnceLock::new);
         base
+    }
+
+    /// Drops the slots from `len` on. Backtracking calls it after
+    /// [`undo_to`](Self::undo_to) has unbound them: nothing the search
+    /// can return to refers to a variable made after its choice point.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.slots.truncate(len);
     }
 
     /// Current trail position, for later [`undo_to`](Self::undo_to).
@@ -87,7 +112,7 @@ impl Bindings {
     pub fn undo_to(&mut self, mark: TrailMark) {
         while self.trail.len() > mark.0 {
             let var = self.trail.pop().expect("trail non-empty");
-            self.slots[var.0] = None;
+            self.slots[var.0].take();
         }
     }
 
@@ -95,67 +120,104 @@ impl Bindings {
     /// variable is reached (shallow walk — does not descend into
     /// compounds).
     pub fn walk<'a>(&'a self, term: &'a Term) -> &'a Term {
-        let mut cur = term;
-        while let Term::Var(v) = cur {
-            match self.slots.get(v.0).and_then(Option::as_ref) {
-                Some(bound) => cur = bound,
-                None => return cur,
-            }
-        }
-        cur
+        self.walk_at(term, 0).0
+    }
+
+    /// [`walk`](Self::walk) for a term of a clause renamed by `offset`.
+    /// The returned offset renames the returned term: `offset` if it is
+    /// the clause's own (sub)term, 0 once a binding was followed.
+    pub(crate) fn walk_at<'a>(&'a self, term: &'a Term, offset: usize) -> (&'a Term, usize) {
+        walk(&self.slots, term, offset)
     }
 
     /// Fully substitutes bindings into `term`, producing a term whose
     /// remaining variables are genuinely unbound.
     pub fn resolve(&self, term: &Term) -> Term {
-        let walked = self.walk(term);
-        match walked {
-            Term::Compound { functor, args } => Term::Compound {
-                functor: functor.clone(),
-                args: args.iter().map(|a| self.resolve(a)).collect(),
-            },
-            other => other.clone(),
-        }
+        self.resolve_at(term, 0)
     }
 
-    fn bind(&mut self, var: VarId, term: Term) {
-        debug_assert!(self.slots[var.0].is_none(), "rebinding a bound variable");
-        self.slots[var.0] = Some(term);
-        self.trail.push(var);
+    /// [`resolve`](Self::resolve) for a term of a clause renamed by
+    /// `offset`.
+    pub(crate) fn resolve_at(&self, term: &Term, offset: usize) -> Term {
+        match self.walk_at(term, offset) {
+            (Term::Compound { functor, args }, offset) => Term::Compound {
+                functor: functor.clone(),
+                args: args.iter().map(|a| self.resolve_at(a, offset)).collect(),
+            },
+            (Term::Var(v), offset) => Term::Var(VarId(v.0 + offset)),
+            (other, _) => other.clone(),
+        }
     }
 
     /// Unifies `a` and `b`, binding variables as needed. On failure the
     /// bindings are left as they were (internal bindings are undone).
     pub fn unify(&mut self, a: &Term, b: &Term) -> bool {
-        let mark = self.mark();
-        if self.unify_inner(a, b) {
-            true
-        } else {
-            self.undo_to(mark);
-            false
-        }
+        self.unify_at(a, 0, b, 0)
     }
 
-    fn unify_inner(&mut self, a: &Term, b: &Term) -> bool {
+    /// [`unify`](Self::unify) for terms of clauses renamed by `a_offset`
+    /// and `b_offset`.
+    pub(crate) fn unify_at(
+        &mut self,
+        a: &Term,
+        a_offset: usize,
+        b: &Term,
+        b_offset: usize,
+    ) -> bool {
+        let mark = self.mark();
+        let mut unifier = Unifier {
+            slots: &self.slots,
+            trail: &mut self.trail,
+            occurs_check: self.occurs_check,
+            unifications: 0,
+        };
+        let unified = unifier.unify(a, a_offset, b, b_offset);
+        self.unifications += unifier.unifications;
+        if !unified {
+            self.undo_to(mark);
+        }
+        unified
+    }
+
+    /// True iff variable `v` is bound (directly or through a chain).
+    pub fn is_bound(&self, v: VarId) -> bool {
+        !matches!(self.walk(&Term::Var(v)), Term::Var(_))
+    }
+}
+
+/// Follows `term`, renamed by `offset`, through bound slots.
+fn walk<'s>(
+    slots: &'s [OnceLock<Term>],
+    mut term: &'s Term,
+    mut offset: usize,
+) -> (&'s Term, usize) {
+    while let Term::Var(v) = term {
+        match slots.get(v.0 + offset).and_then(OnceLock::get) {
+            Some(bound) => (term, offset) = (bound, 0),
+            None => break,
+        }
+    }
+    (term, offset)
+}
+
+/// One unification: reads terms where they are — in the clauses or in
+/// bound slots — and copies a term only into the slot it binds.
+struct Unifier<'s> {
+    slots: &'s [OnceLock<Term>],
+    trail: &'s mut Vec<VarId>,
+    occurs_check: bool,
+    unifications: u64,
+}
+
+impl<'s> Unifier<'s> {
+    fn unify(&mut self, a: &'s Term, a_offset: usize, b: &'s Term, b_offset: usize) -> bool {
         self.unifications += 1;
-        let a = self.walk(a).clone();
-        let b = self.walk(b).clone();
+        let (a, a_offset) = walk(self.slots, a, a_offset);
+        let (b, b_offset) = walk(self.slots, b, b_offset);
         match (a, b) {
-            (Term::Var(x), Term::Var(y)) if x == y => true,
-            (Term::Var(x), t) => {
-                if self.occurs_check && self.occurs(x, &t) {
-                    return false;
-                }
-                self.bind(x, t);
-                true
-            }
-            (t, Term::Var(y)) => {
-                if self.occurs_check && self.occurs(y, &t) {
-                    return false;
-                }
-                self.bind(y, t);
-                true
-            }
+            (Term::Var(x), Term::Var(y)) if x.0 + a_offset == y.0 + b_offset => true,
+            (Term::Var(x), _) => self.bind(x.0 + a_offset, b, b_offset),
+            (_, Term::Var(y)) => self.bind(y.0 + b_offset, a, a_offset),
             (Term::Atom(x), Term::Atom(y)) => x == y,
             (Term::Int(x), Term::Int(y)) => x == y,
             (
@@ -168,26 +230,42 @@ impl Bindings {
                     args: ys,
                 },
             ) => {
-                if f != g || xs.len() != ys.len() {
-                    return false;
-                }
-                xs.iter().zip(&ys).all(|(x, y)| self.unify_inner(x, y))
+                f == g
+                    && xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|(x, y)| self.unify(x, a_offset, y, b_offset))
             }
             _ => false,
         }
     }
 
-    /// True iff variable `v` is bound (directly or through a chain).
-    pub fn is_bound(&self, v: VarId) -> bool {
-        !matches!(self.walk(&Term::Var(v)), Term::Var(_))
+    /// Binds slot `var` to `term` renamed by `offset`.
+    fn bind(&mut self, var: usize, term: &Term, offset: usize) -> bool {
+        if self.occurs_check && self.occurs(var, term, offset) {
+            return false;
+        }
+        let value = if offset == 0 {
+            term.clone()
+        } else {
+            term.shift_vars(offset)
+        };
+        let unbound = self.slots[var].set(value).is_ok();
+        debug_assert!(unbound, "rebinding a bound variable");
+        self.trail.push(VarId(var));
+        true
     }
 
-    /// True iff variable `v` occurs (after walking) in `term`.
-    fn occurs(&self, v: VarId, term: &Term) -> bool {
-        match self.walk(term) {
-            Term::Var(w) => *w == v,
-            Term::Atom(_) | Term::Int(_) => false,
-            Term::Compound { args, .. } => args.iter().any(|a| self.occurs(v, a)),
+    /// True iff slot `var` occurs (after walking) in `term` renamed by
+    /// `offset`.
+    fn occurs(&self, var: usize, term: &Term, offset: usize) -> bool {
+        match walk(self.slots, term, offset) {
+            (Term::Var(w), offset) => w.0 + offset == var,
+            (Term::Atom(_) | Term::Int(_), _) => false,
+            (Term::Compound { args, .. }, offset) => {
+                args.iter().any(|a| self.occurs(var, a, offset))
+            }
         }
     }
 }

@@ -15,8 +15,10 @@
 use altx::{AltBlock, CancelToken};
 use altx_bench::TimeDistribution;
 use altx_des::SimRng;
-use altx_prolog::{KnowledgeBase, Solver};
-use std::sync::OnceLock;
+use altx_prolog::parser::RawQuery;
+use altx_prolog::{KnowledgeBase, Solver, Term};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// A catalog entry: what a workload is and which alternatives race.
@@ -238,24 +240,25 @@ fn prolog_kb() -> &'static (KnowledgeBase, KnowledgeBase) {
 /// ([`Solver::cancel`], every 64 steps), so the loser stops within a
 /// poll of the decision and a deadline ends both; a search cut short
 /// proves nothing and fails its guard. The query size is bounded all the
-/// same, so a body nobody eliminates is short-lived too. A skipped
-/// alternative's query string is never even formatted.
+/// same, so a body nobody eliminates is short-lived too. The query is
+/// built as a term, once per request, and both clause orders share it:
+/// no body formats or parses text.
 fn prolog(names: &[&'static str], arg: u64, skip: Option<&[bool]>) -> AltBlock<u64> {
     let depth = 50 + arg % 450;
+    let query = Arc::new(RawQuery {
+        goals: vec![Term::compound("q", vec![Term::Int(depth as i64)])],
+        var_names: HashMap::new(),
+        nvars: 0,
+    });
     let (slow_first, fast_first) = prolog_kb();
     let mut block = AltBlock::new();
     for (i, (&name, kb)) in names.iter().zip([slow_first, fast_first]).enumerate() {
         block = if wanted(skip, i) {
-            let query = format!("q({depth})");
+            let query = Arc::clone(&query);
             block.alternative(name, move |_ws, token: &CancelToken| {
-                // Usually the race is decided before the loser's body
-                // starts: do not parse a query nobody will ask.
-                if token.is_cancelled() {
-                    return None;
-                }
                 let mut solver = Solver::new(kb);
                 solver.cancel = Some(token.clone());
-                let sols = solver.solve_str(&query, 1).ok()?;
+                let sols = solver.solve(&query, 1);
                 (!sols.is_empty()).then(|| solver.steps())
             })
         } else {
@@ -318,6 +321,29 @@ mod tests {
     fn prolog_finds_the_witness() {
         let r = ThreadedEngine::new().execute(&build("prolog", 3).unwrap(), &mut ws());
         assert!(r.succeeded());
+    }
+
+    /// The values the benchmark's reply check recomputes: at every depth a
+    /// request can ask for, the dead-end order proves `q/1` in
+    /// 5·depth + 8 steps and the witness-first order in 2.
+    #[test]
+    fn prolog_bodies_return_their_step_counts_at_every_depth() {
+        for depth in 50..=499u64 {
+            let block = build("prolog", depth - 50).unwrap();
+            let [dead_end, witness_first] = block.alternatives() else {
+                panic!("two clause orders");
+            };
+            assert_eq!(
+                dead_end.run(&mut ws(), &CancelToken::new()),
+                Some(5 * depth + 8),
+                "depth {depth}"
+            );
+            assert_eq!(
+                witness_first.run(&mut ws(), &CancelToken::new()),
+                Some(2),
+                "depth {depth}"
+            );
+        }
     }
 
     /// Runs `body` while another thread — released together with it
