@@ -2,25 +2,26 @@
 //!
 //! ```text
 //! altxd [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]
-//!       [--ring-slots N] [--ring-slot-bytes N]
-//!       [--duration SECS] [--batch-window-us N] [--hedge]
-//!       [--hedge-min-samples N] [--hedge-explore-every N]
+//!       [--ring-slots N] [--ring-slot-bytes N] [--duration SECS]
+//!       [--hedge] [--hedge-min-samples N] [--hedge-explore-every N]
+//!       [--peer HOST:PORT]... [--advertise HOST:PORT]
+//!       [--peer-explore-every N] [--peer-heartbeat-ms N]
+//!       [--peer-suspect-ms N] [--lanes SPEC] [--admission] [--steal]
+//!       [--lane-aging-ms N] [--spin-us N]
 //! ```
 //!
 //! `--duration 0` (the default) serves until a client sends the
 //! SHUTDOWN opcode; a positive duration makes the daemon drain and exit
 //! on its own — handy for smoke tests.
 //!
-//! `--batch-window-us` turns on request coalescing: identical
-//! `(workload, deadline, arg)` requests arriving within the window share
-//! one race. `--hedge` turns on adaptive hedged launches: the
-//! statistically favoured alternative starts immediately and the rest
-//! are held back until its observed p95 has passed.
+//! `--hedge` turns on adaptive hedged launches: the statistically
+//! favoured alternative starts immediately and the rest are held back
+//! until its observed p95 has passed.
 //!
 //! `--shards N` runs N independent reactor event loops, each accepting
 //! on its own `SO_REUSEPORT` listener (where that bind fails the daemon
 //! does not start, and says which option asked for it); the default of
-//! 1 keeps the classic single-reactor front end.
+//! 1 keeps the classic single-reactor front end, and 0 is refused.
 //!
 //! `--ring-slots N` / `--ring-slot-bytes N` size the per-shard reply
 //! ring — up to N fixed buffers winning replies are encoded straight
@@ -52,15 +53,9 @@
 //! is provably unmeetable from the workload's observed p99 service time
 //! plus the current queue wait; `--steal` splits the pool into one
 //! worker group per shard and lets a dry group's workers take the best
-//! queued job from a sibling.
-//!
-//! CPU placement (off by default — without `--pin` the daemon makes
-//! zero affinity syscalls): `--pin` discovers the machine topology and
-//! pins each shard's reactor and worker group to a disjoint, SMT- and
-//! NUMA-aware core set, first-touching the shard's reply ring and
-//! buffer pool from those cores so the memory lands node-local.
-//! `--spin-us N` sets how long an idle stealing worker busy-waits for
-//! new work before parking on its group's condvar (0 parks immediately).
+//! queued job from a sibling; `--spin-us N` sets how long an idle
+//! stealing worker busy-waits for new work before parking on its
+//! group's condvar (0 parks immediately).
 
 use altx_serve::server::{
     available_workers, start, ServerConfig, DEFAULT_RING_SLOTS, DEFAULT_RING_SLOT_BYTES,
@@ -79,14 +74,12 @@ struct Args {
     ring_slots: usize,
     ring_slot_bytes: usize,
     duration_s: u64,
-    batch_window: Duration,
     hedge: HedgeConfig,
     peer: PeerConfig,
     lanes: Lanes,
     admission: bool,
     steal: bool,
     lane_aging: Duration,
-    pin: bool,
     spin: Duration,
 }
 
@@ -99,14 +92,12 @@ fn parse_args() -> Result<Args, String> {
         ring_slots: DEFAULT_RING_SLOTS,
         ring_slot_bytes: DEFAULT_RING_SLOT_BYTES,
         duration_s: 0,
-        batch_window: Duration::ZERO,
         hedge: HedgeConfig::default(),
         peer: PeerConfig::default(),
         lanes: Lanes::single(),
         admission: false,
         steal: false,
         lane_aging: altx_serve::pool::DEFAULT_LANE_AGING,
-        pin: false,
         spin: altx_serve::pool::DEFAULT_SPIN,
     };
     let mut it = std::env::args().skip(1);
@@ -130,9 +121,11 @@ fn parse_args() -> Result<Args, String> {
             }
             "--shards" => {
                 args.shards = value("--shards")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--shards: {e}"))?
-                    .max(1)
+                    .parse()
+                    .map_err(|e| format!("--shards: {e}"))?;
+                if args.shards == 0 {
+                    return Err("--shards: the minimum is 1".to_owned());
+                }
             }
             "--ring-slots" => {
                 args.ring_slots = value("--ring-slots")?
@@ -151,12 +144,6 @@ fn parse_args() -> Result<Args, String> {
                 args.duration_s = value("--duration")?
                     .parse()
                     .map_err(|e| format!("--duration: {e}"))?
-            }
-            "--batch-window-us" => {
-                let us: u64 = value("--batch-window-us")?
-                    .parse()
-                    .map_err(|e| format!("--batch-window-us: {e}"))?;
-                args.batch_window = Duration::from_micros(us);
             }
             "--hedge" => args.hedge.enabled = true,
             "--hedge-min-samples" => {
@@ -192,7 +179,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--admission" => args.admission = true,
             "--steal" => args.steal = true,
-            "--pin" => args.pin = true,
             "--spin-us" => {
                 let us: u64 = value("--spin-us")?
                     .parse()
@@ -209,12 +195,12 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: altxd [--addr HOST:PORT] [--workers N] [--queue N] \
                      [--shards N] [--ring-slots N] [--ring-slot-bytes N] \
-                     [--duration SECS] [--batch-window-us N] [--hedge] \
-                     [--hedge-min-samples N] [--hedge-explore-every N] \
-                     [--peer HOST:PORT]... [--advertise HOST:PORT] \
-                     [--peer-explore-every N] [--peer-heartbeat-ms N] \
-                     [--peer-suspect-ms N] [--lanes SPEC] [--admission] \
-                     [--steal] [--lane-aging-ms N] [--pin] [--spin-us N]"
+                     [--duration SECS] [--hedge] [--hedge-min-samples N] \
+                     [--hedge-explore-every N] [--peer HOST:PORT]... \
+                     [--advertise HOST:PORT] [--peer-explore-every N] \
+                     [--peer-heartbeat-ms N] [--peer-suspect-ms N] \
+                     [--lanes SPEC] [--admission] [--steal] \
+                     [--lane-aging-ms N] [--spin-us N]"
                 );
                 std::process::exit(0);
             }
@@ -237,7 +223,6 @@ fn main() {
         addr: args.addr,
         workers,
         queue_depth: args.queue_depth,
-        batch_window: args.batch_window,
         hedge: args.hedge,
         shards: args.shards,
         ring_slots: args.ring_slots,
@@ -247,7 +232,6 @@ fn main() {
         admission: args.admission,
         steal: args.steal,
         lane_aging: args.lane_aging,
-        pin: args.pin,
         spin: args.spin,
     }) {
         Ok(h) => h,
@@ -268,9 +252,6 @@ fn main() {
         "reply ring: up to {} slots x {} B per shard, each made on first use (spills fall back to the pool)",
         args.ring_slots, args.ring_slot_bytes
     );
-    if !args.batch_window.is_zero() {
-        println!("batching: window {:?}", args.batch_window);
-    }
     if args.hedge.enabled {
         println!(
             "hedging: on (min samples {}, explore every {})",
@@ -291,13 +272,8 @@ fn main() {
         // The pool deals its workers round-robin, so it cannot have more
         // groups than workers.
         println!(
-            "work stealing: on ({} worker groups)",
-            args.shards.min(workers)
-        );
-    }
-    if args.pin {
-        println!(
-            "cpu placement: on (spin budget {} us; shards pin to disjoint core sets)",
+            "work stealing: on ({} worker groups, spin budget {} us)",
+            args.shards.min(workers),
             args.spin.as_micros()
         );
     }

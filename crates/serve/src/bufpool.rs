@@ -125,11 +125,10 @@ impl BufPool {
 
     /// Pre-populates the free list with [`WARM_BUFFERS`] buffers of
     /// [`WARM_CAPACITY`] bytes, written once so their pages are
-    /// resident — on the NUMA node of the calling core. A pinned shard
-    /// calls this from its reactor thread right after pinning, so the
-    /// spill path's steady-state buffers are node-local instead of
-    /// landing wherever the first cold miss happens to run. Touches no
-    /// counters: warming is provisioning, not traffic.
+    /// resident. The daemon never calls it — a shard's pool fills from
+    /// its own traffic; its one caller is the benchmark's `layers`
+    /// binary, which times a warm pool. Touches no counters: warming is
+    /// provisioning, not traffic.
     pub fn warm(&mut self) {
         while self.free.len() < WARM_BUFFERS.min(self.max_held) {
             let mut buf = vec![0u8; WARM_CAPACITY];

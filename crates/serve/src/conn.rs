@@ -31,7 +31,7 @@
 //! write half **closed** under its lock: a race still in flight keeps
 //! an `Arc` of the half (so the fd number cannot be reused under it),
 //! and its late delivery drops the frame instead of writing — dropping
-//! a [`ReplyFrame`] reclaims its ring slot by destructor, so a dying
+//! an [`EncodedReply`] reclaims its ring slot by destructor, so a dying
 //! connection can never leak a slot.
 
 use crate::bufpool::BufPool;
@@ -43,44 +43,6 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// One encoded reply frame queued on a connection, either exclusively
-/// owned or shared across the N waiters of a coalesced batch — the
-/// fan-out hands every waiter the *same* encoding (one slot, read N
-/// times) instead of re-encoding per waiter.
-pub(crate) enum ReplyFrame {
-    /// Sole recipient: the common case.
-    Own(EncodedReply),
-    /// Coalesced fan-out: shared by every waiter of one batch.
-    Shared(Arc<EncodedReply>),
-}
-
-impl ReplyFrame {
-    /// The wire bytes (length prefix + body) of the whole frame.
-    fn bytes(&self) -> &[u8] {
-        match self {
-            ReplyFrame::Own(reply) => reply.bytes(),
-            ReplyFrame::Shared(reply) => reply.bytes(),
-        }
-    }
-
-    /// Retires the frame after its last byte is written: ring slots
-    /// reclaim by drop; a heap spill recycles into `pool` when the
-    /// reactor thread (the pool's owner) wrote it and is dropped when
-    /// any other thread did. For a shared frame only the last waiter's
-    /// release recycles.
-    fn retire(self, pool: Option<&mut BufPool>) {
-        let Some(pool) = pool else { return };
-        match self {
-            ReplyFrame::Own(reply) => reply.recycle(pool),
-            ReplyFrame::Shared(reply) => {
-                if let Ok(reply) = Arc::try_unwrap(reply) {
-                    reply.recycle(pool);
-                }
-            }
-        }
-    }
-}
 
 /// What a readiness-driven read pass produced.
 pub(crate) struct ReadOutcome {
@@ -181,7 +143,7 @@ impl Conn {
 
 /// Where one reply is owed: a connection's write half and the request's
 /// sequence number on it. A handle any thread can deliver through; a
-/// race in flight carries one per request waiting on it.
+/// race in flight carries its request's.
 pub(crate) type ReplySlot = (Arc<WriteHalf>, u64);
 
 /// The write half of one client connection: the socket and the ordered
@@ -205,7 +167,12 @@ impl WriteHalf {
 
     /// See [`WriteState::deliver`]. `pool` is `Some` on the reactor
     /// thread only.
-    pub(crate) fn deliver(&self, seq: u64, frame: ReplyFrame, pool: Option<&mut BufPool>) -> bool {
+    pub(crate) fn deliver(
+        &self,
+        seq: u64,
+        frame: EncodedReply,
+        pool: Option<&mut BufPool>,
+    ) -> bool {
         self.locked(|state, stream| state.deliver(seq, frame, stream, pool))
     }
 
@@ -251,13 +218,13 @@ impl WriteHalf {
 /// writes, so the lock's contract is checked without a socket.
 pub(crate) struct WriteState {
     /// Deliverable reply frames, in request order, awaiting the socket.
-    out: VecDeque<ReplyFrame>,
+    out: VecDeque<EncodedReply>,
     /// How much of the *front* frame has already been written.
     out_pos: usize,
     /// Reply slots of the requests still owed a reply, dense and in
     /// seq order (the front slot belongs to `next_seq - pending.len()`):
     /// `None` until the reply for that seq is known.
-    pending: VecDeque<Option<ReplyFrame>>,
+    pending: VecDeque<Option<EncodedReply>>,
     next_seq: u64,
     /// No more requests will be read (peer EOF or protocol error).
     read_closed: bool,
@@ -332,7 +299,7 @@ impl WriteState {
     pub(crate) fn deliver(
         &mut self,
         seq: u64,
-        frame: ReplyFrame,
+        frame: EncodedReply,
         w: &mut impl Write,
         pool: Option<&mut BufPool>,
     ) -> bool {
@@ -360,7 +327,9 @@ impl WriteState {
     /// Writes queued reply frames until `w` would block, directly from
     /// each frame's backing store (ring slot or spill buffer), retiring
     /// a frame the moment its last byte is accepted — that retirement
-    /// *is* slot reclamation. A failed write marks the half `failed`.
+    /// *is* slot reclamation. A heap spill recycles into `pool` when the
+    /// reactor thread (the pool's owner) wrote it and is dropped when
+    /// any other thread did. A failed write marks the half `failed`.
     pub(crate) fn flush(&mut self, w: &mut impl Write, mut pool: Option<&mut BufPool>) {
         while !self.failed {
             let Some(front) = self.out.front() else {
@@ -370,7 +339,9 @@ impl WriteState {
             if rest.is_empty() {
                 self.out_pos = 0;
                 let done = self.out.pop_front().expect("front exists");
-                done.retire(pool.as_deref_mut());
+                if let Some(pool) = pool.as_deref_mut() {
+                    done.recycle(pool);
+                }
                 continue;
             }
             match w.write(rest) {
@@ -480,7 +451,7 @@ mod tests {
     /// The reply to request `seq`: most fit a ring slot, every fifth is
     /// too big for one, and with more requests than slots some spill
     /// for want of a slot.
-    fn reply(seq: u64, ring: &ReplyRing, shared: bool) -> (ReplyFrame, Vec<u8>) {
+    fn reply(seq: u64, ring: &ReplyRing) -> (EncodedReply, Vec<u8>) {
         let response = if seq % 5 == 4 {
             Response::Text {
                 body: format!("{seq}:").repeat(60),
@@ -495,12 +466,7 @@ mod tests {
         };
         let reply = EncodedReply::encode(&response, ring);
         let bytes = reply.bytes().to_vec();
-        let frame = if shared {
-            ReplyFrame::Shared(Arc::new(reply))
-        } else {
-            ReplyFrame::Own(reply)
-        };
-        (frame, bytes)
+        (reply, bytes)
     }
 
     fn script(rng: &mut CaseRng, fail_p: f64) -> VecDeque<Step> {
@@ -569,7 +535,7 @@ mod tests {
                 // A stray carries bytes no real reply has, so one that
                 // displaced a parked frame would show on the wire.
                 let content = if stray { seq + 1_000 } else { seq };
-                let (frame, bytes) = reply(content, &ring, rng.bool());
+                let (frame, bytes) = reply(content, &ring);
                 if !stray {
                     undelivered.retain(|&s| s != seq);
                     delivered[seq as usize] = true;
@@ -629,17 +595,17 @@ mod tests {
 
         // A seq nobody was given, then the real second reply twice: the
         // duplicate must not displace the frame already parked.
-        assert!(!state.deliver(7, reply(7, &ring, false).0, &mut w, None));
-        let (frame, second_bytes) = reply(second, &ring, false);
+        assert!(!state.deliver(7, reply(7, &ring).0, &mut w, None));
+        let (frame, second_bytes) = reply(second, &ring);
         assert!(!state.deliver(second, frame, &mut w, None));
-        assert!(!state.deliver(second, reply(99, &ring, false).0, &mut w, None));
+        assert!(!state.deliver(second, reply(99, &ring).0, &mut w, None));
         assert!(w.wire.is_empty(), "seq 1 parks behind seq 0");
 
-        let (frame, first_bytes) = reply(first, &ring, false);
+        let (frame, first_bytes) = reply(first, &ring);
         assert!(!state.deliver(first, frame, &mut w, None));
         assert_eq!(w.wire, [first_bytes, second_bytes].concat());
         // Already released: ignored, and its slot comes straight back.
-        assert!(!state.deliver(first, reply(first, &ring, false).0, &mut w, None));
+        assert!(!state.deliver(first, reply(first, &ring).0, &mut w, None));
         assert_eq!(ring.idle_slots(), SLOTS);
     }
 }

@@ -42,15 +42,14 @@
 //! `SO_REUSEPORT` listeners so a connection never changes threads
 //! between accept and service.
 
-// `deny` rather than `forbid`: the crate's two `#[allow(unsafe_code)]`
-// corners are the reactor's `sys` module (the `ppoll(2)` binding, the
-// `SO_REUSEPORT` bind, and `prctl(PR_{SET,GET}_TIMERSLACK)`) and
-// `pin::sys` (the `sched_{set,get}affinity(2)` binding). `scripts/ci.sh`
-// fails if the keyword appears in a third file — this one included.
+// `deny` rather than `forbid`: the crate's one `#[allow(unsafe_code)]`
+// corner is the reactor's `sys` module (the `ppoll(2)` binding, the
+// `SO_REUSEPORT` bind, and `prctl(PR_{SET,GET}_TIMERSLACK)`).
+// `scripts/ci.sh` fails if the keyword appears in a second file — this
+// one included.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod batch;
 pub mod bufpool;
 pub mod client;
 pub mod commit;
@@ -58,7 +57,6 @@ mod conn;
 pub mod frame;
 pub(crate) mod link;
 pub mod peer;
-pub mod pin;
 pub(crate) mod placement;
 pub mod pool;
 pub(crate) mod reactor;
@@ -67,7 +65,6 @@ pub mod ring;
 pub mod sched;
 pub mod server;
 pub mod telemetry;
-pub mod topo;
 pub mod workload;
 
 pub use client::Client;

@@ -34,7 +34,7 @@
 //! Failure story (the chaos soak beats on it): every job runs inside
 //! `catch_unwind` ([`PoolStats::jobs_panicked`]); a worker that unwinds
 //! anyway — the `pool.worker` fault site — catches itself at the top of
-//! its thread and starts its loop again, name and CPU pin intact
+//! its thread and starts its loop again, name and timer slack intact
 //! ([`PoolStats::worker_respawns`]); and an admitted entry fires its
 //! notifier when it is dropped, however that happens: after the job
 //! ran, while its panic unwinds, unrun under an injected `Fail`, or in
@@ -121,7 +121,7 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Total queued-job capacity across every group and lane.
     pub queue_depth: usize,
-    /// Worker groups; workers are pinned round-robin. Clamped to
+    /// Worker groups; workers are dealt round-robin. Clamped to
     /// `[1, workers]`.
     pub groups: usize,
     /// Priority lanes per group (`0` is highest priority). At least 1.
@@ -134,13 +134,15 @@ pub struct PoolConfig {
     /// Busy-wait budget before an idle stealing worker parks.
     /// `Duration::ZERO` parks immediately.
     pub spin: Duration,
-    /// CPU sets to pin each group's workers to (`pin_cores[group]`).
-    /// `None` — the default — makes no affinity syscalls at all.
-    pub pin_cores: Option<Vec<Vec<usize>>>,
+    /// Nothing: `None` is its only value and nothing reads it. It stays
+    /// only because the benchmark's `layers` binary builds this struct
+    /// with a full literal that names it; it goes once that literal
+    /// drops it (ROADMAP 1(a)).
+    pub pin_cores: Option<std::convert::Infallible>,
 }
 
 impl PoolConfig {
-    /// The legacy shape: one group, one lane, no stealing, no pinning.
+    /// The legacy shape: one group, one lane, no stealing.
     pub fn fifo(workers: usize, queue_depth: usize) -> Self {
         PoolConfig {
             workers,
@@ -458,8 +460,6 @@ struct Shared {
     queued: CachePadded<AtomicUsize>,
     /// Busy-wait budget of a worker told to [`Next::Spin`].
     spin: Duration,
-    /// Per-group CPU pin sets; `None` = never touch affinity.
-    pin_cores: Option<Vec<Vec<usize>>>,
     stats: Arc<PoolStats>,
 }
 
@@ -509,7 +509,7 @@ impl WorkerPool {
         WorkerPool::with_config(PoolConfig::fifo(workers, queue_depth))
     }
 
-    /// Spawns the configured pool: `config.workers` threads pinned
+    /// Spawns the configured pool: `config.workers` threads dealt
     /// round-robin across `config.groups` groups, each group holding
     /// `config.lanes` EDF heaps.
     pub fn with_config(config: PoolConfig) -> Self {
@@ -521,7 +521,6 @@ impl WorkerPool {
             available: (0..n_groups).map(|_| Condvar::new()).collect(),
             queued: CachePadded::new(AtomicUsize::new(0)),
             spin: config.spin,
-            pin_cores: config.pin_cores,
             stats: Arc::new(PoolStats::with_lanes(n_lanes)),
         });
         let workers = (0..config.workers)
@@ -697,12 +696,6 @@ fn spawn_worker(shared: &Arc<Shared>, group: usize, index: usize) -> JoinHandle<
             // Jobs wait on clocks (bodies, deadlines, hedge releases),
             // and so do the racers this thread will spawn.
             crate::reactor::tighten_timer_slack();
-            // Pin before consuming anything, so that the jobs this worker
-            // runs (and the memory they first-touch) land on the group's
-            // cores from the first pop. A refusal logs and runs unpinned.
-            if let Some(cpus) = shared.pin_cores.as_ref().and_then(|sets| sets.get(group)) {
-                crate::pin::pin_current_thread(&format!("worker-g{group}"), cpus);
-            }
             // A worker heals itself. Whatever unwinds out of the loop —
             // it holds no entry and no lock when it does — the same
             // thread starts the loop again; it returns only once the

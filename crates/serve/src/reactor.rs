@@ -15,8 +15,8 @@
 //! connections across the shards and an accepted socket is already on
 //! the thread that will serve it — accept → poll-set registration
 //! never crosses threads. From that moment the connection belongs to
-//! exactly one shard — its poll set, frame decoding, batch windows,
-//! buffer pool and reply ring are that shard's. Nothing on the request
+//! exactly one shard — its poll set, frame decoding, buffer pool and
+//! reply ring are that shard's. Nothing on the request
 //! path crosses a shard boundary, and the only shared mutable state on
 //! it is a connection's write half (`conn.rs`), locked once per reply
 //! for one slot fill and one socket write. There is no acceptor thread
@@ -30,34 +30,34 @@
 //! * **sys**: a minimal FFI binding to the C library's `ppoll(2)`, the
 //!   socket calls needed for an `SO_REUSEPORT` bind, and the `prctl(2)`
 //!   that drops a daemon thread's timer slack — std already links libc,
-//!   so this adds no dependency; with `pin::sys` it is the only unsafe
-//!   code in the crate and is confined to this module.
+//!   so this adds no dependency; it is the only unsafe code in the
+//!   crate and is confined to this module.
 //! * **Clocks**: every thread the daemon starts — this one, the pool's
 //!   workers, the peer thread — sets its own timer slack to 1 ns before
-//!   anything else ([`tighten_timer_slack`]), and the poll timeout is a
+//!   anything else ([`tighten_timer_slack`]), and a poll timeout is a
 //!   `Duration` handed to `ppoll` ([`poll_timeout`]), so a wait on a
-//!   clock — a batch window here, a body's sleep or a deadline on a
-//!   worker or a racer it spawned — ends when it says rather than the
-//!   kernel's default 50 µs, or `poll(2)`'s next millisecond, later.
-//! * **A race carries its reply slots** ([`Flight`]): a race in flight
-//!   is one value — its key, the reply slots it owes (one per direct
-//!   request, many per coalesced batch) and its shard's delivery handle
-//!   ([`ReactorShared`]: ring, wake channel, `draining`) — built when
-//!   the request leaves the decoder and *moved* to whoever decides the
-//!   race: this thread, a pool job's completion closure, or the
-//!   distributed-race shell (`remote.rs`), which keeps it beside its
-//!   table under `race_id`. Nothing is registered anywhere, so nothing
-//!   is looked up: the decider already holds the way home.
+//!   clock — a body's sleep, a deadline or a hedge release on a worker,
+//!   on this thread or on a racer either spawned — ends when it says
+//!   rather than the kernel's default 50 µs later.
+//! * **A race carries its reply slot** ([`Flight`]): a race in flight
+//!   is one value — its key, the one reply slot it owes and its shard's
+//!   delivery handle ([`ReactorShared`]: ring, wake channel,
+//!   `draining`) — built when the request leaves the decoder and
+//!   *moved* to whoever decides the race: this thread, a pool job's
+//!   completion closure, or the distributed-race shell (`remote.rs`),
+//!   which keeps it beside its table under `race_id`. Nothing is
+//!   registered anywhere, so nothing is looked up: the decider already
+//!   holds the way home.
 //! * **Direct delivery** ([`ReactorShared::answer`]): the one way a
 //!   race's reply reaches a connection. The deciding thread encodes the
-//!   reply **once** into a ring slot (`ring.rs`), and for each waiter
-//!   locks the connection's write half, fills the request's reply slot
-//!   and writes to the socket right there. No completion queue, no
-//!   second thread, no reply byte copied between encode and the kernel,
-//!   and no two locks ever held at once. "Each request answered once"
-//!   is the write half's rule — a slot is filled only while empty — so
-//!   a refused submission is shed from the reactor's own copy of the
-//!   slots without asking who else holds one.
+//!   reply **once** into a ring slot (`ring.rs`), locks the
+//!   connection's write half, fills the request's reply slot and writes
+//!   to the socket right there. No completion queue, no second thread,
+//!   no reply byte copied between encode and the kernel, and no two
+//!   locks ever held at once. "Each request answered once" is the write
+//!   half's rule — a slot is filled only while empty — so a refused
+//!   submission is shed from the reactor's own copy of the slot without
+//!   asking who else holds one.
 //! * **Run on the shard** ([`Reactor::submit_race`]): a race whose
 //!   workload has been measured short enough that the hand-off to a
 //!   worker would be a visible share of it
@@ -98,9 +98,8 @@
 //!   it sees the flag and rouses the reactor, or its delivery came
 //!   before the look and the reactor saw a drained connection.
 
-use crate::batch::{BatchKey, Batcher, Offered};
 use crate::bufpool::BufPool;
-use crate::conn::{Conn, ReplyFrame, ReplySlot, WriteHalf};
+use crate::conn::{Conn, ReplySlot, WriteHalf};
 use crate::frame::{FrameError, Request, Response};
 use crate::peer::{PeerHandle, SendTag};
 use crate::pool::JobMeta;
@@ -181,8 +180,7 @@ mod sys {
     }
 
     /// One `ppoll(2)`: `poll(2)` with a `timespec` for a timeout, so a
-    /// 200 µs batch window is a 200 µs wait and not the next whole
-    /// millisecond.
+    /// 200 µs wait is a 200 µs wait and not the next whole millisecond.
     #[cfg(target_os = "linux")]
     fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
         use std::ffi::{c_long, c_void};
@@ -265,8 +263,8 @@ mod sys {
         /// the kernel takes. Every timed wait of the thread — futex,
         /// `ppoll`, `nanosleep` — then ends when its clock says, not up
         /// to the default 50 µs later, and threads it spawns from here
-        /// on inherit the setting. Advisory, like a refused affinity
-        /// call: a kernel that says no leaves the thread as it was.
+        /// on inherit the setting. Advisory: a kernel that says no
+        /// leaves the thread as it was.
         pub fn tighten_timer_slack() {
             // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and
             // touches only the calling thread's own scheduling state.
@@ -460,49 +458,48 @@ impl ReactorShared {
     /// The only way a race's reply reaches a connection, on whichever
     /// thread calls it: encodes `response` once into this shard's reply
     /// ring (spilling to a fresh heap buffer when the ring can't take
-    /// it) and delivers the frame to every waiter's connection, each of
-    /// which owns a distinct reply slot. A lone waiter — the
-    /// overwhelmingly common case — takes the frame by move; a coalesced
-    /// batch shares **one** encoding across its N waiters, each socket
-    /// reading the same ring slot, reclaimed when the last one finishes.
-    /// A waiter whose connection is gone, or whose slot somebody filled
-    /// first, drops the frame, which reclaims the slot. The reactor is
-    /// roused — after the last write half is unlocked — only if a
-    /// delivery left it something to do or the shard is draining.
-    pub(crate) fn answer(&self, waiters: &[ReplySlot], response: &Response) {
+    /// it) and delivers the frame to `slot`'s connection. A connection
+    /// that is gone, or a slot somebody filled first, drops the frame,
+    /// which reclaims its ring slot. The reactor is roused — after the
+    /// write half is unlocked — only if the delivery left it something
+    /// to do or the shard is draining.
+    pub(crate) fn answer(&self, (half, seq): &ReplySlot, response: &Response) {
         let reply = EncodedReply::encode(response, &self.ring);
-        let rouse = if let [(half, seq)] = waiters {
-            half.deliver(*seq, ReplyFrame::Own(reply), None)
-        } else {
-            let shared = Arc::new(reply);
-            waiters.iter().fold(false, |rouse, (half, seq)| {
-                rouse | half.deliver(*seq, ReplyFrame::Shared(Arc::clone(&shared)), None)
-            })
-        };
-        if rouse || self.draining.load(Ordering::SeqCst) {
+        if half.deliver(*seq, reply, None) || self.draining.load(Ordering::SeqCst) {
             self.wake_tx.wake();
         }
     }
 }
 
-/// A race in flight: what was asked, who is owed the one reply, and the
-/// way home. Built by the reactor when a request (or a coalesced batch)
-/// leaves the decoder, then *moved* to whoever decides the race — the
-/// reactor itself for a shard run, the pool job's completion closure,
-/// the distributed-race shell — so answering it needs no table and no
+/// What makes a race: the workload, its deadline and its argument.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RaceKey {
+    /// Catalog workload index (interned from the request's name).
+    pub widx: usize,
+    /// Request deadline in milliseconds; 0 is best-effort.
+    pub deadline_ms: u32,
+    /// The block parameter.
+    pub arg: u64,
+}
+
+/// A race in flight: what was asked, where its one reply is owed, and
+/// the way home. Built by the reactor when a request leaves the
+/// decoder, then *moved* to whoever decides the race — the reactor
+/// itself for a shard run, the pool job's completion closure, the
+/// distributed-race shell — so answering it needs no table and no
 /// look-up, and consumes it.
 pub(crate) struct Flight {
-    pub(crate) key: BatchKey,
-    /// One slot per request sharing this race's reply.
-    pub(crate) waiters: Vec<ReplySlot>,
-    /// The delivery handle of the shard that owns the waiters.
+    pub(crate) key: RaceKey,
+    /// The request's reply slot.
+    pub(crate) slot: ReplySlot,
+    /// The delivery handle of the shard that owns the slot.
     pub(crate) home: Arc<ReactorShared>,
 }
 
 impl Flight {
-    /// Delivers the race's one reply to every waiter.
+    /// Delivers the race's one reply.
     pub(crate) fn answer(self, response: &Response) {
-        self.home.answer(&self.waiters, response);
+        self.home.answer(&self.slot, response);
     }
 }
 
@@ -627,17 +624,10 @@ pub(crate) struct Reactor {
     daemon: Arc<Daemon>,
     stats: Arc<ShardStats>,
     bufs: BufPool,
-    /// Open coalescing windows; a parked waiter is the reply slot itself.
-    batcher: Batcher<ReplySlot>,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
     /// This shard's index: its worker group and its thread's name.
     shard_idx: usize,
-    /// CPU set this shard is placed on (`--pin`); `None` = unpinned.
-    /// The reactor thread pins itself at the top of [`Reactor::run`]
-    /// and then first-touches the shard's ring and buffer memory so the
-    /// pages land NUMA-local to these cores.
-    pin_cpus: Option<Vec<usize>>,
 }
 
 impl Reactor {
@@ -649,7 +639,6 @@ impl Reactor {
         daemon: Arc<Daemon>,
         shard_idx: usize,
         config: &ServerConfig,
-        pin_cpus: Option<Vec<usize>>,
     ) -> io::Result<(Self, Arc<ReactorShared>, Arc<ShardStats>)> {
         let (shared, wake_rx) = ReactorShared::new(config.ring_slots, config.ring_slot_bytes)?;
         let bufs = BufPool::default();
@@ -661,11 +650,9 @@ impl Reactor {
             daemon,
             stats: Arc::clone(&stats),
             bufs,
-            batcher: Batcher::new(config.batch_window),
             conns: HashMap::new(),
             next_conn: 0,
             shard_idx,
-            pin_cpus,
         };
         Ok((reactor, shared, stats))
     }
@@ -673,22 +660,9 @@ impl Reactor {
     /// Runs until shutdown is requested *and* every connection has
     /// drained; the last shard out closes the queue and joins the pool.
     pub(crate) fn run(mut self) {
-        // A batch window is a wait on a clock, and so are the hedge
-        // releases of a race run here and on the racers it spawns.
+        // A race run here waits on a clock for its hedge releases, and
+        // so do the racers it spawns.
         tighten_timer_slack();
-        // Placement first, memory second: pin this thread to the
-        // shard's core set, *then* touch the ring slots and warm the
-        // buffer pool from it. First-touch allocation makes those pages
-        // resident on the NUMA node of the touching core, so the
-        // shard's hottest memory is local to the cores that use it.
-        // Both steps are best-effort and no-ops when unpinned.
-        if let Some(cpus) = self.pin_cpus.take() {
-            if crate::pin::pin_current_thread(&format!("reactor-{}", self.shard_idx), &cpus) {
-                self.daemon.telemetry.add(Metric::PinnedShards, 1);
-            }
-            self.shared.ring.first_touch();
-            self.bufs.warm();
-        }
         // The poll set and its connection ids, rebuilt in place each turn.
         let mut fds: Vec<PollFd> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
@@ -732,8 +706,7 @@ impl Reactor {
                 break;
             }
 
-            let timeout = poll_timeout(self.batcher.next_due(), POLL_BACKSTOP, Instant::now());
-            match poll_fds(&mut fds, timeout) {
+            match poll_fds(&mut fds, POLL_BACKSTOP) {
                 Ok(_) => {}
                 Err(_) => continue, // EINTR is retried inside; anything else: re-loop
             }
@@ -754,11 +727,6 @@ impl Reactor {
                 }
             }
 
-            // Batch windows expire on the same clock; at drain every
-            // open window flushes immediately so no waiter is parked
-            // behind a window that outlives the listener.
-            self.flush_batches(draining);
-
             if !draining && fds[1].revents & POLLIN != 0 {
                 self.accept_ready();
             }
@@ -775,20 +743,6 @@ impl Reactor {
             self.conns.insert(self.next_conn, conn);
             self.next_conn += 1;
             self.stats.on_conn_open();
-        }
-    }
-
-    /// Submits every batch whose window has expired (all of them at
-    /// drain) as single races. A waiter whose connection was reclaimed
-    /// during the window stays in the batch: its slot is on a closed
-    /// write half, and the delivery to it drops.
-    fn flush_batches(&mut self, flush_all: bool) {
-        if self.batcher.is_empty() {
-            return;
-        }
-        for ready in self.batcher.take_due(Instant::now(), flush_all) {
-            self.daemon.telemetry.add(Metric::BatchesFormed, 1);
-            self.submit_race(ready.waiters, ready.key);
         }
     }
 
@@ -1031,11 +985,9 @@ impl Reactor {
     }
 
     /// Admission-controls one RUN request without ever blocking the
-    /// reactor. With batching off the request races directly (one
-    /// waiter); with batching on its reply slot opens or joins a window
-    /// and races when the window expires. Refused submissions are
-    /// answered `Overloaded` in line; admitted ones are answered by
-    /// whichever thread decides the race ([`Flight::answer`]).
+    /// reactor. Refused submissions are answered `Overloaded` in line;
+    /// admitted ones are answered by whichever thread decides the race
+    /// ([`Flight::answer`]).
     fn submit_run(
         &mut self,
         half: &Arc<WriteHalf>,
@@ -1050,27 +1002,21 @@ impl Reactor {
             self.reply(half, seq, &Response::UnknownWorkload);
             return;
         };
-        let key = BatchKey {
+        let key = RaceKey {
             widx,
             deadline_ms,
             arg,
         };
-        let waiter = (Arc::clone(half), seq);
-        if !self.batcher.enabled() {
-            self.submit_race(vec![waiter], key);
-        } else if self.batcher.offer(key, waiter, Instant::now()) == Offered::Coalesced {
-            self.daemon.telemetry.add(Metric::RequestsCoalesced, 1);
-        }
+        self.submit_race((Arc::clone(half), seq), key);
     }
 
-    /// Submits one race on behalf of `waiters` (one waiter when direct,
-    /// many when coalesced). The single response fans out to every
-    /// waiter exactly once — worker-lost and fault outcomes included —
-    /// from whichever thread ends up holding the race's [`Flight`]: a
-    /// worker, this one when the workload is short enough to race here,
-    /// or the distributed-race shell when the placement policy elects to
-    /// ship alternatives to peers.
-    fn submit_race(&self, waiters: Vec<ReplySlot>, key: BatchKey) {
+    /// Submits one race on behalf of the request whose reply is owed at
+    /// `slot`. The response reaches it exactly once — worker-lost and
+    /// fault outcomes included — from whichever thread ends up holding
+    /// the race's [`Flight`]: a worker, this one when the workload is
+    /// short enough to race here, or the distributed-race shell when the
+    /// placement policy elects to ship alternatives to peers.
+    fn submit_race(&self, slot: ReplySlot, key: RaceKey) {
         let daemon = &self.daemon;
         // Feasibility admission, before the race spends a queue slot or
         // a wire frame: when the deadline is provably unmeetable from
@@ -1082,12 +1028,12 @@ impl Reactor {
             .admission
             .admit(key.widx, key.deadline_ms, queued, workers)
         {
-            self.shed(&waiters, Metric::ShedsAtAdmission);
+            self.shed(&slot, Metric::ShedsAtAdmission);
             return;
         }
         let flight = Flight {
             key,
-            waiters,
+            slot,
             home: Arc::clone(&self.shared),
         };
         if let Some(assign) = self.plan_remote(&key) {
@@ -1117,9 +1063,9 @@ impl Reactor {
             return;
         }
         // The flight moves into the completion; should the pool refuse
-        // the job, that closure is dropped unrun and the waiters are
-        // shed from this copy of their slots.
-        let spare = flight.waiters.clone();
+        // the job, that closure is dropped unrun and the request is shed
+        // from this copy of its slot.
+        let spare = (Arc::clone(&flight.slot.0), flight.slot.1);
         let work = {
             let daemon = Arc::clone(daemon);
             move || race(&daemon)
@@ -1132,11 +1078,11 @@ impl Reactor {
         }
     }
 
-    /// Sheds a race that will not run: every waiter gets `Overloaded`,
+    /// Sheds a race that will not run: its request gets `Overloaded`,
     /// counted under `metric`.
-    fn shed(&self, waiters: &[ReplySlot], metric: Metric) {
-        self.daemon.telemetry.add(metric, waiters.len() as u64);
-        self.shared.answer(waiters, &Response::Overloaded);
+    fn shed(&self, slot: &ReplySlot, metric: Metric) {
+        self.daemon.telemetry.add(metric, 1);
+        self.shared.answer(slot, &Response::Overloaded);
     }
 
     /// Run-queue scheduling metadata for one submission from this
@@ -1151,7 +1097,7 @@ impl Reactor {
     /// alternatives should run on a peer. `None` — the overwhelmingly
     /// common answer, and the only one when no peer is up — means the
     /// race stays entirely local and pays nothing for the peer plane.
-    fn plan_remote(&self, key: &BatchKey) -> Option<Vec<Option<String>>> {
+    fn plan_remote(&self, key: &RaceKey) -> Option<Vec<Option<String>>> {
         let daemon = &self.daemon;
         let spec = workload::CATALOG.get(key.widx)?;
         let up = daemon.races.peers.stats().up_peers();
@@ -1177,7 +1123,7 @@ impl Reactor {
     /// finally fire one EXEC_ALT per shipped alternative. The flight is
     /// answered exactly once by the registry's commit/fail path, never
     /// directly by the worker; if the pool refuses the subrace the
-    /// registry hands it back and its waiters are shed.
+    /// registry hands it back and its request is shed.
     fn submit_race_distributed(&self, flight: Flight, assign: Vec<Option<String>>) {
         let daemon = &self.daemon;
         let key = flight.key;
@@ -1221,7 +1167,7 @@ impl Reactor {
         let meta = self.job_meta(key.widx, key.deadline_ms);
         if daemon.pool.try_submit_work_at(meta, work, done).is_err() {
             if let Some(flight) = daemon.races.abort(race_id) {
-                self.shed(&flight.waiters, Metric::Shed);
+                self.shed(&flight.slot, Metric::Shed);
             }
             return;
         }
@@ -1255,7 +1201,7 @@ impl Reactor {
     /// closable) the next turn's look at the half picks up.
     fn reply(&mut self, half: &WriteHalf, seq: u64, response: &Response) {
         let reply = EncodedReply::encode_with(response, &self.shared.ring, &mut self.bufs);
-        half.deliver(seq, ReplyFrame::Own(reply), Some(&mut self.bufs));
+        half.deliver(seq, reply, Some(&mut self.bufs));
     }
 
     /// [`Reactor::reply`] with a `Text` reply.
@@ -1284,9 +1230,9 @@ fn contained(telemetry: &Telemetry, race: impl FnOnce() -> Response) -> Response
     })
 }
 
-/// The reply a race job owes its waiters: its own, or — when the pool
+/// The reply a race job owes its request: its own, or — when the pool
 /// dropped the job unrun (injected `Fail` fault, worker killed mid-job,
-/// shutdown sweep) — an answer rather than stranded waiters.
+/// shutdown sweep) — an answer rather than a stranded request.
 fn or_worker_lost(reply: Option<Response>) -> Response {
     reply.unwrap_or(Response::Error {
         message: "worker lost".to_owned(),
@@ -1308,8 +1254,8 @@ mod tests {
         Answer(Flight),
         /// The pool dropped the job unrun: its completion hears `None`.
         Lose(Flight),
-        /// The reactor sheds from its own copy of a flight's slots.
-        Shed(Vec<ReplySlot>),
+        /// The reactor sheds from its own copy of a flight's slot.
+        Shed(ReplySlot),
         /// The reactor reclaims connection `c`.
         Close(usize),
     }
@@ -1333,7 +1279,7 @@ mod tests {
         let now = Instant::now();
         let us = Duration::from_micros;
         let ahead = poll_timeout(Some(now + us(200)), POLL_BACKSTOP, now);
-        assert_eq!(ahead, us(200), "a 200 µs window is a 200 µs wait");
+        assert_eq!(ahead, us(200), "200 µs to the deadline is a 200 µs wait");
         assert_eq!(poll_timeout(None, POLL_BACKSTOP, now), POLL_BACKSTOP);
         let far = Some(now + 4 * POLL_BACKSTOP);
         assert_eq!(poll_timeout(far, POLL_BACKSTOP, now), POLL_BACKSTOP);
@@ -1350,8 +1296,8 @@ mod tests {
     }
 
     /// The race-in-flight contract, on real threads and real sockets:
-    /// whichever threads answer a flight, lose it, shed its waiters from
-    /// the reactor's copy of the slots (instead of a completion dropped
+    /// whichever threads answer a flight, lose it, shed its request from
+    /// the reactor's copy of the slot (instead of a completion dropped
     /// unrun, or racing one that did run) and reclaim connections, in
     /// whatever order — every request of an open connection gets exactly
     /// one frame, one of the replies its race could have had, in request
@@ -1390,34 +1336,29 @@ mod tests {
                 })
                 .collect();
 
-            // Requests, each on some connection, each joining a flight
-            // (a coalesced batch) or opening one of its own.
+            // Requests, each on some connection, each its own flight.
             let mut owed: Vec<Vec<usize>> = vec![Vec::new(); n_conns];
-            let mut waiters: Vec<Vec<ReplySlot>> = Vec::new();
+            let mut slots: Vec<ReplySlot> = Vec::new();
             for _ in 0..rng.usize_in(1, 11) {
                 let c = rng.usize_in(0, n_conns);
-                if waiters.is_empty() || rng.chance(0.7) {
-                    waiters.push(Vec::new());
-                }
-                let flight = rng.usize_in(0, waiters.len());
-                waiters[flight].push((Arc::clone(&halves[c]), halves[c].begin_request()));
-                owed[c].push(flight);
+                owed[c].push(slots.len());
+                slots.push((Arc::clone(&halves[c]), halves[c].begin_request()));
             }
 
-            // Each flight's fate, and with it the replies a waiter of
-            // it may see.
+            // Each flight's fate, and with it the replies its request
+            // may see.
             let mut moves = Vec::new();
             let mut held = Vec::new();
             let mut admissible: Vec<Vec<Response>> = Vec::new();
-            for (f, waiters) in waiters.into_iter().enumerate() {
-                let spare = waiters.clone();
+            for (f, slot) in slots.into_iter().enumerate() {
+                let spare = (Arc::clone(&slot.0), slot.1);
                 let flight = Flight {
-                    key: BatchKey {
+                    key: RaceKey {
                         widx: 0,
                         deadline_ms: 0,
                         arg: f as u64,
                     },
-                    waiters,
+                    slot,
                     home: Arc::clone(&home),
                 };
                 admissible.push(match rng.usize_in(0, 5) {

@@ -21,7 +21,7 @@
 //! * [`RemoteRaces`] is the **shell**: it owns the table's mutex and
 //!   executes the actions. Beside the table, under the same mutex and
 //!   keyed by the same `race_id`, it keeps each open race's
-//!   [`Flight`] — the reply slots the race owes and the way to them —
+//!   [`Flight`] — the reply slot the race owes and the way to it —
 //!   which the core never sees: the core deals in ids. Every entry
 //!   point is lock, step, unlock, act. Actions touch other locks (a
 //!   connection's write half, the peer handle's command queue, the
@@ -118,7 +118,7 @@ pub(crate) enum Event {
 /// table unlocks.
 #[derive(Debug)]
 pub(crate) enum Action {
-    /// Answer the race's waiters. Exactly one per race, always the
+    /// Answer the race's request. Exactly one per race, always the
     /// last action of the step that decided it. The shell derives the
     /// reply's own counter (completed / deadline exceeded / error) from
     /// its flavour.
@@ -293,7 +293,7 @@ impl RaceTable {
     }
 
     /// Removes a race whose local subrace was *refused* by the pool —
-    /// nothing ran, nothing was sent, the waiters are shed inline.
+    /// nothing ran, nothing was sent, the request is shed inline.
     pub(crate) fn abort(&mut self, race_id: u64) {
         self.races.remove(&race_id);
     }
@@ -655,8 +655,8 @@ impl DistRace {
 /// home of every race the core has open.
 pub(crate) struct OpenRaces {
     pub(crate) table: RaceTable,
-    /// `race_id` → the race's waiters, from `create` until the core's
-    /// `Post` for that id (or `abort`) takes them out.
+    /// `race_id` → the race's flight, from `create` until the core's
+    /// `Post` for that id (or `abort`) takes it out.
     flights: HashMap<u64, Flight>,
 }
 
@@ -702,7 +702,7 @@ impl RemoteRaces {
 
     /// Registers a new distributed race (see [`RaceTable::create`]) and
     /// takes charge of its `flight`, in one lock hold: whoever decides
-    /// the race finds its waiters.
+    /// the race finds its way home.
     pub(crate) fn create(
         &self,
         spec: RaceSpec,
@@ -941,13 +941,17 @@ impl InflightRemote {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchKey;
+    use crate::bufpool::BufPool;
+    use crate::conn::Conn;
     use crate::frame::ALT_FAILED;
     use crate::peer::PeerStatsTable;
-    use crate::reactor::ReactorShared;
+    use crate::reactor::{RaceKey, ReactorShared};
+    use crate::ring::ReplyRing;
     use crate::sched::HedgeConfig;
+    use crate::telemetry::ShardStats;
     use altx_check::{check, CaseRng};
     use altx_cluster::VoteSlot;
+    use std::net::{TcpListener, TcpStream};
 
     const ORIGIN: &str = "origin:1";
     /// "lognormal": three alternatives, so `alt_idx` 0..=2 all have a
@@ -1339,17 +1343,24 @@ mod tests {
         }
     }
 
-    /// A flight nobody waits on: the shell's counters are what these
-    /// tests read.
+    /// A flight whose slot nobody reads — its connection is closed, so
+    /// the answer drops: the shell's counters are what these tests read.
     fn flight(widx: usize, arg: u64) -> Flight {
         let (home, _wake_rx) = ReactorShared::new(1, 64).expect("wake pair");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let stats = ShardStats::new(BufPool::default().stats(), ReplyRing::new(1, 64).stats());
+        let conn = Conn::new(stream, Arc::new(stats)).expect("conn");
+        let half = Arc::clone(conn.write_half());
+        let seq = half.begin_request();
+        half.close();
         Flight {
-            key: BatchKey {
+            key: RaceKey {
                 widx,
                 deadline_ms: 0,
                 arg,
             },
-            waiters: Vec::new(),
+            slot: (half, seq),
             home,
         }
     }

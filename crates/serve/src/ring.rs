@@ -160,27 +160,6 @@ impl ReplyRing {
         }
     }
 
-    /// Makes every slot not yet made and touches every idle slot's full
-    /// capacity from the calling thread.
-    ///
-    /// A buffer's pages only become resident when first written — and
-    /// they become resident on the NUMA node of the *writing* core. A
-    /// pinned shard calls this from its reactor thread right after
-    /// pinning, so the ring's memory lands local to the shard's cores
-    /// instead of wherever the first reply happened to be encoded.
-    /// Counts no hit or spill and leaves every slot empty.
-    pub fn first_touch(&self) {
-        let core = &self.core;
-        let mut free = core.free();
-        let unmade = core.slots.saturating_sub(core.stats.made() as usize);
-        free.extend((0..unmade).map(|_| Vec::with_capacity(core.slot_bytes)));
-        core.stats.made.fetch_add(unmade as u64, Ordering::Relaxed);
-        for buf in free.iter_mut() {
-            buf.resize(core.slot_bytes, 0);
-            buf.clear();
-        }
-    }
-
     /// Slots a reservation could take right now: the idle ones plus
     /// those not yet made (test / debug aid).
     pub fn idle_slots(&self) -> usize {
@@ -466,24 +445,6 @@ mod tests {
         assert_eq!(ring.stats().made(), 1);
         assert_eq!(ring.stats().hits(), 1_001);
         assert_eq!(ring.stats().spills(), 0);
-    }
-
-    #[test]
-    fn first_touch_makes_and_touches_every_slot() {
-        let ring = ReplyRing::new(8, 512);
-        let held = reserve(&ring);
-        ring.first_touch();
-        assert_eq!(ring.stats().made(), 8, "the seven unmade ones are made");
-        {
-            let free = ring.core.free();
-            assert_eq!(free.len(), 7);
-            assert!(free.iter().all(|b| b.is_empty() && b.capacity() == 512));
-        }
-        assert_eq!(ring.stats().hits(), 1, "first-touch counts no hit");
-        drop(held);
-        assert_eq!(ring.idle_slots(), 8);
-        ring.first_touch();
-        assert_eq!(ring.stats().made(), 8, "a second first-touch makes none");
     }
 
     #[test]

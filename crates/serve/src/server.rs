@@ -11,7 +11,7 @@
 //! the workload's alternatives on a [`ThreadedEngine`] under a
 //! [`CancelToken`] carrying the request's deadline — the serving
 //! analogue of the paper's `alt_wait(timeout)` — and that same worker
-//! writes the reply through the slots the race carried with it: it
+//! writes the reply through the slot the race carried with it: it
 //! encodes it into the shard's reply ring, locks the connection's write
 //! half and flushes to the socket, rousing the reactor only for what
 //! the socket would not take. Replies are released per connection in
@@ -42,11 +42,10 @@
 //! running at that moment: a worker runs its race's favourite itself
 //! and the engine's process-wide race crew runs the siblings on parked
 //! threads it reuses from race to race and retires when they have been
-//! idle for half a second. Under `--pin` a racer inherits the affinity
-//! of the worker whose race first needed it, as the per-race threads
-//! used to. Racing short workloads on the reactor adds no thread: the
-//! model is still O(workers + shards), and the favourite of such a race
-//! runs inline on the shard's thread, its siblings on the same crew.
+//! idle for half a second. Racing short workloads on the reactor adds
+//! no thread: the model is still O(workers + shards), and the favourite
+//! of such a race runs inline on the shard's thread, its siblings on the
+//! same crew.
 //!
 //! Shutdown (local call or the `SHUTDOWN` opcode) stops admissions and
 //! new reads, lets every in-flight race finish and flush its reply,
@@ -83,9 +82,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded run-queue depth; the shed threshold.
     pub queue_depth: usize,
-    /// Coalescing window for identical `(workload, arg, deadline)`
-    /// requests; zero (the default) disables batching entirely.
-    pub batch_window: Duration,
     /// Adaptive hedging knobs; disabled by default (launch-all).
     pub hedge: HedgeConfig,
     /// Reactor shards. `1` (the default) runs the classic single
@@ -111,19 +107,13 @@ pub struct ServerConfig {
     /// Feasibility-based admission: shed a deadlined request on arrival
     /// when its deadline is provably unmeetable. Off by default.
     pub admission: bool,
-    /// Work stealing between shard-pinned worker groups. Off by
-    /// default; when on, the pool splits into one group per shard and a
-    /// dry group's workers take the best entry from a sibling's queue.
+    /// Work stealing between per-shard worker groups. Off by default;
+    /// when on, the pool splits into one group per shard and a dry
+    /// group's workers take the best entry from a sibling's queue.
     pub steal: bool,
     /// Starvation aging threshold for lower-priority lanes;
     /// `Duration::ZERO` means pure strict priority.
     pub lane_aging: Duration,
-    /// CPU topology-aware placement: pin each shard's reactor and
-    /// worker group to a disjoint, SMT- and NUMA-aware core set, and
-    /// first-touch the shard's ring and buffer memory from those cores.
-    /// Off by default — and "off" means the daemon makes **zero**
-    /// affinity syscalls, byte-for-byte the unpinned behaviour.
-    pub pin: bool,
     /// Busy-wait budget before an idle stealing worker parks on its
     /// group's condvar. `Duration::ZERO` parks immediately.
     pub spin: Duration,
@@ -135,7 +125,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: available_workers(),
             queue_depth: 64,
-            batch_window: Duration::ZERO,
             hedge: HedgeConfig::default(),
             shards: 1,
             ring_slots: DEFAULT_RING_SLOTS,
@@ -145,7 +134,6 @@ impl Default for ServerConfig {
             admission: false,
             steal: false,
             lane_aging: DEFAULT_LANE_AGING,
-            pin: false,
             spin: DEFAULT_SPIN,
         }
     }
@@ -290,47 +278,18 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNe
 
     let telemetry = Arc::new(Telemetry::new());
 
-    // Topology-aware placement. Discovery runs *only* under --pin: the
-    // unpinned daemon must make zero affinity syscalls, and discovery
-    // itself reads the process affinity mask. Failure (weird sysfs, a
-    // locked-down container) logs and degrades to unpinned — placement
-    // is an optimisation, never a requirement.
-    let placement = if config.pin {
-        match crate::topo::CpuTopology::discover() {
-            Ok(topo) => Some(crate::topo::plan_shards(&topo, n_shards)),
-            Err(e) => {
-                eprintln!(
-                    "altxd: --pin requested but topology discovery failed ({e}); running unpinned"
-                );
-                None
-            }
-        }
-    } else {
-        None
-    };
-
-    // Stealing is what splits the pool into shard-pinned worker groups;
+    // Stealing is what splits the pool into per-shard worker groups;
     // without it a single group (the classic FIFO shape) avoids ever
-    // stranding capacity behind an empty group queue. Pin sets follow
-    // the group shape: one core set per shard group, or the whole
-    // plan's union for the single shared group.
-    let groups = if config.steal { n_shards } else { 1 };
-    let pin_cores = placement.as_ref().map(|plan| {
-        if groups == n_shards {
-            plan.shards.clone()
-        } else {
-            vec![plan.union()]
-        }
-    });
+    // stranding capacity behind an empty group queue.
     let pool = Arc::new(WorkerPool::with_config(PoolConfig {
         workers: config.workers,
         queue_depth: config.queue_depth,
-        groups,
+        groups: if config.steal { n_shards } else { 1 },
         lanes: config.lanes.count(),
         steal: config.steal,
         lane_aging: config.lane_aging,
         spin: config.spin,
-        pin_cores,
+        pin_cores: None,
     }));
     telemetry.attach_pool(pool.stats());
     telemetry.attach_lane_names(config.lanes.names().to_vec());
@@ -383,9 +342,7 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNe
     let mut shard_stats = Vec::with_capacity(n_shards);
     let mut reactors = Vec::with_capacity(n_shards);
     for (i, listener) in listeners.into_iter().enumerate() {
-        let pin_cpus = placement.as_ref().and_then(|p| p.shards.get(i).cloned());
-        let (reactor, shared, stats) =
-            Reactor::new(listener, Arc::clone(&daemon), i, &config, pin_cpus)?;
+        let (reactor, shared, stats) = Reactor::new(listener, Arc::clone(&daemon), i, &config)?;
         reactors.push(reactor);
         shareds.push(shared);
         shard_stats.push(stats);

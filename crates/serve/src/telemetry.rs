@@ -320,10 +320,6 @@ metrics! {
         "Jobs a dry worker took from a sibling group's run queue under load";
     DrainScavenges, "drain_scavenges", "drain scavenges", Some("altxd_drain_scavenges_total"), Counter, Pool(PoolStats::drain_scavenges),
         "Jobs scavenged from sibling groups while draining a closed pool";
-    // Each shard thread adds one when its own pin took, so this counts
-    // pins that happened, not pins that were asked for.
-    PinnedShards, "pinned_shards", "pinned shards", Some("altxd_pinned_shards"), Gauge, Own,
-        "Reactor shards pinned to their planned core sets";
     Errors, "errors", "errors", Some("altxd_requests_error_total"), Counter, Own,
         "Error replies";
     AltPanics, "alt_panics", "alt panics", Some("altxd_alt_panics_total"), Counter, Own,
@@ -354,10 +350,6 @@ metrics! {
         "Reply-ring slot buffers in existence: each is made on first use, so this is the peak of replies in flight at once (at most --ring-slots per shard)";
     PolloutSpurious, "pollout_spurious", "pollout spurious", Some("altxd_reactor_pollout_spurious_total"), Counter, ShardSum(ShardStats::pollout_spurious),
         "POLLOUT events that found no pending output";
-    BatchesFormed, "batches_formed", "batches formed", Some("altxd_batches_formed_total"), Counter, Own,
-        "Coalesced request batches submitted as one race";
-    RequestsCoalesced, "requests_coalesced", "requests coalesced", Some("altxd_requests_coalesced_total"), Counter, Own,
-        "Requests that joined an already-open batch";
     HedgesLaunched, "hedges_launched", "hedges launched", Some("altxd_hedges_launched_total"), Counter, Own,
         "Hedged alternatives whose launch offset elapsed";
     HedgeWins, "hedge_wins", "hedge wins", Some("altxd_hedge_wins_total"), Counter, Own,
@@ -647,7 +639,7 @@ impl Telemetry {
             out.push_str(&PAD[def.label.len().min(PAD.len() - 1)..]);
             let _ = writeln!(out, "{}", s[def.metric]);
             match def.metric {
-                Metric::PinnedShards => {
+                Metric::DrainScavenges => {
                     for (i, depth) in s.lane_depths.iter().enumerate() {
                         out.push_str(&format!(
                             "    lane {i} ({}) depth {depth}\n",
@@ -907,8 +899,8 @@ mod tests {
         assert!(text.contains(
             "altxd_alternative_wins_total{workload=\"trivial\",alternative=\"instant-a\"} 1"
         ));
-        assert!(text.contains("altxd_batches_formed_total 0"));
-        assert!(text.contains("# TYPE altxd_pinned_shards gauge"));
+        assert!(text.contains("altxd_hedges_launched_total 0"));
+        assert!(text.contains("# TYPE altxd_conns_open gauge"));
         // Every non-comment line is "name{labels} value" with a numeric value.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let value = line.rsplit(' ').next().expect("value field");

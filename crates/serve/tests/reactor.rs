@@ -586,8 +586,8 @@ fn shutdown_answers_every_pipelined_request_then_closes() {
 }
 
 /// A submission the pool refuses leaves nothing behind: the completion
-/// that carried the race's reply slots is dropped and the waiters are
-/// shed, once each, from the reactor's copy, so when the shed clients
+/// that carried the race's reply slot is dropped and the request is
+/// shed, once, from the reactor's copy, so when the shed clients
 /// hang up, their sockets close — a slot kept anywhere would hold the
 /// write half it names, and with it the fd, forever.
 #[test]
@@ -624,17 +624,15 @@ fn refused_submissions_hold_no_connection() {
     server.shutdown();
 }
 
-/// A one-worker daemon with a 5 ms batch window whose worker is inside
-/// `sleep 400` and whose depth-1 queue holds `sleep 401`: the next
-/// submission is refused. Returns the connection owed the two sleepers'
-/// replies.
+/// A one-worker daemon whose worker is inside `sleep 400` and whose
+/// depth-1 queue holds `sleep 401`: the next submission is refused.
+/// Returns the connection owed the two sleepers' replies.
 fn saturated(config: ServerConfig) -> (altx_serve::ServerHandle, TcpStream) {
     let peers = config.peer.peers.len() as u64;
     let server = start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         workers: 1,
         queue_depth: 1,
-        batch_window: Duration::from_millis(5),
         ..config
     })
     .expect("bind ephemeral port");
@@ -655,12 +653,12 @@ fn saturated(config: ServerConfig) -> (altx_serve::ServerHandle, TcpStream) {
     (server, sleepers)
 }
 
-/// Eight identical requests pipelined at a saturated daemon coalesce
-/// into one race the pool refuses: each of the eight waiters is shed
-/// exactly once with `Overloaded`, nothing is accepted, and the races
-/// already admitted are still answered. Returns the daemon for the
-/// caller's own look.
-fn refused_batch_sheds_every_waiter_once(
+/// Eight identical requests pipelined at a saturated daemon are eight
+/// races the pool refuses: each of the eight requests is shed exactly
+/// once with `Overloaded`, nothing is accepted, and the races already
+/// admitted are still answered. Returns the daemon for the caller's own
+/// look.
+fn each_pipelined_request_is_shed_once(
     config: ServerConfig,
     workload: &str,
 ) -> (altx_serve::ServerHandle, TcpStream) {
@@ -678,8 +676,7 @@ fn refused_batch_sheds_every_waiter_once(
     }
     assert_no_stray_frame(&mut stream);
     let snap = telemetry.snapshot();
-    assert_eq!(snap[Metric::Shed], BURST, "one shed per waiter");
-    assert!(snap[Metric::RequestsCoalesced] > 0, "the burst coalesced");
+    assert_eq!(snap[Metric::Shed], BURST, "one shed per request");
     assert_eq!(snap[Metric::Accepted], 2, "only the two sleepers");
     for expect in [400, 401] {
         match next_reply(&mut sleepers) {
@@ -690,24 +687,24 @@ fn refused_batch_sheds_every_waiter_once(
     (server, stream)
 }
 
-/// A full run queue sheds a coalesced batch: the pool refuses the one
-/// race, the completion holding the batch's reply slots is dropped
-/// unrun, and the reactor sheds every waiter from its own copy.
+/// A full run queue sheds a pipelined burst: the pool refuses each
+/// race, the completion holding its reply slot is dropped unrun, and the
+/// reactor sheds the request from its own copy.
 #[test]
-fn a_full_run_queue_sheds_every_waiter_of_a_coalesced_batch_once() {
+fn a_full_run_queue_sheds_each_pipelined_request_once() {
     let _guard = serial();
-    let (server, _stream) = refused_batch_sheds_every_waiter_once(ServerConfig::default(), "sleep");
+    let (server, _stream) = each_pipelined_request_is_shed_once(ServerConfig::default(), "sleep");
     server.shutdown();
 }
 
 /// The same refusal on the distributed path: with a peer up and
 /// `explore_every = 1` every `lognormal` race ships an alternative, so
-/// the batch's reply slots are handed to the remote-race registry before
+/// each race's reply slot is handed to the remote-race registry before
 /// the local subrace is submitted; the pool refuses it, the registry
-/// hands the slots back, and every waiter is shed once — nothing was
+/// hands the slot back, and each request is shed once — nothing was
 /// dispatched. Once the worker is free the same request does ship.
 #[test]
-fn an_aborted_distributed_submission_sheds_every_waiter_once() {
+fn an_aborted_distributed_submission_sheds_each_request_once() {
     let _guard = serial();
     let executor = local_server(2, 16);
     let config = ServerConfig {
@@ -718,7 +715,7 @@ fn an_aborted_distributed_submission_sheds_every_waiter_once() {
         },
         ..ServerConfig::default()
     };
-    let (server, mut stream) = refused_batch_sheds_every_waiter_once(config, "lognormal");
+    let (server, mut stream) = each_pipelined_request_is_shed_once(config, "lognormal");
     let telemetry = server.telemetry();
     assert_eq!(telemetry.snapshot()[Metric::RemoteDispatched], 0);
 
@@ -988,47 +985,6 @@ fn measured_samples_set_the_flag_and_the_flag_picks_the_path() {
     server.shutdown();
 }
 
-/// A coalesced batch of a short `trivial` is one race on the shard and
-/// one encoding: every waiter is answered once, in order.
-#[test]
-fn a_coalesced_batch_on_the_shard_answers_every_waiter_once() {
-    const BURST: u64 = 16;
-    let _guard = serial();
-    let server = start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        batch_window: Duration::from_millis(5),
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let telemetry = server.telemetry();
-    let on_shard = pin_trivial_short(&telemetry);
-    let mut stream = raw_conn(&server);
-
-    pipeline(&mut stream, (0..BURST).map(|_| run_req("trivial", 77, 0)));
-    for n in 0..BURST {
-        match next_reply(&mut stream) {
-            Response::Ok { value, .. } => assert_eq!(value, 77, "reply {n}"),
-            other => panic!("reply {n}: unexpected {other:?}"),
-        }
-    }
-    assert_no_stray_frame(&mut stream);
-    let snap = telemetry.snapshot();
-    assert!(
-        snap[Metric::RequestsCoalesced] > 0,
-        "an identical pipelined burst must coalesce"
-    );
-    assert_eq!(
-        snap[Metric::Accepted] + snap[Metric::RequestsCoalesced],
-        BURST,
-        "every request opened a race or joined one"
-    );
-    // The first batch for certain; a second window's, if the burst
-    // straddled two, by what the first race measured.
-    assert!(snap[Metric::RacesOnShard] > on_shard);
-    server.shutdown();
-}
-
 /// A race that fails on the shard is contained like one on a worker:
 /// with every `engine.alt.*` site of a short `trivial` panicking, the
 /// request is answered with an error, the reactor thread survives, and
@@ -1075,44 +1031,6 @@ fn a_panicking_race_on_the_shard_is_answered_and_the_reactor_survives() {
         snap[Metric::AltPanics] >= 1,
         "the injected panics were counted"
     );
-    server.shutdown();
-}
-
-/// A batch window shorter than a millisecond is waited out as what it
-/// is: the reactor's poll timeout is the window's own deadline, not
-/// `poll(2)`'s next whole millisecond (at which a 200 µs window closed
-/// 1–2 ms after it opened, every time). Best of fifty lone requests, so
-/// that a loaded box needs only one quiet moment.
-#[test]
-fn a_sub_millisecond_batch_window_closes_in_under_a_millisecond() {
-    let _guard = serial();
-    let server = start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        batch_window: Duration::from_micros(200),
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let mut stream = raw_conn(&server);
-    stream.set_nodelay(true).expect("nodelay");
-    let best = (0..50u64)
-        .map(|arg| {
-            let sent = Instant::now();
-            pipeline(&mut stream, [run_req("trivial", arg, 0)]);
-            let reply = next_reply(&mut stream);
-            let took = sent.elapsed();
-            assert!(
-                matches!(reply, Response::Ok { value, .. } if value == arg),
-                "request {arg}: {reply:?}"
-            );
-            took
-        })
-        .min()
-        .expect("fifty requests");
-    assert!(best >= Duration::from_micros(200), "the window was kept");
-    assert!(best < Duration::from_millis(1), "best of 50: {best:?}");
-    let snap = server.telemetry().snapshot();
-    assert_eq!(snap[Metric::BatchesFormed], 50, "each a batch of its own");
     server.shutdown();
 }
 

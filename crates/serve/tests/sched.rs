@@ -1,17 +1,16 @@
-//! Race-scheduler integration: hedged launch plans and request batching
+//! Race-scheduler integration: hedged launch plans and admission
 //! observed end-to-end, through a live daemon on the loopback.
 //!
 //! The contract under test is the tentpole invariant: the scheduler is
 //! a *strategy*, not a semantics change. Hedging may only change what a
 //! race costs (fewer alternative bodies run), never what it answers —
 //! every reply must carry a value some alternative legitimately
-//! produced. Batching may only change how many races run, never how
-//! many replies land — each waiter gets exactly one.
+//! produced.
 
 use altx::engine::{LaunchPlan, ThreadedEngine};
 use altx::{BlockResult, CancelToken};
 use altx_pager::{AddressSpace, PageSize};
-use altx_serve::frame::{Request, Response};
+use altx_serve::frame::Response;
 use altx_serve::sched::ADMISSION_MIN_SAMPLES;
 use altx_serve::telemetry::Metric;
 use altx_serve::workload;
@@ -223,86 +222,6 @@ fn hedging_suppresses_launches_on_lognormal() {
         "a race won from a hedge offset launched that hedge \
          ({hedge_wins} wins over {} launched)",
         snap[Metric::HedgesLaunched]
-    );
-}
-
-/// A pipelined burst of identical requests coalesces into fewer races,
-/// and every waiter gets exactly one correct reply — in order.
-#[test]
-fn identical_pipelined_requests_coalesce() {
-    const BURST: usize = 16;
-    let server = local_server(ServerConfig {
-        batch_window: Duration::from_millis(5),
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-
-    let request = Request::Run {
-        workload: "trivial".to_owned(),
-        deadline_ms: 0,
-        arg: 77,
-    };
-    for _ in 0..BURST {
-        client.send(&request).expect("pipelined send");
-    }
-    // Exactly-once, in order: a dropped reply would hang this loop at
-    // the read timeout; a duplicate would desynchronize the framing.
-    for n in 0..BURST {
-        match client.recv().expect("pipelined reply") {
-            Response::Ok { value, .. } => assert_eq!(value, 77, "reply {n}"),
-            other => panic!("reply {n}: unexpected {other:?}"),
-        }
-    }
-
-    let snap = server.telemetry().snapshot();
-    assert!(
-        snap[Metric::RequestsCoalesced] > 0,
-        "an identical pipelined burst must coalesce (got {} coalesced, \
-         {} batches)",
-        snap[Metric::RequestsCoalesced],
-        snap[Metric::BatchesFormed]
-    );
-    assert!(snap[Metric::BatchesFormed] > 0);
-    assert!(
-        snap[Metric::BatchesFormed] + snap[Metric::RequestsCoalesced] >= BURST as u64,
-        "every request is either a batch opener or coalesced"
-    );
-    server.shutdown();
-}
-
-/// Batched waiters spread across connections each get exactly one
-/// reply, and the daemon still drains cleanly with windows open.
-#[test]
-fn coalesced_waiters_across_connections_all_get_replies() {
-    const CONNS: usize = 6;
-    let server = local_server(ServerConfig {
-        batch_window: Duration::from_millis(3),
-        ..ServerConfig::default()
-    });
-    let addr = server.local_addr();
-    let handles: Vec<_> = (0..CONNS)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for round in 0..10u64 {
-                    // Same arg on every connection in the same round:
-                    // coalescible across connections.
-                    match client.run("trivial", round, 0).expect("reply") {
-                        Response::Ok { value, .. } => assert_eq!(value, round),
-                        other => panic!("round {round}: unexpected {other:?}"),
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
-    }
-    let snap = server.telemetry().snapshot();
-    server.shutdown();
-    assert!(
-        snap[Metric::RequestsCoalesced] > 0,
-        "lock-stepped connections never coalesced"
     );
 }
 

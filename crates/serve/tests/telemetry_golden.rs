@@ -8,7 +8,9 @@
 //! installs a fault plan, so the process-wide crew, timed-wait and fault
 //! rows read zero, as they did when the golden text was captured (the
 //! two timed-wait rows and the ring's `ring slots made` gauge were added
-//! to it by hand later).
+//! to it by hand later, and the `pinned shards`, `batches formed` and
+//! `requests coalesced` rows taken out by hand with the features they
+//! counted).
 
 use altx_serve::bufpool::BufPool;
 use altx_serve::frame::Response;
@@ -25,18 +27,15 @@ use std::sync::{mpsc, Arc};
 const LATENCIES_US: [u64; 7] = [40, 90, 120, 300, 900, 4_000, 2_000_000];
 
 /// Every counter the daemon owns, each left at a distinct non-zero value.
-const OWN: [(Metric, u64); 24] = [
+const OWN: [(Metric, u64); 21] = [
     (Metric::Accepted, 40),
     (Metric::RacesOnShard, 25),
     (Metric::Shed, 3),
     (Metric::ShedsAtAdmission, 4),
     (Metric::DeadlineExceeded, 5),
     (Metric::DeadlineMisses, 6),
-    (Metric::PinnedShards, 2),
     (Metric::Errors, 8),
     (Metric::AltPanics, 9),
-    (Metric::BatchesFormed, 10),
-    (Metric::RequestsCoalesced, 11),
     (Metric::HedgesLaunched, 12),
     (Metric::HedgeWins, 13),
     (Metric::LaunchesSuppressed, 14),
@@ -110,15 +109,6 @@ fn assert_same_lines(got: &str, want: &str) {
     );
 }
 
-/// The one permitted difference from the captured Prometheus text:
-/// `altxd_pinned_shards` is set once per shard at startup and carries no
-/// `_total` suffix, so it is a gauge — the old page mistyped it.
-fn with_pinned_shards_as_gauge(golden: &str) -> String {
-    let old = "# TYPE altxd_pinned_shards counter\n";
-    assert!(golden.contains(old), "golden text predates the fix");
-    golden.replace(old, "# TYPE altxd_pinned_shards gauge\n")
-}
-
 #[test]
 fn bare_telemetry_renders_the_golden_pages() {
     let t = Telemetry::new();
@@ -126,7 +116,7 @@ fn bare_telemetry_renders_the_golden_pages() {
     assert_eq!(t.render_stats(), include_str!("golden/stats_bare.txt"));
     assert_same_lines(
         &t.render_prometheus(),
-        &with_pinned_shards_as_gauge(include_str!("golden/prometheus_bare.txt")),
+        include_str!("golden/prometheus_bare.txt"),
     );
 }
 
@@ -175,10 +165,7 @@ fn attached_telemetry_renders_the_golden_pages() {
     pool.shutdown();
 
     assert_eq!(stats, include_str!("golden/stats_attached.txt"));
-    assert_same_lines(
-        &prometheus,
-        &with_pinned_shards_as_gauge(include_str!("golden/prometheus_attached.txt")),
-    );
+    assert_same_lines(&prometheus, include_str!("golden/prometheus_attached.txt"));
 
     // The eight labels `benchmark/src/scrape.rs` reads, by the values
     // driven in above (shard sums for the front-end ones), and the

@@ -51,15 +51,15 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -D warnings (core, cluster and solver crates: altx, serve, consensus, cluster, prolog)"
 cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster -p altx-prolog --all-targets -- -D warnings
 
-# `unsafe` lives in two corners of one crate — the reactor's `sys`
-# module (ppoll, the SO_REUSEPORT bind, the timer-slack prctl) and
-# `pin::sys` (sched_{set,get}affinity) — and every other crate forbids
-# it. Among the tests, one binary may use it: the prolog solver's
-# counting `#[global_allocator]`, which forwards every call to `System`.
-# A binding that lands anywhere else fails here, with the list.
-echo "==> unsafe audit: the word appears under crates/*/{src,tests} in reactor.rs, pin.rs and alloc_bounds.rs only"
+# `unsafe` lives in one corner of one crate — the reactor's `sys`
+# module: ppoll, the SO_REUSEPORT bind and the timer-slack prctl — and
+# every other crate forbids it. Among the tests, one binary may use it:
+# the prolog solver's counting `#[global_allocator]`, which forwards
+# every call to `System`. A binding that lands anywhere else fails here,
+# with the list.
+echo "==> unsafe audit: the word appears under crates/*/{src,tests} in reactor.rs and alloc_bounds.rs only"
 UNSAFE_FILES=$(grep -rlw unsafe crates/*/src crates/*/tests | sort | xargs)
-[ "$UNSAFE_FILES" = "crates/prolog/tests/alloc_bounds.rs crates/serve/src/pin.rs crates/serve/src/reactor.rs" ] || {
+[ "$UNSAFE_FILES" = "crates/prolog/tests/alloc_bounds.rs crates/serve/src/reactor.rs" ] || {
     echo "unsafe audit: files containing \`unsafe\`: $UNSAFE_FILES" >&2
     exit 1
 }
@@ -156,7 +156,7 @@ done
 # width must stay admissible, whatever the thread timing.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the sub-millisecond batch window and the favourite-first path with it), loopback and timer_slack suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the favourite-first path with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
@@ -193,15 +193,16 @@ for workload in overhead race cpu burst; do
 done
 
 # The benchmark starts altxd with three flags; this keeps a caller for
-# the parser of all the others, and for its refusal of an unknown one
-# and of a pool with no workers.
-echo "==> altxd flag smoke: every flag of the --help line, then an unknown one and --workers 0"
+# the parser of all the others, and for its refusal of an unknown one,
+# of the two removed ones (`--pin`, `--batch-window-us`: refused, never
+# silently ignored), of a pool with no workers and of no shards.
+echo "==> altxd flag smoke: every flag of the --help line, then an unknown one, the removed ones, --workers 0 and --shards 0"
 FLAGS=(--addr 127.0.0.1:0 --workers 2 --queue 32 --shards 2 --ring-slots 64
-    --ring-slot-bytes 512 --duration 1 --batch-window-us 500 --hedge
+    --ring-slot-bytes 512 --duration 1 --hedge
     --hedge-min-samples 8 --hedge-explore-every 4 --peer 127.0.0.1:1
     --advertise 127.0.0.1:9 --peer-explore-every 8 --peer-heartbeat-ms 100
     --peer-suspect-ms 300 --lanes 'rt:trivial;batch:sleep' --admission --steal
-    --lane-aging-ms 10 --pin --spin-us 5)
+    --lane-aging-ms 10 --spin-us 5)
 for flag in $("$ALTXD" --help | grep -o -- '--[a-z-]*'); do
     case " ${FLAGS[*]} " in
         *" $flag "*) ;;
@@ -215,7 +216,7 @@ done
     echo "flag smoke: altxd with every flag set did not start, serve a second and drain" >&2
     exit 1
 }
-for bad in '--no-such-flag' '--workers 0'; do
+for bad in '--no-such-flag' '--pin' '--batch-window-us 500' '--workers 0' '--shards 0'; do
     read -r -a argv <<<"$bad"
     status=0
     "$ALTXD" "${argv[@]}" >/dev/null 2>&1 || status=$?
