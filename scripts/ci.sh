@@ -37,11 +37,34 @@ grep -qE '^ +GNU_RELRO ' <<<"$ELF_HEADERS" || MISSING+=("GNU_RELRO")
     exit 1
 }
 
+# Release builds are one whole-program unit (`lto = "fat"` in the root
+# Cargo.toml): every crate, std included, is optimised and linked as one
+# module, so no function Rust defines is left global — the global text
+# symbols left are the C library's. A build that lost the setting keeps
+# each crate's public functions global: it fails here, by property.
+echo "==> the release altxd is one whole-program image (no global Rust text symbol)"
+GLOBAL_RUST=$(nm "$ALTXD" | awk '$2 == "T" && $3 ~ /^(_ZN|_R)/ { print $3 }')
+[ -z "$GLOBAL_RUST" ] || {
+    echo "whole-program check: $ALTXD has $(wc -l <<<"$GLOBAL_RUST") global Rust text symbols, e.g.:" >&2
+    head -n 3 <<<"$GLOBAL_RUST" | sed 's/^/  /' >&2
+    echo "(is CARGO_PROFILE_RELEASE_LTO exported, or profile.release overridden with --config? either undoes lto = \"fat\")" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (tier-1: root package)"
 cargo test -q
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# Every test above runs the dev profile. A panicking alternative is
+# caught where it ran (`run_contained`), and in the profile that ships
+# the unwinder walks frames fat LTO inlined across crates, into static
+# glibc's unwinder: the crew's containment suite and the daemon's chaos
+# soak run once more in the release profile.
+echo "==> containment in the release profile: race_crew and chaos_soak under --release"
+cargo test --release -q -p altx --test race_crew
+cargo test --release -q -p altx-serve --test chaos_soak
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -240,6 +263,7 @@ SERVE_LINES=$(non_test_lines crates/serve/src)
 CORE_LINES=$(non_test_lines crates/core/src)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
-echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes"
+ALTXD_TEXT=$(size -A "$ALTXD" | awk '$1 == ".text" { print $2 }')
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text"
 
 echo "==> CI gate passed"
