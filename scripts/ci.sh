@@ -51,6 +51,57 @@ GLOBAL_RUST=$(nm "$ALTXD" | awk '$2 == "T" && $3 ~ /^(_ZN|_R)/ { print $3 }')
     exit 1
 }
 
+# A daemon's text is resident by 64 kB fault-around windows, so what it
+# costs is how many windows the code it runs is spread over. LLD links
+# `altxd` with every function start-up and the benchmark's request
+# shapes execute first in `.text` (crates/serve/build.rs, in the order of
+# crates/serve/altxd.order) and its relative relocations packed as RELR.
+# A stale list or a lost link flag scatters the hot code again: it fails
+# here, by property, with the resident text of a daemon under load.
+echo "==> the release altxd runs from its hot region (LLD, RELR, ≥ 90 % of the list resolves, ≤ 768 kB of text resident under a trivial load)"
+MISSING=()
+readelf -p .comment "$ALTXD" | grep -q 'Linker: LLD' || MISSING+=("a .comment naming LLD (the linker the order is given to)")
+RELR_BYTES=$(size -A "$ALTXD" | awk '$1 == ".relr.dyn" { print $2 }')
+RELA_BYTES=$(size -A "$ALTXD" | awk '$1 == ".rela.dyn" { print $2 }')
+[ -n "$RELR_BYTES" ] || MISSING+=("a .relr.dyn section (-z pack-relative-relocs)")
+[ "${RELA_BYTES:-0}" -lt 1024 ] || MISSING+=("a .rela.dyn under 1 kB (it has $RELA_BYTES B)")
+HOT_OUT=$(mktemp /tmp/altx-hot.XXXXXX.out)
+taskset -c 0 "$ALTXD" --addr 127.0.0.1:0 --workers 2 --shards 1 >"$HOT_OUT" &
+HOT_PID=$!
+HOT_ADDR=
+for _ in $(seq 1 100); do
+    HOT_ADDR=$(sed -n 's/^altxd listening on \([^ ]*\) .*/\1/p' "$HOT_OUT")
+    [ -z "$HOT_ADDR" ] || break
+    sleep 0.05
+done
+[ -n "$HOT_ADDR" ] && taskset -c 0 ./target/release/altx-load --addr "$HOT_ADDR" --workload trivial \
+    --clients 1 --duration 2 >/dev/null || MISSING+=("a daemon that starts and answers a trivial load")
+if HOT_TEXT_KB=$(awk -v exe="$(readlink "/proc/$HOT_PID/exe" 2>/dev/null)" '
+    /^[0-9a-f]+-[0-9a-f]+ / { text = $2 == "r-xp" && $6 == exe; next }
+    text && $1 == "Rss:" { kb += $2 }
+    END { print kb + 0 }' "/proc/$HOT_PID/smaps" 2>/dev/null); then
+    [ "$HOT_TEXT_KB" -le 768 ] || MISSING+=("at most 768 kB of its text resident under load (it had $HOT_TEXT_KB kB)")
+else
+    MISSING+=("a daemon still running after the load, to read its resident text from")
+fi
+kill "$HOT_PID" 2>/dev/null || true
+wait "$HOT_PID" 2>/dev/null || true
+rm -f "$HOT_OUT"
+# A listed name the build no longer has is a function left cold: a
+# toolchain or crate change that renames them all shows here before it
+# costs memory.
+HOT_LISTED=$(wc -l <crates/serve/altxd.order)
+HOT_RESOLVED=$(nm "$ALTXD" | awk 'NR == FNR { listed[$1]; next } ($3 in listed) && !seen[$3]++ { n++ } END { print n + 0 }' \
+    crates/serve/altxd.order -)
+[ $((HOT_RESOLVED * 10)) -ge $((HOT_LISTED * 9)) ] ||
+    MISSING+=("at least 90 % of the $HOT_LISTED names of crates/serve/altxd.order (it has $HOT_RESOLVED)")
+[ ${#MISSING[@]} -eq 0 ] || {
+    echo "hot region check: $ALTXD lacks:" >&2
+    printf '  - %s\n' "${MISSING[@]}" >&2
+    echo "(is the hot-function list stale? run scripts/hot_text.sh and relink)" >&2
+    exit 1
+}
+
 echo "==> cargo test -q (tier-1: root package)"
 cargo test -q
 
@@ -264,6 +315,6 @@ CORE_LINES=$(non_test_lines crates/core/src)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
 ALTXD_TEXT=$(size -A "$ALTXD" | awk '$1 == ".text" { print $2 }')
-echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text"
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve"
 
 echo "==> CI gate passed"
