@@ -19,8 +19,8 @@
 //! | `engine.alt.<name>` | `ThreadedEngine`, per alternative | panic, delay, cancel, fail |
 //! | `pool.job` | `WorkerPool`, per job | panic, delay, fail |
 //! | `pool.worker` | `WorkerPool`, per queue pop | panic (kills the thread) |
-//! | `peer.link.<addr>.send` | `PeerNet`, per outbound frame | drop, delay, duplicate, truncate, partition |
-//! | `peer.link.<addr>.recv` | `PeerNet`, per inbound frame | drop, delay, duplicate, truncate, partition |
+//! | `peer.link.<addr>.send` | `PeerLinks` (shard 0), per outbound frame | drop, delay, duplicate, truncate, partition |
+//! | `peer.link.<addr>.recv` | `PeerLinks` (shard 0), per inbound frame | drop, delay, duplicate, truncate, partition |
 //!
 //! The `peer.link.*` sites speak the separate [`NetFault`] vocabulary —
 //! wire-level failures rather than process-level ones — drawn from the

@@ -12,7 +12,12 @@
 //!
 //! `--duration 0` (the default) serves until a client sends the
 //! SHUTDOWN opcode; a positive duration makes the daemon drain and exit
-//! on its own — handy for smoke tests.
+//! on its own — handy for smoke tests: a thread that exists only then
+//! sends that opcode itself when the time is up.
+//!
+//! The main thread runs reactor shard 0 — the one that also holds the
+//! links to `--peer`s — after printing the banner; shards 1.. and the
+//! workers have threads of their own.
 //!
 //! `--hedge` turns on adaptive hedged launches: the statistically
 //! favoured alternative starts immediately and the rest are held back
@@ -58,41 +63,25 @@
 //! group's condvar (0 parks immediately).
 
 use altx_serve::server::{
-    available_workers, start, ServerConfig, DEFAULT_RING_SLOTS, DEFAULT_RING_SLOT_BYTES,
+    available_workers, run, ServerConfig, DEFAULT_RING_SLOTS, DEFAULT_RING_SLOT_BYTES,
 };
 use altx_serve::workload::CATALOG;
-use altx_serve::{HedgeConfig, Lanes, PeerConfig};
+use altx_serve::{Client, HedgeConfig, Lanes, PeerConfig};
+use std::net::SocketAddr;
 use std::time::Duration;
 
-struct Args {
-    addr: String,
-    /// `None` until `--workers` is given: the CPU count is only asked
-    /// for when nobody said how many.
-    workers: Option<usize>,
-    queue_depth: usize,
-    shards: usize,
-    ring_slots: usize,
-    ring_slot_bytes: usize,
-    duration_s: u64,
-    hedge: HedgeConfig,
-    peer: PeerConfig,
-    lanes: Lanes,
-    admission: bool,
-    steal: bool,
-    lane_aging: Duration,
-    spin: Duration,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
+/// The daemon's configuration (its `workers` left for `main`), the
+/// `--workers` given if any — the CPU count is only asked for when
+/// nobody said how many — and `--duration`.
+fn parse_args() -> Result<(ServerConfig, Option<usize>, u64), String> {
+    let mut config = ServerConfig {
         addr: "127.0.0.1:7171".to_owned(),
-        workers: None,
+        workers: 0,
         queue_depth: 64,
+        hedge: HedgeConfig::default(),
         shards: 1,
         ring_slots: DEFAULT_RING_SLOTS,
         ring_slot_bytes: DEFAULT_RING_SLOT_BYTES,
-        duration_s: 0,
-        hedge: HedgeConfig::default(),
         peer: PeerConfig::default(),
         lanes: Lanes::single(),
         admission: false,
@@ -100,96 +89,97 @@ fn parse_args() -> Result<Args, String> {
         lane_aging: altx_serve::pool::DEFAULT_LANE_AGING,
         spin: altx_serve::pool::DEFAULT_SPIN,
     };
+    let (mut workers, mut duration_s) = (None, 0);
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
+            "--addr" => config.addr = value("--addr")?,
             "--workers" => {
-                let workers = value("--workers")?
+                let n = value("--workers")?
                     .parse()
                     .map_err(|e| format!("--workers: {e}"))?;
-                if workers == 0 {
+                if n == 0 {
                     return Err("--workers: the minimum is 1".to_owned());
                 }
-                args.workers = Some(workers);
+                workers = Some(n);
             }
             "--queue" => {
-                args.queue_depth = value("--queue")?
+                config.queue_depth = value("--queue")?
                     .parse()
                     .map_err(|e| format!("--queue: {e}"))?
             }
             "--shards" => {
-                args.shards = value("--shards")?
+                config.shards = value("--shards")?
                     .parse()
                     .map_err(|e| format!("--shards: {e}"))?;
-                if args.shards == 0 {
+                if config.shards == 0 {
                     return Err("--shards: the minimum is 1".to_owned());
                 }
             }
             "--ring-slots" => {
-                args.ring_slots = value("--ring-slots")?
+                config.ring_slots = value("--ring-slots")?
                     .parse()
                     .map_err(|e| format!("--ring-slots: {e}"))?;
-                if args.ring_slots == 0 {
+                if config.ring_slots == 0 {
                     return Err("--ring-slots: the minimum is 1".to_owned());
                 }
             }
             "--ring-slot-bytes" => {
-                args.ring_slot_bytes = value("--ring-slot-bytes")?
+                config.ring_slot_bytes = value("--ring-slot-bytes")?
                     .parse()
                     .map_err(|e| format!("--ring-slot-bytes: {e}"))?
             }
             "--duration" => {
-                args.duration_s = value("--duration")?
+                duration_s = value("--duration")?
                     .parse()
                     .map_err(|e| format!("--duration: {e}"))?
             }
-            "--hedge" => args.hedge.enabled = true,
+            "--hedge" => config.hedge.enabled = true,
             "--hedge-min-samples" => {
-                args.hedge.min_samples = value("--hedge-min-samples")?
+                config.hedge.min_samples = value("--hedge-min-samples")?
                     .parse()
                     .map_err(|e| format!("--hedge-min-samples: {e}"))?
             }
             "--hedge-explore-every" => {
-                args.hedge.explore_every = value("--hedge-explore-every")?
+                config.hedge.explore_every = value("--hedge-explore-every")?
                     .parse()
                     .map_err(|e| format!("--hedge-explore-every: {e}"))?
             }
-            "--peer" => args.peer.peers.push(value("--peer")?),
-            "--advertise" => args.peer.advertise = Some(value("--advertise")?),
+            "--peer" => config.peer.peers.push(value("--peer")?),
+            "--advertise" => config.peer.advertise = Some(value("--advertise")?),
             "--peer-explore-every" => {
-                args.peer.explore_every = value("--peer-explore-every")?
+                config.peer.explore_every = value("--peer-explore-every")?
                     .parse()
                     .map_err(|e| format!("--peer-explore-every: {e}"))?
             }
             "--peer-heartbeat-ms" => {
-                args.peer.heartbeat_ms = value("--peer-heartbeat-ms")?
+                config.peer.heartbeat_ms = value("--peer-heartbeat-ms")?
                     .parse()
                     .map_err(|e| format!("--peer-heartbeat-ms: {e}"))?
             }
             "--peer-suspect-ms" => {
-                args.peer.suspect_ms = value("--peer-suspect-ms")?
+                config.peer.suspect_ms = value("--peer-suspect-ms")?
                     .parse()
                     .map_err(|e| format!("--peer-suspect-ms: {e}"))?
             }
             "--lanes" => {
-                args.lanes =
+                config.lanes =
                     Lanes::parse(&value("--lanes")?).map_err(|e| format!("--lanes: {e}"))?
             }
-            "--admission" => args.admission = true,
-            "--steal" => args.steal = true,
+            "--admission" => config.admission = true,
+            "--steal" => config.steal = true,
             "--spin-us" => {
                 let us: u64 = value("--spin-us")?
                     .parse()
                     .map_err(|e| format!("--spin-us: {e}"))?;
-                args.spin = Duration::from_micros(us);
+                config.spin = Duration::from_micros(us);
             }
             "--lane-aging-ms" => {
                 let ms: u64 = value("--lane-aging-ms")?
                     .parse()
                     .map_err(|e| format!("--lane-aging-ms: {e}"))?;
-                args.lane_aging = Duration::from_millis(ms);
+                config.lane_aging = Duration::from_millis(ms);
             }
             "--help" | "-h" => {
                 println!(
@@ -207,85 +197,98 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok(args)
+    Ok((config, workers, duration_s))
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("altxd: {e}");
-            std::process::exit(2);
+    let (mut config, workers, duration_s) = parse_args().unwrap_or_else(|e| {
+        eprintln!("altxd: {e}");
+        std::process::exit(2);
+    });
+    config.workers = workers.unwrap_or_else(available_workers);
+    let mut telemetry = None;
+    let served = run(config.clone(), |handle| {
+        banner(&config, handle.local_addr());
+        telemetry = Some(handle.telemetry());
+        if duration_s > 0 {
+            // A thread that exists only for this, asking for the drain
+            // the way any client would.
+            let (after, addr) = (Duration::from_secs(duration_s), handle.local_addr());
+            let stop = move || {
+                std::thread::sleep(after);
+                let stopped = match Client::connect(addr) {
+                    Ok(mut client) => client.shutdown().map_err(|e| e.to_string()),
+                    Err(e) => Err(e.to_string()),
+                };
+                if let Err(e) = stopped {
+                    eprintln!("altxd: --duration: cannot send SHUTDOWN to {addr}: {e}");
+                }
+            };
+            std::thread::Builder::new()
+                .name("altxd-duration".to_owned())
+                .spawn(stop)
+                .expect("spawn the --duration thread");
         }
-    };
-    let workers = args.workers.unwrap_or_else(available_workers);
-    let handle = match start(ServerConfig {
-        addr: args.addr,
-        workers,
-        queue_depth: args.queue_depth,
-        hedge: args.hedge,
-        shards: args.shards,
-        ring_slots: args.ring_slots,
-        ring_slot_bytes: args.ring_slot_bytes,
-        peer: args.peer.clone(),
-        lanes: args.lanes.clone(),
-        admission: args.admission,
-        steal: args.steal,
-        lane_aging: args.lane_aging,
-        spin: args.spin,
-    }) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("altxd: bind failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    });
+    if let Err(e) = served {
+        eprintln!("altxd: bind failed: {e}");
+        std::process::exit(1);
+    }
+    if let Some(telemetry) = telemetry {
+        print!("{}", telemetry.render_stats());
+    }
+    println!("altxd: drained, bye");
+}
+
+/// What the daemon runs with, printed once it is bound.
+fn banner(config: &ServerConfig, addr: SocketAddr) {
+    let shards = config.shards;
     println!(
-        "altxd listening on {} ({} workers, queue depth {}, {} shard{})",
-        handle.local_addr(),
-        workers,
-        args.queue_depth,
-        args.shards,
-        if args.shards == 1 { "" } else { "s" }
+        "altxd listening on {addr} ({} workers, queue depth {}, {shards} shard{})",
+        config.workers,
+        config.queue_depth,
+        if shards == 1 { "" } else { "s" }
     );
     println!(
         "reply ring: up to {} slots x {} B per shard, each made on first use (spills fall back to the pool)",
-        args.ring_slots, args.ring_slot_bytes
+        config.ring_slots, config.ring_slot_bytes
     );
-    if args.hedge.enabled {
+    let hedge = &config.hedge;
+    if hedge.enabled {
         println!(
             "hedging: on (min samples {}, explore every {})",
-            args.hedge.min_samples, args.hedge.explore_every
+            hedge.min_samples, hedge.explore_every
         );
     }
-    if args.lanes.count() > 1 {
+    if config.lanes.count() > 1 {
         println!(
             "lanes: [{}] (aging {} ms)",
-            args.lanes.names().join(" > "),
-            args.lane_aging.as_millis()
+            config.lanes.names().join(" > "),
+            config.lane_aging.as_millis()
         );
     }
-    if args.admission {
+    if config.admission {
         println!("admission control: on (shed provably unmeetable deadlines)");
     }
-    if args.steal {
+    if config.steal {
         // The pool deals its workers round-robin, so it cannot have more
         // groups than workers.
         println!(
             "work stealing: on ({} worker groups, spin budget {} us)",
-            args.shards.min(workers),
-            args.spin.as_micros()
+            shards.min(config.workers),
+            config.spin.as_micros()
         );
     }
-    if !args.peer.peers.is_empty() {
+    let peer = &config.peer;
+    if !peer.peers.is_empty() {
         println!(
             "peering: {} peer{} [{}] (explore every {}, heartbeat {} ms, suspect {} ms)",
-            args.peer.peers.len(),
-            if args.peer.peers.len() == 1 { "" } else { "s" },
-            args.peer.peers.join(", "),
-            args.peer.explore_every,
-            args.peer.heartbeat_ms,
-            args.peer.suspect_ms
+            peer.peers.len(),
+            if peer.peers.len() == 1 { "" } else { "s" },
+            peer.peers.join(", "),
+            peer.explore_every,
+            peer.heartbeat_ms,
+            peer.suspect_ms
         );
     }
     println!("workloads:");
@@ -297,14 +300,4 @@ fn main() {
             w.alternatives()
         );
     }
-
-    let telemetry = handle.telemetry();
-    if args.duration_s > 0 {
-        std::thread::sleep(Duration::from_secs(args.duration_s));
-        handle.shutdown();
-    } else {
-        handle.wait();
-    }
-    print!("{}", telemetry.render_stats());
-    println!("altxd: drained, bye");
 }

@@ -28,6 +28,12 @@ use std::time::{Duration, Instant};
 use altx_cluster::VoteSlot;
 pub use altx_cluster::{Tally as VoteTally, TallyState};
 
+/// Every `SWEEP_EVERY`th vote sweeps out the slots older than
+/// `LEDGER_TTL`: only a vote adds a slot, so that bounds the ledger with
+/// no clock of its own (a race never lives anywhere near the TTL).
+const SWEEP_EVERY: u64 = 1024;
+const LEDGER_TTL: Duration = Duration::from_secs(300);
+
 /// One node's vote slots, keyed by `(origin address, race id)` so
 /// concurrent races from different origins can never collide even if
 /// their locally-assigned race ids do.
@@ -59,6 +65,11 @@ impl CommitLedger {
     /// majority of grants imply at most one committed winner.
     pub fn vote(&self, origin: &str, race_id: u64, candidate: &str) -> (bool, String) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        // The counters move under this lock, so each count comes once.
+        if (self.votes_granted() + self.votes_denied()).is_multiple_of(SWEEP_EVERY) {
+            let now = Instant::now();
+            slots.retain(|_, g| now.duration_since(g.at) < LEDGER_TTL);
+        }
         let grant = slots
             .entry((origin.to_owned(), race_id))
             .or_insert_with(|| Grant {
@@ -192,6 +203,18 @@ mod tests {
         assert!(!granted, "a:1/5 survived the reconcile");
         assert_eq!(ledger.reconcile("a:1", 100), 1);
         assert_eq!(ledger.len(), 1, "b:2 is untouched");
+    }
+
+    /// Every 1 024th vote sweeps on its way in; a slot younger than the
+    /// TTL survives it, and the sweeping vote is counted like any other.
+    #[test]
+    fn a_vote_that_sweeps_keeps_young_slots() {
+        let ledger = CommitLedger::new();
+        for race_id in 0..=SWEEP_EVERY {
+            assert!(ledger.vote("a:1", race_id, "x").0);
+        }
+        assert_eq!(ledger.len() as u64, SWEEP_EVERY + 1);
+        assert_eq!(ledger.votes_granted(), SWEEP_EVERY + 1);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! wire protocol and a transcript.
 //!
 //! The front end is a poll-based **reactor** (`reactor.rs`): one event
-//! loop thread multiplexes every connection over non-blocking sockets,
-//! so idle connections cost a file descriptor rather than a thread, and
-//! pipelined requests on one connection are answered in order. The
+//! loop thread multiplexes every connection over non-blocking sockets —
+//! shard 0's every outbound peer link too — so idle connections cost a
+//! file descriptor rather than a thread, and pipelined requests on one
+//! connection are answered in order. The
 //! worker that finishes a race writes its reply to the socket itself,
 //! under the connection's write-half lock; the reactor is roused only
 //! for output the socket would not take. The reply path is
@@ -44,7 +45,8 @@
 
 // `deny` rather than `forbid`: the crate's one `#[allow(unsafe_code)]`
 // corner is the reactor's `sys` module (the `ppoll(2)` binding, the
-// `SO_REUSEPORT` bind, and `prctl(PR_{SET,GET}_TIMERSLACK)`).
+// `SO_REUSEPORT` bind, the non-blocking `connect(2)`, and
+// `prctl(PR_{SET,GET}_TIMERSLACK)`).
 // `scripts/ci.sh` fails if the keyword appears in a second file — this
 // one included.
 #![deny(unsafe_code)]
@@ -74,5 +76,5 @@ pub use peer::PeerConfig;
 #[doc(hidden)]
 pub use reactor::timer_slack_ns;
 pub use sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{run, start, ServerConfig, ServerHandle};
 pub use telemetry::Telemetry;

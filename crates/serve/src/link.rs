@@ -1,12 +1,12 @@
 //! The peer link as a value: every rule about an outbound link that is
 //! not a socket call.
 //!
-//! [`LinkTable`] is the **core** under the peer thread
-//! ([`crate::peer`] is its shell): per link, whether it is up, the
-//! in-order correlation FIFO of the requests in flight on it, the
-//! frames parked for its next dial, its backoff, its health and its
-//! heartbeat clock. Everything that can happen to a link is an
-//! [`Event`] fed to [`LinkTable::step`] together with the current
+//! [`LinkTable`] is the **core** under shard 0's peer links
+//! ([`crate::peer`] is its shell): per link, whether it is down,
+//! dialling or up, the in-order correlation FIFO of the requests in
+//! flight on it, the frames parked for its next dial, its backoff, its
+//! health and its heartbeat clock. Everything that can happen to a link
+//! is an [`Event`] fed to [`LinkTable::step`] together with the current
 //! instant; everything the link wants done about it comes back as a
 //! list of [`Action`]s, and [`LinkTable::next_deadline`] says when the
 //! next [`Event::Tick`] is due. The core reads no clock, owns no
@@ -19,18 +19,21 @@
 //!
 //! | `Event` | what the core does | `Action`s it may return |
 //! |---|---|---|
-//! | `Send(cmd, fault)` | an address it has never seen becomes a *dynamic* link (an executor's way home to an origin outside its peer list) and is dialled on the spot, the frame held for the outcome; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a down *configured* link parks `Fire` / `Eliminate` frames for its redial (the oldest dropped beyond `MAX_QUEUED`) and refuses the rest at once | `Dial`, `Write`, `Race` (refusal) |
-//! | `Dialed { connected: false }` — the shell's answer to `Dial` | configured: the next dial is one backoff away and the backoff doubles (50 ms → 2 s); dynamic: every held frame is refused and the link forgotten — nothing is kept for a dead origin | `Race` (refusal) |
+//! | `Send(cmd, fault)` | an address it has never seen becomes a *dynamic* link (an executor's way home to an origin outside its peer list) and is dialled on the spot, the frame held for the outcome; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a *configured* link that is down or dialling parks `Fire` / `Eliminate` frames for its next dial and refuses the rest at once, a dynamic one that is dialling holds everything; beyond `MAX_QUEUED` the oldest parked or held frame is dropped, and refused if somebody waits on it | `Dial`, `Write`, `Race` (refusal) |
+//! | `Dialed { connected: false }` — the shell's answer to `Dial` | configured: the next dial is one backoff away and the backoff doubles (50 ms → 2 s); dynamic: every held frame is refused and the link forgotten — nothing is kept for a dead origin. An answer for a link with no dial out changes nothing | `Race` (refusal) |
 //! | `Dialed { connected: true, watermark }` | the link is up, its backoff and silence clock start over, its health is **not** touched; on a re-dial `RECONCILE(watermark)` goes first, then everything parked (the `ELIMINATE`s unacknowledged at the last close among it), then the priming heartbeat | `Stat(Up(true))`, `Stat(Reconnected)`, `Frame`… |
 //! | `Reply { resp, fault }` | pairs the reply with the oldest tag in flight: a lost reply consumes its tag silently; a cut, undecodable or unasked-for one closes the link; anything else is proof of life (health → `Up`), an rtt sample, and the tag's answer — twice when duplicated | `Stat(Health)`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
-//! | `Closed(addr)` | every tag in flight is refused, unacknowledged `ELIMINATE`s are re-parked for replay, the redial is one initial backoff away; a dynamic link is forgotten instead | `Stat(Up(false))`, `Race`…, `Down` |
-//! | `Tick` | a down configured link whose dial is due is dialled; an up one whose heartbeat is due is aged by its silence, and then either reset (as `Closed`) because it has been silent long enough to quarantine a healthy peer, or probed | `Dial`, `Stat(Health)`, `Frame` (heartbeat), or as `Closed` |
+//! | `Closed(addr)` | an up link: every tag in flight is refused, unacknowledged `ELIMINATE`s are re-parked for replay, the redial is one initial backoff away; a dynamic link is forgotten instead. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
+//! | `Tick` | a down configured link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up configured link whose heartbeat is due is aged by its silence, and then either reset (as `Closed`) because it has been silent long enough to quarantine a healthy peer, or probed | `Dial`, `Abandon`, `Race` (refusal), `Stat(Health)`, `Frame` (heartbeat), or as `Closed` |
 //!
 //! A refusal converts the tag: a shipped alternative becomes
 //! `LegRefused`, a vote a denial, and nobody waits on the other tags.
-//! The shell answers `Dial` at once, before it feeds any other event —
-//! a dial blocks the peer thread, so nothing can come between — and
-//! feeds a `Frame` back as a `Send` like any other command.
+//! The shell answers `Dial` when its non-blocking connect is done, and
+//! any event of any link may come between: the link is *dialling*
+//! meanwhile, its alarm the dial's timeout, so a peer that never
+//! completes the handshake costs its own link 50 ms and no other link
+//! anything. The shell feeds a `Frame` back as a `Send` like any other
+//! command.
 
 use crate::frame::{Request, Response};
 use crate::peer::{parse_load_line, Cmd, PeerConfig, PeerHealth, SendTag};
@@ -45,6 +48,9 @@ const BACKOFF_INITIAL: Duration = Duration::from_millis(50);
 const BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Frames parked per down link before the oldest are dropped.
 const MAX_QUEUED: usize = 256;
+/// How long a dial may be out: a peer that cannot complete a TCP
+/// handshake in this budget is down for placement purposes.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Everything that can happen to a link.
 #[derive(Debug, Clone)]
@@ -81,6 +87,8 @@ pub(crate) enum Action {
     /// Connect to this address and feed the outcome back as
     /// [`Event::Dialed`].
     Dial(String),
+    /// The dial to this address timed out: drop its socket, feed nothing.
+    Abandon(String),
     /// A frame of the link's own — `RECONCILE`, a parked frame's
     /// replay, a heartbeat: feed it back as an [`Event::Send`].
     Frame(Cmd),
@@ -110,12 +118,14 @@ pub(crate) enum Stat {
     Load(u64, u64, u64),
 }
 
-/// A link is down, or up with its in-order correlation FIFO: one entry
-/// per frame on the wire, popped by its reply; the `Instant` starts
-/// the rtt sample. The FIFO lives and dies with the connection, so a
-/// reply can only ever meet a tag of the connection it arrived on.
+/// A link is down, dialling, or up with its in-order correlation FIFO:
+/// one entry per frame on the wire, popped by its reply; the `Instant`
+/// starts the rtt sample. The FIFO lives and dies with the connection,
+/// so a reply can only ever meet a tag of the connection it arrived on.
 enum State {
     Down,
+    /// Until the dial times out.
+    Dialling(Instant),
     Up {
         pending: VecDeque<(SendTag, Instant)>,
     },
@@ -140,10 +150,10 @@ struct Link {
 }
 
 impl Link {
-    fn new(configured: bool, now: Instant) -> Self {
+    fn new(configured: bool, state: State, now: Instant) -> Self {
         Link {
             configured,
-            state: State::Down,
+            state,
             queue: VecDeque::new(),
             backoff: BACKOFF_INITIAL,
             next_dial: now,
@@ -155,20 +165,25 @@ impl Link {
     }
 
     /// Queues a frame for the next dial, dropping the oldest beyond
-    /// [`MAX_QUEUED`].
-    fn park(&mut self, req: Request, tag: SendTag) {
+    /// [`MAX_QUEUED`] — refused, if somebody waits on it.
+    fn park(&mut self, addr: &str, req: Request, tag: SendTag, out: &mut Vec<Action>) {
         self.queue.push_back((req, tag));
         if self.queue.len() > MAX_QUEUED {
-            self.queue.pop_front();
+            if let Some((_, dropped)) = self.queue.pop_front() {
+                refuse(addr, dropped, out);
+            }
         }
     }
 
-    /// The link's one timer: a down configured link's next dial, an up
-    /// one's next heartbeat. Health is looked at when the heartbeat is
-    /// due, so the silent-link reset comes within one cadence of the
-    /// silence that earns it.
+    /// The link's one timer: a dial's timeout, a down configured link's
+    /// next dial, an up one's next heartbeat. Health is looked at when
+    /// the heartbeat is due, so the silent-link reset comes within one
+    /// cadence of the silence that earns it.
     fn alarm(&self, heartbeat: Duration) -> Option<Instant> {
         match self.state {
+            #[cfg(test)]
+            State::Dialling(_) if tests::broken::endless_dial() => None,
+            State::Dialling(until) => Some(until),
             _ if !self.configured => None,
             State::Down => Some(self.next_dial),
             State::Up { .. } => (!heartbeat.is_zero()).then(|| self.last_hb + heartbeat),
@@ -190,7 +205,7 @@ impl Link {
             if let (true, SendTag::Eliminate { race_id }) = (self.configured, tag) {
                 // Rebuilt for replay under this node's identity.
                 let origin = origin.to_owned();
-                self.park(Request::Eliminate { race_id, origin }, tag);
+                self.park(addr, Request::Eliminate { race_id, origin }, tag, out);
             }
             refuse(addr, tag, out);
         }
@@ -215,7 +230,7 @@ pub(crate) struct LinkTable {
 impl LinkTable {
     /// One down link per configured peer, its first dial due `now`.
     pub(crate) fn new(advertise: String, config: &PeerConfig, now: Instant) -> Self {
-        let down = |addr: &String| (addr.clone(), Link::new(true, now));
+        let down = |addr: &String| (addr.clone(), Link::new(true, State::Down, now));
         LinkTable {
             links: config.peers.iter().map(down).collect(),
             advertise,
@@ -268,7 +283,7 @@ impl LinkTable {
             // Dial on demand: an origin outside the configured set
             // (results and votes go back to whoever asked).
             out.push(Action::Dial(cmd.addr.clone()));
-            Link::new(false, now)
+            Link::new(false, State::Dialling(now + CONNECT_TIMEOUT), now)
         });
         // A configured link parks what is fire-and-forget; a dynamic
         // one holds anything, for the one dial this command started.
@@ -276,13 +291,13 @@ impl LinkTable {
             !link.configured || matches!(cmd.tag, SendTag::Fire | SendTag::Eliminate { .. });
         let pending = match &mut link.state {
             State::Up { pending } => pending,
-            State::Down if parks => return link.park(cmd.req, cmd.tag),
-            // Fail fast: a down peer cannot run the alternative or
-            // grant the vote, and the race must not wait for the redial
-            // to find that out. (Heartbeats are minted on up links
-            // only; one racing a link death is just dropped — the next
-            // dial primes a fresh one.)
-            State::Down => return refuse(&cmd.addr, cmd.tag, out),
+            _ if parks => return link.park(&cmd.addr, cmd.req, cmd.tag, out),
+            // Fail fast: a peer that is not up cannot run the
+            // alternative or grant the vote, and the race must not wait
+            // for a dial to find that out. (Heartbeats are minted on up
+            // links only; one racing a link death is just dropped — the
+            // next dial primes a fresh one.)
+            _ => return refuse(&cmd.addr, cmd.tag, out),
         };
         let copies = match fault {
             Some(NetFault::Drop | NetFault::Partition) => return,
@@ -311,22 +326,12 @@ impl LinkTable {
         now: Instant,
         out: &mut Vec<Action>,
     ) {
-        let Some(link) = self.links.get_mut(addr) else {
+        let dialling = |l: &&mut Link| matches!(l.state, State::Dialling(_));
+        let Some(link) = self.links.get_mut(addr).filter(dialling) else {
             return;
         };
-        if !connected && link.configured {
-            link.next_dial = now + link.backoff;
-            link.backoff = (link.backoff * 2).min(BACKOFF_MAX);
-            return;
-        }
         if !connected {
-            // Nothing is parked and nothing redialled for an address
-            // outside the peer list: a result for an origin that is
-            // gone is dropped, and the origin's per-leg deadline
-            // redispatches as it does for any lost result.
-            let held = self.links.remove(addr).map(|link| link.queue);
-            let tags = held.into_iter().flatten().map(|(_, tag)| tag);
-            return tags.for_each(|tag| refuse(addr, tag, out));
+            return self.dial_failed(addr, now, out);
         }
         let frame = |req, tag| {
             let addr = addr.to_owned();
@@ -413,9 +418,25 @@ impl LinkTable {
         answer(addr, tag, resp, out);
     }
 
-    /// A link's stream is gone; a dynamic link goes with it.
+    /// The dial out to `addr` failed, refused or out too long. Nothing
+    /// is parked or redialled for an address outside the peer list: a
+    /// result for an origin that is gone is dropped, and the origin's
+    /// per-leg deadline redispatches as it does for any lost result.
+    fn dial_failed(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
+        let Some(link) = self.links.get_mut(addr).filter(|l| l.configured) else {
+            let held = self.links.remove(addr).map(|link| link.queue);
+            let tags = held.into_iter().flatten().map(|(_, tag)| tag);
+            return tags.for_each(|tag| refuse(addr, tag, out));
+        };
+        link.state = State::Down;
+        link.next_dial = now + link.backoff;
+        link.backoff = (link.backoff * 2).min(BACKOFF_MAX);
+    }
+
+    /// An up link's stream is gone; a dynamic link goes with it.
     fn down(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
-        let Some(link) = self.links.get_mut(addr) else {
+        let up = |l: &&mut Link| matches!(l.state, State::Up { .. });
+        let Some(link) = self.links.get_mut(addr).filter(up) else {
             return;
         };
         link.close(addr, &self.advertise, now, out);
@@ -424,9 +445,10 @@ impl LinkTable {
         }
     }
 
-    /// Fires every due alarm. For an up link that is the health
-    /// lifecycle: age the peer by its silence, Up → Suspect →
-    /// Quarantined, and reset a link that has been silent for the whole
+    /// Fires every due alarm: a dial's timeout, a down link's dial, and
+    /// for an up link the health lifecycle: age the peer by its
+    /// silence, Up → Suspect → Quarantined, and reset a link that has
+    /// been silent for the whole
     /// quarantine span. The reset is what makes quarantine an episode:
     /// a stream the peer's decoder lost sync on (a cut frame whose
     /// leftover bytes parse as a legal length leaves it waiting inside
@@ -436,28 +458,44 @@ impl LinkTable {
     /// starts the silence clock over, so a peer that stays silent is
     /// redialled once per quarantine span, not once per tick.
     fn tick(&mut self, now: Instant, out: &mut Vec<Action>) {
+        let mut timed_out = Vec::new();
         for (addr, link) in &mut self.links {
             if link.alarm(self.heartbeat).is_none_or(|at| at > now) {
                 continue;
             }
-            if matches!(link.state, State::Down) {
-                out.push(Action::Dial(addr.clone()));
-                continue;
+            match link.state {
+                #[cfg(test)]
+                State::Dialling(_) if tests::broken::redial() => {}
+                State::Dialling(_) => {
+                    timed_out.push(addr.clone());
+                    continue;
+                }
+                State::Down => {}
+                State::Up { .. } => {
+                    let silent = now.duration_since(link.last_heard);
+                    let aged = link.health.aged(silent, self.suspect);
+                    if aged != link.health {
+                        link.health = aged;
+                        out.push(Action::Stat(addr.clone(), Stat::Health(aged)));
+                    }
+                    // The silence that quarantines a healthy peer.
+                    if PeerHealth::Up.aged(silent, self.suspect) == PeerHealth::Quarantined {
+                        link.close(addr, &self.advertise, now, out);
+                    } else {
+                        link.last_hb = now;
+                        let (addr, req, tag) =
+                            (addr.clone(), Request::PeerStats, SendTag::Heartbeat);
+                        out.push(Action::Frame(Cmd { addr, req, tag }));
+                    }
+                    continue;
+                }
             }
-            let silent = now.duration_since(link.last_heard);
-            let aged = link.health.aged(silent, self.suspect);
-            if aged != link.health {
-                link.health = aged;
-                out.push(Action::Stat(addr.clone(), Stat::Health(aged)));
-            }
-            // The silence that quarantines a healthy peer.
-            if PeerHealth::Up.aged(silent, self.suspect) == PeerHealth::Quarantined {
-                link.close(addr, &self.advertise, now, out);
-            } else {
-                link.last_hb = now;
-                let (addr, req, tag) = (addr.clone(), Request::PeerStats, SendTag::Heartbeat);
-                out.push(Action::Frame(Cmd { addr, req, tag }));
-            }
+            out.push(Action::Dial(addr.clone()));
+            link.state = State::Dialling(now + CONNECT_TIMEOUT);
+        }
+        for addr in timed_out {
+            out.push(Action::Abandon(addr.clone()));
+            self.dial_failed(&addr, now, out);
         }
     }
 }
@@ -511,6 +549,39 @@ mod tests {
     use super::*;
     use crate::frame::FrameDecoder;
     use altx_check::{check, CaseRng};
+    use std::collections::BTreeSet;
+
+    /// Seeded mutants of the core: rule switches, one per rule of the
+    /// dialling state, thrown on the calling thread only.
+    pub(super) mod broken {
+        use std::cell::Cell;
+
+        /// Which rule is broken.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Mutant {
+            /// A tick that finds a dial out starts another one.
+            Redial,
+            /// A dial that is out never times out.
+            EndlessDial,
+        }
+
+        thread_local! {
+            static ON: Cell<Option<Mutant>> = const { Cell::new(None) };
+        }
+
+        /// Breaks `mutant`'s rule on this thread (`None` mends it).
+        pub(crate) fn set(mutant: Option<Mutant>) {
+            ON.with(|on| on.set(mutant));
+        }
+
+        pub(crate) fn redial() -> bool {
+            ON.with(|on| on.get() == Some(Mutant::Redial))
+        }
+
+        pub(crate) fn endless_dial() -> bool {
+            ON.with(|on| on.get() == Some(Mutant::EndlessDial))
+        }
+    }
 
     const ORIGIN: &str = "origin:1";
     const CONFIGURED: [&str; 2] = ["c0:1", "c1:1"];
@@ -637,6 +708,9 @@ mod tests {
     struct Peer {
         /// Dials succeed.
         listening: bool,
+        /// Dials are never answered, as when the peer's accept queue is
+        /// full: only the core's timeout ends one.
+        hangs: bool,
         /// Stalled: bytes pile up unread and nothing is answered.
         stalled: bool,
         stream: Option<Stream>,
@@ -668,6 +742,8 @@ mod tests {
         up: bool,
         ever_up: bool,
         next_dial: Instant,
+        /// The timeout of the dial that is out.
+        dialling: Option<Instant>,
         /// Failed dials since the last success.
         fails: u32,
         health: PeerHealth,
@@ -675,6 +751,16 @@ mod tests {
         heard: Instant,
         last_hb: Instant,
         park: VecDeque<Request>,
+    }
+
+    impl Model {
+        /// The dial failed, refused or out too long: consecutive
+        /// failures are spaced 50 ms · 2ᵏ, capped.
+        fn dial_failed(&mut self, now: Instant) {
+            let gap = BACKOFF_INITIAL * 2u32.saturating_pow(self.fails);
+            self.next_dial = now + gap.min(BACKOFF_MAX);
+            self.fails += 1;
+        }
     }
 
     /// What became of one `ExecAlt` / `Vote` command.
@@ -694,9 +780,10 @@ mod tests {
     struct Was {
         known: bool,
         up: bool,
+        /// A dial was out.
+        dialling: bool,
         pending: Vec<SendTag>,
-        /// What it held for its dial (looked at for a dial's outcome
-        /// only).
+        /// What it parked or held for its next dial.
         parked: Vec<Request>,
         /// A cut frame had gone out on its stream.
         cut: bool,
@@ -716,6 +803,12 @@ mod tests {
         mirror: BTreeMap<String, (bool, PeerHealth)>,
         fates: BTreeMap<u64, Fate>,
         next_ordinal: u64,
+        /// Addresses the shell has a connect out to.
+        dials_out: BTreeSet<String>,
+        /// The timeout of each dynamic link's dial, kept by the rules.
+        dyn_dials: BTreeMap<String, Instant>,
+        /// How often a dial that will be answered is answered late.
+        p_late: f64,
         p_send: f64,
         p_recv: f64,
         truncates: bool,
@@ -729,6 +822,7 @@ mod tests {
                     up: false,
                     ever_up: false,
                     next_dial: now,
+                    dialling: None,
                     fails: 0,
                     health: PeerHealth::Up,
                     heard: now,
@@ -758,6 +852,9 @@ mod tests {
                     .collect(),
                 fates: BTreeMap::new(),
                 next_ordinal: 1,
+                dials_out: BTreeSet::new(),
+                dyn_dials: BTreeMap::new(),
+                p_late: 0.0,
                 p_send: 0.0,
                 p_recv: 0.0,
                 truncates: false,
@@ -786,6 +883,11 @@ mod tests {
             }
         }
 
+        fn is_dialling(&self, addr: &str) -> bool {
+            let state = self.table.links.get(addr).map(|l| &l.state);
+            matches!(state, Some(State::Dialling(_)))
+        }
+
         fn parked(&self, addr: &str) -> impl Iterator<Item = &Request> {
             let queue = self.table.links.get(addr).map(|l| l.queue.iter());
             queue.into_iter().flatten().map(|(req, _)| req)
@@ -794,14 +896,14 @@ mod tests {
         /// Every link `event` can touch — its own, or for a tick every
         /// configured one — as the step will find it.
         fn was(&self, event: &Event) -> BTreeMap<String, Was> {
-            let dialed = matches!(event, Event::Dialed { .. });
             let was = |addr: &String| {
                 let stream = self.peers[addr].stream.as_ref();
                 let was = Was {
                     known: self.table.links.contains_key(addr),
                     up: self.is_up(addr),
+                    dialling: self.is_dialling(addr),
                     pending: self.pending(addr),
-                    parked: self.parked(addr).filter(|_| dialed).cloned().collect(),
+                    parked: self.parked(addr).cloned().collect(),
                     cut: stream.is_some_and(|s| s.cut),
                 };
                 (addr.clone(), was)
@@ -824,28 +926,40 @@ mod tests {
         }
 
         /// Steps the core, judges the step, then does with the actions
-        /// what the shell does: answers `Dial` at once (from the model
-        /// peer), feeds `Frame` back with a fault drawn only where a
-        /// stream is open, hands `Write` to the peer's decoder.
+        /// what the shell does: starts a connect for `Dial` — the model
+        /// peer answers it now, later or never — drops the connect
+        /// `Abandon` names, feeds `Frame` back with a fault drawn only
+        /// where a stream is open, hands `Write` to the peer's decoder.
         fn feed(&mut self, rng: &mut CaseRng, event: Event) {
             let was = self.was(&event);
             let actions = self.table.step(event.clone(), self.now);
             self.judge(&was, &event, &actions);
+            // Every connect the step asks for starts, and every one it
+            // gives up on is dropped, before any is answered.
+            for action in &actions {
+                match action {
+                    Action::Dial(addr) => {
+                        let open = self.peers[addr].stream.is_some();
+                        assert!(!open, "dialled an open stream: {addr}");
+                        let fresh = self.dials_out.insert(addr.clone());
+                        assert!(fresh, "dialled {addr} while a dial is out");
+                    }
+                    Action::Abandon(addr) => {
+                        let out = self.dials_out.remove(addr);
+                        assert!(out, "abandoned {addr} with no dial out");
+                    }
+                    _ => {}
+                }
+            }
             for action in actions {
                 match action {
                     Action::Dial(addr) => {
-                        let peer = self.peers.get_mut(&addr).expect("a known address");
-                        assert!(peer.stream.is_none(), "dialled an open stream: {addr}");
-                        let connected = peer.listening;
-                        peer.stream = connected.then(Stream::default);
-                        let watermark = self.next_ordinal;
-                        let dialed = Event::Dialed {
-                            addr,
-                            connected,
-                            watermark,
-                        };
-                        self.feed(rng, dialed);
+                        let answers = !self.peers[&addr].hangs && !rng.chance(self.p_late);
+                        if answers && self.dials_out.contains(&addr) {
+                            self.answer_dial(rng, &addr);
+                        }
                     }
+                    Action::Abandon(_) => {}
                     Action::Frame(cmd) => self.offer(rng, cmd),
                     Action::Write(addr, bytes) => {
                         let peer = self.peers.get_mut(&addr).expect("a known address");
@@ -860,6 +974,44 @@ mod tests {
                     Action::Race(..) | Action::Stat(..) => {}
                 }
             }
+        }
+
+        /// The model peer answers the dial out to `addr`: connected if
+        /// it listens, refused if not.
+        fn answer_dial(&mut self, rng: &mut CaseRng, addr: &str) {
+            assert!(self.dials_out.remove(addr), "no dial out to {addr}");
+            let peer = self.peers.get_mut(addr).expect("a known address");
+            let connected = peer.listening;
+            peer.stream = connected.then(Stream::default);
+            let (addr, watermark) = (addr.to_owned(), self.next_ordinal);
+            let dialed = Event::Dialed {
+                addr,
+                connected,
+                watermark,
+            };
+            self.feed(rng, dialed);
+        }
+
+        /// A late answer to some dial that is out, if one will ever be
+        /// answered — or else an answer to no dial at all, which must
+        /// change nothing.
+        fn late_answer(&mut self, rng: &mut CaseRng, addr: &str) {
+            let answerable = self.dials_out.iter().filter(|a| !self.peers[*a].hangs);
+            let answerable: Vec<String> = answerable.cloned().collect();
+            if !answerable.is_empty() {
+                let addr = rng.pick(&answerable).clone();
+                return self.answer_dial(rng, &addr);
+            }
+            if self.dials_out.contains(addr) || self.peers[addr].stream.is_some() {
+                return;
+            }
+            let (addr, connected, watermark) = (addr.to_owned(), rng.bool(), self.next_ordinal);
+            let stray = Event::Dialed {
+                addr,
+                connected,
+                watermark,
+            };
+            self.feed(rng, stray);
         }
 
         fn offer(&mut self, rng: &mut CaseRng, cmd: Cmd) {
@@ -931,6 +1083,11 @@ mod tests {
                 assert!(ticks < 10_000, "a tick at the deadline does not move it");
             }
             self.now = target;
+            // No dial is out for longer than its timeout.
+            let timeouts = self.model.values().filter_map(|m| m.dialling);
+            for until in timeouts.chain(self.dyn_dials.values().copied()) {
+                assert!(until > self.now, "a dial out past its timeout");
+            }
             // Known defects' rule: an up configured link is heard from,
             // or closed and redialled, within 2 × suspect + heartbeat.
             if self.heartbeat.is_zero() || self.suspect.is_zero() {
@@ -959,10 +1116,12 @@ mod tests {
             }
         }
 
-        /// Every stream ends, and then every command somebody waited
-        /// on has been resolved exactly as often as it was put on a
-        /// wire — once, if it never was — unless a fault ate it.
+        /// Every dial that is out ends — answered or timed out — and
+        /// every stream ends, and then every command somebody waited on
+        /// has been resolved exactly as often as it was put on a wire —
+        /// once, if it never was — unless a fault ate it.
         fn audit(&mut self, rng: &mut CaseRng) {
+            self.advance(rng, CONNECT_TIMEOUT);
             let ups = self.peers.keys().filter(|a| self.is_up(a));
             for addr in ups.cloned().collect::<Vec<_>>() {
                 self.feed(rng, Event::Closed(addr));
@@ -1011,6 +1170,7 @@ mod tests {
                     self.judge_reply(&was[addr], addr, resp.as_ref(), *fault, actions);
                 }
                 Event::Closed(addr) if was[addr].up => self.went_down(addr, &was[addr].pending),
+                // A link that is not up has no stream to lose.
                 Event::Closed(_) => assert!(actions.is_empty(), "{}", shown()),
                 Event::Tick => self.judge_tick(was, actions),
             }
@@ -1024,35 +1184,43 @@ mod tests {
             assert!(downs.eq(went_down.map(|(a, _)| a)), "{}", shown());
             for (addr, link) in &self.table.links {
                 assert!(link.queue.len() <= MAX_QUEUED, "{addr} parks without bound");
-                // A dynamic link is up, or waits for the dial this very
-                // step asked for; it is never kept down, and never
-                // asks for a tick.
-                let dialled = actions
-                    .iter()
-                    .any(|a| matches!(a, Action::Dial(d) if d == addr));
+                // The core is dialling exactly where the shell has a
+                // connect out, once this step's actions are done.
+                let asked = |pick: &dyn Fn(&Action) -> bool| actions.iter().any(pick);
+                let dialled = asked(&|a| matches!(a, Action::Dial(d) if d == addr));
+                let dropped = asked(&|a| matches!(a, Action::Abandon(d) if d == addr));
+                let out = (self.dials_out.contains(addr) || dialled) && !dropped;
+                assert_eq!(self.is_dialling(addr), out, "{addr}: {}", shown());
+                // A dynamic link is up or dialling, never kept down, and
+                // asks for a tick only for its dial's timeout.
                 assert!(
-                    link.configured || self.is_up(addr) || dialled,
+                    link.configured || self.is_up(addr) || self.is_dialling(addr),
                     "{}",
                     shown()
                 );
-                assert!(link.configured || link.alarm(self.heartbeat).is_none());
             }
             // The published counters are the model's.
             for (addr, m) in &self.model {
                 assert_eq!(self.mirror[addr], (m.up, m.health), "{addr}: {}", shown());
             }
-            // One timer per configured link — the dial of a down one,
-            // the heartbeat of an up one — and `next_deadline` is the
-            // earliest.
+            // One timer per configured link — the timeout of its dial
+            // if one is out, else the dial of a down one, the heartbeat
+            // of an up one — and one per dynamic link's dial; and
+            // `next_deadline` is the earliest.
             let beat = |m: &Model| (!self.heartbeat.is_zero()).then(|| m.last_hb + self.heartbeat);
-            let timers = self.model.values();
-            let timers = timers.filter_map(|m| if m.up { beat(m) } else { Some(m.next_dial) });
+            let timer = |m: &Model| match (m.dialling, m.up) {
+                (Some(until), _) => Some(until),
+                (None, true) => beat(m),
+                (None, false) => Some(m.next_dial),
+            };
+            let timers = self.model.values().filter_map(timer);
+            let timers = timers.chain(self.dyn_dials.values().copied());
             assert_eq!(self.table.next_deadline(), timers.min(), "{}", shown());
         }
 
         /// A command for a link that is not up is refused in this very
-        /// step or parked; one for an up link goes on the wire as the
-        /// fault allows, a tag per copy.
+        /// step, parked or held; one for an up link goes on the wire as
+        /// the fault allows, a tag per copy.
         fn judge_send(
             &mut self,
             was: &Was,
@@ -1069,7 +1237,22 @@ mod tests {
                     "{}",
                     shown()
                 );
+                self.dyn_dials
+                    .insert(addr.to_owned(), self.now + CONNECT_TIMEOUT);
                 return assert!(self.parked(addr).eq([&cmd.req]), "{}", shown());
+            }
+            if !was.up && !self.model.contains_key(addr) {
+                // A dynamic link's dial is out: it holds everything, up
+                // to the bound, and refuses what it drops.
+                let mut held = was.parked.clone();
+                held.push(cmd.req.clone());
+                let dropped = (held.len() > MAX_QUEUED).then(|| held.remove(0));
+                assert!(self.parked(addr).eq(&held), "{}", shown());
+                let owed = dropped.and_then(|req| owed(tag_of(&req)));
+                return match owed {
+                    Some(n) => assert!(matches!(actions, [Action::Race(r, _)] if *r == n)),
+                    None => assert!(actions.is_empty(), "{}", shown()),
+                };
             }
             if !was.up {
                 let refused = matches!(actions, [Action::Race(n, _)] if Some(*n) == owed(cmd.tag));
@@ -1125,9 +1308,15 @@ mod tests {
                 stats.any(|a| matches!(a, Action::Stat(a, s) if a == addr && *s == want))
             };
             let now = self.now;
+            if !was.dialling {
+                // An answer to no dial changes nothing.
+                assert!(actions.is_empty(), "{}", shown());
+                return assert_eq!(self.is_up(addr), was.up, "{}", shown());
+            }
             let Some(m) = self.model.get_mut(addr) else {
                 // A dynamic link is the dial that made it: up with what
                 // it held, or gone with all of it refused.
+                self.dyn_dials.remove(addr);
                 assert_eq!(
                     self.table.links.contains_key(addr),
                     connected,
@@ -1141,13 +1330,10 @@ mod tests {
                 let want = if connected { 0 } else { owing.count() };
                 return assert_eq!(races.count(), want, "{}", shown());
             };
+            m.dialling = None;
             if !connected {
-                // Consecutive failures are spaced 50 ms · 2ᵏ, capped.
                 assert!(actions.is_empty(), "{}", shown());
-                let gap = BACKOFF_INITIAL * 2u32.saturating_pow(m.fails);
-                m.next_dial = now + gap.min(BACKOFF_MAX);
-                m.fails += 1;
-                return;
+                return m.dial_failed(now);
             }
             // RECONCILE (never on a first dial), then what was parked,
             // then the priming heartbeat; and the peer's health is not
@@ -1288,18 +1474,30 @@ mod tests {
             assert!(self.parked(addr).eq(&self.model[addr].park), "{addr}");
         }
 
-        /// A tick fires what is due and nothing else: a down link's
-        /// dial; for an up link whose heartbeat is due, the ageing its
-        /// silence has earned (health worsens only here), and then the
-        /// reset of a link silent for a whole quarantine span — or
-        /// else the probe.
+        /// A tick fires what is due and nothing else: a dial's timeout,
+        /// which fails it; a down link's dial, unless one is out; for an
+        /// up link whose heartbeat is due, the ageing its silence has
+        /// earned (health worsens only here), and then the reset of a
+        /// link silent for a whole quarantine span — or else the probe.
         fn judge_tick(&mut self, was: &BTreeMap<String, Was>, actions: &[Action]) {
             let shown = || format!("tick -> {actions:?}");
             let (now, heartbeat, suspect) = (self.now, self.heartbeat, self.suspect);
             let (mut dials, mut probes, mut resets, mut ageings) = (vec![], vec![], vec![], vec![]);
+            let mut timeouts = Vec::new();
             for (addr, m) in &mut self.model {
+                match m.dialling {
+                    Some(until) if until <= now => {
+                        timeouts.push(addr.clone());
+                        m.dialling = None;
+                        m.dial_failed(now);
+                        continue;
+                    }
+                    Some(_) => continue,
+                    None => {}
+                }
                 if !m.up && m.next_dial <= now {
                     dials.push(addr.clone());
+                    m.dialling = Some(now + CONNECT_TIMEOUT);
                 }
                 if !m.up || heartbeat.is_zero() || m.last_hb + heartbeat > now {
                     continue;
@@ -1317,10 +1515,19 @@ mod tests {
                     m.last_hb = now;
                 }
             }
+            let due = self.dyn_dials.iter().filter(|(_, until)| **until <= now);
+            let due: Vec<String> = due.map(|(addr, _)| addr.clone()).collect();
+            for addr in due {
+                self.dyn_dials.remove(&addr);
+                timeouts.push(addr);
+            }
+            timeouts.sort();
             let (mut dialled, mut probed, mut reset, mut aged) = (vec![], vec![], vec![], vec![]);
+            let mut abandoned = Vec::new();
             for action in actions {
                 match action {
                     Action::Dial(addr) => dialled.push(addr.clone()),
+                    Action::Abandon(addr) => abandoned.push(addr.clone()),
                     Action::Frame(cmd) => {
                         assert_eq!(cmd.tag, SendTag::Heartbeat, "{}", shown());
                         probed.push(cmd.addr.clone());
@@ -1332,11 +1539,15 @@ mod tests {
                 }
             }
             assert_eq!(
-                (dialled, probed, &reset, aged),
-                (dials, probes, &resets, ageings),
+                (dialled, probed, &reset, aged, &abandoned),
+                (dials, probes, &resets, ageings, &timeouts),
                 "{}",
                 shown()
             );
+            for addr in abandoned.iter().filter(|a| !self.model.contains_key(*a)) {
+                let gone = !self.table.links.contains_key(addr);
+                assert!(gone, "dynamic {addr} kept past its dial: {}", shown());
+            }
             for addr in reset {
                 self.went_down(&addr, &was[&addr].pending);
             }
@@ -1345,86 +1556,112 @@ mod tests {
 
     /// The link core's contract, over 2 500 seeded schedules on virtual
     /// time: commands of every tag to configured and dynamic addresses,
-    /// dials that succeed or fail, on-time and early ticks, hang-ups,
-    /// garbage, send- and recv-side faults, and model peers that answer
+    /// dials answered at once, late, never (until the core's timeout
+    /// fails them) or with a refusal while every other link's events go
+    /// on, on-time and early ticks, hang-ups, garbage, stray dial
+    /// answers, send- and recv-side faults, and model peers that answer
     /// every whole frame the real decoder finds in the bytes the core
     /// asked to write — or stall, or are dead. Checked of every step
-    /// (see the `judge*` functions): a command for a down link is
-    /// refused at once or parked, never beyond `MAX_QUEUED`; each copy
-    /// on the wire holds one tag and a dropped frame none; a reply
-    /// meets the tag of the request it answers (no cut frame on the
-    /// stream), a doubled reply takes one tag, a lost one takes its tag
-    /// silently; a re-dial sends `RECONCILE`, then the `ELIMINATE`s
-    /// unacknowledged at the close with whatever else was parked, then
-    /// the heartbeat, and a first dial no `RECONCILE`; failed dials are
-    /// 50 ms · 2ᵏ apart up to 2 s and a success starts over; health
-    /// worsens only with silence, improves only on a reply, never on a
-    /// dial; `Down` comes once per up → down; a tick fires exactly what
-    /// is due and `next_deadline` is the earliest of it; a dynamic link
-    /// is up or forgotten. Checked of every stretch of time: an up
-    /// configured link is heard from or reset within 2 × suspect +
-    /// heartbeat. Checked at the end: every `ExecAlt` / `Vote` the core
-    /// accepted was resolved exactly once per copy on the wire.
+    /// (see the `judge*` functions): a command for a link that is not up
+    /// is refused at once, parked or held, never beyond `MAX_QUEUED`,
+    /// and a dropped one that is owed is refused; each copy on the wire
+    /// holds one tag and a dropped frame none; a reply meets the tag of
+    /// the request it answers (no cut frame on the stream), a doubled
+    /// reply takes one tag, a lost one takes its tag silently; a re-dial
+    /// sends `RECONCILE`, then the `ELIMINATE`s unacknowledged at the
+    /// close with whatever else was parked, then the heartbeat, and a
+    /// first dial no `RECONCILE`; the core is dialling exactly where the
+    /// shell has a connect out, never dials twice at once, and fails a
+    /// dial out for 50 ms on the tick; failed dials are 50 ms · 2ᵏ apart
+    /// up to 2 s and a success starts over; an answer to no dial changes
+    /// nothing; health worsens only with silence, improves only on a
+    /// reply, never on a dial; `Down` comes once per up → down; a tick
+    /// fires exactly what is due and `next_deadline` is the earliest of
+    /// it; a dynamic link is up or dialling. Checked of every stretch of
+    /// time: no dial is out past its timeout, and an up configured link
+    /// is heard from or reset within 2 × suspect + heartbeat. Checked at
+    /// the end: every `ExecAlt` / `Vote` the core accepted was resolved
+    /// exactly once per copy on the wire.
     #[test]
     fn any_schedule_keeps_every_link_rule() {
-        let epoch = Instant::now();
-        check("link_schedules", 2_500, |rng| {
-            let configured = &CONFIGURED[..rng.usize_in(1, 3)];
-            let (heartbeat, suspect) = (*rng.pick(&[0, 40, 100]), *rng.pick(&[0, 120, 300]));
-            let mut sim = Sim::new(configured, heartbeat, suspect, epoch);
-            sim.p_send = *rng.pick(&[0.0, 0.1, 0.3]);
-            sim.p_recv = *rng.pick(&[0.0, 0.1, 0.3]);
-            sim.truncates = rng.bool();
-            let floods = rng.chance(0.02);
-            let addrs: Vec<String> = sim.peers.keys().cloned().collect();
-            for peer in sim.peers.values_mut() {
-                peer.listening = rng.chance(0.8);
-            }
-            for _ in 0..rng.usize_in(25, 100) {
-                let addr = rng.pick(&addrs).clone();
-                match rng.u64_below(100) {
-                    0..=29 => {
-                        let scale = *rng.pick(&[2, 10, 30, 30, 100, 100, 400, 1_500]);
-                        let by = Duration::from_micros(rng.u64_below(scale * 1_000));
-                        sim.advance(rng, by);
-                    }
-                    30..=54 => {
-                        let kind = *rng.pick(&[EXEC_ALT, VOTE, FIRE, ELIMINATE, HEARTBEAT]);
-                        sim.issue(rng, &addr, kind);
-                    }
-                    55..=81 => {
-                        let talkers = sim.talkers();
-                        if !talkers.is_empty() {
-                            let talker = rng.pick(&talkers).clone();
-                            sim.deliver(rng, &talker, false);
-                        }
-                    }
-                    82..=83 => sim.deliver(rng, &addr, true),
-                    84..=86 => sim.feed(rng, Event::Closed(addr)),
-                    87..=90 => {
-                        let peer = sim.peers.get_mut(&addr).expect("a known address");
-                        peer.listening = !peer.listening;
-                        if !peer.listening && peer.stream.is_some() {
-                            sim.feed(rng, Event::Closed(addr));
-                        }
-                    }
-                    91..=94 => {
-                        let peer = sim.peers.get_mut(&addr).expect("a known address");
-                        peer.stalled = !peer.stalled;
-                        peer.read();
-                    }
-                    95..=98 => sim.feed(rng, Event::Tick),
-                    _ if floods => {
-                        for _ in 0..MAX_QUEUED + 8 {
-                            sim.issue(rng, &addr, FIRE);
-                        }
-                    }
-                    _ => {}
+        check("link_schedules", 2_500, schedule);
+    }
+
+    /// Each seeded mutant of the dialling state — a tick that re-dials
+    /// a link whose dial is out, a dial that never times out — fails
+    /// the schedule property.
+    #[test]
+    fn the_schedule_property_kills_each_seeded_mutant() {
+        use broken::Mutant;
+        for mutant in [Mutant::Redial, Mutant::EndlessDial] {
+            broken::set(Some(mutant));
+            let run = || check("link_schedules", 2_500, schedule);
+            let killed = std::panic::catch_unwind(run).is_err();
+            broken::set(None);
+            assert!(killed, "the schedule property let {mutant:?} live");
+        }
+    }
+
+    /// One seeded schedule of the property.
+    fn schedule(rng: &mut CaseRng) {
+        let configured = &CONFIGURED[..rng.usize_in(1, 3)];
+        let (heartbeat, suspect) = (*rng.pick(&[0, 40, 100]), *rng.pick(&[0, 120, 300]));
+        let mut sim = Sim::new(configured, heartbeat, suspect, Instant::now());
+        sim.p_send = *rng.pick(&[0.0, 0.1, 0.3]);
+        sim.p_recv = *rng.pick(&[0.0, 0.1, 0.3]);
+        sim.p_late = *rng.pick(&[0.0, 0.3, 0.7]);
+        sim.truncates = rng.bool();
+        let floods = rng.chance(0.02);
+        let addrs: Vec<String> = sim.peers.keys().cloned().collect();
+        for peer in sim.peers.values_mut() {
+            peer.listening = rng.chance(0.8);
+            peer.hangs = rng.chance(0.15);
+        }
+        for _ in 0..rng.usize_in(25, 100) {
+            let addr = rng.pick(&addrs).clone();
+            match rng.u64_below(100) {
+                0..=29 => {
+                    let scale = *rng.pick(&[2, 10, 30, 30, 100, 100, 400, 1_500]);
+                    let by = Duration::from_micros(rng.u64_below(scale * 1_000));
+                    sim.advance(rng, by);
                 }
-                sim.hangups(rng);
+                30..=54 => {
+                    let kind = *rng.pick(&[EXEC_ALT, VOTE, FIRE, ELIMINATE, HEARTBEAT]);
+                    sim.issue(rng, &addr, kind);
+                }
+                55..=74 => {
+                    let talkers = sim.talkers();
+                    if !talkers.is_empty() {
+                        let talker = rng.pick(&talkers).clone();
+                        sim.deliver(rng, &talker, false);
+                    }
+                }
+                75..=81 => sim.late_answer(rng, &addr),
+                82..=83 => sim.deliver(rng, &addr, true),
+                84..=86 => sim.feed(rng, Event::Closed(addr)),
+                87..=90 => {
+                    let peer = sim.peers.get_mut(&addr).expect("a known address");
+                    peer.listening = !peer.listening;
+                    if !peer.listening && peer.stream.is_some() {
+                        sim.feed(rng, Event::Closed(addr));
+                    }
+                }
+                91..=94 => {
+                    let peer = sim.peers.get_mut(&addr).expect("a known address");
+                    peer.stalled = !peer.stalled;
+                    peer.read();
+                }
+                95..=98 => sim.feed(rng, Event::Tick),
+                _ if floods => {
+                    for _ in 0..MAX_QUEUED + 8 {
+                        sim.issue(rng, &addr, FIRE);
+                    }
+                }
+                _ => {}
             }
-            sim.audit(rng);
-        });
+            sim.hangups(rng);
+        }
+        sim.audit(rng);
     }
 
     /// The shell in miniature, for the worked examples below: on-time
@@ -1582,6 +1819,69 @@ mod tests {
             drive(&mut table, t0, 850, true),
             [],
             "heard from at 755: nothing ages before 855"
+        );
+    }
+
+    /// A dial that is out: a tick starts no second one, a
+    /// fire-and-forget frame parks and a vote is refused as for a down
+    /// link, and 50 ms on the tick abandons it and backs off; a dynamic
+    /// link's dial fails the same way and refuses what it held; an
+    /// answer to an abandoned dial changes nothing.
+    #[test]
+    fn a_dial_out_holds_its_frames_and_fails_on_the_tick_fifty_ms_on() {
+        let t0 = Instant::now();
+        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 0, 0), t0);
+        let dial = table.step(Event::Tick, t0);
+        assert!(
+            matches!(&dial[..], [Action::Dial(a)] if a == "c0:1"),
+            "{dial:?}"
+        );
+        assert!(
+            table.step(Event::Tick, t0 + ms(10)).is_empty(),
+            "a second dial"
+        );
+        let parked = table.step(Event::Send(command("c0:1", FIRE, 1), None), t0 + ms(10));
+        assert!(parked.is_empty(), "{parked:?}");
+        let denied = table.step(Event::Send(command("c0:1", VOTE, 2), None), t0 + ms(10));
+        assert!(matches!(&denied[..], [Action::Race(2, _)]), "{denied:?}");
+        let held = table.step(Event::Send(command("d0:1", EXEC_ALT, 3), None), t0 + ms(20));
+        assert!(
+            matches!(&held[..], [Action::Dial(a)] if a == "d0:1"),
+            "{held:?}"
+        );
+
+        assert_eq!(table.next_deadline(), Some(t0 + ms(50)));
+        let failed = table.step(Event::Tick, t0 + ms(50));
+        assert!(
+            matches!(&failed[..], [Action::Abandon(a)] if a == "c0:1"),
+            "{failed:?}"
+        );
+        assert_eq!(table.next_deadline(), Some(t0 + ms(70)), "d0:1's timeout");
+        let failed = table.step(Event::Tick, t0 + ms(70));
+        assert!(
+            matches!(
+                &failed[..],
+                [
+                    Action::Abandon(a),
+                    Action::Race(3, remote::Event::LegRefused { alt_idx: 1 })
+                ] if a == "d0:1"
+            ),
+            "{failed:?}"
+        );
+        assert_eq!(table.next_deadline(), Some(t0 + ms(100)), "c0:1's redial");
+        let late = Event::Dialed {
+            addr: "c0:1".to_owned(),
+            connected: true,
+            watermark: 1,
+        };
+        assert!(table.step(late.clone(), t0 + ms(80)).is_empty());
+
+        table.step(Event::Tick, t0 + ms(100));
+        let up = table.step(late, t0 + ms(101));
+        assert_eq!(
+            frames(&up),
+            [&command("c0:1", FIRE, 1).req],
+            "what was parked"
         );
     }
 

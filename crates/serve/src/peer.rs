@@ -6,87 +6,55 @@
 //! over it, and measures the link (round-trip EWMA, liveness) so the
 //! placement model works from observations instead of guesses.
 //!
-//! All outbound traffic runs on **one dedicated thread**, split the way
-//! the race registry and the run queue are: a pure **core** and a
-//! **shell** that owns the sockets.
+//! All outbound traffic runs on **reactor shard 0**, between its other
+//! events, split the way the race registry and the run queue are: a
+//! pure **core** and a **shell** that owns the sockets.
 //!
-//! * [`crate::link::LinkTable`] is the core — a plain value holding
-//!   everything about a link that is not a socket, behind
-//!   `step(event, now) -> Vec<Action>` and `next_deadline()`. Every
-//!   rule of the failure model below is decided there, once, and
-//!   checked there on virtual time over seeded schedules.
-//! * [`PeerNet`] is the shell — the thread itself: `poll`, `connect`,
-//!   `read` into a [`FrameDecoder`], out-buffers and `write`, the chaos
-//!   shim's draw at the two wire sites, and doing what the core's
-//!   actions say (mirror a stat into [`PeerStat`], feed a race, dial,
-//!   write, close). It decides nothing about a link.
+//! * [`crate::link::LinkTable`] is the core — everything about a link
+//!   that is not a socket, behind `step(event, now) -> Vec<Action>` and
+//!   `next_deadline()`. The failure model (the part the paper
+//!   hand-waves and a server cannot) is its rules table, each rule
+//!   stated there once and checked on virtual time over seeded
+//!   schedules: fail fast, so no request waits on a dead peer; backoff
+//!   redials that replay unacknowledged `ELIMINATE`s and `RECONCILE`;
+//!   dynamic links (an executor's way home) forgotten with their dial;
+//!   the dial timeout; replies correlated by order; and the health
+//!   lifecycle ([`PeerHealth`]) that takes an up but silent peer out of
+//!   [`PeerStatsTable::up_peers`], which placement and voter freezing
+//!   read. INTERNALS § *Failure matrix* maps failures to outcomes.
+//! * [`PeerLinks`] is the shell, held by shard 0's reactor: a
+//!   non-blocking `connect` per dial, `read` into a [`FrameDecoder`],
+//!   out-buffers and `write`, the chaos shim's draw at the two wire
+//!   sites, and doing what the core's actions say. It has no loop of
+//!   its own — its sockets are entries of shard 0's poll set, its
+//!   clocks bound that shard's poll timeout — and nothing it does
+//!   blocks: names are resolved before shard 0 starts (a configured
+//!   `--peer` once, at start-up; an origin's advertised address must be
+//!   an IP address).
 //!
 //! Reactor shards and pool workers never touch a peer socket — they
-//! push a [`Cmd`] onto the [`PeerHandle`] and write one wake byte: a
-//! command queue and a self-pipe, drained by the one thread that owns
-//! the sockets.
-//!
-//! Failure model (the part the paper hand-waves and a server cannot):
-//!
-//! * A link that refuses or drops is **failed fast**: an `EXEC_ALT`
-//!   that cannot be sent converts to a refused alternative at the
-//!   origin immediately, a `COMMIT_VOTE` converts to a denial. No
-//!   request path ever blocks on a dead peer.
-//! * A link that dies with requests in flight fails every pending tag
-//!   the same way, then tells the remote-race registry the peer is down
-//!   so alternatives already *acked* by that peer convert to failed
-//!   guards too ([`crate::remote::RaceTable::peer_down`]).
-//! * Reconnection of a configured link is automatic with doubling
-//!   backoff (50 ms → 2 s); every successful re-dial after a first
-//!   connect counts in the per-peer `reconnects` counter. A *dynamic*
-//!   link — dialled on demand to carry a result home to an origin
-//!   outside the peer list — is never redialled and parks nothing: if
-//!   its dial fails or its stream dies, its frames fail with it and it
-//!   is forgotten, so a result for an origin that is gone is dropped.
-//! * A link that is *up but silent* — the one-way partition TCP keeps
-//!   alive — is caught by the health lifecycle: the thread heartbeats
-//!   every configured link with a `PEER_STATS` frame, and a peer whose
-//!   replies stop ages Up → Suspect → Quarantined
-//!   ([`PeerHealth`]). Placement and voter freezing both read
-//!   [`PeerStatsTable::up_peers`], which only lists healthy peers, so
-//!   a Suspect peer stops receiving alternatives without its TCP link
-//!   being torn down. Heartbeats keep flowing as probes; the first
-//!   reply readmits the peer to Up. A link silent long enough to
-//!   quarantine is reset and redialled — the silence may be the
-//!   stream's, not the peer's (a decoder that lost sync answers
-//!   nothing, ever) — once per quarantine span while it stays silent;
-//!   the redial alone readmits nobody.
-//! * On re-dial after a failure the link replays the `ELIMINATE`s that
-//!   were still unacknowledged when it died and sends a `RECONCILE`
-//!   watermark, so a healed peer kills zombie executions instead of
-//!   racing ghosts (partition-heal reconciliation).
-//!
-//! Replies on a link are correlated to requests by order — the framed
-//! protocol answers every request exactly once, in order, so a FIFO of
-//! [`SendTag`]s per link is a complete correlation table, and the
-//! request→reply time of *any* tag is an rtt sample for the EWMA. The
-//! FIFO is part of the link's *up* state: it is created by the dial
-//! and dropped with the stream, so a reply can only ever be matched to
-//! a request of the connection it arrived on.
+//! push a [`Cmd`] onto the [`PeerHandle`] and write one byte to shard
+//! 0's wake channel. A daemon with no peer traffic pays nothing for
+//! the plane on its request path: no poll entry, no lock, no clock.
 //!
 //! All link I/O runs through the seeded network chaos shim
 //! (`altx::faults` sites `peer.link.<addr>.send` / `.recv`): with a
 //! fault plan installed, frames can be dropped, delayed, duplicated,
 //! truncated, or swallowed by a one-way partition, deterministically
 //! per seed. With no plan installed the shim is one relaxed atomic
-//! load per frame.
+//! load per frame; with one, a drawn delay stalls shard 0 — every
+//! connection and link it serves — for the delay's length.
 
 use crate::frame::{FrameDecoder, Request, Response};
 use crate::link::{Action, Event, LinkTable, Stat};
 use crate::reactor::{
-    poll_fds, poll_timeout, tighten_timer_slack, wake_pair, DaemonCtl, PollFd, WakeRx, WakeTx,
-    POLLIN, POLLOUT,
+    connect_nonblocking, PollFd, ReactorShared, POLLERR, POLLHUP, POLLIN, POLLOUT,
 };
 use crate::remote::{RaceTable, RemoteRaces};
 use altx::faults::{self, NetFault};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -94,7 +62,7 @@ use std::time::{Duration, Instant};
 
 /// Peering knobs, carried in [`crate::ServerConfig`]. An empty peer
 /// list (the default) disables remote dispatch entirely: the placement
-/// never ships, and the peer thread idles on its wake pipe.
+/// never ships, and shard 0 has no peer socket to poll.
 #[derive(Debug, Clone)]
 pub struct PeerConfig {
     /// Peer daemon addresses (`host:port`), one outbound link each.
@@ -125,17 +93,6 @@ impl Default for PeerConfig {
         }
     }
 }
-
-/// Dial timeout: a peer that cannot complete a TCP handshake in this
-/// budget is down for placement purposes.
-const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
-/// Commit-ledger slots older than this are swept (a race never lives
-/// anywhere near this long; the TTL only bounds memory).
-const LEDGER_TTL: Duration = Duration::from_secs(300);
-/// How often the ledger sweep runs.
-const SWEEP_EVERY: Duration = Duration::from_secs(5);
-/// Idle poll backstop for the peer thread.
-const PEER_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// A configured peer's health state. TCP liveness (`up`) and health
 /// are orthogonal: a one-way partition leaves the socket connected
@@ -190,8 +147,8 @@ impl PeerHealth {
     }
 }
 
-/// Live counters for one configured peer link. The peer thread is the
-/// only writer of `up`/`rtt`/`health`/load; dispatch/win counters are
+/// Live counters for one configured peer link. Shard 0 is the only
+/// writer of `up`/`rtt`/`health`/load; dispatch/win counters are
 /// bumped from reactor shards and the registry. Everything is relaxed
 /// atomics — telemetry reads need eventual consistency only.
 #[derive(Debug)]
@@ -326,7 +283,7 @@ impl PeerStat {
 }
 
 /// The fixed per-peer counter table, one entry per configured peer,
-/// shared by the peer thread, the reactor shards, the registry, and
+/// shared by the reactor shards (shard 0 writes the link's rows), the registry, and
 /// telemetry.
 #[derive(Debug, Default)]
 pub struct PeerStatsTable {
@@ -462,7 +419,7 @@ pub(crate) enum SendTag {
         /// Race the eliminate closes (our id space).
         race_id: u64,
     },
-    /// A `PEER_STATS` heartbeat the peer thread sent itself; the reply
+    /// A `PEER_STATS` heartbeat the link core sent itself; the reply
     /// proves liveness and carries the peer's load line.
     Heartbeat,
 }
@@ -476,30 +433,29 @@ pub(crate) struct Cmd {
     pub(crate) tag: SendTag,
 }
 
-/// The handle everyone but the peer thread holds: queue a command,
-/// tickle the wake pipe. Sends never block and never touch a socket.
+/// The handle everyone holds: queue a command, rouse shard 0 through
+/// its wake channel. Sends never block and never touch a socket.
 pub(crate) struct PeerHandle {
     cmds: Mutex<Vec<Cmd>>,
-    wake_tx: WakeTx,
+    /// Set after a push, cleared by shard 0 before it takes the queue:
+    /// a wake that finds it clear costs the peer plane nothing.
+    queued: AtomicBool,
+    shard0: Arc<ReactorShared>,
     stats: Arc<PeerStatsTable>,
 }
 
 impl PeerHandle {
-    /// The handle, plus the wake pipe's read end for the peer thread
-    /// ([`PeerNet::new`]) that will serve it.
-    pub(crate) fn new(stats: Arc<PeerStatsTable>) -> io::Result<(Arc<Self>, WakeRx)> {
-        let (wake_tx, wake_rx) = wake_pair()?;
-        let handle = PeerHandle {
+    pub(crate) fn new(stats: Arc<PeerStatsTable>, shard0: Arc<ReactorShared>) -> Arc<Self> {
+        Arc::new(PeerHandle {
             cmds: Mutex::new(Vec::new()),
-            wake_tx,
+            queued: AtomicBool::new(false),
+            shard0,
             stats,
-        };
-        Ok((Arc::new(handle), wake_rx))
+        })
     }
 
-    /// Queues one frame for `addr` and wakes the peer thread. If the
-    /// link is down the thread fails the tag fast — the caller finds
-    /// out through the registry, never by blocking here.
+    /// Queues one frame for `addr` and wakes shard 0. A link that is
+    /// not up fails the tag fast, through the registry.
     pub(crate) fn send(&self, addr: &str, req: Request, tag: SendTag) {
         self.cmds
             .lock()
@@ -509,18 +465,17 @@ impl PeerHandle {
                 req,
                 tag,
             });
-        self.wake();
+        self.queued.store(true, Ordering::SeqCst);
+        self.shard0.wake();
     }
 
-    /// Everything queued since the last call, for the peer thread.
+    /// Everything queued since the last call — without a lock when
+    /// nothing was.
     fn take(&self) -> Vec<Cmd> {
+        if !self.queued.swap(false, Ordering::SeqCst) {
+            return Vec::new();
+        }
         std::mem::take(&mut *self.cmds.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Rouses the peer thread (to a new command, or to the daemon
-    /// draining).
-    pub(crate) fn wake(&self) {
-        self.wake_tx.wake();
     }
 
     /// The shared per-peer counter table.
@@ -529,101 +484,132 @@ impl PeerHandle {
     }
 }
 
-/// One open outbound stream: all the shell knows about a link.
+/// One outbound socket: all the shell knows about a link.
 struct Conn {
     stream: TcpStream,
+    /// The connect is still out: writability says it is done.
+    dialling: bool,
     decoder: FrameDecoder,
     /// Bytes the socket has not taken yet.
     out: Vec<u8>,
 }
 
-/// The peer thread: owns every outbound socket, and the link core that
-/// says what to do with them.
-pub(crate) struct PeerNet {
-    wake_rx: WakeRx,
+/// Shard 0's peer links: every outbound socket, and the link core that
+/// says what to do with them. Shard 0's reactor polls the sockets among
+/// its own ([`PeerLinks::poll_set`]) and then hands the peer plane its
+/// turn ([`PeerLinks::turn`]).
+pub(crate) struct PeerLinks {
     races: Arc<RemoteRaces>,
-    ctl: Arc<DaemonCtl>,
     table: LinkTable,
-    /// One entry per link the core counts up.
+    /// One entry per link with a dial out or a stream up.
     conns: HashMap<String, Conn>,
-    last_sweep: Instant,
+    /// Where each configured peer's name resolved to, at start-up.
+    resolved: HashMap<String, SocketAddr>,
+    /// The address behind each entry `poll_set` added, in order.
+    polled: Vec<String>,
+    /// The earliest clock of the core or the race table, as of the last
+    /// peer work. Nothing else moves it earlier: a race opened on any
+    /// shard ships an `EXEC_ALT` at once, which queues a command.
+    due: Option<Instant>,
 }
 
-impl PeerNet {
-    /// Builds the peer thread's state around the registry (whose
-    /// [`PeerHandle`] it serves) and the read end of that handle's wake
-    /// pipe. The caller spawns [`PeerNet::run`] on its own thread.
-    pub(crate) fn new(
-        wake_rx: WakeRx,
-        races: Arc<RemoteRaces>,
-        ctl: Arc<DaemonCtl>,
-        config: &PeerConfig,
-    ) -> Self {
+impl PeerLinks {
+    /// The links around the registry (whose [`PeerHandle`] they serve),
+    /// each configured one's first dial due now. The configured names
+    /// are resolved here, on the thread that builds the daemon: shard 0
+    /// never waits on a resolver, and a name that does not resolve is a
+    /// peer whose every dial fails.
+    pub(crate) fn new(races: Arc<RemoteRaces>, config: &PeerConfig) -> Self {
         let table = LinkTable::new(races.advertise.clone(), config, Instant::now());
-        PeerNet {
-            wake_rx,
+        let resolve = |peer: &String| Some((peer.clone(), peer.to_socket_addrs().ok()?.next()?));
+        PeerLinks {
             races,
-            ctl,
+            due: table.next_deadline(),
             table,
             conns: HashMap::new(),
-            last_sweep: Instant::now(),
+            resolved: config.peers.iter().filter_map(resolve).collect(),
+            polled: Vec::new(),
         }
     }
 
-    /// The peer event loop. Exits when the daemon drains, after
-    /// flushing every open distributed race so no client is stranded.
-    pub(crate) fn run(mut self) {
-        // Race expiries, leg deadlines, heartbeats and redials are all
-        // poll timeouts of this thread.
-        tighten_timer_slack();
-        loop {
-            if self.ctl.draining() {
-                self.races.drive(RaceTable::flush);
-                // Best effort: push any ELIMINATE/result frames the
-                // flush queued, then leave.
-                self.drain_cmds();
-                break;
-            }
-            self.feed(Event::Tick);
-            self.drain_cmds();
-            self.sweep(Instant::now());
+    /// Adds one entry per socket to shard 0's poll set — none when there
+    /// is no socket: `POLLOUT` while a dial is out, `POLLIN` (and
+    /// `POLLOUT` with output waiting) once the link is up. Returns when
+    /// the poll must end for the peer plane, if ever.
+    pub(crate) fn poll_set(&mut self, fds: &mut Vec<PollFd>) -> Option<Instant> {
+        self.polled.clear();
+        for (addr, conn) in &self.conns {
+            let events = match (conn.dialling, conn.out.is_empty()) {
+                (true, _) => POLLOUT,
+                (false, true) => POLLIN,
+                (false, false) => POLLIN | POLLOUT,
+            };
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
+            self.polled.push(addr.clone());
+        }
+        self.due
+    }
 
-            let (mut fds, addrs) = self.poll_set();
-            if poll_fds(&mut fds, self.poll_timeout()).is_err() {
-                continue;
-            }
-            if fds[0].revents != 0 {
-                self.wake_rx.drain();
-            }
-            for (slot, addr) in addrs.iter().enumerate() {
-                let revents = fds[slot + 1].revents;
-                if revents & POLLIN != 0 {
-                    self.read_link(addr);
-                }
-                if revents & POLLOUT != 0 {
-                    self.flush_link(addr);
-                }
+    /// One shard-0 turn of peer work: the sockets `ready` reports (the
+    /// entries `poll_set` added), then what is queued if the wake byte
+    /// was read, then the clocks if due. Sockets go first, so no dial
+    /// starts before the readiness of a socket it might replace is spent.
+    pub(crate) fn turn(&mut self, woken: bool, ready: &[PollFd]) {
+        let mut busy = false;
+        let polled = std::mem::take(&mut self.polled);
+        for (fd, addr) in ready.iter().zip(&polled) {
+            if fd.revents != 0 {
+                busy = true;
+                self.ready(addr, fd.revents);
             }
         }
+        self.polled = polled;
+        if woken {
+            busy |= self.offer_queued();
+        }
+        if self.due.is_some_and(|due| due <= Instant::now()) {
+            busy = true;
+            self.feed(Event::Tick);
+            self.races.drive(RaceTable::expire);
+        }
+        if busy {
+            self.due = self.next_due();
+        }
+    }
+
+    /// The daemon drains: every open distributed race is decided now,
+    /// and the frames that queued go to the sockets, best effort.
+    pub(crate) fn drain(&mut self) {
+        self.races.drive(RaceTable::flush);
+        self.offer_queued();
+        self.due = self.next_due();
+    }
+
+    /// Hands the core whatever is queued; false if nothing was.
+    fn offer_queued(&mut self) -> bool {
+        let cmds = self.races.peers.take();
+        let any = !cmds.is_empty();
+        cmds.into_iter().for_each(|cmd| self.offer(cmd));
+        any
+    }
+
+    /// The earliest clock the core or the race table waits on.
+    fn next_due(&self) -> Option<Instant> {
+        let races = self.races.lock().table.next_expiry();
+        [self.table.next_deadline(), races]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// The one way anything happens to a link: step the core, then do
-    /// what it says, in order. `Dial` is a question — the answer goes
-    /// straight back in as the next event.
+    /// what it says, in order.
     fn feed(&mut self, event: Event) {
         for action in self.table.step(event, Instant::now()) {
             match action {
-                Action::Dial(addr) => {
-                    if let Ok(conn) = connect(&addr) {
-                        self.conns.insert(addr.clone(), conn);
-                    }
-                    let connected = self.conns.contains_key(&addr);
-                    let watermark = self.races.lock().table.reconcile_watermark();
-                    self.feed(Event::Dialed {
-                        addr,
-                        connected,
-                        watermark,
-                    });
+                Action::Dial(addr) => self.dial(addr),
+                Action::Abandon(addr) => {
+                    self.conns.remove(&addr);
                 }
                 Action::Frame(cmd) => self.offer(cmd),
                 Action::Write(addr, bytes) => {
@@ -646,21 +632,70 @@ impl PeerNet {
         }
     }
 
+    /// Starts a non-blocking connect to `addr`, answered when its socket
+    /// says how it went — or at once, for a name that did not resolve at
+    /// start-up, a dynamic address that is no socket address, or a
+    /// refusal the kernel knows right away.
+    fn dial(&mut self, addr: String) {
+        let sockaddr = self.resolved.get(&addr).copied();
+        let sockaddr = sockaddr.or_else(|| addr.parse().ok());
+        match sockaddr.map(connect_nonblocking) {
+            Some(Ok(stream)) => {
+                let conn = Conn {
+                    stream,
+                    dialling: true,
+                    decoder: FrameDecoder::new(),
+                    out: Vec::new(),
+                };
+                self.conns.insert(addr, conn);
+            }
+            _ => self.dialed(addr, false),
+        }
+    }
+
+    /// Tells the core how the dial to `addr` went.
+    fn dialed(&mut self, addr: String, connected: bool) {
+        let watermark = self.races.lock().table.reconcile_watermark();
+        self.feed(Event::Dialed {
+            addr,
+            connected,
+            watermark,
+        });
+    }
+
+    /// One socket the poll found ready: a dial that is done, or a
+    /// stream to read and to write.
+    fn ready(&mut self, addr: &str, revents: i16) {
+        // Gone once the core has closed the link this turn.
+        let Some(conn) = self.conns.get_mut(addr) else {
+            return;
+        };
+        if conn.dialling {
+            let connected = matches!(conn.stream.take_error(), Ok(None))
+                && conn.stream.set_nodelay(true).is_ok();
+            if connected {
+                conn.dialling = false;
+            } else {
+                self.conns.remove(addr);
+            }
+            return self.dialed(addr.to_owned(), connected);
+        }
+        if revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+            self.read_link(addr);
+        }
+        if revents & POLLOUT != 0 {
+            self.flush_link(addr);
+        }
+    }
+
     /// One frame for the core — a queued command, or a frame of the
     /// core's own — with the `peer.link.<addr>.send` chaos site's draw
     /// for it. The site sits on the stream, so there is no draw where
-    /// no stream is open.
+    /// no stream is up.
     fn offer(&mut self, cmd: Cmd) {
-        let open = self.conns.contains_key(&cmd.addr);
+        let open = self.conns.get(&cmd.addr).is_some_and(|c| !c.dialling);
         let fault = open.then(|| wire_fault(&cmd.addr, "send")).flatten();
         self.feed(Event::Send(cmd, fault));
-    }
-
-    /// Hands every queued command to the core.
-    fn drain_cmds(&mut self) {
-        for cmd in self.races.peers.take() {
-            self.offer(cmd);
-        }
     }
 
     /// Reads everything the link has: each whole frame goes to the
@@ -713,65 +748,12 @@ impl PeerNet {
             }
         }
     }
-
-    /// Expires overdue races and (periodically) old ledger slots.
-    fn sweep(&mut self, now: Instant) {
-        self.races.drive(|table, _| table.expire(now));
-        if now.duration_since(self.last_sweep) >= SWEEP_EVERY {
-            self.races.ledger.sweep(LEDGER_TTL);
-            self.last_sweep = now;
-        }
-    }
-
-    /// Poll set: the wake pipe first, then one entry per open stream.
-    fn poll_set(&self) -> (Vec<PollFd>, Vec<String>) {
-        let mut fds = Vec::with_capacity(1 + self.conns.len());
-        let mut addrs = Vec::with_capacity(self.conns.len());
-        fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
-        for (addr, conn) in &self.conns {
-            let mut events = POLLIN;
-            if !conn.out.is_empty() {
-                events |= POLLOUT;
-            }
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-            addrs.push(addr.clone());
-        }
-        (fds, addrs)
-    }
-
-    /// Sleep no longer than the link core's next deadline or the next
-    /// race expiry. Both are consumed by the top of the loop once they
-    /// are due (`Tick`, `sweep`), so a zero timeout is one more turn,
-    /// not a spin.
-    fn poll_timeout(&self) -> Duration {
-        let next_expiry = self.races.lock().table.next_expiry();
-        let next = [self.table.next_deadline(), next_expiry]
-            .into_iter()
-            .flatten()
-            .min();
-        poll_timeout(next, PEER_BACKSTOP, Instant::now())
-    }
-}
-
-fn connect(addr: &str) -> io::Result<Conn> {
-    let sockaddr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable peer"))?;
-    let stream = TcpStream::connect_timeout(&sockaddr, CONNECT_TIMEOUT)?;
-    stream.set_nonblocking(true)?;
-    stream.set_nodelay(true)?;
-    Ok(Conn {
-        stream,
-        decoder: FrameDecoder::new(),
-        out: Vec::new(),
-    })
 }
 
 /// The chaos shim's draw for one frame at `peer.link.<addr>.<site>`
-/// (`send` or `recv`). A delay is served here — the peer thread stalls
-/// briefly, modeling a slow wire — and everything else is the link
-/// core's to apply.
+/// (`send` or `recv`). A delay is served here, by shard 0 sleeping
+/// (only under a fault plan: 2 ms at most by default); everything else
+/// is the link core's to apply.
 fn wire_fault(addr: &str, site: &str) -> Option<NetFault> {
     if !faults::enabled() {
         return None;

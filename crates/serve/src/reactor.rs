@@ -1,13 +1,12 @@
 //! The event-loop front end: reactor *shards*, `poll(2)`, every
 //! connection.
 //!
-//! The thread-per-connection daemon spent a stack per idle client and a
-//! blocked `rx.recv()` per in-flight race. The reactor inverts that:
-//! an event-loop thread multiplexes a *wake channel* and a set of
-//! client sockets through `poll(2)`, so concurrent connections cost
-//! file descriptors, not threads — the paper's parent/child split (a
-//! cheap speculative child per alternative, one responsive parent at
-//! the rendezvous) applied to the serving layer itself.
+//! An event-loop thread multiplexes a *wake channel* and a set of
+//! sockets through `poll(2)`, so concurrent connections — and, on shard
+//! 0, the outbound links to peers — cost file descriptors, not threads:
+//! the paper's parent/child split (a cheap speculative child per
+//! alternative, one responsive parent at the rendezvous) applied to the
+//! serving layer itself.
 //!
 //! With `--shards N` (N > 1) the front end runs **N independent
 //! reactors**, each owning its *own* `SO_REUSEPORT` listener bound to
@@ -27,18 +26,17 @@
 //!
 //! The moving parts:
 //!
-//! * **sys**: a minimal FFI binding to the C library's `ppoll(2)`, the
-//!   socket calls needed for an `SO_REUSEPORT` bind, and the `prctl(2)`
-//!   that drops a daemon thread's timer slack — std already links libc,
-//!   so this adds no dependency; it is the only unsafe code in the
-//!   crate and is confined to this module.
-//! * **Clocks**: every thread the daemon starts — this one, the pool's
-//!   workers, the peer thread — sets its own timer slack to 1 ns before
-//!   anything else ([`tighten_timer_slack`]), and a poll timeout is a
-//!   `Duration` handed to `ppoll` ([`poll_timeout`]), so a wait on a
-//!   clock — a body's sleep, a deadline or a hedge release on a worker,
-//!   on this thread or on a racer either spawned — ends when it says
-//!   rather than the kernel's default 50 µs later.
+//! * **sys**: the C library calls std does not wrap (see the module) —
+//!   the only unsafe code in the crate, confined there.
+//! * **Clocks**: every thread that runs a shard or a pool worker sets
+//!   its own timer slack to 1 ns first thing ([`tighten_timer_slack`]),
+//!   and a poll timeout is a `Duration` handed to `ppoll`, so a wait on
+//!   a clock — a body's sleep, a deadline or a hedge release, a peer
+//!   link's tick — ends when it says, not the kernel's default 50 µs
+//!   later. A shard waits for its 250 ms backstop and reads no time,
+//!   except shard 0 while its peer links ([`PeerLinks`]) have something
+//!   due; their sockets are entries of its poll set, their commands
+//!   arrive on its wake channel.
 //! * **A race carries its reply slot** ([`Flight`]): a race in flight
 //!   is one value — its key, the one reply slot it owes and its shard's
 //!   delivery handle ([`ReactorShared`]: ring, wake channel,
@@ -79,14 +77,15 @@
 //!   reactor only when it left it something to do — output the socket
 //!   would not take (`POLLOUT` must be registered), a failed write, a
 //!   connection that just became closable — or while the shard drains;
-//!   the shutdown latch uses it too. The byte is written after every
-//!   lock is dropped, and the wake fd is level-triggered, so a reactor
-//!   that had already computed its poll set returns at once and looks
-//!   again.
+//!   the shutdown latch and the peer command queue use it too. The byte
+//!   is written after every lock is dropped, and the wake fd is
+//!   level-triggered, so a reactor that had already computed its poll
+//!   set returns at once and looks again.
 //! * **[`DaemonCtl`]**: the one deliberately global piece — the
 //!   shutdown latch. A `SHUTDOWN` opcode lands on *some* shard but must
-//!   drain all of them, so the latch fans a wake out to everyone, and
-//!   the last shard to finish draining closes the worker pool.
+//!   drain all of them, so the latch fans a wake out to every shard,
+//!   and the last shard to finish draining closes the worker pool;
+//!   shard 0 first decides every open distributed race.
 //! * **Drain ordering** (shutdown): (1) stop accepting and stop
 //!   reading new requests, (2) keep polling while in-flight races
 //!   deliver their replies, (3) close each connection once its last
@@ -101,12 +100,12 @@
 use crate::bufpool::BufPool;
 use crate::conn::{Conn, ReplySlot, WriteHalf};
 use crate::frame::{FrameError, Request, Response};
-use crate::peer::{PeerHandle, SendTag};
+use crate::peer::{PeerLinks, SendTag};
 use crate::pool::JobMeta;
 use crate::remote::{Event, RaceSpec};
 use crate::ring::{EncodedReply, ReplyRing};
 use crate::sched::render_catalog;
-use crate::server::{alt_job, deadline_token, run_race, run_subrace, Daemon, ServerConfig};
+use crate::server::{alt_job, deadline_token, run_race, run_subrace, Daemon};
 use crate::telemetry::{Metric, ShardStats, Telemetry};
 use crate::workload;
 use std::collections::HashMap;
@@ -116,19 +115,22 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use sys::timer_slack_ns;
 pub(crate) use sys::{
-    bind_reuseport, poll_fds, poll_timeout, tighten_timer_slack, PollFd, POLLIN, POLLOUT,
+    bind_reuseport, connect_nonblocking, tighten_timer_slack, PollFd, POLLERR, POLLHUP, POLLIN,
+    POLLOUT,
 };
-use sys::{POLLERR, POLLHUP, POLLNVAL};
+use sys::{poll_fds, poll_timeout, POLLNVAL};
 
 /// This file's unsafe corner: calling the C library's `ppoll(2)`, the
 /// handful of socket calls needed for an `SO_REUSEPORT` bind (std's
-/// `TcpListener` cannot set the option before binding) and the
-/// `prctl(2)` pair that sets and reads a thread's timer slack. std
+/// `TcpListener` cannot set the option before binding) and for a
+/// connect that does not wait for its handshake (std's only bounds the
+/// wait), and the `prctl(2)` pair that sets and reads a thread's timer
+/// slack. std
 /// links libc on every supported platform, so the extern declarations
 /// name symbols that are already in the process — no new dependency, no
 /// raw syscall numbers.
@@ -237,14 +239,11 @@ mod sys {
         unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) }
     }
 
-    /// How long a poll loop may sleep: until `next`, the earliest
+    /// How long a poll loop may sleep: until `due`, the earliest
     /// instant its owner has something to do on a clock, and never past
-    /// `backstop`. Nothing due means the backstop; something already due
-    /// means not at all.
-    pub fn poll_timeout(next: Option<Instant>, backstop: Duration, now: Instant) -> Duration {
-        next.map_or(backstop, |due| {
-            due.saturating_duration_since(now).min(backstop)
-        })
+    /// `backstop`. Something already due means not at all.
+    pub fn poll_timeout(due: Instant, backstop: Duration, now: Instant) -> Duration {
+        due.saturating_duration_since(now).min(backstop)
     }
 
     #[cfg(target_os = "linux")]
@@ -295,40 +294,23 @@ mod sys {
     }
 
     #[cfg(target_os = "linux")]
-    mod reuseport {
+    mod sock {
         use std::ffi::c_int;
         use std::io;
-        use std::net::{SocketAddr, TcpListener};
+        use std::net::{SocketAddr, TcpListener, TcpStream};
         use std::os::fd::FromRawFd;
 
         const AF_INET: c_int = 2;
         const AF_INET6: c_int = 10;
         const SOCK_STREAM: c_int = 1;
+        const SOCK_NONBLOCK: c_int = 0o4000;
         const SOCK_CLOEXEC: c_int = 0x80000;
         const SOL_SOCKET: c_int = 1;
         const SO_REUSEADDR: c_int = 2;
         const SO_REUSEPORT: c_int = 15;
         const BACKLOG: c_int = 1024;
-
-        /// `struct sockaddr_in` from `<netinet/in.h>` (port and
-        /// address already in network byte order).
-        #[repr(C)]
-        struct SockAddrIn {
-            sin_family: u16,
-            sin_port: [u8; 2],
-            sin_addr: [u8; 4],
-            sin_zero: [u8; 8],
-        }
-
-        /// `struct sockaddr_in6` from `<netinet/in.h>`.
-        #[repr(C)]
-        struct SockAddrIn6 {
-            sin6_family: u16,
-            sin6_port: [u8; 2],
-            sin6_flowinfo: u32,
-            sin6_addr: [u8; 16],
-            sin6_scope_id: u32,
-        }
+        const EINTR: i32 = 4;
+        const EINPROGRESS: i32 = 115;
 
         extern "C" {
             fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
@@ -341,78 +323,92 @@ mod sys {
             ) -> c_int;
             fn bind(fd: c_int, addr: *const u8, len: u32) -> c_int;
             fn listen(fd: c_int, backlog: c_int) -> c_int;
+            fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
             fn close(fd: c_int) -> c_int;
         }
 
-        /// Closes `fd` and returns the errno that made us bail.
-        fn fail(fd: c_int) -> io::Error {
+        /// Opens a TCP socket (with `flags` besides `SOCK_CLOEXEC`) for
+        /// `addr`'s family and hands `setup` its fd and `addr` encoded
+        /// as a `struct sockaddr_in` / `sockaddr_in6` (`<netinet/in.h>`:
+        /// family, port in network order, then the address — for IPv6
+        /// between flow info and scope id) with its size. A `setup`
+        /// that says no closes the socket again, with its errno.
+        fn open(
+            addr: SocketAddr,
+            flags: c_int,
+            setup: impl FnOnce(c_int, *const u8, u32) -> bool,
+        ) -> io::Result<c_int> {
+            let mut sa = [0u8; 28];
+            sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+            let (domain, len) = match addr {
+                SocketAddr::V4(v4) => {
+                    sa[4..8].copy_from_slice(&v4.ip().octets());
+                    (AF_INET, 16)
+                }
+                SocketAddr::V6(v6) => {
+                    sa[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
+                    sa[8..24].copy_from_slice(&v6.ip().octets());
+                    sa[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+                    (AF_INET6, 28)
+                }
+            };
+            sa[..2].copy_from_slice(&(domain as u16).to_ne_bytes());
+            // SAFETY: a plain libc call; the fd is owned here until
+            // returned, or closed below.
+            let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC | flags, 0) };
+            if fd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            if setup(fd, sa.as_ptr(), len) {
+                return Ok(fd);
+            }
             let err = io::Error::last_os_error();
-            // SAFETY: `fd` came from socket() in bind_reuseport and has
-            // not been wrapped in an owning type yet.
+            // SAFETY: `fd` came from socket() above and nothing owns it.
             unsafe { close(fd) };
-            err
+            Err(err)
         }
 
         /// Binds a listening socket with `SO_REUSEPORT` set, so every
         /// shard can bind the same address and the kernel spreads
         /// accepts across them.
         pub fn bind_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
-            let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
-            // SAFETY: plain libc socket calls; the fd is owned by this
-            // function until handed to TcpListener (or closed by
-            // `fail`), and the sockaddr buffers are live repr(C) locals
-            // whose exact sizes are passed alongside.
-            unsafe {
-                let fd = socket(domain, SOCK_STREAM | SOCK_CLOEXEC, 0);
-                if fd < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                let one: c_int = 1;
-                let one_len = std::mem::size_of::<c_int>() as u32;
-                if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, one_len) != 0
-                    || setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, one_len) != 0
-                {
-                    return Err(fail(fd));
-                }
-                let rc = match addr {
-                    SocketAddr::V4(v4) => {
-                        let sa = SockAddrIn {
-                            sin_family: AF_INET as u16,
-                            sin_port: v4.port().to_be_bytes(),
-                            sin_addr: v4.ip().octets(),
-                            sin_zero: [0; 8],
-                        };
-                        bind(
-                            fd,
-                            (&sa as *const SockAddrIn).cast(),
-                            std::mem::size_of::<SockAddrIn>() as u32,
-                        )
-                    }
-                    SocketAddr::V6(v6) => {
-                        let sa = SockAddrIn6 {
-                            sin6_family: AF_INET6 as u16,
-                            sin6_port: v6.port().to_be_bytes(),
-                            sin6_flowinfo: v6.flowinfo(),
-                            sin6_addr: v6.ip().octets(),
-                            sin6_scope_id: v6.scope_id(),
-                        };
-                        bind(
-                            fd,
-                            (&sa as *const SockAddrIn6).cast(),
-                            std::mem::size_of::<SockAddrIn6>() as u32,
-                        )
-                    }
-                };
-                if rc != 0 || listen(fd, BACKLOG) != 0 {
-                    return Err(fail(fd));
-                }
-                Ok(TcpListener::from_raw_fd(fd))
-            }
+            let one: c_int = 1;
+            let one_len = std::mem::size_of::<c_int>() as u32;
+            // SAFETY: plain libc calls on the fresh fd; the sockaddr
+            // buffer is live for the call and `len` is its encoded size.
+            let fd = open(addr, 0, |fd, sa, len| unsafe {
+                setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, one_len) == 0
+                    && setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, one_len) == 0
+                    && bind(fd, sa, len) == 0
+                    && listen(fd, BACKLOG) == 0
+            })?;
+            // SAFETY: `open` hands over an fd nothing else owns.
+            Ok(unsafe { TcpListener::from_raw_fd(fd) })
+        }
+
+        /// Starts a TCP connect to `addr` and returns without waiting
+        /// for the handshake: the stream is non-blocking from birth,
+        /// turns writable — or reports an error — when the connect is
+        /// done, and `TcpStream::take_error` then says how it went. A
+        /// refusal the kernel knows at once is this call's error.
+        pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+            // SAFETY: as in `bind_reuseport`. In progress — or
+            // interrupted, which on a non-blocking socket leaves the
+            // connect to finish all the same — is a start.
+            let fd = open(addr, SOCK_NONBLOCK, |fd, sa, len| {
+                (unsafe { connect(fd, sa, len) }) == 0
+                    || matches!(
+                        io::Error::last_os_error().raw_os_error(),
+                        Some(EINPROGRESS | EINTR)
+                    )
+            })?;
+            // SAFETY: `open` hands over an fd nothing else owns.
+            Ok(unsafe { TcpStream::from_raw_fd(fd) })
         }
     }
 
     #[cfg(target_os = "linux")]
-    pub use reuseport::bind_reuseport;
+    pub use sock::{bind_reuseport, connect_nonblocking};
 
     /// Non-Linux: report the option as unsupported, so `--shards N > 1`
     /// fails at start with this error instead of binding.
@@ -423,6 +419,16 @@ mod sys {
             "SO_REUSEPORT per-shard accept is only wired up on Linux",
         ))
     }
+
+    /// Non-Linux: every dial fails, as to a peer that is down — shard 0
+    /// must not wait in a blocking connect.
+    #[cfg(not(target_os = "linux"))]
+    pub fn connect_nonblocking(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpStream> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "non-blocking peer dials are only wired up on Linux",
+        ))
+    }
 }
 
 /// One shard's delivery handle: what a thread that decides one of the
@@ -430,7 +436,8 @@ mod sys {
 /// into, the wake channel, and the drain flag. Every [`Flight`] of the
 /// shard holds it; it holds no lock and no table.
 pub(crate) struct ReactorShared {
-    wake_tx: WakeTx,
+    /// The write end of the shard's self-pipe.
+    wake_tx: UnixStream,
     ring: ReplyRing,
     /// The shard is draining: every answer rouses the reactor, which is
     /// waiting to close connections as they empty. Stored by the reactor
@@ -441,12 +448,15 @@ pub(crate) struct ReactorShared {
 
 impl ReactorShared {
     /// A shard's handle over a fresh ring, and the read end of its wake
-    /// channel for the reactor that will poll it.
+    /// channel for the reactor that will poll it: a connected socket
+    /// pair, the classic self-pipe from std-only parts.
     pub(crate) fn new(
         ring_slots: usize,
         ring_slot_bytes: usize,
-    ) -> io::Result<(Arc<Self>, WakeRx)> {
-        let (wake_tx, wake_rx) = wake_pair()?;
+    ) -> io::Result<(Arc<Self>, UnixStream)> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         let shared = ReactorShared {
             wake_tx,
             ring: ReplyRing::new(ring_slots, ring_slot_bytes),
@@ -466,8 +476,14 @@ impl ReactorShared {
     pub(crate) fn answer(&self, (half, seq): &ReplySlot, response: &Response) {
         let reply = EncodedReply::encode(response, &self.ring);
         if half.deliver(*seq, reply, None) || self.draining.load(Ordering::SeqCst) {
-            self.wake_tx.wake();
+            self.wake();
         }
+    }
+
+    /// Rouses the shard with one byte: `WouldBlock` means it is waking
+    /// anyway, any other error that it is gone.
+    pub(crate) fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
     }
 }
 
@@ -504,44 +520,34 @@ impl Flight {
 }
 
 /// Daemon-wide control plane: the shutdown latch and the fan-out needed
-/// to make every front-end thread notice it. The `SHUTDOWN` opcode can
-/// arrive on any shard; the handle's `shutdown()` comes from outside
-/// any of them — both funnel here.
+/// to make every shard notice it — shard 0's peer links drain with
+/// their shard. The `SHUTDOWN` opcode can arrive on any shard; the
+/// handle's `shutdown()` comes from outside any of them — both funnel
+/// here.
 pub(crate) struct DaemonCtl {
     shutdown: AtomicBool,
     /// Shards still running their event loop; the last one out shuts
     /// the worker pool down.
     live_shards: AtomicUsize,
-    /// Every shard's delivery handle, wired once after construction so
-    /// the latch can wake them all.
-    shards: OnceLock<Vec<Arc<ReactorShared>>>,
-    /// The peer-network thread's handle, so it drains too.
-    peers: Arc<PeerHandle>,
+    /// Every shard's delivery handle, so the latch can wake them all.
+    shards: Vec<Arc<ReactorShared>>,
 }
 
 impl DaemonCtl {
-    pub(crate) fn new(shards: usize, peers: Arc<PeerHandle>) -> Self {
+    pub(crate) fn new(shards: Vec<Arc<ReactorShared>>) -> Self {
         DaemonCtl {
             shutdown: AtomicBool::new(false),
-            live_shards: AtomicUsize::new(shards),
-            shards: OnceLock::new(),
-            peers,
+            live_shards: AtomicUsize::new(shards.len()),
+            shards,
         }
     }
 
-    /// Wires every shard's delivery handle in (once, at startup).
-    pub(crate) fn wire_shards(&self, shards: Vec<Arc<ReactorShared>>) {
-        let _ = self.shards.set(shards);
-    }
-
-    /// Flags shutdown and wakes the peer thread and every shard so they
-    /// notice promptly.
+    /// Flags shutdown and wakes every shard so they notice promptly.
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for shard in self.shards.get().into_iter().flatten() {
-            shard.wake_tx.wake();
+        for shard in &self.shards {
+            shard.wake();
         }
-        self.peers.wake();
     }
 
     /// The daemon is draining: no new connections, no new requests.
@@ -556,52 +562,19 @@ impl DaemonCtl {
     }
 }
 
-/// The write end of a [`wake_pair`]: anyone rouses the polling thread.
-pub(crate) struct WakeTx(UnixStream);
-
-impl WakeTx {
-    /// Writes one byte to the self-pipe. `WouldBlock` means wake bytes
-    /// are already pending, so the poller is waking anyway; every other
-    /// error means the poller is gone and waking is moot.
-    pub(crate) fn wake(&self) {
-        let _ = (&self.0).write(&[1]);
-    }
-}
-
-/// The read end of a [`wake_pair`]: polled for `POLLIN` by its owner.
-pub(crate) struct WakeRx(UnixStream);
-
-impl WakeRx {
-    /// Empties the self-pipe, however many wake bytes piled up. A short
-    /// read emptied it; a byte written after that is polled again.
-    pub(crate) fn drain(&mut self) {
-        let mut sink = [0u8; 256];
-        loop {
-            match self.0.read(&mut sink) {
-                Ok(n) if n == sink.len() => continue,
-                // Drained — or 0: every tx gone, shutdown is near.
-                Ok(_) => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // WouldBlock: drained
-            }
+/// Empties a shard's wake channel, however many bytes piled up. A
+/// short read emptied it; a byte written after that is polled again.
+fn drain_wake(mut wake_rx: &UnixStream) {
+    let mut sink = [0u8; 256];
+    loop {
+        match wake_rx.read(&mut sink) {
+            Ok(n) if n == sink.len() => continue,
+            // Drained — or 0: every tx gone, shutdown is near.
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break, // WouldBlock: drained
         }
     }
-}
-
-impl AsRawFd for WakeRx {
-    fn as_raw_fd(&self) -> std::os::fd::RawFd {
-        self.0.as_raw_fd()
-    }
-}
-
-/// A connected socket pair: the owner polls `rx`, everyone else writes
-/// `tx`. This is the classic self-pipe trick from std-only parts (no
-/// `pipe(2)` binding needed).
-pub(crate) fn wake_pair() -> io::Result<(WakeTx, WakeRx)> {
-    let (tx, rx) = UnixStream::pair()?;
-    tx.set_nonblocking(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((WakeTx(tx), WakeRx(rx)))
 }
 
 /// How long `poll` may sleep with nothing to do. Wakeups (leftover
@@ -611,10 +584,11 @@ const POLL_BACKSTOP: Duration = Duration::from_millis(250);
 
 /// One event-loop shard: owns its listener (its own `SO_REUSEPORT`
 /// bind when sharded, the lone listener in single-shard mode), its
-/// wake receiver, its buffer pool, and every connection it accepted.
+/// wake receiver, its buffer pool, and every connection it accepted —
+/// and shard 0 every outbound peer link too.
 pub(crate) struct Reactor {
     listener: TcpListener,
-    wake_rx: WakeRx,
+    wake_rx: UnixStream,
     /// This shard's delivery handle — and through it the reply ring,
     /// which the reactor's own inline replies draw from too, spilling
     /// to `bufs` instead of allocating.
@@ -627,34 +601,39 @@ pub(crate) struct Reactor {
     conns: HashMap<u64, Conn>,
     next_conn: u64,
     /// This shard's index: its worker group and its thread's name.
-    shard_idx: usize,
+    pub(crate) shard_idx: usize,
+    /// Shard 0's outbound peer links (`peer.rs`); `None` on every other
+    /// shard.
+    links: Option<PeerLinks>,
 }
 
 impl Reactor {
-    /// Shard `shard_idx` over its own `listener`, sized by `config`.
-    /// Also returns the delivery handle (for the shutdown latch) and
-    /// the shard's counters (for telemetry).
+    /// Shard `shard_idx` over its own `listener`, delivering through
+    /// `home` and woken through its channel (`wake_rx`); shard 0 is
+    /// handed the peer `links`. Also returns the shard's counters (for
+    /// telemetry).
     pub(crate) fn new(
         listener: TcpListener,
         daemon: Arc<Daemon>,
         shard_idx: usize,
-        config: &ServerConfig,
-    ) -> io::Result<(Self, Arc<ReactorShared>, Arc<ShardStats>)> {
-        let (shared, wake_rx) = ReactorShared::new(config.ring_slots, config.ring_slot_bytes)?;
+        (home, wake_rx): (Arc<ReactorShared>, UnixStream),
+        links: Option<PeerLinks>,
+    ) -> (Self, Arc<ShardStats>) {
         let bufs = BufPool::default();
-        let stats = Arc::new(ShardStats::new(bufs.stats(), shared.ring.stats()));
+        let stats = Arc::new(ShardStats::new(bufs.stats(), home.ring.stats()));
         let reactor = Reactor {
             listener,
             wake_rx,
-            shared: Arc::clone(&shared),
+            shared: home,
             daemon,
             stats: Arc::clone(&stats),
             bufs,
             conns: HashMap::new(),
             next_conn: 0,
             shard_idx,
+            links,
         };
-        Ok((reactor, shared, stats))
+        (reactor, stats)
     }
 
     /// Runs until shutdown is requested *and* every connection has
@@ -672,7 +651,12 @@ impl Reactor {
                 // Published before any write half is looked at: the
                 // answering thread's half of the drain handshake reads
                 // it after delivering under that half's lock.
-                self.shared.draining.store(true, Ordering::SeqCst);
+                let first = !self.shared.draining.swap(true, Ordering::SeqCst);
+                // Open distributed races are decided on the first
+                // draining turn; their answers go out through this drain.
+                if let Some(links) = self.links.as_mut().filter(|_| first) {
+                    links.drain();
+                }
             }
 
             // Poll set: wake channel first, this shard's own listener
@@ -705,18 +689,30 @@ impl Reactor {
             if draining && self.conns.is_empty() {
                 break;
             }
+            // Shard 0's peer sockets last, and its peer clocks: with no
+            // socket there is no entry, and with nothing due no clock is
+            // read — the backstop is the only timeout.
+            let links_fds_start = fds.len();
+            let due = self
+                .links
+                .as_mut()
+                .and_then(|links| links.poll_set(&mut fds));
+            let timeout = due.map_or(POLL_BACKSTOP, |due| {
+                poll_timeout(due, POLL_BACKSTOP, Instant::now())
+            });
 
-            match poll_fds(&mut fds, POLL_BACKSTOP) {
+            match poll_fds(&mut fds, timeout) {
                 Ok(_) => {}
                 Err(_) => continue, // EINTR is retried inside; anything else: re-loop
             }
 
-            if fds[0].revents != 0 {
+            let woken = fds[0].revents != 0;
+            if woken {
                 // One wakeup event is counted per drain, not per byte —
                 // the counter tracks how often the reactor was roused,
                 // not how many deliveries asked for it.
                 self.stats.on_wakeup();
-                self.wake_rx.drain();
+                drain_wake(&self.wake_rx);
             }
             // Connection readiness, against the exact snapshot poll
             // reported.
@@ -725,6 +721,9 @@ impl Reactor {
                 if revents != 0 {
                     self.handle_conn_event(id, revents);
                 }
+            }
+            if let Some(links) = &mut self.links {
+                links.turn(woken, &fds[links_fds_start..]);
             }
 
             if !draining && fds[1].revents & POLLIN != 0 {
@@ -843,23 +842,7 @@ impl Reactor {
                 deadline_ms,
                 arg,
             }) => self.submit_run(half, seq, &workload, deadline_ms, arg),
-            Ok(Request::ExecAlt {
-                race_id,
-                alt_idx,
-                deadline_ms,
-                arg,
-                workload,
-                origin,
-            }) => self.exec_alt(
-                half,
-                seq,
-                race_id,
-                alt_idx,
-                deadline_ms,
-                arg,
-                &workload,
-                origin,
-            ),
+            Ok(exec @ Request::ExecAlt { .. }) => self.exec_alt(half, seq, exec),
             Ok(Request::AltResult {
                 race_id,
                 alt_idx,
@@ -929,19 +912,19 @@ impl Reactor {
     /// The immediate reply only acknowledges admission — `Text` for
     /// admitted, `Overloaded` for refused — so the origin can convert a
     /// refusal into a failed guard without waiting.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_alt(
-        &mut self,
-        half: &WriteHalf,
-        seq: u64,
-        race_id: u64,
-        alt_idx: u32,
-        deadline_ms: u32,
-        arg: u64,
-        workload: &str,
-        origin: String,
-    ) {
-        let Some(widx) = workload::index_of(workload) else {
+    fn exec_alt(&mut self, half: &WriteHalf, seq: u64, exec: Request) {
+        let Request::ExecAlt {
+            race_id,
+            alt_idx,
+            deadline_ms,
+            arg,
+            workload,
+            origin,
+        } = exec
+        else {
+            return;
+        };
+        let Some(widx) = workload::index_of(&workload) else {
             self.daemon.telemetry.on_error();
             self.reply(half, seq, &Response::Overloaded);
             return;
@@ -1278,12 +1261,11 @@ mod tests {
     fn poll_timeout_is_the_time_to_the_next_deadline() {
         let now = Instant::now();
         let us = Duration::from_micros;
-        let ahead = poll_timeout(Some(now + us(200)), POLL_BACKSTOP, now);
+        let ahead = poll_timeout(now + us(200), POLL_BACKSTOP, now);
         assert_eq!(ahead, us(200), "200 µs to the deadline is a 200 µs wait");
-        assert_eq!(poll_timeout(None, POLL_BACKSTOP, now), POLL_BACKSTOP);
-        let far = Some(now + 4 * POLL_BACKSTOP);
+        let far = now + 4 * POLL_BACKSTOP;
         assert_eq!(poll_timeout(far, POLL_BACKSTOP, now), POLL_BACKSTOP);
-        let past = Some(now);
+        let past = now;
         assert_eq!(
             poll_timeout(past, POLL_BACKSTOP, now + us(5)),
             Duration::ZERO
@@ -1320,7 +1302,7 @@ mod tests {
             .collect();
 
         check("flight_schedules", 2_500, |rng| {
-            let (home, mut wake_rx) = ReactorShared::new(SLOTS, 64).expect("wake pair");
+            let (home, wake_rx) = ReactorShared::new(SLOTS, 64).expect("wake pair");
             let stats = Arc::new(ShardStats::new(
                 BufPool::default().stats(),
                 home.ring.stats(),
@@ -1458,7 +1440,7 @@ mod tests {
             let mut fd = [PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
             let roused = poll_fds(&mut fd, Duration::ZERO).expect("poll") == 1;
             assert_eq!(roused, draining, "roused iff the shard drains");
-            wake_rx.drain();
+            drain_wake(&wake_rx);
 
             halves.iter().for_each(|half| half.close());
             assert_eq!(stats.conns_active(), 0, "a closed connection is not active");

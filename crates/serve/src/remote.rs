@@ -43,7 +43,7 @@
 //!   answers the client anyway and counts `commits_degraded`, trading
 //!   the paper's blocking semantics for serving-grade liveness;
 //! * a race that outlives its deadline plus a grace window is expired
-//!   by the peer thread's sweep, so a silent peer cannot strand a
+//!   by shard 0's peer links on their clock, so a silent peer cannot strand a
 //!   client even when TCP never reports the loss.
 
 use crate::commit::{CommitLedger, TallyState, VoteTally};
@@ -399,7 +399,7 @@ impl RaceTable {
 
     /// A peer link died: every alternative it had acked but not
     /// finished becomes a failed guard. (Its unanswered votes are
-    /// denied separately, tag by tag, by the peer thread.)
+    /// denied separately, tag by tag, by the link core.)
     pub(crate) fn peer_down(&mut self, peer: &str, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         let advertise = &self.advertise;
@@ -482,7 +482,7 @@ impl RaceTable {
 
     /// Earliest instant at which [`RaceTable::expire`] would do
     /// something — a race expiry or a live leg's deadline — for the
-    /// peer thread's poll timeout.
+    /// poll timeout of shard 0, which holds the peer links.
     pub(crate) fn next_expiry(&self) -> Option<Instant> {
         self.races
             .values()
@@ -662,7 +662,8 @@ pub(crate) struct OpenRaces {
 
 /// The origin-side registry's shell: one per daemon, shared by every
 /// reactor shard, the worker pool (through subrace notifiers), and the
-/// peer thread. Owns the [`RaceTable`]'s lock and executes its actions.
+/// peer links on shard 0. Owns the [`RaceTable`]'s lock and executes its
+/// actions.
 pub(crate) struct RemoteRaces {
     open: Mutex<OpenRaces>,
     /// Outbound send handle.
@@ -1322,13 +1323,12 @@ mod tests {
 
     fn shell() -> (Arc<RemoteRaces>, Arc<WorkerPool>) {
         let pool = Arc::new(WorkerPool::new(2, 8));
-        let (peers, _wake_rx) =
-            PeerHandle::new(Arc::new(PeerStatsTable::default())).expect("wake pair");
+        let (shard0, _wake_rx) = ReactorShared::new(1, 64).expect("wake pair");
         let races = RemoteRaces::new(
             Arc::new(Telemetry::new()),
             Arc::new(HedgePolicy::new(HedgeConfig::default())),
             Arc::clone(&pool),
-            peers,
+            PeerHandle::new(Arc::new(PeerStatsTable::default()), shard0),
             ORIGIN.to_owned(),
         );
         (Arc::new(races), pool)
@@ -1561,7 +1561,7 @@ mod tests {
                 Move::PeerDown { leg } => {
                     self.legs[leg].cleared = true;
                     let peer = self.legs[leg].peer.clone();
-                    // The peer thread denies the dead peer's unanswered
+                    // The link core denies the dead peer's unanswered
                     // vote, now or whenever it is asked for.
                     if self.owed.contains(&peer) {
                         let voter = peer.clone();

@@ -1,64 +1,38 @@
 //! The daemon: a reactor front end bridging framed requests to the
 //! worker pool.
 //!
-//! Flow of one request: the reactor (one thread, `poll(2)` over every
-//! socket — see [`crate::reactor`]) feeds inbound bytes through an
-//! incremental frame decoder, wraps each decoded `RUN` with the reply
-//! slot it owes into a race in flight, and tries to enqueue it on the
-//! [`WorkerPool`]. If the bounded queue refuses, the request is
-//! shed with an immediate `Overloaded` reply — admission control at the
-//! door, not timeouts deep in the building. If admitted, a worker races
-//! the workload's alternatives on a [`ThreadedEngine`] under a
-//! [`CancelToken`] carrying the request's deadline — the serving
-//! analogue of the paper's `alt_wait(timeout)` — and that same worker
-//! writes the reply through the slot the race carried with it: it
-//! encodes it into the shard's reply ring, locks the connection's write
-//! half and flushes to the socket, rousing the reactor only for what
-//! the socket would not take. Replies are released per connection in
-//! request order under that lock, so pipelined requests on one socket
-//! come back in the order they were sent even when a later race
-//! finishes first, whichever threads deliver them.
-//!
-//! A short race never leaves the reactor. Once a workload whose bodies
-//! never block has
-//! [`ADMISSION_MIN_SAMPLES`](crate::sched::ADMISSION_MIN_SAMPLES)
-//! service samples and both their p99 and their recent mean are within
-//! [`SHARD_MAX_SERVICE_US`](crate::sched::SHARD_MAX_SERVICE_US) — short
-//! enough that the hand-off to a worker would be a visible share of
-//! the request — the reactor thread that decoded the request races it
-//! in place and writes the reply: no queue push and no wake-up. The
-//! rule is measured per workload, not configured; anything slower,
-//! colder or turning slow is queued as described above, and so is
-//! every workload whose bodies wait on their token
-//! ([`WorkloadSpec::blocks`](crate::workload::WorkloadSpec::blocks)),
-//! whatever it measured — a reactor thread asleep in a body serves
-//! nobody.
+//! Flow of one request: the reactor ([`crate::reactor`], `poll(2)` over
+//! every socket) decodes it and tries to enqueue its race on the
+//! bounded [`WorkerPool`] — a refusal is an immediate `Overloaded`,
+//! admission control at the door. A worker races the workload's
+//! alternatives on a [`ThreadedEngine`] under a [`CancelToken`] carrying
+//! the request's deadline (the paper's `alt_wait(timeout)`) and writes
+//! the reply itself, in request order per connection; a race measured
+//! short enough is raced by the reactor in place instead (*Run on the
+//! shard* in [`crate::reactor`], which also has how a reply is
+//! delivered).
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
-//! a few hundred bytes of state — not a thread. The daemon runs
-//! O(workers + shards) OS threads (one reactor per shard, the pool and
-//! the always-on `altxd-peernet` thread) regardless of how many clients
-//! are connected, plus at most one racer per sibling alternative
-//! running at that moment: a worker runs its race's favourite itself
-//! and the engine's process-wide race crew runs the siblings on parked
-//! threads it reuses from race to race and retires when they have been
-//! idle for half a second. Racing short workloads on the reactor adds
-//! no thread: the model is still O(workers + shards), and the favourite
-//! of such a race runs inline on the shard's thread, its siblings on the
-//! same crew.
+//! a few hundred bytes of state — not a thread, and neither is an
+//! outbound link to a peer: shard 0 polls those sockets among its own.
+//! The daemon runs workers + shards OS threads (one reactor per shard —
+//! [`run`] runs shard 0 on its caller, `altxd`'s main thread — and the
+//! pool) however many clients are connected, plus at most one racer per
+//! sibling alternative running at that moment: a worker or a shard runs
+//! its race's favourite itself and the engine's process-wide race crew
+//! runs the siblings on parked threads it reuses from race to race and
+//! retires when they have been idle for half a second.
 //!
-//! Shutdown (local call or the `SHUTDOWN` opcode) stops admissions and
-//! new reads, lets every in-flight race finish and flush its reply,
-//! reclaims each connection as it drains, and only then joins the pool:
-//! no request that was admitted goes unanswered, and no daemon thread
-//! outlives the drain (the crew's racers are the process's, not the
-//! daemon's; idle ones are gone half a second later).
+//! Shutdown (local call or the `SHUTDOWN` opcode) drains as
+//! [`crate::reactor`] says: no admitted request goes unanswered, and no
+//! daemon thread outlives the drain (the crew's racers are the
+//! process's; idle ones are gone half a second later).
 
 use crate::frame::{Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};
-use crate::peer::{PeerConfig, PeerHandle, PeerNet, PeerStatsTable};
+use crate::peer::{PeerConfig, PeerHandle, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING, DEFAULT_SPIN};
-use crate::reactor::{bind_reuseport, DaemonCtl, Reactor};
+use crate::reactor::{bind_reuseport, DaemonCtl, Reactor, ReactorShared};
 use crate::remote::{InflightRemote, RemoteRaces};
 use crate::sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
 use crate::telemetry::{Metric, Telemetry};
@@ -163,7 +137,8 @@ pub fn available_workers() -> usize {
 pub struct ServerHandle {
     addr: SocketAddr,
     daemon: Arc<Daemon>,
-    /// The peer thread followed by every shard thread.
+    /// The shard threads: every shard's from [`start`], all but shard
+    /// 0's from [`run`].
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -182,7 +157,7 @@ pub(crate) struct Daemon {
     pub(crate) admission: Admission,
     /// Workload → priority-lane mapping for run-queue submissions.
     pub(crate) lanes: Lanes,
-    pub(crate) ctl: Arc<DaemonCtl>,
+    pub(crate) ctl: DaemonCtl,
     pub(crate) races: Arc<RemoteRaces>,
     /// Executor-side in-flight remote alternatives (for `ELIMINATE`).
     pub(crate) inflight: InflightRemote,
@@ -203,11 +178,9 @@ impl ServerHandle {
 
     /// Requests shutdown and blocks until the daemon has drained every
     /// in-flight race and joined every thread.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.daemon.ctl.request_shutdown();
-        for h in self.threads.drain(..) {
-            h.join().expect("front-end thread exits cleanly");
-        }
+        self.wait();
     }
 
     /// Blocks until the daemon shuts down (e.g. via the `SHUTDOWN`
@@ -221,27 +194,12 @@ impl ServerHandle {
 
 /// Binds and starts the daemon, returning once it is accepting.
 ///
-/// The threads it starts — the peer thread, one reactor per shard, the
-/// pool's workers — each drop their own timer slack to 1 ns first thing
-/// (see [`crate::reactor`], *Clocks*); the calling thread is left as it
-/// was.
+/// The threads it starts — one reactor per shard, the pool's workers —
+/// each drop their own timer slack to 1 ns first thing (see
+/// [`crate::reactor`], *Clocks*); the calling thread is left as it was.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
-    let (addr, daemon, peernet, reactors) = assemble(config)?;
-    let mut threads = Vec::with_capacity(reactors.len() + 1);
-    threads.push(
-        std::thread::Builder::new()
-            .name("altxd-peernet".to_owned())
-            .spawn(move || peernet.run())
-            .expect("spawn peer thread"),
-    );
-    for (i, reactor) in reactors.into_iter().enumerate() {
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("altxd-reactor-{i}"))
-                .spawn(move || reactor.run())
-                .expect("spawn reactor"),
-        );
-    }
+    let (addr, daemon, reactors) = assemble(config)?;
+    let threads = reactors.into_iter().map(spawn).collect();
     Ok(ServerHandle {
         addr,
         daemon,
@@ -249,11 +207,37 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-/// Everything [`start`] builds before it starts a front-end thread: the
-/// bound address, the daemon-wide state (its pool already running), and
-/// the peer loop and the shard loops, each ready to be `run` on a
-/// thread of its own.
-fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNet, Vec<Reactor>)> {
+/// Binds the daemon and serves on the calling thread until it drains:
+/// shards 1.. get threads of their own, `ready` is shown the handle,
+/// shard 0 runs here — the loop [`start`] gives a thread, 1 ns timer
+/// slack included — and then the other shards are joined.
+pub fn run(config: ServerConfig, ready: impl FnOnce(&ServerHandle)) -> io::Result<()> {
+    let (addr, daemon, mut reactors) = assemble(config)?;
+    let shard0 = reactors.remove(0);
+    let handle = ServerHandle {
+        addr,
+        daemon,
+        threads: reactors.into_iter().map(spawn).collect(),
+    };
+    ready(&handle);
+    shard0.run();
+    handle.wait();
+    Ok(())
+}
+
+/// Runs one shard on a thread of its own, named after it.
+fn spawn(reactor: Reactor) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("altxd-reactor-{}", reactor.shard_idx))
+        .spawn(move || reactor.run())
+        .expect("spawn reactor")
+}
+
+/// Everything [`start`] and [`run`] build before a shard runs: the bound
+/// address, the daemon-wide state (its pool already running), and the
+/// shard loops, shard 0 — the one that owns the peer links — first,
+/// each ready to be `run` on a thread.
+fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Reactor>)> {
     let addrs: Vec<SocketAddr> = config.addr.to_socket_addrs()?.collect();
     let n_shards = config.shards.max(1);
 
@@ -297,11 +281,19 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNe
     telemetry.attach_catalog(Arc::clone(sched.catalog()));
     let admission = Admission::new(config.admission, Arc::clone(sched.catalog()));
 
+    // Every shard's delivery handle and wake channel, before anything
+    // that must wake a shard is built.
+    let homes = (0..n_shards)
+        .map(|_| ReactorShared::new(config.ring_slots, config.ring_slot_bytes))
+        .collect::<io::Result<Vec<_>>>()?;
+    let ctl = DaemonCtl::new(homes.iter().map(|(home, _)| Arc::clone(home)).collect());
+
     // The peer plane exists even with no peers configured: this node
     // may still be asked to *execute* shipped alternatives, and the
     // results ride home over its own outbound (dial-on-demand) links.
     // With an empty peer list the placement never ships, so the single-
-    // node request path is untouched beyond one idle thread.
+    // node request path is untouched: shard 0 holds the links, and
+    // polls no socket and reads no clock for them until one exists.
     let advertise = config
         .peer
         .advertise
@@ -309,21 +301,14 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNe
         .unwrap_or_else(|| addr.to_string());
     let peer_stats = Arc::new(PeerStatsTable::new(&config.peer.peers));
     telemetry.attach_peers(Arc::clone(&peer_stats));
-    let (peer_handle, peer_wake_rx) = PeerHandle::new(Arc::clone(&peer_stats))?;
-    let ctl = Arc::new(DaemonCtl::new(n_shards, Arc::clone(&peer_handle)));
     let races = Arc::new(RemoteRaces::new(
         Arc::clone(&telemetry),
         Arc::clone(&sched),
         Arc::clone(&pool),
-        peer_handle,
+        PeerHandle::new(peer_stats, Arc::clone(&homes[0].0)),
         advertise,
     ));
-    let peernet = PeerNet::new(
-        peer_wake_rx,
-        Arc::clone(&races),
-        Arc::clone(&ctl),
-        &config.peer,
-    );
+    let mut links = Some(PeerLinks::new(Arc::clone(&races), &config.peer));
     let daemon = Arc::new(Daemon {
         pool,
         telemetry,
@@ -337,20 +322,17 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, PeerNe
     });
 
     // Each reactor takes its own listener (the lone one, or its
-    // reuseport sibling) and accepts directly.
-    let mut shareds = Vec::with_capacity(n_shards);
+    // reuseport sibling) and accepts directly; shard 0 takes the links.
     let mut shard_stats = Vec::with_capacity(n_shards);
     let mut reactors = Vec::with_capacity(n_shards);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let (reactor, shared, stats) = Reactor::new(listener, Arc::clone(&daemon), i, &config)?;
+    for (i, (listener, home)) in listeners.into_iter().zip(homes).enumerate() {
+        let (reactor, stats) = Reactor::new(listener, Arc::clone(&daemon), i, home, links.take());
         reactors.push(reactor);
-        shareds.push(shared);
         shard_stats.push(stats);
     }
-    daemon.ctl.wire_shards(shareds);
     daemon.telemetry.attach_shards(shard_stats);
 
-    Ok((addr, daemon, peernet, reactors))
+    Ok((addr, daemon, reactors))
 }
 
 /// Binds one `SO_REUSEPORT` listener per shard on the same address.
@@ -619,21 +601,19 @@ mod tests {
         std::thread::spawn(probe).join().expect("the loop returns")
     }
 
-    /// The reactor and the peer thread tighten themselves: whatever
-    /// thread runs a shard or the peer loop has a 1 ns timer slack from
-    /// then on, and the thread that built them does not. (The pool's
+    /// The reactor tightens itself: whatever thread runs a shard — shard
+    /// 0 with the peer links among them — has a 1 ns timer slack from
+    /// then on, and the thread that built it does not. (The pool's
     /// workers and the racers they spawn: `tests/timer_slack.rs`.)
     #[test]
-    fn a_shard_run_and_the_peer_loop_tighten_the_thread_they_run_on() {
+    fn a_shard_run_tightens_the_thread_it_runs_on() {
         let mine = timer_slack_ns();
         assert!(mine.is_some_and(|ns| ns > 1), "the default, not {mine:?}");
-        let (_, daemon, peernet, mut reactors) =
-            assemble(ServerConfig::default()).expect("assemble");
-        // Draining before the first look: each loop sets itself up,
+        let (_, daemon, mut reactors) = assemble(ServerConfig::default()).expect("assemble");
+        // Draining before the first look: the loop sets itself up,
         // finds nothing to wait for and returns — the last shard out
         // joins the pool.
         daemon.ctl.request_shutdown();
-        assert_eq!(slack_around(move || peernet.run()), (mine, Some(1)));
         let reactor = reactors.pop().expect("one shard");
         assert_eq!(slack_around(move || reactor.run()), (mine, Some(1)));
         assert_eq!(timer_slack_ns(), mine, "the building thread keeps its own");

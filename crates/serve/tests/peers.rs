@@ -500,3 +500,85 @@ fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
     }
     executor.shutdown();
 }
+
+/// A peer that never completes a TCP handshake costs its own link, and
+/// no other link anything. The origin has two peers: a live one (a
+/// byte-level fake that answers every frame and notes when each
+/// heartbeat arrives) and a blackhole — a listener whose accept queue
+/// this test fills and never drains, so every further connect hangs in
+/// its handshake and only the origin's 50 ms dial timeout ends it. Over
+/// 1.2 s of the blackhole's redials (one backoff after each timeout: 50,
+/// 100, 200, 400 ms …) the live link's heartbeats keep their 5 ms
+/// cadence: no gap between two arrivals is as long as one blackhole
+/// dial. A dial that blocks the thread the links share holds the live
+/// link's heartbeat for the whole 50 ms, every time.
+#[test]
+fn a_peer_that_never_answers_the_handshake_holds_up_no_other_link() {
+    const DIAL: Duration = Duration::from_millis(50);
+    let _guard = serial();
+
+    let blackhole = TcpListener::bind("127.0.0.1:0").expect("bind the blackhole");
+    let hole_addr = blackhole.local_addr().expect("blackhole addr");
+    let mut queued = Vec::new();
+    loop {
+        match TcpStream::connect_timeout(&hole_addr, DIAL) {
+            Ok(conn) => queued.push(conn),
+            Err(e) if e.kind() == ErrorKind::TimedOut => break,
+            Err(e) => panic!("filling the blackhole's accept queue: {e}"),
+        }
+    }
+
+    let live = TcpListener::bind("127.0.0.1:0").expect("bind the live peer");
+    let live_addr = live.local_addr().expect("live addr");
+    let (beat_tx, beats) = mpsc::channel::<Instant>();
+    let fake = std::thread::spawn(move || {
+        let (mut conn, _) = live.accept().expect("the origin dials the live peer");
+        // Until the origin closes the link.
+        while let Ok(Some(body)) = read_frame(&mut conn) {
+            if matches!(Request::decode(&body), Ok(Request::PeerStats)) {
+                let _ = beat_tx.send(Instant::now());
+            }
+            let ack = Response::Text {
+                body: "altxd peers\nload queued 0 busy 0 workers 1\n".to_owned(),
+            };
+            if write_frame(&mut conn, &ack.encode()).is_err() {
+                return;
+            }
+        }
+    });
+
+    let origin = start(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        queue_depth: 32,
+        peer: PeerConfig {
+            peers: vec![live_addr.to_string(), hole_addr.to_string()],
+            heartbeat_ms: 5,
+            ..PeerConfig::default()
+        },
+        ..ServerConfig::default()
+    })
+    .expect("start origin");
+    let until = Instant::now() + Duration::from_millis(1_200);
+    let mut arrivals = Vec::new();
+    while let Some(left) = until.checked_duration_since(Instant::now()) {
+        if let Ok(at) = beats.recv_timeout(left) {
+            arrivals.push(at);
+        }
+    }
+    origin.shutdown();
+    fake.join().expect("fake peer thread");
+    drop(queued);
+
+    assert!(
+        arrivals.len() >= 20,
+        "the live link carried {} heartbeats in 1.2 s",
+        arrivals.len()
+    );
+    let longest = arrivals.windows(2).map(|w| w[1] - w[0]).max();
+    let longest = longest.expect("two heartbeats at least");
+    assert!(
+        longest < DIAL,
+        "the live link went {longest:?} without a heartbeat: a blackhole dial held it up"
+    );
+}

@@ -14,6 +14,7 @@ use altx_serve::frame::Response;
 use altx_serve::Client;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// A spawned `altxd`, killed and reaped on drop.
 struct Altxd {
@@ -49,6 +50,20 @@ impl Altxd {
             port,
             _stdout: stdout,
         }
+    }
+
+    /// Every thread's name, sorted.
+    fn threads(&self) -> Vec<String> {
+        let tasks = format!("/proc/{}/task", self.child.id());
+        let mut names: Vec<String> = std::fs::read_dir(&tasks)
+            .expect("read the task list")
+            .filter_map(|task| {
+                let comm = task.ok()?.path().join("comm");
+                Some(std::fs::read_to_string(comm).ok()?.trim_end().to_owned())
+            })
+            .collect();
+        names.sort();
+        names
     }
 
     fn maps(&self) -> String {
@@ -133,4 +148,21 @@ fn the_executable_loads_at_a_new_address_each_run() {
 fn localhost_resolves_to_bind_and_to_connect() {
     let altxd = Altxd::spawn("localhost:0");
     assert_trivial_answered(&format!("localhost:{}", altxd.port));
+}
+
+/// An idle daemon's threads, by name: its main thread — which runs
+/// reactor shard 0, and with it every peer link — and its two workers.
+/// No peer thread and no reactor thread of its own. (A new thread names
+/// itself once it runs, so the census is read until it settles.)
+#[test]
+fn an_idle_daemon_runs_its_main_thread_and_its_workers_and_nothing_else() {
+    let altxd = Altxd::spawn("127.0.0.1:0");
+    let want = ["altxd", "altxd-worker-g0", "altxd-worker-g0"];
+    let until = Instant::now() + Duration::from_secs(5);
+    let mut census = altxd.threads();
+    while census != want && Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(10));
+        census = altxd.threads();
+    }
+    assert_eq!(census, want, "an idle `altxd --workers 2 --shards 1`");
 }

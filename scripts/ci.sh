@@ -310,11 +310,25 @@ non_test_lines() {
         !skip { n++ }
         END { print n }' {} +
 }
+# The threads an idle daemon runs, counted once it is listening (its
+# workers name themselves as they start, hence the settling pause).
+IDLE_OUT=$(mktemp /tmp/altx-idle.XXXXXX.out)
+"$ALTXD" --addr 127.0.0.1:0 --workers 2 --shards 1 >"$IDLE_OUT" &
+IDLE_PID=$!
+for _ in $(seq 1 100); do
+    grep -q '^altxd listening on' "$IDLE_OUT" && break
+    sleep 0.05
+done
+sleep 0.2
+IDLE_THREADS=$(find "/proc/$IDLE_PID/task" -mindepth 1 -maxdepth 1 2>/dev/null | wc -l)
+kill "$IDLE_PID" 2>/dev/null || true
+wait "$IDLE_PID" 2>/dev/null || true
+rm -f "$IDLE_OUT"
 SERVE_LINES=$(non_test_lines crates/serve/src)
 CORE_LINES=$(non_test_lines crates/core/src)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
 ALTXD_TEXT=$(size -A "$ALTXD" | awk '$1 == ".text" { print $2 }')
-echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve"
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve"
 
 echo "==> CI gate passed"
