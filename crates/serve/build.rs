@@ -1,17 +1,31 @@
 //! Link-time layout of the `altxd` executable.
 //!
-//! A daemon's text is resident by 64 kB fault-around windows, so what it
-//! costs is the number of windows its executed code is spread over, not
-//! the code it runs. `altxd.order` names every function start-up and the
-//! benchmark's request shapes execute (made by `scripts/hot_text.sh`);
-//! LLD places those first in `.text`, in that order, and everything else
-//! after them, so the windows a daemon faults in are the windows it uses.
-//! Relative relocations are packed as RELR, which static glibc applies
-//! at start-up. docs/INTERNALS.md § *Resident memory* has the numbers.
+//! A daemon's image is resident by 64 kB fault-around windows, so what it
+//! costs is the number of windows the code and constants it uses are
+//! spread over, not their size. Two files made by `scripts/hot_text.sh`
+//! say what a daemon uses:
+//! - `altxd.order` names every function start-up and the benchmark's
+//!   request shapes execute; LLD places those first in `.text`, in that
+//!   order, and everything else after them;
+//! - `altxd.ld`, an LLD linker-script fragment of `INSERT` commands, puts
+//!   the read-only input sections they read (anonymous and named
+//!   constants, jump tables, merged strings, C library tables) in a
+//!   `.rodata.hot` section right after the headers, moves
+//!   `.gcc_except_table`, which only unwinding reads, behind the unwind
+//!   tables at the end of the read-only segment, and moves `.init`,
+//!   `.fini` and `.iplt` from the end of the text to its start, beside
+//!   the hot functions.
+//!
+//! So the windows a daemon faults in are the windows it uses. Relative
+//! relocations are packed as RELR, which static glibc applies at
+//! start-up. The link also writes its map to `$OUT_DIR/altxd.map`, from
+//! which `hot_text.sh` names the data a trace read. docs/INTERNALS.md
+//! § *Resident memory* has the numbers.
 //!
 //! Only `altxd` is linked this way; every other executable and test
 //! binary links as before. A name the list has but the build lacks (a
-//! dev-profile build, an edited crate) is skipped without a warning.
+//! dev-profile build, an edited crate) is skipped without a warning, and
+//! a pattern of the fragment that matches nothing places nothing.
 //!
 //! The flags are LLD's, so they are passed only where rustc links with
 //! its own LLD: x86_64-unknown-linux-gnu from rustc 1.90 on, when the
@@ -25,14 +39,17 @@ use std::process::Command;
 
 fn main() {
     println!("cargo:rerun-if-changed=altxd.order");
+    println!("cargo:rerun-if-changed=altxd.ld");
     if !links_with_rust_lld() {
         return;
     }
-    let order = format!("{}/altxd.order", env::var("CARGO_MANIFEST_DIR").unwrap());
+    let dir = env::var("CARGO_MANIFEST_DIR").unwrap();
     for arg in [
-        format!("-Wl,--symbol-ordering-file={order}"),
+        format!("-Wl,--symbol-ordering-file={dir}/altxd.order"),
         "-Wl,--no-warn-symbol-ordering".to_owned(),
+        format!("-Wl,-T,{dir}/altxd.ld"),
         "-Wl,-z,pack-relative-relocs".to_owned(),
+        format!("-Wl,-Map={}/altxd.map", env::var("OUT_DIR").unwrap()),
     ] {
         println!("cargo:rustc-link-arg-bin=altxd={arg}");
     }

@@ -120,8 +120,8 @@ use std::time::{Duration, Instant};
 
 pub use sys::timer_slack_ns;
 pub(crate) use sys::{
-    bind_reuseport, connect_nonblocking, tighten_timer_slack, PollFd, POLLERR, POLLHUP, POLLIN,
-    POLLOUT,
+    bind_reuseport, connect_nonblocking, one_malloc_arena, tighten_timer_slack, PollFd, POLLERR,
+    POLLHUP, POLLIN, POLLOUT,
 };
 use sys::{poll_fds, poll_timeout, POLLNVAL};
 
@@ -129,8 +129,8 @@ use sys::{poll_fds, poll_timeout, POLLNVAL};
 /// handful of socket calls needed for an `SO_REUSEPORT` bind (std's
 /// `TcpListener` cannot set the option before binding) and for a
 /// connect that does not wait for its handshake (std's only bounds the
-/// wait), and the `prctl(2)` pair that sets and reads a thread's timer
-/// slack. std
+/// wait), the `prctl(2)` pair that sets and reads a thread's timer
+/// slack, and glibc's `mallopt(3)` for one malloc arena. std
 /// links libc on every supported platform, so the extern declarations
 /// name symbols that are already in the process — no new dependency, no
 /// raw syscall numbers.
@@ -282,6 +282,27 @@ mod sys {
 
     #[cfg(target_os = "linux")]
     pub use slack::{tighten_timer_slack, timer_slack_ns};
+
+    /// Has every thread allocate from glibc's main arena: without it,
+    /// a thread that allocates while another holds the arena's lock
+    /// gets an arena of its own and keeps its high-water mark there,
+    /// a resident cost per thread. The call takes effect for arenas not
+    /// yet made, so it is made before any thread is spawned. Advisory:
+    /// an allocator that says no leaves the process as it was.
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    pub fn one_malloc_arena() {
+        const M_ARENA_MAX: c_int = -8;
+        extern "C" {
+            fn mallopt(param: c_int, value: c_int) -> c_int;
+        }
+        // SAFETY: mallopt reads its two integers and sets one of the
+        // allocator's process-wide parameters.
+        let _ = unsafe { mallopt(M_ARENA_MAX, 1) };
+    }
+
+    /// Not glibc: there is no arena count to set.
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    pub fn one_malloc_arena() {}
 
     /// Non-Linux: there is no slack to drop and none to read.
     #[cfg(not(target_os = "linux"))]

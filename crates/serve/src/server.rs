@@ -211,7 +211,13 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
 /// shards 1.. get threads of their own, `ready` is shown the handle,
 /// shard 0 runs here — the loop [`start`] gives a thread, 1 ns timer
 /// slack included — and then the other shards are joined.
+///
+/// `run` is the daemon's whole process (`altxd`'s `main`), so before it
+/// spawns a thread it has every thread allocate from one malloc arena
+/// (docs/INTERNALS.md § *Resident memory*); [`start`], which tests and
+/// library callers share a process with, leaves the allocator alone.
 pub fn run(config: ServerConfig, ready: impl FnOnce(&ServerHandle)) -> io::Result<()> {
+    crate::reactor::one_malloc_arena();
     let (addr, daemon, mut reactors) = assemble(config)?;
     let shard0 = reactors.remove(0);
     let handle = ServerHandle {

@@ -51,20 +51,34 @@ GLOBAL_RUST=$(nm "$ALTXD" | awk '$2 == "T" && $3 ~ /^(_ZN|_R)/ { print $3 }')
     exit 1
 }
 
-# A daemon's text is resident by 64 kB fault-around windows, so what it
-# costs is how many windows the code it runs is spread over. LLD links
-# `altxd` with every function start-up and the benchmark's request
-# shapes execute first in `.text` (crates/serve/build.rs, in the order of
-# crates/serve/altxd.order) and its relative relocations packed as RELR.
-# A stale list or a lost link flag scatters the hot code again: it fails
-# here, by property, with the resident text of a daemon under load.
-echo "==> the release altxd runs from its hot region (LLD, RELR, ≥ 90 % of the list resolves, ≤ 768 kB of text resident under a trivial load)"
+# A daemon's image is resident by 64 kB fault-around windows, so what it
+# costs is how many windows the code and constants it uses are spread
+# over. LLD links `altxd` with every function start-up and the
+# benchmark's request shapes execute first in `.text` (crates/serve/
+# build.rs, in the order of crates/serve/altxd.order), the read-only
+# data they read first in the read-only segment (`.rodata.hot`, placed
+# by crates/serve/altxd.ld) and its relative relocations packed as RELR.
+# A stale list or a lost link flag scatters the hot code or data again:
+# it fails here, by property, with the resident text and read-only
+# mapping of a daemon under load. The exception tables move behind the
+# unwind tables, so the program header the unwinder finds them by must
+# still point at `.eh_frame_hdr`: a panic is contained only through it.
+HOT_RO_MAX_KB=128
+echo "==> the release altxd runs from its hot region (LLD, RELR, GNU_EH_FRAME at .eh_frame_hdr, ≥ 90 % of the list resolves, ≤ 768 kB of text and ≤ $HOT_RO_MAX_KB kB of the read-only mapping resident under a trivial load)"
 MISSING=()
 readelf -p .comment "$ALTXD" | grep -q 'Linker: LLD' || MISSING+=("a .comment naming LLD (the linker the order is given to)")
 RELR_BYTES=$(size -A "$ALTXD" | awk '$1 == ".relr.dyn" { print $2 }')
 RELA_BYTES=$(size -A "$ALTXD" | awk '$1 == ".rela.dyn" { print $2 }')
 [ -n "$RELR_BYTES" ] || MISSING+=("a .relr.dyn section (-z pack-relative-relocs)")
 [ "${RELA_BYTES:-0}" -lt 1024 ] || MISSING+=("a .rela.dyn under 1 kB (it has $RELA_BYTES B)")
+# Address and size of .eh_frame_hdr, and of the GNU_EH_FRAME header, as
+# hex without a prefix or leading zeros.
+EH_HDR=$(readelf -SW "$ALTXD" | sed -n 's/^ *\[ *[0-9]*\] *//p' |
+    awk '$1 == ".eh_frame_hdr" { a = $3; s = $5; sub(/^0+/, "", a); sub(/^0+/, "", s); print a, s }')
+EH_PHDR=$(readelf -lW "$ALTXD" |
+    awk '$1 == "GNU_EH_FRAME" { a = $3; s = $5; sub(/^0x0*/, "", a); sub(/^0x0*/, "", s); print a, s }')
+[ -n "$EH_HDR" ] && [ "$EH_PHDR" = "$EH_HDR" ] ||
+    MISSING+=("a GNU_EH_FRAME program header at .eh_frame_hdr (header: ${EH_PHDR:-none}; section: ${EH_HDR:-none})")
 HOT_OUT=$(mktemp /tmp/altx-hot.XXXXXX.out)
 taskset -c 0 "$ALTXD" --addr 127.0.0.1:0 --workers 2 --shards 1 >"$HOT_OUT" &
 HOT_PID=$!
@@ -76,11 +90,17 @@ for _ in $(seq 1 100); do
 done
 [ -n "$HOT_ADDR" ] && taskset -c 0 ./target/release/altx-load --addr "$HOT_ADDR" --workload trivial \
     --clients 1 --duration 2 >/dev/null || MISSING+=("a daemon that starts and answers a trivial load")
-if HOT_TEXT_KB=$(awk -v exe="$(readlink "/proc/$HOT_PID/exe" 2>/dev/null)" '
-    /^[0-9a-f]+-[0-9a-f]+ / { text = $2 == "r-xp" && $6 == exe; next }
-    text && $1 == "Rss:" { kb += $2 }
-    END { print kb + 0 }' "/proc/$HOT_PID/smaps" 2>/dev/null); then
+# Resident kB of the daemon's text (r-xp) and of its first, read-only
+# mapping (offset 0, r--p: headers, relocations, .rodata, unwind tables).
+if HOT_KB=$(awk -v exe="$(readlink "/proc/$HOT_PID/exe" 2>/dev/null)" '
+    /^[0-9a-f]+-[0-9a-f]+ / { text = $2 == "r-xp" && $6 == exe; ro = $2 == "r--p" && $3 == "00000000" && $6 == exe; next }
+    text && $1 == "Rss:" { text_kb += $2 }
+    ro && $1 == "Rss:" { ro_kb += $2 }
+    END { print text_kb + 0, ro_kb + 0 }' "/proc/$HOT_PID/smaps" 2>/dev/null); then
+    read -r HOT_TEXT_KB HOT_RO_KB <<<"$HOT_KB"
     [ "$HOT_TEXT_KB" -le 768 ] || MISSING+=("at most 768 kB of its text resident under load (it had $HOT_TEXT_KB kB)")
+    [ "$HOT_RO_KB" -le "$HOT_RO_MAX_KB" ] ||
+        MISSING+=("at most $HOT_RO_MAX_KB kB of its read-only mapping resident under load (it had $HOT_RO_KB kB)")
 else
     MISSING+=("a daemon still running after the load, to read its resident text from")
 fi
@@ -98,7 +118,7 @@ HOT_RESOLVED=$(nm "$ALTXD" | awk 'NR == FNR { listed[$1]; next } ($3 in listed) 
 [ ${#MISSING[@]} -eq 0 ] || {
     echo "hot region check: $ALTXD lacks:" >&2
     printf '  - %s\n' "${MISSING[@]}" >&2
-    echo "(is the hot-function list stale? run scripts/hot_text.sh and relink)" >&2
+    echo "(are the hot lists stale? run scripts/hot_text.sh and relink)" >&2
     exit 1
 }
 
@@ -329,6 +349,6 @@ CORE_LINES=$(non_test_lines crates/core/src)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
 ALTXD_TEXT=$(size -A "$ALTXD" | awk '$1 == ".text" { print $2 }')
-echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve"
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve; under a trivial load $HOT_TEXT_KB kB of its text and $HOT_RO_KB kB of its read-only mapping are resident"
 
 echo "==> CI gate passed"
