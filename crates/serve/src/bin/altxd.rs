@@ -1,23 +1,27 @@
 //! `altxd` — the speculation daemon.
 //!
 //! ```text
-//! altxd [--addr HOST:PORT] [--workers N] [--queue N] [--shards N]
-//!       [--ring-slots N] [--ring-slot-bytes N] [--duration SECS]
-//!       [--hedge] [--hedge-min-samples N] [--hedge-explore-every N]
+//! altxd [--addr HOST:PORT] [--workers N] [--shards N] [--hedge]
 //!       [--peer HOST:PORT]... [--advertise HOST:PORT]
-//!       [--peer-explore-every N] [--peer-heartbeat-ms N]
-//!       [--peer-suspect-ms N] [--lanes SPEC] [--admission] [--steal]
-//!       [--lane-aging-ms N] [--spin-us N]
+//!       [--lanes SPEC] [--admission] [--steal]
 //! ```
 //!
-//! `--duration 0` (the default) serves until a client sends the
-//! SHUTDOWN opcode; a positive duration makes the daemon drain and exit
-//! on its own — handy for smoke tests: a thread that exists only then
-//! sends that opcode itself when the time is up.
+//! The daemon serves until a client sends the SHUTDOWN opcode, then
+//! drains, prints its STATS page and exits.
 //!
 //! The main thread runs reactor shard 0 — the one that also holds the
 //! links to `--peer`s — after printing the banner; shards 1.. and the
 //! workers have threads of their own.
+//!
+//! Five of the flags are deployment settings: where to listen, how many
+//! workers and shards, which peers to join and under which name. The
+//! other four switch a scheduling behaviour on; each is off by default.
+//! Everything else is fixed at the value the library documents: a run
+//! queue 64 deep, a reply ring of [`DEFAULT_RING_SLOTS`] slots of
+//! [`DEFAULT_RING_SLOT_BYTES`] per shard, the favourite's trust and
+//! exploration cadence of [`HedgeConfig::default`], the peer links'
+//! cadences of [`PeerConfig::default`], and the pool's
+//! [`DEFAULT_LANE_AGING`] and [`DEFAULT_SPIN`].
 //!
 //! `--hedge` turns on adaptive hedged launches: the statistically
 //! favoured alternative starts immediately and the rest are held back
@@ -28,11 +32,6 @@
 //! does not start, and says which option asked for it); the default of
 //! 1 keeps the classic single-reactor front end, and 0 is refused.
 //!
-//! `--ring-slots N` / `--ring-slot-bytes N` size the per-shard reply
-//! ring — up to N fixed buffers winning replies are encoded straight
-//! into, each made the first time a reply needs one (one copy to the
-//! kernel, no steady-state allocation); at least one slot.
-//!
 //! Without `--workers` the daemon asks the host for its CPU count and
 //! runs that many workers (at least 2); given, nothing is asked.
 //!
@@ -42,38 +41,33 @@
 //! commits each race's winner through a majority vote across the nodes
 //! that were up when the race started. `--advertise HOST:PORT` sets
 //! the identity peers use to reach back (defaults to the bind
-//! address); `--peer-explore-every N` forces one remote dispatch every
-//! N races so link statistics stay live (0 disables exploration).
-//! `--peer-heartbeat-ms N` sets the PEER_STATS heartbeat cadence (0
-//! disables heartbeats and the health lifecycle); `--peer-suspect-ms N`
-//! is how long a link may stay silent before its peer is marked
-//! Suspect — twice that quarantines it until it answers again.
+//! address).
 //!
 //! Deadline-aware scheduling (all off by default — the defaults are
 //! byte-for-byte the classic FIFO pool): `--lanes SPEC` declares
 //! per-workload priority lanes (`rt:trivial,bimodal;batch:sleep`,
 //! priority in declaration order, unmentioned workloads in a trailing
-//! default lane; `--lane-aging-ms N` bounds how long a lower lane may
-//! starve); `--admission` sheds a request on arrival when its deadline
-//! is provably unmeetable from the workload's observed p99 service time
-//! plus the current queue wait; `--steal` splits the pool into one
-//! worker group per shard and lets a dry group's workers take the best
-//! queued job from a sibling; `--spin-us N` sets how long an idle
-//! stealing worker busy-waits for new work before parking on its
-//! group's condvar (0 parks immediately).
+//! default lane); `--admission` sheds a request on arrival when its
+//! deadline is provably unmeetable from the workload's observed p99
+//! service time plus the current queue wait; `--steal` splits the pool
+//! into one worker group per shard and lets a dry group's workers take
+//! the best queued job from a sibling.
+//!
+//! Any other flag — among them the tuning flags earlier versions took —
+//! is refused with exit status 2.
 
+use altx_serve::pool::{DEFAULT_LANE_AGING, DEFAULT_SPIN};
 use altx_serve::server::{
     available_workers, run, ServerConfig, DEFAULT_RING_SLOTS, DEFAULT_RING_SLOT_BYTES,
 };
 use altx_serve::workload::CATALOG;
-use altx_serve::{Client, HedgeConfig, Lanes, PeerConfig};
+use altx_serve::{HedgeConfig, Lanes, PeerConfig};
 use std::net::SocketAddr;
-use std::time::Duration;
 
-/// The daemon's configuration (its `workers` left for `main`), the
+/// The daemon's configuration (its `workers` left for `main`) and the
 /// `--workers` given if any — the CPU count is only asked for when
-/// nobody said how many — and `--duration`.
-fn parse_args() -> Result<(ServerConfig, Option<usize>, u64), String> {
+/// nobody said how many.
+fn parse_args() -> Result<(ServerConfig, Option<usize>), String> {
     let mut config = ServerConfig {
         addr: "127.0.0.1:7171".to_owned(),
         workers: 0,
@@ -86,10 +80,10 @@ fn parse_args() -> Result<(ServerConfig, Option<usize>, u64), String> {
         lanes: Lanes::single(),
         admission: false,
         steal: false,
-        lane_aging: altx_serve::pool::DEFAULT_LANE_AGING,
-        spin: altx_serve::pool::DEFAULT_SPIN,
+        lane_aging: DEFAULT_LANE_AGING,
+        spin: DEFAULT_SPIN,
     };
-    let (mut workers, mut duration_s) = (None, 0);
+    let mut workers = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
@@ -104,11 +98,6 @@ fn parse_args() -> Result<(ServerConfig, Option<usize>, u64), String> {
                 }
                 workers = Some(n);
             }
-            "--queue" => {
-                config.queue_depth = value("--queue")?
-                    .parse()
-                    .map_err(|e| format!("--queue: {e}"))?
-            }
             "--shards" => {
                 config.shards = value("--shards")?
                     .parse()
@@ -117,91 +106,31 @@ fn parse_args() -> Result<(ServerConfig, Option<usize>, u64), String> {
                     return Err("--shards: the minimum is 1".to_owned());
                 }
             }
-            "--ring-slots" => {
-                config.ring_slots = value("--ring-slots")?
-                    .parse()
-                    .map_err(|e| format!("--ring-slots: {e}"))?;
-                if config.ring_slots == 0 {
-                    return Err("--ring-slots: the minimum is 1".to_owned());
-                }
-            }
-            "--ring-slot-bytes" => {
-                config.ring_slot_bytes = value("--ring-slot-bytes")?
-                    .parse()
-                    .map_err(|e| format!("--ring-slot-bytes: {e}"))?
-            }
-            "--duration" => {
-                duration_s = value("--duration")?
-                    .parse()
-                    .map_err(|e| format!("--duration: {e}"))?
-            }
             "--hedge" => config.hedge.enabled = true,
-            "--hedge-min-samples" => {
-                config.hedge.min_samples = value("--hedge-min-samples")?
-                    .parse()
-                    .map_err(|e| format!("--hedge-min-samples: {e}"))?
-            }
-            "--hedge-explore-every" => {
-                config.hedge.explore_every = value("--hedge-explore-every")?
-                    .parse()
-                    .map_err(|e| format!("--hedge-explore-every: {e}"))?
-            }
             "--peer" => config.peer.peers.push(value("--peer")?),
             "--advertise" => config.peer.advertise = Some(value("--advertise")?),
-            "--peer-explore-every" => {
-                config.peer.explore_every = value("--peer-explore-every")?
-                    .parse()
-                    .map_err(|e| format!("--peer-explore-every: {e}"))?
-            }
-            "--peer-heartbeat-ms" => {
-                config.peer.heartbeat_ms = value("--peer-heartbeat-ms")?
-                    .parse()
-                    .map_err(|e| format!("--peer-heartbeat-ms: {e}"))?
-            }
-            "--peer-suspect-ms" => {
-                config.peer.suspect_ms = value("--peer-suspect-ms")?
-                    .parse()
-                    .map_err(|e| format!("--peer-suspect-ms: {e}"))?
-            }
             "--lanes" => {
                 config.lanes =
                     Lanes::parse(&value("--lanes")?).map_err(|e| format!("--lanes: {e}"))?
             }
             "--admission" => config.admission = true,
             "--steal" => config.steal = true,
-            "--spin-us" => {
-                let us: u64 = value("--spin-us")?
-                    .parse()
-                    .map_err(|e| format!("--spin-us: {e}"))?;
-                config.spin = Duration::from_micros(us);
-            }
-            "--lane-aging-ms" => {
-                let ms: u64 = value("--lane-aging-ms")?
-                    .parse()
-                    .map_err(|e| format!("--lane-aging-ms: {e}"))?;
-                config.lane_aging = Duration::from_millis(ms);
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: altxd [--addr HOST:PORT] [--workers N] [--queue N] \
-                     [--shards N] [--ring-slots N] [--ring-slot-bytes N] \
-                     [--duration SECS] [--hedge] [--hedge-min-samples N] \
-                     [--hedge-explore-every N] [--peer HOST:PORT]... \
-                     [--advertise HOST:PORT] [--peer-explore-every N] \
-                     [--peer-heartbeat-ms N] [--peer-suspect-ms N] \
-                     [--lanes SPEC] [--admission] [--steal] \
-                     [--lane-aging-ms N] [--spin-us N]"
+                    "usage: altxd [--addr HOST:PORT] [--workers N] [--shards N] [--hedge] \
+                     [--peer HOST:PORT]... [--advertise HOST:PORT] \
+                     [--lanes SPEC] [--admission] [--steal]"
                 );
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    Ok((config, workers, duration_s))
+    Ok((config, workers))
 }
 
 fn main() {
-    let (mut config, workers, duration_s) = parse_args().unwrap_or_else(|e| {
+    let (mut config, workers) = parse_args().unwrap_or_else(|e| {
         eprintln!("altxd: {e}");
         std::process::exit(2);
     });
@@ -210,25 +139,6 @@ fn main() {
     let served = run(config.clone(), |handle| {
         banner(&config, handle.local_addr());
         telemetry = Some(handle.telemetry());
-        if duration_s > 0 {
-            // A thread that exists only for this, asking for the drain
-            // the way any client would.
-            let (after, addr) = (Duration::from_secs(duration_s), handle.local_addr());
-            let stop = move || {
-                std::thread::sleep(after);
-                let stopped = match Client::connect(addr) {
-                    Ok(mut client) => client.shutdown().map_err(|e| e.to_string()),
-                    Err(e) => Err(e.to_string()),
-                };
-                if let Err(e) = stopped {
-                    eprintln!("altxd: --duration: cannot send SHUTDOWN to {addr}: {e}");
-                }
-            };
-            std::thread::Builder::new()
-                .name("altxd-duration".to_owned())
-                .spawn(stop)
-                .expect("spawn the --duration thread");
-        }
     });
     if let Err(e) = served {
         eprintln!("altxd: bind failed: {e}");

@@ -1,5 +1,5 @@
-//! Blocking client for the daemon's framed protocol, with timeouts,
-//! retries, and optional request hedging.
+//! Blocking client for the daemon's framed protocol, with timeouts and
+//! retries.
 //!
 //! The bare [`Client::connect`] is already defensive: every socket gets
 //! connect/read/write timeouts so a dead or wedged daemon surfaces as a
@@ -9,25 +9,17 @@
 //! * a [`RetryPolicy`] re-issues calls that failed *retryably* — an
 //!   `Overloaded` shed or a transport error — with exponential backoff,
 //!   deterministic jitter, and a per-client retry **budget** so a
-//!   persistently sick server cannot trap the client in backoff forever;
-//! * a **hedge delay** races a second attempt on a fresh connection when
-//!   the first reply is slow — the paper's Scheme A ("initiate both,
-//!   first answer wins") applied at the RPC layer, where the mutually
-//!   exclusive alternatives are two sends of the same idempotent request.
+//!   persistently sick server cannot trap the client in backoff forever.
 //!
-//! Every retry, hedge, reconnect, and abandoned hedge loser is counted
-//! in [`ClientStats`] so load generators can report how much resilience
-//! machinery actually fired. A hedge loser's thread is never leaked:
-//! it is reaped opportunistically and joined on [`Drop`], bounded by
-//! the attempt's socket timeouts.
+//! Every retry and reconnect is counted in [`ClientStats`] so load
+//! generators can report how much resilience machinery actually fired.
 
 use crate::frame::{read_frame, write_frame, FrameError, Request, Response};
 use altx_des::splitmix64;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// When and how aggressively to retry a failed call.
@@ -71,10 +63,6 @@ pub struct ClientConfig {
     pub write_timeout: Option<Duration>,
     /// Retry policy; `None` disables retries (one attempt per call).
     pub retry: Option<RetryPolicy>,
-    /// If set, a call whose reply hasn't arrived after this long sends
-    /// the same request once more on a fresh connection and takes
-    /// whichever reply lands first.
-    pub hedge_delay: Option<Duration>,
 }
 
 impl Default for ClientConfig {
@@ -84,7 +72,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             retry: None,
-            hedge_delay: None,
         }
     }
 }
@@ -93,9 +80,7 @@ impl Default for ClientConfig {
 #[derive(Debug, Default)]
 pub struct ClientStats {
     retries: AtomicU64,
-    hedges: AtomicU64,
     reconnects: AtomicU64,
-    abandoned: AtomicU64,
 }
 
 impl ClientStats {
@@ -104,30 +89,14 @@ impl ClientStats {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Hedged second attempts launched.
-    pub fn hedges(&self) -> u64 {
-        self.hedges.load(Ordering::Relaxed)
-    }
-
-    /// Fresh connections opened after the first (reconnects + hedges).
+    /// Fresh connections opened after the first.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Hedge attempts whose reply nobody waited for — the race was
-    /// decided by the other attempt, so the loser's thread was left to
-    /// drain on its own (joined, at the latest, when the client drops).
-    pub fn abandoned(&self) -> u64 {
-        self.abandoned.load(Ordering::Relaxed)
     }
 }
 
 /// One connection to an `altxd` daemon. Requests are synchronous: one
-/// outstanding request per connection, replies in order. (Hedging may
-/// briefly hold a second connection; the loser's connection is
-/// discarded, never reused, and its thread is tracked in `outstanding`
-/// so [`Drop`] can join it — attempts are bounded by socket timeouts,
-/// so no abandoned thread outlives the client by more than a timeout.)
+/// outstanding request per connection, replies in order.
 pub struct Client {
     stream: Option<TcpStream>,
     addrs: Vec<SocketAddr>,
@@ -135,7 +104,6 @@ pub struct Client {
     stats: Arc<ClientStats>,
     budget_left: u32,
     jitter: u64,
-    outstanding: Vec<JoinHandle<()>>,
 }
 
 impl Client {
@@ -165,7 +133,6 @@ impl Client {
             stats: Arc::new(ClientStats::default()),
             budget_left,
             jitter,
-            outstanding: Vec::new(),
         })
     }
 
@@ -175,8 +142,8 @@ impl Client {
         Arc::clone(&self.stats)
     }
 
-    /// Sends a request and waits for its reply, retrying and hedging
-    /// per the client's [`ClientConfig`].
+    /// Sends a request and waits for its reply, retrying per the
+    /// client's [`ClientConfig`].
     pub fn call(&mut self, request: &Request) -> Result<Response, FrameError> {
         let max_attempts = self
             .config
@@ -205,119 +172,16 @@ impl Client {
         }
     }
 
-    /// One try: plain exchange, or a hedged one if configured.
+    /// One try on the live stream.
     fn attempt(&mut self, request: &Request) -> Result<Response, FrameError> {
-        let payload = request.encode();
-        match self.config.hedge_delay {
-            Some(delay) => self.attempt_hedged(&payload, delay),
-            None => {
-                let mut stream = self.take_stream()?;
-                let result = exchange(&mut stream, &payload);
-                if result.is_ok() {
-                    self.stream = Some(stream);
-                }
-                // On error the stream is dropped: the reply owed to this
-                // request may still arrive, so the connection is tainted.
-                result
-            }
-        }
-    }
-
-    /// Scheme-A hedging: the primary exchange runs on its own thread;
-    /// if no reply lands within `delay`, a second copy of the request
-    /// goes out on a fresh connection and the first reply wins. The
-    /// losing connection is dropped, never reused — its reply is owed
-    /// to a request nobody is waiting on. The loser's *thread* is not
-    /// leaked: it lands in `outstanding` and is joined by [`Drop`]
-    /// (bounded — every attempt runs under the config's socket
-    /// timeouts), and its unconsumed result counts as `abandoned`.
-    fn attempt_hedged(&mut self, payload: &[u8], delay: Duration) -> Result<Response, FrameError> {
         let mut stream = self.take_stream()?;
-        let (tx, rx) = mpsc::channel::<(Option<TcpStream>, Result<Response, FrameError>)>();
-        let primary = {
-            let tx = tx.clone();
-            let payload = payload.to_vec();
-            std::thread::spawn(move || {
-                let result = exchange(&mut stream, &payload);
-                let stream = result.is_ok().then_some(stream);
-                let _ = tx.send((stream, result));
-            })
-        };
-        let mut attempts = vec![primary];
-        let mut consumed = 0usize;
-        let mut hedged = false;
-        let first = match rx.recv_timeout(delay) {
-            Ok(reply) => reply,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                hedged = true;
-                self.stats.hedges.fetch_add(1, Ordering::Relaxed);
-                self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-                let addrs = self.addrs.clone();
-                let config = self.config.clone();
-                let payload = payload.to_vec();
-                let tx = tx.clone();
-                attempts.push(std::thread::spawn(move || {
-                    let _ = match open_stream(&addrs, &config)
-                        .map_err(FrameError::from)
-                        .and_then(|mut s| exchange(&mut s, &payload).map(|r| (s, r)))
-                    {
-                        Ok((s, r)) => tx.send((Some(s), Ok(r))),
-                        Err(e) => tx.send((None, Err(e))),
-                    };
-                }));
-                // Both attempts are bounded by socket timeouts, so each
-                // thread sends exactly once and this recv terminates.
-                rx.recv().expect("at least one attempt reports")
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                unreachable!("primary thread always sends before exiting")
-            }
-        };
-        consumed += 1;
-        drop(tx); // rx must see Disconnected once the attempts report
-        let result = match first {
-            (stream, Ok(reply)) => {
-                // The winner's connection is clean (its reply was fully
-                // read) and becomes the client's stream; the loser is
-                // dropped when its thread finishes.
-                self.stream = stream;
-                Ok(reply)
-            }
-            (_, Err(first_err)) if hedged => {
-                // First reporter failed; the other attempt may still
-                // deliver.
-                let second = rx.recv();
-                consumed += 1;
-                match second {
-                    Ok((stream, Ok(reply))) => {
-                        self.stream = stream;
-                        Ok(reply)
-                    }
-                    Ok((_, Err(_))) | Err(_) => Err(first_err),
-                }
-            }
-            (_, Err(first_err)) => Err(first_err),
-        };
-        self.stats
-            .abandoned
-            .fetch_add((attempts.len() - consumed) as u64, Ordering::Relaxed);
-        self.reap(attempts);
-        result
-    }
-
-    /// Tracks attempt threads: already-finished ones are joined on the
-    /// spot (free), the rest wait in `outstanding` for the next reap or
-    /// for [`Drop`].
-    fn reap(&mut self, fresh: Vec<JoinHandle<()>>) {
-        self.outstanding.extend(fresh);
-        let mut i = 0;
-        while i < self.outstanding.len() {
-            if self.outstanding[i].is_finished() {
-                let _ = self.outstanding.swap_remove(i).join();
-            } else {
-                i += 1;
-            }
+        let result = exchange(&mut stream, &request.encode());
+        if result.is_ok() {
+            self.stream = Some(stream);
         }
+        // On error the stream is dropped: the reply owed to this request
+        // may still arrive, so the connection is tainted.
+        result
     }
 
     /// Hands out the live stream, reconnecting if the last attempt
@@ -356,7 +220,7 @@ impl Client {
     /// Pipelining: writes one request frame without waiting for its
     /// reply. Pair with [`Client::recv`]; the daemon's reactor
     /// guarantees replies come back in request order. Raw mode — no
-    /// retries, no hedging, no reconnect on error (a tainted stream
+    /// retries, no reconnect on error (a tainted stream
     /// would desynchronize the pipeline).
     pub fn send(&mut self, request: &Request) -> Result<(), FrameError> {
         let mut stream = self.take_stream()?;
@@ -436,18 +300,6 @@ impl Client {
         match self.call(&Request::Shutdown)? {
             Response::Text { .. } => Ok(()),
             other => Err(unexpected(other)),
-        }
-    }
-}
-
-impl Drop for Client {
-    /// Joins every abandoned hedge attempt. Bounded: each attempt runs
-    /// under the config's connect/read/write timeouts, so the slowest
-    /// possible join is one socket timeout away — no thread outlives
-    /// the client unseen, and no reply socket lingers half-read.
-    fn drop(&mut self) {
-        for handle in self.outstanding.drain(..) {
-            let _ = handle.join();
         }
     }
 }

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 /// A unit of work for the pool.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A completion notifier for [`WorkerPool::try_submit_notify`].
+/// A completion notifier for [`WorkerPool::try_submit_notify_at`].
 pub type Notify = Box<dyn FnOnce() + Send + 'static>;
 
 /// How long a lower-priority lane may starve before aging promotes it
@@ -545,12 +545,6 @@ impl WorkerPool {
         self.shared.submit(job, None, meta)
     }
 
-    /// Enqueues a best-effort job with a completion notifier; see
-    /// [`WorkerPool::try_submit_notify_at`].
-    pub fn try_submit_notify(&self, job: Job, notify: Notify) -> Result<(), SubmitError> {
-        self.try_submit_notify_at(job, notify, JobMeta::default())
-    }
-
     /// Enqueues a job with a completion notifier under `meta`'s
     /// deadline/lane/group. The pool guarantees `notify` runs **exactly
     /// once** for an admitted job — after the job returns, while its
@@ -608,12 +602,12 @@ impl WorkerPool {
     }
 
     /// Worker groups the pool was configured with.
-    pub fn groups(&self) -> usize {
+    fn groups(&self) -> usize {
         self.shared.available.len()
     }
 
     /// Priority lanes per group.
-    pub fn lanes(&self) -> usize {
+    fn lanes(&self) -> usize {
         self.shared.stats.lane_depth.len()
     }
 
@@ -861,12 +855,13 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         {
             let fired = Arc::clone(&fired);
-            pool.try_submit_notify(
+            pool.try_submit_notify_at(
                 Box::new(|| {}),
                 Box::new(move || {
                     fired.fetch_add(1, Ordering::SeqCst);
                     tx.send(()).expect("receiver alive");
                 }),
+                JobMeta::default(),
             )
             .expect("admitted");
         }
@@ -879,9 +874,10 @@ mod tests {
     fn notify_fires_when_job_panics() {
         let pool = WorkerPool::new(1, 8);
         let (tx, rx) = mpsc::channel();
-        pool.try_submit_notify(
+        pool.try_submit_notify_at(
             Box::new(|| panic!("job crashed")),
             Box::new(move || tx.send(()).expect("receiver alive")),
+            JobMeta::default(),
         )
         .expect("admitted");
         rx.recv_timeout(Duration::from_secs(5))
@@ -909,11 +905,12 @@ mod tests {
         let fired = Arc::new(AtomicUsize::new(0));
         let refused = {
             let fired = Arc::clone(&fired);
-            pool.try_submit_notify(
+            pool.try_submit_notify_at(
                 Box::new(|| {}),
                 Box::new(move || {
                     fired.fetch_add(1, Ordering::SeqCst);
                 }),
+                JobMeta::default(),
             )
         };
         assert_eq!(refused, Err(SubmitError::Overloaded));

@@ -58,13 +58,15 @@ pub struct HedgeConfig {
     /// exploration floor), hedging on or off.
     /// Clamped to at least 2 — exploration can never be disabled.
     pub explore_every: u64,
-    /// Lower clamp on the hedge delay (guards against a p95 so small the
-    /// hedges would effectively launch immediately anyway).
-    pub min_delay: Duration,
-    /// Upper clamp on the hedge delay (bounds worst-case added latency
-    /// when the favourite fails outright).
-    pub max_delay: Duration,
 }
+
+/// Lower clamp on the hedge delay (guards against a p95 so small the
+/// hedges would effectively launch immediately anyway).
+const SHORTEST_HEDGE: Duration = Duration::from_micros(500);
+
+/// Upper clamp on the hedge delay (bounds worst-case added latency when
+/// the favourite fails outright).
+const LONGEST_HEDGE: Duration = Duration::from_millis(50);
 
 impl Default for HedgeConfig {
     fn default() -> Self {
@@ -72,8 +74,6 @@ impl Default for HedgeConfig {
             enabled: false,
             min_samples: 20,
             explore_every: 8,
-            min_delay: Duration::from_micros(500),
-            max_delay: Duration::from_millis(50),
         }
     }
 }
@@ -394,9 +394,9 @@ impl HedgePolicy {
         if !self.config.enabled {
             return race_all();
         }
-        let quantile = hedge_delay_quantile(table.wins(fav));
+        let quantile = hedge_quantile(table.wins(fav));
         let delay = Duration::from_micros(table.quantile_us(fav, quantile).unwrap_or(0))
-            .clamp(self.config.min_delay, self.config.max_delay);
+            .clamp(SHORTEST_HEDGE, LONGEST_HEDGE);
         let offsets = (0..n_alts)
             .map(|i| if i == fav { Duration::ZERO } else { delay })
             .collect();
@@ -433,7 +433,7 @@ impl HedgePolicy {
 /// ten samples is their maximum, and one early 10 ms stall used to park
 /// the delay at 25–50 ms for as long as it took forty faster wins to
 /// outvote it.
-fn hedge_delay_quantile(wins: u64) -> f64 {
+fn hedge_quantile(wins: u64) -> f64 {
     (1.0 - 2.0 / wins.max(1) as f64).min(0.95)
 }
 
@@ -677,7 +677,6 @@ mod tests {
             enabled: true,
             min_samples: 4,
             explore_every: 4,
-            ..HedgeConfig::default()
         }
     }
 
@@ -740,35 +739,32 @@ mod tests {
     }
 
     #[test]
-    fn hedge_delay_is_clamped() {
-        let mut config = hedging_on();
-        config.min_delay = Duration::from_millis(2);
-        config.max_delay = Duration::from_millis(10);
+    fn the_hedge_is_clamped() {
+        let config = hedging_on();
         let policy = HedgePolicy::new(config);
         let widx = lognormal_idx();
-        // Sub-microsecond favourite: delay clamps up to min_delay.
+        // Sub-microsecond favourite: delay clamps up to SHORTEST_HEDGE.
         for _ in 0..10 {
             policy.record_win(widx, 0, 1);
         }
         let _ = policy.plan(widx, 3);
         let plan = policy.plan(widx, 3);
-        assert_eq!(plan.offset(1), Duration::from_millis(2));
+        assert_eq!(plan.offset(1), SHORTEST_HEDGE);
 
-        // Very slow favourite: delay clamps down to max_delay.
+        // Very slow favourite: delay clamps down to LONGEST_HEDGE.
         let policy = HedgePolicy::new(config);
         for _ in 0..10 {
             policy.record_win(widx, 0, 900_000);
         }
         let _ = policy.plan(widx, 3);
         let plan = policy.plan(widx, 3);
-        assert_eq!(plan.offset(1), Duration::from_millis(10));
+        assert_eq!(plan.offset(1), LONGEST_HEDGE);
     }
 
     #[test]
-    fn one_stall_cannot_own_the_hedge_delay() {
-        let mut config = hedging_on();
-        config.min_delay = Duration::from_micros(1);
-        config.max_delay = Duration::from_secs(1);
+    fn one_stall_cannot_own_the_hedge() {
+        // Every delay below (1 024 µs, 32 768 µs) lies inside the clamp.
+        let config = hedging_on();
         let widx = lognormal_idx();
         let delay = |policy: &HedgePolicy| {
             let _ = policy.plan(widx, 3); // the exploration tick
@@ -789,7 +785,7 @@ mod tests {
 
         // Two samples always lie beyond the quantile, whatever the count.
         for wins in 3..200u64 {
-            let rank = (hedge_delay_quantile(wins) * wins as f64).ceil() as u64;
+            let rank = (hedge_quantile(wins) * wins as f64).ceil() as u64;
             assert!(rank + 2 <= wins, "{wins} wins: rank {rank}");
         }
 

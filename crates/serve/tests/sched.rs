@@ -130,7 +130,6 @@ fn exploration_floor_survives_extreme_config() {
         enabled: true,
         min_samples: 1,
         explore_every: 0,
-        ..HedgeConfig::default()
     });
     let widx = workload::index_of("lognormal").unwrap();
     for _ in 0..8 {

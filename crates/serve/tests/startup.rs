@@ -166,3 +166,64 @@ fn an_idle_daemon_runs_its_main_thread_and_its_workers_and_nothing_else() {
     }
     assert_eq!(census, want, "an idle `altxd --workers 2 --shards 1`");
 }
+
+/// The command line is the nine settings an operator makes: five of
+/// deployment and four scheduling switches. The tuning values earlier
+/// versions took as flags are fixed now, and naming one is refused like
+/// any unknown flag — never silently ignored.
+#[test]
+fn the_command_line_takes_nine_flags_and_refuses_the_old_tuning_ones() {
+    let help = Command::new(env!("CARGO_BIN_EXE_altxd"))
+        .arg("--help")
+        .output()
+        .expect("run altxd --help");
+    assert!(help.status.success(), "altxd --help: {:?}", help.status);
+    let usage = String::from_utf8(help.stdout).expect("utf-8 usage");
+    let mut named: Vec<&str> = usage
+        .split(|c: char| c.is_whitespace() || "[]".contains(c))
+        .filter(|word| word.starts_with("--"))
+        .map(|word| word.trim_end_matches("..."))
+        .collect();
+    named.sort_unstable();
+    let mut want = [
+        "--addr",
+        "--workers",
+        "--shards",
+        "--peer",
+        "--advertise",
+        "--hedge",
+        "--lanes",
+        "--admission",
+        "--steal",
+    ];
+    want.sort_unstable();
+    assert_eq!(named, want, "the flags of {usage:?}");
+
+    for removed in [
+        "--queue",
+        "--ring-slots",
+        "--ring-slot-bytes",
+        "--duration",
+        "--hedge-min-samples",
+        "--hedge-explore-every",
+        "--peer-explore-every",
+        "--peer-heartbeat-ms",
+        "--peer-suspect-ms",
+        "--lane-aging-ms",
+        "--spin-us",
+    ] {
+        // `--workers 0` is refused too, so a parser that took the flag
+        // would exit rather than serve.
+        let out = Command::new(env!("CARGO_BIN_EXE_altxd"))
+            .args([removed, "1", "--workers", "0"])
+            .stdin(Stdio::null())
+            .output()
+            .unwrap_or_else(|e| panic!("run altxd {removed}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "altxd {removed}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {removed}")),
+            "altxd {removed}: {stderr}"
+        );
+    }
+}

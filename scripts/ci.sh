@@ -288,15 +288,11 @@ done
 
 # The benchmark starts altxd with three flags; this keeps a caller for
 # the parser of all the others, and for its refusal of an unknown one,
-# of the two removed ones (`--pin`, `--batch-window-us`: refused, never
-# silently ignored), of a pool with no workers and of no shards.
+# of every removed one (refused, never silently ignored), of a pool with
+# no workers and of no shards.
 echo "==> altxd flag smoke: every flag of the --help line, then an unknown one, the removed ones, --workers 0 and --shards 0"
-FLAGS=(--addr 127.0.0.1:0 --workers 2 --queue 32 --shards 2 --ring-slots 64
-    --ring-slot-bytes 512 --duration 1 --hedge
-    --hedge-min-samples 8 --hedge-explore-every 4 --peer 127.0.0.1:1
-    --advertise 127.0.0.1:9 --peer-explore-every 8 --peer-heartbeat-ms 100
-    --peer-suspect-ms 300 --lanes 'rt:trivial;batch:sleep' --admission --steal
-    --lane-aging-ms 10 --spin-us 5)
+FLAGS=(--addr 127.0.0.1:0 --workers 2 --shards 2 --hedge --peer 127.0.0.1:1
+    --advertise 127.0.0.1:9 --lanes 'rt:trivial;batch:sleep' --admission --steal)
 for flag in $("$ALTXD" --help | grep -o -- '--[a-z-]*'); do
     case " ${FLAGS[*]} " in
         *" $flag "*) ;;
@@ -306,11 +302,38 @@ for flag in $("$ALTXD" --help | grep -o -- '--[a-z-]*'); do
             ;;
     esac
 done
-"$ALTXD" "${FLAGS[@]}" | grep '^altxd: drained, bye$' >/dev/null || {
-    echo "flag smoke: altxd with every flag set did not start, serve a second and drain" >&2
+# Started with every flag, then drained the way any client would: a
+# STATS frame and a SHUTDOWN frame on one connection (a frame is a
+# 32-bit big-endian length and the body; the opcodes are 0x02 and 0x04).
+SMOKE_OUT=$(mktemp /tmp/altx-flags.XXXXXX.out)
+"$ALTXD" "${FLAGS[@]}" >"$SMOKE_OUT" &
+SMOKE_PID=$!
+SMOKE_ADDR=
+for _ in $(seq 1 100); do
+    SMOKE_ADDR=$(sed -n 's/^altxd listening on \([^ ]*\) .*/\1/p' "$SMOKE_OUT")
+    [ -z "$SMOKE_ADDR" ] || break
+    sleep 0.05
+done
+[ -n "$SMOKE_ADDR" ] || {
+    echo "flag smoke: altxd with every flag set did not start" >&2
+    kill "$SMOKE_PID" 2>/dev/null || true
     exit 1
 }
-for bad in '--no-such-flag' '--pin' '--batch-window-us 500' '--workers 0' '--shards 0'; do
+exec 3<>"/dev/tcp/${SMOKE_ADDR%:*}/${SMOKE_ADDR##*:}"
+printf '\0\0\0\1\2\0\0\0\1\4' >&3
+cat <&3 >/dev/null
+exec 3<&-
+status=0
+wait "$SMOKE_PID" || status=$?
+[ "$status" -eq 0 ] && grep -q '^altxd: drained, bye$' "$SMOKE_OUT" || {
+    echo "flag smoke: altxd with every flag set did not serve a SHUTDOWN and drain" >&2
+    exit 1
+}
+rm -f "$SMOKE_OUT"
+REMOVED=(--queue --ring-slots --ring-slot-bytes --duration --hedge-min-samples
+    --hedge-explore-every --peer-explore-every --peer-heartbeat-ms
+    --peer-suspect-ms --lane-aging-ms --spin-us)
+for bad in '--no-such-flag' '--pin' '--batch-window-us 500' "${REMOVED[@]/%/ 1}" '--workers 0' '--shards 0'; do
     read -r -a argv <<<"$bad"
     status=0
     "$ALTXD" "${argv[@]}" >/dev/null 2>&1 || status=$?
