@@ -20,9 +20,20 @@
 //! claims and runs every alternative no racer got to, so a crew that is
 //! slow to wake, or whose racers are all inside other bodies, costs
 //! concurrency and never progress.
+//!
+//! The crew also runs errands ([`run_on_crew`]): one closure on one
+//! racer, counted busy throughout — a daemon's queued race, say, whose
+//! siblings the race then hands to racers of their own. Errands have a
+//! second instance of the crew to themselves, the same code with its
+//! own threads: Linux lets a woken thread overtake the running one by
+//! what each has run before, so a racer woken for a sibling gets in
+//! ahead of its caller's inline body on a shared CPU only while racers
+//! run nothing but siblings. One set of racers running both measured
+//! the favourite ahead of its siblings on one CPU.
 
 use crate::wake;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -39,6 +50,31 @@ pub(crate) trait Job: Send + Sync {
     /// claimable, bracketing each body with [`Crew::enter`] /
     /// [`Crew::leave`].
     fn help(&self);
+}
+
+/// Runs `f` on a racer of the process-wide crew's errand instance — a
+/// parked one, or one spawned for it; never on the caller, and without
+/// waiting for `f`. The racer counts as busy while `f` runs, and a race
+/// started inside it gets racers of its own; a panic in `f` is
+/// contained: it ends the errand, not the racer. Out of threads, the
+/// errand waits for the next racer to come free.
+pub fn run_on_crew(f: impl FnOnce() + Send + 'static) {
+    let errand: Arc<dyn Job> = Arc::new(Errand(Mutex::new(Some(Box::new(f)))));
+    ERRANDS.dispatch(&errand, &[None]);
+}
+
+/// A closure for exactly one racer: the one that takes its ticket.
+struct Errand(Mutex<Option<Box<dyn FnOnce() + Send>>>);
+
+impl Job for Errand {
+    fn help(&self) {
+        let f = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(f) = f {
+            ERRANDS.enter();
+            let _ = catch_unwind(AssertUnwindSafe(f));
+            ERRANDS.leave();
+        }
+    }
 }
 
 /// One request for a racer: "come and help `job`, no earlier than
@@ -86,17 +122,10 @@ pub(crate) struct Crew {
     reclaimed: AtomicU64,
 }
 
-static CREW: Crew = Crew {
-    state: Mutex::new(State {
-        tickets: VecDeque::new(),
-        live: 0,
-        busy: 0,
-        parked: 0,
-    }),
-    wake: Condvar::new(),
-    spawned: AtomicU64::new(0),
-    reclaimed: AtomicU64::new(0),
-};
+static CREW: Crew = Crew::new();
+
+/// The crew's instance for errands (module docs: why apart).
+static ERRANDS: Crew = Crew::new();
 
 /// The process-wide crew. The struct is a constant; its threads are
 /// spawned by the first race that needs one.
@@ -104,7 +133,31 @@ pub(crate) fn crew() -> &'static Crew {
     &CREW
 }
 
+/// Both instances' counters, summed.
+pub(crate) fn stats() -> CrewStats {
+    let (races, errands) = (CREW.stats(), ERRANDS.stats());
+    CrewStats {
+        live: races.live + errands.live,
+        spawned: races.spawned + errands.spawned,
+        reclaimed: races.reclaimed,
+    }
+}
+
 impl Crew {
+    const fn new() -> Crew {
+        Crew {
+            state: Mutex::new(State {
+                tickets: VecDeque::new(),
+                live: 0,
+                busy: 0,
+                parked: 0,
+            }),
+            wake: Condvar::new(),
+            spawned: AtomicU64::new(0),
+            reclaimed: AtomicU64::new(0),
+        }
+    }
+
     /// No alternative body, destructor or other caller code runs under
     /// this lock, so a poisoned guard still protects consistent counts.
     fn lock(&self) -> MutexGuard<'_, State> {

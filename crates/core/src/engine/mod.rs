@@ -23,7 +23,7 @@ mod plan;
 pub mod sim;
 mod threaded;
 
-pub use crew::CrewStats;
+pub use crew::{run_on_crew, CrewStats};
 pub use ordered::OrderedEngine;
 pub use plan::LaunchPlan;
 pub use threaded::ThreadedEngine;
@@ -32,12 +32,13 @@ use crate::block::{AltBlock, BlockResult};
 use altx_pager::AddressSpace;
 
 /// Counters of the process-wide race crew [`ThreadedEngine`] races on:
-/// racer threads alive, racer threads ever spawned, and alternatives
-/// eliminated while still waiting to be claimed. Process-wide, so two
-/// daemons in one process report the same numbers. Takes one
-/// uncontended lock; meant for a stats page, not a hot path.
+/// racer threads alive, racer threads ever spawned — [`run_on_crew`]'s
+/// included — and alternatives eliminated while still waiting to be
+/// claimed. Process-wide, so two daemons in one process report the same
+/// numbers. Takes two uncontended locks; meant for a stats page, not a
+/// hot path.
 pub fn crew_stats() -> CrewStats {
-    crew::crew().stats()
+    crew::stats()
 }
 
 /// An execution strategy for [`AltBlock`]s.

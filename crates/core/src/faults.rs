@@ -18,7 +18,6 @@
 //! |---|---|---|
 //! | `engine.alt.<name>` | `ThreadedEngine`, per alternative | panic, delay, cancel, fail |
 //! | `pool.job` | `WorkerPool`, per job | panic, delay, fail |
-//! | `pool.worker` | `WorkerPool`, per queue pop | panic (kills the thread) |
 //! | `peer.link.<addr>.send` | `PeerLinks` (shard 0), per outbound frame | drop, delay, duplicate, truncate, partition |
 //! | `peer.link.<addr>.recv` | `PeerLinks` (shard 0), per inbound frame | drop, delay, duplicate, truncate, partition |
 //!

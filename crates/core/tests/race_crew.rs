@@ -2,11 +2,11 @@
 //! own counters. Both are process-wide, so these tests live in a binary
 //! of their own and take turns.
 
-use altx::engine::{crew_stats, Engine, LaunchPlan, ThreadedEngine};
+use altx::engine::{crew_stats, run_on_crew, Engine, LaunchPlan, ThreadedEngine};
 use altx::wake::{force_lead, LEAD_CAP};
 use altx::{wake_stats, AddressSpace, AltBlock, CancelToken, PageSize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -316,4 +316,39 @@ fn a_process_learns_its_lead_from_its_own_timed_waits() {
     // Every one of those waits ended at least a little late.
     let lead = wake_stats().lead;
     assert!(lead > Duration::ZERO && lead <= LEAD_CAP, "{lead:?}");
+}
+
+/// An errand runs on a racer, and counts as busy there: a race started
+/// inside it gets a second racer for its sibling. The favourite holds on
+/// until the sibling has reported, so a sibling left to the errand's own
+/// thread would show up as that thread, once the favourite gave up.
+#[test]
+fn an_errand_runs_on_a_racer_and_a_race_inside_it_gets_another() {
+    let _turn = serial();
+    let wait = Duration::from_secs(10);
+    let here = std::thread::current().id();
+    let (report, reported) = mpsc::channel();
+    run_on_crew(move || {
+        let me = std::thread::current();
+        let (seen, sibling) = mpsc::channel();
+        let sibling = Mutex::new(sibling);
+        let block: AltBlock<(std::thread::ThreadId, Option<String>)> = AltBlock::new()
+            .alternative("favourite", move |_w, _t| {
+                let sibling = sibling.lock().expect("one favourite");
+                sibling.recv_timeout(wait).ok()
+            })
+            .alternative("sibling", move |_w, _t| {
+                let thread = std::thread::current();
+                let _ = seen.send((thread.id(), thread.name().map(str::to_owned)));
+                None
+            });
+        let raced = ThreadedEngine::new().execute(&block, &mut ws());
+        let _ = report.send((me.id(), me.name().map(str::to_owned), raced.value));
+    });
+    let (errand, name, sibling) = reported.recv_timeout(wait).expect("the errand ran");
+    assert_ne!(errand, here, "never on the caller");
+    assert_eq!(name.as_deref(), Some("altx-racer"));
+    let (sibling, sibling_name) = sibling.expect("the sibling ran while the favourite waited");
+    assert_eq!(sibling_name.as_deref(), Some("altx-racer"));
+    assert_ne!(sibling, errand, "the race got a racer of its own");
 }

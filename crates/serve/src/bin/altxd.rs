@@ -10,8 +10,9 @@
 //! drains, prints its STATS page and exits.
 //!
 //! The main thread runs reactor shard 0 — the one that also holds the
-//! links to `--peer`s — after printing the banner; shards 1.. and the
-//! workers have threads of their own.
+//! links to `--peer`s — after printing the banner; shards 1.. have
+//! threads of their own, and the pool's workers — slots, at most that
+//! many queued races running at once — borrow the race crew's racers.
 //!
 //! Five of the flags are deployment settings: where to listen, how many
 //! workers and shards, which peers to join and under which name. The
@@ -33,7 +34,8 @@
 //! 1 keeps the classic single-reactor front end, and 0 is refused.
 //!
 //! Without `--workers` the daemon asks the host for its CPU count and
-//! runs that many workers (at least 2); given, nothing is asked.
+//! runs that many queued races at once (at least 2); given, nothing is
+//! asked.
 //!
 //! `--peer HOST:PORT` (repeatable) joins a cluster: the daemon keeps an
 //! outbound link to each named peer, ships non-favourite alternatives
@@ -50,7 +52,7 @@
 //! default lane); `--admission` sheds a request on arrival when its
 //! deadline is provably unmeetable from the workload's observed p99
 //! service time plus the current queue wait; `--steal` splits the pool
-//! into one worker group per shard and lets a dry group's workers take
+//! into one worker group per shard and lets a dry group's slots take
 //! the best queued job from a sibling.
 //!
 //! Any other flag — among them the tuning flags earlier versions took —

@@ -385,6 +385,13 @@ pub const ALT_FAILED: u8 = 1;
 /// finished.
 pub const ALT_DEADLINE: u8 = 2;
 
+/// Bytes an `EXEC_ALT` frame for `workload` from `origin` takes on the
+/// wire — length prefix, 29 bytes of fixed fields, the two names — what
+/// placement prices a shipped alternative at.
+pub fn exec_alt_frame_len(workload: &str, origin: &str) -> usize {
+    4 + 29 + workload.len() + origin.len()
+}
+
 const OP_RUN: u8 = 0x01;
 const OP_STATS: u8 = 0x02;
 const OP_PROMETHEUS: u8 = 0x03;
@@ -427,9 +434,8 @@ impl Request {
                 workload,
                 origin,
             } => {
-                let name = workload.as_bytes();
-                let from = origin.as_bytes();
-                let mut b = Vec::with_capacity(29 + name.len() + from.len());
+                let (name, from) = (workload.as_bytes(), origin.as_bytes());
+                let mut b = Vec::with_capacity(exec_alt_frame_len(workload, origin) - 4);
                 b.push(OP_EXEC_ALT);
                 b.extend_from_slice(&race_id.to_be_bytes());
                 b.extend_from_slice(&alt_idx.to_be_bytes());

@@ -11,7 +11,8 @@
 //!
 //! Production scaffolding around the race:
 //!
-//! * a fixed [`pool::WorkerPool`] with a **bounded** run queue —
+//! * a [`pool::WorkerPool`] — a **bounded** run queue whose jobs run
+//!   on the race crew, a fixed number at once —
 //!   admission control sheds load with an explicit `Overloaded` reply
 //!   instead of queueing without bound;
 //! * per-request **deadlines** carried by the engine's `CancelToken`

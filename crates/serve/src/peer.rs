@@ -765,6 +765,12 @@ fn wire_fault(addr: &str, site: &str) -> Option<NetFault> {
     fault
 }
 
+/// The load line an executor appends to its `PEER_STATS` reply — the
+/// heartbeat origins place around busy peers by; [`parse_load_line`].
+pub(crate) fn load_line(queued: usize, busy: u64, workers: usize) -> String {
+    format!("load queued {queued} busy {busy} workers {workers}\n")
+}
+
 /// Extracts `(queued, busy, workers)` from the `load queued N busy N
 /// workers N` line the executor appends to its `PEER_STATS` reply.
 pub(crate) fn parse_load_line(body: &str) -> Option<(u64, u64, u64)> {
@@ -907,6 +913,16 @@ mod tests {
             "all three figures or nothing"
         );
         assert_eq!(parse_load_line("load queued x busy 3 workers 4\n"), None);
+    }
+
+    #[test]
+    fn load_line_round_trips() {
+        for (queued, busy, workers) in [(0, 0, 1), (7, 3, 4), (64, 2, 2), (usize::MAX, u64::MAX, 9)]
+        {
+            let body = format!("altxd peers\n{}", load_line(queued, busy, workers));
+            let parsed = (queued as u64, busy, workers as u64);
+            assert_eq!(parse_load_line(&body), Some(parsed), "{body:?}");
+        }
     }
 
     #[test]

@@ -1,52 +1,51 @@
 //! Deadline-aware worker pool: per-group EDF run queues, priority lanes
-//! with starvation aging, work stealing, load shedding, panic
-//! containment, and workers that restart themselves.
+//! with starvation aging, work stealing, load shedding and panic
+//! containment — and no thread of its own.
 //!
 //! Connections never execute races themselves: they enqueue a job, and
-//! its completion notifier answers them from the worker thread, straight
-//! out of a reply-ring slot (`ring.rs`, `conn.rs`). Capacity is bounded
-//! across all queues and `try_submit` refuses — it never blocks — when
-//! the pool is full: queueing deeper would only turn overload into
-//! latency. Shutdown closes the queues; workers drain every admitted job
-//! before exiting, so accepted requests are always answered.
+//! its completion notifier answers them from the thread that ran it,
+//! straight out of a reply-ring slot (`ring.rs`, `conn.rs`). Capacity is
+//! bounded across all queues and `try_submit` refuses — it never blocks
+//! — when the pool is full: queueing deeper would only turn overload
+//! into latency. Shutdown returns once every admitted job has run.
 //!
-//! The run queue is a **monitor**: one `RunQueues` value — every
-//! group's lane heaps, who is asleep, how much is queued, whether the
-//! pool is closed — behind one `Mutex`, with one `Condvar` per group. A
-//! submitter locks, pushes, learns from the returned `Wake` which
-//! groups have a sleeper that may run the entry, unlocks, and notifies
-//! those. A worker locks and asks `RunQueues::next`: run this, spin,
-//! park, or exit — and is counted asleep before the lock is released,
-//! so "is there work a parked worker may run?" is asked and answered
-//! under the lock that parks it. `RunQueues` reads no clock, takes no
-//! lock and starts no thread; its rules are checked on virtual time
-//! (`tests::any_schedule_runs_every_admitted_entry_once`).
+//! The pool keeps the scheduling policy; the race crew owns the threads.
+//! `workers` are **slots**, dealt round-robin to groups: at most that
+//! many jobs run at once. A push that finds a free slot allowed to take
+//! its entry starts it as one errand on the crew
+//! ([`altx::engine::run_on_crew`]: its errand racers, kept apart from
+//! the racers of race siblings), which runs entries until
+//! `RunQueues::next` has nothing it may take and then leaves — freed
+//! under the lock that found nothing, so a later push always sees the
+//! free slot and no entry stays queued while no running slot may take
+//! it. `RunQueues` is a plain value behind one `Mutex`: it reads no
+//! clock, takes no lock and starts no thread, and its rules are checked
+//! on virtual time (`tests::any_schedule_runs_every_admitted_entry_once`).
 //!
 //! Scheduling — the default of one group, one lane and no stealing
 //! behaves exactly as a bounded FIFO channel: each queue is an EDF heap
 //! (see `Entry`); each group has one heap per priority lane, served
-//! strictly unless a lower lane has aged (`RunQueues::take_best`);
-//! workers are dealt round-robin to groups (one per shard when stealing
-//! is on) and pop their own group first. With stealing on, a worker
+//! strictly unless a lower lane has aged (`RunQueues::take_best`). With
+//! stealing on, a push may start a sibling group's free slot, and a slot
 //! whose group is dry takes a sibling group's *best* entry and, finding
-//! none, spins off the lock and looks again under it before it parks.
+//! none, spins off the lock and looks again before it leaves.
 //!
 //! Failure story (the chaos soak beats on it): every job runs inside
-//! `catch_unwind` ([`PoolStats::jobs_panicked`]); a worker that unwinds
-//! anyway — the `pool.worker` fault site — catches itself at the top of
-//! its thread and starts its loop again, name and timer slack intact
-//! ([`PoolStats::worker_respawns`]); and an admitted entry fires its
-//! notifier when it is dropped, however that happens: after the job
-//! ran, while its panic unwinds, unrun under an injected `Fail`, or in
-//! the sweep `shutdown` makes once the workers are joined.
+//! `catch_unwind` ([`PoolStats::jobs_panicked`]), and so does the errand
+//! on the crew; an admitted entry fires its notifier when it is dropped,
+//! however that happens: after the job ran, while its panic unwinds,
+//! unrun under an injected `Fail`, or in the sweep `shutdown` makes once
+//! no slot runs.
 
+use altx::engine::run_on_crew;
 use altx::faults;
 use altx::CachePadded;
+use std::cell::Cell;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// A unit of work for the pool.
@@ -59,9 +58,9 @@ pub type Notify = Box<dyn FnOnce() + Send + 'static>;
 /// past a busier high-priority lane.
 pub const DEFAULT_LANE_AGING: Duration = Duration::from_millis(25);
 
-/// Default busy-wait budget before an idle stealing worker parks on its
-/// condvar. ~20 µs covers the common "next request is already on the
-/// wire" gap without burning a core through a real lull.
+/// Default busy-wait budget before an idle stealing slot leaves. ~20 µs
+/// covers the common "next request is already on the wire" gap without
+/// burning a core through a real lull.
 pub const DEFAULT_SPIN: Duration = Duration::from_micros(20);
 
 /// Fires its notifier exactly once — when dropped.
@@ -117,22 +116,22 @@ impl JobMeta {
 /// Pool shape; [`PoolConfig::fifo`] is the everything-off default.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Worker threads.
+    /// Slots: jobs running at once, each on a racer of the crew.
     pub workers: usize,
     /// Total queued-job capacity across every group and lane.
     pub queue_depth: usize,
-    /// Worker groups; workers are dealt round-robin. Clamped to
+    /// Slot groups; slots are dealt round-robin. Clamped to
     /// `[1, workers]`.
     pub groups: usize,
     /// Priority lanes per group (`0` is highest priority). At least 1.
     pub lanes: usize,
-    /// Cross-group stealing when a worker's own group runs dry.
+    /// Cross-group stealing when a slot's own group runs dry.
     pub steal: bool,
     /// Starvation aging threshold; `Duration::ZERO` disables aging
     /// (pure strict priority).
     pub lane_aging: Duration,
-    /// Busy-wait budget before an idle stealing worker parks.
-    /// `Duration::ZERO` parks immediately.
+    /// How long an idle stealing slot looks for work before it leaves.
+    /// `Duration::ZERO` leaves at once.
     pub spin: Duration,
     /// Nothing: `None` is its only value and nothing reads it. It stays
     /// only because the benchmark's `layers` binary builds this struct
@@ -159,13 +158,12 @@ impl PoolConfig {
 
 /// Failure counters the pool maintains; shared with telemetry. Every
 /// cell is cache-line padded: `busy` is bumped twice per job by every
-/// worker and `steals`/`lane_depth` are written from multiple groups, so
+/// slot and `steals`/`lane_depth` are written from multiple groups, so
 /// without padding the counters would ping one shared line between
 /// cores on the hottest path in the daemon.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     jobs_panicked: CachePadded<AtomicU64>,
-    worker_respawns: CachePadded<AtomicU64>,
     busy: CachePadded<AtomicU64>,
     steals: CachePadded<AtomicU64>,
     drain_scavenges: CachePadded<AtomicU64>,
@@ -182,24 +180,19 @@ impl PoolStats {
         }
     }
 
-    /// Jobs whose closure panicked (contained; the worker survived).
+    /// Jobs whose closure panicked (contained; the slot kept serving).
     pub fn jobs_panicked(&self) -> u64 {
         self.jobs_panicked.load(Ordering::Relaxed)
     }
 
-    /// Times a worker unwound out of its loop and started it again.
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns.load(Ordering::Relaxed)
-    }
-
-    /// Workers executing a job right now — a gauge, not a counter.
+    /// Jobs running right now — a gauge, not a counter.
     /// Together with the queue depth this is the load figure peers
     /// exchange in heartbeats.
     pub fn busy(&self) -> u64 {
         self.busy.load(Ordering::Relaxed)
     }
 
-    /// Jobs a dry worker took from a sibling group's queue while the
+    /// Jobs a dry slot took from a sibling group's queue while the
     /// pool was **open**: "did stealing rebalance live traffic?" without
     /// shutdown noise, which is [`PoolStats::drain_scavenges`].
     pub fn steals(&self) -> u64 {
@@ -270,11 +263,7 @@ impl Ord for Entry {
     }
 }
 
-/// The groups whose condvar a submitter notifies once it has unlocked:
-/// each with a sleeper that may run the entry it pushed. Usually empty.
-type Wake = Vec<usize>;
-
-/// Where a worker's next entry came from.
+/// Where a slot's next entry came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Source {
     Own,
@@ -285,19 +274,17 @@ enum Source {
     Scavenged,
 }
 
-/// What [`RunQueues::next`] tells a worker to do.
+/// What [`RunQueues::next`] tells a slot to do.
 enum Next {
     Run {
         entry: Entry,
         from: Source,
     },
-    /// Nothing to run, but this worker steals, so work for it can appear
+    /// Nothing to run, but this slot steals, so work for it can appear
     /// in any group: spend the spin budget off the lock, then look again.
     Spin,
-    /// Nothing to run: sleep on the group's condvar. Already counted.
-    Park,
-    /// The pool is closed and every heap is empty.
-    Exit,
+    /// Nothing this slot may run: it is free again. Already counted.
+    Leave,
 }
 
 /// A submission [`RunQueues::push`] refused, handed back whole so that
@@ -305,17 +292,19 @@ enum Next {
 type Refused = (SubmitError, Job, Option<Notify>);
 
 /// The pool's scheduling state as a plain value: what is queued where,
-/// who is asleep, and every rule that follows from the two — admission,
-/// EDF / lane / aging order, stealing, whom to wake, when to exit. The
-/// caller holds the lock and supplies the time.
+/// which slots run, and every rule that follows from the two —
+/// admission, EDF / lane / aging order, stealing, which slot to start,
+/// when a slot leaves. The caller holds the lock and supplies the time.
 struct RunQueues {
     /// `lanes[group][lane]`.
     lanes: Vec<Vec<BinaryHeap<Entry>>>,
     /// Entries queued per lane, summed across groups — what the
     /// lane-depth gauges show, and in total what `capacity` bounds.
     depth: Vec<usize>,
-    /// Workers per group asleep on the group's condvar.
-    parked: Vec<usize>,
+    /// Slots per group: `workers` dealt round-robin.
+    slots: Vec<usize>,
+    /// Slots per group started and not yet left.
+    running: Vec<usize>,
     capacity: usize,
     steal: bool,
     lane_aging: Duration,
@@ -328,10 +317,12 @@ impl RunQueues {
         let groups = config.groups.clamp(1, config.workers);
         let lanes = config.lanes.max(1);
         let heaps = |_| (0..lanes).map(|_| BinaryHeap::new()).collect();
+        let dealt = |g| config.workers / groups + usize::from(g < config.workers % groups);
         RunQueues {
             lanes: (0..groups).map(heaps).collect(),
             depth: vec![0; lanes],
-            parked: vec![0; groups],
+            slots: (0..groups).map(dealt).collect(),
+            running: vec![0; groups],
             capacity: config.queue_depth,
             steal: config.steal,
             lane_aging: config.lane_aging,
@@ -345,14 +336,18 @@ impl RunQueues {
         self.depth.iter().sum()
     }
 
-    /// Admits `job` under `meta`, or refuses it and changes nothing.
+    /// Admits `job` under `meta`, or refuses it and changes nothing. An
+    /// admitted entry starts a free slot of its own group — with
+    /// stealing on, of the first group round-robin from its own that
+    /// has one — and names that slot's group; `None` when every slot
+    /// that may run it is running already.
     fn push(
         &mut self,
         meta: JobMeta,
         job: Job,
         notify: Option<Notify>,
         now: Instant,
-    ) -> Result<Wake, Refused> {
+    ) -> Result<Option<usize>, Refused> {
         if self.closed {
             return Err((SubmitError::ShuttingDown, job, notify));
         }
@@ -371,8 +366,14 @@ impl RunQueues {
         });
         self.seq += 1;
         self.depth[lane] += 1;
-        let may_run = |g: &usize| self.parked[*g] > 0 && (*g == group || self.steal);
-        Ok((0..n).filter(may_run).collect())
+        let reach = if self.steal { n } else { 1 };
+        let start = (0..reach)
+            .map(|i| (group + i) % n)
+            .find(|&g| self.running[g] < self.slots[g]);
+        if let Some(g) = start {
+            self.running[g] += 1;
+        }
+        Ok(start)
     }
 
     /// Takes the entry one group's lanes would run next: from the
@@ -398,14 +399,13 @@ impl RunQueues {
         Some(entry)
     }
 
-    /// One look for a worker of `group`: the best entry of the first
-    /// group that has one, round-robin from its own and — unless stealing
-    /// is on or the pool closed — no further; failing that, `Exit` on a
-    /// closed pool. On an open one a stealing worker with siblings that
-    /// has not `spun` since it last slept or ran is told to `Spin`; any
-    /// other is counted asleep here, before the lock is released — so
-    /// every later push names its group in the [`Wake`] — and told to
-    /// `Park`.
+    /// One look for a running slot of `group`: the best entry of the
+    /// first group that has one, round-robin from its own and — unless
+    /// stealing is on or the pool closed — no further. Failing that, a
+    /// stealing slot with siblings that has not `spun` since it last ran
+    /// an entry on an open pool is told to `Spin`; any other slot is
+    /// freed here, before the lock is released — so every later push
+    /// finds it free — and told to `Leave`.
     fn next(&mut self, group: usize, now: Instant, spun: bool) -> Next {
         let n = self.lanes.len();
         let reach = if self.steal || self.closed { n } else { 1 };
@@ -419,23 +419,19 @@ impl RunQueues {
                 return Next::Run { entry, from };
             }
         }
-        if self.closed {
-            return Next::Exit;
-        }
-        if self.steal && n > 1 && !spun {
+        if self.steal && n > 1 && !spun && !self.closed {
             return Next::Spin;
         }
-        self.parked[group] += 1;
-        Next::Park
+        self.running[group] -= 1;
+        Next::Leave
     }
 
-    /// A worker of `group` told to `Park` is awake again, notified or not.
-    fn unpark(&mut self, group: usize) {
-        self.parked[group] -= 1;
+    /// Slots running across every group.
+    fn running(&self) -> usize {
+        self.running.iter().sum()
     }
 
-    /// Refuses every later push; from here `next` crosses groups and
-    /// answers `Exit` instead of `Park`.
+    /// Refuses every later push; from here `next` crosses groups.
     fn close(&mut self) {
         self.closed = true;
     }
@@ -448,19 +444,21 @@ impl RunQueues {
     }
 }
 
-/// State shared between the pool handle and its workers.
+/// State shared between the pool handle and its running slots.
 struct Shared {
     /// The monitor's lock: the only one that guards queue state.
     queues: Mutex<RunQueues>,
-    /// `available[group]` is where the group's idle workers sleep.
-    available: Vec<Condvar>,
     /// `RunQueues::queued`, copied out for [`WorkerPool::queued`] and the
     /// spin, which must not take the lock. A statistic that publishes
     /// nothing else, hence `Relaxed`; padded for the spinners' polling.
     queued: CachePadded<AtomicUsize>,
-    /// Busy-wait budget of a worker told to [`Next::Spin`].
+    /// Busy-wait budget of a slot told to [`Next::Spin`].
     spin: Duration,
     stats: Arc<PoolStats>,
+    /// Callers of `shutdown` waiting for the last running slot to leave
+    /// a closed pool. Pushed to with the queues' lock held, so the slot
+    /// that leaves last always finds them.
+    closers: Mutex<Vec<Thread>>,
 }
 
 impl Shared {
@@ -468,6 +466,10 @@ impl Shared {
     /// a poisoned guard still protects consistent queues.
     fn lock(&self) -> MutexGuard<'_, RunQueues> {
         self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn closers(&self) -> MutexGuard<'_, Vec<Thread>> {
+        self.closers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Copies out the counts that are read without the lock. Called with
@@ -480,55 +482,133 @@ impl Shared {
         }
     }
 
-    fn submit(&self, job: Job, notify: Option<Notify>, meta: JobMeta) -> Result<(), SubmitError> {
+    fn submit(
+        self: &Arc<Self>,
+        job: Job,
+        notify: Option<Notify>,
+        meta: JobMeta,
+    ) -> Result<(), SubmitError> {
         let now = Instant::now();
         let mut queues = self.lock();
         let pushed = queues.push(meta, job, notify, now);
         self.publish(&queues);
         drop(queues);
-        let wake = pushed.map_err(|(why, _job, _notify)| why)?;
-        for group in wake {
-            self.available[group].notify_one();
+        let started = pushed.map_err(|(why, _job, _notify)| why)?;
+        if let Some(group) = started {
+            let shared = Arc::clone(self);
+            run_on_crew(move || shared.serve(group));
         }
         Ok(())
     }
+
+    /// A started slot of `group`, on the racer that took it: runs
+    /// entries until `next` says leave.
+    fn serve(&self, group: usize) {
+        thread_local! {
+            static TIGHT: Cell<bool> = const { Cell::new(false) };
+        }
+        // Jobs wait on clocks (bodies, deadlines, hedge releases), and so
+        // do the racers this one will spawn; a racer spawned by some
+        // other thread may not have the slack a daemon thread has.
+        if !TIGHT.replace(true) {
+            crate::reactor::tighten_timer_slack();
+        }
+        let mut spun = false;
+        let mut queues = self.lock();
+        loop {
+            match queues.next(group, Instant::now(), spun) {
+                Next::Run { entry, from } => {
+                    self.publish(&queues);
+                    drop(queues);
+                    let counter = match from {
+                        Source::Own => None,
+                        Source::Stolen => Some(&self.stats.steals),
+                        Source::Scavenged => Some(&self.stats.drain_scavenges),
+                    };
+                    if let Some(counter) = counter {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.run_job(entry);
+                    spun = false;
+                    queues = self.lock();
+                }
+                Next::Spin => {
+                    // Busy-wait, off the lock, for work to appear anywhere
+                    // in the pool. However it ends, the next look is locked.
+                    drop(queues);
+                    let start = Instant::now();
+                    while self.queued.load(Ordering::Relaxed) == 0 && start.elapsed() < self.spin {
+                        std::hint::spin_loop();
+                    }
+                    queues = self.lock();
+                    spun = true;
+                }
+                Next::Leave => {
+                    let closers = if queues.closed && queues.running() == 0 {
+                        std::mem::take(&mut *self.closers())
+                    } else {
+                        Vec::new()
+                    };
+                    drop(queues);
+                    closers.iter().for_each(Thread::unpark);
+                    return;
+                }
+            }
+        }
+    }
+
+    fn run_job(&self, entry: Entry) {
+        self.stats.busy.fetch_add(1, Ordering::Relaxed);
+        // Fault site `pool.job` sits inside the contained region: an
+        // injected panic is indistinguishable from the job itself
+        // crashing, and `Fail` drops the entry unrun (its notifier fires
+        // with no outcome, which the server answers rather than awaits
+        // forever).
+        let outcome = catch_unwind(AssertUnwindSafe(move || {
+            if faults::enabled() && faults::inject("pool.job", None) == faults::Verdict::Fail {
+                return;
+            }
+            entry.run();
+        }));
+        // The gauge decrement sits outside the contained region, so a
+        // panicking job never leaves a phantom busy slot behind.
+        self.stats.busy.fetch_sub(1, Ordering::Relaxed);
+        if outcome.is_err() {
+            self.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
-/// A fixed set of worker threads over bounded per-group run queues.
+/// Bounded per-group run queues whose jobs run on the race crew.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
     n_workers: usize,
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads over a single FIFO-equivalent run queue
+    /// A pool of `workers` slots over a single FIFO-equivalent run queue
     /// of depth `queue_depth`. This is the legacy shape; see
     /// [`WorkerPool::with_config`] for groups/lanes/stealing.
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         WorkerPool::with_config(PoolConfig::fifo(workers, queue_depth))
     }
 
-    /// Spawns the configured pool: `config.workers` threads dealt
-    /// round-robin across `config.groups` groups, each group holding
-    /// `config.lanes` EDF heaps.
+    /// The configured pool: `config.workers` slots dealt round-robin
+    /// across `config.groups` groups, each group holding `config.lanes`
+    /// EDF heaps. Starts no thread.
     pub fn with_config(config: PoolConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         let queues = RunQueues::new(&config);
-        let (n_groups, n_lanes) = (queues.parked.len(), queues.depth.len());
+        let n_lanes = queues.depth.len();
         let shared = Arc::new(Shared {
             queues: Mutex::new(queues),
-            available: (0..n_groups).map(|_| Condvar::new()).collect(),
             queued: CachePadded::new(AtomicUsize::new(0)),
             spin: config.spin,
             stats: Arc::new(PoolStats::with_lanes(n_lanes)),
+            closers: Mutex::new(Vec::new()),
         });
-        let workers = (0..config.workers)
-            .map(|i| spawn_worker(&shared, i % n_groups, i))
-            .collect();
         WorkerPool {
             shared,
-            workers: Mutex::new(workers),
             n_workers: config.workers,
         }
     }
@@ -549,7 +629,7 @@ impl WorkerPool {
     /// deadline/lane/group. The pool guarantees `notify` runs **exactly
     /// once** for an admitted job — after the job returns, while its
     /// panic unwinds, or when the pool drops the job unrun (an injected
-    /// `Fail` fault, or the shutdown sweep of a queue no worker
+    /// `Fail` fault, or the shutdown sweep of a queue no slot
     /// drained). A refused submission never notifies: the `Err` return
     /// is the caller's signal.
     pub fn try_submit_notify_at(
@@ -585,30 +665,20 @@ impl WorkerPool {
         self.try_submit_notify_at(job, notify, meta)
     }
 
-    /// Jobs currently queued (not yet picked up by a worker), across
+    /// Jobs currently queued (not yet picked up by a slot), across
     /// every group and lane.
     pub fn queued(&self) -> usize {
         self.shared.queued.load(Ordering::Relaxed)
     }
 
-    /// Workers executing a job right now.
+    /// Jobs running right now.
     pub fn busy(&self) -> u64 {
         self.shared.stats.busy()
     }
 
-    /// Worker threads the pool was sized for.
+    /// Slots the pool was sized for: jobs it runs at once.
     pub fn workers(&self) -> usize {
         self.n_workers
-    }
-
-    /// Worker groups the pool was configured with.
-    fn groups(&self) -> usize {
-        self.shared.available.len()
-    }
-
-    /// Priority lanes per group.
-    fn lanes(&self) -> usize {
-        self.shared.stats.lane_depth.len()
     }
 
     /// The pool's failure counters, shareable with telemetry. The
@@ -617,23 +687,20 @@ impl WorkerPool {
         Arc::clone(&self.shared.stats)
     }
 
-    /// Closes the queues and joins every worker after the jobs already
-    /// admitted drain. Idempotent: later calls find no workers left.
-    /// Never panics — a poisoned lock is recovered and a worker restarts
-    /// itself rather than die. Should a worker thread be lost all the
-    /// same, what is still queued once the rest are joined is swept
-    /// here: an entry dropped unrun still fires its notifier.
+    /// Closes the queues and returns once every slot still running has
+    /// drained what it may take — across groups, the pool being closed —
+    /// and left: every admitted job has run. Idempotent, and never
+    /// panics: a poisoned lock is recovered. What is still queued then is
+    /// swept here, and an entry dropped unrun still fires its notifier.
     pub fn shutdown(&self) {
-        self.shared.lock().close();
-        for sleepers in &self.shared.available {
-            sleepers.notify_all();
-        }
-        let workers =
-            std::mem::take(&mut *self.workers.lock().unwrap_or_else(PoisonError::into_inner));
-        for worker in workers {
-            let _ = worker.join();
-        }
         let mut queues = self.shared.lock();
+        queues.close();
+        while queues.running() > 0 {
+            self.shared.closers().push(std::thread::current());
+            drop(queues);
+            std::thread::park();
+            queues = self.shared.lock();
+        }
         let leftovers = queues.drain();
         self.shared.publish(&queues);
         drop(queues);
@@ -641,109 +708,13 @@ impl WorkerPool {
     }
 }
 
-/// Blocking pop for a worker of `group`: `None` only when the pool is
-/// closed and every queue is drained.
-fn pop(shared: &Shared, group: usize) -> Option<Entry> {
-    let mut spun = false;
-    let mut queues = shared.lock();
-    loop {
-        match queues.next(group, Instant::now(), spun) {
-            Next::Run { entry, from } => {
-                shared.publish(&queues);
-                drop(queues);
-                let counter = match from {
-                    Source::Own => return Some(entry),
-                    Source::Stolen => &shared.stats.steals,
-                    Source::Scavenged => &shared.stats.drain_scavenges,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                return Some(entry);
-            }
-            Next::Exit => return None,
-            Next::Spin => {
-                // Busy-wait, off the lock, for work to appear anywhere in
-                // the pool. However it ends, the next look is locked.
-                drop(queues);
-                let start = Instant::now();
-                while shared.queued.load(Ordering::Relaxed) == 0 && start.elapsed() < shared.spin {
-                    std::hint::spin_loop();
-                }
-                queues = shared.lock();
-                spun = true;
-            }
-            Next::Park => {
-                queues = shared.available[group]
-                    .wait(queues)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queues.unpark(group);
-                spun = false;
-            }
-        }
-    }
-}
-
-fn spawn_worker(shared: &Arc<Shared>, group: usize, index: usize) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("altxd-worker-g{group}-{index}"))
-        .spawn(move || {
-            // Jobs wait on clocks (bodies, deadlines, hedge releases),
-            // and so do the racers this thread will spawn.
-            crate::reactor::tighten_timer_slack();
-            // A worker heals itself. Whatever unwinds out of the loop —
-            // it holds no entry and no lock when it does — the same
-            // thread starts the loop again; it returns only once the
-            // pool is closed and drained.
-            while catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, group))).is_err() {
-                shared.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-            }
-        })
-        .expect("spawn worker")
-}
-
-fn worker_loop(shared: &Shared, group: usize) {
-    loop {
-        // Fault site `pool.worker`: an injected panic here is *not*
-        // contained by `run_job` — it unwinds the whole loop. Sits
-        // before the pop so no admitted job is lost with it.
-        if faults::enabled() {
-            let _ = faults::inject("pool.worker", None);
-        }
-        match pop(shared, group) {
-            Some(entry) => run_job(entry, shared),
-            None => break, // closed and drained
-        }
-    }
-}
-
-fn run_job(entry: Entry, shared: &Shared) {
-    shared.stats.busy.fetch_add(1, Ordering::Relaxed);
-    // Fault site `pool.job` sits inside the contained region: an
-    // injected panic is indistinguishable from the job itself crashing,
-    // and `Fail` drops the entry unrun (its notifier fires with no
-    // outcome, which the server answers rather than awaits forever).
-    let outcome = catch_unwind(AssertUnwindSafe(move || {
-        if faults::enabled() && faults::inject("pool.job", None) == faults::Verdict::Fail {
-            return;
-        }
-        entry.run();
-    }));
-    // The gauge decrement sits outside the contained region, so a
-    // panicking job never leaves a phantom busy worker behind.
-    shared.stats.busy.fetch_sub(1, Ordering::Relaxed);
-    if outcome.is_err() {
-        shared.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
+            .field("workers", &self.workers())
             .field("queued", &self.queued())
-            .field("groups", &self.groups())
-            .field("lanes", &self.lanes())
+            .field("busy", &self.busy())
             .field("jobs_panicked", &self.shared.stats.jobs_panicked())
-            .field("worker_respawns", &self.shared.stats.worker_respawns())
             .finish()
     }
 }
@@ -841,11 +812,7 @@ mod tests {
         assert_eq!(got, vec![1, 3, 5, 7]);
         pool.shutdown(); // drain: the crashing jobs have all run by now
         assert_eq!(pool.stats().jobs_panicked(), 4);
-        assert_eq!(
-            pool.stats().worker_respawns(),
-            0,
-            "contained panics never cost a worker"
-        );
+        assert_eq!(pool.busy(), 0, "contained panics leave no busy slot");
     }
 
     #[test]
@@ -997,21 +964,14 @@ mod tests {
         assert_eq!(pool.stats().lane_depths(), vec![0, 0]);
     }
 
-    /// A worker of the schedule property, standing where `pop` can stand
-    /// between two holds of the lock.
+    /// A started slot of the schedule property, standing where `serve`
+    /// can stand between two holds of the lock.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Worker {
-        /// About to look.
-        Awake,
+    struct Slot {
+        group: usize,
         /// Told to spin: the lock is released, and its next look may
-        /// park it.
-        Spun,
-        /// Counted asleep; `notified` once a `Wake`, or the close, has
-        /// reached it.
-        Asleep {
-            notified: bool,
-        },
-        Exited,
+        /// free it.
+        spun: bool,
     }
 
     /// What the property remembers of one admitted entry; `seq` is its
@@ -1035,9 +995,11 @@ mod tests {
         capacity: usize,
         steal: bool,
         aging: Duration,
-        /// `workers[i]` belongs to group `i % groups`, as `with_config`
-        /// deals them.
-        workers: Vec<Worker>,
+        /// Slots per group, `workers` dealt round-robin as
+        /// `with_config` deals them.
+        slots: Vec<usize>,
+        /// Every slot started and not yet left, in start order.
+        running: Vec<Slot>,
         admitted: Vec<Admitted>,
         closed: bool,
         epoch: Instant,
@@ -1057,12 +1019,16 @@ mod tests {
                 .filter(move |(_, a)| here(a))
         }
 
-        /// May a worker of `group` run an entry queued in `home`?
+        /// May a slot of `group` run an entry queued in `home`?
         fn allowed(&self, group: usize, home: usize) -> bool {
             group == home || self.steal || self.closed
         }
 
-        /// The entry a worker of `group` must be handed now, worked out
+        fn running_in(&self, group: usize) -> usize {
+            self.running.iter().filter(|s| s.group == group).count()
+        }
+
+        /// The entry a slot of `group` must be handed now, worked out
         /// from the rules: own group first, then — stealing or closed —
         /// the siblings round-robin; strict lane priority unless a lower
         /// lane holds an entry older than the aging threshold; in the
@@ -1088,19 +1054,6 @@ mod tests {
                     };
                     Some((seq, from))
                 })
-        }
-
-        /// `notify_one` on `group`'s condvar: one sleeper not yet
-        /// notified, if there is one, is.
-        fn notify_one(&mut self, group: usize) {
-            let groups = self.groups;
-            let sleeper =
-                self.workers.iter_mut().enumerate().find(|(i, w)| {
-                    i % groups == group && **w == Worker::Asleep { notified: false }
-                });
-            if let Some((_, w)) = sleeper {
-                *w = Worker::Asleep { notified: true };
-            }
         }
 
         fn push(&mut self, rng: &mut CaseRng) {
@@ -1143,7 +1096,7 @@ mod tests {
                         + notified.map_or(0, |n| n.load(Ordering::SeqCst));
                     assert_eq!(calls, 0, "a refusal runs nothing and notifies nobody");
                 }
-                Ok(wake) => {
+                Ok(started) => {
                     assert_eq!(refusal, None, "admitted a push that had to be refused");
                     let home = meta.group % self.groups;
                     self.admitted.push(Admitted {
@@ -1155,58 +1108,46 @@ mod tests {
                         ran,
                         notified,
                     });
-                    // No lost wake-up, no wasted one: the wake names
-                    // exactly the groups with a sleeper allowed to run
-                    // the entry.
-                    let want: Vec<usize> = (0..self.groups)
-                        .filter(|&g| self.allowed(g, home) && self.queues.parked[g] > 0)
-                        .collect();
-                    assert_eq!(wake, want, "wake set after a push to group {home}");
-                    for group in wake {
-                        self.notify_one(group);
+                    // A free slot of the entry's own group, or — stealing
+                    // — of the first sibling round-robin that has one;
+                    // none when all those are running.
+                    let reach = if self.steal { self.groups } else { 1 };
+                    let want = (0..reach)
+                        .map(|i| (home + i) % self.groups)
+                        .find(|&g| self.running_in(g) < self.slots[g]);
+                    assert_eq!(started, want, "slot started by a push to group {home}");
+                    if let Some(group) = started {
+                        self.running.push(Slot { group, spun: false });
                     }
                 }
             }
         }
 
-        /// Worker `w` takes the lock once and does what `pop` does with
-        /// one hold of it.
-        fn step(&mut self, w: usize, rng: &mut CaseRng) {
-            let group = w % self.groups;
-            match self.workers[w] {
-                Worker::Exited => return,
-                // A sleeper gets up when notified — or, now and then,
-                // for no reason at all.
-                Worker::Asleep { notified } if !notified && !rng.chance(0.1) => return,
-                Worker::Asleep { .. } => self.queues.unpark(group),
-                Worker::Awake | Worker::Spun => {}
-            }
-            let spun = self.workers[w] == Worker::Spun;
+        /// Running slot `i` takes the lock once and does what `serve`
+        /// does with one hold of it.
+        fn step(&mut self, i: usize, rng: &mut CaseRng) {
+            let Slot { group, spun } = self.running[i];
             let expected = self.expected(group);
-            self.workers[w] = match self.queues.next(group, self.now, spun) {
+            match self.queues.next(group, self.now, spun) {
                 Next::Run { entry, from } => {
                     assert_eq!(Some((entry.seq as usize, from)), expected);
                     self.take(entry, rng.bool());
-                    Worker::Awake
+                    self.running[i].spun = false;
                 }
-                idle @ (Next::Spin | Next::Park) => {
-                    assert!(expected.is_none() && !self.closed, "idle beside work");
-                    // Only a worker that can steal spins, and only once
-                    // per idle spell.
-                    let spins = self.steal && self.groups > 1 && !spun;
-                    assert_eq!(matches!(idle, Next::Spin), spins);
-                    if spins {
-                        Worker::Spun
-                    } else {
-                        Worker::Asleep { notified: false }
-                    }
+                Next::Spin => {
+                    assert!(expected.is_none(), "spinning beside work");
+                    // Only a slot that can steal spins, and only once per
+                    // idle spell, and never on a closed pool.
+                    assert!(self.steal && self.groups > 1 && !spun && !self.closed);
+                    self.running[i].spun = true;
                 }
-                Next::Exit => {
-                    assert!(self.closed, "exit from an open pool");
-                    assert!(self.admitted.iter().all(|a| !a.queued), "exit beside work");
-                    Worker::Exited
+                Next::Leave => {
+                    assert!(expected.is_none(), "left beside work");
+                    let spins = self.steal && self.groups > 1 && !self.closed;
+                    assert!(spun || !spins, "a stealing slot left without a spin");
+                    self.running.remove(i);
                 }
-            };
+            }
         }
 
         /// An entry has come out of the queues: for the first time, and
@@ -1230,11 +1171,6 @@ mod tests {
         fn close(&mut self) {
             self.queues.close();
             self.closed = true;
-            for w in &mut self.workers {
-                if matches!(w, Worker::Asleep { .. }) {
-                    *w = Worker::Asleep { notified: true }; // notify_all
-                }
-            }
         }
 
         fn heap_sizes(&self) -> Vec<Vec<usize>> {
@@ -1250,44 +1186,39 @@ mod tests {
                 for (l, &size) in group.iter().enumerate() {
                     assert_eq!(size, self.queued_in(g, l).count(), "heap {g}/{l}");
                 }
-                let asleep = |(i, w): (usize, &Worker)| {
-                    i % self.groups == g && matches!(w, Worker::Asleep { .. })
-                };
-                let sleepers = self.workers.iter().enumerate().filter(|&w| asleep(w));
-                assert_eq!(self.queues.parked[g], sleepers.count(), "parked[{g}]");
+                assert_eq!(self.queues.slots[g], self.slots[g], "slots[{g}]");
+                assert_eq!(self.queues.running[g], self.running_in(g), "running[{g}]");
+                assert!(
+                    self.running_in(g) <= self.slots[g],
+                    "group {g} over its slots"
+                );
             }
             // The lane-depth gauges are published from `depth`.
             for (l, &depth) in self.queues.depth.iter().enumerate() {
                 assert_eq!(depth, sizes.iter().map(|group| group[l]).sum::<usize>());
             }
             assert!(self.queues.queued() <= self.capacity);
-            // No queued entry is left to sleepers nobody has woken: in
-            // every group allowed to run it, some worker is up (possibly
-            // busy) or has been notified.
+            // No entry stays queued while no running slot may take it.
             for a in self.admitted.iter().filter(|a| a.queued) {
-                for g in (0..self.groups).filter(|&g| self.allowed(g, a.group)) {
-                    let will_look = |(i, w): (usize, &Worker)| {
-                        i % self.groups == g
-                            && !matches!(w, Worker::Asleep { notified: false } | Worker::Exited)
-                    };
-                    assert!(
-                        self.workers.iter().enumerate().any(will_look),
-                        "an entry of group {} waits while group {g} sleeps unwoken: {:?}",
-                        a.group,
-                        self.workers
-                    );
-                }
+                assert!(
+                    self.running.iter().any(|s| self.allowed(s.group, a.group)),
+                    "an entry of group {} waits with no running slot that may take it: {:?}",
+                    a.group,
+                    self.running
+                );
             }
         }
     }
 
     /// The run queues' whole contract, over 2 500 seeded schedules of
-    /// everything submitters, workers, the clock and `shutdown` can do
-    /// to them — no thread, no real time: capacity holds and a refusal
+    /// everything submitters, slots, the clock and `shutdown` can do to
+    /// them — no thread, no real time: capacity holds and a refusal
     /// changes nothing; every admitted entry comes out exactly once, in
-    /// EDF / lane / aging order, to a worker allowed to run it; a push
-    /// wakes every group with a sleeper that could run it; a worker
-    /// exits only from a closed, empty pool; the gauges match the heaps.
+    /// EDF / lane / aging order, to a slot allowed to run it; a push
+    /// starts the free slot the rules name, and no group runs more slots
+    /// than it was dealt; no entry stays queued while no running slot may
+    /// take it, so a slot leaves only when nothing it may take is left;
+    /// the gauges match the heaps.
     #[test]
     fn any_schedule_runs_every_admitted_entry_once() {
         let epoch = Instant::now();
@@ -1311,7 +1242,10 @@ mod tests {
                 capacity,
                 steal,
                 aging,
-                workers: vec![Worker::Awake; workers],
+                slots: (0..groups)
+                    .map(|g| (0..workers).filter(|w| w % groups == g).count())
+                    .collect(),
+                running: Vec::new(),
                 admitted: Vec::new(),
                 closed: false,
                 epoch,
@@ -1323,21 +1257,22 @@ mod tests {
                 s.now += Duration::from_micros(rng.u64_below(6_000));
                 if step == close_at {
                     s.close();
-                } else if rng.chance(0.4) {
+                } else if s.running.is_empty() || rng.chance(0.4) {
                     s.push(rng);
                 } else {
-                    s.step(rng.usize_in(0, s.workers.len()), rng);
+                    s.step(rng.usize_in(0, s.running.len()), rng);
                 }
                 s.check_invariants();
             }
-            // `shutdown`: close, let the workers drain until the last has
-            // exited — or lose them all and sweep what they left.
+            // `shutdown`: close, let the running slots drain until the
+            // last has left — or lose them all and sweep what they left.
             s.close();
             if rng.chance(0.7) {
-                while s.workers.iter().any(|w| *w != Worker::Exited) {
-                    s.step(rng.usize_in(0, s.workers.len()), rng);
+                while !s.running.is_empty() {
+                    s.step(rng.usize_in(0, s.running.len()), rng);
                     s.check_invariants();
                 }
+                assert!(s.admitted.iter().all(|a| !a.queued), "left beside work");
             }
             for entry in s.queues.drain() {
                 s.take(entry, false);

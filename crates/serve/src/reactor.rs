@@ -28,15 +28,18 @@
 //!
 //! * **sys**: the C library calls std does not wrap (see the module) —
 //!   the only unsafe code in the crate, confined there.
-//! * **Clocks**: every thread that runs a shard or a pool worker sets
-//!   its own timer slack to 1 ns first thing ([`tighten_timer_slack`]),
-//!   and a poll timeout is a `Duration` handed to `ppoll`, so a wait on
-//!   a clock — a body's sleep, a deadline or a hedge release, a peer
-//!   link's tick — ends when it says, not the kernel's default 50 µs
-//!   later. A shard waits for its 250 ms backstop and reads no time,
-//!   except shard 0 while its peer links ([`PeerLinks`]) have something
-//!   due; their sockets are entries of its poll set, their commands
-//!   arrive on its wake channel.
+//! * **Clocks**: every thread that runs a shard sets its own timer
+//!   slack to 1 ns first thing ([`tighten_timer_slack`]), and so does a
+//!   racer the first time it serves one of the pool's slots (a racer
+//!   inherits its spawner's slack, and a process's first racer may have
+//!   been spawned by a thread that is not the daemon's), and a poll
+//!   timeout is a `Duration` handed to `ppoll`, so a wait on a clock —
+//!   a body's sleep, a deadline or a hedge release, a peer link's tick
+//!   — ends when it says, not the kernel's default 50 µs later. A
+//!   shard waits for its 250 ms backstop and reads no time, except
+//!   shard 0 while its peer links ([`PeerLinks`]) have something due;
+//!   their sockets are entries of its poll set, their commands arrive
+//!   on its wake channel.
 //! * **A race carries its reply slot** ([`Flight`]): a race in flight
 //!   is one value — its key, the one reply slot it owes and its shard's
 //!   delivery handle ([`ReactorShared`]: ring, wake channel,
@@ -65,7 +68,7 @@
 //!   their say, the reactor races it in place — favourite inline,
 //!   siblings on the crew, deadline token and containment as on a
 //!   worker — and answers its own flight. No boxed job, no queue push,
-//!   no condvar wake; and once a workload is on the shard its requests
+//!   no racer woken; and once a workload is on the shard its requests
 //!   no longer wait for a worker held inside somebody else's race. A
 //!   workload whose bodies block (`WorkloadSpec::blocks`: `sleep`,
 //!   `lognormal`, `bimodal`) never qualifies, whatever it measured —
@@ -90,17 +93,18 @@
 //!   reading new requests, (2) keep polling while in-flight races
 //!   deliver their replies, (3) close each connection once its last
 //!   owed reply is written, (4) when the last shard has no connections
-//!   left, close the queue and join the pool. No admitted request goes
-//!   unanswered. Step (3) is a handshake: the reactor publishes
-//!   `draining` *then* looks at each write half under its lock; an
-//!   answer delivers under that lock *then* reads the flag — so either
-//!   it sees the flag and rouses the reactor, or its delivery came
-//!   before the look and the reactor saw a drained connection.
+//!   left, close the queue and wait out the pool's running slots. No
+//!   admitted request goes unanswered. Step (3) is a handshake: the
+//!   reactor publishes `draining` *then* looks at each write half under
+//!   its lock; an answer delivers under that lock *then* reads the flag
+//!   — so either it sees the flag and rouses the reactor, or its
+//!   delivery came before the look and the reactor saw a drained
+//!   connection.
 
 use crate::bufpool::BufPool;
 use crate::conn::{Conn, ReplySlot, WriteHalf};
-use crate::frame::{FrameError, Request, Response};
-use crate::peer::{PeerLinks, SendTag};
+use crate::frame::{exec_alt_frame_len, FrameError, Request, Response};
+use crate::peer::{load_line, PeerLinks, SendTag};
 use crate::pool::JobMeta;
 use crate::remote::{Event, RaceSpec};
 use crate::ring::{EncodedReply, ReplyRing};
@@ -658,7 +662,7 @@ impl Reactor {
     }
 
     /// Runs until shutdown is requested *and* every connection has
-    /// drained; the last shard out closes the queue and joins the pool.
+    /// drained; the last shard out closes the queue and drains the pool.
     pub(crate) fn run(mut self) {
         // A race run here waits on a clock for its hedge releases, and
         // so do the racers it spawns.
@@ -914,13 +918,9 @@ impl Reactor {
                 // The stats page doubles as the heartbeat reply: the
                 // trailing machine-parsable line advertises this node's
                 // load so origins can place around busy peers.
+                let pool = &self.daemon.pool;
                 let mut body = self.daemon.races.peers.stats().render();
-                body.push_str(&format!(
-                    "load queued {} busy {} workers {}\n",
-                    self.daemon.pool.queued(),
-                    self.daemon.pool.busy(),
-                    self.daemon.pool.workers()
-                ));
+                body.push_str(&load_line(pool.queued(), pool.busy(), pool.workers()));
                 self.reply_text(half, seq, body);
             }
         }
@@ -1108,9 +1108,8 @@ impl Reactor {
         if up.is_empty() {
             return None;
         }
-        // What actually crosses the wire per shipped alternative: the
-        // EXEC_ALT frame (fixed header + workload + origin strings).
-        let frame_bytes = (33 + spec.name.len() + daemon.races.advertise.len()) as u64;
+        // What actually crosses the wire per shipped alternative.
+        let frame_bytes = exec_alt_frame_len(spec.name, &daemon.races.advertise) as u64;
         daemon.placement.assign(
             key.widx,
             frame_bytes,

@@ -15,13 +15,13 @@
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread, and neither is an
 //! outbound link to a peer: shard 0 polls those sockets among its own.
-//! The daemon runs workers + shards OS threads (one reactor per shard —
-//! [`run`] runs shard 0 on its caller, `altxd`'s main thread — and the
-//! pool) however many clients are connected, plus at most one racer per
-//! sibling alternative running at that moment: a worker or a shard runs
-//! its race's favourite itself and the engine's process-wide race crew
-//! runs the siblings on parked threads it reuses from race to race and
-//! retires when they have been idle for half a second.
+//! The daemon runs one OS thread per shard ([`run`] runs shard 0 on its
+//! caller, `altxd`'s main thread) however many clients are connected,
+//! plus one per body running off the shards at that moment: a queued
+//! race holds one of the engine's process-wide race crew — parked
+//! threads reused from race to race, retired after half a second idle —
+//! for its favourite (one of the pool's `workers` slots), and every
+//! sibling gets a racer of its own. An idle daemon is its shards.
 //!
 //! Shutdown (local call or the `SHUTDOWN` opcode) drains as
 //! [`crate::reactor`] says: no admitted request goes unanswered, and no
@@ -52,7 +52,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Listen address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads racing requests.
+    /// Queued races running at once: the pool's slots, each on a racer
+    /// of the crew while it runs.
     pub workers: usize,
     /// Bounded run-queue depth; the shed threshold.
     pub queue_depth: usize,
@@ -83,13 +84,13 @@ pub struct ServerConfig {
     pub admission: bool,
     /// Work stealing between per-shard worker groups. Off by default;
     /// when on, the pool splits into one group per shard and a dry
-    /// group's workers take the best entry from a sibling's queue.
+    /// group's slots take the best entry from a sibling's queue.
     pub steal: bool,
     /// Starvation aging threshold for lower-priority lanes;
     /// `Duration::ZERO` means pure strict priority.
     pub lane_aging: Duration,
-    /// Busy-wait budget before an idle stealing worker parks on its
-    /// group's condvar. `Duration::ZERO` parks immediately.
+    /// How long an idle stealing slot looks for work before it leaves.
+    /// `Duration::ZERO` leaves at once.
     pub spin: Duration,
 }
 
@@ -194,9 +195,10 @@ impl ServerHandle {
 
 /// Binds and starts the daemon, returning once it is accepting.
 ///
-/// The threads it starts — one reactor per shard, the pool's workers —
-/// each drop their own timer slack to 1 ns first thing (see
-/// [`crate::reactor`], *Clocks*); the calling thread is left as it was.
+/// The threads it starts — one reactor per shard — and the racers that
+/// serve the pool's slots each drop their own timer slack to 1 ns
+/// first thing (see [`crate::reactor`], *Clocks*); the calling thread
+/// is left as it was.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let (addr, daemon, reactors) = assemble(config)?;
     let threads = reactors.into_iter().map(spawn).collect();

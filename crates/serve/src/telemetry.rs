@@ -317,7 +317,7 @@ metrics! {
     DeadlineMisses, "deadline_misses", "deadline misses", Some("altxd_deadline_misses_total"), Counter, Own,
         "Races served with a winner but after their deadline";
     Steals, "steals", "steals", Some("altxd_steals_total"), Counter, Pool(PoolStats::steals),
-        "Jobs a dry worker took from a sibling group's run queue under load";
+        "Jobs a dry slot took from a sibling group's run queue under load";
     DrainScavenges, "drain_scavenges", "drain scavenges", Some("altxd_drain_scavenges_total"), Counter, Pool(PoolStats::drain_scavenges),
         "Jobs scavenged from sibling groups while draining a closed pool";
     Errors, "errors", "errors", Some("altxd_requests_error_total"), Counter, Own,
@@ -326,8 +326,6 @@ metrics! {
         "Alternative bodies that panicked and were contained";
     JobsPanicked, "jobs_panicked", "jobs panicked", Some("altxd_jobs_panicked_total"), Counter, Pool(PoolStats::jobs_panicked),
         "Pool jobs that panicked and were contained";
-    WorkerRespawns, "worker_respawns", "worker respawns", Some("altxd_worker_respawns_total"), Counter, Pool(PoolStats::worker_respawns),
-        "Times a pool worker unwound out of its loop and restarted it";
     FaultsInjected, "faults_injected", "faults injected", Some("altxd_faults_injected_total"), Counter, Faults,
         "Faults injected by the active fault plan";
     ConnsOpen, "conns_open", "conns open", Some("altxd_conns_open"), Gauge, ShardSum(ShardStats::conns_open),
@@ -347,7 +345,7 @@ metrics! {
     RingSpills, "ring_spills", "ring spills", Some("altxd_ring_spills_total"), Counter, ShardSum(|s| s.ring.spills()),
         "Replies that spilled past the ring to a heap buffer";
     RingSlotsMade, "ring_slots_made", "ring slots made", Some("altxd_ring_slots_made"), Gauge, ShardSum(|s| s.ring.made()),
-        "Reply-ring slot buffers in existence: each is made on first use, so this is the peak of replies in flight at once (at most --ring-slots per shard)";
+        "Reply-ring slot buffers in existence: each is made on first use, so this is the peak of replies in flight at once (at most the configured ring_slots per shard, 256 in altxd)";
     PolloutSpurious, "pollout_spurious", "pollout spurious", Some("altxd_reactor_pollout_spurious_total"), Counter, ShardSum(ShardStats::pollout_spurious),
         "POLLOUT events that found no pending output";
     HedgesLaunched, "hedges_launched", "hedges launched", Some("altxd_hedges_launched_total"), Counter, Own,

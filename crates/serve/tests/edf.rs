@@ -146,26 +146,19 @@ fn steal_lets_idle_group_drain_a_blocked_sibling() {
         steal: true,
         ..PoolConfig::fifo(2, 64)
     });
-    // The idle sibling may steal the *blocker* itself, so ask the
-    // blocker which group's worker it actually landed on (workers are
-    // named `altxd-worker-g{group}-{i}`) and aim the backlog there.
-    let (gtx, grx) = mpsc::channel();
+    // A push starts a free slot of the entry's own group first, so the
+    // blocker holds group 0's only slot.
+    let (started_tx, started_rx) = mpsc::channel();
     let (tx, rx) = mpsc::channel::<()>();
     pool.try_submit_at(
         Box::new(move || {
-            let group: usize = std::thread::current()
-                .name()
-                .and_then(|n| n.strip_prefix("altxd-worker-g"))
-                .and_then(|n| n.split('-').next())
-                .and_then(|n| n.parse().ok())
-                .expect("worker thread is named with its group");
-            gtx.send(group).expect("receiver alive");
+            started_tx.send(()).expect("receiver alive");
             rx.recv().ok();
         }),
         JobMeta::default(),
     )
     .expect("blocker admitted");
-    let blocked_group = grx
+    started_rx
         .recv_timeout(Duration::from_secs(5))
         .expect("blocker started");
     let (done_tx, done_rx) = mpsc::channel();
@@ -174,14 +167,14 @@ fn steal_lets_idle_group_drain_a_blocked_sibling() {
         pool.try_submit_at(
             Box::new(move || done_tx.send(i).expect("receiver alive")),
             JobMeta {
-                group: blocked_group, // behind the blocker
+                group: 0, // behind the blocker
                 ..JobMeta::default()
             },
         )
         .expect("admitted");
     }
-    // The blocked group's worker is parked; only a steal by the other
-    // group's worker can run these.
+    // Group 0's slot is held; only a steal by group 1's slot can run
+    // these.
     for _ in 0..4 {
         done_rx
             .recv_timeout(Duration::from_secs(5))

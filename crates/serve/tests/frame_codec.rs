@@ -3,7 +3,8 @@
 
 use altx_check::{check, CaseRng};
 use altx_serve::frame::{
-    read_frame, write_frame, FrameDecoder, FrameError, Request, Response, MAX_FRAME,
+    exec_alt_frame_len, read_frame, write_frame, FrameDecoder, FrameError, Request, Response,
+    MAX_FRAME,
 };
 
 fn arb_request(rng: &mut CaseRng) -> Request {
@@ -442,6 +443,30 @@ fn cluster_opcode_bodies_at_every_split_point() {
 /// An opcode byte outside the protocol maps to `UnknownOpcode` — the
 /// distinguished, stream-preserving error — never to `Malformed`, and
 /// never to a bogus parse.
+/// The size placement prices a shipped alternative at is the size of
+/// the frame that ships it.
+#[test]
+fn exec_alt_frame_len_is_the_encoded_frame() {
+    check("exec_alt_frame_len", 64, |rng| {
+        let name = |r: &mut CaseRng| {
+            String::from_utf8(r.vec(0, 40, |r| b'a' + (r.u8() % 26))).expect("ascii")
+        };
+        let (workload, origin) = (name(rng), name(rng));
+        let request = Request::ExecAlt {
+            race_id: rng.u64(),
+            alt_idx: rng.u64_in(0, 1 << 32) as u32,
+            deadline_ms: rng.u64_in(0, u32::MAX as u64 + 1) as u32,
+            arg: rng.u64(),
+            workload: workload.clone(),
+            origin: origin.clone(),
+        };
+        assert_eq!(
+            exec_alt_frame_len(&workload, &origin),
+            4 + request.encode().len()
+        );
+    });
+}
+
 #[test]
 fn unknown_opcodes_distinguished_from_malformed() {
     check("unknown_opcodes_distinguished", 128, |rng| {

@@ -5,12 +5,14 @@
 //! through the last commit that had per-counter `on_*` methods.
 //!
 //! Own process on purpose: nothing here races, waits on a clock or
-//! installs a fault plan, so the process-wide crew, timed-wait and fault
-//! rows read zero, as they did when the golden text was captured (the
-//! two timed-wait rows and the ring's `ring slots made` gauge were added
-//! to it by hand later, and the `pinned shards`, `batches formed` and
+//! installs a fault plan, so the process-wide timed-wait and fault rows
+//! read zero, as they did when the golden text was captured (the two
+//! timed-wait rows and the ring's `ring slots made` gauge were added to
+//! it by hand later, and the `pinned shards`, `batches formed` and
 //! `requests coalesced` rows taken out by hand with the features they
-//! counted).
+//! counted). The crew rows read zero on the bare pages, which are
+//! rendered before anything else in the process runs, and one racer on
+//! the attached ones: the pool's one running job is on it.
 
 use altx_serve::bufpool::BufPool;
 use altx_serve::frame::Response;
@@ -21,7 +23,7 @@ use altx_serve::sched::CatalogStats;
 use altx_serve::telemetry::{scrape, Metric, ShardStats};
 use altx_serve::{workload, Telemetry};
 use std::collections::BTreeSet;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 
 /// One latency per completed race; their count is `completed`.
 const LATENCIES_US: [u64; 7] = [40, 90, 120, 300, 900, 4_000, 2_000_000];
@@ -109,19 +111,28 @@ fn assert_same_lines(got: &str, want: &str) {
     );
 }
 
+/// The bare pages (STATS, Prometheus), rendered once per process by
+/// whichever test asks first — before the attached test's pool puts a
+/// job on a racer, so the process-wide crew rows read zero.
+fn bare_pages() -> &'static (String, String) {
+    static PAGES: OnceLock<(String, String)> = OnceLock::new();
+    PAGES.get_or_init(|| {
+        let t = Telemetry::new();
+        drive_own(&t);
+        (t.render_stats(), t.render_prometheus())
+    })
+}
+
 #[test]
 fn bare_telemetry_renders_the_golden_pages() {
-    let t = Telemetry::new();
-    drive_own(&t);
-    assert_eq!(t.render_stats(), include_str!("golden/stats_bare.txt"));
-    assert_same_lines(
-        &t.render_prometheus(),
-        include_str!("golden/prometheus_bare.txt"),
-    );
+    let (stats, prometheus) = bare_pages();
+    assert_eq!(stats, include_str!("golden/stats_bare.txt"));
+    assert_same_lines(prometheus, include_str!("golden/prometheus_bare.txt"));
 }
 
 #[test]
 fn attached_telemetry_renders_the_golden_pages() {
+    bare_pages();
     let t = Telemetry::new();
     let pool = WorkerPool::with_config(PoolConfig {
         lanes: 2,
@@ -142,16 +153,16 @@ fn attached_telemetry_renders_the_golden_pages() {
     wins.record_win(1, 80);
     drive_own(&t);
 
-    // Park the lone worker, then queue one job in lane 0 and two in
-    // lane 1: the lane-depth gauges read 1 and 2 while it is parked.
+    // Hold the lone slot, then queue one job in lane 0 and two in lane
+    // 1: the lane-depth gauges read 1 and 2 while it is held.
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     pool.try_submit(Box::new(move || {
         started_tx.send(()).ok();
         release_rx.recv().ok();
     }))
-    .expect("occupies the worker");
-    started_rx.recv().expect("worker picked the blocker up");
+    .expect("occupies the slot");
+    started_rx.recv().expect("a racer picked the blocker up");
     for lane in [0usize, 1, 1] {
         let meta = JobMeta {
             lane,
@@ -161,7 +172,7 @@ fn attached_telemetry_renders_the_golden_pages() {
     }
     let stats = t.render_stats();
     let prometheus = t.render_prometheus();
-    release_tx.send(()).expect("worker waiting");
+    release_tx.send(()).expect("blocker waiting");
     pool.shutdown();
 
     assert_eq!(stats, include_str!("golden/stats_attached.txt"));

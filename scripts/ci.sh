@@ -166,10 +166,11 @@ echo "==> race-registry schedule property (2500 seeded interleavings, virtual ti
 cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_admissible_reply
 
 # The worker pool's run queue is a pure value too — admission, EDF /
-# lane / aging order, stealing, whom a push wakes, when a worker may
-# park or exit — so its interleavings are seeds as well: 2 500 schedules
-# of pushes, looks, spins, parks, spurious wake-ups, a close and a
-# drain, checked against a model that knows nothing of heaps.
+# lane / aging order, stealing, which free slot a push starts, when a
+# running slot may spin or leave — so its interleavings are seeds as
+# well: 2 500 schedules of pushes, slot starts, looks, spins, leaves, a
+# close and a drain, checked against a model that knows nothing of
+# heaps (no entry stays queued while no running slot may take it).
 echo "==> run-queue schedule property (2500 seeded schedules, virtual time, no threads)"
 cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_entry_once
 
@@ -343,7 +344,7 @@ for bad in '--no-such-flag' '--pin' '--batch-window-us 500' "${REMOVED[@]/%/ 1}"
     }
 done
 
-# Not gates: the sizes ROADMAP aim 2 tracks, printed by the one command
+# Not gates (but the idle-thread count): the sizes ROADMAP aim 2 tracks, printed by the one command
 # every CHANGES.md entry quotes them from, and the size of the
 # executable a fresh daemon execs. Non-test lines stop at a file's
 # first `#[cfg(test)]` — the in-file property suites are meant to grow.
@@ -353,8 +354,10 @@ non_test_lines() {
         !skip { n++ }
         END { print n }' {} +
 }
-# The threads an idle daemon runs, counted once it is listening (its
-# workers name themselves as they start, hence the settling pause).
+# The threads an idle daemon runs, counted once it is listening (a
+# thread it started would name itself as it runs, hence the settling
+# pause): its shards and nothing else — the pool's slots run on the race
+# crew, which an idle daemon has not called on. A gate.
 IDLE_OUT=$(mktemp /tmp/altx-idle.XXXXXX.out)
 "$ALTXD" --addr 127.0.0.1:0 --workers 2 --shards 1 >"$IDLE_OUT" &
 IDLE_PID=$!
@@ -367,6 +370,10 @@ IDLE_THREADS=$(find "/proc/$IDLE_PID/task" -mindepth 1 -maxdepth 1 2>/dev/null |
 kill "$IDLE_PID" 2>/dev/null || true
 wait "$IDLE_PID" 2>/dev/null || true
 rm -f "$IDLE_OUT"
+[ "$IDLE_THREADS" -le 1 ] || {
+    echo "an idle altxd --workers 2 --shards 1 runs $IDLE_THREADS threads, more than its 1 shard" >&2
+    exit 1
+}
 SERVE_LINES=$(non_test_lines crates/serve/src)
 CORE_LINES=$(non_test_lines crates/core/src)
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
