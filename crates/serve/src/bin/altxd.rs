@@ -3,7 +3,7 @@
 //! ```text
 //! altxd [--addr HOST:PORT] [--workers N] [--shards N] [--hedge]
 //!       [--peer HOST:PORT]... [--advertise HOST:PORT]
-//!       [--lanes SPEC] [--admission] [--steal]
+//!       [--lanes SPEC] [--admission]
 //! ```
 //!
 //! The daemon serves until a client sends the SHUTDOWN opcode, then
@@ -12,17 +12,18 @@
 //! The main thread runs reactor shard 0 — the one that also holds the
 //! links to `--peer`s — after printing the banner; shards 1.. have
 //! threads of their own, and the pool's workers — slots, at most that
-//! many queued races running at once — borrow the race crew's racers.
+//! many queued races running at once, all serving one run queue —
+//! borrow the race crew's racers.
 //!
 //! Five of the flags are deployment settings: where to listen, how many
 //! workers and shards, which peers to join and under which name. The
-//! other four switch a scheduling behaviour on; each is off by default.
+//! other three switch a scheduling behaviour on; each is off by default.
 //! Everything else is fixed at the value the library documents: a run
 //! queue 64 deep, a reply ring of [`DEFAULT_RING_SLOTS`] slots of
 //! [`DEFAULT_RING_SLOT_BYTES`] per shard, the favourite's trust and
 //! exploration cadence of [`HedgeConfig::default`], the peer links'
 //! cadences of [`PeerConfig::default`], and the pool's
-//! [`DEFAULT_LANE_AGING`] and [`DEFAULT_SPIN`].
+//! [`DEFAULT_LANE_AGING`].
 //!
 //! `--hedge` turns on adaptive hedged launches: the statistically
 //! favoured alternative starts immediately and the rest are held back
@@ -51,14 +52,12 @@
 //! priority in declaration order, unmentioned workloads in a trailing
 //! default lane); `--admission` sheds a request on arrival when its
 //! deadline is provably unmeetable from the workload's observed p99
-//! service time plus the current queue wait; `--steal` splits the pool
-//! into one worker group per shard and lets a dry group's slots take
-//! the best queued job from a sibling.
+//! service time plus the current queue wait.
 //!
-//! Any other flag — among them the tuning flags earlier versions took —
-//! is refused with exit status 2.
+//! Any other flag — among them the tuning flags earlier versions took,
+//! and `--steal` — is refused with exit status 2.
 
-use altx_serve::pool::{DEFAULT_LANE_AGING, DEFAULT_SPIN};
+use altx_serve::pool::DEFAULT_LANE_AGING;
 use altx_serve::server::{
     available_workers, run, ServerConfig, DEFAULT_RING_SLOTS, DEFAULT_RING_SLOT_BYTES,
 };
@@ -81,9 +80,9 @@ fn parse_args() -> Result<(ServerConfig, Option<usize>), String> {
         peer: PeerConfig::default(),
         lanes: Lanes::single(),
         admission: false,
-        steal: false,
+        steal: None,
         lane_aging: DEFAULT_LANE_AGING,
-        spin: DEFAULT_SPIN,
+        spin: None,
     };
     let mut workers = None;
     let mut it = std::env::args().skip(1);
@@ -116,12 +115,11 @@ fn parse_args() -> Result<(ServerConfig, Option<usize>), String> {
                     Lanes::parse(&value("--lanes")?).map_err(|e| format!("--lanes: {e}"))?
             }
             "--admission" => config.admission = true,
-            "--steal" => config.steal = true,
             "--help" | "-h" => {
                 println!(
                     "usage: altxd [--addr HOST:PORT] [--workers N] [--shards N] [--hedge] \
                      [--peer HOST:PORT]... [--advertise HOST:PORT] \
-                     [--lanes SPEC] [--admission] [--steal]"
+                     [--lanes SPEC] [--admission]"
                 );
                 std::process::exit(0);
             }
@@ -181,15 +179,6 @@ fn banner(config: &ServerConfig, addr: SocketAddr) {
     }
     if config.admission {
         println!("admission control: on (shed provably unmeetable deadlines)");
-    }
-    if config.steal {
-        // The pool deals its workers round-robin, so it cannot have more
-        // groups than workers.
-        println!(
-            "work stealing: on ({} worker groups, spin budget {} us)",
-            shards.min(config.workers),
-            config.spin.as_micros()
-        );
     }
     let peer = &config.peer;
     if !peer.peers.is_empty() {

@@ -1,34 +1,29 @@
-//! Deadline-aware worker pool: per-group EDF run queues, priority lanes
-//! with starvation aging, work stealing, load shedding and panic
-//! containment — and no thread of its own.
+//! Deadline-aware worker pool: one EDF run queue per priority lane, with
+//! starvation aging, load shedding and panic containment — and no thread
+//! of its own.
 //!
 //! Connections never execute races themselves: they enqueue a job, and
 //! its completion notifier answers them from the thread that ran it,
 //! straight out of a reply-ring slot (`ring.rs`, `conn.rs`). Capacity is
-//! bounded across all queues and `try_submit` refuses — it never blocks
+//! bounded across all lanes and `try_submit` refuses — it never blocks
 //! — when the pool is full: queueing deeper would only turn overload
 //! into latency. Shutdown returns once every admitted job has run.
 //!
 //! The pool keeps the scheduling policy; the race crew owns the threads.
-//! `workers` are **slots**, dealt round-robin to groups: at most that
-//! many jobs run at once. A push that finds a free slot allowed to take
-//! its entry starts it as one errand on the crew
-//! ([`altx::engine::run_on_crew`]: its errand racers, kept apart from
-//! the racers of race siblings), which runs entries until
-//! `RunQueues::next` has nothing it may take and then leaves — freed
-//! under the lock that found nothing, so a later push always sees the
-//! free slot and no entry stays queued while no running slot may take
-//! it. `RunQueues` is a plain value behind one `Mutex`: it reads no
+//! `workers` are **slots**, all serving the one queue: at most that many
+//! jobs run at once. A push that finds fewer than `workers` slots running
+//! starts one as an errand on the crew ([`altx::engine::run_on_crew`]:
+//! its errand racers, kept apart from the racers of race siblings),
+//! which runs entries until `RunQueues::next` finds nothing queued and
+//! then leaves — freed under the lock that found nothing, so a later
+//! push always sees the free slot and no entry waits while a slot is
+//! free. `RunQueues` is a plain value behind one `Mutex`: it reads no
 //! clock, takes no lock and starts no thread, and its rules are checked
 //! on virtual time (`tests::any_schedule_runs_every_admitted_entry_once`).
 //!
-//! Scheduling — the default of one group, one lane and no stealing
-//! behaves exactly as a bounded FIFO channel: each queue is an EDF heap
-//! (see `Entry`); each group has one heap per priority lane, served
-//! strictly unless a lower lane has aged (`RunQueues::take_best`). With
-//! stealing on, a push may start a sibling group's free slot, and a slot
-//! whose group is dry takes a sibling group's *best* entry and, finding
-//! none, spins off the lock and looks again before it leaves.
+//! Scheduling — the default of one lane behaves exactly as a bounded
+//! FIFO channel: each lane is an EDF heap (see `Entry`), served strictly
+//! by priority unless a lower lane has aged (`RunQueues::next`).
 //!
 //! Failure story (the chaos soak beats on it): every job runs inside
 //! `catch_unwind` ([`PoolStats::jobs_panicked`]), and so does the errand
@@ -58,11 +53,6 @@ pub type Notify = Box<dyn FnOnce() + Send + 'static>;
 /// past a busier high-priority lane.
 pub const DEFAULT_LANE_AGING: Duration = Duration::from_millis(25);
 
-/// Default busy-wait budget before an idle stealing slot leaves. ~20 µs
-/// covers the common "next request is already on the wire" gap without
-/// burning a core through a real lull.
-pub const DEFAULT_SPIN: Duration = Duration::from_micros(20);
-
 /// Fires its notifier exactly once — when dropped.
 struct NotifyOnDrop(Option<Notify>);
 
@@ -84,8 +74,8 @@ pub enum SubmitError {
 }
 
 /// Scheduling metadata attached to a submission. The default is a
-/// best-effort job in the highest lane on group 0 — what every legacy
-/// call site gets.
+/// best-effort job in the highest lane — what every legacy call site
+/// gets.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobMeta {
     /// Absolute deadline. `None` means best-effort (wire
@@ -94,22 +84,18 @@ pub struct JobMeta {
     pub deadline: Option<Instant>,
     /// Priority lane, `0` highest. Clamped to the configured lane count.
     pub lane: usize,
-    /// Preferred worker group — the submitting shard. Wrapped modulo the
-    /// configured group count.
-    pub group: usize,
 }
 
 impl JobMeta {
     /// Meta for a wire request: `deadline_ms == 0` is best-effort, any
-    /// other value becomes an absolute deadline from now.
-    pub fn for_request(deadline_ms: u32, lane: usize, group: usize) -> Self {
+    /// other value becomes an absolute deadline from now. The third
+    /// argument is read by nothing: it stays only because the
+    /// benchmark's `layers` binary passes one, and goes with the other
+    /// compile shims of ROADMAP 1(a).
+    pub fn for_request(deadline_ms: u32, lane: usize, _unused: usize) -> Self {
         let deadline = (deadline_ms > 0)
             .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-        JobMeta {
-            deadline,
-            lane,
-            group,
-        }
+        JobMeta { deadline, lane }
     }
 }
 
@@ -118,39 +104,39 @@ impl JobMeta {
 pub struct PoolConfig {
     /// Slots: jobs running at once, each on a racer of the crew.
     pub workers: usize,
-    /// Total queued-job capacity across every group and lane.
+    /// Total queued-job capacity across every lane.
     pub queue_depth: usize,
-    /// Slot groups; slots are dealt round-robin. Clamped to
-    /// `[1, workers]`.
+    /// Nothing reads it. It stays only because the benchmark's `layers`
+    /// binary builds this struct with a full literal that names it; it
+    /// goes once that literal drops it (ROADMAP 1(a)).
     pub groups: usize,
-    /// Priority lanes per group (`0` is highest priority). At least 1.
+    /// Priority lanes (`0` is highest priority). At least 1.
     pub lanes: usize,
-    /// Cross-group stealing when a slot's own group runs dry.
-    pub steal: bool,
+    /// Nothing: `None` is its only value and nothing reads it. It stays
+    /// only for the `layers` literal, as `groups` does (ROADMAP 1(a)).
+    pub steal: Option<std::convert::Infallible>,
     /// Starvation aging threshold; `Duration::ZERO` disables aging
     /// (pure strict priority).
     pub lane_aging: Duration,
-    /// How long an idle stealing slot looks for work before it leaves.
-    /// `Duration::ZERO` leaves at once.
-    pub spin: Duration,
     /// Nothing: `None` is its only value and nothing reads it. It stays
-    /// only because the benchmark's `layers` binary builds this struct
-    /// with a full literal that names it; it goes once that literal
-    /// drops it (ROADMAP 1(a)).
+    /// only for the `layers` literal, as `groups` does (ROADMAP 1(a)).
+    pub spin: Option<std::convert::Infallible>,
+    /// Nothing: `None` is its only value and nothing reads it. It stays
+    /// only for the `layers` literal, as `groups` does (ROADMAP 1(a)).
     pub pin_cores: Option<std::convert::Infallible>,
 }
 
 impl PoolConfig {
-    /// The legacy shape: one group, one lane, no stealing.
+    /// The legacy shape: one lane.
     pub fn fifo(workers: usize, queue_depth: usize) -> Self {
         PoolConfig {
             workers,
             queue_depth,
             groups: 1,
             lanes: 1,
-            steal: false,
+            steal: None,
             lane_aging: DEFAULT_LANE_AGING,
-            spin: DEFAULT_SPIN,
+            spin: None,
             pin_cores: None,
         }
     }
@@ -158,15 +144,13 @@ impl PoolConfig {
 
 /// Failure counters the pool maintains; shared with telemetry. Every
 /// cell is cache-line padded: `busy` is bumped twice per job by every
-/// slot and `steals`/`lane_depth` are written from multiple groups, so
-/// without padding the counters would ping one shared line between
-/// cores on the hottest path in the daemon.
+/// slot and `lane_depth` is written by every push and take, so without
+/// padding the counters would ping one shared line between cores on the
+/// hottest path in the daemon.
 #[derive(Debug, Default)]
 pub struct PoolStats {
     jobs_panicked: CachePadded<AtomicU64>,
     busy: CachePadded<AtomicU64>,
-    steals: CachePadded<AtomicU64>,
-    drain_scavenges: CachePadded<AtomicU64>,
     lane_depth: Vec<CachePadded<AtomicU64>>,
 }
 
@@ -192,20 +176,7 @@ impl PoolStats {
         self.busy.load(Ordering::Relaxed)
     }
 
-    /// Jobs a dry slot took from a sibling group's queue while the
-    /// pool was **open**: "did stealing rebalance live traffic?" without
-    /// shutdown noise, which is [`PoolStats::drain_scavenges`].
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Jobs taken from a sibling group while draining a *closed* pool,
-    /// which ignores the steal flag so that orphaned queues still empty.
-    pub fn drain_scavenges(&self) -> u64 {
-        self.drain_scavenges.load(Ordering::Relaxed)
-    }
-
-    /// Queued jobs per priority lane, summed across groups — a gauge.
+    /// Queued jobs per priority lane — a gauge.
     pub fn lane_depths(&self) -> Vec<u64> {
         self.lane_depth
             .iter()
@@ -263,50 +234,22 @@ impl Ord for Entry {
     }
 }
 
-/// Where a slot's next entry came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Source {
-    Own,
-    /// A sibling group, the pool open: a steal.
-    Stolen,
-    /// A sibling group, the pool closed: the drain crosses groups
-    /// whether or not stealing is on.
-    Scavenged,
-}
-
-/// What [`RunQueues::next`] tells a slot to do.
-enum Next {
-    Run {
-        entry: Entry,
-        from: Source,
-    },
-    /// Nothing to run, but this slot steals, so work for it can appear
-    /// in any group: spend the spin budget off the lock, then look again.
-    Spin,
-    /// Nothing this slot may run: it is free again. Already counted.
-    Leave,
-}
-
 /// A submission [`RunQueues::push`] refused, handed back whole so that
 /// its closures are dropped — uncalled — after the lock, not under it.
 type Refused = (SubmitError, Job, Option<Notify>);
 
-/// The pool's scheduling state as a plain value: what is queued where,
-/// which slots run, and every rule that follows from the two —
-/// admission, EDF / lane / aging order, stealing, which slot to start,
-/// when a slot leaves. The caller holds the lock and supplies the time.
+/// The pool's scheduling state as a plain value: what is queued, how
+/// many slots run, and every rule that follows from the two —
+/// admission, EDF / lane / aging order, when a push starts a slot, when
+/// a slot leaves. The caller holds the lock and supplies the time.
 struct RunQueues {
-    /// `lanes[group][lane]`.
-    lanes: Vec<Vec<BinaryHeap<Entry>>>,
-    /// Entries queued per lane, summed across groups — what the
-    /// lane-depth gauges show, and in total what `capacity` bounds.
-    depth: Vec<usize>,
-    /// Slots per group: `workers` dealt round-robin.
-    slots: Vec<usize>,
-    /// Slots per group started and not yet left.
-    running: Vec<usize>,
+    /// One EDF heap per priority lane, `0` highest.
+    lanes: Vec<BinaryHeap<Entry>>,
+    /// Slots: at most this many run at once.
+    slots: usize,
+    /// Slots started and not yet left.
+    running: usize,
     capacity: usize,
-    steal: bool,
     lane_aging: Duration,
     seq: u64,
     closed: bool,
@@ -314,50 +257,42 @@ struct RunQueues {
 
 impl RunQueues {
     fn new(config: &PoolConfig) -> Self {
-        let groups = config.groups.clamp(1, config.workers);
-        let lanes = config.lanes.max(1);
-        let heaps = |_| (0..lanes).map(|_| BinaryHeap::new()).collect();
-        let dealt = |g| config.workers / groups + usize::from(g < config.workers % groups);
         RunQueues {
-            lanes: (0..groups).map(heaps).collect(),
-            depth: vec![0; lanes],
-            slots: (0..groups).map(dealt).collect(),
-            running: vec![0; groups],
+            lanes: (0..config.lanes.max(1))
+                .map(|_| BinaryHeap::new())
+                .collect(),
+            slots: config.workers,
+            running: 0,
             capacity: config.queue_depth,
-            steal: config.steal,
             lane_aging: config.lane_aging,
             seq: 0,
             closed: false,
         }
     }
 
-    /// Entries queued across every group and lane.
+    /// Entries queued across every lane.
     fn queued(&self) -> usize {
-        self.depth.iter().sum()
+        self.lanes.iter().map(BinaryHeap::len).sum()
     }
 
     /// Admits `job` under `meta`, or refuses it and changes nothing. An
-    /// admitted entry starts a free slot of its own group — with
-    /// stealing on, of the first group round-robin from its own that
-    /// has one — and names that slot's group; `None` when every slot
-    /// that may run it is running already.
+    /// admitted entry starts a slot when fewer than `slots` run, and
+    /// says whether it did.
     fn push(
         &mut self,
         meta: JobMeta,
         job: Job,
         notify: Option<Notify>,
         now: Instant,
-    ) -> Result<Option<usize>, Refused> {
+    ) -> Result<bool, Refused> {
         if self.closed {
             return Err((SubmitError::ShuttingDown, job, notify));
         }
         if self.queued() >= self.capacity {
             return Err((SubmitError::Overloaded, job, notify));
         }
-        let n = self.lanes.len();
-        let group = meta.group % n;
-        let lane = meta.lane.min(self.depth.len() - 1);
-        self.lanes[group][lane].push(Entry {
+        let lane = meta.lane.min(self.lanes.len() - 1);
+        self.lanes[lane].push(Entry {
             deadline: meta.deadline,
             seq: self.seq,
             enqueued: now,
@@ -365,82 +300,41 @@ impl RunQueues {
             notify: NotifyOnDrop(notify),
         });
         self.seq += 1;
-        self.depth[lane] += 1;
-        let reach = if self.steal { n } else { 1 };
-        let start = (0..reach)
-            .map(|i| (group + i) % n)
-            .find(|&g| self.running[g] < self.slots[g]);
-        if let Some(g) = start {
-            self.running[g] += 1;
-        }
+        let start = self.running < self.slots;
+        self.running += usize::from(start);
         Ok(start)
     }
 
-    /// Takes the entry one group's lanes would run next: from the
-    /// highest priority non-empty lane, unless starvation aging promotes
-    /// a lower lane that has an entry waiting past the threshold. Within
-    /// the chosen lane, EDF order (the heap's max = earliest deadline,
-    /// best-effort last, FIFO among equals).
-    fn take_best(&mut self, group: usize, now: Instant) -> Option<Entry> {
+    /// One look for a running slot: the entry of the highest priority
+    /// non-empty lane, unless starvation aging promotes a lower lane
+    /// that has an entry waiting past the threshold; within the lane,
+    /// EDF order (the heap's max = earliest deadline, best-effort last,
+    /// FIFO among equals). With nothing queued the slot is freed here,
+    /// before the lock is released — so every later push finds it free
+    /// — and `None` tells it to leave.
+    fn next(&mut self, now: Instant) -> Option<Entry> {
+        let Some(strict) = self.lanes.iter().position(|l| !l.is_empty()) else {
+            self.running -= 1;
+            return None;
+        };
         let aging = self.lane_aging;
-        let lanes = &mut self.lanes[group];
-        let strict = lanes.iter().position(|l| !l.is_empty())?;
-        let mut pick = strict;
-        if !aging.is_zero() {
-            for (i, lane) in lanes.iter().enumerate().skip(strict + 1) {
-                if lane.iter().any(|e| now.duration_since(e.enqueued) >= aging) {
-                    pick = i;
-                    break;
-                }
-            }
-        }
-        let entry = lanes[pick].pop()?;
-        self.depth[pick] -= 1;
-        Some(entry)
+        let aged = |lane: &BinaryHeap<Entry>| {
+            !aging.is_zero() && lane.iter().any(|e| now.duration_since(e.enqueued) >= aging)
+        };
+        let pick = (strict + 1..self.lanes.len())
+            .find(|&l| aged(&self.lanes[l]))
+            .unwrap_or(strict);
+        self.lanes[pick].pop()
     }
 
-    /// One look for a running slot of `group`: the best entry of the
-    /// first group that has one, round-robin from its own and — unless
-    /// stealing is on or the pool closed — no further. Failing that, a
-    /// stealing slot with siblings that has not `spun` since it last ran
-    /// an entry on an open pool is told to `Spin`; any other slot is
-    /// freed here, before the lock is released — so every later push
-    /// finds it free — and told to `Leave`.
-    fn next(&mut self, group: usize, now: Instant, spun: bool) -> Next {
-        let n = self.lanes.len();
-        let reach = if self.steal || self.closed { n } else { 1 };
-        for i in 0..reach {
-            if let Some(entry) = self.take_best((group + i) % n, now) {
-                let from = match (i, self.closed) {
-                    (0, _) => Source::Own,
-                    (_, false) => Source::Stolen,
-                    (_, true) => Source::Scavenged,
-                };
-                return Next::Run { entry, from };
-            }
-        }
-        if self.steal && n > 1 && !spun && !self.closed {
-            return Next::Spin;
-        }
-        self.running[group] -= 1;
-        Next::Leave
-    }
-
-    /// Slots running across every group.
-    fn running(&self) -> usize {
-        self.running.iter().sum()
-    }
-
-    /// Refuses every later push; from here `next` crosses groups.
+    /// Refuses every later push.
     fn close(&mut self) {
         self.closed = true;
     }
 
     /// Empties every heap, handing the entries to the caller to drop.
     fn drain(&mut self) -> Vec<Entry> {
-        self.depth.fill(0);
-        let heaps = self.lanes.iter_mut().flatten();
-        heaps.flat_map(|heap| heap.drain()).collect()
+        self.lanes.iter_mut().flat_map(BinaryHeap::drain).collect()
     }
 }
 
@@ -448,12 +342,10 @@ impl RunQueues {
 struct Shared {
     /// The monitor's lock: the only one that guards queue state.
     queues: Mutex<RunQueues>,
-    /// `RunQueues::queued`, copied out for [`WorkerPool::queued`] and the
-    /// spin, which must not take the lock. A statistic that publishes
-    /// nothing else, hence `Relaxed`; padded for the spinners' polling.
+    /// `RunQueues::queued`, copied out for [`WorkerPool::queued`], which
+    /// must not take the lock. A statistic that publishes nothing else,
+    /// hence `Relaxed`; padded apart from the lock every push writes.
     queued: CachePadded<AtomicUsize>,
-    /// Busy-wait budget of a slot told to [`Next::Spin`].
-    spin: Duration,
     stats: Arc<PoolStats>,
     /// Callers of `shutdown` waiting for the last running slot to leave
     /// a closed pool. Pushed to with the queues' lock held, so the slot
@@ -477,8 +369,8 @@ impl Shared {
     /// old, never one the queues did not have.
     fn publish(&self, queues: &RunQueues) {
         self.queued.store(queues.queued(), Ordering::Relaxed);
-        for (gauge, &depth) in self.stats.lane_depth.iter().zip(&queues.depth) {
-            gauge.store(depth as u64, Ordering::Relaxed);
+        for (gauge, heap) in self.stats.lane_depth.iter().zip(&queues.lanes) {
+            gauge.store(heap.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -493,17 +385,16 @@ impl Shared {
         let pushed = queues.push(meta, job, notify, now);
         self.publish(&queues);
         drop(queues);
-        let started = pushed.map_err(|(why, _job, _notify)| why)?;
-        if let Some(group) = started {
+        if pushed.map_err(|(why, _job, _notify)| why)? {
             let shared = Arc::clone(self);
-            run_on_crew(move || shared.serve(group));
+            run_on_crew(move || shared.serve());
         }
         Ok(())
     }
 
-    /// A started slot of `group`, on the racer that took it: runs
-    /// entries until `next` says leave.
-    fn serve(&self, group: usize) {
+    /// A started slot, on the racer that took it: runs entries until
+    /// `next` has none and has freed the slot.
+    fn serve(&self) {
         thread_local! {
             static TIGHT: Cell<bool> = const { Cell::new(false) };
         }
@@ -513,48 +404,20 @@ impl Shared {
         if !TIGHT.replace(true) {
             crate::reactor::tighten_timer_slack();
         }
-        let mut spun = false;
         let mut queues = self.lock();
-        loop {
-            match queues.next(group, Instant::now(), spun) {
-                Next::Run { entry, from } => {
-                    self.publish(&queues);
-                    drop(queues);
-                    let counter = match from {
-                        Source::Own => None,
-                        Source::Stolen => Some(&self.stats.steals),
-                        Source::Scavenged => Some(&self.stats.drain_scavenges),
-                    };
-                    if let Some(counter) = counter {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.run_job(entry);
-                    spun = false;
-                    queues = self.lock();
-                }
-                Next::Spin => {
-                    // Busy-wait, off the lock, for work to appear anywhere
-                    // in the pool. However it ends, the next look is locked.
-                    drop(queues);
-                    let start = Instant::now();
-                    while self.queued.load(Ordering::Relaxed) == 0 && start.elapsed() < self.spin {
-                        std::hint::spin_loop();
-                    }
-                    queues = self.lock();
-                    spun = true;
-                }
-                Next::Leave => {
-                    let closers = if queues.closed && queues.running() == 0 {
-                        std::mem::take(&mut *self.closers())
-                    } else {
-                        Vec::new()
-                    };
-                    drop(queues);
-                    closers.iter().for_each(Thread::unpark);
-                    return;
-                }
-            }
+        while let Some(entry) = queues.next(Instant::now()) {
+            self.publish(&queues);
+            drop(queues);
+            self.run_job(entry);
+            queues = self.lock();
         }
+        let closers = if queues.closed && queues.running == 0 {
+            std::mem::take(&mut *self.closers())
+        } else {
+            Vec::new()
+        };
+        drop(queues);
+        closers.iter().for_each(Thread::unpark);
     }
 
     fn run_job(&self, entry: Entry) {
@@ -579,7 +442,7 @@ impl Shared {
     }
 }
 
-/// Bounded per-group run queues whose jobs run on the race crew.
+/// A bounded run queue whose jobs run on the race crew.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     n_workers: usize,
@@ -588,22 +451,20 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// A pool of `workers` slots over a single FIFO-equivalent run queue
     /// of depth `queue_depth`. This is the legacy shape; see
-    /// [`WorkerPool::with_config`] for groups/lanes/stealing.
+    /// [`WorkerPool::with_config`] for lanes.
     pub fn new(workers: usize, queue_depth: usize) -> Self {
         WorkerPool::with_config(PoolConfig::fifo(workers, queue_depth))
     }
 
-    /// The configured pool: `config.workers` slots dealt round-robin
-    /// across `config.groups` groups, each group holding `config.lanes`
-    /// EDF heaps. Starts no thread.
+    /// The configured pool: `config.workers` slots serving
+    /// `config.lanes` EDF heaps. Starts no thread.
     pub fn with_config(config: PoolConfig) -> Self {
         assert!(config.workers > 0, "need at least one worker");
         let queues = RunQueues::new(&config);
-        let n_lanes = queues.depth.len();
+        let n_lanes = queues.lanes.len();
         let shared = Arc::new(Shared {
             queues: Mutex::new(queues),
             queued: CachePadded::new(AtomicUsize::new(0)),
-            spin: config.spin,
             stats: Arc::new(PoolStats::with_lanes(n_lanes)),
             closers: Mutex::new(Vec::new()),
         });
@@ -619,14 +480,14 @@ impl WorkerPool {
         self.try_submit_at(job, JobMeta::default())
     }
 
-    /// Enqueues a job under `meta`'s deadline/lane/group without
+    /// Enqueues a job under `meta`'s deadline and lane without
     /// blocking; refuses when full or closed.
     pub fn try_submit_at(&self, job: Job, meta: JobMeta) -> Result<(), SubmitError> {
         self.shared.submit(job, None, meta)
     }
 
     /// Enqueues a job with a completion notifier under `meta`'s
-    /// deadline/lane/group. The pool guarantees `notify` runs **exactly
+    /// deadline and lane. The pool guarantees `notify` runs **exactly
     /// once** for an admitted job — after the job returns, while its
     /// panic unwinds, or when the pool drops the job unrun (an injected
     /// `Fail` fault, or the shutdown sweep of a queue no slot
@@ -666,7 +527,7 @@ impl WorkerPool {
     }
 
     /// Jobs currently queued (not yet picked up by a slot), across
-    /// every group and lane.
+    /// every lane.
     pub fn queued(&self) -> usize {
         self.shared.queued.load(Ordering::Relaxed)
     }
@@ -687,15 +548,14 @@ impl WorkerPool {
         Arc::clone(&self.shared.stats)
     }
 
-    /// Closes the queues and returns once every slot still running has
-    /// drained what it may take — across groups, the pool being closed —
-    /// and left: every admitted job has run. Idempotent, and never
+    /// Closes the queue and returns once every slot still running has
+    /// drained it and left: every admitted job has run. Idempotent, and never
     /// panics: a poisoned lock is recovered. What is still queued then is
     /// swept here, and an entry dropped unrun still fires its notifier.
     pub fn shutdown(&self) {
         let mut queues = self.shared.lock();
         queues.close();
-        while queues.running() > 0 {
+        while queues.running > 0 {
             self.shared.closers().push(std::thread::current());
             drop(queues);
             std::thread::park();
@@ -964,20 +824,9 @@ mod tests {
         assert_eq!(pool.stats().lane_depths(), vec![0, 0]);
     }
 
-    /// A started slot of the schedule property, standing where `serve`
-    /// can stand between two holds of the lock.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Slot {
-        group: usize,
-        /// Told to spin: the lock is released, and its next look may
-        /// free it.
-        spun: bool,
-    }
-
     /// What the property remembers of one admitted entry; `seq` is its
     /// index.
     struct Admitted {
-        group: usize,
         lane: usize,
         deadline: Option<Instant>,
         enqueued: Instant,
@@ -990,16 +839,13 @@ mod tests {
     /// knows nothing of heaps.
     struct Schedule {
         queues: RunQueues,
-        groups: usize,
         lanes: usize,
         capacity: usize,
-        steal: bool,
         aging: Duration,
-        /// Slots per group, `workers` dealt round-robin as
-        /// `with_config` deals them.
-        slots: Vec<usize>,
-        /// Every slot started and not yet left, in start order.
-        running: Vec<Slot>,
+        workers: usize,
+        /// Slots started and not yet left. Each stands where `serve`
+        /// stands between two holds of the lock, about to look.
+        running: usize,
         admitted: Vec<Admitted>,
         closed: bool,
         epoch: Instant,
@@ -1007,64 +853,41 @@ mod tests {
     }
 
     impl Schedule {
-        fn queued_in(
-            &self,
-            group: usize,
-            lane: usize,
-        ) -> impl Iterator<Item = (usize, &Admitted)> + '_ {
-            let here = move |a: &Admitted| a.queued && a.group == group && a.lane == lane;
+        fn queued_in(&self, lane: usize) -> impl Iterator<Item = (usize, &Admitted)> + '_ {
+            let here = move |a: &Admitted| a.queued && a.lane == lane;
             self.admitted
                 .iter()
                 .enumerate()
                 .filter(move |(_, a)| here(a))
         }
 
-        /// May a slot of `group` run an entry queued in `home`?
-        fn allowed(&self, group: usize, home: usize) -> bool {
-            group == home || self.steal || self.closed
+        fn queued(&self) -> usize {
+            self.admitted.iter().filter(|a| a.queued).count()
         }
 
-        fn running_in(&self, group: usize) -> usize {
-            self.running.iter().filter(|s| s.group == group).count()
-        }
-
-        /// The entry a slot of `group` must be handed now, worked out
-        /// from the rules: own group first, then — stealing or closed —
-        /// the siblings round-robin; strict lane priority unless a lower
-        /// lane holds an entry older than the aging threshold; in the
-        /// lane, earliest deadline, best-effort last, FIFO among equals.
-        fn expected(&self, group: usize) -> Option<(usize, Source)> {
-            let sources = (0..self.groups).map(|i| (group + i) % self.groups);
-            sources
-                .filter(|&home| self.allowed(group, home))
-                .find_map(|home| {
-                    let strict =
-                        (0..self.lanes).find(|&l| self.queued_in(home, l).next().is_some())?;
-                    let old = |a: &Admitted| self.now.duration_since(a.enqueued) >= self.aging;
-                    let aged = (strict + 1..self.lanes).find(|&l| {
-                        !self.aging.is_zero() && self.queued_in(home, l).any(|(_, a)| old(a))
-                    });
-                    let (seq, _) = self
-                        .queued_in(home, aged.unwrap_or(strict))
-                        .min_by_key(|&(seq, a)| (a.deadline.is_none(), a.deadline, seq))?;
-                    let from = match (home == group, self.closed) {
-                        (true, _) => Source::Own,
-                        (false, false) => Source::Stolen,
-                        (false, true) => Source::Scavenged,
-                    };
-                    Some((seq, from))
-                })
+        /// The entry a running slot must be handed now, worked out from
+        /// the rules: strict lane priority unless a lower lane holds an
+        /// entry older than the aging threshold; in the lane, earliest
+        /// deadline, best-effort last, FIFO among equals.
+        fn expected(&self) -> Option<usize> {
+            let strict = (0..self.lanes).find(|&l| self.queued_in(l).next().is_some())?;
+            let old = |a: &Admitted| self.now.duration_since(a.enqueued) >= self.aging;
+            let aged = (strict + 1..self.lanes)
+                .find(|&l| !self.aging.is_zero() && self.queued_in(l).any(|(_, a)| old(a)));
+            let (seq, _) = self
+                .queued_in(aged.unwrap_or(strict))
+                .min_by_key(|&(seq, a)| (a.deadline.is_none(), a.deadline, seq))?;
+            Some(seq)
         }
 
         fn push(&mut self, rng: &mut CaseRng) {
-            // Out-of-range groups wrap, out-of-range lanes clamp, and a
-            // few coarse deadlines (some already past) make ties common.
+            // Out-of-range lanes clamp, and a few coarse deadlines (some
+            // already past) make ties common.
             let meta = JobMeta {
                 deadline: rng
                     .option(0.6, |r| Duration::from_millis(20 * r.u64_below(5)))
                     .map(|d| self.epoch + d),
                 lane: rng.usize_in(0, self.lanes + 1),
-                group: rng.usize_in(0, 2 * self.groups),
             };
             let ran = Arc::new(AtomicUsize::new(0));
             let notified = rng.bool().then(|| Arc::new(AtomicUsize::new(0)));
@@ -1079,10 +902,10 @@ mod tests {
                     n.fetch_add(1, Ordering::SeqCst);
                 })
             });
-            let before = (self.heap_sizes(), self.queues.seq);
+            let before = (self.heap_sizes(), self.queues.seq, self.queues.running);
             let refusal = if self.closed {
                 Some(SubmitError::ShuttingDown)
-            } else if self.admitted.iter().filter(|a| a.queued).count() >= self.capacity {
+            } else if self.queued() >= self.capacity {
                 Some(SubmitError::Overloaded)
             } else {
                 None
@@ -1090,7 +913,8 @@ mod tests {
             match self.queues.push(meta, job, notify, self.now) {
                 Err((why, job, notify)) => {
                     assert_eq!(Some(why), refusal);
-                    assert_eq!(before, (self.heap_sizes(), self.queues.seq));
+                    let after = (self.heap_sizes(), self.queues.seq, self.queues.running);
+                    assert_eq!(before, after, "a refusal changes nothing");
                     drop((job, notify));
                     let calls = ran.load(Ordering::SeqCst)
                         + notified.map_or(0, |n| n.load(Ordering::SeqCst));
@@ -1098,9 +922,7 @@ mod tests {
                 }
                 Ok(started) => {
                     assert_eq!(refusal, None, "admitted a push that had to be refused");
-                    let home = meta.group % self.groups;
                     self.admitted.push(Admitted {
-                        group: home,
                         lane: meta.lane.min(self.lanes - 1),
                         deadline: meta.deadline,
                         enqueued: self.now,
@@ -1108,44 +930,30 @@ mod tests {
                         ran,
                         notified,
                     });
-                    // A free slot of the entry's own group, or — stealing
-                    // — of the first sibling round-robin that has one;
-                    // none when all those are running.
-                    let reach = if self.steal { self.groups } else { 1 };
-                    let want = (0..reach)
-                        .map(|i| (home + i) % self.groups)
-                        .find(|&g| self.running_in(g) < self.slots[g]);
-                    assert_eq!(started, want, "slot started by a push to group {home}");
-                    if let Some(group) = started {
-                        self.running.push(Slot { group, spun: false });
-                    }
+                    // A free slot starts; none is free when all run.
+                    let free = self.running < self.workers;
+                    assert_eq!(
+                        started, free,
+                        "{} of {} slots ran",
+                        self.running, self.workers
+                    );
+                    self.running += usize::from(started);
                 }
             }
         }
 
-        /// Running slot `i` takes the lock once and does what `serve`
-        /// does with one hold of it.
-        fn step(&mut self, i: usize, rng: &mut CaseRng) {
-            let Slot { group, spun } = self.running[i];
-            let expected = self.expected(group);
-            match self.queues.next(group, self.now, spun) {
-                Next::Run { entry, from } => {
-                    assert_eq!(Some((entry.seq as usize, from)), expected);
+        /// A running slot takes the lock once and does what `serve` does
+        /// with one hold of it.
+        fn step(&mut self, rng: &mut CaseRng) {
+            let expected = self.expected();
+            match self.queues.next(self.now) {
+                Some(entry) => {
+                    assert_eq!(Some(entry.seq as usize), expected, "handed out of order");
                     self.take(entry, rng.bool());
-                    self.running[i].spun = false;
                 }
-                Next::Spin => {
-                    assert!(expected.is_none(), "spinning beside work");
-                    // Only a slot that can steal spins, and only once per
-                    // idle spell, and never on a closed pool.
-                    assert!(self.steal && self.groups > 1 && !spun && !self.closed);
-                    self.running[i].spun = true;
-                }
-                Next::Leave => {
-                    assert!(expected.is_none(), "left beside work");
-                    let spins = self.steal && self.groups > 1 && !self.closed;
-                    assert!(spun || !spins, "a stealing slot left without a spin");
-                    self.running.remove(i);
+                None => {
+                    assert_eq!(expected, None, "left beside work");
+                    self.running -= 1;
                 }
             }
         }
@@ -1173,79 +981,59 @@ mod tests {
             self.closed = true;
         }
 
-        fn heap_sizes(&self) -> Vec<Vec<usize>> {
-            let sizes =
-                |group: &Vec<BinaryHeap<Entry>>| group.iter().map(BinaryHeap::len).collect();
-            self.queues.lanes.iter().map(sizes).collect()
+        fn heap_sizes(&self) -> Vec<usize> {
+            self.queues.lanes.iter().map(BinaryHeap::len).collect()
         }
 
         /// What must hold between any two holds of the lock.
         fn check_invariants(&self) {
-            let sizes = self.heap_sizes();
-            for (g, group) in sizes.iter().enumerate() {
-                for (l, &size) in group.iter().enumerate() {
-                    assert_eq!(size, self.queued_in(g, l).count(), "heap {g}/{l}");
-                }
-                assert_eq!(self.queues.slots[g], self.slots[g], "slots[{g}]");
-                assert_eq!(self.queues.running[g], self.running_in(g), "running[{g}]");
-                assert!(
-                    self.running_in(g) <= self.slots[g],
-                    "group {g} over its slots"
-                );
+            for (l, size) in self.heap_sizes().into_iter().enumerate() {
+                assert_eq!(size, self.queued_in(l).count(), "heap {l}");
             }
-            // The lane-depth gauges are published from `depth`.
-            for (l, &depth) in self.queues.depth.iter().enumerate() {
-                assert_eq!(depth, sizes.iter().map(|group| group[l]).sum::<usize>());
-            }
-            assert!(self.queues.queued() <= self.capacity);
-            // No entry stays queued while no running slot may take it.
-            for a in self.admitted.iter().filter(|a| a.queued) {
-                assert!(
-                    self.running.iter().any(|s| self.allowed(s.group, a.group)),
-                    "an entry of group {} waits with no running slot that may take it: {:?}",
-                    a.group,
-                    self.running
-                );
-            }
+            assert_eq!(self.queues.queued(), self.queued());
+            assert!(self.queued() <= self.capacity);
+            assert_eq!(self.queues.running, self.running, "running slots");
+            assert!(self.running <= self.workers, "more slots run than exist");
+            // Work conservation: a queued entry waits only while every
+            // slot runs. Each running slot is about to look, so it is
+            // one entry's taker: fewer slots than entries means all run.
+            assert!(
+                self.running >= self.queued().min(self.workers),
+                "{} entries queued beside {} of {} slots running",
+                self.queued(),
+                self.running,
+                self.workers
+            );
         }
     }
 
-    /// The run queues' whole contract, over 2 500 seeded schedules of
+    /// The run queue's whole contract, over 2 500 seeded schedules of
     /// everything submitters, slots, the clock and `shutdown` can do to
-    /// them — no thread, no real time: capacity holds and a refusal
+    /// it — no thread, no real time: capacity holds and a refusal
     /// changes nothing; every admitted entry comes out exactly once, in
-    /// EDF / lane / aging order, to a slot allowed to run it; a push
-    /// starts the free slot the rules name, and no group runs more slots
-    /// than it was dealt; no entry stays queued while no running slot may
-    /// take it, so a slot leaves only when nothing it may take is left;
-    /// the gauges match the heaps.
+    /// EDF / lane / aging order; a push starts a slot exactly when fewer
+    /// than `workers` run, and no more than `workers` ever run; while
+    /// an entry waits every slot runs (work conservation), so a slot
+    /// leaves only when nothing is queued; the gauges match the heaps.
     #[test]
     fn any_schedule_runs_every_admitted_entry_once() {
         let epoch = Instant::now();
         check("run_queues_schedules", 2_500, |rng| {
-            let groups = rng.usize_in(1, 4);
             let lanes = rng.usize_in(1, 4);
             let capacity = rng.usize_in(0, 8);
-            let steal = rng.bool();
             let aging = Duration::from_millis(*rng.pick(&[0, 5, 25]));
-            let workers = rng.usize_in(groups, 2 * groups + 1);
+            let workers = rng.usize_in(1, 5);
             let mut s = Schedule {
                 queues: RunQueues::new(&PoolConfig {
-                    groups,
                     lanes,
-                    steal,
                     lane_aging: aging,
                     ..PoolConfig::fifo(workers, capacity)
                 }),
-                groups,
                 lanes,
                 capacity,
-                steal,
                 aging,
-                slots: (0..groups)
-                    .map(|g| (0..workers).filter(|w| w % groups == g).count())
-                    .collect(),
-                running: Vec::new(),
+                workers,
+                running: 0,
                 admitted: Vec::new(),
                 closed: false,
                 epoch,
@@ -1257,10 +1045,10 @@ mod tests {
                 s.now += Duration::from_micros(rng.u64_below(6_000));
                 if step == close_at {
                     s.close();
-                } else if s.running.is_empty() || rng.chance(0.4) {
+                } else if s.running == 0 || rng.chance(0.4) {
                     s.push(rng);
                 } else {
-                    s.step(rng.usize_in(0, s.running.len()), rng);
+                    s.step(rng);
                 }
                 s.check_invariants();
             }
@@ -1268,8 +1056,8 @@ mod tests {
             // last has left — or lose them all and sweep what they left.
             s.close();
             if rng.chance(0.7) {
-                while !s.running.is_empty() {
-                    s.step(rng.usize_in(0, s.running.len()), rng);
+                while s.running > 0 {
+                    s.step(rng);
                     s.check_invariants();
                 }
                 assert!(s.admitted.iter().all(|a| !a.queued), "left beside work");

@@ -625,22 +625,19 @@ pub(crate) struct Reactor {
     bufs: BufPool,
     conns: HashMap<u64, Conn>,
     next_conn: u64,
-    /// This shard's index: its worker group and its thread's name.
-    pub(crate) shard_idx: usize,
     /// Shard 0's outbound peer links (`peer.rs`); `None` on every other
     /// shard.
     links: Option<PeerLinks>,
 }
 
 impl Reactor {
-    /// Shard `shard_idx` over its own `listener`, delivering through
+    /// A shard over its own `listener`, delivering through
     /// `home` and woken through its channel (`wake_rx`); shard 0 is
     /// handed the peer `links`. Also returns the shard's counters (for
     /// telemetry).
     pub(crate) fn new(
         listener: TcpListener,
         daemon: Arc<Daemon>,
-        shard_idx: usize,
         (home, wake_rx): (Arc<ReactorShared>, UnixStream),
         links: Option<PeerLinks>,
     ) -> (Self, Arc<ShardStats>) {
@@ -655,7 +652,6 @@ impl Reactor {
             bufs,
             conns: HashMap::new(),
             next_conn: 0,
-            shard_idx,
             links,
         };
         (reactor, stats)
@@ -1089,12 +1085,11 @@ impl Reactor {
         self.shared.answer(slot, &Response::Overloaded);
     }
 
-    /// Run-queue scheduling metadata for one submission from this
-    /// shard: the request's absolute deadline (best-effort when the
-    /// wire said 0), the workload's configured priority lane, and this
-    /// shard's worker group.
+    /// Run-queue scheduling metadata for one submission: the request's
+    /// absolute deadline (best-effort when the wire said 0) and the
+    /// workload's configured priority lane.
     fn job_meta(&self, widx: usize, deadline_ms: u32) -> JobMeta {
-        JobMeta::for_request(deadline_ms, self.daemon.lanes.lane_of(widx), self.shard_idx)
+        JobMeta::for_request(deadline_ms, self.daemon.lanes.lane_of(widx), 0)
     }
 
     /// Asks the placement policy whether any of this race's

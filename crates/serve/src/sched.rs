@@ -539,7 +539,9 @@ impl Lanes {
     /// declaration order. Example: `rt:trivial,bimodal;batch:sleep`.
     /// Unknown workloads and double assignments are errors; catalog
     /// workloads left unmentioned land in an appended `default` lane at
-    /// the lowest priority. An empty spec yields [`Lanes::single`].
+    /// the lowest priority, so a spec that leaves any unmentioned may not
+    /// name a lane `default` itself. An empty spec yields
+    /// [`Lanes::single`].
     pub fn parse(spec: &str) -> Result<Self, String> {
         if spec.trim().is_empty() {
             return Ok(Lanes::single());
@@ -574,6 +576,11 @@ impl Lanes {
             return Ok(Lanes::single());
         }
         if by_widx.iter().any(Option::is_none) {
+            if names.iter().any(|n| n == "default") {
+                return Err(
+                    "lane name `default` is taken by the lane of unmentioned workloads".to_owned(),
+                );
+            }
             names.push("default".to_owned());
         }
         let catch_all = names.len() - 1;
@@ -850,6 +857,11 @@ mod tests {
         );
         assert!(Lanes::parse("nocolon").is_err(), "missing separator");
         assert_eq!(Lanes::parse("").unwrap(), Lanes::single());
+        // Unmentioned workloads would land in a second lane `default`.
+        assert_eq!(
+            Lanes::parse("default:trivial").map(|l| l.names().to_vec()),
+            Err("lane name `default` is taken by the lane of unmentioned workloads".to_owned())
+        );
     }
 
     #[test]

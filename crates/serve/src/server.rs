@@ -31,7 +31,7 @@
 use crate::frame::{Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};
 use crate::peer::{PeerConfig, PeerHandle, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
-use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING, DEFAULT_SPIN};
+use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING};
 use crate::reactor::{bind_reuseport, DaemonCtl, Reactor, ReactorShared};
 use crate::remote::{InflightRemote, RemoteRaces};
 use crate::sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
@@ -82,16 +82,16 @@ pub struct ServerConfig {
     /// Feasibility-based admission: shed a deadlined request on arrival
     /// when its deadline is provably unmeetable. Off by default.
     pub admission: bool,
-    /// Work stealing between per-shard worker groups. Off by default;
-    /// when on, the pool splits into one group per shard and a dry
-    /// group's slots take the best entry from a sibling's queue.
-    pub steal: bool,
+    /// Nothing: `None` is its only value and nothing reads it. It stays
+    /// only because the benchmark's `layers` binary reads it into
+    /// [`PoolConfig::steal`]; it goes with that field (ROADMAP 1(a)).
+    pub steal: Option<std::convert::Infallible>,
     /// Starvation aging threshold for lower-priority lanes;
     /// `Duration::ZERO` means pure strict priority.
     pub lane_aging: Duration,
-    /// How long an idle stealing slot looks for work before it leaves.
-    /// `Duration::ZERO` leaves at once.
-    pub spin: Duration,
+    /// Nothing, as `steal`: `layers` reads it into [`PoolConfig::spin`];
+    /// it goes with that field (ROADMAP 1(a)).
+    pub spin: Option<std::convert::Infallible>,
 }
 
 impl Default for ServerConfig {
@@ -107,9 +107,9 @@ impl Default for ServerConfig {
             peer: PeerConfig::default(),
             lanes: Lanes::single(),
             admission: false,
-            steal: false,
+            steal: None,
             lane_aging: DEFAULT_LANE_AGING,
-            spin: DEFAULT_SPIN,
+            spin: None,
         }
     }
 }
@@ -201,7 +201,11 @@ impl ServerHandle {
 /// is left as it was.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let (addr, daemon, reactors) = assemble(config)?;
-    let threads = reactors.into_iter().map(spawn).collect();
+    let threads = reactors
+        .into_iter()
+        .enumerate()
+        .map(|(i, reactor)| spawn(i, reactor))
+        .collect();
     Ok(ServerHandle {
         addr,
         daemon,
@@ -225,7 +229,11 @@ pub fn run(config: ServerConfig, ready: impl FnOnce(&ServerHandle)) -> io::Resul
     let handle = ServerHandle {
         addr,
         daemon,
-        threads: reactors.into_iter().map(spawn).collect(),
+        threads: reactors
+            .into_iter()
+            .enumerate()
+            .map(|(i, reactor)| spawn(i + 1, reactor))
+            .collect(),
     };
     ready(&handle);
     shard0.run();
@@ -233,10 +241,10 @@ pub fn run(config: ServerConfig, ready: impl FnOnce(&ServerHandle)) -> io::Resul
     Ok(())
 }
 
-/// Runs one shard on a thread of its own, named after it.
-fn spawn(reactor: Reactor) -> JoinHandle<()> {
+/// Runs shard `i` on a thread of its own, named after it.
+fn spawn(i: usize, reactor: Reactor) -> JoinHandle<()> {
     std::thread::Builder::new()
-        .name(format!("altxd-reactor-{}", reactor.shard_idx))
+        .name(format!("altxd-reactor-{i}"))
         .spawn(move || reactor.run())
         .expect("spawn reactor")
 }
@@ -270,18 +278,10 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
 
     let telemetry = Arc::new(Telemetry::new());
 
-    // Stealing is what splits the pool into per-shard worker groups;
-    // without it a single group (the classic FIFO shape) avoids ever
-    // stranding capacity behind an empty group queue.
     let pool = Arc::new(WorkerPool::with_config(PoolConfig {
-        workers: config.workers,
-        queue_depth: config.queue_depth,
-        groups: if config.steal { n_shards } else { 1 },
         lanes: config.lanes.count(),
-        steal: config.steal,
         lane_aging: config.lane_aging,
-        spin: config.spin,
-        pin_cores: None,
+        ..PoolConfig::fifo(config.workers, config.queue_depth)
     }));
     telemetry.attach_pool(pool.stats());
     telemetry.attach_lane_names(config.lanes.names().to_vec());
@@ -333,8 +333,8 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
     // reuseport sibling) and accepts directly; shard 0 takes the links.
     let mut shard_stats = Vec::with_capacity(n_shards);
     let mut reactors = Vec::with_capacity(n_shards);
-    for (i, (listener, home)) in listeners.into_iter().zip(homes).enumerate() {
-        let (reactor, stats) = Reactor::new(listener, Arc::clone(&daemon), i, home, links.take());
+    for (listener, home) in listeners.into_iter().zip(homes) {
+        let (reactor, stats) = Reactor::new(listener, Arc::clone(&daemon), home, links.take());
         reactors.push(reactor);
         shard_stats.push(stats);
     }

@@ -316,10 +316,6 @@ metrics! {
         "Races that blew their deadline";
     DeadlineMisses, "deadline_misses", "deadline misses", Some("altxd_deadline_misses_total"), Counter, Own,
         "Races served with a winner but after their deadline";
-    Steals, "steals", "steals", Some("altxd_steals_total"), Counter, Pool(PoolStats::steals),
-        "Jobs a dry slot took from a sibling group's run queue under load";
-    DrainScavenges, "drain_scavenges", "drain scavenges", Some("altxd_drain_scavenges_total"), Counter, Pool(PoolStats::drain_scavenges),
-        "Jobs scavenged from sibling groups while draining a closed pool";
     Errors, "errors", "errors", Some("altxd_requests_error_total"), Counter, Own,
         "Error replies";
     AltPanics, "alt_panics", "alt panics", Some("altxd_alt_panics_total"), Counter, Own,
@@ -637,7 +633,7 @@ impl Telemetry {
             out.push_str(&PAD[def.label.len().min(PAD.len() - 1)..]);
             let _ = writeln!(out, "{}", s[def.metric]);
             match def.metric {
-                Metric::DrainScavenges => {
+                Metric::DeadlineMisses => {
                     for (i, depth) in s.lane_depths.iter().enumerate() {
                         out.push_str(&format!(
                             "    lane {i} ({}) depth {depth}\n",

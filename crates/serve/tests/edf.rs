@@ -1,5 +1,5 @@
-//! Integration tests for the deadline-aware scheduler: EDF ordering,
-//! worker-group isolation vs stealing, feasibility admission, lane
+//! Integration tests for the deadline-aware scheduler: EDF ordering, a
+//! blocked slot that strands no queued job, feasibility admission, lane
 //! starvation aging, and the drain guarantee under a deep queue.
 //!
 //! These drive the pool through its public API only — each test builds
@@ -35,7 +35,7 @@ fn block_workers(pool: &WorkerPool, n: usize) -> mpsc::Sender<()> {
 }
 
 /// Submits a job that records its id in `order`, with the given
-/// deadline (`None` = best-effort) on the default lane/group.
+/// deadline (`None` = best-effort) on the default lane.
 fn submit_recorded(
     pool: &WorkerPool,
     order: &Arc<Mutex<Vec<u64>>>,
@@ -95,59 +95,9 @@ fn all_best_effort_degrades_to_fifo() {
 }
 
 #[test]
-fn without_steal_groups_are_isolated() {
-    // Two groups, one worker each, stealing off: group 1's worker must
-    // never touch group 0's backlog.
-    let pool = WorkerPool::with_config(PoolConfig {
-        groups: 2,
-        ..PoolConfig::fifo(2, 64)
-    });
-    // Block only group 0's worker (group index 0).
-    let (tx, rx) = mpsc::channel::<()>();
-    pool.try_submit_at(
-        Box::new(move || {
-            rx.recv().ok();
-        }),
-        JobMeta::default(), // group 0
-    )
-    .expect("blocker admitted");
-    while pool.busy() == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let ran = Arc::new(AtomicUsize::new(0));
-    for _ in 0..4 {
-        let ran = Arc::clone(&ran);
-        pool.try_submit_at(
-            Box::new(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }),
-            JobMeta::default(), // group 0 — behind the blocker
-        )
-        .expect("admitted");
-    }
-    // Group 1's worker is idle the whole time; with stealing off it
-    // must leave group 0's queue alone.
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(
-        ran.load(Ordering::SeqCst),
-        0,
-        "an idle sibling group must not run another group's jobs when stealing is off"
-    );
-    assert_eq!(pool.stats().steals(), 0);
-    tx.send(()).expect("worker parked");
-    pool.shutdown();
-    assert_eq!(ran.load(Ordering::SeqCst), 4, "drain still runs everything");
-}
-
-#[test]
-fn steal_lets_idle_group_drain_a_blocked_sibling() {
-    let pool = WorkerPool::with_config(PoolConfig {
-        groups: 2,
-        steal: true,
-        ..PoolConfig::fifo(2, 64)
-    });
-    // A push starts a free slot of the entry's own group first, so the
-    // blocker holds group 0's only slot.
+fn a_blocked_slot_strands_no_queued_job() {
+    let pool = WorkerPool::with_config(PoolConfig::fifo(2, 64));
+    // The blocker holds one of the two slots.
     let (started_tx, started_rx) = mpsc::channel();
     let (tx, rx) = mpsc::channel::<()>();
     pool.try_submit_at(
@@ -166,25 +116,16 @@ fn steal_lets_idle_group_drain_a_blocked_sibling() {
         let done_tx = done_tx.clone();
         pool.try_submit_at(
             Box::new(move || done_tx.send(i).expect("receiver alive")),
-            JobMeta {
-                group: 0, // behind the blocker
-                ..JobMeta::default()
-            },
+            JobMeta::default(),
         )
         .expect("admitted");
     }
-    // Group 0's slot is held; only a steal by group 1's slot can run
-    // these.
+    // One slot is held; the other must run all four.
     for _ in 0..4 {
         done_rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("stolen jobs complete while the home group is blocked");
+            .expect("queued jobs complete while a slot is blocked");
     }
-    assert!(
-        pool.stats().steals() >= 4,
-        "steals counter records the cross-group pops (got {})",
-        pool.stats().steals()
-    );
     tx.send(()).expect("worker parked");
     pool.shutdown();
 }
@@ -296,7 +237,6 @@ fn deep_queue_drain_notifies_every_admitted_job_exactly_once() {
         let meta = JobMeta {
             deadline: (i % 3 == 0).then(|| Instant::now() + Duration::from_millis(50)),
             lane: (i % 2) as usize,
-            ..JobMeta::default()
         };
         let submitted = pool.try_submit_notify_at(
             Box::new(|| std::thread::sleep(Duration::from_micros(100))),

@@ -169,12 +169,12 @@ fn an_idle_daemon_runs_its_main_thread_and_nothing_else() {
     assert_eq!(census, want, "an idle `altxd --workers 2 --shards 1`");
 }
 
-/// The command line is the nine settings an operator makes: five of
-/// deployment and four scheduling switches. The tuning values earlier
-/// versions took as flags are fixed now, and naming one is refused like
-/// any unknown flag — never silently ignored.
+/// The command line is the eight settings an operator makes: five of
+/// deployment and three scheduling switches. The tuning values earlier
+/// versions took as flags, and `--steal`, are gone, and naming one is
+/// refused like any unknown flag — never silently ignored.
 #[test]
-fn the_command_line_takes_nine_flags_and_refuses_the_old_tuning_ones() {
+fn the_command_line_takes_eight_flags_and_refuses_the_old_tuning_ones() {
     let help = Command::new(env!("CARGO_BIN_EXE_altxd"))
         .arg("--help")
         .output()
@@ -196,7 +196,6 @@ fn the_command_line_takes_nine_flags_and_refuses_the_old_tuning_ones() {
         "--hedge",
         "--lanes",
         "--admission",
-        "--steal",
     ];
     want.sort_unstable();
     assert_eq!(named, want, "the flags of {usage:?}");
@@ -213,6 +212,7 @@ fn the_command_line_takes_nine_flags_and_refuses_the_old_tuning_ones() {
         "--peer-suspect-ms",
         "--lane-aging-ms",
         "--spin-us",
+        "--steal",
     ] {
         // `--workers 0` is refused too, so a parser that took the flag
         // would exit rather than serve.

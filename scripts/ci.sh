@@ -166,11 +166,12 @@ echo "==> race-registry schedule property (2500 seeded interleavings, virtual ti
 cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_admissible_reply
 
 # The worker pool's run queue is a pure value too — admission, EDF /
-# lane / aging order, stealing, which free slot a push starts, when a
-# running slot may spin or leave — so its interleavings are seeds as
-# well: 2 500 schedules of pushes, slot starts, looks, spins, leaves, a
-# close and a drain, checked against a model that knows nothing of
-# heaps (no entry stays queued while no running slot may take it).
+# lane / aging order, a push starting a slot while fewer than `workers`
+# run, a running slot leaving only when nothing is queued — so its
+# interleavings are seeds as well: 2 500 schedules of pushes, slot
+# starts, looks, leaves, a close and a drain, checked against a model
+# that knows nothing of heaps (every slot hands out the entry the order
+# names; while an entry waits, every slot runs).
 echo "==> run-queue schedule property (2500 seeded schedules, virtual time, no threads)"
 cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_entry_once
 
@@ -230,7 +231,7 @@ done
 # connection's write-half lock (its seeded delivery-schedule property,
 # the race-in-flight property on real threads, and the live reactor and
 # loopback suites) — and the worker pool on
-# real threads (its unit tests, EDF / steal / aging order, the drain
+# real threads (its unit tests, EDF / aging order, the drain
 # racing submitters) — and the link core's unit tests with them: gated
 # as "0 failures in N", because a concurrency bug that fires one run in
 # ten passes a single run nine times in ten. The favourite-first tests
@@ -293,7 +294,7 @@ done
 # no workers and of no shards.
 echo "==> altxd flag smoke: every flag of the --help line, then an unknown one, the removed ones, --workers 0 and --shards 0"
 FLAGS=(--addr 127.0.0.1:0 --workers 2 --shards 2 --hedge --peer 127.0.0.1:1
-    --advertise 127.0.0.1:9 --lanes 'rt:trivial;batch:sleep' --admission --steal)
+    --advertise 127.0.0.1:9 --lanes 'rt:trivial;batch:sleep' --admission)
 for flag in $("$ALTXD" --help | grep -o -- '--[a-z-]*'); do
     case " ${FLAGS[*]} " in
         *" $flag "*) ;;
@@ -334,7 +335,7 @@ rm -f "$SMOKE_OUT"
 REMOVED=(--queue --ring-slots --ring-slot-bytes --duration --hedge-min-samples
     --hedge-explore-every --peer-explore-every --peer-heartbeat-ms
     --peer-suspect-ms --lane-aging-ms --spin-us)
-for bad in '--no-such-flag' '--pin' '--batch-window-us 500' "${REMOVED[@]/%/ 1}" '--workers 0' '--shards 0'; do
+for bad in '--no-such-flag' '--pin' '--steal' '--batch-window-us 500' "${REMOVED[@]/%/ 1}" '--workers 0' '--shards 0'; do
     read -r -a argv <<<"$bad"
     status=0
     "$ALTXD" "${argv[@]}" >/dev/null 2>&1 || status=$?
