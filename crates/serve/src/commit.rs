@@ -64,17 +64,29 @@ impl CommitLedger {
     /// grant is never revoked — that unrevocability is what makes a
     /// majority of grants imply at most one committed winner.
     pub fn vote(&self, origin: &str, race_id: u64, candidate: &str) -> (bool, String) {
+        self.vote_with(origin, race_id, candidate, Instant::now)
+    }
+
+    /// [`CommitLedger::vote`] on the clock `now`, read only to stamp a
+    /// fresh slot or to sweep.
+    pub(crate) fn vote_with(
+        &self,
+        origin: &str,
+        race_id: u64,
+        candidate: &str,
+        now: impl Fn() -> Instant,
+    ) -> (bool, String) {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         // The counters move under this lock, so each count comes once.
         if (self.votes_granted() + self.votes_denied()).is_multiple_of(SWEEP_EVERY) {
-            let now = Instant::now();
+            let now = now();
             slots.retain(|_, g| now.duration_since(g.at) < LEDGER_TTL);
         }
         let grant = slots
             .entry((origin.to_owned(), race_id))
             .or_insert_with(|| Grant {
                 slot: VoteSlot::new(),
-                at: Instant::now(),
+                at: now(),
             });
         let granted = grant.slot.request(candidate);
         if granted {

@@ -36,8 +36,8 @@
 
 use crate::bufpool::BufPool;
 use crate::frame::{FrameDecoder, FrameError};
-use crate::reactor::{POLLIN, POLLOUT};
 use crate::ring::EncodedReply;
+use crate::sys::{POLLIN, POLLOUT};
 use crate::telemetry::ShardStats;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};

@@ -47,10 +47,9 @@
 
 use crate::frame::{FrameDecoder, Request, Response};
 use crate::link::{Action, Event, LinkTable, Stat};
-use crate::reactor::{
-    connect_nonblocking, PollFd, ReactorShared, POLLERR, POLLHUP, POLLIN, POLLOUT,
-};
+use crate::reactor::ReactorShared;
 use crate::remote::{RaceTable, RemoteRaces};
+use crate::sys::{connect_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use altx::faults::{self, NetFault};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -797,8 +796,13 @@ pub(crate) fn parse_load_line(body: &str) -> Option<(u64, u64, u64)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Marks `stat`'s link up, as the link core does once it connects.
+    pub(crate) fn mark_up(stat: &PeerStat) {
+        stat.up.store(true, Ordering::Relaxed);
+    }
 
     #[test]
     fn rtt_ewma_converges_and_never_zeroes() {

@@ -402,7 +402,7 @@ impl Shared {
         // do the racers this one will spawn; a racer spawned by some
         // other thread may not have the slack a daemon thread has.
         if !TIGHT.replace(true) {
-            crate::reactor::tighten_timer_slack();
+            crate::sys::tighten_timer_slack();
         }
         let mut queues = self.lock();
         while let Some(entry) = queues.next(Instant::now()) {

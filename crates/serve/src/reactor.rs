@@ -26,8 +26,18 @@
 //!
 //! The moving parts:
 //!
-//! * **sys**: the C library calls std does not wrap (see the module) —
-//!   the only unsafe code in the crate, confined there.
+//! * **The request path is a value** ([`Shard`]): a decoded request (or
+//!   the framing error that ended a connection's input), the instant it
+//!   was read and the pool's load go in; the one [`Action`] it gets
+//!   comes out, and with it whether the connection is read on — not
+//!   after `SHUTDOWN` or a protocol error. `Shard` never writes a
+//!   socket, wakes a thread, submits to the pool, cancels a token or
+//!   reads a clock; each of those is the shell's part of an action. A
+//!   commit vote only updates the ledger's table, so `Shard` decides
+//!   it; a leg's result can send frames and an elimination cancels
+//!   tokens, so those are actions. The [`Reactor`] is the shell: poll,
+//!   accept, read, decode, [`Shard::step`], perform the action, close.
+//! * **sys** (`sys.rs`): the C library calls std does not wrap.
 //! * **Clocks**: every thread that runs a shard sets its own timer
 //!   slack to 1 ns first thing ([`tighten_timer_slack`]), and so does a
 //!   racer the first time it serves one of the pool's slots (a racer
@@ -40,41 +50,32 @@
 //!   shard 0 while its peer links ([`PeerLinks`]) have something due;
 //!   their sockets are entries of its poll set, their commands arrive
 //!   on its wake channel.
-//! * **A race carries its reply slot** ([`Flight`]): a race in flight
-//!   is one value — its key, the one reply slot it owes and its shard's
-//!   delivery handle ([`ReactorShared`]: ring, wake channel,
-//!   `draining`) — built when the request leaves the decoder and
-//!   *moved* to whoever decides the race: this thread, a pool job's
-//!   completion closure, or the distributed-race shell (`remote.rs`),
-//!   which keeps it beside its table under `race_id`. Nothing is
-//!   registered anywhere, so nothing is looked up: the decider already
-//!   holds the way home.
-//! * **Direct delivery** ([`ReactorShared::answer`]): the one way a
-//!   race's reply reaches a connection. The deciding thread encodes the
-//!   reply **once** into a ring slot (`ring.rs`), locks the
+//! * **A race carries its reply slot** ([`Flight`]): the one reply slot
+//!   a queued or distributed race owes and its shard's delivery handle
+//!   ([`ReactorShared`]: ring, wake channel, `draining`), *moved* to
+//!   whoever decides the race — a pool job's completion closure, or the
+//!   distributed-race shell (`remote.rs`), which keeps it beside its
+//!   table under `race_id`. Nothing is registered, so nothing is looked
+//!   up: the decider already holds the way home.
+//! * **Direct delivery** ([`Flight::answer`]): the one way a reply
+//!   reaches a connection from another thread. The deciding thread
+//!   encodes the reply **once** into a ring slot (`ring.rs`), locks the
 //!   connection's write half, fills the request's reply slot and writes
-//!   to the socket right there. No completion queue, no second thread,
-//!   no reply byte copied between encode and the kernel, and no two
-//!   locks ever held at once. "Each request answered once" is the write
-//!   half's rule — a slot is filled only while empty — so a refused
-//!   submission is shed from the reactor's own copy of the slot without
-//!   asking who else holds one.
-//! * **Run on the shard** ([`Reactor::submit_race`]): a race whose
-//!   workload has been measured short enough that the hand-off to a
-//!   worker would be a visible share of it
-//!   (`CatalogStats::runs_on_shard` — one flag, republished with every
-//!   service sample by the rule in `sched.rs`) never leaves this
-//!   thread: after the admission gate and the placement policy have had
-//!   their say, the reactor races it in place — favourite inline,
-//!   siblings on the crew, deadline token and containment as on a
-//!   worker — and answers its own flight. No boxed job, no queue push,
-//!   no racer woken; and once a workload is on the shard its requests
-//!   no longer wait for a worker held inside somebody else's race. A
-//!   workload whose bodies block (`WorkloadSpec::blocks`: `sleep`,
-//!   `lognormal`, `bimodal`) never qualifies, whatever it measured —
-//!   this thread must not sleep in a body. Everything else is queued.
-//!   Reply order needs nothing new: the write half's sequence numbers
-//!   park a shard-run reply behind an earlier queued one.
+//!   to the socket right there: no completion queue, no second thread,
+//!   no reply byte copied, no two locks held at once. "Each request
+//!   answered once" is the write half's rule — a slot is filled only
+//!   while empty — so a refused submission is shed from the reactor's
+//!   own copy of the slot without asking who else holds one.
+//! * **Run on the shard** ([`Action::RaceHere`]): a workload measured
+//!   short enough that the hand-off to a worker would be a visible share
+//!   of its race (`CatalogStats::runs_on_shard`, the rule in `sched.rs`)
+//!   is raced by this thread in place, after the admission gate and the
+//!   placement policy — favourite inline, siblings on the crew,
+//!   deadline token and containment as on a worker — with no queue push,
+//!   no racer woken and no wait behind a worker held in another race. A
+//!   workload whose bodies block (`WorkloadSpec::blocks`) never
+//!   qualifies: this thread must not sleep in a body. The write half's
+//!   sequence numbers park a shard-run reply behind an earlier one.
 //! * **Wake channel**: a Unix socket pair acting as a self-pipe,
 //!   one per shard. It is off the request path: an answer rouses the
 //!   reactor only when it left it something to do — output the socket
@@ -102,359 +103,30 @@
 //!   connection.
 
 use crate::bufpool::BufPool;
+use crate::commit::CommitLedger;
 use crate::conn::{Conn, ReplySlot, WriteHalf};
 use crate::frame::{exec_alt_frame_len, FrameError, Request, Response};
-use crate::peer::{load_line, PeerLinks, SendTag};
+use crate::peer::{load_line, PeerLinks, PeerStatsTable, SendTag};
+use crate::placement::Placement;
 use crate::pool::JobMeta;
-use crate::remote::{Event, RaceSpec};
+use crate::remote::Event;
 use crate::ring::{EncodedReply, ReplyRing};
-use crate::sched::render_catalog;
-use crate::server::{alt_job, deadline_token, run_race, run_subrace, Daemon};
+use crate::sched::{render_catalog, Admission, HedgePolicy, Lanes};
+use crate::server::{alt_job, deadline_at, deadline_token, or_worker_lost, run_race, Daemon};
+use crate::sys::{
+    poll_fds, poll_timeout, tighten_timer_slack, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL,
+    POLLOUT,
+};
 use crate::telemetry::{Metric, ShardStats, Telemetry};
 use crate::workload;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-pub use sys::timer_slack_ns;
-pub(crate) use sys::{
-    bind_reuseport, connect_nonblocking, one_malloc_arena, tighten_timer_slack, PollFd, POLLERR,
-    POLLHUP, POLLIN, POLLOUT,
-};
-use sys::{poll_fds, poll_timeout, POLLNVAL};
-
-/// This file's unsafe corner: calling the C library's `ppoll(2)`, the
-/// handful of socket calls needed for an `SO_REUSEPORT` bind (std's
-/// `TcpListener` cannot set the option before binding) and for a
-/// connect that does not wait for its handshake (std's only bounds the
-/// wait), the `prctl(2)` pair that sets and reads a thread's timer
-/// slack, and glibc's `mallopt(3)` for one malloc arena. std
-/// links libc on every supported platform, so the extern declarations
-/// name symbols that are already in the process — no new dependency, no
-/// raw syscall numbers.
-#[allow(unsafe_code)]
-mod sys {
-    use std::ffi::{c_int, c_ulong};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::{Duration, Instant};
-
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
-    /// `struct pollfd` from `<poll.h>`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: RawFd,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    impl PollFd {
-        pub fn new(fd: RawFd, events: i16) -> Self {
-            PollFd {
-                fd,
-                events,
-                revents: 0,
-            }
-        }
-    }
-
-    /// Blocks until an fd is ready or `timeout` elapses, retrying
-    /// EINTR. Returns how many entries have non-zero `revents`.
-    pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-        loop {
-            let rc = wait(fds, timeout);
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-
-    /// One `ppoll(2)`: `poll(2)` with a `timespec` for a timeout, so a
-    /// 200 µs wait is a 200 µs wait and not the next whole millisecond.
-    #[cfg(target_os = "linux")]
-    fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
-        use std::ffi::{c_long, c_void};
-
-        /// `struct timespec` as the symbol `ppoll` takes it: `time_t`
-        /// and `long` are both the C `long` there.
-        #[repr(C)]
-        struct Timespec {
-            tv_sec: c_long,
-            tv_nsec: c_long,
-        }
-
-        extern "C" {
-            fn ppoll(
-                fds: *mut PollFd,
-                nfds: c_ulong,
-                timeout: *const Timespec,
-                sigmask: *const c_void,
-            ) -> c_int;
-        }
-
-        let timeout = Timespec {
-            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
-            tv_nsec: timeout.subsec_nanos() as c_long,
-        };
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // repr(C) pollfd records for the duration of the call, and its
-        // length is passed as nfds; `timeout` is a live repr(C) local
-        // the call only reads; a null sigmask leaves the signal mask
-        // alone.
-        unsafe {
-            ppoll(
-                fds.as_mut_ptr(),
-                fds.len() as c_ulong,
-                &timeout,
-                std::ptr::null(),
-            )
-        }
-    }
-
-    /// Off Linux: one `poll(2)`, the timeout rounded *up* to its
-    /// millisecond so a wait never ends before it was due.
-    #[cfg(not(target_os = "linux"))]
-    fn wait(fds: &mut [PollFd], timeout: Duration) -> c_int {
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        }
-
-        let timeout_ms =
-            c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // repr(C) pollfd records for the duration of the call, and its
-        // length is passed as nfds.
-        unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) }
-    }
-
-    /// How long a poll loop may sleep: until `due`, the earliest
-    /// instant its owner has something to do on a clock, and never past
-    /// `backstop`. Something already due means not at all.
-    pub fn poll_timeout(due: Instant, backstop: Duration, now: Instant) -> Duration {
-        due.saturating_duration_since(now).min(backstop)
-    }
-
-    #[cfg(target_os = "linux")]
-    mod slack {
-        use std::ffi::{c_int, c_ulong};
-
-        const PR_SET_TIMERSLACK: c_int = 29;
-        const PR_GET_TIMERSLACK: c_int = 30;
-        const ONE_NS: c_ulong = 1;
-
-        extern "C" {
-            fn prctl(option: c_int, ...) -> c_int;
-        }
-
-        /// Sets the *calling thread's* timer slack to 1 ns, the least
-        /// the kernel takes. Every timed wait of the thread — futex,
-        /// `ppoll`, `nanosleep` — then ends when its clock says, not up
-        /// to the default 50 µs later, and threads it spawns from here
-        /// on inherit the setting. Advisory: a kernel that says no
-        /// leaves the thread as it was.
-        pub fn tighten_timer_slack() {
-            // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and
-            // touches only the calling thread's own scheduling state.
-            let _ = unsafe { prctl(PR_SET_TIMERSLACK, ONE_NS) };
-        }
-
-        /// The calling thread's timer slack in nanoseconds (`None` if
-        /// the kernel will not say).
-        pub fn timer_slack_ns() -> Option<u64> {
-            // SAFETY: PR_GET_TIMERSLACK takes no further argument and
-            // returns the calling thread's value as the result.
-            let rc = unsafe { prctl(PR_GET_TIMERSLACK) };
-            u64::try_from(rc).ok()
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    pub use slack::{tighten_timer_slack, timer_slack_ns};
-
-    /// Has every thread allocate from glibc's main arena: without it,
-    /// a thread that allocates while another holds the arena's lock
-    /// gets an arena of its own and keeps its high-water mark there,
-    /// a resident cost per thread. The call takes effect for arenas not
-    /// yet made, so it is made before any thread is spawned. Advisory:
-    /// an allocator that says no leaves the process as it was.
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    pub fn one_malloc_arena() {
-        const M_ARENA_MAX: c_int = -8;
-        extern "C" {
-            fn mallopt(param: c_int, value: c_int) -> c_int;
-        }
-        // SAFETY: mallopt reads its two integers and sets one of the
-        // allocator's process-wide parameters.
-        let _ = unsafe { mallopt(M_ARENA_MAX, 1) };
-    }
-
-    /// Not glibc: there is no arena count to set.
-    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-    pub fn one_malloc_arena() {}
-
-    /// Non-Linux: there is no slack to drop and none to read.
-    #[cfg(not(target_os = "linux"))]
-    pub fn tighten_timer_slack() {}
-
-    /// Non-Linux: there is no slack to drop and none to read.
-    #[cfg(not(target_os = "linux"))]
-    pub fn timer_slack_ns() -> Option<u64> {
-        None
-    }
-
-    #[cfg(target_os = "linux")]
-    mod sock {
-        use std::ffi::c_int;
-        use std::io;
-        use std::net::{SocketAddr, TcpListener, TcpStream};
-        use std::os::fd::FromRawFd;
-
-        const AF_INET: c_int = 2;
-        const AF_INET6: c_int = 10;
-        const SOCK_STREAM: c_int = 1;
-        const SOCK_NONBLOCK: c_int = 0o4000;
-        const SOCK_CLOEXEC: c_int = 0x80000;
-        const SOL_SOCKET: c_int = 1;
-        const SO_REUSEADDR: c_int = 2;
-        const SO_REUSEPORT: c_int = 15;
-        const BACKLOG: c_int = 1024;
-        const EINTR: i32 = 4;
-        const EINPROGRESS: i32 = 115;
-
-        extern "C" {
-            fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-            fn setsockopt(
-                fd: c_int,
-                level: c_int,
-                name: c_int,
-                value: *const c_int,
-                len: u32,
-            ) -> c_int;
-            fn bind(fd: c_int, addr: *const u8, len: u32) -> c_int;
-            fn listen(fd: c_int, backlog: c_int) -> c_int;
-            fn connect(fd: c_int, addr: *const u8, len: u32) -> c_int;
-            fn close(fd: c_int) -> c_int;
-        }
-
-        /// Opens a TCP socket (with `flags` besides `SOCK_CLOEXEC`) for
-        /// `addr`'s family and hands `setup` its fd and `addr` encoded
-        /// as a `struct sockaddr_in` / `sockaddr_in6` (`<netinet/in.h>`:
-        /// family, port in network order, then the address — for IPv6
-        /// between flow info and scope id) with its size. A `setup`
-        /// that says no closes the socket again, with its errno.
-        fn open(
-            addr: SocketAddr,
-            flags: c_int,
-            setup: impl FnOnce(c_int, *const u8, u32) -> bool,
-        ) -> io::Result<c_int> {
-            let mut sa = [0u8; 28];
-            sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
-            let (domain, len) = match addr {
-                SocketAddr::V4(v4) => {
-                    sa[4..8].copy_from_slice(&v4.ip().octets());
-                    (AF_INET, 16)
-                }
-                SocketAddr::V6(v6) => {
-                    sa[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
-                    sa[8..24].copy_from_slice(&v6.ip().octets());
-                    sa[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
-                    (AF_INET6, 28)
-                }
-            };
-            sa[..2].copy_from_slice(&(domain as u16).to_ne_bytes());
-            // SAFETY: a plain libc call; the fd is owned here until
-            // returned, or closed below.
-            let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC | flags, 0) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            if setup(fd, sa.as_ptr(), len) {
-                return Ok(fd);
-            }
-            let err = io::Error::last_os_error();
-            // SAFETY: `fd` came from socket() above and nothing owns it.
-            unsafe { close(fd) };
-            Err(err)
-        }
-
-        /// Binds a listening socket with `SO_REUSEPORT` set, so every
-        /// shard can bind the same address and the kernel spreads
-        /// accepts across them.
-        pub fn bind_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
-            let one: c_int = 1;
-            let one_len = std::mem::size_of::<c_int>() as u32;
-            // SAFETY: plain libc calls on the fresh fd; the sockaddr
-            // buffer is live for the call and `len` is its encoded size.
-            let fd = open(addr, 0, |fd, sa, len| unsafe {
-                setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, one_len) == 0
-                    && setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, one_len) == 0
-                    && bind(fd, sa, len) == 0
-                    && listen(fd, BACKLOG) == 0
-            })?;
-            // SAFETY: `open` hands over an fd nothing else owns.
-            Ok(unsafe { TcpListener::from_raw_fd(fd) })
-        }
-
-        /// Starts a TCP connect to `addr` and returns without waiting
-        /// for the handshake: the stream is non-blocking from birth,
-        /// turns writable — or reports an error — when the connect is
-        /// done, and `TcpStream::take_error` then says how it went. A
-        /// refusal the kernel knows at once is this call's error.
-        pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
-            // SAFETY: as in `bind_reuseport`. In progress — or
-            // interrupted, which on a non-blocking socket leaves the
-            // connect to finish all the same — is a start.
-            let fd = open(addr, SOCK_NONBLOCK, |fd, sa, len| {
-                (unsafe { connect(fd, sa, len) }) == 0
-                    || matches!(
-                        io::Error::last_os_error().raw_os_error(),
-                        Some(EINPROGRESS | EINTR)
-                    )
-            })?;
-            // SAFETY: `open` hands over an fd nothing else owns.
-            Ok(unsafe { TcpStream::from_raw_fd(fd) })
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    pub use sock::{bind_reuseport, connect_nonblocking};
-
-    /// Non-Linux: report the option as unsupported, so `--shards N > 1`
-    /// fails at start with this error instead of binding.
-    #[cfg(not(target_os = "linux"))]
-    pub fn bind_reuseport(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT per-shard accept is only wired up on Linux",
-        ))
-    }
-
-    /// Non-Linux: every dial fails, as to a peer that is down — shard 0
-    /// must not wait in a blocking connect.
-    #[cfg(not(target_os = "linux"))]
-    pub fn connect_nonblocking(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpStream> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "non-blocking peer dials are only wired up on Linux",
-        ))
-    }
-}
 
 /// One shard's delivery handle: what a thread that decides one of the
 /// shard's races needs to write the reply — the reply ring it encodes
@@ -490,21 +162,6 @@ impl ReactorShared {
         Ok((Arc::new(shared), wake_rx))
     }
 
-    /// The only way a race's reply reaches a connection, on whichever
-    /// thread calls it: encodes `response` once into this shard's reply
-    /// ring (spilling to a fresh heap buffer when the ring can't take
-    /// it) and delivers the frame to `slot`'s connection. A connection
-    /// that is gone, or a slot somebody filled first, drops the frame,
-    /// which reclaims its ring slot. The reactor is roused — after the
-    /// write half is unlocked — only if the delivery left it something
-    /// to do or the shard is draining.
-    pub(crate) fn answer(&self, (half, seq): &ReplySlot, response: &Response) {
-        let reply = EncodedReply::encode(response, &self.ring);
-        if half.deliver(*seq, reply, None) || self.draining.load(Ordering::SeqCst) {
-            self.wake();
-        }
-    }
-
     /// Rouses the shard with one byte: `WouldBlock` means it is waking
     /// anyway, any other error that it is gone.
     pub(crate) fn wake(&self) {
@@ -523,14 +180,10 @@ pub(crate) struct RaceKey {
     pub arg: u64,
 }
 
-/// A race in flight: what was asked, where its one reply is owed, and
-/// the way home. Built by the reactor when a request leaves the
-/// decoder, then *moved* to whoever decides the race — the reactor
-/// itself for a shard run, the pool job's completion closure, the
-/// distributed-race shell — so answering it needs no table and no
-/// look-up, and consumes it.
+/// A race in flight: where its one reply is owed, and the way home.
+/// Built by the shell when it queues or distributes a race, then
+/// *moved* to whoever decides it, so answering it needs no look-up.
 pub(crate) struct Flight {
-    pub(crate) key: RaceKey,
     /// The request's reply slot.
     pub(crate) slot: ReplySlot,
     /// The delivery handle of the shard that owns the slot.
@@ -538,9 +191,20 @@ pub(crate) struct Flight {
 }
 
 impl Flight {
-    /// Delivers the race's one reply.
+    /// Delivers the race's one reply, on whichever thread calls it:
+    /// encodes `response` once into the shard's reply ring (spilling to a
+    /// fresh heap buffer when the ring can't take it) and delivers the
+    /// frame to the slot's connection. A connection that is gone, or a
+    /// slot somebody filled first, drops the frame, which reclaims its
+    /// ring slot. The reactor is roused — after the write half is
+    /// unlocked — only if the delivery left it something to do or the
+    /// shard is draining.
     pub(crate) fn answer(self, response: &Response) {
-        self.home.answer(&self.slot, response);
+        let (half, seq) = self.slot;
+        let reply = EncodedReply::encode(response, &self.home.ring);
+        if half.deliver(seq, reply, None) || self.home.draining.load(Ordering::SeqCst) {
+            self.home.wake();
+        }
     }
 }
 
@@ -613,14 +277,20 @@ const POLL_BACKSTOP: Duration = Duration::from_millis(250);
 /// and shard 0 every outbound peer link too.
 pub(crate) struct Reactor {
     listener: TcpListener,
+    /// When an accept last failed for want of a resource: until a
+    /// connection closes or the backstop has passed, the listener is
+    /// left out of the poll set.
+    accept_failed: Option<Instant>,
     wake_rx: UnixStream,
     /// This shard's delivery handle — and through it the reply ring,
     /// which the reactor's own inline replies draw from too, spilling
     /// to `bufs` instead of allocating.
     shared: Arc<ReactorShared>,
-    /// Everything daemon-wide: pool, telemetry, scheduler, admission
-    /// gate, lanes, control plane, and the peer plane.
+    /// Everything daemon-wide the shell acts on: pool, telemetry,
+    /// scheduler, control plane, and the peer plane.
     daemon: Arc<Daemon>,
+    /// What decides each request.
+    shard: Shard,
     stats: Arc<ShardStats>,
     bufs: BufPool,
     conns: HashMap<u64, Conn>,
@@ -630,14 +300,246 @@ pub(crate) struct Reactor {
     links: Option<PeerLinks>,
 }
 
+/// The pool's load as a request finds it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Load {
+    pub(crate) queued: usize,
+    pub(crate) busy: u64,
+    pub(crate) workers: usize,
+}
+
+/// What the shell does for one request — [`Shard::step`]'s decision.
+#[derive(Debug)]
+pub(crate) enum Action {
+    /// Answer now.
+    Reply(Response),
+    /// Answer now and read the connection no more: a protocol error.
+    Hangup(Response),
+    /// Answer `Overloaded`, counted under the metric.
+    Shed(Metric),
+    /// Race it on this thread: its workload's verdict says so.
+    RaceHere(RaceKey),
+    /// Queue its race on the pool.
+    Queue(RaceKey, JobMeta),
+    /// Ship the alternatives `assign` names a peer for and race the rest
+    /// on the pool; `voters` are the peers up when it was decided.
+    Distribute {
+        key: RaceKey,
+        meta: JobMeta,
+        assign: Vec<Option<String>>,
+        voters: Vec<String>,
+    },
+    /// Run alternative `alt_idx` of `origin`'s race `race_id` on the
+    /// pool and report it home.
+    ExecAlt {
+        key: RaceKey,
+        meta: JobMeta,
+        race_id: u64,
+        alt_idx: u32,
+        origin: String,
+    },
+    /// Feed the race registry one of its races' events.
+    Feed(u64, Event),
+    /// Cancel what runs here for `origin`'s race `race_id`.
+    Eliminate { race_id: u64, origin: String },
+    /// Cancel what runs here for `origin`'s races below `watermark` and
+    /// free their vote slots.
+    Reconcile { watermark: u64, origin: String },
+    /// Answer `draining`, drain the daemon and read the connection no
+    /// more.
+    Shutdown,
+}
+
+impl Action {
+    /// Whether the connection is read on after this request.
+    pub(crate) fn keeps_reading(&self) -> bool {
+        !matches!(self, Action::Hangup(_) | Action::Shutdown)
+    }
+}
+
+/// A reactor shard's request path as a value: what its decisions read
+/// — the catalog statistics with each workload's shard verdict, the
+/// admission gate, the lanes, the placement policy and the peers' up
+/// set, the commit ledger and the counters. Everything in it is shared
+/// daemon-wide, so every shard's copy decides alike; none of it is a
+/// socket, a thread, the pool or a clock (see the module docs).
+#[derive(Clone)]
+pub(crate) struct Shard {
+    pub(crate) telemetry: Arc<Telemetry>,
+    pub(crate) sched: Arc<HedgePolicy>,
+    pub(crate) admission: Admission,
+    pub(crate) lanes: Lanes,
+    pub(crate) placement: Arc<Placement>,
+    pub(crate) peers: Arc<PeerStatsTable>,
+    pub(crate) ledger: Arc<CommitLedger>,
+    /// This node's peer identity, part of every `EXEC_ALT` it sends.
+    pub(crate) advertise: String,
+}
+
+impl Shard {
+    /// Decides one request of a connection: `request` as decoded, read
+    /// at `now` with the pool at `load`.
+    pub(crate) fn step(
+        &self,
+        request: Result<Request, FrameError>,
+        now: Instant,
+        load: Load,
+    ) -> Action {
+        let meta = |widx, deadline_ms| JobMeta {
+            deadline: deadline_at(now, deadline_ms),
+            lane: self.lanes.lane_of(widx),
+        };
+        let request = match request {
+            Ok(request) => request,
+            Err(e) => {
+                self.telemetry.on_error();
+                let error = Response::Error {
+                    message: e.to_string(),
+                };
+                // An unknown opcode arrives in a well-formed frame: the
+                // stream is still in sync, so old clients against new
+                // daemons (and vice versa) degrade per request, not per
+                // connection.
+                return match e {
+                    FrameError::UnknownOpcode(_) => Action::Reply(error),
+                    _ => Action::Hangup(error),
+                };
+            }
+        };
+        match request {
+            Request::Stats => Action::Reply(text(self.telemetry.render_stats())),
+            Request::Prometheus => Action::Reply(text(self.telemetry.render_prometheus())),
+            Request::Catalog => Action::Reply(text(render_catalog(&self.sched))),
+            Request::Shutdown => Action::Shutdown,
+            Request::Run {
+                workload,
+                deadline_ms,
+                arg,
+            } => {
+                // Unknown names are refused before they cost a queue slot.
+                let Some(widx) = workload::index_of(&workload) else {
+                    self.telemetry.on_error();
+                    return Action::Reply(Response::UnknownWorkload);
+                };
+                let key = RaceKey {
+                    widx,
+                    deadline_ms,
+                    arg,
+                };
+                let (queued, workers) = (load.queued, load.workers);
+                // Feasibility admission, before the race spends a queue
+                // slot or a wire frame: a deadline provably unmeetable
+                // from the workload's p99 service time plus the current
+                // queue wait is shed now instead of burning a worker just
+                // to time out. Best-effort requests (deadline 0) pass.
+                if !self.admission.admit(widx, deadline_ms, queued, workers) {
+                    return Action::Shed(Metric::ShedsAtAdmission);
+                }
+                // Placement: with no peer up — the overwhelmingly common
+                // case — it assigns nothing and the race stays local. The
+                // frame size is what crosses the wire per shipped
+                // alternative.
+                let up = self.peers.up_peers();
+                let bytes = exec_alt_frame_len(&workload, &self.advertise) as u64;
+                let catalog = self.sched.catalog();
+                let assign = self
+                    .placement
+                    .assign(widx, bytes, &up, queued, workers, catalog);
+                if let Some(assign) = assign {
+                    // Voters are frozen at race creation: this node plus
+                    // every peer up now. A voter dying mid-race counts as
+                    // a denial.
+                    let voters = up.into_iter().map(|p| p.addr).collect();
+                    let meta = meta(widx, deadline_ms);
+                    return Action::Distribute {
+                        key,
+                        meta,
+                        assign,
+                        voters,
+                    };
+                }
+                // Shard or queue: the rule is in `sched.rs`.
+                if catalog.runs_on_shard(widx) {
+                    Action::RaceHere(key)
+                } else {
+                    Action::Queue(key, meta(widx, deadline_ms))
+                }
+            }
+            Request::ExecAlt {
+                race_id,
+                alt_idx,
+                deadline_ms,
+                arg,
+                workload,
+                origin,
+            } => match workload::index_of(&workload) {
+                Some(widx) => Action::ExecAlt {
+                    key: RaceKey {
+                        widx,
+                        deadline_ms,
+                        arg,
+                    },
+                    meta: meta(widx, deadline_ms),
+                    race_id,
+                    alt_idx,
+                    origin,
+                },
+                None => {
+                    self.telemetry.on_error();
+                    Action::Reply(Response::Overloaded)
+                }
+            },
+            Request::AltResult {
+                race_id,
+                alt_idx,
+                status,
+                value,
+                latency_us,
+            } => {
+                // An executor reporting back on a race this node
+                // originated.
+                let event = Event::LegResult {
+                    alt_idx,
+                    status,
+                    value,
+                    latency_us,
+                    redo: false,
+                };
+                Action::Feed(race_id, event)
+            }
+            Request::CommitVote {
+                race_id,
+                origin,
+                candidate,
+            } => {
+                let clock = || now;
+                let (granted, holder) = self.ledger.vote_with(&origin, race_id, &candidate, clock);
+                self.telemetry.add(Metric::CommitVotes, 1);
+                Action::Reply(Response::Vote { granted, holder })
+            }
+            Request::Eliminate { race_id, origin } => Action::Eliminate { race_id, origin },
+            Request::Reconcile { watermark, origin } => Action::Reconcile { watermark, origin },
+            Request::PeerStats => {
+                // The stats page doubles as the heartbeat reply: the
+                // trailing machine-parsable line advertises this node's
+                // load so origins can place around busy peers.
+                let mut body = self.peers.render();
+                body.push_str(&load_line(load.queued, load.busy, load.workers));
+                Action::Reply(text(body))
+            }
+        }
+    }
+}
+
 impl Reactor {
-    /// A shard over its own `listener`, delivering through
-    /// `home` and woken through its channel (`wake_rx`); shard 0 is
-    /// handed the peer `links`. Also returns the shard's counters (for
-    /// telemetry).
+    /// A shard over its own `listener`, deciding with `shard`,
+    /// delivering through `home` and woken through its channel
+    /// (`wake_rx`); shard 0 is handed the peer `links`. Also returns the
+    /// shard's counters (for telemetry).
     pub(crate) fn new(
         listener: TcpListener,
         daemon: Arc<Daemon>,
+        shard: Shard,
         (home, wake_rx): (Arc<ReactorShared>, UnixStream),
         links: Option<PeerLinks>,
     ) -> (Self, Arc<ShardStats>) {
@@ -645,9 +547,11 @@ impl Reactor {
         let stats = Arc::new(ShardStats::new(bufs.stats(), home.ring.stats()));
         let reactor = Reactor {
             listener,
+            accept_failed: None,
             wake_rx,
             shared: home,
             daemon,
+            shard,
             stats: Arc::clone(&stats),
             bufs,
             conns: HashMap::new(),
@@ -691,7 +595,10 @@ impl Reactor {
             fds.clear();
             ids.clear();
             fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
-            if !draining {
+            let accepting =
+                !draining && (self.accept_failed).is_none_or(|at| at.elapsed() >= POLL_BACKSTOP);
+            if accepting {
+                self.accept_failed = None;
                 fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             }
             let conn_fds_start = fds.len();
@@ -704,6 +611,7 @@ impl Reactor {
                     }
                     None => {
                         self.stats.on_conn_close();
+                        self.accept_failed = None;
                         false
                     }
                 });
@@ -747,7 +655,7 @@ impl Reactor {
                 links.turn(woken, &fds[links_fds_start..]);
             }
 
-            if !draining && fds[1].revents & POLLIN != 0 {
+            if accepting && fds[1].revents & POLLIN != 0 {
                 self.accept_ready();
             }
         }
@@ -756,25 +664,28 @@ impl Reactor {
         }
     }
 
-    /// Takes a fresh socket into the poll set (dropping it if its
-    /// options cannot be set).
-    fn adopt(&mut self, stream: TcpStream) {
-        if let Ok(conn) = Conn::new(stream, Arc::clone(&self.stats)) {
-            self.conns.insert(self.next_conn, conn);
-            self.next_conn += 1;
-            self.stats.on_conn_open();
-        }
-    }
-
     /// Accepts until this shard's own listener would block (the lone
-    /// listener in single-shard mode, a reuseport sibling otherwise).
+    /// listener in single-shard mode, a reuseport sibling otherwise),
+    /// dropping a socket whose options cannot be set. An accept that
+    /// fails (`EMFILE` and the like) leaves the listener readable, so it
+    /// sits out of the poll set for a while rather than have every poll
+    /// return at once.
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _peer)) => self.adopt(stream),
+                Ok((stream, _peer)) => {
+                    if let Ok(conn) = Conn::new(stream, Arc::clone(&self.stats)) {
+                        self.conns.insert(self.next_conn, conn);
+                        self.next_conn += 1;
+                        self.stats.on_conn_open();
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient accept failure; retry next loop
+                Err(_) => {
+                    self.accept_failed = Some(Instant::now());
+                    break;
+                }
             }
         }
     }
@@ -799,20 +710,17 @@ impl Reactor {
                 self.close(id);
                 return;
             };
-            let mut alive = true;
+            let mut reading = true;
             for body in read.frames {
-                if alive {
-                    // Protocol error: later frames are garbage.
-                    alive = self.handle_frame(&half, &body);
+                if reading {
+                    reading = self.decide(&half, Request::decode(&body));
                 }
                 self.bufs.put(body);
             }
-            if let Some(e) = read.error {
+            if let Some(e) = read.error.filter(|_| reading) {
                 // One last reply; the read half already stopped reading
                 // and the drain logic closes the connection behind it.
-                self.daemon.telemetry.on_error();
-                let message = e.to_string();
-                self.reply(&half, half.begin_request(), &Response::Error { message });
+                self.decide(&half, Err(e));
             }
         }
         // A POLLOUT event for a connection with nothing left to write
@@ -824,387 +732,153 @@ impl Reactor {
         }
     }
 
-    /// Decodes and executes one request frame of the connection whose
-    /// write half is `half`. Returns `false` when the connection must
-    /// stop consuming input (malformed request or shutdown).
-    fn handle_frame(&mut self, half: &Arc<WriteHalf>, body: &[u8]) -> bool {
+    /// Has the shard decide one request of the connection whose write
+    /// half is `half` and performs the action; `false` when the
+    /// connection is read no more.
+    fn decide(&mut self, half: &Arc<WriteHalf>, request: Result<Request, FrameError>) -> bool {
         let seq = half.begin_request();
-        match Request::decode(body) {
-            // An unknown opcode arrives in a well-formed frame: the
-            // stream is still in sync, so answer with a protocol ERROR
-            // and keep serving — old clients against new daemons (and
-            // vice versa) degrade per-request, not per-connection.
-            Err(FrameError::UnknownOpcode(op)) => {
-                self.daemon.telemetry.on_error();
-                let message = format!("unknown request opcode 0x{op:02x}");
-                self.reply(half, seq, &Response::Error { message });
-            }
-            Err(e) => {
-                self.daemon.telemetry.on_error();
-                let message = e.to_string();
-                self.reply(half, seq, &Response::Error { message });
+        let pool = &self.daemon.pool;
+        let load = Load {
+            queued: pool.queued(),
+            busy: pool.busy(),
+            workers: pool.workers(),
+        };
+        let now = Instant::now();
+        let action = self.shard.step(request, now, load);
+        let reading = action.keeps_reading();
+        // What the reactor answers itself is the arm's value; an arm that
+        // hands the request to another answerer returns.
+        let daemon = &self.daemon;
+        let ok = || text("ok\n".to_owned());
+        let overloaded = |metric| {
+            daemon.telemetry.add(metric, 1);
+            Response::Overloaded
+        };
+        let response = match action {
+            Action::Reply(response) => response,
+            Action::Hangup(response) => {
                 half.close_read();
-                return false;
+                response
             }
-            Ok(Request::Stats) => self.reply_text(half, seq, self.daemon.telemetry.render_stats()),
-            Ok(Request::Prometheus) => {
-                self.reply_text(half, seq, self.daemon.telemetry.render_prometheus())
+            Action::Shed(metric) => overloaded(metric),
+            Action::RaceHere(key) => {
+                daemon.telemetry.add(Metric::Accepted, 1);
+                daemon.telemetry.add(Metric::RacesOnShard, 1);
+                run_race(&daemon.telemetry, &daemon.sched, key, now)
             }
-            Ok(Request::Catalog) => self.reply_text(half, seq, render_catalog(&self.daemon.sched)),
-            Ok(Request::Shutdown) => {
-                self.reply_text(half, seq, "draining\n");
-                // Daemon-wide: every shard must drain, not just the
-                // one this frame happened to land on.
-                self.daemon.ctl.request_shutdown();
-                return false;
+            Action::Queue(key, meta) => {
+                // The flight moves into the completion; should the pool
+                // refuse the job, that closure is dropped unrun and the
+                // request is shed from this copy of its slot.
+                let flight = Flight {
+                    slot: (Arc::clone(half), seq),
+                    home: Arc::clone(&self.shared),
+                };
+                let work = {
+                    let daemon = Arc::clone(daemon);
+                    move || run_race(&daemon.telemetry, &daemon.sched, key, Instant::now())
+                };
+                let done = move |reply| flight.answer(&or_worker_lost(reply));
+                match daemon.pool.try_submit_work_at(meta, work, done) {
+                    Ok(()) => {
+                        daemon.telemetry.add(Metric::Accepted, 1);
+                        return reading;
+                    }
+                    Err(_) => overloaded(Metric::Shed),
+                }
             }
-            Ok(Request::Run {
-                workload,
-                deadline_ms,
-                arg,
-            }) => self.submit_run(half, seq, &workload, deadline_ms, arg),
-            Ok(exec @ Request::ExecAlt { .. }) => self.exec_alt(half, seq, exec),
-            Ok(Request::AltResult {
+            Action::Distribute {
+                key,
+                meta,
+                assign,
+                voters,
+            } => {
+                let flight = Flight {
+                    slot: (Arc::clone(half), seq),
+                    home: Arc::clone(&self.shared),
+                };
+                daemon
+                    .races
+                    .distribute(flight, key, meta, assign, voters, now);
+                return reading;
+            }
+            Action::ExecAlt {
+                key,
+                meta,
                 race_id,
                 alt_idx,
-                status,
-                value,
-                latency_us,
-            }) => {
-                // An executor reporting back on a race this node
-                // originated. Ack first-class so the executor's link
-                // gets its RTT sample either way.
-                let event = Event::LegResult {
-                    alt_idx,
-                    status,
-                    value,
-                    latency_us,
-                    redo: false,
-                };
-                self.daemon.races.step(race_id, event);
-                self.reply_text(half, seq, "ok\n");
-            }
-            Ok(Request::CommitVote {
-                race_id,
                 origin,
-                candidate,
-            }) => {
-                let (granted, holder) = self.daemon.races.ledger.vote(&origin, race_id, &candidate);
-                self.daemon.telemetry.add(Metric::CommitVotes, 1);
-                self.reply(half, seq, &Response::Vote { granted, holder });
-            }
-            Ok(Request::Eliminate { race_id, origin }) => {
-                let n = self.daemon.inflight.eliminate(&origin, race_id);
-                self.daemon.telemetry.add(Metric::Eliminations, 1);
-                self.reply_text(half, seq, format!("eliminated {n}\n"));
-            }
-            Ok(Request::Reconcile { watermark, origin }) => {
-                // Partition-heal resync: the reconnecting origin's
-                // races below the watermark are all decided — kill any
-                // zombie executions and release their vote slots.
-                let n = self.daemon.inflight.eliminate_below(&origin, watermark);
-                let slots = self.daemon.races.ledger.reconcile(&origin, watermark);
-                self.reply_text(
-                    half,
-                    seq,
-                    format!("reconciled {n} cancelled {slots} slots\n"),
-                );
-            }
-            Ok(Request::PeerStats) => {
-                // The stats page doubles as the heartbeat reply: the
-                // trailing machine-parsable line advertises this node's
-                // load so origins can place around busy peers.
-                let pool = &self.daemon.pool;
-                let mut body = self.daemon.races.peers.stats().render();
-                body.push_str(&load_line(pool.queued(), pool.busy(), pool.workers()));
-                self.reply_text(half, seq, body);
-            }
-        }
-        true
-    }
-
-    /// Executor side of a shipped alternative: admission-control it
-    /// like any race, run exactly the named alternative, and fire the
-    /// outcome back at the origin over this node's own outbound link.
-    /// The immediate reply only acknowledges admission — `Text` for
-    /// admitted, `Overloaded` for refused — so the origin can convert a
-    /// refusal into a failed guard without waiting.
-    fn exec_alt(&mut self, half: &WriteHalf, seq: u64, exec: Request) {
-        let Request::ExecAlt {
-            race_id,
-            alt_idx,
-            deadline_ms,
-            arg,
-            workload,
-            origin,
-        } = exec
-        else {
-            return;
-        };
-        let Some(widx) = workload::index_of(&workload) else {
-            self.daemon.telemetry.on_error();
-            self.reply(half, seq, &Response::Overloaded);
-            return;
-        };
-        let daemon = &self.daemon;
-        let token = deadline_token(Instant::now(), deadline_ms);
-        // Registered before submission so an ELIMINATE racing ahead of
-        // the worker pickup still lands on the token.
-        daemon
-            .inflight
-            .register(&origin, race_id, alt_idx, token.clone());
-        let report = {
-            let daemon = Arc::clone(daemon);
-            let origin = origin.clone();
-            move |(status, value, latency_us)| {
-                daemon.inflight.complete(&origin, race_id, alt_idx);
-                let result = Request::AltResult {
-                    race_id,
-                    alt_idx,
-                    status,
-                    value,
-                    latency_us,
+            } => {
+                // Executor side of a shipped alternative: run exactly
+                // that alternative and fire its outcome back at the
+                // origin over this node's own link. The reply only
+                // acknowledges admission, so the origin turns a refusal
+                // into a failed guard without waiting.
+                let token = deadline_token(now, key.deadline_ms);
+                // Registered before submission so an ELIMINATE racing
+                // ahead of the worker pickup still lands on the token.
+                (daemon.inflight).register(&origin, race_id, alt_idx, token.clone());
+                let report = {
+                    let daemon = Arc::clone(daemon);
+                    let origin = origin.clone();
+                    move |(status, value, latency_us)| {
+                        daemon.inflight.complete(&origin, race_id, alt_idx);
+                        let result = Request::AltResult {
+                            race_id,
+                            alt_idx,
+                            status,
+                            value,
+                            latency_us,
+                        };
+                        daemon.races.peers.send(&origin, result, SendTag::Fire);
+                    }
                 };
-                daemon.races.peers.send(&origin, result, SendTag::Fire);
+                let telemetry = Arc::clone(&daemon.telemetry);
+                let (work, done) = alt_job(telemetry, key.widx, alt_idx, key.arg, token, report);
+                match daemon.pool.try_submit_work_at(meta, work, done) {
+                    Ok(()) => {
+                        daemon.telemetry.add(Metric::RemoteExecs, 1);
+                        ok()
+                    }
+                    Err(_) => {
+                        daemon.inflight.complete(&origin, race_id, alt_idx);
+                        overloaded(Metric::Shed)
+                    }
+                }
+            }
+            Action::Feed(race_id, event) => {
+                // Acknowledged either way, so the executor's link gets
+                // its round-trip sample.
+                daemon.races.step(race_id, event);
+                ok()
+            }
+            Action::Eliminate { race_id, origin } => {
+                let n = daemon.inflight.eliminate(&origin, race_id);
+                daemon.telemetry.add(Metric::Eliminations, 1);
+                text(format!("eliminated {n}\n"))
+            }
+            Action::Reconcile { watermark, origin } => {
+                // Partition-heal resync: the reconnecting origin's races
+                // below the watermark are all decided — kill any zombie
+                // executions and release their vote slots.
+                let n = daemon.inflight.eliminate_below(&origin, watermark);
+                let slots = daemon.races.ledger.reconcile(&origin, watermark);
+                text(format!("reconciled {n} cancelled {slots} slots\n"))
+            }
+            Action::Shutdown => {
+                // Daemon-wide: every shard must drain, not just the one
+                // this frame happened to land on.
+                daemon.ctl.request_shutdown();
+                text("draining\n".to_owned())
             }
         };
-        let telemetry = Arc::clone(&daemon.telemetry);
-        let (work, done) = alt_job(telemetry, widx, alt_idx, arg, token, report);
-        let meta = self.job_meta(widx, deadline_ms);
-        match daemon.pool.try_submit_work_at(meta, work, done) {
-            Ok(()) => {
-                daemon.telemetry.add(Metric::RemoteExecs, 1);
-                self.reply_text(half, seq, "ok\n");
-            }
-            Err(_) => {
-                daemon.inflight.complete(&origin, race_id, alt_idx);
-                daemon.telemetry.add(Metric::Shed, 1);
-                self.reply(half, seq, &Response::Overloaded);
-            }
-        }
-    }
-
-    /// Admission-controls one RUN request without ever blocking the
-    /// reactor. Refused submissions are answered `Overloaded` in line;
-    /// admitted ones are answered by whichever thread decides the race
-    /// ([`Flight::answer`]).
-    fn submit_run(
-        &mut self,
-        half: &Arc<WriteHalf>,
-        seq: u64,
-        workload: &str,
-        deadline_ms: u32,
-        arg: u64,
-    ) {
-        // Reject unknown names before spending a queue slot.
-        let Some(widx) = workload::index_of(workload) else {
-            self.daemon.telemetry.on_error();
-            self.reply(half, seq, &Response::UnknownWorkload);
-            return;
-        };
-        let key = RaceKey {
-            widx,
-            deadline_ms,
-            arg,
-        };
-        self.submit_race((Arc::clone(half), seq), key);
-    }
-
-    /// Submits one race on behalf of the request whose reply is owed at
-    /// `slot`. The response reaches it exactly once — worker-lost and
-    /// fault outcomes included — from whichever thread ends up holding
-    /// the race's [`Flight`]: a worker, this one when the workload is
-    /// short enough to race here, or the distributed-race shell when the
-    /// placement policy elects to ship alternatives to peers.
-    fn submit_race(&self, slot: ReplySlot, key: RaceKey) {
-        let daemon = &self.daemon;
-        // Feasibility admission, before the race spends a queue slot or
-        // a wire frame: when the deadline is provably unmeetable from
-        // the workload's p99 service time plus the current queue wait,
-        // shed now instead of burning a worker just to time out.
-        // Best-effort requests (deadline 0) always pass.
-        let (queued, workers) = (daemon.pool.queued(), daemon.pool.workers());
-        if !daemon
-            .admission
-            .admit(key.widx, key.deadline_ms, queued, workers)
-        {
-            self.shed(&slot, Metric::ShedsAtAdmission);
-            return;
-        }
-        let flight = Flight {
-            key,
-            slot,
-            home: Arc::clone(&self.shared),
-        };
-        if let Some(assign) = self.plan_remote(&key) {
-            self.submit_race_distributed(flight, assign);
-            return;
-        }
-        let race = move |daemon: &Daemon| {
-            contained(&daemon.telemetry, || {
-                run_race(
-                    &daemon.telemetry,
-                    &daemon.sched,
-                    key.widx,
-                    key.deadline_ms,
-                    key.arg,
-                )
-            })
-        };
-        // Shard or queue: a workload measured short (the rule is in
-        // `sched.rs`) is raced right here and its flight answered the
-        // way a finishing worker answers one — no boxed job, no
-        // wake-up. What the delivery leaves behind, the next turn's
-        // look at each write half picks up.
-        if daemon.sched.catalog().runs_on_shard(key.widx) {
-            daemon.telemetry.add(Metric::Accepted, 1);
-            daemon.telemetry.add(Metric::RacesOnShard, 1);
-            flight.answer(&race(daemon));
-            return;
-        }
-        // The flight moves into the completion; should the pool refuse
-        // the job, that closure is dropped unrun and the request is shed
-        // from this copy of its slot.
-        let spare = (Arc::clone(&flight.slot.0), flight.slot.1);
-        let work = {
-            let daemon = Arc::clone(daemon);
-            move || race(&daemon)
-        };
-        let done = move |reply| flight.answer(&or_worker_lost(reply));
-        let meta = self.job_meta(key.widx, key.deadline_ms);
-        match daemon.pool.try_submit_work_at(meta, work, done) {
-            Ok(()) => daemon.telemetry.add(Metric::Accepted, 1),
-            Err(_) => self.shed(&spare, Metric::Shed),
-        }
-    }
-
-    /// Sheds a race that will not run: its request gets `Overloaded`,
-    /// counted under `metric`.
-    fn shed(&self, slot: &ReplySlot, metric: Metric) {
-        self.daemon.telemetry.add(metric, 1);
-        self.shared.answer(slot, &Response::Overloaded);
-    }
-
-    /// Run-queue scheduling metadata for one submission: the request's
-    /// absolute deadline (best-effort when the wire said 0) and the
-    /// workload's configured priority lane.
-    fn job_meta(&self, widx: usize, deadline_ms: u32) -> JobMeta {
-        JobMeta::for_request(deadline_ms, self.daemon.lanes.lane_of(widx), 0)
-    }
-
-    /// Asks the placement policy whether any of this race's
-    /// alternatives should run on a peer. `None` — the overwhelmingly
-    /// common answer, and the only one when no peer is up — means the
-    /// race stays entirely local and pays nothing for the peer plane.
-    fn plan_remote(&self, key: &RaceKey) -> Option<Vec<Option<String>>> {
-        let daemon = &self.daemon;
-        let spec = workload::CATALOG.get(key.widx)?;
-        let up = daemon.races.peers.stats().up_peers();
-        if up.is_empty() {
-            return None;
-        }
-        // What actually crosses the wire per shipped alternative.
-        let frame_bytes = exec_alt_frame_len(spec.name, &daemon.races.advertise) as u64;
-        daemon.placement.assign(
-            key.widx,
-            frame_bytes,
-            &up,
-            daemon.pool.queued(),
-            daemon.pool.workers(),
-            daemon.sched.catalog(),
-        )
-    }
-
-    /// The distributed submit path: hand the flight to the remote
-    /// registry *first* (an instant local finish must find it), then
-    /// submit the local subrace — every alternative not shipped — and
-    /// finally fire one EXEC_ALT per shipped alternative. The flight is
-    /// answered exactly once by the registry's commit/fail path, never
-    /// directly by the worker; if the pool refuses the subrace the
-    /// registry hands it back and its request is shed.
-    fn submit_race_distributed(&self, flight: Flight, assign: Vec<Option<String>>) {
-        let daemon = &self.daemon;
-        let key = flight.key;
-        let token = deadline_token(Instant::now(), key.deadline_ms);
-        let remotes: Vec<(u32, String)> = assign
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.clone().map(|p| (i as u32, p)))
-            .collect();
-        // Voters are frozen at race creation: this node plus every peer
-        // currently up. A voter dying mid-race counts as a denial.
-        let up = daemon.races.peers.stats().up_peers();
-        let voters: Vec<String> = up.into_iter().map(|p| p.addr).collect();
-        let spec = RaceSpec {
-            widx: key.widx,
-            arg: key.arg,
-            deadline_ms: key.deadline_ms,
-            local_cancel: token.clone(),
-        };
-        let race_id = daemon.races.create(spec, flight, remotes.clone(), voters);
-        let skip: Vec<bool> = assign.iter().map(Option::is_some).collect();
-        let work = {
-            let daemon = Arc::clone(daemon);
-            move || {
-                contained(&daemon.telemetry, || {
-                    run_subrace(
-                        &daemon.telemetry,
-                        &daemon.sched,
-                        key.widx,
-                        key.arg,
-                        &token,
-                        &skip,
-                    )
-                })
-            }
-        };
-        // The local outcome feeds the registry, which answers the
-        // flight once, at commit or failure.
-        let races = Arc::clone(&daemon.races);
-        let done = move |reply| races.step(race_id, Event::LocalDone(or_worker_lost(reply)));
-        let meta = self.job_meta(key.widx, key.deadline_ms);
-        if daemon.pool.try_submit_work_at(meta, work, done).is_err() {
-            if let Some(flight) = daemon.races.abort(race_id) {
-                self.shed(&flight.slot, Metric::Shed);
-            }
-            return;
-        }
-        daemon.telemetry.add(Metric::Accepted, 1);
-        let spec = &workload::CATALOG[key.widx];
-        for (alt_idx, peer) in remotes {
-            daemon.telemetry.add(Metric::RemoteDispatched, 1);
-            if let Some(stat) = daemon.races.peers.stats().by_addr(&peer) {
-                stat.note_dispatched();
-            }
-            let exec = Request::ExecAlt {
-                race_id,
-                alt_idx,
-                deadline_ms: key.deadline_ms,
-                arg: key.arg,
-                workload: spec.name.to_owned(),
-                origin: daemon.races.advertise.clone(),
-            };
-            daemon
-                .races
-                .peers
-                .send(&peer, exec, SendTag::ExecAlt { race_id, alt_idx });
-        }
-    }
-
-    /// Encodes a reactor-side reply (ring slot preferred, pool-backed
-    /// spill otherwise) and delivers it through the connection's write
-    /// half like any other — the common case (reply fits the socket
-    /// buffer) completes without another poll round-trip, and whatever
-    /// the delivery leaves (output, a failed socket, a connection now
-    /// closable) the next turn's look at the half picks up.
-    fn reply(&mut self, half: &WriteHalf, seq: u64, response: &Response) {
-        let reply = EncodedReply::encode_with(response, &self.shared.ring, &mut self.bufs);
+        // Encoded into a ring slot (or a pool-backed spill) and delivered
+        // like any other reply: whatever the delivery leaves — output, a
+        // failed socket, a connection now closable — the next turn's look
+        // at the half picks up.
+        let reply = EncodedReply::encode_with(&response, &self.shared.ring, &mut self.bufs);
         half.deliver(seq, reply, Some(&mut self.bufs));
-    }
-
-    /// [`Reactor::reply`] with a `Text` reply.
-    fn reply_text(&mut self, half: &WriteHalf, seq: u64, body: impl Into<String>) {
-        self.reply(half, seq, &Response::Text { body: body.into() });
+        reading
     }
 
     /// Drops one connection's state, closing its write half so that
@@ -1213,43 +887,33 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&id) {
             conn.write_half().close();
             self.stats.on_conn_close();
+            self.accept_failed = None;
         }
     }
 }
 
-/// Runs a race body contained, so a crash becomes an explicit error
-/// reply; the pool's own `catch_unwind` is the backstop.
-fn contained(telemetry: &Telemetry, race: impl FnOnce() -> Response) -> Response {
-    catch_unwind(AssertUnwindSafe(race)).unwrap_or_else(|_| {
-        telemetry.on_error();
-        Response::Error {
-            message: "internal error: race panicked".to_owned(),
-        }
-    })
-}
-
-/// The reply a race job owes its request: its own, or — when the pool
-/// dropped the job unrun (injected `Fail` fault, worker killed mid-job,
-/// shutdown sweep) — an answer rather than a stranded request.
-fn or_worker_lost(reply: Option<Response>) -> Response {
-    reply.unwrap_or(Response::Error {
-        message: "worker lost".to_owned(),
-    })
+/// A `Text` reply.
+fn text(body: String) -> Response {
+    Response::Text { body }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame};
-    use altx_check::check;
+    use crate::peer::tests::mark_up;
+    use crate::sched::HedgeConfig;
+    use altx_check::{check, CaseRng};
+    use std::net::TcpStream;
 
     const SLOTS: usize = 4;
     const PAIRS: usize = 3;
 
     /// One thing one thread does, to a flight or to a connection.
     enum Move {
-        /// The decider answers the flight with the race's own reply.
-        Answer(Flight),
+        /// The decider answers flight number `f` with the race's own
+        /// reply.
+        Answer(usize, Flight),
         /// The pool dropped the job unrun: its completion hears `None`.
         Lose(Flight),
         /// The reactor sheds from its own copy of a flight's slot.
@@ -1258,8 +922,7 @@ mod tests {
         Close(usize),
     }
 
-    /// The reply flight number `flight`'s race would give (a flight's
-    /// number rides in its key's `arg`).
+    /// The reply flight number `flight`'s race would give.
     fn own_reply(flight: usize) -> Response {
         Response::Ok {
             winner: 0,
@@ -1287,9 +950,8 @@ mod tests {
         );
     }
 
-    fn answer_own(flight: Flight) {
-        let reply = own_reply(flight.key.arg as usize);
-        flight.answer(&reply);
+    fn answer_own((f, flight): (usize, Flight)) {
+        flight.answer(&own_reply(f));
     }
 
     /// The race-in-flight contract, on real threads and real sockets:
@@ -1350,17 +1012,12 @@ mod tests {
             for (f, slot) in slots.into_iter().enumerate() {
                 let spare = (Arc::clone(&slot.0), slot.1);
                 let flight = Flight {
-                    key: RaceKey {
-                        widx: 0,
-                        deadline_ms: 0,
-                        arg: f as u64,
-                    },
                     slot,
                     home: Arc::clone(&home),
                 };
                 admissible.push(match rng.usize_in(0, 5) {
                     0 => {
-                        moves.push(Move::Answer(flight));
+                        moves.push(Move::Answer(f, flight));
                         vec![own_reply(f)]
                     }
                     1 => {
@@ -1377,12 +1034,12 @@ mod tests {
                     3 => {
                         // Never in the daemon, and still once each: a
                         // shed racing the completion it gave up on.
-                        moves.push(Move::Answer(flight));
+                        moves.push(Move::Answer(f, flight));
                         moves.push(Move::Shed(spare));
                         vec![own_reply(f), Response::Overloaded]
                     }
                     _ => {
-                        held.push(flight);
+                        held.push((f, flight));
                         vec![own_reply(f)]
                     }
                 });
@@ -1403,9 +1060,12 @@ mod tests {
                     scope.spawn(move || {
                         for mv in hand {
                             match mv {
-                                Move::Answer(flight) => answer_own(flight),
+                                Move::Answer(f, flight) => answer_own((f, flight)),
                                 Move::Lose(flight) => flight.answer(&or_worker_lost(None)),
-                                Move::Shed(spare) => home.answer(&spare, &Response::Overloaded),
+                                Move::Shed(slot) => {
+                                    let home = Arc::clone(home);
+                                    Flight { slot, home }.answer(&Response::Overloaded)
+                                }
                                 Move::Close(c) => halves[c].close(),
                             }
                         }
@@ -1414,7 +1074,7 @@ mod tests {
             });
             // Every close has happened: a flight answered now must not
             // reach a reclaimed connection.
-            let held_back: Vec<usize> = held.iter().map(|f| f.key.arg as usize).collect();
+            let held_back: Vec<usize> = held.iter().map(|&(f, _)| f).collect();
             held.into_iter().for_each(answer_own);
 
             let end = Response::Text {
@@ -1460,6 +1120,334 @@ mod tests {
             halves.iter().for_each(|half| half.close());
             assert_eq!(stats.conns_active(), 0, "a closed connection is not active");
             assert_eq!(home.ring.idle_slots(), SLOTS, "every slot back in the ring");
+        });
+    }
+
+    /// The workloads a request may name: the catalog and one it lacks.
+    const NAMES: [&str; 6] = ["trivial", "lognormal", "bimodal", "sleep", "prolog", "nope"];
+
+    /// One request body as a client or a peer might send it: every
+    /// opcode, a truncated body and an opcode this build does not know.
+    fn any_body(rng: &mut CaseRng) -> Vec<u8> {
+        let workload = rng.pick(&NAMES).to_string();
+        let deadline_ms = *rng.pick(&[0, 0, 2, 20, 100_000]);
+        let (race_id, alt_idx, arg) = (rng.u64_in(0, 4), rng.u64_in(0, 4) as u32, rng.u64());
+        let origin = rng.pick(&["a:1", "b:2"]).to_string();
+        let request = match rng.usize_in(0, 14) {
+            0..=3 => Request::Run {
+                workload,
+                deadline_ms,
+                arg,
+            },
+            4 => Request::Stats,
+            5 => Request::Prometheus,
+            6 => Request::Catalog,
+            7 => Request::PeerStats,
+            8 => Request::ExecAlt {
+                race_id,
+                alt_idx,
+                deadline_ms,
+                arg,
+                workload,
+                origin,
+            },
+            9 => Request::AltResult {
+                race_id,
+                alt_idx,
+                status: rng.u8() % 3,
+                value: arg,
+                latency_us: rng.u64_in(0, 10_000),
+            },
+            10 => Request::CommitVote {
+                race_id,
+                origin,
+                candidate: format!("{}/alt{alt_idx}", rng.pick(&["a:1", "b:2", "c:3"])),
+            },
+            11 => Request::Eliminate { race_id, origin },
+            12 => Request::Reconcile {
+                watermark: race_id,
+                origin,
+            },
+            _ if rng.chance(0.3) => Request::Shutdown,
+            _ if rng.bool() => return vec![0xEE, rng.u8()],
+            _ => {
+                let body = Request::Run {
+                    workload,
+                    deadline_ms,
+                    arg,
+                }
+                .encode();
+                return body[..rng.usize_in(1, body.len())].to_vec();
+            }
+        };
+        request.encode()
+    }
+
+    /// What the model says a request gets: exactly this action, or a
+    /// text reply that starts so (pages render live counters).
+    enum Want {
+        Exactly(Action),
+        Text(&'static str),
+    }
+
+    /// The request path as a value, with no socket, no thread and no
+    /// clock read in any case: random frames over a few connections,
+    /// read in poll turns the way the shell reads them — a batch per
+    /// readable connection, stopped where the decision says the
+    /// connection is read no more, and nothing read once the daemon's
+    /// latch is seen at the top of a turn — against pinned catalog
+    /// statistics, pool load and up peers. Every request gets exactly
+    /// the decision a model built from the same gate, a twin placement
+    /// policy, the published verdicts and a twin ledger gives: shed only
+    /// when the gate refuses, raced here only on the verdict and never a
+    /// blocking workload, distributed only on an assignment with a peer
+    /// up; no frame is decided on a connection after its `SHUTDOWN` or
+    /// protocol error, and none after the drain.
+    #[test]
+    fn every_request_gets_the_one_decision_the_rules_give() {
+        let base = Instant::now();
+        check("shard_schedules", 2_500, |rng| {
+            let sched = Arc::new(HedgePolicy::new(HedgeConfig::default()));
+            let catalog = Arc::clone(sched.catalog());
+            for (widx, spec) in workload::CATALOG.iter().enumerate() {
+                // Cold, measured short (blocking bodies too: their
+                // verdict must still say queue) or measured long.
+                let (n, us) = match rng.usize_in(0, 3) {
+                    0 => (rng.usize_in(0, 16), rng.u64_in(1, 100)),
+                    1 => (rng.usize_in(16, 40), rng.u64_in(1, 100)),
+                    _ => (rng.usize_in(16, 40), rng.u64_in(5_000, 50_000)),
+                };
+                (0..n).for_each(|_| sched.record_service(widx, us));
+                let short = n >= 16 && us <= 100 && !spec.blocks;
+                assert_eq!(catalog.runs_on_shard(widx), short, "{}", spec.name);
+            }
+            let telemetry = Arc::new(Telemetry::new());
+            telemetry.attach_catalog(Arc::clone(&catalog));
+            let addrs: Vec<String> = ["a:1", "b:2"][..rng.usize_in(0, 3)]
+                .iter()
+                .map(|a| a.to_string())
+                .collect();
+            let peers = Arc::new(PeerStatsTable::new(&addrs));
+            peers
+                .peers()
+                .iter()
+                .filter(|_| rng.chance(0.6))
+                .for_each(|p| mark_up(p));
+            let explore_every = *rng.pick(&[0, 1, 3]);
+            let lanes = match rng.bool() {
+                true => Lanes::single(),
+                false => Lanes::parse("rt:trivial;batch:sleep").expect("lanes"),
+            };
+            let shard = Shard {
+                telemetry,
+                admission: Admission::new(rng.chance(0.7), Arc::clone(&catalog)),
+                sched,
+                lanes,
+                placement: Arc::new(Placement::new(explore_every)),
+                peers: Arc::clone(&peers),
+                ledger: Arc::default(),
+                advertise: "origin:9".to_owned(),
+            };
+            let workers = rng.usize_in(1, 5);
+            let load = Load {
+                queued: rng.usize_in(0, 9),
+                busy: rng.u64_in(0, workers as u64 + 1),
+                workers,
+            };
+            let twin = Placement::new(explore_every);
+            let ledger = CommitLedger::new();
+            let up = peers.up_peers();
+
+            // The model's decision for one request read at `now`.
+            let want = |request: &Result<Request, FrameError>, now: Instant| -> Want {
+                let meta = |widx, deadline_ms| JobMeta {
+                    deadline: deadline_at(now, deadline_ms),
+                    lane: shard.lanes.lane_of(widx),
+                };
+                let error = |e: &FrameError| Response::Error {
+                    message: e.to_string(),
+                };
+                Want::Exactly(match request {
+                    Err(e @ FrameError::UnknownOpcode(_)) => Action::Reply(error(e)),
+                    Err(e) => Action::Hangup(error(e)),
+                    Ok(Request::Stats) => return Want::Text("altxd stats"),
+                    Ok(Request::Prometheus) => return Want::Text("# HELP"),
+                    Ok(Request::Catalog) => return Want::Text("altxd workload catalog"),
+                    Ok(Request::PeerStats) => return Want::Text("altxd peers"),
+                    Ok(Request::Shutdown) => Action::Shutdown,
+                    Ok(Request::Run {
+                        workload,
+                        deadline_ms,
+                        arg,
+                    }) => {
+                        let Some(widx) = workload::index_of(workload) else {
+                            return Want::Exactly(Action::Reply(Response::UnknownWorkload));
+                        };
+                        let (deadline_ms, arg) = (*deadline_ms, *arg);
+                        let key = RaceKey {
+                            widx,
+                            deadline_ms,
+                            arg,
+                        };
+                        let (queued, workers) = (load.queued, load.workers);
+                        if !shard.admission.admit(widx, deadline_ms, queued, workers) {
+                            return Want::Exactly(Action::Shed(Metric::ShedsAtAdmission));
+                        }
+                        let frame_bytes = exec_alt_frame_len(workload, "origin:9") as u64;
+                        let assign = (!up.is_empty())
+                            .then(|| twin.assign(widx, frame_bytes, &up, queued, workers, &catalog))
+                            .flatten();
+                        match assign {
+                            Some(assign) => Action::Distribute {
+                                key,
+                                meta: meta(widx, deadline_ms),
+                                assign,
+                                voters: up.iter().map(|p| p.addr.clone()).collect(),
+                            },
+                            None if catalog.runs_on_shard(widx) => Action::RaceHere(key),
+                            None => Action::Queue(key, meta(widx, deadline_ms)),
+                        }
+                    }
+                    Ok(Request::ExecAlt {
+                        race_id,
+                        alt_idx,
+                        deadline_ms,
+                        arg,
+                        workload,
+                        origin,
+                    }) => match workload::index_of(workload) {
+                        Some(widx) => Action::ExecAlt {
+                            key: RaceKey {
+                                widx,
+                                deadline_ms: *deadline_ms,
+                                arg: *arg,
+                            },
+                            meta: meta(widx, *deadline_ms),
+                            race_id: *race_id,
+                            alt_idx: *alt_idx,
+                            origin: origin.clone(),
+                        },
+                        None => Action::Reply(Response::Overloaded),
+                    },
+                    Ok(Request::AltResult {
+                        race_id,
+                        alt_idx,
+                        status,
+                        value,
+                        latency_us,
+                    }) => Action::Feed(
+                        *race_id,
+                        Event::LegResult {
+                            alt_idx: *alt_idx,
+                            status: *status,
+                            value: *value,
+                            latency_us: *latency_us,
+                            redo: false,
+                        },
+                    ),
+                    Ok(Request::CommitVote {
+                        race_id,
+                        origin,
+                        candidate,
+                    }) => {
+                        let (granted, holder) =
+                            ledger.vote_with(origin, *race_id, candidate, || now);
+                        Action::Reply(Response::Vote { granted, holder })
+                    }
+                    Ok(Request::Eliminate { race_id, origin }) => Action::Eliminate {
+                        race_id: *race_id,
+                        origin: origin.clone(),
+                    },
+                    Ok(Request::Reconcile { watermark, origin }) => Action::Reconcile {
+                        watermark: *watermark,
+                        origin: origin.clone(),
+                    },
+                })
+            };
+
+            let n_conns = rng.usize_in(1, 4);
+            // The shell's view: the connection is read no more.
+            let mut stopped = vec![false; n_conns];
+            // The model's: its SHUTDOWN or protocol error was decided.
+            let mut ended = vec![false; n_conns];
+            let (mut latch, mut drained) = (false, false);
+            let (mut fed, mut decided) = (0, 0);
+            let mut clock = Duration::ZERO;
+            for _turn in 0..rng.usize_in(1, 8) {
+                // Top of a turn: a latch set since the last one — by a
+                // SHUTDOWN here, elsewhere or the handle — is seen, and a
+                // draining shard registers no connection for reading.
+                latch |= rng.chance(0.03);
+                drained |= latch;
+                for c in 0..n_conns {
+                    let mut batch: Vec<Result<Request, FrameError>> = (0..rng.usize_in(0, 4))
+                        .map(|_| Request::decode(&any_body(rng)))
+                        .collect();
+                    if rng.chance(0.05) {
+                        let framing = match rng.bool() {
+                            true => FrameError::Truncated,
+                            false => FrameError::Oversized(crate::frame::MAX_FRAME + 1),
+                        };
+                        batch.push(Err(framing));
+                    }
+                    if drained || stopped[c] {
+                        continue;
+                    }
+                    for request in batch {
+                        if stopped[c] {
+                            break;
+                        }
+                        fed += 1;
+                        assert!(!ended[c], "conn {c}: a request decided after its end");
+                        assert!(!drained, "a request decided after the drain");
+                        clock += Duration::from_micros(rng.u64_in(0, 500));
+                        let now = base + clock;
+                        // The gate's verdict on a known workload's RUN.
+                        let refused = match &request {
+                            Ok(Request::Run {
+                                workload,
+                                deadline_ms,
+                                ..
+                            }) => workload::index_of(workload).map(|widx| {
+                                let (queued, workers) = (load.queued, load.workers);
+                                !shard.admission.admit(widx, *deadline_ms, queued, workers)
+                            }),
+                            _ => None,
+                        };
+                        let wanted = want(&request, now);
+                        ended[c] |= matches!(request, Ok(Request::Shutdown))
+                            || matches!(&request, Err(e) if !matches!(e, FrameError::UnknownOpcode(_)));
+                        let action = shard.step(request, now, load);
+                        decided += 1;
+                        let shed = matches!(action, Action::Shed(_));
+                        assert_eq!(
+                            shed,
+                            refused == Some(true),
+                            "shed iff the gate refuses: {action:?}"
+                        );
+                        if let Action::RaceHere(key) = &action {
+                            assert!(!workload::CATALOG[key.widx].blocks, "a blocking body here");
+                            let verdict = catalog.runs_on_shard(key.widx);
+                            assert!(verdict, "raced here off the verdict");
+                        }
+                        if let Action::Distribute { assign, .. } = &action {
+                            assert!(!up.is_empty() && assign.iter().any(Option::is_some));
+                        }
+                        match (&action, wanted) {
+                            (Action::Reply(Response::Text { body }), Want::Text(head)) => {
+                                assert!(body.starts_with(head), "{head}: {body}")
+                            }
+                            (_, Want::Text(head)) => panic!("want a {head:?} page, got {action:?}"),
+                            (_, Want::Exactly(want)) => {
+                                assert_eq!(format!("{action:?}"), format!("{want:?}"))
+                            }
+                        }
+                        stopped[c] = !action.keeps_reading();
+                        latch |= matches!(action, Action::Shutdown);
+                    }
+                }
+            }
+            assert_eq!(decided, fed, "every request read gets one decision");
         });
     }
 }

@@ -50,9 +50,9 @@ use crate::commit::{CommitLedger, TallyState, VoteTally};
 use crate::frame::{Request, Response, ALT_DEADLINE, ALT_OK};
 use crate::peer::{PeerHandle, SendTag};
 use crate::pool::{JobMeta, WorkerPool};
-use crate::reactor::Flight;
+use crate::reactor::{Flight, RaceKey};
 use crate::sched::HedgePolicy;
-use crate::server::alt_job;
+use crate::server::{alt_job, deadline_token, or_worker_lost, run_subrace};
 use crate::telemetry::{Metric, Telemetry};
 use crate::workload;
 use altx::CancelToken;
@@ -672,7 +672,7 @@ pub(crate) struct RemoteRaces {
     pool: Arc<WorkerPool>,
     /// This node's votes: asked for by peers over the wire, and by the
     /// races it originates right here.
-    pub(crate) ledger: CommitLedger,
+    pub(crate) ledger: Arc<CommitLedger>,
     telemetry: Arc<Telemetry>,
     sched: Arc<HedgePolicy>,
     /// This node's peer identity: the origin of its races.
@@ -694,7 +694,7 @@ impl RemoteRaces {
             }),
             peers,
             pool,
-            ledger: CommitLedger::new(),
+            ledger: Arc::default(),
             telemetry,
             sched,
             advertise,
@@ -721,13 +721,73 @@ impl RemoteRaces {
         id
     }
 
-    /// Forgets a race whose local subrace the pool refused (see
-    /// [`RaceTable::abort`]) and hands its flight back to be shed —
-    /// unless a drain-time flush answered it first.
-    pub(crate) fn abort(&self, race_id: u64) -> Option<Flight> {
-        let mut open = self.lock();
-        open.table.abort(race_id);
-        open.flights.remove(&race_id)
+    /// Races `key` across this node and the peers `assign` names: the
+    /// registry takes `flight` *first* (an instant local finish must
+    /// find it), then the local subrace — every alternative not shipped
+    /// — is queued under `meta`, and one `EXEC_ALT` goes out per shipped
+    /// alternative. The flight is answered once, at commit or failure;
+    /// if the pool refuses the subrace, the request is shed — unless a
+    /// drain-time flush answered it first. `voters` are the peers up
+    /// when the race was decided, at `now`.
+    pub(crate) fn distribute(
+        self: &Arc<Self>,
+        flight: Flight,
+        key: RaceKey,
+        meta: JobMeta,
+        assign: Vec<Option<String>>,
+        voters: Vec<String>,
+        now: Instant,
+    ) {
+        let token = deadline_token(now, key.deadline_ms);
+        let remotes: Vec<(u32, String)> = (assign.iter().enumerate())
+            .filter_map(|(i, p)| p.clone().map(|p| (i as u32, p)))
+            .collect();
+        let spec = RaceSpec {
+            widx: key.widx,
+            arg: key.arg,
+            deadline_ms: key.deadline_ms,
+            local_cancel: token.clone(),
+        };
+        let race_id = self.create(spec, flight, remotes.clone(), voters);
+        let skip: Vec<bool> = assign.iter().map(Option::is_some).collect();
+        let work = {
+            let (telemetry, sched) = (Arc::clone(&self.telemetry), Arc::clone(&self.sched));
+            move || run_subrace(&telemetry, &sched, key.widx, key.arg, &token, &skip)
+        };
+        let me = Arc::clone(self);
+        let done = move |reply| me.step(race_id, Event::LocalDone(or_worker_lost(reply)));
+        if self.pool.try_submit_work_at(meta, work, done).is_err() {
+            // Forgotten (see [`RaceTable::abort`]) and its flight taken
+            // back to be shed — unless a drain-time flush answered it.
+            let flight = {
+                let mut open = self.lock();
+                open.table.abort(race_id);
+                open.flights.remove(&race_id)
+            };
+            if let Some(flight) = flight {
+                self.telemetry.add(Metric::Shed, 1);
+                flight.answer(&Response::Overloaded);
+            }
+            return;
+        }
+        self.telemetry.add(Metric::Accepted, 1);
+        let name = workload::CATALOG[key.widx].name;
+        for (alt_idx, peer) in remotes {
+            self.telemetry.add(Metric::RemoteDispatched, 1);
+            if let Some(stat) = self.peers.stats().by_addr(&peer) {
+                stat.note_dispatched();
+            }
+            let exec = Request::ExecAlt {
+                race_id,
+                alt_idx,
+                deadline_ms: key.deadline_ms,
+                arg: key.arg,
+                workload: name.to_owned(),
+                origin: self.advertise.clone(),
+            };
+            self.peers
+                .send(&peer, exec, SendTag::ExecAlt { race_id, alt_idx });
+        }
     }
 
     /// The table and the flights, locked.
@@ -946,7 +1006,7 @@ mod tests {
     use crate::conn::Conn;
     use crate::frame::ALT_FAILED;
     use crate::peer::PeerStatsTable;
-    use crate::reactor::{RaceKey, ReactorShared};
+    use crate::reactor::ReactorShared;
     use crate::ring::ReplyRing;
     use crate::sched::HedgeConfig;
     use crate::telemetry::ShardStats;
@@ -1345,7 +1405,7 @@ mod tests {
 
     /// A flight whose slot nobody reads — its connection is closed, so
     /// the answer drops: the shell's counters are what these tests read.
-    fn flight(widx: usize, arg: u64) -> Flight {
+    fn flight() -> Flight {
         let (home, _wake_rx) = ReactorShared::new(1, 64).expect("wake pair");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
@@ -1355,11 +1415,6 @@ mod tests {
         let seq = half.begin_request();
         half.close();
         Flight {
-            key: RaceKey {
-                widx,
-                deadline_ms: 0,
-                arg,
-            },
             slot: (half, seq),
             home,
         }
@@ -1369,7 +1424,7 @@ mod tests {
     fn shell_casts_the_origins_vote_and_counts_what_the_core_decided() {
         let (races, pool) = shell();
         let remotes = vec![(1, "peer:1".into())];
-        let id = races.create(spec(WIDX, 0), flight(WIDX, 0), remotes, vec![]);
+        let id = races.create(spec(WIDX, 0), flight(), remotes, vec![]);
         races.step(id, Event::LocalDone(ok(0, 42)));
         assert_eq!(races.lock().table.len(), 0);
         assert!(races.lock().flights.is_empty(), "the post took the flight");
@@ -1387,7 +1442,7 @@ mod tests {
         // widx 0 is "trivial": both alternatives succeed instantly, so
         // the local redo of alt 1 must win the race.
         let remotes = vec![(1, "stalled:1".into())];
-        let id = races.create(spec(0, 7), flight(0, 7), remotes, vec![]);
+        let id = races.create(spec(0, 7), flight(), remotes, vec![]);
         races.step(id, Event::LocalDone(guards_failed()));
         assert_eq!(
             races.lock().table.len(),

@@ -468,7 +468,7 @@ fn body_under_a_wake(table: &AltStatsTable, fav: usize) -> bool {
 /// be proven, never presumed. Best-effort requests (`deadline_ms == 0`)
 /// bypass the gate entirely — no deadline, nothing to be infeasible
 /// against.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Admission {
     enabled: bool,
     min_samples: u64,

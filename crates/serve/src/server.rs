@@ -2,15 +2,15 @@
 //! worker pool.
 //!
 //! Flow of one request: the reactor ([`crate::reactor`], `poll(2)` over
-//! every socket) decodes it and tries to enqueue its race on the
-//! bounded [`WorkerPool`] — a refusal is an immediate `Overloaded`,
-//! admission control at the door. A worker races the workload's
-//! alternatives on a [`ThreadedEngine`] under a [`CancelToken`] carrying
-//! the request's deadline (the paper's `alt_wait(timeout)`) and writes
-//! the reply itself, in request order per connection; a race measured
-//! short enough is raced by the reactor in place instead (*Run on the
-//! shard* in [`crate::reactor`], which also has how a reply is
-//! delivered).
+//! every socket) decodes it, its shard decides what it gets, and the
+//! reactor tries to enqueue its race on the bounded [`WorkerPool`] — a
+//! refusal is an immediate `Overloaded`, admission control at the door.
+//! A worker races the workload's alternatives on a [`ThreadedEngine`]
+//! under a [`CancelToken`] carrying the request's deadline (the paper's
+//! `alt_wait(timeout)`) and writes the reply itself, in request order
+//! per connection; a race measured short enough is raced by the reactor
+//! in place instead (*Run on the shard* in [`crate::reactor`], which
+//! also has how a reply is delivered).
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread, and neither is an
@@ -32,9 +32,10 @@ use crate::frame::{Response, ALT_DEADLINE, ALT_FAILED, ALT_OK};
 use crate::peer::{PeerConfig, PeerHandle, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING};
-use crate::reactor::{bind_reuseport, DaemonCtl, Reactor, ReactorShared};
+use crate::reactor::{DaemonCtl, RaceKey, Reactor, ReactorShared, Shard};
 use crate::remote::{InflightRemote, RemoteRaces};
 use crate::sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
+use crate::sys::{bind_reuseport, one_malloc_arena};
 use crate::telemetry::{Metric, Telemetry};
 use crate::workload;
 use altx::engine::{LaunchPlan, ThreadedEngine};
@@ -143,27 +144,21 @@ pub struct ServerHandle {
     threads: Vec<JoinHandle<()>>,
 }
 
-/// Everything daemon-wide, behind the one `Arc` every reactor shard and
-/// every queued race holds: the worker pool, the counters, the race
-/// scheduler, the admission gate, the lane map, the control plane, and
-/// the peer plane (origin-side race registry — and through it the
-/// outbound send handle, the commit ledger and this node's advertised
-/// identity —, executor-side in-flight table, placement policy).
+/// Everything daemon-wide a shard's shell acts on, behind the one `Arc`
+/// every reactor shard and every queued race holds: the worker pool, the
+/// counters, the race scheduler, the control plane, and the peer plane
+/// (origin-side race registry — and through it the outbound send
+/// handle, the commit ledger and this node's advertised identity —,
+/// executor-side in-flight table). What a request's decision reads is
+/// each shard's [`Shard`].
 pub(crate) struct Daemon {
     pub(crate) pool: Arc<WorkerPool>,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) sched: Arc<HedgePolicy>,
-    /// Feasibility gate consulted before a deadlined request spends a
-    /// queue slot; disabled gates admit everything.
-    pub(crate) admission: Admission,
-    /// Workload → priority-lane mapping for run-queue submissions.
-    pub(crate) lanes: Lanes,
     pub(crate) ctl: DaemonCtl,
     pub(crate) races: Arc<RemoteRaces>,
     /// Executor-side in-flight remote alternatives (for `ELIMINATE`).
     pub(crate) inflight: InflightRemote,
-    /// Local-vs-remote placement policy.
-    pub(crate) placement: Placement,
 }
 
 impl ServerHandle {
@@ -223,7 +218,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
 /// (docs/INTERNALS.md § *Resident memory*); [`start`], which tests and
 /// library callers share a process with, leaves the allocator alone.
 pub fn run(config: ServerConfig, ready: impl FnOnce(&ServerHandle)) -> io::Result<()> {
-    crate::reactor::one_malloc_arena();
+    one_malloc_arena();
     let (addr, daemon, mut reactors) = assemble(config)?;
     let shard0 = reactors.remove(0);
     let handle = ServerHandle {
@@ -287,7 +282,6 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
     telemetry.attach_lane_names(config.lanes.names().to_vec());
     let sched = Arc::new(HedgePolicy::new(config.hedge));
     telemetry.attach_catalog(Arc::clone(sched.catalog()));
-    let admission = Admission::new(config.admission, Arc::clone(sched.catalog()));
 
     // Every shard's delivery handle and wake channel, before anything
     // that must wake a shard is built.
@@ -313,20 +307,27 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
         Arc::clone(&telemetry),
         Arc::clone(&sched),
         Arc::clone(&pool),
-        PeerHandle::new(peer_stats, Arc::clone(&homes[0].0)),
-        advertise,
+        PeerHandle::new(Arc::clone(&peer_stats), Arc::clone(&homes[0].0)),
+        advertise.clone(),
     ));
     let mut links = Some(PeerLinks::new(Arc::clone(&races), &config.peer));
+    let shard = Shard {
+        telemetry: Arc::clone(&telemetry),
+        sched: Arc::clone(&sched),
+        admission: Admission::new(config.admission, Arc::clone(sched.catalog())),
+        lanes: config.lanes.clone(),
+        placement: Arc::new(Placement::new(config.peer.explore_every)),
+        peers: peer_stats,
+        ledger: Arc::clone(&races.ledger),
+        advertise,
+    };
     let daemon = Arc::new(Daemon {
         pool,
         telemetry,
         sched,
-        admission,
-        lanes: config.lanes.clone(),
         ctl,
         races,
         inflight: InflightRemote::default(),
-        placement: Placement::new(config.peer.explore_every),
     });
 
     // Each reactor takes its own listener (the lone one, or its
@@ -334,7 +335,8 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
     let mut shard_stats = Vec::with_capacity(n_shards);
     let mut reactors = Vec::with_capacity(n_shards);
     for (listener, home) in listeners.into_iter().zip(homes) {
-        let (reactor, stats) = Reactor::new(listener, Arc::clone(&daemon), home, links.take());
+        let daemon = Arc::clone(&daemon);
+        let (reactor, stats) = Reactor::new(listener, daemon, shard.clone(), home, links.take());
         reactors.push(reactor);
         shard_stats.push(stats);
     }
@@ -373,11 +375,13 @@ fn bind_shard_listeners(addrs: &[SocketAddr], n_shards: usize) -> io::Result<Vec
 /// no cancel deadline here, no EDF deadline in the run queue, and the
 /// admission gate waves it through — the one documented meaning of zero.
 pub(crate) fn deadline_token(start: Instant, deadline_ms: u32) -> CancelToken {
-    if deadline_ms > 0 {
-        CancelToken::with_deadline_at(start + Duration::from_millis(u64::from(deadline_ms)))
-    } else {
-        CancelToken::new()
-    }
+    deadline_at(start, deadline_ms).map_or_else(CancelToken::new, CancelToken::with_deadline_at)
+}
+
+/// The instant a wire deadline counted from `start` falls due; `None`
+/// for best-effort (`deadline_ms == 0`).
+pub(crate) fn deadline_at(start: Instant, deadline_ms: u32) -> Option<Instant> {
+    (deadline_ms > 0).then(|| start + Duration::from_millis(u64::from(deadline_ms)))
 }
 
 /// How many alternatives catalog workload `widx` races (zero if unknown).
@@ -390,11 +394,11 @@ fn alternatives(widx: usize) -> usize {
 /// The race core all three entry points share: build the block —
 /// `stubs` marks the alternatives whose bodies are not constructed,
 /// because the scheduler pruned them — race it on a [`ThreadedEngine`]
-/// over a fresh workspace under `plan` (which leaves out whatever
-/// another node runs) and `token`, time it from `start`, and count
-/// contained panics. Returns
-/// the result and its latency in µs; `None` means the workload could
-/// not be built.
+/// under `plan` (which leaves out whatever another node runs) and
+/// `token`, time it from `start`, and count contained panics. No catalog
+/// body touches its workspace, so the race's is an empty one: neither it
+/// nor a fork of it allocates. Returns the result and its latency in µs;
+/// `None` means the workload could not be built.
 fn race(
     telemetry: &Telemetry,
     widx: usize,
@@ -406,7 +410,7 @@ fn race(
 ) -> Option<(BlockResult<u64>, u64)> {
     let spec = workload::CATALOG.get(widx)?;
     let block = workload::build_pruned(spec.name, arg, stubs)?;
-    let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
+    let mut workspace = AddressSpace::zeroed(0, PageSize::K4);
     let result = ThreadedEngine::new().execute_planned(&block, &mut workspace, token, plan);
     let latency_us = start.elapsed().as_micros() as u64;
     telemetry.add(Metric::AltPanics, result.panics as u64);
@@ -449,57 +453,63 @@ fn reply_for(result: BlockResult<u64>, latency_us: u64, token: &CancelToken) -> 
     }
 }
 
-/// Executes the race for one admitted request (worker context) and
+/// Executes the race for one admitted request, started at `start`, and
 /// records its outcome: the winner's latency and win count update the
 /// interned statistics the *next* plan reads, and the completed /
-/// deadline / error counters account for the reply.
+/// deadline / error counters account for the reply. Contained: a crash
+/// is an explicit error reply.
 pub(crate) fn run_race(
     telemetry: &Telemetry,
     sched: &HedgePolicy,
-    widx: usize,
-    deadline_ms: u32,
-    arg: u64,
+    RaceKey {
+        widx,
+        deadline_ms,
+        arg,
+    }: RaceKey,
+    start: Instant,
 ) -> Response {
-    // One instant per request: the deadline and the reported latency
-    // are read off the same clock start, so a `DeadlineExceeded` reply
-    // never reports less than the deadline it exceeded.
-    let start = Instant::now();
-    let token = deadline_token(start, deadline_ms);
-    // A pruned body is never constructed; if the favourite answers
-    // inside its envelope the stub never launches either.
-    let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
-    let stubs = prune.as_deref();
-    let Some((result, latency_us)) = race(telemetry, widx, arg, start, &token, &plan, stubs) else {
-        telemetry.on_error();
-        return Response::UnknownWorkload;
-    };
-    count_hedges(telemetry, &plan, &result);
-    // Every outcome feeds the service-time table the admission gate
-    // reads — timeouts included, or infeasibility could never be proven.
-    sched.record_service(widx, latency_us);
-    if deadline_ms > 0 && latency_us > u64::from(deadline_ms) * 1000 {
-        telemetry.add(Metric::DeadlineMisses, 1);
-    }
-    // The win table is fed the winner's own running time, τ(best): the
-    // race's latency has the wake-up and the switches in it, which are
-    // what the favourite-first rule weighs the body against.
-    let body_us = result
-        .winner_body
-        .map_or(latency_us, |body| body.as_micros() as u64);
-    let reply = reply_for(result, latency_us, &token);
-    match &reply {
-        Response::Ok { winner, .. } => {
-            let w = *winner as usize;
-            telemetry.on_completed(latency_us);
-            sched.record_win(widx, w, body_us);
-            if !plan.offset(w).is_zero() {
-                telemetry.add(Metric::HedgeWins, 1);
-            }
+    contained(telemetry, || {
+        // One instant per request: the deadline and the reported latency
+        // are read off the same clock start, so a `DeadlineExceeded` reply
+        // never reports less than the deadline it exceeded.
+        let token = deadline_token(start, deadline_ms);
+        // A pruned body is never constructed; if the favourite answers
+        // inside its envelope the stub never launches either.
+        let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
+        let stubs = prune.as_deref();
+        let Some((result, latency_us)) = race(telemetry, widx, arg, start, &token, &plan, stubs)
+        else {
+            telemetry.on_error();
+            return Response::UnknownWorkload;
+        };
+        count_hedges(telemetry, &plan, &result);
+        // Every outcome feeds the service-time table the admission gate
+        // reads — timeouts included, or infeasibility could never be proven.
+        sched.record_service(widx, latency_us);
+        if deadline_ms > 0 && latency_us > u64::from(deadline_ms) * 1000 {
+            telemetry.add(Metric::DeadlineMisses, 1);
         }
-        Response::DeadlineExceeded { .. } => telemetry.on_deadline_exceeded(),
-        _ => telemetry.on_error(),
-    }
-    reply
+        // The win table is fed the winner's own running time, τ(best): the
+        // race's latency has the wake-up and the switches in it, which are
+        // what the favourite-first rule weighs the body against.
+        let body_us = result
+            .winner_body
+            .map_or(latency_us, |body| body.as_micros() as u64);
+        let reply = reply_for(result, latency_us, &token);
+        match &reply {
+            Response::Ok { winner, .. } => {
+                let w = *winner as usize;
+                telemetry.on_completed(latency_us);
+                sched.record_win(widx, w, body_us);
+                if !plan.offset(w).is_zero() {
+                    telemetry.add(Metric::HedgeWins, 1);
+                }
+            }
+            Response::DeadlineExceeded { .. } => telemetry.on_deadline_exceeded(),
+            _ => telemetry.on_error(),
+        }
+        reply
+    })
 }
 
 /// Executes the *local leg* of a distributed race: every alternative
@@ -508,7 +518,8 @@ pub(crate) fn run_race(
 /// under the shared cancel token so a remote commit eliminates it
 /// mid-flight.
 ///
-/// Unlike [`run_race`] this records only engine-level costs.
+/// Unlike [`run_race`] this records only engine-level costs. Contained
+/// as that is.
 /// Race-outcome accounting — completed, win, deadline, error — belongs
 /// to the remote-race registry, which sees local and remote legs
 /// together and records each outcome exactly once at commit or failure.
@@ -520,17 +531,39 @@ pub(crate) fn run_subrace(
     token: &CancelToken,
     skip: &[bool],
 ) -> Response {
-    let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
-    // Shipped alternatives are not in this leg's race at all.
-    let plan = plan.excluding(skip);
-    let start = Instant::now();
-    match race(telemetry, widx, arg, start, token, &plan, prune.as_deref()) {
-        Some((result, latency_us)) => {
-            count_hedges(telemetry, &plan, &result);
-            reply_for(result, latency_us, token)
+    contained(telemetry, || {
+        let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
+        // Shipped alternatives are not in this leg's race at all.
+        let plan = plan.excluding(skip);
+        let start = Instant::now();
+        match race(telemetry, widx, arg, start, token, &plan, prune.as_deref()) {
+            Some((result, latency_us)) => {
+                count_hedges(telemetry, &plan, &result);
+                reply_for(result, latency_us, token)
+            }
+            None => Response::UnknownWorkload,
         }
-        None => Response::UnknownWorkload,
-    }
+    })
+}
+
+/// The reply a race job owes its request: its own, or — when the pool
+/// dropped the job unrun (injected `Fail` fault, worker killed mid-job,
+/// shutdown sweep) — an answer rather than a stranded request.
+pub(crate) fn or_worker_lost(reply: Option<Response>) -> Response {
+    reply.unwrap_or(Response::Error {
+        message: "worker lost".to_owned(),
+    })
+}
+
+/// Runs a race contained, so a crash becomes an explicit error reply;
+/// the pool's own `catch_unwind` is the backstop.
+fn contained(telemetry: &Telemetry, race: impl FnOnce() -> Response) -> Response {
+    catch_unwind(AssertUnwindSafe(race)).unwrap_or_else(|_| {
+        telemetry.on_error();
+        Response::Error {
+            message: "internal error: race panicked".to_owned(),
+        }
+    })
 }
 
 /// Executes one shipped alternative on behalf of a remote origin
@@ -596,7 +629,7 @@ pub(crate) fn alt_job(
 #[cfg(target_os = "linux")]
 mod tests {
     use super::*;
-    use crate::reactor::timer_slack_ns;
+    use crate::sys::timer_slack_ns;
 
     /// Runs `body` on a thread of its own and reads that thread's timer
     /// slack before and after.

@@ -169,9 +169,7 @@ fn trivial(names: &[&'static str], arg: u64, skip: Option<&[bool]>) -> AltBlock<
 }
 
 /// One alternative per name, each sleeping a time drawn from `dist` (seeded by
-/// `arg`, so the same request replays the same race). Each stamps its
-/// index into the workspace before succeeding — losing writes must
-/// never survive, and the engine's COW containment guarantees it.
+/// `arg`, so the same request replays the same race).
 fn sampled(
     names: &[&'static str],
     arg: u64,
@@ -185,12 +183,10 @@ fn sampled(
         // stay aligned so the kept alternatives replay their usual times.
         let ms = dist.sample(&mut rng).as_millis_f64();
         block = if wanted(skip, i) {
-            block.alternative(name, move |ws, token: &CancelToken| {
-                if !token.sleep(Duration::from_secs_f64(ms / 1_000.0)) {
-                    return None;
-                }
-                ws.write(0, &[i as u8 + 1]);
-                Some(ms.ceil() as u64)
+            block.alternative(name, move |_ws, token: &CancelToken| {
+                token
+                    .sleep(Duration::from_secs_f64(ms / 1_000.0))
+                    .then(|| ms.ceil() as u64)
             })
         } else {
             block.alternative(name, |_ws, _t| None)
@@ -412,6 +408,22 @@ mod tests {
             answer.is_none()
         });
         assert!(stopped, "the body ran to its end under 500 cancels");
+    }
+
+    /// The daemon races over an empty workspace: no body of the sampled
+    /// workloads writes to it. Each alternative runs to its answer over
+    /// zero pages.
+    #[test]
+    fn sampled_bodies_answer_over_an_empty_workspace() {
+        for name in ["lognormal", "bimodal"] {
+            for arg in 0..4 {
+                for alt in build(name, arg).unwrap().alternatives() {
+                    let mut empty = AddressSpace::zeroed(0, PageSize::K4);
+                    let answer = alt.run(&mut empty, &CancelToken::new());
+                    assert!(answer.is_some(), "{name} {arg} {}", alt.name());
+                }
+            }
+        }
     }
 
     #[test]

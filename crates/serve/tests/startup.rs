@@ -13,6 +13,7 @@
 use altx_serve::frame::Response;
 use altx_serve::Client;
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -28,8 +29,14 @@ struct Altxd {
 
 impl Altxd {
     fn spawn(addr: &str) -> Altxd {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_altxd"))
-            .args(["--addr", addr, "--workers", "2", "--shards", "1"])
+        let mut altxd = Command::new(env!("CARGO_BIN_EXE_altxd"));
+        altxd.args(["--addr", addr, "--workers", "2", "--shards", "1"]);
+        Altxd::start(altxd)
+    }
+
+    /// Starts `command`, which runs `altxd` in the process it starts.
+    fn start(mut command: Command) -> Altxd {
+        let mut child = command
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .spawn()
@@ -64,6 +71,19 @@ impl Altxd {
             .collect();
         names.sort();
         names
+    }
+
+    /// The CPU time the process has used, user and system, in the
+    /// kernel's clock ticks (`USER_HZ`, 100 a second).
+    fn cpu_ticks(&self) -> u64 {
+        let stat =
+            std::fs::read_to_string(format!("/proc/{}/stat", self.child.id())).expect("read stat");
+        // Fields 14 and 15, counted from the first past the command
+        // name, which ends at the last `)`.
+        let after_name = stat.rsplit_once(')').expect("a command name").1;
+        let fields: Vec<&str> = after_name.split_whitespace().collect();
+        let ticks = |i: usize| fields[i].parse::<u64>().expect("a tick count");
+        ticks(11) + ticks(12)
     }
 
     fn maps(&self) -> String {
@@ -228,4 +248,36 @@ fn the_command_line_takes_eight_flags_and_refuses_the_old_tuning_ones() {
             "altxd {removed}: {stderr}"
         );
     }
+}
+
+/// A daemon that runs out of file descriptors waits instead of spinning:
+/// an accept that fails leaves the listener readable, so it sits out of
+/// the poll set until a connection closes or the backstop has passed.
+/// Forty clients against a limit of sixteen descriptors, then one
+/// second of CPU time read from `/proc`: at most a fifth of it. Once the
+/// clients hang up, a fresh connection is served.
+#[test]
+fn a_daemon_out_of_descriptors_waits_for_one_instead_of_spinning() {
+    let mut limited = Command::new("sh");
+    limited.args([
+        "-c",
+        "ulimit -n 16 && exec \"$0\" --addr 127.0.0.1:0 --workers 2 --shards 1",
+        env!("CARGO_BIN_EXE_altxd"),
+    ]);
+    let altxd = Altxd::start(limited);
+    let addr = format!("127.0.0.1:{}", altxd.port);
+    let clients: Vec<TcpStream> = (0..40)
+        .map(|_| TcpStream::connect(&addr).expect("connect: the backlog takes it"))
+        .collect();
+    // Past the limit every accept fails, from now on.
+    std::thread::sleep(Duration::from_millis(200));
+    let before = altxd.cpu_ticks();
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = altxd.cpu_ticks() - before;
+    assert!(
+        spent < 20,
+        "{spent} ticks (1/100 s) of CPU in a second with its descriptors used up"
+    );
+    drop(clients);
+    assert_trivial_answered(&addr);
 }

@@ -145,15 +145,15 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -D warnings (core, cluster and solver crates: altx, serve, consensus, cluster, prolog)"
 cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster -p altx-prolog --all-targets -- -D warnings
 
-# `unsafe` lives in one corner of one crate — the reactor's `sys`
-# module: ppoll, the SO_REUSEPORT bind and the timer-slack prctl — and
-# every other crate forbids it. Among the tests, one binary may use it:
-# the prolog solver's counting `#[global_allocator]`, which forwards
-# every call to `System`. A binding that lands anywhere else fails here,
-# with the list.
-echo "==> unsafe audit: the word appears under crates/*/{src,tests} in reactor.rs and alloc_bounds.rs only"
+# `unsafe` lives in one file of one crate — `crates/serve/src/sys.rs`:
+# ppoll, the SO_REUSEPORT bind, the non-blocking connect, the
+# timer-slack prctl and mallopt — and every other crate forbids it.
+# Among the tests, one binary may use it: the prolog solver's counting
+# `#[global_allocator]`, which forwards every call to `System`. A
+# binding that lands anywhere else fails here, with the list.
+echo "==> unsafe audit: the word appears under crates/*/{src,tests} in sys.rs and alloc_bounds.rs only"
 UNSAFE_FILES=$(grep -rlw unsafe crates/*/src crates/*/tests | sort | xargs)
-[ "$UNSAFE_FILES" = "crates/prolog/tests/alloc_bounds.rs crates/serve/src/reactor.rs" ] || {
+[ "$UNSAFE_FILES" = "crates/prolog/tests/alloc_bounds.rs crates/serve/src/sys.rs" ] || {
     echo "unsafe audit: files containing \`unsafe\`: $UNSAFE_FILES" >&2
     exit 1
 }
@@ -184,6 +184,18 @@ cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_
 # the altx_check seed that replays it.
 echo "==> peer-link schedule property (2500 seeded schedules, virtual time, no sockets)"
 cargo test -q -p altx-serve --lib link::tests::any_schedule_keeps_every_link_rule
+
+# A reactor shard's request path is a pure value too — a decoded frame,
+# the instant it was read and the pool's load in, one action out — so
+# its decisions are seeds as well: 2 500 cases of random frames over a
+# few connections (every opcode, malformed bodies, unknown workloads,
+# deadlines, SHUTDOWN mid-batch, a drain) against pinned catalog
+# statistics, pool load and up peers, with no socket, no thread and no
+# clock read. Every request gets the one decision the gate, a twin
+# placement policy and the published verdicts give. A failure prints
+# the altx_check seed that replays it.
+echo "==> shard decision property (2500 seeded frames, no sockets, no threads)"
+cargo test -q -p altx-serve --lib reactor::tests::every_request_gets_the_one_decision_the_rules_give
 
 # A race in flight is a value moved to whoever decides it, and the one
 # way it reaches a connection is the write half's slot-fill rule: 2 500
@@ -252,7 +264,7 @@ done
 # width must stay admissible, whatever the thread timing.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight, pool, link core, ring, sched, edf, pool_drain, reactor (the favourite-first path with it), loopback and timer_slack suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight and shard decisions, pool, link core, ring, sched, edf, pool_drain, reactor (the favourite-first path with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
