@@ -188,7 +188,9 @@ fn client_loop(
                 eprintln!("altx-load: server error: {message}");
             }
             Response::Text { .. } => return Err("unexpected text reply".to_owned()),
-            Response::Vote { .. } => return Err("unexpected vote reply".to_owned()),
+            Response::Vote { .. } | Response::AltResult { .. } => {
+                return Err("unexpected peer-plane reply".to_owned())
+            }
         }
     }
     Ok(tallies)

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! altxd [--addr HOST:PORT] [--workers N] [--shards N] [--hedge]
-//!       [--peer HOST:PORT]... [--advertise HOST:PORT]
+//!       [--peer HOST:PORT]... [--advertise NAME]
 //!       [--lanes SPEC] [--admission]
 //! ```
 //!
@@ -42,9 +42,9 @@
 //! outbound link to each named peer, ships non-favourite alternatives
 //! to lightly loaded peers when the transfer model says it pays, and
 //! commits each race's winner through a majority vote across the nodes
-//! that were up when the race started. `--advertise HOST:PORT` sets
-//! the identity peers use to reach back (defaults to the bind
-//! address).
+//! that were up when the race started. `--advertise NAME` sets this
+//! node's identity in the cluster (defaults to the bind address);
+//! nobody dials it — a result comes back on the link that shipped it.
 //!
 //! Deadline-aware scheduling (all off by default — the defaults are
 //! byte-for-byte the classic FIFO pool): `--lanes SPEC` declares
@@ -118,7 +118,7 @@ fn parse_args() -> Result<(ServerConfig, Option<usize>), String> {
             "--help" | "-h" => {
                 println!(
                     "usage: altxd [--addr HOST:PORT] [--workers N] [--shards N] [--hedge] \
-                     [--peer HOST:PORT]... [--advertise HOST:PORT] \
+                     [--peer HOST:PORT]... [--advertise NAME] \
                      [--lanes SPEC] [--admission]"
                 );
                 std::process::exit(0);

@@ -18,6 +18,9 @@
 //! order: a reply for seq 3 parks in its slot until seqs 1 and 2 have
 //! been released, so replies always come back in request order no
 //! matter which race finishes first *or which thread delivers it*.
+//! A result pushed for a peer's shipped alternative ([`WriteState::push`])
+//! takes no sequence number: it joins the queue between whole frames.
+//!
 //! That order, "each reply once" and "no byte after close" are mutual-
 //! exclusion properties of the write half's lock, not by-products of a
 //! single owning thread; [`WriteState`] takes its writer as a
@@ -176,6 +179,11 @@ impl WriteHalf {
         self.locked(|state, stream| state.deliver(seq, frame, stream, pool))
     }
 
+    /// See [`WriteState::push`].
+    pub(crate) fn push(&self, frame: EncodedReply) -> bool {
+        self.locked(|state, stream| state.push(frame, stream))
+    }
+
     /// The socket reported writable: flushes what a delivery left
     /// behind. `false` when nothing was queued — some delivery drained
     /// it between the poll registration and the event.
@@ -321,6 +329,18 @@ impl WriteState {
         }
         self.note_activity(was_active);
         self.flush(w, pool);
+        self.has_output() || self.interest(false).is_none()
+    }
+
+    /// Queues a frame that answers no request behind the whole frames
+    /// queued, and writes as [`WriteState::deliver`] does; a closed half
+    /// drops it.
+    pub(crate) fn push(&mut self, frame: EncodedReply, w: &mut impl Write) -> bool {
+        if self.closed {
+            return false;
+        }
+        self.out.push_back(frame);
+        self.flush(w, None);
         self.has_output() || self.interest(false).is_none()
     }
 
@@ -479,15 +499,32 @@ mod tests {
         .into()
     }
 
+    /// The result pushed for the `k`th leg a connection shipped: bytes
+    /// no reply has.
+    fn pushed(k: u64, ring: &ReplyRing) -> (EncodedReply, Vec<u8>) {
+        let response = Response::AltResult {
+            race_id: k,
+            alt_idx: 1,
+            status: 0,
+            value: k,
+            latency_us: 3,
+        };
+        let frame = EncodedReply::encode(&response, ring);
+        let bytes = frame.bytes().to_vec();
+        (frame, bytes)
+    }
+
     /// The write half's contract, for any order in which requests
     /// begin, replies are delivered (late, twice, for seqs that never
-    /// existed), the peer stops sending, the socket accepts, blocks or
-    /// fails, and the reactor reclaims the connection: the peer sees
-    /// exactly the frames in seq order, each once; `deliver` asks for
-    /// the reactor iff output is left, the write failed, or the
-    /// connection became closable; a closed half writes nothing; the
-    /// `conns_active` gauge is 1 exactly while a reply is owed; and
-    /// every ring slot comes home.
+    /// existed), results are pushed, the peer stops sending, the socket
+    /// accepts, blocks or fails, and the reactor reclaims the
+    /// connection: the peer sees exactly the sequenced frames in seq
+    /// order, each once, with every push whole between two of them, at
+    /// the point it was made; `deliver` and `push` ask for the reactor
+    /// iff output is left, the write failed, or the connection became
+    /// closable; a closed half writes nothing; the `conns_active` gauge
+    /// is 1 exactly while a reply is owed; and every ring slot comes
+    /// home.
     #[test]
     fn any_delivery_schedule_writes_each_frame_once_in_seq_order() {
         check("write_half_schedules", 2_500, |rng| {
@@ -502,6 +539,9 @@ mod tests {
             let mut delivered = vec![false; n as usize];
             let mut frames: Vec<Vec<u8>> = vec![Vec::new(); n as usize];
             let (mut read_closed, mut closed) = (false, false);
+            // Every frame released to the queue, in release order: what
+            // the wire must be a prefix of.
+            let (mut expected, mut released, mut pushes) = (Vec::new(), 0, 0);
 
             let mut step = 0;
             while begun < n || !undelivered.is_empty() {
@@ -524,32 +564,51 @@ mod tests {
                 if undelivered.is_empty() {
                     break; // the peer stopped sending with nothing owed
                 }
-                // A real delivery, or a stray: a duplicate of one
-                // already made, or a seq no request ever had.
-                let seq = if rng.chance(0.15) {
-                    rng.u64_below(begun + 3)
-                } else {
-                    undelivered.swap_remove(rng.usize_in(0, undelivered.len()))
-                };
-                let stray = seq >= begun || delivered[seq as usize];
-                // A stray carries bytes no real reply has, so one that
-                // displaced a parked frame would show on the wire.
-                let content = if stray { seq + 1_000 } else { seq };
-                let (frame, bytes) = reply(content, &ring);
-                if !stray {
-                    undelivered.retain(|&s| s != seq);
-                    delivered[seq as usize] = true;
-                    frames[seq as usize] = bytes;
-                }
                 w.script.extend(script(rng, fail_p));
                 let wire_before = w.wire.len();
-                let pool = rng.bool().then_some(&mut pool);
-                let needs_reactor = state.deliver(seq, frame, &mut w, pool);
+                let needs_reactor = if rng.chance(0.2) {
+                    // A leg this connection shipped finished.
+                    pushes += 1;
+                    let (frame, bytes) = pushed(pushes, &ring);
+                    if !closed {
+                        expected.extend(bytes);
+                    }
+                    state.push(frame, &mut w)
+                } else {
+                    // A real delivery, or a stray: a duplicate of one
+                    // already made, or a seq no request ever had.
+                    let seq = if rng.chance(0.15) {
+                        rng.u64_below(begun + 3)
+                    } else {
+                        undelivered.swap_remove(rng.usize_in(0, undelivered.len()))
+                    };
+                    let stray = seq >= begun || delivered[seq as usize];
+                    // A stray carries bytes no real reply has, so one that
+                    // displaced a parked frame would show on the wire.
+                    let content = if stray { seq + 1_000 } else { seq };
+                    let (frame, bytes) = reply(content, &ring);
+                    if !stray {
+                        undelivered.retain(|&s| s != seq);
+                        delivered[seq as usize] = true;
+                        frames[seq as usize] = bytes;
+                    }
+                    let pool = rng.bool().then_some(&mut pool);
+                    let needs_reactor = state.deliver(seq, frame, &mut w, pool);
+                    // Released in seq order: everything deliverable so far.
+                    let now_released = delivered.iter().take_while(|d| **d).count();
+                    if !closed {
+                        expected.extend(frames[released..now_released].concat());
+                    }
+                    released = now_released;
+                    needs_reactor
+                };
 
-                // The model: everything deliverable in order, so far.
-                let released = delivered.iter().take_while(|d| **d).count();
-                let expected: Vec<u8> = frames[..released].concat();
-                assert!(expected.starts_with(&w.wire), "frames in seq order, once");
+                // The model: sequenced frames in seq order, pushes whole
+                // where they were made, nothing twice.
+                assert!(
+                    expected.starts_with(&w.wire),
+                    "frames whole, in order, once"
+                );
                 if closed {
                     assert_eq!(w.wire.len(), wire_before, "a closed half writes nothing");
                     assert!(!needs_reactor, "a closed half needs nobody");
@@ -558,7 +617,7 @@ mod tests {
                 let owed = released as u64 != begun;
                 assert_eq!(stats.conns_active(), u64::from(owed), "active iff owed");
                 let output_left = w.wire.len() < expected.len();
-                let closable = read_closed && released as u64 == begun && !output_left;
+                let closable = read_closed && !owed && !output_left;
                 assert_eq!(
                     needs_reactor,
                     w.failed || output_left || closable,
@@ -571,8 +630,7 @@ mod tests {
             if !closed && !w.failed {
                 w.script = vec![Step::Accept(usize::MAX); 64].into();
                 state.flush(&mut w, Some(&mut pool));
-                let released = delivered.iter().take_while(|d| **d).count();
-                assert_eq!(w.wire, frames[..released].concat(), "every released frame");
+                assert_eq!(w.wire, expected, "every released frame");
                 assert_eq!(
                     state.interest(false).is_none(),
                     read_closed && released as u64 == begun

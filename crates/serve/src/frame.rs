@@ -6,7 +6,9 @@
 //! short read surfaces as [`FrameError::Truncated`] rather than a hang
 //! or a panic.
 //!
-//! Request body layout (all integers big-endian):
+//! Request body layout (all integers big-endian; every `_len: u16`
+//! string is cut to its longest prefix of at most 65 535 bytes that ends
+//! on a character boundary):
 //!
 //! ```text
 //! RUN:         0x01 | deadline_ms: u32 | arg: u64 | name_len: u16 | name
@@ -17,8 +19,7 @@
 //! EXEC_ALT:    0x06 | race_id: u64 | alt_idx: u32 | deadline_ms: u32
 //!                   | arg: u64 | name_len: u16 | workload
 //!                   | origin_len: u16 | origin
-//! ALT_RESULT:  0x07 | race_id: u64 | alt_idx: u32 | status: u8
-//!                   | value: u64 | latency_us: u64
+//!              0x07   unassigned (an unknown opcode)
 //! COMMIT_VOTE: 0x08 | race_id: u64 | origin_len: u16 | origin
 //!                   | cand_len: u16 | candidate
 //! ELIMINATE:   0x09 | race_id: u64 | origin_len: u16 | origin
@@ -37,21 +38,25 @@
 //! ERROR:             0x04 | msg_len: u16 | message
 //! TEXT:              0x05 | body_len: u32 | body      (STATS/PROMETHEUS)
 //! VOTE:              0x06 | granted: u8 | holder_len: u16 | holder
+//! ALT_RESULT:        0x07 | race_id: u64 | alt_idx: u32 | status: u8
+//!                         | value: u64 | latency_us: u64   (unsolicited)
 //! ```
 //!
-//! Opcodes 0x06–0x0B and the VOTE status are the peering plane (see
-//! `peer.rs` / `remote.rs` / `commit.rs`): `EXEC_ALT` ships one
-//! alternative of a race to a peer (acked immediately; the outcome
-//! comes back later as an `ALT_RESULT` request on the executor's own
-//! link to the origin), `COMMIT_VOTE` asks for the voter's exclusive
-//! 0–1 commit grant, `ELIMINATE` cancels a shipped alternative after
-//! the race is decided, and `RECONCILE` is sent on reconnect after a
-//! partition: every race the origin created with an id below the
-//! watermark is decided, so the receiver cancels any zombie executions
-//! and reclaims its commit-ledger slots for them. A daemon that
-//! predates these opcodes answers them with a protocol `ERROR` reply
-//! and keeps the connection — version skew fails loudly per request,
-//! not by dropping the link.
+//! Opcodes 0x06–0x0B and the VOTE and ALT_RESULT statuses are the
+//! peering plane (see `peer.rs` / `remote.rs` / `commit.rs`): `EXEC_ALT`
+//! ships one alternative of a race to a peer (acked at once; the outcome
+//! comes back later as an unsolicited `ALT_RESULT` the executor pushes on
+//! the connection the `EXEC_ALT` arrived on), `COMMIT_VOTE` asks for the
+//! voter's exclusive 0–1 commit grant, `ELIMINATE` cancels a shipped
+//! alternative after the race is decided, and `RECONCILE` is sent on
+//! reconnect after a partition: every race the origin created with an
+//! id below the watermark is decided, so the receiver cancels any zombie
+//! executions and reclaims its commit-ledger slots for them. A daemon
+//! that predates these opcodes answers them with a protocol `ERROR`
+//! reply and keeps the connection — version skew fails loudly per
+//! request, not by dropping the link. Clusters mixing builds from before
+//! the pushed `ALT_RESULT` (a request then) with later ones are not
+//! supported.
 
 use std::io::{self, IoSlice, Read, Write};
 
@@ -313,8 +318,8 @@ pub enum Request {
     Catalog,
     /// Peer plane: run *one* alternative of a race on this node. The
     /// immediate reply only acks admission (`Text` or `Overloaded`);
-    /// the outcome travels back as an [`Request::AltResult`] on the
-    /// executor's own link to `origin`.
+    /// the outcome travels back later as a [`Response::AltResult`] the
+    /// executor pushes on the connection this request arrived on.
     ExecAlt {
         /// Race identifier, unique within the origin node.
         race_id: u64,
@@ -326,23 +331,9 @@ pub enum Request {
         arg: u64,
         /// Registered workload name.
         workload: String,
-        /// The origin node's advertised peer address — where the
-        /// result and any elimination bookkeeping go back to.
+        /// The origin node's advertised identity, which scopes `race_id`
+        /// here; nobody dials it.
         origin: String,
-    },
-    /// Peer plane: the outcome of a shipped alternative, sent by the
-    /// executor to the race's origin.
-    AltResult {
-        /// Race identifier (the origin's id space).
-        race_id: u64,
-        /// Which alternative this outcome belongs to.
-        alt_idx: u32,
-        /// One of [`ALT_OK`], [`ALT_FAILED`], [`ALT_DEADLINE`].
-        status: u8,
-        /// The alternative's value (meaningful only for [`ALT_OK`]).
-        value: u64,
-        /// Executor-side latency in microseconds.
-        latency_us: u64,
     },
     /// Peer plane: request this node's exclusive 0–1 commit vote for
     /// `candidate` in race `(origin, race_id)`. Answered with
@@ -389,7 +380,25 @@ pub const ALT_DEADLINE: u8 = 2;
 /// wire — length prefix, 29 bytes of fixed fields, the two names — what
 /// placement prices a shipped alternative at.
 pub fn exec_alt_frame_len(workload: &str, origin: &str) -> usize {
-    4 + 29 + workload.len() + origin.len()
+    4 + 29 + short_str(workload).len() + short_str(origin).len()
+}
+
+/// The part of `s` a `u16`-prefixed field carries: its longest prefix of
+/// at most `u16::MAX` bytes that ends on a character boundary, so the
+/// prefix never wraps and the field never splits a character.
+fn short_str(s: &str) -> &str {
+    let mut end = s.len().min(u16::MAX as usize);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
+}
+
+/// Appends `s` as a `u16`-prefixed field, cut as [`short_str`] cuts it.
+fn put_str16(b: &mut Vec<u8>, s: &str) {
+    let s = short_str(s).as_bytes();
+    b.extend_from_slice(&(s.len() as u16).to_be_bytes());
+    b.extend_from_slice(s);
 }
 
 const OP_RUN: u8 = 0x01;
@@ -398,7 +407,6 @@ const OP_PROMETHEUS: u8 = 0x03;
 const OP_SHUTDOWN: u8 = 0x04;
 const OP_CATALOG: u8 = 0x05;
 const OP_EXEC_ALT: u8 = 0x06;
-const OP_ALT_RESULT: u8 = 0x07;
 const OP_COMMIT_VOTE: u8 = 0x08;
 const OP_ELIMINATE: u8 = 0x09;
 const OP_PEER_STATS: u8 = 0x0A;
@@ -413,13 +421,11 @@ impl Request {
                 deadline_ms,
                 arg,
             } => {
-                let name = workload.as_bytes();
-                let mut b = Vec::with_capacity(15 + name.len());
+                let mut b = Vec::with_capacity(15 + workload.len());
                 b.push(OP_RUN);
                 b.extend_from_slice(&deadline_ms.to_be_bytes());
                 b.extend_from_slice(&arg.to_be_bytes());
-                b.extend_from_slice(&(name.len() as u16).to_be_bytes());
-                b.extend_from_slice(name);
+                put_str16(&mut b, workload);
                 b
             }
             Request::Stats => vec![OP_STATS],
@@ -434,33 +440,14 @@ impl Request {
                 workload,
                 origin,
             } => {
-                let (name, from) = (workload.as_bytes(), origin.as_bytes());
                 let mut b = Vec::with_capacity(exec_alt_frame_len(workload, origin) - 4);
                 b.push(OP_EXEC_ALT);
                 b.extend_from_slice(&race_id.to_be_bytes());
                 b.extend_from_slice(&alt_idx.to_be_bytes());
                 b.extend_from_slice(&deadline_ms.to_be_bytes());
                 b.extend_from_slice(&arg.to_be_bytes());
-                b.extend_from_slice(&(name.len() as u16).to_be_bytes());
-                b.extend_from_slice(name);
-                b.extend_from_slice(&(from.len() as u16).to_be_bytes());
-                b.extend_from_slice(from);
-                b
-            }
-            Request::AltResult {
-                race_id,
-                alt_idx,
-                status,
-                value,
-                latency_us,
-            } => {
-                let mut b = Vec::with_capacity(30);
-                b.push(OP_ALT_RESULT);
-                b.extend_from_slice(&race_id.to_be_bytes());
-                b.extend_from_slice(&alt_idx.to_be_bytes());
-                b.push(*status);
-                b.extend_from_slice(&value.to_be_bytes());
-                b.extend_from_slice(&latency_us.to_be_bytes());
+                put_str16(&mut b, workload);
+                put_str16(&mut b, origin);
                 b
             }
             Request::CommitVote {
@@ -468,34 +455,26 @@ impl Request {
                 origin,
                 candidate,
             } => {
-                let from = origin.as_bytes();
-                let cand = candidate.as_bytes();
-                let mut b = Vec::with_capacity(13 + from.len() + cand.len());
+                let mut b = Vec::with_capacity(13 + origin.len() + candidate.len());
                 b.push(OP_COMMIT_VOTE);
                 b.extend_from_slice(&race_id.to_be_bytes());
-                b.extend_from_slice(&(from.len() as u16).to_be_bytes());
-                b.extend_from_slice(from);
-                b.extend_from_slice(&(cand.len() as u16).to_be_bytes());
-                b.extend_from_slice(cand);
+                put_str16(&mut b, origin);
+                put_str16(&mut b, candidate);
                 b
             }
             Request::Eliminate { race_id, origin } => {
-                let from = origin.as_bytes();
-                let mut b = Vec::with_capacity(11 + from.len());
+                let mut b = Vec::with_capacity(11 + origin.len());
                 b.push(OP_ELIMINATE);
                 b.extend_from_slice(&race_id.to_be_bytes());
-                b.extend_from_slice(&(from.len() as u16).to_be_bytes());
-                b.extend_from_slice(from);
+                put_str16(&mut b, origin);
                 b
             }
             Request::PeerStats => vec![OP_PEER_STATS],
             Request::Reconcile { watermark, origin } => {
-                let from = origin.as_bytes();
-                let mut b = Vec::with_capacity(11 + from.len());
+                let mut b = Vec::with_capacity(11 + origin.len());
                 b.push(OP_RECONCILE);
                 b.extend_from_slice(&watermark.to_be_bytes());
-                b.extend_from_slice(&(from.len() as u16).to_be_bytes());
-                b.extend_from_slice(from);
+                put_str16(&mut b, origin);
                 b
             }
         }
@@ -536,21 +515,6 @@ impl Request {
                     arg,
                     workload,
                     origin,
-                }
-            }
-            OP_ALT_RESULT => {
-                let race_id = c.u64()?;
-                let alt_idx = c.u32()?;
-                let status = c.u8()?;
-                if status > ALT_DEADLINE {
-                    return Err(FrameError::Malformed("bad alt-result status"));
-                }
-                Request::AltResult {
-                    race_id,
-                    alt_idx,
-                    status,
-                    value: c.u64()?,
-                    latency_us: c.u64()?,
                 }
             }
             OP_COMMIT_VOTE => {
@@ -628,6 +592,20 @@ pub enum Response {
         /// first granted to).
         holder: String,
     },
+    /// Peer plane: the outcome of a shipped alternative, pushed unasked
+    /// on the connection its [`Request::ExecAlt`] arrived on.
+    AltResult {
+        /// Race identifier (the origin's id space).
+        race_id: u64,
+        /// Which alternative this outcome belongs to.
+        alt_idx: u32,
+        /// One of [`ALT_OK`], [`ALT_FAILED`], [`ALT_DEADLINE`].
+        status: u8,
+        /// The alternative's value (meaningful only for [`ALT_OK`]).
+        value: u64,
+        /// Executor-side latency in microseconds.
+        latency_us: u64,
+    },
 }
 
 const ST_OK: u8 = 0x00;
@@ -637,6 +615,7 @@ const ST_UNKNOWN: u8 = 0x03;
 const ST_ERROR: u8 = 0x04;
 const ST_TEXT: u8 = 0x05;
 const ST_VOTE: u8 = 0x06;
+const ST_ALT_RESULT: u8 = 0x07;
 
 impl Response {
     /// Serializes into a frame body.
@@ -656,14 +635,12 @@ impl Response {
                 latency_us,
                 value,
             } => {
-                let name = winner_name.as_bytes();
-                b.reserve(23 + name.len());
+                b.reserve(23 + winner_name.len());
                 b.push(ST_OK);
                 b.extend_from_slice(&winner.to_be_bytes());
                 b.extend_from_slice(&latency_us.to_be_bytes());
                 b.extend_from_slice(&value.to_be_bytes());
-                b.extend_from_slice(&(name.len() as u16).to_be_bytes());
-                b.extend_from_slice(name);
+                put_str16(b, winner_name);
             }
             Response::DeadlineExceeded { latency_us } => {
                 b.push(ST_DEADLINE);
@@ -672,11 +649,8 @@ impl Response {
             Response::Overloaded => b.push(ST_OVERLOADED),
             Response::UnknownWorkload => b.push(ST_UNKNOWN),
             Response::Error { message } => {
-                let msg = message.as_bytes();
-                let msg = &msg[..msg.len().min(u16::MAX as usize)];
                 b.push(ST_ERROR);
-                b.extend_from_slice(&(msg.len() as u16).to_be_bytes());
-                b.extend_from_slice(msg);
+                put_str16(b, message);
             }
             Response::Text { body } => {
                 let text = body.as_bytes();
@@ -685,12 +659,25 @@ impl Response {
                 b.extend_from_slice(text);
             }
             Response::Vote { granted, holder } => {
-                let who = holder.as_bytes();
-                b.reserve(4 + who.len());
+                b.reserve(4 + holder.len());
                 b.push(ST_VOTE);
                 b.push(u8::from(*granted));
-                b.extend_from_slice(&(who.len() as u16).to_be_bytes());
-                b.extend_from_slice(who);
+                put_str16(b, holder);
+            }
+            Response::AltResult {
+                race_id,
+                alt_idx,
+                status,
+                value,
+                latency_us,
+            } => {
+                b.reserve(30);
+                b.push(ST_ALT_RESULT);
+                b.extend_from_slice(&race_id.to_be_bytes());
+                b.extend_from_slice(&alt_idx.to_be_bytes());
+                b.push(*status);
+                b.extend_from_slice(&value.to_be_bytes());
+                b.extend_from_slice(&latency_us.to_be_bytes());
             }
         }
     }
@@ -702,12 +689,13 @@ impl Response {
     /// encode pass.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Response::Ok { winner_name, .. } => 23 + winner_name.len(),
+            Response::Ok { winner_name, .. } => 23 + short_str(winner_name).len(),
             Response::DeadlineExceeded { .. } => 9,
             Response::Overloaded | Response::UnknownWorkload => 1,
-            Response::Error { message } => 3 + message.len().min(u16::MAX as usize),
+            Response::Error { message } => 3 + short_str(message).len(),
             Response::Text { body } => 5 + body.len(),
-            Response::Vote { holder, .. } => 4 + holder.len(),
+            Response::Vote { holder, .. } => 4 + short_str(holder).len(),
+            Response::AltResult { .. } => 30,
         }
     }
 
@@ -753,6 +741,21 @@ impl Response {
                 Response::Vote {
                     granted,
                     holder: c.str(len)?,
+                }
+            }
+            ST_ALT_RESULT => {
+                let race_id = c.u64()?;
+                let alt_idx = c.u32()?;
+                let status = c.u8()?;
+                if status > ALT_DEADLINE {
+                    return Err(FrameError::Malformed("bad alt-result status"));
+                }
+                Response::AltResult {
+                    race_id,
+                    alt_idx,
+                    status,
+                    value: c.u64()?,
+                    latency_us: c.u64()?,
                 }
             }
             op => return Err(FrameError::UnknownOpcode(op)),

@@ -2,7 +2,8 @@
 //! not a socket call.
 //!
 //! [`LinkTable`] is the **core** under shard 0's peer links
-//! ([`crate::peer`] is its shell): per link, whether it is down,
+//! ([`crate::peer`] is its shell): one link per configured `--peer`, and
+//! no other is ever dialled. Per link: whether it is down,
 //! dialling or up, the in-order correlation FIFO of the requests in
 //! flight on it, the frames parked for its next dial, its backoff, its
 //! health and its heartbeat clock. Everything that can happen to a link
@@ -19,12 +20,12 @@
 //!
 //! | `Event` | what the core does | `Action`s it may return |
 //! |---|---|---|
-//! | `Send(cmd, fault)` | an address it has never seen becomes a *dynamic* link (an executor's way home to an origin outside its peer list) and is dialled on the spot, the frame held for the outcome; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a *configured* link that is down or dialling parks `Fire` / `Eliminate` frames for its next dial and refuses the rest at once, a dynamic one that is dialling holds everything; beyond `MAX_QUEUED` the oldest parked or held frame is dropped, and refused if somebody waits on it | `Dial`, `Write`, `Race` (refusal) |
-//! | `Dialed { connected: false }` — the shell's answer to `Dial` | configured: the next dial is one backoff away and the backoff doubles (50 ms → 2 s); dynamic: every held frame is refused and the link forgotten — nothing is kept for a dead origin. An answer for a link with no dial out changes nothing | `Race` (refusal) |
+//! | `Send(cmd, fault)` | an address outside the peer list is refused at once and never dialled; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a link that is down or dialling parks `Fire` / `Eliminate` frames for its next dial — beyond `MAX_QUEUED` the oldest is dropped — and refuses the rest at once | `Write`, `Race` (refusal) |
+//! | `Dialed { connected: false }` — the shell's answer to `Dial` | the next dial is one backoff away and the backoff doubles (50 ms → 2 s). An answer for a link with no dial out changes nothing | — |
 //! | `Dialed { connected: true, watermark }` | the link is up, its backoff and silence clock start over, its health is **not** touched; on a re-dial `RECONCILE(watermark)` goes first, then everything parked (the `ELIMINATE`s unacknowledged at the last close among it), then the priming heartbeat | `Stat(Up(true))`, `Stat(Reconnected)`, `Frame`… |
-//! | `Reply { resp, fault }` | pairs the reply with the oldest tag in flight: a lost reply consumes its tag silently; a cut, undecodable or unasked-for one closes the link; anything else is proof of life (health → `Up`), an rtt sample, and the tag's answer — twice when duplicated | `Stat(Health)`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
-//! | `Closed(addr)` | an up link: every tag in flight is refused, unacknowledged `ELIMINATE`s are re-parked for replay, the redial is one initial backoff away; a dynamic link is forgotten instead. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
-//! | `Tick` | a down configured link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up configured link whose heartbeat is due is aged by its silence, and then either reset (as `Closed`) because it has been silent long enough to quarantine a healthy peer, or probed | `Dial`, `Abandon`, `Race` (refusal), `Stat(Health)`, `Frame` (heartbeat), or as `Closed` |
+//! | `Reply { resp, fault }` | a *pushed* `ALT_RESULT` is recognised before pairing: it takes no tag and gives no rtt sample, and is its race's `LegResult` — twice when duplicated, not at all when lost; any other frame pairs with the oldest tag in flight: a lost reply consumes its tag silently, and a paired one is an rtt sample and the tag's answer — twice when duplicated; a cut, undecodable or unasked-for frame closes the link, and any other is proof of life (health → `Up`) | `Stat(Health)`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
+//! | `Closed(addr)` | an up link: every tag in flight is refused, unacknowledged `ELIMINATE`s are re-parked for replay, the redial is one initial backoff away. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
+//! | `Tick` | a down link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up link whose heartbeat is due is aged by its silence, and then either reset (as `Closed`) because it has been silent long enough to quarantine a healthy peer, or probed | `Dial`, `Abandon`, `Stat(Health)`, `Frame` (heartbeat), or as `Closed` |
 //!
 //! A refusal converts the tag: a shipped alternative becomes
 //! `LegRefused`, a vote a denial, and nobody waits on the other tags.
@@ -132,12 +133,8 @@ enum State {
 }
 
 struct Link {
-    /// Configured links persist, park and redial for ever; dynamic
-    /// links exist while their dial is out or their stream is up.
-    configured: bool,
     state: State,
-    /// Frames waiting for a dial: parked on a down configured link,
-    /// held on a dynamic one until its dial returns.
+    /// Frames parked for the next dial while the link is not up.
     queue: VecDeque<(Request, SendTag)>,
     backoff: Duration,
     next_dial: Instant,
@@ -150,10 +147,9 @@ struct Link {
 }
 
 impl Link {
-    fn new(configured: bool, state: State, now: Instant) -> Self {
+    fn new(now: Instant) -> Self {
         Link {
-            configured,
-            state,
+            state: State::Down,
             queue: VecDeque::new(),
             backoff: BACKOFF_INITIAL,
             next_dial: now,
@@ -164,19 +160,17 @@ impl Link {
         }
     }
 
-    /// Queues a frame for the next dial, dropping the oldest beyond
-    /// [`MAX_QUEUED`] — refused, if somebody waits on it.
-    fn park(&mut self, addr: &str, req: Request, tag: SendTag, out: &mut Vec<Action>) {
+    /// Queues a fire-and-forget frame for the next dial, dropping the
+    /// oldest beyond [`MAX_QUEUED`]: nobody waits on one.
+    fn park(&mut self, req: Request, tag: SendTag) {
         self.queue.push_back((req, tag));
         if self.queue.len() > MAX_QUEUED {
-            if let Some((_, dropped)) = self.queue.pop_front() {
-                refuse(addr, dropped, out);
-            }
+            self.queue.pop_front();
         }
     }
 
-    /// The link's one timer: a dial's timeout, a down configured link's
-    /// next dial, an up one's next heartbeat. Health is looked at when
+    /// The link's one timer: a dial's timeout, a down link's next dial,
+    /// an up one's next heartbeat. Health is looked at when
     /// the heartbeat is due, so the silent-link reset comes within one
     /// cadence of the silence that earns it.
     fn alarm(&self, heartbeat: Duration) -> Option<Instant> {
@@ -184,14 +178,13 @@ impl Link {
             #[cfg(test)]
             State::Dialling(_) if tests::broken::endless_dial() => None,
             State::Dialling(until) => Some(until),
-            _ if !self.configured => None,
             State::Down => Some(self.next_dial),
             State::Up { .. } => (!heartbeat.is_zero()).then(|| self.last_hb + heartbeat),
         }
     }
 
-    /// Up → down: every tag in flight is refused, and a configured
-    /// link re-parks its unacknowledged `ELIMINATE`s — the race's
+    /// Up → down: every tag in flight is refused, and the link re-parks
+    /// its unacknowledged `ELIMINATE`s — the race's
     /// outcome no longer needs them, but the peer must still learn it
     /// or it keeps racing a ghost — and redials one initial backoff
     /// from now. A link that is already down is left alone.
@@ -202,14 +195,22 @@ impl Link {
         out.push(Action::Stat(addr.to_owned(), Stat::Up(false)));
         self.next_dial = now + BACKOFF_INITIAL;
         for (tag, _) in pending {
-            if let (true, SendTag::Eliminate { race_id }) = (self.configured, tag) {
+            if let SendTag::Eliminate { race_id } = tag {
                 // Rebuilt for replay under this node's identity.
                 let origin = origin.to_owned();
-                self.park(addr, Request::Eliminate { race_id, origin }, tag, out);
+                self.park(Request::Eliminate { race_id, origin }, tag);
             }
             refuse(addr, tag, out);
         }
         out.push(Action::Down(addr.to_owned()));
+    }
+
+    /// The dial out failed, refused or out too long: the next one is a
+    /// backoff away, and the backoff doubles.
+    fn dial_failed(&mut self, now: Instant) {
+        self.state = State::Down;
+        self.next_dial = now + self.backoff;
+        self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
     }
 }
 
@@ -220,8 +221,7 @@ pub(crate) struct LinkTable {
     /// This node's peer identity, named in `RECONCILE` and replayed
     /// `ELIMINATE` frames.
     advertise: String,
-    /// Heartbeat cadence on configured links (zero disables the health
-    /// lifecycle).
+    /// Heartbeat cadence (zero disables the health lifecycle).
     heartbeat: Duration,
     /// Silence threshold for suspicion; quarantine at twice this.
     suspect: Duration,
@@ -230,7 +230,7 @@ pub(crate) struct LinkTable {
 impl LinkTable {
     /// One down link per configured peer, its first dial due `now`.
     pub(crate) fn new(advertise: String, config: &PeerConfig, now: Instant) -> Self {
-        let down = |addr: &String| (addr.clone(), Link::new(true, State::Down, now));
+        let down = |addr: &String| (addr.clone(), Link::new(now));
         LinkTable {
             links: config.peers.iter().map(down).collect(),
             advertise,
@@ -279,19 +279,13 @@ impl LinkTable {
     ///   tick's silent-link reset turns into the same redial.
     /// * **delay** — the shell has already stalled; nothing to do here.
     fn send(&mut self, cmd: Cmd, fault: Option<NetFault>, now: Instant, out: &mut Vec<Action>) {
-        let link = self.links.entry(cmd.addr.clone()).or_insert_with(|| {
-            // Dial on demand: an origin outside the configured set
-            // (results and votes go back to whoever asked).
-            out.push(Action::Dial(cmd.addr.clone()));
-            Link::new(false, State::Dialling(now + CONNECT_TIMEOUT), now)
-        });
-        // A configured link parks what is fire-and-forget; a dynamic
-        // one holds anything, for the one dial this command started.
-        let parks =
-            !link.configured || matches!(cmd.tag, SendTag::Fire | SendTag::Eliminate { .. });
+        let Some(link) = self.links.get_mut(&cmd.addr) else {
+            return refuse(&cmd.addr, cmd.tag, out);
+        };
+        let parks = matches!(cmd.tag, SendTag::Fire | SendTag::Eliminate { .. });
         let pending = match &mut link.state {
             State::Up { pending } => pending,
-            _ if parks => return link.park(&cmd.addr, cmd.req, cmd.tag, out),
+            _ if parks => return link.park(cmd.req, cmd.tag),
             // Fail fast: a peer that is not up cannot run the
             // alternative or grant the vote, and the race must not wait
             // for a dial to find that out. (Heartbeats are minted on up
@@ -331,7 +325,7 @@ impl LinkTable {
             return;
         };
         if !connected {
-            return self.dial_failed(addr, now, out);
+            return link.dial_failed(now);
         }
         let frame = |req, tag| {
             let addr = addr.to_owned();
@@ -352,7 +346,7 @@ impl LinkTable {
         // Frames parked while down — the ELIMINATEs that were
         // unacknowledged when the link died among them — go out next.
         out.extend(link.queue.drain(..).map(|(req, tag)| frame(req, tag)));
-        if link.configured && !self.heartbeat.is_zero() {
+        if !self.heartbeat.is_zero() {
             // Prime the health lifecycle (and the rtt EWMA, and the
             // load figures) without waiting one cadence.
             out.push(frame(Request::PeerStats, SendTag::Heartbeat));
@@ -366,10 +360,11 @@ impl LinkTable {
         link.last_hb = now;
     }
 
-    /// Pairs one arrived frame with the oldest tag in flight. The
+    /// Pairs one arrived frame with the oldest tag in flight — unless it
+    /// is a result the executor pushed, which answers no request. The
     /// recv-side fault comes first: a dropped (or partitioned) reply
     /// consumes its tag silently — exactly what a reply lost on the
-    /// wire looks like — a duplicated one is answered twice to prove
+    /// wire looks like — a duplicated frame is delivered twice to prove
     /// the protocol layer idempotent, and a truncated one kills the
     /// link like any desynchronized stream.
     fn reply(
@@ -386,62 +381,48 @@ impl LinkTable {
         let State::Up { pending } = &mut link.state else {
             return;
         };
+        let pushed = matches!(resp, Some(Response::AltResult { .. }));
         let paired = match fault {
             Some(NetFault::Truncate) => None,
             Some(NetFault::Drop | NetFault::Partition) => {
-                pending.pop_front();
+                if !pushed {
+                    pending.pop_front();
+                }
                 return;
             }
-            Some(NetFault::Duplicate | NetFault::Delay(_)) | None => {
-                resp.zip(pending.front().copied())
-            }
+            _ if pushed => resp.map(|resp| (resp, None)),
+            _ => resp.and_then(|resp| Some((resp, Some(pending.pop_front()?)))),
         };
-        let Some((resp, (tag, sent_at))) = paired else {
+        let Some((resp, sent)) = paired else {
             // Cut short, undecodable, or a reply we never asked for:
             // the stream is not trustworthy.
             return self.down(addr, now, out);
         };
-        pending.pop_front();
-        // Any reply is proof of life: a Suspect or Quarantined peer
+        // Any frame is proof of life: a Suspect or Quarantined peer
         // that answers a probe is readmitted.
         link.last_heard = now;
         if link.health != PeerHealth::Up {
             link.health = PeerHealth::Up;
             out.push(Action::Stat(addr.to_owned(), Stat::Health(PeerHealth::Up)));
         }
+        let copies = 1 + usize::from(fault == Some(NetFault::Duplicate));
+        let Some((tag, sent_at)) = sent else {
+            return out.extend((0..copies).filter_map(|_| leg_result(&resp)));
+        };
         let rtt_us = now.duration_since(sent_at).as_micros().max(1) as u64;
         out.push(Action::Stat(addr.to_owned(), Stat::Rtt(rtt_us)));
-        if fault == Some(NetFault::Duplicate) {
+        for _ in 1..copies {
             // Second delivery: no tag of its own, no rtt sample.
             answer(addr, tag, resp.clone(), out);
         }
         answer(addr, tag, resp, out);
     }
 
-    /// The dial out to `addr` failed, refused or out too long. Nothing
-    /// is parked or redialled for an address outside the peer list: a
-    /// result for an origin that is gone is dropped, and the origin's
-    /// per-leg deadline redispatches as it does for any lost result.
-    fn dial_failed(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
-        let Some(link) = self.links.get_mut(addr).filter(|l| l.configured) else {
-            let held = self.links.remove(addr).map(|link| link.queue);
-            let tags = held.into_iter().flatten().map(|(_, tag)| tag);
-            return tags.for_each(|tag| refuse(addr, tag, out));
-        };
-        link.state = State::Down;
-        link.next_dial = now + link.backoff;
-        link.backoff = (link.backoff * 2).min(BACKOFF_MAX);
-    }
-
-    /// An up link's stream is gone; a dynamic link goes with it.
+    /// An up link's stream is gone.
     fn down(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
         let up = |l: &&mut Link| matches!(l.state, State::Up { .. });
-        let Some(link) = self.links.get_mut(addr).filter(up) else {
-            return;
-        };
-        link.close(addr, &self.advertise, now, out);
-        if !link.configured {
-            self.links.remove(addr);
+        if let Some(link) = self.links.get_mut(addr).filter(up) {
+            link.close(addr, &self.advertise, now, out);
         }
     }
 
@@ -458,7 +439,6 @@ impl LinkTable {
     /// starts the silence clock over, so a peer that stays silent is
     /// redialled once per quarantine span, not once per tick.
     fn tick(&mut self, now: Instant, out: &mut Vec<Action>) {
-        let mut timed_out = Vec::new();
         for (addr, link) in &mut self.links {
             if link.alarm(self.heartbeat).is_none_or(|at| at > now) {
                 continue;
@@ -467,7 +447,8 @@ impl LinkTable {
                 #[cfg(test)]
                 State::Dialling(_) if tests::broken::redial() => {}
                 State::Dialling(_) => {
-                    timed_out.push(addr.clone());
+                    out.push(Action::Abandon(addr.clone()));
+                    link.dial_failed(now);
                     continue;
                 }
                 State::Down => {}
@@ -493,10 +474,6 @@ impl LinkTable {
             out.push(Action::Dial(addr.clone()));
             link.state = State::Dialling(now + CONNECT_TIMEOUT);
         }
-        for addr in timed_out {
-            out.push(Action::Abandon(addr.clone()));
-            self.dial_failed(&addr, now, out);
-        }
     }
 }
 
@@ -512,6 +489,28 @@ fn refuse(addr: &str, tag: SendTag, out: &mut Vec<Action>) {
         SendTag::Vote { race_id } => out.push(vote(race_id, addr, false)),
         SendTag::Fire | SendTag::Eliminate { .. } | SendTag::Heartbeat => {}
     }
+}
+
+/// What a pushed result tells its race, if `resp` is one.
+fn leg_result(resp: &Response) -> Option<Action> {
+    let Response::AltResult {
+        race_id,
+        alt_idx,
+        status,
+        value,
+        latency_us,
+    } = *resp
+    else {
+        return None;
+    };
+    let leg = remote::Event::LegResult {
+        alt_idx,
+        status,
+        value,
+        latency_us,
+        redo: false,
+    };
+    Some(Action::Race(race_id, leg))
 }
 
 fn vote(race_id: u64, voter: &str, granted: bool) -> Action {
@@ -547,7 +546,7 @@ fn answer(addr: &str, tag: SendTag, resp: Response, out: &mut Vec<Action>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameDecoder;
+    use crate::frame::{FrameDecoder, ALT_OK};
     use altx_check::{check, CaseRng};
     use std::collections::BTreeSet;
 
@@ -585,7 +584,9 @@ mod tests {
 
     const ORIGIN: &str = "origin:1";
     const CONFIGURED: [&str; 2] = ["c0:1", "c1:1"];
-    const DYNAMIC: [&str; 2] = ["d0:1", "d1:1"];
+    /// Addresses outside the peer list — an origin that shipped this
+    /// node a leg, say. Commands name them; nothing may dial them.
+    const STRANGERS: [&str; 2] = ["s0:1", "s1:1"];
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -627,12 +628,9 @@ mod tests {
                 origin,
                 candidate: "c".to_owned(),
             },
-            FIRE => Request::AltResult {
-                race_id: n,
-                alt_idx: 0,
-                status: 0,
-                value: n,
-                latency_us: 1,
+            FIRE => Request::Reconcile {
+                watermark: n,
+                origin,
             },
             ELIMINATE => Request::Eliminate { race_id: n, origin },
             _ => Request::PeerStats,
@@ -673,6 +671,17 @@ mod tests {
         n.is_multiple_of(2)
     }
 
+    /// The result the model peer pushes for shipped alternative `n`.
+    fn result_of(n: u64) -> Response {
+        Response::AltResult {
+            race_id: n,
+            alt_idx: 1,
+            status: ALT_OK,
+            value: n,
+            latency_us: 1,
+        }
+    }
+
     fn reply_to(req: &Request) -> Response {
         let text = |body: &str| Response::Text {
             body: body.to_owned(),
@@ -690,13 +699,15 @@ mod tests {
 
     /// The far end of one link's stream, as a real peer is: the real
     /// [`FrameDecoder`] over whatever bytes the core asked to write,
-    /// each whole frame answered in order.
+    /// each whole frame answered in order, and the result of each
+    /// shipped alternative it admits pushed on the same stream — before
+    /// its ack, after it, or never (the executor drained mid-leg).
     #[derive(Default)]
     struct Stream {
         decoder: FrameDecoder,
-        /// Replies not delivered yet, each with the tag its request
-        /// must be holding at the sender.
-        replies: VecDeque<(SendTag, Response)>,
+        /// Frames not delivered yet: each reply with the tag its request
+        /// must be holding at the sender, each pushed result with none.
+        replies: VecDeque<(Option<SendTag>, Response)>,
         /// A cut frame went out: the decoder is out of step with the
         /// sender, and pairing is promised no more.
         cut: bool,
@@ -717,7 +728,7 @@ mod tests {
     }
 
     impl Peer {
-        fn read(&mut self) {
+        fn read(&mut self, rng: &mut CaseRng) {
             let Some(stream) = self.stream.as_mut().filter(|_| !self.stalled) else {
                 return;
             };
@@ -727,9 +738,22 @@ mod tests {
                     Ok(None) => return,
                     Err(e) => Err(e),
                 };
-                match req {
-                    Ok(req) => stream.replies.push_back((tag_of(&req), reply_to(&req))),
-                    Err(_) => return stream.hangup = true,
+                let Ok(req) = req else {
+                    return stream.hangup = true;
+                };
+                let ack = (Some(tag_of(&req)), reply_to(&req));
+                // Out of step, the peer may read requests nobody sent:
+                // it runs nothing for them.
+                let runs = match req {
+                    Request::ExecAlt { race_id, .. } if !refuses(race_id) && !stream.cut => {
+                        Some(race_id)
+                    }
+                    _ => None,
+                };
+                match runs.and_then(|n| rng.option(0.8, |_| (None, result_of(n)))) {
+                    // The job may finish before the ack goes out.
+                    Some(result) if rng.bool() => stream.replies.extend([result, ack]),
+                    result => stream.replies.extend(std::iter::once(ack).chain(result)),
                 }
             }
         }
@@ -783,8 +807,6 @@ mod tests {
         /// A dial was out.
         dialling: bool,
         pending: Vec<SendTag>,
-        /// What it parked or held for its next dial.
-        parked: Vec<Request>,
         /// A cut frame had gone out on its stream.
         cut: bool,
     }
@@ -805,8 +827,6 @@ mod tests {
         next_ordinal: u64,
         /// Addresses the shell has a connect out to.
         dials_out: BTreeSet<String>,
-        /// The timeout of each dynamic link's dial, kept by the rules.
-        dyn_dials: BTreeMap<String, Instant>,
         /// How often a dial that will be answered is answered late.
         p_late: f64,
         p_send: f64,
@@ -844,7 +864,7 @@ mod tests {
                 now,
                 heartbeat: ms(heartbeat_ms),
                 suspect: ms(suspect_ms),
-                peers: peers.iter().chain(&DYNAMIC).map(peer).collect(),
+                peers: peers.iter().chain(&STRANGERS).map(peer).collect(),
                 model: peers.iter().map(model).collect(),
                 mirror: peers
                     .iter()
@@ -853,7 +873,6 @@ mod tests {
                 fates: BTreeMap::new(),
                 next_ordinal: 1,
                 dials_out: BTreeSet::new(),
-                dyn_dials: BTreeMap::new(),
                 p_late: 0.0,
                 p_send: 0.0,
                 p_recv: 0.0,
@@ -903,7 +922,6 @@ mod tests {
                     up: self.is_up(addr),
                     dialling: self.is_dialling(addr),
                     pending: self.pending(addr),
-                    parked: self.parked(addr).cloned().collect(),
                     cut: stream.is_some_and(|s| s.cut),
                 };
                 (addr.clone(), was)
@@ -965,7 +983,7 @@ mod tests {
                         let peer = self.peers.get_mut(&addr).expect("a known address");
                         let stream = peer.stream.as_mut().expect("a write needs a stream");
                         stream.decoder.extend(&bytes);
-                        peer.read();
+                        peer.read(rng);
                     }
                     Action::Down(addr) => {
                         let peer = self.peers.get_mut(&addr).expect("a known address");
@@ -1053,7 +1071,7 @@ mod tests {
                 let Some((tag, resp)) = stream.replies.pop_front() else {
                     return;
                 };
-                if !stream.cut {
+                if let (false, Some(tag)) = (stream.cut, tag) {
                     // The pairing property: with no cut frame on the
                     // stream, the oldest tag in flight is the tag of
                     // the very request this reply answers.
@@ -1085,7 +1103,7 @@ mod tests {
             self.now = target;
             // No dial is out for longer than its timeout.
             let timeouts = self.model.values().filter_map(|m| m.dialling);
-            for until in timeouts.chain(self.dyn_dials.values().copied()) {
+            for until in timeouts {
                 assert!(until > self.now, "a dial out past its timeout");
             }
             // Known defects' rule: an up configured link is heard from,
@@ -1143,19 +1161,29 @@ mod tests {
                         (Some(row), Stat::Up(up)) => row.0 = up,
                         (Some(row), Stat::Health(health)) => row.1 = health,
                         (Some(_), _) => {}
-                        (None, _) => assert!(DYNAMIC.contains(&addr.as_str()), "{}", shown()),
+                        (None, _) => panic!("a row for a link that is none: {}", shown()),
                     },
                     // Every resolution names a command somebody waits
-                    // on, and is of that command's kind.
+                    // on, and is of that command's kind; a pushed result
+                    // is no resolution (`judge_reply` counts its copies).
                     Action::Race(n, resolution) => {
                         let fate = self.fates.get_mut(n).expect("a race the harness issued");
                         match resolution {
                             remote::Event::LegRefused { alt_idx } => assert_eq!(*alt_idx, 1),
                             remote::Event::Vote { voter, .. } => assert_eq!(*voter, fate.addr),
+                            remote::Event::LegResult {
+                                alt_idx: 1,
+                                status: ALT_OK,
+                                value,
+                                redo: false,
+                                ..
+                            } if value == n => continue,
                             _ => panic!("{}", shown()),
                         }
                         fate.settled += 1;
                     }
+                    // Nothing outside the peer list is ever dialled.
+                    Action::Dial(addr) => assert!(self.model.contains_key(addr), "{}", shown()),
                     _ => {}
                 }
             }
@@ -1191,11 +1219,10 @@ mod tests {
                 let dropped = asked(&|a| matches!(a, Action::Abandon(d) if d == addr));
                 let out = (self.dials_out.contains(addr) || dialled) && !dropped;
                 assert_eq!(self.is_dialling(addr), out, "{addr}: {}", shown());
-                // A dynamic link is up or dialling, never kept down, and
-                // asks for a tick only for its dial's timeout.
+                // Every link is a configured one.
                 assert!(
-                    link.configured || self.is_up(addr) || self.is_dialling(addr),
-                    "{}",
+                    self.model.contains_key(addr),
+                    "a link to {addr}: {}",
                     shown()
                 );
             }
@@ -1203,10 +1230,9 @@ mod tests {
             for (addr, m) in &self.model {
                 assert_eq!(self.mirror[addr], (m.up, m.health), "{addr}: {}", shown());
             }
-            // One timer per configured link — the timeout of its dial
-            // if one is out, else the dial of a down one, the heartbeat
-            // of an up one — and one per dynamic link's dial; and
-            // `next_deadline` is the earliest.
+            // One timer per link — the timeout of its dial if one is
+            // out, else the dial of a down one, the heartbeat of an up
+            // one — and `next_deadline` is the earliest.
             let beat = |m: &Model| (!self.heartbeat.is_zero()).then(|| m.last_hb + self.heartbeat);
             let timer = |m: &Model| match (m.dialling, m.up) {
                 (Some(until), _) => Some(until),
@@ -1214,13 +1240,13 @@ mod tests {
                 (None, false) => Some(m.next_dial),
             };
             let timers = self.model.values().filter_map(timer);
-            let timers = timers.chain(self.dyn_dials.values().copied());
             assert_eq!(self.table.next_deadline(), timers.min(), "{}", shown());
         }
 
-        /// A command for a link that is not up is refused in this very
-        /// step, parked or held; one for an up link goes on the wire as
-        /// the fault allows, a tag per copy.
+        /// A command for an address outside the peer list is refused in
+        /// this very step, and nothing else happens; one for a link that
+        /// is not up is refused or parked; one for an up link goes on
+        /// the wire as the fault allows, a tag per copy.
         fn judge_send(
             &mut self,
             was: &Was,
@@ -1230,32 +1256,14 @@ mod tests {
         ) {
             let shown = || format!("{cmd:?} {fault:?} -> {actions:?}");
             let addr = cmd.addr.as_str();
+            let refused = matches!(actions, [Action::Race(n, _)] if Some(*n) == owed(cmd.tag));
             if !was.known {
-                // Dial on demand, the frame held for the outcome.
-                assert!(
-                    matches!(actions, [Action::Dial(a)] if a == addr),
-                    "{}",
-                    shown()
-                );
-                self.dyn_dials
-                    .insert(addr.to_owned(), self.now + CONNECT_TIMEOUT);
-                return assert!(self.parked(addr).eq([&cmd.req]), "{}", shown());
-            }
-            if !was.up && !self.model.contains_key(addr) {
-                // A dynamic link's dial is out: it holds everything, up
-                // to the bound, and refuses what it drops.
-                let mut held = was.parked.clone();
-                held.push(cmd.req.clone());
-                let dropped = (held.len() > MAX_QUEUED).then(|| held.remove(0));
-                assert!(self.parked(addr).eq(&held), "{}", shown());
-                let owed = dropped.and_then(|req| owed(tag_of(&req)));
-                return match owed {
-                    Some(n) => assert!(matches!(actions, [Action::Race(r, _)] if *r == n)),
-                    None => assert!(actions.is_empty(), "{}", shown()),
-                };
+                assert!(refused || actions.is_empty(), "{}", shown());
+                assert_eq!(refused, owed(cmd.tag).is_some(), "{}", shown());
+                let known = self.table.links.contains_key(addr);
+                return assert!(!known, "a link to {addr}: {}", shown());
             }
             if !was.up {
-                let refused = matches!(actions, [Action::Race(n, _)] if Some(*n) == owed(cmd.tag));
                 assert!(refused || actions.is_empty(), "{}", shown());
                 assert_eq!(refused, owed(cmd.tag).is_some(), "{}", shown());
                 if matches!(cmd.tag, SendTag::Fire | SendTag::Eliminate { .. }) {
@@ -1313,23 +1321,10 @@ mod tests {
                 assert!(actions.is_empty(), "{}", shown());
                 return assert_eq!(self.is_up(addr), was.up, "{}", shown());
             }
-            let Some(m) = self.model.get_mut(addr) else {
-                // A dynamic link is the dial that made it: up with what
-                // it held, or gone with all of it refused.
-                self.dyn_dials.remove(addr);
-                assert_eq!(
-                    self.table.links.contains_key(addr),
-                    connected,
-                    "{}",
-                    shown()
-                );
-                let held = was.parked.iter().filter(|_| connected);
-                assert!(frames.eq(held), "{}", shown());
-                let owing = was.parked.iter().filter(|r| owed(tag_of(r)).is_some());
-                let races = actions.iter().filter(|a| matches!(a, Action::Race(..)));
-                let want = if connected { 0 } else { owing.count() };
-                return assert_eq!(races.count(), want, "{}", shown());
-            };
+            let m = self
+                .model
+                .get_mut(addr)
+                .expect("only a configured link dials");
             m.dialling = None;
             if !connected {
                 assert!(actions.is_empty(), "{}", shown());
@@ -1365,51 +1360,59 @@ mod tests {
             assert!(was.up, "the harness only delivers on open streams");
             let pending = self.pending(addr);
             let front = was.pending.first().copied();
+            let pushed = match resp {
+                Some(Response::AltResult { race_id, .. }) => Some(*race_id),
+                _ => None,
+            };
             if matches!(fault, Some(NetFault::Drop | NetFault::Partition)) {
-                // Eaten by the wire: its tag goes, and nothing else.
+                // Eaten by the wire: a reply's tag goes with it, a pushed
+                // result takes none, and nothing else happens.
                 assert!(actions.is_empty(), "{}", shown());
-                assert_eq!(
-                    pending,
-                    was.pending.get(1..).unwrap_or_default(),
-                    "{}",
-                    shown()
-                );
-                if let Some(fate) = front.and_then(owed).and_then(|n| self.fates.get_mut(&n)) {
+                let left = match pushed {
+                    Some(_) => &was.pending[..],
+                    None => was.pending.get(1..).unwrap_or_default(),
+                };
+                assert_eq!(pending, left, "{}", shown());
+                let owed = front.and_then(owed).filter(|_| pushed.is_none());
+                if let Some(fate) = owed.and_then(|n| self.fates.get_mut(&n)) {
                     fate.settled += 1;
                 }
                 return;
             }
-            let (Some(resp), Some(tag), false) = (resp, front, fault == Some(NetFault::Truncate))
+            let paired = pushed.is_some() || front.is_some();
+            let (Some(resp), true, false) = (resp, paired, fault == Some(NetFault::Truncate))
             else {
                 // Cut, garbage, or unasked for: the link is done.
                 return self.went_down(addr, &was.pending);
             };
-            // Proof of life, an rtt sample, and the answer — twice when
-            // the wire doubled it, off one tag all the same.
-            assert_eq!(pending, was.pending[1..], "{}", shown());
             let count = |pick: &dyn Fn(&Action) -> bool| actions.iter().filter(|a| pick(a)).count();
-            assert_eq!(
-                count(&|a| matches!(a, Action::Stat(_, Stat::Rtt(_)))),
-                1,
-                "{}",
-                shown()
-            );
-            if let Some(m) = self.model.get_mut(addr) {
-                // Health improves only here.
-                let readmitted = count(&|a| matches!(a, Action::Stat(_, Stat::Health(_))));
-                assert_eq!(
-                    readmitted,
-                    usize::from(m.health != PeerHealth::Up),
-                    "{}",
-                    shown()
-                );
-                (m.health, m.heard) = (PeerHealth::Up, self.now);
-            }
+            // Proof of life, whatever the frame; health improves only
+            // here.
+            let m = self.model.get_mut(addr).expect("a configured link");
+            let readmitted = count(&|a| matches!(a, Action::Stat(_, Stat::Health(_))));
+            let want = usize::from(m.health != PeerHealth::Up);
+            assert_eq!(readmitted, want, "{}", shown());
+            (m.health, m.heard) = (PeerHealth::Up, self.now);
             let twice = if fault == Some(NetFault::Duplicate) {
                 2
             } else {
                 1
             };
+            let rtts = count(&|a| matches!(a, Action::Stat(_, Stat::Rtt(_))));
+            if let Some(n) = pushed {
+                // A pushed result pops no tag and gives no rtt sample;
+                // each copy the wire lets through feeds its race once.
+                assert_eq!(pending, was.pending, "{}", shown());
+                assert_eq!(rtts, 0, "{}", shown());
+                let fed = |a: &Action| matches!(a, Action::Race(r, _) if *r == n);
+                let races = count(&|a| matches!(a, Action::Race(..)));
+                return assert_eq!((count(&fed), races), (twice, twice), "{}", shown());
+            }
+            // An rtt sample, and the answer — twice when the wire
+            // doubled it, off one tag all the same.
+            let tag = front.expect("paired");
+            assert_eq!(pending, was.pending[1..], "{}", shown());
+            assert_eq!(rtts, 1, "{}", shown());
             let loaded = tag == SendTag::Heartbeat
                 && matches!(resp, Response::Text { body } if body.contains("load "));
             let loads = count(&|a| matches!(a, Action::Stat(_, Stat::Load(1, 2, 3))));
@@ -1455,15 +1458,12 @@ mod tests {
         }
 
         /// `addr` was up with `pending` in flight and must be down now:
-        /// a configured link redials in 50 ms and replays its
-        /// unacknowledged `ELIMINATE`s, a dynamic one is forgotten.
-        /// (`judge` checks the `Down` and counts the refusals; the
-        /// final audit finds a missing one.)
+        /// it redials in 50 ms and replays its unacknowledged
+        /// `ELIMINATE`s. (`judge` checks the `Down` and counts the
+        /// refusals; the final audit finds a missing one.)
         fn went_down(&mut self, addr: &str, pending: &[SendTag]) {
             assert!(!self.is_up(addr), "{addr} is still up");
-            let Some(m) = self.model.get_mut(addr) else {
-                return assert!(!self.table.links.contains_key(addr), "dynamic {addr} kept");
-            };
+            let m = self.model.get_mut(addr).expect("a configured link");
             (m.up, m.next_dial) = (false, self.now + BACKOFF_INITIAL);
             for tag in pending {
                 if let SendTag::Eliminate { race_id } = *tag {
@@ -1515,13 +1515,6 @@ mod tests {
                     m.last_hb = now;
                 }
             }
-            let due = self.dyn_dials.iter().filter(|(_, until)| **until <= now);
-            let due: Vec<String> = due.map(|(addr, _)| addr.clone()).collect();
-            for addr in due {
-                self.dyn_dials.remove(&addr);
-                timeouts.push(addr);
-            }
-            timeouts.sort();
             let (mut dialled, mut probed, mut reset, mut aged) = (vec![], vec![], vec![], vec![]);
             let mut abandoned = Vec::new();
             for action in actions {
@@ -1544,10 +1537,6 @@ mod tests {
                 "{}",
                 shown()
             );
-            for addr in abandoned.iter().filter(|a| !self.model.contains_key(*a)) {
-                let gone = !self.table.links.contains_key(addr);
-                assert!(gone, "dynamic {addr} kept past its dial: {}", shown());
-            }
             for addr in reset {
                 self.went_down(&addr, &was[&addr].pending);
             }
@@ -1555,19 +1544,25 @@ mod tests {
     }
 
     /// The link core's contract, over 2 500 seeded schedules on virtual
-    /// time: commands of every tag to configured and dynamic addresses,
+    /// time: commands of every tag to configured addresses and to ones
+    /// outside the peer list,
     /// dials answered at once, late, never (until the core's timeout
     /// fails them) or with a refusal while every other link's events go
     /// on, on-time and early ticks, hang-ups, garbage, stray dial
     /// answers, send- and recv-side faults, and model peers that answer
     /// every whole frame the real decoder finds in the bytes the core
-    /// asked to write — or stall, or are dead. Checked of every step
-    /// (see the `judge*` functions): a command for a link that is not up
-    /// is refused at once, parked or held, never beyond `MAX_QUEUED`,
-    /// and a dropped one that is owed is refused; each copy on the wire
-    /// holds one tag and a dropped frame none; a reply meets the tag of
-    /// the request it answers (no cut frame on the stream), a doubled
-    /// reply takes one tag, a lost one takes its tag silently; a re-dial
+    /// asked to write, and push the result of a shipped alternative they
+    /// admit before its ack, after it or never — or stall, or are dead.
+    /// Checked of every step (see the `judge*` functions): a command for
+    /// an address outside the peer list is refused and nothing is ever
+    /// dialled there; a command for a link that is not up is refused at
+    /// once or parked, never beyond `MAX_QUEUED`, and a dropped one that
+    /// is owed is refused; each copy on the wire holds one tag and a
+    /// dropped frame none; a reply meets the tag of the request it
+    /// answers (no cut frame on the stream), a doubled reply takes one
+    /// tag, a lost one takes its tag silently; a pushed result takes no
+    /// tag and no rtt sample, feeds its race once per copy the wire lets
+    /// through, and takes the link down when cut; a re-dial
     /// sends `RECONCILE`, then the `ELIMINATE`s unacknowledged at the
     /// close with whatever else was parked, then the heartbeat, and a
     /// first dial no `RECONCILE`; the core is dialling exactly where the
@@ -1575,13 +1570,13 @@ mod tests {
     /// dial out for 50 ms on the tick; failed dials are 50 ms · 2ᵏ apart
     /// up to 2 s and a success starts over; an answer to no dial changes
     /// nothing; health worsens only with silence, improves only on a
-    /// reply, never on a dial; `Down` comes once per up → down; a tick
+    /// frame, never on a dial; `Down` comes once per up → down; a tick
     /// fires exactly what is due and `next_deadline` is the earliest of
-    /// it; a dynamic link is up or dialling. Checked of every stretch of
-    /// time: no dial is out past its timeout, and an up configured link
-    /// is heard from or reset within 2 × suspect + heartbeat. Checked at
-    /// the end: every `ExecAlt` / `Vote` the core accepted was resolved
-    /// exactly once per copy on the wire.
+    /// it. Checked of every stretch of time: no dial is out past its
+    /// timeout, and an up link is heard from or reset within a
+    /// heartbeat and 2 × suspect. Checked at the end: every `ExecAlt` /
+    /// `Vote` the core accepted was resolved exactly once per copy on
+    /// the wire.
     #[test]
     fn any_schedule_keeps_every_link_rule() {
         check("link_schedules", 2_500, schedule);
@@ -1649,7 +1644,7 @@ mod tests {
                 91..=94 => {
                     let peer = sim.peers.get_mut(&addr).expect("a known address");
                     peer.stalled = !peer.stalled;
-                    peer.read();
+                    peer.read(rng);
                 }
                 95..=98 => sim.feed(rng, Event::Tick),
                 _ if floods => {
@@ -1713,39 +1708,72 @@ mod tests {
         frames.collect()
     }
 
-    /// The dead-origin defect, at the core: what is held for an address
-    /// outside the peer list goes with its failed dial — the result is
-    /// dropped, the alternative refused, the vote denied — and nothing
-    /// is left to redial, now or ever.
+    /// Only the peer list is dialled: a frame for any other address is
+    /// refused on the spot — the alternative refused, the vote denied,
+    /// the rest dropped — and leaves no link behind to dial, now or ever.
     #[test]
-    fn a_dead_origin_is_neither_parked_for_nor_redialled() {
+    fn a_frame_for_an_address_outside_the_peer_list_is_refused_never_dialled() {
         let t0 = Instant::now();
         let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&[], 500, 1500), t0);
-        let actions = table.step(Event::Send(command("d0:1", FIRE, 7), None), t0);
-        assert!(matches!(&actions[..], [Action::Dial(a)] if a == "d0:1"));
-        for (kind, n) in [(EXEC_ALT, 8), (VOTE, 9)] {
-            let held = table.step(Event::Send(command("d0:1", kind, n), None), t0);
-            assert!(held.is_empty(), "{held:?}");
-        }
-        let refused = Event::Dialed {
-            addr: "d0:1".to_owned(),
-            connected: false,
-            watermark: 1,
+        let send = |table: &mut LinkTable, kind, n| {
+            table.step(Event::Send(command("s0:1", kind, n), None), t0)
         };
-        let actions = table.step(refused, t0 + ms(50));
-        assert!(
-            matches!(
-                &actions[..],
-                [
-                    Action::Race(8, remote::Event::LegRefused { alt_idx: 1 }),
-                    Action::Race(9, remote::Event::Vote { granted: false, .. })
-                ]
-            ),
-            "{actions:?}"
+        assert!(send(&mut table, FIRE, 7).is_empty());
+        let refused = send(&mut table, EXEC_ALT, 8);
+        let refused = matches!(
+            &refused[..],
+            [Action::Race(8, remote::Event::LegRefused { alt_idx: 1 })]
         );
+        assert!(refused);
+        let denied = send(&mut table, VOTE, 9);
+        let denied = matches!(
+            &denied[..],
+            [Action::Race(9, remote::Event::Vote { granted: false, .. })]
+        );
+        assert!(denied);
         assert!(table.links.is_empty());
         assert_eq!(table.next_deadline(), None);
         assert!(table.step(Event::Tick, t0 + ms(60_000)).is_empty());
+    }
+
+    /// A pushed result is no reply: it may overtake its ack, it feeds
+    /// its race — twice when the wire doubles it — and it leaves the tag
+    /// in flight to the ack that follows it.
+    #[test]
+    fn a_pushed_result_feeds_its_race_and_leaves_the_fifo_alone() {
+        let t0 = Instant::now();
+        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 0, 0), t0);
+        assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
+        let ship = command("c0:1", EXEC_ALT, 4);
+        let ack = reply_to(&ship.req);
+        table.step(Event::Send(ship, None), t0 + ms(1));
+        let (addr, fault) = ("c0:1".to_owned(), Some(NetFault::Duplicate));
+        let resp = Some(result_of(4));
+        let fed = table.step(Event::Reply { addr, resp, fault }, t0 + ms(2));
+        let leg = |a: &Action| {
+            let leg = remote::Event::LegResult {
+                alt_idx: 1,
+                status: ALT_OK,
+                value: 4,
+                latency_us: 1,
+                redo: false,
+            };
+            format!("{a:?}") == format!("{:?}", Action::Race(4, leg))
+        };
+        assert!(matches!(&fed[..], [a, b] if leg(a) && leg(b)), "{fed:?}");
+        let (addr, resp) = ("c0:1".to_owned(), Some(ack));
+        let acked = table.step(
+            Event::Reply {
+                addr,
+                resp,
+                fault: None,
+            },
+            t0 + ms(3),
+        );
+        assert!(
+            matches!(&acked[..], [Action::Stat(_, Stat::Rtt(2_000))]),
+            "{acked:?}"
+        );
     }
 
     #[test]
@@ -1824,9 +1852,8 @@ mod tests {
 
     /// A dial that is out: a tick starts no second one, a
     /// fire-and-forget frame parks and a vote is refused as for a down
-    /// link, and 50 ms on the tick abandons it and backs off; a dynamic
-    /// link's dial fails the same way and refuses what it held; an
-    /// answer to an abandoned dial changes nothing.
+    /// link, and 50 ms on the tick abandons it and backs off; an answer
+    /// to an abandoned dial changes nothing.
     #[test]
     fn a_dial_out_holds_its_frames_and_fails_on_the_tick_fifty_ms_on() {
         let t0 = Instant::now();
@@ -1844,28 +1871,11 @@ mod tests {
         assert!(parked.is_empty(), "{parked:?}");
         let denied = table.step(Event::Send(command("c0:1", VOTE, 2), None), t0 + ms(10));
         assert!(matches!(&denied[..], [Action::Race(2, _)]), "{denied:?}");
-        let held = table.step(Event::Send(command("d0:1", EXEC_ALT, 3), None), t0 + ms(20));
-        assert!(
-            matches!(&held[..], [Action::Dial(a)] if a == "d0:1"),
-            "{held:?}"
-        );
 
         assert_eq!(table.next_deadline(), Some(t0 + ms(50)));
         let failed = table.step(Event::Tick, t0 + ms(50));
         assert!(
             matches!(&failed[..], [Action::Abandon(a)] if a == "c0:1"),
-            "{failed:?}"
-        );
-        assert_eq!(table.next_deadline(), Some(t0 + ms(70)), "d0:1's timeout");
-        let failed = table.step(Event::Tick, t0 + ms(70));
-        assert!(
-            matches!(
-                &failed[..],
-                [
-                    Action::Abandon(a),
-                    Action::Race(3, remote::Event::LegRefused { alt_idx: 1 })
-                ] if a == "d0:1"
-            ),
             "{failed:?}"
         );
         assert_eq!(table.next_deadline(), Some(t0 + ms(100)), "c0:1's redial");

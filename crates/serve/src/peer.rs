@@ -2,9 +2,11 @@
 //!
 //! The paper's §4.4 remote execution needs a control plane: each daemon
 //! keeps one persistent outbound connection per configured `--peer`,
-//! ships `EXEC_ALT` / `COMMIT_VOTE` / `ELIMINATE` / `ALT_RESULT` frames
-//! over it, and measures the link (round-trip EWMA, liveness) so the
-//! placement model works from observations instead of guesses.
+//! ships `EXEC_ALT` / `COMMIT_VOTE` / `ELIMINATE` / `RECONCILE` frames
+//! over it — the executor pushes each shipped alternative's `ALT_RESULT`
+//! back on it, and dials nobody — and measures the link (round-trip
+//! EWMA, liveness) so the placement model works from observations
+//! instead of guesses.
 //!
 //! All outbound traffic runs on **reactor shard 0**, between its other
 //! events, split the way the race registry and the run queue are: a
@@ -17,8 +19,8 @@
 //!   stated there once and checked on virtual time over seeded
 //!   schedules: fail fast, so no request waits on a dead peer; backoff
 //!   redials that replay unacknowledged `ELIMINATE`s and `RECONCILE`;
-//!   dynamic links (an executor's way home) forgotten with their dial;
-//!   the dial timeout; replies correlated by order; and the health
+//!   the dial timeout; replies correlated by order, and pushed results
+//!   told apart from them by content; and the health
 //!   lifecycle ([`PeerHealth`]) that takes an up but silent peer out of
 //!   [`PeerStatsTable::up_peers`], which placement and voter freezing
 //!   read. INTERNALS § *Failure matrix* maps failures to outcomes.
@@ -28,9 +30,8 @@
 //!   sites, and doing what the core's actions say. It has no loop of
 //!   its own — its sockets are entries of shard 0's poll set, its
 //!   clocks bound that shard's poll timeout — and nothing it does
-//!   blocks: names are resolved before shard 0 starts (a configured
-//!   `--peer` once, at start-up; an origin's advertised address must be
-//!   an IP address).
+//!   blocks: every `--peer` name is resolved once, at start-up, before
+//!   shard 0 starts. A daemon with no `--peer` has no peer links at all.
 //!
 //! Reactor shards and pool workers never touch a peer socket — they
 //! push a [`Cmd`] onto the [`PeerHandle`] and write one byte to shard
@@ -69,9 +70,10 @@ pub struct PeerConfig {
     /// Force one remote dispatch every N races so link statistics stay
     /// live even when the model prefers local (0 disables exploration).
     pub explore_every: u64,
-    /// Address advertised to peers as this node's identity (where
-    /// results and votes come back to). Defaults to the bound listen
-    /// address — override it when the bind address is not routable.
+    /// This node's identity, advertised to peers: the key its races'
+    /// alternatives, votes and eliminations are scoped by on the
+    /// executors, and the prefix of its commit candidates. Nobody dials
+    /// it. Defaults to the bound listen address.
     pub advertise: Option<String>,
     /// Heartbeat cadence on configured links, in milliseconds (0
     /// disables the health lifecycle entirely).
@@ -407,8 +409,7 @@ pub(crate) enum SendTag {
         /// Race the vote decides.
         race_id: u64,
     },
-    /// Fire-and-forget (`ALT_RESULT`, `RECONCILE`): the ack only feeds
-    /// the rtt EWMA.
+    /// Fire-and-forget (`RECONCILE`): the ack only feeds the rtt EWMA.
     Fire,
     /// An `ELIMINATE` for `race_id`: fire-and-forget for the race's
     /// outcome, but tracked so an eliminate still unacknowledged when
@@ -633,12 +634,9 @@ impl PeerLinks {
 
     /// Starts a non-blocking connect to `addr`, answered when its socket
     /// says how it went — or at once, for a name that did not resolve at
-    /// start-up, a dynamic address that is no socket address, or a
-    /// refusal the kernel knows right away.
+    /// start-up or a refusal the kernel knows right away.
     fn dial(&mut self, addr: String) {
-        let sockaddr = self.resolved.get(&addr).copied();
-        let sockaddr = sockaddr.or_else(|| addr.parse().ok());
-        match sockaddr.map(connect_nonblocking) {
+        match self.resolved.get(&addr).copied().map(connect_nonblocking) {
             Some(Ok(stream)) => {
                 let conn = Conn {
                     stream,

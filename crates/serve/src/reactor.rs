@@ -34,9 +34,9 @@
 //!   socket, wakes a thread, submits to the pool, cancels a token or
 //!   reads a clock; each of those is the shell's part of an action. A
 //!   commit vote only updates the ledger's table, so `Shard` decides
-//!   it; a leg's result can send frames and an elimination cancels
-//!   tokens, so those are actions. The [`Reactor`] is the shell: poll,
-//!   accept, read, decode, [`Shard::step`], perform the action, close.
+//!   it; an elimination cancels tokens, so it is an action. The
+//!   [`Reactor`] is the shell: poll, accept, read, decode,
+//!   [`Shard::step`], perform the action, close.
 //! * **sys** (`sys.rs`): the C library calls std does not wrap.
 //! * **Clocks**: every thread that runs a shard sets its own timer
 //!   slack to 1 ns first thing ([`tighten_timer_slack`]), and so does a
@@ -56,7 +56,9 @@
 //!   whoever decides the race — a pool job's completion closure, or the
 //!   distributed-race shell (`remote.rs`), which keeps it beside its
 //!   table under `race_id`. Nothing is registered, so nothing is looked
-//!   up: the decider already holds the way home.
+//!   up: the decider already holds the way home. So does a peer's
+//!   shipped alternative: its job pushes the result on the write half its
+//!   `EXEC_ALT` arrived on ([`ReactorShared::push`]), the origin's link.
 //! * **Direct delivery** ([`Flight::answer`]): the one way a reply
 //!   reaches a connection from another thread. The deciding thread
 //!   encodes the reply **once** into a ring slot (`ring.rs`), locks the
@@ -106,10 +108,9 @@ use crate::bufpool::BufPool;
 use crate::commit::CommitLedger;
 use crate::conn::{Conn, ReplySlot, WriteHalf};
 use crate::frame::{exec_alt_frame_len, FrameError, Request, Response};
-use crate::peer::{load_line, PeerLinks, PeerStatsTable, SendTag};
+use crate::peer::{load_line, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::JobMeta;
-use crate::remote::Event;
 use crate::ring::{EncodedReply, ReplyRing};
 use crate::sched::{render_catalog, Admission, HedgePolicy, Lanes};
 use crate::server::{alt_job, deadline_at, deadline_token, or_worker_lost, run_race, Daemon};
@@ -166,6 +167,16 @@ impl ReactorShared {
     /// anyway, any other error that it is gone.
     pub(crate) fn wake(&self) {
         let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Pushes `response`, a frame that answers no request, on `half`
+    /// from whichever thread calls it, delivered directly as
+    /// [`Flight::answer`] delivers a reply.
+    pub(crate) fn push(&self, half: &WriteHalf, response: &Response) {
+        let frame = EncodedReply::encode(response, &self.ring);
+        if half.push(frame) || self.draining.load(Ordering::SeqCst) {
+            self.wake();
+        }
     }
 }
 
@@ -296,8 +307,8 @@ pub(crate) struct Reactor {
     conns: HashMap<u64, Conn>,
     next_conn: u64,
     /// Shard 0's outbound peer links (`peer.rs`); `None` on every other
-    /// shard.
-    links: Option<PeerLinks>,
+    /// shard, and on shard 0 of a daemon with no `--peer`.
+    pub(crate) links: Option<PeerLinks>,
 }
 
 /// The pool's load as a request finds it.
@@ -330,7 +341,7 @@ pub(crate) enum Action {
         voters: Vec<String>,
     },
     /// Run alternative `alt_idx` of `origin`'s race `race_id` on the
-    /// pool and report it home.
+    /// pool and push its result on the asking connection.
     ExecAlt {
         key: RaceKey,
         meta: JobMeta,
@@ -338,8 +349,6 @@ pub(crate) enum Action {
         alt_idx: u32,
         origin: String,
     },
-    /// Feed the race registry one of its races' events.
-    Feed(u64, Event),
     /// Cancel what runs here for `origin`'s race `race_id`.
     Eliminate { race_id: u64, origin: String },
     /// Cancel what runs here for `origin`'s races below `watermark` and
@@ -489,24 +498,6 @@ impl Shard {
                     Action::Reply(Response::Overloaded)
                 }
             },
-            Request::AltResult {
-                race_id,
-                alt_idx,
-                status,
-                value,
-                latency_us,
-            } => {
-                // An executor reporting back on a race this node
-                // originated.
-                let event = Event::LegResult {
-                    alt_idx,
-                    status,
-                    value,
-                    latency_us,
-                    redo: false,
-                };
-                Action::Feed(race_id, event)
-            }
             Request::CommitVote {
                 race_id,
                 origin,
@@ -749,7 +740,6 @@ impl Reactor {
         // What the reactor answers itself is the arm's value; an arm that
         // hands the request to another answerer returns.
         let daemon = &self.daemon;
-        let ok = || text("ok\n".to_owned());
         let overloaded = |metric| {
             daemon.telemetry.add(metric, 1);
             Response::Overloaded
@@ -810,27 +800,29 @@ impl Reactor {
                 origin,
             } => {
                 // Executor side of a shipped alternative: run exactly
-                // that alternative and fire its outcome back at the
-                // origin over this node's own link. The reply only
+                // that alternative and push its outcome on this very
+                // connection, the origin's link. The reply only
                 // acknowledges admission, so the origin turns a refusal
-                // into a failed guard without waiting.
+                // into a failed guard without waiting; the push may
+                // overtake it.
                 let token = deadline_token(now, key.deadline_ms);
                 // Registered before submission so an ELIMINATE racing
                 // ahead of the worker pickup still lands on the token.
                 (daemon.inflight).register(&origin, race_id, alt_idx, token.clone());
                 let report = {
                     let daemon = Arc::clone(daemon);
+                    let (half, home) = (Arc::clone(half), Arc::clone(&self.shared));
                     let origin = origin.clone();
                     move |(status, value, latency_us)| {
                         daemon.inflight.complete(&origin, race_id, alt_idx);
-                        let result = Request::AltResult {
+                        let result = Response::AltResult {
                             race_id,
                             alt_idx,
                             status,
                             value,
                             latency_us,
                         };
-                        daemon.races.peers.send(&origin, result, SendTag::Fire);
+                        home.push(&half, &result);
                     }
                 };
                 let telemetry = Arc::clone(&daemon.telemetry);
@@ -838,19 +830,13 @@ impl Reactor {
                 match daemon.pool.try_submit_work_at(meta, work, done) {
                     Ok(()) => {
                         daemon.telemetry.add(Metric::RemoteExecs, 1);
-                        ok()
+                        text("ok\n".to_owned())
                     }
                     Err(_) => {
                         daemon.inflight.complete(&origin, race_id, alt_idx);
                         overloaded(Metric::Shed)
                     }
                 }
-            }
-            Action::Feed(race_id, event) => {
-                // Acknowledged either way, so the executor's link gets
-                // its round-trip sample.
-                daemon.races.step(race_id, event);
-                ok()
             }
             Action::Eliminate { race_id, origin } => {
                 let n = daemon.inflight.eliminate(&origin, race_id);
@@ -1127,7 +1113,9 @@ mod tests {
     const NAMES: [&str; 6] = ["trivial", "lognormal", "bimodal", "sleep", "prolog", "nope"];
 
     /// One request body as a client or a peer might send it: every
-    /// opcode, a truncated body and an opcode this build does not know.
+    /// opcode, a truncated body and an opcode this build does not know —
+    /// among them 0x07, an `ALT_RESULT` sent as a request, as builds
+    /// before the pushed result sent it.
     fn any_body(rng: &mut CaseRng) -> Vec<u8> {
         let workload = rng.pick(&NAMES).to_string();
         let deadline_ms = *rng.pick(&[0, 0, 2, 20, 100_000]);
@@ -1151,13 +1139,16 @@ mod tests {
                 workload,
                 origin,
             },
-            9 => Request::AltResult {
-                race_id,
-                alt_idx,
-                status: rng.u8() % 3,
-                value: arg,
-                latency_us: rng.u64_in(0, 10_000),
-            },
+            9 => {
+                let result = Response::AltResult {
+                    race_id,
+                    alt_idx,
+                    status: rng.u8() % 3,
+                    value: arg,
+                    latency_us: rng.u64_in(0, 10_000),
+                };
+                return result.encode();
+            }
             10 => Request::CommitVote {
                 race_id,
                 origin,
@@ -1329,22 +1320,6 @@ mod tests {
                         },
                         None => Action::Reply(Response::Overloaded),
                     },
-                    Ok(Request::AltResult {
-                        race_id,
-                        alt_idx,
-                        status,
-                        value,
-                        latency_us,
-                    }) => Action::Feed(
-                        *race_id,
-                        Event::LegResult {
-                            alt_idx: *alt_idx,
-                            status: *status,
-                            value: *value,
-                            latency_us: *latency_us,
-                            redo: false,
-                        },
-                    ),
                     Ok(Request::CommitVote {
                         race_id,
                         origin,
@@ -1381,7 +1356,15 @@ mod tests {
                 drained |= latch;
                 for c in 0..n_conns {
                     let mut batch: Vec<Result<Request, FrameError>> = (0..rng.usize_in(0, 4))
-                        .map(|_| Request::decode(&any_body(rng)))
+                        .map(|_| {
+                            let body = any_body(rng);
+                            let request = Request::decode(&body);
+                            if body[0] == 0x07 {
+                                let unknown = matches!(request, Err(FrameError::UnknownOpcode(7)));
+                                assert!(unknown, "opcode 0x07 is no request: {request:?}");
+                            }
+                            request
+                        })
                         .collect();
                     if rng.chance(0.05) {
                         let framing = match rng.bool() {

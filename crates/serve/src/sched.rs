@@ -252,13 +252,6 @@ impl Default for CatalogStats {
     }
 }
 
-/// What one race's plan meant, for counter accounting after it resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanKind {
-    /// Number of alternatives held back by the plan.
-    pub hedged: usize,
-}
-
 /// The per-workload hedging policy. See module docs.
 #[derive(Debug)]
 pub struct HedgePolicy {
@@ -464,14 +457,13 @@ fn body_under_a_wake(table: &AltStatsTable, fav: usize) -> bool {
 /// which records timeouts and errors as well as wins, so a workload
 /// that *never* meets its deadline converges on p99 ≈ deadline and any
 /// queue wait at all tips the verdict to shed. A cold workload (fewer
-/// than `min_samples` samples) is always admitted: infeasibility must
+/// than [`ADMISSION_MIN_SAMPLES`] samples) is always admitted: infeasibility must
 /// be proven, never presumed. Best-effort requests (`deadline_ms == 0`)
 /// bypass the gate entirely — no deadline, nothing to be infeasible
 /// against.
 #[derive(Debug, Clone)]
 pub struct Admission {
     enabled: bool,
-    min_samples: u64,
     catalog: Arc<CatalogStats>,
 }
 
@@ -482,11 +474,7 @@ impl Admission {
     /// A gate over the shared statistics store. Disabled gates admit
     /// everything.
     pub fn new(enabled: bool, catalog: Arc<CatalogStats>) -> Self {
-        Admission {
-            enabled,
-            min_samples: ADMISSION_MIN_SAMPLES,
-            catalog,
-        }
+        Admission { enabled, catalog }
     }
 
     /// Whether the gate is switched on.
@@ -502,7 +490,7 @@ impl Admission {
         if !self.enabled || deadline_ms == 0 {
             return true;
         }
-        if self.catalog.service_samples(widx) < self.min_samples {
+        if self.catalog.service_samples(widx) < ADMISSION_MIN_SAMPLES {
             return true;
         }
         let Some(p99) = self.catalog.service_quantile_us(widx, 0.99) else {

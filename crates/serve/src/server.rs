@@ -290,12 +290,11 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
         .collect::<io::Result<Vec<_>>>()?;
     let ctl = DaemonCtl::new(homes.iter().map(|(home, _)| Arc::clone(home)).collect());
 
-    // The peer plane exists even with no peers configured: this node
-    // may still be asked to *execute* shipped alternatives, and the
-    // results ride home over its own outbound (dial-on-demand) links.
-    // With an empty peer list the placement never ships, so the single-
-    // node request path is untouched: shard 0 holds the links, and
-    // polls no socket and reads no clock for them until one exists.
+    // Peer links exist only for configured peers. A node with none may
+    // still execute shipped alternatives — each result goes home on the
+    // connection its `EXEC_ALT` arrived on — but never originates a
+    // distributed race (placement needs an up peer), so shard 0 has no
+    // link to poll, no clock to read and nothing to flush at drain.
     let advertise = config
         .peer
         .advertise
@@ -310,7 +309,8 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
         PeerHandle::new(Arc::clone(&peer_stats), Arc::clone(&homes[0].0)),
         advertise.clone(),
     ));
-    let mut links = Some(PeerLinks::new(Arc::clone(&races), &config.peer));
+    let mut links =
+        (!config.peer.peers.is_empty()).then(|| PeerLinks::new(Arc::clone(&races), &config.peer));
     let shard = Shard {
         telemetry: Arc::clone(&telemetry),
         sched: Arc::clone(&sched),
@@ -658,5 +658,27 @@ mod tests {
         let reactor = reactors.pop().expect("one shard");
         assert_eq!(slack_around(move || reactor.run()), (mine, Some(1)));
         assert_eq!(timer_slack_ns(), mine, "the building thread keeps its own");
+    }
+
+    /// Peer links are for configured peers: a daemon with none builds
+    /// none, on shard 0 or anywhere, and one with a peer gives shard 0
+    /// the links and no other shard any.
+    #[test]
+    fn only_a_daemon_with_peers_has_peer_links() {
+        let has_links = |config| {
+            let (_, daemon, reactors) = assemble(config).expect("assemble");
+            daemon.ctl.request_shutdown();
+            reactors
+                .iter()
+                .map(|r| r.links.is_some())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(has_links(ServerConfig::default()), [false]);
+        let mut config = ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        };
+        config.peer.peers = vec!["127.0.0.1:1".to_owned()];
+        assert_eq!(has_links(config), [true, false]);
     }
 }

@@ -56,7 +56,7 @@ fn seed_from_env() -> u64 {
 }
 
 /// A pure executor: no peers of its own, it only admits shipped legs
-/// and dials results home.
+/// and pushes their results back on the origin's link.
 fn executor() -> ServerHandle {
     start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -206,9 +206,10 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     // --- Phase 2: a timed one-way partition. ------------------------
     // Everything B says is swallowed while the origin's sends still
     // flow: the asymmetric failure TCP keeps alive. Heartbeat replies
-    // vanish on the origin's receive side of its B link, and results
-    // vanish on the executors' dial-back path (both executors dial the
-    // same origin address, so that send site covers B and C alike).
+    // and the results B pushes back vanish alike on the origin's
+    // receive side of its B link. (The `.send` site on the origin's own
+    // address carries nothing — an executor dials nobody — so C's
+    // results still flow.)
     // B goes Suspect then Quarantined, placement stops shipping to it,
     // and the legs whose results the partition ate expire and are
     // redispatched locally.

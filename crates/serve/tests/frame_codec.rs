@@ -6,6 +6,7 @@ use altx_serve::frame::{
     exec_alt_frame_len, read_frame, write_frame, FrameDecoder, FrameError, Request, Response,
     MAX_FRAME,
 };
+use altx_serve::{server, ServerConfig};
 
 fn arb_request(rng: &mut CaseRng) -> Request {
     let name = |r: &mut CaseRng, lo: usize, hi: usize| {
@@ -28,13 +29,7 @@ fn arb_request(rng: &mut CaseRng) -> Request {
             workload: name(rng, 0, 40),
             origin: name(rng, 0, 40),
         },
-        5 => Request::AltResult {
-            race_id: rng.u64(),
-            alt_idx: rng.u64_in(0, 1 << 32) as u32,
-            status: rng.u64_in(0, 3) as u8, // ALT_OK..=ALT_DEADLINE
-            value: rng.u64(),
-            latency_us: rng.u64(),
-        },
+        5 => Request::Catalog,
         6 => Request::CommitVote {
             race_id: rng.u64(),
             origin: name(rng, 0, 40),
@@ -56,7 +51,7 @@ fn arb_response(rng: &mut CaseRng) -> Response {
     let text = |r: &mut CaseRng, lo: usize, hi: usize| {
         String::from_utf8(r.vec(lo, hi, |r| b' ' + (r.u8() % 95))).expect("ascii")
     };
-    match rng.usize_in(0, 7) {
+    match rng.usize_in(0, 8) {
         0 => Response::Ok {
             winner: rng.u64_in(0, 1 << 32) as u32,
             winner_name: text(rng, 0, 30),
@@ -74,6 +69,13 @@ fn arb_response(rng: &mut CaseRng) -> Response {
         5 => Response::Vote {
             granted: rng.u64_in(0, 2) == 1,
             holder: text(rng, 0, 60),
+        },
+        6 => Response::AltResult {
+            race_id: rng.u64(),
+            alt_idx: rng.u64_in(0, 1 << 32) as u32,
+            status: rng.u64_in(0, 3) as u8, // ALT_OK..=ALT_DEADLINE
+            value: rng.u64(),
+            latency_us: rng.u64(),
         },
         _ => Response::Text {
             body: text(rng, 0, 400),
@@ -370,8 +372,9 @@ fn incremental_decoder_rejects_oversize_and_truncation() {
 
 /// Every cluster opcode body (EXEC_ALT through RECONCILE) survives the
 /// incremental decoder at every stream split point, and every strict
-/// prefix of the body is an error — a partition chopping a frame
-/// mid-field can never mis-parse into a different message.
+/// prefix of the body — and of a pushed ALT_RESULT — is an error: a
+/// partition chopping a frame mid-field can never mis-parse into a
+/// different message.
 #[test]
 fn cluster_opcode_bodies_at_every_split_point() {
     let name = |r: &mut CaseRng, lo: usize, hi: usize| {
@@ -386,13 +389,6 @@ fn cluster_opcode_bodies_at_every_split_point() {
                 arg: rng.u64(),
                 workload: name(rng, 1, 40),
                 origin: name(rng, 1, 40),
-            },
-            Request::AltResult {
-                race_id: rng.u64(),
-                alt_idx: rng.u64_in(0, 1 << 32) as u32,
-                status: rng.u64_in(0, 3) as u8,
-                value: rng.u64(),
-                latency_us: rng.u64(),
             },
             Request::CommitVote {
                 race_id: rng.u64(),
@@ -437,6 +433,15 @@ fn cluster_opcode_bodies_at_every_split_point() {
                 );
             }
         }
+        let result = Response::AltResult {
+            race_id: rng.u64(),
+            alt_idx: rng.u64_in(0, 1 << 32) as u32,
+            status: rng.u64_in(0, 3) as u8,
+            value: rng.u64(),
+            latency_us: rng.u64(),
+        }
+        .encode();
+        assert!((0..result.len()).all(|cut| Response::decode(&result[..cut]).is_err()));
     });
 }
 
@@ -470,8 +475,13 @@ fn exec_alt_frame_len_is_the_encoded_frame() {
 #[test]
 fn unknown_opcodes_distinguished_from_malformed() {
     check("unknown_opcodes_distinguished", 128, |rng| {
-        // 0x01..=0x0B are assigned; everything above is free.
-        let op = rng.u64_in(0x0C, 0x100) as u8;
+        // 0x01..=0x0B are assigned but 0x07 (the result, once a
+        // request, now a frame the executor pushes); everything above
+        // is free.
+        let op = match rng.chance(0.1) {
+            true => 0x07,
+            false => rng.u64_in(0x0C, 0x100) as u8,
+        };
         let mut body = vec![op];
         body.extend(rng.bytes(0, 32));
         match Request::decode(&body) {
@@ -489,4 +499,69 @@ fn trailing_bytes_rejected() {
         body.extend(rng.bytes(1, 8));
         assert!(Response::decode(&body).is_err());
     });
+}
+
+/// A workload name longer than a `u16` prefix can count is cut to its
+/// longest prefix that fits and ends on a character boundary: the frame
+/// decodes, to a prefix of the name, instead of carrying a wrapped
+/// length its own decoder rejects.
+#[test]
+fn an_overlong_name_round_trips_to_a_prefix_of_itself() {
+    let workload = "é".repeat(40_000);
+    let run = Request::Run {
+        workload: workload.clone(),
+        deadline_ms: 0,
+        arg: 7,
+    };
+    let Ok(Request::Run { workload: got, .. }) = Request::decode(&run.encode()) else {
+        panic!("an 80 000-byte name does not round-trip");
+    };
+    assert!(workload.starts_with(&got));
+    assert_eq!(got.len(), 65_534, "the longest whole-character prefix");
+}
+
+/// An error message longer than a `u16` prefix can count is cut on a
+/// character boundary: the reply decodes, and its length is the one the
+/// ring sizes its slot by.
+#[test]
+fn an_overlong_error_message_still_decodes() {
+    let error = Response::Error {
+        message: "é".repeat(35_000),
+    };
+    let body = error.encode();
+    assert_eq!(error.encoded_len(), body.len());
+    match Response::decode(&body) {
+        Ok(Response::Error { message }) => assert_eq!(message.len(), 65_534),
+        other => panic!("a 70 000-byte message gave {other:?}"),
+    }
+}
+
+/// Over a live daemon, a `RUN` naming an 80 000-byte workload is just an
+/// unknown workload: the connection is kept, and serves the next request.
+#[test]
+fn a_daemon_answers_an_overlong_workload_name_and_keeps_the_connection() {
+    let daemon = server::start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let mut conn = std::net::TcpStream::connect(daemon.local_addr()).expect("connect");
+    let mut run = |workload: String, arg| {
+        let request = Request::Run {
+            workload,
+            deadline_ms: 0,
+            arg,
+        };
+        write_frame(&mut conn, &request.encode()).expect("send");
+        let body = read_frame(&mut conn)
+            .expect("read")
+            .expect("a reply, not a close");
+        Response::decode(&body).expect("a well-formed reply")
+    };
+    assert_eq!(run("é".repeat(40_000), 1), Response::UnknownWorkload);
+    match run("trivial".to_owned(), 5) {
+        Response::Ok { value, .. } => assert_eq!(value, 5),
+        other => panic!("trivial gave {other:?}"),
+    }
+    daemon.shutdown();
 }

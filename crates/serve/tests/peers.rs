@@ -2,13 +2,13 @@
 //! across the wire, plus a byte-level fake peer for failure injection.
 //!
 //! The mesh under test is deliberately asymmetric: node A runs with no
-//! peers configured (pure executor role — its outbound links are dialed
-//! on demand to ship results home), node B lists A as a peer and is
+//! peers configured (pure executor role — it dials nobody, and its
+//! results ride home on B's own links), node B lists A as a peer and is
 //! forced to explore (`explore_every = 1`) so every race ships one
 //! non-favourite alternative. That exercises both roles of every node
 //! without waiting for the transfer model to warm up.
 
-use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response};
+use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response, ALT_OK};
 use altx_serve::server::{start, ServerConfig, ServerHandle};
 use altx_serve::telemetry::Metric;
 use altx_serve::{workload, Client, PeerConfig};
@@ -356,20 +356,20 @@ fn peer_death_mid_race_degrades_and_answers_exactly_once() {
     origin.shutdown();
 }
 
-/// An executor that double-sends its `ALT_RESULT` (the duplicated-frame
-/// chaos the faults layer injects at the wire): the origin must count
-/// the result at most once, answer the client exactly once, and keep
-/// the connection in sync — the duplicate can never surface as a stray
-/// reply.
+/// An executor that pushes its `ALT_RESULT` twice on the origin's link
+/// (the duplicated-frame chaos the faults layer injects at the wire):
+/// the origin must count the result at most once, answer the client
+/// exactly once, and keep both connections in sync — the duplicate can
+/// never surface as a stray reply, nor take the tag of a request.
 #[test]
 fn duplicated_alt_result_never_double_answers() {
     let _guard = serial();
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
     let fake_addr = listener.local_addr().expect("fake addr");
-    // The fake executor: ack everything on the origin's link; on each
-    // EXEC_ALT, dial the origin back like a real executor would and
-    // deliver the same winning ALT_RESULT twice.
+    // The fake executor: ack everything on the origin's link; on the
+    // first EXEC_ALT, push the same winning ALT_RESULT twice behind the
+    // ack on that very link, as a real executor pushes one.
     let fake = std::thread::spawn(move || {
         let (mut conn, _) = listener.accept().expect("origin dials in");
         let mut duplicated = false;
@@ -382,25 +382,20 @@ fn duplicated_alt_result_never_double_answers() {
             };
             match Request::decode(&body) {
                 Ok(Request::ExecAlt {
-                    race_id,
-                    alt_idx,
-                    origin,
-                    ..
+                    race_id, alt_idx, ..
                 }) if !duplicated => {
                     duplicated = true;
                     let _ = write_frame(&mut conn, &ack.encode());
-                    let mut back = TcpStream::connect(&origin).expect("dial the origin back");
-                    let result = Request::AltResult {
+                    let result = Response::AltResult {
                         race_id,
                         alt_idx,
-                        status: 0, // ALT_OK
+                        status: ALT_OK,
                         value: 424_242,
                         latency_us: 10,
                     }
                     .encode();
                     for _ in 0..2 {
-                        write_frame(&mut back, &result).expect("send duplicate result");
-                        let _ = read_frame(&mut back); // origin acks each copy
+                        let _ = write_frame(&mut conn, &result);
                     }
                 }
                 Ok(_) => {
@@ -447,12 +442,14 @@ fn duplicated_alt_result_never_double_answers() {
     fake.join().expect("fake peer thread");
 }
 
-/// An origin that is gone gets nothing, ever. The executor runs a leg
-/// shipped by an address nobody listens on; its `ALT_RESULT` has
-/// nowhere to go and must be dropped with the failed dial — not parked
-/// and redialled until something binds that port and is handed the
-/// result of a race it never started (a restarted origin numbers its
-/// races from 1 again and matches a result by race and alternative
+/// A result rides home on the connection that shipped its leg, and
+/// nowhere else. The executor runs a leg whose origin names an address
+/// nobody listens on: its `ALT_RESULT` comes back on the test's own
+/// `EXEC_ALT` socket — before or after the ack, whichever the job and
+/// the reactor make first — and that address is never dialled, now or
+/// later, so something that binds the port afterwards is never handed
+/// the result of a race it did not start (a restarted origin numbers
+/// its races from 1 again and matches a result by race and alternative
 /// alone). The window is longer than the longest redial backoff.
 #[test]
 fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
@@ -475,16 +472,25 @@ fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
         origin: origin_addr.to_string(),
     };
     write_frame(&mut conn, &leg.encode()).expect("ship the leg");
-    let ack = read_frame(&mut conn)
-        .expect("ack")
-        .expect("ack, not a close");
-    assert!(
-        matches!(Response::decode(&ack), Ok(Response::Text { .. })),
-        "the leg was not admitted"
-    );
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let (mut acked, mut result) = (false, false);
+    for _ in 0..2 {
+        let body = read_frame(&mut conn)
+            .expect("the ack and the result")
+            .expect("a frame, not a close");
+        match Response::decode(&body).expect("a well-formed frame") {
+            Response::Text { .. } if !acked => acked = true,
+            Response::AltResult {
+                race_id: 7,
+                alt_idx: 0,
+                status: ALT_OK,
+                ..
+            } if !result => result = true,
+            other => panic!("want the ack and the result, got {other:?}"),
+        }
+    }
     wait_for(&executor, "the leg to run", |s| s[Metric::RemoteExecs] >= 1);
-    // The result's dial (50 ms at most) has failed by now.
-    std::thread::sleep(Duration::from_millis(200));
 
     let origin = TcpListener::bind(origin_addr).expect("bind the origin's port");
     origin.set_nonblocking(true).expect("nonblocking accept");
@@ -499,6 +505,35 @@ fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
         }
     }
     executor.shutdown();
+}
+
+/// A result needs no second connection: once a shipped leg has reported
+/// home, the origin still has exactly one connection open — its client's
+/// — because the executor wrote the result on the origin's own link
+/// instead of dialling back.
+#[test]
+fn a_result_comes_home_on_the_origins_link_not_a_dial_back() {
+    let _guard = serial();
+    let a = node(Vec::new(), 16);
+    let b = node(vec![a.local_addr().to_string()], 1);
+    wait_for(&b, "B's link to A to come up", |s| s[Metric::PeersUp] == 1);
+
+    let mut client = Client::connect(b.local_addr()).expect("connect B");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for arg in 0.. {
+        client.run("lognormal", arg, 0).expect("reply");
+        if b.telemetry().snapshot()[Metric::RemoteResults] >= 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "no shipped leg ever reported");
+    }
+    assert_eq!(
+        b.telemetry().snapshot()[Metric::ConnsOpen],
+        1,
+        "the origin has a connection besides its client's"
+    );
+    b.shutdown();
+    a.shutdown();
 }
 
 /// A peer that never completes a TCP handshake costs its own link, and

@@ -175,13 +175,16 @@ cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_
 echo "==> run-queue schedule property (2500 seeded schedules, virtual time, no threads)"
 cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_entry_once
 
-# The peer link is a pure value as well — dial, backoff, the in-order
+# The peer link is a pure value as well — one per configured --peer,
+# and no other address is ever dialled: dial, backoff, the in-order
 # correlation FIFO, park and replay, heartbeat, health and the
 # silent-link reset, all behind step(event, now) -> actions — so the
-# wire's interleavings are seeds too: 2 500 schedules of commands, dial
-# outcomes, replies, hang-ups, ticks and send- and recv-side faults
-# against model peers running the real frame decoder. A failure prints
-# the altx_check seed that replays it.
+# wire's interleavings are seeds too: 2 500 schedules of commands (to
+# peers and to addresses outside the peer list), dial outcomes, replies,
+# hang-ups, ticks and send- and recv-side faults against model peers
+# running the real frame decoder, which push each admitted leg's result
+# on the same stream — a push pops no tag. A failure prints the
+# altx_check seed that replays it.
 echo "==> peer-link schedule property (2500 seeded schedules, virtual time, no sockets)"
 cargo test -q -p altx-serve --lib link::tests::any_schedule_keeps_every_link_rule
 
