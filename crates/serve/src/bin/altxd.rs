@@ -42,9 +42,11 @@
 //! outbound link to each named peer, ships non-favourite alternatives
 //! to lightly loaded peers when the transfer model says it pays, and
 //! commits each race's winner through a majority vote across the nodes
-//! that were up when the race started. `--advertise NAME` sets this
-//! node's identity in the cluster (defaults to the bind address);
-//! nobody dials it — a result comes back on the link that shipped it.
+//! that were up when the race started. `--advertise NAME` names this
+//! node's votes in its peers' ledgers and prefixes its commit
+//! candidates (defaults to the bind address); nobody dials it — a
+//! result comes back on the link that shipped it, and a leg lives no
+//! longer than that link.
 //!
 //! Deadline-aware scheduling (all off by default — the defaults are
 //! byte-for-byte the classic FIFO pool): `--lanes SPEC` declares

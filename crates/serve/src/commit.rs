@@ -15,7 +15,12 @@
 //! through `altx-cluster`'s re-export.
 //!
 //! * [`CommitLedger`] — the **voter** side every peered daemon runs:
-//!   one `VoteSlot<String>` per `(origin, race_id)`.
+//!   one `VoteSlot<String>` per `(origin, race_id)`. A slot lives until
+//!   a vote's sweep finds it older than the TTL — the one way a slot
+//!   leaves, whether its origin is still up, reconnected or gone for
+//!   good. Keeping a slot longer can only deny more, never grant twice;
+//!   an origin's race ids never repeat across its restarts (`remote.rs`),
+//!   so no new race meets an old slot.
 //! * [`VoteTally`] — the **proposer** side the race origin runs: `Tally`
 //!   under its wire-side name, over the voter set frozen when the race
 //!   started. `Unreachable` is where the origin must degrade.
@@ -108,30 +113,6 @@ impl CommitLedger {
         self.denied.load(Ordering::Relaxed)
     }
 
-    /// Partition-heal resync: a reconnecting origin advertises its
-    /// lowest still-open race id; every slot this node holds for that
-    /// origin below the watermark belongs to a race already decided,
-    /// so dropping the grant cannot enable a double-commit. Returns
-    /// how many slots were dropped.
-    pub fn reconcile(&self, origin: &str, watermark: u64) -> usize {
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        let before = slots.len();
-        slots.retain(|(o, id), _| o != origin || *id >= watermark);
-        before - slots.len()
-    }
-
-    /// Drops slots older than `ttl`. Races are short-lived; the slot
-    /// only has to outlive any late retry for its race, so a sweep with
-    /// a generous TTL keeps the ledger bounded without risking a
-    /// double-grant inside a race's lifetime.
-    pub fn sweep(&self, ttl: Duration) {
-        let now = Instant::now();
-        self.slots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .retain(|_, g| now.duration_since(g.at) < ttl);
-    }
-
     /// Live grant slots (test/diagnostic hook).
     pub fn len(&self) -> usize {
         self.slots
@@ -202,21 +183,6 @@ mod tests {
         assert_eq!(ledger.votes_denied(), 7);
     }
 
-    #[test]
-    fn reconcile_drops_only_the_origin_slots_below_the_watermark() {
-        let ledger = CommitLedger::new();
-        ledger.vote("a:1", 1, "x");
-        ledger.vote("a:1", 5, "y");
-        ledger.vote("b:2", 1, "z");
-        assert_eq!(ledger.reconcile("a:1", 5), 1, "only a:1/1 is below");
-        assert_eq!(ledger.len(), 2);
-        // The surviving slot still enforces its grant.
-        let (granted, _) = ledger.vote("a:1", 5, "other");
-        assert!(!granted, "a:1/5 survived the reconcile");
-        assert_eq!(ledger.reconcile("a:1", 100), 1);
-        assert_eq!(ledger.len(), 1, "b:2 is untouched");
-    }
-
     /// Every 1 024th vote sweeps on its way in; a slot younger than the
     /// TTL survives it, and the sweeping vote is counted like any other.
     #[test]
@@ -229,15 +195,34 @@ mod tests {
         assert_eq!(ledger.votes_granted(), SWEEP_EVERY + 1);
     }
 
+    /// The vote at a `SWEEP_EVERY` boundary drops the slots its clock
+    /// finds older than the TTL — and only those — before it takes its
+    /// own; a slot that survives still enforces its grant.
     #[test]
     fn sweep_reclaims_old_slots() {
         let ledger = CommitLedger::new();
-        ledger.vote("a:1", 1, "x");
-        ledger.vote("a:1", 2, "y");
-        assert_eq!(ledger.len(), 2);
-        ledger.sweep(Duration::from_secs(600));
-        assert_eq!(ledger.len(), 2, "young slots survive");
-        ledger.sweep(Duration::ZERO);
-        assert!(ledger.is_empty(), "expired slots are reclaimed");
+        let t0 = Instant::now();
+        let at = |secs| move || t0 + Duration::from_secs(secs);
+        // Votes 0..SWEEP_EVERY: the first sweeps an empty ledger; slot
+        // 0 is stamped at t0, every later one a whole TTL on.
+        assert!(ledger.vote_with("a:1", 0, "x", at(0)).0);
+        for race_id in 1..SWEEP_EVERY {
+            assert!(ledger.vote_with("a:1", race_id, "x", at(300)).0);
+        }
+        assert_eq!(ledger.len() as u64, SWEEP_EVERY);
+        // Vote SWEEP_EVERY sweeps at t0 + 300 s: slot 0 is a TTL old.
+        assert!(ledger.vote_with("a:1", SWEEP_EVERY, "x", at(300)).0);
+        assert_eq!(
+            ledger.len() as u64,
+            SWEEP_EVERY,
+            "slot 0 went, the vote's came"
+        );
+        let (granted, holder) = ledger.vote_with("a:1", 0, "y", at(300));
+        assert!(granted && holder == "y", "slot 0 was reclaimed");
+        let (granted, holder) = ledger.vote_with("a:1", 1, "y", at(300));
+        assert!(
+            !granted && holder == "x",
+            "slot 1 survived and holds its grant"
+        );
     }
 }

@@ -21,6 +21,17 @@
 //! A result pushed for a peer's shipped alternative ([`WriteState::push`])
 //! takes no sequence number: it joins the queue between whole frames.
 //!
+//! The write half also holds the **shipped legs** of its connection: the
+//! cancel token of every alternative a peer shipped on it with
+//! `EXEC_ALT` and still running here, registered before the job is
+//! submitted ([`WriteState::ship`]). A leg leaves when its result push
+//! retires it — in the same lock hold as the push — or its submission is
+//! refused; an `ELIMINATE` on the connection cancels its race's legs
+//! there and nowhere else ([`WriteState::eliminate`]); and closing the
+//! half, however the connection ends, cancels every leg left. A shipped
+//! alternative lives no longer than the link that shipped it: its
+//! result could only ever come home on that link.
+//!
 //! That order, "each reply once" and "no byte after close" are mutual-
 //! exclusion properties of the write half's lock, not by-products of a
 //! single owning thread; [`WriteState`] takes its writer as a
@@ -31,7 +42,8 @@
 //! protocol error, or server drain: no new requests, in-flight replies
 //! still flush) → reclaimed by the reactor once the last owed reply is
 //! flushed, or at once when the socket fails. Reclaiming marks the
-//! write half **closed** under its lock: a race still in flight keeps
+//! write half **closed** under its lock and cancels its shipped legs: a
+//! race still in flight keeps
 //! an `Arc` of the half (so the fd number cannot be reused under it),
 //! and its late delivery drops the frame instead of writing — dropping
 //! an [`EncodedReply`] reclaims its ring slot by destructor, so a dying
@@ -42,6 +54,7 @@ use crate::frame::{FrameDecoder, FrameError};
 use crate::ring::EncodedReply;
 use crate::sys::{POLLIN, POLLOUT};
 use crate::telemetry::ShardStats;
+use altx::CancelToken;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -180,8 +193,23 @@ impl WriteHalf {
     }
 
     /// See [`WriteState::push`].
-    pub(crate) fn push(&self, frame: EncodedReply) -> bool {
-        self.locked(|state, stream| state.push(frame, stream))
+    pub(crate) fn push(&self, seq: u64, frame: EncodedReply) -> bool {
+        self.locked(|state, stream| state.push(seq, frame, stream))
+    }
+
+    /// See [`WriteState::ship`].
+    pub(crate) fn ship(&self, seq: u64, race_id: u64, token: CancelToken) {
+        self.locked(|state, _| state.ship(seq, race_id, token));
+    }
+
+    /// See [`WriteState::retire`].
+    pub(crate) fn retire(&self, seq: u64) {
+        self.locked(|state, _| state.retire(seq));
+    }
+
+    /// See [`WriteState::eliminate`].
+    pub(crate) fn eliminate(&self, race_id: u64) -> usize {
+        self.locked(|state, _| state.eliminate(race_id))
     }
 
     /// The socket reported writable: flushes what a delivery left
@@ -241,6 +269,10 @@ pub(crate) struct WriteState {
     failed: bool,
     /// The reactor reclaimed the connection; late deliveries drop.
     closed: bool,
+    /// The legs peers shipped on this connection that still run here:
+    /// `(seq, race_id, token)`, `seq` being the `EXEC_ALT`'s own, so a
+    /// doubled `EXEC_ALT` is two legs and each push retires its own.
+    legs: Vec<(u64, u64, CancelToken)>,
     /// The owning shard's counters: `conns_active` moves here, at this
     /// connection's transitions between no request in flight and some
     /// — under the lock, so concurrent deliveries cannot count one
@@ -259,6 +291,7 @@ impl WriteState {
             read_closed: false,
             failed: false,
             closed: false,
+            legs: Vec::new(),
             stats,
         }
     }
@@ -332,16 +365,45 @@ impl WriteState {
         self.has_output() || self.interest(false).is_none()
     }
 
-    /// Queues a frame that answers no request behind the whole frames
-    /// queued, and writes as [`WriteState::deliver`] does; a closed half
-    /// drops it.
-    pub(crate) fn push(&mut self, frame: EncodedReply, w: &mut impl Write) -> bool {
+    /// Queues the result of the leg shipped by request `seq` behind the
+    /// whole frames queued, retiring the leg, and writes as
+    /// [`WriteState::deliver`] does; a closed half drops it.
+    pub(crate) fn push(&mut self, seq: u64, frame: EncodedReply, w: &mut impl Write) -> bool {
+        self.retire(seq);
         if self.closed {
             return false;
         }
         self.out.push_back(frame);
         self.flush(w, None);
         self.has_output() || self.interest(false).is_none()
+    }
+
+    /// Holds the token of the leg request `seq` shipped for `race_id`
+    /// until its push retires it; a closed half cancels it at once.
+    pub(crate) fn ship(&mut self, seq: u64, race_id: u64, token: CancelToken) {
+        if self.closed {
+            token.cancel();
+        } else {
+            self.legs.push((seq, race_id, token));
+        }
+    }
+
+    /// Lets go of the leg request `seq` shipped, uncancelled.
+    pub(crate) fn retire(&mut self, seq: u64) {
+        self.legs.retain(|&(s, ..)| s != seq);
+    }
+
+    /// Cancels every leg of `race_id` shipped on this connection; how
+    /// many there were.
+    pub(crate) fn eliminate(&mut self, race_id: u64) -> usize {
+        let before = self.legs.len();
+        self.legs.retain(|(_, r, token)| {
+            if *r == race_id {
+                token.cancel();
+            }
+            *r != race_id
+        });
+        before - self.legs.len()
     }
 
     /// Writes queued reply frames until `w` would block, directly from
@@ -375,11 +437,13 @@ impl WriteState {
     }
 
     /// Reclaims the connection: every queued and parked frame drops
-    /// (ring slots return home), no request stays in flight, and every
-    /// later delivery is ignored.
+    /// (ring slots return home), no request stays in flight, every leg
+    /// still shipped on it is cancelled, and every later delivery is
+    /// ignored.
     pub(crate) fn close(&mut self) {
         let was_active = !self.pending.is_empty();
         self.closed = true;
+        self.legs.drain(..).for_each(|(.., token)| token.cancel());
         self.out.clear();
         self.out_pos = 0;
         self.pending.clear();
@@ -499,11 +563,11 @@ mod tests {
         .into()
     }
 
-    /// The result pushed for the `k`th leg a connection shipped: bytes
-    /// no reply has.
-    fn pushed(k: u64, ring: &ReplyRing) -> (EncodedReply, Vec<u8>) {
+    /// The result pushed for the `k`th leg a connection shipped, of race
+    /// `race_id`: bytes no reply has.
+    fn pushed(k: u64, race_id: u64, ring: &ReplyRing) -> (EncodedReply, Vec<u8>) {
         let response = Response::AltResult {
-            race_id: k,
+            race_id,
             alt_idx: 1,
             status: 0,
             value: k,
@@ -514,17 +578,35 @@ mod tests {
         (frame, bytes)
     }
 
+    /// One leg a request of the case shipped, as the model sees it.
+    struct Leg {
+        seq: u64,
+        race_id: u64,
+        token: CancelToken,
+        /// Its job pushed its result.
+        pushed: bool,
+        /// Registered, and not retired, eliminated or closed on since.
+        held: bool,
+        /// What the rules say its token must read.
+        cancelled: bool,
+    }
+
     /// The write half's contract, for any order in which requests
-    /// begin, replies are delivered (late, twice, for seqs that never
-    /// existed), results are pushed, the peer stops sending, the socket
-    /// accepts, blocks or fails, and the reactor reclaims the
-    /// connection: the peer sees exactly the sequenced frames in seq
-    /// order, each once, with every push whole between two of them, at
-    /// the point it was made; `deliver` and `push` ask for the reactor
-    /// iff output is left, the write failed, or the connection became
-    /// closable; a closed half writes nothing; the `conns_active` gauge
-    /// is 1 exactly while a reply is owed; and every ring slot comes
-    /// home.
+    /// begin — some of them shipping a leg of one of three races —,
+    /// replies are delivered (late, twice, for seqs that never existed),
+    /// legs' results are pushed, races are eliminated, the peer stops
+    /// sending, the socket accepts, blocks or fails, and the reactor
+    /// reclaims the connection: the peer sees exactly the sequenced
+    /// frames in seq order, each once, with every push whole between
+    /// two of them, at the point it was made; `deliver` and `push` ask
+    /// for the reactor iff output is left, the write failed, or the
+    /// connection became closable; a closed half writes nothing; the
+    /// `conns_active` gauge is 1 exactly while a reply is owed; every
+    /// ring slot comes home; and after every step a leg's token is
+    /// cancelled exactly when its race was eliminated on this half, or
+    /// the half closed, before the leg's push retired it — so a retired
+    /// token is never cancelled later, an `ELIMINATE` cancels nothing of
+    /// another race and answers how many it cancelled.
     #[test]
     fn any_delivery_schedule_writes_each_frame_once_in_seq_order() {
         check("write_half_schedules", 2_500, |rng| {
@@ -541,19 +623,58 @@ mod tests {
             let (mut read_closed, mut closed) = (false, false);
             // Every frame released to the queue, in release order: what
             // the wire must be a prefix of.
-            let (mut expected, mut released, mut pushes) = (Vec::new(), 0, 0);
+            let (mut expected, mut released) = (Vec::new(), 0);
+            let mut legs: Vec<Leg> = Vec::new();
+            let judge_legs = |legs: &[Leg]| {
+                for leg in legs {
+                    let cancelled = leg.token.is_cancelled();
+                    assert_eq!(
+                        cancelled, leg.cancelled,
+                        "leg {} of race {}",
+                        leg.seq, leg.race_id
+                    );
+                }
+            };
 
             let mut step = 0;
             while begun < n || !undelivered.is_empty() {
                 step += 1;
+                judge_legs(&legs);
                 if close_at == Some(step) && !closed {
                     state.close();
                     closed = true;
+                    for leg in legs.iter_mut().filter(|l| l.held) {
+                        (leg.held, leg.cancelled) = (false, true);
+                    }
                 }
                 if begun < n && !read_closed && (undelivered.is_empty() || rng.chance(0.4)) {
                     assert_eq!(state.begin_request(), begun, "seqs are dense");
+                    if rng.chance(0.4) {
+                        // An EXEC_ALT: its leg is held before it runs.
+                        let (race_id, token) = (rng.u64_below(3), CancelToken::new());
+                        state.ship(begun, race_id, token.clone());
+                        legs.push(Leg {
+                            seq: begun,
+                            race_id,
+                            token,
+                            pushed: false,
+                            held: !closed,
+                            cancelled: closed,
+                        });
+                    }
                     undelivered.push(begun);
                     begun += 1;
+                    continue;
+                }
+                if rng.chance(0.1) {
+                    // An ELIMINATE for one of the races.
+                    let race_id = rng.u64_below(3);
+                    let mut hit = 0;
+                    for leg in legs.iter_mut().filter(|l| l.held && l.race_id == race_id) {
+                        (leg.held, leg.cancelled) = (false, true);
+                        hit += 1;
+                    }
+                    assert_eq!(state.eliminate(race_id), hit, "eliminated {race_id}");
                     continue;
                 }
                 if !read_closed && rng.chance(0.1) {
@@ -566,14 +687,18 @@ mod tests {
                 }
                 w.script.extend(script(rng, fail_p));
                 let wire_before = w.wire.len();
-                let needs_reactor = if rng.chance(0.2) {
-                    // A leg this connection shipped finished.
-                    pushes += 1;
-                    let (frame, bytes) = pushed(pushes, &ring);
+                let running: Vec<usize> = (0..legs.len()).filter(|&k| !legs[k].pushed).collect();
+                let needs_reactor = if !running.is_empty() && rng.chance(0.3) {
+                    // A leg this connection shipped finished, cancelled
+                    // or not: its push retires it.
+                    let k = *rng.pick(&running);
+                    let leg = &mut legs[k];
+                    (leg.pushed, leg.held) = (true, false);
+                    let (frame, bytes) = pushed(k as u64, leg.race_id, &ring);
                     if !closed {
                         expected.extend(bytes);
                     }
-                    state.push(frame, &mut w)
+                    state.push(leg.seq, frame, &mut w)
                 } else {
                     // A real delivery, or a stray: a duplicate of one
                     // already made, or a seq no request ever had.
@@ -637,6 +762,10 @@ mod tests {
                 );
             }
             state.close();
+            for leg in legs.iter_mut().filter(|l| l.held) {
+                leg.cancelled = true;
+            }
+            judge_legs(&legs);
             assert_eq!(stats.conns_active(), 0, "a closed connection is not active");
             assert_eq!(ring.idle_slots(), SLOTS, "every slot returned to the ring");
         });

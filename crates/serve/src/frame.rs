@@ -18,13 +18,12 @@
 //! CATALOG:     0x05
 //! EXEC_ALT:    0x06 | race_id: u64 | alt_idx: u32 | deadline_ms: u32
 //!                   | arg: u64 | name_len: u16 | workload
-//!                   | origin_len: u16 | origin
 //!              0x07   unassigned (an unknown opcode)
 //! COMMIT_VOTE: 0x08 | race_id: u64 | origin_len: u16 | origin
 //!                   | cand_len: u16 | candidate
-//! ELIMINATE:   0x09 | race_id: u64 | origin_len: u16 | origin
+//! ELIMINATE:   0x09 | race_id: u64
 //! PEER_STATS:  0x0A
-//! RECONCILE:   0x0B | watermark: u64 | origin_len: u16 | origin
+//!              0x0B   unassigned (an unknown opcode)
 //! ```
 //!
 //! Response body layout:
@@ -42,21 +41,23 @@
 //!                         | value: u64 | latency_us: u64   (unsolicited)
 //! ```
 //!
-//! Opcodes 0x06–0x0B and the VOTE and ALT_RESULT statuses are the
+//! Opcodes 0x06–0x0A and the VOTE and ALT_RESULT statuses are the
 //! peering plane (see `peer.rs` / `remote.rs` / `commit.rs`): `EXEC_ALT`
 //! ships one alternative of a race to a peer (acked at once; the outcome
 //! comes back later as an unsolicited `ALT_RESULT` the executor pushes on
 //! the connection the `EXEC_ALT` arrived on), `COMMIT_VOTE` asks for the
-//! voter's exclusive 0–1 commit grant, `ELIMINATE` cancels a shipped
-//! alternative after the race is decided, and `RECONCILE` is sent on
-//! reconnect after a partition: every race the origin created with an
-//! id below the watermark is decided, so the receiver cancels any zombie
-//! executions and reclaims its commit-ledger slots for them. A daemon
-//! that predates these opcodes answers them with a protocol `ERROR`
-//! reply and keeps the connection — version skew fails loudly per
+//! voter's exclusive 0–1 commit grant, and `ELIMINATE` cancels the race's
+//! alternatives shipped on the same connection after the race is
+//! decided. A shipped alternative lives no longer than that connection:
+//! closing it cancels whatever still runs, so no frame names a race
+//! beyond its own connection and `EXEC_ALT` and `ELIMINATE` carry no
+//! origin. `COMMIT_VOTE` still does — the voter's ledger is keyed by
+//! it. A daemon that predates these opcodes answers them with a protocol
+//! `ERROR` reply and keeps the connection — version skew fails loudly per
 //! request, not by dropping the link. Clusters mixing builds from before
-//! the pushed `ALT_RESULT` (a request then) with later ones are not
-//! supported.
+//! the connection-scoped `EXEC_ALT` (which named its origin, and was
+//! followed on a redial by a `RECONCILE`, opcode 0x0B) with later ones
+//! are not supported.
 
 use std::io::{self, IoSlice, Read, Write};
 
@@ -331,9 +332,6 @@ pub enum Request {
         arg: u64,
         /// Registered workload name.
         workload: String,
-        /// The origin node's advertised identity, which scopes `race_id`
-        /// here; nobody dials it.
-        origin: String,
     },
     /// Peer plane: request this node's exclusive 0–1 commit vote for
     /// `candidate` in race `(origin, race_id)`. Answered with
@@ -346,26 +344,14 @@ pub enum Request {
         /// Candidate identity, e.g. `"host:port/alt2"`.
         candidate: String,
     },
-    /// Peer plane: the race is decided — cancel any alternative of
-    /// `(origin, race_id)` still running here.
+    /// Peer plane: the race is decided — cancel any of its alternatives
+    /// shipped on this connection and still running here.
     Eliminate {
         /// Race identifier (the origin's id space).
         race_id: u64,
-        /// The origin node's advertised peer address (scopes the id).
-        origin: String,
     },
     /// Peer plane: the node's per-peer link table (text).
     PeerStats,
-    /// Peer plane: partition-heal reconciliation. Every race `origin`
-    /// created with `race_id < watermark` is decided — cancel any of
-    /// their alternatives still running here and drop their commit
-    /// grants.
-    Reconcile {
-        /// First race id that may still be open at the origin.
-        watermark: u64,
-        /// The origin node's advertised peer address (scopes the ids).
-        origin: String,
-    },
 }
 
 /// `AltResult` status: the alternative succeeded with a value.
@@ -376,11 +362,11 @@ pub const ALT_FAILED: u8 = 1;
 /// finished.
 pub const ALT_DEADLINE: u8 = 2;
 
-/// Bytes an `EXEC_ALT` frame for `workload` from `origin` takes on the
-/// wire — length prefix, 29 bytes of fixed fields, the two names — what
-/// placement prices a shipped alternative at.
-pub fn exec_alt_frame_len(workload: &str, origin: &str) -> usize {
-    4 + 29 + short_str(workload).len() + short_str(origin).len()
+/// Bytes an `EXEC_ALT` frame for `workload` takes on the wire — length
+/// prefix, 27 bytes of fixed fields, the name — what placement prices a
+/// shipped alternative at.
+pub fn exec_alt_frame_len(workload: &str) -> usize {
+    4 + 27 + short_str(workload).len()
 }
 
 /// The part of `s` a `u16`-prefixed field carries: its longest prefix of
@@ -410,7 +396,6 @@ const OP_EXEC_ALT: u8 = 0x06;
 const OP_COMMIT_VOTE: u8 = 0x08;
 const OP_ELIMINATE: u8 = 0x09;
 const OP_PEER_STATS: u8 = 0x0A;
-const OP_RECONCILE: u8 = 0x0B;
 
 impl Request {
     /// Serializes into a frame body.
@@ -438,16 +423,14 @@ impl Request {
                 deadline_ms,
                 arg,
                 workload,
-                origin,
             } => {
-                let mut b = Vec::with_capacity(exec_alt_frame_len(workload, origin) - 4);
+                let mut b = Vec::with_capacity(exec_alt_frame_len(workload) - 4);
                 b.push(OP_EXEC_ALT);
                 b.extend_from_slice(&race_id.to_be_bytes());
                 b.extend_from_slice(&alt_idx.to_be_bytes());
                 b.extend_from_slice(&deadline_ms.to_be_bytes());
                 b.extend_from_slice(&arg.to_be_bytes());
                 put_str16(&mut b, workload);
-                put_str16(&mut b, origin);
                 b
             }
             Request::CommitVote {
@@ -462,21 +445,13 @@ impl Request {
                 put_str16(&mut b, candidate);
                 b
             }
-            Request::Eliminate { race_id, origin } => {
-                let mut b = Vec::with_capacity(11 + origin.len());
+            Request::Eliminate { race_id } => {
+                let mut b = Vec::with_capacity(9);
                 b.push(OP_ELIMINATE);
                 b.extend_from_slice(&race_id.to_be_bytes());
-                put_str16(&mut b, origin);
                 b
             }
             Request::PeerStats => vec![OP_PEER_STATS],
-            Request::Reconcile { watermark, origin } => {
-                let mut b = Vec::with_capacity(11 + origin.len());
-                b.push(OP_RECONCILE);
-                b.extend_from_slice(&watermark.to_be_bytes());
-                put_str16(&mut b, origin);
-                b
-            }
         }
     }
 
@@ -506,15 +481,12 @@ impl Request {
                 let arg = c.u64()?;
                 let name_len = c.u16()? as usize;
                 let workload = c.str(name_len)?;
-                let origin_len = c.u16()? as usize;
-                let origin = c.str(origin_len)?;
                 Request::ExecAlt {
                     race_id,
                     alt_idx,
                     deadline_ms,
                     arg,
                     workload,
-                    origin,
                 }
             }
             OP_COMMIT_VOTE => {
@@ -529,19 +501,8 @@ impl Request {
                     candidate,
                 }
             }
-            OP_ELIMINATE => {
-                let race_id = c.u64()?;
-                let origin_len = c.u16()? as usize;
-                let origin = c.str(origin_len)?;
-                Request::Eliminate { race_id, origin }
-            }
+            OP_ELIMINATE => Request::Eliminate { race_id: c.u64()? },
             OP_PEER_STATS => Request::PeerStats,
-            OP_RECONCILE => {
-                let watermark = c.u64()?;
-                let origin_len = c.u16()? as usize;
-                let origin = c.str(origin_len)?;
-                Request::Reconcile { watermark, origin }
-            }
             op => return Err(FrameError::UnknownOpcode(op)),
         };
         c.finish()?;

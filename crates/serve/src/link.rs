@@ -5,10 +5,12 @@
 //! ([`crate::peer`] is its shell): one link per configured `--peer`, and
 //! no other is ever dialled. Per link: whether it is down,
 //! dialling or up, the in-order correlation FIFO of the requests in
-//! flight on it, the frames parked for its next dial, its backoff, its
-//! health and its heartbeat clock. Everything that can happen to a link
-//! is an [`Event`] fed to [`LinkTable::step`] together with the current
-//! instant; everything the link wants done about it comes back as a
+//! flight on it, its backoff, its health and its heartbeat clock. It
+//! parks nothing: every frame's meaning ends with its connection — the
+//! executor cancels the legs a closed connection shipped — so a link
+//! that is not up has nothing to deliver later. Everything that can
+//! happen to a link is an [`Event`] fed to [`LinkTable::step`] together
+//! with the current instant; everything the link wants done about it comes back as a
 //! list of [`Action`]s, and [`LinkTable::next_deadline`] says when the
 //! next [`Event::Tick`] is due. The core reads no clock, owns no
 //! socket, lock or counter and draws no fault itself, so a test can
@@ -20,11 +22,11 @@
 //!
 //! | `Event` | what the core does | `Action`s it may return |
 //! |---|---|---|
-//! | `Send(cmd, fault)` | an address outside the peer list is refused at once and never dialled; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a link that is down or dialling parks `Fire` / `Eliminate` frames for its next dial — beyond `MAX_QUEUED` the oldest is dropped — and refuses the rest at once | `Write`, `Race` (refusal) |
+//! | `Send(cmd, fault)` | an address outside the peer list is refused at once and never dialled; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a link that is down or dialling refuses an `ExecAlt` or a `Vote` at once and drops an `Eliminate` or a heartbeat | `Write`, `Race` (refusal) |
 //! | `Dialed { connected: false }` — the shell's answer to `Dial` | the next dial is one backoff away and the backoff doubles (50 ms → 2 s). An answer for a link with no dial out changes nothing | — |
-//! | `Dialed { connected: true, watermark }` | the link is up, its backoff and silence clock start over, its health is **not** touched; on a re-dial `RECONCILE(watermark)` goes first, then everything parked (the `ELIMINATE`s unacknowledged at the last close among it), then the priming heartbeat | `Stat(Up(true))`, `Stat(Reconnected)`, `Frame`… |
+//! | `Dialed { connected: true }` | the link is up, its backoff and silence clock start over, its health is **not** touched; the priming heartbeat is its only frame | `Stat(Up(true))`, `Stat(Reconnected)`, `Frame` |
 //! | `Reply { resp, fault }` | a *pushed* `ALT_RESULT` is recognised before pairing: it takes no tag and gives no rtt sample, and is its race's `LegResult` — twice when duplicated, not at all when lost; any other frame pairs with the oldest tag in flight: a lost reply consumes its tag silently, and a paired one is an rtt sample and the tag's answer — twice when duplicated; a cut, undecodable or unasked-for frame closes the link, and any other is proof of life (health → `Up`) | `Stat(Health)`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
-//! | `Closed(addr)` | an up link: every tag in flight is refused, unacknowledged `ELIMINATE`s are re-parked for replay, the redial is one initial backoff away. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
+//! | `Closed(addr)` | an up link: every tag in flight is refused, the redial is one initial backoff away. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
 //! | `Tick` | a down link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up link whose heartbeat is due is aged by its silence, and then either reset (as `Closed`) because it has been silent long enough to quarantine a healthy peer, or probed | `Dial`, `Abandon`, `Stat(Health)`, `Frame` (heartbeat), or as `Closed` |
 //!
 //! A refusal converts the tag: a shipped alternative becomes
@@ -47,8 +49,6 @@ use std::time::{Duration, Instant};
 const BACKOFF_INITIAL: Duration = Duration::from_millis(50);
 /// Backoff ceiling.
 const BACKOFF_MAX: Duration = Duration::from_secs(2);
-/// Frames parked per down link before the oldest are dropped.
-const MAX_QUEUED: usize = 256;
 /// How long a dial may be out: a peer that cannot complete a TCP
 /// handshake in this budget is down for placement purposes.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
@@ -61,13 +61,8 @@ pub(crate) enum Event {
     /// drew for it at the link's send site. The site sits on the
     /// stream: the shell draws only where it holds one.
     Send(Cmd, Option<NetFault>),
-    /// The answer to [`Action::Dial`]. `watermark` is the race
-    /// registry's reconcile watermark, read when the dial returned.
-    Dialed {
-        addr: String,
-        connected: bool,
-        watermark: u64,
-    },
+    /// The answer to [`Action::Dial`].
+    Dialed { addr: String, connected: bool },
     /// One whole frame arrived on the link — `resp` is `None` when it
     /// does not decode as a reply — with the fault drawn for it at the
     /// link's recv site.
@@ -90,8 +85,8 @@ pub(crate) enum Action {
     Dial(String),
     /// The dial to this address timed out: drop its socket, feed nothing.
     Abandon(String),
-    /// A frame of the link's own — `RECONCILE`, a parked frame's
-    /// replay, a heartbeat: feed it back as an [`Event::Send`].
+    /// A frame of the link's own — a heartbeat: feed it back as an
+    /// [`Event::Send`].
     Frame(Cmd),
     /// Append these bytes to this link's stream.
     Write(String, Vec<u8>),
@@ -134,8 +129,6 @@ enum State {
 
 struct Link {
     state: State,
-    /// Frames parked for the next dial while the link is not up.
-    queue: VecDeque<(Request, SendTag)>,
     backoff: Duration,
     next_dial: Instant,
     ever_up: bool,
@@ -150,22 +143,12 @@ impl Link {
     fn new(now: Instant) -> Self {
         Link {
             state: State::Down,
-            queue: VecDeque::new(),
             backoff: BACKOFF_INITIAL,
             next_dial: now,
             ever_up: false,
             health: PeerHealth::Up,
             last_heard: now,
             last_hb: now,
-        }
-    }
-
-    /// Queues a fire-and-forget frame for the next dial, dropping the
-    /// oldest beyond [`MAX_QUEUED`]: nobody waits on one.
-    fn park(&mut self, req: Request, tag: SendTag) {
-        self.queue.push_back((req, tag));
-        if self.queue.len() > MAX_QUEUED {
-            self.queue.pop_front();
         }
     }
 
@@ -183,23 +166,17 @@ impl Link {
         }
     }
 
-    /// Up → down: every tag in flight is refused, and the link re-parks
-    /// its unacknowledged `ELIMINATE`s — the race's
-    /// outcome no longer needs them, but the peer must still learn it
-    /// or it keeps racing a ghost — and redials one initial backoff
+    /// Up → down: every tag in flight is refused — an `ELIMINATE` among
+    /// them needs no replay, since the close itself stops the legs the
+    /// connection shipped — and the link redials one initial backoff
     /// from now. A link that is already down is left alone.
-    fn close(&mut self, addr: &str, origin: &str, now: Instant, out: &mut Vec<Action>) {
+    fn close(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
         let State::Up { pending } = std::mem::replace(&mut self.state, State::Down) else {
             return;
         };
         out.push(Action::Stat(addr.to_owned(), Stat::Up(false)));
         self.next_dial = now + BACKOFF_INITIAL;
         for (tag, _) in pending {
-            if let SendTag::Eliminate { race_id } = tag {
-                // Rebuilt for replay under this node's identity.
-                let origin = origin.to_owned();
-                self.park(Request::Eliminate { race_id, origin }, tag);
-            }
             refuse(addr, tag, out);
         }
         out.push(Action::Down(addr.to_owned()));
@@ -218,9 +195,6 @@ impl Link {
 pub(crate) struct LinkTable {
     /// Ordered, so a seeded schedule replays action for action.
     links: BTreeMap<String, Link>,
-    /// This node's peer identity, named in `RECONCILE` and replayed
-    /// `ELIMINATE` frames.
-    advertise: String,
     /// Heartbeat cadence (zero disables the health lifecycle).
     heartbeat: Duration,
     /// Silence threshold for suspicion; quarantine at twice this.
@@ -229,11 +203,10 @@ pub(crate) struct LinkTable {
 
 impl LinkTable {
     /// One down link per configured peer, its first dial due `now`.
-    pub(crate) fn new(advertise: String, config: &PeerConfig, now: Instant) -> Self {
+    pub(crate) fn new(config: &PeerConfig, now: Instant) -> Self {
         let down = |addr: &String| (addr.clone(), Link::new(now));
         LinkTable {
             links: config.peers.iter().map(down).collect(),
-            advertise,
             heartbeat: Duration::from_millis(config.heartbeat_ms),
             suspect: Duration::from_millis(config.suspect_ms),
         }
@@ -244,11 +217,7 @@ impl LinkTable {
         let mut out = Vec::new();
         match event {
             Event::Send(cmd, fault) => self.send(cmd, fault, now, &mut out),
-            Event::Dialed {
-                addr,
-                connected,
-                watermark,
-            } => self.dialed(&addr, connected, watermark, now, &mut out),
+            Event::Dialed { addr, connected } => self.dialed(&addr, connected, now, &mut out),
             Event::Reply { addr, resp, fault } => self.reply(&addr, resp, fault, now, &mut out),
             Event::Closed(addr) => self.down(&addr, now, &mut out),
             Event::Tick => self.tick(now, &mut out),
@@ -282,16 +251,15 @@ impl LinkTable {
         let Some(link) = self.links.get_mut(&cmd.addr) else {
             return refuse(&cmd.addr, cmd.tag, out);
         };
-        let parks = matches!(cmd.tag, SendTag::Fire | SendTag::Eliminate { .. });
-        let pending = match &mut link.state {
-            State::Up { pending } => pending,
-            _ if parks => return link.park(cmd.req, cmd.tag),
+        let State::Up { pending } = &mut link.state else {
             // Fail fast: a peer that is not up cannot run the
             // alternative or grant the vote, and the race must not wait
-            // for a dial to find that out. (Heartbeats are minted on up
-            // links only; one racing a link death is just dropped — the
-            // next dial primes a fresh one.)
-            _ => return refuse(&cmd.addr, cmd.tag, out),
+            // for a dial to find that out. An `ELIMINATE` is dropped:
+            // the close that took the link down cancelled the race's
+            // legs there. (Heartbeats are minted on up links only; one
+            // racing a link death is just dropped — the next dial
+            // primes a fresh one.)
+            return refuse(&cmd.addr, cmd.tag, out);
         };
         let copies = match fault {
             Some(NetFault::Drop | NetFault::Partition) => return,
@@ -312,14 +280,7 @@ impl LinkTable {
         out.push(Action::Write(cmd.addr, bytes));
     }
 
-    fn dialed(
-        &mut self,
-        addr: &str,
-        connected: bool,
-        watermark: u64,
-        now: Instant,
-        out: &mut Vec<Action>,
-    ) {
+    fn dialed(&mut self, addr: &str, connected: bool, now: Instant, out: &mut Vec<Action>) {
         let dialling = |l: &&mut Link| matches!(l.state, State::Dialling(_));
         let Some(link) = self.links.get_mut(addr).filter(dialling) else {
             return;
@@ -327,29 +288,15 @@ impl LinkTable {
         if !connected {
             return link.dial_failed(now);
         }
-        let frame = |req, tag| {
-            let addr = addr.to_owned();
-            Action::Frame(Cmd { addr, req, tag })
-        };
         out.push(Action::Stat(addr.to_owned(), Stat::Up(true)));
         if link.ever_up {
             out.push(Action::Stat(addr.to_owned(), Stat::Reconnected));
-            // Partition-heal reconciliation: tell the peer which of our
-            // races are long decided, so it kills zombies the replayed
-            // ELIMINATEs don't name.
-            let origin = self.advertise.clone();
-            out.push(frame(
-                Request::Reconcile { watermark, origin },
-                SendTag::Fire,
-            ));
         }
-        // Frames parked while down — the ELIMINATEs that were
-        // unacknowledged when the link died among them — go out next.
-        out.extend(link.queue.drain(..).map(|(req, tag)| frame(req, tag)));
         if !self.heartbeat.is_zero() {
             // Prime the health lifecycle (and the rtt EWMA, and the
             // load figures) without waiting one cadence.
-            out.push(frame(Request::PeerStats, SendTag::Heartbeat));
+            let (addr, req, tag) = (addr.to_owned(), Request::PeerStats, SendTag::Heartbeat);
+            out.push(Action::Frame(Cmd { addr, req, tag }));
         }
         link.state = State::Up {
             pending: VecDeque::new(),
@@ -422,7 +369,7 @@ impl LinkTable {
     fn down(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
         let up = |l: &&mut Link| matches!(l.state, State::Up { .. });
         if let Some(link) = self.links.get_mut(addr).filter(up) {
-            link.close(addr, &self.advertise, now, out);
+            link.close(addr, now, out);
         }
     }
 
@@ -461,7 +408,7 @@ impl LinkTable {
                     }
                     // The silence that quarantines a healthy peer.
                     if PeerHealth::Up.aged(silent, self.suspect) == PeerHealth::Quarantined {
-                        link.close(addr, &self.advertise, now, out);
+                        link.close(addr, now, out);
                     } else {
                         link.last_hb = now;
                         let (addr, req, tag) =
@@ -487,7 +434,7 @@ fn refuse(addr: &str, tag: SendTag, out: &mut Vec<Action>) {
             out.push(Action::Race(race_id, remote::Event::LegRefused { alt_idx }));
         }
         SendTag::Vote { race_id } => out.push(vote(race_id, addr, false)),
-        SendTag::Fire | SendTag::Eliminate { .. } | SendTag::Heartbeat => {}
+        SendTag::Eliminate | SendTag::Heartbeat => {}
     }
 }
 
@@ -605,15 +552,13 @@ mod tests {
     /// them.
     const EXEC_ALT: u8 = 0;
     const VOTE: u8 = 1;
-    const FIRE: u8 = 2;
-    const ELIMINATE: u8 = 3;
-    const HEARTBEAT: u8 = 4;
+    const ELIMINATE: u8 = 2;
+    const HEARTBEAT: u8 = 3;
 
     /// The command of tag kind `kind` issued under ordinal `n`. The
     /// ordinal is the race id, so the bytes on the wire, the tag in the
     /// FIFO and the `Race` action that resolves it all name it.
     fn command(addr: &str, kind: u8, n: u64) -> Cmd {
-        let origin = ORIGIN.to_owned();
         let req = match kind {
             EXEC_ALT => Request::ExecAlt {
                 race_id: n,
@@ -621,18 +566,13 @@ mod tests {
                 deadline_ms: 0,
                 arg: n,
                 workload: "w".to_owned(),
-                origin,
             },
             VOTE => Request::CommitVote {
                 race_id: n,
-                origin,
+                origin: ORIGIN.to_owned(),
                 candidate: "c".to_owned(),
             },
-            FIRE => Request::Reconcile {
-                watermark: n,
-                origin,
-            },
-            ELIMINATE => Request::Eliminate { race_id: n, origin },
+            ELIMINATE => Request::Eliminate { race_id: n },
             _ => Request::PeerStats,
         };
         let (addr, tag) = (addr.to_owned(), tag_of(&req));
@@ -647,9 +587,8 @@ mod tests {
                 race_id, alt_idx, ..
             } => SendTag::ExecAlt { race_id, alt_idx },
             Request::CommitVote { race_id, .. } => SendTag::Vote { race_id },
-            Request::Eliminate { race_id, .. } => SendTag::Eliminate { race_id },
-            Request::PeerStats => SendTag::Heartbeat,
-            _ => SendTag::Fire,
+            Request::Eliminate { .. } => SendTag::Eliminate,
+            _ => SendTag::Heartbeat,
         }
     }
 
@@ -759,9 +698,8 @@ mod tests {
         }
     }
 
-    /// What the rules say about one configured link — its timers, its
-    /// health and what its next dial must replay — kept by restating
-    /// each rule, not by asking the core.
+    /// What the rules say about one configured link — its timers and its
+    /// health — kept by restating each rule, not by asking the core.
     struct Model {
         up: bool,
         ever_up: bool,
@@ -774,7 +712,6 @@ mod tests {
         /// The last reply, or the dial.
         heard: Instant,
         last_hb: Instant,
-        park: VecDeque<Request>,
     }
 
     impl Model {
@@ -813,7 +750,7 @@ mod tests {
 
     /// A stand-in for the shell, the wire and the peers: drives a
     /// [`LinkTable`] on virtual time and judges every step by its
-    /// actions (and, for the FIFO and the park, by a look inside).
+    /// actions (and, for the FIFO, by a look inside).
     struct Sim {
         table: LinkTable,
         now: Instant,
@@ -847,7 +784,6 @@ mod tests {
                     health: PeerHealth::Up,
                     heard: now,
                     last_hb: now,
-                    park: VecDeque::new(),
                 };
                 (owned(a), model)
             };
@@ -860,7 +796,7 @@ mod tests {
             };
             let cfg = config(peers, heartbeat_ms, suspect_ms);
             Sim {
-                table: LinkTable::new(ORIGIN.to_owned(), &cfg, now),
+                table: LinkTable::new(&cfg, now),
                 now,
                 heartbeat: ms(heartbeat_ms),
                 suspect: ms(suspect_ms),
@@ -907,11 +843,6 @@ mod tests {
             matches!(state, Some(State::Dialling(_)))
         }
 
-        fn parked(&self, addr: &str) -> impl Iterator<Item = &Request> {
-            let queue = self.table.links.get(addr).map(|l| l.queue.iter());
-            queue.into_iter().flatten().map(|(req, _)| req)
-        }
-
         /// Every link `event` can touch — its own, or for a tick every
         /// configured one — as the step will find it.
         fn was(&self, event: &Event) -> BTreeMap<String, Was> {
@@ -932,14 +863,6 @@ mod tests {
                 | Event::Reply { addr, .. }
                 | Event::Closed(addr) => std::iter::once(addr).map(was).collect(),
                 Event::Tick => self.model.keys().map(was).collect(),
-            }
-        }
-
-        fn model_park(&mut self, addr: &str, req: Request) {
-            let park = &mut self.model.get_mut(addr).expect("configured").park;
-            park.push_back(req);
-            if park.len() > MAX_QUEUED {
-                park.pop_front();
             }
         }
 
@@ -1001,13 +924,8 @@ mod tests {
             let peer = self.peers.get_mut(addr).expect("a known address");
             let connected = peer.listening;
             peer.stream = connected.then(Stream::default);
-            let (addr, watermark) = (addr.to_owned(), self.next_ordinal);
-            let dialed = Event::Dialed {
-                addr,
-                connected,
-                watermark,
-            };
-            self.feed(rng, dialed);
+            let addr = addr.to_owned();
+            self.feed(rng, Event::Dialed { addr, connected });
         }
 
         /// A late answer to some dial that is out, if one will ever be
@@ -1023,13 +941,8 @@ mod tests {
             if self.dials_out.contains(addr) || self.peers[addr].stream.is_some() {
                 return;
             }
-            let (addr, connected, watermark) = (addr.to_owned(), rng.bool(), self.next_ordinal);
-            let stray = Event::Dialed {
-                addr,
-                connected,
-                watermark,
-            };
-            self.feed(rng, stray);
+            let (addr, connected) = (addr.to_owned(), rng.bool());
+            self.feed(rng, Event::Dialed { addr, connected });
         }
 
         fn offer(&mut self, rng: &mut CaseRng, cmd: Cmd) {
@@ -1189,18 +1102,16 @@ mod tests {
             }
             match event {
                 Event::Send(cmd, fault) => self.judge_send(&was[&cmd.addr], cmd, *fault, actions),
-                Event::Dialed {
-                    addr,
-                    connected,
-                    watermark,
-                } => self.judge_dialed(&was[addr], addr, *connected, *watermark, actions),
+                Event::Dialed { addr, connected } => {
+                    self.judge_dialed(&was[addr], addr, *connected, actions);
+                }
                 Event::Reply { addr, resp, fault } => {
                     self.judge_reply(&was[addr], addr, resp.as_ref(), *fault, actions);
                 }
-                Event::Closed(addr) if was[addr].up => self.went_down(addr, &was[addr].pending),
+                Event::Closed(addr) if was[addr].up => self.went_down(addr),
                 // A link that is not up has no stream to lose.
                 Event::Closed(_) => assert!(actions.is_empty(), "{}", shown()),
-                Event::Tick => self.judge_tick(was, actions),
+                Event::Tick => self.judge_tick(actions),
             }
 
             // `Down` exactly once per up → down.
@@ -1210,8 +1121,7 @@ mod tests {
                 _ => None,
             });
             assert!(downs.eq(went_down.map(|(a, _)| a)), "{}", shown());
-            for (addr, link) in &self.table.links {
-                assert!(link.queue.len() <= MAX_QUEUED, "{addr} parks without bound");
+            for addr in self.table.links.keys() {
                 // The core is dialling exactly where the shell has a
                 // connect out, once this step's actions are done.
                 let asked = |pick: &dyn Fn(&Action) -> bool| actions.iter().any(pick);
@@ -1243,10 +1153,11 @@ mod tests {
             assert_eq!(self.table.next_deadline(), timers.min(), "{}", shown());
         }
 
-        /// A command for an address outside the peer list is refused in
-        /// this very step, and nothing else happens; one for a link that
-        /// is not up is refused or parked; one for an up link goes on
-        /// the wire as the fault allows, a tag per copy.
+        /// A command for an address outside the peer list or for a link
+        /// that is not up is refused in this very step if somebody waits
+        /// on it, dropped if not — no frame, no `Race` — and nothing else
+        /// happens; one for an up link goes on the wire as the fault
+        /// allows, a tag per copy.
         fn judge_send(
             &mut self,
             was: &Was,
@@ -1257,19 +1168,11 @@ mod tests {
             let shown = || format!("{cmd:?} {fault:?} -> {actions:?}");
             let addr = cmd.addr.as_str();
             let refused = matches!(actions, [Action::Race(n, _)] if Some(*n) == owed(cmd.tag));
-            if !was.known {
-                assert!(refused || actions.is_empty(), "{}", shown());
-                assert_eq!(refused, owed(cmd.tag).is_some(), "{}", shown());
-                let known = self.table.links.contains_key(addr);
-                return assert!(!known, "a link to {addr}: {}", shown());
-            }
             if !was.up {
                 assert!(refused || actions.is_empty(), "{}", shown());
                 assert_eq!(refused, owed(cmd.tag).is_some(), "{}", shown());
-                if matches!(cmd.tag, SendTag::Fire | SendTag::Eliminate { .. }) {
-                    self.model_park(addr, cmd.req.clone());
-                }
-                return assert!(self.parked(addr).eq(&self.model[addr].park), "{}", shown());
+                let known = self.table.links.contains_key(addr);
+                return assert_eq!(known, was.known, "a link to {addr}: {}", shown());
             }
             let copies = match fault {
                 Some(NetFault::Drop | NetFault::Partition) => 0,
@@ -1298,14 +1201,7 @@ mod tests {
             }
         }
 
-        fn judge_dialed(
-            &mut self,
-            was: &Was,
-            addr: &str,
-            connected: bool,
-            watermark: u64,
-            actions: &[Action],
-        ) {
+        fn judge_dialed(&mut self, was: &Was, addr: &str, connected: bool, actions: &[Action]) {
             let shown = || format!("dialed {addr} {connected} -> {actions:?}");
             let frames = actions.iter().filter_map(|a| match a {
                 Action::Frame(cmd) => Some(&cmd.req),
@@ -1330,20 +1226,14 @@ mod tests {
                 assert!(actions.is_empty(), "{}", shown());
                 return m.dial_failed(now);
             }
-            // RECONCILE (never on a first dial), then what was parked,
-            // then the priming heartbeat; and the peer's health is not
-            // the dial's to change.
-            let origin = ORIGIN.to_owned();
-            let reconcile = Request::Reconcile { watermark, origin };
-            let reconcile = m.ever_up.then_some(&reconcile);
+            // The priming heartbeat and nothing the last connection
+            // carried; and the peer's health is not the dial's to change.
             let prime = (!self.heartbeat.is_zero()).then_some(&Request::PeerStats);
-            let want = reconcile.into_iter().chain(&m.park).chain(prime);
-            assert!(frames.eq(want), "{}", shown());
+            assert!(frames.eq(prime), "{}", shown());
             assert_eq!(has(Stat::Reconnected), m.ever_up, "{}", shown());
             assert!(has(Stat::Up(true)), "{}", shown());
             let health = |a: &Action| matches!(a, Action::Stat(_, Stat::Health(_)));
             assert!(!actions.iter().any(health), "{}", shown());
-            m.park.clear();
             (m.up, m.ever_up, m.fails) = (true, true, 0);
             (m.heard, m.last_hb) = (now, now);
         }
@@ -1383,7 +1273,7 @@ mod tests {
             let (Some(resp), true, false) = (resp, paired, fault == Some(NetFault::Truncate))
             else {
                 // Cut, garbage, or unasked for: the link is done.
-                return self.went_down(addr, &was.pending);
+                return self.went_down(addr);
             };
             let count = |pick: &dyn Fn(&Action) -> bool| actions.iter().filter(|a| pick(a)).count();
             // Proof of life, whatever the frame; health improves only
@@ -1457,21 +1347,13 @@ mod tests {
             );
         }
 
-        /// `addr` was up with `pending` in flight and must be down now:
-        /// it redials in 50 ms and replays its unacknowledged
-        /// `ELIMINATE`s. (`judge` checks the `Down` and counts the
-        /// refusals; the final audit finds a missing one.)
-        fn went_down(&mut self, addr: &str, pending: &[SendTag]) {
+        /// `addr` was up and must be down now: it redials in 50 ms.
+        /// (`judge` checks the `Down` and counts the refusals of what
+        /// was in flight; the final audit finds a missing one.)
+        fn went_down(&mut self, addr: &str) {
             assert!(!self.is_up(addr), "{addr} is still up");
             let m = self.model.get_mut(addr).expect("a configured link");
             (m.up, m.next_dial) = (false, self.now + BACKOFF_INITIAL);
-            for tag in pending {
-                if let SendTag::Eliminate { race_id } = *tag {
-                    let origin = ORIGIN.to_owned();
-                    self.model_park(addr, Request::Eliminate { race_id, origin });
-                }
-            }
-            assert!(self.parked(addr).eq(&self.model[addr].park), "{addr}");
         }
 
         /// A tick fires what is due and nothing else: a dial's timeout,
@@ -1479,7 +1361,7 @@ mod tests {
         /// up link whose heartbeat is due, the ageing its silence has
         /// earned (health worsens only here), and then the reset of a
         /// link silent for a whole quarantine span — or else the probe.
-        fn judge_tick(&mut self, was: &BTreeMap<String, Was>, actions: &[Action]) {
+        fn judge_tick(&mut self, actions: &[Action]) {
             let shown = || format!("tick -> {actions:?}");
             let (now, heartbeat, suspect) = (self.now, self.heartbeat, self.suspect);
             let (mut dials, mut probes, mut resets, mut ageings) = (vec![], vec![], vec![], vec![]);
@@ -1538,7 +1420,7 @@ mod tests {
                 shown()
             );
             for addr in reset {
-                self.went_down(&addr, &was[&addr].pending);
+                self.went_down(&addr);
             }
         }
     }
@@ -1556,16 +1438,16 @@ mod tests {
     /// Checked of every step (see the `judge*` functions): a command for
     /// an address outside the peer list is refused and nothing is ever
     /// dialled there; a command for a link that is not up is refused at
-    /// once or parked, never beyond `MAX_QUEUED`, and a dropped one that
-    /// is owed is refused; each copy on the wire holds one tag and a
-    /// dropped frame none; a reply meets the tag of the request it
-    /// answers (no cut frame on the stream), a doubled reply takes one
-    /// tag, a lost one takes its tag silently; a pushed result takes no
-    /// tag and no rtt sample, feeds its race once per copy the wire lets
-    /// through, and takes the link down when cut; a re-dial
-    /// sends `RECONCILE`, then the `ELIMINATE`s unacknowledged at the
-    /// close with whatever else was parked, then the heartbeat, and a
-    /// first dial no `RECONCILE`; the core is dialling exactly where the
+    /// once when somebody waits on it, and an `ELIMINATE` or heartbeat
+    /// dropped with no frame and no `Race`; each copy on the wire holds
+    /// one tag and a dropped frame none; a reply meets the tag of the
+    /// request it answers (no cut frame on the stream), a doubled reply
+    /// takes one tag, a lost one takes its tag silently; a pushed result
+    /// takes no tag and no rtt sample, feeds its race once per copy the
+    /// wire lets through, and takes the link down when cut; any dial
+    /// that connects sends the priming heartbeat and nothing else — no
+    /// frame outlives the connection it was sent on; the core is
+    /// dialling exactly where the
     /// shell has a connect out, never dials twice at once, and fails a
     /// dial out for 50 ms on the tick; failed dials are 50 ms · 2ᵏ apart
     /// up to 2 s and a success starts over; an answer to no dial changes
@@ -1606,7 +1488,6 @@ mod tests {
         sim.p_recv = *rng.pick(&[0.0, 0.1, 0.3]);
         sim.p_late = *rng.pick(&[0.0, 0.3, 0.7]);
         sim.truncates = rng.bool();
-        let floods = rng.chance(0.02);
         let addrs: Vec<String> = sim.peers.keys().cloned().collect();
         for peer in sim.peers.values_mut() {
             peer.listening = rng.chance(0.8);
@@ -1621,7 +1502,7 @@ mod tests {
                     sim.advance(rng, by);
                 }
                 30..=54 => {
-                    let kind = *rng.pick(&[EXEC_ALT, VOTE, FIRE, ELIMINATE, HEARTBEAT]);
+                    let kind = *rng.pick(&[EXEC_ALT, VOTE, ELIMINATE, HEARTBEAT]);
                     sim.issue(rng, &addr, kind);
                 }
                 55..=74 => {
@@ -1647,11 +1528,6 @@ mod tests {
                     peer.read(rng);
                 }
                 95..=98 => sim.feed(rng, Event::Tick),
-                _ if floods => {
-                    for _ in 0..MAX_QUEUED + 8 {
-                        sim.issue(rng, &addr, FIRE);
-                    }
-                }
                 _ => {}
             }
             sim.hangups(rng);
@@ -1677,12 +1553,8 @@ mod tests {
                 for action in table.step(event, at) {
                     let what = match action {
                         Action::Dial(addr) => {
-                            let (connected, watermark) = (connects, 0);
-                            events.push_back(Event::Dialed {
-                                addr,
-                                connected,
-                                watermark,
-                            });
+                            let connected = connects;
+                            events.push_back(Event::Dialed { addr, connected });
                             "dial"
                         }
                         Action::Frame(cmd) => {
@@ -1714,11 +1586,11 @@ mod tests {
     #[test]
     fn a_frame_for_an_address_outside_the_peer_list_is_refused_never_dialled() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&[], 500, 1500), t0);
+        let mut table = LinkTable::new(&config(&[], 500, 1500), t0);
         let send = |table: &mut LinkTable, kind, n| {
             table.step(Event::Send(command("s0:1", kind, n), None), t0)
         };
-        assert!(send(&mut table, FIRE, 7).is_empty());
+        assert!(send(&mut table, ELIMINATE, 7).is_empty());
         let refused = send(&mut table, EXEC_ALT, 8);
         let refused = matches!(
             &refused[..],
@@ -1742,7 +1614,7 @@ mod tests {
     #[test]
     fn a_pushed_result_feeds_its_race_and_leaves_the_fifo_alone() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 0, 0), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 0, 0), t0);
         assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
         let ship = command("c0:1", EXEC_ALT, 4);
         let ack = reply_to(&ship.req);
@@ -1776,42 +1648,41 @@ mod tests {
         );
     }
 
+    /// A redial carries nothing of the connection before it: an
+    /// `ELIMINATE` unacknowledged when the stream died, and one sent
+    /// while the link was down, are gone — the close cancelled their
+    /// legs on the executor — and a vote sent while down is denied; the
+    /// priming heartbeat is the new connection's only frame.
     #[test]
-    fn a_redial_reconciles_replays_what_was_unacknowledged_or_parked_then_probes() {
+    fn a_redial_replays_nothing_and_probes() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 500, 1500), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 500, 1500), t0);
         assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
         // On the wire and never acknowledged; then the stream dies.
         table.step(Event::Send(command("c0:1", ELIMINATE, 3), None), t0);
-        table.step(Event::Send(command("c0:1", FIRE, 4), None), t0);
-        table.step(Event::Closed("c0:1".to_owned()), t0 + ms(5));
-        // Down: a result parks behind the ELIMINATE, a vote is denied.
-        assert!(table
-            .step(Event::Send(command("c0:1", FIRE, 5), None), t0 + ms(6))
-            .is_empty());
+        let closed = table.step(Event::Closed("c0:1".to_owned()), t0 + ms(5));
+        assert!(
+            !closed.iter().any(|a| matches!(a, Action::Race(..))),
+            "{closed:?}"
+        );
+        // Down: an ELIMINATE is dropped, a vote is denied.
+        let dropped = table.step(Event::Send(command("c0:1", ELIMINATE, 5), None), t0 + ms(6));
+        assert!(dropped.is_empty(), "{dropped:?}");
         let denied = table.step(Event::Send(command("c0:1", VOTE, 6), None), t0 + ms(6));
         assert!(matches!(&denied[..], [Action::Race(6, _)]), "{denied:?}");
 
         assert_eq!(table.next_deadline(), Some(t0 + ms(55)));
         let dial = table.step(Event::Tick, t0 + ms(55));
         assert!(matches!(&dial[..], [Action::Dial(_)]), "{dial:?}");
-        let connected = Event::Dialed {
-            addr: "c0:1".to_owned(),
-            connected: true,
-            watermark: 9,
-        };
-        let actions = table.step(connected, t0 + ms(56));
-        let origin = ORIGIN.to_owned();
-        let want = [
-            Request::Reconcile {
-                watermark: 9,
-                origin,
+        let addr = "c0:1".to_owned();
+        let actions = table.step(
+            Event::Dialed {
+                addr,
+                connected: true,
             },
-            command("c0:1", ELIMINATE, 3).req,
-            command("c0:1", FIRE, 5).req,
-            Request::PeerStats,
-        ];
-        assert_eq!(frames(&actions), want.iter().collect::<Vec<_>>());
+            t0 + ms(56),
+        );
+        assert_eq!(frames(&actions), [&Request::PeerStats]);
     }
 
     /// The silent-link rule past its first span (the live test in
@@ -1822,7 +1693,7 @@ mod tests {
     #[test]
     fn a_silent_link_is_reset_once_per_quarantine_span_until_a_reply_readmits() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 20, 100), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 20, 100), t0);
         let log = drive(&mut table, t0, 760, true);
         #[rustfmt::skip]
         let want = [
@@ -1850,14 +1721,14 @@ mod tests {
         );
     }
 
-    /// A dial that is out: a tick starts no second one, a
-    /// fire-and-forget frame parks and a vote is refused as for a down
-    /// link, and 50 ms on the tick abandons it and backs off; an answer
-    /// to an abandoned dial changes nothing.
+    /// A dial that is out: a tick starts no second one, an `ELIMINATE`
+    /// is dropped and a vote is refused as for a down link, and 50 ms on
+    /// the tick abandons it and backs off; an answer to an abandoned
+    /// dial changes nothing, and the dial that connects sends nothing.
     #[test]
-    fn a_dial_out_holds_its_frames_and_fails_on_the_tick_fifty_ms_on() {
+    fn a_dial_out_fails_on_the_tick_fifty_ms_on() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 0, 0), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 0, 0), t0);
         let dial = table.step(Event::Tick, t0);
         assert!(
             matches!(&dial[..], [Action::Dial(a)] if a == "c0:1"),
@@ -1867,8 +1738,11 @@ mod tests {
             table.step(Event::Tick, t0 + ms(10)).is_empty(),
             "a second dial"
         );
-        let parked = table.step(Event::Send(command("c0:1", FIRE, 1), None), t0 + ms(10));
-        assert!(parked.is_empty(), "{parked:?}");
+        let dropped = table.step(
+            Event::Send(command("c0:1", ELIMINATE, 1), None),
+            t0 + ms(10),
+        );
+        assert!(dropped.is_empty(), "{dropped:?}");
         let denied = table.step(Event::Send(command("c0:1", VOTE, 2), None), t0 + ms(10));
         assert!(matches!(&denied[..], [Action::Race(2, _)]), "{denied:?}");
 
@@ -1882,23 +1756,18 @@ mod tests {
         let late = Event::Dialed {
             addr: "c0:1".to_owned(),
             connected: true,
-            watermark: 1,
         };
         assert!(table.step(late.clone(), t0 + ms(80)).is_empty());
 
         table.step(Event::Tick, t0 + ms(100));
         let up = table.step(late, t0 + ms(101));
-        assert_eq!(
-            frames(&up),
-            [&command("c0:1", FIRE, 1).req],
-            "what was parked"
-        );
+        assert!(frames(&up).is_empty(), "nothing was held: {up:?}");
     }
 
     #[test]
     fn failed_dials_back_off_to_the_cap_and_a_success_starts_over() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(ORIGIN.to_owned(), &config(&["c0:1"], 0, 0), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 0, 0), t0);
         let dials = |log: Vec<(u128, &str)>| log.into_iter().map(|(at, _)| at).collect::<Vec<_>>();
         let refused = dials(drive(&mut table, t0, 7_200, false));
         assert_eq!(refused, [0, 50, 150, 350, 750, 1_550, 3_150, 5_150, 7_150]);

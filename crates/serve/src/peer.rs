@@ -2,11 +2,11 @@
 //!
 //! The paper's §4.4 remote execution needs a control plane: each daemon
 //! keeps one persistent outbound connection per configured `--peer`,
-//! ships `EXEC_ALT` / `COMMIT_VOTE` / `ELIMINATE` / `RECONCILE` frames
-//! over it — the executor pushes each shipped alternative's `ALT_RESULT`
-//! back on it, and dials nobody — and measures the link (round-trip
-//! EWMA, liveness) so the placement model works from observations
-//! instead of guesses.
+//! ships `EXEC_ALT` / `COMMIT_VOTE` / `ELIMINATE` frames over it — the
+//! executor pushes each shipped alternative's `ALT_RESULT` back on it,
+//! dials nobody, and cancels whatever the connection shipped once it
+//! closes — and measures the link (round-trip EWMA, liveness) so the
+//! placement model works from observations instead of guesses.
 //!
 //! All outbound traffic runs on **reactor shard 0**, between its other
 //! events, split the way the race registry and the run queue are: a
@@ -18,8 +18,8 @@
 //!   hand-waves and a server cannot) is its rules table, each rule
 //!   stated there once and checked on virtual time over seeded
 //!   schedules: fail fast, so no request waits on a dead peer; backoff
-//!   redials that replay unacknowledged `ELIMINATE`s and `RECONCILE`;
-//!   the dial timeout; replies correlated by order, and pushed results
+//!   redials that carry nothing from the connection before; the dial
+//!   timeout; replies correlated by order, and pushed results
 //!   told apart from them by content; and the health
 //!   lifecycle ([`PeerHealth`]) that takes an up but silent peer out of
 //!   [`PeerStatsTable::up_peers`], which placement and voter freezing
@@ -71,9 +71,10 @@ pub struct PeerConfig {
     /// live even when the model prefers local (0 disables exploration).
     pub explore_every: u64,
     /// This node's identity, advertised to peers: the key its races'
-    /// alternatives, votes and eliminations are scoped by on the
-    /// executors, and the prefix of its commit candidates. Nobody dials
-    /// it. Defaults to the bound listen address.
+    /// votes are kept under in a voter's ledger, and the prefix of its
+    /// commit candidates. Nobody dials it, and a shipped alternative is
+    /// scoped by the connection that shipped it, not by this name.
+    /// Defaults to the bound listen address.
     pub advertise: Option<String>,
     /// Heartbeat cadence on configured links, in milliseconds (0
     /// disables the health lifecycle entirely).
@@ -409,16 +410,9 @@ pub(crate) enum SendTag {
         /// Race the vote decides.
         race_id: u64,
     },
-    /// Fire-and-forget (`RECONCILE`): the ack only feeds the rtt EWMA.
-    Fire,
-    /// An `ELIMINATE` for `race_id`: fire-and-forget for the race's
-    /// outcome, but tracked so an eliminate still unacknowledged when
-    /// the link dies is replayed on re-dial — the healed peer must not
-    /// keep racing a ghost.
-    Eliminate {
-        /// Race the eliminate closes (our id space).
-        race_id: u64,
-    },
+    /// An `ELIMINATE`, fire and forget: its ack only feeds the rtt
+    /// EWMA.
+    Eliminate,
     /// A `PEER_STATS` heartbeat the link core sent itself; the reply
     /// proves liveness and carries the peer's load line.
     Heartbeat,
@@ -520,7 +514,7 @@ impl PeerLinks {
     /// never waits on a resolver, and a name that does not resolve is a
     /// peer whose every dial fails.
     pub(crate) fn new(races: Arc<RemoteRaces>, config: &PeerConfig) -> Self {
-        let table = LinkTable::new(races.advertise.clone(), config, Instant::now());
+        let table = LinkTable::new(config, Instant::now());
         let resolve = |peer: &String| Some((peer.clone(), peer.to_socket_addrs().ok()?.next()?));
         PeerLinks {
             races,
@@ -646,18 +640,11 @@ impl PeerLinks {
                 };
                 self.conns.insert(addr, conn);
             }
-            _ => self.dialed(addr, false),
+            _ => self.feed(Event::Dialed {
+                addr,
+                connected: false,
+            }),
         }
-    }
-
-    /// Tells the core how the dial to `addr` went.
-    fn dialed(&mut self, addr: String, connected: bool) {
-        let watermark = self.races.lock().table.reconcile_watermark();
-        self.feed(Event::Dialed {
-            addr,
-            connected,
-            watermark,
-        });
     }
 
     /// One socket the poll found ready: a dial that is done, or a
@@ -675,7 +662,8 @@ impl PeerLinks {
             } else {
                 self.conns.remove(addr);
             }
-            return self.dialed(addr.to_owned(), connected);
+            let addr = addr.to_owned();
+            return self.feed(Event::Dialed { addr, connected });
         }
         if revents & (POLLIN | POLLERR | POLLHUP) != 0 {
             self.read_link(addr);

@@ -58,7 +58,9 @@
 //!   table under `race_id`. Nothing is registered, so nothing is looked
 //!   up: the decider already holds the way home. So does a peer's
 //!   shipped alternative: its job pushes the result on the write half its
-//!   `EXEC_ALT` arrived on ([`ReactorShared::push`]), the origin's link.
+//!   `EXEC_ALT` arrived on ([`ReactorShared::push`]), the origin's link —
+//!   the half that holds the leg's cancel token, which an `ELIMINATE` on
+//!   that connection or its close cancels (`conn.rs`).
 //! * **Direct delivery** ([`Flight::answer`]): the one way a reply
 //!   reaches a connection from another thread. The deciding thread
 //!   encodes the reply **once** into a ring slot (`ring.rs`), locks the
@@ -169,12 +171,12 @@ impl ReactorShared {
         let _ = (&self.wake_tx).write(&[1]);
     }
 
-    /// Pushes `response`, a frame that answers no request, on `half`
-    /// from whichever thread calls it, delivered directly as
+    /// Pushes `response`, the result of the leg request `seq` shipped,
+    /// on `half` from whichever thread calls it, delivered directly as
     /// [`Flight::answer`] delivers a reply.
-    pub(crate) fn push(&self, half: &WriteHalf, response: &Response) {
+    pub(crate) fn push(&self, half: &WriteHalf, seq: u64, response: &Response) {
         let frame = EncodedReply::encode(response, &self.ring);
-        if half.push(frame) || self.draining.load(Ordering::SeqCst) {
+        if half.push(seq, frame) || self.draining.load(Ordering::SeqCst) {
             self.wake();
         }
     }
@@ -340,20 +342,16 @@ pub(crate) enum Action {
         assign: Vec<Option<String>>,
         voters: Vec<String>,
     },
-    /// Run alternative `alt_idx` of `origin`'s race `race_id` on the
-    /// pool and push its result on the asking connection.
+    /// Run alternative `alt_idx` of the asking connection's race
+    /// `race_id` on the pool and push its result on that connection.
     ExecAlt {
         key: RaceKey,
         meta: JobMeta,
         race_id: u64,
         alt_idx: u32,
-        origin: String,
     },
-    /// Cancel what runs here for `origin`'s race `race_id`.
-    Eliminate { race_id: u64, origin: String },
-    /// Cancel what runs here for `origin`'s races below `watermark` and
-    /// free their vote slots.
-    Reconcile { watermark: u64, origin: String },
+    /// Cancel what the asking connection shipped here for race `race_id`.
+    Eliminate { race_id: u64 },
     /// Answer `draining`, drain the daemon and read the connection no
     /// more.
     Shutdown,
@@ -381,8 +379,6 @@ pub(crate) struct Shard {
     pub(crate) placement: Arc<Placement>,
     pub(crate) peers: Arc<PeerStatsTable>,
     pub(crate) ledger: Arc<CommitLedger>,
-    /// This node's peer identity, part of every `EXEC_ALT` it sends.
-    pub(crate) advertise: String,
 }
 
 impl Shard {
@@ -449,7 +445,7 @@ impl Shard {
                 // frame size is what crosses the wire per shipped
                 // alternative.
                 let up = self.peers.up_peers();
-                let bytes = exec_alt_frame_len(&workload, &self.advertise) as u64;
+                let bytes = exec_alt_frame_len(&workload) as u64;
                 let catalog = self.sched.catalog();
                 let assign = self
                     .placement
@@ -480,7 +476,6 @@ impl Shard {
                 deadline_ms,
                 arg,
                 workload,
-                origin,
             } => match workload::index_of(&workload) {
                 Some(widx) => Action::ExecAlt {
                     key: RaceKey {
@@ -491,7 +486,6 @@ impl Shard {
                     meta: meta(widx, deadline_ms),
                     race_id,
                     alt_idx,
-                    origin,
                 },
                 None => {
                     self.telemetry.on_error();
@@ -508,8 +502,7 @@ impl Shard {
                 self.telemetry.add(Metric::CommitVotes, 1);
                 Action::Reply(Response::Vote { granted, holder })
             }
-            Request::Eliminate { race_id, origin } => Action::Eliminate { race_id, origin },
-            Request::Reconcile { watermark, origin } => Action::Reconcile { watermark, origin },
+            Request::Eliminate { race_id } => Action::Eliminate { race_id },
             Request::PeerStats => {
                 // The stats page doubles as the heartbeat reply: the
                 // trailing machine-parsable line advertises this node's
@@ -797,7 +790,6 @@ impl Reactor {
                 meta,
                 race_id,
                 alt_idx,
-                origin,
             } => {
                 // Executor side of a shipped alternative: run exactly
                 // that alternative and push its outcome on this very
@@ -806,15 +798,13 @@ impl Reactor {
                 // into a failed guard without waiting; the push may
                 // overtake it.
                 let token = deadline_token(now, key.deadline_ms);
-                // Registered before submission so an ELIMINATE racing
-                // ahead of the worker pickup still lands on the token.
-                (daemon.inflight).register(&origin, race_id, alt_idx, token.clone());
+                // Held by the connection before submission, so an
+                // ELIMINATE or a close ahead of the worker pickup still
+                // lands on the token.
+                half.ship(seq, race_id, token.clone());
                 let report = {
-                    let daemon = Arc::clone(daemon);
                     let (half, home) = (Arc::clone(half), Arc::clone(&self.shared));
-                    let origin = origin.clone();
                     move |(status, value, latency_us)| {
-                        daemon.inflight.complete(&origin, race_id, alt_idx);
                         let result = Response::AltResult {
                             race_id,
                             alt_idx,
@@ -822,7 +812,7 @@ impl Reactor {
                             value,
                             latency_us,
                         };
-                        home.push(&half, &result);
+                        home.push(&half, seq, &result);
                     }
                 };
                 let telemetry = Arc::clone(&daemon.telemetry);
@@ -833,23 +823,15 @@ impl Reactor {
                         text("ok\n".to_owned())
                     }
                     Err(_) => {
-                        daemon.inflight.complete(&origin, race_id, alt_idx);
+                        half.retire(seq);
                         overloaded(Metric::Shed)
                     }
                 }
             }
-            Action::Eliminate { race_id, origin } => {
-                let n = daemon.inflight.eliminate(&origin, race_id);
+            Action::Eliminate { race_id } => {
+                let n = half.eliminate(race_id);
                 daemon.telemetry.add(Metric::Eliminations, 1);
                 text(format!("eliminated {n}\n"))
-            }
-            Action::Reconcile { watermark, origin } => {
-                // Partition-heal resync: the reconnecting origin's races
-                // below the watermark are all decided — kill any zombie
-                // executions and release their vote slots.
-                let n = daemon.inflight.eliminate_below(&origin, watermark);
-                let slots = daemon.races.ledger.reconcile(&origin, watermark);
-                text(format!("reconciled {n} cancelled {slots} slots\n"))
             }
             Action::Shutdown => {
                 // Daemon-wide: every shard must drain, not just the one
@@ -868,7 +850,8 @@ impl Reactor {
     }
 
     /// Drops one connection's state, closing its write half so that
-    /// races still in flight for it deliver to nobody.
+    /// races still in flight for it deliver to nobody and the legs
+    /// shipped on it are cancelled.
     fn close(&mut self, id: u64) {
         if let Some(conn) = self.conns.remove(&id) {
             conn.write_half().close();
@@ -1115,7 +1098,8 @@ mod tests {
     /// One request body as a client or a peer might send it: every
     /// opcode, a truncated body and an opcode this build does not know —
     /// among them 0x07, an `ALT_RESULT` sent as a request, as builds
-    /// before the pushed result sent it.
+    /// before the pushed result sent it, and 0x0B, the `RECONCILE` builds
+    /// before connection-scoped legs sent on a redial.
     fn any_body(rng: &mut CaseRng) -> Vec<u8> {
         let workload = rng.pick(&NAMES).to_string();
         let deadline_ms = *rng.pick(&[0, 0, 2, 20, 100_000]);
@@ -1137,7 +1121,6 @@ mod tests {
                 deadline_ms,
                 arg,
                 workload,
-                origin,
             },
             9 => {
                 let result = Response::AltResult {
@@ -1154,11 +1137,14 @@ mod tests {
                 origin,
                 candidate: format!("{}/alt{alt_idx}", rng.pick(&["a:1", "b:2", "c:3"])),
             },
-            11 => Request::Eliminate { race_id, origin },
-            12 => Request::Reconcile {
-                watermark: race_id,
-                origin,
-            },
+            11 => Request::Eliminate { race_id },
+            12 => {
+                let mut body = vec![0x0B];
+                body.extend_from_slice(&race_id.to_be_bytes());
+                body.extend_from_slice(&(origin.len() as u16).to_be_bytes());
+                body.extend_from_slice(origin.as_bytes());
+                return body;
+            }
             _ if rng.chance(0.3) => Request::Shutdown,
             _ if rng.bool() => return vec![0xEE, rng.u8()],
             _ => {
@@ -1237,7 +1223,6 @@ mod tests {
                 placement: Arc::new(Placement::new(explore_every)),
                 peers: Arc::clone(&peers),
                 ledger: Arc::default(),
-                advertise: "origin:9".to_owned(),
             };
             let workers = rng.usize_in(1, 5);
             let load = Load {
@@ -1284,7 +1269,7 @@ mod tests {
                         if !shard.admission.admit(widx, deadline_ms, queued, workers) {
                             return Want::Exactly(Action::Shed(Metric::ShedsAtAdmission));
                         }
-                        let frame_bytes = exec_alt_frame_len(workload, "origin:9") as u64;
+                        let frame_bytes = exec_alt_frame_len(workload) as u64;
                         let assign = (!up.is_empty())
                             .then(|| twin.assign(widx, frame_bytes, &up, queued, workers, &catalog))
                             .flatten();
@@ -1305,7 +1290,6 @@ mod tests {
                         deadline_ms,
                         arg,
                         workload,
-                        origin,
                     }) => match workload::index_of(workload) {
                         Some(widx) => Action::ExecAlt {
                             key: RaceKey {
@@ -1316,7 +1300,6 @@ mod tests {
                             meta: meta(widx, *deadline_ms),
                             race_id: *race_id,
                             alt_idx: *alt_idx,
-                            origin: origin.clone(),
                         },
                         None => Action::Reply(Response::Overloaded),
                     },
@@ -1329,14 +1312,7 @@ mod tests {
                             ledger.vote_with(origin, *race_id, candidate, || now);
                         Action::Reply(Response::Vote { granted, holder })
                     }
-                    Ok(Request::Eliminate { race_id, origin }) => Action::Eliminate {
-                        race_id: *race_id,
-                        origin: origin.clone(),
-                    },
-                    Ok(Request::Reconcile { watermark, origin }) => Action::Reconcile {
-                        watermark: *watermark,
-                        origin: origin.clone(),
-                    },
+                    Ok(Request::Eliminate { race_id }) => Action::Eliminate { race_id: *race_id },
                 })
             };
 
@@ -1359,9 +1335,10 @@ mod tests {
                         .map(|_| {
                             let body = any_body(rng);
                             let request = Request::decode(&body);
-                            if body[0] == 0x07 {
-                                let unknown = matches!(request, Err(FrameError::UnknownOpcode(7)));
-                                assert!(unknown, "opcode 0x07 is no request: {request:?}");
+                            if let op @ (0x07 | 0x0B) = body[0] {
+                                let unknown =
+                                    matches!(request, Err(FrameError::UnknownOpcode(o)) if o == op);
+                                assert!(unknown, "opcode {op:#04x} is no request: {request:?}");
                             }
                             request
                         })

@@ -1,5 +1,6 @@
-//! Origin-side registry of distributed races, and the executor-side
-//! table of remotely-owned alternatives.
+//! Origin-side registry of distributed races. (The executor side keeps
+//! no table: a shipped alternative is held by the connection its
+//! `EXEC_ALT` arrived on, see `conn.rs`.)
 //!
 //! A *distributed race* is one client request whose alternatives run on
 //! more than one node: the local subrace (favourite plus whatever else
@@ -45,6 +46,12 @@
 //! * a race that outlives its deadline plus a grace window is expired
 //!   by shard 0's peer links on their clock, so a silent peer cannot strand a
 //!   client even when TCP never reports the loss.
+//!
+//! Race ids count up from the wall clock at start-up, in microseconds
+//! since the epoch, so a restarted origin starts above every id its
+//! previous run handed out: a voter's ledger, keyed by the origin's
+//! advertised name and the race id, never meets the new run's race in a
+//! slot the old run left. The core itself reads no clock.
 
 use crate::commit::{CommitLedger, TallyState, VoteTally};
 use crate::frame::{Request, Response, ALT_DEADLINE, ALT_OK};
@@ -58,7 +65,7 @@ use crate::workload;
 use altx::CancelToken;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Extra time past the client deadline before a distributed race is
 /// force-expired (covers result frames in flight).
@@ -218,10 +225,11 @@ pub(crate) struct RaceTable {
 }
 
 impl RaceTable {
-    pub(crate) fn new(advertise: String) -> Self {
+    /// An empty table whose first race is numbered `first_id`.
+    pub(crate) fn new(advertise: String, first_id: u64) -> Self {
         RaceTable {
             races: HashMap::new(),
-            next_id: 1,
+            next_id: first_id,
             advertise,
         }
     }
@@ -499,14 +507,6 @@ impl RaceTable {
             .min()
     }
 
-    /// The lowest still-open race id (or the next id to be assigned
-    /// when none is open). Race ids are handed out monotonically from
-    /// one counter, so every id below the watermark is decided — a
-    /// reconnecting peer can discard those races' state wholesale.
-    pub(crate) fn reconcile_watermark(&self) -> u64 {
-        self.races.keys().copied().min().unwrap_or(self.next_id)
-    }
-
     /// Open distributed races (diagnostic/test hook).
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
@@ -687,9 +687,11 @@ impl RemoteRaces {
         peers: Arc<PeerHandle>,
         advertise: String,
     ) -> Self {
+        let since_epoch = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH);
+        let first_id = since_epoch.map_or(1, |d| d.as_micros() as u64);
         RemoteRaces {
             open: Mutex::new(OpenRaces {
-                table: RaceTable::new(advertise.clone()),
+                table: RaceTable::new(advertise.clone(), first_id),
                 flights: HashMap::new(),
             }),
             peers,
@@ -783,7 +785,6 @@ impl RemoteRaces {
                 deadline_ms: key.deadline_ms,
                 arg: key.arg,
                 workload: name.to_owned(),
-                origin: self.advertise.clone(),
             };
             self.peers
                 .send(&peer, exec, SendTag::ExecAlt { race_id, alt_idx });
@@ -849,17 +850,12 @@ impl RemoteRaces {
                     },
                     SendTag::Vote { race_id },
                 ),
-                // Tagged so a link that dies before the ack can re-park
-                // the ELIMINATE for replay on reconnect (zombie
-                // executions must not outlive a partition).
-                Action::SendEliminate { peer, race_id } => self.peers.send(
-                    &peer,
-                    Request::Eliminate {
-                        race_id,
-                        origin: self.advertise.clone(),
-                    },
-                    SendTag::Eliminate { race_id },
-                ),
+                // Fire and forget: a link that is not up drops it, and
+                // its close has cancelled the race's legs already.
+                Action::SendEliminate { peer, race_id } => {
+                    let eliminate = Request::Eliminate { race_id };
+                    self.peers.send(&peer, eliminate, SendTag::Eliminate);
+                }
                 Action::Won {
                     widx,
                     alt_idx,
@@ -921,84 +917,6 @@ impl RemoteRaces {
     }
 }
 
-/// Executor-side table of remotely-owned alternatives, keyed by
-/// `(origin, race_id)` so two origins' id spaces can never collide.
-/// An `ELIMINATE` cancels every token registered under its key — the
-/// cross-machine half of sibling elimination.
-#[derive(Debug, Default)]
-pub(crate) struct InflightRemote {
-    map: Mutex<InflightMap>,
-}
-
-/// `(origin, race_id)` → the `(alt_idx, token)` of every alternative
-/// running here for that race.
-type InflightMap = HashMap<(String, u64), Vec<(u32, CancelToken)>>;
-
-impl InflightRemote {
-    /// Registers a shipped alternative's cancel token before its job is
-    /// admitted.
-    pub(crate) fn register(&self, origin: &str, race_id: u64, alt_idx: u32, token: CancelToken) {
-        self.lock()
-            .entry((origin.to_owned(), race_id))
-            .or_default()
-            .push((alt_idx, token));
-    }
-
-    /// Drops one alternative's registration after its result is sent.
-    pub(crate) fn complete(&self, origin: &str, race_id: u64, alt_idx: u32) {
-        let mut map = self.lock();
-        if let Some(slots) = map.get_mut(&(origin.to_owned(), race_id)) {
-            slots.retain(|(a, _)| *a != alt_idx);
-            if slots.is_empty() {
-                map.remove(&(origin.to_owned(), race_id));
-            }
-        }
-    }
-
-    /// Eliminates a race: cancels every alternative still registered
-    /// under `(origin, race_id)`. Returns how many were cancelled.
-    pub(crate) fn eliminate(&self, origin: &str, race_id: u64) -> usize {
-        match self.lock().remove(&(origin.to_owned(), race_id)) {
-            Some(slots) => {
-                for (_, token) in &slots {
-                    token.cancel();
-                }
-                slots.len()
-            }
-            None => 0,
-        }
-    }
-
-    /// Partition-heal reconciliation: cancels every execution for
-    /// `origin`'s races below `watermark`. The origin advertises its
-    /// lowest still-open race id on reconnect; everything below it was
-    /// decided while the link was down, so whatever this node is still
-    /// running for those races is a zombie. Returns how many
-    /// executions were cancelled.
-    pub(crate) fn eliminate_below(&self, origin: &str, watermark: u64) -> usize {
-        let mut n = 0;
-        self.lock().retain(|(o, id), slots| {
-            let zombie = o == origin && *id < watermark;
-            if zombie {
-                slots.iter().for_each(|(_, token)| token.cancel());
-                n += slots.len();
-            }
-            !zombie
-        });
-        n
-    }
-
-    /// Registered alternatives (test/diagnostic hook).
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.lock().values().map(Vec::len).sum()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, InflightMap> {
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1033,7 +951,7 @@ mod tests {
     impl Bench {
         fn new() -> Self {
             Bench {
-                table: RaceTable::new(ORIGIN.to_owned()),
+                table: RaceTable::new(ORIGIN.to_owned(), 1),
                 now: Instant::now(),
                 own_vote: VoteSlot::new(),
                 seen: Vec::new(),
@@ -1357,28 +1275,6 @@ mod tests {
         // A late genuine result for the already-decided race is a no-op.
         b.result(id, 1, ALT_OK, 9);
         assert_eq!(b.posts().len(), 1);
-    }
-
-    #[test]
-    fn reconcile_watermark_tracks_the_lowest_open_race() {
-        let mut b = Bench::new();
-        assert_eq!(b.table.reconcile_watermark(), 1, "nothing open: next id");
-        let first = b.create(0, CancelToken::new(), &[(1, "p:1")], &[]);
-        let second = b.create(0, CancelToken::new(), &[(1, "p:1")], &[]);
-        assert_eq!(b.table.reconcile_watermark(), first, "lowest open id");
-        b.step(first, Event::LocalDone(ok(0, 1)));
-        assert_eq!(
-            b.table.reconcile_watermark(),
-            second,
-            "first decided, second still open"
-        );
-        b.own_vote = VoteSlot::new(); // a different race, a different slot
-        b.step(second, Event::LocalDone(ok(0, 1)));
-        assert_eq!(
-            b.table.reconcile_watermark(),
-            second + 1,
-            "all decided: next id"
-        );
     }
 
     fn shell() -> (Arc<RemoteRaces>, Arc<WorkerPool>) {
@@ -1879,7 +1775,7 @@ mod tests {
             }
 
             let now = Instant::now();
-            let mut table = RaceTable::new(ORIGIN.to_owned());
+            let mut table = RaceTable::new(ORIGIN.to_owned(), 1);
             let spec = RaceSpec {
                 widx,
                 arg: 0,
@@ -1914,35 +1810,5 @@ mod tests {
             }
             .run();
         });
-    }
-
-    #[test]
-    fn eliminate_below_kills_only_zombies_under_the_watermark() {
-        let inflight = InflightRemote::default();
-        let (t1, t2, t3) = (CancelToken::new(), CancelToken::new(), CancelToken::new());
-        inflight.register("o:1", 3, 0, t1.clone());
-        inflight.register("o:1", 7, 0, t2.clone());
-        inflight.register("o:2", 3, 0, t3.clone());
-        assert_eq!(inflight.eliminate_below("o:1", 7), 1);
-        assert!(t1.is_cancelled(), "race below the watermark is a zombie");
-        assert!(!t2.is_cancelled(), "race at the watermark is still live");
-        assert!(!t3.is_cancelled(), "other origin is untouched");
-        assert_eq!(inflight.len(), 2);
-    }
-
-    #[test]
-    fn inflight_eliminate_cancels_every_registered_token() {
-        let inflight = InflightRemote::default();
-        let (t1, t2) = (CancelToken::new(), CancelToken::new());
-        inflight.register("o:1", 5, 0, t1.clone());
-        inflight.register("o:1", 5, 2, t2.clone());
-        inflight.register("o:2", 5, 0, CancelToken::new());
-        assert_eq!(inflight.len(), 3);
-        assert_eq!(inflight.eliminate("o:1", 5), 2);
-        assert!(t1.is_cancelled() && t2.is_cancelled());
-        assert_eq!(inflight.len(), 1, "other origin's race is untouched");
-        inflight.complete("o:2", 5, 0);
-        assert_eq!(inflight.len(), 0);
-        assert_eq!(inflight.eliminate("o:1", 99), 0, "unknown race is a no-op");
     }
 }

@@ -33,7 +33,7 @@ use crate::peer::{PeerConfig, PeerHandle, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::{PoolConfig, WorkerPool, DEFAULT_LANE_AGING};
 use crate::reactor::{DaemonCtl, RaceKey, Reactor, ReactorShared, Shard};
-use crate::remote::{InflightRemote, RemoteRaces};
+use crate::remote::RemoteRaces;
 use crate::sched::{Admission, HedgeConfig, HedgePolicy, Lanes};
 use crate::sys::{bind_reuseport, one_malloc_arena};
 use crate::telemetry::{Metric, Telemetry};
@@ -147,18 +147,17 @@ pub struct ServerHandle {
 /// Everything daemon-wide a shard's shell acts on, behind the one `Arc`
 /// every reactor shard and every queued race holds: the worker pool, the
 /// counters, the race scheduler, the control plane, and the peer plane
-/// (origin-side race registry — and through it the outbound send
-/// handle, the commit ledger and this node's advertised identity —,
-/// executor-side in-flight table). What a request's decision reads is
-/// each shard's [`Shard`].
+/// (the origin-side race registry — and through it the outbound send
+/// handle, the commit ledger and this node's advertised identity). The
+/// executor side keeps nothing here: a shipped leg is held by the
+/// connection that shipped it (`conn.rs`). What a request's decision
+/// reads is each shard's [`Shard`].
 pub(crate) struct Daemon {
     pub(crate) pool: Arc<WorkerPool>,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) sched: Arc<HedgePolicy>,
     pub(crate) ctl: DaemonCtl,
     pub(crate) races: Arc<RemoteRaces>,
-    /// Executor-side in-flight remote alternatives (for `ELIMINATE`).
-    pub(crate) inflight: InflightRemote,
 }
 
 impl ServerHandle {
@@ -307,7 +306,7 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
         Arc::clone(&sched),
         Arc::clone(&pool),
         PeerHandle::new(Arc::clone(&peer_stats), Arc::clone(&homes[0].0)),
-        advertise.clone(),
+        advertise,
     ));
     let mut links =
         (!config.peer.peers.is_empty()).then(|| PeerLinks::new(Arc::clone(&races), &config.peer));
@@ -319,7 +318,6 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
         placement: Arc::new(Placement::new(config.peer.explore_every)),
         peers: peer_stats,
         ledger: Arc::clone(&races.ledger),
-        advertise,
     };
     let daemon = Arc::new(Daemon {
         pool,
@@ -327,7 +325,6 @@ fn assemble(config: ServerConfig) -> io::Result<(SocketAddr, Arc<Daemon>, Vec<Re
         sched,
         ctl,
         races,
-        inflight: InflightRemote::default(),
     });
 
     // Each reactor takes its own listener (the lone one, or its

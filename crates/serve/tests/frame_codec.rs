@@ -12,7 +12,7 @@ fn arb_request(rng: &mut CaseRng) -> Request {
     let name = |r: &mut CaseRng, lo: usize, hi: usize| {
         String::from_utf8(r.vec(lo, hi, |r| b'a' + (r.u8() % 26))).expect("ascii")
     };
-    match rng.usize_in(0, 10) {
+    match rng.usize_in(0, 9) {
         0 => Request::Run {
             workload: name(rng, 0, 40),
             deadline_ms: rng.u64_in(0, u32::MAX as u64 + 1) as u32,
@@ -27,7 +27,6 @@ fn arb_request(rng: &mut CaseRng) -> Request {
             deadline_ms: rng.u64_in(0, u32::MAX as u64 + 1) as u32,
             arg: rng.u64(),
             workload: name(rng, 0, 40),
-            origin: name(rng, 0, 40),
         },
         5 => Request::Catalog,
         6 => Request::CommitVote {
@@ -35,14 +34,7 @@ fn arb_request(rng: &mut CaseRng) -> Request {
             origin: name(rng, 0, 40),
             candidate: name(rng, 0, 60),
         },
-        7 => Request::Eliminate {
-            race_id: rng.u64(),
-            origin: name(rng, 0, 40),
-        },
-        8 => Request::Reconcile {
-            watermark: rng.u64(),
-            origin: name(rng, 0, 40),
-        },
+        7 => Request::Eliminate { race_id: rng.u64() },
         _ => Request::PeerStats,
     }
 }
@@ -370,7 +362,7 @@ fn incremental_decoder_rejects_oversize_and_truncation() {
     });
 }
 
-/// Every cluster opcode body (EXEC_ALT through RECONCILE) survives the
+/// Every cluster opcode body (EXEC_ALT through PEER_STATS) survives the
 /// incremental decoder at every stream split point, and every strict
 /// prefix of the body — and of a pushed ALT_RESULT — is an error: a
 /// partition chopping a frame mid-field can never mis-parse into a
@@ -388,22 +380,14 @@ fn cluster_opcode_bodies_at_every_split_point() {
                 deadline_ms: rng.u64_in(0, u32::MAX as u64 + 1) as u32,
                 arg: rng.u64(),
                 workload: name(rng, 1, 40),
-                origin: name(rng, 1, 40),
             },
             Request::CommitVote {
                 race_id: rng.u64(),
                 origin: name(rng, 1, 40),
                 candidate: name(rng, 1, 60),
             },
-            Request::Eliminate {
-                race_id: rng.u64(),
-                origin: name(rng, 1, 40),
-            },
+            Request::Eliminate { race_id: rng.u64() },
             Request::PeerStats,
-            Request::Reconcile {
-                watermark: rng.u64(),
-                origin: name(rng, 1, 40),
-            },
         ];
         for req in reqs {
             let body = req.encode();
@@ -456,31 +440,29 @@ fn exec_alt_frame_len_is_the_encoded_frame() {
         let name = |r: &mut CaseRng| {
             String::from_utf8(r.vec(0, 40, |r| b'a' + (r.u8() % 26))).expect("ascii")
         };
-        let (workload, origin) = (name(rng), name(rng));
+        let workload = name(rng);
         let request = Request::ExecAlt {
             race_id: rng.u64(),
             alt_idx: rng.u64_in(0, 1 << 32) as u32,
             deadline_ms: rng.u64_in(0, u32::MAX as u64 + 1) as u32,
             arg: rng.u64(),
             workload: workload.clone(),
-            origin: origin.clone(),
         };
-        assert_eq!(
-            exec_alt_frame_len(&workload, &origin),
-            4 + request.encode().len()
-        );
+        assert_eq!(exec_alt_frame_len(&workload), 4 + request.encode().len());
     });
 }
 
 #[test]
 fn unknown_opcodes_distinguished_from_malformed() {
     check("unknown_opcodes_distinguished", 128, |rng| {
-        // 0x01..=0x0B are assigned but 0x07 (the result, once a
-        // request, now a frame the executor pushes); everything above
-        // is free.
-        let op = match rng.chance(0.1) {
-            true => 0x07,
-            false => rng.u64_in(0x0C, 0x100) as u8,
+        // 0x01..=0x0A are assigned but 0x07 (the result, once a
+        // request, now a frame the executor pushes); 0x0B (`RECONCILE`,
+        // gone with legs that outlived their connection) and everything
+        // above are free.
+        let op = match rng.usize_in(0, 10) {
+            0 => 0x07,
+            1 => 0x0B,
+            _ => rng.u64_in(0x0C, 0x100) as u8,
         };
         let mut body = vec![op];
         body.extend(rng.bytes(0, 32));

@@ -443,14 +443,13 @@ fn duplicated_alt_result_never_double_answers() {
 }
 
 /// A result rides home on the connection that shipped its leg, and
-/// nowhere else. The executor runs a leg whose origin names an address
+/// nowhere else. The executor runs a leg for an origin at an address
 /// nobody listens on: its `ALT_RESULT` comes back on the test's own
 /// `EXEC_ALT` socket — before or after the ack, whichever the job and
 /// the reactor make first — and that address is never dialled, now or
 /// later, so something that binds the port afterwards is never handed
-/// the result of a race it did not start (a restarted origin numbers
-/// its races from 1 again and matches a result by race and alternative
-/// alone). The window is longer than the longest redial backoff.
+/// the result of a race it did not start. The window is longer than the
+/// longest redial backoff.
 #[test]
 fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
     let _guard = serial();
@@ -469,7 +468,6 @@ fn a_result_for_a_dead_origin_is_dropped_not_redialled() {
         deadline_ms: 0,
         arg: 1,
         workload: "trivial".to_owned(),
-        origin: origin_addr.to_string(),
     };
     write_frame(&mut conn, &leg.encode()).expect("ship the leg");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
@@ -616,4 +614,150 @@ fn a_peer_that_never_answers_the_handshake_holds_up_no_other_link() {
         longest < DIAL,
         "the live link went {longest:?} without a heartbeat: a blackhole dial held it up"
     );
+}
+
+/// Ships alternative 0 of `sleep` for 5 s as race `race_id` on a fresh
+/// raw connection to `executor`, and reads its admission ack.
+fn ship_sleep(executor: &ServerHandle, race_id: u64) -> TcpStream {
+    let mut conn = TcpStream::connect(executor.local_addr()).expect("connect executor");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let leg = Request::ExecAlt {
+        race_id,
+        alt_idx: 0,
+        deadline_ms: 0,
+        arg: 5_000,
+        workload: "sleep".to_owned(),
+    };
+    write_frame(&mut conn, &leg.encode()).expect("ship the leg");
+    let body = read_frame(&mut conn).expect("the ack").expect("a frame");
+    match Response::decode(&body).expect("a well-formed frame") {
+        Response::Text { .. } => conn,
+        other => panic!("want the ack, got {other:?}"),
+    }
+}
+
+/// The `busy` figure of the executor's own load line (`PEER_STATS`).
+fn busy(executor: &ServerHandle) -> u64 {
+    let mut client = Client::connect(executor.local_addr()).expect("connect executor");
+    let page = client.peer_stats().expect("peer stats page");
+    let line = page
+        .lines()
+        .find(|l| l.starts_with("load "))
+        .expect("a load line");
+    let fields: Vec<&str> = line.split_whitespace().collect();
+    fields[4].parse().expect("busy is a number")
+}
+
+/// Polls until the executor's `busy` reads `want`, for at most `within`.
+fn wait_busy(executor: &ServerHandle, want: u64, within: Duration) {
+    let deadline = Instant::now() + within;
+    while busy(executor) != want {
+        assert!(
+            Instant::now() < deadline,
+            "busy never read {want} within {within:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A shipped alternative lives no longer than the connection that
+/// shipped it: once the socket a 5 s `sleep` leg came in on is dropped,
+/// the executor cancels the leg and its worker is free within a second,
+/// not five.
+#[test]
+fn closing_the_link_cancels_its_shipped_legs() {
+    let _guard = serial();
+    let executor = node(Vec::new(), 16);
+    let conn = ship_sleep(&executor, 7);
+    wait_busy(&executor, 1, Duration::from_secs(2));
+    drop(conn);
+    wait_busy(&executor, 0, Duration::from_secs(1));
+    executor.shutdown();
+}
+
+/// An `ELIMINATE` names a race on its own connection: two connections
+/// each ship race 7, and eliminating race 7 on the first cancels the
+/// first one's leg alone — the second still runs, and reports nothing.
+#[test]
+fn an_eliminate_cancels_only_its_own_connections_leg() {
+    let _guard = serial();
+    let executor = node(Vec::new(), 16);
+    let mut first = ship_sleep(&executor, 7);
+    let mut second = ship_sleep(&executor, 7);
+    wait_busy(&executor, 2, Duration::from_secs(2));
+
+    let eliminate = Request::Eliminate { race_id: 7 };
+    write_frame(&mut first, &eliminate.encode()).expect("eliminate");
+    let ack = loop {
+        let body = read_frame(&mut first).expect("the ack").expect("a frame");
+        match Response::decode(&body).expect("a well-formed frame") {
+            // The cancelled leg's result may come first.
+            Response::AltResult { race_id: 7, .. } => continue,
+            Response::Text { body } => break body,
+            other => panic!("want the ack, got {other:?}"),
+        }
+    };
+    assert_eq!(ack, "eliminated 1\n");
+    wait_busy(&executor, 1, Duration::from_secs(1));
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(busy(&executor), 1, "the second connection's leg still runs");
+    second
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("read timeout");
+    match read_frame(&mut second) {
+        Err(FrameError::Io(e))
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("the second leg reported: {other:?}"),
+    }
+    drop((first, second));
+    executor.shutdown();
+}
+
+/// A restarted origin does not meet its previous run's vote slots. The
+/// voter keeps a slot per `(origin, race_id)` for minutes; an origin
+/// restarted under the same `--advertise` name numbers its races above
+/// every id its previous run used, so no vote it asks for lands in an
+/// old slot holding another candidate — which would deny it and commit
+/// the race degraded with every voter reachable.
+#[test]
+fn a_restarted_origin_commits_cleanly_against_its_old_voter() {
+    let _guard = serial();
+    let voter = node(Vec::new(), 16);
+    let origin = || {
+        start(ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 2,
+            queue_depth: 32,
+            peer: PeerConfig {
+                peers: vec![voter.local_addr().to_string()],
+                explore_every: 1,
+                advertise: Some("o".to_owned()),
+                ..PeerConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("start origin")
+    };
+    // Thirty races from `args`: draws are seeded by the argument, so
+    // the second run's winners are not the first run's.
+    let run_30 = |node: &ServerHandle, args: std::ops::Range<u64>| {
+        wait_for(node, "the link to the voter", |s| s[Metric::PeersUp] == 1);
+        let mut client = Client::connect(node.local_addr()).expect("connect origin");
+        for arg in args {
+            client.run("lognormal", arg, 0).expect("reply");
+        }
+    };
+    let first = origin();
+    run_30(&first, 0..30);
+    first.shutdown();
+    let second = origin();
+    run_30(&second, 30..60);
+    assert_eq!(
+        second.telemetry().snapshot()[Metric::CommitsDegraded],
+        0,
+        "a restarted origin committed degraded with its voter up"
+    );
+    second.shutdown();
+    voter.shutdown();
 }

@@ -177,10 +177,11 @@ cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_
 
 # The peer link is a pure value as well — one per configured --peer,
 # and no other address is ever dialled: dial, backoff, the in-order
-# correlation FIFO, park and replay, heartbeat, health and the
-# silent-link reset, all behind step(event, now) -> actions — so the
-# wire's interleavings are seeds too: 2 500 schedules of commands (to
-# peers and to addresses outside the peer list), dial outcomes, replies,
+# correlation FIFO, heartbeat, health and the silent-link reset (it
+# parks and replays nothing: a frame lives no longer than its link),
+# all behind step(event, now) -> actions — so the wire's interleavings
+# are seeds too: 2 500 schedules of commands (to peers and to
+# addresses outside the peer list), dial outcomes, replies,
 # hang-ups, ticks and send- and recv-side faults against model peers
 # running the real frame decoder, which push each admitted leg's result
 # on the same stream — a push pops no tag. A failure prints the
@@ -244,7 +245,9 @@ done
 # particular winner of a nondeterministic race, the reply path —
 # replies are written by whichever worker finishes the race, under the
 # connection's write-half lock (its seeded delivery-schedule property,
-# the race-in-flight property on real threads, and the live reactor and
+# which interleaves shipped legs held, result pushes that retire them,
+# ELIMINATEs on the connection and its close with the deliveries and
+# flushes; the race-in-flight property on real threads, and the live reactor and
 # loopback suites) — and the worker pool on
 # real threads (its unit tests, EDF / aging order, the drain
 # racing submitters) — and the link core's unit tests with them: gated
