@@ -185,13 +185,12 @@ fn banner(config: &ServerConfig, addr: SocketAddr) {
     let peer = &config.peer;
     if !peer.peers.is_empty() {
         println!(
-            "peering: {} peer{} [{}] (explore every {}, heartbeat {} ms, suspect {} ms)",
+            "peering: {} peer{} [{}] (explore every {}, silence {} ms)",
             peer.peers.len(),
             if peer.peers.len() == 1 { "" } else { "s" },
             peer.peers.join(", "),
             peer.explore_every,
-            peer.heartbeat_ms,
-            peer.suspect_ms
+            peer.silence_ms
         );
     }
     println!("workloads:");

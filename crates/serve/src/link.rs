@@ -3,20 +3,25 @@
 //!
 //! [`LinkTable`] is the **core** under shard 0's peer links
 //! ([`crate::peer`] is its shell): one link per configured `--peer`, and
-//! no other is ever dialled. Per link: whether it is down,
-//! dialling or up, the in-order correlation FIFO of the requests in
-//! flight on it, its backoff, its health and its heartbeat clock. It
-//! parks nothing: every frame's meaning ends with its connection — the
-//! executor cancels the legs a closed connection shipped — so a link
-//! that is not up has nothing to deliver later. Everything that can
-//! happen to a link is an [`Event`] fed to [`LinkTable::step`] together
-//! with the current instant; everything the link wants done about it comes back as a
-//! list of [`Action`]s, and [`LinkTable::next_deadline`] says when the
-//! next [`Event::Tick`] is due. The core reads no clock, owns no
-//! socket, lock or counter and draws no fault itself, so a test can
-//! feed it any interleaving of commands, dial outcomes, replies,
-//! closes, ticks and wire faults on virtual time and judge it by its
-//! actions alone (`tests::any_schedule_keeps_every_link_rule`).
+//! no other is ever dialled. Per link: whether it is down, dialling or
+//! up (its connection open), whether it is *in service*, the in-order
+//! correlation FIFO of the requests in flight on it, its backoff and its
+//! one silence clock. It parks nothing: every frame's meaning ends with
+//! its connection — the executor cancels the legs a closed connection
+//! shipped — so a link that is not up has nothing to deliver later.
+//! Everything that can happen to a link is an [`Event`] fed to
+//! [`LinkTable::step`] together with the current instant; everything
+//! the link wants done about it comes back as a list of [`Action`]s,
+//! and [`LinkTable::next_deadline`] says when the next [`Event::Tick`]
+//! is due. The core reads no clock, owns no socket, lock or counter and
+//! draws no fault itself, so a test can feed it any interleaving of
+//! commands, dial outcomes, replies, closes, ticks and wire faults on
+//! virtual time and judge it by its actions alone
+//! (`tests::any_schedule_keeps_every_link_rule`).
+//!
+//! A link is *in service* — its peer gets legs and voter slots — while
+//! its connection answers: from the first frame it carries back (not
+//! the connect) until it closes, which it does after `silence` with none.
 //!
 //! The rules, each stated here and nowhere else:
 //!
@@ -24,10 +29,10 @@
 //! |---|---|---|
 //! | `Send(cmd, fault)` | an address outside the peer list is refused at once and never dialled; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a link that is down or dialling refuses an `ExecAlt` or a `Vote` at once and drops an `Eliminate` or a heartbeat | `Write`, `Race` (refusal) |
 //! | `Dialed { connected: false }` — the shell's answer to `Dial` | the next dial is one backoff away and the backoff doubles (50 ms → 2 s). An answer for a link with no dial out changes nothing | — |
-//! | `Dialed { connected: true }` | the link is up, its backoff and silence clock start over, its health is **not** touched; the priming heartbeat is its only frame | `Stat(Up(true))`, `Stat(Reconnected)`, `Frame` |
-//! | `Reply { resp, fault }` | a *pushed* `ALT_RESULT` is recognised before pairing: it takes no tag and gives no rtt sample, and is its race's `LegResult` — twice when duplicated, not at all when lost; any other frame pairs with the oldest tag in flight: a lost reply consumes its tag silently, and a paired one is an rtt sample and the tag's answer — twice when duplicated; a cut, undecodable or unasked-for frame closes the link, and any other is proof of life (health → `Up`) | `Stat(Health)`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
-//! | `Closed(addr)` | an up link: every tag in flight is refused, the redial is one initial backoff away. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
-//! | `Tick` | a down link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up link whose heartbeat is due is aged by its silence, and then either reset (as `Closed`) because it has been silent long enough to quarantine a healthy peer, or probed | `Dial`, `Abandon`, `Stat(Health)`, `Frame` (heartbeat), or as `Closed` |
+//! | `Dialed { connected: true }` | the link is up and **not** in service; its backoff and silence clock start over; the priming heartbeat is its only frame | `Stat(Reconnected)`, `Frame` |
+//! | `Reply { resp, fault }` | a *pushed* `ALT_RESULT` is recognised before pairing: it takes no tag and gives no rtt sample, and is its race's `LegResult` — twice when duplicated, not at all when lost; any other frame pairs with the oldest tag in flight: a lost reply consumes its tag silently, and a paired one is an rtt sample and the tag's answer — twice when duplicated; a cut, undecodable or unasked-for frame closes the link, and any other is *accepted*: it restarts the silence clock, and the first of its connection puts the link in service | `Stat(Up(true))`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
+//! | `Closed(addr)` | an up link: every tag in flight is refused, the redial is one initial backoff away, and a link in service leaves it. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
+//! | `Tick` | a down link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up link whose probe is due (every `silence / 3`) is closed as `Closed` if it has accepted nothing for `silence` — a quarantine if it has been in service since its last one — or else probed | `Dial`, `Abandon`, `Frame` (heartbeat), `Stat(Quarantined)`, or as `Closed` |
 //!
 //! A refusal converts the tag: a shipped alternative becomes
 //! `LegRefused`, a vote a denial, and nobody waits on the other tags.
@@ -39,7 +44,7 @@
 //! command.
 
 use crate::frame::{Request, Response};
-use crate::peer::{parse_load_line, Cmd, PeerConfig, PeerHealth, SendTag};
+use crate::peer::{parse_load_line, Cmd, PeerConfig, SendTag};
 use crate::remote;
 use altx::faults::NetFault;
 use std::collections::{BTreeMap, VecDeque};
@@ -102,10 +107,10 @@ pub(crate) enum Action {
 /// One effect on a peer's published counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stat {
-    /// The link came up or went down.
+    /// The link entered service or left it.
     Up(bool),
-    /// The peer's health changed.
-    Health(PeerHealth),
+    /// A silence close, the first since the link was in service.
+    Quarantined,
     /// A dial succeeded on a link that had been up before.
     Reconnected,
     /// One request→reply round trip, in microseconds.
@@ -124,6 +129,8 @@ enum State {
     Dialling(Instant),
     Up {
         pending: VecDeque<(SendTag, Instant)>,
+        /// The connection has carried a frame back.
+        serving: bool,
     },
 }
 
@@ -132,8 +139,9 @@ struct Link {
     backoff: Duration,
     next_dial: Instant,
     ever_up: bool,
-    health: PeerHealth,
-    /// Last time a reply (any reply) arrived, or the link came up.
+    /// In service since its last quarantine.
+    served: bool,
+    /// Last time a frame was accepted, or the link came up.
     last_heard: Instant,
     /// Last time a heartbeat was offered to this link.
     last_hb: Instant,
@@ -146,35 +154,48 @@ impl Link {
             backoff: BACKOFF_INITIAL,
             next_dial: now,
             ever_up: false,
-            health: PeerHealth::Up,
+            served: false,
             last_heard: now,
             last_hb: now,
         }
     }
 
     /// The link's one timer: a dial's timeout, a down link's next dial,
-    /// an up one's next heartbeat. Health is looked at when
-    /// the heartbeat is due, so the silent-link reset comes within one
-    /// cadence of the silence that earns it.
-    fn alarm(&self, heartbeat: Duration) -> Option<Instant> {
+    /// an up one's next probe. Silence is looked at when the probe is
+    /// due, so the close comes within one cadence of the silence that
+    /// earns it.
+    fn alarm(&self, probe: Duration) -> Option<Instant> {
         match self.state {
             #[cfg(test)]
             State::Dialling(_) if tests::broken::endless_dial() => None,
             State::Dialling(until) => Some(until),
             State::Down => Some(self.next_dial),
-            State::Up { .. } => (!heartbeat.is_zero()).then(|| self.last_hb + heartbeat),
+            State::Up { .. } => Some(self.last_hb + probe),
         }
     }
 
-    /// Up → down: every tag in flight is refused — an `ELIMINATE` among
-    /// them needs no replay, since the close itself stops the legs the
-    /// connection shipped — and the link redials one initial backoff
-    /// from now. A link that is already down is left alone.
+    /// A frame was accepted: the silence clock starts over, and the
+    /// connection's first puts the link in service.
+    fn heard(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
+        (self.last_heard, self.served) = (now, true);
+        if let State::Up { serving, .. } = &mut self.state {
+            if !std::mem::replace(serving, true) {
+                out.push(Action::Stat(addr.to_owned(), Stat::Up(true)));
+            }
+        }
+    }
+
+    /// Up → down: the link leaves service, every tag in flight is
+    /// refused (an `ELIMINATE` needs no replay: the close stops the legs
+    /// the connection shipped), and the link redials one initial backoff
+    /// from now.
     fn close(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
-        let State::Up { pending } = std::mem::replace(&mut self.state, State::Down) else {
+        let State::Up { pending, serving } = std::mem::replace(&mut self.state, State::Down) else {
             return;
         };
-        out.push(Action::Stat(addr.to_owned(), Stat::Up(false)));
+        if serving {
+            out.push(Action::Stat(addr.to_owned(), Stat::Up(false)));
+        }
         self.next_dial = now + BACKOFF_INITIAL;
         for (tag, _) in pending {
             refuse(addr, tag, out);
@@ -195,10 +216,8 @@ impl Link {
 pub(crate) struct LinkTable {
     /// Ordered, so a seeded schedule replays action for action.
     links: BTreeMap<String, Link>,
-    /// Heartbeat cadence (zero disables the health lifecycle).
-    heartbeat: Duration,
-    /// Silence threshold for suspicion; quarantine at twice this.
-    suspect: Duration,
+    /// How long an up link may accept nothing before it is closed.
+    silence: Duration,
 }
 
 impl LinkTable {
@@ -207,8 +226,7 @@ impl LinkTable {
         let down = |addr: &String| (addr.clone(), Link::new(now));
         LinkTable {
             links: config.peers.iter().map(down).collect(),
-            heartbeat: Duration::from_millis(config.heartbeat_ms),
-            suspect: Duration::from_millis(config.suspect_ms),
+            silence: Duration::from_millis(config.silence_ms),
         }
     }
 
@@ -219,7 +237,12 @@ impl LinkTable {
             Event::Send(cmd, fault) => self.send(cmd, fault, now, &mut out),
             Event::Dialed { addr, connected } => self.dialed(&addr, connected, now, &mut out),
             Event::Reply { addr, resp, fault } => self.reply(&addr, resp, fault, now, &mut out),
-            Event::Closed(addr) => self.down(&addr, now, &mut out),
+            Event::Closed(addr) => {
+                let up = |l: &&mut Link| matches!(l.state, State::Up { .. });
+                if let Some(link) = self.links.get_mut(&addr).filter(up) {
+                    link.close(&addr, now, &mut out);
+                }
+            }
             Event::Tick => self.tick(now, &mut out),
         }
         out
@@ -227,8 +250,8 @@ impl LinkTable {
 
     /// The earliest instant a [`Event::Tick`] has something to do.
     pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        let alarms = self.links.values().filter_map(|l| l.alarm(self.heartbeat));
-        alarms.min()
+        let probe = self.silence / 3;
+        self.links.values().filter_map(|l| l.alarm(probe)).min()
     }
 
     /// One frame for one link. An up link encodes it onto its stream,
@@ -245,13 +268,13 @@ impl LinkTable {
     ///   stream. A receiver that finds a malformed body closes it and
     ///   the link dies into redial; one whose leftover bytes parse as a
     ///   legal length waits inside it and answers nothing, which the
-    ///   tick's silent-link reset turns into the same redial.
+    ///   tick's silence close turns into the same redial.
     /// * **delay** — the shell has already stalled; nothing to do here.
     fn send(&mut self, cmd: Cmd, fault: Option<NetFault>, now: Instant, out: &mut Vec<Action>) {
         let Some(link) = self.links.get_mut(&cmd.addr) else {
             return refuse(&cmd.addr, cmd.tag, out);
         };
-        let State::Up { pending } = &mut link.state else {
+        let State::Up { pending, .. } = &mut link.state else {
             // Fail fast: a peer that is not up cannot run the
             // alternative or grant the vote, and the race must not wait
             // for a dial to find that out. An `ELIMINATE` is dropped:
@@ -288,23 +311,24 @@ impl LinkTable {
         if !connected {
             return link.dial_failed(now);
         }
-        out.push(Action::Stat(addr.to_owned(), Stat::Up(true)));
         if link.ever_up {
             out.push(Action::Stat(addr.to_owned(), Stat::Reconnected));
         }
-        if !self.heartbeat.is_zero() {
-            // Prime the health lifecycle (and the rtt EWMA, and the
-            // load figures) without waiting one cadence.
-            let (addr, req, tag) = (addr.to_owned(), Request::PeerStats, SendTag::Heartbeat);
-            out.push(Action::Frame(Cmd { addr, req, tag }));
-        }
+        // Ask for the frame that puts the link in service (and primes
+        // the rtt EWMA and the load figures) without waiting a cadence.
+        out.push(probe(addr));
         link.state = State::Up {
             pending: VecDeque::new(),
+            serving: false,
         };
         link.ever_up = true;
         link.backoff = BACKOFF_INITIAL;
         link.last_heard = now;
         link.last_hb = now;
+        #[cfg(test)]
+        if tests::broken::up_at_connect() {
+            link.heard(addr, now, out);
+        }
     }
 
     /// Pairs one arrived frame with the oldest tag in flight — unless it
@@ -325,7 +349,7 @@ impl LinkTable {
         let Some(link) = self.links.get_mut(addr) else {
             return;
         };
-        let State::Up { pending } = &mut link.state else {
+        let State::Up { pending, .. } = &mut link.state else {
             return;
         };
         let pushed = matches!(resp, Some(Response::AltResult { .. }));
@@ -343,15 +367,9 @@ impl LinkTable {
         let Some((resp, sent)) = paired else {
             // Cut short, undecodable, or a reply we never asked for:
             // the stream is not trustworthy.
-            return self.down(addr, now, out);
+            return link.close(addr, now, out);
         };
-        // Any frame is proof of life: a Suspect or Quarantined peer
-        // that answers a probe is readmitted.
-        link.last_heard = now;
-        if link.health != PeerHealth::Up {
-            link.health = PeerHealth::Up;
-            out.push(Action::Stat(addr.to_owned(), Stat::Health(PeerHealth::Up)));
-        }
+        link.heard(addr, now, out);
         let copies = 1 + usize::from(fault == Some(NetFault::Duplicate));
         let Some((tag, sent_at)) = sent else {
             return out.extend((0..copies).filter_map(|_| leg_result(&resp)));
@@ -365,29 +383,16 @@ impl LinkTable {
         answer(addr, tag, resp, out);
     }
 
-    /// An up link's stream is gone.
-    fn down(&mut self, addr: &str, now: Instant, out: &mut Vec<Action>) {
-        let up = |l: &&mut Link| matches!(l.state, State::Up { .. });
-        if let Some(link) = self.links.get_mut(addr).filter(up) {
-            link.close(addr, now, out);
-        }
-    }
-
     /// Fires every due alarm: a dial's timeout, a down link's dial, and
-    /// for an up link the health lifecycle: age the peer by its
-    /// silence, Up → Suspect → Quarantined, and reset a link that has
-    /// been silent for the whole
-    /// quarantine span. The reset is what makes quarantine an episode:
-    /// a stream the peer's decoder lost sync on (a cut frame whose
-    /// leftover bytes parse as a legal length leaves it waiting inside
-    /// that length) carries heartbeats forever and answers none, so
-    /// only a fresh connection can bring the reply that readmits. The
-    /// redial itself readmits nobody — only a reply does — and it
-    /// starts the silence clock over, so a peer that stays silent is
-    /// redialled once per quarantine span, not once per tick.
+    /// for an up link the silence rule — closed if it has accepted
+    /// nothing for the whole span, or else probed. Only a fresh
+    /// connection heals a stream the peer's decoder lost sync on (a cut
+    /// frame whose leftover bytes parse as a legal length): it carries
+    /// probes forever and answers none. The redial restarts the clock,
+    /// so a silent peer is redialled once per span, not once per tick.
     fn tick(&mut self, now: Instant, out: &mut Vec<Action>) {
         for (addr, link) in &mut self.links {
-            if link.alarm(self.heartbeat).is_none_or(|at| at > now) {
+            if link.alarm(self.silence / 3).is_none_or(|at| at > now) {
                 continue;
             }
             match link.state {
@@ -401,19 +406,16 @@ impl LinkTable {
                 State::Down => {}
                 State::Up { .. } => {
                     let silent = now.duration_since(link.last_heard);
-                    let aged = link.health.aged(silent, self.suspect);
-                    if aged != link.health {
-                        link.health = aged;
-                        out.push(Action::Stat(addr.clone(), Stat::Health(aged)));
-                    }
-                    // The silence that quarantines a healthy peer.
-                    if PeerHealth::Up.aged(silent, self.suspect) == PeerHealth::Quarantined {
+                    #[cfg(test)]
+                    let silent = tests::broken::skew(silent);
+                    if silent >= self.silence {
+                        if std::mem::take(&mut link.served) {
+                            out.push(Action::Stat(addr.clone(), Stat::Quarantined));
+                        }
                         link.close(addr, now, out);
                     } else {
                         link.last_hb = now;
-                        let (addr, req, tag) =
-                            (addr.clone(), Request::PeerStats, SendTag::Heartbeat);
-                        out.push(Action::Frame(Cmd { addr, req, tag }));
+                        out.push(probe(addr));
                     }
                     continue;
                 }
@@ -436,6 +438,13 @@ fn refuse(addr: &str, tag: SendTag, out: &mut Vec<Action>) {
         SendTag::Vote { race_id } => out.push(vote(race_id, addr, false)),
         SendTag::Eliminate | SendTag::Heartbeat => {}
     }
+}
+
+/// A heartbeat for `addr`: a `PEER_STATS` whose reply is a frame the
+/// link accepts, carrying the peer's load line.
+fn probe(addr: &str) -> Action {
+    let (addr, req, tag) = (addr.to_owned(), Request::PeerStats, SendTag::Heartbeat);
+    Action::Frame(Cmd { addr, req, tag })
 }
 
 /// What a pushed result tells its race, if `resp` is one.
@@ -498,9 +507,10 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// Seeded mutants of the core: rule switches, one per rule of the
-    /// dialling state, thrown on the calling thread only.
+    /// dialling state and of service, thrown on the calling thread only.
     pub(super) mod broken {
         use std::cell::Cell;
+        use std::time::Duration;
 
         /// Which rule is broken.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,6 +519,13 @@ mod tests {
             Redial,
             /// A dial that is out never times out.
             EndlessDial,
+            /// A link enters service on the connect.
+            UpAtConnect,
+            /// No link is ever closed for silence.
+            NeverSilenced,
+            /// A link is closed after half the silence span: one that
+            /// answered in time is closed all the same.
+            HastyClose,
         }
 
         thread_local! {
@@ -527,6 +544,19 @@ mod tests {
         pub(crate) fn endless_dial() -> bool {
             ON.with(|on| on.get() == Some(Mutant::EndlessDial))
         }
+
+        pub(crate) fn up_at_connect() -> bool {
+            ON.with(|on| on.get() == Some(Mutant::UpAtConnect))
+        }
+
+        /// The silence the tick acts on, as the mutant sees it.
+        pub(crate) fn skew(silent: Duration) -> Duration {
+            match ON.with(Cell::get) {
+                Some(Mutant::NeverSilenced) => Duration::ZERO,
+                Some(Mutant::HastyClose) => silent * 2,
+                _ => silent,
+            }
+        }
     }
 
     const ORIGIN: &str = "origin:1";
@@ -539,11 +569,10 @@ mod tests {
         Duration::from_millis(n)
     }
 
-    fn config(peers: &[&str], heartbeat_ms: u64, suspect_ms: u64) -> PeerConfig {
+    fn config(peers: &[&str], silence_ms: u64) -> PeerConfig {
         PeerConfig {
             peers: peers.iter().map(|p| (*p).to_owned()).collect(),
-            heartbeat_ms,
-            suspect_ms,
+            silence_ms,
             ..PeerConfig::default()
         }
     }
@@ -699,17 +728,23 @@ mod tests {
     }
 
     /// What the rules say about one configured link — its timers and its
-    /// health — kept by restating each rule, not by asking the core.
+    /// service — kept by restating each rule, not by asking the core.
     struct Model {
+        /// A connection is open.
         up: bool,
+        /// That connection has carried a frame back.
+        serving: bool,
+        /// A frame was accepted since the last quarantine.
+        served: bool,
+        /// Silence closes that ended a spell in service.
+        quarantines: u64,
         ever_up: bool,
         next_dial: Instant,
         /// The timeout of the dial that is out.
         dialling: Option<Instant>,
         /// Failed dials since the last success.
         fails: u32,
-        health: PeerHealth,
-        /// The last reply, or the dial.
+        /// The last accepted frame, or the dial.
         heard: Instant,
         last_hb: Instant,
     }
@@ -754,12 +789,12 @@ mod tests {
     struct Sim {
         table: LinkTable,
         now: Instant,
-        heartbeat: Duration,
-        suspect: Duration,
+        silence: Duration,
         peers: BTreeMap<String, Peer>,
         model: BTreeMap<String, Model>,
-        /// The counters the shell would publish, mirrored from `Stat`.
-        mirror: BTreeMap<String, (bool, PeerHealth)>,
+        /// The counters the shell would publish, mirrored from `Stat`:
+        /// in service, and quarantines.
+        mirror: BTreeMap<String, (bool, u64)>,
         fates: BTreeMap<u64, Fate>,
         next_ordinal: u64,
         /// Addresses the shell has a connect out to.
@@ -772,16 +807,18 @@ mod tests {
     }
 
     impl Sim {
-        fn new(peers: &[&str], heartbeat_ms: u64, suspect_ms: u64, now: Instant) -> Self {
+        fn new(peers: &[&str], silence_ms: u64, now: Instant) -> Self {
             let owned = |a: &&str| (*a).to_owned();
             let model = |a| {
                 let model = Model {
                     up: false,
+                    serving: false,
+                    served: false,
+                    quarantines: 0,
                     ever_up: false,
                     next_dial: now,
                     dialling: None,
                     fails: 0,
-                    health: PeerHealth::Up,
                     heard: now,
                     last_hb: now,
                 };
@@ -794,18 +831,14 @@ mod tests {
                 };
                 (owned(a), peer)
             };
-            let cfg = config(peers, heartbeat_ms, suspect_ms);
+            let cfg = config(peers, silence_ms);
             Sim {
                 table: LinkTable::new(&cfg, now),
                 now,
-                heartbeat: ms(heartbeat_ms),
-                suspect: ms(suspect_ms),
+                silence: ms(silence_ms),
                 peers: peers.iter().chain(&STRANGERS).map(peer).collect(),
                 model: peers.iter().map(model).collect(),
-                mirror: peers
-                    .iter()
-                    .map(|a| (owned(a), (false, PeerHealth::Up)))
-                    .collect(),
+                mirror: peers.iter().map(|a| (owned(a), (false, 0))).collect(),
                 fates: BTreeMap::new(),
                 next_ordinal: 1,
                 dials_out: BTreeSet::new(),
@@ -833,7 +866,7 @@ mod tests {
 
         fn pending(&self, addr: &str) -> Vec<SendTag> {
             match self.table.links.get(addr).map(|l| &l.state) {
-                Some(State::Up { pending }) => pending.iter().map(|(tag, _)| *tag).collect(),
+                Some(State::Up { pending, .. }) => pending.iter().map(|(tag, _)| *tag).collect(),
                 _ => Vec::new(),
             }
         }
@@ -1019,15 +1052,12 @@ mod tests {
             for until in timeouts {
                 assert!(until > self.now, "a dial out past its timeout");
             }
-            // Known defects' rule: an up configured link is heard from,
-            // or closed and redialled, within 2 × suspect + heartbeat.
-            if self.heartbeat.is_zero() || self.suspect.is_zero() {
-                return;
-            }
+            // An up link accepts a frame, or is closed, within the
+            // silence span and one probe cadence.
             for (addr, m) in self.model.iter().filter(|(_, m)| m.up) {
                 let silent = self.now.duration_since(m.heard);
-                let bound = self.suspect * 2 + self.heartbeat;
-                assert!(silent <= bound, "{addr} up and silent for {silent:?}");
+                let bound = self.silence + self.silence / 3;
+                assert!(silent < bound, "{addr} up and silent for {silent:?}");
             }
         }
 
@@ -1072,7 +1102,7 @@ mod tests {
                 match action {
                     Action::Stat(addr, stat) => match (self.mirror.get_mut(addr), *stat) {
                         (Some(row), Stat::Up(up)) => row.0 = up,
-                        (Some(row), Stat::Health(health)) => row.1 = health,
+                        (Some(row), Stat::Quarantined) => row.1 += 1,
                         (Some(_), _) => {}
                         (None, _) => panic!("a row for a link that is none: {}", shown()),
                     },
@@ -1108,7 +1138,7 @@ mod tests {
                 Event::Reply { addr, resp, fault } => {
                     self.judge_reply(&was[addr], addr, resp.as_ref(), *fault, actions);
                 }
-                Event::Closed(addr) if was[addr].up => self.went_down(addr),
+                Event::Closed(addr) if was[addr].up => self.went_down(addr, actions),
                 // A link that is not up has no stream to lose.
                 Event::Closed(_) => assert!(actions.is_empty(), "{}", shown()),
                 Event::Tick => self.judge_tick(actions),
@@ -1138,18 +1168,18 @@ mod tests {
             }
             // The published counters are the model's.
             for (addr, m) in &self.model {
-                assert_eq!(self.mirror[addr], (m.up, m.health), "{addr}: {}", shown());
+                let row = (m.serving, m.quarantines);
+                assert_eq!(self.mirror[addr], row, "{addr}: {}", shown());
             }
             // One timer per link — the timeout of its dial if one is
-            // out, else the dial of a down one, the heartbeat of an up
-            // one — and `next_deadline` is the earliest.
-            let beat = |m: &Model| (!self.heartbeat.is_zero()).then(|| m.last_hb + self.heartbeat);
+            // out, else the dial of a down one, the probe of an up one —
+            // and `next_deadline` is the earliest.
             let timer = |m: &Model| match (m.dialling, m.up) {
-                (Some(until), _) => Some(until),
-                (None, true) => beat(m),
-                (None, false) => Some(m.next_dial),
+                (Some(until), _) => until,
+                (None, true) => m.last_hb + self.silence / 3,
+                (None, false) => m.next_dial,
             };
-            let timers = self.model.values().filter_map(timer);
+            let timers = self.model.values().map(timer);
             assert_eq!(self.table.next_deadline(), timers.min(), "{}", shown());
         }
 
@@ -1227,13 +1257,11 @@ mod tests {
                 return m.dial_failed(now);
             }
             // The priming heartbeat and nothing the last connection
-            // carried; and the peer's health is not the dial's to change.
-            let prime = (!self.heartbeat.is_zero()).then_some(&Request::PeerStats);
-            assert!(frames.eq(prime), "{}", shown());
+            // carried; and a connect does not put the link in service.
+            assert!(frames.eq([&Request::PeerStats]), "{}", shown());
             assert_eq!(has(Stat::Reconnected), m.ever_up, "{}", shown());
-            assert!(has(Stat::Up(true)), "{}", shown());
-            let health = |a: &Action| matches!(a, Action::Stat(_, Stat::Health(_)));
-            assert!(!actions.iter().any(health), "{}", shown());
+            let up = |a: &Action| matches!(a, Action::Stat(_, Stat::Up(_)));
+            assert!(!actions.iter().any(up), "{}", shown());
             (m.up, m.ever_up, m.fails) = (true, true, 0);
             (m.heard, m.last_hb) = (now, now);
         }
@@ -1273,16 +1301,19 @@ mod tests {
             let (Some(resp), true, false) = (resp, paired, fault == Some(NetFault::Truncate))
             else {
                 // Cut, garbage, or unasked for: the link is done.
-                return self.went_down(addr);
+                return self.went_down(addr, actions);
             };
             let count = |pick: &dyn Fn(&Action) -> bool| actions.iter().filter(|a| pick(a)).count();
-            // Proof of life, whatever the frame; health improves only
-            // here.
+            // Accepted, whatever the frame: the silence clock starts
+            // over, and the connection's first frame — only that one —
+            // puts the link in service.
             let m = self.model.get_mut(addr).expect("a configured link");
-            let readmitted = count(&|a| matches!(a, Action::Stat(_, Stat::Health(_))));
-            let want = usize::from(m.health != PeerHealth::Up);
-            assert_eq!(readmitted, want, "{}", shown());
-            (m.health, m.heard) = (PeerHealth::Up, self.now);
+            let ups = actions.iter().filter_map(|a| match a {
+                Action::Stat(_, Stat::Up(up)) => Some(*up),
+                _ => None,
+            });
+            assert!(ups.eq((!m.serving).then_some(true)), "{}", shown());
+            (m.serving, m.served, m.heard) = (true, true, self.now);
             let twice = if fault == Some(NetFault::Duplicate) {
                 2
             } else {
@@ -1347,24 +1378,31 @@ mod tests {
             );
         }
 
-        /// `addr` was up and must be down now: it redials in 50 ms.
+        /// `addr` was up and must be down now: it redials in 50 ms, and
+        /// leaves service — told once, and only if it was in service.
         /// (`judge` checks the `Down` and counts the refusals of what
         /// was in flight; the final audit finds a missing one.)
-        fn went_down(&mut self, addr: &str) {
+        fn went_down(&mut self, addr: &str, actions: &[Action]) {
             assert!(!self.is_up(addr), "{addr} is still up");
+            let left = actions
+                .iter()
+                .filter(|a| matches!(a, Action::Stat(at, Stat::Up(false)) if at == addr));
             let m = self.model.get_mut(addr).expect("a configured link");
-            (m.up, m.next_dial) = (false, self.now + BACKOFF_INITIAL);
+            assert_eq!(left.count(), usize::from(m.serving), "{addr}: {actions:?}");
+            (m.up, m.serving) = (false, false);
+            m.next_dial = self.now + BACKOFF_INITIAL;
         }
 
         /// A tick fires what is due and nothing else: a dial's timeout,
         /// which fails it; a down link's dial, unless one is out; for an
-        /// up link whose heartbeat is due, the ageing its silence has
-        /// earned (health worsens only here), and then the reset of a
-        /// link silent for a whole quarantine span — or else the probe.
+        /// up link whose probe is due, the close of one that has
+        /// accepted nothing for the silence span — a quarantine if a
+        /// frame was accepted since the last one — or else the probe.
         fn judge_tick(&mut self, actions: &[Action]) {
             let shown = || format!("tick -> {actions:?}");
-            let (now, heartbeat, suspect) = (self.now, self.heartbeat, self.suspect);
-            let (mut dials, mut probes, mut resets, mut ageings) = (vec![], vec![], vec![], vec![]);
+            let (now, silence) = (self.now, self.silence);
+            let (mut dials, mut probes, mut resets, mut quarantines) =
+                (vec![], vec![], vec![], vec![]);
             let mut timeouts = Vec::new();
             for (addr, m) in &mut self.model {
                 match m.dialling {
@@ -1381,23 +1419,22 @@ mod tests {
                     dials.push(addr.clone());
                     m.dialling = Some(now + CONNECT_TIMEOUT);
                 }
-                if !m.up || heartbeat.is_zero() || m.last_hb + heartbeat > now {
+                if !m.up || m.last_hb + silence / 3 > now {
                     continue;
                 }
-                let silent = now.duration_since(m.heard);
-                let aged = m.health.aged(silent, suspect);
-                if aged != m.health {
-                    ageings.push((addr.clone(), aged));
-                    m.health = aged;
-                }
-                if !suspect.is_zero() && silent >= suspect * 2 {
+                if now.duration_since(m.heard) >= silence {
                     resets.push(addr.clone());
+                    if std::mem::take(&mut m.served) {
+                        m.quarantines += 1;
+                        quarantines.push(addr.clone());
+                    }
                 } else {
                     probes.push(addr.clone());
                     m.last_hb = now;
                 }
             }
-            let (mut dialled, mut probed, mut reset, mut aged) = (vec![], vec![], vec![], vec![]);
+            let (mut dialled, mut probed, mut reset, mut quarantined) =
+                (vec![], vec![], vec![], vec![]);
             let mut abandoned = Vec::new();
             for action in actions {
                 match action {
@@ -1408,19 +1445,19 @@ mod tests {
                         probed.push(cmd.addr.clone());
                     }
                     Action::Down(addr) => reset.push(addr.clone()),
-                    Action::Stat(addr, Stat::Health(health)) => aged.push((addr.clone(), *health)),
+                    Action::Stat(addr, Stat::Quarantined) => quarantined.push(addr.clone()),
                     Action::Stat(_, Stat::Up(false)) | Action::Race(..) => {}
                     _ => panic!("{}", shown()),
                 }
             }
             assert_eq!(
-                (dialled, probed, &reset, aged, &abandoned),
-                (dials, probes, &resets, ageings, &timeouts),
+                (dialled, probed, &reset, quarantined, &abandoned),
+                (dials, probes, &resets, quarantines, &timeouts),
                 "{}",
                 shown()
             );
             for addr in reset {
-                self.went_down(&addr);
+                self.went_down(&addr, actions);
             }
         }
     }
@@ -1451,12 +1488,17 @@ mod tests {
     /// shell has a connect out, never dials twice at once, and fails a
     /// dial out for 50 ms on the tick; failed dials are 50 ms · 2ᵏ apart
     /// up to 2 s and a success starts over; an answer to no dial changes
-    /// nothing; health worsens only with silence, improves only on a
-    /// frame, never on a dial; `Down` comes once per up → down; a tick
-    /// fires exactly what is due and `next_deadline` is the earliest of
-    /// it. Checked of every stretch of time: no dial is out past its
-    /// timeout, and an up link is heard from or reset within a
-    /// heartbeat and 2 × suspect. Checked at the end: every `ExecAlt` /
+    /// nothing; a link enters service (`Up(true)`) at most once per
+    /// connection, on an accepted frame and never on the dial, and
+    /// leaves it (`Up(false)`) exactly when a connection in service
+    /// closes; a tick closes an up link only after the silence span with
+    /// no accepted frame — a quarantine exactly when a frame was
+    /// accepted since the last one —
+    /// and probes every other up link whose cadence is due; `Down` comes
+    /// once per up → down; `next_deadline` is the earliest alarm.
+    /// Checked of every stretch of time: no dial is out past its
+    /// timeout, and an up link accepts a frame or is closed within the
+    /// silence span and one probe cadence. Checked at the end: every `ExecAlt` /
     /// `Vote` the core accepted was resolved exactly once per copy on
     /// the wire.
     #[test]
@@ -1464,13 +1506,21 @@ mod tests {
         check("link_schedules", 2_500, schedule);
     }
 
-    /// Each seeded mutant of the dialling state — a tick that re-dials
-    /// a link whose dial is out, a dial that never times out — fails
-    /// the schedule property.
+    /// Each seeded mutant — a tick that re-dials a link whose dial is
+    /// out, a dial that never times out, a link in service from its
+    /// connect, a link never closed for silence, a link closed though it
+    /// answered in time — fails the schedule property.
     #[test]
     fn the_schedule_property_kills_each_seeded_mutant() {
         use broken::Mutant;
-        for mutant in [Mutant::Redial, Mutant::EndlessDial] {
+        let mutants = [
+            Mutant::Redial,
+            Mutant::EndlessDial,
+            Mutant::UpAtConnect,
+            Mutant::NeverSilenced,
+            Mutant::HastyClose,
+        ];
+        for mutant in mutants {
             broken::set(Some(mutant));
             let run = || check("link_schedules", 2_500, schedule);
             let killed = std::panic::catch_unwind(run).is_err();
@@ -1482,8 +1532,8 @@ mod tests {
     /// One seeded schedule of the property.
     fn schedule(rng: &mut CaseRng) {
         let configured = &CONFIGURED[..rng.usize_in(1, 3)];
-        let (heartbeat, suspect) = (*rng.pick(&[0, 40, 100]), *rng.pick(&[0, 120, 300]));
-        let mut sim = Sim::new(configured, heartbeat, suspect, Instant::now());
+        let silence = *rng.pick(&[100, 120, 300]);
+        let mut sim = Sim::new(configured, silence, Instant::now());
         sim.p_send = *rng.pick(&[0.0, 0.1, 0.3]);
         sim.p_recv = *rng.pick(&[0.0, 0.1, 0.3]);
         sim.p_late = *rng.pick(&[0.0, 0.3, 0.7]);
@@ -1538,8 +1588,8 @@ mod tests {
     /// The shell in miniature, for the worked examples below: on-time
     /// ticks until `until` past `t0`, every dial answered `connects`,
     /// every frame put on the wire whole, no peer ever replying.
-    /// Returns when (in ms past `t0`) each dial, health change and
-    /// `Down` came.
+    /// Returns when (in ms past `t0`) each dial, quarantine, exit from
+    /// service and `Down` came.
     fn drive(
         table: &mut LinkTable,
         t0: Instant,
@@ -1562,7 +1612,8 @@ mod tests {
                             continue;
                         }
                         Action::Down(_) => "down",
-                        Action::Stat(_, Stat::Health(health)) => health.label(),
+                        Action::Stat(_, Stat::Quarantined) => "quarantined",
+                        Action::Stat(_, Stat::Up(false)) => "out of service",
                         _ => continue,
                     };
                     log.push(((at - t0).as_millis(), what));
@@ -1586,7 +1637,7 @@ mod tests {
     #[test]
     fn a_frame_for_an_address_outside_the_peer_list_is_refused_never_dialled() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(&config(&[], 500, 1500), t0);
+        let mut table = LinkTable::new(&config(&[], 1500), t0);
         let send = |table: &mut LinkTable, kind, n| {
             table.step(Event::Send(command("s0:1", kind, n), None), t0)
         };
@@ -1614,8 +1665,9 @@ mod tests {
     #[test]
     fn a_pushed_result_feeds_its_race_and_leaves_the_fifo_alone() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(&config(&["c0:1"], 0, 0), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 1500), t0);
         assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
+        table.step(heartbeat_reply("c0:1"), t0);
         let ship = command("c0:1", EXEC_ALT, 4);
         let ack = reply_to(&ship.req);
         table.step(Event::Send(ship, None), t0 + ms(1));
@@ -1656,7 +1708,7 @@ mod tests {
     #[test]
     fn a_redial_replays_nothing_and_probes() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(&config(&["c0:1"], 500, 1500), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 1500), t0);
         assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
         // On the wire and never acknowledged; then the stream dies.
         table.step(Event::Send(command("c0:1", ELIMINATE, 3), None), t0);
@@ -1685,50 +1737,81 @@ mod tests {
         assert_eq!(frames(&actions), [&Request::PeerStats]);
     }
 
-    /// The silent-link rule past its first span (the live test in
-    /// `tests/peers.rs` sees one): a link nobody answers on is reset at
-    /// `2 × suspect`, redialled one backoff later *still quarantined*,
-    /// and reset again a whole span after that dial; the first reply
-    /// readmits.
+    /// The answer to the priming heartbeat, as a live peer sends it.
+    fn heartbeat_reply(addr: &str) -> Event {
+        let (addr, fault) = (addr.to_owned(), None);
+        let resp = Some(reply_to(&Request::PeerStats));
+        Event::Reply { addr, resp, fault }
+    }
+
+    /// Whether `actions` put `addr` in service.
+    fn entered_service(actions: &[Action]) -> bool {
+        let up = |a: &Action| matches!(a, Action::Stat(_, Stat::Up(true)));
+        actions.iter().any(up)
+    }
+
+    /// The service rule past its first span (the live test in
+    /// `tests/peers.rs` sees one): a connect is not service, the first
+    /// frame is; a link in service that answers nothing is closed a
+    /// silence span after its last frame, a quarantine; each redial that
+    /// answers nothing is closed a span after its connect, no
+    /// quarantine, until the first frame puts the link back in service.
+    /// A spell in service that ends in a hang-up is quarantined by the
+    /// first silence close after it, on the redial.
     #[test]
-    fn a_silent_link_is_reset_once_per_quarantine_span_until_a_reply_readmits() {
+    fn a_link_serves_from_its_first_frame_until_a_silence_span_without_one() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(&config(&["c0:1"], 20, 100), t0);
-        let log = drive(&mut table, t0, 760, true);
+        let mut table = LinkTable::new(&config(&["c0:1"], 120), t0);
+        table.step(Event::Tick, t0);
+        let addr = "c0:1".to_owned();
+        let connected = table.step(
+            Event::Dialed {
+                addr,
+                connected: true,
+            },
+            t0,
+        );
+        assert!(!entered_service(&connected), "{connected:?}");
+        for action in connected {
+            if let Action::Frame(cmd) = action {
+                table.step(Event::Send(cmd, None), t0);
+            }
+        }
+        let served = table.step(heartbeat_reply("c0:1"), t0 + ms(10));
+        assert!(entered_service(&served), "{served:?}");
+        // Probes at 40, 80 and 120 ms go unanswered; at 160 the link has
+        // been silent 150 ms ≥ 120.
+        let log = drive(&mut table, t0, 560, true);
         #[rustfmt::skip]
         let want = [
-            (0, "dial"), (100, "suspect"), (200, "quarantined"), (200, "down"),
-            (250, "dial"), (450, "down"),
-            (500, "dial"), (700, "down"),
-            (750, "dial"),
+            (160, "quarantined"), (160, "out of service"), (160, "down"),
+            (210, "dial"), (330, "down"),
+            (380, "dial"), (500, "down"),
+            (550, "dial"),
         ];
         assert_eq!(log, want);
-        let reply = Event::Reply {
-            addr: "c0:1".to_owned(),
-            resp: Some(reply_to(&Request::PeerStats)),
-            fault: None,
-        };
-        let actions = table.step(reply, t0 + ms(755));
-        let readmitted = Action::Stat("c0:1".to_owned(), Stat::Health(PeerHealth::Up));
-        assert!(
-            format!("{actions:?}").contains(&format!("{readmitted:?}")),
-            "{actions:?}"
-        );
+        let served = table.step(heartbeat_reply("c0:1"), t0 + ms(555));
+        assert!(entered_service(&served), "{served:?}");
         assert_eq!(
-            drive(&mut table, t0, 850, true),
+            drive(&mut table, t0, 670, true),
             [],
-            "heard from at 755: nothing ages before 855"
+            "heard from at 555: probed at 590, 630 and 670, closed no earlier than 675"
         );
+        table.step(Event::Closed("c0:1".to_owned()), t0 + ms(680));
+        #[rustfmt::skip]
+        let want = [(730, "dial"), (850, "quarantined"), (850, "down")];
+        assert_eq!(drive(&mut table, t0, 880, true), want);
     }
 
     /// A dial that is out: a tick starts no second one, an `ELIMINATE`
     /// is dropped and a vote is refused as for a down link, and 50 ms on
     /// the tick abandons it and backs off; an answer to an abandoned
-    /// dial changes nothing, and the dial that connects sends nothing.
+    /// dial changes nothing, and the dial that connects sends only its
+    /// priming heartbeat.
     #[test]
     fn a_dial_out_fails_on_the_tick_fifty_ms_on() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(&config(&["c0:1"], 0, 0), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 1500), t0);
         let dial = table.step(Event::Tick, t0);
         assert!(
             matches!(&dial[..], [Action::Dial(a)] if a == "c0:1"),
@@ -1761,13 +1844,13 @@ mod tests {
 
         table.step(Event::Tick, t0 + ms(100));
         let up = table.step(late, t0 + ms(101));
-        assert!(frames(&up).is_empty(), "nothing was held: {up:?}");
+        assert_eq!(frames(&up), [&Request::PeerStats], "nothing was held");
     }
 
     #[test]
     fn failed_dials_back_off_to_the_cap_and_a_success_starts_over() {
         let t0 = Instant::now();
-        let mut table = LinkTable::new(&config(&["c0:1"], 0, 0), t0);
+        let mut table = LinkTable::new(&config(&["c0:1"], 1500), t0);
         let dials = |log: Vec<(u128, &str)>| log.into_iter().map(|(at, _)| at).collect::<Vec<_>>();
         let refused = dials(drive(&mut table, t0, 7_200, false));
         assert_eq!(refused, [0, 50, 150, 350, 750, 1_550, 3_150, 5_150, 7_150]);

@@ -20,10 +20,10 @@
 //!   schedules: fail fast, so no request waits on a dead peer; backoff
 //!   redials that carry nothing from the connection before; the dial
 //!   timeout; replies correlated by order, and pushed results
-//!   told apart from them by content; and the health
-//!   lifecycle ([`PeerHealth`]) that takes an up but silent peer out of
-//!   [`PeerStatsTable::up_peers`], which placement and voter freezing
-//!   read. INTERNALS § *Failure matrix* maps failures to outcomes.
+//!   told apart from them by content; and the rule of service: a peer
+//!   is in [`PeerStatsTable::up_peers`], which placement and voter
+//!   freezing read, only while its link answers. INTERNALS § *Failure
+//!   matrix* maps failures to outcomes.
 //! * [`PeerLinks`] is the shell, held by shard 0's reactor: a
 //!   non-blocking `connect` per dial, `read` into a [`FrameDecoder`],
 //!   out-buffers and `write`, the chaos shim's draw at the two wire
@@ -53,12 +53,13 @@ use crate::remote::{RaceTable, RemoteRaces};
 use crate::sys::{connect_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use altx::faults::{self, NetFault};
 use std::collections::HashMap;
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Peering knobs, carried in [`crate::ServerConfig`]. An empty peer
 /// list (the default) disables remote dispatch entirely: the placement
@@ -76,12 +77,10 @@ pub struct PeerConfig {
     /// scoped by the connection that shipped it, not by this name.
     /// Defaults to the bound listen address.
     pub advertise: Option<String>,
-    /// Heartbeat cadence on configured links, in milliseconds (0
-    /// disables the health lifecycle entirely).
-    pub heartbeat_ms: u64,
-    /// Silence threshold before a peer is suspected, in milliseconds;
-    /// a peer silent for twice this long is quarantined.
-    pub suspect_ms: u64,
+    /// How long an up link may answer nothing before it is closed and
+    /// redialled, in milliseconds; every up link is probed three times
+    /// in that span.
+    pub silence_ms: u64,
 }
 
 impl Default for PeerConfig {
@@ -90,74 +89,19 @@ impl Default for PeerConfig {
             peers: Vec::new(),
             explore_every: 16,
             advertise: None,
-            heartbeat_ms: 500,
-            suspect_ms: 1500,
-        }
-    }
-}
-
-/// A configured peer's health state. TCP liveness (`up`) and health
-/// are orthogonal: a one-way partition leaves the socket connected
-/// while replies stop, which is exactly what this state machine
-/// catches. Only an `Up` peer receives alternatives or freezes into a
-/// race's voter set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum PeerHealth {
-    /// Replying within the suspicion threshold.
-    Up = 0,
-    /// Silent past the suspicion threshold: no new work is shipped,
-    /// but nothing is torn down — a reply restores `Up`.
-    Suspect = 1,
-    /// Silent past twice the threshold. The link is reset so probes
-    /// flow on a clean stream; the first reply restores `Up`.
-    Quarantined = 2,
-}
-
-impl PeerHealth {
-    fn from_u8(v: u8) -> PeerHealth {
-        match v {
-            1 => PeerHealth::Suspect,
-            2 => PeerHealth::Quarantined,
-            _ => PeerHealth::Up,
-        }
-    }
-
-    /// This state after `silent` without a reply, against the suspicion
-    /// threshold `suspect` (zero disables ageing): `Quarantined` from
-    /// twice the threshold on, `Suspect` from the threshold on for a
-    /// peer that was `Up`. Ageing never readmits — only a reply does.
-    pub fn aged(self, silent: Duration, suspect: Duration) -> PeerHealth {
-        if suspect.is_zero() {
-            self
-        } else if silent >= suspect * 2 {
-            PeerHealth::Quarantined
-        } else if silent >= suspect && self == PeerHealth::Up {
-            PeerHealth::Suspect
-        } else {
-            self
-        }
-    }
-
-    /// Lower-case label for telemetry pages.
-    pub fn label(self) -> &'static str {
-        match self {
-            PeerHealth::Up => "up",
-            PeerHealth::Suspect => "suspect",
-            PeerHealth::Quarantined => "quarantined",
+            silence_ms: 1500,
         }
     }
 }
 
 /// Live counters for one configured peer link. Shard 0 is the only
-/// writer of `up`/`rtt`/`health`/load; dispatch/win counters are
+/// writer of `up`/`rtt`/load; dispatch/win counters are
 /// bumped from reactor shards and the registry. Everything is relaxed
 /// atomics — telemetry reads need eventual consistency only.
 #[derive(Debug)]
 pub struct PeerStat {
     addr: String,
     up: AtomicBool,
-    health: AtomicU8,
     rtt_ewma_us: AtomicU64,
     dispatched: AtomicU64,
     wins: AtomicU64,
@@ -173,7 +117,6 @@ impl PeerStat {
         PeerStat {
             addr,
             up: AtomicBool::new(false),
-            health: AtomicU8::new(PeerHealth::Up as u8),
             rtt_ewma_us: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             wins: AtomicU64::new(0),
@@ -190,7 +133,8 @@ impl PeerStat {
         &self.addr
     }
 
-    /// True while the outbound link is connected.
+    /// True while the outbound link is in service: from the first frame
+    /// its connection carried back until that connection closes.
     pub fn up(&self) -> bool {
         self.up.load(Ordering::Relaxed)
     }
@@ -215,12 +159,7 @@ impl PeerStat {
         self.reconnects.load(Ordering::Relaxed)
     }
 
-    /// The peer's health state.
-    pub fn health(&self) -> PeerHealth {
-        PeerHealth::from_u8(self.health.load(Ordering::Relaxed))
-    }
-
-    /// Times this peer entered [`PeerHealth::Quarantined`].
+    /// Silence closes of this peer's link, one per spell in service.
     pub fn quarantines(&self) -> u64 {
         self.quarantines.load(Ordering::Relaxed)
     }
@@ -239,27 +178,19 @@ impl PeerStat {
     fn apply(&self, stat: Stat) {
         match stat {
             Stat::Up(up) => self.up.store(up, Ordering::Relaxed),
-            Stat::Health(health) => self.set_health(health),
+            Stat::Quarantined => {
+                self.quarantines.fetch_add(1, Ordering::Relaxed);
+            }
             Stat::Reconnected => {
                 self.reconnects.fetch_add(1, Ordering::Relaxed);
             }
             Stat::Rtt(sample_us) => self.observe_rtt(sample_us),
-            Stat::Load(queued, busy, workers) => self.set_load(queued, busy, workers),
+            Stat::Load(queued, busy, workers) => {
+                self.load_queued.store(queued, Ordering::Relaxed);
+                self.load_busy.store(busy, Ordering::Relaxed);
+                self.load_workers.store(workers, Ordering::Relaxed);
+            }
         }
-    }
-
-    /// Sets the health state, counting an *entry* into quarantine.
-    fn set_health(&self, h: PeerHealth) {
-        let prev = self.health.swap(h as u8, Ordering::Relaxed);
-        if h == PeerHealth::Quarantined && prev != PeerHealth::Quarantined as u8 {
-            self.quarantines.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn set_load(&self, queued: u64, busy: u64, workers: u64) {
-        self.load_queued.store(queued, Ordering::Relaxed);
-        self.load_busy.store(busy, Ordering::Relaxed);
-        self.load_workers.store(workers, Ordering::Relaxed);
     }
 
     /// Records one request→reply round trip (EWMA, α = 0.2).
@@ -281,6 +212,25 @@ impl PeerStat {
     /// Counts one race won by this peer's alternative.
     pub(crate) fn note_win(&self) {
         self.wins.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The peer's row, as the STATS page and the `PEER_STATS` body both
+/// print it.
+impl fmt::Display for PeerStat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (queued, busy, workers) = self.load();
+        write!(
+            f,
+            "peer {}: up {} rtt_us {} dispatched {} wins {} reconnects {} quarantines {} load {queued}/{busy}/{workers}",
+            self.addr,
+            u8::from(self.up()),
+            self.rtt_ewma_us(),
+            self.dispatched(),
+            self.wins(),
+            self.reconnects(),
+            self.quarantines(),
+        )
     }
 }
 
@@ -318,7 +268,7 @@ impl PeerStatsTable {
     pub fn up_peers(&self) -> Vec<PeerLoad> {
         self.peers
             .iter()
-            .filter(|p| p.up() && p.health() == PeerHealth::Up)
+            .filter(|p| p.up())
             .map(|p| {
                 let (queued, busy, workers) = p.load();
                 PeerLoad {
@@ -342,41 +292,22 @@ impl PeerStatsTable {
         self.peers.iter().map(|p| p.quarantines()).sum()
     }
 
-    /// Peers whose link is up *and healthy* right now — the count that
-    /// gates placement and voter freezing.
+    /// Peers whose link is in service right now — the count that gates
+    /// placement and voter freezing.
     pub fn peers_up(&self) -> u64 {
-        self.peers
-            .iter()
-            .filter(|p| p.up() && p.health() == PeerHealth::Up)
-            .count() as u64
+        self.peers.iter().filter(|p| p.up()).count() as u64
     }
 
-    /// The `PEER_STATS` text body.
+    /// The `PEER_STATS` text body: one row per peer.
     pub fn render(&self) -> String {
-        let mut out = String::from("altxd peers\n");
-        for p in &self.peers {
-            let (queued, busy, workers) = p.load();
-            out.push_str(&format!(
-                "  peer {}  up {}  health {}  rtt_us {}  dispatched {}  wins {}  reconnects {}  \
-                 quarantines {}  peer_load {}/{}/{}\n",
-                p.addr,
-                u8::from(p.up()),
-                p.health().label(),
-                p.rtt_ewma_us(),
-                p.dispatched(),
-                p.wins(),
-                p.reconnects(),
-                p.quarantines(),
-                queued,
-                busy,
-                workers
-            ));
-        }
-        out
+        let rows = self.peers.iter().map(|p| format!("  {p}\n"));
+        std::iter::once("altxd peers\n".to_owned())
+            .chain(rows)
+            .collect()
     }
 }
 
-/// One healthy peer as seen by the placement model: link rtt plus the
+/// One peer in service as seen by the placement model: link rtt plus the
 /// queue depth and busy-worker count from its last heartbeat reply
 /// (zeros until the first reply — an unknown peer is assumed idle).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -819,7 +750,7 @@ pub(crate) mod tests {
             .up
             .store(true, Ordering::Relaxed);
         table.by_addr("a:1").unwrap().observe_rtt(300);
-        table.by_addr("a:1").unwrap().set_load(4, 2, 8);
+        table.by_addr("a:1").unwrap().apply(Stat::Load(4, 2, 8));
         let up = table.up_peers();
         assert_eq!(
             up,
@@ -835,61 +766,93 @@ pub(crate) mod tests {
         assert!(table.by_addr("c:3").is_none());
     }
 
+    /// Placement and voter freezing see a peer exactly while its link
+    /// is in service; a quarantine is counted, and takes nobody out by
+    /// itself — the close that comes with it does.
     #[test]
-    fn unhealthy_peers_leave_the_placement_input() {
-        let table = PeerStatsTable::new(&["a:1".into()]);
-        let stat = table.by_addr("a:1").unwrap();
-        stat.up.store(true, Ordering::Relaxed);
-        assert_eq!(table.peers_up(), 1);
-
-        // Suspicion and quarantine both pull the peer out of
-        // placement without touching the TCP `up` bit.
-        stat.set_health(PeerHealth::Suspect);
-        assert!(table.up_peers().is_empty());
-        assert_eq!(table.peers_up(), 0);
-        assert_eq!(stat.quarantines(), 0, "suspicion is not quarantine");
-
-        stat.set_health(PeerHealth::Quarantined);
-        assert_eq!(stat.quarantines(), 1);
-        stat.set_health(PeerHealth::Quarantined);
-        assert_eq!(stat.quarantines(), 1, "re-entry is not a transition");
-
-        // Readmission restores placement eligibility.
-        stat.set_health(PeerHealth::Up);
-        assert_eq!(table.peers_up(), 1);
-        stat.set_health(PeerHealth::Quarantined);
-        assert_eq!(stat.quarantines(), 2, "each distinct entry counts");
-        assert_eq!(table.total_quarantines(), 2);
+    fn only_peers_in_service_enter_the_placement_input() {
+        let table = PeerStatsTable::new(&["a:1".into(), "b:2".into()]);
+        let (a, b) = (&table.peers()[0], &table.peers()[1]);
+        let placed = |table: &PeerStatsTable| {
+            let up = table.up_peers().into_iter().map(|p| p.addr);
+            (table.peers_up(), up.collect::<Vec<_>>())
+        };
+        assert_eq!(placed(&table), (0, vec![]));
+        a.apply(Stat::Up(true));
+        assert_eq!(placed(&table), (1, vec!["a:1".to_owned()]));
+        a.apply(Stat::Quarantined);
+        a.apply(Stat::Up(false));
+        assert_eq!(placed(&table), (0, vec![]));
+        a.apply(Stat::Up(true));
+        b.apply(Stat::Quarantined);
+        assert_eq!(placed(&table), (1, vec!["a:1".to_owned()]));
+        assert_eq!((a.quarantines(), table.total_quarantines()), (1, 2));
     }
 
+    /// A peer's row as its link core keeps it: the connect leaves it out
+    /// of service, the first frame puts it in, and a silence span with
+    /// no frame — not a moment less — takes it out and counts one
+    /// quarantine.
     #[test]
-    fn health_ages_at_the_thresholds_and_never_readmits() {
-        use PeerHealth::{Quarantined, Suspect, Up};
-        let ms = Duration::from_millis;
-        let suspect = ms(100);
-        #[rustfmt::skip]
-        let table = [
-            // from,        silent,   threshold, to
-            (Up,          ms(0),    suspect,   Up),
-            (Up,          ms(99),   suspect,   Up),
-            (Up,          ms(100),  suspect,   Suspect),     // silent == suspect
-            (Up,          ms(199),  suspect,   Suspect),
-            (Up,          ms(200),  suspect,   Quarantined), // silent == 2·suspect
-            (Suspect,     ms(0),    suspect,   Suspect),     // only a reply readmits
-            (Suspect,     ms(100),  suspect,   Suspect),
-            (Suspect,     ms(200),  suspect,   Quarantined),
-            (Quarantined, ms(0),    suspect,   Quarantined),
-            (Quarantined, ms(500),  suspect,   Quarantined),
-            (Up,          ms(500),  ms(0),     Up),          // suspect == 0: no ageing
-            (Suspect,     ms(500),  ms(0),     Suspect),
-        ];
-        for (from, silent, threshold, to) in table {
-            assert_eq!(
-                from.aged(silent, threshold),
-                to,
-                "{from:?} silent {silent:?} against {threshold:?}"
-            );
+    fn a_row_enters_service_on_a_frame_and_leaves_it_at_the_silence_span() {
+        use crate::link::{Action, Event, LinkTable};
+        let (t0, ms) = (Instant::now(), std::time::Duration::from_millis);
+        let config = PeerConfig {
+            peers: vec!["a:1".to_owned()],
+            silence_ms: 120,
+            ..PeerConfig::default()
+        };
+        let table = PeerStatsTable::new(&config.peers);
+        let row = &table.peers()[0];
+        let mut core = LinkTable::new(&config, t0);
+        let mut step = |event, at| {
+            let mut events = vec![event];
+            while let Some(event) = events.pop() {
+                for action in core.step(event, t0 + ms(at)) {
+                    match action {
+                        Action::Stat(_, stat) => row.apply(stat),
+                        Action::Frame(cmd) => events.push(Event::Send(cmd, None)),
+                        _ => {}
+                    }
+                }
+            }
+        };
+        let addr = || "a:1".to_owned();
+        step(Event::Tick, 0);
+        step(
+            Event::Dialed {
+                addr: addr(),
+                connected: true,
+            },
+            0,
+        );
+        assert_eq!(table.peers_up(), 0, "a connect is not service");
+        let body = load_line(0, 0, 1);
+        let (resp, fault) = (Some(Response::Text { body }), None);
+        step(
+            Event::Reply {
+                addr: addr(),
+                resp,
+                fault,
+            },
+            10,
+        );
+        assert_eq!(table.peers_up(), 1, "the first frame is");
+        // Probed at 40, 80 and 120 ms, and never answered.
+        for at in [40, 80, 120] {
+            step(Event::Tick, at);
         }
+        assert_eq!(
+            (table.peers_up(), row.quarantines()),
+            (1, 0),
+            "silent 110 of 120 ms"
+        );
+        step(Event::Tick, 160);
+        assert_eq!(
+            (table.peers_up(), row.quarantines()),
+            (0, 1),
+            "silent 150 of 120 ms"
+        );
     }
 
     #[test]
@@ -923,6 +886,6 @@ pub(crate) mod tests {
         let text = table.render();
         assert!(text.contains("peer x:1"), "{text}");
         assert!(text.contains("peer y:2"), "{text}");
-        assert!(text.contains("dispatched 1  wins 1"), "{text}");
+        assert!(text.contains("dispatched 1 wins 1"), "{text}");
     }
 }

@@ -85,7 +85,7 @@ impl Placement {
     /// ship it to (`Some(addr)`). Returns `None` when nothing ships —
     /// the caller takes the unchanged single-node path.
     ///
-    /// `up_peers` carries every healthy (Up) peer's measured rtt and
+    /// `up_peers` carries every in-service peer's measured rtt and
     /// advertised load; `queued`/`workers` describe the local pool
     /// right now.
     pub(crate) fn assign(

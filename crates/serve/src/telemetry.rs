@@ -373,7 +373,7 @@ metrics! {
     RemoteRedispatched, "remote_redispatched", "remote redispatched", Some("altxd_remote_redispatched_total"), Counter, Own,
         "Remote legs redispatched locally after a blown leg deadline";
     PeerQuarantines, "peer_quarantines", "peer quarantines", Some("altxd_peer_quarantines_total"), Counter, Peers(PeerStatsTable::total_quarantines),
-        "Transitions into the Quarantined peer state";
+        "Peer links closed for silence, at most one per spell in service";
     RemoteExecs, "remote_execs", "remote execs", Some("altxd_remote_execs_total"), Counter, Own,
         "EXEC_ALT requests admitted as an executor";
     CommitVotes, "commit_votes", "commit votes", Some("altxd_commit_votes_total"), Counter, Own,
@@ -385,7 +385,7 @@ metrics! {
     // Prometheus carries these two per peer (`altxd_peer_up`,
     // `altxd_peer_reconnects_total`), so the sums stay off that page.
     PeersUp, "peers_up", "peers up", None, Gauge, Peers(PeerStatsTable::peers_up),
-        "Peer links currently up";
+        "Peer links in service now";
     PeerReconnects, "peer_reconnects", "peer reconnects", None, Counter, Peers(PeerStatsTable::total_reconnects),
         "Successful peer re-dials after the first connect";
 }
@@ -653,21 +653,7 @@ impl Telemetry {
                 }
                 Metric::PeerReconnects => {
                     for p in self.peers.get().map_or(&[][..], |t| t.peers()) {
-                        let (queued, busy, workers) = p.load();
-                        out.push_str(&format!(
-                            "    peer {}: up {} health {} rtt_us {} dispatched {} wins {} reconnects {} quarantines {} load {}/{}/{}\n",
-                            p.addr(),
-                            u8::from(p.up()),
-                            p.health().label(),
-                            p.rtt_ewma_us(),
-                            p.dispatched(),
-                            p.wins(),
-                            p.reconnects(),
-                            p.quarantines(),
-                            queued,
-                            busy,
-                            workers,
-                        ));
+                        let _ = writeln!(out, "    {p}");
                     }
                 }
                 _ => {}
@@ -732,14 +718,8 @@ impl Telemetry {
             family(
                 "altxd_peer_up",
                 Kind::Gauge,
-                "Peer link liveness (1 = connected)",
+                "Peer link in service (1 = its connection has answered)",
                 |p| u64::from(p.up()),
-            );
-            family(
-                "altxd_peer_health",
-                Kind::Gauge,
-                "Peer health state (0 = up, 1 = suspect, 2 = quarantined)",
-                |p| p.health() as u64,
             );
             family(
                 "altxd_peer_rtt_us",

@@ -13,11 +13,14 @@
 //! * **hedged recovery** — remote legs whose results the wire eats are
 //!   redispatched locally when their per-leg deadline expires
 //!   (`remote_redispatched > 0`);
-//! * **health lifecycle** — a one-way partition that TCP keeps alive
-//!   (heartbeat replies silently swallowed) drives the peer through
-//!   Suspect into Quarantined, placement stops shipping to it, and
-//!   after the heal the peer is readmitted and *wins races again* —
-//!   quarantine is an episode, not a verdict.
+//! * **service** — a one-way partition that TCP keeps alive (heartbeat
+//!   replies silently swallowed) leaves the peer's link answering
+//!   nothing: the origin closes it after the silence span (a
+//!   quarantine), the peer leaves service and placement stops shipping
+//!   to it, every redial stays out of service while the partition
+//!   lasts, and after the heal the first reply puts the peer back in
+//!   service and it *wins races again* — quarantine is an episode, not
+//!   a verdict.
 //!
 //! This test lives in its own binary because the fault plan is
 //! process-global. The seed comes from `ALTX_CHAOS_SEED` (decimal or
@@ -68,8 +71,8 @@ fn executor() -> ServerHandle {
 }
 
 /// The origin node: ships one leg of every race (explore every race)
-/// and runs a fast heartbeat so the health lifecycle turns over inside
-/// a test-sized window.
+/// and runs a short silence span (probed every 50 ms) so a silent link
+/// is closed inside a test-sized window.
 fn origin(peers: Vec<String>) -> ServerHandle {
     start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
@@ -78,8 +81,7 @@ fn origin(peers: Vec<String>) -> ServerHandle {
         peer: PeerConfig {
             peers,
             explore_every: 1,
-            heartbeat_ms: 50,
-            suspect_ms: 150,
+            silence_ms: 150,
             ..PeerConfig::default()
         },
         ..ServerConfig::default()
@@ -111,7 +113,7 @@ fn peer_line<'a>(page: &'a str, addr: &str) -> &'a str {
     page.lines()
         .find(|l| {
             let mut it = l.split_whitespace();
-            it.next() == Some("peer") && it.next() == Some(addr)
+            it.next() == Some("peer") && it.next().and_then(|a| a.strip_suffix(':')) == Some(addr)
         })
         .unwrap_or_else(|| panic!("no stats row for peer {addr}:\n{page}"))
 }
@@ -129,14 +131,11 @@ fn peer_field<'a>(line: &'a str, key: &str) -> &'a str {
     panic!("no {key} field in peer row: {line}");
 }
 
-fn peer_wins(page: &str, addr: &str) -> u64 {
-    peer_field(peer_line(page, addr), "wins")
+/// Reads the number following `key` in one peer's row.
+fn peer_count(page: &str, addr: &str, key: &str) -> u64 {
+    peer_field(peer_line(page, addr), key)
         .parse()
-        .expect("wins is a counter")
-}
-
-fn peer_health(page: &str, addr: &str) -> String {
-    peer_field(peer_line(page, addr), "health").to_owned()
+        .unwrap_or_else(|_| panic!("{key} is a number:\n{page}"))
 }
 
 #[test]
@@ -208,21 +207,37 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     // flow: the asymmetric failure TCP keeps alive. Heartbeat replies
     // and the results B pushes back vanish alike on the origin's
     // receive side of its B link.
-    // B goes Suspect then Quarantined, placement stops shipping to it,
-    // and the legs whose results the partition ate expire and are
-    // redispatched locally.
+    // B's link is closed for silence (a quarantine) and B leaves
+    // service, placement stops shipping to it, and the legs whose
+    // results the partition ate expire and are redispatched locally.
     let t1 = Instant::now();
+    // The partition must cut a peer in service: one that has answered
+    // nothing since its last quarantine earns no new one while the
+    // partition lasts.
+    let in_service = Instant::now() + Duration::from_secs(10);
+    let quarantined_before = loop {
+        let page = client.peer_stats().expect("stats before the partition");
+        if peer_count(&page, &b_addr, "up") == 1 {
+            break peer_count(&page, &b_addr, "quarantines");
+        }
+        assert!(
+            Instant::now() < in_service,
+            "B never came back in service after the wire chaos (seed {seed:#x}):\n{page}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
     let recv_site = format!("peer.link.{b_addr}.recv");
     plan.partition(&recv_site);
     let deadline = Instant::now() + Duration::from_secs(15);
     let wins_before_heal = loop {
         let page = client.peer_stats().expect("stats during partition");
-        if peer_health(&page, &b_addr) == "quarantined" {
-            break peer_wins(&page, &b_addr);
+        let quarantined = peer_count(&page, &b_addr, "quarantines") > quarantined_before;
+        if quarantined && peer_count(&page, &b_addr, "up") == 0 {
+            break peer_count(&page, &b_addr, "wins");
         }
         assert!(
             Instant::now() < deadline,
-            "the partitioned peer was never quarantined (seed {seed:#x}):\n{page}"
+            "the partitioned peer was never closed for silence (seed {seed:#x}):\n{page}"
         );
         race(&mut client);
         std::thread::sleep(Duration::from_millis(20));
@@ -247,13 +262,14 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
 
     // --- Phase 3: heal. ---------------------------------------------
     // The wire chaos stays on — healing the partition is not the end
-    // of a soak — and the next heartbeat reply readmits B.
+    // of a soak — and the first reply on a connection puts B back in
+    // service.
     let t3 = Instant::now();
     plan.heal(&recv_site);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let page = client.peer_stats().expect("stats after heal");
-        if peer_health(&page, &b_addr) == "up" {
+        if peer_count(&page, &b_addr, "up") == 1 {
             break;
         }
         assert!(
@@ -276,7 +292,7 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
             race(&mut client);
         }
         let page = client.peer_stats().expect("stats while racing after heal");
-        if peer_wins(&page, &b_addr) > wins_before_heal {
+        if peer_count(&page, &b_addr, "wins") > wins_before_heal {
             break;
         }
         assert!(

@@ -175,13 +175,15 @@ fn remote_losses_never_block_or_double_answer() {
     a.shutdown();
 }
 
-/// A link that is up and silent is reset, and the reset is what heals
-/// it. The fake peer's first connection reads everything and answers
+/// A link in service that falls silent is closed, and the close is what
+/// heals it. The fake peer's first connection answers its first frame
+/// — the link enters service — then reads everything and answers
 /// nothing — a stream whose far-end decoder lost sync looks exactly
-/// like this — so the origin quarantines it; nothing on that connection
-/// can ever readmit the peer. The origin must dial again, the redial by
-/// itself must leave the peer quarantined, and the first reply on the
-/// new connection must readmit it.
+/// like this — so the origin closes it a silence span after that
+/// answer and within one probe cadence more, a quarantine; nothing on
+/// that connection could ever answer again. The origin must dial again,
+/// the redial by itself must leave the peer out of service, and the
+/// first reply on the new connection must put it back.
 #[test]
 fn silent_up_link_is_redialled_and_readmitted_by_the_first_reply() {
     let _guard = serial();
@@ -191,6 +193,8 @@ fn silent_up_link_is_redialled_and_readmitted_by_the_first_reply() {
     let dials = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));
     let (answer_tx, answer_rx) = mpsc::channel::<()>();
+    // How long the first connection stayed open after its one answer.
+    let (silent_tx, silent_rx) = mpsc::channel::<Duration>();
     let fake = {
         let (dials, done) = (Arc::clone(&dials), Arc::clone(&done));
         std::thread::spawn(move || {
@@ -206,14 +210,20 @@ fn silent_up_link_is_redialled_and_readmitted_by_the_first_reply() {
                     // only; later ones find the channel closed).
                     let _ = answer_rx.recv();
                 }
-                // Until the origin closes this connection.
+                // Until the origin closes this connection; the first
+                // one answers its first frame only.
+                let mut answered = None;
                 while let Ok(Some(_)) = read_frame(&mut conn) {
-                    if answers {
+                    if answers || answered.is_none() {
                         let ack = Response::Text {
                             body: "ok\n".to_owned(),
                         };
                         let _ = write_frame(&mut conn, &ack.encode());
+                        answered.get_or_insert_with(Instant::now);
                     }
+                }
+                if let (false, Some(at)) = (answers, answered) {
+                    let _ = silent_tx.send(at.elapsed());
                 }
             }
         })
@@ -225,8 +235,7 @@ fn silent_up_link_is_redialled_and_readmitted_by_the_first_reply() {
         queue_depth: 32,
         peer: PeerConfig {
             peers: vec![fake_addr.to_string()],
-            heartbeat_ms: 20,
-            suspect_ms: 100,
+            silence_ms: 100,
             ..PeerConfig::default()
         },
         ..ServerConfig::default()
@@ -253,22 +262,91 @@ fn silent_up_link_is_redialled_and_readmitted_by_the_first_reply() {
     };
 
     // A second connection exists and has carried no reply yet.
-    let row = wait_row("the silent link to be redialled", &|row| {
-        dials.load(Ordering::SeqCst) >= 2 && row.contains("up 1")
+    let row = wait_row("the silent link to be redialled", &|_| {
+        dials.load(Ordering::SeqCst) >= 2
     });
     assert!(
-        row.contains("health quarantined"),
+        row.contains(" up 0 "),
         "a redial alone must not readmit: {row}"
+    );
+    assert!(
+        !row.contains(" quarantines 0 "),
+        "the silence close was no quarantine: {row}"
+    );
+    // Closed no sooner than the 100 ms span after the answer, and within
+    // the span and a 33 ms probe cadence — give or take a loaded box's
+    // scheduling, for which the upper bound allows 200 ms more.
+    let silent = silent_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the first connection answered, then closed");
+    assert!(
+        silent >= Duration::from_millis(100) && silent < Duration::from_millis(333),
+        "closed {silent:?} after its last answer"
     );
     drop(answer_tx); // the fake starts answering
     wait_row("the first reply to readmit the peer", &|row| {
-        row.contains("up 1  health up")
+        row.contains(" up 1 ")
     });
 
     origin.shutdown();
     done.store(true, Ordering::SeqCst);
     let _ = TcpStream::connect(fake_addr); // wakes the fake's accept
     fake.join().expect("fake peer thread");
+}
+
+/// A peer that accepts TCP and never answers is never in service. The
+/// origin explores every race (`explore_every: 1`), so a peer it counted
+/// from the connect would get a leg of each and a voter slot, and each
+/// commit would wait on a vote nobody casts until the link is closed
+/// for silence — and then commit degraded. Inside the first silence
+/// span (1.5 s), every race must answer at once, none shipped and none
+/// degraded.
+#[test]
+fn a_peer_that_never_answers_gets_no_leg_and_no_vote() {
+    let _guard = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the mute peer");
+    let mute_addr = listener.local_addr().expect("mute addr");
+    let (accepted_tx, accepted) = mpsc::channel::<()>();
+    let mute = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("the origin dials in");
+        let _ = accepted_tx.send(());
+        // Reads everything, answers nothing, until the origin hangs up.
+        while let Ok(Some(_)) = read_frame(&mut conn) {}
+    });
+
+    let origin = node(vec![mute_addr.to_string()], 1);
+    accepted
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the origin connects to the mute peer");
+    let window = Instant::now() + Duration::from_millis(1_500);
+    std::thread::sleep(Duration::from_millis(50)); // the connect is seen
+    let mut client = Client::connect(origin.local_addr()).expect("connect origin");
+    let mut slowest = Duration::ZERO;
+    for arg in 0..20u64 {
+        let sent = Instant::now();
+        match client.run("lognormal", arg, 0).expect("a reply") {
+            Response::Ok { .. } => {}
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        slowest = slowest.max(sent.elapsed());
+    }
+    let s = origin.telemetry().snapshot();
+    assert_eq!(
+        s[Metric::RemoteDispatched],
+        0,
+        "legs shipped to a peer that never answered"
+    );
+    assert_eq!(s[Metric::CommitsDegraded], 0, "commits waited on its vote");
+    assert!(
+        slowest < Duration::from_millis(500),
+        "a race took {slowest:?} beside a mute peer"
+    );
+    assert!(
+        Instant::now() < window,
+        "the races outran the first silence span: nothing was tested"
+    );
+    origin.shutdown();
+    mute.join().expect("mute peer thread");
 }
 
 /// A peer that dies mid-race: a byte-level fake acks admission for one
@@ -541,9 +619,9 @@ fn a_result_comes_home_on_the_origins_link_not_a_dial_back() {
 /// this test fills and never drains, so every further connect hangs in
 /// its handshake and only the origin's 50 ms dial timeout ends it. Over
 /// 1.2 s of the blackhole's redials (one backoff after each timeout: 50,
-/// 100, 200, 400 ms …) the live link's heartbeats keep their 5 ms
-/// cadence: no gap between two arrivals is as long as one blackhole
-/// dial. A dial that blocks the thread the links share holds the live
+/// 100, 200, 400 ms …) the live link's heartbeats keep their 10 ms
+/// cadence (a third of its 30 ms silence span): no gap between two
+/// arrivals is as long as one blackhole dial. A dial that blocks the thread the links share holds the live
 /// link's heartbeat for the whole 50 ms, every time.
 #[test]
 fn a_peer_that_never_answers_the_handshake_holds_up_no_other_link() {
@@ -586,7 +664,7 @@ fn a_peer_that_never_answers_the_handshake_holds_up_no_other_link() {
         queue_depth: 32,
         peer: PeerConfig {
             peers: vec![live_addr.to_string(), hole_addr.to_string()],
-            heartbeat_ms: 5,
+            silence_ms: 30,
             ..PeerConfig::default()
         },
         ..ServerConfig::default()

@@ -177,8 +177,10 @@ cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_
 
 # The peer link is a pure value as well — one per configured --peer,
 # and no other address is ever dialled: dial, backoff, the in-order
-# correlation FIFO, heartbeat, health and the silent-link reset (it
-# parks and replays nothing: a frame lives no longer than its link),
+# correlation FIFO, the probe, and the in-service rule (a link serves
+# from the first frame its connection carries back until it closes,
+# and an up link that answers nothing for the silence span is closed;
+# it parks and replays nothing: a frame lives no longer than its link),
 # all behind step(event, now) -> actions — so the wire's interleavings
 # are seeds too: 2 500 schedules of commands (to peers and to
 # addresses outside the peer list), dial outcomes, replies,
