@@ -18,17 +18,17 @@
 //! |---|---|---|
 //! | `engine.alt.<name>` | `ThreadedEngine`, per alternative | panic, delay, cancel, fail |
 //! | `pool.job` | `WorkerPool`, per job | panic, delay, fail |
-//! | `peer.link.<addr>.send` | `PeerLinks` (shard 0), per outbound frame | drop, delay, duplicate, truncate, partition |
-//! | `peer.link.<addr>.recv` | `PeerLinks` (shard 0), per inbound frame | drop, delay, duplicate, truncate, partition |
+//! | `peer.link.<addr>.send` | `PeerLinks` (shard 0), per write to a link | delay, truncate, stall |
+//! | `peer.link.<addr>.recv` | `PeerLinks` (shard 0), per frame read off a link | delay, truncate, stall |
 //!
 //! The `peer.link.*` sites speak the separate [`NetFault`] vocabulary —
-//! wire-level failures rather than process-level ones — drawn from the
-//! same seeded per-site streams via [`FaultPlan::decide_net`]. A test
-//! can also impose a *timed one-way partition* by hand with
-//! [`FaultPlan::partition`] / [`FaultPlan::heal`]: every visit of the
-//! named site drops until healed, which is how the cluster soak models
-//! a link that silently eats traffic in one direction and then comes
-//! back.
+//! what a TCP stream can do, drawn from the same seeded per-site
+//! streams via [`FaultPlan::decide_net`]. A live stream never loses,
+//! doubles or reorders a frame: it is slow, or it is cut. A test can
+//! also *stall* one direction of a link by hand with
+//! [`FaultPlan::stall`] / [`FaultPlan::heal`]: the stalled site moves
+//! no byte until healed, which is how the cluster soak models a link
+//! that TCP keeps open while nothing gets through in one direction.
 //!
 //! A plan is installed process-globally with [`install`] and removed
 //! with [`clear`]. With no plan installed, [`inject`] is a single
@@ -39,7 +39,7 @@
 
 use crate::cancel::CancelToken;
 use altx_des::splitmix64;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
@@ -73,100 +73,61 @@ impl Fault {
     }
 }
 
-/// One injected *network* fault at a `peer.link.*` site.
-///
-/// These model the wire, not the process: a frame that never leaves,
-/// arrives twice, arrives cut short, or a direction of a link that
-/// silently eats everything for a while.
+/// One injected *network* fault at a `peer.link.*` site: what a TCP
+/// stream can do to the frames on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetFault {
-    /// The frame is lost: on send it never reaches the wire, on recv it
-    /// is consumed without being delivered to the protocol layer.
-    Drop,
-    /// The frame is stalled for the carried duration before proceeding.
+    /// The stream moves the frame the carried duration late.
     Delay(Duration),
-    /// The frame is delivered twice; the protocol layer must be
-    /// idempotent against it.
-    Duplicate,
-    /// The frame's bytes are cut short, desynchronizing the stream —
-    /// the link is expected to die and redial.
+    /// The connection dies mid-frame: a write puts half the frame on
+    /// the wire and closes, a read sees the close instead of the frame.
     Truncate,
-    /// A one-way partition is swallowing this site: behaves as [`Drop`]
-    /// for every visit until the partition window ends or is healed.
-    ///
-    /// [`Drop`]: NetFault::Drop
-    Partition,
 }
 
 impl NetFault {
     fn kind_index(self) -> usize {
         match self {
-            NetFault::Drop => 0,
-            NetFault::Delay(_) => 1,
-            NetFault::Duplicate => 2,
-            NetFault::Truncate => 3,
-            NetFault::Partition => 4,
+            NetFault::Delay(_) => 0,
+            NetFault::Truncate => 1,
         }
     }
 }
 
 /// Per-kind network fault probabilities, evaluated exactly like
 /// [`FaultConfig`]'s process faults: one uniform draw per site visit
-/// against the stacked edges drop → delay → duplicate → truncate →
-/// partition.
+/// against the stacked edges delay → truncate.
 #[derive(Debug, Clone)]
 pub struct NetFaultConfig {
-    /// Probability of [`NetFault::Drop`] per frame.
-    pub p_drop: f64,
-    /// Probability of [`NetFault::Delay`] per frame.
+    /// Probability of [`NetFault::Delay`] per visit.
     pub p_delay: f64,
-    /// Probability of [`NetFault::Duplicate`] per frame.
-    pub p_duplicate: f64,
-    /// Probability of [`NetFault::Truncate`] per frame.
+    /// Probability of [`NetFault::Truncate`] per visit.
     pub p_truncate: f64,
-    /// Probability of a probabilistic one-way partition *starting* at
-    /// this frame; it then swallows the next [`partition_visits`]
-    /// visits of the same site.
-    ///
-    /// [`partition_visits`]: NetFaultConfig::partition_visits
-    pub p_partition: f64,
     /// Upper bound for injected wire delays.
     pub max_delay: Duration,
-    /// How many subsequent visits a probabilistic partition swallows.
-    pub partition_visits: u64,
 }
 
 impl NetFaultConfig {
     /// No network faults at all.
     pub fn quiet() -> Self {
         NetFaultConfig {
-            p_drop: 0.0,
             p_delay: 0.0,
-            p_duplicate: 0.0,
             p_truncate: 0.0,
-            p_partition: 0.0,
             max_delay: Duration::from_millis(2),
-            partition_visits: 20,
         }
     }
 
-    /// The cluster-soak mix: mostly drops, delays, and duplicates, with
-    /// rare truncations (each one costs a redial) and rare short
-    /// partitions.
+    /// The cluster-soak mix: mostly delays, with rare cuts (each one
+    /// costs a redial).
     pub fn chaos() -> Self {
         NetFaultConfig {
-            p_drop: 0.02,
             p_delay: 0.05,
-            p_duplicate: 0.03,
             p_truncate: 0.005,
-            p_partition: 0.002,
             max_delay: Duration::from_millis(2),
-            partition_visits: 20,
         }
     }
 
     fn total(&self) -> f64 {
-        self.p_drop + self.p_delay + self.p_duplicate + self.p_truncate + self.p_partition
+        self.p_delay + self.p_truncate
     }
 }
 
@@ -266,14 +227,12 @@ pub struct FaultPlan {
     /// Injections per fault kind, indexed by [`Fault::kind_index`].
     injected: [AtomicU64; 4],
     /// Injections per network fault kind ([`NetFault::kind_index`]).
-    net_injected: [AtomicU64; 5],
-    /// Sites under a manual one-way partition ([`partition`]/[`heal`]).
+    net_injected: [AtomicU64; 2],
+    /// Sites stalled by hand ([`stall`]/[`heal`]).
     ///
-    /// [`partition`]: FaultPlan::partition
+    /// [`stall`]: FaultPlan::stall
     /// [`heal`]: FaultPlan::heal
-    partitioned: Mutex<std::collections::BTreeSet<String>>,
-    /// Remaining visits swallowed by a probabilistic partition, per site.
-    partition_left: Mutex<BTreeMap<String, u64>>,
+    stalled: Mutex<BTreeSet<String>>,
 }
 
 impl FaultPlan {
@@ -284,8 +243,7 @@ impl FaultPlan {
             site_seq: Mutex::new(BTreeMap::new()),
             injected: Default::default(),
             net_injected: Default::default(),
-            partitioned: Mutex::new(std::collections::BTreeSet::new()),
-            partition_left: Mutex::new(BTreeMap::new()),
+            stalled: Mutex::new(BTreeSet::new()),
         })
     }
 
@@ -354,39 +312,11 @@ impl FaultPlan {
     /// Decides the network fault (if any) for the next visit of a
     /// `peer.link.*` site, and counts it. Deterministic per
     /// `(seed, site, visit-number)`, on a stream independent from the
-    /// process-fault stream of the same site name.
+    /// process-fault stream of the same site name. A stall
+    /// ([`stall`]) is no draw: it neither reads nor moves the stream.
     ///
-    /// Manual partitions ([`partition`]) take precedence over the
-    /// probabilistic draw; a probabilistic [`NetFault::Partition`]
-    /// swallows the next [`NetFaultConfig::partition_visits`] visits of
-    /// the same site so a partition has *duration*, not just a single
-    /// lost frame.
-    ///
-    /// [`partition`]: FaultPlan::partition
+    /// [`stall`]: FaultPlan::stall
     pub fn decide_net(&self, site: &str) -> Option<NetFault> {
-        let partitioned = self
-            .partitioned
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(site);
-        if partitioned {
-            self.net_injected[NetFault::Partition.kind_index()].fetch_add(1, Ordering::Relaxed);
-            return Some(NetFault::Partition);
-        }
-        {
-            let mut left = self
-                .partition_left
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(n) = left.get_mut(site) {
-                *n -= 1;
-                if *n == 0 {
-                    left.remove(site);
-                }
-                self.net_injected[NetFault::Partition.kind_index()].fetch_add(1, Ordering::Relaxed);
-                return Some(NetFault::Partition);
-            }
-        }
         if self.cfg.net.total() <= 0.0 {
             return None;
         }
@@ -412,23 +342,11 @@ impl FaultPlan {
             edge += p;
             u < edge
         };
-        let fault = if hits(net.p_drop) {
-            NetFault::Drop
-        } else if hits(net.p_delay) {
+        let fault = if hits(net.p_delay) {
             let frac = uniform(splitmix64(raw ^ 0xD31A));
             NetFault::Delay(net.max_delay.mul_f64(frac))
-        } else if hits(net.p_duplicate) {
-            NetFault::Duplicate
         } else if hits(net.p_truncate) {
             NetFault::Truncate
-        } else if hits(net.p_partition) {
-            if net.partition_visits > 0 {
-                self.partition_left
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(site.to_owned(), net.partition_visits);
-            }
-            NetFault::Partition
         } else {
             return None;
         };
@@ -436,31 +354,33 @@ impl FaultPlan {
         Some(fault)
     }
 
-    /// Imposes a manual one-way partition: every subsequent visit of
-    /// `site` draws [`NetFault::Partition`] until [`heal`] is called.
-    /// Partitioning only one direction (`…send` or `…recv`) is exactly
-    /// the asymmetric failure TCP keeps alive and health checks must
-    /// catch.
+    /// Stalls `site` until [`heal`]: a stalled `…send` site writes
+    /// nothing and a stalled `…recv` site reads nothing, while the
+    /// connection stays open. Stalling one direction is exactly the
+    /// asymmetric failure TCP keeps alive and only silence shows.
     ///
     /// [`heal`]: FaultPlan::heal
-    pub fn partition(&self, site: &str) {
-        self.partitioned
+    pub fn stall(&self, site: &str) {
+        self.stalled
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(site.to_owned());
     }
 
-    /// Lifts a manual partition on `site` (and any probabilistic
-    /// partition window in progress there).
+    /// Lifts the stall on `site`.
     pub fn heal(&self, site: &str) {
-        self.partitioned
+        self.stalled
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .remove(site);
-        self.partition_left
+    }
+
+    /// True while `site` is stalled.
+    pub fn is_stalled(&self, site: &str) -> bool {
+        self.stalled
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .remove(site);
+            .contains(site)
     }
 
     /// Total network faults injected so far, all kinds.
@@ -589,6 +509,18 @@ pub fn inject_net(site: &str) -> Option<NetFault> {
 #[cold]
 fn inject_net_slow(site: &str) -> Option<NetFault> {
     current()?.decide_net(site)
+}
+
+/// True iff the installed plan stalls `site` ([`FaultPlan::stall`]).
+/// With no plan installed this is one relaxed atomic load.
+#[inline]
+pub fn stalled(site: &str) -> bool {
+    enabled() && stalled_slow(site)
+}
+
+#[cold]
+fn stalled_slow(site: &str) -> bool {
+    current().is_some_and(|plan| plan.is_stalled(site))
 }
 
 #[cold]
@@ -720,61 +652,46 @@ mod tests {
         assert_eq!(a.decide(site), None);
     }
 
+    /// The wire mix draws only what a stream can do, at its rate, and
+    /// every draw is counted under its kind.
     #[test]
-    fn net_injection_rate_tracks_configured_probability() {
+    fn net_chaos_draws_only_stream_faults_and_counts_each_kind() {
         let plan = FaultPlan::new(FaultConfig::net_chaos(1));
-        let mut fired = 0usize;
-        for _ in 0..4000 {
-            if plan.decide_net("rate").is_some() {
-                fired += 1;
-            }
-        }
-        // chaos() totals ~0.107, and each partition draw swallows 20
-        // more visits; allow generous slack around that inflation.
-        assert!((200..1600).contains(&fired), "fired {fired} of 4000");
+        let fired = (0..4000)
+            .filter(|_| match plan.decide_net("rate") {
+                Some(NetFault::Delay(d)) => d <= Duration::from_millis(2),
+                Some(NetFault::Truncate) => true,
+                None => false,
+            })
+            .count();
+        // chaos() totals 0.055: about 220 of 4000.
+        assert!((120..340).contains(&fired), "fired {fired} of 4000");
         assert_eq!(plan.net_injected_total(), fired as u64);
-        let by_kind = plan.net_injected_of(NetFault::Drop)
-            + plan.net_injected_of(NetFault::Delay(Duration::ZERO))
-            + plan.net_injected_of(NetFault::Duplicate)
-            + plan.net_injected_of(NetFault::Truncate)
-            + plan.net_injected_of(NetFault::Partition);
-        assert_eq!(by_kind, plan.net_injected_total());
-        assert!(plan.net_injected_of(NetFault::Drop) > 0);
-        assert!(plan.net_injected_of(NetFault::Duplicate) > 0);
+        let delays = plan.net_injected_of(NetFault::Delay(Duration::ZERO));
+        let cuts = plan.net_injected_of(NetFault::Truncate);
+        assert_eq!(delays + cuts, plan.net_injected_total());
+        assert!(delays > 0 && cuts > 0, "{delays} delays, {cuts} cuts");
     }
 
+    /// A stall holds one direction of one link until healed, and is no
+    /// draw: the site's stream reads the same under it and after it as
+    /// on a plan that never stalled.
     #[test]
-    fn manual_partition_swallows_everything_until_healed() {
-        let plan = FaultPlan::new(FaultConfig::quiet(3));
+    fn a_stall_holds_one_site_until_healed_and_draws_nothing() {
         let site = "peer.link.b:2.recv";
-        assert_eq!(plan.decide_net(site), None);
-        plan.partition(site);
-        for _ in 0..50 {
-            assert_eq!(plan.decide_net(site), Some(NetFault::Partition));
-        }
-        // The other direction is untouched: the partition is one-way.
-        assert_eq!(plan.decide_net("peer.link.b:2.send"), None);
-        plan.heal(site);
-        assert_eq!(plan.decide_net(site), None);
-        assert_eq!(plan.net_injected_of(NetFault::Partition), 50);
-    }
-
-    #[test]
-    fn probabilistic_partition_has_duration() {
-        let mut cfg = FaultConfig::quiet(9);
-        cfg.net.p_partition = 1.0;
-        cfg.net.partition_visits = 5;
-        let plan = FaultPlan::new(cfg);
-        // First visit starts the window; the next 5 are swallowed by it
-        // (without consuming the site's draw stream), then the stream
-        // immediately starts another window.
-        for i in 0..12 {
-            assert_eq!(
-                plan.decide_net("peer.link.c:3.send"),
-                Some(NetFault::Partition),
-                "visit {i}"
-            );
-        }
+        let draws = |plan: &FaultPlan| (0..50).map(|_| plan.decide_net(site)).collect::<Vec<_>>();
+        let plain = FaultPlan::new(FaultConfig::net_chaos(3));
+        let stalled = FaultPlan::new(FaultConfig::net_chaos(3));
+        assert!(!stalled.is_stalled(site));
+        stalled.stall(site);
+        assert_eq!(draws(&stalled), draws(&plain));
+        assert!(stalled.is_stalled(site), "until healed");
+        // The other direction is untouched: the stall is one-way.
+        assert!(!stalled.is_stalled("peer.link.b:2.send"));
+        stalled.heal(site);
+        assert!(!stalled.is_stalled(site));
+        assert_eq!(draws(&stalled), draws(&plain));
+        assert_eq!(stalled.net_injected_total(), plain.net_injected_total());
     }
 
     // The install/clear global is exercised in one test to avoid
@@ -783,6 +700,7 @@ mod tests {
     fn global_install_roundtrip() {
         assert_eq!(inject("nothing.installed", None), Verdict::Continue);
         assert_eq!(injected_total(), 0);
+        assert!(!stalled("nothing.installed"));
 
         let mut cfg = FaultConfig::quiet(11);
         cfg.p_fail = 1.0;
@@ -798,6 +716,11 @@ mod tests {
             let token = CancelToken::new();
             assert_eq!(inject("always.cancels", Some(&token)), Verdict::Continue);
             assert!(token.is_cancelled(), "cancel fault fired the token");
+
+            let plan = FaultPlan::new(FaultConfig::quiet(13));
+            plan.stall("a.site");
+            install(plan);
+            assert!(stalled("a.site") && !stalled("another.site"));
         }
         assert!(!enabled(), "guard uninstalls on drop");
         assert!(current().is_none());

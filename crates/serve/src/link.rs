@@ -13,11 +13,14 @@
 //! [`LinkTable::step`] together with the current instant; everything
 //! the link wants done about it comes back as a list of [`Action`]s,
 //! and [`LinkTable::next_deadline`] says when the next [`Event::Tick`]
-//! is due. The core reads no clock, owns no socket, lock or counter and
-//! draws no fault itself, so a test can feed it any interleaving of
-//! commands, dial outcomes, replies, closes, ticks and wire faults on
-//! virtual time and judge it by its actions alone
-//! (`tests::any_schedule_keeps_every_link_rule`).
+//! is due. The core reads no clock and owns no socket, lock or counter,
+//! so a test can feed it any interleaving of commands, dial outcomes,
+//! replies, closes and ticks on virtual time and judge it by its actions
+//! alone (`tests::any_schedule_keeps_every_link_rule`). It trusts its
+//! stream as TCP lets it: a live connection never loses, doubles or
+//! reorders a frame, and whatever the wire does besides — delay a
+//! frame, stall a direction, cut a connection — reaches the core as
+//! time passing or as `Closed`.
 //!
 //! A link is *in service* — its peer gets legs and voter slots — while
 //! its connection answers: from the first frame it carries back (not
@@ -27,15 +30,16 @@
 //!
 //! | `Event` | what the core does | `Action`s it may return |
 //! |---|---|---|
-//! | `Send(cmd, fault)` | an address outside the peer list is refused at once and never dialled; an up link puts the frame on its stream as the send-side fault allows — dropped → no bytes and no tag; duplicated → twice, two tags; truncated → its tail cut, one tag; a link that is down or dialling refuses an `ExecAlt` or a `Vote` at once and drops an `Eliminate` or a heartbeat | `Write`, `Race` (refusal) |
+//! | `Send(cmd)` | an address outside the peer list is refused at once and never dialled; an up link writes the frame on its stream and holds one tag for it; a link that is down or dialling refuses an `ExecAlt` or a `Vote` at once and drops an `Eliminate` or a heartbeat | `Write`, `Race` (refusal) |
 //! | `Dialed { connected: false }` — the shell's answer to `Dial` | the next dial is one backoff away and the backoff doubles (50 ms → 2 s). An answer for a link with no dial out changes nothing | — |
 //! | `Dialed { connected: true }` | the link is up and **not** in service; its backoff and silence clock start over; the priming heartbeat is its only frame | `Stat(Reconnected)`, `Frame` |
-//! | `Reply { resp, fault }` | a *pushed* `ALT_RESULT` is recognised before pairing: it takes no tag and gives no rtt sample, and is its race's `LegResult` — twice when duplicated, not at all when lost; any other frame pairs with the oldest tag in flight: a lost reply consumes its tag silently, and a paired one is an rtt sample and the tag's answer — twice when duplicated; a cut, undecodable or unasked-for frame closes the link, and any other is *accepted*: it restarts the silence clock, and the first of its connection puts the link in service | `Stat(Up(true))`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
+//! | `Reply { resp }` | a *pushed* `ALT_RESULT` is recognised before pairing: it takes no tag and gives no rtt sample, and is its race's `LegResult`; any other frame pairs with the oldest tag in flight and is an rtt sample and the tag's answer; an undecodable or unasked-for frame closes the link, and any other is *accepted*: it restarts the silence clock, and the first of its connection puts the link in service | `Stat(Up(true))`, `Stat(Rtt)`, `Stat(Load)`, `Race`, or as `Closed` |
 //! | `Closed(addr)` | an up link: every tag in flight is refused, the redial is one initial backoff away, and a link in service leaves it. A link that is not up has no stream to lose | `Stat(Up(false))`, `Race`…, `Down` |
 //! | `Tick` | a down link whose dial is due is dialled; a dial out for `CONNECT_TIMEOUT` (50 ms) is abandoned and fails as a refused one does; an up link whose probe is due (every `silence / 3`) is closed as `Closed` if it has accepted nothing for `silence` — a quarantine if it has been in service since its last one — or else probed | `Dial`, `Abandon`, `Frame` (heartbeat), `Stat(Quarantined)`, or as `Closed` |
 //!
 //! A refusal converts the tag: a shipped alternative becomes
 //! `LegRefused`, a vote a denial, and nobody waits on the other tags.
+//! Every tag ends in its answer or its refusal.
 //! The shell answers `Dial` when its non-blocking connect is done, and
 //! any event of any link may come between: the link is *dialling*
 //! meanwhile, its alarm the dial's timeout, so a peer that never
@@ -46,7 +50,6 @@
 use crate::frame::{Request, Response};
 use crate::peer::{parse_load_line, Cmd, PeerConfig, SendTag};
 use crate::remote;
-use altx::faults::NetFault;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -62,19 +65,15 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 #[derive(Debug, Clone)]
 pub(crate) enum Event {
     /// One frame for a link — a command from the `PeerHandle` queue, or
-    /// an [`Action::Frame`] coming back — with the fault the chaos shim
-    /// drew for it at the link's send site. The site sits on the
-    /// stream: the shell draws only where it holds one.
-    Send(Cmd, Option<NetFault>),
+    /// an [`Action::Frame`] coming back.
+    Send(Cmd),
     /// The answer to [`Action::Dial`].
     Dialed { addr: String, connected: bool },
     /// One whole frame arrived on the link — `resp` is `None` when it
-    /// does not decode as a reply — with the fault drawn for it at the
-    /// link's recv site.
+    /// does not decode as a reply.
     Reply {
         addr: String,
         resp: Option<Response>,
-        fault: Option<NetFault>,
     },
     /// The stream ended or failed: EOF, an I/O error, a framing error.
     Closed(String),
@@ -198,6 +197,10 @@ impl Link {
         }
         self.next_dial = now + BACKOFF_INITIAL;
         for (tag, _) in pending {
+            #[cfg(test)]
+            if tests::broken::forgetful_close() {
+                continue;
+            }
             refuse(addr, tag, out);
         }
         out.push(Action::Down(addr.to_owned()));
@@ -234,9 +237,9 @@ impl LinkTable {
     pub(crate) fn step(&mut self, event: Event, now: Instant) -> Vec<Action> {
         let mut out = Vec::new();
         match event {
-            Event::Send(cmd, fault) => self.send(cmd, fault, now, &mut out),
+            Event::Send(cmd) => self.send(cmd, now, &mut out),
             Event::Dialed { addr, connected } => self.dialed(&addr, connected, now, &mut out),
-            Event::Reply { addr, resp, fault } => self.reply(&addr, resp, fault, now, &mut out),
+            Event::Reply { addr, resp } => self.reply(&addr, resp, now, &mut out),
             Event::Closed(addr) => {
                 let up = |l: &&mut Link| matches!(l.state, State::Up { .. });
                 if let Some(link) = self.links.get_mut(&addr).filter(up) {
@@ -254,23 +257,10 @@ impl LinkTable {
         self.links.values().filter_map(|l| l.alarm(probe)).min()
     }
 
-    /// One frame for one link. An up link encodes it onto its stream,
-    /// keeping the correlation FIFO aligned with what the send-side
-    /// fault lets through:
-    ///
-    /// * **drop / partition** — no bytes and no tag (no request ⇒ no
-    ///   reply ⇒ the FIFO stays aligned); a race leg lost this way is
-    ///   recovered by its per-leg deadline.
-    /// * **duplicate** — the frame goes out twice with two tag entries;
-    ///   the receiver answers both, and the protocol layer must shrug
-    ///   off the second reply.
-    /// * **truncate** — the frame's tail is cut, desynchronizing the
-    ///   stream. A receiver that finds a malformed body closes it and
-    ///   the link dies into redial; one whose leftover bytes parse as a
-    ///   legal length waits inside it and answers nothing, which the
-    ///   tick's silence close turns into the same redial.
-    /// * **delay** — the shell has already stalled; nothing to do here.
-    fn send(&mut self, cmd: Cmd, fault: Option<NetFault>, now: Instant, out: &mut Vec<Action>) {
+    /// One frame for one link. An up link encodes it onto its stream
+    /// and holds its tag at the back of the FIFO, where the frame's
+    /// reply will find it.
+    fn send(&mut self, cmd: Cmd, now: Instant, out: &mut Vec<Action>) {
         let Some(link) = self.links.get_mut(&cmd.addr) else {
             return refuse(&cmd.addr, cmd.tag, out);
         };
@@ -284,22 +274,11 @@ impl LinkTable {
             // primes a fresh one.)
             return refuse(&cmd.addr, cmd.tag, out);
         };
-        let copies = match fault {
-            Some(NetFault::Drop | NetFault::Partition) => return,
-            Some(NetFault::Duplicate) => 2,
-            Some(NetFault::Truncate | NetFault::Delay(_)) | None => 1,
-        };
         let body = cmd.req.encode();
-        let mut bytes = Vec::with_capacity(copies * (4 + body.len()));
-        for _ in 0..copies {
-            bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            bytes.extend_from_slice(&body);
-            pending.push_back((cmd.tag, now));
-        }
-        if fault == Some(NetFault::Truncate) {
-            let cut = (bytes.len() / 2).max(1);
-            bytes.truncate(bytes.len() - cut);
-        }
+        let mut bytes = Vec::with_capacity(4 + body.len());
+        bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&body);
+        pending.push_back((cmd.tag, now));
         out.push(Action::Write(cmd.addr, bytes));
     }
 
@@ -332,64 +311,43 @@ impl LinkTable {
     }
 
     /// Pairs one arrived frame with the oldest tag in flight — unless it
-    /// is a result the executor pushed, which answers no request. The
-    /// recv-side fault comes first: a dropped (or partitioned) reply
-    /// consumes its tag silently — exactly what a reply lost on the
-    /// wire looks like — a duplicated frame is delivered twice to prove
-    /// the protocol layer idempotent, and a truncated one kills the
-    /// link like any desynchronized stream.
-    fn reply(
-        &mut self,
-        addr: &str,
-        resp: Option<Response>,
-        fault: Option<NetFault>,
-        now: Instant,
-        out: &mut Vec<Action>,
-    ) {
+    /// is a result the executor pushed, which answers no request — or
+    /// closes the link.
+    fn reply(&mut self, addr: &str, resp: Option<Response>, now: Instant, out: &mut Vec<Action>) {
         let Some(link) = self.links.get_mut(addr) else {
             return;
         };
         let State::Up { pending, .. } = &mut link.state else {
             return;
         };
-        let pushed = matches!(resp, Some(Response::AltResult { .. }));
-        let paired = match fault {
-            Some(NetFault::Truncate) => None,
-            Some(NetFault::Drop | NetFault::Partition) => {
-                if !pushed {
-                    pending.pop_front();
-                }
-                return;
-            }
-            _ if pushed => resp.map(|resp| (resp, None)),
-            _ => resp.and_then(|resp| Some((resp, Some(pending.pop_front()?)))),
+        let paired = match resp {
+            Some(resp @ Response::AltResult { .. }) => Some((resp, None)),
+            Some(resp) => pending.pop_front().map(|sent| (resp, Some(sent))),
+            None => None,
         };
         let Some((resp, sent)) = paired else {
-            // Cut short, undecodable, or a reply we never asked for:
-            // the stream is not trustworthy.
+            // Undecodable, or a reply we never asked for: the stream is
+            // not trustworthy.
             return link.close(addr, now, out);
         };
         link.heard(addr, now, out);
-        let copies = 1 + usize::from(fault == Some(NetFault::Duplicate));
         let Some((tag, sent_at)) = sent else {
-            return out.extend((0..copies).filter_map(|_| leg_result(&resp)));
+            return out.extend(leg_result(&resp));
         };
         let rtt_us = now.duration_since(sent_at).as_micros().max(1) as u64;
         out.push(Action::Stat(addr.to_owned(), Stat::Rtt(rtt_us)));
-        for _ in 1..copies {
-            // Second delivery: no tag of its own, no rtt sample.
-            answer(addr, tag, resp.clone(), out);
+        #[cfg(test)]
+        if tests::broken::silent_pop() {
+            return;
         }
         answer(addr, tag, resp, out);
     }
 
     /// Fires every due alarm: a dial's timeout, a down link's dial, and
     /// for an up link the silence rule — closed if it has accepted
-    /// nothing for the whole span, or else probed. Only a fresh
-    /// connection heals a stream the peer's decoder lost sync on (a cut
-    /// frame whose leftover bytes parse as a legal length): it carries
-    /// probes forever and answers none. The redial restarts the clock,
-    /// so a silent peer is redialled once per span, not once per tick.
+    /// nothing for the whole span, or else probed. The redial restarts
+    /// the clock, so a silent peer is redialled once per span, not once
+    /// per tick.
     fn tick(&mut self, now: Instant, out: &mut Vec<Action>) {
         for (addr, link) in &mut self.links {
             if link.alarm(self.silence / 3).is_none_or(|at| at > now) {
@@ -507,7 +465,8 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// Seeded mutants of the core: rule switches, one per rule of the
-    /// dialling state and of service, thrown on the calling thread only.
+    /// dialling state, of service and of settling a tag, thrown on the
+    /// calling thread only.
     pub(super) mod broken {
         use std::cell::Cell;
         use std::time::Duration;
@@ -526,6 +485,10 @@ mod tests {
             /// A link is closed after half the silence span: one that
             /// answered in time is closed all the same.
             HastyClose,
+            /// A close forgets its FIFO and refuses nothing.
+            ForgetfulClose,
+            /// A reply pops its tag and answers nothing.
+            SilentPop,
         }
 
         thread_local! {
@@ -547,6 +510,14 @@ mod tests {
 
         pub(crate) fn up_at_connect() -> bool {
             ON.with(|on| on.get() == Some(Mutant::UpAtConnect))
+        }
+
+        pub(crate) fn forgetful_close() -> bool {
+            ON.with(|on| on.get() == Some(Mutant::ForgetfulClose))
+        }
+
+        pub(crate) fn silent_pop() -> bool {
+            ON.with(|on| on.get() == Some(Mutant::SilentPop))
         }
 
         /// The silence the tick acts on, as the mutant sees it.
@@ -676,11 +647,6 @@ mod tests {
         /// Frames not delivered yet: each reply with the tag its request
         /// must be holding at the sender, each pushed result with none.
         replies: VecDeque<(Option<SendTag>, Response)>,
-        /// A cut frame went out: the decoder is out of step with the
-        /// sender, and pairing is promised no more.
-        cut: bool,
-        /// The peer found garbage and will hang up.
-        hangup: bool,
     }
 
     #[derive(Default)]
@@ -700,22 +666,12 @@ mod tests {
             let Some(stream) = self.stream.as_mut().filter(|_| !self.stalled) else {
                 return;
             };
-            loop {
-                let req = match stream.decoder.next_frame() {
-                    Ok(Some(body)) => Request::decode(&body),
-                    Ok(None) => return,
-                    Err(e) => Err(e),
-                };
-                let Ok(req) = req else {
-                    return stream.hangup = true;
-                };
+            // The stream carries whole frames, each one a request.
+            while let Some(body) = stream.decoder.next_frame().expect("a whole frame") {
+                let req = Request::decode(&body).expect("a request");
                 let ack = (Some(tag_of(&req)), reply_to(&req));
-                // Out of step, the peer may read requests nobody sent:
-                // it runs nothing for them.
                 let runs = match req {
-                    Request::ExecAlt { race_id, .. } if !refuses(race_id) && !stream.cut => {
-                        Some(race_id)
-                    }
+                    Request::ExecAlt { race_id, .. } if !refuses(race_id) => Some(race_id),
                     _ => None,
                 };
                 match runs.and_then(|n| rng.option(0.8, |_| (None, result_of(n)))) {
@@ -763,12 +719,7 @@ mod tests {
     #[derive(Debug)]
     struct Fate {
         addr: String,
-        /// Tag entries the core made for it (2 when the send doubled).
-        pushed: u32,
-        /// A send-side fault ate the frame.
-        lost: bool,
-        /// Resolutions: a `Race` action, a silent ack, or a reply the
-        /// wire ate.
+        /// Resolutions: a `Race` action, or a silent ack.
         settled: u32,
     }
 
@@ -779,8 +730,6 @@ mod tests {
         /// A dial was out.
         dialling: bool,
         pending: Vec<SendTag>,
-        /// A cut frame had gone out on its stream.
-        cut: bool,
     }
 
     /// A stand-in for the shell, the wire and the peers: drives a
@@ -801,9 +750,6 @@ mod tests {
         dials_out: BTreeSet<String>,
         /// How often a dial that will be answered is answered late.
         p_late: f64,
-        p_send: f64,
-        p_recv: f64,
-        truncates: bool,
     }
 
     impl Sim {
@@ -843,20 +789,7 @@ mod tests {
                 next_ordinal: 1,
                 dials_out: BTreeSet::new(),
                 p_late: 0.0,
-                p_send: 0.0,
-                p_recv: 0.0,
-                truncates: false,
             }
-        }
-
-        fn fault(&self, rng: &mut CaseRng, p: f64) -> Option<NetFault> {
-            rng.chance(p).then(|| match rng.u64_below(5) {
-                0 => NetFault::Drop,
-                1 => NetFault::Partition,
-                2 => NetFault::Duplicate,
-                3 if self.truncates => NetFault::Truncate,
-                _ => NetFault::Delay(ms(1)),
-            })
         }
 
         fn is_up(&self, addr: &str) -> bool {
@@ -880,18 +813,16 @@ mod tests {
         /// configured one — as the step will find it.
         fn was(&self, event: &Event) -> BTreeMap<String, Was> {
             let was = |addr: &String| {
-                let stream = self.peers[addr].stream.as_ref();
                 let was = Was {
                     known: self.table.links.contains_key(addr),
                     up: self.is_up(addr),
                     dialling: self.is_dialling(addr),
                     pending: self.pending(addr),
-                    cut: stream.is_some_and(|s| s.cut),
                 };
                 (addr.clone(), was)
             };
             match event {
-                Event::Send(Cmd { addr, .. }, _)
+                Event::Send(Cmd { addr, .. })
                 | Event::Dialed { addr, .. }
                 | Event::Reply { addr, .. }
                 | Event::Closed(addr) => std::iter::once(addr).map(was).collect(),
@@ -902,8 +833,8 @@ mod tests {
         /// Steps the core, judges the step, then does with the actions
         /// what the shell does: starts a connect for `Dial` — the model
         /// peer answers it now, later or never — drops the connect
-        /// `Abandon` names, feeds `Frame` back with a fault drawn only
-        /// where a stream is open, hands `Write` to the peer's decoder.
+        /// `Abandon` names, feeds `Frame` back, hands `Write` to the
+        /// peer's decoder.
         fn feed(&mut self, rng: &mut CaseRng, event: Event) {
             let was = self.was(&event);
             let actions = self.table.step(event.clone(), self.now);
@@ -934,7 +865,7 @@ mod tests {
                         }
                     }
                     Action::Abandon(_) => {}
-                    Action::Frame(cmd) => self.offer(rng, cmd),
+                    Action::Frame(cmd) => self.feed(rng, Event::Send(cmd)),
                     Action::Write(addr, bytes) => {
                         let peer = self.peers.get_mut(&addr).expect("a known address");
                         let stream = peer.stream.as_mut().expect("a write needs a stream");
@@ -978,26 +909,15 @@ mod tests {
             self.feed(rng, Event::Dialed { addr, connected });
         }
 
-        fn offer(&mut self, rng: &mut CaseRng, cmd: Cmd) {
-            let open = self.peers[&cmd.addr].stream.is_some();
-            let fault = open.then(|| self.fault(rng, self.p_send)).flatten();
-            self.feed(rng, Event::Send(cmd, fault));
-        }
-
         /// A fresh command of tag kind `kind` for `addr`; its ordinal.
         fn issue(&mut self, rng: &mut CaseRng, addr: &str, kind: u8) -> u64 {
             let n = self.next_ordinal;
             self.next_ordinal += 1;
             if kind == EXEC_ALT || kind == VOTE {
-                let fate = Fate {
-                    addr: addr.to_owned(),
-                    pushed: 0,
-                    lost: false,
-                    settled: 0,
-                };
-                self.fates.insert(n, fate);
+                let (addr, settled) = (addr.to_owned(), 0);
+                self.fates.insert(n, Fate { addr, settled });
             }
-            self.offer(rng, command(addr, kind, n));
+            self.feed(rng, Event::Send(command(addr, kind, n)));
             n
         }
 
@@ -1009,24 +929,20 @@ mod tests {
                 return;
             };
             let resp = if garbage {
-                // A frame nobody asked for puts the peer out of step
-                // too (it may take a tag with it, if the wire eats it).
-                stream.cut = true;
                 None
             } else {
                 let Some((tag, resp)) = stream.replies.pop_front() else {
                     return;
                 };
-                if let (false, Some(tag)) = (stream.cut, tag) {
-                    // The pairing property: with no cut frame on the
-                    // stream, the oldest tag in flight is the tag of
-                    // the very request this reply answers.
+                if let Some(tag) = tag {
+                    // The pairing property: the oldest tag in flight is
+                    // the tag of the very request this reply answers.
                     assert_eq!(self.pending(addr).first(), Some(&tag), "reply on {addr}");
                 }
                 Some(resp)
             };
-            let (addr, fault) = (addr.to_owned(), self.fault(rng, self.p_recv));
-            self.feed(rng, Event::Reply { addr, resp, fault });
+            let addr = addr.to_owned();
+            self.feed(rng, Event::Reply { addr, resp });
         }
 
         /// Lets `by` pass the way the shell lets it: never sleeping
@@ -1068,19 +984,10 @@ mod tests {
             talkers.map(|(a, _)| a.clone()).collect()
         }
 
-        /// Hangs up every stream whose model peer found garbage on it.
-        fn hangups(&mut self, rng: &mut CaseRng) {
-            let gone = |p: &Peer| p.stream.as_ref().is_some_and(|s| s.hangup);
-            let addrs = self.peers.iter().filter(|(_, p)| gone(p));
-            for addr in addrs.map(|(a, _)| a.clone()).collect::<Vec<_>>() {
-                self.feed(rng, Event::Closed(addr));
-            }
-        }
-
         /// Every dial that is out ends — answered or timed out — and
         /// every stream ends, and then every command somebody waited on
-        /// has been resolved exactly as often as it was put on a wire —
-        /// once, if it never was — unless a fault ate it.
+        /// has been settled exactly once: answered on its own
+        /// connection, or refused.
         fn audit(&mut self, rng: &mut CaseRng) {
             self.advance(rng, CONNECT_TIMEOUT);
             let ups = self.peers.keys().filter(|a| self.is_up(a));
@@ -1088,11 +995,7 @@ mod tests {
                 self.feed(rng, Event::Closed(addr));
             }
             for (n, fate) in &self.fates {
-                let want = match fate.pushed {
-                    0 => u32::from(!fate.lost),
-                    pushed => pushed,
-                };
-                assert_eq!(fate.settled, want, "command {n}: {fate:?}");
+                assert_eq!(fate.settled, 1, "command {n}: {fate:?}");
             }
         }
 
@@ -1131,12 +1034,12 @@ mod tests {
                 }
             }
             match event {
-                Event::Send(cmd, fault) => self.judge_send(&was[&cmd.addr], cmd, *fault, actions),
+                Event::Send(cmd) => self.judge_send(&was[&cmd.addr], cmd, actions),
                 Event::Dialed { addr, connected } => {
                     self.judge_dialed(&was[addr], addr, *connected, actions);
                 }
-                Event::Reply { addr, resp, fault } => {
-                    self.judge_reply(&was[addr], addr, resp.as_ref(), *fault, actions);
+                Event::Reply { addr, resp } => {
+                    self.judge_reply(&was[addr], addr, resp.as_ref(), actions);
                 }
                 Event::Closed(addr) if was[addr].up => self.went_down(addr, actions),
                 // A link that is not up has no stream to lose.
@@ -1186,16 +1089,10 @@ mod tests {
         /// A command for an address outside the peer list or for a link
         /// that is not up is refused in this very step if somebody waits
         /// on it, dropped if not — no frame, no `Race` — and nothing else
-        /// happens; one for an up link goes on the wire as the fault
-        /// allows, a tag per copy.
-        fn judge_send(
-            &mut self,
-            was: &Was,
-            cmd: &Cmd,
-            fault: Option<NetFault>,
-            actions: &[Action],
-        ) {
-            let shown = || format!("{cmd:?} {fault:?} -> {actions:?}");
+        /// happens; one for an up link goes on the wire whole, and
+        /// holds one tag.
+        fn judge_send(&mut self, was: &Was, cmd: &Cmd, actions: &[Action]) {
+            let shown = || format!("{cmd:?} -> {actions:?}");
             let addr = cmd.addr.as_str();
             let refused = matches!(actions, [Action::Race(n, _)] if Some(*n) == owed(cmd.tag));
             if !was.up {
@@ -1204,31 +1101,13 @@ mod tests {
                 let known = self.table.links.contains_key(addr);
                 return assert_eq!(known, was.known, "a link to {addr}: {}", shown());
             }
-            let copies = match fault {
-                Some(NetFault::Drop | NetFault::Partition) => 0,
-                Some(NetFault::Duplicate) => 2,
-                _ => 1,
-            };
             let mut grown = was.pending.clone();
-            grown.extend(std::iter::repeat_n(cmd.tag, copies));
+            grown.push(cmd.tag);
             assert_eq!(self.pending(addr), grown, "{}", shown());
             let whole = cmd.req.encode().len() + 4;
-            match (actions, fault) {
-                ([], _) => assert_eq!(copies, 0, "{}", shown()),
-                ([Action::Write(a, bytes)], Some(NetFault::Truncate)) => {
-                    assert!(a == addr && bytes.len() < whole, "{}", shown());
-                    let peer = self.peers.get_mut(addr).expect("a known address");
-                    peer.stream.as_mut().expect("up").cut = true;
-                }
-                ([Action::Write(a, bytes)], _) => {
-                    assert!(a == addr && bytes.len() == copies * whole, "{}", shown());
-                }
-                _ => panic!("{}", shown()),
-            }
-            if let Some(fate) = owed(cmd.tag).and_then(|n| self.fates.get_mut(&n)) {
-                fate.pushed += copies as u32;
-                fate.lost |= copies == 0;
-            }
+            let written =
+                matches!(actions, [Action::Write(a, bytes)] if a == addr && bytes.len() == whole);
+            assert!(written, "{}", shown());
         }
 
         fn judge_dialed(&mut self, was: &Was, addr: &str, connected: bool, actions: &[Action]) {
@@ -1271,10 +1150,9 @@ mod tests {
             was: &Was,
             addr: &str,
             resp: Option<&Response>,
-            fault: Option<NetFault>,
             actions: &[Action],
         ) {
-            let shown = || format!("reply {addr} {resp:?} {fault:?} -> {actions:?}");
+            let shown = || format!("reply {addr} {resp:?} -> {actions:?}");
             assert!(was.up, "the harness only delivers on open streams");
             let pending = self.pending(addr);
             let front = was.pending.first().copied();
@@ -1282,25 +1160,8 @@ mod tests {
                 Some(Response::AltResult { race_id, .. }) => Some(*race_id),
                 _ => None,
             };
-            if matches!(fault, Some(NetFault::Drop | NetFault::Partition)) {
-                // Eaten by the wire: a reply's tag goes with it, a pushed
-                // result takes none, and nothing else happens.
-                assert!(actions.is_empty(), "{}", shown());
-                let left = match pushed {
-                    Some(_) => &was.pending[..],
-                    None => was.pending.get(1..).unwrap_or_default(),
-                };
-                assert_eq!(pending, left, "{}", shown());
-                let owed = front.and_then(owed).filter(|_| pushed.is_none());
-                if let Some(fate) = owed.and_then(|n| self.fates.get_mut(&n)) {
-                    fate.settled += 1;
-                }
-                return;
-            }
-            let paired = pushed.is_some() || front.is_some();
-            let (Some(resp), true, false) = (resp, paired, fault == Some(NetFault::Truncate))
-            else {
-                // Cut, garbage, or unasked for: the link is done.
+            let (Some(resp), true) = (resp, pushed.is_some() || front.is_some()) else {
+                // Garbage, or unasked for: the link is done.
                 return self.went_down(addr, actions);
             };
             let count = |pick: &dyn Fn(&Action) -> bool| actions.iter().filter(|a| pick(a)).count();
@@ -1314,30 +1175,24 @@ mod tests {
             });
             assert!(ups.eq((!m.serving).then_some(true)), "{}", shown());
             (m.serving, m.served, m.heard) = (true, true, self.now);
-            let twice = if fault == Some(NetFault::Duplicate) {
-                2
-            } else {
-                1
-            };
             let rtts = count(&|a| matches!(a, Action::Stat(_, Stat::Rtt(_))));
             if let Some(n) = pushed {
-                // A pushed result pops no tag and gives no rtt sample;
-                // each copy the wire lets through feeds its race once.
+                // A pushed result pops no tag, gives no rtt sample and
+                // feeds its race once.
                 assert_eq!(pending, was.pending, "{}", shown());
                 assert_eq!(rtts, 0, "{}", shown());
                 let fed = |a: &Action| matches!(a, Action::Race(r, _) if *r == n);
                 let races = count(&|a| matches!(a, Action::Race(..)));
-                return assert_eq!((count(&fed), races), (twice, twice), "{}", shown());
+                return assert_eq!((count(&fed), races), (1, 1), "{}", shown());
             }
-            // An rtt sample, and the answer — twice when the wire
-            // doubled it, off one tag all the same.
+            // An rtt sample, and the answer.
             let tag = front.expect("paired");
             assert_eq!(pending, was.pending[1..], "{}", shown());
             assert_eq!(rtts, 1, "{}", shown());
             let loaded = tag == SendTag::Heartbeat
                 && matches!(resp, Response::Text { body } if body.contains("load "));
             let loads = count(&|a| matches!(a, Action::Stat(_, Stat::Load(1, 2, 3))));
-            assert_eq!(loads, if loaded { twice } else { 0 }, "{}", shown());
+            assert_eq!(loads, usize::from(loaded), "{}", shown());
             let acked = matches!(
                 (tag, resp),
                 (SendTag::ExecAlt { .. }, Response::Text { .. })
@@ -1346,17 +1201,13 @@ mod tests {
             let Some(n) = owed(tag) else {
                 return assert_eq!(races, 0, "{}", shown());
             };
-            assert_eq!(races, if acked { 0 } else { twice }, "{}", shown());
-            // `judge` counts each `Race`; a doubled answer is still
-            // one resolution, and an ack is one with no action at all.
+            assert_eq!(races, usize::from(!acked), "{}", shown());
+            // `judge` counts each `Race`; an ack is a resolution with no
+            // action at all.
             let fate = self.fates.get_mut(&n).expect("issued");
             fate.settled += u32::from(acked);
-            fate.settled -= if acked { 0 } else { twice as u32 - 1 };
-            if was.cut {
-                return;
-            }
-            // With no cut frame on the stream the answer is the one
-            // this very request gets: pairing, judged by content.
+            // The answer is the one this very request gets: pairing,
+            // judged by content.
             assert_eq!(
                 acked,
                 matches!(tag, SendTag::ExecAlt { .. }) && !refuses(n),
@@ -1370,12 +1221,7 @@ mod tests {
                 )
             };
             let granted = matches!(tag, SendTag::Vote { .. }) && grants(n);
-            assert_eq!(
-                count(&grant),
-                if granted { twice } else { 0 },
-                "{}",
-                shown()
-            );
+            assert_eq!(count(&grant), usize::from(granted), "{}", shown());
         }
 
         /// `addr` was up and must be down now: it redials in 50 ms, and
@@ -1464,43 +1310,39 @@ mod tests {
 
     /// The link core's contract, over 2 500 seeded schedules on virtual
     /// time: commands of every tag to configured addresses and to ones
-    /// outside the peer list,
-    /// dials answered at once, late, never (until the core's timeout
-    /// fails them) or with a refusal while every other link's events go
-    /// on, on-time and early ticks, hang-ups, garbage, stray dial
-    /// answers, send- and recv-side faults, and model peers that answer
-    /// every whole frame the real decoder finds in the bytes the core
-    /// asked to write, and push the result of a shipped alternative they
-    /// admit before its ack, after it or never — or stall, or are dead.
+    /// outside the peer list, dials answered at once, late, never (until
+    /// the core's timeout fails them) or with a refusal while every
+    /// other link's events go on, on-time and early ticks, hang-ups,
+    /// garbage, stray dial answers, and model peers that answer every
+    /// whole frame the real decoder finds in the bytes the core asked to
+    /// write, and push the result of a shipped alternative they admit
+    /// before its ack, after it or never — or stall, or are dead.
     /// Checked of every step (see the `judge*` functions): a command for
     /// an address outside the peer list is refused and nothing is ever
     /// dialled there; a command for a link that is not up is refused at
     /// once when somebody waits on it, and an `ELIMINATE` or heartbeat
-    /// dropped with no frame and no `Race`; each copy on the wire holds
-    /// one tag and a dropped frame none; a reply meets the tag of the
-    /// request it answers (no cut frame on the stream), a doubled reply
-    /// takes one tag, a lost one takes its tag silently; a pushed result
-    /// takes no tag and no rtt sample, feeds its race once per copy the
-    /// wire lets through, and takes the link down when cut; any dial
-    /// that connects sends the priming heartbeat and nothing else — no
-    /// frame outlives the connection it was sent on; the core is
-    /// dialling exactly where the
-    /// shell has a connect out, never dials twice at once, and fails a
-    /// dial out for 50 ms on the tick; failed dials are 50 ms · 2ᵏ apart
-    /// up to 2 s and a success starts over; an answer to no dial changes
-    /// nothing; a link enters service (`Up(true)`) at most once per
-    /// connection, on an accepted frame and never on the dial, and
-    /// leaves it (`Up(false)`) exactly when a connection in service
-    /// closes; a tick closes an up link only after the silence span with
-    /// no accepted frame — a quarantine exactly when a frame was
-    /// accepted since the last one —
-    /// and probes every other up link whose cadence is due; `Down` comes
-    /// once per up → down; `next_deadline` is the earliest alarm.
-    /// Checked of every stretch of time: no dial is out past its
-    /// timeout, and an up link accepts a frame or is closed within the
-    /// silence span and one probe cadence. Checked at the end: every `ExecAlt` /
-    /// `Vote` the core accepted was resolved exactly once per copy on
-    /// the wire.
+    /// dropped with no frame and no `Race`; a frame for an up link goes
+    /// on the wire whole and holds one tag; a reply meets the tag of the
+    /// request it answers, and is that request's answer by content; a
+    /// pushed result takes no tag and no rtt sample and feeds its race
+    /// once; any dial that connects sends the priming heartbeat and
+    /// nothing else — no frame outlives the connection it was sent on;
+    /// the core is dialling exactly where the shell has a connect out,
+    /// never dials twice at once, and fails a dial out for 50 ms on the
+    /// tick; failed dials are 50 ms · 2ᵏ apart up to 2 s and a success
+    /// starts over; an answer to no dial changes nothing; a link enters
+    /// service (`Up(true)`) at most once per connection, on an accepted
+    /// frame and never on the dial, and leaves it (`Up(false)`) exactly
+    /// when a connection in service closes; a tick closes an up link
+    /// only after the silence span with no accepted frame — a quarantine
+    /// exactly when a frame was accepted since the last one — and probes
+    /// every other up link whose cadence is due; `Down` comes once per
+    /// up → down; `next_deadline` is the earliest alarm. Checked of
+    /// every stretch of time: no dial is out past its timeout, and an up
+    /// link accepts a frame or is closed within the silence span and one
+    /// probe cadence. Checked at the end: every `ExecAlt` / `Vote` is
+    /// settled exactly once — answered on its own connection, or
+    /// refused.
     #[test]
     fn any_schedule_keeps_every_link_rule() {
         check("link_schedules", 2_500, schedule);
@@ -1509,7 +1351,8 @@ mod tests {
     /// Each seeded mutant — a tick that re-dials a link whose dial is
     /// out, a dial that never times out, a link in service from its
     /// connect, a link never closed for silence, a link closed though it
-    /// answered in time — fails the schedule property.
+    /// answered in time, a close that refuses nothing, a reply that
+    /// answers nothing — fails the schedule property.
     #[test]
     fn the_schedule_property_kills_each_seeded_mutant() {
         use broken::Mutant;
@@ -1519,6 +1362,8 @@ mod tests {
             Mutant::UpAtConnect,
             Mutant::NeverSilenced,
             Mutant::HastyClose,
+            Mutant::ForgetfulClose,
+            Mutant::SilentPop,
         ];
         for mutant in mutants {
             broken::set(Some(mutant));
@@ -1534,10 +1379,7 @@ mod tests {
         let configured = &CONFIGURED[..rng.usize_in(1, 3)];
         let silence = *rng.pick(&[100, 120, 300]);
         let mut sim = Sim::new(configured, silence, Instant::now());
-        sim.p_send = *rng.pick(&[0.0, 0.1, 0.3]);
-        sim.p_recv = *rng.pick(&[0.0, 0.1, 0.3]);
         sim.p_late = *rng.pick(&[0.0, 0.3, 0.7]);
-        sim.truncates = rng.bool();
         let addrs: Vec<String> = sim.peers.keys().cloned().collect();
         for peer in sim.peers.values_mut() {
             peer.listening = rng.chance(0.8);
@@ -1580,7 +1422,6 @@ mod tests {
                 95..=98 => sim.feed(rng, Event::Tick),
                 _ => {}
             }
-            sim.hangups(rng);
         }
         sim.audit(rng);
     }
@@ -1608,7 +1449,7 @@ mod tests {
                             "dial"
                         }
                         Action::Frame(cmd) => {
-                            events.push_back(Event::Send(cmd, None));
+                            events.push_back(Event::Send(cmd));
                             continue;
                         }
                         Action::Down(_) => "down",
@@ -1638,9 +1479,8 @@ mod tests {
     fn a_frame_for_an_address_outside_the_peer_list_is_refused_never_dialled() {
         let t0 = Instant::now();
         let mut table = LinkTable::new(&config(&[], 1500), t0);
-        let send = |table: &mut LinkTable, kind, n| {
-            table.step(Event::Send(command("s0:1", kind, n), None), t0)
-        };
+        let send =
+            |table: &mut LinkTable, kind, n| table.step(Event::Send(command("s0:1", kind, n)), t0);
         assert!(send(&mut table, ELIMINATE, 7).is_empty());
         let refused = send(&mut table, EXEC_ALT, 8);
         let refused = matches!(
@@ -1660,8 +1500,8 @@ mod tests {
     }
 
     /// A pushed result is no reply: it may overtake its ack, it feeds
-    /// its race — twice when the wire doubles it — and it leaves the tag
-    /// in flight to the ack that follows it.
+    /// its race, and it leaves the tag in flight to the ack that follows
+    /// it.
     #[test]
     fn a_pushed_result_feeds_its_race_and_leaves_the_fifo_alone() {
         let t0 = Instant::now();
@@ -1670,30 +1510,24 @@ mod tests {
         table.step(heartbeat_reply("c0:1"), t0);
         let ship = command("c0:1", EXEC_ALT, 4);
         let ack = reply_to(&ship.req);
-        table.step(Event::Send(ship, None), t0 + ms(1));
-        let (addr, fault) = ("c0:1".to_owned(), Some(NetFault::Duplicate));
-        let resp = Some(result_of(4));
-        let fed = table.step(Event::Reply { addr, resp, fault }, t0 + ms(2));
-        let leg = |a: &Action| {
-            let leg = remote::Event::LegResult {
-                alt_idx: 1,
-                status: ALT_OK,
-                value: 4,
-                latency_us: 1,
-                redo: false,
-            };
-            format!("{a:?}") == format!("{:?}", Action::Race(4, leg))
-        };
-        assert!(matches!(&fed[..], [a, b] if leg(a) && leg(b)), "{fed:?}");
-        let (addr, resp) = ("c0:1".to_owned(), Some(ack));
-        let acked = table.step(
+        table.step(Event::Send(ship), t0 + ms(1));
+        let reply = |resp| {
+            let addr = "c0:1".to_owned();
             Event::Reply {
                 addr,
-                resp,
-                fault: None,
-            },
-            t0 + ms(3),
-        );
+                resp: Some(resp),
+            }
+        };
+        let fed = table.step(reply(result_of(4)), t0 + ms(2));
+        let leg = remote::Event::LegResult {
+            alt_idx: 1,
+            status: ALT_OK,
+            value: 4,
+            latency_us: 1,
+            redo: false,
+        };
+        assert_eq!(format!("{fed:?}"), format!("{:?}", [Action::Race(4, leg)]));
+        let acked = table.step(reply(ack), t0 + ms(3));
         assert!(
             matches!(&acked[..], [Action::Stat(_, Stat::Rtt(2_000))]),
             "{acked:?}"
@@ -1711,16 +1545,16 @@ mod tests {
         let mut table = LinkTable::new(&config(&["c0:1"], 1500), t0);
         assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
         // On the wire and never acknowledged; then the stream dies.
-        table.step(Event::Send(command("c0:1", ELIMINATE, 3), None), t0);
+        table.step(Event::Send(command("c0:1", ELIMINATE, 3)), t0);
         let closed = table.step(Event::Closed("c0:1".to_owned()), t0 + ms(5));
         assert!(
             !closed.iter().any(|a| matches!(a, Action::Race(..))),
             "{closed:?}"
         );
         // Down: an ELIMINATE is dropped, a vote is denied.
-        let dropped = table.step(Event::Send(command("c0:1", ELIMINATE, 5), None), t0 + ms(6));
+        let dropped = table.step(Event::Send(command("c0:1", ELIMINATE, 5)), t0 + ms(6));
         assert!(dropped.is_empty(), "{dropped:?}");
-        let denied = table.step(Event::Send(command("c0:1", VOTE, 6), None), t0 + ms(6));
+        let denied = table.step(Event::Send(command("c0:1", VOTE, 6)), t0 + ms(6));
         assert!(matches!(&denied[..], [Action::Race(6, _)]), "{denied:?}");
 
         assert_eq!(table.next_deadline(), Some(t0 + ms(55)));
@@ -1739,9 +1573,9 @@ mod tests {
 
     /// The answer to the priming heartbeat, as a live peer sends it.
     fn heartbeat_reply(addr: &str) -> Event {
-        let (addr, fault) = (addr.to_owned(), None);
+        let addr = addr.to_owned();
         let resp = Some(reply_to(&Request::PeerStats));
-        Event::Reply { addr, resp, fault }
+        Event::Reply { addr, resp }
     }
 
     /// Whether `actions` put `addr` in service.
@@ -1774,7 +1608,7 @@ mod tests {
         assert!(!entered_service(&connected), "{connected:?}");
         for action in connected {
             if let Action::Frame(cmd) = action {
-                table.step(Event::Send(cmd, None), t0);
+                table.step(Event::Send(cmd), t0);
             }
         }
         let served = table.step(heartbeat_reply("c0:1"), t0 + ms(10));
@@ -1821,12 +1655,9 @@ mod tests {
             table.step(Event::Tick, t0 + ms(10)).is_empty(),
             "a second dial"
         );
-        let dropped = table.step(
-            Event::Send(command("c0:1", ELIMINATE, 1), None),
-            t0 + ms(10),
-        );
+        let dropped = table.step(Event::Send(command("c0:1", ELIMINATE, 1)), t0 + ms(10));
         assert!(dropped.is_empty(), "{dropped:?}");
-        let denied = table.step(Event::Send(command("c0:1", VOTE, 2), None), t0 + ms(10));
+        let denied = table.step(Event::Send(command("c0:1", VOTE, 2)), t0 + ms(10));
         assert!(matches!(&denied[..], [Action::Race(2, _)]), "{denied:?}");
 
         assert_eq!(table.next_deadline(), Some(t0 + ms(50)));

@@ -39,12 +39,15 @@
 //! the plane on its request path: no poll entry, no lock, no clock.
 //!
 //! All link I/O runs through the seeded network chaos shim
-//! (`altx::faults` sites `peer.link.<addr>.send` / `.recv`): with a
-//! fault plan installed, frames can be dropped, delayed, duplicated,
-//! truncated, or swallowed by a one-way partition, deterministically
-//! per seed. With no plan installed the shim is one relaxed atomic
-//! load per frame; with one, a drawn delay stalls shard 0 — every
-//! connection and link it serves — for the delay's length.
+//! (`altx::faults` sites `peer.link.<addr>.send` / `.recv`), which does
+//! to a link only what TCP can, deterministically per seed: with a
+//! fault plan installed, a write or a frame read may come late — shard
+//! 0 sleeps, stalling every connection and link it serves, for the
+//! delay's length — or the connection may be cut mid-frame; and a test
+//! may stall one direction of a link, its writes held or nothing read,
+//! while the connection stays open. The core sees each as time passing
+//! or as `Closed`, never as a frame lost, doubled or reordered. With no
+//! plan installed the shim is one relaxed atomic load per frame.
 
 use crate::frame::{FrameDecoder, Request, Response};
 use crate::link::{Action, Event, LinkTable, Stat};
@@ -459,15 +462,18 @@ impl PeerLinks {
 
     /// Adds one entry per socket to shard 0's poll set — none when there
     /// is no socket: `POLLOUT` while a dial is out, `POLLIN` (and
-    /// `POLLOUT` with output waiting) once the link is up. Returns when
-    /// the poll must end for the peer plane, if ever.
+    /// `POLLOUT` with output waiting) once the link is up, each unless
+    /// its direction is stalled. Returns when the poll must end for the
+    /// peer plane, if ever.
     pub(crate) fn poll_set(&mut self, fds: &mut Vec<PollFd>) -> Option<Instant> {
         self.polled.clear();
         for (addr, conn) in &self.conns {
-            let events = match (conn.dialling, conn.out.is_empty()) {
-                (true, _) => POLLOUT,
-                (false, true) => POLLIN,
-                (false, false) => POLLIN | POLLOUT,
+            let events = if conn.dialling {
+                POLLOUT
+            } else {
+                let reads = !stalled(addr, "recv");
+                let writes = !conn.out.is_empty() && !stalled(addr, "send");
+                (if reads { POLLIN } else { 0 }) | (if writes { POLLOUT } else { 0 })
             };
             fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
             self.polled.push(addr.clone());
@@ -514,7 +520,7 @@ impl PeerLinks {
     fn offer_queued(&mut self) -> bool {
         let cmds = self.races.peers.take();
         let any = !cmds.is_empty();
-        cmds.into_iter().for_each(|cmd| self.offer(cmd));
+        cmds.into_iter().for_each(|cmd| self.feed(Event::Send(cmd)));
         any
     }
 
@@ -536,13 +542,8 @@ impl PeerLinks {
                 Action::Abandon(addr) => {
                     self.conns.remove(&addr);
                 }
-                Action::Frame(cmd) => self.offer(cmd),
-                Action::Write(addr, bytes) => {
-                    if let Some(conn) = self.conns.get_mut(&addr) {
-                        conn.out.extend_from_slice(&bytes);
-                    }
-                    self.flush_link(&addr);
-                }
+                Action::Frame(cmd) => self.feed(Event::Send(cmd)),
+                Action::Write(addr, bytes) => self.write(addr, bytes),
                 Action::Race(race_id, event) => self.races.step(race_id, event),
                 Action::Down(addr) => {
                     self.conns.remove(&addr);
@@ -596,7 +597,12 @@ impl PeerLinks {
             let addr = addr.to_owned();
             return self.feed(Event::Dialed { addr, connected });
         }
-        if revents & (POLLIN | POLLERR | POLLHUP) != 0 {
+        let failed = revents & (POLLERR | POLLHUP) != 0;
+        if failed && stalled(addr, "recv") {
+            // Nothing is read, so nothing else would find the failure.
+            return self.feed(Event::Closed(addr.to_owned()));
+        }
+        if revents & POLLIN != 0 || failed {
             self.read_link(addr);
         }
         if revents & POLLOUT != 0 {
@@ -604,20 +610,32 @@ impl PeerLinks {
         }
     }
 
-    /// One frame for the core — a queued command, or a frame of the
-    /// core's own — with the `peer.link.<addr>.send` chaos site's draw
-    /// for it. The site sits on the stream, so there is no draw where
-    /// no stream is up.
-    fn offer(&mut self, cmd: Cmd) {
-        let open = self.conns.get(&cmd.addr).is_some_and(|c| !c.dialling);
-        let fault = open.then(|| wire_fault(&cmd.addr, "send")).flatten();
-        self.feed(Event::Send(cmd, fault));
+    /// Appends one frame to the link's stream and writes what the
+    /// socket takes, after the `peer.link.<addr>.send` chaos site's draw
+    /// for it: a cut puts the first half of the frame on the wire and
+    /// closes the link, a crash mid-write.
+    fn write(&mut self, addr: String, mut bytes: Vec<u8>) {
+        let cut = wire_fault(&addr, "send") == Some(NetFault::Truncate);
+        if cut {
+            bytes.truncate(bytes.len() / 2);
+        }
+        if let Some(conn) = self.conns.get_mut(&addr) {
+            conn.out.extend_from_slice(&bytes);
+        }
+        self.flush_link(&addr);
+        if cut {
+            self.feed(Event::Closed(addr));
+        }
     }
 
-    /// Reads everything the link has: each whole frame goes to the
-    /// core as one reply, with the `peer.link.<addr>.recv` chaos site's
-    /// draw for it; the end of the stream goes to it as a close.
+    /// Reads everything the link has, unless its reads are stalled: each
+    /// whole frame goes to the core as one reply — or, when the
+    /// `peer.link.<addr>.recv` chaos site's draw for it is a cut, as a
+    /// close instead; the end of the stream goes to it as a close.
     fn read_link(&mut self, addr: &str) {
+        if stalled(addr, "recv") {
+            return;
+        }
         let mut buf = [0u8; 8192];
         loop {
             // Gone once the core has closed the link.
@@ -626,11 +644,13 @@ impl PeerLinks {
             };
             match conn.decoder.next_frame() {
                 Ok(Some(body)) => {
-                    let fault = wire_fault(addr, "recv");
-                    self.feed(Event::Reply {
-                        addr: addr.to_owned(),
-                        resp: Response::decode(&body).ok(),
-                        fault,
+                    let addr = addr.to_owned();
+                    self.feed(match wire_fault(&addr, "recv") {
+                        Some(NetFault::Truncate) => Event::Closed(addr),
+                        _ => Event::Reply {
+                            addr,
+                            resp: Response::decode(&body).ok(),
+                        },
                     });
                     continue;
                 }
@@ -647,10 +667,11 @@ impl PeerLinks {
         }
     }
 
-    /// Writes as much buffered output as the socket takes; a socket
-    /// that takes no more goes to the core as a close.
+    /// Writes as much buffered output as the socket takes, unless the
+    /// link's writes are stalled; a socket that takes no more goes to
+    /// the core as a close.
     fn flush_link(&mut self, addr: &str) {
-        let Some(conn) = self.conns.get_mut(addr) else {
+        let Some(conn) = self.conns.get_mut(addr).filter(|_| !stalled(addr, "send")) else {
             return;
         };
         while !conn.out.is_empty() {
@@ -668,8 +689,8 @@ impl PeerLinks {
 
 /// The chaos shim's draw for one frame at `peer.link.<addr>.<site>`
 /// (`send` or `recv`). A delay is served here, by shard 0 sleeping
-/// (only under a fault plan: 2 ms at most by default); everything else
-/// is the link core's to apply.
+/// (only under a fault plan: 2 ms at most by default); a cut is the
+/// caller's to apply.
 fn wire_fault(addr: &str, site: &str) -> Option<NetFault> {
     if !faults::enabled() {
         return None;
@@ -679,6 +700,12 @@ fn wire_fault(addr: &str, site: &str) -> Option<NetFault> {
         std::thread::sleep(d);
     }
     fault
+}
+
+/// Whether the chaos plan stalls `peer.link.<addr>.<site>`. Asked only
+/// under a fault plan, so a daemon with none formats no site name.
+fn stalled(addr: &str, site: &str) -> bool {
+    faults::enabled() && faults::stalled(&format!("peer.link.{addr}.{site}"))
 }
 
 /// The load line an executor appends to its `PEER_STATS` reply — the
@@ -811,7 +838,7 @@ pub(crate) mod tests {
                 for action in core.step(event, t0 + ms(at)) {
                     match action {
                         Action::Stat(_, stat) => row.apply(stat),
-                        Action::Frame(cmd) => events.push(Event::Send(cmd, None)),
+                        Action::Frame(cmd) => events.push(Event::Send(cmd)),
                         _ => {}
                     }
                 }
@@ -828,15 +855,8 @@ pub(crate) mod tests {
         );
         assert_eq!(table.peers_up(), 0, "a connect is not service");
         let body = load_line(0, 0, 1);
-        let (resp, fault) = (Some(Response::Text { body }), None);
-        step(
-            Event::Reply {
-                addr: addr(),
-                resp,
-                fault,
-            },
-            10,
-        );
+        let resp = Some(Response::Text { body });
+        step(Event::Reply { addr: addr(), resp }, 10);
         assert_eq!(table.peers_up(), 1, "the first frame is");
         // Probed at 40, 80 and 120 ms, and never answered.
         for at in [40, 80, 120] {

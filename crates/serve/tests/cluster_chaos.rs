@@ -1,7 +1,7 @@
 //! Cluster chaos soak: three in-process daemons racing alternatives
-//! across real loopback links while a seeded fault plan mangles the
-//! wire — drops, delays, duplicates, truncations — plus a timed
-//! one-way partition that heals.
+//! across real loopback links while a seeded fault plan does to the
+//! wire what TCP can — delays frames and cuts connections mid-frame —
+//! plus a timed one-way stall that heals.
 //!
 //! The contract under test is the cluster's whole failure story at
 //! once:
@@ -10,17 +10,17 @@
 //!   reply no matter what the peer links do; a dropped reply hangs the
 //!   client (socket timeout → panic) and a duplicate desynchronizes
 //!   its framing, so the plain `client.run` loop *is* the check;
-//! * **hedged recovery** — remote legs whose results the wire eats are
-//!   redispatched locally when their per-leg deadline expires
+//! * **hedged recovery** — remote legs whose results do not come home
+//!   within their per-leg deadline are redispatched locally
 //!   (`remote_redispatched > 0`);
-//! * **service** — a one-way partition that TCP keeps alive (heartbeat
-//!   replies silently swallowed) leaves the peer's link answering
+//! * **service** — a one-way stall that TCP keeps alive (the origin
+//!   reads nothing the peer sends) leaves the peer's link answering
 //!   nothing: the origin closes it after the silence span (a
 //!   quarantine), the peer leaves service and placement stops shipping
-//!   to it, every redial stays out of service while the partition
-//!   lasts, and after the heal the first reply puts the peer back in
-//!   service and it *wins races again* — quarantine is an episode, not
-//!   a verdict.
+//!   to it, every redial stays out of service while the stall lasts,
+//!   and after the heal the first reply puts the peer back in service
+//!   and it *wins races again* — quarantine is an episode, not a
+//!   verdict.
 //!
 //! This test lives in its own binary because the fault plan is
 //! process-global. The seed comes from `ALTX_CHAOS_SEED` (decimal or
@@ -165,9 +165,9 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
         },
     )
     .expect("connect to origin");
-    // Bimodal races: the local leg is slow 30% of the time, so when the
-    // wire eats a remote result the race is regularly still open at the
-    // leg deadline — exactly the window hedged recovery exists for.
+    // Bimodal races: the local leg is slow 30% of the time, so when a
+    // remote result is late the race is regularly still open at the leg
+    // deadline — exactly the window hedged recovery exists for.
     let mut arg = 0u64;
     let mut race = |client: &mut Client| {
         let n = arg;
@@ -181,16 +181,12 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     // --- Phase 1: seeded wire chaos on every peer link. -------------
     // On top of the wire mix, a slice of local legs fail outright
     // (guard-unsatisfied semantics): a race whose local leg failed and
-    // whose remote result the wire ate can *only* finish through the
+    // whose remote result is late can *only* finish through the
     // leg-deadline redispatch path, so hedged recovery is exercised
     // structurally rather than by timing luck.
     let t0 = Instant::now();
     let mut cfg = FaultConfig::net_chaos(seed);
     cfg.p_fail = 0.2;
-    // Partitions are driven manually below so the quarantine and the
-    // heal happen at asserted points; random multi-second partition
-    // windows on top would only turn phase boundaries into dice rolls.
-    cfg.net.p_partition = 0.0;
     let plan = FaultPlan::new(cfg);
     let chaos = faults::install_guarded(plan.clone());
     for _ in 0..120 {
@@ -202,21 +198,21 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     );
     eprintln!("phase 1 (wire chaos): {:?}", t0.elapsed());
 
-    // --- Phase 2: a timed one-way partition. ------------------------
-    // Everything B says is swallowed while the origin's sends still
-    // flow: the asymmetric failure TCP keeps alive. Heartbeat replies
-    // and the results B pushes back vanish alike on the origin's
-    // receive side of its B link.
+    // --- Phase 2: a timed one-way stall. ----------------------------
+    // The origin reads nothing B says while its sends still flow: the
+    // asymmetric failure TCP keeps alive. Heartbeat replies and the
+    // results B pushes back sit unread alike on the origin's receive
+    // side of its B link.
     // B's link is closed for silence (a quarantine) and B leaves
     // service, placement stops shipping to it, and the legs whose
-    // results the partition ate expire and are redispatched locally.
+    // results the stall held expire and are redispatched locally.
     let t1 = Instant::now();
-    // The partition must cut a peer in service: one that has answered
+    // The stall must cut a peer in service: one that has answered
     // nothing since its last quarantine earns no new one while the
-    // partition lasts.
+    // stall lasts.
     let in_service = Instant::now() + Duration::from_secs(10);
     let quarantined_before = loop {
-        let page = client.peer_stats().expect("stats before the partition");
+        let page = client.peer_stats().expect("stats before the stall");
         if peer_count(&page, &b_addr, "up") == 1 {
             break peer_count(&page, &b_addr, "quarantines");
         }
@@ -227,27 +223,26 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
         std::thread::sleep(Duration::from_millis(5));
     };
     let recv_site = format!("peer.link.{b_addr}.recv");
-    plan.partition(&recv_site);
+    plan.stall(&recv_site);
     let deadline = Instant::now() + Duration::from_secs(15);
     let wins_before_heal = loop {
-        let page = client.peer_stats().expect("stats during partition");
+        let page = client.peer_stats().expect("stats during the stall");
         let quarantined = peer_count(&page, &b_addr, "quarantines") > quarantined_before;
         if quarantined && peer_count(&page, &b_addr, "up") == 0 {
             break peer_count(&page, &b_addr, "wins");
         }
         assert!(
             Instant::now() < deadline,
-            "the partitioned peer was never closed for silence (seed {seed:#x}):\n{page}"
+            "the stalled peer was never closed for silence (seed {seed:#x}):\n{page}"
         );
         race(&mut client);
         std::thread::sleep(Duration::from_millis(20));
     };
-    eprintln!("phase 2 (partition → quarantine): {:?}", t1.elapsed());
+    eprintln!("phase 2 (stall → quarantine): {:?}", t1.elapsed());
 
-    // Legs shipped into the chaos (dropped EXEC_ALTs, swallowed
-    // results, the partition window) must have expired and been
-    // redispatched locally by now; drive a few more races if the
-    // counter is still settling.
+    // Legs shipped into the chaos (late results, the stall window)
+    // must have expired and been redispatched locally by now; drive a
+    // few more races if the counter is still settling.
     let t2 = Instant::now();
     let deadline = Instant::now() + Duration::from_secs(15);
     while a.telemetry().snapshot()[Metric::RemoteRedispatched] == 0 {
@@ -261,8 +256,8 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     eprintln!("phase 2b (redispatch observed): {:?}", t2.elapsed());
 
     // --- Phase 3: heal. ---------------------------------------------
-    // The wire chaos stays on — healing the partition is not the end
-    // of a soak — and the first reply on a connection puts B back in
+    // The wire chaos stays on — healing the stall is not the end of a
+    // soak — and the first reply on a connection puts B back in
     // service.
     let t3 = Instant::now();
     plan.heal(&recv_site);
@@ -282,9 +277,8 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
 
     // Readmission must be real: the healed peer gets legs again and
     // wins races again, not just a label flip. The wire chaos is still
-    // on, and a race whose result the wire eats blocks for the full
-    // unbounded leg allowance before its redispatch — a couple of
-    // those in one burst eat tens of seconds, hence the wide deadline.
+    // on — a cut connection takes B out of service until its redial
+    // answers — hence the wide deadline.
     let t4 = Instant::now();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -326,4 +320,50 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     a.shutdown();
     b.shutdown();
     c.shutdown();
+}
+
+/// An owed vote on a stalled link is denied by the close: one origin
+/// (`silence_ms` 150) and one executor in service, and one `lognormal`
+/// race run while one direction of the link is stalled — its sends
+/// held unwritten, or its replies left unread. The link accepts nothing,
+/// so the silence close refuses every tag in flight, the vote's among
+/// them, within `silence + silence / 3` of the last accepted frame: the
+/// race answers, degraded, in about 200 ms and one rtt rather than
+/// waiting out its 10 s cap. Healed, the executor comes back in service
+/// and the other direction gets the same race.
+#[test]
+fn a_stalled_link_denies_the_owed_vote_at_the_silence_close() {
+    let _guard = serial();
+    let seed = seed_from_env();
+    let b = executor();
+    let b_addr = b.local_addr().to_string();
+    let a = origin(vec![b_addr.clone()]);
+    let plan = FaultPlan::new(FaultConfig::quiet(seed));
+    let _chaos = faults::install_guarded(plan.clone());
+    let mut client = Client::connect(a.local_addr()).expect("connect to origin");
+    for dir in ["send", "recv"] {
+        wait_for(&a, seed, "the executor in service", |s| {
+            s[Metric::PeersUp] == 1
+        });
+        let degraded = a.telemetry().snapshot()[Metric::CommitsDegraded];
+        let site = format!("peer.link.{b_addr}.{dir}");
+        plan.stall(&site);
+        let t0 = Instant::now();
+        client.run("lognormal", 7, 0).expect("the race answers");
+        let took = t0.elapsed();
+        eprintln!("stalled {dir}: answered in {took:?}");
+        assert!(
+            took < Duration::from_secs(1),
+            "a race on a link stalled at {site} waited {took:?} for its vote"
+        );
+        let s = a.telemetry().snapshot();
+        assert_eq!(
+            s[Metric::CommitsDegraded],
+            degraded + 1,
+            "the denied vote degrades the commit ({dir})"
+        );
+        plan.heal(&site);
+    }
+    a.shutdown();
+    b.shutdown();
 }

@@ -298,7 +298,7 @@ echo "repeat stage: 0 failures in $REPEATS"
 
 # The workspace run above soaked the cluster under the suite's own seed;
 # a second seed draws a different fault sequence at every wire site.
-echo "==> cluster chaos soak, second seed (3 in-process nodes, wire faults + healing partition)"
+echo "==> cluster chaos soak, second seed (3 in-process nodes, stream faults + a healing stall)"
 ALTX_CHAOS_SEED=0xC0FFEE cargo test -q -p altx-serve --test cluster_chaos
 
 # The benchmark's harness verifies every reply it reads and exits
