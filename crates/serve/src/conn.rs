@@ -1,4 +1,5 @@
-//! Per-connection state for the reactor front end, in two halves.
+//! Per-connection state for the reactor front end — accepted or dialled
+//! alike — in two halves.
 //!
 //! The **read half** ([`Conn`]) belongs to the reactor thread alone: an
 //! incremental [`FrameDecoder`] fed from the non-blocking socket. The
@@ -32,6 +33,15 @@
 //! alternative lives no longer than the link that shipped it: its
 //! result could only ever come home on that link.
 //!
+//! A **dialled** connection ([`Conn::dial`]) carries a peer's address:
+//! its frames are replies for its link, it writes only the unsequenced
+//! frames the link asks for ([`WriteState::write_link`]), counts in no
+//! gauge and reads on through a drain. Its halves hold the chaos sites
+//! `peer.link.<addr>.send` / `.recv`, which do only what TCP can: a
+//! stalled direction neither writes nor reads; a `Truncate` cuts a
+//! write in half and closes, or takes a frame read as the close; a
+//! `Delay` sleeps shard 0. With no fault plan each is one relaxed load.
+//!
 //! That order, "each reply once" and "no byte after close" are mutual-
 //! exclusion properties of the write half's lock, not by-products of a
 //! single owning thread; [`WriteState`] takes its writer as a
@@ -52,12 +62,13 @@
 use crate::bufpool::BufPool;
 use crate::frame::{FrameDecoder, FrameError};
 use crate::ring::EncodedReply;
-use crate::sys::{POLLIN, POLLOUT};
+use crate::sys::{connect_nonblocking, POLLIN, POLLOUT};
 use crate::telemetry::ShardStats;
+use altx::faults::{self, NetFault};
 use altx::CancelToken;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// What a readiness-driven read pass produced.
@@ -69,27 +80,75 @@ pub(crate) struct ReadOutcome {
     /// connection stops reading; the reactor owes the peer one error
     /// reply before close.
     pub error: Option<FrameError>,
+    /// The peer sent its last byte (EOF, or a `.recv` site's cut).
+    pub eof: bool,
 }
 
-/// The read half of one client connection: owned by the reactor.
+/// The read half of one connection: owned by the reactor.
 pub(crate) struct Conn {
     decoder: FrameDecoder,
+    /// A dial whose connect is still out: writability says it is done.
+    pub(crate) dialling: bool,
     write: Arc<WriteHalf>,
 }
 
 impl Conn {
-    /// Takes a fresh socket; `stats` is the owning shard's, for the
-    /// `conns_active` gauge the write half keeps.
+    /// Takes a freshly accepted socket; `stats` is the owning shard's,
+    /// for the `conns_active` gauge the write half keeps.
     pub(crate) fn new(stream: TcpStream, stats: Arc<ShardStats>) -> io::Result<Self> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
+        Ok(Self::with(stream, None, Some(stats)))
+    }
+
+    /// Starts a non-blocking connect to the peer `addr` (at `to`).
+    pub(crate) fn dial(addr: String, to: SocketAddr) -> io::Result<Self> {
+        let conn = Self::with(connect_nonblocking(to)?, Some(addr), None);
         Ok(Conn {
+            dialling: true,
+            ..conn
+        })
+    }
+
+    fn with(stream: TcpStream, link: Option<String>, stats: Option<Arc<ShardStats>>) -> Self {
+        Conn {
             decoder: FrameDecoder::new(),
+            dialling: false,
             write: Arc::new(WriteHalf {
                 stream,
+                link,
                 state: Mutex::new(WriteState::new(stats)),
             }),
-        })
+        }
+    }
+
+    /// The dial's socket turned writable: whether it connected.
+    pub(crate) fn finish_dial(&mut self) -> bool {
+        self.dialling = false;
+        let stream = &self.write.stream;
+        matches!(stream.take_error(), Ok(None)) && stream.set_nodelay(true).is_ok()
+    }
+
+    /// The reactor's one look per turn: the poll interest for the
+    /// coming `poll`, or `None` when the connection is done (the write
+    /// half is then closed by this very call). A dial out waits to turn
+    /// writable; a link reads on through a drain, but not stalled.
+    pub(crate) fn interest(&self, draining: bool) -> Option<i16> {
+        let link = self.write.link.as_deref();
+        let events = self.write.locked(|state, _| {
+            let interest = state.interest(draining && link.is_none());
+            if interest.is_none() {
+                state.close();
+            }
+            interest
+        })?;
+        if self.dialling {
+            Some(POLLOUT)
+        } else if stalled(link, "recv") {
+            Some(events & !POLLIN)
+        } else {
+            Some(events)
+        }
     }
 
     /// Reads until the socket is drained (or EOF), returning every
@@ -97,12 +156,15 @@ impl Conn {
     /// A short read is a drained socket: the poll is level-triggered, so
     /// bytes that land after it — or the EOF behind them — are reported
     /// again, and asking once more now could only answer `WouldBlock`.
+    /// A link reads nothing while stalled and draws its `.recv` site per
+    /// frame: a cut takes that frame and the rest as the end of stream.
     /// `Err` means the transport itself failed and the connection is
     /// unsalvageable.
     pub(crate) fn on_readable(&mut self, pool: &mut BufPool) -> io::Result<ReadOutcome> {
-        let mut buf = [0u8; 8192];
+        let link = self.write.link.as_deref();
         let mut eof = false;
-        loop {
+        let mut buf = [0u8; 8192];
+        while !stalled(link, "recv") {
             match (&self.write.stream).read(&mut buf) {
                 Ok(0) => {
                     eof = true;
@@ -119,11 +181,16 @@ impl Conn {
                 Err(e) => return Err(e),
             }
         }
-        let mut frames = Vec::new();
-        let mut error = None;
+        let cut = || wire_fault(link, "recv") == Some(NetFault::Truncate);
+        let (mut frames, mut error) = (Vec::new(), None);
         loop {
             let mut body = pool.get();
             match self.decoder.next_frame_into(&mut body) {
+                Ok(true) if cut() => {
+                    pool.put(body);
+                    eof = true;
+                    break;
+                }
                 Ok(true) => frames.push(body),
                 Ok(false) => {
                     pool.put(body);
@@ -144,7 +211,7 @@ impl Conn {
         if eof || error.is_some() {
             self.write.close_read();
         }
-        Ok(ReadOutcome { frames, error })
+        Ok(ReadOutcome { frames, error, eof })
     }
 
     /// The half shared with the threads that deliver replies.
@@ -162,17 +229,21 @@ impl Conn {
 /// race in flight carries its request's.
 pub(crate) type ReplySlot = (Arc<WriteHalf>, u64);
 
-/// The write half of one client connection: the socket and the ordered
-/// reply state, behind the one lock every delivering thread takes.
+/// The write half of one connection: the socket and the ordered reply
+/// state, behind the one lock every delivering thread takes.
 pub(crate) struct WriteHalf {
     stream: TcpStream,
+    /// The peer of a dialled connection; `None` for an accepted one.
+    pub(crate) link: Option<String>,
     state: Mutex<WriteState>,
 }
 
 impl WriteHalf {
-    /// Runs `f` on the locked state with the socket as its writer.
+    /// Runs `f` on the locked state with the socket as its writer (and
+    /// a link's `.send` stall looked up).
     fn locked<R>(&self, f: impl FnOnce(&mut WriteState, &mut &TcpStream) -> R) -> R {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.stalled = stalled(self.link.as_deref(), "send");
         f(&mut state, &mut &self.stream)
     }
 
@@ -192,9 +263,19 @@ impl WriteHalf {
         self.locked(|state, stream| state.deliver(seq, frame, stream, pool))
     }
 
-    /// See [`WriteState::push`].
+    /// See [`WriteState::push`]; retires the leg request `seq` shipped.
     pub(crate) fn push(&self, seq: u64, frame: EncodedReply) -> bool {
-        self.locked(|state, stream| state.push(seq, frame, stream))
+        self.locked(|state, stream| {
+            state.retire(seq);
+            state.push(frame, stream)
+        })
+    }
+
+    /// [`WriteState::write_link`] after the `.send` site's draw; `false`
+    /// once the stream is broken (cut, or refused) and must be closed.
+    pub(crate) fn write_link(&self, frame: Vec<u8>) -> bool {
+        let cut = wire_fault(self.link.as_deref(), "send") == Some(NetFault::Truncate);
+        self.locked(|state, stream| state.write_link(frame, cut, stream))
     }
 
     /// See [`WriteState::ship`].
@@ -213,11 +294,11 @@ impl WriteHalf {
     }
 
     /// The socket reported writable: flushes what a delivery left
-    /// behind. `false` when nothing was queued — some delivery drained
-    /// it between the poll registration and the event.
+    /// behind. `false` when an open half had nothing queued — some
+    /// delivery drained it between the poll registration and the event.
     pub(crate) fn on_writable(&self, pool: &mut BufPool) -> bool {
         self.locked(|state, stream| {
-            let had_output = state.has_output();
+            let had_output = state.closed || state.has_output();
             state.flush(stream, Some(pool));
             had_output
         })
@@ -227,20 +308,6 @@ impl WriteHalf {
     /// replies still flush.
     pub(crate) fn close_read(&self) {
         self.locked(|state, _| state.read_closed = true);
-    }
-
-    /// The reactor's one look per turn: the poll interest for the
-    /// coming `poll`, or `None` when the connection has served its
-    /// purpose (or its socket failed) — in which case the half is
-    /// closed by this very call and the reactor drops the connection.
-    pub(crate) fn interest(&self, draining: bool) -> Option<i16> {
-        self.locked(|state, _| {
-            let interest = state.interest(draining);
-            if interest.is_none() {
-                state.close();
-            }
-            interest
-        })
     }
 
     /// See [`WriteState::close`].
@@ -269,20 +336,23 @@ pub(crate) struct WriteState {
     failed: bool,
     /// The reactor reclaimed the connection; late deliveries drop.
     closed: bool,
+    /// The writes are stalled: nothing is written, no `POLLOUT` asked.
+    stalled: bool,
     /// The legs peers shipped on this connection that still run here:
     /// `(seq, race_id, token)`, `seq` being the `EXEC_ALT`'s own, so a
     /// doubled `EXEC_ALT` is two legs and each push retires its own.
     legs: Vec<(u64, u64, CancelToken)>,
-    /// The owning shard's counters: `conns_active` moves here, at this
-    /// connection's transitions between no request in flight and some
-    /// — under the lock, so concurrent deliveries cannot count one
+    /// The owning shard's counters, for an accepted connection (a
+    /// dialled one counts in no gauge): `conns_active` moves here, at
+    /// this connection's transitions between no request in flight and
+    /// some — under the lock, so concurrent deliveries cannot count one
     /// twice, and before the reply is written, so whoever has read the
     /// last reply reads a gauge that already shows it.
-    stats: Arc<ShardStats>,
+    stats: Option<Arc<ShardStats>>,
 }
 
 impl WriteState {
-    pub(crate) fn new(stats: Arc<ShardStats>) -> Self {
+    pub(crate) fn new(stats: Option<Arc<ShardStats>>) -> Self {
         WriteState {
             out: VecDeque::new(),
             out_pos: 0,
@@ -291,6 +361,7 @@ impl WriteState {
             read_closed: false,
             failed: false,
             closed: false,
+            stalled: false,
             legs: Vec::new(),
             stats,
         }
@@ -310,9 +381,12 @@ impl WriteState {
     /// Moves the `conns_active` gauge if this connection has gone
     /// between idle and in flight since `was_active` was true of it.
     fn note_activity(&self, was_active: bool) {
+        let Some(stats) = &self.stats else {
+            return;
+        };
         match (was_active, !self.pending.is_empty()) {
-            (false, true) => self.stats.on_conn_active(),
-            (true, false) => self.stats.on_conn_idle(),
+            (false, true) => stats.on_conn_active(),
+            (true, false) => stats.on_conn_idle(),
             _ => {}
         }
     }
@@ -365,17 +439,29 @@ impl WriteState {
         self.has_output() || self.interest(false).is_none()
     }
 
-    /// Queues the result of the leg shipped by request `seq` behind the
-    /// whole frames queued, retiring the leg, and writes as
+    /// Queues a frame that answers no request — a leg's result, a link's
+    /// frame — behind the whole frames queued, and writes as
     /// [`WriteState::deliver`] does; a closed half drops it.
-    pub(crate) fn push(&mut self, seq: u64, frame: EncodedReply, w: &mut impl Write) -> bool {
-        self.retire(seq);
+    pub(crate) fn push(&mut self, frame: EncodedReply, w: &mut impl Write) -> bool {
         if self.closed {
             return false;
         }
         self.out.push_back(frame);
         self.flush(w, None);
         self.has_output() || self.interest(false).is_none()
+    }
+
+    /// Pushes a link's frame — only its first half if `cut`, and then
+    /// the half closes: a crash mid-write. Whether the stream is whole.
+    pub(crate) fn write_link(&mut self, mut frame: Vec<u8>, cut: bool, w: &mut impl Write) -> bool {
+        if cut {
+            frame.truncate(frame.len() / 2);
+        }
+        self.push(EncodedReply::Heap(frame), w);
+        if cut {
+            self.close();
+        }
+        !(self.closed || self.failed)
     }
 
     /// Holds the token of the leg request `seq` shipped for `race_id`
@@ -406,14 +492,15 @@ impl WriteState {
         before - self.legs.len()
     }
 
-    /// Writes queued reply frames until `w` would block, directly from
-    /// each frame's backing store (ring slot or spill buffer), retiring
-    /// a frame the moment its last byte is accepted — that retirement
-    /// *is* slot reclamation. A heap spill recycles into `pool` when the
-    /// reactor thread (the pool's owner) wrote it and is dropped when
-    /// any other thread did. A failed write marks the half `failed`.
+    /// Writes queued frames until `w` would block, directly from each
+    /// frame's backing store (ring slot or spill buffer), retiring a
+    /// frame the moment its last byte is accepted — that retirement
+    /// *is* slot reclamation — and nothing while the writes are
+    /// stalled. A heap spill recycles into `pool` when the reactor
+    /// thread (the pool's owner) wrote it and is dropped when any other
+    /// thread did. A failed write marks the half `failed`.
     pub(crate) fn flush(&mut self, w: &mut impl Write, mut pool: Option<&mut BufPool>) {
-        while !self.failed {
+        while !self.failed && !self.stalled {
             let Some(front) = self.out.front() else {
                 return;
             };
@@ -456,28 +543,51 @@ impl WriteState {
     }
 
     /// The poll interest set for the current state; `None` when the
-    /// socket failed or the connection reads no more (`read_closed`, or
-    /// the server is `draining`) and every owed reply is flushed.
+    /// half is closed, the socket failed, or the connection reads no
+    /// more (`read_closed`, or the server is `draining`) and every owed
+    /// reply is flushed.
     fn interest(&self, draining: bool) -> Option<i16> {
         let reading = !self.read_closed && !draining;
-        if self.failed || (!reading && self.pending.is_empty() && !self.has_output()) {
+        let flushed = !reading && self.pending.is_empty() && !self.has_output();
+        if self.closed || self.failed || flushed {
             return None;
         }
         let mut events = 0;
         if reading {
             events |= POLLIN;
         }
-        if self.has_output() {
+        if self.has_output() && !self.stalled {
             events |= POLLOUT;
         }
         Some(events)
     }
 }
 
+/// The chaos shim's draw for one frame at a dialled connection's
+/// `peer.link.<addr>.<site>` (none for an accepted one, `link` `None`).
+/// A delay is slept here, by shard 0 (only under a fault plan: 2 ms at
+/// most by default); a cut is the caller's to apply.
+fn wire_fault(link: Option<&str>, site: &str) -> Option<NetFault> {
+    let addr = link.filter(|_| faults::enabled())?;
+    let fault = faults::inject_net(&format!("peer.link.{addr}.{site}"));
+    if let Some(NetFault::Delay(d)) = fault {
+        std::thread::sleep(d);
+    }
+    fault
+}
+
+/// Whether the chaos plan stalls a dialled connection's
+/// `peer.link.<addr>.<site>`. Asked only under a fault plan, so a
+/// daemon with none formats no site name.
+fn stalled(link: Option<&str>, site: &str) -> bool {
+    let stalls = |addr| faults::stalled(&format!("peer.link.{addr}.{site}"));
+    link.filter(|_| faults::enabled()).is_some_and(stalls)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Response;
+    use crate::frame::{append_frame, Request, Response};
     use crate::ring::ReplyRing;
     use altx_check::{check, CaseRng};
 
@@ -528,7 +638,7 @@ mod tests {
         let ring = ReplyRing::new(SLOTS, 128);
         let pool = BufPool::default();
         let stats = Arc::new(ShardStats::new(pool.stats(), ring.stats()));
-        let state = WriteState::new(Arc::clone(&stats));
+        let state = WriteState::new(Some(Arc::clone(&stats)));
         (ring, pool, stats, state)
     }
 
@@ -578,6 +688,19 @@ mod tests {
         (frame, bytes)
     }
 
+    /// A frame a dialled connection's link writes, the `k`th of the
+    /// case: a request, bytes no reply or push has.
+    fn link_frame(k: u64) -> Vec<u8> {
+        let vote = Request::CommitVote {
+            race_id: k,
+            origin: "a:1".to_owned(),
+            candidate: format!("a:1/alt{k}"),
+        };
+        let mut bytes = Vec::new();
+        append_frame(&mut bytes, |b| b.extend_from_slice(&vote.encode())).expect("fits");
+        bytes
+    }
+
     /// One leg a request of the case shipped, as the model sees it.
     struct Leg {
         seq: u64,
@@ -594,19 +717,25 @@ mod tests {
     /// The write half's contract, for any order in which requests
     /// begin — some of them shipping a leg of one of three races —,
     /// replies are delivered (late, twice, for seqs that never existed),
-    /// legs' results are pushed, races are eliminated, the peer stops
+    /// legs' results are pushed, a dialled connection's link writes its
+    /// unsequenced frames (one of them cut by the `.send` site), the
+    /// writes stall and heal, races are eliminated, the peer stops
     /// sending, the socket accepts, blocks or fails, and the reactor
     /// reclaims the connection: the peer sees exactly the sequenced
-    /// frames in seq order, each once, with every push whole between
-    /// two of them, at the point it was made; `deliver` and `push` ask
-    /// for the reactor iff output is left, the write failed, or the
-    /// connection became closable; a closed half writes nothing; the
-    /// `conns_active` gauge is 1 exactly while a reply is owed; every
-    /// ring slot comes home; and after every step a leg's token is
-    /// cancelled exactly when its race was eliminated on this half, or
-    /// the half closed, before the leg's push retired it — so a retired
-    /// token is never cancelled later, an `ELIMINATE` cancels nothing of
-    /// another race and answers how many it cancelled.
+    /// frames in seq order, each once, with every push and link frame
+    /// whole between two of them, at the point it was made; no byte
+    /// leaves while the writes are stalled, and after the heal every
+    /// frame does; a cut leaves exactly the first half of its frame and
+    /// then the half is closed; `deliver` and `push` ask for the reactor
+    /// iff output is left, the write failed, or the connection became
+    /// closable, and a link write says whether the stream is still
+    /// whole; a closed half writes nothing; the `conns_active` gauge is
+    /// 1 exactly while a reply is owed; every ring slot comes home; and
+    /// after every step a leg's token is cancelled exactly when its race
+    /// was eliminated on this half, or the half closed, before the leg's
+    /// push retired it — so a retired token is never cancelled later, an
+    /// `ELIMINATE` cancels nothing of another race and answers how many
+    /// it cancelled.
     #[test]
     fn any_delivery_schedule_writes_each_frame_once_in_seq_order() {
         check("write_half_schedules", 2_500, |rng| {
@@ -620,7 +749,7 @@ mod tests {
             let mut undelivered: Vec<u64> = Vec::new();
             let mut delivered = vec![false; n as usize];
             let mut frames: Vec<Vec<u8>> = vec![Vec::new(); n as usize];
-            let (mut read_closed, mut closed) = (false, false);
+            let (mut read_closed, mut closed, mut stalled) = (false, false, false);
             // Every frame released to the queue, in release order: what
             // the wire must be a prefix of.
             let (mut expected, mut released) = (Vec::new(), 0);
@@ -682,13 +811,57 @@ mod tests {
                     read_closed = true;
                     continue;
                 }
+                if rng.chance(0.08) {
+                    // The `.send` site's stall set, or healed.
+                    stalled = !stalled;
+                    state.stalled = stalled;
+                    continue;
+                }
                 if undelivered.is_empty() {
                     break; // the peer stopped sending with nothing owed
                 }
                 w.script.extend(script(rng, fail_p));
                 let wire_before = w.wire.len();
+                if rng.chance(0.05) {
+                    // The `.send` site cuts a link frame: with the socket
+                    // taking everything, exactly its first half leaves.
+                    let whole = !closed && !stalled && !w.failed;
+                    if whole {
+                        w.script = vec![Step::Accept(usize::MAX); 64].into();
+                    }
+                    let bytes = link_frame(step as u64);
+                    if !closed {
+                        expected.extend(&bytes[..bytes.len() / 2]);
+                    }
+                    assert!(
+                        !state.write_link(bytes, true, &mut w),
+                        "a cut breaks the stream"
+                    );
+                    assert!(expected.starts_with(&w.wire), "at most the first half");
+                    if whole {
+                        assert_eq!(w.wire, expected, "exactly the first half");
+                    }
+                    if stalled {
+                        assert_eq!(w.wire.len(), wire_before, "a stalled cut writes nothing");
+                    }
+                    closed = true;
+                    for leg in legs.iter_mut().filter(|l| l.held) {
+                        (leg.held, leg.cancelled) = (false, true);
+                    }
+                    continue;
+                }
                 let running: Vec<usize> = (0..legs.len()).filter(|&k| !legs[k].pushed).collect();
-                let needs_reactor = if !running.is_empty() && rng.chance(0.3) {
+                let needs_reactor = if rng.chance(0.15) {
+                    // A frame of a dialled connection's link: no request
+                    // is owed one, and no leg retired.
+                    let bytes = link_frame(step as u64);
+                    if !closed {
+                        expected.extend(&bytes);
+                    }
+                    let whole = state.write_link(bytes, false, &mut w);
+                    assert_eq!(whole, !closed && !w.failed, "the stream is whole");
+                    None
+                } else if !running.is_empty() && rng.chance(0.3) {
                     // A leg this connection shipped finished, cancelled
                     // or not: its push retires it.
                     let k = *rng.pick(&running);
@@ -698,7 +871,8 @@ mod tests {
                     if !closed {
                         expected.extend(bytes);
                     }
-                    state.push(leg.seq, frame, &mut w)
+                    state.retire(leg.seq);
+                    Some(state.push(frame, &mut w))
                 } else {
                     // A real delivery, or a stray: a duplicate of one
                     // already made, or a seq no request ever had.
@@ -725,7 +899,7 @@ mod tests {
                         expected.extend(frames[released..now_released].concat());
                     }
                     released = now_released;
-                    needs_reactor
+                    Some(needs_reactor)
                 };
 
                 // The model: sequenced frames in seq order, pushes whole
@@ -734,15 +908,23 @@ mod tests {
                     expected.starts_with(&w.wire),
                     "frames whole, in order, once"
                 );
+                if stalled {
+                    assert_eq!(w.wire.len(), wire_before, "no byte leaves while stalled");
+                    let pollout = state.interest(false).is_some_and(|e| e & POLLOUT != 0);
+                    assert!(!pollout, "no POLLOUT while stalled");
+                }
                 if closed {
                     assert_eq!(w.wire.len(), wire_before, "a closed half writes nothing");
-                    assert!(!needs_reactor, "a closed half needs nobody");
+                    assert_ne!(needs_reactor, Some(true), "a closed half needs nobody");
                     continue;
                 }
                 let owed = released as u64 != begun;
                 assert_eq!(stats.conns_active(), u64::from(owed), "active iff owed");
                 let output_left = w.wire.len() < expected.len();
                 let closable = read_closed && !owed && !output_left;
+                let Some(needs_reactor) = needs_reactor else {
+                    continue;
+                };
                 assert_eq!(
                     needs_reactor,
                     w.failed || output_left || closable,
@@ -751,8 +933,10 @@ mod tests {
                 );
             }
 
-            // The reactor's part: POLLOUT until the socket took it all.
+            // The reactor's part: once the stall heals, POLLOUT until the
+            // socket took it all.
             if !closed && !w.failed {
+                state.stalled = false;
                 w.script = vec![Step::Accept(usize::MAX); 64].into();
                 state.flush(&mut w, Some(&mut pool));
                 assert_eq!(w.wire, expected, "every released frame");

@@ -31,9 +31,11 @@
 //!
 //! The front end is a poll-based **reactor** (`reactor.rs`): one event
 //! loop thread multiplexes every connection over non-blocking sockets —
-//! shard 0's every outbound peer link too — so idle connections cost a
-//! file descriptor rather than a thread, and pipelined requests on one
-//! connection are answered in order. The
+//! on shard 0 the ones it dialled to its peers too, the same kind of
+//! connection (`conn.rs`) whose frames go to the peer links instead of
+//! the request path — so idle connections cost a file descriptor rather
+//! than a thread, and pipelined requests on one connection are answered
+//! in order. The
 //! worker that finishes a race writes its reply to the socket itself,
 //! under the connection's write-half lock; the reactor is roused only
 //! for output the socket would not take. The reply path is

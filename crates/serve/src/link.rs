@@ -47,7 +47,7 @@
 //! anything. The shell feeds a `Frame` back as a `Send` like any other
 //! command.
 
-use crate::frame::{Request, Response};
+use crate::frame::{append_frame, Request, Response};
 use crate::peer::{parse_load_line, Cmd, PeerConfig, SendTag};
 use crate::remote;
 use std::collections::{BTreeMap, VecDeque};
@@ -257,9 +257,11 @@ impl LinkTable {
         self.links.values().filter_map(|l| l.alarm(probe)).min()
     }
 
-    /// One frame for one link. An up link encodes it onto its stream
-    /// and holds its tag at the back of the FIFO, where the frame's
-    /// reply will find it.
+    /// One frame for one link. An up link encodes it onto its stream —
+    /// through the one frame writer, whose `MAX_FRAME` check refuses a
+    /// frame too big for any peer as a down link refuses it — and holds
+    /// its tag at the back of the FIFO, where the frame's reply will
+    /// find it.
     fn send(&mut self, cmd: Cmd, now: Instant, out: &mut Vec<Action>) {
         let Some(link) = self.links.get_mut(&cmd.addr) else {
             return refuse(&cmd.addr, cmd.tag, out);
@@ -274,10 +276,10 @@ impl LinkTable {
             // primes a fresh one.)
             return refuse(&cmd.addr, cmd.tag, out);
         };
-        let body = cmd.req.encode();
-        let mut bytes = Vec::with_capacity(4 + body.len());
-        bytes.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        bytes.extend_from_slice(&body);
+        let mut bytes = Vec::new();
+        if append_frame(&mut bytes, |b| b.extend_from_slice(&cmd.req.encode())).is_err() {
+            return refuse(&cmd.addr, cmd.tag, out);
+        }
         pending.push_back((cmd.tag, now));
         out.push(Action::Write(cmd.addr, bytes));
     }
@@ -1532,6 +1534,51 @@ mod tests {
             matches!(&acked[..], [Action::Stat(_, Stat::Rtt(2_000))]),
             "{acked:?}"
         );
+    }
+
+    /// A link's request goes out through the one frame writer: the
+    /// largest any `Request` can be — a `COMMIT_VOTE` whose two names
+    /// are each cut to 65 535 bytes, 131 083 bytes of body — is one whole
+    /// frame the decoder reads back, and holds its tag until its reply
+    /// answers it. No request reaches `MAX_FRAME`, so none can show the
+    /// writer's refusal of one that would.
+    #[test]
+    fn a_request_goes_out_as_one_frame_of_the_shared_writer() {
+        let t0 = Instant::now();
+        let mut table = LinkTable::new(&config(&["c0:1"], 1500), t0);
+        assert_eq!(drive(&mut table, t0, 0, true), [(0, "dial")]);
+        table.step(heartbeat_reply("c0:1"), t0);
+        let long = "x".repeat(70_000);
+        let req = Request::CommitVote {
+            race_id: 4,
+            origin: long.clone(),
+            candidate: long,
+        };
+        let (addr, tag, reply) = ("c0:1".to_owned(), tag_of(&req), reply_to(&req));
+        let written = table.step(Event::Send(Cmd { addr, req, tag }), t0 + ms(1));
+        let [Action::Write(_, bytes)] = &written[..] else {
+            panic!("one write: {written:?}");
+        };
+        let mut decoder = FrameDecoder::new();
+        decoder.extend(bytes);
+        let body = decoder.next_frame().expect("well framed").expect("whole");
+        assert_eq!((body.len(), decoder.buffered()), (131_083, 0));
+        let sent = Request::decode(&body).expect("a request");
+        assert!(matches!(sent, Request::CommitVote { race_id: 4, .. }));
+        let addr = "c0:1".to_owned();
+        let answered = table.step(
+            Event::Reply {
+                addr,
+                resp: Some(reply),
+            },
+            t0 + ms(2),
+        );
+        let vote = |a: &Action| match a {
+            Action::Race(4, remote::Event::Vote { granted, .. }) => *granted == grants(4),
+            _ => false,
+        };
+        let paired = matches!(&answered[..], [Action::Stat(_, Stat::Rtt(_)), v] if vote(v));
+        assert!(paired, "{answered:?}");
     }
 
     /// A redial carries nothing of the connection before it: an

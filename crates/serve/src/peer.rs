@@ -10,7 +10,7 @@
 //!
 //! All outbound traffic runs on **reactor shard 0**, between its other
 //! events, split the way the race registry and the run queue are: a
-//! pure **core** and a **shell** that owns the sockets.
+//! pure **core** and a **shell** that does what it says.
 //!
 //! * [`crate::link::LinkTable`] is the core — everything about a link
 //!   that is not a socket, behind `step(event, now) -> Vec<Action>` and
@@ -24,49 +24,45 @@
 //!   is in [`PeerStatsTable::up_peers`], which placement and voter
 //!   freezing read, only while its link answers. INTERNALS § *Failure
 //!   matrix* maps failures to outcomes.
-//! * [`PeerLinks`] is the shell, held by shard 0's reactor: a
-//!   non-blocking `connect` per dial, `read` into a [`FrameDecoder`],
-//!   out-buffers and `write`, the chaos shim's draw at the two wire
-//!   sites, and doing what the core's actions say. It has no loop of
-//!   its own — its sockets are entries of shard 0's poll set, its
-//!   clocks bound that shard's poll timeout — and nothing it does
-//!   blocks: every `--peer` name is resolved once, at start-up, before
-//!   shard 0 starts. A daemon with no `--peer` has no peer links at all.
+//! * [`PeerLinks`] is the shell, held by shard 0's reactor: the
+//!   resolved addresses, each link's write half and the clocks, and the
+//!   turn that takes the command queue. It does no socket I/O. A link's
+//!   connection is a *dialled* connection of `conn.rs` in shard 0's one
+//!   connection map, polled, read and written there like an accepted
+//!   one; its frames, its dial and its close come back to the core
+//!   through [`PeerLinks::step`], and the core's writes go out through
+//!   its write half. It has no
+//!   loop of its own — its clocks bound shard 0's poll timeout — and
+//!   nothing it does blocks: every `--peer` name is resolved once, at
+//!   start-up, before shard 0 starts. A daemon with no `--peer` has no
+//!   peer links at all.
 //!
 //! Reactor shards and pool workers never touch a peer socket — they
 //! push a [`Cmd`] onto the [`PeerHandle`] and write one byte to shard
 //! 0's wake channel. A daemon with no peer traffic pays nothing for
 //! the plane on its request path: no poll entry, no lock, no clock.
 //!
-//! All link I/O runs through the seeded network chaos shim
-//! (`altx::faults` sites `peer.link.<addr>.send` / `.recv`), which does
-//! to a link only what TCP can, deterministically per seed: with a
-//! fault plan installed, a write or a frame read may come late — shard
-//! 0 sleeps, stalling every connection and link it serves, for the
-//! delay's length — or the connection may be cut mid-frame; and a test
-//! may stall one direction of a link, its writes held or nothing read,
-//! while the connection stays open. The core sees each as time passing
-//! or as `Closed`, never as a frame lost, doubled or reordered. With no
-//! plan installed the shim is one relaxed atomic load per frame.
+//! The seeded network chaos shim (`altx::faults` sites
+//! `peer.link.<addr>.send` / `.recv`) sits in a dialled connection's
+//! write and read halves (`conn.rs`) and does to a link only what TCP
+//! can; the core sees each of its faults as time passing or as
+//! `Closed`, never as a frame lost, doubled or reordered.
 
-use crate::frame::{FrameDecoder, Request, Response};
+use crate::conn::{Conn, WriteHalf};
+use crate::frame::Request;
 use crate::link::{Action, Event, LinkTable, Stat};
 use crate::reactor::ReactorShared;
 use crate::remote::{RaceTable, RemoteRaces};
-use crate::sys::{connect_nonblocking, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use altx::faults::{self, NetFault};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Peering knobs, carried in [`crate::ServerConfig`]. An empty peer
 /// list (the default) disables remote dispatch entirely: the placement
-/// never ships, and shard 0 has no peer socket to poll.
+/// never ships, and shard 0 dials nothing.
 #[derive(Debug, Clone)]
 pub struct PeerConfig {
     /// Peer daemon addresses (`host:port`), one outbound link each.
@@ -412,29 +408,19 @@ impl PeerHandle {
     }
 }
 
-/// One outbound socket: all the shell knows about a link.
-struct Conn {
-    stream: TcpStream,
-    /// The connect is still out: writability says it is done.
-    dialling: bool,
-    decoder: FrameDecoder,
-    /// Bytes the socket has not taken yet.
-    out: Vec<u8>,
-}
-
-/// Shard 0's peer links: every outbound socket, and the link core that
-/// says what to do with them. Shard 0's reactor polls the sockets among
-/// its own ([`PeerLinks::poll_set`]) and then hands the peer plane its
-/// turn ([`PeerLinks::turn`]).
+/// Shard 0's peer links: the link core, and the shell that does what it
+/// says. A link's connection is a dialled connection in shard 0's map
+/// (`conn.rs`); the reactor hands what it does to [`PeerLinks::step`].
 pub(crate) struct PeerLinks {
     races: Arc<RemoteRaces>,
     table: LinkTable,
-    /// One entry per link with a dial out or a stream up.
-    conns: HashMap<String, Conn>,
     /// Where each configured peer's name resolved to, at start-up.
     resolved: HashMap<String, SocketAddr>,
-    /// The address behind each entry `poll_set` added, in order.
-    polled: Vec<String>,
+    /// The write half of each link's connection — its one dial out or
+    /// stream up. Closing it hangs up: the reactor's next look reclaims.
+    dials: HashMap<String, Arc<WriteHalf>>,
+    /// Connections dialled since the reactor last took them in.
+    pub(crate) dialled: Vec<Conn>,
     /// The earliest clock of the core or the race table, as of the last
     /// peer work. Nothing else moves it earlier: a race opened on any
     /// shard ships an `EXEC_ALT` at once, which queues a command.
@@ -454,50 +440,35 @@ impl PeerLinks {
             races,
             due: table.next_deadline(),
             table,
-            conns: HashMap::new(),
             resolved: config.peers.iter().filter_map(resolve).collect(),
-            polled: Vec::new(),
+            dials: HashMap::new(),
+            dialled: Vec::new(),
         }
     }
 
-    /// Adds one entry per socket to shard 0's poll set — none when there
-    /// is no socket: `POLLOUT` while a dial is out, `POLLIN` (and
-    /// `POLLOUT` with output waiting) once the link is up, each unless
-    /// its direction is stalled. Returns when the poll must end for the
-    /// peer plane, if ever.
-    pub(crate) fn poll_set(&mut self, fds: &mut Vec<PollFd>) -> Option<Instant> {
-        self.polled.clear();
-        for (addr, conn) in &self.conns {
-            let events = if conn.dialling {
-                POLLOUT
-            } else {
-                let reads = !stalled(addr, "recv");
-                let writes = !conn.out.is_empty() && !stalled(addr, "send");
-                (if reads { POLLIN } else { 0 }) | (if writes { POLLOUT } else { 0 })
-            };
-            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-            self.polled.push(addr.clone());
-        }
+    /// When the poll must end for the peer plane, if ever.
+    pub(crate) fn due(&self) -> Option<Instant> {
         self.due
     }
 
-    /// One shard-0 turn of peer work: the sockets `ready` reports (the
-    /// entries `poll_set` added), then what is queued if the wake byte
-    /// was read, then the clocks if due. Sockets go first, so no dial
-    /// starts before the readiness of a socket it might replace is spent.
-    pub(crate) fn turn(&mut self, woken: bool, ready: &[PollFd]) {
-        let mut busy = false;
-        let polled = std::mem::take(&mut self.polled);
-        for (fd, addr) in ready.iter().zip(&polled) {
-            if fd.revents != 0 {
-                busy = true;
-                self.ready(addr, fd.revents);
-            }
+    /// What a link's connection did, for the core: `Dialed` when its
+    /// connect is done, `Reply` per frame, `Closed` once it ended.
+    pub(crate) fn step(&mut self, event: Event) {
+        if let Event::Dialed {
+            addr,
+            connected: false,
+        } = &event
+        {
+            self.hang_up(addr);
         }
-        self.polled = polled;
-        if woken {
-            busy |= self.offer_queued();
-        }
+        self.feed(event);
+        self.due = self.next_due();
+    }
+
+    /// Shard 0's turn of peer work, after its connections': what is
+    /// queued if the wake byte was read, then the clocks if due.
+    pub(crate) fn turn(&mut self, woken: bool) {
+        let mut busy = woken && self.offer_queued();
         if self.due.is_some_and(|due| due <= Instant::now()) {
             busy = true;
             self.feed(Event::Tick);
@@ -509,7 +480,7 @@ impl PeerLinks {
     }
 
     /// The daemon drains: every open distributed race is decided now,
-    /// and the frames that queued go to the sockets, best effort.
+    /// and the frames that queued go to the connections, best effort.
     pub(crate) fn drain(&mut self) {
         self.races.drive(RaceTable::flush);
         self.offer_queued();
@@ -539,14 +510,17 @@ impl PeerLinks {
         for action in self.table.step(event, Instant::now()) {
             match action {
                 Action::Dial(addr) => self.dial(addr),
-                Action::Abandon(addr) => {
-                    self.conns.remove(&addr);
-                }
+                Action::Abandon(addr) => self.hang_up(&addr),
                 Action::Frame(cmd) => self.feed(Event::Send(cmd)),
-                Action::Write(addr, bytes) => self.write(addr, bytes),
+                Action::Write(addr, bytes) => {
+                    let half = self.dials.get(&addr);
+                    if half.is_some_and(|half| !half.write_link(bytes)) {
+                        self.feed(Event::Closed(addr));
+                    }
+                }
                 Action::Race(race_id, event) => self.races.step(race_id, event),
                 Action::Down(addr) => {
-                    self.conns.remove(&addr);
+                    self.hang_up(&addr);
                     self.races.drive(|table, now| table.peer_down(&addr, now));
                 }
                 Action::Stat(addr, stat) => {
@@ -558,154 +532,27 @@ impl PeerLinks {
         }
     }
 
-    /// Starts a non-blocking connect to `addr`, answered when its socket
-    /// says how it went — or at once, for a name that did not resolve at
-    /// start-up or a refusal the kernel knows right away.
+    /// Starts a dial to `addr`, answered when its connection says how it
+    /// went — or at once, for a name that did not resolve at start-up or
+    /// a refusal the kernel knows right away.
     fn dial(&mut self, addr: String) {
-        match self.resolved.get(&addr).copied().map(connect_nonblocking) {
-            Some(Ok(stream)) => {
-                let conn = Conn {
-                    stream,
-                    dialling: true,
-                    decoder: FrameDecoder::new(),
-                    out: Vec::new(),
-                };
-                self.conns.insert(addr, conn);
-            }
-            _ => self.feed(Event::Dialed {
+        let to = self.resolved.get(&addr).copied();
+        let Some(Ok(conn)) = to.map(|to| Conn::dial(addr.clone(), to)) else {
+            return self.feed(Event::Dialed {
                 addr,
                 connected: false,
-            }),
-        }
-    }
-
-    /// One socket the poll found ready: a dial that is done, or a
-    /// stream to read and to write.
-    fn ready(&mut self, addr: &str, revents: i16) {
-        // Gone once the core has closed the link this turn.
-        let Some(conn) = self.conns.get_mut(addr) else {
-            return;
+            });
         };
-        if conn.dialling {
-            let connected = matches!(conn.stream.take_error(), Ok(None))
-                && conn.stream.set_nodelay(true).is_ok();
-            if connected {
-                conn.dialling = false;
-            } else {
-                self.conns.remove(addr);
-            }
-            let addr = addr.to_owned();
-            return self.feed(Event::Dialed { addr, connected });
-        }
-        let failed = revents & (POLLERR | POLLHUP) != 0;
-        if failed && stalled(addr, "recv") {
-            // Nothing is read, so nothing else would find the failure.
-            return self.feed(Event::Closed(addr.to_owned()));
-        }
-        if revents & POLLIN != 0 || failed {
-            self.read_link(addr);
-        }
-        if revents & POLLOUT != 0 {
-            self.flush_link(addr);
-        }
+        self.dials.insert(addr, Arc::clone(conn.write_half()));
+        self.dialled.push(conn);
     }
 
-    /// Appends one frame to the link's stream and writes what the
-    /// socket takes, after the `peer.link.<addr>.send` chaos site's draw
-    /// for it: a cut puts the first half of the frame on the wire and
-    /// closes the link, a crash mid-write.
-    fn write(&mut self, addr: String, mut bytes: Vec<u8>) {
-        let cut = wire_fault(&addr, "send") == Some(NetFault::Truncate);
-        if cut {
-            bytes.truncate(bytes.len() / 2);
-        }
-        if let Some(conn) = self.conns.get_mut(&addr) {
-            conn.out.extend_from_slice(&bytes);
-        }
-        self.flush_link(&addr);
-        if cut {
-            self.feed(Event::Closed(addr));
+    /// Closes the connection of `addr`'s link, if it has one.
+    fn hang_up(&mut self, addr: &str) {
+        if let Some(half) = self.dials.remove(addr) {
+            half.close();
         }
     }
-
-    /// Reads everything the link has, unless its reads are stalled: each
-    /// whole frame goes to the core as one reply — or, when the
-    /// `peer.link.<addr>.recv` chaos site's draw for it is a cut, as a
-    /// close instead; the end of the stream goes to it as a close.
-    fn read_link(&mut self, addr: &str) {
-        if stalled(addr, "recv") {
-            return;
-        }
-        let mut buf = [0u8; 8192];
-        loop {
-            // Gone once the core has closed the link.
-            let Some(conn) = self.conns.get_mut(addr) else {
-                return;
-            };
-            match conn.decoder.next_frame() {
-                Ok(Some(body)) => {
-                    let addr = addr.to_owned();
-                    self.feed(match wire_fault(&addr, "recv") {
-                        Some(NetFault::Truncate) => Event::Closed(addr),
-                        _ => Event::Reply {
-                            addr,
-                            resp: Response::decode(&body).ok(),
-                        },
-                    });
-                    continue;
-                }
-                Ok(None) => {}
-                Err(_) => return self.feed(Event::Closed(addr.to_owned())),
-            }
-            match conn.stream.read(&mut buf) {
-                Ok(0) => return self.feed(Event::Closed(addr.to_owned())),
-                Ok(n) => conn.decoder.extend(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return self.feed(Event::Closed(addr.to_owned())),
-            }
-        }
-    }
-
-    /// Writes as much buffered output as the socket takes, unless the
-    /// link's writes are stalled; a socket that takes no more goes to
-    /// the core as a close.
-    fn flush_link(&mut self, addr: &str) {
-        let Some(conn) = self.conns.get_mut(addr).filter(|_| !stalled(addr, "send")) else {
-            return;
-        };
-        while !conn.out.is_empty() {
-            match conn.stream.write(&conn.out) {
-                Ok(n) if n > 0 => {
-                    conn.out.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                _ => return self.feed(Event::Closed(addr.to_owned())),
-            }
-        }
-    }
-}
-
-/// The chaos shim's draw for one frame at `peer.link.<addr>.<site>`
-/// (`send` or `recv`). A delay is served here, by shard 0 sleeping
-/// (only under a fault plan: 2 ms at most by default); a cut is the
-/// caller's to apply.
-fn wire_fault(addr: &str, site: &str) -> Option<NetFault> {
-    if !faults::enabled() {
-        return None;
-    }
-    let fault = faults::inject_net(&format!("peer.link.{addr}.{site}"));
-    if let Some(NetFault::Delay(d)) = fault {
-        std::thread::sleep(d);
-    }
-    fault
-}
-
-/// Whether the chaos plan stalls `peer.link.<addr>.<site>`. Asked only
-/// under a fault plan, so a daemon with none formats no site name.
-fn stalled(addr: &str, site: &str) -> bool {
-    faults::enabled() && faults::stalled(&format!("peer.link.{addr}.{site}"))
 }
 
 /// The load line an executor appends to its `PEER_STATS` reply — the
@@ -742,6 +589,7 @@ pub(crate) fn parse_load_line(body: &str) -> Option<(u64, u64, u64)> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::frame::Response;
 
     /// Marks `stat`'s link up, as the link core does once it connects.
     pub(crate) fn mark_up(stat: &PeerStat) {

@@ -37,6 +37,11 @@
 //!   it; an elimination cancels tokens, so it is an action. The
 //!   [`Reactor`] is the shell: poll, accept, read, decode,
 //!   [`Shard::step`], perform the action, close.
+//! * **One kind of connection** (`conn.rs`): shard 0's peer links are
+//!   connections it dialled, in the one map, polled, read and written
+//!   like the accepted ones; their frames, dial and close go to
+//!   [`PeerLinks`] instead of [`Shard::step`]. A hang-up ends any
+//!   connection once what the peer wrote before it is handled.
 //! * **sys** (`sys.rs`): the C library calls std does not wrap.
 //! * **Clocks**: every thread that runs a shard sets its own timer
 //!   slack to 1 ns first thing ([`tighten_timer_slack`]), and so does a
@@ -48,8 +53,7 @@
 //!   — ends when it says, not the kernel's default 50 µs later. A
 //!   shard waits for its 250 ms backstop and reads no time, except
 //!   shard 0 while its peer links ([`PeerLinks`]) have something due;
-//!   their sockets are entries of its poll set, their commands arrive
-//!   on its wake channel.
+//!   their commands arrive on its wake channel.
 //! * **A race carries its reply slot** ([`Flight`]): the one reply slot
 //!   a queued or distributed race owes and its shard's delivery handle
 //!   ([`ReactorShared`]: ring, wake channel, `draining`), *moved* to
@@ -97,19 +101,20 @@
 //! * **Drain ordering** (shutdown): (1) stop accepting and stop
 //!   reading new requests, (2) keep polling while in-flight races
 //!   deliver their replies, (3) close each connection once its last
-//!   owed reply is written, (4) when the last shard has no connections
-//!   left, close the queue and wait out the pool's running slots. No
-//!   admitted request goes unanswered. Step (3) is a handshake: the
-//!   reactor publishes `draining` *then* looks at each write half under
-//!   its lock; an answer delivers under that lock *then* reads the flag
-//!   — so either it sees the flag and rouses the reactor, or its
-//!   delivery came before the look and the reactor saw a drained
-//!   connection.
+//!   owed reply is written, (4) when the last shard has no client
+//!   connections left (dialled ones read on), close the queue and wait
+//!   out the pool's running slots. No admitted request goes unanswered.
+//!   Step (3) is a handshake: the reactor publishes `draining` *then*
+//!   looks at each write half under its lock; an answer delivers under
+//!   that lock *then* reads the flag — so either it sees the flag and
+//!   rouses the reactor, or its delivery came before the look and the
+//!   reactor saw a drained connection.
 
 use crate::bufpool::BufPool;
 use crate::commit::CommitLedger;
 use crate::conn::{Conn, ReplySlot, WriteHalf};
 use crate::frame::{exec_alt_frame_len, FrameError, Request, Response};
+use crate::link::Event;
 use crate::peer::{load_line, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
 use crate::pool::JobMeta;
@@ -306,6 +311,8 @@ pub(crate) struct Reactor {
     shard: Shard,
     stats: Arc<ShardStats>,
     bufs: BufPool,
+    /// Every connection: the accepted ones and, on shard 0, the ones its
+    /// peer links dialled.
     conns: HashMap<u64, Conn>,
     next_conn: u64,
     /// Shard 0's outbound peer links (`peer.rs`); `None` on every other
@@ -569,13 +576,14 @@ impl Reactor {
             }
 
             // Poll set: wake channel first, this shard's own listener
-            // second (only while accepting), then every connection —
-            // one look at each write half per turn gives its poll
-            // interest or says it is done, and a done connection is
+            // second (only while accepting), then every connection,
+            // accepted or dialled — one look at each per turn gives its
+            // poll interest or says it is done, and a done connection is
             // reclaimed here, before the poll, never parked until some
-            // future accept. POLLOUT interest is re-derived from the
-            // unflushed output every turn, so a write that drained
-            // since (on whichever thread) is deregistered immediately.
+            // future accept (a dialled one's link hears it closed).
+            // POLLOUT interest is re-derived from the unflushed output
+            // every turn, so a write that drained since (on whichever
+            // thread) is deregistered immediately.
             fds.clear();
             ids.clear();
             fds.push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
@@ -586,30 +594,25 @@ impl Reactor {
                 fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
             }
             let conn_fds_start = fds.len();
-            self.conns
-                .retain(|&id, conn| match conn.write_half().interest(draining) {
+            let mut done = Vec::new();
+            for (&id, conn) in &self.conns {
+                match conn.interest(draining) {
                     Some(events) => {
                         fds.push(PollFd::new(conn.stream().as_raw_fd(), events));
                         ids.push(id);
-                        true
                     }
-                    None => {
-                        self.stats.on_conn_close();
-                        self.accept_failed = None;
-                        false
-                    }
-                });
-            if draining && self.conns.is_empty() {
+                    None => done.push(id),
+                }
+            }
+            done.into_iter().for_each(|id| self.close(id));
+            // The drain ends with the clients: the links read on.
+            let mut clients = self.conns.values().map(Conn::write_half);
+            if draining && clients.all(|half| half.link.is_some()) {
                 break;
             }
-            // Shard 0's peer sockets last, and its peer clocks: with no
-            // socket there is no entry, and with nothing due no clock is
-            // read — the backstop is the only timeout.
-            let links_fds_start = fds.len();
-            let due = self
-                .links
-                .as_mut()
-                .and_then(|links| links.poll_set(&mut fds));
+            // Shard 0's peer clocks: with nothing due no clock is read —
+            // the backstop is the only timeout.
+            let due = self.links.as_ref().and_then(PeerLinks::due);
             let timeout = due.map_or(POLL_BACKSTOP, |due| {
                 poll_timeout(due, POLL_BACKSTOP, Instant::now())
             });
@@ -636,7 +639,11 @@ impl Reactor {
                 }
             }
             if let Some(links) = &mut self.links {
-                links.turn(woken, &fds[links_fds_start..]);
+                links.turn(woken);
+                for conn in links.dialled.drain(..) {
+                    self.conns.insert(self.next_conn, conn);
+                    self.next_conn += 1;
+                }
             }
 
             if accepting && fds[1].revents & POLLIN != 0 {
@@ -675,28 +682,32 @@ impl Reactor {
     }
 
     /// Dispatches poll readiness for one connection. The one look-up by
-    /// connection id: everything below is handed the write half.
+    /// connection id: everything below is handed the write half. A
+    /// dialled connection's frames, dial and end go to its link.
     fn handle_conn_event(&mut self, id: u64, revents: i16) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         let half = Arc::clone(conn.write_half());
-        if revents & (POLLERR | POLLHUP | POLLNVAL) != 0 {
-            // The peer is gone in both directions: no reply can be
-            // delivered, so the state is reclaimed eagerly. In-flight
-            // races keep running; their deliveries find the write half
-            // closed and drop.
-            self.close(id);
-            return;
+        if conn.dialling {
+            let connected = conn.finish_dial();
+            return self.tell_link(&half, |addr| Event::Dialed { addr, connected });
         }
-        if revents & POLLIN != 0 {
+        // A hang-up ends the connection once the frames the peer wrote
+        // before it (a FIN, or a reset) are handled. In-flight races
+        // keep running; their deliveries find the write half closed.
+        let hung_up = revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
+        if revents & POLLIN != 0 || hung_up {
             let Ok(read) = conn.on_readable(&mut self.bufs) else {
-                self.close(id);
-                return;
+                return self.close(id);
             };
-            let mut reading = true;
+            let (link, ended) = (half.link.is_some(), read.eof || read.error.is_some());
+            let mut reading = !link;
             for body in read.frames {
-                if reading {
+                if link {
+                    let resp = Response::decode(&body).ok();
+                    self.tell_link(&half, |addr| Event::Reply { addr, resp });
+                } else if reading {
                     reading = self.decide(&half, Request::decode(&body));
                 }
                 self.bufs.put(body);
@@ -705,6 +716,9 @@ impl Reactor {
                 // One last reply; the read half already stopped reading
                 // and the drain logic closes the connection behind it.
                 self.decide(&half, Err(e));
+            }
+            if hung_up || (link && ended) {
+                return self.close(id);
             }
         }
         // A POLLOUT event for a connection with nothing left to write
@@ -851,12 +865,24 @@ impl Reactor {
 
     /// Drops one connection's state, closing its write half so that
     /// races still in flight for it deliver to nobody and the legs
-    /// shipped on it are cancelled.
+    /// shipped on it are cancelled — or its link hears it closed.
     fn close(&mut self, id: u64) {
-        if let Some(conn) = self.conns.remove(&id) {
-            conn.write_half().close();
+        let Some(conn) = self.conns.remove(&id) else {
+            return;
+        };
+        let half = conn.write_half();
+        half.close();
+        self.accept_failed = None;
+        if half.link.is_none() {
             self.stats.on_conn_close();
-            self.accept_failed = None;
+        }
+        self.tell_link(half, Event::Closed);
+    }
+
+    /// Hands what a dialled connection did to its link.
+    fn tell_link(&mut self, half: &WriteHalf, event: impl FnOnce(String) -> Event) {
+        if let (Some(addr), Some(links)) = (&half.link, &mut self.links) {
+            links.step(event(addr.clone()));
         }
     }
 }

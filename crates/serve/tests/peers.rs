@@ -12,7 +12,7 @@ use altx_serve::frame::{read_frame, write_frame, FrameError, Request, Response, 
 use altx_serve::server::{start, ServerConfig, ServerHandle};
 use altx_serve::telemetry::Metric;
 use altx_serve::{workload, Client, PeerConfig};
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -692,6 +692,77 @@ fn a_peer_that_never_answers_the_handshake_holds_up_no_other_link() {
         longest < DIAL,
         "the live link went {longest:?} without a heartbeat: a blackhole dial held it up"
     );
+}
+
+/// A link's last frames before its end reach the link core. A
+/// byte-level fake executor answers each frame of the origin's link
+/// (the priming heartbeat puts it in service) until an `EXEC_ALT`
+/// arrives; then it waits until the origin has sent one more frame —
+/// the race's `COMMIT_VOTE` once its local alternative finished, or a
+/// heartbeat — and, leaving that unread, in one write acks the
+/// `EXEC_ALT` and pushes the leg's winning `ALT_RESULT`, and closes.
+/// Closing over an unread frame resets the connection, so the origin's
+/// poll may report the hang-up with the two frames still unread: they
+/// must be read and handled before the close is. The race takes the
+/// result (`remote results` +1, `remote failed` +0) and the client gets
+/// its one reply.
+#[test]
+fn a_links_last_frames_before_its_end_reach_the_core() {
+    let _guard = serial();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the fake executor");
+    let fake_addr = listener.local_addr().expect("fake addr");
+    let fake = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("the origin dials in");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let ack = Response::Text {
+            body: "ok\n".to_owned(),
+        };
+        loop {
+            let body = read_frame(&mut conn)
+                .expect("a frame")
+                .expect("not a close");
+            let Ok(Request::ExecAlt {
+                race_id, alt_idx, ..
+            }) = Request::decode(&body)
+            else {
+                write_frame(&mut conn, &ack.encode()).expect("answer");
+                continue;
+            };
+            conn.peek(&mut [0u8; 1])
+                .expect("one more frame from the origin");
+            let result = Response::AltResult {
+                race_id,
+                alt_idx,
+                status: ALT_OK,
+                value: 777,
+                latency_us: 10,
+            };
+            let mut last = Vec::new();
+            write_frame(&mut last, &ack.encode()).expect("encode the ack");
+            write_frame(&mut last, &result.encode()).expect("encode the result");
+            conn.write_all(&last).expect("the last write");
+            return;
+        }
+    });
+
+    let origin = node(vec![fake_addr.to_string()], 1);
+    wait_for(&origin, "the link in service", |s| s[Metric::PeersUp] == 1);
+    let mut client = Client::connect(origin.local_addr()).expect("connect origin");
+    match client.run("trivial", 5, 0).expect("one reply") {
+        Response::Ok { .. } => {}
+        other => panic!("unexpected reply: {other:?}"),
+    }
+    fake.join().expect("fake executor thread");
+    wait_for(&origin, "the link's close", |s| s[Metric::PeersUp] == 0);
+    let s = origin.telemetry().snapshot();
+    assert_eq!(s[Metric::RemoteDispatched], 1, "one leg shipped");
+    assert_eq!(
+        (s[Metric::RemoteResults], s[Metric::RemoteFailed]),
+        (1, 0),
+        "the result written before the close must reach the race"
+    );
+    origin.shutdown();
 }
 
 /// Ships alternative 0 of `sleep` for 5 s as race `race_id` on a fresh

@@ -184,9 +184,9 @@ cargo test -q -p altx-serve --lib pool::tests::any_schedule_runs_every_admitted_
 # all behind step(event, now) -> actions — so the wire's interleavings
 # are seeds too: 2 500 schedules of commands (to peers and to
 # addresses outside the peer list), dial outcomes, replies,
-# hang-ups, ticks and send- and recv-side faults against model peers
-# running the real frame decoder, which push each admitted leg's result
-# on the same stream — a push pops no tag. A failure prints the
+# hang-ups, ticks, stalled peers and listening toggles against model
+# peers running the real frame decoder, which push each admitted leg's
+# result on the same stream — a push pops no tag. A failure prints the
 # altx_check seed that replays it.
 echo "==> peer-link schedule property (2500 seeded schedules, virtual time, no sockets)"
 cargo test -q -p altx-serve --lib link::tests::any_schedule_keeps_every_link_rule
