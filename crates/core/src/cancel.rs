@@ -410,11 +410,12 @@ mod tests {
     #[test]
     fn sleeper_leaves_at_the_deadline_not_at_its_own_end() {
         let t = CancelToken::with_deadline(Duration::from_millis(20));
-        let start = Instant::now();
+        let deadline = t.deadline().expect("has deadline");
         assert!(!t.sleep(Duration::from_secs(10)));
-        let took = start.elapsed();
-        assert!(took >= Duration::from_millis(20), "left early: {took:?}");
-        assert!(took < Duration::from_millis(20) + WOKEN_WITHIN, "{took:?}");
+        let back = Instant::now();
+        assert!(back >= deadline, "left {:?} early", deadline - back);
+        let late = back - deadline;
+        assert!(late < WOKEN_WITHIN, "back {late:?} after the deadline");
         assert!(t.deadline_expired());
     }
 

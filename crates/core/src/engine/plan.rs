@@ -120,6 +120,22 @@ impl LaunchPlan {
         self
     }
 
+    /// This plan with alternative `i` held back until at least
+    /// `at_least[i]` after race start: its offset becomes the larger of
+    /// the two. A lead held back is no lead, as an excluded one is not.
+    pub fn holding_back(mut self, at_least: &[Duration]) -> Self {
+        if self.offsets.len() < at_least.len() {
+            self.offsets.resize(at_least.len(), Duration::ZERO);
+        }
+        for (mine, &floor) in self.offsets.iter_mut().zip(at_least) {
+            *mine = (*mine).max(floor);
+        }
+        if self.lead.is_some_and(|lead| !self.offset(lead).is_zero()) {
+            self.lead = None;
+        }
+        self
+    }
+
     /// This plan with at most `width` bodies running at once — the
     /// paper's *virtual concurrency* case (§4.2), where alternatives
     /// share hardware.
@@ -255,6 +271,25 @@ mod tests {
             hedged,
             "excluding nobody changes nothing"
         );
+    }
+
+    #[test]
+    fn holding_back_keeps_the_later_offset_and_drops_a_held_lead() {
+        let ms = Duration::from_millis;
+        let hedged = LaunchPlan::from_offsets(vec![Duration::ZERO, ms(5), ms(5)]);
+        let held = hedged.holding_back(&[Duration::ZERO, ms(20), ms(1)]);
+        assert_eq!(
+            (0..3).map(|i| held.offset(i)).collect::<Vec<_>>(),
+            [ms(0), ms(20), ms(5)]
+        );
+        assert_eq!(held.staggered(), 2);
+        let led = LaunchPlan::favourite_first(3, 0).holding_back(&[Duration::ZERO, ms(20)]);
+        assert_eq!(led.lead(), Some(0), "a lead nobody holds back stays");
+        assert_eq!(led.staggered(), 1);
+        let dropped = LaunchPlan::favourite_first(3, 1).holding_back(&[Duration::ZERO, ms(20)]);
+        assert_eq!(dropped.lead(), None, "a held-back lead is no lead");
+        let longer = LaunchPlan::immediate(2).holding_back(&[Duration::ZERO; 3]);
+        assert!(longer.is_immediate(), "holding nobody back changes nothing");
     }
 
     #[test]

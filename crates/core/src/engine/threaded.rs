@@ -5,7 +5,6 @@ use crate::cancel::CancelToken;
 use crate::engine::crew::{crew, Job};
 use crate::engine::{Engine, LaunchPlan};
 use crate::faults;
-use crate::wake;
 use altx_pager::AddressSpace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -48,8 +47,9 @@ use std::time::{Duration, Instant};
 /// all the same.
 ///
 /// Every wait on a clock in a race — a body's [`CancelToken::sleep`], the
-/// caller's wait for a hedge's release, the crew's release watcher — is
-/// a [led](crate::wake) wait: it asks the kernel early by what this
+/// caller's wait for a hedge's release (the same sleep, so a cancel from
+/// outside the race ends it), the crew's release watcher — is a
+/// [led](crate::wake) wait: it asks the kernel early by what this
 /// process's timer wake-ups have measured late and covers the remainder
 /// awake, off its lock. That moves *when* a waiter is running again,
 /// never what it may do then: no alternative is claimed before its
@@ -415,21 +415,15 @@ impl ThreadedEngine {
                     state = race.lock();
                 }
                 Next::At(release) => {
-                    // A deadline cancels the token without signalling.
-                    let until = token.deadline().map_or(release, |d| d.min(release));
-                    let now = Instant::now();
-                    if wake::in_tail(until, now) {
-                        // Too close to sleep towards: the rest is covered
-                        // awake and off the race's lock, so a hedge fires
-                        // when its plan says. A decision cancels the
-                        // token; `claim_next` reads the clock itself and
-                        // claims nothing before its release.
-                        drop(state);
-                        wake::finish_awake(until, |_| !token.is_cancelled());
-                        state = race.lock();
-                    } else {
-                        state = wake::park(&race.changed, state, until, now).0;
-                    }
+                    // Everything due is claimed, so only a decision or a
+                    // cancel from outside can end this wait early, and
+                    // each cancels the token: the token's own led sleep
+                    // ends at the release, the deadline or the cancel.
+                    // `claim_next` reads the clock itself and claims
+                    // nothing before its release.
+                    drop(state);
+                    token.sleep(release.saturating_duration_since(Instant::now()));
+                    state = race.lock();
                 }
                 // Nothing pending and nothing running: the race is over.
                 Next::Idle if state.running == 0 => break,
@@ -784,6 +778,30 @@ mod tests {
         assert!(token.deadline_expired());
         assert_eq!(r.suppressed, 1, "the hedge never started");
         assert!(r.wall < Duration::from_millis(300), "wall {:?}", r.wall);
+    }
+
+    #[test]
+    fn an_outside_cancel_wakes_a_caller_waiting_on_a_hold_back() {
+        // The favourite fails at once, so the caller waits for the held
+        // sibling's release; a cancel from another thread — a commit
+        // elsewhere — must end that wait, not the release 200 ms on.
+        let block: AltBlock<u8> = AltBlock::new()
+            .alternative("favourite-fails", |_w, _t| None)
+            .alternative("held-back", |_w, _t| Some(1));
+        let plan = LaunchPlan::from_offsets(vec![Duration::ZERO, Duration::from_millis(200)]);
+        let token = CancelToken::new();
+        let canceller = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                token.cancel();
+            })
+        };
+        let r = ThreadedEngine::new().execute_planned(&block, &mut ws(), &token, &plan);
+        canceller.join().expect("canceller joins");
+        assert!(!r.succeeded());
+        assert_eq!(r.suppressed, 1, "the held-back sibling never started");
+        assert!(r.wall < Duration::from_millis(150), "wall {:?}", r.wall);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! left of the way to `end` awake.
 //!
 //! Two pieces, used by every timed wait of the race path
-//! ([`CancelToken::sleep`](crate::CancelToken::sleep), the race caller's
-//! hedge-release wait, the crew's release watcher):
+//! ([`CancelToken::sleep`](crate::CancelToken::sleep) — a body's wait and
+//! the race caller's wait for a hedge's release — and the crew's release
+//! watcher):
 //!
 //! * `park` waits on the caller's own condvar and guard until
 //!   `until − lead()`. A wait that *times out* records how late it ended

@@ -424,7 +424,6 @@ fn leg_result(resp: &Response) -> Option<Action> {
         status,
         value,
         latency_us,
-        redo: false,
     };
     Some(Action::Race(race_id, leg))
 }
@@ -1023,7 +1022,6 @@ mod tests {
                                 alt_idx: 1,
                                 status: ALT_OK,
                                 value,
-                                redo: false,
                                 ..
                             } if value == n => continue,
                             _ => panic!("{}", shown()),
@@ -1526,7 +1524,6 @@ mod tests {
             status: ALT_OK,
             value: 4,
             latency_us: 1,
-            redo: false,
         };
         assert_eq!(format!("{fed:?}"), format!("{:?}", [Action::Race(4, leg)]));
         let acked = table.step(reply(ack), t0 + ms(3));

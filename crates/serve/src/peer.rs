@@ -495,7 +495,8 @@ impl PeerLinks {
         any
     }
 
-    /// The earliest clock the core or the race table waits on.
+    /// The earliest clock the link core waits on, or the race table's
+    /// one clock: the expiry backstop of its earliest open race.
     fn next_due(&self) -> Option<Instant> {
         let races = self.races.lock().table.next_expiry();
         [self.table.next_deadline(), races]

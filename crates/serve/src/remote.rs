@@ -3,12 +3,16 @@
 //! `EXEC_ALT` arrived on, see `conn.rs`.)
 //!
 //! A *distributed race* is one client request whose alternatives run on
-//! more than one node: the local subrace (favourite plus whatever else
-//! stayed) races on this node's pool while shipped alternatives run on
-//! peers. The origin's view — which alternatives are where, which peers
-//! vote, who finished first, and, through the majority 0–1 semaphore
-//! ([`crate::commit`]), which single candidate commits — is split in
-//! two:
+//! more than one node: shipped alternatives run on peers while the local
+//! subrace races every alternative on this node's pool, each shipped one
+//! held back by its leg's allowance ([`leg_allowance`]). A late leg is
+//! thus a hedge like any other: if the race is still undecided when the
+//! allowance passes, the alternative's local copy starts on the engine's
+//! crew, inside the subrace, and whichever of copy and leg reports
+//! success first is the candidate. The origin's view — which
+//! alternatives are where, which peers vote, who finished first, and,
+//! through the majority 0–1 semaphore ([`crate::commit`]), which single
+//! candidate commits — is split in two:
 //!
 //! * [`RaceTable`] is the **core**: a pure state machine. Everything
 //!   that can happen to a race is an [`Event`] fed to
@@ -37,15 +41,18 @@
 //!
 //! Failure conversions (the "graceful degradation" half of the issue):
 //!
-//! * a peer that refuses, errors, or dies converts its shipped
-//!   alternatives to failed guards — the race continues on survivors;
+//! * a peer that refuses, errors, or dies converts its shipped legs to
+//!   failed guards — the race continues on survivors, the local copy of
+//!   each such alternative among them, which starts at its allowance
+//!   unless the race is decided first;
 //! * a voter that dies converts to a denial; if enough die that a
 //!   majority can never assemble, the commit **degrades**: the origin
 //!   answers the client anyway and counts `commits_degraded`, trading
 //!   the paper's blocking semantics for serving-grade liveness;
 //! * a race that outlives its deadline plus a grace window is expired
-//!   by shard 0's peer links on their clock, so a silent peer cannot strand a
-//!   client even when TCP never reports the loss.
+//!   by shard 0's peer links on their clock — the table's only clock —
+//!   so a silent peer cannot strand a client even when TCP never
+//!   reports the loss.
 //!
 //! Race ids count up from the wall clock at start-up, in microseconds
 //! since the epoch, so a restarted origin starts above every id its
@@ -59,7 +66,7 @@ use crate::peer::{PeerHandle, SendTag};
 use crate::pool::{JobMeta, WorkerPool};
 use crate::reactor::{Flight, RaceKey};
 use crate::sched::HedgePolicy;
-use crate::server::{alt_job, deadline_token, or_worker_lost, run_subrace};
+use crate::server::{deadline_token, or_worker_lost, run_subrace};
 use crate::telemetry::{Metric, Telemetry};
 use crate::workload;
 use altx::CancelToken;
@@ -72,49 +79,60 @@ use std::time::{Duration, Instant, SystemTime};
 const DEADLINE_GRACE: Duration = Duration::from_secs(1);
 /// Expiry cap for races with no client deadline.
 const UNBOUNDED_CAP: Duration = Duration::from_secs(10);
-/// A remote leg always gets at least this long before it is given up
-/// on, however fast the link's RTT claims the peer is — covers worker
-/// pickup and execution, not just the wire.
+/// A remote leg always gets at least this long before its local copy
+/// starts, however fast the link's RTT claims the peer is — covers
+/// worker pickup and execution, not just the wire.
 const LEG_FLOOR: Duration = Duration::from_millis(20);
 /// Leg allowance as a multiple of the link's RTT EWMA.
 const LEG_RTT_MULT: u32 = 8;
 /// A leg may consume at most this fraction (in percent) of the client
-/// deadline, so a locally-redispatched alternative still has budget.
+/// deadline, so the local copy of its alternative still has budget.
 const LEG_DEADLINE_PCT: u32 = 75;
+
+/// How long the local copy of an alternative shipped over a link whose
+/// RTT EWMA is `rtt_us` (0 = no sample) is held back: the leg's
+/// allowance, `LEG_RTT_MULT` round trips but at least `LEG_FLOOR`, and
+/// at most `LEG_DEADLINE_PCT` of the client deadline (or
+/// `UNBOUNDED_CAP` without one).
+fn leg_allowance(rtt_us: u64, deadline_ms: u32) -> Duration {
+    let cap = if deadline_ms > 0 {
+        Duration::from_millis(u64::from(deadline_ms)) * LEG_DEADLINE_PCT / 100
+    } else {
+        UNBOUNDED_CAP
+    };
+    (Duration::from_micros(rtt_us) * LEG_RTT_MULT)
+        .max(LEG_FLOOR)
+        .min(cap)
+}
 
 /// The request a distributed race answers — see [`RaceTable::create`].
 pub(crate) struct RaceSpec {
     /// Catalog index of the workload.
     pub(crate) widx: usize,
-    /// The client argument — kept so an expired leg can be re-run
-    /// locally with the same input.
-    pub(crate) arg: u64,
     /// The client deadline (0 = none).
     pub(crate) deadline_ms: u32,
-    /// Cancels the local subrace and any local redo of an expired leg.
+    /// Cancels the local subrace, local copies of shipped alternatives
+    /// included.
     pub(crate) local_cancel: CancelToken,
 }
 
 /// Everything that can happen to one open race.
 #[derive(Debug)]
 pub(crate) enum Event {
-    /// The local subrace finished with this reply.
+    /// The local subrace finished with this reply — its winner may be
+    /// the local copy of a shipped alternative.
     LocalDone(Response),
-    /// A shipped alternative reported (`ALT_RESULT` from its executor),
-    /// or — `redo` — the local redo of a leg that blew its deadline
-    /// did. Both race for the same slot: whichever lands first clears
-    /// it, the other is ignored.
+    /// A shipped alternative reported (`ALT_RESULT` from its executor).
     LegResult {
         alt_idx: u32,
         status: u8,
         value: u64,
         /// Executor-side latency.
         latency_us: u64,
-        redo: bool,
     },
-    /// A shipped alternative will never run: the peer refused it, the
-    /// link was down at send time or died before the ack, or the local
-    /// pool refused its redo.
+    /// A shipped alternative will never run on its peer: the peer
+    /// refused it, or the link was down at send time or died before the
+    /// ack. Its local copy still races.
     LegRefused { alt_idx: u32 },
     /// A vote reply — or its conversion to a denial when the voter
     /// died or answered something else.
@@ -148,17 +166,8 @@ pub(crate) enum Action {
         exec_latency_us: u64,
         peer: Option<String>,
     },
-    /// A remote leg blew its per-leg deadline: run the alternative on
-    /// the local pool instead (hedged recovery).
-    Redispatch {
-        race_id: u64,
-        alt_idx: u32,
-        widx: usize,
-        arg: u64,
-        token: CancelToken,
-    },
-    /// Cancel the local subrace (and any redo sharing its token); a
-    /// no-op when everything local already finished.
+    /// Cancel the local subrace, held-back copies and all; a no-op when
+    /// everything local already finished.
     Cancel(CancelToken),
     /// Bump a telemetry counter.
     Count(Metric),
@@ -171,13 +180,6 @@ struct RemoteAlt {
     alt_idx: u32,
     peer: String,
     pending: bool,
-    /// Per-leg deadline: the moment the origin stops waiting for this
-    /// peer and hedges the alternative locally instead.
-    deadline: Instant,
-    /// The leg blew its deadline: its peer was told to stop and a local
-    /// redo was submitted. The slot stays `pending` — a late genuine
-    /// result may still win — but the leg is never redispatched twice.
-    redispatched: bool,
 }
 
 #[derive(Debug)]
@@ -193,8 +195,9 @@ struct Candidate {
     alt_idx: u32,
     value: u64,
     exec_latency_us: u64,
-    /// `Some(addr)` when a peer executed the winner; `None` for local
-    /// (including a local redo: the stalled peer gets no credit).
+    /// `Some(addr)` when a peer executed the winner; `None` when this
+    /// node did — a shipped alternative's local copy included: the
+    /// peer it outran gets no credit.
     peer: Option<String>,
 }
 
@@ -239,43 +242,27 @@ impl RaceTable {
     /// after the entry exists, or an instant finisher would report into
     /// the void. `remotes` is `(alt_idx, peer)` per shipped alternative
     /// and `voters` the frozen peer voter set (up peers at creation; the
-    /// origin itself is implicit); `rtt_us` is the link RTT estimate for
-    /// a peer (0 = no sample), from which each leg's allowance follows.
-    /// Returns the race id.
+    /// origin itself is implicit). Returns the race id.
     pub(crate) fn create(
         &mut self,
         spec: RaceSpec,
         remotes: Vec<(u32, String)>,
         voters: Vec<String>,
-        rtt_us: impl Fn(&str) -> u64,
         now: Instant,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let budget = Duration::from_millis(u64::from(spec.deadline_ms));
-        // A leg may not eat more than a fraction of the client budget:
-        // whatever is left must suffice for the local redo.
-        let (expire_at, leg_cap) = if spec.deadline_ms > 0 {
-            (
-                now + budget + DEADLINE_GRACE,
-                budget * LEG_DEADLINE_PCT / 100,
-            )
+        let expire_at = if spec.deadline_ms > 0 {
+            now + Duration::from_millis(u64::from(spec.deadline_ms)) + DEADLINE_GRACE
         } else {
-            (now + UNBOUNDED_CAP, UNBOUNDED_CAP)
+            now + UNBOUNDED_CAP
         };
         let remotes = remotes
             .into_iter()
-            .map(|(alt_idx, peer)| {
-                let allowance = (Duration::from_micros(rtt_us(&peer)) * LEG_RTT_MULT)
-                    .max(LEG_FLOOR)
-                    .min(leg_cap);
-                RemoteAlt {
-                    alt_idx,
-                    peer,
-                    pending: true,
-                    deadline: now + allowance,
-                    redispatched: false,
-                }
+            .map(|(alt_idx, peer)| RemoteAlt {
+                alt_idx,
+                peer,
+                pending: true,
             })
             .collect();
         let voters = std::iter::once(self.advertise.clone())
@@ -342,37 +329,31 @@ impl RaceTable {
                 status,
                 value,
                 latency_us,
-                redo,
             } => {
-                let Some(leg) = race.pending_leg(alt_idx, redo) else {
-                    return actions; // duplicate, never shipped, or beaten to the slot
+                let Some(leg) = race.pending_leg(alt_idx) else {
+                    return actions; // duplicate, never shipped, or refused
                 };
                 leg.pending = false;
-                let peer = (!redo).then(|| leg.peer.clone());
-                if !redo {
-                    actions.push(Action::Count(Metric::RemoteResults));
-                }
+                actions.push(Action::Count(Metric::RemoteResults));
                 match status {
                     ALT_OK => Some(Candidate {
                         alt_idx,
                         value,
                         exec_latency_us: latency_us,
-                        peer,
+                        peer: Some(leg.peer.clone()),
                     }),
                     ALT_DEADLINE => {
                         race.deadline_seen = true;
                         None
                     }
                     _ => {
-                        if !redo {
-                            actions.push(Action::Count(Metric::RemoteFailed));
-                        }
+                        actions.push(Action::Count(Metric::RemoteFailed));
                         None
                     }
                 }
             }
             Event::LegRefused { alt_idx } => {
-                let Some(leg) = race.pending_leg(alt_idx, false) else {
+                let Some(leg) = race.pending_leg(alt_idx) else {
                     return actions;
                 };
                 leg.pending = false;
@@ -405,9 +386,10 @@ impl RaceTable {
         actions
     }
 
-    /// A peer link died: every alternative it had acked but not
-    /// finished becomes a failed guard. (Its unanswered votes are
-    /// denied separately, tag by tag, by the link core.)
+    /// A peer link died: every leg it had acked but not finished becomes
+    /// a failed guard, while the alternatives' local copies race on.
+    /// (Its unanswered votes are denied separately, tag by tag, by the
+    /// link core.)
     pub(crate) fn peer_down(&mut self, peer: &str, now: Instant) -> Vec<Action> {
         let mut actions = Vec::new();
         let advertise = &self.advertise;
@@ -419,40 +401,11 @@ impl RaceTable {
     }
 
     /// The clock moved: every race past its deadline-plus-grace is
-    /// flushed (the backstop that keeps a silent peer from stranding a
-    /// client), and on the races that remain undecided every remote leg
-    /// past its per-leg deadline is given up on — its peer gets an
-    /// `ELIMINATE` and the alternative is redispatched on the local
-    /// pool. The slot stays `pending` so a late genuine result can
-    /// still win it; only the *waiting* stops.
+    /// flushed — the backstop that keeps a silent peer from stranding a
+    /// client. A late leg needs no clock here: its local copy is the
+    /// subrace's to start.
     pub(crate) fn expire(&mut self, now: Instant) -> Vec<Action> {
-        let mut actions = self.flush_where(now, |race| race.expire_at <= now);
-        for race in self.races.values_mut() {
-            if race.candidate.is_some() {
-                continue; // deciding already; commit handles the legs
-            }
-            for leg in race
-                .remotes
-                .iter_mut()
-                .filter(|r| r.pending && !r.redispatched && r.deadline <= now)
-            {
-                leg.redispatched = true;
-                actions.push(Action::Count(Metric::RemoteRedispatched));
-                actions.push(Action::Count(Metric::Eliminations));
-                actions.push(Action::SendEliminate {
-                    peer: leg.peer.clone(),
-                    race_id: race.id,
-                });
-                actions.push(Action::Redispatch {
-                    race_id: race.id,
-                    alt_idx: leg.alt_idx,
-                    widx: race.spec.widx,
-                    arg: race.spec.arg,
-                    token: race.spec.local_cancel.clone(),
-                });
-            }
-        }
-        actions
+        self.flush_where(now, |race| race.expire_at <= now)
     }
 
     /// Drain-time flush: every open race resolves *now* (degraded
@@ -488,23 +441,11 @@ impl RaceTable {
         actions
     }
 
-    /// Earliest instant at which [`RaceTable::expire`] would do
-    /// something — a race expiry or a live leg's deadline — for the
-    /// poll timeout of shard 0, which holds the peer links.
+    /// Earliest instant at which [`RaceTable::expire`] would flush a
+    /// race, for the poll timeout of shard 0, which holds the peer
+    /// links.
     pub(crate) fn next_expiry(&self) -> Option<Instant> {
-        self.races
-            .values()
-            .flat_map(|r| {
-                // A leg only contributes while its expiry would still
-                // do something: undecided race, not yet redispatched.
-                let legs = r
-                    .remotes
-                    .iter()
-                    .filter(move |s| r.candidate.is_none() && s.pending && !s.redispatched)
-                    .map(|s| s.deadline);
-                std::iter::once(r.expire_at).chain(legs)
-            })
-            .min()
+        self.races.values().map(|r| r.expire_at).min()
     }
 
     /// Open distributed races (diagnostic/test hook).
@@ -515,12 +456,11 @@ impl RaceTable {
 }
 
 impl DistRace {
-    /// The slot a result for `alt_idx` may still fill. A local redo
-    /// only ever reports into a slot that was redispatched.
-    fn pending_leg(&mut self, alt_idx: u32, redo: bool) -> Option<&mut RemoteAlt> {
+    /// The slot a result for `alt_idx` may still fill.
+    fn pending_leg(&mut self, alt_idx: u32) -> Option<&mut RemoteAlt> {
         self.remotes
             .iter_mut()
-            .find(|r| r.alt_idx == alt_idx && r.pending && (!redo || r.redispatched))
+            .find(|r| r.alt_idx == alt_idx && r.pending)
     }
 
     /// Converts every pending leg `which` picks to a failed guard; true
@@ -580,13 +520,12 @@ impl DistRace {
         now.saturating_duration_since(self.started).as_micros() as u64
     }
 
-    /// One `ELIMINATE` per peer still owing a result and not told to
-    /// stop yet (a redispatched leg's peer was, at leg expiry).
+    /// One `ELIMINATE` per peer still owing a result.
     fn eliminate_pending(&self, actions: &mut Vec<Action>) {
         let mut peers: Vec<&str> = self
             .remotes
             .iter()
-            .filter(|r| r.pending && !r.redispatched)
+            .filter(|r| r.pending)
             .map(|r| r.peer.as_str())
             .collect();
         peers.sort_unstable();
@@ -668,7 +607,7 @@ pub(crate) struct RemoteRaces {
     open: Mutex<OpenRaces>,
     /// Outbound send handle.
     pub(crate) peers: Arc<PeerHandle>,
-    /// Local pool for redispatched legs.
+    /// The run queue every local subrace goes on.
     pool: Arc<WorkerPool>,
     /// This node's votes: asked for by peers over the wire, and by the
     /// races it originates right here.
@@ -713,24 +652,21 @@ impl RemoteRaces {
         remotes: Vec<(u32, String)>,
         voters: Vec<String>,
     ) -> u64 {
-        let stats = self.peers.stats();
-        let rtt_us = |peer: &str| stats.by_addr(peer).map_or(0, |s| s.rtt_ewma_us());
         let mut open = self.lock();
-        let id = open
-            .table
-            .create(spec, remotes, voters, rtt_us, Instant::now());
+        let id = open.table.create(spec, remotes, voters, Instant::now());
         open.flights.insert(id, flight);
         id
     }
 
     /// Races `key` across this node and the peers `assign` names: the
     /// registry takes `flight` *first* (an instant local finish must
-    /// find it), then the local subrace — every alternative not shipped
-    /// — is queued under `meta`, and one `EXEC_ALT` goes out per shipped
-    /// alternative. The flight is answered once, at commit or failure;
-    /// if the pool refuses the subrace, the request is shed — unless a
-    /// drain-time flush answered it first. `voters` are the peers up
-    /// when the race was decided, at `now`.
+    /// find it), then the local subrace — every alternative, a shipped
+    /// one held back by its leg's allowance over that peer's link — is
+    /// queued under `meta` as the race's one job, and one `EXEC_ALT`
+    /// goes out per shipped alternative. The flight is answered once, at
+    /// commit or failure; if the pool refuses the subrace, the request
+    /// is shed — unless a drain-time flush answered it first. `voters`
+    /// are the peers up when the race was decided, at `now`.
     pub(crate) fn distribute(
         self: &Arc<Self>,
         flight: Flight,
@@ -746,15 +682,21 @@ impl RemoteRaces {
             .collect();
         let spec = RaceSpec {
             widx: key.widx,
-            arg: key.arg,
             deadline_ms: key.deadline_ms,
             local_cancel: token.clone(),
         };
         let race_id = self.create(spec, flight, remotes.clone(), voters);
-        let skip: Vec<bool> = assign.iter().map(Option::is_some).collect();
+        let stats = self.peers.stats();
+        let allowance = |peer: &str| {
+            let rtt_us = stats.by_addr(peer).map_or(0, |s| s.rtt_ewma_us());
+            leg_allowance(rtt_us, key.deadline_ms)
+        };
+        let held: Vec<Duration> = (assign.iter())
+            .map(|peer| peer.as_deref().map_or(Duration::ZERO, &allowance))
+            .collect();
         let work = {
             let (telemetry, sched) = (Arc::clone(&self.telemetry), Arc::clone(&self.sched));
-            move || run_subrace(&telemetry, &sched, key.widx, key.arg, &token, &skip)
+            move || run_subrace(&telemetry, &sched, key.widx, key.arg, &token, &held)
         };
         let me = Arc::clone(self);
         let done = move |reply| me.step(race_id, Event::LocalDone(or_worker_lost(reply)));
@@ -868,51 +810,9 @@ impl RemoteRaces {
                         stat.note_win();
                     }
                 }
-                Action::Redispatch {
-                    race_id,
-                    alt_idx,
-                    widx,
-                    arg,
-                    token,
-                } => self.redispatch(race_id, alt_idx, widx, arg, token),
                 Action::Cancel(token) => token.cancel(),
                 Action::Count(metric) => self.telemetry.add(metric, 1),
             }
-        }
-    }
-
-    /// Submits a local redo of an expired remote leg. The job runs the
-    /// exact same single-alternative execution an `EXEC_ALT` peer
-    /// would, under the subrace token so commit/expiry cancels it. A
-    /// full pool converts the leg to a failed guard like any refused
-    /// dispatch.
-    fn redispatch(
-        self: &Arc<Self>,
-        race_id: u64,
-        alt_idx: u32,
-        widx: usize,
-        arg: u64,
-        token: CancelToken,
-    ) {
-        let me = Arc::clone(self);
-        let report = move |(status, value, latency_us)| {
-            let event = Event::LegResult {
-                alt_idx,
-                status,
-                value,
-                latency_us,
-                redo: true,
-            };
-            me.step(race_id, event);
-        };
-        let telemetry = Arc::clone(&self.telemetry);
-        let (work, done) = alt_job(telemetry, widx, alt_idx, arg, token, report);
-        if self
-            .pool
-            .try_submit_work_at(JobMeta::default(), work, done)
-            .is_err()
-        {
-            self.step(race_id, Event::LegRefused { alt_idx });
         }
     }
 }
@@ -967,13 +867,12 @@ mod tests {
         ) -> u64 {
             let spec = RaceSpec {
                 widx: WIDX,
-                arg: 0,
                 deadline_ms,
                 local_cancel: token,
             };
             let remotes = remotes.iter().map(|&(a, p)| (a, p.to_owned())).collect();
             let voters = voters.iter().map(|&v| v.to_owned()).collect();
-            self.table.create(spec, remotes, voters, |_| 0, self.now)
+            self.table.create(spec, remotes, voters, self.now)
         }
 
         fn step(&mut self, id: u64, event: Event) {
@@ -987,7 +886,6 @@ mod tests {
                 status,
                 value,
                 latency_us: 100,
-                redo: false,
             };
             self.step(id, event);
         }
@@ -1240,43 +1138,6 @@ mod tests {
         assert_eq!(b.ok_post(), (0, "draw-0", 9));
     }
 
-    #[test]
-    fn expired_leg_is_eliminated_and_redispatched_once() {
-        let mut b = Bench::new();
-        let id = b.create(0, CancelToken::new(), &[(1, "stalled:1")], &[]);
-        b.step(id, Event::LocalDone(guards_failed()));
-        // The leg deadline (20ms floor; no RTT sample) passes silently.
-        b.expire_after(Duration::from_millis(50));
-        b.expire_after(Duration::from_millis(50));
-        assert_eq!(b.count(Metric::RemoteRedispatched), 1, "never twice");
-        let redo = |a: &&Action| matches!(a, Action::Redispatch { race_id, alt_idx: 1, widx: WIDX, .. } if *race_id == id);
-        assert_eq!(b.seen.iter().filter(redo).count(), 1);
-        assert_eq!(b.eliminated(), ["stalled:1"]);
-        assert_eq!(b.len(), 1, "the slot stays open for whoever reports first");
-        let event = Event::LegResult {
-            alt_idx: 1,
-            status: ALT_OK,
-            value: 11,
-            latency_us: 40,
-            redo: true,
-        };
-        b.step(id, event);
-        assert_eq!(b.ok_post(), (1, "draw-1", 11));
-        assert_eq!(
-            b.count(Metric::RemoteWins),
-            0,
-            "a local redo is not a remote win"
-        );
-        assert_eq!(
-            b.count(Metric::Eliminations),
-            1,
-            "told to stop once, at expiry"
-        );
-        // A late genuine result for the already-decided race is a no-op.
-        b.result(id, 1, ALT_OK, 9);
-        assert_eq!(b.posts().len(), 1);
-    }
-
     fn shell() -> (Arc<RemoteRaces>, Arc<WorkerPool>) {
         let pool = Arc::new(WorkerPool::new(2, 8));
         let (shard0, _wake_rx) = ReactorShared::new(1, 64).expect("wake pair");
@@ -1290,10 +1151,9 @@ mod tests {
         (Arc::new(races), pool)
     }
 
-    fn spec(widx: usize, arg: u64) -> RaceSpec {
+    fn spec(widx: usize) -> RaceSpec {
         RaceSpec {
             widx,
-            arg,
             deadline_ms: 0,
             local_cancel: CancelToken::new(),
         }
@@ -1320,7 +1180,7 @@ mod tests {
     fn shell_casts_the_origins_vote_and_counts_what_the_core_decided() {
         let (races, pool) = shell();
         let remotes = vec![(1, "peer:1".into())];
-        let id = races.create(spec(WIDX, 0), flight(), remotes, vec![]);
+        let id = races.create(spec(WIDX), flight(), remotes, vec![]);
         races.step(id, Event::LocalDone(ok(0, 42)));
         assert_eq!(races.lock().table.len(), 0);
         assert!(races.lock().flights.is_empty(), "the post took the flight");
@@ -1332,46 +1192,52 @@ mod tests {
         pool.shutdown();
     }
 
+    /// A leg that never reports is a held-back sibling: the race's one
+    /// pool job races every alternative, the shipped one's local copy
+    /// starts once its allowance passes undecided, and that copy answers
+    /// the race as a local win — a hedge that launched.
     #[test]
-    fn expired_leg_redispatches_locally_and_answers() {
+    fn a_silent_leg_is_answered_by_its_local_copy() {
         let (races, pool) = shell();
-        // widx 0 is "trivial": both alternatives succeed instantly, so
-        // the local redo of alt 1 must win the race.
-        let remotes = vec![(1, "stalled:1".into())];
-        let id = races.create(spec(0, 7), flight(), remotes, vec![]);
-        races.step(id, Event::LocalDone(guards_failed()));
-        assert_eq!(
-            races.lock().table.len(),
-            1,
-            "only the shipped leg can still answer"
-        );
-        // The leg deadline (20ms floor; no RTT sample) passes silently.
-        races.drive(|table, now| table.expire(now + Duration::from_millis(50)));
-        assert_eq!(races.telemetry.snapshot()[Metric::RemoteRedispatched], 1);
+        // "sleep" has one alternative, here shipped to a peer whose link
+        // is never served: nothing but its local copy can answer.
+        let widx = workload::index_of("sleep").expect("sleep is in the catalog");
+        let key = RaceKey {
+            widx,
+            deadline_ms: 0,
+            arg: 1,
+        };
+        let assign = vec![Some("silent:1".to_owned())];
+        let id = races.lock().table.next_id;
+        let now = Instant::now();
+        races.distribute(flight(), key, JobMeta::default(), assign, vec![], now);
+        assert_eq!(races.telemetry.snapshot()[Metric::RemoteDispatched], 1);
+        // The race's job holds its slot through the hold-back and the
+        // copy, and no other job ever joins it.
+        let mut most_jobs = 0;
         let deadline = Instant::now() + Duration::from_secs(5);
         while races.lock().table.len() > 0 && Instant::now() < deadline {
+            most_jobs = most_jobs.max(pool.busy() + pool.queued() as u64);
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(
-            races.lock().table.len(),
-            0,
-            "the local redo answers the race"
-        );
+        assert_eq!(races.lock().table.len(), 0, "the local copy answers");
+        assert_eq!(most_jobs, 1, "the race is one pool job");
+        assert!(now.elapsed() >= LEG_FLOOR, "not before its allowance");
         let s = races.telemetry.snapshot();
         assert_eq!(s[Metric::Completed], 1);
-        assert_eq!(s[Metric::RemoteWins], 0, "a local redo is not a remote win");
+        assert_eq!(s[Metric::HedgesLaunched], 1, "the copy is a hedge");
+        assert_eq!(s[Metric::RemoteWins], 0, "a local copy is not a remote win");
         assert_eq!(
             s[Metric::Eliminations],
             1,
-            "the stalled peer was told to stop"
+            "the silent peer is told to stop"
         );
         // A late genuine result for the already-decided race is a no-op.
         let event = Event::LegResult {
-            alt_idx: 1,
+            alt_idx: 0,
             status: ALT_OK,
             value: 9,
             latency_us: 100,
-            redo: false,
         };
         races.step(id, event);
         assert_eq!(races.telemetry.snapshot()[Metric::Completed], 1);
@@ -1381,13 +1247,13 @@ mod tests {
     /// One thing the outside world may do to the race under test.
     #[derive(Debug)]
     enum Move {
-        /// The local subrace reports: a winning local alternative, a
-        /// blown deadline (`Err(true)`) or failed guards.
+        /// The local subrace reports: a winning alternative — a shipped
+        /// one's local copy among them —, a blown deadline (`Err(true)`)
+        /// or failed guards.
         Local(Result<u32, bool>),
-        /// Leg `leg` reports `status` — from its peer, or from the local
-        /// redo of the expired leg.
-        Leg { leg: usize, status: u8, redo: bool },
-        /// Leg `leg` is refused (by its peer, or its redo by the pool).
+        /// Leg `leg`'s peer reports `status`.
+        Leg { leg: usize, status: u8 },
+        /// Leg `leg` is refused by its peer.
         Refuse { leg: usize },
         /// The link to leg `leg`'s peer dies.
         PeerDown { leg: usize },
@@ -1405,7 +1271,6 @@ mod tests {
         peer: String,
         /// A result, refusal or link death was accepted for the slot.
         cleared: bool,
-        redispatched: bool,
         eliminates: usize,
     }
 
@@ -1426,6 +1291,9 @@ mod tests {
         /// Every success reported so far: value → (alternative, the
         /// peer that ran it). Values are unique per report.
         successes: HashMap<u64, (u32, Option<String>)>,
+        /// A success the race had to take: the local one, or a leg's
+        /// into a slot still open.
+        took_success: bool,
         next_value: u64,
         deadline_seen: bool,
         /// The round as the voters' answers make it, counted by a
@@ -1437,7 +1305,7 @@ mod tests {
         won: Option<(u32, Option<String>)>,
         cancelled: bool,
         post: Option<Response>,
-        /// `redispatched || !cleared` per leg, at the moment of the post.
+        /// `!cleared` per leg, at the moment of the post.
         owed_eliminate: Vec<bool>,
     }
 
@@ -1469,6 +1337,7 @@ mod tests {
                 Move::Local(outcome) => {
                     let reply = match outcome {
                         Ok(alt) => {
+                            self.took_success = true;
                             let value = self.success(alt, None);
                             Response::Ok {
                                 winner: alt,
@@ -1485,21 +1354,21 @@ mod tests {
                     };
                     self.table.step(self.id, Event::LocalDone(reply), self.now)
                 }
-                Move::Leg { leg, status, redo } => {
+                Move::Leg { leg, status } => {
                     let (alt, peer) = (self.legs[leg].alt, self.legs[leg].peer.clone());
                     let value = match status {
-                        ALT_OK => self.success(alt, (!redo).then_some(peer)),
+                        ALT_OK => self.success(alt, Some(peer)),
                         _ => 0,
                     };
                     if !std::mem::replace(&mut self.legs[leg].cleared, true) {
                         self.deadline_seen |= status == ALT_DEADLINE;
+                        self.took_success |= status == ALT_OK;
                     }
                     let event = Event::LegResult {
                         alt_idx: alt,
                         status,
                         value,
                         latency_us: 9,
-                        redo,
                     };
                     self.table.step(self.id, event, self.now)
                 }
@@ -1598,30 +1467,6 @@ mod tests {
                     let leg = self.legs.iter_mut().find(|l| l.peer == peer);
                     leg.expect("ELIMINATE to a peer running nothing").eliminates += 1;
                 }
-                Action::Redispatch {
-                    race_id,
-                    alt_idx,
-                    widx,
-                    ..
-                } => {
-                    assert_eq!((race_id, widx), (self.id, self.widx));
-                    let leg = self.legs.iter().position(|l| l.alt == alt_idx);
-                    let leg = leg.expect("redispatch of a shipped alternative");
-                    assert!(!self.legs[leg].cleared, "redo of a leg that reported");
-                    assert!(
-                        !std::mem::replace(&mut self.legs[leg].redispatched, true),
-                        "leg redispatched twice"
-                    );
-                    let status = *self.rng.pick(&[ALT_OK, ALT_OK, ALT_FAILED, ALT_DEADLINE]);
-                    self.moves.push(match self.rng.usize_in(0, 5) {
-                        0 => Move::Refuse { leg }, // the pool is full
-                        _ => Move::Leg {
-                            leg,
-                            status,
-                            redo: true,
-                        },
-                    });
-                }
                 Action::Won { alt_idx, peer, .. } => {
                     assert!(self.won.replace((alt_idx, peer)).is_none(), "two winners");
                 }
@@ -1635,11 +1480,7 @@ mod tests {
                     let losers = by_clock || matches!(response, Response::Ok { .. });
                     assert!(self.cancelled || !losers, "local losers keep running");
                     self.judge_post(&response, by_clock);
-                    self.owed_eliminate = self
-                        .legs
-                        .iter()
-                        .map(|l| l.redispatched || !l.cleared)
-                        .collect();
+                    self.owed_eliminate = self.legs.iter().map(|l| !l.cleared).collect();
                     self.post = Some(response);
                 }
             }
@@ -1654,6 +1495,7 @@ mod tests {
             } = response
             else {
                 // Nothing succeeded anywhere the race could see.
+                assert!(!self.took_success, "failed a race a success reached");
                 assert_eq!(self.candidate, None, "a candidate was up and lost");
                 assert!(self.won.is_none() && self.degraded == 0);
                 let deadline = self.deadline_seen || (by_clock && self.deadline_ms > 0);
@@ -1696,10 +1538,12 @@ mod tests {
     }
 
     /// The interleaving is a seed: every order in which a race's local
-    /// subrace, legs, peers, voters and the clock can act yields exactly
-    /// one reply, for an alternative that did succeed, committed on a
-    /// majority (or visibly degraded), with every leg left running told
-    /// to stop exactly once.
+    /// subrace (whose winner may be a shipped alternative's local copy),
+    /// legs, peers, voters and the expiry clock can act yields exactly
+    /// one reply, for an alternative that did succeed — never a failure
+    /// once a success reached the race —, committed on a majority (or
+    /// visibly degraded), with every leg left running told to stop
+    /// exactly once.
     #[test]
     fn any_schedule_posts_exactly_one_admissible_reply() {
         const PEERS: [&str; 4] = ["p0:1", "p1:1", "p2:1", "p3:1"];
@@ -1708,7 +1552,7 @@ mod tests {
             let n_alts = workload::CATALOG[widx].alternatives();
             let deadline_ms = *rng.pick(&[0, 40, 1_000]);
             // Ship 1–3 alternatives, each to a peer of its own; the
-            // local subrace keeps the rest (possibly none).
+            // local subrace races every alternative, shipped ones too.
             let mut alts: Vec<u32> = (0..n_alts as u32).collect();
             let mut peers = PEERS.to_vec();
             let legs: Vec<LegModel> = (0..rng.usize_in(1, n_alts.min(3) + 1))
@@ -1716,7 +1560,6 @@ mod tests {
                     alt: alts.swap_remove(rng.usize_in(0, alts.len())),
                     peer: peers.swap_remove(rng.usize_in(0, peers.len())).to_owned(),
                     cleared: false,
-                    redispatched: false,
                     eliminates: 0,
                 })
                 .collect();
@@ -1740,27 +1583,22 @@ mod tests {
             let mut moves = vec![Move::Local(match rng.usize_in(0, 4) {
                 0 => Err(true),
                 1 => Err(false),
-                _ if alts.is_empty() => Err(false),
-                _ => Ok(*rng.pick(&alts)),
+                _ => Ok(rng.usize_in(0, n_alts) as u32),
             })];
             for leg in 0..legs.len() {
                 let status = *rng.pick(&[ALT_OK, ALT_OK, ALT_FAILED, ALT_DEADLINE]);
-                let result = Move::Leg {
-                    leg,
-                    status,
-                    redo: false,
-                };
+                let result = Move::Leg { leg, status };
                 match rng.usize_in(0, 5) {
                     0 => {} // silent
                     1 => moves.push(Move::Refuse { leg }),
                     _ => moves.push(result),
                 }
                 if rng.chance(0.3) {
+                    // A duplicate, or a result after a refusal.
                     moves.push(Move::Leg {
                         leg,
                         status: ALT_OK,
-                        redo: false,
-                    }); // a duplicate, or a result after a refusal
+                    });
                 }
                 if rng.chance(0.25) {
                     moves.push(Move::PeerDown { leg });
@@ -1778,13 +1616,11 @@ mod tests {
             let mut table = RaceTable::new(ORIGIN.to_owned(), 1);
             let spec = RaceSpec {
                 widx,
-                arg: 0,
                 deadline_ms,
                 local_cancel: CancelToken::new(),
             };
             let remotes = legs.iter().map(|l| (l.alt, l.peer.clone())).collect();
-            let rtt = rng.u64_below(5_000);
-            let id = table.create(spec, remotes, voters, |_| rtt, now);
+            let id = table.create(spec, remotes, voters, now);
             Schedule {
                 rng,
                 table,
@@ -1797,6 +1633,7 @@ mod tests {
                 dead: Vec::new(),
                 moves,
                 successes: HashMap::new(),
+                took_success: false,
                 next_value: 0,
                 deadline_seen: false,
                 tally: None,

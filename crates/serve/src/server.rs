@@ -10,7 +10,10 @@
 //! `alt_wait(timeout)`) and writes the reply itself, in request order
 //! per connection; a race measured short enough is raced by the reactor
 //! in place instead (*Run on the shard* in [`crate::reactor`], which
-//! also has how a reply is delivered).
+//! also has how a reply is delivered). A race distributed over peers
+//! ([`crate::remote`]) is one pool job as well: its local subrace races
+//! every alternative, each one shipped to a peer held back by its leg's
+//! allowance, so a late leg's local copy is a hedge of that job.
 //!
 //! Concurrency cost model: an idle connection is a file descriptor and
 //! a few hundred bytes of state — not a thread, and neither is an
@@ -391,10 +394,9 @@ fn alternatives(widx: usize) -> usize {
 /// The race core all three entry points share: build the block —
 /// `stubs` marks the alternatives whose bodies are not constructed,
 /// because the scheduler pruned them — race it on a [`ThreadedEngine`]
-/// under `plan` (which leaves out whatever another node runs) and
-/// `token`, time it from `start`, and count contained panics. No catalog
-/// body touches its workspace, so the race's is an empty one: neither it
-/// nor a fork of it allocates. Returns the result and its latency in µs;
+/// under `plan` and `token`, time it from `start`, and count contained
+/// panics. No catalog body touches its workspace, so the race's is an
+/// empty one: neither it nor a fork of it allocates. Returns the result and its latency in µs;
 /// `None` means the workload could not be built.
 fn race(
     telemetry: &Telemetry,
@@ -416,8 +418,9 @@ fn race(
 
 /// Counts what a scheduler-planned race saved and spent: a pruned stub
 /// that never launched is suppressed like any other unlaunched hedge,
-/// and so is the sibling of a lead that decided alone. An alternative
-/// the plan excludes (shipped to another node) is neither.
+/// and so is the sibling of a lead that decided alone. A shipped
+/// alternative's local copy is a hedge like any other: launched when
+/// its hold-back passed undecided, suppressed when it did not.
 fn count_hedges(telemetry: &Telemetry, plan: &LaunchPlan, result: &BlockResult<u64>) {
     telemetry.on_launches_suppressed(result.suppressed as u64);
     telemetry.add(
@@ -509,11 +512,12 @@ pub(crate) fn run_race(
     })
 }
 
-/// Executes the *local leg* of a distributed race: every alternative
-/// the placement policy did not ship (`skip`; it never ships the
-/// favourite, so at least one real body always stays local), raced
+/// Executes the *local leg* of a distributed race: every alternative,
 /// under the shared cancel token so a remote commit eliminates it
-/// mid-flight.
+/// mid-flight. Alternative `i` is held back at least `held[i]` on top
+/// of the policy's plan — a shipped one by its leg's allowance — so its
+/// local copy starts only if the race is still undecided then, and
+/// whichever of copy and remote leg reports first counts.
 ///
 /// Unlike [`run_race`] this records only engine-level costs. Contained
 /// as that is.
@@ -526,12 +530,11 @@ pub(crate) fn run_subrace(
     widx: usize,
     arg: u64,
     token: &CancelToken,
-    skip: &[bool],
+    held: &[Duration],
 ) -> Response {
     contained(telemetry, || {
         let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
-        // Shipped alternatives are not in this leg's race at all.
-        let plan = plan.excluding(skip);
+        let plan = plan.holding_back(held);
         let start = Instant::now();
         match race(telemetry, widx, arg, start, token, &plan, prune.as_deref()) {
             Some((result, latency_us)) => {
@@ -596,8 +599,7 @@ fn run_remote_alt(
 pub(crate) type AltOutcome = (u8, u64, u64);
 
 /// The pool job "run alternative `alt_idx` of workload `widx` alone,
-/// then `report` how it went" — an executor's `EXEC_ALT`, and the
-/// origin's local redo of a leg that blew its deadline. Returns the
+/// then `report` how it went" — an executor's `EXEC_ALT`. Returns the
 /// `work` / `done` pair for `WorkerPool::try_submit_work_at`: the
 /// alternative runs under `token` with a panic contained, and `report`
 /// runs exactly once for an admitted job — with `ALT_FAILED` when the

@@ -370,8 +370,6 @@ metrics! {
         "Races committed to a peer-executed alternative";
     RemoteFailed, "remote_failed", "remote failed", Some("altxd_remote_failed_total"), Counter, Own,
         "Shipped alternatives converted to failed guards";
-    RemoteRedispatched, "remote_redispatched", "remote redispatched", Some("altxd_remote_redispatched_total"), Counter, Own,
-        "Remote legs redispatched locally after a blown leg deadline";
     PeerQuarantines, "peer_quarantines", "peer quarantines", Some("altxd_peer_quarantines_total"), Counter, Peers(PeerStatsTable::total_quarantines),
         "Peer links closed for silence, at most one per spell in service";
     RemoteExecs, "remote_execs", "remote execs", Some("altxd_remote_execs_total"), Counter, Own,

@@ -10,9 +10,9 @@
 //!   reply no matter what the peer links do; a dropped reply hangs the
 //!   client (socket timeout → panic) and a duplicate desynchronizes
 //!   its framing, so the plain `client.run` loop *is* the check;
-//! * **hedged recovery** — remote legs whose results do not come home
-//!   within their per-leg deadline are redispatched locally
-//!   (`remote_redispatched > 0`);
+//! * **hedged recovery** — a remote leg whose result does not come
+//!   home within its allowance is raced by its local copy, held back
+//!   that long in the origin's own subrace (`hedges_launched > 0`);
 //! * **service** — a one-way stall that TCP keeps alive (the origin
 //!   reads nothing the peer sends) leaves the peer's link answering
 //!   nothing: the origin closes it after the silence span (a
@@ -180,10 +180,10 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
 
     // --- Phase 1: seeded wire chaos on every peer link. -------------
     // On top of the wire mix, a slice of local legs fail outright
-    // (guard-unsatisfied semantics): a race whose local leg failed and
-    // whose remote result is late can *only* finish through the
-    // leg-deadline redispatch path, so hedged recovery is exercised
-    // structurally rather than by timing luck.
+    // (guard-unsatisfied semantics): a race whose local alternatives
+    // failed and whose remote result is late can *only* finish through
+    // a shipped alternative's held-back local copy, so hedged recovery
+    // is exercised structurally rather than by timing luck.
     let t0 = Instant::now();
     let mut cfg = FaultConfig::net_chaos(seed);
     cfg.p_fail = 0.2;
@@ -205,7 +205,7 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     // side of its B link.
     // B's link is closed for silence (a quarantine) and B leaves
     // service, placement stops shipping to it, and the legs whose
-    // results the stall held expire and are redispatched locally.
+    // results the stall held are raced by their local copies.
     let t1 = Instant::now();
     // The stall must cut a peer in service: one that has answered
     // nothing since its last quarantine earns no new one while the
@@ -241,19 +241,19 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
     eprintln!("phase 2 (stall → quarantine): {:?}", t1.elapsed());
 
     // Legs shipped into the chaos (late results, the stall window)
-    // must have expired and been redispatched locally by now; drive a
+    // must have been raced by their local copies by now; drive a
     // few more races if the counter is still settling.
     let t2 = Instant::now();
     let deadline = Instant::now() + Duration::from_secs(15);
-    while a.telemetry().snapshot()[Metric::RemoteRedispatched] == 0 {
+    while a.telemetry().snapshot()[Metric::HedgesLaunched] == 0 {
         assert!(
             Instant::now() < deadline,
-            "no remote leg was ever redispatched locally (seed {seed:#x})"
+            "no remote leg's local copy ever launched (seed {seed:#x})"
         );
         race(&mut client);
         std::thread::sleep(Duration::from_millis(10));
     }
-    eprintln!("phase 2b (redispatch observed): {:?}", t2.elapsed());
+    eprintln!("phase 2b (local copy observed): {:?}", t2.elapsed());
 
     // --- Phase 3: heal. ---------------------------------------------
     // The wire chaos stays on — healing the stall is not the end of a
@@ -305,8 +305,8 @@ fn cluster_survives_wire_chaos_and_a_healing_partition() {
         "quarantine counter lost the episode (seed {seed:#x})"
     );
     assert!(
-        snap[Metric::RemoteRedispatched] >= 1,
-        "redispatch counter lost the recoveries (seed {seed:#x})"
+        snap[Metric::HedgesLaunched] >= 1,
+        "hedge counter lost the recoveries (seed {seed:#x})"
     );
     assert!(
         snap[Metric::RemoteDispatched] > 0 && snap[Metric::Completed] > 0,

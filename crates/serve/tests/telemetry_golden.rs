@@ -29,7 +29,7 @@ use std::sync::{mpsc, Arc, OnceLock};
 const LATENCIES_US: [u64; 7] = [40, 90, 120, 300, 900, 4_000, 2_000_000];
 
 /// Every counter the daemon owns, each left at a distinct non-zero value.
-const OWN: [(Metric, u64); 21] = [
+const OWN: [(Metric, u64); 20] = [
     (Metric::Accepted, 40),
     (Metric::RacesOnShard, 25),
     (Metric::Shed, 3),
@@ -46,7 +46,6 @@ const OWN: [(Metric, u64); 21] = [
     (Metric::RemoteResults, 16),
     (Metric::RemoteWins, 17),
     (Metric::RemoteFailed, 18),
-    (Metric::RemoteRedispatched, 19),
     (Metric::RemoteExecs, 21),
     (Metric::CommitVotes, 22),
     (Metric::CommitsDegraded, 23),

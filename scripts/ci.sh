@@ -160,8 +160,11 @@ UNSAFE_FILES=$(grep -rlw unsafe crates/*/src crates/*/tests | sort | xargs)
 
 # The race registry's core is a pure step(event, now) -> actions
 # machine, so the interleaving is a seed: 2 500 seeded schedules of
-# everything that can happen to a distributed race, judged by the
-# actions alone. A failure prints the altx_check seed that replays it.
+# everything that can happen to a distributed race — the local
+# subrace's outcome (a win by a shipped alternative's local copy
+# among them), leg results, duplicates, refusals, peer deaths, votes
+# and the expiry clock — judged by the actions alone. A failure prints
+# the altx_check seed that replays it.
 echo "==> race-registry schedule property (2500 seeded interleavings, virtual time)"
 cargo test -q -p altx-serve --lib remote::tests::any_schedule_posts_exactly_one_admissible_reply
 
@@ -272,7 +275,7 @@ done
 # width must stay admissible, whatever the thread timing.
 REPEATS=25
 REPEAT_LOG=$(mktemp /tmp/altx-repeat.XXXXXX.log)
-echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine, crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight and shard decisions, pool, link core, ring, sched, edf, pool_drain, reactor (the favourite-first path with it), loopback and timer_slack suites"
+echo "==> repeat stage: $REPEATS reruns of the cancel token and the timed-wait lead (led sleeps with them), race engine (an outside cancel ending a hold-back wait with it), crew (lead-decided races and led hedge releases with it), engine equivalence under every plan, write half, race in flight and shard decisions, pool, link core, ring, sched, edf, pool_drain, reactor (the favourite-first path with it), loopback and timer_slack suites"
 for i in $(seq 1 "$REPEATS"); do
     {
         cargo test -q -p altx cancel:: &&
