@@ -22,20 +22,69 @@ use std::time::Duration;
 /// body — and return `Some(result)` iff the guard is satisfied.
 pub type AltFn<R> = dyn Fn(&mut AddressSpace, &CancelToken) -> Option<R> + Send + Sync;
 
+/// An alternative's name. A `&'static str` — a literal, or a name from
+/// an interned table like a serving catalog's — is kept as the
+/// reference it is; any other name is copied once into a shared
+/// allocation. Naming from a static table never allocates, and neither
+/// does cloning a name.
+#[derive(Clone)]
+pub struct AltName(Name);
+
+#[derive(Clone)]
+enum Name {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl AltName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Name::Static(name) => name,
+            Name::Shared(name) => name,
+        }
+    }
+}
+
+impl From<&'static str> for AltName {
+    fn from(name: &'static str) -> Self {
+        AltName(Name::Static(name))
+    }
+}
+
+impl From<String> for AltName {
+    fn from(name: String) -> Self {
+        AltName(Name::Shared(name.into()))
+    }
+}
+
+impl From<Arc<str>> for AltName {
+    fn from(name: Arc<str>) -> Self {
+        AltName(Name::Shared(name))
+    }
+}
+
+impl fmt::Debug for AltName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// One named alternative.
 ///
-/// Name and body are reference-counted, so a clone is two counter
-/// bumps: [`ThreadedEngine`](crate::engine::ThreadedEngine) hands
-/// clones to whichever racer thread claims the alternative.
+/// The body is reference-counted and the name is static or
+/// reference-counted, so a clone allocates nothing:
+/// [`ThreadedEngine`](crate::engine::ThreadedEngine) hands clones to
+/// whichever racer thread claims the alternative.
 pub struct BlockAlternative<R> {
-    name: Arc<str>,
+    name: AltName,
     body: Arc<AltFn<R>>,
 }
 
 impl<R> Clone for BlockAlternative<R> {
     fn clone(&self) -> Self {
         BlockAlternative {
-            name: Arc::clone(&self.name),
+            name: self.name.clone(),
             body: Arc::clone(&self.body),
         }
     }
@@ -44,7 +93,7 @@ impl<R> Clone for BlockAlternative<R> {
 impl<R> BlockAlternative<R> {
     /// The alternative's display name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_str()
     }
 
     /// Runs the body on `workspace`.
@@ -113,10 +162,11 @@ impl<R> AltBlock<R> {
         }
     }
 
-    /// Adds an alternative (builder style). The name is kept as an
-    /// `Arc<str>`: a `&str` or a `String` is copied into one allocation,
-    /// an `Arc<str>` the caller already holds is taken as it is.
-    pub fn alternative<F>(mut self, name: impl Into<Arc<str>>, body: F) -> Self
+    /// Adds an alternative (builder style). The name is an [`AltName`]:
+    /// a `&'static str` is kept as it is, a `String` is copied into one
+    /// shared allocation, an `Arc<str>` the caller already holds is taken
+    /// as it is.
+    pub fn alternative<F>(mut self, name: impl Into<AltName>, body: F) -> Self
     where
         F: Fn(&mut AddressSpace, &CancelToken) -> Option<R> + Send + Sync + 'static,
     {

@@ -37,7 +37,8 @@ pub struct LaunchPlan {
     offsets: Vec<Duration>,
     /// Per alternative: true when it may not run at all. Empty when the
     /// plan excludes nobody, so `immediate`, `favourite_first` and
-    /// `from_offsets` allocate nothing for it.
+    /// `from_offsets` allocate nothing for it — nor do the first two for
+    /// `offsets`, which they leave empty.
     excluded: Vec<bool>,
     /// The alternative the caller runs alone first, if any; never an
     /// excluded one.
@@ -50,9 +51,12 @@ pub struct LaunchPlan {
 impl LaunchPlan {
     /// The classic Scheme C plan: every one of `n` alternatives launches
     /// at t=0. Racing under this plan is behaviourally identical to the
-    /// unplanned engine entry points.
+    /// unplanned engine entry points. It stores no offset — one past
+    /// the plan's length reads zero — so it allocates nothing, whatever
+    /// `n`.
     pub fn immediate(n: usize) -> Self {
-        LaunchPlan::from_offsets(vec![Duration::ZERO; n])
+        let _ = n;
+        LaunchPlan::default()
     }
 
     /// A plan from explicit per-alternative offsets.

@@ -19,14 +19,15 @@ use std::time::{Duration, Instant};
 /// block; this engine does not pay a thread per alternative. The calling
 /// thread always runs one alternative **inline**. Under a plan with a
 /// [lead](LaunchPlan::favourite_first) that is the lead, alone and
-/// before anything else happens: if it decides the race nobody was
-/// woken at all. Otherwise — and whenever a lead comes back undecided —
-/// it is the first pending alternative in declaration order that is
-/// due, run after every sibling has been handed to the process-wide
-/// race crew — parked racer threads that are reused from race to race,
-/// grow on demand and retire when idle. So the overhead here is one
-/// shared race record, a page-map fork per body that actually starts,
-/// and a wake-up per sibling dispatched; a sibling the decision reaches
+/// before anything else happens — before the race record is even
+/// built: if it decides the race, the race cost a fork and a call, and
+/// nobody was woken at all. Otherwise — and whenever a lead comes back
+/// undecided — it is the first pending alternative in declaration order
+/// that is due, run after every sibling has been handed to the
+/// process-wide race crew — parked racer threads that are reused from
+/// race to race, grow on demand and retire when idle. So the overhead of
+/// an open race is one shared race record, a page-map fork per body that
+/// actually starts, and a wake-up per sibling dispatched; a sibling the decision reaches
 /// while it is still waiting to be claimed is eliminated where it waits
 /// and costs neither a fork nor a thread.
 ///
@@ -170,22 +171,6 @@ impl<R: Send + 'static> Race<R> {
         earliest.map_or(Next::Idle, Next::At)
     }
 
-    /// Claims alternative `lead` ahead of declaration order: the opening
-    /// move of a [favourite-first](LaunchPlan::favourite_first) plan,
-    /// made while everything is still pending. A cancelled token
-    /// eliminates the whole race instead, as in
-    /// [`claim_next`](Race::claim_next).
-    fn claim_lead(&self, state: &mut RaceState<R>, lead: usize) -> Next {
-        if self.token.is_cancelled() {
-            state.suppress_pending();
-            return Next::Idle;
-        }
-        state.claims[lead] = Claim::Running;
-        state.pending -= 1;
-        state.running += 1;
-        Next::Run(lead)
-    }
-
     /// Launches whatever is still pending, the way a race opens: the
     /// caller claims first — under an ordinary plan that is the
     /// favourite, which it will run inline — and then hands the crew one
@@ -229,32 +214,11 @@ impl<R: Send + 'static> Race<R> {
         if on_crew {
             crew().enter();
         }
-        let alt = &self.alts[i];
         let mut fork = self.base.cow_fork();
-        // Containment: a panicking body — or an injected panic — is a
-        // failed guard, not a dead racer (and, inline, not a dead
-        // caller). The fault site sits inside the contained region for
-        // exactly that reason.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if faults::enabled()
-                && faults::inject(&format!("engine.alt.{}", alt.name()), Some(&self.token))
-                    == faults::Verdict::Fail
-            {
-                return (None, Duration::ZERO); // injected guard failure
-            }
-            // The body alone: a wake-up, a fork or a switch on the way
-            // here is the race's overhead, not this alternative's time.
-            let began = Instant::now();
-            let value = alt.run(&mut fork, &self.token);
-            (value, began.elapsed())
-        }));
+        let (value, body, panicked) = run_contained(&self.alts[i], &mut fork, &self.token);
         if on_crew {
             crew().leave();
         }
-        let (value, body, panicked) = match outcome {
-            Ok((value, body)) => (value, body, false),
-            Err(_) => (None, Duration::ZERO, true),
-        };
 
         let mut state = self.lock();
         state.panics += usize::from(panicked);
@@ -288,6 +252,35 @@ impl<R: Send + 'static> Race<R> {
             self.changed.notify_one();
         }
         drop(late);
+    }
+}
+
+/// Runs alternative `alt`'s body on `fork` under `token`, contained and
+/// timed: `(value, how long the body itself ran, whether it panicked)`.
+/// A panicking body — or an injected panic — is a failed guard, not a
+/// dead racer (and, inline, not a dead caller): the fault site sits
+/// inside the contained region for exactly that reason.
+fn run_contained<R>(
+    alt: &BlockAlternative<R>,
+    fork: &mut AddressSpace,
+    token: &CancelToken,
+) -> (Option<R>, Duration, bool) {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if faults::enabled()
+            && faults::inject(&format!("engine.alt.{}", alt.name()), Some(token))
+                == faults::Verdict::Fail
+        {
+            return (None, Duration::ZERO); // injected guard failure
+        }
+        // The body alone: a wake-up, a fork or a switch on the way here
+        // is the race's overhead, not this alternative's time.
+        let began = Instant::now();
+        let value = alt.run(fork, token);
+        (value, began.elapsed())
+    }));
+    match outcome {
+        Ok((value, body)) => (value, body, false),
+        Err(_) => (None, Duration::ZERO, true),
     }
 }
 
@@ -349,9 +342,9 @@ impl ThreadedEngine {
     /// Whoever watches that time — the caller, a parked racer — is back
     /// on a CPU when it comes, not a wake-up later ([`crate::wake`]).
     /// Nobody is woken on a [lead](LaunchPlan::favourite_first)'s behalf
-    /// either: the caller runs it before a single ticket exists, and a
+    /// either: the caller runs it before the race record exists, and a
     /// lead that decides the race leaves its siblings suppressed where
-    /// they stand — no dispatch, no wake-up, nothing to purge.
+    /// they stand — no record, no dispatch, no wake-up, nothing to purge.
     pub fn execute_planned<R: Send + 'static>(
         &self,
         block: &AltBlock<R>,
@@ -360,19 +353,56 @@ impl ThreadedEngine {
         plan: &LaunchPlan,
     ) -> BlockResult<R> {
         let start = Instant::now();
-        let n = block.len();
-        let claims: Vec<Claim> = (0..n)
-            .map(|i| {
-                if plan.is_excluded(i) {
-                    Claim::Excluded
-                } else {
-                    Claim::Pending
+        let alts = block.alternatives();
+        let n = alts.len();
+        // A lead runs alone, ahead of everything and before any race
+        // record exists, on its own fork of the workspace. If it decides,
+        // the race is over as a decision ends any race — the token is
+        // cancelled, the winner's fork absorbed — and every sibling the
+        // plan admits was suppressed where it stood: nothing was built,
+        // dispatched or woken for it. A token already cancelled starts no
+        // lead; the race below eliminates everything instead.
+        let mut lead = None;
+        if let Some(i) = plan.lead().filter(|&i| i < n && !token.is_cancelled()) {
+            let mut fork = workspace.cow_fork();
+            match run_contained(&alts[i], &mut fork, token) {
+                (Some(value), body, _) => {
+                    token.cancel();
+                    workspace.absorb(fork);
+                    let suppressed = (0..n).filter(|&j| j != i && !plan.is_excluded(j)).count();
+                    if suppressed > 0 {
+                        crew().count_reclaimed(suppressed);
+                    }
+                    return BlockResult {
+                        value: Some(value),
+                        winner: Some(i),
+                        winner_name: Some(alts[i].name().to_owned()),
+                        winner_body: Some(body),
+                        wall: start.elapsed(),
+                        attempts: 1,
+                        panics: 0,
+                        suppressed,
+                    };
                 }
+                (None, _, panicked) => lead = Some((i, panicked)),
+            }
+        }
+
+        // Only an undecided lead — or no lead — opens the race, from
+        // here, the way an immediate plan opens at t = 0: the lead's
+        // claim is `Done` (its panic counted), and under
+        // `LaunchPlan::only`, whose siblings are all excluded, `launch`
+        // finds nothing pending and hands out nothing.
+        let claims: Vec<Claim> = (0..n)
+            .map(|i| match lead {
+                Some((lead, _)) if lead == i => Claim::Done,
+                _ if plan.is_excluded(i) => Claim::Excluded,
+                _ => Claim::Pending,
             })
             .collect();
         let pending = claims.iter().filter(|c| **c == Claim::Pending).count();
         let race = Arc::new(Race {
-            alts: block.alternatives().to_vec(),
+            alts: alts.to_vec(),
             releases: (0..n)
                 .map(|i| plan.offset(i))
                 .map(|offset| (!offset.is_zero()).then(|| start + offset))
@@ -384,23 +414,11 @@ impl ThreadedEngine {
                 claims,
                 pending,
                 running: 0,
-                panics: 0,
+                panics: lead.map_or(0, |(_, panicked)| usize::from(panicked)),
                 winner: None,
             }),
             changed: Condvar::new(),
         });
-
-        // A lead runs alone, ahead of everything: only if it comes back
-        // undecided does the race open, from that instant, the way an
-        // immediate plan opens at t = 0. If it decided, `launch` finds
-        // nothing pending and hands out nothing — nor does it under
-        // `LaunchPlan::only`, whose siblings are all excluded.
-        if let Some(lead) = plan.lead().filter(|&lead| lead < n) {
-            let claimed = race.claim_lead(&mut race.lock(), lead);
-            if let Next::Run(i) = claimed {
-                race.run_claimed(i, false);
-            }
-        }
         let job = race.launch();
 
         // From here on the caller works the race like any racer, except
@@ -459,7 +477,7 @@ impl ThreadedEngine {
         BlockResult {
             value,
             winner,
-            winner_name: winner.map(|i| block.alternatives()[i].name().to_string()),
+            winner_name: winner.map(|i| alts[i].name().to_owned()),
             winner_body,
             wall: start.elapsed(),
             attempts,
@@ -860,6 +878,38 @@ mod tests {
         assert_eq!(r.winner, Some(1));
         assert_eq!(r.attempts, 1, "one body ran");
         assert_eq!(r.suppressed, 1);
+    }
+
+    #[test]
+    fn an_undecided_lead_opens_the_race_with_its_claim_done() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // The lead panics: the race opens from there with the panic
+        // counted and the lead's claim spent — it never runs again —
+        // and a sibling decides it.
+        let lead_runs = Arc::new(AtomicUsize::new(0));
+        let runs = lead_runs.clone();
+        let block: AltBlock<u8> = AltBlock::new()
+            .alternative("sibling-fails", |_w, _t| None)
+            .alternative("lead", move |_w, _t| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                panic!("the lead crashes")
+            })
+            .alternative("sibling-holds", |w, _t| {
+                w.write(0, &[9]);
+                Some(2)
+            });
+        let mut workspace = ws();
+        let plan = LaunchPlan::favourite_first(3, 1);
+        let r = ThreadedEngine::new().execute_planned(
+            &block,
+            &mut workspace,
+            &CancelToken::new(),
+            &plan,
+        );
+        assert_eq!(r.winner, Some(2));
+        assert_eq!((r.attempts, r.panics, r.suppressed), (3, 1, 0));
+        assert_eq!(lead_runs.load(Ordering::SeqCst), 1);
+        assert_eq!(workspace.read_vec(0, 1), vec![9]);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod perf;
 pub mod stats;
 pub mod wake;
 
-pub use block::{AltBlock, BlockResult};
+pub use block::{AltBlock, AltName, BlockResult};
 pub use cancel::CancelToken;
 pub use engine::Engine;
 pub use pad::CachePadded;

@@ -14,9 +14,11 @@
 //! Every retry and reconnect is counted in [`ClientStats`] so load
 //! generators can report how much resilience machinery actually fired.
 
-use crate::frame::{read_frame, write_frame, FrameError, Request, Response};
+use crate::frame::{
+    append_frame, FrameDecoder, FrameError, Request, RequestOf, RequestRef, Response,
+};
 use altx_des::splitmix64;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,8 +99,18 @@ impl ClientStats {
 
 /// One connection to an `altxd` daemon. Requests are synchronous: one
 /// outstanding request per connection, replies in order.
+///
+/// A request goes out as one write of its whole frame, and replies are
+/// read through a buffered [`FrameDecoder`]: one `recv` normally takes a
+/// reply's header and body together, and bytes beyond the reply — the
+/// next pipelined one — wait in it for the next call. [`Client::call`],
+/// [`Client::send`] and [`Client::recv`] share both buffers.
 pub struct Client {
     stream: Option<TcpStream>,
+    /// Bytes read from `stream` and not yet returned as a reply.
+    decoder: FrameDecoder,
+    /// The request frame being written, reused from request to request.
+    out: Vec<u8>,
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
     stats: Arc<ClientStats>,
@@ -128,6 +140,8 @@ impl Client {
             .map_or((0, 0), |r| (r.budget, splitmix64(r.jitter_seed)));
         Ok(Client {
             stream: Some(stream),
+            decoder: FrameDecoder::new(),
+            out: Vec::new(),
             addrs,
             config,
             stats: Arc::new(ClientStats::default()),
@@ -145,6 +159,11 @@ impl Client {
     /// Sends a request and waits for its reply, retrying per the
     /// client's [`ClientConfig`].
     pub fn call(&mut self, request: &Request) -> Result<Response, FrameError> {
+        self.call_with(request)
+    }
+
+    /// [`Client::call`] over a request of either string type.
+    fn call_with(&mut self, request: &RequestOf<impl AsRef<str>>) -> Result<Response, FrameError> {
         let max_attempts = self
             .config
             .retry
@@ -173,9 +192,11 @@ impl Client {
     }
 
     /// One try on the live stream.
-    fn attempt(&mut self, request: &Request) -> Result<Response, FrameError> {
+    fn attempt(&mut self, request: &RequestOf<impl AsRef<str>>) -> Result<Response, FrameError> {
         let mut stream = self.take_stream()?;
-        let result = exchange(&mut stream, &request.encode());
+        let result = self
+            .write_request(&mut stream, request)
+            .and_then(|()| self.read_reply(&mut stream));
         if result.is_ok() {
             self.stream = Some(stream);
         }
@@ -185,11 +206,12 @@ impl Client {
     }
 
     /// Hands out the live stream, reconnecting if the last attempt
-    /// tainted it.
+    /// tainted it — and dropping whatever the tainted one left buffered.
     fn take_stream(&mut self) -> Result<TcpStream, FrameError> {
         match self.stream.take() {
             Some(s) => Ok(s),
             None => {
+                self.decoder = FrameDecoder::new();
                 self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
                 open_stream(&self.addrs, &self.config).map_err(FrameError::from)
             }
@@ -224,26 +246,51 @@ impl Client {
     /// would desynchronize the pipeline).
     pub fn send(&mut self, request: &Request) -> Result<(), FrameError> {
         let mut stream = self.take_stream()?;
-        match write_frame(&mut stream, &request.encode()) {
-            Ok(()) => {
-                self.stream = Some(stream);
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        }
+        self.write_request(&mut stream, request)?;
+        self.stream = Some(stream);
+        Ok(())
     }
 
     /// Pipelining: reads the next reply frame. Replies arrive in the
     /// order their requests were [`Client::send`]-ed.
     pub fn recv(&mut self) -> Result<Response, FrameError> {
         let mut stream = self.take_stream()?;
-        match read_frame(&mut stream) {
-            Ok(Some(body)) => {
-                self.stream = Some(stream);
-                Response::decode(&body)
+        let result = self.read_reply(&mut stream);
+        // A reply that does not decode was framed all the same: the
+        // stream is still in step with its requests.
+        if let Ok(_) | Err(FrameError::Malformed(_) | FrameError::UnknownOpcode(_)) = result {
+            self.stream = Some(stream);
+        }
+        result
+    }
+
+    /// Writes `request` as one frame, in one write where the socket
+    /// takes it whole.
+    fn write_request(
+        &mut self,
+        stream: &mut TcpStream,
+        request: &RequestOf<impl AsRef<str>>,
+    ) -> Result<(), FrameError> {
+        self.out.clear();
+        append_frame(&mut self.out, |b| request.encode_into(b))?;
+        stream.write_all(&self.out)?;
+        Ok(())
+    }
+
+    /// The next reply: from the bytes already buffered if they hold
+    /// one, else read for — each read takes whatever the socket has,
+    /// the reply's header and body together when they came together.
+    fn read_reply(&mut self, stream: &mut TcpStream) -> Result<Response, FrameError> {
+        loop {
+            if let Some(body) = self.decoder.next_frame_ref()? {
+                return Response::decode(body);
             }
-            Ok(None) => Err(FrameError::Truncated),
-            Err(e) => Err(e),
+            match self.decoder.read_from(stream) {
+                Ok((0, _)) => return Err(FrameError::Truncated),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
     }
 
@@ -254,8 +301,8 @@ impl Client {
         arg: u64,
         deadline_ms: u32,
     ) -> Result<Response, FrameError> {
-        self.call(&Request::Run {
-            workload: workload.to_owned(),
+        self.call_with(&RequestRef::Run {
+            workload,
             deadline_ms,
             arg,
         })
@@ -301,15 +348,6 @@ impl Client {
             Response::Text { .. } => Ok(()),
             other => Err(unexpected(other)),
         }
-    }
-}
-
-/// One framed request/reply exchange on an open stream.
-fn exchange(stream: &mut TcpStream, payload: &[u8]) -> Result<Response, FrameError> {
-    write_frame(stream, payload)?;
-    match read_frame(stream)? {
-        Some(body) => Response::decode(&body),
-        None => Err(FrameError::Truncated),
     }
 }
 

@@ -67,15 +67,12 @@ use crate::telemetry::ShardStats;
 use altx::faults::{self, NetFault};
 use altx::CancelToken;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// What a readiness-driven read pass produced.
+/// What a readiness-driven read pass ended with, beside its frames.
 pub(crate) struct ReadOutcome {
-    /// Complete frame bodies, in arrival order. Drawn from the shard's
-    /// [`BufPool`]; the reactor returns each to the pool once handled.
-    pub frames: Vec<Vec<u8>>,
     /// A framing error (oversized prefix, EOF mid-frame). The
     /// connection stops reading; the reactor owes the peer one error
     /// reply before close.
@@ -151,38 +148,41 @@ impl Conn {
         }
     }
 
-    /// Reads until the socket is drained (or EOF), returning every
-    /// complete frame that became available in pool-recycled buffers.
-    /// A short read is a drained socket: the poll is level-triggered, so
-    /// bytes that land after it — or the EOF behind them — are reported
-    /// again, and asking once more now could only answer `WouldBlock`.
+    /// Reads until the socket is drained (or EOF), each read straight
+    /// into the decoder's buffer, and appends every complete frame that
+    /// became available to `frames`, in pool-recycled buffers (the
+    /// reactor returns each to the pool once handled).
+    /// A read that leaves room is a drained socket: the poll is
+    /// level-triggered, so bytes that land after it — or the EOF behind
+    /// them — are reported again, and asking once more now could only
+    /// answer `WouldBlock`.
     /// A link reads nothing while stalled and draws its `.recv` site per
     /// frame: a cut takes that frame and the rest as the end of stream.
     /// `Err` means the transport itself failed and the connection is
     /// unsalvageable.
-    pub(crate) fn on_readable(&mut self, pool: &mut BufPool) -> io::Result<ReadOutcome> {
+    pub(crate) fn on_readable(
+        &mut self,
+        pool: &mut BufPool,
+        frames: &mut Vec<Vec<u8>>,
+    ) -> io::Result<ReadOutcome> {
         let link = self.write.link.as_deref();
         let mut eof = false;
-        let mut buf = [0u8; 8192];
         while !stalled(link, "recv") {
-            match (&self.write.stream).read(&mut buf) {
-                Ok(0) => {
+            match self.decoder.read_from(&mut &self.write.stream) {
+                Ok((0, _)) => {
                     eof = true;
                     break;
                 }
-                Ok(n) => {
-                    self.decoder.extend(&buf[..n]);
-                    if n < buf.len() {
-                        break;
-                    }
-                }
+                // The read filled the room: more may be waiting.
+                Ok((_, true)) => {}
+                Ok(_) => break,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
         let cut = || wire_fault(link, "recv") == Some(NetFault::Truncate);
-        let (mut frames, mut error) = (Vec::new(), None);
+        let mut error = None;
         loop {
             let mut body = pool.get();
             match self.decoder.next_frame_into(&mut body) {
@@ -211,7 +211,7 @@ impl Conn {
         if eof || error.is_some() {
             self.write.close_read();
         }
-        Ok(ReadOutcome { frames, error, eof })
+        Ok(ReadOutcome { error, eof })
     }
 
     /// The half shared with the threads that deliver replies.

@@ -202,9 +202,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
 ///
 /// The blocking [`read_frame`] owns the stream until a whole frame
 /// arrives — fine for one thread per connection, useless for a reactor
-/// that must never wait. `FrameDecoder` inverts the control flow: feed
-/// it whatever bytes the socket had ([`FrameDecoder::extend`]), then
-/// drain complete bodies with [`FrameDecoder::next_frame`]. Partial
+/// that must never wait. `FrameDecoder` inverts the control flow: read
+/// from the socket straight into it ([`FrameDecoder::read_from`]), or
+/// feed it bytes read elsewhere ([`FrameDecoder::extend`]), then drain
+/// complete bodies with [`FrameDecoder::next_frame_into`]. Partial
 /// headers and partial bodies are buffered across calls, so a frame
 /// split across any number of reads decodes identically to one that
 /// arrived whole.
@@ -213,19 +214,29 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
 /// bytes are visible — before the announced body is buffered — with
 /// the same [`FrameError::Oversized`] the blocking path returns.
 ///
-/// Internally the decoder is a buffer plus a *read cursor*. Consuming a
-/// frame only advances the cursor; the consumed prefix is reclaimed
-/// lazily — all at once when the buffer fully drains (the common case:
-/// `buf.clear()`, free), or by a single memmove once the dead prefix
-/// dominates the buffer. A pipelined burst of k frames therefore costs
-/// O(bytes) total, not the O(k · bytes) it would cost to memmove the
-/// tail after every frame.
+/// Internally the decoder is one buffer with a *read cursor* and an
+/// *end*: the bytes between them are buffered, the bytes past the end
+/// are room the next read lands in — zeroed once, when the buffer grew,
+/// and reused from then on, so a read costs neither a scratch array nor
+/// a copy out of one. Consuming a frame only advances the cursor; the
+/// consumed prefix is reclaimed when room is wanted — for free when
+/// everything was consumed (the common case), else by one memmove of
+/// the unconsumed tail before the buffer would grow. A pipelined burst
+/// of k frames therefore costs O(bytes) total, not the O(k · bytes) it
+/// would cost to memmove the tail after every frame.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Bytes before `pos` belong to already-consumed frames.
     pos: usize,
+    /// Bytes from `end` on were never read into: the room.
+    end: usize,
 }
+
+/// The least room [`FrameDecoder::read_from`] offers a read: dozens of
+/// requests or replies, short of a stats page. A connection keeps its
+/// buffer for life, so it stays small until a frame needs more.
+const READ_ROOM: usize = 1024;
 
 impl FrameDecoder {
     /// Creates an empty decoder.
@@ -235,20 +246,34 @@ impl FrameDecoder {
 
     /// Buffers bytes read from the transport.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.make_room(bytes.len());
+        self.buf[self.end..self.end + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
+    }
+
+    /// One read from `r` straight into the buffer, offered at least
+    /// [`READ_ROOM`] bytes of room, or as much as is already buffered if
+    /// that is more — a long frame takes a number of reads logarithmic
+    /// in its length. Returns how many bytes came (`0` at end of stream)
+    /// and whether they filled the room, in which case more may be
+    /// waiting.
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<(usize, bool)> {
+        self.make_room(READ_ROOM.max(self.buffered()));
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok((n, self.end == self.buf.len()))
     }
 
     /// Bytes buffered but not yet returned as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Pops the next complete frame body, `Ok(None)` if more bytes are
     /// needed. After an `Err` the stream is desynchronized and the
     /// connection should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        let mut body = Vec::new();
-        Ok(self.next_frame_into(&mut body)?.then_some(body))
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
     }
 
     /// Like [`FrameDecoder::next_frame`], but appends the body into a
@@ -256,8 +281,18 @@ impl FrameDecoder {
     /// of allocating. Returns `Ok(true)` when a frame was written to
     /// `out`, `Ok(false)` when more bytes are needed (`out` untouched).
     pub fn next_frame_into(&mut self, out: &mut Vec<u8>) -> Result<bool, FrameError> {
+        let body = self.next_frame_ref()?;
+        if let Some(body) = body {
+            out.extend_from_slice(body);
+        }
+        Ok(body.is_some())
+    }
+
+    /// Like [`FrameDecoder::next_frame`], but lends the body where it
+    /// lies in the buffer: decoding it copies nothing.
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, FrameError> {
         if self.buffered() < 4 {
-            return Ok(false);
+            return Ok(None);
         }
         let header = &self.buf[self.pos..self.pos + 4];
         let len = u32::from_be_bytes(header.try_into().expect("len 4")) as usize;
@@ -265,24 +300,26 @@ impl FrameDecoder {
             return Err(FrameError::Oversized(len));
         }
         if self.buffered() < 4 + len {
-            return Ok(false);
+            return Ok(None);
         }
-        out.extend_from_slice(&self.buf[self.pos + 4..self.pos + 4 + len]);
-        self.pos += 4 + len;
-        self.compact();
-        Ok(true)
+        let body = self.pos + 4..self.pos + 4 + len;
+        self.pos = body.end;
+        Ok(Some(&self.buf[body]))
     }
 
-    /// Reclaims the consumed prefix, amortized: free when the buffer is
-    /// fully drained, one memmove when dead bytes are both sizeable and
-    /// the majority of the buffer.
-    fn compact(&mut self) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos >= 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
+    /// Leaves at least `want` bytes of room past the end: reclaims the
+    /// consumed prefix — free when the buffer is fully drained, else one
+    /// memmove of the unconsumed tail, made only when the room is short
+    /// — and grows the buffer only when that is not enough.
+    fn make_room(&mut self, want: usize) {
+        if self.pos == self.end {
+            (self.pos, self.end) = (0, 0);
+        } else if self.buf.len() - self.end < want && self.pos > 0 {
+            self.buf.copy_within(self.pos..self.end, 0);
+            (self.pos, self.end) = (0, self.end - self.pos);
+        }
+        if self.buf.len() - self.end < want {
+            self.buf.resize(self.end + want, 0);
         }
     }
 
@@ -296,13 +333,19 @@ impl FrameDecoder {
     }
 }
 
-/// A client request.
+/// A client request, over the type its strings have: [`Request`] owns
+/// them, [`RequestRef`] borrows them — from the frame body it was
+/// decoded from, or from the caller that encodes it. There is one codec:
+/// [`RequestRef::decode`] parses without copying (the reactor decides
+/// requests in that form, so a RUN frame's workload name is looked up
+/// where it lies), [`Request::decode`] is that parse made owned, and
+/// both encode with [`RequestOf::encode_into`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum RequestOf<S> {
     /// Race the named workload's alternatives; reply with the winner.
     Run {
         /// Registered workload name.
-        workload: String,
+        workload: S,
         /// Per-request deadline in milliseconds; `0` means unbounded.
         deadline_ms: u32,
         /// Workload argument (problem size, RNG seed — workload-defined).
@@ -331,7 +374,7 @@ pub enum Request {
         /// Workload argument.
         arg: u64,
         /// Registered workload name.
-        workload: String,
+        workload: S,
     },
     /// Peer plane: request this node's exclusive 0–1 commit vote for
     /// `candidate` in race `(origin, race_id)`. Answered with
@@ -340,9 +383,9 @@ pub enum Request {
         /// Race identifier (the origin's id space).
         race_id: u64,
         /// The origin node's advertised peer address (scopes the id).
-        origin: String,
+        origin: S,
         /// Candidate identity, e.g. `"host:port/alt2"`.
-        candidate: String,
+        candidate: S,
     },
     /// Peer plane: the race is decided — cancel any of its alternatives
     /// shipped on this connection and still running here.
@@ -353,6 +396,12 @@ pub enum Request {
     /// Peer plane: the node's per-peer link table (text).
     PeerStats,
 }
+
+/// A request that owns its strings.
+pub type Request = RequestOf<String>;
+
+/// A request whose strings are borrowed.
+pub type RequestRef<'a> = RequestOf<&'a str>;
 
 /// `AltResult` status: the alternative succeeded with a value.
 pub const ALT_OK: u8 = 0;
@@ -397,116 +446,155 @@ const OP_COMMIT_VOTE: u8 = 0x08;
 const OP_ELIMINATE: u8 = 0x09;
 const OP_PEER_STATS: u8 = 0x0A;
 
-impl Request {
-    /// Serializes into a frame body.
-    pub fn encode(&self) -> Vec<u8> {
+impl<S: AsRef<str>> RequestOf<S> {
+    /// Appends the frame body to `b`.
+    pub fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
-            Request::Run {
+            RequestOf::Run {
                 workload,
                 deadline_ms,
                 arg,
             } => {
-                let mut b = Vec::with_capacity(15 + workload.len());
+                let workload = workload.as_ref();
+                b.reserve(15 + workload.len());
                 b.push(OP_RUN);
                 b.extend_from_slice(&deadline_ms.to_be_bytes());
                 b.extend_from_slice(&arg.to_be_bytes());
-                put_str16(&mut b, workload);
-                b
+                put_str16(b, workload);
             }
-            Request::Stats => vec![OP_STATS],
-            Request::Prometheus => vec![OP_PROMETHEUS],
-            Request::Shutdown => vec![OP_SHUTDOWN],
-            Request::Catalog => vec![OP_CATALOG],
-            Request::ExecAlt {
+            RequestOf::Stats => b.push(OP_STATS),
+            RequestOf::Prometheus => b.push(OP_PROMETHEUS),
+            RequestOf::Shutdown => b.push(OP_SHUTDOWN),
+            RequestOf::Catalog => b.push(OP_CATALOG),
+            RequestOf::ExecAlt {
                 race_id,
                 alt_idx,
                 deadline_ms,
                 arg,
                 workload,
             } => {
-                let mut b = Vec::with_capacity(exec_alt_frame_len(workload) - 4);
+                let workload = workload.as_ref();
+                b.reserve(exec_alt_frame_len(workload) - 4);
                 b.push(OP_EXEC_ALT);
                 b.extend_from_slice(&race_id.to_be_bytes());
                 b.extend_from_slice(&alt_idx.to_be_bytes());
                 b.extend_from_slice(&deadline_ms.to_be_bytes());
                 b.extend_from_slice(&arg.to_be_bytes());
-                put_str16(&mut b, workload);
-                b
+                put_str16(b, workload);
             }
-            Request::CommitVote {
+            RequestOf::CommitVote {
                 race_id,
                 origin,
                 candidate,
             } => {
-                let mut b = Vec::with_capacity(13 + origin.len() + candidate.len());
+                let (origin, candidate) = (origin.as_ref(), candidate.as_ref());
+                b.reserve(13 + origin.len() + candidate.len());
                 b.push(OP_COMMIT_VOTE);
                 b.extend_from_slice(&race_id.to_be_bytes());
-                put_str16(&mut b, origin);
-                put_str16(&mut b, candidate);
-                b
+                put_str16(b, origin);
+                put_str16(b, candidate);
             }
-            Request::Eliminate { race_id } => {
-                let mut b = Vec::with_capacity(9);
+            RequestOf::Eliminate { race_id } => {
+                b.reserve(9);
                 b.push(OP_ELIMINATE);
                 b.extend_from_slice(&race_id.to_be_bytes());
-                b
             }
-            Request::PeerStats => vec![OP_PEER_STATS],
+            RequestOf::PeerStats => b.push(OP_PEER_STATS),
         }
     }
 
-    /// Parses a frame body.
-    pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
+    /// Serializes into a frame body.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        self.encode_into(&mut b);
+        b
+    }
+}
+
+impl<S> RequestOf<S> {
+    /// The same request with `f` applied to each of its strings.
+    fn map<T>(self, mut f: impl FnMut(S) -> T) -> RequestOf<T> {
+        match self {
+            RequestOf::Run {
+                workload,
+                deadline_ms,
+                arg,
+            } => RequestOf::Run {
+                workload: f(workload),
+                deadline_ms,
+                arg,
+            },
+            RequestOf::Stats => RequestOf::Stats,
+            RequestOf::Prometheus => RequestOf::Prometheus,
+            RequestOf::Shutdown => RequestOf::Shutdown,
+            RequestOf::Catalog => RequestOf::Catalog,
+            RequestOf::ExecAlt {
+                race_id,
+                alt_idx,
+                deadline_ms,
+                arg,
+                workload,
+            } => RequestOf::ExecAlt {
+                race_id,
+                alt_idx,
+                deadline_ms,
+                arg,
+                workload: f(workload),
+            },
+            RequestOf::CommitVote {
+                race_id,
+                origin,
+                candidate,
+            } => RequestOf::CommitVote {
+                race_id,
+                origin: f(origin),
+                candidate: f(candidate),
+            },
+            RequestOf::Eliminate { race_id } => RequestOf::Eliminate { race_id },
+            RequestOf::PeerStats => RequestOf::PeerStats,
+        }
+    }
+}
+
+impl<'a> RequestRef<'a> {
+    /// Parses a frame body, borrowing its strings.
+    pub fn decode(body: &'a [u8]) -> Result<Self, FrameError> {
         let mut c = Cursor::new(body);
         let req = match c.u8()? {
-            OP_RUN => {
-                let deadline_ms = c.u32()?;
-                let arg = c.u64()?;
-                let name_len = c.u16()? as usize;
-                let workload = c.str(name_len)?;
-                Request::Run {
-                    workload,
-                    deadline_ms,
-                    arg,
-                }
-            }
-            OP_STATS => Request::Stats,
-            OP_PROMETHEUS => Request::Prometheus,
-            OP_SHUTDOWN => Request::Shutdown,
-            OP_CATALOG => Request::Catalog,
-            OP_EXEC_ALT => {
-                let race_id = c.u64()?;
-                let alt_idx = c.u32()?;
-                let deadline_ms = c.u32()?;
-                let arg = c.u64()?;
-                let name_len = c.u16()? as usize;
-                let workload = c.str(name_len)?;
-                Request::ExecAlt {
-                    race_id,
-                    alt_idx,
-                    deadline_ms,
-                    arg,
-                    workload,
-                }
-            }
-            OP_COMMIT_VOTE => {
-                let race_id = c.u64()?;
-                let origin_len = c.u16()? as usize;
-                let origin = c.str(origin_len)?;
-                let cand_len = c.u16()? as usize;
-                let candidate = c.str(cand_len)?;
-                Request::CommitVote {
-                    race_id,
-                    origin,
-                    candidate,
-                }
-            }
-            OP_ELIMINATE => Request::Eliminate { race_id: c.u64()? },
-            OP_PEER_STATS => Request::PeerStats,
+            OP_RUN => RequestOf::Run {
+                deadline_ms: c.u32()?,
+                arg: c.u64()?,
+                workload: c.str16()?,
+            },
+            OP_STATS => RequestOf::Stats,
+            OP_PROMETHEUS => RequestOf::Prometheus,
+            OP_SHUTDOWN => RequestOf::Shutdown,
+            OP_CATALOG => RequestOf::Catalog,
+            OP_EXEC_ALT => RequestOf::ExecAlt {
+                race_id: c.u64()?,
+                alt_idx: c.u32()?,
+                deadline_ms: c.u32()?,
+                arg: c.u64()?,
+                workload: c.str16()?,
+            },
+            OP_COMMIT_VOTE => RequestOf::CommitVote {
+                race_id: c.u64()?,
+                origin: c.str16()?,
+                candidate: c.str16()?,
+            },
+            OP_ELIMINATE => RequestOf::Eliminate { race_id: c.u64()? },
+            OP_PEER_STATS => RequestOf::PeerStats,
             op => return Err(FrameError::UnknownOpcode(op)),
         };
         c.finish()?;
         Ok(req)
+    }
+}
+
+impl Request {
+    /// Parses a frame body.
+    pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
+        RequestRef::decode(body).map(|request| request.map(str::to_owned))
     }
 }
 
@@ -543,7 +631,7 @@ pub enum Response {
         /// The text body.
         body: String,
     },
-    /// Peer plane: the reply to a [`Request::CommitVote`] — whether
+    /// Peer plane: the reply to a [`RequestOf::CommitVote`] — whether
     /// this voter's exclusive 0–1 grant went to the asking candidate.
     Vote {
         /// True when the vote was granted (first request for the race,
@@ -554,7 +642,7 @@ pub enum Response {
         holder: String,
     },
     /// Peer plane: the outcome of a shipped alternative, pushed unasked
-    /// on the connection its [`Request::ExecAlt`] arrived on.
+    /// on the connection its [`RequestOf::ExecAlt`] arrived on.
     AltResult {
         /// Race identifier (the origin's id space).
         race_id: u64,
@@ -668,8 +756,7 @@ impl Response {
                 let winner = c.u32()?;
                 let latency_us = c.u64()?;
                 let value = c.u64()?;
-                let name_len = c.u16()? as usize;
-                let winner_name = c.str(name_len)?;
+                let winner_name = c.str16()?.to_owned();
                 Response::Ok {
                     winner,
                     winner_name,
@@ -682,15 +769,14 @@ impl Response {
             },
             ST_OVERLOADED => Response::Overloaded,
             ST_UNKNOWN => Response::UnknownWorkload,
-            ST_ERROR => {
-                let len = c.u16()? as usize;
-                Response::Error {
-                    message: c.str(len)?,
-                }
-            }
+            ST_ERROR => Response::Error {
+                message: c.str16()?.to_owned(),
+            },
             ST_TEXT => {
                 let len = c.u32()? as usize;
-                Response::Text { body: c.str(len)? }
+                Response::Text {
+                    body: c.str(len)?.to_owned(),
+                }
             }
             ST_VOTE => {
                 let granted = match c.u8()? {
@@ -698,10 +784,9 @@ impl Response {
                     1 => true,
                     _ => return Err(FrameError::Malformed("bad vote flag")),
                 };
-                let len = c.u16()? as usize;
                 Response::Vote {
                     granted,
-                    holder: c.str(len)?,
+                    holder: c.str16()?.to_owned(),
                 }
             }
             ST_ALT_RESULT => {
@@ -764,10 +849,14 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
-    fn str(&mut self, n: usize) -> Result<String, FrameError> {
-        std::str::from_utf8(self.take(n)?)
-            .map(str::to_owned)
-            .map_err(|_| FrameError::Malformed("invalid utf-8"))
+    fn str(&mut self, n: usize) -> Result<&'a str, FrameError> {
+        std::str::from_utf8(self.take(n)?).map_err(|_| FrameError::Malformed("invalid utf-8"))
+    }
+
+    /// A `u16`-prefixed string field.
+    fn str16(&mut self) -> Result<&'a str, FrameError> {
+        let n = self.u16()? as usize;
+        self.str(n)
     }
 
     fn finish(self) -> Result<(), FrameError> {

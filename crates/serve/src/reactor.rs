@@ -113,7 +113,7 @@
 use crate::bufpool::BufPool;
 use crate::commit::CommitLedger;
 use crate::conn::{Conn, ReplySlot, WriteHalf};
-use crate::frame::{exec_alt_frame_len, FrameError, Request, Response};
+use crate::frame::{exec_alt_frame_len, FrameError, RequestRef, Response};
 use crate::link::Event;
 use crate::peer::{load_line, PeerLinks, PeerStatsTable};
 use crate::placement::Placement;
@@ -311,6 +311,9 @@ pub(crate) struct Reactor {
     shard: Shard,
     stats: Arc<ShardStats>,
     bufs: BufPool,
+    /// The frames of the connection being read, reused from read to
+    /// read.
+    frames: Vec<Vec<u8>>,
     /// Every connection: the accepted ones and, on shard 0, the ones its
     /// peer links dialled.
     conns: HashMap<u64, Conn>,
@@ -393,7 +396,7 @@ impl Shard {
     /// at `now` with the pool at `load`.
     pub(crate) fn step(
         &self,
-        request: Result<Request, FrameError>,
+        request: Result<RequestRef, FrameError>,
         now: Instant,
         load: Load,
     ) -> Action {
@@ -419,17 +422,17 @@ impl Shard {
             }
         };
         match request {
-            Request::Stats => Action::Reply(text(self.telemetry.render_stats())),
-            Request::Prometheus => Action::Reply(text(self.telemetry.render_prometheus())),
-            Request::Catalog => Action::Reply(text(render_catalog(&self.sched))),
-            Request::Shutdown => Action::Shutdown,
-            Request::Run {
+            RequestRef::Stats => Action::Reply(text(self.telemetry.render_stats())),
+            RequestRef::Prometheus => Action::Reply(text(self.telemetry.render_prometheus())),
+            RequestRef::Catalog => Action::Reply(text(render_catalog(&self.sched))),
+            RequestRef::Shutdown => Action::Shutdown,
+            RequestRef::Run {
                 workload,
                 deadline_ms,
                 arg,
             } => {
                 // Unknown names are refused before they cost a queue slot.
-                let Some(widx) = workload::index_of(&workload) else {
+                let Some(widx) = workload::index_of(workload) else {
                     self.telemetry.on_error();
                     return Action::Reply(Response::UnknownWorkload);
                 };
@@ -452,7 +455,7 @@ impl Shard {
                 // frame size is what crosses the wire per shipped
                 // alternative.
                 let up = self.peers.up_peers();
-                let bytes = exec_alt_frame_len(&workload) as u64;
+                let bytes = exec_alt_frame_len(workload) as u64;
                 let catalog = self.sched.catalog();
                 let assign = self
                     .placement
@@ -477,13 +480,13 @@ impl Shard {
                     Action::Queue(key, meta(widx, deadline_ms))
                 }
             }
-            Request::ExecAlt {
+            RequestRef::ExecAlt {
                 race_id,
                 alt_idx,
                 deadline_ms,
                 arg,
                 workload,
-            } => match workload::index_of(&workload) {
+            } => match workload::index_of(workload) {
                 Some(widx) => Action::ExecAlt {
                     key: RaceKey {
                         widx,
@@ -499,18 +502,18 @@ impl Shard {
                     Action::Reply(Response::Overloaded)
                 }
             },
-            Request::CommitVote {
+            RequestRef::CommitVote {
                 race_id,
                 origin,
                 candidate,
             } => {
                 let clock = || now;
-                let (granted, holder) = self.ledger.vote_with(&origin, race_id, &candidate, clock);
+                let (granted, holder) = self.ledger.vote_with(origin, race_id, candidate, clock);
                 self.telemetry.add(Metric::CommitVotes, 1);
                 Action::Reply(Response::Vote { granted, holder })
             }
-            Request::Eliminate { race_id } => Action::Eliminate { race_id },
-            Request::PeerStats => {
+            RequestRef::Eliminate { race_id } => Action::Eliminate { race_id },
+            RequestRef::PeerStats => {
                 // The stats page doubles as the heartbeat reply: the
                 // trailing machine-parsable line advertises this node's
                 // load so origins can place around busy peers.
@@ -545,6 +548,7 @@ impl Reactor {
             shard,
             stats: Arc::clone(&stats),
             bufs,
+            frames: Vec::new(),
             conns: HashMap::new(),
             next_conn: 0,
             links,
@@ -698,20 +702,23 @@ impl Reactor {
         // keep running; their deliveries find the write half closed.
         let hung_up = revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
         if revents & POLLIN != 0 || hung_up {
-            let Ok(read) = conn.on_readable(&mut self.bufs) else {
+            let mut frames = std::mem::take(&mut self.frames);
+            let Ok(read) = conn.on_readable(&mut self.bufs, &mut frames) else {
+                self.frames = frames;
                 return self.close(id);
             };
             let (link, ended) = (half.link.is_some(), read.eof || read.error.is_some());
             let mut reading = !link;
-            for body in read.frames {
+            for body in frames.drain(..) {
                 if link {
                     let resp = Response::decode(&body).ok();
                     self.tell_link(&half, |addr| Event::Reply { addr, resp });
                 } else if reading {
-                    reading = self.decide(&half, Request::decode(&body));
+                    reading = self.decide(&half, RequestRef::decode(&body));
                 }
                 self.bufs.put(body);
             }
+            self.frames = frames;
             if let Some(e) = read.error.filter(|_| reading) {
                 // One last reply; the read half already stopped reading
                 // and the drain logic closes the connection behind it.
@@ -733,7 +740,7 @@ impl Reactor {
     /// Has the shard decide one request of the connection whose write
     /// half is `half` and performs the action; `false` when the
     /// connection is read no more.
-    fn decide(&mut self, half: &Arc<WriteHalf>, request: Result<Request, FrameError>) -> bool {
+    fn decide(&mut self, half: &Arc<WriteHalf>, request: Result<RequestRef, FrameError>) -> bool {
         let seq = half.begin_request();
         let pool = &self.daemon.pool;
         let load = Load {
@@ -895,7 +902,7 @@ fn text(body: String) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame};
+    use crate::frame::{read_frame, write_frame, Request};
     use crate::peer::tests::mark_up;
     use crate::sched::HedgeConfig;
     use altx_check::{check, CaseRng};
@@ -1261,7 +1268,7 @@ mod tests {
             let up = peers.up_peers();
 
             // The model's decision for one request read at `now`.
-            let want = |request: &Result<Request, FrameError>, now: Instant| -> Want {
+            let want = |request: &Result<RequestRef, FrameError>, now: Instant| -> Want {
                 let meta = |widx, deadline_ms| JobMeta {
                     deadline: deadline_at(now, deadline_ms),
                     lane: shard.lanes.lane_of(widx),
@@ -1272,12 +1279,12 @@ mod tests {
                 Want::Exactly(match request {
                     Err(e @ FrameError::UnknownOpcode(_)) => Action::Reply(error(e)),
                     Err(e) => Action::Hangup(error(e)),
-                    Ok(Request::Stats) => return Want::Text("altxd stats"),
-                    Ok(Request::Prometheus) => return Want::Text("# HELP"),
-                    Ok(Request::Catalog) => return Want::Text("altxd workload catalog"),
-                    Ok(Request::PeerStats) => return Want::Text("altxd peers"),
-                    Ok(Request::Shutdown) => Action::Shutdown,
-                    Ok(Request::Run {
+                    Ok(RequestRef::Stats) => return Want::Text("altxd stats"),
+                    Ok(RequestRef::Prometheus) => return Want::Text("# HELP"),
+                    Ok(RequestRef::Catalog) => return Want::Text("altxd workload catalog"),
+                    Ok(RequestRef::PeerStats) => return Want::Text("altxd peers"),
+                    Ok(RequestRef::Shutdown) => Action::Shutdown,
+                    Ok(RequestRef::Run {
                         workload,
                         deadline_ms,
                         arg,
@@ -1310,7 +1317,7 @@ mod tests {
                             None => Action::Queue(key, meta(widx, deadline_ms)),
                         }
                     }
-                    Ok(Request::ExecAlt {
+                    Ok(RequestRef::ExecAlt {
                         race_id,
                         alt_idx,
                         deadline_ms,
@@ -1329,7 +1336,7 @@ mod tests {
                         },
                         None => Action::Reply(Response::Overloaded),
                     },
-                    Ok(Request::CommitVote {
+                    Ok(RequestRef::CommitVote {
                         race_id,
                         origin,
                         candidate,
@@ -1338,7 +1345,9 @@ mod tests {
                             ledger.vote_with(origin, *race_id, candidate, || now);
                         Action::Reply(Response::Vote { granted, holder })
                     }
-                    Ok(Request::Eliminate { race_id }) => Action::Eliminate { race_id: *race_id },
+                    Ok(RequestRef::Eliminate { race_id }) => {
+                        Action::Eliminate { race_id: *race_id }
+                    }
                 })
             };
 
@@ -1357,10 +1366,12 @@ mod tests {
                 latch |= rng.chance(0.03);
                 drained |= latch;
                 for c in 0..n_conns {
-                    let mut batch: Vec<Result<Request, FrameError>> = (0..rng.usize_in(0, 4))
-                        .map(|_| {
-                            let body = any_body(rng);
-                            let request = Request::decode(&body);
+                    let bodies: Vec<Vec<u8>> =
+                        (0..rng.usize_in(0, 4)).map(|_| any_body(rng)).collect();
+                    let mut batch: Vec<Result<RequestRef, FrameError>> = bodies
+                        .iter()
+                        .map(|body| {
+                            let request = RequestRef::decode(body);
                             if let op @ (0x07 | 0x0B) = body[0] {
                                 let unknown =
                                     matches!(request, Err(FrameError::UnknownOpcode(o)) if o == op);
@@ -1390,7 +1401,7 @@ mod tests {
                         let now = base + clock;
                         // The gate's verdict on a known workload's RUN.
                         let refused = match &request {
-                            Ok(Request::Run {
+                            Ok(RequestRef::Run {
                                 workload,
                                 deadline_ms,
                                 ..
@@ -1401,7 +1412,7 @@ mod tests {
                             _ => None,
                         };
                         let wanted = want(&request, now);
-                        ended[c] |= matches!(request, Ok(Request::Shutdown))
+                        ended[c] |= matches!(request, Ok(RequestRef::Shutdown))
                             || matches!(&request, Err(e) if !matches!(e, FrameError::UnknownOpcode(_)));
                         let action = shard.step(request, now, load);
                         decided += 1;

@@ -533,8 +533,14 @@ pub(crate) fn run_subrace(
     held: &[Duration],
 ) -> Response {
     contained(telemetry, || {
-        let (plan, prune) = sched.plan_pruned(widx, alternatives(widx));
+        let (plan, mut prune) = sched.plan_pruned(widx, alternatives(widx));
         let plan = plan.holding_back(held);
+        // A held-back copy stands in for a leg that may never answer: it
+        // must be the real body whatever the policy thinks of its win
+        // rate, or a silent leg would leave only a stub to answer for it.
+        for (skip, hold) in prune.iter_mut().flatten().zip(held) {
+            *skip &= hold.is_zero();
+        }
         let start = Instant::now();
         match race(telemetry, widx, arg, start, token, &plan, prune.as_deref()) {
             Some((result, latency_us)) => {
@@ -550,7 +556,7 @@ pub(crate) fn run_subrace(
 /// dropped the job unrun (injected `Fail` fault, worker killed mid-job,
 /// shutdown sweep) — an answer rather than a stranded request.
 pub(crate) fn or_worker_lost(reply: Option<Response>) -> Response {
-    reply.unwrap_or(Response::Error {
+    reply.unwrap_or_else(|| Response::Error {
         message: "worker lost".to_owned(),
     })
 }
@@ -657,6 +663,44 @@ mod tests {
         let reactor = reactors.pop().expect("one shard");
         assert_eq!(slack_around(move || reactor.run()), (mine, Some(1)));
         assert_eq!(timer_slack_ns(), mine, "the building thread keeps its own");
+    }
+
+    /// Under hedging, a policy that prunes an alternative must not stub
+    /// the local copy of a leg it was shipped on: that copy stands in for
+    /// a leg that may never answer. Here alternative 1 is pruned and
+    /// shipped to a leg that never reports, and alternative 0's copy is
+    /// held back past the deadline, so only alternative 1's copy can
+    /// answer — with its real value.
+    #[test]
+    fn a_pruned_alternative_shipped_on_a_silent_leg_runs_its_real_body() {
+        let telemetry = Telemetry::new();
+        let sched = HedgePolicy::new(HedgeConfig {
+            enabled: true,
+            ..HedgeConfig::default()
+        });
+        let widx = workload::index_of("lognormal").expect("in the catalog");
+        let table = sched.catalog().table(widx).expect("interned");
+        for _ in 0..1_000 {
+            table.record_win(0, 3_000);
+        }
+        let _exploration = sched.plan_pruned(widx, 3);
+        assert_eq!(sched.plan_pruned(widx, 3).1, Some(vec![false, true, true]));
+        let held = [
+            Duration::from_secs(10),
+            Duration::from_millis(20),
+            Duration::ZERO,
+        ];
+        let token = CancelToken::with_deadline(Duration::from_secs(1));
+        let reply = run_subrace(&telemetry, &sched, widx, 7, &token, &held);
+        let block = workload::build("lognormal", 7).expect("builds");
+        let mut workspace = AddressSpace::zeroed(0, PageSize::K4);
+        let real = block.alternatives()[1].run(&mut workspace, &CancelToken::new());
+        match reply {
+            Response::Ok { winner, value, .. } => {
+                assert_eq!((winner, Some(value)), (1, real), "the real body answered");
+            }
+            other => panic!("expected alternative 1's value, got {other:?}"),
+        }
     }
 
     /// Peer links are for configured peers: a daemon with none builds

@@ -3,8 +3,8 @@
 
 use altx_check::{check, CaseRng};
 use altx_serve::frame::{
-    exec_alt_frame_len, read_frame, write_frame, FrameDecoder, FrameError, Request, Response,
-    MAX_FRAME,
+    exec_alt_frame_len, read_frame, write_frame, FrameDecoder, FrameError, Request, RequestRef,
+    Response, MAX_FRAME,
 };
 use altx_serve::{server, ServerConfig};
 
@@ -83,6 +83,78 @@ fn round_trip_identity() {
         assert_eq!(Request::decode(&req.encode()).expect("decodes"), req);
         let resp = arb_response(rng);
         assert_eq!(Response::decode(&resp.encode()).expect("decodes"), resp);
+    });
+}
+
+/// The borrowed codec is the codec: a body decodes borrowed to a request
+/// that encodes back to the same bytes, and owned to the request it
+/// encodes.
+#[test]
+fn borrowed_and_owned_requests_share_one_codec() {
+    check("borrowed_and_owned_requests_share_one_codec", 256, |rng| {
+        let req = arb_request(rng);
+        let body = req.encode();
+        let view = RequestRef::decode(&body).expect("decodes");
+        assert_eq!(view.encode(), body);
+        assert_eq!(Request::decode(&body).expect("decodes"), req);
+    });
+}
+
+/// A reader that hands out `wire` in the chunk sizes it is given, then
+/// reports the end of the stream.
+struct Chunked<'a> {
+    wire: &'a [u8],
+    sizes: Vec<usize>,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.sizes.pop().unwrap_or(usize::MAX);
+        let n = want.min(buf.len()).min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+/// Reading straight into the decoder yields exactly the frames written,
+/// whatever the read sizes, whether the frames are popped between reads
+/// or left to pile up, and bodies larger than a read's room included.
+#[test]
+fn reads_into_the_decoder_in_any_chunking() {
+    check("reads_into_the_decoder_in_any_chunking", 128, |rng| {
+        let bodies: Vec<Vec<u8>> = (0..rng.usize_in(1, 6))
+            .map(|_| match rng.chance(0.2) {
+                true => rng.bytes(4_000, 20_000),
+                false => rng.bytes(0, 120),
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for body in &bodies {
+            write_frame(&mut wire, body).expect("vec write");
+        }
+        let sizes = (0..rng.usize_in(0, 40))
+            .map(|_| rng.usize_in(1, 9_000))
+            .collect();
+        let mut reader = Chunked { wire: &wire, sizes };
+        let mut decoder = FrameDecoder::new();
+        let mut got = Vec::new();
+        loop {
+            if rng.bool() {
+                while let Some(body) = decoder.next_frame_ref().expect("valid stream") {
+                    got.push(body.to_vec());
+                }
+            }
+            let (n, _) = decoder.read_from(&mut reader).expect("a slice reads");
+            if n == 0 {
+                break;
+            }
+        }
+        while let Some(body) = decoder.next_frame().expect("valid stream") {
+            got.push(body);
+        }
+        assert_eq!(got, bodies);
+        decoder.finish().expect("no partial frame at EOF");
     });
 }
 

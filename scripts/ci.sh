@@ -148,12 +148,13 @@ cargo clippy --offline -p altx -p altx-serve -p altx-consensus -p altx-cluster -
 # `unsafe` lives in one file of one crate — `crates/serve/src/sys.rs`:
 # ppoll, the SO_REUSEPORT bind, the non-blocking connect, the
 # timer-slack prctl and mallopt — and every other crate forbids it.
-# Among the tests, one binary may use it: the prolog solver's counting
-# `#[global_allocator]`, which forwards every call to `System`. A
-# binding that lands anywhere else fails here, with the list.
-echo "==> unsafe audit: the word appears under crates/*/{src,tests} in sys.rs and alloc_bounds.rs only"
+# Among the tests, two binaries may use it: the prolog solver's and the
+# daemon's counting `#[global_allocator]`, each of which forwards every
+# call to `System`. A binding that lands anywhere else fails here, with
+# the list.
+echo "==> unsafe audit: the word appears under crates/*/{src,tests} in sys.rs, alloc_bounds.rs and alloc_counts.rs only"
 UNSAFE_FILES=$(grep -rlw unsafe crates/*/src crates/*/tests | sort | xargs)
-[ "$UNSAFE_FILES" = "crates/prolog/tests/alloc_bounds.rs crates/serve/src/sys.rs" ] || {
+[ "$UNSAFE_FILES" = "crates/prolog/tests/alloc_bounds.rs crates/serve/src/sys.rs crates/serve/tests/alloc_counts.rs" ] || {
     echo "unsafe audit: files containing \`unsafe\`: $UNSAFE_FILES" >&2
     exit 1
 }
@@ -400,9 +401,13 @@ rm -f "$IDLE_OUT"
 }
 SERVE_LINES=$(non_test_lines crates/serve/src)
 CORE_LINES=$(non_test_lines crates/core/src)
+# The daemon's heap allocations per request, as its pinning test counts
+# them (the test gates them; this prints them).
+ALLOCS=$(cargo test -q -p altx-serve --test alloc_counts -- --nocapture 2>/dev/null |
+    sed -n 's/^allocations per request: //p')
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
 ALTXD_TEXT=$(size -A "$ALTXD" | awk '$1 == ".text" { print $2 }')
-echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve; under a trivial load $HOT_TEXT_KB kB of its text and $HOT_RO_KB kB of its read-only mapping are resident"
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve; under a trivial load $HOT_TEXT_KB kB of its text and $HOT_RO_KB kB of its read-only mapping are resident; daemon allocations per request: $ALLOCS"
 
 echo "==> CI gate passed"

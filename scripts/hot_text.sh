@@ -32,8 +32,12 @@
 #      on one connection per class and queues them deeper than the
 #      workers, which no closed-loop shape does;
 #   4. maps the executed addresses to functions with `nm -S` and lists
-#      every function that ran, in the order the unordered link laid them
-#      out; maps the read-only addresses to the input sections the link
+#      every function that ran: first those every benchmark workload ran,
+#      then those three, two and one of them ran, then those only the
+#      other traces ran, each group in the order the unordered link laid
+#      them out (so the text every benchmark daemon runs is one span at
+#      the start of the hot region, not spread among what only some run);
+#      maps the read-only addresses to the input sections the link
 #      map (`$OUT_DIR/altxd.map`) names and lists every one that was read,
 #      smallest first; then relinks altxd with the new files.
 # The runs of 2 and 3 also trace the image's first mapping (headers,
@@ -311,6 +315,8 @@ printf '%s\n' "${SETS[@]}" | awk -v work="$WORK" -v order="$WORK/order" -v hot="
     {
         label = substr($0, 1, index($0, ":") - 1)
         file = substr($0, index($0, ":") + 1)
+        bench = label ~ /^benchmark /
+        nbench += bench
         j = 1; fns = 0; added = 0; unlisted = 0; split("", pages)
         while ((getline off < file) > 0) {
             off += 0
@@ -318,6 +324,7 @@ printf '%s\n' "${SETS[@]}" | awk -v work="$WORK" -v order="$WORK/order" -v hot="
             if (j > n || start[j] > off || hit[label, j]++) continue
             for (p = int(start[j] / 4096); p <= int((end[j] - 1) / 4096) || p == int(start[j] / 4096); p++) pages[p] = 1
             fns++
+            runs[j] += bench
             if (!ran[j]++) added++
             if (!known[j]) unlisted++
         }
@@ -340,7 +347,10 @@ printf '%s\n' "${SETS[@]}" | awk -v work="$WORK" -v order="$WORK/order" -v hot="
         printf "%-24s %9d %7d %6d %9d %9s %12s\n", label, fns, np, added, unlisted, ro_pages, ro_unlisted
     }
     END {
-        for (j = 1; j <= n; j++) if (ran[j]) print names[j] > order
+        # What more benchmark workloads run first: the functions every
+        # one of them ran, then those three, two or one ran, then those
+        # only the other traces ran — each group in link order.
+        for (k = nbench; k >= 0; k--) for (j = 1; j <= n; j++) if (ran[j] && runs[j] == k) print names[j] > order
         for (key in hot_size) print hot_size[key], key > hot
     }'
 if $CHECK; then
