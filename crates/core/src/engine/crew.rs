@@ -21,7 +21,7 @@
 //! slow to wake, or whose racers are all inside other bodies, costs
 //! concurrency and never progress.
 //!
-//! The crew also runs errands ([`run_on_crew`]): one closure on one
+//! The crew also runs errands ([`run_on_crew`]): one [`Errand`] on one
 //! racer, counted busy throughout — a daemon's queued race, say, whose
 //! siblings the race then hands to racers of their own. Errands have a
 //! second instance of the crew to themselves, the same code with its
@@ -52,28 +52,27 @@ pub(crate) trait Job: Send + Sync {
     fn help(&self);
 }
 
-/// Runs `f` on a racer of the process-wide crew's errand instance — a
-/// parked one, or one spawned for it; never on the caller, and without
-/// waiting for `f`. The racer counts as busy while `f` runs, and a race
-/// started inside it gets racers of its own; a panic in `f` is
-/// contained: it ends the errand, not the racer. Out of threads, the
-/// errand waits for the next racer to come free.
-pub fn run_on_crew(f: impl FnOnce() + Send + 'static) {
-    let errand: Arc<dyn Job> = Arc::new(Errand(Mutex::new(Some(Box::new(f)))));
-    ERRANDS.dispatch(&errand, &[None]);
+/// What a racer of the errand instance runs: a daemon's pool slot, say.
+pub trait Errand: Send + Sync {
+    /// Runs on the racer that took the errand's ticket.
+    fn run(&self);
 }
 
-/// A closure for exactly one racer: the one that takes its ticket.
-struct Errand(Mutex<Option<Box<dyn FnOnce() + Send>>>);
+/// Runs `errand` once on a racer of the process-wide crew's errand
+/// instance — a parked one, or one spawned for it; never on the caller,
+/// and without waiting. Its ticket holds `errand` itself: nothing is
+/// allocated. The racer counts as busy while it runs, and a race started
+/// inside it gets racers of its own; a panic in it is contained: it ends
+/// the errand, not the racer. Out of threads, it waits for a free racer.
+pub fn run_on_crew<E: Errand + 'static>(errand: &Arc<E>) {
+    ERRANDS.dispatch(&(Arc::clone(errand) as Arc<dyn Job>), &[None]);
+}
 
-impl Job for Errand {
+impl<E: Errand> Job for E {
     fn help(&self) {
-        let f = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
-        if let Some(f) = f {
-            ERRANDS.enter();
-            let _ = catch_unwind(AssertUnwindSafe(f));
-            ERRANDS.leave();
-        }
+        ERRANDS.enter();
+        let _ = catch_unwind(AssertUnwindSafe(|| self.run()));
+        ERRANDS.leave();
     }
 }
 

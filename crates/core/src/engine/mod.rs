@@ -23,7 +23,7 @@ mod plan;
 pub mod sim;
 mod threaded;
 
-pub use crew::{run_on_crew, CrewStats};
+pub use crew::{run_on_crew, CrewStats, Errand};
 pub use ordered::OrderedEngine;
 pub use plan::LaunchPlan;
 pub use threaded::ThreadedEngine;

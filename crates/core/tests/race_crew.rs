@@ -2,7 +2,7 @@
 //! own counters. Both are process-wide, so these tests live in a binary
 //! of their own and take turns.
 
-use altx::engine::{crew_stats, run_on_crew, Engine, LaunchPlan, ThreadedEngine};
+use altx::engine::{crew_stats, run_on_crew, Engine, Errand, LaunchPlan, ThreadedEngine};
 use altx::wake::{force_lead, LEAD_CAP};
 use altx::{wake_stats, AddressSpace, AltBlock, CancelToken, PageSize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -328,7 +328,16 @@ fn an_errand_runs_on_a_racer_and_a_race_inside_it_gets_another() {
     let wait = Duration::from_secs(10);
     let here = std::thread::current().id();
     let (report, reported) = mpsc::channel();
-    run_on_crew(move || {
+    /// A closure for the one racer that runs it.
+    struct Once<F>(Mutex<Option<F>>);
+    impl<F: FnOnce() + Send> Errand for Once<F> {
+        fn run(&self) {
+            if let Some(f) = self.0.lock().expect("one runner").take() {
+                f();
+            }
+        }
+    }
+    run_on_crew(&Arc::new(Once(Mutex::new(Some(move || {
         let me = std::thread::current();
         let (seen, sibling) = mpsc::channel();
         let sibling = Mutex::new(sibling);
@@ -344,7 +353,7 @@ fn an_errand_runs_on_a_racer_and_a_race_inside_it_gets_another() {
             });
         let raced = ThreadedEngine::new().execute(&block, &mut ws());
         let _ = report.send((me.id(), me.name().map(str::to_owned), raced.value));
-    });
+    })))));
     let (errand, name, sibling) = reported.recv_timeout(wait).expect("the errand ran");
     assert_ne!(errand, here, "never on the caller");
     assert_eq!(name.as_deref(), Some("altx-racer"));

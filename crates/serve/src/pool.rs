@@ -2,18 +2,20 @@
 //! starvation aging, load shedding and panic containment — and no thread
 //! of its own.
 //!
-//! Connections never execute races themselves: they enqueue a job, and
-//! its completion notifier answers them from the thread that ran it,
-//! straight out of a reply-ring slot (`ring.rs`, `conn.rs`). Capacity is
-//! bounded across all lanes and `try_submit` refuses — it never blocks
-//! — when the pool is full: queueing deeper would only turn overload
-//! into latency. Shutdown returns once every admitted job has run.
+//! A shard races a short workload in place (`Action::RaceHere`); every
+//! other race is a job it enqueues here, whose completion answers the
+//! request from the thread that ran it, straight out of a reply-ring
+//! slot (`ring.rs`, `conn.rs`). Capacity is bounded across all lanes and
+//! a submission is refused — it never blocks — when the pool is full:
+//! queueing deeper would only turn overload into latency. Shutdown
+//! returns once every admitted job has run.
 //!
 //! The pool keeps the scheduling policy; the race crew owns the threads.
 //! `workers` are **slots**, all serving the one queue: at most that many
 //! jobs run at once. A push that finds fewer than `workers` slots running
 //! starts one as an errand on the crew ([`altx::engine::run_on_crew`]:
-//! its errand racers, kept apart from the racers of race siblings),
+//! its errand racers, kept apart from the racers of race siblings; the
+//! errand is the pool's shared state, so a start allocates nothing),
 //! which runs entries until `RunQueues::next` finds nothing queued and
 //! then leaves — freed under the lock that found nothing, so a later
 //! push always sees the free slot and no entry waits while a slot is
@@ -25,41 +27,46 @@
 //! FIFO channel: each lane is an EDF heap (see `Entry`), served strictly
 //! by priority unless a lower lane has aged (`RunQueues::next`).
 //!
-//! Failure story (the chaos soak beats on it): every job runs inside
-//! `catch_unwind` ([`PoolStats::jobs_panicked`]), and so does the errand
-//! on the crew; an admitted entry fires its notifier when it is dropped,
-//! however that happens: after the job ran, while its panic unwinds,
-//! unrun under an injected `Fail`, or in the sweep `shutdown` makes once
-//! no slot runs.
+//! Failure story (the chaos soak beats on it): a job is one box, its
+//! work and its completion, run inside `catch_unwind`
+//! ([`PoolStats::jobs_panicked`]), as is the errand on the crew. An
+//! admitted job's completion hears once: the value, or `None` if the
+//! work panicked or the entry was dropped unrun (an injected `Fail`, the
+//! sweep `shutdown` makes once no slot runs). A refusal hears nothing.
 
-use altx::engine::run_on_crew;
+use altx::engine::{run_on_crew, Errand};
 use altx::faults;
 use altx::CachePadded;
 use std::cell::Cell;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// A unit of work for the pool.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A completion notifier for [`WorkerPool::try_submit_notify_at`].
-pub type Notify = Box<dyn FnOnce() + Send + 'static>;
-
 /// How long a lower-priority lane may starve before aging promotes it
 /// past a busier high-priority lane.
 pub const DEFAULT_LANE_AGING: Duration = Duration::from_millis(25);
 
-/// Fires its notifier exactly once — when dropped.
-struct NotifyOnDrop(Option<Notify>);
+/// A submission's work and its completion: the one box an entry holds.
+trait Job: Send {
+    /// Runs the work — if `run` — and hands the completion its value, or
+    /// `None` when the work did not run or panicked (the panic goes on).
+    fn finish(self: Box<Self>, run: bool);
+}
 
-impl Drop for NotifyOnDrop {
-    fn drop(&mut self) {
-        if let Some(notify) = self.0.take() {
-            notify();
+impl<T, W: FnOnce() -> T + Send, D: FnOnce(Option<T>) + Send> Job for (W, D) {
+    fn finish(self: Box<Self>, run: bool) {
+        let (work, done) = *self;
+        // Not run, `work` is dropped here, before `done` hears.
+        let outcome = run.then(|| catch_unwind(AssertUnwindSafe(work)));
+        match outcome.transpose() {
+            Ok(value) => done(value),
+            Err(panic) => {
+                done(None);
+                resume_unwind(panic);
+            }
         }
     }
 }
@@ -191,22 +198,28 @@ impl PoolStats {
 /// submission sequence so equal-deadline (and all-best-effort) work
 /// stays FIFO.
 ///
-/// An entry exists only once its submission is admitted, and dropping
-/// it — run or not — is what notifies: a refusal has none to drop.
+/// An entry exists only once its submission is admitted; dropped unrun,
+/// its completion hears `None`: a refusal has no entry to drop.
 struct Entry {
     deadline: Option<Instant>,
     seq: u64,
     enqueued: Instant,
-    job: Job,
-    notify: NotifyOnDrop,
+    job: Option<Box<dyn Job>>,
 }
 
 impl Entry {
-    /// Runs the job, then notifies — while the job's panic unwinds, too.
-    fn run(self) {
-        let Entry { job, notify, .. } = self;
-        job();
-        drop(notify);
+    fn run(mut self) {
+        if let Some(job) = self.job.take() {
+            job.finish(true);
+        }
+    }
+}
+
+impl Drop for Entry {
+    fn drop(&mut self) {
+        if let Some(job) = self.job.take() {
+            job.finish(false);
+        }
     }
 }
 
@@ -233,10 +246,6 @@ impl Ord for Entry {
         .then_with(|| other.seq.cmp(&self.seq)) // lower seq → greater (FIFO)
     }
 }
-
-/// A submission [`RunQueues::push`] refused, handed back whole so that
-/// its closures are dropped — uncalled — after the lock, not under it.
-type Refused = (SubmitError, Job, Option<Notify>);
 
 /// The pool's scheduling state as a plain value: what is queued, how
 /// many slots run, and every rule that follows from the two —
@@ -275,29 +284,27 @@ impl RunQueues {
         self.lanes.iter().map(BinaryHeap::len).sum()
     }
 
-    /// Admits `job` under `meta`, or refuses it and changes nothing. An
-    /// admitted entry starts a slot when fewer than `slots` run, and
-    /// says whether it did.
+    /// Admits `job` under `meta`, or refuses it, changes nothing and
+    /// hands it back to be dropped unheard off the lock. An admitted
+    /// entry starts a slot when fewer than `slots` run, and says so.
     fn push(
         &mut self,
         meta: JobMeta,
-        job: Job,
-        notify: Option<Notify>,
+        job: Box<dyn Job>,
         now: Instant,
-    ) -> Result<bool, Refused> {
+    ) -> Result<bool, (SubmitError, Box<dyn Job>)> {
         if self.closed {
-            return Err((SubmitError::ShuttingDown, job, notify));
+            return Err((SubmitError::ShuttingDown, job));
         }
         if self.queued() >= self.capacity {
-            return Err((SubmitError::Overloaded, job, notify));
+            return Err((SubmitError::Overloaded, job));
         }
         let lane = meta.lane.min(self.lanes.len() - 1);
         self.lanes[lane].push(Entry {
             deadline: meta.deadline,
             seq: self.seq,
             enqueued: now,
-            job,
-            notify: NotifyOnDrop(notify),
+            job: Some(job),
         });
         self.seq += 1;
         let start = self.running < self.slots;
@@ -354,8 +361,8 @@ struct Shared {
 }
 
 impl Shared {
-    /// No job, notifier or destructor of either runs under this lock, so
-    /// a poisoned guard still protects consistent queues.
+    /// No work, completion or destructor of either runs under this lock,
+    /// so a poisoned guard still protects consistent queues.
     fn lock(&self) -> MutexGuard<'_, RunQueues> {
         self.queues.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -372,24 +379,6 @@ impl Shared {
         for (gauge, heap) in self.stats.lane_depth.iter().zip(&queues.lanes) {
             gauge.store(heap.len() as u64, Ordering::Relaxed);
         }
-    }
-
-    fn submit(
-        self: &Arc<Self>,
-        job: Job,
-        notify: Option<Notify>,
-        meta: JobMeta,
-    ) -> Result<(), SubmitError> {
-        let now = Instant::now();
-        let mut queues = self.lock();
-        let pushed = queues.push(meta, job, notify, now);
-        self.publish(&queues);
-        drop(queues);
-        if pushed.map_err(|(why, _job, _notify)| why)? {
-            let shared = Arc::clone(self);
-            run_on_crew(move || shared.serve());
-        }
-        Ok(())
     }
 
     /// A started slot, on the racer that took it: runs entries until
@@ -424,8 +413,8 @@ impl Shared {
         self.stats.busy.fetch_add(1, Ordering::Relaxed);
         // Fault site `pool.job` sits inside the contained region: an
         // injected panic is indistinguishable from the job itself
-        // crashing, and `Fail` drops the entry unrun (its notifier fires
-        // with no outcome, which the server answers rather than awaits
+        // crashing, and `Fail` drops the entry unrun (its completion
+        // hears `None`, which the server answers rather than awaits
         // forever).
         let outcome = catch_unwind(AssertUnwindSafe(move || {
             if faults::enabled() && faults::inject("pool.job", None) == faults::Verdict::Fail {
@@ -439,6 +428,12 @@ impl Shared {
         if outcome.is_err() {
             self.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
         }
+    }
+}
+
+impl Errand for Shared {
+    fn run(&self) {
+        self.serve();
     }
 }
 
@@ -474,56 +469,53 @@ impl WorkerPool {
         }
     }
 
-    /// Enqueues a best-effort job without blocking; refuses when full or
-    /// closed.
-    pub fn try_submit(&self, job: Job) -> Result<(), SubmitError> {
-        self.try_submit_at(job, JobMeta::default())
-    }
-
-    /// Enqueues a job under `meta`'s deadline and lane without
+    /// Enqueues `job` under `meta`'s deadline and lane without
     /// blocking; refuses when full or closed.
-    pub fn try_submit_at(&self, job: Job, meta: JobMeta) -> Result<(), SubmitError> {
-        self.shared.submit(job, None, meta)
-    }
-
-    /// Enqueues a job with a completion notifier under `meta`'s
-    /// deadline and lane. The pool guarantees `notify` runs **exactly
-    /// once** for an admitted job — after the job returns, while its
-    /// panic unwinds, or when the pool drops the job unrun (an injected
-    /// `Fail` fault, or the shutdown sweep of a queue no slot
-    /// drained). A refused submission never notifies: the `Err` return
-    /// is the caller's signal.
-    pub fn try_submit_notify_at(
+    pub fn try_submit_at(
         &self,
-        job: Job,
-        notify: Notify,
+        job: impl FnOnce() + Send + 'static,
         meta: JobMeta,
     ) -> Result<(), SubmitError> {
-        self.shared.submit(job, Some(notify), meta)
+        self.try_submit_work_at(meta, job, |_| {})
+    }
+
+    /// Enqueues `job` with a completion notifier under `meta`'s deadline
+    /// and lane. `notify` runs exactly once for an admitted job — after
+    /// it returned or panicked, or when the pool dropped it unrun — and
+    /// never for a refused one.
+    pub fn try_submit_notify_at(
+        &self,
+        job: impl FnOnce() + Send + 'static,
+        notify: impl FnOnce() + Send + 'static,
+        meta: JobMeta,
+    ) -> Result<(), SubmitError> {
+        self.try_submit_work_at(meta, job, |_| notify())
     }
 
     /// Runs `work` on the pool under `meta` and hands its outcome to
-    /// `done` — [`WorkerPool::try_submit_notify_at`] for callers that
-    /// want a value back. `done` runs exactly once for an admitted
-    /// submission: with `Some(outcome)` after `work` returned, with
-    /// `None` when the pool dropped the job unrun or `work` panicked
-    /// (callers that answer a panic differently from a loss contain it
-    /// inside `work`). A refused submission runs neither.
-    pub(crate) fn try_submit_work_at<T: Send + 'static>(
+    /// `done`; the two are the one box the queue holds. `done` runs
+    /// **exactly once** for an admitted submission: with `Some(outcome)`
+    /// after `work` returned, with `None` when `work` panicked or the
+    /// pool dropped the job unrun (an injected `Fail` fault, or the
+    /// shutdown sweep of a queue no slot drained). Callers that answer a
+    /// panic differently from a loss contain it inside `work`. A refused
+    /// submission runs neither: the `Err` return is the caller's signal.
+    pub(crate) fn try_submit_work_at<T>(
         &self,
         meta: JobMeta,
         work: impl FnOnce() -> T + Send + 'static,
         done: impl FnOnce(Option<T>) + Send + 'static,
     ) -> Result<(), SubmitError> {
-        let slot = Arc::new(Mutex::new(None));
-        let filled = Arc::clone(&slot);
-        let job = Box::new(move || {
-            let outcome = work();
-            *filled.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
-        });
-        let notify =
-            Box::new(move || done(slot.lock().unwrap_or_else(PoisonError::into_inner).take()));
-        self.try_submit_notify_at(job, notify, meta)
+        let job = Box::new((work, done));
+        let now = Instant::now();
+        let mut queues = self.shared.lock();
+        let pushed = queues.push(meta, job, now);
+        self.shared.publish(&queues);
+        drop(queues);
+        if pushed.map_err(|(why, _refused)| why)? {
+            run_on_crew(&self.shared);
+        }
+        Ok(())
     }
 
     /// Jobs currently queued (not yet picked up by a slot), across
@@ -551,7 +543,7 @@ impl WorkerPool {
     /// Closes the queue and returns once every slot still running has
     /// drained it and left: every admitted job has run. Idempotent, and never
     /// panics: a poisoned lock is recovered. What is still queued then is
-    /// swept here, and an entry dropped unrun still fires its notifier.
+    /// swept here, and an entry dropped unrun still hears its completion.
     pub fn shutdown(&self) {
         let mut queues = self.shared.lock();
         queues.close();
@@ -564,7 +556,7 @@ impl WorkerPool {
         let leftovers = queues.drain();
         self.shared.publish(&queues);
         drop(queues);
-        drop(leftovers); // off the lock: each drop may run a notifier
+        drop(leftovers); // off the lock: each drop runs a completion
     }
 }
 
@@ -592,8 +584,11 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..16usize {
             let tx = tx.clone();
-            pool.try_submit(Box::new(move || tx.send(i).expect("receiver alive")))
-                .expect("queue has room");
+            pool.try_submit_at(
+                move || tx.send(i).expect("receiver alive"),
+                JobMeta::default(),
+            )
+            .expect("queue has room");
         }
         let mut got: Vec<usize> = (0..16).map(|_| rx.recv().expect("job ran")).collect();
         got.sort_unstable();
@@ -606,14 +601,17 @@ mod tests {
         let pool = WorkerPool::new(1, 2);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         // Occupy the single worker...
-        pool.try_submit(Box::new(move || {
-            block_rx.recv().ok();
-        }))
+        pool.try_submit_at(
+            move || {
+                block_rx.recv().ok();
+            },
+            JobMeta::default(),
+        )
         .expect("admitted");
         // ...then fill the queue.
         let mut sheds = 0;
         for _ in 0..20 {
-            if pool.try_submit(Box::new(|| {})) == Err(SubmitError::Overloaded) {
+            if pool.try_submit_at(|| {}, JobMeta::default()) == Err(SubmitError::Overloaded) {
                 sheds += 1;
             }
         }
@@ -628,10 +626,13 @@ mod tests {
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let ran = Arc::clone(&ran);
-            pool.try_submit(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                ran.fetch_add(1, Ordering::SeqCst);
-            }))
+            pool.try_submit_at(
+                move || {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    ran.fetch_add(1, Ordering::SeqCst);
+                },
+                JobMeta::default(),
+            )
             .expect("queue has room");
         }
         pool.shutdown();
@@ -643,7 +644,7 @@ mod tests {
         let pool = WorkerPool::new(1, 4);
         pool.shutdown();
         assert_eq!(
-            pool.try_submit(Box::new(|| {})),
+            pool.try_submit_at(|| {}, JobMeta::default()),
             Err(SubmitError::ShuttingDown)
         );
     }
@@ -655,11 +656,14 @@ mod tests {
         for i in 0..8 {
             let tx = tx.clone();
             if i % 2 == 0 {
-                pool.try_submit(Box::new(move || panic!("job {i} crashed")))
+                pool.try_submit_at(move || panic!("job {i} crashed"), JobMeta::default())
                     .expect("admitted");
             } else {
-                pool.try_submit(Box::new(move || tx.send(i).expect("receiver alive")))
-                    .expect("admitted");
+                pool.try_submit_at(
+                    move || tx.send(i).expect("receiver alive"),
+                    JobMeta::default(),
+                )
+                .expect("admitted");
             }
         }
         let mut got: Vec<i32> = (0..4)
@@ -718,17 +722,20 @@ mod tests {
         let pool = WorkerPool::new(1, 1);
         let (block_tx, block_rx) = mpsc::channel::<()>();
         let (running_tx, running_rx) = mpsc::channel::<()>();
-        pool.try_submit(Box::new(move || {
-            running_tx.send(()).ok();
-            block_rx.recv().ok();
-        }))
+        pool.try_submit_at(
+            move || {
+                running_tx.send(()).ok();
+                block_rx.recv().ok();
+            },
+            JobMeta::default(),
+        )
         .expect("occupies the worker");
         // The blocker is off the queue and on the worker before the
         // fill: a fill that stopped with it still queued would leave a
         // slot free once the worker took it.
         running_rx.recv().expect("worker picked the blocker up");
         // Fill the depth-1 queue, then overflow it with a notifier.
-        while pool.try_submit(Box::new(|| {})).is_ok() {}
+        while pool.try_submit_at(|| {}, JobMeta::default()).is_ok() {}
         let fired = Arc::new(AtomicUsize::new(0));
         let refused = {
             let fired = Arc::clone(&fired);
@@ -754,19 +761,100 @@ mod tests {
     #[test]
     fn shutdown_after_job_panics_still_drains() {
         let pool = WorkerPool::new(1, 32);
-        pool.try_submit(Box::new(|| panic!("early crash")))
+        pool.try_submit_at(|| panic!("early crash"), JobMeta::default())
             .expect("admitted");
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let ran = Arc::clone(&ran);
-            pool.try_submit(Box::new(move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }))
+            pool.try_submit_at(
+                move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                },
+                JobMeta::default(),
+            )
             .expect("admitted");
         }
         pool.shutdown(); // must not panic, must drain everything after the crash
         assert_eq!(ran.load(Ordering::SeqCst), 10);
         assert_eq!(pool.stats().jobs_panicked(), 1);
+    }
+
+    /// `try_submit_work_at`'s contract, case by case: an admitted
+    /// submission's `done` hears exactly once — the work's value, or
+    /// `None` for a work that panicked or an entry the pool dropped
+    /// unrun — and a refused one hears nothing.
+    #[test]
+    fn done_hears_the_works_value_once() {
+        let pool = WorkerPool::new(1, 4);
+        let (tx, rx) = mpsc::channel();
+        let done = move |value| tx.send(value).expect("receiver alive");
+        pool.try_submit_work_at(JobMeta::default(), || 42u64, done)
+            .expect("admitted");
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(Some(42)));
+        pool.shutdown();
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_panicking_work_gives_done_none_once() {
+        let pool = WorkerPool::new(1, 4);
+        let (tx, rx) = mpsc::channel();
+        let done = move |value: Option<u64>| tx.send(value).expect("receiver alive");
+        pool.try_submit_work_at(JobMeta::default(), || panic!("work crashed"), done)
+            .expect("admitted");
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(None));
+        pool.shutdown();
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(pool.stats().jobs_panicked(), 1);
+    }
+
+    #[test]
+    fn a_swept_entry_gives_done_none_once() {
+        let pool = WorkerPool::new(1, 4);
+        // Its one slot counted running but serving nothing, as when the
+        // property loses its slots: the entry stays queued, and once the
+        // slot is gone `shutdown` sweeps it.
+        pool.shared.lock().running = 1;
+        let ran = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        let work = {
+            let ran = Arc::clone(&ran);
+            move || ran.fetch_add(1, Ordering::SeqCst)
+        };
+        let done = move |value| tx.send(value).expect("receiver alive");
+        pool.try_submit_work_at(JobMeta::default(), work, done)
+            .expect("admitted");
+        assert_eq!(pool.queued(), 1, "no slot was free to take it");
+        pool.shared.lock().running = 0;
+        pool.shutdown();
+        assert_eq!(rx.try_recv(), Ok(None));
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "swept unrun");
+    }
+
+    #[test]
+    fn a_refusal_fires_neither_closure() {
+        let full = WorkerPool::new(1, 0);
+        let closed = WorkerPool::new(1, 4);
+        closed.shutdown();
+        for (pool, why) in [
+            (&full, SubmitError::Overloaded),
+            (&closed, SubmitError::ShuttingDown),
+        ] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let (worked, heard) = (Arc::clone(&calls), Arc::clone(&calls));
+            let refused = pool.try_submit_work_at(
+                JobMeta::default(),
+                move || worked.fetch_add(1, Ordering::SeqCst),
+                move |_| {
+                    heard.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            assert_eq!(refused, Err(why));
+            assert_eq!(Arc::strong_count(&calls), 1, "both closures dropped");
+            assert_eq!(calls.load(Ordering::SeqCst), 0, "{why:?} fired a closure");
+        }
+        full.shutdown();
     }
 
     #[test]
@@ -776,8 +864,7 @@ mod tests {
             deadline: deadline.map(|ms| now + Duration::from_millis(ms)),
             seq,
             enqueued: now,
-            job: Box::new(|| {}),
-            notify: NotifyOnDrop(None),
+            job: None,
         };
         let mut heap = BinaryHeap::new();
         heap.push(mk(None, 0)); // best-effort, submitted first
@@ -800,9 +887,12 @@ mod tests {
             ..PoolConfig::fifo(1, 16)
         });
         let (block_tx, block_rx) = mpsc::channel::<()>();
-        pool.try_submit(Box::new(move || {
-            block_rx.recv().ok();
-        }))
+        pool.try_submit_at(
+            move || {
+                block_rx.recv().ok();
+            },
+            JobMeta::default(),
+        )
         .expect("occupies the worker");
         // Give the worker a moment to take the blocker off the queue.
         while pool.busy() == 0 {
@@ -831,8 +921,13 @@ mod tests {
         deadline: Option<Instant>,
         enqueued: Instant,
         queued: bool,
-        ran: Arc<AtomicUsize>,
-        notified: Option<Arc<AtomicUsize>>,
+        /// Calls of its work, of its completion with `Some`, and of its
+        /// completion with `None`.
+        calls: Arc<[AtomicUsize; 3]>,
+    }
+
+    fn calls_of(calls: &[AtomicUsize; 3]) -> [usize; 3] {
+        calls.each_ref().map(|n| n.load(Ordering::SeqCst))
     }
 
     /// One seeded schedule: the queues under test beside a model that
@@ -889,19 +984,18 @@ mod tests {
                     .map(|d| self.epoch + d),
                 lane: rng.usize_in(0, self.lanes + 1),
             };
-            let ran = Arc::new(AtomicUsize::new(0));
-            let notified = rng.bool().then(|| Arc::new(AtomicUsize::new(0)));
-            let job: Job = {
-                let ran = Arc::clone(&ran);
-                Box::new(move || {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                })
+            let calls = Arc::new(<[AtomicUsize; 3]>::default());
+            let job: Box<dyn Job> = {
+                let (ran, heard) = (Arc::clone(&calls), Arc::clone(&calls));
+                Box::new((
+                    move || {
+                        ran[0].fetch_add(1, Ordering::SeqCst);
+                    },
+                    move |value: Option<()>| {
+                        heard[if value.is_some() { 1 } else { 2 }].fetch_add(1, Ordering::SeqCst);
+                    },
+                ))
             };
-            let notify = notified.clone().map(|n| -> Notify {
-                Box::new(move || {
-                    n.fetch_add(1, Ordering::SeqCst);
-                })
-            });
             let before = (self.heap_sizes(), self.queues.seq, self.queues.running);
             let refusal = if self.closed {
                 Some(SubmitError::ShuttingDown)
@@ -910,15 +1004,17 @@ mod tests {
             } else {
                 None
             };
-            match self.queues.push(meta, job, notify, self.now) {
-                Err((why, job, notify)) => {
+            match self.queues.push(meta, job, self.now) {
+                Err((why, job)) => {
                     assert_eq!(Some(why), refusal);
                     let after = (self.heap_sizes(), self.queues.seq, self.queues.running);
                     assert_eq!(before, after, "a refusal changes nothing");
-                    drop((job, notify));
-                    let calls = ran.load(Ordering::SeqCst)
-                        + notified.map_or(0, |n| n.load(Ordering::SeqCst));
-                    assert_eq!(calls, 0, "a refusal runs nothing and notifies nobody");
+                    drop(job);
+                    assert_eq!(
+                        calls_of(&calls),
+                        [0, 0, 0],
+                        "a refusal runs nothing and completes nothing"
+                    );
                 }
                 Ok(started) => {
                     assert_eq!(refusal, None, "admitted a push that had to be refused");
@@ -927,8 +1023,7 @@ mod tests {
                         deadline: meta.deadline,
                         enqueued: self.now,
                         queued: true,
-                        ran,
-                        notified,
+                        calls,
                     });
                     // A free slot starts; none is free when all run.
                     let free = self.running < self.workers;
@@ -959,8 +1054,9 @@ mod tests {
         }
 
         /// An entry has come out of the queues: for the first time, and
-        /// however it is dropped — run, or unrun as an injected `Fail`
-        /// and the shutdown sweep drop it — it notifies exactly once.
+        /// however it goes — run, hearing `Some`, or dropped unrun as an
+        /// injected `Fail` and the shutdown sweep drop it, hearing `None`
+        /// — it completes exactly once.
         fn take(&mut self, entry: Entry, run: bool) {
             let a = &mut self.admitted[entry.seq as usize];
             assert!(a.queued, "entry {} came out twice", entry.seq);
@@ -970,10 +1066,8 @@ mod tests {
             } else {
                 drop(entry);
             }
-            assert_eq!(a.ran.load(Ordering::SeqCst), usize::from(run));
-            if let Some(n) = &a.notified {
-                assert_eq!(n.load(Ordering::SeqCst), 1);
-            }
+            let expected = if run { [1, 1, 0] } else { [0, 0, 1] };
+            assert_eq!(calls_of(&a.calls), expected, "ran: {run}");
         }
 
         fn close(&mut self) {

@@ -600,7 +600,7 @@ pub(crate) struct OpenRaces {
 }
 
 /// The origin-side registry's shell: one per daemon, shared by every
-/// reactor shard, the worker pool (through subrace notifiers), and the
+/// reactor shard, the worker pool (through subrace completions), and the
 /// peer links on shard 0. Owns the [`RaceTable`]'s lock and executes its
 /// actions.
 pub(crate) struct RemoteRaces {

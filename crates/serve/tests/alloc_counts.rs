@@ -8,19 +8,22 @@
 //! ones, so the count per request is the steady state: thread spawns and
 //! first-use growth are paid before it.
 //!
-//! The shapes are the daemon's three request paths. `trivial` runs on
+//! The shapes are the daemon's four request paths. `trivial` runs on
 //! the shard and favourite first (its service table pinned short, so any
 //! build takes that path). `prolog` is queued (its service table pinned
 //! long) and favourite first: its win table is pinned fast before every
 //! request, as a release build measures it — a debug build's witness
 //! takes 10–30 µs, over the favourite-first bound. `lognormal` is queued
-//! and raced launch-all: its bodies block.
+//! and raced launch-all: its bodies block. Last, `trivial` again with its
+//! service table pinned long: the same race as on the shard, queued, so
+//! the two counts differ by exactly what the pool's hand-off costs.
 //!
 //! This file is a test binary of its own, and holds one test: the count
 //! is process-wide, so nothing else may run beside the measurement.
 
 use altx_serve::frame::Response;
 use altx_serve::server::{start, ServerConfig, ServerHandle};
+use altx_serve::telemetry::Metric;
 use altx_serve::{workload, Client, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,17 +129,20 @@ fn pin_led(telemetry: &Telemetry, name: &str, fav: usize, samples: usize) {
 
 /// The bounds, allocations per request. Before a decided lead ran with
 /// no race record, this harness read 14.12–14.14 (`trivial`), 35.0–35.5
-/// (`prolog`) and 23.00 (`lognormal`); what is left is listed in
-/// docs/INTERNALS.md § *Allocations per request*. `trivial` (5.62) and
-/// `lognormal` (16.00) repeat to the hundredth. `prolog` (25.5–26.9 over
-/// eight runs) moves with how far the dead end of each of its exploration
-/// races — one in eight — got before the decision stopped it: its
-/// solver allocates as it searches. Hence its margin; the other two are
-/// bound within one allocation of their count, so one more allocation
-/// per reply fails them.
+/// (`prolog`) and 23.00 (`lognormal`); before a queued job was one box
+/// and a slot start allocated nothing, 25.3–26.9 (`prolog`), 16.00
+/// (`lognormal`) and 10.62 (queued `trivial`). What is left is listed in
+/// docs/INTERNALS.md § *Allocations per request*. The shard's `trivial`
+/// (5.62), `lognormal` (12.00) and queued `trivial` (6.62) repeat to the
+/// hundredth. `prolog` (20.9–22.5) moves with how far the dead end of
+/// each of its exploration races — one in eight — got before the
+/// decision stopped it: its solver allocates as it searches. Hence its
+/// margin; the other three are bound within one allocation of their
+/// count, so one more allocation per reply fails them.
 const TRIVIAL: f64 = 6.0;
-const PROLOG: f64 = 30.0;
-const LOGNORMAL: f64 = 16.5;
+const PROLOG: f64 = 26.0;
+const LOGNORMAL: f64 = 12.5;
+const QUEUED_TRIVIAL: f64 = 7.0;
 
 #[test]
 fn each_request_shape_allocates_within_its_bound() {
@@ -158,15 +164,27 @@ fn each_request_shape_allocates_within_its_bound() {
         move || pin_led(&telemetry, "prolog", 1, 100)
     });
     let lognormal = per_request(&server, "lognormal", || {});
+    pin_service(&telemetry, "trivial", 100_000, 20_000);
+    let on_shard = telemetry.snapshot()[Metric::RacesOnShard];
+    let queued_trivial = per_request(&server, "trivial", || {});
+    let raced_on_shard = telemetry.snapshot()[Metric::RacesOnShard] - on_shard;
     server.shutdown();
     println!(
         "allocations per request: trivial {trivial:.2}, prolog {prolog:.2}, \
-         lognormal {lognormal:.2}"
+         lognormal {lognormal:.2}, queued trivial {queued_trivial:.2}"
+    );
+    assert_eq!(
+        raced_on_shard, 0,
+        "trivial pinned long still ran on the shard"
     );
     assert!(trivial <= TRIVIAL, "trivial: {trivial:.2} > {TRIVIAL}");
     assert!(prolog <= PROLOG, "prolog: {prolog:.2} > {PROLOG}");
     assert!(
         lognormal <= LOGNORMAL,
         "lognormal: {lognormal:.2} > {LOGNORMAL}"
+    );
+    assert!(
+        queued_trivial <= QUEUED_TRIVIAL,
+        "queued trivial: {queued_trivial:.2} > {QUEUED_TRIVIAL}"
     );
 }

@@ -20,9 +20,12 @@ fn block_workers(pool: &WorkerPool, n: usize) -> mpsc::Sender<()> {
     let rx = Arc::new(Mutex::new(rx));
     for _ in 0..n {
         let rx = Arc::clone(&rx);
-        pool.try_submit(Box::new(move || {
-            rx.lock().expect("blocker lock").recv().ok();
-        }))
+        pool.try_submit_at(
+            move || {
+                rx.lock().expect("blocker lock").recv().ok();
+            },
+            JobMeta::default(),
+        )
         .expect("blocker admitted");
     }
     // Wait until all blockers are actually *running* (off the queue),

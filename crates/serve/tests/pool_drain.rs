@@ -1,8 +1,8 @@
 //! Property tests for the worker pool's shutdown drain guarantee.
 //!
-//! The contract under concurrent `shutdown()` + `try_submit()`:
+//! The contract under concurrent `shutdown()` + `try_submit_at()`:
 //!
-//! * every job whose `try_submit` returned `Ok` runs **exactly once**,
+//! * every job whose `try_submit_at` returned `Ok` runs **exactly once**,
 //!   and has finished by the time `shutdown()` returns;
 //! * a refused submission fails with `Overloaded` (queue full) or
 //!   `ShuttingDown` (queue closed) — nothing else, and the job is
@@ -16,7 +16,7 @@
 //! seed.
 
 use altx_check::{check, CaseRng};
-use altx_serve::pool::{SubmitError, WorkerPool};
+use altx_serve::pool::{JobMeta, SubmitError, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -47,12 +47,15 @@ fn admitted_jobs_all_run_before_shutdown_returns() {
                     for j in 0..jobs_per_submitter {
                         let crashes = ((s + j) as u64).is_multiple_of(panic_one_in);
                         let ran = Arc::clone(&ran);
-                        let submitted = pool.try_submit(Box::new(move || {
-                            ran.fetch_add(1, Ordering::SeqCst);
-                            if crashes {
-                                panic!("chaos job {s}/{j}");
-                            }
-                        }));
+                        let submitted = pool.try_submit_at(
+                            move || {
+                                ran.fetch_add(1, Ordering::SeqCst);
+                                if crashes {
+                                    panic!("chaos job {s}/{j}");
+                                }
+                            },
+                            JobMeta::default(),
+                        );
                         match submitted {
                             Ok(()) => {
                                 admitted += 1;
@@ -92,7 +95,7 @@ fn admitted_jobs_all_run_before_shutdown_returns() {
         );
         // Post-shutdown submissions are refused with ShuttingDown.
         assert_eq!(
-            pool.try_submit(Box::new(|| {})),
+            pool.try_submit_at(|| {}, JobMeta::default()),
             Err(SubmitError::ShuttingDown)
         );
     });
@@ -113,7 +116,7 @@ fn submissions_after_shutdown_always_shutting_down() {
                 std::thread::spawn(move || {
                     for _ in 0..10 {
                         assert_eq!(
-                            pool.try_submit(Box::new(|| panic!("must never run"))),
+                            pool.try_submit_at(|| panic!("must never run"), JobMeta::default()),
                             Err(SubmitError::ShuttingDown)
                         );
                     }

@@ -156,10 +156,13 @@ fn attached_telemetry_renders_the_golden_pages() {
     // 1: the lane-depth gauges read 1 and 2 while it is held.
     let (started_tx, started_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
-    pool.try_submit(Box::new(move || {
-        started_tx.send(()).ok();
-        release_rx.recv().ok();
-    }))
+    pool.try_submit_at(
+        move || {
+            started_tx.send(()).ok();
+            release_rx.recv().ok();
+        },
+        JobMeta::default(),
+    )
     .expect("occupies the slot");
     started_rx.recv().expect("a racer picked the blocker up");
     for lane in [0usize, 1, 1] {

@@ -12,7 +12,7 @@
 
 use altx::engine::{crew_stats, Engine, ThreadedEngine};
 use altx::{AddressSpace, AltBlock, PageSize};
-use altx_serve::pool::WorkerPool;
+use altx_serve::pool::{JobMeta, WorkerPool};
 use altx_serve::telemetry::Metric;
 use altx_serve::{start, timer_slack_ns, Client, Response, ServerConfig};
 use std::sync::{mpsc, Mutex};
@@ -34,23 +34,26 @@ fn daemon_threads_and_their_racers_are_tight_and_the_caller_is_not() {
     assert_eq!(crew_stats().live, 0, "no racer predates the pool");
     let pool = WorkerPool::new(2, 8);
     let (report, readings) = mpsc::channel();
-    pool.try_submit(Box::new(move || {
-        let (seen, sibling) = mpsc::channel();
-        let sibling = Mutex::new(sibling);
-        let block: AltBlock<(Option<String>, Option<u64>)> = AltBlock::new()
-            .alternative("favourite", move |_w, _t| {
-                let sibling = sibling.lock().expect("one favourite");
-                sibling.recv_timeout(WAIT).ok()
-            })
-            .alternative("sibling", move |_w, _t| {
-                let thread = std::thread::current().name().map(str::to_owned);
-                let _ = seen.send((thread, timer_slack_ns()));
-                None
-            });
-        let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
-        let raced = ThreadedEngine::new().execute(&block, &mut workspace);
-        let _ = report.send((timer_slack_ns(), raced.value));
-    }))
+    pool.try_submit_at(
+        move || {
+            let (seen, sibling) = mpsc::channel();
+            let sibling = Mutex::new(sibling);
+            let block: AltBlock<(Option<String>, Option<u64>)> = AltBlock::new()
+                .alternative("favourite", move |_w, _t| {
+                    let sibling = sibling.lock().expect("one favourite");
+                    sibling.recv_timeout(WAIT).ok()
+                })
+                .alternative("sibling", move |_w, _t| {
+                    let thread = std::thread::current().name().map(str::to_owned);
+                    let _ = seen.send((thread, timer_slack_ns()));
+                    None
+                });
+            let mut workspace = AddressSpace::zeroed(4096, PageSize::K4);
+            let raced = ThreadedEngine::new().execute(&block, &mut workspace);
+            let _ = report.send((timer_slack_ns(), raced.value));
+        },
+        JobMeta::default(),
+    )
     .expect("an empty queue admits a job");
     let (worker, sibling) = readings.recv_timeout(WAIT).expect("the job ran");
     assert_eq!(worker, Some(1), "a pool worker");

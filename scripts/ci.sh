@@ -129,12 +129,15 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 # Every test above runs the dev profile. A panicking alternative is
-# caught where it ran (`run_contained`), and in the profile that ships
-# the unwinder walks frames fat LTO inlined across crates, into static
-# glibc's unwinder: the crew's containment suite and the daemon's chaos
-# soak run once more in the release profile.
-echo "==> containment in the release profile: race_crew and chaos_soak under --release"
+# caught where it ran (`run_contained`), and a panicking pool job's
+# completion hears `None` from inside the unwind (`pool.rs`); in the
+# profile that ships the unwinder walks frames fat LTO inlined across
+# crates, into static glibc's unwinder: the crew's containment suite,
+# the pool's unit tests and the daemon's chaos soak run once more in the
+# release profile.
+echo "==> containment in the release profile: race_crew, pool:: and chaos_soak under --release"
 cargo test --release -q -p altx --test race_crew
+cargo test --release -q -p altx-serve --lib pool::
 cargo test --release -q -p altx-serve --test chaos_soak
 
 echo "==> cargo fmt --check"
