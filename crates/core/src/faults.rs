@@ -274,36 +274,16 @@ impl FaultPlan {
     /// Decides the fault (if any) for the next visit of `site`, and
     /// counts it. Deterministic per `(seed, site, visit-number)`.
     pub fn decide(&self, site: &str) -> Option<Fault> {
-        let seq = {
-            let mut sites = self.site_seq.lock().unwrap_or_else(PoisonError::into_inner);
-            let n = sites.entry(site.to_owned()).or_insert(0);
-            let seq = *n;
-            *n += 1;
-            seq
-        };
-        let raw = splitmix64(self.cfg.seed ^ fnv1a(site) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let u = uniform(raw);
-        if self.cfg.total() <= 0.0 {
+        let (raw, u) = self.draw(site, 0);
+        let c = &self.cfg;
+        if c.total() <= 0.0 {
             return None;
         }
-        // One uniform draw against the stacked probability edges.
-        let mut edge = 0.0;
-        let mut hits = |p: f64| {
-            edge += p;
-            u < edge
-        };
-        let fault = if hits(self.cfg.p_panic) {
-            Fault::Panic
-        } else if hits(self.cfg.p_delay) {
-            // A second draw picks the delay length, still deterministic.
-            let frac = uniform(splitmix64(raw ^ 0xD31A));
-            Fault::Delay(self.cfg.max_delay.mul_f64(frac))
-        } else if hits(self.cfg.p_cancel) {
-            Fault::Cancel
-        } else if hits(self.cfg.p_fail) {
-            Fault::Fail
-        } else {
-            return None;
+        let fault = match stacked(u, &[c.p_panic, c.p_delay, c.p_cancel, c.p_fail])? {
+            0 => Fault::Panic,
+            1 => Fault::Delay(c.max_delay.mul_f64(second_draw(raw))),
+            2 => Fault::Cancel,
+            _ => Fault::Fail,
         };
         self.injected[fault.kind_index()].fetch_add(1, Ordering::Relaxed);
         Some(fault)
@@ -317,9 +297,25 @@ impl FaultPlan {
     ///
     /// [`stall`]: FaultPlan::stall
     pub fn decide_net(&self, site: &str) -> Option<NetFault> {
-        if self.cfg.net.total() <= 0.0 {
+        let net = &self.cfg.net;
+        if net.total() <= 0.0 {
             return None;
         }
+        // Salted so the wire stream never mirrors a process stream that
+        // happens to share a site name.
+        let (raw, u) = self.draw(site, 0x57A7_1C0D_E57A_71C0);
+        let fault = match stacked(u, &[net.p_delay, net.p_truncate])? {
+            0 => NetFault::Delay(net.max_delay.mul_f64(second_draw(raw))),
+            _ => NetFault::Truncate,
+        };
+        self.net_injected[fault.kind_index()].fetch_add(1, Ordering::Relaxed);
+        Some(fault)
+    }
+
+    /// The next draw of `site`'s stream: counts the visit under the
+    /// lock, then hashes `(seed, site, visit-number)`, XORed with
+    /// `salt`, into a raw word and a uniform draw in `[0, 1)`.
+    fn draw(&self, site: &str, salt: u64) -> (u64, f64) {
         let seq = {
             let mut sites = self.site_seq.lock().unwrap_or_else(PoisonError::into_inner);
             let n = sites.entry(site.to_owned()).or_insert(0);
@@ -327,31 +323,10 @@ impl FaultPlan {
             *n += 1;
             seq
         };
-        // Salted so the wire stream never mirrors a process stream that
-        // happens to share a site name.
         let raw = splitmix64(
-            self.cfg.seed
-                ^ fnv1a(site)
-                ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ 0x57A7_1C0D_E57A_71C0,
+            self.cfg.seed ^ fnv1a(site) ^ seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt,
         );
-        let u = uniform(raw);
-        let net = &self.cfg.net;
-        let mut edge = 0.0;
-        let mut hits = |p: f64| {
-            edge += p;
-            u < edge
-        };
-        let fault = if hits(net.p_delay) {
-            let frac = uniform(splitmix64(raw ^ 0xD31A));
-            NetFault::Delay(net.max_delay.mul_f64(frac))
-        } else if hits(net.p_truncate) {
-            NetFault::Truncate
-        } else {
-            return None;
-        };
-        self.net_injected[fault.kind_index()].fetch_add(1, Ordering::Relaxed);
-        Some(fault)
+        (raw, uniform(raw))
     }
 
     /// Stalls `site` until [`heal`]: a stalled `…send` site writes
@@ -409,6 +384,23 @@ fn fnv1a(s: &str) -> u64 {
 
 fn uniform(raw: u64) -> f64 {
     (raw >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A second uniform draw from the same raw word: what picks a delay's
+/// length, still deterministic.
+fn second_draw(raw: u64) -> f64 {
+    uniform(splitmix64(raw ^ 0xD31A))
+}
+
+/// One uniform draw `u` against probabilities stacked in order: the
+/// index of the first whose running sum exceeds `u`, or `None` when `u`
+/// lies past them all.
+fn stacked(u: f64, probabilities: &[f64]) -> Option<usize> {
+    let mut edge = 0.0;
+    probabilities.iter().position(|p| {
+        edge += p;
+        u < edge
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -692,6 +684,50 @@ mod tests {
         assert!(!stalled.is_stalled(site));
         assert_eq!(draws(&stalled), draws(&plain));
         assert_eq!(stalled.net_injected_total(), plain.net_injected_total());
+    }
+
+    /// The first 32 verdicts of two process sites and one wire site
+    /// under one seed, as they were drawn when this test was written:
+    /// every chaos seed must keep replaying the same faults.
+    #[test]
+    fn chaos_streams_replay_their_pinned_verdicts() {
+        fn code(fault: Option<Fault>) -> String {
+            match fault {
+                None => ".".into(),
+                Some(Fault::Panic) => "P".into(),
+                Some(Fault::Cancel) => "C".into(),
+                Some(Fault::Fail) => "F".into(),
+                Some(Fault::Delay(d)) => format!("D{}", d.as_nanos()),
+            }
+        }
+        fn net_code(fault: Option<NetFault>) -> String {
+            match fault {
+                None => ".".into(),
+                Some(NetFault::Truncate) => "T".into(),
+                Some(NetFault::Delay(d)) => format!("D{}", d.as_nanos()),
+            }
+        }
+        let plan = FaultPlan::chaos(0xC0FFEE);
+        let drawn = |site: &str| (0..32).map(|_| code(plan.decide(site))).collect::<Vec<_>>();
+        assert_eq!(
+            drawn("engine.alt.x").join(" "),
+            ". . . . P D685472 . P . . . . . . D467270 F \
+             P D2012935 P P . . . . F . P . . F P D456190"
+        );
+        assert_eq!(
+            drawn("pool.job").join(" "),
+            "F D2972585 P C . . . P . . C . F . . . \
+             . . . P . . . . . F F D2817271 . . . ."
+        );
+        let plan = FaultPlan::new(FaultConfig::net_chaos(0xC0FFEE));
+        let wire: Vec<_> = (0..32)
+            .map(|_| net_code(plan.decide_net("peer.link.a:1.send")))
+            .collect();
+        assert_eq!(
+            wire.join(" "),
+            ". . . . . . . . . . . T . D170860 . . \
+             . . . . . . D1662284 . . . . . . . . ."
+        );
     }
 
     // The install/clear global is exercised in one test to avoid

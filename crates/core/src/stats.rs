@@ -1,222 +1,209 @@
-//! Shared per-alternative statistics.
+//! Shared latency statistics.
 //!
-//! `AltStatsTable` is the online record behind Scheme A (§4.2): for every
-//! alternative of a block it tracks how often it won a race, an EWMA of
-//! its winning latency, and a coarse latency histogram good enough to
-//! answer quantile queries (the hedging policy wants "the favourite's
-//! p95"). Scheme A itself is a plan, not a table: race
+//! [`Histogram`] is the one latency histogram of the workspace: a count,
+//! a sum and 32 power-of-two buckets, every field a relaxed atomic, so
+//! recording never blocks a reader or another recorder and takes no
+//! lock. Its quantiles are bucket upper bounds at the nearest rank
+//! ([`altx_des::nearest_rank`]) — within a factor of two of the true
+//! quantile, plenty for picking a hedge delay or a run path.
+//!
+//! [`Timing`] is a histogram with an EWMA of the same samples beside it,
+//! for the rules that read a recent mean as well as a tail.
+//! [`AltStatsTable`] is the online record behind Scheme A (§4.2): one
+//! [`Timing`] of winning latencies per alternative of a block, whose
+//! count is the alternative's wins. Scheme A itself is a plan, not a
+//! table: race
 //! [`LaunchPlan::favourite_first`](crate::engine::LaunchPlan::favourite_first)
 //! with [`AltStatsTable::favourite`] as the lead, the way the serving
 //! layer's `HedgePolicy` does.
-//!
-//! The table is lock-cheap by design: every slot is a bundle of atomics,
-//! and the only lock is an `RwLock` around the slot vector that is taken
-//! in read mode, once, on the record path (uncontended unless the table
-//! is growing).
 
 use crate::pad::CachePadded;
+use altx_des::nearest_rank;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 /// Smoothing factor for the latency EWMA. High enough to adapt within a
 /// few tens of observations, low enough not to chase single outliers.
 const EWMA_ALPHA: f64 = 0.2;
 
 /// Number of power-of-two latency buckets. Bucket `k` covers
-/// `[2^(k-1), 2^k)` microseconds; bucket 31 absorbs everything slower
-/// (~36 minutes), bucket 0 holds sub-microsecond observations.
-const BUCKETS: usize = 32;
+/// `[2^(k-1), 2^k)` microseconds and reports `2^k` as its bound; bucket
+/// 0 holds sub-microsecond observations, bucket 31 absorbs everything
+/// from 2^30 µs (~18 minutes) on.
+pub const BUCKETS: usize = 32;
 
 fn bucket_of(us: u64) -> usize {
-    if us == 0 {
-        return 0;
-    }
     let k = 64 - u64::leading_zeros(us) as usize;
     k.min(BUCKETS - 1)
 }
 
-/// One alternative's statistics. All fields are atomics so the record
-/// path never blocks a concurrent reader (or another recorder). Cells
-/// are stored cache-line padded ([`CachePadded`]) in the table: two
-/// workers recording wins for *different* alternatives must not fight
-/// over one line.
+/// A log₂ latency histogram of relaxed atomics. See module docs.
 #[derive(Debug, Default)]
-struct AltStat {
-    wins: AtomicU64,
-    /// EWMA of observed latency in microseconds, stored as `f64` bits.
-    /// Zero means "no observation yet" (a true 0.0 EWMA is indistinguishable
-    /// from unset, which is fine: both mean "treat as instant").
-    ewma_us_bits: AtomicU64,
+pub struct Histogram {
+    count: AtomicU64,
+    sum_us: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
 }
 
-impl AltStat {
-    fn observe_latency(&self, us: u64) {
+impl Histogram {
+    /// Records one observation: three relaxed adds.
+    pub fn record(&self, us: u64) {
         self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
-        let sample = us as f64;
-        let mut cur = self.ewma_us_bits.load(Ordering::Relaxed);
-        loop {
-            let prev = f64::from_bits(cur);
-            let next = if self.wins.load(Ordering::Relaxed) == 0 {
-                sample
-            } else {
-                prev + EWMA_ALPHA * (sample - prev)
-            };
-            match self.ewma_us_bits.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+    }
+
+    /// Observations recorded.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of the observations, microseconds.
+    pub fn sum_us(&self) -> u64 {
+        self.sum_us.load(Ordering::Relaxed)
+    }
+
+    /// The bucket counts: entry `k` counts observations in
+    /// `[2^(k-1), 2^k)` µs, the last everything from 2^30 µs on.
+    pub fn buckets(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed))
+    }
+
+    /// The `q`-quantile (`0.0..=1.0`) in microseconds: the upper bound
+    /// `2^k` of the bucket holding the nearest-rank observation. `None`
+    /// with no observations.
+    pub fn quantile_us(&self, q: f64) -> Option<u64> {
+        let counts = self.buckets();
+        let total = counts.iter().sum();
+        if total == 0 {
+            return None;
         }
-    }
-
-    /// One win: its latency, then the count the first-sample check reads.
-    fn record_win(&self, latency_us: u64) {
-        self.observe_latency(latency_us);
-        self.wins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn ewma_us(&self) -> Option<f64> {
-        (self.wins.load(Ordering::Relaxed) > 0)
-            .then(|| f64::from_bits(self.ewma_us_bits.load(Ordering::Relaxed)))
+        let rank = nearest_rank(q.clamp(0.0, 1.0), total);
+        let mut seen = 0;
+        counts
+            .iter()
+            .position(|&c| {
+                seen += c;
+                seen >= rank
+            })
+            .map(|k| 1 << k)
     }
 }
 
-/// Growable table of per-alternative statistics. See module docs.
+/// A [`Histogram`] with an EWMA of the same samples beside it. The
+/// EWMA's compare-and-swap is the price of a recent mean, so only the
+/// rules that read one keep it.
 #[derive(Debug, Default)]
+pub struct Timing {
+    histogram: Histogram,
+    /// EWMA of the samples in microseconds, stored as `f64` bits; read
+    /// only once the histogram counts a sample.
+    ewma_us_bits: AtomicU64,
+}
+
+impl Timing {
+    /// Records one sample: the EWMA (the first sample seeds it), then
+    /// the histogram, whose count the first-sample check reads.
+    pub fn record(&self, us: u64) {
+        let sample = us as f64;
+        let _ = self
+            .ewma_us_bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                let next = if self.histogram.count() == 0 {
+                    sample
+                } else {
+                    let prev = f64::from_bits(bits);
+                    prev + EWMA_ALPHA * (sample - prev)
+                };
+                Some(next.to_bits())
+            });
+        self.histogram.record(us);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.histogram.count()
+    }
+
+    /// EWMA of the samples in microseconds, or `None` before the first.
+    pub fn ewma_us(&self) -> Option<f64> {
+        (self.count() > 0).then(|| f64::from_bits(self.ewma_us_bits.load(Ordering::Relaxed)))
+    }
+
+    /// A quantile of the samples ([`Histogram::quantile_us`]).
+    pub fn quantile_us(&self, q: f64) -> Option<u64> {
+        self.histogram.quantile_us(q)
+    }
+}
+
+/// Per-alternative win statistics of one block: a fixed slice of
+/// cache-line padded [`Timing`]s, one per alternative, sized once — two
+/// workers recording wins for *different* alternatives never share a
+/// line, and no lock guards the slice because it never changes. A
+/// record or a read past the end is ignored (reads answer "never won").
+#[derive(Debug)]
 pub struct AltStatsTable {
-    slots: RwLock<Vec<CachePadded<AltStat>>>,
+    slots: Box<[CachePadded<Timing>]>,
 }
 
 impl AltStatsTable {
-    /// An empty table; it grows on demand via [`AltStatsTable::ensure`].
-    pub fn new() -> Self {
-        Self::with_len(0)
-    }
-
-    /// A table pre-sized for `n` alternatives.
+    /// A table for `n` alternatives.
     pub fn with_len(n: usize) -> Self {
-        let table = AltStatsTable {
-            slots: RwLock::new(Vec::new()),
-        };
-        table.ensure(n);
-        table
-    }
-
-    /// Grow the table so indices `0..n` are valid. Cheap no-op when the
-    /// table is already large enough (read lock only).
-    pub fn ensure(&self, n: usize) {
-        if self.slots.read().map(|s| s.len()).unwrap_or(0) >= n {
-            return;
+        AltStatsTable {
+            slots: (0..n)
+                .map(|_| CachePadded::new(Timing::default()))
+                .collect(),
         }
-        if let Ok(mut slots) = self.slots.write() {
-            while slots.len() < n {
-                slots.push(CachePadded::new(AltStat::default()));
-            }
-        }
-    }
-
-    /// Number of alternatives the table currently covers.
-    pub fn len(&self) -> usize {
-        self.slots.read().map(|s| s.len()).unwrap_or(0)
-    }
-
-    /// True when the table covers no alternatives yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Runs `f` on slot `i` under one read guard; `None` out of range.
-    fn with_slot<T>(&self, i: usize, f: impl FnOnce(&AltStat) -> T) -> Option<T> {
-        let slots = self.slots.read().ok()?;
-        slots.get(i).map(|slot| f(slot))
-    }
-
-    /// Runs `f` on every slot, in index order, under one read guard.
-    fn with_slots<T>(&self, f: impl FnOnce(&[CachePadded<AltStat>]) -> T) -> Option<T> {
-        self.slots.read().ok().map(|slots| f(&slots))
     }
 
     /// Record that alternative `i` won a race in `latency_us`: the
-    /// latency is folded into the EWMA and histogram. The slot is
-    /// resolved once, under one read guard; only an index past the end
-    /// takes the write lock, to grow.
+    /// latency is folded into its EWMA and histogram.
     pub fn record_win(&self, i: usize, latency_us: u64) {
-        let record = |slot: &AltStat| slot.record_win(latency_us);
-        if self.with_slot(i, record).is_none() {
-            self.ensure(i + 1);
-            self.with_slot(i, record);
+        if let Some(slot) = self.slots.get(i) {
+            slot.record(latency_us);
         }
     }
 
     /// Race wins recorded for alternative `i` (0 when out of range).
     pub fn wins(&self, i: usize) -> u64 {
-        self.with_slot(i, |s| s.wins.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.slots.get(i).map_or(0, |s| s.count())
     }
 
     /// EWMA winning latency of alternative `i` in microseconds, or `None`
     /// if it has never won.
     pub fn ewma_us(&self, i: usize) -> Option<f64> {
-        self.with_slot(i, AltStat::ewma_us).flatten()
+        self.slots.get(i)?.ewma_us()
+    }
+
+    /// Approximate winning-latency quantile (`0.0..=1.0`) of alternative
+    /// `i` ([`Histogram::quantile_us`]); `None` if it has never won.
+    pub fn quantile_us(&self, i: usize, q: f64) -> Option<u64> {
+        self.slots.get(i)?.quantile_us(q)
     }
 
     /// Sum of wins across all alternatives.
     pub fn total_wins(&self) -> u64 {
-        self.with_slots(|slots| slots.iter().map(|s| s.wins.load(Ordering::Relaxed)).sum())
-            .unwrap_or(0)
+        self.slots.iter().map(|s| s.count()).sum()
     }
 
     /// The alternative with the most wins, or `None` if nothing has won
     /// yet. Ties break toward the lower EWMA latency.
     pub fn favourite(&self) -> Option<usize> {
-        self.with_slots(|slots| {
-            let mut best: Option<(usize, u64, f64)> = None;
-            for (i, slot) in slots.iter().enumerate() {
-                let wins = slot.wins.load(Ordering::Relaxed);
-                if wins == 0 {
-                    continue;
-                }
-                let ewma = slot.ewma_us().unwrap_or(f64::INFINITY);
-                let better = match best {
-                    None => true,
-                    Some((_, bw, be)) => wins > bw || (wins == bw && ewma < be),
-                };
-                if better {
-                    best = Some((i, wins, ewma));
-                }
+        let mut best: Option<(usize, u64, f64)> = None;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let wins = slot.count();
+            if wins == 0 {
+                continue;
             }
-            best.map(|(i, _, _)| i)
-        })
-        .flatten()
-    }
-
-    /// Approximate latency quantile (`0.0..=1.0`) for alternative `i`, in
-    /// microseconds. Resolution is the power-of-two bucket upper bound, so
-    /// answers are within a factor of two of the true quantile — plenty
-    /// for picking a hedge delay. Returns `None` with no observations.
-    pub fn quantile_us(&self, i: usize, q: f64) -> Option<u64> {
-        let counts: [u64; BUCKETS] = self.with_slot(i, |slot| {
-            std::array::from_fn(|k| slot.buckets[k].load(Ordering::Relaxed))
-        })?;
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (k, count) in counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(if k == 0 { 1 } else { 1u64 << k });
+            let ewma = slot.ewma_us().unwrap_or(f64::INFINITY);
+            let better = match best {
+                None => true,
+                Some((_, bw, be)) => wins > bw || (wins == bw && ewma < be),
+            };
+            if better {
+                best = Some((i, wins, ewma));
             }
         }
-        Some(1u64 << (BUCKETS - 1))
+        best.map(|(i, _, _)| i)
     }
 }
 
@@ -226,23 +213,30 @@ mod tests {
 
     #[test]
     fn empty_table_answers_zeroes() {
-        let t = AltStatsTable::new();
-        assert_eq!(t.len(), 0);
+        let t = AltStatsTable::with_len(0);
         assert_eq!(t.wins(3), 0);
         assert_eq!(t.ewma_us(3), None);
         assert_eq!(t.quantile_us(3, 0.95), None);
         assert_eq!(t.favourite(), None);
     }
 
+    /// The table never grows: a win past its end is dropped and every
+    /// read there answers "never won".
     #[test]
-    fn record_win_grows_and_counts() {
-        let t = AltStatsTable::new();
+    fn a_record_or_read_past_the_end_is_ignored() {
+        let t = AltStatsTable::with_len(2);
         t.record_win(2, 100);
-        t.record_win(2, 300);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.wins(2), 2);
-        assert_eq!(t.ewma_us(1), None, "a grown slot has never won");
-        let ewma = t.ewma_us(2).expect("observed");
+        t.record_win(7, 300);
+        assert_eq!(t.total_wins(), 0);
+        assert_eq!(t.favourite(), None);
+        assert_eq!(
+            (t.wins(2), t.ewma_us(2), t.quantile_us(2, 0.5)),
+            (0, None, None)
+        );
+        t.record_win(1, 100);
+        t.record_win(1, 300);
+        assert_eq!((t.wins(1), t.total_wins()), (2, 2));
+        let ewma = t.ewma_us(1).expect("observed");
         assert!(ewma > 100.0 && ewma < 300.0, "ewma {ewma} between samples");
     }
 
@@ -297,6 +291,62 @@ mod tests {
             assert!(b < BUCKETS);
             prev = b;
         }
+    }
+
+    #[test]
+    fn histogram_quantiles_bracket_observations() {
+        let h = Histogram::default();
+        for us in [40, 90, 90, 90, 90, 90, 90, 90, 90, 200_000] {
+            h.record(us);
+        }
+        assert_eq!(h.count(), 10);
+        assert_eq!(h.quantile_us(0.5), Some(128)); // 90 µs falls in [64, 128)
+        assert_eq!(h.quantile_us(0.99), Some(262_144));
+        assert_eq!(h.sum_us(), 40 + 8 * 90 + 200_000);
+        assert_eq!(Histogram::default().quantile_us(0.5), None);
+    }
+
+    #[test]
+    fn histogram_buckets_sum_to_the_count() {
+        let h = Histogram::default();
+        for us in [1, 10_000, 9_999_999] {
+            h.record(us);
+        }
+        assert_eq!(h.buckets().iter().sum::<u64>(), 3);
+        assert_eq!(h.count(), 3);
+    }
+
+    /// The quantile is the bound of the bucket that holds the exact
+    /// nearest-rank sample, over samples from 0 to far past the last
+    /// bucket's lower edge.
+    #[test]
+    fn quantile_is_the_bucket_of_the_nearest_rank_sample() {
+        altx_check::check("histogram_quantile_is_nearest_rank", 500, |rng| {
+            let samples = rng.vec(1, 200, |rng| match rng.u64_below(5) {
+                0 => *rng.pick(&[0, 1, 2, 1 << 30, (1 << 31) - 1, u64::MAX]),
+                1 => rng.u64_in(1 << 31, 1 << 40),
+                _ => {
+                    let bits = rng.u64_in(1, 24);
+                    rng.u64_below(1 << bits)
+                }
+            });
+            let h = Histogram::default();
+            for &us in &samples {
+                h.record(us);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+                let rank = nearest_rank(q, sorted.len() as u64);
+                let exact = sorted[rank as usize - 1];
+                assert_eq!(
+                    h.quantile_us(q),
+                    Some(1 << bucket_of(exact)),
+                    "q {q}: rank {rank} of {}, sample {exact}",
+                    sorted.len()
+                );
+            }
+        });
     }
 
     #[test]

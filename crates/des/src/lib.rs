@@ -43,5 +43,5 @@ pub mod time;
 
 pub use event::EventQueue;
 pub use rng::{splitmix64, SimRng};
-pub use stats::Summary;
+pub use stats::{nearest_rank, Summary};
 pub use time::{SimDuration, SimTime};

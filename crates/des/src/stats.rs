@@ -9,6 +9,22 @@
 use crate::time::SimDuration;
 use core::fmt;
 
+/// The nearest-rank rule: the 1-based rank, among `n` sorted samples,
+/// of the `q`-quantile (`q` in `[0, 1]`) — `⌈q·n⌉`, at least 1 and at
+/// most `n`. Returns 0 only when `n` is 0. Exact percentiles
+/// ([`Summary::percentile`]) and bucketed quantiles alike read their
+/// rank here.
+///
+/// ```
+/// use altx_des::nearest_rank;
+/// assert_eq!(nearest_rank(0.5, 4), 2);
+/// assert_eq!(nearest_rank(0.0, 4), 1);
+/// assert_eq!(nearest_rank(0.99, 1_000), 990);
+/// ```
+pub fn nearest_rank(q: f64, n: u64) -> u64 {
+    ((q * n as f64).ceil() as u64).max(1).min(n)
+}
+
 /// One-pass accumulator of mean / variance / min / max plus retained
 /// samples for percentile queries.
 ///
@@ -156,8 +172,8 @@ impl Summary {
         }
         let mut sorted = self.samples.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
+        let rank = nearest_rank(p / 100.0, sorted.len() as u64);
+        Some(sorted[rank as usize - 1])
     }
 
     /// Median (50th percentile).

@@ -203,8 +203,8 @@ fn percentile(sorted_us: &[u64], p: f64) -> String {
     if sorted_us.is_empty() {
         return "n/a".to_owned();
     }
-    let idx = ((p * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len()) - 1;
-    sorted_us[idx].to_string()
+    let rank = altx_des::nearest_rank(p, sorted_us.len() as u64);
+    sorted_us[rank as usize - 1].to_string()
 }
 
 fn fail(code: i32, message: &str) -> ! {

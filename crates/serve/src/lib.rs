@@ -20,7 +20,7 @@
 //!   `DeadlineExceeded` replies;
 //! * graceful shutdown that drains every in-flight race and joins every
 //!   thread before exiting;
-//! * [`telemetry`]: atomic counters, fixed-bucket latency histograms,
+//! * [`telemetry`]: atomic counters, a power-of-two latency histogram,
 //!   and per-alternative win rates, served over the same socket as a
 //!   stats page or Prometheus text format.
 //!

@@ -30,12 +30,14 @@
 //!
 //! [`CatalogStats`] is the shared, interned statistics store: one
 //! [`AltStatsTable`] per catalog workload, indexed `(workload index,
-//! alternative index)` — no string keys or locks on the record path.
+//! alternative index)`, and one service-time [`Timing`] per workload —
+//! fixed slices of atomics, no string keys and no lock anywhere.
 //! Telemetry renders win tallies from the same store the policy reads.
 
 use crate::workload::{self, WorkloadSpec};
 use altx::engine::LaunchPlan;
-use altx::stats::AltStatsTable;
+use altx::stats::{AltStatsTable, Timing};
+use altx::CachePadded;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,12 +85,12 @@ impl Default for HedgeConfig {
 pub struct CatalogStats {
     tables: Vec<AltStatsTable>,
     /// Per-workload *race service time* — wall time from launch to any
-    /// outcome (win, deadline blown, error), recorded as a single-slot
-    /// [`AltStatsTable`] so admission reads the same power-of-two
-    /// quantile machinery the hedge policy does. Unlike the win tables
-    /// this sees timeouts, which is exactly what makes an infeasible
-    /// workload provably infeasible.
-    service: Vec<AltStatsTable>,
+    /// outcome (win, deadline blown, error) — in the same [`Timing`] a
+    /// win table keeps per alternative, so admission reads the quantile
+    /// and mean the hedge policy does. Unlike the win tables this sees
+    /// timeouts, which is exactly what makes an infeasible workload
+    /// provably infeasible.
+    service: Vec<CachePadded<Timing>>,
     /// Per-workload verdict of [`CatalogStats::short_enough_for_shard`],
     /// recomputed where a service sample is recorded so the request
     /// path reads one flag instead of a quantile.
@@ -140,7 +142,7 @@ impl CatalogStats {
                 .collect(),
             service: workload::CATALOG
                 .iter()
-                .map(|_| AltStatsTable::with_len(1))
+                .map(|_| CachePadded::new(Timing::default()))
                 .collect(),
             on_shard: workload::CATALOG
                 .iter()
@@ -162,7 +164,7 @@ impl CatalogStats {
     /// recorded, which a statistic can afford.
     pub fn record_service(&self, widx: usize, latency_us: u64) {
         if let (Some(t), Some(flag)) = (self.service.get(widx), self.on_shard.get(widx)) {
-            t.record_win(0, latency_us);
+            t.record(latency_us);
             let verdict = self.short_enough_for_shard(widx);
             if flag.load(Ordering::Relaxed) != verdict {
                 flag.store(verdict, Ordering::Relaxed);
@@ -215,17 +217,17 @@ impl CatalogStats {
 
     /// Service-time samples recorded for workload `widx`.
     pub fn service_samples(&self, widx: usize) -> u64 {
-        self.service.get(widx).map_or(0, |t| t.wins(0))
+        self.service.get(widx).map_or(0, |t| t.count())
     }
 
     /// A service-time quantile for workload `widx` (bucket upper bound).
     pub fn service_quantile_us(&self, widx: usize, q: f64) -> Option<u64> {
-        self.service.get(widx).and_then(|t| t.quantile_us(0, q))
+        self.service.get(widx)?.quantile_us(q)
     }
 
     /// EWMA of the service time for workload `widx`.
     pub fn service_mean_us(&self, widx: usize) -> Option<f64> {
-        self.service.get(widx).and_then(|t| t.ewma_us(0))
+        self.service.get(widx)?.ewma_us()
     }
 
     /// Win tallies as `(workload, alternative) → wins`, for telemetry
@@ -453,7 +455,7 @@ fn body_under_a_wake(table: &AltStatsTable, fav: usize) -> bool {
 /// ```
 ///
 /// where `p99_service_us` and `mean_service_us` come from the
-/// workload's service-time [`AltStatsTable`] in [`CatalogStats`] —
+/// workload's service-time [`Timing`] in [`CatalogStats`] —
 /// which records timeouts and errors as well as wins, so a workload
 /// that *never* meets its deadline converges on p99 ≈ deadline and any
 /// queue wait at all tips the verdict to shed. A cold workload (fewer

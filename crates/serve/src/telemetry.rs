@@ -1,5 +1,6 @@
-//! Daemon telemetry: lock-free counters, a fixed-bucket latency
-//! histogram, and per-alternative win tallies, rendered either as a
+//! Daemon telemetry: lock-free counters, the race-latency histogram
+//! (the power-of-two [`Histogram`] the scheduler keeps its statistics
+//! in), and per-alternative win tallies, rendered either as a
 //! human-readable stats page or Prometheus text format.
 //!
 //! Every scalar metric is declared once, as a row of [`METRICS`]: its
@@ -28,94 +29,13 @@ use crate::pool::PoolStats;
 use crate::ring::RingStats;
 use crate::sched::CatalogStats;
 use altx::engine::CrewStats;
+use altx::stats::{Histogram, BUCKETS};
 use altx::CachePadded;
 use altx::WakeStats;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Histogram bucket upper bounds, microseconds. The last bucket is
-/// unbounded.
-pub const BUCKET_BOUNDS_US: &[u64] = &[
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000,
-];
-
-/// A fixed-bucket latency histogram with atomic counters.
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    counts: [AtomicU64; BUCKET_BOUNDS_US.len() + 1],
-    total: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&self, us: u64) {
-        let idx = BUCKET_BOUNDS_US
-            .iter()
-            .position(|&b| us <= b)
-            .unwrap_or(BUCKET_BOUNDS_US.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_us.load(Ordering::Relaxed) as f64 / n as f64
-        }
-    }
-
-    /// Upper-bound estimate of the `q`-quantile (0 < q ≤ 1): the bound
-    /// of the first bucket whose cumulative count reaches `q·total`.
-    /// Resolution is the bucket grid; the open last bucket reports its
-    /// lower edge.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c.load(Ordering::Relaxed);
-            if seen >= rank {
-                return BUCKET_BOUNDS_US
-                    .get(i)
-                    .copied()
-                    .unwrap_or(*BUCKET_BOUNDS_US.last().expect("non-empty bounds"));
-            }
-        }
-        *BUCKET_BOUNDS_US.last().expect("non-empty bounds")
-    }
-
-    /// (bound, cumulative count) pairs for Prometheus `le` buckets,
-    /// ending with the +Inf bucket.
-    pub fn cumulative(&self) -> Vec<(Option<u64>, u64)> {
-        let mut acc = 0;
-        let mut out = Vec::with_capacity(self.counts.len());
-        for (i, c) in self.counts.iter().enumerate() {
-            acc += c.load(Ordering::Relaxed);
-            out.push((BUCKET_BOUNDS_US.get(i).copied(), acc));
-        }
-        out
-    }
-}
 
 /// Counters owned by one reactor shard. The shard's event loop writes
 /// them — except `conns_active`, which moves on whichever thread takes
@@ -420,7 +340,7 @@ pub struct Telemetry {
     /// the `Own` rows' cells are ever written.
     cells: [CachePadded<AtomicU64>; Metric::COUNT],
     /// Latency of completed races.
-    latency: LatencyHistogram,
+    latency: Histogram,
     /// The scheduler's interned per-alternative statistics (win tallies
     /// render from here), attached once at startup.
     catalog: OnceLock<Arc<CatalogStats>>,
@@ -440,7 +360,7 @@ impl Default for Telemetry {
     fn default() -> Self {
         Telemetry {
             cells: std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0))),
-            latency: LatencyHistogram::new(),
+            latency: Histogram::default(),
             catalog: OnceLock::new(),
             pool: OnceLock::new(),
             shards: OnceLock::new(),
@@ -610,9 +530,9 @@ impl Telemetry {
         Snapshot {
             values: std::array::from_fn(|i| self.read(&METRICS[i], &crew, &wake)),
             lane_depths: self.pool.get().map_or_else(Vec::new, |p| p.lane_depths()),
-            mean_us: self.latency.mean_us(),
-            p50_us: self.latency.quantile_us(0.50),
-            p99_us: self.latency.quantile_us(0.99),
+            mean_us: self.latency.sum_us() as f64 / self.latency.count().max(1) as f64,
+            p50_us: self.latency.quantile_us(0.50).unwrap_or(0),
+            p99_us: self.latency.quantile_us(0.99).unwrap_or(0),
             wins: self.catalog.get().map(|c| c.wins_map()).unwrap_or_default(),
         }
     }
@@ -735,15 +655,26 @@ impl Telemetry {
 
         out.push_str("# HELP altxd_race_latency_us Completed-race latency in microseconds\n");
         out.push_str("# TYPE altxd_race_latency_us histogram\n");
-        for (bound, cum) in self.latency.cumulative() {
-            let le = bound.map_or("+Inf".to_owned(), |b| b.to_string());
-            out.push_str(&format!(
-                "altxd_race_latency_us_bucket{{le=\"{le}\"}} {cum}\n"
-            ));
+        // Bucket k counts latencies below 2^k µs; the last is open-ended
+        // and shows only as +Inf.
+        let buckets = self.latency.buckets();
+        let mut cum = 0;
+        for (k, n) in buckets[..BUCKETS - 1].iter().enumerate() {
+            cum += n;
+            let _ = writeln!(
+                out,
+                "altxd_race_latency_us_bucket{{le=\"{}\"}} {cum}",
+                1u64 << k
+            );
         }
+        let _ = writeln!(
+            out,
+            "altxd_race_latency_us_bucket{{le=\"+Inf\"}} {}",
+            cum + buckets[BUCKETS - 1]
+        );
         out.push_str(&format!(
             "altxd_race_latency_us_sum {}\n",
-            self.latency.sum_us.load(Ordering::Relaxed)
+            self.latency.sum_us()
         ));
         out.push_str(&format!(
             "altxd_race_latency_us_count {}\n",
@@ -765,28 +696,6 @@ impl Telemetry {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-
-    #[test]
-    fn histogram_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
-        for us in [40, 90, 90, 90, 90, 90, 90, 90, 90, 200_000] {
-            h.record(us);
-        }
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.quantile_us(0.5), 100); // 90 µs falls in the ≤100 bucket
-        assert_eq!(h.quantile_us(0.99), 250_000);
-        assert!(h.mean_us() > 0.0);
-    }
-
-    #[test]
-    fn histogram_cumulative_ends_at_total() {
-        let h = LatencyHistogram::new();
-        for us in [1, 10_000, 9_999_999] {
-            h.record(us);
-        }
-        let cum = h.cumulative();
-        assert_eq!(cum.last().expect("buckets"), &(None, 3));
-    }
 
     /// The invariants every renderer and scraper leans on.
     #[test]

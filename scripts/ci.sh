@@ -377,10 +377,10 @@ done
 # executable a fresh daemon execs. Non-test lines stop at a file's
 # first `#[cfg(test)]` — the in-file property suites are meant to grow.
 non_test_lines() {
-    find "$1" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 }
+    find "$@" -name '*.rs' -exec awk 'FNR == 1 { skip = 0 }
         /^#\[cfg\(test\)\]/ { skip = 1 }
         !skip { n++ }
-        END { print n }' {} +
+        END { print n }' {} + | awk '{ n += $1 } END { print n }'
 }
 # The threads an idle daemon runs, counted once it is listening (a
 # thread it started would name itself as it runs, hence the settling
@@ -404,6 +404,7 @@ rm -f "$IDLE_OUT"
 }
 SERVE_LINES=$(non_test_lines crates/serve/src)
 CORE_LINES=$(non_test_lines crates/core/src)
+ALL_LINES=$(non_test_lines crates/*/src)
 # The daemon's heap allocations per request, as its pinning test counts
 # them (the test gates them; this prints them).
 ALLOCS=$(cargo test -q -p altx-serve --test alloc_counts -- --nocapture 2>/dev/null |
@@ -411,6 +412,6 @@ ALLOCS=$(cargo test -q -p altx-serve --test alloc_counts -- --nocapture 2>/dev/n
 ALTXD_FLAGS=$("$ALTXD" --help | grep -o -- '--[a-z-]*' | grep -cv -- '^--help$')
 ALTXD_BYTES=$(stat -c %s "$ALTXD")
 ALTXD_TEXT=$(size -A "$ALTXD" | awk '$1 == ".text" { print $2 }')
-echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve; under a trivial load $HOT_TEXT_KB kB of its text and $HOT_RO_KB kB of its read-only mapping are resident; daemon allocations per request: $ALLOCS"
+echo "==> size: crates/serve/src $SERVE_LINES non-test lines; crates/core/src $CORE_LINES non-test lines; crates/*/src $ALL_LINES non-test lines; altxd takes $ALTXD_FLAGS flags + --help; an idle altxd runs $IDLE_THREADS threads (--workers 2 --shards 1); the release altxd is $ALTXD_BYTES bytes, $ALTXD_TEXT of them .text; $HOT_RESOLVED of $HOT_LISTED hot symbols resolve; under a trivial load $HOT_TEXT_KB kB of its text and $HOT_RO_KB kB of its read-only mapping are resident; daemon allocations per request: $ALLOCS"
 
 echo "==> CI gate passed"
